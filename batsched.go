@@ -38,8 +38,6 @@ package batsched
 
 import (
 	"fmt"
-	"io"
-	"time"
 
 	"batsched/internal/core/chainopt"
 	"batsched/internal/core/estimate"
@@ -47,15 +45,12 @@ import (
 	"batsched/internal/core/wtpg"
 	"batsched/internal/event"
 	"batsched/internal/experiments"
-	"batsched/internal/fault"
 	"batsched/internal/live"
 	"batsched/internal/machine"
 	"batsched/internal/obs"
 	"batsched/internal/planner"
 	"batsched/internal/sim"
-	"batsched/internal/storage"
 	"batsched/internal/txn"
-	"batsched/internal/wal"
 	"batsched/internal/workload"
 )
 
@@ -66,8 +61,6 @@ type (
 	// Step is one read or write of a partition with an I/O demand in
 	// objects.
 	Step = txn.Step
-	// Mode is Read (shared lock) or Write (exclusive lock).
-	Mode = txn.Mode
 	// TxnID identifies a transaction.
 	TxnID = txn.ID
 	// PartitionID identifies a partition locking-granule.
@@ -87,12 +80,6 @@ const (
 // true demands.
 func NewTransaction(id TxnID, steps []Step) *Transaction { return txn.New(id, steps) }
 
-// NewTransactionDeclared builds a transaction with explicit (possibly
-// erroneous) declared demands, as in the paper's Experiment 4.
-func NewTransactionDeclared(id TxnID, steps []Step, declared []float64) *Transaction {
-	return txn.NewDeclared(id, steps, declared)
-}
-
 // ParsePattern parses the paper's arrow notation, e.g.
 // "r(F1:1) -> r(F2:5) -> w(F1:0.2) -> w(F2:1)".
 func ParsePattern(name, src string) (*Pattern, error) { return txn.ParsePattern(name, src) }
@@ -101,8 +88,6 @@ func ParsePattern(name, src string) (*Pattern, error) { return txn.ParsePattern(
 type (
 	// WTPG is the Weighted Transaction Precedence Graph.
 	WTPG = wtpg.Graph
-	// WTPGEdge is a conflicting- or precedence-edge of the graph.
-	WTPGEdge = wtpg.Edge
 	// Chain is a maximal path of the conflict graph.
 	Chain = wtpg.Chain
 	// ChainProblem is the chain-optimization input (w(T0→n[k]) and the
@@ -110,16 +95,10 @@ type (
 	ChainProblem = chainopt.Chain
 	// ChainSolution is an optimal orientation and its critical path.
 	ChainSolution = chainopt.Solution
-	// Orientation orients one chain edge (Down, Up or Free).
-	Orientation = chainopt.Orientation
 )
 
-// Chain edge orientations.
-const (
-	Free = chainopt.Free
-	Down = chainopt.Down
-	Up   = chainopt.Up
-)
+// Down orients a chain edge from the earlier to the later chain node.
+const Down = chainopt.Down
 
 // NewWTPG returns an empty graph.
 func NewWTPG() *WTPG { return wtpg.New() }
@@ -158,38 +137,19 @@ func EstimateE(g *WTPG, t TxnID, targets []TxnID) float64 {
 
 // Schedulers (§3 and §4.1 of the paper).
 type (
-	// Scheduler is the control-node concurrency-control policy.
-	Scheduler = sched.Scheduler
 	// SchedulerFactory builds scheduler instances for simulation runs.
 	SchedulerFactory = sched.Factory
 	// ControlCosts carries ddtime/chaintime/kwtpgtime and the §3.4
 	// control-saving period.
 	ControlCosts = sched.Costs
-	// Decision classifies an admit/request outcome.
-	Decision = sched.Decision
-	// Outcome is a decision plus its control-node CPU cost.
-	Outcome = sched.Outcome
-	// BatchAdmitter is the optional scheduler surface for epoch-batch
-	// admission: deciding a whole window of arrivals in one pass.
-	BatchAdmitter = sched.BatchAdmitter
-	// BatchOutcome reports one batched admission pass.
-	BatchOutcome = sched.BatchOutcome
-	// SchedulerRegistry maps scheduler names to factories; the default
-	// registry backs LookupScheduler and the CLIs' -sched flags.
-	SchedulerRegistry = sched.Registry
 )
 
-// Scheduler decisions.
-const (
-	Granted = sched.Granted
-	Blocked = sched.Blocked
-	Delayed = sched.Delayed
-	Aborted = sched.Aborted
-)
+// Granted is the scheduler decision that lets a request proceed.
+const Granted = sched.Granted
 
 // Scheduler factories, named as in the paper. Each is a thin wrapper
 // over the registry — the one place that constructs schedulers by name —
-// so these constructors and LookupScheduler always agree.
+// so these constructors and the CLIs' -sched flags always agree.
 func NODC() SchedulerFactory       { return sched.MustLookup("NODC") }
 func ASL() SchedulerFactory        { return sched.MustLookup("ASL") }
 func C2PL() SchedulerFactory       { return sched.MustLookup("C2PL") }
@@ -199,32 +159,6 @@ func ChainC2PL() SchedulerFactory  { return sched.MustLookup("CHAIN-C2PL") }
 func KConflictC2PL(k int) SchedulerFactory {
 	return sched.MustLookup(fmt.Sprintf("K%d-C2PL", k))
 }
-
-// EPOCH returns the epoch-batch scheduler: CHAIN per decision, plus the
-// BatchAdmitter surface that admits a whole arrival window in one pass
-// (one W recomputation for the batch) and reports its conflict-free
-// cluster count.
-func EPOCH() SchedulerFactory { return sched.MustLookup("EPOCH") }
-
-// LookupScheduler resolves a scheduler by name ("CHAIN", "K2",
-// "K3-C2PL", "EPOCH", case-insensitive) through the default registry;
-// unknown names error with the registered set.
-func LookupScheduler(name string) (SchedulerFactory, error) { return sched.Lookup(name) }
-
-// SchedulerNames lists the registered scheduler names (sorted), plus
-// the parameterized families K<k> and K<k>-C2PL accepted by
-// LookupScheduler.
-func SchedulerNames() []string { return sched.Names() }
-
-// NewSchedulerRegistry returns an empty registry for callers that bring
-// their own schedulers.
-func NewSchedulerRegistry() *SchedulerRegistry { return sched.NewRegistry() }
-
-// ConflictClusters partitions declared transactions into conflict-free
-// clusters (indices into ts): members of one cluster conflict
-// transitively, distinct clusters share no conflicting pair and can run
-// in parallel. This is the partition an epoch dispatcher executes.
-func ConflictClusters(ts []*Transaction) [][]int { return sched.ConflictClusters(ts) }
 
 // Machine and simulation (§4.1 of the paper).
 type (
@@ -261,213 +195,37 @@ type SimOption = sim.Option
 // WTPG edge resolutions and critical-path changes are reported too.
 func WithSimTrace(o Observer) SimOption { return sim.WithTrace(o) }
 
-// Fault injection (docs/ROBUSTNESS.md): deterministic, seedable faults
-// for the simulator and the live controller.
-type (
-	// FaultConfig sets per-kind fault rates (zero value = no faults).
-	FaultConfig = fault.Config
-	// FaultInjector makes deterministic fault decisions from a seed; nil
-	// injects nothing.
-	FaultInjector = fault.Injector
-)
-
-// Sentinel errors reported for injected faults.
-var (
-	ErrInjectedAbort = fault.ErrInjectedAbort
-	ErrInjectedCrash = fault.ErrInjectedCrash
-)
-
-// NewFaultInjector builds an injector whose decisions are pure
-// functions of (seed, transaction/partition id) — the same seed replays
-// the same fault schedule.
-func NewFaultInjector(seed uint64, cfg FaultConfig) (*FaultInjector, error) {
-	return fault.New(seed, cfg)
-}
-
-// WithSimFaults injects faults into a simulation run; every injected
-// fault is followed by a scheduler invariant check.
-func WithSimFaults(in *FaultInjector) SimOption { return sim.WithFaults(in) }
-
-// WithControllerFaults injects faults into a live controller.
-func WithControllerFaults(in *FaultInjector) ControllerOption { return live.WithFaults(in) }
-
-// Durable recovery (docs/ROBUSTNESS.md §9): a per-node dependency-logging
-// write-ahead log. Each record carries a transaction's partition
-// footprint and its resolved WTPG predecessor set, so recovery replays
-// the committed history in parallel waves constrained only by true
-// precedence.
-type (
-	// WAL is the per-node write-ahead log.
-	WAL = wal.Log
-	// WALRecord is one logged record (begin, commit or abort).
-	WALRecord = wal.Record
-	// WALStats counts appends, fsync passes and group-commit batching.
-	WALStats = wal.Stats
-	// WALNodeScan is one node file's decoded records plus its torn tail.
-	WALNodeScan = wal.NodeScan
-	// WALRecovery is the outcome of a replay: committed/aborted/
-	// incomplete transactions and the parallel replay schedule.
-	WALRecovery = wal.Recovery
-)
-
-// OpenWAL creates or reopens a write-ahead log with one file per node
-// under dir, truncating any torn tail left by a crash.
-func OpenWAL(dir string, numNodes int) (*WAL, error) { return wal.Open(dir, numNodes) }
-
-// ScanWAL decodes every node file under dir without replaying it.
-func ScanWAL(dir string) ([]WALNodeScan, error) { return wal.Scan(dir) }
-
-// ReplayWAL rebuilds the committed history from scanned node files,
-// applying committed transactions in dependency-ordered parallel waves
-// (workers <= 0 means one goroutine per transaction per wave; apply may
-// be nil to only classify).
-func ReplayWAL(scans []WALNodeScan, workers int, apply func(begin WALRecord, wave int)) (*WALRecovery, error) {
-	return wal.Replay(scans, workers, apply)
-}
-
-// WithSimWAL attaches a write-ahead log to a simulation run: admissions
-// append begin records, completions append commit/abort records, and the
-// durable committed set equals the run's committed set exactly.
-func WithSimWAL(l *WAL) SimOption { return sim.WithWAL(l) }
-
-// WithControllerWAL attaches a write-ahead log under dir to a live
-// controller: begins are forced durable before the first grant and
-// commits are forced durable before they apply. A commit that cannot be
-// logged is an abort.
-func WithControllerWAL(dir string) ControllerOption { return live.WithWAL(dir) }
-
-// WithControllerWALLog is WithControllerWAL over an already-open log.
-func WithControllerWALLog(l *WAL) ControllerOption { return live.WithWALLog(l) }
-
-// RecoverController rebuilds a controller from the log under dir:
-// committed transactions are replayed (wave-parallel) into a fresh
-// scheduler, incomplete ones are re-aborted, and the returned controller
-// continues logging to the same directory.
-func RecoverController(dir string, f SchedulerFactory, costs ControlCosts, opts ...ControllerOption) (*Controller, *WALRecovery, error) {
-	return live.Recover(dir, f, costs, opts...)
-}
-
-// Storage (docs/STORAGE.md): slotted-page heap files under the
-// schedulers. Each partition is one checksummed heap file accessed
-// through a per-node buffer pool; committed write steps apply
-// deterministic effect tuples, so the final partition contents are a
-// pure function of the committed set — the property the differential
-// and crash-recovery batteries check.
-type (
-	// Store is a partitioned heap-file store (one file per partition).
-	Store = storage.Store
-	// StorageOption configures OpenStorage.
-	StorageOption = storage.Option
-	// StoragePage is one slotted page over a caller-owned buffer.
-	StoragePage = storage.Page
-	// StorageRecordID locates a tuple (page number, slot).
-	StorageRecordID = storage.RecordID
-	// StorageIterator walks one partition's live tuples in (page, slot)
-	// order through the buffer pool.
-	StorageIterator = storage.Iterator
-	// StoragePoolStats snapshots the buffer pool's counters.
-	StoragePoolStats = storage.PoolStats
-	// StorageEffectKey identifies a committed write step's effect tuple.
-	StorageEffectKey = storage.EffectKey
-)
-
-// DefaultPageSize is the heap-file page size unless WithPageSize says
-// otherwise.
-const DefaultPageSize = storage.DefaultPageSize
-
-// OpenStorage creates or reopens a heap-file store with one file per
-// partition under dir, recovering torn pages left by a crash (partial
-// tails are truncated, corrupt interior pages reinitialized — the WAL
-// replay re-applies their committed effects).
-func OpenStorage(dir string, numParts int, opts ...StorageOption) (*Store, error) {
-	return storage.Open(dir, numParts, opts...)
-}
-
-// Storage options.
-func WithPageSize(n int) StorageOption     { return storage.WithPageSize(n) }
-func WithPoolFrames(n int) StorageOption   { return storage.WithPoolFrames(n) }
-func WithStorageNodes(n int) StorageOption { return storage.WithNodes(n) }
-
-// EncodeEffect builds the deterministic effect tuple committed write
-// steps insert: a (txn, step, partition) header padded to size bytes.
-func EncodeEffect(id TxnID, step int, part PartitionID, size int) []byte {
-	return storage.EncodeEffect(id, step, part, size)
-}
-
-// DecodeEffect parses an effect tuple's header.
-func DecodeEffect(b []byte) (StorageEffectKey, PartitionID, bool) {
-	return storage.DecodeEffect(b)
-}
-
-// WithSimStorage backs a simulation run with a caller-owned store:
-// every scheduled quantum touches a real page, write steps stage their
-// effect tuple, and commits apply staged effects after the WAL force.
-// Storage is driven by the timeline and feeds nothing back, so the
-// simulation Result is byte-identical with storage on or off.
-func WithSimStorage(st *Store) SimOption { return sim.WithStorage(st) }
-
-// WithControllerStorage backs a live controller with a caller-owned
-// store: every granted step scans its partition through the buffer
-// pool, and commit applies the staged effects strictly after the WAL
-// commit force while the transaction still holds its locks.
-func WithControllerStorage(st *Store) ControllerOption { return live.WithStorage(st) }
-
 // Observability (docs/OBSERVABILITY.md): structured trace events,
 // counters and histograms over every layer — schedulers, the simulator,
 // the live controller and the experiment harness.
 type (
 	// TraceEvent is one structured observation.
 	TraceEvent = obs.Event
-	// TraceKind classifies a TraceEvent.
-	TraceKind = obs.Kind
-	// Observer consumes trace events; Sink is a closable Observer.
+	// Observer consumes trace events.
 	Observer = obs.Observer
-	Sink     = obs.Sink
 	// RingSink keeps the last N events in memory.
 	RingSink = obs.Ring
 	// JSONLSink streams events as JSON Lines.
 	JSONLSink = obs.JSONL
 	// Metrics aggregates events into per-scheduler counters/histograms.
 	Metrics = obs.Metrics
-	// SchedulerMetrics is one scheduler's aggregate.
-	SchedulerMetrics = obs.SchedMetrics
 )
 
-// Trace event kinds.
-const (
-	TraceAdmit              = obs.KindAdmit
-	TraceRequest            = obs.KindRequest
-	TraceDecision           = obs.KindDecision
-	TraceObjectDone         = obs.KindObjectDone
-	TraceCommit             = obs.KindCommit
-	TraceResolve            = obs.KindResolve
-	TraceCriticalPathChange = obs.KindCriticalPathChange
-	TraceEpochFlush         = obs.KindEpochFlush
-)
+// TraceCommit is the kind of the event a finished transaction emits.
+const TraceCommit = obs.KindCommit
 
 // Sink constructors.
 func NewRingSink(capacity int) *RingSink              { return obs.NewRing(capacity) }
-func NewJSONLSink(w io.Writer) *JSONLSink             { return obs.NewJSONL(w) }
 func CreateJSONLSink(path string) (*JSONLSink, error) { return obs.CreateJSONL(path) }
 func NewMetrics() *Metrics                            { return obs.NewMetrics() }
 
 // MultiObserver fans events out to several observers (nils skipped).
 func MultiObserver(observers ...Observer) Observer { return obs.Multi(observers...) }
 
-// ObserveScheduler wraps a scheduler (or a whole factory) so every
-// decision is reported to o; a nil observer is the identity.
-func ObserveScheduler(s Scheduler, o Observer) Scheduler { return sched.Observed(s, o) }
-func ObserveSchedulerFactory(f SchedulerFactory, o Observer) SchedulerFactory {
-	return sched.ObservedFactory(f, o)
-}
-
 // The paper's workloads.
 func WorkloadExperiment1(numParts int) Workload { return workload.Experiment1(numParts) }
 func WorkloadExperiment2(l HotSetLayout) Workload {
 	return workload.Experiment2(l)
-}
-func WorkloadExperiment3(l HotSetLayout) Workload {
-	return workload.Experiment3(l)
 }
 
 // WithDeclarationError wraps a workload with Experiment 4's erroneous
@@ -481,15 +239,13 @@ type (
 	// ExperimentOptions configures a figure regeneration.
 	ExperimentOptions = experiments.Options
 	// ExperimentOption attaches observability to an experiment run (see
-	// WithExperimentTrace and WithExperimentMetrics).
+	// WithExperimentTrace).
 	ExperimentOption = experiments.Option
 	// Experiment results, one per paper experiment.
 	Experiment1Result = experiments.Experiment1Result
 	Experiment2Result = experiments.Experiment2Result
 	Experiment3Result = experiments.Experiment3Result
 	Experiment4Result = experiments.Experiment4Result
-	// SweepPoint and Sweep expose raw sweep data.
-	Sweep = experiments.Sweep
 )
 
 // Live execution: the schedulers as an in-process lock manager for real
@@ -500,23 +256,9 @@ type (
 	Controller = live.Controller
 	// ControllerOption configures a Controller at construction.
 	ControllerOption = live.Option
-	// ControllerOptions is the legacy controller configuration struct.
-	//
-	// Deprecated: pass ControllerOption values to NewController instead.
-	ControllerOptions = live.Options
-	// ControllerStats is a snapshot of a Controller's lifetime counters.
-	ControllerStats = live.Stats
 	// Progress reports completed objects from inside a running step.
 	Progress = live.Progress
 )
-
-// ErrControllerClosed is returned by a closed Controller.
-var ErrControllerClosed = live.ErrClosed
-
-// ErrWatchdogAborted is returned when the controller's no-progress
-// watchdog (WithWatchdog) force-aborted a blocked transaction to break
-// a stall. The transaction may be resubmitted.
-var ErrWatchdogAborted = live.ErrWatchdogAborted
 
 // NewController builds a live controller around a scheduler:
 //
@@ -527,48 +269,11 @@ func NewController(f SchedulerFactory, costs ControlCosts, opts ...ControllerOpt
 	return live.New(f, costs, opts...)
 }
 
-// NewControllerWithOptions builds a controller from the legacy struct.
-//
-// Deprecated: use NewController with functional options.
-func NewControllerWithOptions(f SchedulerFactory, costs ControlCosts, opts ControllerOptions) *Controller {
-	return live.NewWithOptions(f, costs, opts)
-}
-
-// Controller options.
-func WithRetryDelay(d time.Duration) ControllerOption { return live.WithRetryDelay(d) }
+// WithControllerObserver attaches a structured observer to a controller:
+// timeline events plus every scheduler decision, tagged by shard.
 func WithControllerObserver(o Observer) ControllerOption {
 	return live.WithObserver(o)
 }
-
-// WithBackoff replaces the fixed retry delay with jittered exponential
-// backoff in [d/2, d], d = min(base·2ⁿ, max) for the n-th consecutive
-// refusal (docs/ROBUSTNESS.md).
-func WithBackoff(base, max time.Duration) ControllerOption { return live.WithBackoff(base, max) }
-
-// WithWatchdog enables the controller's no-progress watchdog: after one
-// silent period it re-broadcasts the wake channel, after two it
-// force-aborts the youngest blocked transaction (docs/ROBUSTNESS.md).
-func WithWatchdog(d time.Duration) ControllerOption { return live.WithWatchdog(d) }
-
-// WithShards partitions the controller's hot path — lock table, WTPG,
-// scheduler state, wake channels, retry-jitter RNGs, counters — into n
-// shards by partition-ownership hashing (n rounded up to a power of
-// two, capped at 64). Single-shard transactions never touch another
-// shard's lock; spanning transactions acquire all their locks
-// atomically at admission (DESIGN.md §13). n ≤ 1 keeps the historical
-// single-mutex behavior.
-func WithShards(n int) ControllerOption { return live.WithShards(n) }
-
-// WithBatchWindow enables the controller's epoch-batch admission:
-// transactions handed to Controller.Submit are collected for wall-clock
-// windows of d, admitted as one batch through the scheduler's
-// BatchAdmitter surface (EPOCH), and dispatched conflict-free cluster
-// by cluster to the epoch worker pool.
-func WithBatchWindow(d time.Duration) ControllerOption { return live.WithBatchWindow(d) }
-
-// WithEpochWorkers bounds the worker pool that executes one epoch's
-// clusters (default: GOMAXPROCS).
-func WithEpochWorkers(n int) ControllerOption { return live.WithEpochWorkers(n) }
 
 // Batch planning (the off-line window's makespan problem, §1).
 type (
@@ -610,25 +315,7 @@ type (
 	AblationResult = experiments.AblationResult
 	// MixedResult reports the mixed short-transaction/BAT experiment.
 	MixedResult = experiments.MixedResult
-	// EpochSweepResult reports the batch-window sweep (makespan and
-	// latency vs. window size under the EPOCH scheduler).
-	EpochSweepResult = experiments.EpochSweepResult
-	// MixtureWorkload mixes several transaction classes.
-	MixtureWorkload = workload.Mixture
-	// WorkloadComponent is one class of a mixture.
-	WorkloadComponent = workload.Component
 )
-
-// NewMixture builds a mixed workload of weighted components.
-func NewMixture(label string, components ...WorkloadComponent) (*MixtureWorkload, error) {
-	return workload.NewMixture(label, components...)
-}
-
-// ShortTransactions builds a debit-credit-style short-transaction
-// generator (tiny demands, whole-partition locks).
-func ShortTransactions(numParts int, stepCost float64) Workload {
-	return workload.ShortTransactions(numParts, stepCost)
-}
 
 // Ablations of design choices and the paper's suggested extensions.
 func RunKSweep(o ExperimentOptions, ks []int, opts ...ExperimentOption) (*AblationResult, error) {
@@ -639,14 +326,6 @@ func RunPlacementAblation(o ExperimentOptions, opts ...ExperimentOption) (*Ablat
 }
 func RunMixedWorkload(o ExperimentOptions, lambda, shortShare float64, opts ...ExperimentOption) (*MixedResult, error) {
 	return experiments.RunMixedWorkload(o, lambda, shortShare, opts...)
-}
-
-// RunEpochSweep runs the batch-window sweep: a fixed Pattern1 arrival
-// stream under EPOCH at each window size (0 = the per-arrival CHAIN
-// baseline), reporting makespan, mean/p99 latency and batch statistics
-// per window. Zero windows/lambda/maxTxns select the defaults.
-func RunEpochSweep(o ExperimentOptions, windows []Time, lambda float64, maxTxns int, opts ...ExperimentOption) (*EpochSweepResult, error) {
-	return experiments.RunEpochSweep(o, windows, lambda, maxTxns, opts...)
 }
 
 // The paper's experiments; each result renders its figure(s) as text.
@@ -668,12 +347,3 @@ func RunExperiment4(o ExperimentOptions, sigmas []float64, opts ...ExperimentOpt
 // harness replays buffers into o in deterministic grid order, so the
 // stream is identical at every parallelism level).
 func WithExperimentTrace(o Observer) ExperimentOption { return experiments.WithTrace(o) }
-
-// WithExperimentMetrics aggregates per-sweep-point metrics into each
-// resulting point.
-func WithExperimentMetrics() ExperimentOption { return experiments.WithMetrics() }
-
-// WithExperimentParallelism bounds the experiment worker pool to n
-// concurrent simulations (default: Options.Workers, then
-// runtime.NumCPU()). Output is byte-identical at every n.
-func WithExperimentParallelism(n int) ExperimentOption { return experiments.WithParallelism(n) }

@@ -21,7 +21,6 @@ func benchOpts(seed int64) batsched.ExperimentOptions {
 		Machine:         batsched.DefaultMachine(),
 		Horizon:         300_000,
 		Seed:            seed,
-		Workers:         0, // GOMAXPROCS
 		Lambdas:         []float64{0.2, 0.4, 0.6, 0.8, 1.0},
 		RTTargetSeconds: 70,
 	}

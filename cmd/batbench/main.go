@@ -11,7 +11,7 @@
 //	batbench -fig 7 -csv out.csv    # also dump the sweep as CSV
 //	batbench -fig 6 -trace t.jsonl -metrics   # structured trace + summary
 //	batbench -epoch                 # EPOCH batch-window sweep (makespan/p99 vs window)
-//	batbench -epoch -windows 0,1000,4000 -json BENCH_PR6.json
+//	batbench -epoch -windows 0,1000,4000 -json sweep.json
 //
 // Grid cells fan out across -parallel workers (default: every core);
 // results land in pre-indexed slots and trace/metrics sinks are merged
@@ -34,7 +34,6 @@ import (
 	"batsched/internal/fault"
 	"batsched/internal/machine"
 	"batsched/internal/obs"
-	"batsched/internal/storage"
 )
 
 func main() {
@@ -46,13 +45,11 @@ func main() {
 		epoch    = flag.Bool("epoch", false, "run the epoch batch-window sweep (EPOCH scheduler, makespan and latency vs window)")
 		windows  = flag.String("windows", "", "comma-separated batch windows in clocks for -epoch (default 0,500,1000,2000,5000,10000)")
 		maxTxns  = flag.Int("maxtxns", 0, "arrivals per -epoch cell (0 = default 300)")
-		jsonOut  = flag.String("json", "", "write the -epoch sweep as JSON to this file (the BENCH_PR6.json document)")
-		shards   = flag.Int("shards", 0, "compare live-controller throughput: single-mutex vs this many shards (DESIGN.md §13); txn count from -maxtxns")
+		jsonOut  = flag.String("json", "", "write the -epoch sweep as JSON to this file")
 		table1   = flag.Bool("table1", false, "print the effective Table 1 parameters")
 		horizon  = flag.Int64("horizon", 2_000_000, "simulated clocks per run (paper: 2,000,000)")
 		seed     = flag.Int64("seed", 1990, "base random seed")
 		parallel = flag.Int("parallel", 0, "grid-cell worker pool size (0 = NumCPU); output is byte-identical at every setting")
-		workers  = flag.Int("workers", 0, "deprecated alias for -parallel")
 		rt       = flag.Float64("rt", 70, "response-time comparison target in seconds")
 		quick    = flag.Bool("quick", false, "reduced horizon (400k clocks) and sparser sweep")
 		lambdas  = flag.String("lambdas", "", "comma-separated arrival-rate sweep override")
@@ -64,10 +61,6 @@ func main() {
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		storageDir = flag.String("storage", "", "back the -shards comparison with heap files under this directory (docs/STORAGE.md) and report page-traffic bytes/sec")
-		pageSize   = flag.Int("pagesize", storage.DefaultPageSize, "heap-file page size in bytes (requires -storage)")
-		poolFrames = flag.Int("pool", 256, "buffer-pool frames per store (requires -storage)")
-
 		abortRate   = flag.Float64("abortrate", 0, "fraction of transactions killed mid-run by the fault injector")
 		crashNodes  = flag.Int("crashnodes", 0, "crash this many data nodes per run (deterministic in -faultseed; at least one node survives)")
 		crashWindow = flag.Int64("crashwindow", 0, "clocks within which injected node crashes land (0 = the horizon)")
@@ -77,29 +70,16 @@ func main() {
 
 	defer startProfiles(*cpuprof, *memprof)()
 
-	if *shards > 0 {
-		if err := runLiveComparison(*shards, *maxTxns, *storageDir, *pageSize, *poolFrames); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *table1 {
 		printTable1()
 		if *fig == "" && !*all {
 			return
 		}
 	}
-	poolSize := *parallel
-	if poolSize <= 0 {
-		poolSize = *workers
-	}
 	opts := experiments.Options{
 		Machine:         machine.DefaultConfig(),
 		Horizon:         event.Time(*horizon),
 		Seed:            *seed,
-		Workers:         poolSize,
 		RTTargetSeconds: *rt,
 		Replications:    *reps,
 	}
@@ -126,10 +106,7 @@ func main() {
 	// by every run of the grid (events carry their scheduler label).
 	// Each run emits into private buffers that the harness merges in
 	// grid order, so the trace is deterministic at any -parallel value.
-	var expOpts []experiments.Option
-	if poolSize > 0 {
-		expOpts = append(expOpts, experiments.WithParallelism(poolSize))
-	}
+	expOpts := []experiments.Option{experiments.WithParallelism(*parallel)}
 	if *abortRate > 0 || *crashNodes > 0 {
 		fseed := *faultSeed
 		if fseed == 0 {

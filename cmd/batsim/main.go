@@ -51,7 +51,6 @@ func main() {
 		verbose   = flag.Bool("v", false, "print per-node utilization")
 		cpuprof   = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		traceOut  = flag.String("trace", "", "write a structured JSONL trace to this file ('-' for stdout)")
-		textTrace = flag.String("texttrace", "", "write the legacy human-readable event log to this file ('-' for stdout)")
 		metrics   = flag.Bool("metrics", false, "print decision counts and latency histograms after the run")
 		selfCheck = flag.Bool("selfcheck", false, "verify lock-table invariants after every commit")
 		plotLive  = flag.Bool("plotlive", false, "chart live transactions over time (DC-thrashing view)")
@@ -159,17 +158,6 @@ func main() {
 		if cfg.SampleEvery < 1 {
 			cfg.SampleEvery = 1
 		}
-	}
-	if *textTrace == "-" {
-		cfg.Trace = os.Stdout
-	} else if *textTrace != "" {
-		f, err := os.Create(*textTrace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		defer f.Close()
-		cfg.Trace = f
 	}
 	var simOpts []sim.Option
 	var observers []obs.Observer

@@ -10,7 +10,7 @@
 //
 // The same sinks plug into the live Controller
 // (batsched.WithControllerObserver) and the experiment harness
-// (batsched.WithExperimentTrace / WithExperimentMetrics); see
+// (batsched.WithExperimentTrace); see
 // docs/OBSERVABILITY.md for the event schema.
 //
 // Run with: go run ./examples/tracing

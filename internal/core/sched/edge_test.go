@@ -176,28 +176,28 @@ func TestSchedulerNames(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
+func TestLookupNames(t *testing.T) {
 	good := map[string]string{
 		"NODC": "NODC", "nodc": "NODC", "ASL": "ASL", "c2pl": "C2PL",
 		"CHAIN": "CHAIN", "chain-c2pl": "CHAIN-C2PL",
 		"K2": "K2", "k5": "K5", "K3-C2PL": "K3-C2PL", " K2 ": "K2",
 	}
 	for in, want := range good {
-		f, err := ByName(in)
+		f, err := Lookup(in)
 		if err != nil {
-			t.Errorf("ByName(%q): %v", in, err)
+			t.Errorf("Lookup(%q): %v", in, err)
 			continue
 		}
 		if f.Label != want {
-			t.Errorf("ByName(%q).Label = %q, want %q", in, f.Label, want)
+			t.Errorf("Lookup(%q).Label = %q, want %q", in, f.Label, want)
 		}
 		if s := f.New(testCosts); s == nil {
-			t.Errorf("ByName(%q) factory returned nil", in)
+			t.Errorf("Lookup(%q) factory returned nil", in)
 		}
 	}
 	for _, bad := range []string{"", "2PL", "Kx", "K-C2PL", "CHAINX", "K-2"} {
-		if _, err := ByName(bad); err == nil {
-			t.Errorf("ByName(%q) succeeded", bad)
+		if _, err := Lookup(bad); err == nil {
+			t.Errorf("Lookup(%q) succeeded", bad)
 		}
 	}
 }

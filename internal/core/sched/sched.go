@@ -154,11 +154,3 @@ func KC2PLFactory(k int) Factory {
 		New:   func(c Costs) Scheduler { return NewKC2PL(c, k) },
 	}
 }
-
-// ByName resolves a scheduler factory from the default registry: NODC,
-// ASL, C2PL, CHAIN, CHAIN-C2PL, EPOCH, K<k> (e.g. K2), and K<k>-C2PL.
-// Matching is case-insensitive.
-//
-// Deprecated: use Lookup (or a custom Registry). Retained as a thin
-// wrapper so existing callers keep compiling.
-func ByName(name string) (Factory, error) { return Lookup(name) }

@@ -89,8 +89,7 @@ func TestReuseInsideHandler(t *testing.T) {
 // BenchmarkQueueChurn measures steady-state schedule/cancel/fire churn:
 // each iteration schedules two events, cancels one and fires the other,
 // so the queue stays near-empty and every allocation is per-event
-// overhead. The free-list keeps this at zero allocs/op (BENCH_PR5.json
-// pins the before/after numbers).
+// overhead. The free-list keeps this at zero allocs/op.
 func BenchmarkQueueChurn(b *testing.B) {
 	q := NewQueue()
 	nop := func(Time) {}

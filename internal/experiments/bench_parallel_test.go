@@ -11,8 +11,8 @@ import (
 
 // benchSweep runs the 8-way smoke grid (2 schedulers × 4 arrival rates,
 // reduced horizon) through the worker pool at the given parallelism.
-// BenchmarkSweepParallel1 vs BenchmarkSweepParallelN is the committed
-// scaling measurement of BENCH_PR5.json (`make bench-harness`).
+// BenchmarkSweepParallel1 vs BenchmarkSweepParallelN is the harness's
+// scaling measurement — meaningful only on a host with several cores.
 func benchSweep(b *testing.B, workers int) {
 	o := Options{
 		Machine:         machine.DefaultConfig(),

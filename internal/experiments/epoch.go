@@ -102,7 +102,7 @@ func RunEpochSweep(o Options, windows []event.Time, lambda float64, maxTxns int,
 			BatchWindow:          w,
 		}
 	}
-	results, jobMetrics, errs := runJobs(rc, rc.workers(o), cfgs, o.Progress)
+	results, jobMetrics, errs := runJobs(rc, cfgs, o.Progress)
 	res := &EpochSweepResult{
 		Scheduler: factory.Label,
 		Lambda:    lambda,
@@ -165,7 +165,7 @@ func (r *EpochSweepResult) CSV() string {
 	return b.String()
 }
 
-// JSON renders the sweep as the committed BENCH_PR6.json document: the
+// JSON renders the sweep as a document (batbench -epoch -json): the
 // sweep parameters plus one row per window. The document is a pure
 // function of the sweep result — no timestamps or host data — so
 // regenerating on an unchanged tree is byte-identical.

@@ -9,8 +9,8 @@
 //	Figure 10 — Experiment 4: declaration error σ vs. throughput at RT = 70 s
 //
 // Individual simulation runs are deterministic; the harness fans the
-// (scheduler × λ × replicate) grid onto a fixed worker pool (Workers /
-// WithParallelism, default runtime.NumCPU()), using the same seed for
+// (scheduler × λ × replicate) grid onto a fixed worker pool
+// (WithParallelism, default runtime.NumCPU()), using the same seed for
 // every scheduler at the same sweep point so comparisons are paired.
 // Every run is a pure function of (config, seed) with fully private
 // state — its own sim instance, RNG, fault injector and obs sinks —
@@ -42,10 +42,6 @@ type Options struct {
 	Horizon event.Time
 	// Seed is the base random seed.
 	Seed int64
-	// Workers bounds the concurrently running simulations
-	// (0 = runtime.NumCPU()). The WithParallelism option, when given,
-	// takes precedence. Output is byte-identical at every setting.
-	Workers int
 	// Lambdas overrides the default arrival-rate sweep (TPS).
 	Lambdas []float64
 	// RTTargetSeconds is the comparison response time (paper: 70 s).
@@ -64,9 +60,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Horizon == 0 {
 		o.Horizon = 2_000_000
-	}
-	if o.Workers <= 0 {
-		o.Workers = runtime.NumCPU()
 	}
 	if o.RTTargetSeconds == 0 {
 		o.RTTargetSeconds = 70
@@ -132,13 +125,14 @@ type job struct {
 // observer in job order by orderedFlush; per-run Metrics come back for
 // the caller to merge, again in job order. Progress (if non-nil) is
 // called with monotonically increasing completion counts under a lock.
-func runJobs(rc runConfig, workers int, cfgs []sim.Config,
+func runJobs(rc runConfig, cfgs []sim.Config,
 	progress func(done, total int)) ([]*sim.Result, []*obs.Metrics, []error) {
 
 	n := len(cfgs)
 	results := make([]*sim.Result, n)
 	errs := make([]error, n)
 	jobMetrics := make([]*obs.Metrics, n)
+	workers := rc.parallel
 	if workers <= 0 {
 		workers = runtime.NumCPU()
 	}
@@ -222,7 +216,7 @@ func runGridMutate(o Options, factories []sched.Factory, lambdas []float64,
 			}
 		}
 	}
-	results, jobMetrics, errs := runJobs(rc, rc.workers(o), cfgs, o.Progress)
+	results, jobMetrics, errs := runJobs(rc, cfgs, o.Progress)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s @ λ=%g: %w",

@@ -13,7 +13,6 @@ func quickOpts() Options {
 		Machine:         machine.DefaultConfig(),
 		Horizon:         120_000,
 		Seed:            7,
-		Workers:         2,
 		Lambdas:         []float64{0.2, 0.6},
 		RTTargetSeconds: 70,
 	}
@@ -172,9 +171,6 @@ func TestOptionsDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
 	if o.Machine.NumNodes != 8 || o.Horizon != 2_000_000 || o.RTTargetSeconds != 70 {
 		t.Errorf("defaults = %+v", o)
-	}
-	if o.Workers <= 0 {
-		t.Errorf("workers = %d", o.Workers)
 	}
 }
 

@@ -75,7 +75,7 @@ func RunMixedWorkload(o Options, lambda, shortShare float64, opts ...Option) (*M
 			Classify:             func(t *txn.T) string { return mix.ClassOf(t.ID) },
 		}
 	}
-	results, jobMetrics, errs := runJobs(rc, rc.workers(o), cfgs, o.Progress)
+	results, jobMetrics, errs := runJobs(rc, cfgs, o.Progress)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("mixed %s: %w", factories[i].Label, err)

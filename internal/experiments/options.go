@@ -70,8 +70,8 @@ func WithFaults(in *fault.Injector) Option {
 }
 
 // WithParallelism bounds the harness worker pool to n concurrent
-// simulations. n <= 0 (or omitting the option) falls back to
-// Options.Workers, whose default is runtime.NumCPU(). Results are
+// simulations. n <= 0 (or omitting the option) means
+// runtime.NumCPU(). Results are
 // written into pre-indexed slots and sinks are merged in grid order, so
 // every parallelism level produces byte-identical output.
 func WithParallelism(n int) Option {
@@ -80,16 +80,6 @@ func WithParallelism(n int) Option {
 			rc.parallel = n
 		}
 	}
-}
-
-// workers resolves the effective pool size: the WithParallelism
-// override wins, then Options.Workers (defaulted to runtime.NumCPU()
-// by withDefaults).
-func (rc runConfig) workers(o Options) int {
-	if rc.parallel > 0 {
-		return rc.parallel
-	}
-	return o.Workers
 }
 
 // capture is a per-run trace buffer. A simulation is single-threaded

@@ -3,8 +3,8 @@ package live
 // This file is epoch-batch admission for the live controller: collect
 // submissions for a wall-clock window, admit the whole window through
 // the scheduler's BatchAdmitter surface in one critical section, then
-// dispatch its conflict-free clusters to a worker pool with work
-// stealing. Transactions in one cluster conflict (transitively), so a
+// dispatch its conflict-free clusters to a worker pool. Transactions in
+// one cluster conflict (transitively), so a
 // cluster runs sequentially on one worker; distinct clusters never
 // contend and run in parallel. Correctness never depends on the
 // clustering — every transaction still takes every lock through the
@@ -13,15 +13,23 @@ package live
 
 import (
 	"context"
+	"errors"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
-	"batsched/internal/wal"
 )
+
+// errBatchShards reports batch admission asked of a sharded controller.
+// A window is decided in one critical section over one scheduler's
+// global view (EPOCH's W covers the whole batch); per-shard schedulers
+// have no such view, and quietly admitting per arrival instead would
+// measure a different algorithm than the one configured.
+var errBatchShards = errors.New("live: batch admission (WithBatchWindow, RunBatch) requires a single shard")
 
 // WithBatchWindow enables epoch-batch admission: transactions handed to
 // Submit are collected for wall-clock windows of d and admitted as one
@@ -30,7 +38,8 @@ import (
 // single-critical-section admission; with any other scheduler Submit
 // still works but every member admits through the per-arrival path.
 // Non-positive d disables batching (Submit degenerates to a goroutine
-// around Run).
+// around Run). Combined with WithShards(n > 1) the controller is
+// misconfigured: every Admit, Run, Submit and RunBatch returns an error.
 func WithBatchWindow(d time.Duration) Option {
 	return func(c *Controller) {
 		if d > 0 {
@@ -38,19 +47,6 @@ func WithBatchWindow(d time.Duration) Option {
 		}
 	}
 }
-
-// WithEpochWorkers bounds the worker pool that executes one epoch's
-// clusters (default: GOMAXPROCS). The pool never exceeds the number of
-// clusters in the batch — extra workers would have nothing to steal.
-func WithEpochWorkers(n int) Option {
-	return func(c *Controller) {
-		if n > 0 {
-			c.epochWorkers = n
-		}
-	}
-}
-
-func defaultEpochWorkers() int { return runtime.GOMAXPROCS(0) }
 
 // submission is one transaction waiting in the open epoch window.
 type submission struct {
@@ -87,7 +83,8 @@ func (c *Controller) Submit(ctx context.Context, t *txn.T, work func(step int, p
 // RunBatch executes a batch synchronously: one batched admission, then
 // cluster dispatch over the epoch workers, returning each transaction's
 // error in input order (nil on commit). It is the one-shot form of the
-// Submit/window pipeline and works without WithBatchWindow.
+// Submit/window pipeline and works without WithBatchWindow — but, like
+// it, only on a single-shard controller.
 func (c *Controller) RunBatch(ctx context.Context, ts []*txn.T, work func(t *txn.T, step int, p Progress) error) []error {
 	batch := make([]*submission, len(ts))
 	for i, t := range ts {
@@ -145,48 +142,35 @@ func (c *Controller) epochLoop() {
 
 // runEpoch processes one closed window: batch admission in a single
 // critical section (when the scheduler supports it), then cluster
-// dispatch with work stealing. Members the batch pass did not admit —
-// chain-form rejections, injected refusals, non-batch schedulers — go
-// through the blocking per-arrival Admit on their worker, so the epoch
-// path never strands a transaction the normal path would have served.
+// dispatch. Members the batch pass did not admit — chain-form
+// rejections, injected refusals, non-batch schedulers, a failed WAL
+// force — go through the blocking per-arrival Admit on their worker, so
+// the epoch path never strands a transaction the normal path would have
+// served. Workers take clusters off one shared cursor; a cluster's
+// members run sequentially, in batch order, on the worker that took it.
 func (c *Controller) runEpoch(batch []*submission) {
+	if c.nshards > 1 {
+		for _, s := range batch {
+			s.done <- errBatchShards
+		}
+		return
+	}
 	ts := make([]*txn.T, len(batch))
 	for i, s := range batch {
 		ts[i] = s.t
 	}
-	admitted, walRecs := c.admitBatch(ts)
-	if len(walRecs) > 0 {
-		// Write-ahead for the whole window in one group commit: every
-		// Begin record durable before any member's first grant takes
-		// effect (the workers below). On failure the batch admissions
-		// roll back; members then retry per-arrival and surface the
-		// sticky WAL error through Admit.
-		if err := c.walForce(walRecs...); err != nil {
-			for _, t := range ts {
-				if admitted[t.ID] {
-					c.Abort(t)
-					delete(admitted, t.ID)
-				}
-			}
-		}
-	}
+	admitted := c.admitBatch(ts)
 	clusters := sched.ConflictClusters(ts)
-	workers := c.epochWorkers
-	if workers <= 0 {
-		workers = defaultEpochWorkers()
-	}
-	if workers > len(clusters) {
-		workers = len(clusters)
-	}
-	q := newClusterQueue(workers, len(clusters))
+	var cursor atomic.Int64
 	var wg sync.WaitGroup
+	workers := min(runtime.GOMAXPROCS(0), len(clusters))
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for {
-				ci, ok := q.next(w)
-				if !ok {
+				ci := int(cursor.Add(1)) - 1
+				if ci >= len(clusters) {
 					return
 				}
 				for _, i := range clusters[ci] {
@@ -198,7 +182,7 @@ func (c *Controller) runEpoch(batch []*submission) {
 					}
 				}
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }
@@ -206,31 +190,22 @@ func (c *Controller) runEpoch(batch []*submission) {
 // admitBatch admits as much of the batch as the scheduler's batch
 // surface grants, in one critical section, and reports the flush to the
 // observability pipeline. Returns the granted set (nil when the
-// scheduler is not batch-capable or the controller closed — callers
-// fall back to per-arrival admission). Members the fault injector would
-// refuse at attempt 0 are withheld from the batch; their refusal fires
-// on the per-arrival path instead, keeping injector decisions
-// deterministic across both paths.
-// It also returns the WAL Begin records for the granted members (nil
-// without a WAL) — built inside the same critical section so each
-// carries the predecessors resolved by this batch's admission — for the
-// caller to force durable before dispatching.
-func (c *Controller) admitBatch(ts []*txn.T) (map[txn.ID]bool, []wal.Record) {
-	if c.nshards > 1 {
-		// Batch admission needs the global single-critical-section view;
-		// with a sharded hot path every member takes the per-arrival
-		// admission on its own shard instead (the callers' fallback).
-		return nil, nil
-	}
+// scheduler is not batch-capable, the controller closed, or the WAL
+// could not make the window's Begin records durable — callers fall back
+// to per-arrival admission, which surfaces the sticky WAL error).
+// Members the fault injector would refuse at attempt 0 are withheld from
+// the batch; their refusal fires on the per-arrival path instead,
+// keeping injector decisions deterministic across both paths.
+func (c *Controller) admitBatch(ts []*txn.T) map[txn.ID]bool {
 	sh := c.shards[0]
 	ba, ok := sh.sch.(sched.BatchAdmitter)
 	if !ok {
-		return nil, nil
+		return nil
 	}
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	if c.closed.Load() || c.walBroken() != nil {
-		return nil, nil
+		sh.mu.Unlock()
+		return nil
 	}
 	now := c.now()
 	kept := ts
@@ -247,70 +222,19 @@ func (c *Controller) admitBatch(ts []*txn.T) (map[txn.ID]bool, []wal.Record) {
 	}
 	out := ba.AdmitBatch(kept, now)
 	admitted := make(map[txn.ID]bool, out.Admitted)
-	var walRecs []wal.Record
+	granted := make([]*txn.T, 0, out.Admitted)
 	for i, o := range out.Outcomes {
 		if o.Decision == sched.Granted {
-			id := kept[i].ID
-			admitted[id] = true
-			sh.stats.Admitted++
-			sh.stats.BatchAdmitted++
-			sh.started[id] = now
-			if rec, logIt := c.walBeginLocked(sh, kept[i], now, func() []txn.ID {
-				return sched.Predecessors(sh.sch, id)
-			}); logIt {
-				walRecs = append(walRecs, rec)
-			}
+			admitted[kept[i].ID] = true
+			granted = append(granted, kept[i])
 		}
 	}
+	sh.stats.BatchAdmitted += uint64(len(granted))
 	sh.stats.Epochs++
-	if out.Admitted > 0 {
-		c.bumpProgress()
-	}
 	c.emit(obs.Event{Kind: obs.KindEpochFlush, At: now,
 		Batch: len(ts), Objects: float64(out.Admitted), Clusters: out.Clusters})
-	return admitted, walRecs
-}
-
-// clusterQueue distributes cluster indices over per-worker queues with
-// work stealing: a worker drains its own queue from the front and, when
-// empty, steals from the back of the longest other queue — the classic
-// split to keep contention low while no worker idles beside a loaded
-// one.
-type clusterQueue struct {
-	mu     sync.Mutex
-	queues [][]int
-}
-
-func newClusterQueue(workers, clusters int) *clusterQueue {
-	q := &clusterQueue{queues: make([][]int, workers)}
-	for ci := 0; ci < clusters; ci++ {
-		w := ci % workers
-		q.queues[w] = append(q.queues[w], ci)
+	if c.admitGranted(sh, 1, now, granted...) != nil {
+		return nil
 	}
-	return q
-}
-
-// next returns the next cluster for worker w, stealing if its own queue
-// is empty; ok is false when no work remains anywhere.
-func (q *clusterQueue) next(w int) (int, bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if own := q.queues[w]; len(own) > 0 {
-		ci := own[0]
-		q.queues[w] = own[1:]
-		return ci, true
-	}
-	victim, best := -1, 0
-	for i, qu := range q.queues {
-		if i != w && len(qu) > best {
-			victim, best = i, len(qu)
-		}
-	}
-	if victim < 0 {
-		return 0, false
-	}
-	qu := q.queues[victim]
-	ci := qu[len(qu)-1]
-	q.queues[victim] = qu[:len(qu)-1]
-	return ci, true
+	return admitted
 }

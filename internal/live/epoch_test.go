@@ -3,6 +3,7 @@ package live
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -24,7 +25,7 @@ func epochCtl(opts ...Option) *Controller {
 // path and checks every member commits exactly once, with mutual
 // exclusion intact inside each partition.
 func TestRunBatchCommitsEverything(t *testing.T) {
-	ctl := epochCtl(WithEpochWorkers(4))
+	ctl := epochCtl()
 	defer ctl.Close()
 	const n = 12
 	ts := make([]*txn.T, n)
@@ -67,7 +68,6 @@ func TestSubmitWindowBatches(t *testing.T) {
 	metrics := obs.NewMetrics()
 	ctl := epochCtl(
 		WithBatchWindow(50*time.Millisecond),
-		WithEpochWorkers(2),
 		WithObserver(metrics),
 	)
 	defer ctl.Close()
@@ -184,7 +184,6 @@ func TestEpochChaosLive(t *testing.T) {
 	}
 	ctl := epochCtl(
 		WithBatchWindow(20*time.Millisecond),
-		WithEpochWorkers(4),
 		WithFaults(inj),
 		WithWatchdog(100*time.Millisecond),
 	)
@@ -234,29 +233,124 @@ func TestEpochChaosLive(t *testing.T) {
 	t.Logf("epoch live chaos: %d committed, %d faulted, %d epochs", committed, faulted, st.Epochs)
 }
 
-// TestClusterQueueStealing unit-tests the work-stealing queue: all
-// clusters come out exactly once, and a worker with an empty queue
-// steals rather than quitting while others hold work.
-func TestClusterQueueStealing(t *testing.T) {
-	q := newClusterQueue(3, 7)
-	seen := make(map[int]bool)
-	// Worker 2 drains everything: its own queue first, then steals.
-	for {
-		ci, ok := q.next(2)
-		if !ok {
-			break
-		}
-		if seen[ci] {
-			t.Fatalf("cluster %d dispatched twice", ci)
-		}
-		seen[ci] = true
+// TestRunBatchClusterOrder pins the dispatch contract inside a cluster:
+// its members run one at a time, in batch order, whatever the declared
+// costs would tempt a weight-ordering scheduler to prefer — an inverted
+// order would park the worker behind a member queued after it and hang
+// the batch. Every member must commit.
+func TestRunBatchClusterOrder(t *testing.T) {
+	shapes := []struct {
+		name  string
+		costs []float64
+		parts []txn.PartitionID // nil = every member writes partition 0
+	}{
+		{name: "big-small", costs: []float64{50, 1}},
+		{name: "small-big", costs: []float64{1, 50}},
+		{name: "mid-big-small", costs: []float64{10, 50, 1}},
+		{name: "asc", costs: []float64{1, 10, 50}},
+		{name: "desc", costs: []float64{50, 10, 1}},
+		{name: "equal", costs: []float64{5, 5, 5}},
+		{name: "vee", costs: []float64{50, 1, 50}},
+		{name: "two-clusters", costs: []float64{50, 1, 1, 50, 10, 10}, parts: []txn.PartitionID{0, 1, 0, 1, 0, 1}},
 	}
-	if len(seen) != 7 {
-		t.Errorf("dispatched %d of 7 clusters", len(seen))
+	for _, sh := range shapes {
+		sh := sh
+		t.Run(sh.name, func(t *testing.T) {
+			ctl := epochCtl()
+			defer ctl.Close()
+			ts := make([]*txn.T, len(sh.costs))
+			for i, c := range sh.costs {
+				var part txn.PartitionID
+				if sh.parts != nil {
+					part = sh.parts[i]
+				}
+				ts[i] = txn.New(txn.ID(i+1), []txn.Step{w(part, c)})
+			}
+			var mu sync.Mutex
+			order := make(map[txn.PartitionID][]txn.ID)
+			done := make(chan []error, 1)
+			go func() {
+				done <- ctl.RunBatch(context.Background(), ts, func(tx *txn.T, step int, p Progress) error {
+					mu.Lock()
+					part := tx.Steps[step].Part
+					order[part] = append(order[part], tx.ID)
+					mu.Unlock()
+					p(tx.Steps[step].Cost)
+					return nil
+				})
+			}()
+			select {
+			case errs := <-done:
+				for i, err := range errs {
+					if err != nil {
+						t.Errorf("txn %d: %v", i+1, err)
+					}
+				}
+			case <-time.After(3 * time.Second):
+				t.Fatal("RunBatch hung")
+			}
+			if st := ctl.Stats(); int(st.Committed) != len(ts) || st.Active != 0 {
+				t.Errorf("stats %+v, want %d committed", st, len(ts))
+			}
+			ran := 0
+			for part, ids := range order {
+				ran += len(ids)
+				for i := 1; i < len(ids); i++ {
+					if ids[i] < ids[i-1] {
+						t.Errorf("partition %v cluster ran out of batch order: %v", part, ids)
+					}
+				}
+			}
+			if ran != len(ts) {
+				t.Errorf("%d of %d members ran", ran, len(ts))
+			}
+		})
 	}
-	for w := 0; w < 3; w++ {
-		if _, ok := q.next(w); ok {
-			t.Errorf("worker %d found work in a drained queue", w)
+}
+
+// TestBatchAdmissionRejectsShards pins the EPOCH × shards contract:
+// batch admission needs one scheduler's global view, so asking a sharded
+// controller for it is an error the caller sees — never a silent
+// per-arrival run of a different algorithm.
+func TestBatchAdmissionRejectsShards(t *testing.T) {
+	ctx := context.Background()
+	tx := func(id txn.ID) *txn.T { return txn.New(id, []txn.Step{w(0, 1)}) }
+
+	ctl := epochCtl(WithBatchWindow(time.Millisecond), WithShards(4))
+	defer ctl.Close()
+	if err := ctl.Admit(ctx, tx(1)); !errors.Is(err, errBatchShards) {
+		t.Errorf("Admit: %v, want errBatchShards", err)
+	}
+	if err := ctl.Run(ctx, tx(2), nil); !errors.Is(err, errBatchShards) {
+		t.Errorf("Run: %v, want errBatchShards", err)
+	}
+	select {
+	case err := <-ctl.Submit(ctx, tx(3), nil):
+		if !errors.Is(err, errBatchShards) {
+			t.Errorf("Submit: %v, want errBatchShards", err)
 		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Submit: no result")
+	}
+	for i, err := range ctl.RunBatch(ctx, []*txn.T{tx(4), tx(5)}, nil) {
+		if !errors.Is(err, errBatchShards) {
+			t.Errorf("RunBatch member %d: %v, want errBatchShards", i, err)
+		}
+	}
+	if st := ctl.Stats(); st.Admitted != 0 || st.Epochs != 0 {
+		t.Errorf("stats %+v, want nothing admitted", st)
+	}
+
+	// Without a window a sharded controller is valid; only its RunBatch
+	// has no batch admission to offer.
+	sharded := epochCtl(WithShards(4))
+	defer sharded.Close()
+	for i, err := range sharded.RunBatch(ctx, []*txn.T{tx(1), tx(2)}, nil) {
+		if !errors.Is(err, errBatchShards) {
+			t.Errorf("sharded RunBatch member %d: %v, want errBatchShards", i, err)
+		}
+	}
+	if err := sharded.Run(ctx, tx(3), nil); err != nil {
+		t.Errorf("sharded Run: %v", err)
 	}
 }

@@ -8,18 +8,18 @@
 //
 // The controller partitions its hot path into shards (WithShards): each
 // shard owns a slice of the partition space — ownership hashing, see
-// shard.go — with its own mutex, scheduler instance, lock table, WTPG,
-// wake channel and retry-jitter RNG. A transaction whose footprint lies
-// in one shard (the common case under CHAIN/K-WTPG) schedules entirely
-// under that shard's lock and never touches another shard; a
+// shard.go — with its own mutex, scheduler instance, lock table, WTPG
+// and wake channel. A transaction whose footprint lies in one shard
+// (the common case under CHAIN/K-WTPG) schedules entirely under that
+// shard's lock and never touches another shard; a
 // transaction spanning shards takes the shard locks in canonical
 // ascending order and acquires all of its locks atomically at admission
 // (ASL-style, see admitSpanning). The default is one shard — the moral
 // equivalent of the paper's centralized control node, byte-for-byte the
 // old single-mutex behavior. Refused requests block on the owning
-// shard's broadcast channel, which commit events close, plus a
-// retry-delay fallback (fixed by default, jittered-exponential with
-// WithBackoff). All the guarantees of the scheduler carry over:
+// shard's broadcast channel, which commit events close, plus the fixed
+// retry delay of the paper's §3.2 as a fallback (WithRetryDelay). All
+// the guarantees of the scheduler carry over:
 // conflicting holders never coexist and schedules are conflict
 // serializable (every scheduler is strict — locks are held to commit —
 // and each partition's locks are managed by exactly one shard).
@@ -46,7 +46,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -68,34 +67,12 @@ type Option func(*Controller)
 // admissions and policy-delayed requests (default 20 ms of wall time;
 // live workloads want faster retries than the simulated 500 ms because
 // ObjTime here is real work, usually far below 1 s). Non-positive
-// values keep the default. WithBackoff supersedes the fixed delay.
+// values keep the default.
 func WithRetryDelay(d time.Duration) Option {
 	return func(c *Controller) {
 		if d > 0 {
 			c.retryDelay = d
 		}
-	}
-}
-
-// WithBackoff replaces the fixed retry delay with jittered exponential
-// backoff: the n-th consecutive refusal of one admission or lock
-// request waits a uniformly-jittered delay in [d/2, d] where
-// d = min(base·2ⁿ, max). The wake broadcast still short-circuits every
-// wait, so backoff only bounds the polling rate under sustained
-// contention. A non-positive max defaults to 32·base; a non-positive
-// base keeps the fixed delay.
-func WithBackoff(base, max time.Duration) Option {
-	return func(c *Controller) {
-		if base <= 0 {
-			return
-		}
-		if max <= 0 {
-			max = 32 * base
-		}
-		if max < base {
-			max = base
-		}
-		c.backoffBase, c.backoffMax = base, max
 	}
 }
 
@@ -157,37 +134,6 @@ func WithTopology(numNodes, numParts int) Option {
 // qualify. Within one shard, event order still matches decision order.
 func WithObserver(o obs.Observer) Option {
 	return func(c *Controller) { c.observer = o }
-}
-
-// WithGrantHook observes every granted step (after the decision, under
-// no lock).
-//
-// Deprecated: use WithObserver; grant decisions arrive as obs Decision
-// events with Op "request" and Decision "granted".
-func WithGrantHook(fn func(t *txn.T, step int)) Option {
-	return func(c *Controller) { c.onGrant = fn }
-}
-
-// WithCommitHook observes commits.
-//
-// Deprecated: use WithObserver; commits arrive as obs Commit events.
-func WithCommitHook(fn func(t *txn.T)) Option {
-	return func(c *Controller) { c.onCommit = fn }
-}
-
-// Options is the legacy configuration struct.
-//
-// Deprecated: pass functional options to New (WithRetryDelay,
-// WithObserver, …). Retained, with NewWithOptions, so code written
-// against the struct API keeps compiling.
-type Options struct {
-	// RetryDelay is the fixed resubmission delay (see WithRetryDelay).
-	RetryDelay time.Duration
-	// OnGrant observes every granted step; OnCommit observes commits.
-	//
-	// Deprecated: use WithObserver.
-	OnGrant  func(t *txn.T, step int)
-	OnCommit func(t *txn.T)
 }
 
 // Stats is a consistent snapshot of the controller's lifetime counters,
@@ -255,14 +201,10 @@ type Controller struct {
 	epoch   time.Time
 	closed  atomic.Bool
 
-	retryDelay  time.Duration
-	backoffBase time.Duration // 0 = fixed retryDelay
-	backoffMax  time.Duration
-	watchdog    time.Duration // 0 = no watchdog
-	inj         *fault.Injector
-	observer    obs.Observer
-	onGrant     func(t *txn.T, step int)
-	onCommit    func(t *txn.T)
+	retryDelay time.Duration
+	watchdog   time.Duration // 0 = no watchdog
+	inj        *fault.Injector
+	observer   obs.Observer
 
 	// progress counts scheduler-state changes for the watchdog. It is
 	// atomic — every shard bumps it lock-free — so watchdog liveness
@@ -301,22 +243,24 @@ type Controller struct {
 	watchWG   sync.WaitGroup
 
 	// Epoch-batch state (WithBatchWindow, see epoch.go): window length,
-	// cluster-dispatch worker count, the open window's submissions, and
-	// the collector goroutine's lifecycle.
-	batchWindow  time.Duration
-	epochWorkers int
-	epochMu      sync.Mutex
-	epochBuf     []*submission
-	epochClosed  bool
-	stopEpoch    chan struct{}
-	epochWG      sync.WaitGroup
+	// the open window's submissions, and the collector goroutine's
+	// lifecycle. cfgErr latches an option combination the controller
+	// cannot honour (a batch window over more than one shard); like a WAL
+	// open failure it surfaces from every Admit.
+	batchWindow time.Duration
+	cfgErr      error
+	epochMu     sync.Mutex
+	epochBuf    []*submission
+	epochClosed bool
+	stopEpoch   chan struct{}
+	epochWG     sync.WaitGroup
 }
 
 // lshard is one shard of the controller's hot path: a slice of the
 // partition space (ownership hashing, see shardOf) with its own mutex,
 // scheduler instance — lock table, WTPG, admission policy — wake
-// channel, retry-jitter RNG and counters. A transaction's control state
-// (started/blocked/doomed/resident/walNode) lives on its *home* shard,
+// channel and counters. A transaction's control state (started/
+// blocked/doomed/resident/walNode) lives on its *home* shard,
 // the lowest-indexed shard its footprint touches; for the single-shard
 // common case that is also the only shard that ever schedules it.
 type lshard struct {
@@ -324,7 +268,6 @@ type lshard struct {
 	mu   sync.Mutex
 	sch  sched.Scheduler
 	wake chan struct{}
-	rng  *rand.Rand // jitter source; guarded by mu
 
 	// started maps each admitted transaction homed here to its admission
 	// time (drives Stats.Active and commit-event response times).
@@ -405,13 +348,14 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 			c.walOwned = true
 		}
 	}
-	seed := time.Now().UnixNano()
+	if c.batchWindow > 0 && c.nshards > 1 {
+		c.cfgErr = errBatchShards
+	}
 	c.shards = make([]*lshard, c.nshards)
 	for i := range c.shards {
 		sh := &lshard{
 			idx:      i,
 			wake:     make(chan struct{}),
-			rng:      rand.New(rand.NewSource(seed + int64(i)*0x9E3779B9)),
 			started:  make(map[txn.ID]event.Time),
 			blocked:  make(map[txn.ID]event.Time),
 			doomed:   make(map[txn.ID]error),
@@ -437,24 +381,11 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 		go c.watchdogLoop()
 	}
 	if c.batchWindow > 0 {
-		if c.epochWorkers <= 0 {
-			c.epochWorkers = defaultEpochWorkers()
-		}
 		c.stopEpoch = make(chan struct{})
 		c.epochWG.Add(1)
 		go c.epochLoop()
 	}
 	return c
-}
-
-// NewWithOptions builds a controller from the legacy Options struct.
-//
-// Deprecated: use New with functional options.
-func NewWithOptions(factory sched.Factory, costs sched.Costs, opts Options) *Controller {
-	return New(factory, costs,
-		WithRetryDelay(opts.RetryDelay),
-		WithGrantHook(opts.OnGrant),
-		WithCommitHook(opts.OnCommit))
 }
 
 // Label returns the scheduler name stamped on the controller's trace
@@ -553,68 +484,70 @@ func (c *Controller) broadcastLocked(sh *lshard) {
 // bumpProgress records one unit of scheduler progress for the watchdog.
 func (c *Controller) bumpProgress() { c.progress.Add(1) }
 
-// retryBase computes the pre-jitter delay for the attempt-th
-// resubmission (0-based): the fixed retry delay, or the exponential
-// term of WithBackoff. The uniform jitter is applied in awaitOn, under
-// the shard lock, from the shard's own RNG.
-func (c *Controller) retryBase(attempt int) time.Duration {
-	if c.backoffBase <= 0 {
-		return c.retryDelay
-	}
-	d := c.backoffBase
-	for i := 0; i < attempt && d < c.backoffMax; i++ {
-		d *= 2
-	}
-	if d > c.backoffMax {
-		d = c.backoffMax
-	}
-	return d
-}
-
-// awaitOn waits on a wake channel captured earlier (atomically with the
-// refusal it follows), the retry delay for this attempt, or ctx. The
-// waiter is registered on sh — the shard whose commit broadcast it
-// waits for — and the backoff jitter draws from sh's RNG inside the
-// same critical section, so jitter costs no extra lock acquisition and
-// never contends across shards. When t is non-nil the transaction is
-// registered as blocked for the duration of the wait, making it a
-// candidate for a watchdog abort.
-func (c *Controller) awaitOn(ctx context.Context, ch <-chan struct{}, sh *lshard, t *txn.T, attempt int) error {
-	d := c.retryBase(attempt)
-	sh.mu.Lock()
-	if c.closed.Load() {
-		sh.mu.Unlock()
-		return ErrClosed
-	}
+// waitLocked parks the caller after a refusal decided under sh.mu,
+// which the caller holds and waitLocked releases. The wait is registered
+// (Retries, waiters, and t — when non-nil — as blocked, making it a
+// watchdog-abort candidate) and sh.wake captured in the same critical
+// section as the refusal, so a commit between the decision and the wait
+// is never missed; the caller then sleeps until that broadcast, the
+// fixed retry delay (§3.2) or ctx, and re-decides.
+func (c *Controller) waitLocked(ctx context.Context, sh *lshard, t *txn.T) error {
+	ch := sh.wake
 	sh.stats.Retries++
 	sh.waiters++
 	if t != nil {
 		sh.blocked[t.ID] = sh.started[t.ID]
 	}
-	if c.backoffBase > 0 {
-		if half := d / 2; half > 0 {
-			d = half + time.Duration(sh.rng.Int63n(int64(half)+1))
-		}
-	}
 	sh.mu.Unlock()
-	defer func() {
-		sh.mu.Lock()
-		sh.waiters--
-		if t != nil {
-			delete(sh.blocked, t.ID)
-		}
-		sh.mu.Unlock()
-	}()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
+	timer := time.NewTimer(c.retryDelay)
+	var err error
 	select {
 	case <-ch:
-		return nil
 	case <-timer.C:
-		return nil
 	case <-ctx.Done():
-		return ctx.Err()
+		err = ctx.Err()
 	}
+	timer.Stop()
+	sh.mu.Lock()
+	sh.waiters--
+	if t != nil {
+		delete(sh.blocked, t.ID)
+	}
+	sh.mu.Unlock()
+	return err
+}
+
+// admitGranted is the tail every admission path shares once the
+// scheduler has granted ts — all homed on home — under the held shard
+// locks in mask: count and clock each member, build its WAL Begin record
+// while the predecessor read is still atomic with the grant, release the
+// locks, and force the records durable in one group commit. Write-ahead:
+// a Begin record — footprint + resolved predecessors — must be durable
+// before the grant takes effect, so on failure every member's admission
+// is rolled back.
+func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts ...*txn.T) error {
+	// One member is the hot path (Admit); its record stays on the stack.
+	var one [1]wal.Record
+	recs := one[:0]
+	for _, t := range ts {
+		home.stats.Admitted++
+		home.started[t.ID] = now
+		c.bumpProgress()
+		if rec, logIt := c.walBeginLocked(home, t, now, mask); logIt {
+			recs = append(recs, rec)
+		}
+	}
+	c.unlockMask(mask)
+	if len(recs) == 0 {
+		return nil
+	}
+	if err := c.walForce(recs...); err != nil {
+		for _, t := range ts {
+			c.Abort(t)
+		}
+		return fmt.Errorf("live: wal: %w", err)
+	}
+	return nil
 }
 
 // Progress reports completed work to the scheduler, adjusting the
@@ -720,6 +653,9 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return fmt.Errorf("live: nil transaction")
 	}
+	if c.cfgErr != nil {
+		return c.cfgErr
+	}
 	mask := c.shardMask(t)
 	if spanning(mask) {
 		return c.admitSpanning(ctx, t, mask)
@@ -740,42 +676,15 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		}
 		if c.inj.RefuseAdmit(t.ID, attempt) {
 			c.emitShard(sh.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
-			ch := sh.wake
-			sh.mu.Unlock()
-			if err := c.awaitOn(ctx, ch, sh, nil, attempt); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := c.walBroken(); err != nil {
+		} else if err := c.walBroken(); err != nil {
 			// Durability was requested and is broken (open or IO failure):
 			// admitting would run the transaction unlogged.
 			sh.mu.Unlock()
 			return fmt.Errorf("live: wal: %w", err)
+		} else if sh.sch.Admit(t, now).Decision == sched.Granted {
+			return c.admitGranted(sh, mask, now, t)
 		}
-		out := sh.sch.Admit(t, now)
-		ch := sh.wake
-		if out.Decision == sched.Granted {
-			sh.stats.Admitted++
-			sh.started[t.ID] = now
-			c.bumpProgress()
-			rec, logIt := c.walBeginLocked(sh, t, now, func() []txn.ID {
-				return sched.Predecessors(sh.sch, t.ID)
-			})
-			sh.mu.Unlock()
-			if logIt {
-				// Write-ahead: the Begin record — footprint + resolved
-				// predecessors — must be durable before the grant takes
-				// effect. On failure the admission is rolled back.
-				if err := c.walForce(rec); err != nil {
-					c.Abort(t)
-					return fmt.Errorf("live: wal: %w", err)
-				}
-			}
-			return nil
-		}
-		sh.mu.Unlock()
-		if err := c.awaitOn(ctx, ch, sh, nil, attempt); err != nil {
+		if err := c.waitLocked(ctx, sh, nil); err != nil {
 			return err
 		}
 	}
@@ -789,7 +698,7 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 	mask := c.shardMask(t)
 	home := c.shards[homeShard(mask)]
-	span := spanning(mask)
+	part := t.Steps[step].Part
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -805,49 +714,24 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 			return err
 		}
 		now := c.now()
-		part := t.Steps[step].Part
-		stepShard := c.shardOf(part)
 		if attempt == 0 {
-			c.emitShard(stepShard, obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: part})
+			c.emitShard(c.shardOf(part), obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: part})
 		}
-		if span {
-			// The lock was granted at admission; record the step's
-			// residency (the node-crash window moves to this step) and
-			// count the grant.
+		// A spanning transaction's locks were all granted at admission, so
+		// only the bookkeeping remains: count the grant and move the
+		// node-crash window to this step.
+		if spanning(mask) || home.sch.Request(t, step, now).Decision == sched.Granted {
 			home.stats.Granted++
 			c.bumpProgress()
 			if c.place != nil {
 				home.resident[t.ID] = &residency{step: step, part: part, node: c.place.NodeOf(part)}
 			}
 			home.mu.Unlock()
-			if c.onGrant != nil {
-				c.onGrant(t, step)
-			}
-			return nil
-		}
-		out := home.sch.Request(t, step, now)
-		// Capture the wake channel under the same critical section as the
-		// refused decision: a commit between the decision and the wait
-		// would otherwise be missed, costing a full retry delay.
-		ch := home.wake
-		if out.Decision == sched.Granted {
-			home.stats.Granted++
-			c.bumpProgress()
-			if c.place != nil {
-				home.resident[t.ID] = &residency{step: step, part: part, node: c.place.NodeOf(part)}
-			}
-		}
-		home.mu.Unlock()
-		if out.Decision == sched.Granted {
-			if c.onGrant != nil {
-				c.onGrant(t, step)
-			}
 			return nil
 		}
 		// Blocked and Delayed both wait for the next commit broadcast or
-		// the retry delay; the scheduler re-decides on resubmission. The
-		// wait registers t as blocked — a watchdog-abort candidate.
-		if err := c.awaitOn(ctx, ch, home, t, attempt); err != nil {
+		// the retry delay; the scheduler re-decides on resubmission.
+		if err := c.waitLocked(ctx, home, t); err != nil {
 			return err
 		}
 	}
@@ -893,13 +777,7 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 // "commit" runs the abort-recovery path instead and the caller must
 // treat the transaction as aborted.
 func (c *Controller) Commit(t *txn.T) error {
-	if err := c.finish(t, true); err != nil {
-		return err
-	}
-	if c.onCommit != nil {
-		c.onCommit(t)
-	}
-	return nil
+	return c.finish(t, true)
 }
 
 // Abort abandons an admitted transaction (work error, cancellation,
@@ -949,14 +827,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	delete(home.started, t.ID)
 	delete(home.doomed, t.ID)
 	delete(home.resident, t.ID)
-	rec, logIt := c.walCompletionLocked(home, t, committed, now, func() []txn.ID {
-		if !spanning(mask) {
-			return sched.Predecessors(home.sch, t.ID)
-		}
-		schs := make([]sched.Scheduler, 0, 2)
-		c.eachShard(mask, func(sh *lshard) { schs = append(schs, sh.sch) })
-		return sched.PredecessorsUnion(schs, t.ID)
-	})
+	rec, logIt := c.walCompletionLocked(home, t, committed, now, mask)
 	c.unlockMask(mask)
 
 	if c.wal != nil && committed && !logIt {
@@ -1143,8 +1014,7 @@ func (c *Controller) watchdogLoop() {
 		}
 		if !kicked {
 			// First silent deadline: re-broadcast. If the stall was a lost
-			// wakeup (or everyone is sitting out a long backoff), this
-			// alone cures it.
+			// wakeup, this alone cures it.
 			kicked = true
 			c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "kick"})
 		} else if victim, vsh, ok := c.youngestBlockedLocked(); ok {

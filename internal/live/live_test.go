@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
 
@@ -114,34 +115,30 @@ func TestConflictSerializability(t *testing.T) {
 				part txn.PartitionID
 				mode txn.Mode
 			}
-			var mu sync.Mutex
-			var grants []grant
-			var txns sync.Map
-			ctl := New(f, liveCosts,
-				WithRetryDelay(time.Millisecond),
-				WithGrantHook(func(tx *txn.T, step int) {
-					mu.Lock()
-					grants = append(grants, grant{tx.ID, tx.Steps[step].Part, tx.Steps[step].Mode})
-					mu.Unlock()
-				}))
+			// A grant is a Decision event with op=request, decision=granted,
+			// emitted under the shard lock — so in exact decision order.
+			ring := obs.NewRing(4096)
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(ring))
 			defer ctl.Close()
-			var wg sync.WaitGroup
+			txns := make(map[txn.ID]*txn.T)
 			for i := 0; i < 24; i++ {
-				i := i
+				rng := rand.New(rand.NewSource(int64(i)))
+				var steps []txn.Step
+				for s := 0; s < 1+rng.Intn(3); s++ {
+					steps = append(steps, txn.Step{
+						Mode: txn.Mode(rng.Intn(2)),
+						Part: txn.PartitionID(rng.Intn(4)),
+						Cost: 1,
+					})
+				}
+				txns[txn.ID(i+1)] = txn.New(txn.ID(i+1), steps)
+			}
+			var wg sync.WaitGroup
+			for _, tx := range txns {
+				tx := tx
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
-					rng := rand.New(rand.NewSource(int64(i)))
-					var steps []txn.Step
-					for s := 0; s < 1+rng.Intn(3); s++ {
-						steps = append(steps, txn.Step{
-							Mode: txn.Mode(rng.Intn(2)),
-							Part: txn.PartitionID(rng.Intn(4)),
-							Cost: 1,
-						})
-					}
-					tx := txn.New(txn.ID(i+1), steps)
-					txns.Store(tx.ID, true)
 					if err := ctl.Run(context.Background(), tx, func(int, Progress) error {
 						time.Sleep(100 * time.Microsecond)
 						return nil
@@ -151,6 +148,18 @@ func TestConflictSerializability(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			if ring.Dropped() > 0 {
+				t.Fatalf("ring dropped %d events; enlarge the buffer", ring.Dropped())
+			}
+			var grants []grant
+			for _, e := range ring.Events() {
+				if e.Kind == obs.KindDecision && e.Op == "request" && e.Decision == "granted" {
+					grants = append(grants, grant{e.Txn, e.Part, txns[e.Txn].Steps[e.Step].Mode})
+				}
+			}
+			if len(grants) == 0 {
+				t.Fatal("observer saw no granted requests")
+			}
 			// Conflict graph from grant order must be acyclic.
 			succ := map[txn.ID]map[txn.ID]bool{}
 			for i := 0; i < len(grants); i++ {

@@ -162,31 +162,6 @@ func TestStatsSnapshotUnderRace(t *testing.T) {
 	}
 }
 
-// TestNewWithOptionsCompat: the deprecated struct constructor still
-// works and routes its hooks.
-func TestNewWithOptionsCompat(t *testing.T) {
-	var commits int
-	var mu sync.Mutex
-	ctl := NewWithOptions(sched.ChainFactory(), liveCosts, Options{
-		RetryDelay: time.Millisecond,
-		OnCommit: func(*txn.T) {
-			mu.Lock()
-			commits++
-			mu.Unlock()
-		},
-	})
-	defer ctl.Close()
-	tx := txn.New(1, []txn.Step{r(0, 1)})
-	if err := ctl.Run(context.Background(), tx, nil); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if commits != 1 {
-		t.Errorf("OnCommit fired %d times, want 1", commits)
-	}
-}
-
 // TestStepLevelAPI exercises the exported Admit/Acquire/ObjectDone/
 // Commit/Abort primitives directly, including abort accounting.
 func TestStepLevelAPI(t *testing.T) {

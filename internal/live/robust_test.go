@@ -142,12 +142,12 @@ func TestRunReturnsCtxErrPromptly(t *testing.T) {
 	}
 }
 
-// TestBackoffStillCompletes exercises the jittered-exponential retry
-// path under contention: correctness must not depend on the delay
-// schedule.
-func TestBackoffStillCompletes(t *testing.T) {
+// TestRetryDelayStillCompletes exercises the fixed-delay retry path
+// under contention with a delay far below the default: correctness must
+// not depend on the delay.
+func TestRetryDelayStillCompletes(t *testing.T) {
 	ctl := New(sched.KWTPGFactory(2), liveCosts,
-		WithBackoff(200*time.Microsecond, 5*time.Millisecond))
+		WithRetryDelay(200*time.Microsecond))
 	defer ctl.Close()
 	var wg sync.WaitGroup
 	errs := make(chan error, 12)
@@ -292,7 +292,6 @@ func TestLiveChaos(t *testing.T) {
 				}
 				ctl := New(f, liveCosts,
 					WithRetryDelay(time.Millisecond),
-					WithBackoff(500*time.Microsecond, 8*time.Millisecond),
 					WithWatchdog(50*time.Millisecond),
 					WithFaults(inj))
 				const workers = 24

@@ -39,7 +39,7 @@ import (
 const maxShards = 64
 
 // WithShards partitions the controller's hot path — lock table, WTPG,
-// scheduler state, wake channel, retry-jitter RNG, counters — into n
+// scheduler state, wake channel, counters — into n
 // shards by partition-ownership hashing. n is rounded up to a power of
 // two and capped at 64; values ≤ 1 keep the default single shard,
 // which behaves exactly like the historical single-mutex controller.
@@ -50,8 +50,11 @@ const maxShards = 64
 // batch-wide order W) apply per shard. Correctness is unaffected — see
 // the invariants at the top of shard.go — and the differential tests
 // pin the sharded committed set against the single-mutex one.
-// WithBatchWindow's single-critical-section batch admission requires
-// the global view and falls back to per-arrival admission when n > 1.
+// Batch admission (WithBatchWindow, RunBatch) decides a whole window in
+// one critical section over one scheduler's global view, which a
+// sharded controller does not have: WithBatchWindow with n > 1 is a
+// configuration error that every Admit, Run, Submit and RunBatch
+// returns, and RunBatch fails the same way on any sharded controller.
 func WithShards(n int) Option {
 	return func(c *Controller) {
 		if n <= 1 {
@@ -201,9 +204,7 @@ func (c *Controller) admitSpanning(ctx context.Context, t *txn.T, mask uint64) e
 		if c.inj.RefuseAdmit(t.ID, attempt) {
 			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
 			home.mu.Lock()
-			ch := home.wake
-			home.mu.Unlock()
-			if err := c.awaitOn(ctx, ch, home, nil, attempt); err != nil {
+			if err := c.waitLocked(ctx, home, nil); err != nil {
 				return err
 			}
 			continue
@@ -218,60 +219,38 @@ func (c *Controller) admitSpanning(ctx context.Context, t *txn.T, mask uint64) e
 			return fmt.Errorf("live: wal: %w", err)
 		}
 		now = c.now()
-		granted := true
 		var refused *lshard
 		var reached []*lshard // shards whose scheduler registered t this attempt
 		c.eachShard(mask, func(sh *lshard) {
-			if !granted {
+			if refused != nil {
 				return
 			}
 			proj := projs[sh.idx]
 			if out := sh.sch.Admit(proj, now); out.Decision != sched.Granted {
-				granted, refused = false, sh
+				refused = sh
 				return
 			}
 			reached = append(reached, sh)
 			for step := range proj.Steps {
 				if out := sh.sch.Request(proj, step, now); out.Decision != sched.Granted {
-					granted, refused = false, sh
+					refused = sh
 					return
 				}
 			}
 		})
-		if !granted {
-			// Roll back every shard the attempt registered on (including a
-			// shard whose Admit succeeded but a Request refused — the abort
-			// path releases partial grants and repairs the WTPG).
-			for _, sh := range reached {
-				sched.AbortTxn(sh.sch, projs[sh.idx], now)
-			}
-			ch := refused.wake
-			c.unlockMask(mask)
-			if err := c.awaitOn(ctx, ch, refused, nil, attempt); err != nil {
-				return err
-			}
-			continue
+		if refused == nil {
+			return c.admitGranted(home, mask, now, t)
 		}
-		home.stats.Admitted++
-		home.started[t.ID] = now
-		c.bumpProgress()
-		rec, logIt := c.walBeginLocked(home, t, now, func() []txn.ID {
-			schs := make([]sched.Scheduler, 0, len(reached))
-			for _, sh := range reached {
-				schs = append(schs, sh.sch)
-			}
-			return sched.PredecessorsUnion(schs, t.ID)
-		})
-		c.unlockMask(mask)
-		if logIt {
-			// Write-ahead, as on the single-shard path: the Begin record —
-			// full footprint + the union of per-shard predecessors — must
-			// be durable before the grants take effect.
-			if err := c.walForce(rec); err != nil {
-				c.Abort(t)
-				return fmt.Errorf("live: wal: %w", err)
-			}
+		// Roll back every shard the attempt registered on (including a
+		// shard whose Admit succeeded but a Request refused — the abort
+		// path releases partial grants and repairs the WTPG), then wait on
+		// the refusing shard.
+		for _, sh := range reached {
+			sched.AbortTxn(sh.sch, projs[sh.idx], now)
 		}
-		return nil
+		c.unlockMask(mask &^ (1 << uint(refused.idx)))
+		if err := c.waitLocked(ctx, refused, nil); err != nil {
+			return err
+		}
 	}
 }

@@ -137,7 +137,6 @@ func TestShardedSwarmRace(t *testing.T) {
 	ctl := New(sched.C2PLFactory(), liveCosts,
 		WithShards(8),
 		WithRetryDelay(time.Millisecond),
-		WithBackoff(500*time.Microsecond, 8*time.Millisecond),
 		WithObserver(ring))
 	defer ctl.Close()
 	if got := ctl.Shards(); got != 8 {
@@ -192,8 +191,8 @@ func TestShardedSwarmRace(t *testing.T) {
 
 // TestShardedChaosLive joins the `make chaos` battery: the fault
 // injector's full mix — injected aborts, crashes (panics), slow I/O,
-// admission refusals — against a sharded controller with watchdog and
-// backoff, over footprints that routinely span shards. Invariants must
+// admission refusals — against a sharded controller with a watchdog,
+// over footprints that routinely span shards. Invariants must
 // hold and the books must balance after every storm.
 func TestShardedChaosLive(t *testing.T) {
 	factories := []sched.Factory{
@@ -221,7 +220,6 @@ func TestShardedChaosLive(t *testing.T) {
 				ctl := New(f, liveCosts,
 					WithShards(4),
 					WithRetryDelay(time.Millisecond),
-					WithBackoff(500*time.Microsecond, 8*time.Millisecond),
 					WithWatchdog(50*time.Millisecond),
 					WithFaults(inj))
 				const workers = 24

@@ -96,7 +96,6 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			ctl := New(sched.C2PLFactory(), liveCosts,
 				WithShards(4),
 				WithRetryDelay(time.Millisecond),
-				WithBackoff(500*time.Microsecond, 8*time.Millisecond),
 				WithFaults(inj),
 				WithWALLog(l),
 				WithStorage(st),

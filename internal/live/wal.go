@@ -21,6 +21,7 @@ package live
 
 import (
 	"fmt"
+	"math/bits"
 	"runtime"
 	"time"
 
@@ -77,14 +78,24 @@ func (c *Controller) walBroken() error {
 	return c.walErr
 }
 
+// predecessorsLocked reads id's resolved WTPG predecessors — for a
+// spanning transaction, the union across its shards. Callers must hold
+// every masked shard's lock.
+func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
+	if !spanning(mask) {
+		return sched.Predecessors(c.shards[homeShard(mask)].sch, id)
+	}
+	schs := make([]sched.Scheduler, 0, bits.OnesCount64(mask))
+	c.eachShard(mask, func(sh *lshard) { schs = append(schs, sh.sch) })
+	return sched.PredecessorsUnion(schs, id)
+}
+
 // walBeginLocked builds the Begin record for a just-admitted t: its
-// declared footprint and the predecessor set resolved at admission
-// (preds — for a spanning transaction, the union across its shards),
+// declared footprint and the predecessor set resolved at admission,
 // routed to the node of its first partition. Callers must hold the
-// home shard's lock — and, for a spanning transaction, every footprint
-// shard's lock, so the predecessor read is atomic with the admission;
-// preds is only invoked once the record is known to be wanted.
-func (c *Controller) walBeginLocked(home *lshard, t *txn.T, now event.Time, preds func() []txn.ID) (wal.Record, bool) {
+// locks of every shard in mask, t's footprint, so the predecessor read
+// is atomic with the admission.
+func (c *Controller) walBeginLocked(home *lshard, t *txn.T, now event.Time, mask uint64) (wal.Record, bool) {
 	if c.wal == nil || c.walBroken() != nil {
 		return wal.Record{}, false
 	}
@@ -99,17 +110,17 @@ func (c *Controller) walBeginLocked(home *lshard, t *txn.T, now event.Time, pred
 		Node:  node,
 		At:    now,
 		Steps: wal.Footprint(t),
-		Preds: preds(),
+		Preds: c.predecessorsLocked(mask, t.ID),
 	}, true
 }
 
 // walCompletionLocked builds the completion record for a finishing t,
-// reading the final predecessor set (preds) while the transaction is
-// still in the graph(s). It consumes the home shard's walNode entry, so
+// reading the final predecessor set while the transaction is still in
+// the graph(s). It consumes the home shard's walNode entry, so
 // a transaction whose Begin was never logged (WAL failed mid-run) gets
 // no completion record either — replay would reject a completion
 // without a begin. Callers must hold the footprint's shard locks.
-func (c *Controller) walCompletionLocked(home *lshard, t *txn.T, committed bool, now event.Time, preds func() []txn.ID) (wal.Record, bool) {
+func (c *Controller) walCompletionLocked(home *lshard, t *txn.T, committed bool, now event.Time, mask uint64) (wal.Record, bool) {
 	if c.wal == nil {
 		return wal.Record{}, false
 	}
@@ -121,7 +132,7 @@ func (c *Controller) walCompletionLocked(home *lshard, t *txn.T, committed bool,
 	rec := wal.Record{Kind: wal.Abort, Txn: t.ID, Node: node, At: now}
 	if committed {
 		rec.Kind = wal.Commit
-		rec.Preds = preds()
+		rec.Preds = c.predecessorsLocked(mask, t.ID)
 	}
 	return rec, true
 }

@@ -237,8 +237,8 @@ type Event struct {
 	Shard int `json:"shard,omitempty"`
 }
 
-// String renders the event in the grep-friendly one-line style of the
-// legacy text tracer.
+// String renders the event as one grep-friendly line: clock,
+// transaction, kind, then the kind's own fields.
 func (e Event) String() string {
 	s := fmt.Sprintf("%9d %v %s", int64(e.At), e.Txn, e.Kind)
 	switch e.Kind {

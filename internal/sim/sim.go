@@ -12,7 +12,6 @@ package sim
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"sync/atomic"
@@ -88,9 +87,6 @@ type Config struct {
 	// CheckSerializability verifies the executed schedule at the end.
 	// Must be false for NODC, which ignores conflicts by design.
 	CheckSerializability bool
-	// Trace, if set, receives one line per simulation event (arrivals,
-	// admissions, grants, blocks, delays, object completions, commits).
-	Trace io.Writer
 	// SelfCheck runs the schedulers' internal invariant checks (no
 	// conflicting lock holders) after every commit. For tests and
 	// debugging; slows large runs down.
@@ -299,7 +295,6 @@ type simulator struct {
 	classRT   map[string]*stats.Welford
 	rts       []float64
 	checker   *serialChecker
-	trace     *tracer
 	obs       obs.Observer // nil = no structured trace
 	obsLabel  string
 	inj       *fault.Injector // nil = no fault injection
@@ -373,9 +368,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		opt(&rc)
 	}
 	s.classRT = make(map[string]*stats.Welford)
-	if cfg.Trace != nil {
-		s.trace = &tracer{w: cfg.Trace}
-	}
 	if rc.inj.Enabled() {
 		s.inj = rc.inj
 		s.slowSeen = make(map[txn.PartitionID]bool)
@@ -439,7 +431,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 				s.res.Arrived++
 				s.nextID++
 				st := &txnState{t: s.cfg.Workload.Next(s.nextID, s.rng), arrived: now}
-				s.trace.emit(now, st.t.ID, "arrive")
 				s.emitObs(obs.Event{Kind: obs.KindAdmit, At: now, Txn: st.t.ID})
 				s.submitAdmit(st)
 			})
@@ -503,7 +494,6 @@ func (s *simulator) scheduleArrival(from event.Time) {
 			t:       s.cfg.Workload.Next(s.nextID, s.rng),
 			arrived: now,
 		}
-		s.trace.emit(now, st.t.ID, "arrive")
 		s.emitObs(obs.Event{Kind: obs.KindAdmit, At: now, Txn: st.t.ID})
 		s.submitAdmit(st)
 		s.scheduleArrival(now)
@@ -527,7 +517,6 @@ func (s *simulator) submitAdmit(st *txnState) {
 		if s.inj.RefuseAdmit(st.t.ID, attempt) {
 			return 0, func(now event.Time) {
 				s.res.InjectedRefusals++
-				s.trace.emit(now, st.t.ID, "admit-refused-fault")
 				s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "refuse-admit"})
 				s.retryLater(func(event.Time) { s.submitAdmit(st) })
 			}
@@ -558,15 +547,12 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 		if s.wal != nil {
 			s.walBegin(st, now)
 		}
-		s.trace.emit(now, st.t.ID, "admit")
 		s.advance(st, now)
 	case sched.Delayed:
 		s.res.AdmissionDelays++
-		s.trace.emit(now, st.t.ID, "admit-delayed")
 		s.retryLater(func(event.Time) { s.submitAdmit(st) })
 	case sched.Aborted:
 		s.res.AdmissionAborts++
-		s.trace.emit(now, st.t.ID, "admit-aborted")
 		s.retryLater(func(event.Time) { s.submitAdmit(st) })
 	default:
 		panic(fmt.Sprintf("sim: admit decision %v", d))
@@ -632,14 +618,11 @@ func (s *simulator) flushEpoch(now event.Time) {
 			if out.Clusters > s.res.MaxClusters {
 				s.res.MaxClusters = out.Clusters
 			}
-			s.trace.emit(now, 0, "epoch-flush",
-				"batch", len(batch), "admitted", out.Admitted, "clusters", out.Clusters)
 			s.emitObs(obs.Event{Kind: obs.KindEpochFlush, At: now,
 				Batch: len(batch), Objects: float64(out.Admitted), Clusters: out.Clusters, CPU: out.CPU})
 			for _, st := range refused {
 				st := st
 				s.res.InjectedRefusals++
-				s.trace.emit(now, st.t.ID, "admit-refused-fault")
 				s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "refuse-admit"})
 				s.retryLater(func(event.Time) { s.submitAdmit(st) })
 			}
@@ -698,15 +681,12 @@ func (s *simulator) handleRequest(st *txnState, step int, d sched.Decision, now 
 		}
 		st.lockWait += now - st.requestedAt
 		st.grantedAt = now
-		s.trace.emit(now, st.t.ID, "grant", "step", step, "part", sp.Part, "mode", sp.Mode)
 		s.dispatch(st, step, sp)
 	case sched.Blocked:
 		s.res.RequestBlocks++
-		s.trace.emit(now, st.t.ID, "blocked", "step", step, "part", sp.Part)
 		s.waiting[sp.Part] = append(s.waiting[sp.Part], st)
 	case sched.Delayed:
 		s.res.RequestDelays++
-		s.trace.emit(now, st.t.ID, "delayed", "step", step, "part", sp.Part)
 		s.retryLater(func(event.Time) { s.submitRequest(st) })
 	default:
 		panic(fmt.Sprintf("sim: request decision %v", d))
@@ -764,7 +744,6 @@ func (s *simulator) ioFactor(p txn.PartitionID, id txn.ID) float64 {
 	f := s.inj.IOFactor(p)
 	if f != 1 && !s.slowSeen[p] {
 		s.slowSeen[p] = true
-		s.trace.emit(s.q.Now(), id, "fault-slow-io", "part", p, "factor", f)
 		s.emitObs(obs.Event{Kind: obs.KindFault, At: s.q.Now(), Txn: id, Part: p, Op: "slow-io"})
 	}
 	return f
@@ -811,7 +790,6 @@ func (s *simulator) injectAbort(st *txnState, now event.Time) {
 		j.Cancelled = true
 	}
 	s.res.InjectedAborts++
-	s.trace.emit(now, st.t.ID, "fault-abort", "processed", st.processed)
 	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "abort"})
 	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
 		freed, cpu := sched.AbortTxn(s.sch, st.t, now)
@@ -831,7 +809,6 @@ func (s *simulator) handleAbort(st *txnState, freed []txn.PartitionID, now event
 		s.walAbort(st, now)
 	}
 	s.storeAbort(st)
-	s.trace.emit(now, st.t.ID, "aborted")
 	s.selfCheck()
 	s.wakeWaiters(freed)
 }
@@ -849,11 +826,9 @@ func (s *simulator) crashNode(node int, now event.Time) {
 		return
 	}
 	s.res.NodeCrashes++
-	s.trace.emit(now, 0, "node-down", "node", node)
 	s.emitObs(obs.Event{Kind: obs.KindNodeDown, At: now, Node: node})
 	for _, rh := range s.place.Kill(node) {
 		s.res.RehomedParts++
-		s.trace.emit(now, 0, "rehome", "part", rh.Part, "from", rh.From, "to", rh.To)
 		s.emitObs(obs.Event{Kind: obs.KindRehome, At: now, Part: rh.Part, FromNode: rh.From, Node: rh.To})
 	}
 	for _, j := range s.nodes[node].Kill() {
@@ -871,7 +846,6 @@ func (s *simulator) crashNode(node int, now event.Time) {
 		part := j.Txn.Steps[j.Step].Part
 		to := s.place.NodeOf(part)
 		s.res.RequeuedJobs++
-		s.trace.emit(now, j.Txn.ID, "requeue", "step", j.Step, "part", part, "from", node, "to", to)
 		s.emitObs(obs.Event{Kind: obs.KindRequeue, At: now, Txn: j.Txn.ID, Step: j.Step, Part: part, FromNode: node, Node: to})
 		s.nodes[to].Enqueue(j)
 	}
@@ -888,7 +862,6 @@ func (s *simulator) crashAbort(st *txnState, now event.Time) {
 		j.Cancelled = true
 	}
 	s.res.CrashAborts++
-	s.trace.emit(now, st.t.ID, "fault-node-crash", "processed", st.processed)
 	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "node-crash"})
 	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
 		freed, cpu := sched.AbortTxn(s.sch, st.t, now)
@@ -930,7 +903,6 @@ func (s *simulator) onStepDone(j *machine.Job, now event.Time) {
 		return
 	}
 	st.dnTime += now - st.grantedAt
-	s.trace.emit(now, st.t.ID, "step-done", "step", j.Step)
 	s.storeStageStep(st, j.Step)
 	st.step = j.Step + 1
 	s.advance(st, now)
@@ -966,7 +938,6 @@ func (s *simulator) handleCommit(st *txnState, freed []txn.PartitionID, now even
 	if now > s.res.LastCompletion {
 		s.res.LastCompletion = now
 	}
-	s.trace.emit(now, st.t.ID, "commit", "rt", now-st.arrived)
 	s.emitObs(obs.Event{Kind: obs.KindCommit, At: now, Txn: st.t.ID, RT: now - st.arrived})
 	if s.checker != nil {
 		s.checker.RecordCommit(st.t.ID)

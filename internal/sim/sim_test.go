@@ -257,3 +257,37 @@ func TestConservation(t *testing.T) {
 		}
 	}
 }
+
+func TestSelfCheckMode(t *testing.T) {
+	for _, f := range []sched.Factory{
+		sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2),
+	} {
+		cfg := baseConfig()
+		cfg.Scheduler = f
+		cfg.SelfCheck = true
+		cfg.ArrivalRate = 0.5
+		cfg.Horizon = 100_000
+		if _, err := Run(cfg); err != nil {
+			t.Fatalf("%s: %v", f.Label, err)
+		}
+	}
+}
+
+func TestTailLatencyMetrics(t *testing.T) {
+	cfg := baseConfig()
+	cfg.ArrivalRate = 0.5
+	cfg.Horizon = 200_000
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Completed == 0 {
+		t.Fatal("no completions")
+	}
+	if res.P95RT < res.MeanRT {
+		t.Errorf("P95 %g below mean %g", res.P95RT, res.MeanRT)
+	}
+	if res.MaxRT < res.P95RT {
+		t.Errorf("Max %g below P95 %g", res.MaxRT, res.P95RT)
+	}
+}

@@ -1,25 +1,14 @@
 package storage
 
 import (
-	"os"
-	"strconv"
 	"testing"
 
 	"batsched/internal/txn"
 )
 
-// benchFrames reads STORAGE_POOL: the buffer-pool frame count for the
-// scan benchmark. The default 64 caches the whole benchmark partition
-// (pool-hit path); set it low (e.g. STORAGE_POOL=4) to starve the pool
-// and measure the disk-read path — `make bench-storage` records both.
-func benchFrames() int {
-	if s := os.Getenv("STORAGE_POOL"); s != "" {
-		if v, err := strconv.Atoi(s); err == nil && v >= 4 {
-			return v
-		}
-	}
-	return 64
-}
+// benchFrames caches the whole benchmark partition: the pool-hit path.
+// The starved-pool path is the benchmark's scan-cold workload.
+const benchFrames = 64
 
 // BenchmarkStorageScan measures full-partition scan throughput through
 // the buffer pool: one partition pre-loaded with effect tuples, scanned
@@ -27,7 +16,7 @@ func benchFrames() int {
 // held by the partition, every one inspected per scan).
 func BenchmarkStorageScan(b *testing.B) {
 	dir := b.TempDir()
-	st, err := Open(dir, 1, WithPoolFrames(benchFrames()))
+	st, err := Open(dir, 1, WithPoolFrames(benchFrames))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -62,7 +51,7 @@ func BenchmarkStorageScan(b *testing.B) {
 // and dirty write-back costs included via a periodic flush.
 func BenchmarkStorageInsert(b *testing.B) {
 	dir := b.TempDir()
-	st, err := Open(dir, 1, WithPoolFrames(benchFrames()))
+	st, err := Open(dir, 1, WithPoolFrames(benchFrames))
 	if err != nil {
 		b.Fatal(err)
 	}

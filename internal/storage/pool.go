@@ -119,8 +119,8 @@ const (
 
 // autoStripes picks the largest power-of-two stripe count (≤ maxStripes)
 // that still leaves every stripe at least minFramesPerStripe frames, so
-// tiny pools (the eviction-pressure tests, STORAGE_POOL=4 starvation
-// runs) degrade to a single latch with the old pool's exact behavior.
+// tiny pools (the eviction-pressure tests) degrade to a single latch
+// with the old pool's exact behavior.
 func autoStripes(frames int) int {
 	s := 1
 	for s*2 <= maxStripes && frames/(s*2) >= minFramesPerStripe {

@@ -19,7 +19,6 @@ type Option func(*config)
 type config struct {
 	pageSize    int
 	poolFrames  int
-	poolStripes int
 	nodes       int
 	effectBytes int
 	flushEvery  time.Duration
@@ -32,13 +31,6 @@ func WithPageSize(n int) Option { return func(c *config) { c.pageSize = n } }
 // WithPoolFrames sets each per-node buffer pool's frame count
 // (default 64).
 func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } }
-
-// WithPoolStripes sets each pool's latch-stripe count explicitly
-// (rounded down to a power of two, capped so every stripe keeps at
-// least two frames). Default 0 = auto: the largest power of two ≤ 16
-// leaving every stripe ≥ 8 frames, which degrades tiny pools to the
-// single-latch behavior the eviction tests assume.
-func WithPoolStripes(n int) Option { return func(c *config) { c.poolStripes = n } }
 
 // WithBackgroundFlush moves dirty-page write-back off the commit path:
 // ApplyCommit only stages and applies effects in memory, and a per-node
@@ -178,11 +170,7 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 	}
 	st.pools = make([]*Pool, c.nodes)
 	for i := range st.pools {
-		stripes := c.poolStripes
-		if stripes <= 0 {
-			stripes = autoStripes(c.poolFrames)
-		}
-		st.pools[i] = newPoolStriped(st, c.poolFrames, c.pageSize, stripes)
+		st.pools[i] = newPool(st, c.poolFrames, c.pageSize)
 	}
 	st.parts = make([]*partFile, numParts)
 	for p := range st.parts {
