@@ -72,11 +72,13 @@ chaos-restart:
 		./internal/wal/ ./internal/sim/ ./internal/live/ ./internal/fault/ ./internal/modelcheck/ ./internal/storage/
 
 # The two greps keep closed forks closed: a deprecated shim or an
-# environment-variable switch is a second path someone has to test.
+# environment-variable switch is a second path someone has to test. The
+# gofmt line fails on any file gofmt would rewrite.
 verify: build test chaos chaos-nodes chaos-restart bench-smoke epoch-smoke
 	$(GO) vet ./...
 	! grep -rn 'Deprecated:' --include='*.go' .
 	! grep -rn 'os.Getenv' --include='*.go' .
+	test -z "$$(gofmt -l .)"
 	$(GO) test -race ./internal/live/... ./internal/obs/... ./internal/core/sched/ ./internal/core/wtpg/ ./internal/experiments/ ./internal/event/ ./internal/wal/ ./internal/storage/
 	$(GO) test -race -count=1 -run 'Stripe|ZeroCopy|FlusherLag|PoolConcurrent' ./internal/storage/
 	$(GO) test -race -count=1 -run 'Epoch' ./internal/core/sched/ ./internal/sim/

@@ -183,31 +183,6 @@ func TestRegistryLookup(t *testing.T) {
 	}
 }
 
-// TestRegistryRegister covers custom registries: registration order in
-// Names, duplicate and invalid registrations, family matching.
-func TestRegistryRegister(t *testing.T) {
-	r := NewRegistry()
-	if err := r.Register("mine", func() Factory { return ChainFactory() }); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register("MINE", func() Factory { return ChainFactory() }); err == nil {
-		t.Fatal("duplicate (case-insensitive) registration did not error")
-	}
-	if err := r.Register("", func() Factory { return ChainFactory() }); err == nil {
-		t.Fatal("empty name registration did not error")
-	}
-	if err := r.Register("x", nil); err == nil {
-		t.Fatal("nil factory registration did not error")
-	}
-	if _, err := r.Lookup(" mine "); err != nil {
-		t.Fatalf("trimmed lookup: %v", err)
-	}
-	names := r.Names()
-	if len(names) != 1 || names[0] != "MINE" {
-		t.Fatalf("Names = %v", names)
-	}
-}
-
 // TestRegistryFamilyStrictness pins the family parsers: K names must be
 // exactly K<digits> (with optional -C2PL suffix) — trailing garbage
 // that a lenient Sscanf would accept is rejected.

@@ -2,170 +2,84 @@ package sched
 
 import (
 	"fmt"
-	"sort"
 	"strings"
-	"sync"
 )
 
-// Registry resolves scheduler names to factories. It is the single
-// place in the repository that constructs schedulers by name: the CLIs
-// (batsim, batbench), the experiment harness and the facade all go
-// through a registry lookup instead of hand-rolled switches, so adding
-// a scheduler means registering it once.
-//
-// Two kinds of entries exist:
-//
-//   - exact names ("CHAIN", "EPOCH", …), registered with Register;
-//   - parameterized families ("K<k>", "K<k>-C2PL"), registered with
-//     RegisterFamily, whose parse function extracts the parameters from
-//     the canonical name.
-//
-// Lookup is case-insensitive and trims surrounding space. Unknown names
-// error with the full list of registered names and family patterns, so
-// a typo on a command line is self-documenting.
-type Registry struct {
-	mu       sync.RWMutex
-	order    []string
-	exact    map[string]func() Factory
-	families []family
+// This file is the single place in the repository that constructs
+// schedulers by name: the CLIs (batsim, batbench), the experiment
+// harness and the facade all go through Lookup instead of hand-rolled
+// switches. The table is fixed: the paper's five (NODC, ASL, C2PL,
+// CHAIN, K<k>), the Experiment 4 hybrids (CHAIN-C2PL, K<k>-C2PL) and the
+// epoch-batch mode (EPOCH) — adding a scheduler means adding a row.
+
+// exact lists the exact scheduler names, sorted — the order Names and
+// the unknown-name error report them in.
+var exact = []struct {
+	name    string
+	factory func() Factory
+}{
+	{"ASL", ASLFactory},
+	{"C2PL", C2PLFactory},
+	{"CHAIN", ChainFactory},
+	{"CHAIN-C2PL", ChainC2PLFactory},
+	{"EPOCH", EpochFactory},
+	{"NODC", NODCFactory},
 }
 
-type family struct {
-	pattern string
-	parse   func(canonical string) (Factory, bool)
+// families lists the parameterized name families, tried in order after
+// the exact names. pattern is the human-readable form (listed by Names
+// and in error messages); format is the strict form a member must
+// round-trip through — "K2X" scans as k=2 but does not print back to
+// itself, so trailing garbage a lenient Sscanf would accept is rejected.
+var families = []struct {
+	pattern, format string
+	factory         func(k int) Factory
+}{
+	{"K<k>", "K%d", KWTPGFactory},
+	{"K<k>-C2PL", "K%d-C2PL", KC2PLFactory},
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{exact: make(map[string]func() Factory)}
-}
-
-// canonical is the lookup key form of a scheduler name.
-func canonical(name string) string {
-	return strings.ToUpper(strings.TrimSpace(name))
-}
-
-// Register adds an exact scheduler name (case-insensitive). The factory
-// constructor runs once per lookup, so registered schedulers stay
-// stateless between runs. Registering a duplicate name errors.
-func (r *Registry) Register(name string, factory func() Factory) error {
-	key := canonical(name)
-	if key == "" {
-		return fmt.Errorf("sched: cannot register an empty scheduler name")
+// Lookup resolves a scheduler factory by name, case-insensitively and
+// ignoring surrounding space. The factory constructor runs once per
+// lookup, so schedulers stay stateless between runs. Unknown names error
+// with the full list of names and family patterns, so a typo on a
+// command line is self-documenting.
+func Lookup(name string) (Factory, error) {
+	key := strings.ToUpper(strings.TrimSpace(name))
+	for _, e := range exact {
+		if e.name == key {
+			return e.factory(), nil
+		}
 	}
-	if factory == nil {
-		return fmt.Errorf("sched: cannot register %q with a nil factory", name)
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.exact[key]; dup {
-		return fmt.Errorf("sched: scheduler %q already registered", key)
-	}
-	r.exact[key] = factory
-	r.order = append(r.order, key)
-	return nil
-}
-
-// MustRegister is Register that panics on error — for package init
-// blocks, where a duplicate registration is a programming bug.
-func (r *Registry) MustRegister(name string, factory func() Factory) {
-	if err := r.Register(name, factory); err != nil {
-		panic(err)
-	}
-}
-
-// RegisterFamily adds a parameterized name family. pattern is the
-// human-readable form listed in error messages and Names (e.g. "K<k>");
-// parse receives the canonical (upper-case, trimmed) name and reports
-// whether it belongs to the family, returning the parameterized factory
-// when it does. Families are tried in registration order after exact
-// names.
-func (r *Registry) RegisterFamily(pattern string, parse func(canonical string) (Factory, bool)) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.families = append(r.families, family{pattern: pattern, parse: parse})
-}
-
-// Lookup resolves a scheduler factory by name. Unknown names error,
-// listing every registered name and family pattern.
-func (r *Registry) Lookup(name string) (Factory, error) {
-	key := canonical(name)
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if f, ok := r.exact[key]; ok {
-		return f(), nil
-	}
-	for _, fam := range r.families {
-		if f, ok := fam.parse(key); ok {
-			return f, nil
+	for _, fam := range families {
+		var k int
+		if n, err := fmt.Sscanf(key, fam.format, &k); n == 1 && err == nil && k >= 0 && key == fmt.Sprintf(fam.format, k) {
+			return fam.factory(k), nil
 		}
 	}
 	return Factory{}, fmt.Errorf("sched: unknown scheduler %q (registered: %s)",
-		name, strings.Join(r.namesLocked(), ", "))
+		name, strings.Join(Names(), ", "))
 }
-
-// Names returns every registered exact name (sorted) followed by the
-// family patterns in registration order.
-func (r *Registry) Names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.namesLocked()
-}
-
-func (r *Registry) namesLocked() []string {
-	names := append([]string(nil), r.order...)
-	sort.Strings(names)
-	for _, fam := range r.families {
-		names = append(names, fam.pattern)
-	}
-	return names
-}
-
-// DefaultRegistry holds every built-in scheduler: the paper's five
-// (NODC, ASL, C2PL, CHAIN, K<k>), the Experiment 4 hybrids (CHAIN-C2PL,
-// K<k>-C2PL), and the epoch-batch mode (EPOCH).
-var DefaultRegistry = newDefaultRegistry()
-
-func newDefaultRegistry() *Registry {
-	r := NewRegistry()
-	r.MustRegister("NODC", NODCFactory)
-	r.MustRegister("ASL", ASLFactory)
-	r.MustRegister("C2PL", C2PLFactory)
-	r.MustRegister("CHAIN", ChainFactory)
-	r.MustRegister("CHAIN-C2PL", ChainC2PLFactory)
-	r.MustRegister("EPOCH", EpochFactory)
-	r.RegisterFamily("K<k>", func(name string) (Factory, bool) {
-		var k int
-		if strings.HasSuffix(name, "-C2PL") {
-			return Factory{}, false
-		}
-		if n, err := fmt.Sscanf(name, "K%d", &k); n == 1 && err == nil && k >= 0 && name == fmt.Sprintf("K%d", k) {
-			return KWTPGFactory(k), true
-		}
-		return Factory{}, false
-	})
-	r.RegisterFamily("K<k>-C2PL", func(name string) (Factory, bool) {
-		var k int
-		if n, err := fmt.Sscanf(name, "K%d-C2PL", &k); n == 1 && err == nil && k >= 0 && name == fmt.Sprintf("K%d-C2PL", k) {
-			return KC2PLFactory(k), true
-		}
-		return Factory{}, false
-	})
-	return r
-}
-
-// Lookup resolves a scheduler factory from the default registry.
-func Lookup(name string) (Factory, error) { return DefaultRegistry.Lookup(name) }
 
 // MustLookup is Lookup that panics on unknown names — for call sites
 // naming built-in schedulers, where a miss is a programming bug.
 func MustLookup(name string) Factory {
-	f, err := DefaultRegistry.Lookup(name)
+	f, err := Lookup(name)
 	if err != nil {
 		panic(err)
 	}
 	return f
 }
 
-// Names lists the default registry's scheduler names and patterns.
-func Names() []string { return DefaultRegistry.Names() }
+// Names returns every exact scheduler name (sorted) followed by the
+// family patterns.
+func Names() []string {
+	names := make([]string, 0, len(exact)+len(families))
+	for _, e := range exact {
+		names = append(names, e.name)
+	}
+	for _, fam := range families {
+		names = append(names, fam.pattern)
+	}
+	return names
+}

@@ -448,12 +448,12 @@ func TestPredecessors(t *testing.T) {
 			}
 		}
 	}
-	check(1, nil)                 // no in-edges
-	check(2, []txn.ID{1})         // single resolved pred
-	check(3, []txn.ID{1, 2})      // direct only, sorted — 4 unresolved, excluded
-	check(4, nil)                 // its conflict with 3 is unresolved
-	check(5, nil)                 // isolated
-	check(99, nil)                // unknown ID
+	check(1, nil)            // no in-edges
+	check(2, []txn.ID{1})    // single resolved pred
+	check(3, []txn.ID{1, 2}) // direct only, sorted — 4 unresolved, excluded
+	check(4, nil)            // its conflict with 3 is unresolved
+	check(5, nil)            // isolated
+	check(99, nil)           // unknown ID
 	// The returned slice is a copy: mutating it must not corrupt the graph.
 	p := g.Predecessors(3)
 	p[0] = 999

@@ -14,9 +14,9 @@
 // shard's lock and never touches another shard; a
 // transaction spanning shards takes the shard locks in canonical
 // ascending order and acquires all of its locks atomically at admission
-// (ASL-style, see admitSpanning). The default is one shard — the moral
-// equivalent of the paper's centralized control node, byte-for-byte the
-// old single-mutex behavior. Refused requests block on the owning
+// (ASL-style, see admitProjectedLocked). The default is one shard — the
+// moral equivalent of the paper's centralized control node, byte-for-byte
+// the old single-mutex behavior. Refused requests block on the owning
 // shard's broadcast channel, which commit events close, plus the fixed
 // retry delay of the paper's §3.2 as a fallback (WithRetryDelay). All
 // the guarantees of the scheduler carry over:
@@ -211,10 +211,12 @@ type Controller struct {
 	// accounting never funnels the shards through a shared lock.
 	progress atomic.Uint64
 
-	// topo/place model the data-node layout for CrashNode (zero/nil
-	// without WithTopology). place is mutated only by CrashNode, which
-	// holds every shard lock, and read under at least one shard lock —
-	// so per-shard readers always see a consistent placement.
+	// topo/place model the data-node layout: the WithTopology one, else
+	// (topo zero) a single node holding every partition — same records,
+	// same WAL routing, nothing CrashNode could kill. place is mutated
+	// only by CrashNode, which holds every shard lock, and read under at
+	// least one shard lock — so per-shard readers always see a consistent
+	// placement.
 	topo  machine.Config
 	place *machine.Placement
 
@@ -259,33 +261,70 @@ type Controller struct {
 // lshard is one shard of the controller's hot path: a slice of the
 // partition space (ownership hashing, see shardOf) with its own mutex,
 // scheduler instance — lock table, WTPG, admission policy — wake
-// channel and counters. A transaction's control state (started/
-// blocked/doomed/resident/walNode) lives on its *home* shard,
-// the lowest-indexed shard its footprint touches; for the single-shard
-// common case that is also the only shard that ever schedules it.
+// channel and counters. A transaction's control record (ltxn) lives on
+// its *home* shard, the lowest-indexed shard its footprint touches; for
+// the single-shard common case that is also the only shard that ever
+// schedules it.
 type lshard struct {
 	idx  int
 	mu   sync.Mutex
 	sch  sched.Scheduler
 	wake chan struct{}
 
-	// started maps each admitted transaction homed here to its admission
-	// time (drives Stats.Active and commit-event response times).
-	// blocked tracks the admitted transactions currently parked in
-	// Acquire (candidates for a watchdog abort); doomed carries the
-	// error a watchdog- or crash-aborted transaction finds at its next
-	// Acquire loop (or, for a crash, at its Commit); resident is the
-	// node-crash bookkeeping; walNode remembers which per-node log the
-	// transaction's Begin record went to. waiters counts goroutines
-	// parked in a retry wait against this shard; stats holds this
-	// shard's partial counters (summed by Controller.Stats).
-	started  map[txn.ID]event.Time
-	blocked  map[txn.ID]event.Time
-	doomed   map[txn.ID]error
-	resident map[txn.ID]*residency
-	walNode  map[txn.ID]int
-	waiters  int
-	stats    Stats
+	// txns holds the control record of every admitted, unfinished
+	// transaction homed here (its length drives Stats.Active); free
+	// recycles finished records, so steady-state admission allocates
+	// nothing. waiters counts goroutines parked in a retry wait against
+	// this shard; stats holds this shard's partial counters (summed by
+	// Controller.Stats).
+	txns    map[txn.ID]*ltxn
+	free    []*ltxn
+	waiters int
+	stats   Stats
+}
+
+// ltxn is the control record of one admitted transaction — the live
+// counterpart of the paper's control-node entry (§3.1) and of sim's
+// txnState. admitGranted creates it, finish removes it, the home shard's
+// lock guards it, and every field is there whichever options are set.
+type ltxn struct {
+	// admitted is the admission time (commit-event response times, the
+	// watchdog's youngest-first victim order); mask the footprint's shard
+	// set — a spanning mask means every lock was granted at admission.
+	admitted event.Time
+	mask     uint64
+
+	// blocked marks the transaction parked in Acquire (a candidate for a
+	// watchdog abort); doom carries the error a watchdog- or crash-aborted
+	// transaction finds at its next Acquire loop (or, for a crash, at its
+	// Commit).
+	blocked bool
+	doom    error
+
+	// The node-crash window: the last granted step (−1 before the first
+	// grant), the node its partition was homed on at grant time, and the
+	// objects reported since the grant. The window of a step extends until
+	// the *next* grant — the controller cannot see the caller's work
+	// function return, only the next Acquire — so work reported between a
+	// step's end and the next grant still counts against the old step's
+	// node (documented in docs/ROBUSTNESS.md §8). part also routes the
+	// §3.1 weight messages to the shard owning the current step.
+	step int
+	part txn.PartitionID
+	node int
+	work float64
+
+	// walNode is the per-node log the Begin record went to; walBegun is
+	// false when no Begin was logged (no WAL, or it failed mid-run), and
+	// then no completion record is logged either.
+	walNode  int
+	walBegun bool
+}
+
+// errNotAdmitted is what Acquire, Commit and Abort return for a
+// transaction with no control record: never admitted or already finished.
+func errNotAdmitted(id txn.ID) error {
+	return fmt.Errorf("live: %v is not an admitted transaction", id)
 }
 
 // ErrClosed is returned when the controller has been shut down.
@@ -303,20 +342,6 @@ var ErrWatchdogAborted = errors.New("live: aborted by no-progress watchdog")
 // may resubmit it against the re-homed topology.
 var ErrNodeCrashed = errors.New("live: aborted: partial bulk work lost in a node crash")
 
-// residency is the node-crash bookkeeping for one admitted transaction:
-// the last granted step, the node its partition was homed on at grant
-// time, and the objects reported since the grant. The crash window of a
-// step extends until the *next* grant — the controller cannot see the
-// caller's work function return, only the next Acquire — so work
-// reported between a step's end and the next grant still counts against
-// the old step's node (documented in docs/ROBUSTNESS.md §8).
-type residency struct {
-	step int
-	part txn.PartitionID
-	node int
-	work float64
-}
-
 // New builds a controller around a scheduler factory, e.g.
 //
 //	ctl := live.New(sched.KWTPGFactory(2), sched.Costs{KeepTime: 100})
@@ -333,14 +358,9 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	for _, opt := range opts {
 		opt(c)
 	}
-	if c.topo.NumNodes > 0 {
-		c.place = machine.NewPlacement(c.topo)
-	}
+	nodes := max(c.topo.NumNodes, 1)
+	c.place = machine.NewPlacement(machine.Config{NumNodes: nodes, NumParts: c.topo.NumParts})
 	if c.wal == nil && c.walDir != "" {
-		nodes := 1
-		if c.topo.NumNodes > 0 {
-			nodes = c.topo.NumNodes
-		}
 		if l, err := wal.Open(c.walDir, nodes); err != nil {
 			c.walErr = err // sticky; surfaces from the first Admit
 		} else {
@@ -353,17 +373,7 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	}
 	c.shards = make([]*lshard, c.nshards)
 	for i := range c.shards {
-		sh := &lshard{
-			idx:      i,
-			wake:     make(chan struct{}),
-			started:  make(map[txn.ID]event.Time),
-			blocked:  make(map[txn.ID]event.Time),
-			doomed:   make(map[txn.ID]error),
-			resident: make(map[txn.ID]*residency),
-		}
-		if c.wal != nil {
-			sh.walNode = make(map[txn.ID]int)
-		}
+		sh := &lshard{idx: i, wake: make(chan struct{}), txns: make(map[txn.ID]*ltxn)}
 		s := factory.New(costs)
 		if i == 0 {
 			c.label = s.Name()
@@ -423,7 +433,7 @@ func (c *Controller) Stats() Stats {
 	var s Stats
 	for _, sh := range c.shards {
 		s.add(sh.stats)
-		s.Active += len(sh.started)
+		s.Active += len(sh.txns)
 	}
 	return s
 }
@@ -486,17 +496,20 @@ func (c *Controller) bumpProgress() { c.progress.Add(1) }
 
 // waitLocked parks the caller after a refusal decided under sh.mu,
 // which the caller holds and waitLocked releases. The wait is registered
-// (Retries, waiters, and t — when non-nil — as blocked, making it a
-// watchdog-abort candidate) and sh.wake captured in the same critical
-// section as the refusal, so a commit between the decision and the wait
-// is never missed; the caller then sleeps until that broadcast, the
-// fixed retry delay (§3.2) or ctx, and re-decides.
-func (c *Controller) waitLocked(ctx context.Context, sh *lshard, t *txn.T) error {
+// (Retries, waiters, and r — when non-nil, the record of an admitted
+// transaction homed on sh — as blocked, making it a watchdog-abort
+// candidate) and sh.wake captured in the same critical section as the
+// refusal, so a commit between the decision and the wait is never
+// missed; the caller then sleeps until that broadcast, the fixed retry
+// delay (§3.2) or ctx, and re-decides. This is the one place a record
+// pointer outlives a critical section, which is why finish never
+// recycles a blocked record.
+func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn) error {
 	ch := sh.wake
 	sh.stats.Retries++
 	sh.waiters++
-	if t != nil {
-		sh.blocked[t.ID] = sh.started[t.ID]
+	if r != nil {
+		r.blocked = true
 	}
 	sh.mu.Unlock()
 	timer := time.NewTimer(c.retryDelay)
@@ -510,8 +523,8 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, t *txn.T) error
 	timer.Stop()
 	sh.mu.Lock()
 	sh.waiters--
-	if t != nil {
-		delete(sh.blocked, t.ID)
+	if r != nil {
+		r.blocked = false
 	}
 	sh.mu.Unlock()
 	return err
@@ -519,21 +532,28 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, t *txn.T) error
 
 // admitGranted is the tail every admission path shares once the
 // scheduler has granted ts — all homed on home — under the held shard
-// locks in mask: count and clock each member, build its WAL Begin record
-// while the predecessor read is still atomic with the grant, release the
-// locks, and force the records durable in one group commit. Write-ahead:
-// a Begin record — footprint + resolved predecessors — must be durable
-// before the grant takes effect, so on failure every member's admission
-// is rolled back.
+// locks in mask: count each member and create its control record, build
+// its WAL Begin record while the predecessor read is still atomic with
+// the grant, release the locks, and force the records durable in one
+// group commit. Write-ahead: a Begin record — footprint + resolved
+// predecessors — must be durable before the grant takes effect, so on
+// failure every member's admission is rolled back.
 func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts ...*txn.T) error {
 	// One member is the hot path (Admit); its record stays on the stack.
 	var one [1]wal.Record
 	recs := one[:0]
 	for _, t := range ts {
 		home.stats.Admitted++
-		home.started[t.ID] = now
+		var r *ltxn
+		if n := len(home.free); n > 0 {
+			r, home.free = home.free[n-1], home.free[:n-1]
+		} else {
+			r = new(ltxn)
+		}
+		*r = ltxn{admitted: now, mask: mask, step: -1}
+		home.txns[t.ID] = r
 		c.bumpProgress()
-		if rec, logIt := c.walBeginLocked(home, t, now, mask); logIt {
+		if rec, logIt := c.walBeginLocked(r, t, now, mask); logIt {
 			recs = append(recs, rec)
 		}
 	}
@@ -646,9 +666,14 @@ func (c *Controller) slowIO(ctx context.Context, t *txn.T, step int) {
 // Admit blocks until the scheduler admits t (or ctx ends, or the
 // controller closes). After a successful Admit the caller owns the
 // transaction's lifecycle and must finish it with Commit or Abort.
-// Most callers want Run instead. A transaction whose footprint spans
-// shards routes through the spanning slow path, which acquires all of
-// its locks atomically at admission (see admitSpanning).
+// Most callers want Run instead.
+//
+// One loop serves every footprint: take its shard locks in canonical
+// order, ask, and on a refusal release them, wait for the refusing
+// shard's next commit broadcast (or the retry delay) and ask again. A
+// single-shard footprint asks the scheduler's Admit and requests its
+// locks step by step (Acquire); a footprint spanning shards acquires all
+// of its locks atomically here (see admitProjectedLocked).
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return fmt.Errorf("live: nil transaction")
@@ -657,34 +682,42 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		return c.cfgErr
 	}
 	mask := c.shardMask(t)
+	home := c.shards[homeShard(mask)]
+	var projs []projection // spanning only; stable across attempts
 	if spanning(mask) {
-		return c.admitSpanning(ctx, t, mask)
+		projs = c.project(t, mask)
 	}
-	sh := c.shards[homeShard(mask)]
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		sh.mu.Lock()
+		c.lockMask(mask)
 		if c.closed.Load() {
-			sh.mu.Unlock()
+			c.unlockMask(mask)
 			return ErrClosed
 		}
 		now := c.now()
 		if attempt == 0 {
-			c.emitShard(sh.idx, obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
+			c.emitShard(home.idx, obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
 		}
+		refused := home // the shard whose next commit the retry waits for
 		if c.inj.RefuseAdmit(t.ID, attempt) {
-			c.emitShard(sh.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
+			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
 		} else if err := c.walBroken(); err != nil {
 			// Durability was requested and is broken (open or IO failure):
 			// admitting would run the transaction unlogged.
-			sh.mu.Unlock()
+			c.unlockMask(mask)
 			return fmt.Errorf("live: wal: %w", err)
-		} else if sh.sch.Admit(t, now).Decision == sched.Granted {
-			return c.admitGranted(sh, mask, now, t)
+		} else if projs != nil {
+			refused = c.admitProjectedLocked(projs, now)
+		} else if home.sch.Admit(t, now).Decision == sched.Granted {
+			refused = nil
 		}
-		if err := c.waitLocked(ctx, sh, nil); err != nil {
+		if refused == nil {
+			return c.admitGranted(home, mask, now, t)
+		}
+		c.unlockMask(mask &^ (1 << uint(refused.idx)))
+		if err := c.waitLocked(ctx, refused, nil); err != nil {
 			return err
 		}
 	}
@@ -692,12 +725,13 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 
 // Acquire blocks until the lock needed by step of t is granted (or ctx
 // ends, the controller closes, or the watchdog force-aborts t — then
-// ErrWatchdogAborted). Valid only between Admit and Commit/Abort. For
-// a spanning transaction every lock was already granted at admission,
-// so Acquire only performs the per-step bookkeeping and never blocks.
+// ErrWatchdogAborted). Valid only between Admit and Commit/Abort: on a
+// transaction the controller does not consider admitted it returns an
+// error at once. For a spanning transaction every lock was already
+// granted at admission, so Acquire only performs the per-step
+// bookkeeping and never blocks.
 func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
-	mask := c.shardMask(t)
-	home := c.shards[homeShard(mask)]
+	home := c.shards[homeShard(c.shardMask(t))]
 	part := t.Steps[step].Part
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -708,8 +742,13 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 			home.mu.Unlock()
 			return ErrClosed
 		}
-		if err := home.doomed[t.ID]; err != nil {
-			delete(home.doomed, t.ID)
+		r := home.txns[t.ID]
+		if r == nil {
+			home.mu.Unlock()
+			return errNotAdmitted(t.ID)
+		}
+		if err := r.doom; err != nil {
+			r.doom = nil
 			home.mu.Unlock()
 			return err
 		}
@@ -720,18 +759,16 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 		// A spanning transaction's locks were all granted at admission, so
 		// only the bookkeeping remains: count the grant and move the
 		// node-crash window to this step.
-		if spanning(mask) || home.sch.Request(t, step, now).Decision == sched.Granted {
+		if spanning(r.mask) || home.sch.Request(t, step, now).Decision == sched.Granted {
 			home.stats.Granted++
 			c.bumpProgress()
-			if c.place != nil {
-				home.resident[t.ID] = &residency{step: step, part: part, node: c.place.NodeOf(part)}
-			}
+			r.step, r.part, r.node, r.work = step, part, c.place.NodeOf(part), 0
 			home.mu.Unlock()
 			return nil
 		}
 		// Blocked and Delayed both wait for the next commit broadcast or
 		// the retry delay; the scheduler re-decides on resubmission.
-		if err := c.waitLocked(ctx, home, t); err != nil {
+		if err := c.waitLocked(ctx, home, r); err != nil {
 			return err
 		}
 	}
@@ -741,19 +778,21 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 // §3.1 weight-adjustment message behind the Progress callback. The
 // weight adjustment lands on the shard owning the partition of the
 // transaction's current step (for a spanning transaction, that shard's
-// WTPG holds the corresponding projected declaration).
+// WTPG holds the corresponding projected declaration). On a transaction
+// the controller does not consider admitted it does nothing.
 func (c *Controller) ObjectDone(t *txn.T, objects float64) {
-	mask := c.shardMask(t)
-	home := c.shards[homeShard(mask)]
+	home := c.shards[homeShard(c.shardMask(t))]
 	home.mu.Lock()
+	defer home.mu.Unlock()
+	r := home.txns[t.ID]
+	if r == nil {
+		return
+	}
 	now := c.now()
+	r.work += objects
 	target := home
-	r := home.resident[t.ID]
-	if r != nil {
-		r.work += objects
-		if sh := c.shardOf(r.part); sh != home.idx {
-			target = c.shards[sh]
-		}
+	if r.step >= 0 {
+		target = c.shards[c.shardOf(r.part)]
 	}
 	if target == home {
 		home.sch.ObjectDone(t, objects, now)
@@ -766,7 +805,6 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	}
 	c.bumpProgress()
 	c.emitShard(target.idx, obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
-	home.mu.Unlock()
 }
 
 // Commit finishes an admitted transaction: all its locks drop and
@@ -793,9 +831,9 @@ func (c *Controller) Abort(t *txn.T) error {
 
 // finish runs in three phases so the commit record's fsync never stalls
 // the shards' critical sections: (1) under the footprint's shard locks,
-// claim the finish — validate, apply the doom check, remove t from the
-// tracking maps so no concurrent finish/crash-doom can touch it, and
-// build the completion record while t is still in the WTPG(s); (2)
+// claim the finish — validate, apply the doom check, build the
+// completion record while t is still in the WTPG(s), and drop t's control
+// record so no concurrent finish/crash-doom can touch it; (2)
 // outside the locks, make a commit record durable (group-committed —
 // aborts are appended unforced, a lost abort record re-aborts at
 // recovery anyway); (3) under each shard's lock in canonical order,
@@ -809,25 +847,25 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	home := c.shards[homeShard(mask)]
 
 	c.lockMask(mask)
-	start, ok := home.started[t.ID]
-	if !ok {
+	r := home.txns[t.ID]
+	if r == nil {
 		c.unlockMask(mask)
-		return fmt.Errorf("live: %v is not an admitted transaction", t.ID)
+		return errNotAdmitted(t.ID)
 	}
 	now := c.now()
 	var doomErr error
-	if committed {
-		if err := home.doomed[t.ID]; err != nil {
-			// Doomed after its last Acquire (node crash): committing would
-			// publish bulk results that died with the node. Abort instead.
-			committed = false
-			doomErr = fmt.Errorf("live: %v: %w", t.ID, err)
-		}
+	if committed && r.doom != nil {
+		// Doomed after its last Acquire (node crash): committing would
+		// publish bulk results that died with the node. Abort instead.
+		committed = false
+		doomErr = fmt.Errorf("live: %v: %w", t.ID, r.doom)
 	}
-	delete(home.started, t.ID)
-	delete(home.doomed, t.ID)
-	delete(home.resident, t.ID)
-	rec, logIt := c.walCompletionLocked(home, t, committed, now, mask)
+	start := r.admitted
+	rec, logIt := c.walCompletionLocked(r, t, committed, now, mask)
+	delete(home.txns, t.ID)
+	if !r.blocked { // else a parked Acquire still holds r (see waitLocked)
+		home.free = append(home.free, r)
+	}
 	c.unlockMask(mask)
 
 	if c.wal != nil && committed && !logIt {
@@ -898,8 +936,9 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 // objects mean partial bulk results died with the node, so the
 // transaction is doomed: its next Acquire (or its Commit) returns
 // ErrNodeCrashed and it aborts through the scheduler's recovery path.
-// The triage runs under every shard lock — residency and doom live on
-// each transaction's home shard — so it is atomic against all shards.
+// The triage runs under every shard lock — the crash window and the doom
+// live in each transaction's record on its home shard — so it is atomic
+// against all shards.
 // Errors: no WithTopology, an unknown/already-dead node, or the last
 // alive node.
 func (c *Controller) CrashNode(node int) error {
@@ -908,7 +947,7 @@ func (c *Controller) CrashNode(node int) error {
 	if c.closed.Load() {
 		return ErrClosed
 	}
-	if c.place == nil {
+	if c.topo.NumNodes == 0 {
 		return fmt.Errorf("live: CrashNode requires WithTopology")
 	}
 	if !c.place.Alive(node) {
@@ -924,12 +963,12 @@ func (c *Controller) CrashNode(node int) error {
 		c.emit(obs.Event{Kind: obs.KindRehome, At: now, Part: rh.Part, FromNode: rh.From, Node: rh.To})
 	}
 	for _, sh := range c.shards {
-		for id, r := range sh.resident {
-			if r.node != node {
+		for id, r := range sh.txns {
+			if r.step < 0 || r.node != node {
 				continue
 			}
 			if r.work > 0 {
-				sh.doomed[id] = ErrNodeCrashed
+				r.doom = ErrNodeCrashed
 				c.shards[0].stats.CrashDoomed++
 				c.emitShard(sh.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: id, Step: r.step, Part: r.part, Op: "node-crash"})
 				continue
@@ -996,7 +1035,7 @@ func (c *Controller) watchdogLoop() {
 		}
 		active, waiters := 0, 0
 		for _, sh := range c.shards {
-			active += len(sh.started)
+			active += len(sh.txns)
 			waiters += sh.waiters
 		}
 		if active == 0 && waiters == 0 {
@@ -1017,13 +1056,13 @@ func (c *Controller) watchdogLoop() {
 			// wakeup, this alone cures it.
 			kicked = true
 			c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "kick"})
-		} else if victim, vsh, ok := c.youngestBlockedLocked(); ok {
+		} else if victim, r := c.youngestBlockedLocked(); r != nil {
 			// Second consecutive silent deadline: force-abort the youngest
 			// blocked transaction. Blocked means parked in Acquire — no
 			// caller work is running, so releasing its locks is safe;
 			// youngest means the least completed work is thrown away.
-			vsh.doomed[victim] = ErrWatchdogAborted
-			c.emitShard(vsh.idx, obs.Event{Kind: obs.KindStall, At: c.now(), Txn: victim, Op: "abort"})
+			r.doom = ErrWatchdogAborted
+			c.emitShard(homeShard(r.mask), obs.Event{Kind: obs.KindStall, At: c.now(), Txn: victim, Op: "abort"})
 		} else {
 			c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "kick"})
 		}
@@ -1036,22 +1075,18 @@ func (c *Controller) watchdogLoop() {
 
 // youngestBlockedLocked picks the blocked transaction with the latest
 // admission time across all shards (ties broken by higher ID for
-// determinism) and the home shard it is blocked on. Callers must hold
-// every shard lock.
-func (c *Controller) youngestBlockedLocked() (txn.ID, *lshard, bool) {
-	var best txn.ID
-	var bestSh *lshard
-	var bestAt event.Time
-	found := false
+// determinism) and returns its ID and record, nil when nothing is
+// blocked. Callers must hold every shard lock.
+func (c *Controller) youngestBlockedLocked() (best txn.ID, bestR *ltxn) {
 	for _, sh := range c.shards {
-		for id, at := range sh.blocked {
-			if sh.doomed[id] != nil {
-				continue // already sentenced, give it a tick to act
+		for id, r := range sh.txns {
+			if !r.blocked || r.doom != nil {
+				continue // not parked, or already sentenced: give it a tick to act
 			}
-			if !found || at > bestAt || (at == bestAt && id > best) {
-				best, bestAt, bestSh, found = id, at, sh, true
+			if bestR == nil || r.admitted > bestR.admitted || (r.admitted == bestR.admitted && id > best) {
+				best, bestR = id, r
 			}
 		}
 	}
-	return best, bestSh, found
+	return best, bestR
 }

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -80,24 +82,104 @@ func TestAbortReleasesLocksAndUnblocksWaiters(t *testing.T) {
 	}
 }
 
-// TestFinishErrors locks in the error contract of Commit/Abort: a
-// transaction the controller never admitted (or already finished)
-// cannot be finished.
+// TestFinishErrors locks in the error contract of Acquire/Commit/Abort:
+// a transaction the controller never admitted (or already finished)
+// cannot be finished, and asking a lock for it fails at once with the
+// same error — no retry wait, no phantom grant — under every family.
+// ObjectDone on such a transaction is a no-op.
 func TestFinishErrors(t *testing.T) {
-	ctl := New(sched.C2PLFactory(), liveCosts)
+	for _, f := range []sched.Factory{
+		sched.C2PLFactory(), sched.KWTPGFactory(2), sched.ChainFactory(), sched.ASLFactory(),
+	} {
+		t.Run(f.Label, func(t *testing.T) {
+			ring := obs.NewRing(64)
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(ring))
+			defer ctl.Close()
+			tx := txn.New(1, []txn.Step{w(0, 1)})
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			// unadmitted asserts Acquire and ObjectDone treat tx as finish
+			// does, leaving the counters and the trace alone.
+			unadmitted := func(when string, finishErr error) {
+				t.Helper()
+				before, events := ctl.Stats(), len(ring.Events())
+				err := ctl.Acquire(ctx, tx, 0)
+				if err == nil || err.Error() != finishErr.Error() {
+					t.Errorf("Acquire %s returned %v, want %v", when, err, finishErr)
+				}
+				ctl.ObjectDone(tx, 1)
+				if after := ctl.Stats(); after != before {
+					t.Errorf("Acquire/ObjectDone %s moved the counters: %+v → %+v", when, before, after)
+				}
+				if n := len(ring.Events()); n != events {
+					t.Errorf("Acquire/ObjectDone %s emitted %d events", when, n-events)
+				}
+			}
+			err := ctl.Commit(tx)
+			if err == nil || !strings.Contains(err.Error(), "is not an admitted transaction") {
+				t.Fatalf("commit of a never-admitted transaction returned %v", err)
+			}
+			unadmitted("before Admit", err)
+			if err := ctl.Admit(ctx, tx); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctl.Acquire(ctx, tx, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctl.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+			err = ctl.Abort(tx)
+			if err == nil {
+				t.Fatal("double finish succeeded")
+			}
+			unadmitted("after Commit", err)
+		})
+	}
+}
+
+// TestAbortWhileParkedInAcquire finishes a transaction from another
+// goroutine while its own is parked in Acquire: the parked call must
+// wake to the not-admitted error, and the record it still points at
+// must not be handed to the next admission while it does. Run with
+// -race.
+func TestAbortWhileParkedInAcquire(t *testing.T) {
+	ctl := New(sched.C2PLFactory(), liveCosts, WithRetryDelay(time.Hour))
 	defer ctl.Close()
-	tx := txn.New(1, []txn.Step{w(0, 1)})
-	if err := ctl.Commit(tx); err == nil {
-		t.Error("commit of a never-admitted transaction succeeded")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	holder := txn.New(1, []txn.Step{w(0, 1)})
+	parked := txn.New(2, []txn.Step{w(0, 1)})
+	for _, tx := range []*txn.T{holder, parked} {
+		if err := ctl.Admit(ctx, tx); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := ctl.Admit(context.Background(), tx); err != nil {
+	if err := ctl.Acquire(ctx, holder, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Commit(tx); err != nil {
+	done := make(chan error, 1)
+	go func() { done <- ctl.Acquire(ctx, parked, 0) }()
+	for ctl.Stats().Retries == 0 { // parked: its refusal registered a retry wait
+		runtime.Gosched()
+	}
+	if err := ctl.Abort(parked); err != nil {
 		t.Fatal(err)
 	}
-	if err := ctl.Abort(tx); err == nil {
-		t.Error("double finish succeeded")
+	// The abort's broadcast wakes the parked Acquire; race it with an
+	// admission that would reuse a recycled record.
+	next := txn.New(3, []txn.Step{w(1, 1)})
+	if err := ctl.Run(ctx, next, nil); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err == nil || !strings.Contains(err.Error(), "is not an admitted transaction") {
+		t.Fatalf("parked Acquire returned %v after a concurrent Abort", err)
+	}
+	if err := ctl.Commit(holder); err != nil {
+		t.Fatal(err)
+	}
+	if st := ctl.Stats(); st.Active != 0 || st.Committed != 2 || st.Aborted != 1 {
+		t.Fatalf("stats: %+v", st)
 	}
 }
 

@@ -2,7 +2,8 @@ package live
 
 // This file is the controller's shard map: how partitions hash to
 // shards, how a transaction's footprint becomes a shard mask, and the
-// cross-shard slow path that admits a spanning transaction atomically.
+// one spanning-specific step of admission: admitting and pre-granting a
+// transaction's per-shard projections atomically.
 //
 // Sharding invariants (DESIGN.md §13):
 //
@@ -19,16 +20,16 @@ package live
 //     spanning transaction therefore never waits while holding locks,
 //     so no wait-for cycle can cross a shard boundary and the per-shard
 //     cautious schedulers retain deadlock freedom.
-//  4. Home shard: a transaction's control state (started, blocked,
-//     doomed, resident, walNode) lives on the lowest-indexed shard of
-//     its footprint; all other shards hold only scheduler state.
+//  4. Home shard: a transaction's control record (ltxn — admission
+//     time, blocked flag, doom, crash window, WAL node) lives on the
+//     lowest-indexed shard of its footprint; all other shards hold only
+//     scheduler state.
 
 import (
-	"context"
-	"fmt"
 	"math/bits"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/event"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
@@ -153,104 +154,64 @@ func (c *Controller) eachShard(mask uint64, fn func(sh *lshard)) {
 	}
 }
 
-// project returns t's sub-transaction for one shard: the steps (and
-// their declared demands) whose partitions the shard owns, under the
-// same transaction ID. Each shard's scheduler admits and locks exactly
-// the projection; scheduler state is keyed by ID, so later full-footprint
-// calls (ObjectDone, Commit, Abort) resolve to the same registration.
-func (c *Controller) project(t *txn.T, shard int) *txn.T {
-	steps := make([]txn.Step, 0, len(t.Steps))
-	decl := make([]float64, 0, len(t.Steps))
-	for i, s := range t.Steps {
-		if c.shardOf(s.Part) == shard {
-			steps = append(steps, s)
-			decl = append(decl, t.Declared[i])
-		}
-	}
-	return txn.NewDeclared(t.ID, steps, decl)
+// projection is a spanning transaction's sub-transaction for one shard:
+// the steps (and their declared demands) whose partitions the shard
+// owns, under the same transaction ID. Each shard's scheduler admits and
+// locks exactly its projection; scheduler state is keyed by ID, so later
+// full-footprint calls (ObjectDone, Commit, Abort) resolve to the same
+// registration.
+type projection struct {
+	sh *lshard
+	t  *txn.T
 }
 
-// admitSpanning is the cross-shard admission slow path: under all of
-// the footprint's shard locks (canonical order), each shard admits the
-// transaction's projection and grants every projected step — all of
-// the transaction's locks, atomically. Any refusal rolls the attempt
-// back through the scheduler abort path on every shard it reached,
-// releases the locks, and waits for the refusing shard's next commit
-// broadcast (or the retry delay) before retrying — the transaction
-// never waits while holding locks, which is what keeps the sharded
-// controller deadlock-free (invariant 3). After a successful return,
-// Acquire calls are pure bookkeeping.
+// project returns t's projection on each shard of mask, ascending.
+func (c *Controller) project(t *txn.T, mask uint64) []projection {
+	projs := make([]projection, 0, bits.OnesCount64(mask))
+	c.eachShard(mask, func(sh *lshard) {
+		steps := make([]txn.Step, 0, len(t.Steps))
+		decl := make([]float64, 0, len(t.Steps))
+		for i, s := range t.Steps {
+			if c.shardOf(s.Part) == sh.idx {
+				steps = append(steps, s)
+				decl = append(decl, t.Declared[i])
+			}
+		}
+		projs = append(projs, projection{sh, txn.NewDeclared(t.ID, steps, decl)})
+	})
+	return projs
+}
+
+// admitProjectedLocked is the one spanning-specific step of Admit: under
+// all of the footprint's shard locks (held by the caller), each shard
+// admits the transaction's projection and grants every projected step —
+// all of the transaction's locks, atomically — and nil is returned. Any
+// refusal rolls the attempt back through the scheduler abort path on
+// every shard it registered on (including a shard whose Admit succeeded
+// but a Request refused — the abort path releases partial grants and
+// repairs the WTPG) and returns the refusing shard, for Admit to wait on
+// with no lock held: the transaction never waits while holding locks,
+// which is what keeps the sharded controller deadlock-free (invariant
+// 3). After a success, Acquire calls are pure bookkeeping.
 //
 // This is ASL-style pessimism applied only to the spanning minority;
 // single-shard traffic keeps the scheduler's incremental granting.
-func (c *Controller) admitSpanning(ctx context.Context, t *txn.T, mask uint64) error {
-	// Projections are stable across attempts; build them once.
-	projs := make(map[int]*txn.T, bits.OnesCount64(mask))
-	c.eachShard(mask, func(sh *lshard) {
-		projs[sh.idx] = c.project(t, sh.idx)
-	})
-	home := c.shards[homeShard(mask)]
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		if c.closed.Load() {
-			return ErrClosed
-		}
-		now := c.now()
-		if attempt == 0 {
-			c.emitShard(home.idx, obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
-		}
-		if c.inj.RefuseAdmit(t.ID, attempt) {
-			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
-			home.mu.Lock()
-			if err := c.waitLocked(ctx, home, nil); err != nil {
-				return err
+func (c *Controller) admitProjectedLocked(projs []projection, now event.Time) *lshard {
+	for i, p := range projs {
+		registered := i
+		granted := p.sh.sch.Admit(p.t, now).Decision == sched.Granted
+		if granted {
+			registered++
+			for step := 0; granted && step < len(p.t.Steps); step++ {
+				granted = p.sh.sch.Request(p.t, step, now).Decision == sched.Granted
 			}
-			continue
 		}
-		c.lockMask(mask)
-		if c.closed.Load() {
-			c.unlockMask(mask)
-			return ErrClosed
-		}
-		if err := c.walBroken(); err != nil {
-			c.unlockMask(mask)
-			return fmt.Errorf("live: wal: %w", err)
-		}
-		now = c.now()
-		var refused *lshard
-		var reached []*lshard // shards whose scheduler registered t this attempt
-		c.eachShard(mask, func(sh *lshard) {
-			if refused != nil {
-				return
+		if !granted {
+			for _, q := range projs[:registered] {
+				sched.AbortTxn(q.sh.sch, q.t, now)
 			}
-			proj := projs[sh.idx]
-			if out := sh.sch.Admit(proj, now); out.Decision != sched.Granted {
-				refused = sh
-				return
-			}
-			reached = append(reached, sh)
-			for step := range proj.Steps {
-				if out := sh.sch.Request(proj, step, now); out.Decision != sched.Granted {
-					refused = sh
-					return
-				}
-			}
-		})
-		if refused == nil {
-			return c.admitGranted(home, mask, now, t)
-		}
-		// Roll back every shard the attempt registered on (including a
-		// shard whose Admit succeeded but a Request refused — the abort
-		// path releases partial grants and repairs the WTPG), then wait on
-		// the refusing shard.
-		for _, sh := range reached {
-			sched.AbortTxn(sh.sch, projs[sh.idx], now)
-		}
-		c.unlockMask(mask &^ (1 << uint(refused.idx)))
-		if err := c.waitLocked(ctx, refused, nil); err != nil {
-			return err
+			return p.sh
 		}
 	}
+	return nil
 }

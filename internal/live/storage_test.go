@@ -141,7 +141,7 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			}
 
 			// Pool invariants after the storm: quiesce the background
-			// flusher/prefetcher first so neither counter side moves
+			// flusher first so neither counter side moves
 			// mid-comparison, then: no pin leaked, and the store's
 			// counters agree with what the obs pipeline recorded.
 			st.Quiesce()

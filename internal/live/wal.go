@@ -92,22 +92,22 @@ func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
 
 // walBeginLocked builds the Begin record for a just-admitted t: its
 // declared footprint and the predecessor set resolved at admission,
-// routed to the node of its first partition. Callers must hold the
-// locks of every shard in mask, t's footprint, so the predecessor read
-// is atomic with the admission.
-func (c *Controller) walBeginLocked(home *lshard, t *txn.T, now event.Time, mask uint64) (wal.Record, bool) {
+// routed to the node of its first partition — which t's control record r
+// remembers for the completion record. Callers must hold the locks of
+// every shard in mask, t's footprint, so the predecessor read is atomic
+// with the admission.
+func (c *Controller) walBeginLocked(r *ltxn, t *txn.T, now event.Time, mask uint64) (wal.Record, bool) {
 	if c.wal == nil || c.walBroken() != nil {
 		return wal.Record{}, false
 	}
-	node := 0
-	if c.place != nil && len(t.Steps) > 0 {
-		node = c.place.NodeOf(t.Steps[0].Part)
+	if len(t.Steps) > 0 {
+		r.walNode = c.place.NodeOf(t.Steps[0].Part)
 	}
-	home.walNode[t.ID] = node
+	r.walBegun = true
 	return wal.Record{
 		Kind:  wal.Begin,
 		Txn:   t.ID,
-		Node:  node,
+		Node:  r.walNode,
 		At:    now,
 		Steps: wal.Footprint(t),
 		Preds: c.predecessorsLocked(mask, t.ID),
@@ -116,20 +116,15 @@ func (c *Controller) walBeginLocked(home *lshard, t *txn.T, now event.Time, mask
 
 // walCompletionLocked builds the completion record for a finishing t,
 // reading the final predecessor set while the transaction is still in
-// the graph(s). It consumes the home shard's walNode entry, so
-// a transaction whose Begin was never logged (WAL failed mid-run) gets
-// no completion record either — replay would reject a completion
-// without a begin. Callers must hold the footprint's shard locks.
-func (c *Controller) walCompletionLocked(home *lshard, t *txn.T, committed bool, now event.Time, mask uint64) (wal.Record, bool) {
-	if c.wal == nil {
+// the graph(s). A transaction whose Begin was never logged (WAL failed
+// mid-run) gets no completion record either — replay would reject a
+// completion without a begin. Callers must hold the footprint's shard
+// locks.
+func (c *Controller) walCompletionLocked(r *ltxn, t *txn.T, committed bool, now event.Time, mask uint64) (wal.Record, bool) {
+	if c.wal == nil || !r.walBegun || c.walBroken() != nil {
 		return wal.Record{}, false
 	}
-	node, ok := home.walNode[t.ID]
-	delete(home.walNode, t.ID)
-	if !ok || c.walBroken() != nil {
-		return wal.Record{}, false
-	}
-	rec := wal.Record{Kind: wal.Abort, Txn: t.ID, Node: node, At: now}
+	rec := wal.Record{Kind: wal.Abort, Txn: t.ID, Node: r.walNode, At: now}
 	if committed {
 		rec.Kind = wal.Commit
 		rec.Preds = c.predecessorsLocked(mask, t.ID)

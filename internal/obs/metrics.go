@@ -289,19 +289,16 @@ type SchedMetrics struct {
 
 	// Storage counters: buffer-pool page reads split hit/miss, page
 	// write-backs, clock evictions, and the disk bytes moved either way.
-	// Prefetched pages (read-ahead loads, Op "prefetch") also count as
-	// misses — PoolMisses stays exactly the backend read count — and
-	// background-flusher write-backs (Op "flush") also count as
-	// PageWrites.
-	PageReads      uint64
-	PoolHits       uint64
-	PoolMisses     uint64
-	PagePrefetches uint64
-	PageWrites     uint64
-	PageFlushes    uint64
-	PageEvicts     uint64
-	BytesRead      uint64
-	BytesWritten   uint64
+	// PoolMisses is exactly the backend read count; background-flusher
+	// write-backs (Op "flush") also count as PageWrites.
+	PageReads    uint64
+	PoolHits     uint64
+	PoolMisses   uint64
+	PageWrites   uint64
+	PageFlushes  uint64
+	PageEvicts   uint64
+	BytesRead    uint64
+	BytesWritten uint64
 
 	// Histograms: decision control-CPU cost (clocks), decision wall
 	// duration (µs), lock-queue depth at request submission, WTPG size
@@ -472,9 +469,6 @@ func (m *Metrics) Observe(e Event) {
 			atomic.AddUint64(&sm.PoolHits, 1)
 		} else {
 			atomic.AddUint64(&sm.PoolMisses, 1)
-			if e.Op == "prefetch" {
-				atomic.AddUint64(&sm.PagePrefetches, 1)
-			}
 		}
 		atomic.AddUint64(&sm.BytesRead, uint64(e.Batch))
 	case KindPageWrite:
@@ -556,7 +550,6 @@ func (m *Metrics) Merge(o *Metrics) {
 		addCounter(&sm.PageReads, &osm.PageReads)
 		addCounter(&sm.PoolHits, &osm.PoolHits)
 		addCounter(&sm.PoolMisses, &osm.PoolMisses)
-		addCounter(&sm.PagePrefetches, &osm.PagePrefetches)
 		addCounter(&sm.PageWrites, &osm.PageWrites)
 		addCounter(&sm.PageFlushes, &osm.PageFlushes)
 		addCounter(&sm.PageEvicts, &osm.PageEvicts)

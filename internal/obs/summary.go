@@ -44,9 +44,8 @@ func (m *Metrics) Summary() string {
 				atomic.LoadUint64(&sm.Recovers), sm.ReplayMaxPar(), float64(atomic.LoadInt64(&sm.RecoverNS))/1e6)
 		}
 		if atomic.LoadUint64(&sm.PageReads) > 0 || atomic.LoadUint64(&sm.PageWrites) > 0 {
-			fmt.Fprintf(&b, "  %-16s %d page reads (%.1f%% pool hits, %d prefetched), %d writes (%d background), %d evictions, %d B read / %d B written\n",
+			fmt.Fprintf(&b, "  %-16s %d page reads (%.1f%% pool hits), %d writes (%d background), %d evictions, %d B read / %d B written\n",
 				"storage", atomic.LoadUint64(&sm.PageReads), 100*sm.PoolHitRate(),
-				atomic.LoadUint64(&sm.PagePrefetches),
 				atomic.LoadUint64(&sm.PageWrites), atomic.LoadUint64(&sm.PageFlushes),
 				atomic.LoadUint64(&sm.PageEvicts),
 				atomic.LoadUint64(&sm.BytesRead), atomic.LoadUint64(&sm.BytesWritten))

@@ -304,8 +304,8 @@ type simulator struct {
 	store     *storage.Store // nil = no page I/O
 	storeErr  error          // first storage failure; reported by Run
 	storeNow  atomic.Int64   // shadow of q.Now() for the store's clock:
-	// the store's background goroutines (flusher, prefetcher) stamp
-	// their trace events off-thread, and the event queue's own Now is
+	// the store's background flusher stamps its trace events
+	// off-thread, and the event queue's own Now is
 	// not safe to read concurrently with the sim loop advancing it.
 
 	// Epoch-batch state (BatchWindow > 0): the batch-capable scheduler

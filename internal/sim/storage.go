@@ -40,10 +40,10 @@ func (s *simulator) storeFail(err error) {
 
 // storeBind points the store's trace events at this run's observer and
 // simulated clock. The clock reads the storeNow shadow, not q.Now()
-// directly: the store's background flusher and prefetcher stamp events
-// from their own goroutines, and the queue's now-field is owned by the
-// sim loop. Each storage touchpoint refreshes the shadow, so background
-// events carry the timeline position of the last storage activity.
+// directly: the store's background flusher stamps events from its own
+// goroutine, and the queue's now-field is owned by the sim loop. Each
+// storage touchpoint refreshes the shadow, so background events carry
+// the timeline position of the last storage activity.
 func (s *simulator) storeBind() {
 	if s.store == nil {
 		return

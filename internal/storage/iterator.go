@@ -71,9 +71,6 @@ func (it *Iterator) Next() ([]byte, RecordID, bool) {
 			it.fr = fr
 			it.slot = 0
 			it.nslots = fr.Page().NumSlots()
-			if next := it.page + 1; next < it.npages {
-				it.pool.Prefetch(pageKey{it.part, next})
-			}
 		}
 		pg := it.fr.Page()
 		for it.slot < it.nslots {
@@ -114,8 +111,7 @@ func (it *Iterator) recycle() {
 // of the full read the execution layers drive on a granted read step.
 // Each heap page is pinned exactly once through the buffer pool (a cold
 // page still costs a real disk read and CRC verify) and counted from
-// its header's live count; the next page is prefetched while the
-// current one is consumed. No per-record work, no allocation.
+// its header's live count. No per-record work, no allocation.
 func (st *Store) ScanCount(part txn.PartitionID) (int, error) {
 	pf, err := st.pf(part)
 	if err != nil {
@@ -130,9 +126,6 @@ func (st *Store) ScanCount(part txn.PartitionID) (int, error) {
 		fr, err := pool.Get(pageKey{part, pg}, false)
 		if err != nil {
 			return n, err
-		}
-		if next := pg + 1; next < npages {
-			pool.Prefetch(pageKey{part, next})
 		}
 		n += fr.Page().Live()
 		pool.Unpin(fr, false)

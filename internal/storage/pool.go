@@ -43,8 +43,8 @@ type pageIO interface {
 }
 
 // PoolStats is a snapshot of one pool's counters (or, via Store.Stats,
-// the sum over every per-node pool). Prefetch loads count as Misses too
-// — Misses stays exactly the number of backend page reads.
+// the sum over every per-node pool). Misses is exactly the number of
+// backend page reads.
 type PoolStats struct {
 	Frames       int
 	Stripes      int
@@ -54,9 +54,14 @@ type PoolStats struct {
 	Evictions    uint64
 	BytesRead    uint64
 	BytesWritten uint64
-	Prefetches   uint64 // pages loaded ahead of demand by the prefetcher
 	Flushes      uint64 // dirty pages written back by the background flusher
 	Overflows    uint64 // transient frames served while a stripe was fully pinned
+
+	// Prefetches is always 0: the pool does no read-ahead. The field
+	// stays declared only because benchmark/live.go reads it and
+	// benchmark/ is frozen by BENCHMARK.json; it leaves with
+	// storage.prefetches_per_txn in the next benchmark change.
+	Prefetches uint64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any access.
@@ -76,7 +81,6 @@ func (s *PoolStats) add(o PoolStats) {
 	s.Evictions += o.Evictions
 	s.BytesRead += o.BytesRead
 	s.BytesWritten += o.BytesWritten
-	s.Prefetches += o.Prefetches
 	s.Flushes += o.Flushes
 	s.Overflows += o.Overflows
 }
@@ -101,8 +105,8 @@ type stripe struct {
 	// Counters are atomics so Stats can aggregate without taking any
 	// stripe latch. pinned tracks 0→1 / 1→0 pin transitions (transient
 	// overflow pins included).
-	hits, misses, evictions, bytesRead, bytesWritten, prefetches, flushes, overflows uint64
-	pinned                                                                           int64
+	hits, misses, evictions, bytesRead, bytesWritten, flushes, overflows uint64
+	pinned                                                               int64
 
 	// ioErr latches a write-back failure from a transient frame's final
 	// Unpin (which cannot return an error); the next FlushPart/FlushAll/
@@ -113,7 +117,6 @@ type stripe struct {
 const (
 	maxStripes         = 16
 	minFramesPerStripe = 8
-	prefetchQueue      = 64
 	flushMinBatch      = 32 // smallest per-stripe write budget per flusher pass
 )
 
@@ -132,9 +135,7 @@ func autoStripes(frames int) int {
 // Pool is a fixed-capacity buffer pool with clock (second-chance)
 // eviction, latch-striped by pageKey hash: each stripe owns an equal
 // share of the frames and serializes only its own pages' I/O. One pool
-// serves one data node's partitions. An optional prefetcher goroutine
-// (started lazily on the first Prefetch) pulls scan read-ahead off the
-// caller's latch hold.
+// serves one data node's partitions.
 type Pool struct {
 	io      pageIO
 	stripes []*stripe
@@ -144,15 +145,6 @@ type Pool struct {
 	// (nil = unobserved); swapped atomically so Bind never stops the
 	// pool.
 	onEvent atomic.Pointer[poolEventFn]
-
-	// Prefetcher: lazily started, advisory (a full queue drops).
-	pfRunning  atomic.Bool
-	pfMu       sync.Mutex
-	pfStarted  bool
-	pfStopped  bool
-	prefetchCh chan pageKey
-	pfDone     chan struct{}
-	pfWG       sync.WaitGroup
 }
 
 func newPool(io pageIO, frames, pageSize int) *Pool {
@@ -210,18 +202,8 @@ func (p *Pool) Get(k pageKey, create bool) (*Frame, error) {
 	s := p.stripeOf(k)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return p.getLocked(s, k, create, false)
-}
-
-// getLocked resolves k within its stripe. With prefetch set the frame is
-// loaded resident but left unpinned (and a resident page is a silent
-// no-op — prefetch hits never inflate the demand hit counter).
-func (p *Pool) getLocked(s *stripe, k pageKey, create, prefetch bool) (*Frame, error) {
 	if f, ok := s.idx[k]; ok {
 		f.ref = true
-		if prefetch {
-			return f, nil
-		}
 		if f.pins == 0 {
 			atomic.AddInt64(&s.pinned, 1)
 		}
@@ -232,9 +214,6 @@ func (p *Pool) getLocked(s *stripe, k pageKey, create, prefetch bool) (*Frame, e
 	}
 	f, err := s.victimLocked()
 	if err != nil {
-		if prefetch {
-			return nil, err // advisory: read-ahead never spills
-		}
 		// Every frame of this stripe is pinned. Striping must not shrink
 		// the pool's effective capacity below the PR 9 single-latch
 		// semantics (exhaustion only when *all* frames are pinned), so
@@ -266,25 +245,17 @@ func (p *Pool) getLocked(s *stripe, k pageKey, create, prefetch bool) (*Frame, e
 		atomic.AddUint64(&s.bytesRead, uint64(len(f.buf)))
 	}
 	atomic.AddUint64(&s.misses, 1)
-	op, bytes := "miss", 0
-	if prefetch {
-		atomic.AddUint64(&s.prefetches, 1)
-		op = "prefetch"
-	}
+	bytes := 0
 	if !create {
 		bytes = len(f.buf)
 	}
-	p.event(op, k, bytes)
+	p.event("miss", k, bytes)
 	f.key = k
 	f.valid = true
 	f.dirty = create // a created page must reach disk even if untouched
 	f.ref = true
-	if prefetch {
-		f.pins = 0
-	} else {
-		f.pins = 1
-		atomic.AddInt64(&s.pinned, 1)
-	}
+	f.pins = 1
+	atomic.AddInt64(&s.pinned, 1)
 	s.idx[k] = f
 	if create {
 		s.dirty = append(s.dirty, k)
@@ -386,10 +357,10 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 					s.ioErr = err
 				}
 			} else if f2, ok := s.idx[f.key]; ok && f2.pins == 0 {
-				// The disk image just moved past any cached copy loaded
-				// meanwhile (only the prefetcher can race a mutator's
-				// partition exclusion); drop it so no reader sees the
-				// stale page.
+				// The disk image just moved past a cached copy loaded
+				// meanwhile. The scheduler's partition exclusion should
+				// make that impossible; should it ever happen, drop the
+				// copy so no reader sees the stale page.
 				delete(s.idx, f.key)
 				f2.valid = false
 				f2.dirty = false
@@ -397,64 +368,6 @@ func (p *Pool) Unpin(f *Frame, dirty bool) {
 		}
 		f.valid = false
 	}
-}
-
-// Prefetch asks the pool's prefetcher to make page k resident. Advisory:
-// a full queue drops the request, a read error is swallowed (it will
-// resurface on the demand read), and a stopped pool ignores it.
-func (p *Pool) Prefetch(k pageKey) {
-	if !p.pfRunning.Load() {
-		p.startPrefetcher()
-		if !p.pfRunning.Load() {
-			return
-		}
-	}
-	select {
-	case p.prefetchCh <- k:
-	default:
-	}
-}
-
-func (p *Pool) startPrefetcher() {
-	p.pfMu.Lock()
-	defer p.pfMu.Unlock()
-	if p.pfStarted || p.pfStopped {
-		return
-	}
-	p.pfStarted = true
-	p.prefetchCh = make(chan pageKey, prefetchQueue)
-	p.pfDone = make(chan struct{})
-	p.pfWG.Add(1)
-	go func() {
-		defer p.pfWG.Done()
-		for {
-			select {
-			case <-p.pfDone:
-				return
-			case k := <-p.prefetchCh:
-				s := p.stripeOf(k)
-				s.mu.Lock()
-				_, _ = p.getLocked(s, k, false, true)
-				s.mu.Unlock()
-			}
-		}
-	}()
-	p.pfRunning.Store(true)
-}
-
-// stop shuts the prefetcher down and waits for it. Idempotent.
-func (p *Pool) stop() {
-	p.pfMu.Lock()
-	already := p.pfStopped
-	p.pfStopped = true
-	started := p.pfStarted
-	p.pfMu.Unlock()
-	if already || !started {
-		return
-	}
-	p.pfRunning.Store(false)
-	close(p.pfDone)
-	p.pfWG.Wait()
 }
 
 // flushDirty writes back the pool's dirty, unpinned frames — the
@@ -607,7 +520,6 @@ func (s *stripe) stats() PoolStats {
 		Evictions:    atomic.LoadUint64(&s.evictions),
 		BytesRead:    atomic.LoadUint64(&s.bytesRead),
 		BytesWritten: atomic.LoadUint64(&s.bytesWritten),
-		Prefetches:   atomic.LoadUint64(&s.prefetches),
 		Flushes:      atomic.LoadUint64(&s.flushes),
 		Overflows:    atomic.LoadUint64(&s.overflows),
 	}

@@ -223,11 +223,10 @@ func (st *Store) startFlushers() {
 }
 
 // Quiesce stops the store's background work — the per-node flusher
-// goroutines and every pool's prefetcher — and waits for them. Nothing
-// is flushed or closed; dirty pages stay cached until Flush or Close.
-// Idempotent; Close and Crash imply it. Callers comparing pool counters
-// against an observer's (the chaos batteries) quiesce first so neither
-// side moves mid-comparison.
+// goroutines — and waits for them. Nothing is flushed or closed; dirty
+// pages stay cached until Flush or Close. Idempotent; Close and Crash
+// imply it. Callers comparing pool counters against an observer's (the
+// chaos batteries) quiesce first so neither side moves mid-comparison.
 func (st *Store) Quiesce() {
 	st.bgMu.Lock()
 	stop := st.bgStop
@@ -236,9 +235,6 @@ func (st *Store) Quiesce() {
 	if stop != nil {
 		close(stop)
 		st.bgWG.Wait()
-	}
-	for _, p := range st.pools {
-		p.stop()
 	}
 }
 
@@ -364,8 +360,6 @@ func (st *Store) poolEvent(op string, k pageKey, bytes int) {
 		e.Kind, e.Op = obs.KindPageRead, "hit"
 	case "miss":
 		e.Kind, e.Op = obs.KindPageRead, "miss"
-	case "prefetch":
-		e.Kind, e.Op = obs.KindPageRead, "prefetch"
 	case "write":
 		e.Kind = obs.KindPageWrite
 	case "flush":
