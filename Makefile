@@ -62,13 +62,15 @@ chaos-nodes:
 
 # chaos-restart runs the kill-and-restart battery (docs/ROBUSTNESS.md
 # §9) under the race detector: WAL encode/decode + corruption fuzz +
-# group commit, the simulator's 100-seed × scheduler kill matrix with
-# replay-equivalence checks, the live controller's crash/recover round
-# trip, the KillAt determinism test, and the recovery model checker.
-# Every failure message carries a one-line repro (scheduler, seed, kill
-# point, flush fraction).
+# group commit + the consistent cut across node logs, the simulator's
+# 100-seed × scheduler kill matrix with replay-equivalence checks, the
+# live controller's crash/recover round trip and its 50-seed kill
+# between lock release and force, the storage write barrier, the KillAt
+# determinism test, and the recovery model checker. Every failure
+# message carries a one-line repro (scheduler, seed, kill point, flush
+# fraction).
 chaos-restart:
-	$(GO) test -race -count=1 -run 'Restart|KillRestart|KillAt|Recover|WAL|Replay|Torn|GroupCommit|Corruption|RoundTrip' \
+	$(GO) test -race -count=1 -run 'Restart|KillRestart|KillAt|KillBetween|Recover|WAL|Replay|Torn|GroupCommit|Corruption|RoundTrip|ConsistentCut|SyncAfterClose|ScanPrefix|WriteBarrier|CommitPrefix|ReopenedHeap' \
 		./internal/wal/ ./internal/sim/ ./internal/live/ ./internal/fault/ ./internal/modelcheck/ ./internal/storage/
 
 # The two greps keep closed forks closed: a deprecated shim or an

@@ -143,8 +143,8 @@ func (c *Controller) epochLoop() {
 // runEpoch processes one closed window: batch admission in a single
 // critical section (when the scheduler supports it), then cluster
 // dispatch. Members the batch pass did not admit — chain-form
-// rejections, injected refusals, non-batch schedulers, a failed WAL
-// force — go through the blocking per-arrival Admit on their worker, so
+// rejections, injected refusals, non-batch schedulers, a refused WAL
+// append — go through the blocking per-arrival Admit on their worker, so
 // the epoch path never strands a transaction the normal path would have
 // served. Workers take clusters off one shared cursor; a cluster's
 // members run sequentially, in batch order, on the worker that took it.
@@ -191,8 +191,8 @@ func (c *Controller) runEpoch(batch []*submission) {
 // surface grants, in one critical section, and reports the flush to the
 // observability pipeline. Returns the granted set (nil when the
 // scheduler is not batch-capable, the controller closed, or the WAL
-// could not make the window's Begin records durable — callers fall back
-// to per-arrival admission, which surfaces the sticky WAL error).
+// refused the window's Begin records — callers fall back to per-arrival
+// admission, which surfaces the sticky WAL error).
 // Members the fault injector would refuse at attempt 0 are withheld from
 // the batch; their refusal fires on the per-arrival path instead,
 // keeping injector decisions deterministic across both paths.

@@ -225,7 +225,8 @@ type Controller struct {
 	// walOwned), walErr the sticky first failure — open or IO — that
 	// makes later admissions fail instead of running unlogged. walErr
 	// has its own mutex: WAL failures surface from fsync paths that run
-	// outside any shard lock. Lock order: shard locks before walMu.
+	// outside any shard lock. Lock order: shard locks before walMu and
+	// before the log's own mutex (Begin records are appended under them).
 	walDir   string
 	wal      *wal.Log
 	walOwned bool
@@ -234,8 +235,9 @@ type Controller struct {
 
 	// Heap-file storage (WithStorage, see storage.go): granted steps
 	// scan real pages, commits apply staged effect tuples after the WAL
-	// force. storeErr is the sticky first failure on a durably committed
-	// transaction's apply path — the commit stands, later storage-backed
+	// append. storeErr is the sticky first failure on a logged commit's
+	// apply path, or a failed force behind applied effects — the cached
+	// pages and the log disagree until a restart, so later storage-backed
 	// work fails fast. Lock order: shard locks before storeMu.
 	store    *storage.Store
 	storeMu  sync.Mutex
@@ -532,16 +534,16 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn) error 
 
 // admitGranted is the tail every admission path shares once the
 // scheduler has granted ts — all homed on home — under the held shard
-// locks in mask: count each member and create its control record, build
-// its WAL Begin record while the predecessor read is still atomic with
-// the grant, release the locks, and force the records durable in one
-// group commit. Write-ahead: a Begin record — footprint + resolved
-// predecessors — must be durable before the grant takes effect, so on
-// failure every member's admission is rolled back.
+// locks in mask: count each member, create its control record and append
+// its WAL Begin record — footprint + resolved predecessors, read while
+// the predecessor set is still atomic with the grant — then release the
+// locks. The Begin is not forced: it rides the pass that forces the
+// completion record, in the same file, so a durable Commit implies a
+// durable Begin, and an unfinished transaction may leave no trace in the
+// log (storage is no-steal, so it left none on a page either). A record
+// the log refuses (closed, poisoned) rolls every member's admission back.
 func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts ...*txn.T) error {
-	// One member is the hot path (Admit); its record stays on the stack.
-	var one [1]wal.Record
-	recs := one[:0]
+	var walErr error
 	for _, t := range ts {
 		home.stats.Admitted++
 		var r *ltxn
@@ -553,19 +555,16 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts 
 		*r = ltxn{admitted: now, mask: mask, step: -1}
 		home.txns[t.ID] = r
 		c.bumpProgress()
-		if rec, logIt := c.walBeginLocked(r, t, now, mask); logIt {
-			recs = append(recs, rec)
+		if walErr == nil {
+			walErr = c.walBeginLocked(r, t, now, mask)
 		}
 	}
 	c.unlockMask(mask)
-	if len(recs) == 0 {
-		return nil
-	}
-	if err := c.walForce(recs...); err != nil {
+	if walErr != nil {
 		for _, t := range ts {
 			c.Abort(t)
 		}
-		return fmt.Errorf("live: wal: %w", err)
+		return fmt.Errorf("live: wal: %w", walErr)
 	}
 	return nil
 }
@@ -808,12 +807,16 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 }
 
 // Commit finishes an admitted transaction: all its locks drop and
-// waiters wake. It returns an error for a transaction the controller
-// does not consider admitted (double finish, never admitted) — and,
-// wrapped as ErrNodeCrashed, for a transaction doomed by a node crash
-// after its last lock grant: its partial bulk results are gone, so the
-// "commit" runs the abort-recovery path instead and the caller must
-// treat the transaction as aborted.
+// waiters wake, and — with a WAL — it returns nil only after a force
+// covered its Commit record (the locks drop before that force, see
+// finish). It returns an error for a transaction the controller does
+// not consider admitted (double finish, never admitted) — and, wrapped
+// as ErrNodeCrashed, for a transaction doomed by a node crash after its
+// last lock grant: its partial bulk results are gone, so the "commit"
+// runs the abort-recovery path instead and the caller must treat the
+// transaction as aborted. An error naming a record that is "not durable"
+// is the one in-doubt outcome: the transaction pre-committed, the force
+// failed, and only a restart's replay decides.
 func (c *Controller) Commit(t *txn.T) error {
 	return c.finish(t, true)
 }
@@ -829,16 +832,37 @@ func (c *Controller) Abort(t *txn.T) error {
 	return c.finish(t, false)
 }
 
-// finish runs in three phases so the commit record's fsync never stalls
-// the shards' critical sections: (1) under the footprint's shard locks,
-// claim the finish — validate, apply the doom check, build the
-// completion record while t is still in the WTPG(s), and drop t's control
-// record so no concurrent finish/crash-doom can touch it; (2)
-// outside the locks, make a commit record durable (group-committed —
-// aborts are appended unforced, a lost abort record re-aborts at
-// recovery anyway); (3) under each shard's lock in canonical order,
-// apply the completion to that shard's scheduler and wake its waiters.
-// Without a WAL, phase 2 is empty.
+// finish is a pre-commit in the sense of Yao et al.'s dependency logging
+// (PAPERS.md): the partition locks drop once the completion record is
+// appended, and the caller is acknowledged once it is durable. The
+// order, for a commit:
+//
+//  1. under the footprint's shard locks, claim the finish — validate,
+//     apply the doom check, build the completion record while t is still
+//     in the WTPG(s), and drop t's control record so no concurrent
+//     finish/crash-doom can touch it;
+//  2. outside the shard mutexes, but with t still holding its partition
+//     locks in the scheduler(s): append the Commit record, unforced, and
+//     apply the staged effects to cached pages — scans read frames with
+//     no latch, so the writer's lock is what keeps every reader off a
+//     page while it mutates, and a successor's scan sees these effects;
+//  3. under each shard's lock in canonical order, apply the completion to
+//     that shard's scheduler — the partition locks drop here — and wake
+//     its waiters;
+//  4. force the log, and return nil only after the force returns.
+//
+// Every append precedes the appender's lock release, so whatever a
+// transaction read from was appended before its own record, and one
+// force covers everything appended before it: acknowledged ⊆ durable,
+// and an acknowledged transaction's predecessors are durable. A crash in
+// the window between 3 and 4 can lose a pre-committed record while a
+// later one survives in another node file; recovery keeps only the
+// gap-free prefix of the append order (wal.Scan), so that successor is
+// lost with it. Cached pages run ahead of the log in the same window;
+// the store's write barrier forces the log before any of them is written
+// (storeBind). An abort appends its record unforced — a lost abort
+// record re-aborts at recovery anyway — and skips step 4. Without a WAL,
+// steps 2 and 4 touch no log.
 func (c *Controller) finish(t *txn.T, committed bool) error {
 	if t == nil {
 		return fmt.Errorf("live: nil transaction")
@@ -877,23 +901,17 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		doomErr = fmt.Errorf("live: %v: wal unavailable, commit aborted", t.ID)
 	}
 	if logIt {
-		if committed {
-			// Write-ahead: the commit is not a commit until its record is
-			// durable. On failure the transaction aborts instead — its
-			// begin record stays completion-less and recovery re-aborts it.
-			if err := c.walForce(rec); err != nil {
-				committed = false
-				doomErr = fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)
-			}
-		} else {
-			c.walAppend(rec)
+		// Nothing of t is visible yet, so a Commit record the log refuses
+		// still flips cleanly to an abort — its begin stays completion-less
+		// and recovery re-aborts it.
+		if err := c.walAppend(rec); err != nil && committed {
+			committed = false
+			doomErr = fmt.Errorf("live: %v: commit record not logged: %w", t.ID, err)
 		}
 	}
-	// Storage follows the same write-ahead order: effects reach pages
-	// only after the commit record is durable, and before phase 3 drops
-	// the scheduler locks — the transaction still excludes every reader
-	// of its partitions while its pages mutate. An abort (original or
-	// flipped above) just discards the staged effects.
+	// From the append on the outcome is the log's: a storage failure
+	// latches storeErr but cannot flip it. An abort (original or flipped
+	// above) just discards the staged effects.
 	if committed {
 		c.storeApplyCommit(t)
 	} else {
@@ -924,6 +942,18 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		sh.mu.Unlock()
 	})
 	c.bumpProgress()
+
+	if committed && logIt {
+		if err := c.walSync(); err != nil {
+			// Pre-committed but not durable: successors may have read the
+			// effects, and cached pages hold what the log may not. The
+			// sticky walErr fails every later admission and commit, the
+			// write barrier keeps those pages off the disk, and storeErr
+			// says the pool is ahead of the log until a restart replays it.
+			c.storeFail(fmt.Errorf("live: %v: applied effects not durable: %w", t.ID, err))
+			return fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)
+		}
+	}
 	return doomErr
 }
 

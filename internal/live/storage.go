@@ -4,14 +4,19 @@ package live
 // every granted step drives a real partition iterator through the
 // buffer pool (a full scan of the step's partition — the bulk access
 // the paper's transactions model), write steps stage their
-// deterministic effect tuple, and commit applies the staged effects and
-// flushes the touched partitions' dirty pages strictly AFTER the WAL
-// commit force in finish — the write-ahead contract extended to pages.
+// deterministic effect tuple, and commit applies the staged effects to
+// cached pages AFTER appending the WAL commit record and BEFORE the
+// partition locks drop (finish). The record is forced only after that,
+// so cached pages run ahead of the durable log for a moment; the
+// write-ahead contract for pages is enforced where pages reach disk —
+// storeBind hands the store a write barrier that forces the log before
+// any page image is written.
 //
-// Failure discipline: once finish has made the commit record durable,
-// the commit stands. A storage failure after that point cannot flip the
-// outcome (recovery would redo the effects from the WAL anyway), so it
-// latches a sticky error instead — later Runs fail fast and a restart's
+// Failure discipline: once finish has appended the commit record, the
+// outcome is the log's. A storage failure after that point cannot flip
+// it (recovery redoes the effects from the WAL if the record proves
+// durable), so it latches a sticky error instead — as does a failed
+// force behind applied effects: later Runs fail fast and a restart's
 // WAL replay repairs the heap. Abort drops the staged effects; nothing
 // was written, so there is nothing to undo (no-steal at transaction
 // granularity).
@@ -34,17 +39,24 @@ func WithStorage(st *storage.Store) Option {
 }
 
 // storeBind points the store's page-traffic events at the controller's
-// observer and wall clock. Called from New after the label is known.
+// observer and wall clock and, with a WAL, makes "force the log through
+// everything appended so far" the store's write barrier: a commit's
+// record is appended before its effects are applied, so no page image
+// can reach disk ahead of the record that makes it redoable, whichever
+// path writes it. Called from New after the label is known.
 func (c *Controller) storeBind() {
 	if c.store == nil {
 		return
 	}
 	c.store.Bind(c.observer, c.label, func() event.Time { return c.now() })
+	if c.wal != nil {
+		c.store.SetWriteBarrier(c.walSync)
+	}
 }
 
 // StorageErr returns the sticky storage error, if any: a failure to
-// apply or flush a durably committed transaction's effects. The commit
-// itself stands (the WAL record is durable; restart replay repairs the
+// apply or flush a logged commit's effects, or a failed force behind
+// applied ones. The outcome is the log's (restart replay repairs the
 // heap), but the controller refuses further storage-backed work.
 func (c *Controller) StorageErr() error {
 	if c.store == nil {
@@ -92,11 +104,10 @@ func (c *Controller) storeStep(t *txn.T, step int) error {
 }
 
 // storeApplyCommit applies t's staged effects. Called from finish after
-// the WAL force succeeded and BEFORE phase 3 releases the scheduler
-// locks — the transaction still excludes every reader and writer of its
+// the commit record is appended and BEFORE the scheduler locks drop —
+// the transaction still excludes every reader and writer of its
 // partitions while its pages mutate. A failure here latches the sticky
-// error but does not flip the committed outcome (see the package
-// comment).
+// error but does not flip the logged outcome (see the package comment).
 func (c *Controller) storeApplyCommit(t *txn.T) {
 	if c.store == nil {
 		return

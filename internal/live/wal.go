@@ -4,15 +4,28 @@ package live
 // the live controller. The write-ahead contract:
 //
 //   - admission: the Begin record — footprint plus the WTPG predecessor
-//     set resolved at admission — is forced durable BEFORE Admit
-//     returns, i.e. before the first grant takes effect;
+//     set resolved at admission — is appended under the shard locks and
+//     never forced on its own. It rides the pass that forces its
+//     completion record, in the same file, so a durable Commit implies a
+//     durable Begin; an unfinished transaction may leave no trace, which
+//     no-steal storage makes harmless;
 //   - commit: the Commit record, carrying the final resolved
 //     predecessor set (read before the scheduler drops the transaction
-//     from the graph), is forced durable BEFORE the scheduler applies
-//     the commit and before Commit reports success;
+//     from the graph), is appended BEFORE the scheduler applies the
+//     commit — i.e. before the partition locks drop — and forced AFTER;
+//     Commit reports success only once that force returns (pre-commit,
+//     see finish);
 //   - abort: the Abort record is appended but not forced — a lost abort
 //     record re-aborts at recovery anyway (no completion ⇒ re-abort),
-//     so aborts never pay an fsync.
+//     so aborts never pay an fsync;
+//   - pages: the store calls walSync (its write barrier, storeBind)
+//     before any page image leaves the buffer pool, so the log is
+//     durable through every effect a written page carries.
+//
+// Because every append precedes the appender's lock release, the log's
+// append order extends the conflict order, and recovery keeps the
+// gap-free prefix of it (wal.Scan): everything acknowledged, and no
+// successor of anything lost.
 //
 // Sync points group-commit: concurrent committers piggyback on one
 // fsync pass (wal.Log.Sync), and the controller emits KindWALAppend /
@@ -90,28 +103,29 @@ func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
 	return sched.PredecessorsUnion(schs, id)
 }
 
-// walBeginLocked builds the Begin record for a just-admitted t: its
+// walBeginLocked appends the Begin record for a just-admitted t: its
 // declared footprint and the predecessor set resolved at admission,
 // routed to the node of its first partition — which t's control record r
 // remembers for the completion record. Callers must hold the locks of
 // every shard in mask, t's footprint, so the predecessor read is atomic
-// with the admission.
-func (c *Controller) walBeginLocked(r *ltxn, t *txn.T, now event.Time, mask uint64) (wal.Record, bool) {
+// with the admission. Without a usable WAL it does nothing.
+func (c *Controller) walBeginLocked(r *ltxn, t *txn.T, now event.Time, mask uint64) error {
 	if c.wal == nil || c.walBroken() != nil {
-		return wal.Record{}, false
+		return nil
 	}
 	if len(t.Steps) > 0 {
 		r.walNode = c.place.NodeOf(t.Steps[0].Part)
 	}
-	r.walBegun = true
-	return wal.Record{
+	err := c.walAppend(wal.Record{
 		Kind:  wal.Begin,
 		Txn:   t.ID,
 		Node:  r.walNode,
 		At:    now,
 		Steps: wal.Footprint(t),
 		Preds: c.predecessorsLocked(mask, t.ID),
-	}, true
+	})
+	r.walBegun = err == nil
+	return err
 }
 
 // walCompletionLocked builds the completion record for a finishing t,
@@ -132,17 +146,22 @@ func (c *Controller) walCompletionLocked(r *ltxn, t *txn.T, committed bool, now 
 	return rec, true
 }
 
-// walForce appends recs and forces them durable in one group-commit
-// Sync. Called WITHOUT mu held — the fsync must not stall the
-// controller's critical sections.
-func (c *Controller) walForce(recs ...wal.Record) error {
-	for _, rec := range recs {
-		if err := c.wal.Append(rec); err != nil {
-			c.walFail(err)
-			return err
-		}
-		c.emit(obs.Event{Kind: obs.KindWALAppend, At: rec.At, Txn: rec.Txn, Op: rec.Kind.String(), Node: rec.Node})
+// walAppend appends rec without forcing it, latching a refusal as the
+// sticky WAL error.
+func (c *Controller) walAppend(rec wal.Record) error {
+	if err := c.wal.Append(rec); err != nil {
+		c.walFail(err)
+		return err
 	}
+	c.emit(obs.Event{Kind: obs.KindWALAppend, At: rec.At, Txn: rec.Txn, Op: rec.Kind.String(), Node: rec.Node})
+	return nil
+}
+
+// walSync forces everything appended so far in one group-commit pass
+// (or finds another caller's pass already covered it). Called WITHOUT a
+// shard lock held — the fsync must not stall the controller's critical
+// sections.
+func (c *Controller) walSync() error {
 	start := time.Now()
 	n, err := c.wal.Sync()
 	if err != nil {
@@ -155,18 +174,11 @@ func (c *Controller) walForce(recs ...wal.Record) error {
 	return nil
 }
 
-// walAppend appends rec without forcing it (abort records).
-func (c *Controller) walAppend(rec wal.Record) {
-	if err := c.wal.Append(rec); err != nil {
-		c.walFail(err)
-		return
-	}
-	c.emit(obs.Event{Kind: obs.KindWALAppend, At: rec.At, Txn: rec.Txn, Op: rec.Kind.String(), Node: rec.Node})
-}
-
 // Recover rebuilds a controller from the per-node logs under dir: the
-// logs are scanned in parallel (torn tails truncated to the longest
-// valid prefix), the committed history is replayed topologically
+// logs are scanned in parallel (torn tails and everything beyond the
+// first hole in the append order dropped — wal.Scan's gap-free prefix,
+// which reopening the log then makes physical), the committed history is
+// replayed topologically
 // ordered only by the logged predecessor edges (wave-parallel — see
 // wal.Replay), transactions with a Begin but no completion record are
 // re-aborted (their locks died with the process; the abort records are
@@ -194,15 +206,15 @@ func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Optio
 		return nil, nil, err
 	}
 	now := c.now()
-	if len(rec.Incomplete) > 0 {
-		reaborts := make([]wal.Record, len(rec.Incomplete))
-		for i, b := range rec.Incomplete {
-			reaborts[i] = wal.Record{Kind: wal.Abort, Txn: b.Txn, Node: b.Node, At: now}
-		}
-		if err := c.walForce(reaborts...); err != nil {
+	for _, b := range rec.Incomplete {
+		if err := c.walAppend(wal.Record{Kind: wal.Abort, Txn: b.Txn, Node: b.Node, At: now}); err != nil {
 			c.Close()
 			return nil, nil, fmt.Errorf("live: recover: %w", err)
 		}
+	}
+	if err := c.walSync(); err != nil {
+		c.Close()
+		return nil, nil, fmt.Errorf("live: recover: %w", err)
 	}
 	if err := c.CheckInvariants(); err != nil {
 		c.Close()

@@ -16,9 +16,10 @@ import (
 // kill-and-restart story: commit a batch of transactions against a
 // caller-owned log, crash the log (SIGKILL-equivalent) with two
 // transactions still in flight, recover, and check the committed set
-// survived exactly while the in-flight pair was re-aborted — then that
-// the recovered controller serves new traffic and a second recovery
-// agrees with the first.
+// survived exactly while the in-flight pair — whose Begin records were
+// appended but never forced — is re-aborted or left no trace, never
+// committed; then that the recovered controller serves new traffic and
+// a second recovery agrees with the first.
 func TestWALKillRecoverRoundTrip(t *testing.T) {
 	for _, f := range []sched.Factory{sched.C2PLFactory(), sched.KWTPGFactory(2)} {
 		f := f
@@ -48,8 +49,8 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			}
 			wg.Wait()
 
-			// Two transactions admitted (Begin forced durable) but parked
-			// inside their work when the machine dies.
+			// Two transactions admitted (Begin appended, not forced) and
+			// parked inside their work when the machine dies.
 			started := make(chan struct{}, 2)
 			release := make(chan struct{})
 			inflight := make(chan error, 2)
@@ -94,9 +95,7 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 					t.Fatalf("resurrected %v", id)
 				}
 			}
-			if len(rec.Incomplete) != 2 || rec.Incomplete[0].Txn != 9 || rec.Incomplete[1].Txn != 10 {
-				t.Fatalf("incomplete %v, want txns 9 and 10 re-aborted", rec.Incomplete)
-			}
+			inflightOnly(t, rec.Incomplete)
 			scans, err := wal.Scan(dir)
 			if err != nil {
 				t.Fatal(err)
@@ -119,7 +118,8 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			ctl2.Close()
 
 			// A second recovery agrees: the re-abort records appended by
-			// the first make 9 and 10 properly aborted, not incomplete.
+			// the first make whichever of 9 and 10 left a Begin behind
+			// properly aborted, not incomplete.
 			ctl3, rec2, err := Recover(dir, f, liveCosts)
 			if err != nil {
 				t.Fatal(err)
@@ -135,10 +135,27 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			for _, id := range rec2.Aborted {
 				aborted[id] = true
 			}
-			if !aborted[9] || !aborted[10] {
-				t.Fatalf("re-aborts not durable: aborted set %v", rec2.Aborted)
+			for _, b := range rec.Incomplete {
+				if !aborted[b.Txn] {
+					t.Fatalf("re-abort of %v not durable: aborted set %v", b.Txn, rec2.Aborted)
+				}
 			}
 		})
+	}
+}
+
+// inflightOnly checks the Incomplete set of a recovery that followed a
+// crash with transactions 9 and 10 in flight: their Begin records were
+// pending, so the crash's partial flush may have kept both, one or
+// neither — and nothing else may be incomplete.
+func inflightOnly(t *testing.T, incomplete []wal.Record) {
+	t.Helper()
+	seen := map[txn.ID]bool{}
+	for _, b := range incomplete {
+		if (b.Txn != 9 && b.Txn != 10) || seen[b.Txn] {
+			t.Fatalf("incomplete %v, want at most the in-flight txns 9 and 10, once each", incomplete)
+		}
+		seen[b.Txn] = true
 	}
 }
 
@@ -205,8 +222,9 @@ func TestWALAbortsAreLogged(t *testing.T) {
 // TestShardedWALKillRecoverRoundTrip repeats the kill-and-restart story
 // with the sharded hot path on: spanning transactions log Begin records
 // carrying the union of their per-shard predecessors, the log dies with
-// two transactions in flight, and recovery reconstructs exactly the
-// committed set — proving the write-ahead contract holds per shard.
+// two transactions in flight (re-aborted or traceless, never committed),
+// and recovery reconstructs exactly the committed set — proving the
+// write-ahead contract holds per shard.
 func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(dir, 1)
@@ -277,9 +295,7 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("resurrected %v", id)
 		}
 	}
-	if len(rec.Incomplete) != 2 {
-		t.Fatalf("incomplete %v, want txns 9 and 10 re-aborted", rec.Incomplete)
-	}
+	inflightOnly(t, rec.Incomplete)
 	scans, err := wal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)

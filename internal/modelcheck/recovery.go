@@ -22,12 +22,19 @@ import (
 //
 //   - completeness: every committed transaction has a durable Begin, and
 //     every durable Commit record is in the committed set;
+//   - consistent cut: every Commit record lies in the gap-free prefix of
+//     the scans' sequence numbering. A committer releases its locks
+//     before its record is forced, so a record beyond a hole may belong
+//     to a transaction that read from the one the hole swallowed
+//     (wal.Scan cuts there; this recomputes the hole on its own);
 //   - exclusivity: no transaction is in more than one of committed /
 //     aborted / incomplete (re-aborted);
 //   - acyclicity: the committed transactions' logged predecessor edges
 //     (restricted to committed predecessors — dead ones impose no
 //     order) form a DAG, verified by loading them into a wtpg.Graph as
-//     resolved conflicts and running its critical-path cycle check;
+//     resolved conflicts and running its critical-path cycle check — a
+//     committed predecessor lost to a crash is excluded by the cut, not
+//     by this restriction;
 //   - wave sanity: every committed transaction sits in a strictly later
 //     wave than each of its committed predecessors, wave numbers are
 //     dense in [0, Waves), and MaxParallel equals the widest wave.
@@ -37,14 +44,27 @@ func VerifyRecovery(scans []wal.NodeScan, rec *wal.Recovery) error {
 	}
 	begins := make(map[txn.ID]wal.Record)
 	commits := make(map[txn.ID]wal.Record)
+	seqs := make(map[uint64]bool)
 	for _, ns := range scans {
 		for _, r := range ns.Records {
+			seqs[r.Seq] = true
 			switch r.Kind {
 			case wal.Begin:
 				begins[r.Txn] = r
 			case wal.Commit:
 				commits[r.Txn] = r
 			}
+		}
+	}
+	// The first sequence number no scan holds. Hand-built scans number
+	// nothing (every Seq 0) and so sit wholly below it.
+	hole := uint64(1)
+	for seqs[hole] {
+		hole++
+	}
+	for id, c := range commits {
+		if c.Seq > hole {
+			return fmt.Errorf("modelcheck: commit record of %v (seq %d) lies beyond the sequence gap at %d", id, c.Seq, hole)
 		}
 	}
 	committed := make(map[txn.ID]bool, len(rec.Committed))
@@ -148,6 +168,45 @@ func VerifyRecovery(scans []wal.NodeScan, rec *wal.Recovery) error {
 	}
 	if len(rec.Committed) == 0 && rec.Waves != 0 {
 		return fmt.Errorf("modelcheck: empty committed set but %d waves", rec.Waves)
+	}
+	return nil
+}
+
+// Access is one pre-committed transaction's use of one partition.
+type Access struct {
+	Txn   txn.ID
+	Write bool
+}
+
+// VerifyCommitPrefix checks that a recovered committed set is closed
+// under the conflict order the execution actually had: order lists, per
+// partition, the transactions that pre-committed (released their locks)
+// in the order they did, and recovered is the set a restart kept. In
+// every partition a recovered transaction must not follow a lost one it
+// conflicts with — no reader or writer after a lost writer, no writer
+// after a lost reader — because it may have read what the lost one
+// wrote, or overwritten what it read. Recovered transactions missing
+// from order (their record was durable but the crash came before the
+// lock release was observed) held their locks to the end and constrain
+// nothing.
+func VerifyCommitPrefix(order map[txn.PartitionID][]Access, recovered map[txn.ID]bool) error {
+	for part, accs := range order {
+		var lostWriter, lostReader txn.ID
+		var haveLostWriter, haveLostReader bool
+		for _, a := range accs {
+			switch {
+			case !recovered[a.Txn]:
+				if a.Write && !haveLostWriter {
+					lostWriter, haveLostWriter = a.Txn, true
+				} else if !a.Write && !haveLostReader {
+					lostReader, haveLostReader = a.Txn, true
+				}
+			case haveLostWriter:
+				return fmt.Errorf("modelcheck: %v recovered on %v without its predecessor %v, a lost writer", a.Txn, part, lostWriter)
+			case a.Write && haveLostReader:
+				return fmt.Errorf("modelcheck: writer %v recovered on %v without its predecessor %v, a lost reader", a.Txn, part, lostReader)
+			}
+		}
 	}
 	return nil
 }

@@ -45,42 +45,56 @@ func TestVerifyRecoveryAcceptsReplay(t *testing.T) {
 }
 
 func TestVerifyRecoveryRejectsTampering(t *testing.T) {
-	scans := recScans()
 	cases := []struct {
 		name   string
-		tamper func(rec *wal.Recovery)
+		tamper func(scans []wal.NodeScan, rec *wal.Recovery)
 		want   string
 	}{
-		{"resurrect incomplete txn", func(rec *wal.Recovery) {
+		{"committed record beyond a sequence gap", func(scans []wal.NodeScan, _ *wal.Recovery) {
+			// Number the history in scan order and leave number 3 out, as
+			// if a third file had lost the record that carried it: every
+			// commit record now sits beyond the hole.
+			seq := uint64(0)
+			for _, ns := range scans {
+				for j := range ns.Records {
+					if seq++; seq == 3 {
+						seq++
+					}
+					ns.Records[j].Seq = seq
+				}
+			}
+		}, "beyond the sequence gap"},
+		{"resurrect incomplete txn", func(_ []wal.NodeScan, rec *wal.Recovery) {
 			rec.Committed = append(rec.Committed, 6)
 			rec.Wave[6] = rec.Waves
 			rec.Waves++
 		}, "no durable commit"},
-		{"drop a committed txn", func(rec *wal.Recovery) {
+		{"drop a committed txn", func(_ []wal.NodeScan, rec *wal.Recovery) {
 			rec.Committed = rec.Committed[:len(rec.Committed)-1]
 		}, "missing from recovered committed set"},
-		{"commit an aborted txn", func(rec *wal.Recovery) {
+		{"commit an aborted txn", func(_ []wal.NodeScan, rec *wal.Recovery) {
 			rec.Aborted = nil
 			rec.Committed = append(rec.Committed, 5)
 			rec.Wave[5] = 0
 		}, "no durable commit"},
-		{"precedence-violating wave", func(rec *wal.Recovery) {
+		{"precedence-violating wave", func(_ []wal.NodeScan, rec *wal.Recovery) {
 			rec.Wave[3] = 0 // 3 depends on 1 and 2
 		}, "no later than its predecessor"},
-		{"inflated MaxParallel", func(rec *wal.Recovery) {
+		{"inflated MaxParallel", func(_ []wal.NodeScan, rec *wal.Recovery) {
 			rec.MaxParallel++
 		}, "widest wave"},
-		{"abort a committed txn too", func(rec *wal.Recovery) {
+		{"abort a committed txn too", func(_ []wal.NodeScan, rec *wal.Recovery) {
 			rec.Aborted = append(rec.Aborted, rec.Committed[0])
 		}, "both committed and aborted"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			scans := recScans()
 			rec, err := wal.Replay(scans, 2, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			tc.tamper(rec)
+			tc.tamper(scans, rec)
 			err = VerifyRecovery(scans, rec)
 			if err == nil {
 				t.Fatal("tampered recovery accepted")
@@ -89,5 +103,43 @@ func TestVerifyRecoveryRejectsTampering(t *testing.T) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// TestVerifyCommitPrefix pins the conflict-order closure rule on one
+// partition history: w1 r2 r3 w4 r5 (pre-commit order).
+func TestVerifyCommitPrefix(t *testing.T) {
+	order := map[txn.PartitionID][]Access{
+		7: {{1, true}, {2, false}, {3, false}, {4, true}, {5, false}},
+	}
+	set := func(ids ...txn.ID) map[txn.ID]bool {
+		m := map[txn.ID]bool{}
+		for _, id := range ids {
+			m[id] = true
+		}
+		return m
+	}
+	for _, ok := range []map[txn.ID]bool{
+		set(), set(1), set(1, 2), set(1, 3), // concurrent readers: either may be lost alone
+		set(1, 2, 3, 4), set(1, 2, 3, 4, 5),
+		set(1, 2, 3, 4, 5, 99), // 99 never released a lock: constrains nothing
+	} {
+		if err := VerifyCommitPrefix(order, ok); err != nil {
+			t.Errorf("recovered %v rejected: %v", ok, err)
+		}
+	}
+	for _, bad := range []struct {
+		rec  map[txn.ID]bool
+		want string
+	}{
+		{set(2), "lost writer"},          // read from the lost w1
+		{set(4), "lost writer"},          // overwrote the lost w1
+		{set(1, 2, 4), "lost reader"},    // w4 overwrote what the lost r3 read
+		{set(1, 2, 3, 5), "lost writer"}, // r5 read from the lost w4
+	} {
+		err := VerifyCommitPrefix(order, bad.rec)
+		if err == nil || !strings.Contains(err.Error(), bad.want) {
+			t.Errorf("recovered %v: got %v, want a %q violation", bad.rec, err, bad.want)
+		}
 	}
 }

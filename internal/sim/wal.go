@@ -7,14 +7,18 @@ package sim
 // equivalence — the recovered committed set must equal the pre-crash
 // committed prefix exactly.
 //
-// Durability points differ from the live controller in one deliberate
-// way: Begin and Abort records are appended but not individually
-// forced; every Commit forces a group-commit Sync (synchronous commit).
-// Records for one transaction share a per-node file in append order, so
-// a commit record can only be durable if its begin already is, and a
-// crash's partial flush can strand only begin/abort records — which
-// recovery re-aborts or ignores. The committed set is therefore exactly
-// the synced commit records, matching what the run counted.
+// Begin and Abort records are appended but not individually forced, as
+// in the live controller: records for one transaction share a per-node
+// file in append order, so a commit record can only be durable if its
+// begin already is. Durability points differ from the live controller
+// in one deliberate way: every Commit forces a group-commit Sync in the
+// same event that counts it and applies its effects (synchronous
+// commit), where the live controller appends, releases the locks and
+// acknowledges after a shared force. The simulated control node has no
+// concurrent committers to share a pass with, and forcing at once means
+// a crash's partial flush can strand only begin/abort records — which
+// recovery re-aborts or ignores — so the committed set is exactly the
+// synced commit records, matching what the run counted.
 
 import (
 	"batsched/internal/core/sched"

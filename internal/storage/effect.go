@@ -93,13 +93,14 @@ func (st *Store) StagedCount(id txn.ID) int {
 // a background flusher the touched partitions' dirty pages are written
 // back synchronously (the PR 9 contract); with WithBackgroundFlush the
 // write-back is the flusher's job and commit only mutates cached pages.
-// Either way the caller MUST have forced the transaction's WAL commit
-// record first (the write-ahead contract: pages carrying an effect
-// never reach disk before the record that makes the effect redoable —
-// with the flusher this holds because pages are only dirtied here,
-// after that force), and must still hold the transaction's partition
-// locks (the apply mutates pages other transactions may otherwise be
-// scanning).
+// Either way the caller MUST have appended the transaction's WAL commit
+// record first; it need not have forced it — the write barrier
+// (SetWriteBarrier) forces the log before any page leaves the pool, so
+// pages carrying an effect never reach disk before the record that
+// makes the effect redoable (a caller with no barrier bound, like the
+// simulator, forces before calling). The caller must still hold the
+// transaction's partition locks: scans read frames with no latch, so the
+// writer's lock is all that keeps them off a page while it mutates.
 func (st *Store) ApplyCommit(id txn.ID) error {
 	st.stageMu.Lock()
 	lp := st.staged[id]

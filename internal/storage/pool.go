@@ -220,20 +220,23 @@ func (p *Pool) Get(k pageKey, create bool) (*Frame, error) {
 		// spill to a transient frame instead of failing the access.
 		return p.overflowLocked(s, k, create)
 	}
+	wasDirty := f.dirty
+	if wasDirty {
+		// A refused write-back (the write barrier could not force the log,
+		// or the write failed) leaves the victim as it was — cached,
+		// indexed and dirty: it may hold the only copy of its effects.
+		if err := p.writeBackLocked(s, f, "write"); err != nil {
+			return nil, err
+		}
+	}
 	if f.valid {
 		delete(s.idx, f.key)
 		atomic.AddUint64(&s.evictions, 1)
 		op := "evict-clean"
-		if f.dirty {
+		if wasDirty {
 			op = "evict-dirty"
 		}
 		p.event(op, f.key, 0)
-	}
-	if f.dirty {
-		if err := p.writeBackLocked(s, f, "write"); err != nil {
-			f.valid = false
-			return nil, err
-		}
 	}
 	if create {
 		InitPage(f.buf, k.page)

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"batsched/internal/event"
@@ -36,10 +37,11 @@ func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } 
 // ApplyCommit only stages and applies effects in memory, and a per-node
 // flusher goroutine writes dirty pages back every interval. Safe under
 // the no-steal contract — pages are only dirtied after the owning
-// transaction's WAL commit record is forced, so any dirty page is
-// already redo-covered and may reach disk at any time (WAL-first holds
-// structurally, not by flush ordering). Default 0 = synchronous
-// write-back at commit, the PR 9 behavior.
+// transaction's WAL commit record is appended, and writePage forces the
+// log through everything appended before a page image leaves the pool
+// (SetWriteBarrier), so a page that reaches disk is always redo-covered
+// whenever the flusher picks it. Default 0 = synchronous write-back at
+// commit, the PR 9 behavior.
 func WithBackgroundFlush(every time.Duration) Option {
 	return func(c *config) { c.flushEvery = every }
 }
@@ -65,18 +67,25 @@ type RecordID struct {
 // delete, redo) so the store's own commit-apply and recovery paths can
 // run concurrently. Readers take neither — partition-level concurrency
 // control is the scheduler's contract (strict 2PL: a writer excludes
-// every reader).
+// every reader). base is the page count Open found: those pages may
+// hold tuples no log record can redo (a bulk load made before the log
+// existed), and a page written in this session can be torn by a crash,
+// so Insert extends a reopened file with fresh pages and never refills
+// an old one — what was on disk before the session is never rewritten
+// on behalf of a commit.
 type partFile struct {
 	mu    sync.Mutex
 	f     *os.File
 	pages uint32
+	base  uint32
 	opMu  sync.Mutex
 }
 
 // Store is a directory of per-partition heap files behind per-node
 // buffer pools. It also carries the transactional glue the schedulers
 // drive: per-transaction staged effects applied at commit (after the
-// WAL force — the write-ahead contract extended to pages), crash
+// WAL append, with the write barrier forcing the log before any page
+// leaves — the write-ahead contract extended to pages), crash
 // simulation for the chaos batteries, and WAL-replay redo.
 type Store struct {
 	dir         string
@@ -93,6 +102,11 @@ type Store struct {
 	observer obs.Observer
 	label    string
 	clock    func() event.Time
+
+	// barrier, when set (SetWriteBarrier), runs before every page write
+	// and vetoes it by failing; swapped atomically so binding never stops
+	// the flushers.
+	barrier atomic.Pointer[func() error]
 
 	// Staged effects: write steps stage one deterministic tuple each;
 	// commit applies (and, without a background flusher, flushes) them,
@@ -186,7 +200,7 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 			return nil, err
 		}
 		st.torn += torn
-		pf.pages = pages
+		pf.pages, pf.base = pages, pages
 		st.parts[p] = pf
 	}
 	if st.flushEvery > 0 {
@@ -215,10 +229,20 @@ func (st *Store) startFlushers() {
 				case <-stop:
 					return
 				case <-t.C:
-					p.flushDirty() // errors resurface on Flush/Close
+					st.flushPass(p)
 				}
 			}
 		}()
+	}
+}
+
+// flushPass is one background-flusher pass over p. It takes the write
+// barrier once, outside the stripe latches, so the per-page barrier
+// inside them finds nothing pending; a log that cannot be forced lets no
+// page out. Write errors resurface on Flush/Close.
+func (st *Store) flushPass(p *Pool) {
+	if st.writeBarrier() == nil {
+		p.flushDirty()
 	}
 }
 
@@ -337,6 +361,26 @@ func (st *Store) Bind(o obs.Observer, label string, clock func() event.Time) {
 	}
 }
 
+// SetWriteBarrier installs the WAL-before-pages rule at the one place
+// pages reach disk: before every page write — eviction, overflow-frame
+// release, the background flusher, FlushPartition, Flush — the store
+// calls b, and writes nothing if it fails. The live controller binds
+// "make the log durable through everything appended so far"
+// (wal.Log.Sync: a mutex and a compare when nothing is pending). A
+// commit's record is appended before ApplyCommit touches a page, so no
+// page image carrying an effect can precede the record that makes it
+// redoable, whichever path writes it.
+func (st *Store) SetWriteBarrier(b func() error) {
+	st.barrier.Store(&b)
+}
+
+func (st *Store) writeBarrier() error {
+	if b := st.barrier.Load(); b != nil {
+		return (*b)()
+	}
+	return nil
+}
+
 // poolEvent translates a pool callback into a structured trace event.
 func (st *Store) poolEvent(op string, k pageKey, bytes int) {
 	st.obsMu.Lock()
@@ -389,6 +433,9 @@ func (st *Store) readPage(k pageKey, buf []byte) error {
 }
 
 func (st *Store) writePage(k pageKey, buf []byte) error {
+	if err := st.writeBarrier(); err != nil {
+		return fmt.Errorf("storage: write %v page %d: log not durable: %w", k.part, k.page, err)
+	}
 	pf := st.parts[k.part]
 	pf.mu.Lock()
 	defer pf.mu.Unlock()
@@ -441,7 +488,8 @@ func (st *Store) TouchPage(part txn.PartitionID, page uint32) error {
 func (st *Store) maxTuple() int { return st.pageSize - pageHeaderLen - slotLen }
 
 // Insert appends a tuple to the partition's heap: the last page if it
-// fits, a freshly allocated page otherwise. Callers mutating one
+// fits and was allocated in this session, a freshly allocated page
+// otherwise (see partFile.base). Callers mutating one
 // partition concurrently must hold its scheduler lock; the store's own
 // commit/redo paths additionally serialize on the partition op lock.
 func (st *Store) Insert(part txn.PartitionID, tuple []byte) (RecordID, error) {
@@ -462,7 +510,7 @@ func (st *Store) insertLocked(pf *partFile, part txn.PartitionID, tuple []byte) 
 	pf.mu.Lock()
 	n := pf.pages
 	pf.mu.Unlock()
-	if n > 0 {
+	if n > pf.base {
 		fr, err := pool.Get(pageKey{part, n - 1}, false)
 		if err != nil {
 			return RecordID{}, err

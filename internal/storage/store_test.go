@@ -537,3 +537,52 @@ func TestScanZeroCopyAliasing(t *testing.T) {
 		it.Close()
 	})
 }
+
+// TestReopenedHeapIsExtendedNotRefilled: tuples that were on disk before
+// the session began may have no log record behind them (a bulk load),
+// and a crash can tear any page the session wrote. Insert must therefore
+// leave a reopened file's pages alone — even a half-empty tail — so that
+// tearing every page of the session loses none of the old tuples.
+func TestReopenedHeapIsExtendedNotRefilled(t *testing.T) {
+	dir := t.TempDir()
+	st := mustOpen(t, dir, 1, WithPageSize(512), WithPoolFrames(4))
+	old := map[EffectKey]bool{}
+	for i := 0; i < 3; i++ { // a partial page
+		k := EffectKey{Txn: txn.ID(1000 + i)}
+		old[k] = true
+		if _, err := st.Insert(0, EncodeEffect(k.Txn, 0, 0, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st = mustOpen(t, dir, 1, WithPageSize(512), WithPoolFrames(4))
+	for i := 0; i < 20; i++ {
+		if _, err := st.Insert(0, EncodeEffect(txn.ID(1+i), 0, 0, 64)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Crash(0); err != nil { // every page written this session tears
+		t.Fatal(err)
+	}
+
+	st = mustOpen(t, dir, 1, WithPageSize(512), WithPoolFrames(4))
+	defer st.Close()
+	if st.TornPages() == 0 {
+		t.Fatal("setup: Crash(0) tore nothing")
+	}
+	got, err := st.Keys(0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k := range old {
+		if !got[k] {
+			t.Fatalf("tuple %v, on disk before the session, was lost to a page the session rewrote", k.Txn)
+		}
+	}
+}

@@ -28,8 +28,8 @@ type Log struct {
 	syncDone sync.Cond // broadcast after every sync pass
 	files    []*nodeLog
 
-	appendGen uint64 // bumped per Append
-	syncedGen uint64 // appendGen known durable
+	appendGen uint64 // sequence number of the last appended record
+	syncedGen uint64 // highest sequence number known durable
 	syncing   bool
 	syncErr   error // sticky: an fsync failure poisons the log
 	closed    bool
@@ -67,9 +67,12 @@ func nodeFileName(node int) string { return fmt.Sprintf("node-%04d.wal", node) }
 // Open opens (creating as needed) the per-node logs under dir for at
 // least n nodes; existing node files beyond n are opened too, so a
 // recovery over a smaller topology still appends completion records to
-// the right log. Existing files are validated and truncated to their
-// longest valid prefix — the torn tail a crash left behind is discarded
-// before any new append.
+// the right log. Existing files are validated and truncated to the
+// recoverable history Scan would return — each file's longest valid
+// prefix, cut back to the gap-free prefix of the sequence numbering —
+// so the torn tail and any record stranded beyond a hole are discarded
+// before any new append, and appends continue the numbering from the
+// last record kept.
 func Open(dir string, n int) (*Log, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("wal: Open with %d nodes", n)
@@ -82,16 +85,25 @@ func Open(dir string, n int) (*Log, error) {
 	} else if hi+1 > n {
 		n = hi + 1
 	}
-	l := &Log{dir: dir, files: make([]*nodeLog, n)}
+	scans := make([]NodeScan, n)
+	for node := range scans {
+		sc, err := scanNode(filepath.Join(dir, nodeFileName(node)), node)
+		if err != nil {
+			return nil, err
+		}
+		scans[node] = sc
+	}
+	last := consistentCut(scans)
+	l := &Log{dir: dir, files: make([]*nodeLog, n), appendGen: last, syncedGen: last}
 	l.syncDone.L = &l.mu
-	for node := 0; node < n; node++ {
-		nl, torn, err := openNode(filepath.Join(dir, nodeFileName(node)), node)
+	for node, sc := range scans {
+		nl, err := openNode(filepath.Join(dir, nodeFileName(node)), node, sc.ValidBytes)
 		if err != nil {
 			l.closeFiles()
 			return nil, err
 		}
 		l.files[node] = nl
-		l.truncatedIn += torn
+		l.truncatedIn += sc.TruncatedBytes
 	}
 	return l, nil
 }
@@ -111,50 +123,37 @@ func highestNode(dir string) (int, error) {
 	return hi, nil
 }
 
-// openNode opens one node file for appending, truncating a torn tail.
-// A brand-new (or fully torn-header) file gets a fresh header.
-func openNode(path string, node int) (*nodeLog, int64, error) {
+// openNode opens one node file for appending after its first valid
+// frame bytes (scanNode validated the header), truncating what follows.
+// A brand-new (or torn mid-header) file is started over with a fresh
+// header.
+func openNode(path string, node int, valid int64) (*nodeLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	data, err := os.ReadFile(path)
+	info, err := f.Stat()
 	if err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	var torn int64
-	keep := 0
-	if len(data) < fileHeaderLen {
-		// Empty or torn mid-header: start the file over.
-		torn = int64(len(data))
-	} else {
-		hnode, err := parseHeader(data)
-		if err != nil {
-			f.Close()
-			return nil, 0, fmt.Errorf("wal: %s: %w", path, err)
-		}
-		if hnode != node {
-			f.Close()
-			return nil, 0, fmt.Errorf("wal: %s: header names node %d", path, hnode)
-		}
-		_, valid, _ := scanPrefix(data[fileHeaderLen:])
+	keep := int64(0)
+	if info.Size() >= fileHeaderLen {
 		keep = fileHeaderLen + valid
-		torn = int64(len(data) - keep)
 	}
-	if err := f.Truncate(int64(keep)); err != nil {
+	if err := f.Truncate(keep); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
-	if _, err := f.Seek(int64(keep), 0); err != nil {
+	if _, err := f.Seek(keep, 0); err != nil {
 		f.Close()
-		return nil, 0, fmt.Errorf("wal: %w", err)
+		return nil, fmt.Errorf("wal: %w", err)
 	}
 	nl := &nodeLog{f: f}
 	if keep == 0 {
 		nl.pending = appendHeader(nl.pending, node)
 	}
-	return nl, torn, nil
+	return nl, nil
 }
 
 // Dir returns the directory the logs live in.
@@ -163,10 +162,11 @@ func (l *Log) Dir() string { return l.dir }
 // NumNodes returns the number of per-node logs.
 func (l *Log) NumNodes() int { return len(l.files) }
 
-// Append buffers r against its node's log. The record is NOT durable
-// until a subsequent Sync returns; callers enforcing write-ahead rules
-// (begin durable before first grant, commit durable before reporting
-// success) must call Sync at those points.
+// Append buffers r against its node's log, stamped with the next
+// sequence number. The record is NOT durable until a subsequent Sync
+// returns; callers enforcing write-ahead rules (commit durable before
+// reporting success, log durable before a page image leaves the buffer
+// pool) must call Sync at those points.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -180,6 +180,7 @@ func (l *Log) Append(r Record) error {
 		return fmt.Errorf("wal: record for node %d, log has %d", r.Node, len(l.files))
 	}
 	nl := l.files[r.Node]
+	r.Seq = l.appendGen + 1
 	buf, err := appendRecord(nl.pending, r)
 	if err != nil {
 		return err
@@ -187,7 +188,7 @@ func (l *Log) Append(r Record) error {
 	nl.pending = buf
 	nl.pendingRecs++
 	l.appends++
-	l.appendGen++
+	l.appendGen = r.Seq
 	return nil
 }
 
@@ -196,7 +197,9 @@ func (l *Log) Append(r Record) error {
 // flight, later callers wait and — if the pass covered their records —
 // return without touching disk. It returns the number of records this
 // call's own pass made durable (0 for piggybackers) so call sites can
-// report group-commit batch sizes.
+// report group-commit batch sizes. A caller whose records are already
+// durable is told so even on a closed log: Close's own final pass may be
+// the one that covered them.
 func (l *Log) Sync() (batched int, err error) {
 	l.mu.Lock()
 	target := l.appendGen
@@ -204,6 +207,9 @@ func (l *Log) Sync() (batched int, err error) {
 		l.syncDone.Wait()
 	}
 	switch {
+	case l.syncedGen >= target:
+		l.mu.Unlock() // nothing pending, or piggybacked on another caller's pass
+		return 0, nil
 	case l.syncErr != nil:
 		err = l.syncErr
 		l.mu.Unlock()
@@ -211,9 +217,6 @@ func (l *Log) Sync() (batched int, err error) {
 	case l.closed:
 		l.mu.Unlock()
 		return 0, errors.New("wal: sync on closed log")
-	case l.syncedGen >= target:
-		l.mu.Unlock() // piggybacked on another caller's pass
-		return 0, nil
 	}
 	// Become the syncer: steal every pending buffer, release the lock,
 	// do the IO, then publish the new durable generation.

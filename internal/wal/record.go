@@ -5,18 +5,20 @@
 // transaction's *resolved WTPG predecessor set* — the wait-for edges the
 // scheduler resolved against it (Yao et al., "Scaling Distributed
 // Transaction Processing and Recovery based on Dependency Logging",
-// PAPERS.md) — plus commit/abort completion records. Because locks are
-// held to commit (strict 2PL on partitions), the logged precedence edges
-// are the only ordering constraints a replay must respect, so recovery
-// can replay transactions in parallel, wave by topological wave.
+// PAPERS.md) — plus commit/abort completion records. Partition locks are
+// held until the completion record is appended (strict 2PL up to
+// pre-commit), so the logged precedence edges are the only ordering
+// constraints a replay must respect, and recovery can replay
+// transactions in parallel, wave by topological wave.
 //
 // On-disk format (little-endian throughout):
 //
 //	file   = header frame*
-//	header = magic "BATWAL1\n" (8 bytes) | u32 node
+//	header = magic "BATWAL2\n" (8 bytes) | u32 node
 //	frame  = u32 payloadLen | u32 crc32c(payload) | payload
 //
 //	payload = u8 kind            (1=begin, 2=commit, 3=abort)
+//	        | u64 seq            (global append order, 1, 2, 3, …)
 //	        | i64 txn
 //	        | u32 node
 //	        | i64 at             (event.Time clocks)
@@ -24,16 +26,30 @@
 //	        | u16 npreds  { i64 pred }*
 //
 // Every frame is independently checksummed (CRC-32C). A reader stops at
-// the first frame that is torn (extends past end of file) or corrupt
-// (checksum or structure mismatch) and keeps the longest valid prefix —
-// the torn-tail truncation rule. A writer opening an existing log
-// truncates the file to that prefix before appending.
+// the first frame that is torn (extends past end of file), corrupt
+// (checksum or structure mismatch) or numbered below its predecessor,
+// and keeps the longest valid prefix — the torn-tail truncation rule.
+//
+// The sequence number is what makes the node files of one directory one
+// log: Append numbers records 1, 2, 3, … across all of them, and the
+// recoverable history is the gap-free prefix of that numbering — every
+// record up to the first number no file holds (see consistentCut). A
+// transaction releases its partition locks only after appending its
+// completion record, so whatever a record's transaction read from has a
+// smaller number, and a group-commit pass makes every number up to its
+// target durable: nothing acknowledged lies beyond a gap, and a durable
+// successor of a lost predecessor does — it is cut with it. Scan applies
+// the rule to what it returns; a writer opening an existing log
+// truncates each file to it before appending and continues the
+// numbering.
 //
 // The write-ahead contract extends to the heap files of
-// internal/storage: a transaction's dirty pages are flushed (written,
-// never fsynced) only after its commit record's fsync returns, so any
-// page state the heap loses or tears in a crash is always recoverable
-// by replaying the committed records (Store.Redo).
+// internal/storage: a commit's effects are applied to cached pages only
+// after its record is appended, and the store forces the log through
+// everything appended before any page image leaves the pool (written,
+// never fsynced), so any page state the heap loses or tears in a crash
+// is always recoverable by replaying the committed records
+// (Store.Redo).
 package wal
 
 import (
@@ -52,8 +68,11 @@ type Kind uint8
 
 const (
 	// Begin records a transaction's admission: its declared footprint and
-	// the predecessor set resolved at admission. It is forced to disk
-	// before the transaction's first grant takes effect.
+	// the predecessor set resolved at admission. It is appended unforced
+	// and rides the pass that forces its completion record, in the same
+	// file — a durable Commit implies a durable Begin, and an unfinished
+	// transaction may leave no trace (storage is no-steal, so it left
+	// none on a page either).
 	Begin Kind = 1
 	// Commit records successful completion, carrying the final resolved
 	// predecessor set (schedulers that resolve progressively, e.g. C2PL
@@ -86,9 +105,12 @@ type StepRef struct {
 
 // Record is one log record. Node names the log the record belongs to;
 // completion records are routed to the same node as their Begin so a
-// single file scan pairs them without cross-node joins.
+// single file scan pairs them without cross-node joins. Seq is the
+// record's place in the directory-wide append order; Log.Append stamps
+// it, overwriting whatever the caller put there.
 type Record struct {
 	Kind  Kind
+	Seq   uint64
 	Txn   txn.ID
 	Node  int
 	At    event.Time
@@ -128,7 +150,7 @@ const (
 	maxList        = 1 << 16 // nsteps / npreds are u16
 )
 
-var fileMagic = [8]byte{'B', 'A', 'T', 'W', 'A', 'L', '1', '\n'}
+var fileMagic = [8]byte{'B', 'A', 'T', 'W', 'A', 'L', '2', '\n'}
 
 const fileHeaderLen = 12 // magic + u32 node
 
@@ -157,6 +179,7 @@ func appendRecord(b []byte, r Record) ([]byte, error) {
 	b = append(b, 0, 0, 0, 0, 0, 0, 0, 0) // frame header placeholder
 	p := len(b)
 	b = append(b, byte(r.Kind))
+	b = binary.LittleEndian.AppendUint64(b, r.Seq)
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.Txn))
 	b = binary.LittleEndian.AppendUint32(b, uint32(r.Node))
 	b = binary.LittleEndian.AppendUint64(b, uint64(r.At))
@@ -202,9 +225,17 @@ func decodeRecord(b []byte) (Record, int, error) {
 	return r, frameHeaderLen + plen, nil
 }
 
+// payloadFixed is the payload up to and including nsteps; frameLen is
+// the encoded size of r, which the consistent cut needs to turn a count
+// of dropped records into a byte offset.
+const payloadFixed = 1 + 8 + 8 + 4 + 8 + 2
+
+func frameLen(r Record) int {
+	return frameHeaderLen + payloadFixed + 13*len(r.Steps) + 2 + 8*len(r.Preds)
+}
+
 func parsePayload(p []byte) (Record, error) {
-	const fixed = 1 + 8 + 4 + 8 + 2 // kind..nsteps
-	if len(p) < fixed {
+	if len(p) < payloadFixed {
 		return Record{}, fmt.Errorf("%w: short payload (%d bytes)", ErrCorrupt, len(p))
 	}
 	var r Record
@@ -212,11 +243,12 @@ func parsePayload(p []byte) (Record, error) {
 	if r.Kind != Begin && r.Kind != Commit && r.Kind != Abort {
 		return Record{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, p[0])
 	}
-	r.Txn = txn.ID(binary.LittleEndian.Uint64(p[1:]))
-	r.Node = int(binary.LittleEndian.Uint32(p[9:]))
-	r.At = event.Time(binary.LittleEndian.Uint64(p[13:]))
-	nsteps := int(binary.LittleEndian.Uint16(p[21:]))
-	off := fixed
+	r.Seq = binary.LittleEndian.Uint64(p[1:])
+	r.Txn = txn.ID(binary.LittleEndian.Uint64(p[9:]))
+	r.Node = int(binary.LittleEndian.Uint32(p[17:]))
+	r.At = event.Time(binary.LittleEndian.Uint64(p[21:]))
+	nsteps := int(binary.LittleEndian.Uint16(p[29:]))
+	off := payloadFixed
 	if nsteps > 0 {
 		if len(p) < off+nsteps*13 {
 			return Record{}, fmt.Errorf("%w: %d steps overflow payload", ErrCorrupt, nsteps)
@@ -252,15 +284,22 @@ func parsePayload(p []byte) (Record, error) {
 	return r, nil
 }
 
-// scanPrefix decodes frames from b until the first torn or corrupt one,
-// returning the decoded records, the byte length of the valid prefix,
-// and the error that stopped the scan (nil when b was fully consumed).
+// scanPrefix decodes frames from b until the first torn or corrupt one
+// — a frame numbered below its predecessor counts as corrupt: one file's
+// appends are in sequence order — returning the decoded records, the
+// byte length of the valid prefix, and the error that stopped the scan
+// (nil when b was fully consumed).
 func scanPrefix(b []byte) (recs []Record, valid int, stop error) {
+	var last uint64
 	for valid < len(b) {
 		r, n, err := decodeRecord(b[valid:])
 		if err != nil {
 			return recs, valid, err
 		}
+		if r.Seq < last {
+			return recs, valid, fmt.Errorf("%w: sequence %d after %d", ErrCorrupt, r.Seq, last)
+		}
+		last = r.Seq
 		recs = append(recs, r)
 		valid += n
 	}

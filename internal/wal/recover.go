@@ -1,7 +1,9 @@
 package wal
 
 import (
+	"errors"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -11,19 +13,21 @@ import (
 	"batsched/internal/txn"
 )
 
-// NodeScan is the decoded valid prefix of one node's log.
+// NodeScan is the recoverable prefix of one node's log.
 type NodeScan struct {
 	Node           int
 	Records        []Record
-	ValidBytes     int64 // frame bytes decoded (header excluded)
-	TruncatedBytes int64 // torn/corrupt tail bytes ignored
+	ValidBytes     int64 // frame bytes kept (header excluded)
+	TruncatedBytes int64 // tail bytes ignored: torn, corrupt, or beyond the consistent cut
 }
 
 // Scan reads every node log under dir in parallel (one goroutine per
-// file — recovery reads are embarrassingly parallel across nodes),
-// applying the torn-tail truncation rule: each file contributes its
-// longest valid prefix. Scan never modifies the files; Open performs
-// the actual truncation when the log is reopened for appending.
+// file — recovery reads are embarrassingly parallel across nodes) and
+// returns the recoverable history: each file's longest valid prefix
+// (the torn-tail truncation rule), cut back to the gap-free prefix of
+// the directory-wide sequence numbering (consistentCut). Scan never
+// modifies the files; Open performs the same truncation physically when
+// the log is reopened for appending.
 func Scan(dir string) ([]NodeScan, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
@@ -53,15 +57,55 @@ func Scan(dir string) ([]NodeScan, error) {
 			return nil, err
 		}
 	}
+	consistentCut(scans)
 	return scans, nil
 }
 
+// consistentCut trims scans to the gap-free prefix of the sequence
+// numbering — the records numbered 1, 2, 3, … up to the first number no
+// file holds — and returns the last number kept. With one file it keeps
+// everything (a file's valid prefix has no holes); with several, a crash
+// can persist a record in one file and lose an earlier one in another,
+// and everything after that hole is discarded: its transaction may have
+// read from the lost one. Each file's numbers ascend, so the next number
+// can only sit at the head of a file's unconsumed tail; a number held
+// twice (not producible by Append) ends the prefix like a hole.
+func consistentCut(scans []NodeScan) (last uint64) {
+	keep := make([]int, len(scans))
+	for advanced := true; advanced; {
+		advanced = false
+		for i, sc := range scans {
+			for keep[i] < len(sc.Records) && sc.Records[keep[i]].Seq == last+1 {
+				last++
+				keep[i]++
+				advanced = true
+			}
+		}
+	}
+	for i := range scans {
+		sc := &scans[i]
+		var cut int64
+		for _, r := range sc.Records[keep[i]:] {
+			cut += int64(frameLen(r))
+		}
+		sc.Records = sc.Records[:keep[i]]
+		sc.ValidBytes -= cut
+		sc.TruncatedBytes += cut
+	}
+	return last
+}
+
+// scanNode decodes one node file's longest valid prefix. A file that
+// does not exist scans as empty (Open creates it).
 func scanNode(path string, node int) (NodeScan, error) {
+	sc := NodeScan{Node: node}
 	data, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		return sc, nil
+	}
 	if err != nil {
 		return NodeScan{}, fmt.Errorf("wal: %w", err)
 	}
-	sc := NodeScan{Node: node}
 	if len(data) < fileHeaderLen {
 		// Torn mid-header: the node never synced a single record.
 		sc.TruncatedBytes = int64(len(data))
@@ -121,9 +165,15 @@ type Recovery struct {
 // within a wave.
 //
 // Predecessor edges pointing at transactions that did not durably commit
-// (aborted, incomplete, or lost to a torn tail) impose no ordering: a
-// waiter observed the predecessor's locks, and a lost predecessor's
-// effects were never durable. A cycle among committed records is
+// (aborted, incomplete, or lost to a torn tail) impose no ordering. For
+// an aborted or unfinished predecessor that is because it never released
+// a lock its successor then took. For a committed predecessor that was
+// lost it rests on the scans being a gap-free prefix (Scan's consistent
+// cut): the predecessor appended its Commit record before releasing its
+// locks, so any transaction that read from it has a later sequence
+// number and was cut along with it — a committed record in scans never
+// has a lost committed predecessor. Replay does not re-derive the cut;
+// hand-built scans must respect it. A cycle among committed records is
 // corruption and returns an error, as do duplicate Begin/completion
 // records and completions without a Begin.
 func Replay(scans []NodeScan, workers int, apply func(begin Record, wave int)) (*Recovery, error) {

@@ -44,6 +44,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 2000; i++ {
 		want := randRecord(rng)
+		want.Seq = rng.Uint64()
 		buf, err := appendRecord(nil, want)
 		if err != nil {
 			t.Fatal(err)
@@ -52,8 +53,8 @@ func TestRecordRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("record %d: %v", i, err)
 		}
-		if n != len(buf) {
-			t.Fatalf("record %d: consumed %d of %d bytes", i, n, len(buf))
+		if n != len(buf) || n != frameLen(want) {
+			t.Fatalf("record %d: consumed %d of %d bytes, frameLen %d", i, n, len(buf), frameLen(want))
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("record %d: round trip\n got %+v\nwant %+v", i, got, want)
@@ -64,6 +65,7 @@ func TestRecordRoundTrip(t *testing.T) {
 	var want []Record
 	for i := 0; i < 200; i++ {
 		r := randRecord(rng)
+		r.Seq = uint64(i + 1)
 		want = append(want, r)
 		var err error
 		if stream, err = appendRecord(stream, r); err != nil {
