@@ -62,26 +62,30 @@ chaos-nodes:
 
 # chaos-restart runs the kill-and-restart battery (docs/ROBUSTNESS.md
 # §9) under the race detector: WAL encode/decode + corruption fuzz +
-# group commit + the consistent cut across node logs, the simulator's
-# 100-seed × scheduler kill matrix with replay-equivalence checks, the
-# live controller's crash/recover round trip and its 50-seed kill
-# between lock release and force, the storage write barrier, the KillAt
-# determinism test, and the recovery model checker. Every failure
+# group commit + the consistent cut across node logs, the durability
+# binding's failure table and its sim-vs-live grammar differential, the
+# simulator's 100-seed × scheduler kill matrix with replay-equivalence
+# checks, the live controller's crash/recover round trip and its 50-seed
+# kill between lock release and force, the storage write barrier, the
+# KillAt determinism test, and the recovery model checker. Every failure
 # message carries a one-line repro (scheduler, seed, kill point, flush
 # fraction).
 chaos-restart:
-	$(GO) test -race -count=1 -run 'Restart|KillRestart|KillAt|KillBetween|Recover|WAL|Replay|Torn|GroupCommit|Corruption|RoundTrip|ConsistentCut|SyncAfterClose|ScanPrefix|WriteBarrier|CommitPrefix|ReopenedHeap' \
-		./internal/wal/ ./internal/sim/ ./internal/live/ ./internal/fault/ ./internal/modelcheck/ ./internal/storage/
+	$(GO) test -race -count=1 -run 'Restart|KillRestart|KillAt|KillBetween|Recover|WAL|Replay|Torn|GroupCommit|Corruption|RoundTrip|ConsistentCut|SyncAfterClose|ScanPrefix|WriteBarrier|CommitPrefix|ReopenedHeap|PreCommit|ClosedLog|NeverForces|FailedForce|GrammarDifferential' \
+		./internal/wal/ ./internal/durable/ ./internal/sim/ ./internal/live/ ./internal/fault/ ./internal/modelcheck/ ./internal/storage/
 
-# The two greps keep closed forks closed: a deprecated shim or an
-# environment-variable switch is a second path someone has to test. The
-# gofmt line fails on any file gofmt would rewrite.
+# The greps keep closed forks closed: a deprecated shim or an
+# environment-variable switch is a second path someone has to test, and a
+# driver that builds its own log record is a second statement of the
+# write-ahead contract (internal/durable holds the one). The gofmt line
+# fails on any file gofmt would rewrite.
 verify: build test chaos chaos-nodes chaos-restart bench-smoke epoch-smoke
 	$(GO) vet ./...
 	! grep -rn 'Deprecated:' --include='*.go' .
 	! grep -rn 'os.Getenv' --include='*.go' .
+	! grep -rn 'wal\.Record{' --include='*.go' --exclude='*_test.go' internal/live internal/sim cmd
 	test -z "$$(gofmt -l .)"
-	$(GO) test -race ./internal/live/... ./internal/obs/... ./internal/core/sched/ ./internal/core/wtpg/ ./internal/experiments/ ./internal/event/ ./internal/wal/ ./internal/storage/
+	$(GO) test -race ./internal/live/... ./internal/obs/... ./internal/core/sched/ ./internal/core/wtpg/ ./internal/experiments/ ./internal/event/ ./internal/wal/ ./internal/storage/ ./internal/durable/
 	$(GO) test -race -count=1 -run 'Stripe|ZeroCopy|FlusherLag|PoolConcurrent' ./internal/storage/
 	$(GO) test -race -count=1 -run 'Epoch' ./internal/core/sched/ ./internal/sim/
 	$(GO) test -tags wtpgshadow -count=1 ./internal/core/... ./internal/sim/

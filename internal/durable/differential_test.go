@@ -1,0 +1,170 @@
+package durable_test
+
+// The sim-vs-live grammar differential: one fixed batch through both
+// drivers into two logs. Both reach the log only through the binding, so
+// what they write for the same transactions must read the same.
+
+import (
+	"context"
+	"fmt"
+	"math/rand"
+	"reflect"
+	"sort"
+	"testing"
+
+	"batsched/internal/core/sched"
+	"batsched/internal/durable"
+	"batsched/internal/event"
+	"batsched/internal/live"
+	"batsched/internal/machine"
+	"batsched/internal/modelcheck"
+	"batsched/internal/sim"
+	"batsched/internal/txn"
+	"batsched/internal/wal"
+)
+
+const (
+	diffNodes = 3
+	diffParts = 6
+)
+
+// fixedBatch is a workload.Generator that hands out a prepared batch by
+// transaction id (the simulator numbers arrivals 1, 2, 3, …).
+type fixedBatch []*txn.T
+
+func (b fixedBatch) Name() string                        { return "fixed-batch" }
+func (b fixedBatch) Next(id txn.ID, _ *rand.Rand) *txn.T { return b[id-1] }
+
+// diffBatch builds the batch afresh for each driver: first partitions on
+// every node file, reads and writes, one to three steps.
+func diffBatch() fixedBatch {
+	rng := rand.New(rand.NewSource(19))
+	b := make(fixedBatch, 12)
+	for i := range b {
+		perm := rng.Perm(diffParts)
+		steps := make([]txn.Step, 1+rng.Intn(3))
+		for j := range steps {
+			steps[j] = txn.Step{Mode: txn.Write, Part: txn.PartitionID(perm[j]), Cost: float64(1 + rng.Intn(2))}
+			if rng.Intn(3) == 0 {
+				steps[j].Mode = txn.Read
+			}
+		}
+		b[i] = txn.New(txn.ID(i+1), steps)
+	}
+	return b
+}
+
+// grammar reads back what a driver wrote: per transaction, the node file
+// and its records in append order — kinds, and the Begin's footprint.
+func grammar(t *testing.T, dir string) map[txn.ID]string {
+	t.Helper()
+	scans, err := wal.Scan(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := map[txn.ID][]wal.Record{}
+	for _, ns := range scans {
+		for _, r := range ns.Records {
+			if r.Node != ns.Node {
+				t.Fatalf("record of %v names node %d in node file %d", r.Txn, r.Node, ns.Node)
+			}
+			recs[r.Txn] = append(recs[r.Txn], r)
+		}
+	}
+	out := map[txn.ID]string{}
+	for id, rs := range recs {
+		sort.Slice(rs, func(i, j int) bool { return rs[i].Seq < rs[j].Seq })
+		s := ""
+		for _, r := range rs {
+			s += fmt.Sprintf("node-%d %v%v ", r.Node, r.Kind, r.Steps)
+		}
+		out[id] = s
+	}
+	return out
+}
+
+// restart recovers dir, audits the result and returns the committed set.
+func restart(t *testing.T, dir string) []txn.ID {
+	t.Helper()
+	log, scans, rec, err := durable.Recover(dir, diffNodes, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Incomplete) != 0 {
+		t.Errorf("%d transactions incomplete after a clean shutdown", len(rec.Incomplete))
+	}
+	ids := append([]txn.ID(nil), rec.Committed...)
+	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+	return ids
+}
+
+func TestSimLiveGrammarDifferential(t *testing.T) {
+	for _, f := range []sched.Factory{sched.KWTPGFactory(2), sched.C2PLFactory()} {
+		f := f
+		t.Run(f.Label, func(t *testing.T) {
+			t.Parallel()
+			simDir, liveDir := t.TempDir(), t.TempDir()
+
+			m := machine.DefaultConfig()
+			m.NumNodes, m.NumParts, m.ObjTime = diffNodes, diffParts, 10
+			batch := diffBatch()
+			arrivals := make([]event.Time, len(batch))
+			for i := range arrivals {
+				arrivals[i] = event.Time(i+1) * 1000 // one at a time, like the serial client
+			}
+			sl, err := wal.Open(simDir, diffNodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(sim.Config{
+				Machine: m, Scheduler: f, Workload: batch, ArrivalTimes: arrivals,
+				Horizon: 1_000_000, CheckSerializability: true,
+			}, sim.WithWAL(sl))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := sl.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if res.Completed != len(batch) {
+				t.Fatalf("sim completed %d of %d", res.Completed, len(batch))
+			}
+
+			ll, err := wal.Open(liveDir, diffNodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctl := live.New(f, sched.Costs{KeepTime: 100}, live.WithTopology(diffNodes, diffParts), live.WithWALLog(ll))
+			for _, tx := range diffBatch() {
+				tx := tx
+				if err := ctl.Run(context.Background(), tx, func(step int, p live.Progress) error {
+					p(tx.Steps[step].Cost)
+					return nil
+				}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			ctl.Close()
+			if err := ll.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			gs, gl := grammar(t, simDir), grammar(t, liveDir)
+			if len(gs) != len(batch) {
+				t.Fatalf("sim logged %d transactions, batch has %d", len(gs), len(batch))
+			}
+			for id, want := range gs {
+				if gl[id] != want {
+					t.Errorf("%v: sim wrote %q, live wrote %q", id, want, gl[id])
+				}
+			}
+			if cs, cl := restart(t, simDir), restart(t, liveDir); !reflect.DeepEqual(cs, cl) || len(cs) != len(batch) {
+				t.Errorf("committed sets differ or are short: sim %v, live %v", cs, cl)
+			}
+		})
+	}
+}

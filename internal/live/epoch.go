@@ -203,7 +203,7 @@ func (c *Controller) admitBatch(ts []*txn.T) map[txn.ID]bool {
 		return nil
 	}
 	sh.mu.Lock()
-	if c.closed.Load() || c.walBroken() != nil {
+	if c.closed.Load() || c.cfgErr != nil || c.dur.LogErr() != nil {
 		sh.mu.Unlock()
 		return nil
 	}

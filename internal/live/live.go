@@ -51,6 +51,7 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/durable"
 	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
@@ -220,37 +221,26 @@ type Controller struct {
 	topo  machine.Config
 	place *machine.Placement
 
-	// Durable dependency logging (WithWAL/WithWALLog, see wal.go):
-	// walDir is the configured directory, wal the open log (owned when
-	// walOwned), walErr the sticky first failure — open or IO — that
-	// makes later admissions fail instead of running unlogged. walErr
-	// has its own mutex: WAL failures surface from fsync paths that run
-	// outside any shard lock. Lock order: shard locks before walMu and
-	// before the log's own mutex (Begin records are appended under them).
+	// Durability (WithWAL/WithWALLog, WithStorage — see wal.go,
+	// storage.go): walDir is the configured directory, wal the open log
+	// (owned when walOwned), store the heap files granted steps scan. dur
+	// binds both to the write-ahead contract and holds its sticky errors;
+	// it is nil with neither attached. Lock order: shard locks before the
+	// log's own mutex (Begin records are appended under them).
 	walDir   string
 	wal      *wal.Log
 	walOwned bool
-	walMu    sync.Mutex
-	walErr   error
-
-	// Heap-file storage (WithStorage, see storage.go): granted steps
-	// scan real pages, commits apply staged effect tuples after the WAL
-	// append. storeErr is the sticky first failure on a logged commit's
-	// apply path, or a failed force behind applied effects — the cached
-	// pages and the log disagree until a restart, so later storage-backed
-	// work fails fast. Lock order: shard locks before storeMu.
 	store    *storage.Store
-	storeMu  sync.Mutex
-	storeErr error
+	dur      *durable.Binding
 
 	stopWatch chan struct{}
 	watchWG   sync.WaitGroup
 
 	// Epoch-batch state (WithBatchWindow, see epoch.go): window length,
 	// the open window's submissions, and the collector goroutine's
-	// lifecycle. cfgErr latches an option combination the controller
-	// cannot honour (a batch window over more than one shard); like a WAL
-	// open failure it surfaces from every Admit.
+	// lifecycle. cfgErr latches what New could not honour — a batch window
+	// over more than one shard, a WAL directory that does not open — and
+	// surfaces from every Admit.
 	batchWindow time.Duration
 	cfgErr      error
 	epochMu     sync.Mutex
@@ -316,11 +306,9 @@ type ltxn struct {
 	node int
 	work float64
 
-	// walNode is the per-node log the Begin record went to; walBegun is
-	// false when no Begin was logged (no WAL, or it failed mid-run), and
-	// then no completion record is logged either.
-	walNode  int
-	walBegun bool
+	// Txn is the transaction's place in the log: no Begin logged (no WAL,
+	// or it failed mid-run) means no completion record either.
+	durable.Txn
 }
 
 // errNotAdmitted is what Acquire, Commit and Abort return for a
@@ -364,13 +352,13 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	c.place = machine.NewPlacement(machine.Config{NumNodes: nodes, NumParts: c.topo.NumParts})
 	if c.wal == nil && c.walDir != "" {
 		if l, err := wal.Open(c.walDir, nodes); err != nil {
-			c.walErr = err // sticky; surfaces from the first Admit
+			c.cfgErr = fmt.Errorf("live: wal: %w", err)
 		} else {
 			c.wal = l
 			c.walOwned = true
 		}
 	}
-	if c.batchWindow > 0 && c.nshards > 1 {
+	if c.batchWindow > 0 && c.nshards > 1 && c.cfgErr == nil {
 		c.cfgErr = errBatchShards
 	}
 	c.shards = make([]*lshard, c.nshards)
@@ -386,7 +374,8 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 		sh.sch = s
 		c.shards[i] = sh
 	}
-	c.storeBind()
+	c.dur = durable.New(c.wal, c.store, c.place.NodeOf, c.emit, c.now)
+	c.dur.Observe(c.observer, c.label)
 	if c.watchdog > 0 {
 		c.stopWatch = make(chan struct{})
 		c.watchWG.Add(1)
@@ -537,11 +526,8 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn) error 
 // locks in mask: count each member, create its control record and append
 // its WAL Begin record — footprint + resolved predecessors, read while
 // the predecessor set is still atomic with the grant — then release the
-// locks. The Begin is not forced: it rides the pass that forces the
-// completion record, in the same file, so a durable Commit implies a
-// durable Begin, and an unfinished transaction may leave no trace in the
-// log (storage is no-steal, so it left none on a page either). A record
-// the log refuses (closed, poisoned) rolls every member's admission back.
+// locks. A record the log refuses (closed, poisoned) rolls every member's
+// admission back.
 func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts ...*txn.T) error {
 	var walErr error
 	for _, t := range ts {
@@ -555,8 +541,8 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts 
 		*r = ltxn{admitted: now, mask: mask, step: -1}
 		home.txns[t.ID] = r
 		c.bumpProgress()
-		if walErr == nil {
-			walErr = c.walBeginLocked(r, t, now, mask)
+		if walErr == nil && c.dur.Logs() {
+			walErr = c.dur.Begin(&r.Txn, t, c.predecessorsLocked(mask, t.ID), now)
 		}
 	}
 	c.unlockMask(mask)
@@ -702,7 +688,7 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		refused := home // the shard whose next commit the retry waits for
 		if c.inj.RefuseAdmit(t.ID, attempt) {
 			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
-		} else if err := c.walBroken(); err != nil {
+		} else if err := c.dur.LogErr(); err != nil {
 			// Durability was requested and is broken (open or IO failure):
 			// admitting would run the transaction unlogged.
 			c.unlockMask(mask)
@@ -834,35 +820,27 @@ func (c *Controller) Abort(t *txn.T) error {
 
 // finish is a pre-commit in the sense of Yao et al.'s dependency logging
 // (PAPERS.md): the partition locks drop once the completion record is
-// appended, and the caller is acknowledged once it is durable. The
-// order, for a commit:
+// appended, and the caller is acknowledged once it is durable. What each
+// step guarantees is internal/durable's contract; the order, for a
+// commit:
 //
 //  1. under the footprint's shard locks, claim the finish — validate,
-//     apply the doom check, build the completion record while t is still
-//     in the WTPG(s), and drop t's control record so no concurrent
+//     apply the doom check, read the final predecessor set while t is
+//     still in the WTPG(s), and drop t's control record so no concurrent
 //     finish/crash-doom can touch it;
 //  2. outside the shard mutexes, but with t still holding its partition
-//     locks in the scheduler(s): append the Commit record, unforced, and
-//     apply the staged effects to cached pages — scans read frames with
-//     no latch, so the writer's lock is what keeps every reader off a
-//     page while it mutates, and a successor's scan sees these effects;
+//     locks in the scheduler(s): PreCommit — append the record, apply the
+//     staged effects to cached pages; a successor's scan sees them. Nothing
+//     of t is visible yet, so a refusal still flips cleanly to an abort;
 //  3. under each shard's lock in canonical order, apply the completion to
 //     that shard's scheduler — the partition locks drop here — and wake
 //     its waiters;
-//  4. force the log, and return nil only after the force returns.
+//  4. Force, and return nil only after it returns.
 //
-// Every append precedes the appender's lock release, so whatever a
-// transaction read from was appended before its own record, and one
-// force covers everything appended before it: acknowledged ⊆ durable,
-// and an acknowledged transaction's predecessors are durable. A crash in
-// the window between 3 and 4 can lose a pre-committed record while a
-// later one survives in another node file; recovery keeps only the
-// gap-free prefix of the append order (wal.Scan), so that successor is
-// lost with it. Cached pages run ahead of the log in the same window;
-// the store's write barrier forces the log before any of them is written
-// (storeBind). An abort appends its record unforced — a lost abort
-// record re-aborts at recovery anyway — and skips step 4. Without a WAL,
-// steps 2 and 4 touch no log.
+// A crash in the window between 3 and 4 can lose a pre-committed record
+// while a later one survives in another node file; recovery keeps only
+// the gap-free prefix of the append order, so that successor is lost with
+// it. An abort replaces step 2 with Abort and skips step 4.
 func (c *Controller) finish(t *txn.T, committed bool) error {
 	if t == nil {
 		return fmt.Errorf("live: nil transaction")
@@ -884,38 +862,22 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		committed = false
 		doomErr = fmt.Errorf("live: %v: %w", t.ID, r.doom)
 	}
-	start := r.admitted
-	rec, logIt := c.walCompletionLocked(r, t, committed, now, mask)
+	start, d := r.admitted, r.Txn
+	var preds []txn.ID
+	if committed && d.Begun() {
+		preds = c.predecessorsLocked(mask, t.ID)
+	}
 	delete(home.txns, t.ID)
 	if !r.blocked { // else a parked Acquire still holds r (see waitLocked)
 		home.free = append(home.free, r)
 	}
 	c.unlockMask(mask)
 
-	if c.wal != nil && committed && !logIt {
-		// The WAL is attached but unusable (sticky walErr) or t's begin
-		// was never logged: committing would succeed in memory with no
-		// durable record behind it — recovery would silently drop it. A
-		// commit that cannot be logged is an abort.
+	if !committed {
+		c.dur.Abort(d, t.ID, now)
+	} else if err := c.dur.PreCommit(d, t.ID, preds, now); err != nil {
 		committed = false
-		doomErr = fmt.Errorf("live: %v: wal unavailable, commit aborted", t.ID)
-	}
-	if logIt {
-		// Nothing of t is visible yet, so a Commit record the log refuses
-		// still flips cleanly to an abort — its begin stays completion-less
-		// and recovery re-aborts it.
-		if err := c.walAppend(rec); err != nil && committed {
-			committed = false
-			doomErr = fmt.Errorf("live: %v: commit record not logged: %w", t.ID, err)
-		}
-	}
-	// From the append on the outcome is the log's: a storage failure
-	// latches storeErr but cannot flip it. An abort (original or flipped
-	// above) just discards the staged effects.
-	if committed {
-		c.storeApplyCommit(t)
-	} else {
-		c.storeDrop(t)
+		doomErr = fmt.Errorf("live: %v: %w", t.ID, err)
 	}
 
 	now = c.now()
@@ -943,14 +905,12 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	})
 	c.bumpProgress()
 
-	if committed && logIt {
-		if err := c.walSync(); err != nil {
+	if committed {
+		if err := c.dur.Force(now); err != nil {
 			// Pre-committed but not durable: successors may have read the
-			// effects, and cached pages hold what the log may not. The
-			// sticky walErr fails every later admission and commit, the
-			// write barrier keeps those pages off the disk, and storeErr
-			// says the pool is ahead of the log until a restart replays it.
-			c.storeFail(fmt.Errorf("live: %v: applied effects not durable: %w", t.ID, err))
+			// effects. The binding's sticky errors fail every later
+			// admission, commit and page write; only a restart's replay
+			// decides this one.
 			return fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)
 		}
 	}

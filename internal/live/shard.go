@@ -12,8 +12,8 @@ package live
 //     shards — any sharded execution stays conflict serializable
 //     because every scheduler is strict (locks held to commit).
 //  2. Canonical lock order: shard mutexes are only ever acquired in
-//     ascending shard index, and walMu only after shard locks; no code
-//     path acquires a lower shard while holding a higher one.
+//     ascending shard index, and the log's mutex only after shard locks;
+//     no code path acquires a lower shard while holding a higher one.
 //  3. Spanning admission is atomic: a transaction whose footprint spans
 //     shards acquires ALL of its locks at admission, under all of its
 //     shard locks, or none (rollback via the scheduler abort path). A

@@ -180,9 +180,9 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 
 // TestStorageLiveKillRestartRecover is the live half of the torn-page
 // battery: SIGKILL both durability streams mid-flush — the WAL loses
-// its unsynced tail, the never-fsynced heap pages tear — then reopen,
-// replay the WAL with Store.Redo, audit with modelcheck.VerifyRecovery,
-// and require contents ≡ the durable committed set.
+// its unsynced tail, the never-fsynced heap pages tear — then reopen the
+// store, Recover over it, audit with modelcheck.VerifyRecovery, and
+// require contents ≡ the durable committed set.
 func TestStorageLiveKillRestartRecover(t *testing.T) {
 	const parts = 8
 	wdir, hdir := t.TempDir(), t.TempDir()
@@ -233,19 +233,15 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
+	// One call is the whole restart: the log replayed once, the store
+	// redone by that replay, the in-flight transactions re-aborted.
+	ctl2, rec, err := Recover(wdir, sched.KWTPGFactory(2), liveCosts, WithShards(2), WithStorage(st2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl2.Close()
 	scans, err := wal.Scan(wdir)
 	if err != nil {
-		t.Fatal(err)
-	}
-	rec, err := wal.Replay(scans, 2, func(b wal.Record, wave int) {
-		if err := st2.Redo(b); err != nil {
-			t.Errorf("redo %v: %v", b.Txn, err)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := st2.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {

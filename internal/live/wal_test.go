@@ -8,6 +8,8 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/modelcheck"
+	"batsched/internal/obs"
+	"batsched/internal/storage"
 	"batsched/internal/txn"
 	"batsched/internal/wal"
 )
@@ -313,5 +315,70 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 		return nil
 	}); err != nil {
 		t.Fatalf("post-recovery run: %v", err)
+	}
+}
+
+// TestWALForceFollowsReleaseWithDefaultStore: a store opened without a
+// background flusher must not put the force back under the partition
+// locks. Commit only dirties cached pages, so nothing reaches the write
+// barrier on the committer's path and the first wal-sync of a run comes
+// after the transaction's commit event — which is emitted in the critical
+// section that releases its locks.
+func TestWALForceFollowsReleaseWithDefaultStore(t *testing.T) {
+	st, err := storage.Open(t.TempDir(), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	l, err := wal.Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	var mu sync.Mutex
+	var kinds []obs.Kind
+	ctl := New(sched.KWTPGFactory(2), liveCosts, WithWALLog(l), WithStorage(st),
+		WithObserver(obs.ObserverFunc(func(e obs.Event) {
+			if e.Kind == obs.KindCommit || e.Kind == obs.KindWALSync {
+				mu.Lock()
+				kinds = append(kinds, e.Kind)
+				mu.Unlock()
+			}
+		})))
+	defer ctl.Close()
+	tx := txn.New(1, []txn.Step{w(0, 1), w(1, 1)})
+	if err := ctl.Run(context.Background(), tx, nil); err != nil {
+		t.Fatal(err)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(kinds) != 2 || kinds[0] != obs.KindCommit || kinds[1] != obs.KindWALSync {
+		t.Fatalf("events %v, want the commit (lock release) and then one wal-sync", kinds)
+	}
+}
+
+// TestRecoverRejectsLogOption: Recover reopens the log under dir itself;
+// handed another one it must refuse rather than replay dir and then
+// append to — or silently ignore — the caller's.
+func TestRecoverRejectsLogOption(t *testing.T) {
+	dir := t.TempDir()
+	ctl := New(sched.C2PLFactory(), liveCosts, WithWAL(dir))
+	if err := ctl.Run(context.Background(), txn.New(1, []txn.Step{w(0, 1)}), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctl.Close()
+	other, err := wal.Open(t.TempDir(), 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	for name, opt := range map[string]Option{"WithWALLog": WithWALLog(other), "WithWAL": WithWAL(other.Dir())} {
+		if c, _, err := Recover(dir, sched.C2PLFactory(), liveCosts, opt); err == nil {
+			c.Close()
+			t.Errorf("Recover accepted %s", name)
+		}
+	}
+	if st := other.Stats(); st.Appends != 0 {
+		t.Errorf("Recover appended %d records to a log it was not given", st.Appends)
 	}
 }

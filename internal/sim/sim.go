@@ -17,6 +17,7 @@ import (
 	"sync/atomic"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/durable"
 	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
@@ -260,14 +261,11 @@ type txnState struct {
 	aborting      bool
 	admitAttempts int
 
-	// WAL bookkeeping (zero without WithWAL): the node file the Begin
-	// record went to (completions must follow it there — see
-	// internal/wal), whether a Begin was logged at all, and the final
-	// predecessor set captured just before the scheduler's Commit drops
-	// the transaction from the graph.
-	walNode   int
-	walLogged bool
-	walPreds  []txn.ID
+	// WAL bookkeeping (zero without WithWAL): the transaction's place in
+	// the log, and the final predecessor set captured just before the
+	// scheduler's Commit drops the transaction from the graph.
+	durable.Txn
+	walPreds []txn.ID
 
 	// Storage bookkeeping (zero without WithStorage): the round-robin
 	// page cursor storeTouch advances one page per processed quantum.
@@ -299,11 +297,9 @@ type simulator struct {
 	obsLabel  string
 	inj       *fault.Injector // nil = no fault injection
 	slowSeen  map[txn.PartitionID]bool
-	wal       *wal.Log       // nil = no dependency logging
-	walErr    error          // first WAL failure; reported by Run
-	store     *storage.Store // nil = no page I/O
-	storeErr  error          // first storage failure; reported by Run
-	storeNow  atomic.Int64   // shadow of q.Now() for the store's clock:
+	store     *storage.Store   // nil = no page I/O
+	dur       *durable.Binding // nil = neither WithWAL nor WithStorage; Run reports its sticky errors
+	storeNow  atomic.Int64     // shadow of q.Now() for the binding's clock:
 	// the store's background flusher stamps its trace events
 	// off-thread, and the event queue's own Now is
 	// not safe to read concurrently with the sim loop advancing it.
@@ -372,7 +368,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		s.inj = rc.inj
 		s.slowSeen = make(map[txn.PartitionID]bool)
 	}
-	s.wal = rc.wal
 	s.store = rc.store
 	s.cn = machine.NewControlNode(s.q)
 	s.sch = cfg.Scheduler.New(cfg.Machine.Control)
@@ -390,7 +385,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	}
 	s.res.Scheduler = s.sch.Name()
 	s.obsLabel = s.res.Scheduler // matches the sched.Observed label
-	s.storeBind()
 	s.res.Workload = cfg.Workload.Name()
 	s.res.ArrivalRate = cfg.ArrivalRate
 	s.res.Horizon = cfg.Horizon
@@ -411,6 +405,7 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		s.place.Kill(d)
 		s.nodes[d].Kill()
 	}
+	s.durableBind(rc.wal)
 	if s.inj != nil {
 		for node := 0; node < cfg.Machine.NumNodes; node++ {
 			node := node
@@ -446,11 +441,11 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 			return &s.res, err
 		}
 	}
-	if s.walErr != nil {
-		return &s.res, fmt.Errorf("sim: wal: %w", s.walErr)
+	if err := s.dur.LogErr(); err != nil {
+		return &s.res, fmt.Errorf("sim: wal: %w", err)
 	}
-	if s.storeErr != nil {
-		return &s.res, fmt.Errorf("sim: storage: %w", s.storeErr)
+	if err := s.dur.StoreErr(); err != nil {
+		return &s.res, fmt.Errorf("sim: storage: %w", err)
 	}
 	return &s.res, nil
 }
@@ -544,8 +539,9 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 		if at, ok := s.inj.AbortAt(st.t); ok {
 			st.abortAt = at
 		}
-		if s.wal != nil {
-			s.walBegin(st, now)
+		if s.dur.Logs() {
+			// A refusal is latched in the binding; Run reports it.
+			_ = s.dur.Begin(&st.Txn, st.t, sched.Predecessors(s.sch, st.t.ID), now)
 		}
 		s.advance(st, now)
 	case sched.Delayed:
@@ -775,22 +771,24 @@ func (s *simulator) onQuantum(j *machine.Job, objects float64, now event.Time) {
 	}
 	st.processed += objects
 	if st.abortAt > 0 && !st.aborting && st.processed >= st.abortAt {
-		s.injectAbort(st, now)
+		s.abortMidRun(st, &s.res.InjectedAborts, "abort", now)
 	}
 }
 
-// injectAbort kills st mid-run: its data-node jobs are cancelled (the
-// in-flight quantum finishes but is not reported) and the control node
+// abortMidRun kills st mid-run — an injected abort, or (op "node-crash")
+// partial bulk results that died with a crashed node, counted apart:
+// every data-node job is cancelled (the in-flight quantum finishes but is
+// not reported; a just-requeued sibling included) and the control node
 // runs the scheduler's abort-recovery path — release locks, retract
-// unresolved conflicting-edges, splice resolved precedence past the
-// dead transaction. The transaction does not resubmit.
-func (s *simulator) injectAbort(st *txnState, now event.Time) {
+// unresolved conflicting-edges, splice resolved precedence past the dead
+// transaction. The transaction does not resubmit.
+func (s *simulator) abortMidRun(st *txnState, count *int, op string, now event.Time) {
 	st.aborting = true
 	for _, j := range st.jobs {
 		j.Cancelled = true
 	}
-	s.res.InjectedAborts++
-	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "abort"})
+	*count++
+	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: op})
 	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
 		freed, cpu := sched.AbortTxn(s.sch, st.t, now)
 		return s.cfg.Machine.CommitTime + cpu, func(now event.Time) {
@@ -805,10 +803,7 @@ func (s *simulator) injectAbort(st *txnState, now event.Time) {
 // and waiters on the freed partitions are woken.
 func (s *simulator) handleAbort(st *txnState, freed []txn.PartitionID, now event.Time) {
 	delete(s.live, st.t.ID)
-	if st.walLogged {
-		s.walAbort(st, now)
-	}
-	s.storeAbort(st)
+	s.dur.Abort(st.Txn, st.t.ID, now)
 	s.selfCheck()
 	s.wakeWaiters(freed)
 }
@@ -840,7 +835,7 @@ func (s *simulator) crashNode(node int, now event.Time) {
 			continue
 		}
 		if j.Processed > 0 {
-			s.crashAbort(st, now)
+			s.abortMidRun(st, &s.res.CrashAborts, "node-crash", now)
 			continue
 		}
 		part := j.Txn.Steps[j.Step].Part
@@ -850,25 +845,6 @@ func (s *simulator) crashNode(node int, now event.Time) {
 		s.nodes[to].Enqueue(j)
 	}
 	s.selfCheck()
-}
-
-// crashAbort kills st because its partial bulk results died with a
-// crashed node: every sub-job is cancelled (including any just-requeued
-// sibling) and the control node runs the same scheduler recovery as an
-// injected abort. Counted separately from InjectedAborts.
-func (s *simulator) crashAbort(st *txnState, now event.Time) {
-	st.aborting = true
-	for _, j := range st.jobs {
-		j.Cancelled = true
-	}
-	s.res.CrashAborts++
-	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "node-crash"})
-	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		freed, cpu := sched.AbortTxn(s.sch, st.t, now)
-		return s.cfg.Machine.CommitTime + cpu, func(now event.Time) {
-			s.handleAbort(st, freed, now)
-		}
-	})
 }
 
 // selfCheck runs the scheduler's invariant checks and verifies the
@@ -911,7 +887,7 @@ func (s *simulator) onStepDone(j *machine.Job, now event.Time) {
 // submitCommit coordinates two-phase commitment at the control node.
 func (s *simulator) submitCommit(st *txnState) {
 	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		if st.walLogged {
+		if st.Begun() {
 			// Final resolved predecessor set, read while the transaction
 			// is still in the graph — Commit drops it on the next line.
 			st.walPreds = sched.Predecessors(s.sch, st.t.ID)
@@ -925,15 +901,7 @@ func (s *simulator) submitCommit(st *txnState) {
 
 func (s *simulator) handleCommit(st *txnState, freed []txn.PartitionID, now event.Time) {
 	delete(s.live, st.t.ID)
-	if st.walLogged {
-		// Synchronous commit: durable before the run counts it, so the
-		// recovered committed set equals Result.Completed's population
-		// exactly — the chaos battery's replay-equivalence invariant.
-		s.walCommit(st, st.walPreds, now)
-	}
-	// Pages flush after the WAL force just above: the write-ahead
-	// contract extended to heap pages.
-	s.storeCommit(st)
+	s.durableCommit(st, now)
 	s.res.Completed++
 	if now > s.res.LastCompletion {
 		s.res.LastCompletion = now
@@ -982,7 +950,7 @@ func (s *simulator) wakeWaiters(freed []txn.PartitionID) {
 
 // finish computes the end-of-run metrics.
 func (s *simulator) finish() {
-	s.storeFinish()
+	s.durableFinish()
 	s.res.LiveAtEnd = len(s.live)
 	s.res.MeanRT = s.rt.Mean()
 	s.res.StdRT = s.rt.Std()

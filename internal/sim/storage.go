@@ -4,9 +4,9 @@ package sim
 // attached, every processed quantum reads one heap page of the step's
 // partition through the buffer pool, committed write steps insert their
 // deterministic effect tuple (internal/storage's effect model), and the
-// touched partitions' dirty pages flush at commit strictly after the
-// WAL force when WithWAL is also attached — the write-ahead contract
-// extended to pages.
+// touched partitions' dirty pages are written back at commit, right after
+// the force. Logging, applying and forcing are internal/durable's; this
+// file is the simulator's I/O model and the moments it calls the binding.
 //
 // The storage engine is driven *by* the simulated timeline but feeds
 // nothing back into it: page reads and writes happen as side effects at
@@ -16,9 +16,12 @@ package sim
 // battery (TestStorageDifferentialCommitSet) asserts.
 
 import (
+	"batsched/internal/durable"
 	"batsched/internal/event"
+	"batsched/internal/obs"
 	"batsched/internal/storage"
 	"batsched/internal/txn"
+	"batsched/internal/wal"
 )
 
 // WithStorage attaches a caller-owned heap-file store: quanta read real
@@ -30,33 +33,26 @@ func WithStorage(st *storage.Store) Option {
 	return func(rc *runOpts) { rc.store = st }
 }
 
-// storeFail latches the first storage error; Run reports it after the
-// timeline drains, mirroring walFail.
-func (s *simulator) storeFail(err error) {
-	if err != nil && s.storeErr == nil {
-		s.storeErr = err
-	}
-}
-
-// storeBind points the store's trace events at this run's observer and
-// simulated clock. The clock reads the storeNow shadow, not q.Now()
-// directly: the store's background flusher stamps events from its own
-// goroutine, and the queue's now-field is owned by the sim loop. Each
-// storage touchpoint refreshes the shadow, so background events carry
-// the timeline position of the last storage activity.
-func (s *simulator) storeBind() {
-	if s.store == nil {
-		return
-	}
+// durableBind binds the run's log and store to the write-ahead contract.
+// Events carry no wall time (a trace is a pure function of (Config,
+// Seed)), and the clock reads the storeNow shadow, not q.Now() directly:
+// the store's background flusher stamps events — and may trigger a force
+// — from its own goroutine, and the queue's now-field is owned by the sim
+// loop. Each storage touchpoint refreshes the shadow, so background
+// events carry the timeline position of the last storage activity.
+func (s *simulator) durableBind(log *wal.Log) {
 	s.storeNow.Store(int64(s.q.Now()))
-	s.store.Bind(s.obs, s.obsLabel, func() event.Time { return event.Time(s.storeNow.Load()) })
+	s.dur = durable.New(log, s.store, s.place.NodeOf,
+		func(e obs.Event) { e.DurNS = 0; s.emitObs(e) },
+		func() event.Time { return event.Time(s.storeNow.Load()) })
+	s.dur.Observe(s.obs, s.obsLabel)
 }
 
 // storeTouch turns one processed quantum into one real page read of the
 // step's partition, walking the partition's pages round-robin via the
 // transaction's cursor.
 func (s *simulator) storeTouch(st *txnState, step int, now event.Time) {
-	if s.store == nil || s.storeErr != nil {
+	if s.store == nil || s.dur.StoreErr() != nil {
 		return
 	}
 	if step < 0 || step >= len(st.t.Steps) {
@@ -67,14 +63,14 @@ func (s *simulator) storeTouch(st *txnState, step int, now event.Time) {
 		return
 	}
 	s.storeNow.Store(int64(now))
-	s.storeFail(s.store.TouchPage(part, st.pageCursor))
+	s.dur.FailStore(s.store.TouchPage(part, st.pageCursor))
 	st.pageCursor++
 }
 
 // storeStageStep stages the step's effect tuple if it is a write step —
 // applied only if the transaction commits (no-steal).
 func (s *simulator) storeStageStep(st *txnState, step int) {
-	if s.store == nil || s.storeErr != nil {
+	if s.store == nil || s.dur.StoreErr() != nil {
 		return
 	}
 	if step < 0 || step >= len(st.t.Steps) {
@@ -87,35 +83,35 @@ func (s *simulator) storeStageStep(st *txnState, step int) {
 	s.store.Stage(st.t.ID, step, sp.Part)
 }
 
-// storeCommit applies the transaction's staged effects and flushes the
-// touched partitions. Called from handleCommit strictly after
-// walCommit's Sync: the commit record is durable before any page
-// carrying the effects can reach disk.
-func (s *simulator) storeCommit(st *txnState) {
-	if s.store == nil || s.storeErr != nil {
+// durableCommit is the simulator's synchronous commit: pre-commit and
+// force in the same simulated instant, so the run counts a transaction
+// only once it is durable and the recovered committed set equals
+// Result.Completed's population exactly — the chaos battery's
+// replay-equivalence invariant. A refusal or failed force is latched in
+// the binding and reported by Run. The written partitions' dirty pages
+// then leave the pool at once, which is what the kill batteries tear.
+func (s *simulator) durableCommit(st *txnState, now event.Time) {
+	if s.dur == nil {
 		return
 	}
-	s.storeNow.Store(int64(s.q.Now()))
-	s.storeFail(s.store.ApplyCommit(st.t.ID))
+	s.storeNow.Store(int64(now))
+	_ = s.dur.PreCommit(st.Txn, st.t.ID, st.walPreds, now)
+	_ = s.dur.Force(now)
+	if s.store == nil || s.dur.StoreErr() != nil {
+		return
+	}
+	for _, sp := range st.t.Steps {
+		if sp.Mode == txn.Write && int(sp.Part) < s.store.NumPartitions() {
+			s.dur.FailStore(s.store.FlushPartition(sp.Part))
+		}
+	}
 }
 
-// storeAbort drops the transaction's staged effects — nothing was ever
-// written, so there is nothing to undo.
-func (s *simulator) storeAbort(st *txnState) {
-	if s.store == nil {
-		return
-	}
-	s.store.Drop(st.t.ID)
-}
-
-// storeFinish drops effects staged by transactions still live at the
-// horizon and unbinds the observer (the store may outlive the run).
-func (s *simulator) storeFinish() {
-	if s.store == nil {
-		return
-	}
+// durableFinish abandons the effects staged by transactions still live
+// at the horizon and unbinds the observer (the store may outlive the run).
+func (s *simulator) durableFinish() {
 	for id := range s.live {
-		s.store.Drop(id)
+		s.dur.Abandon(id)
 	}
-	s.store.Bind(nil, "", nil)
+	s.dur.Observe(nil, "")
 }

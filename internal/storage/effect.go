@@ -89,18 +89,14 @@ func (st *Store) StagedCount(id txn.ID) int {
 	return 0
 }
 
-// ApplyCommit applies id's staged effects to their partitions. Without
-// a background flusher the touched partitions' dirty pages are written
-// back synchronously (the PR 9 contract); with WithBackgroundFlush the
-// write-back is the flusher's job and commit only mutates cached pages.
-// Either way the caller MUST have appended the transaction's WAL commit
-// record first; it need not have forced it — the write barrier
-// (SetWriteBarrier) forces the log before any page leaves the pool, so
-// pages carrying an effect never reach disk before the record that
-// makes the effect redoable (a caller with no barrier bound, like the
-// simulator, forces before calling). The caller must still hold the
-// transaction's partition locks: scans read frames with no latch, so the
-// writer's lock is all that keeps them off a page while it mutates.
+// ApplyCommit applies id's staged effects to their partitions. It only
+// mutates cached pages: they leave the pool by eviction, the background
+// flusher when one is configured, FlushPartition, Flush or Close — never
+// on the committer's path. The caller MUST have appended the
+// transaction's WAL commit record first and must still hold its
+// partition locks (scans read frames with no latch, so the writer's lock
+// is all that keeps them off a page while it mutates); the rest of the
+// write-ahead contract is internal/durable's.
 func (st *Store) ApplyCommit(id txn.ID) error {
 	st.stageMu.Lock()
 	lp := st.staged[id]
@@ -109,36 +105,17 @@ func (st *Store) ApplyCommit(id txn.ID) error {
 	if lp == nil {
 		return nil
 	}
-	effs := *lp
 	var scratch [64]byte
 	buf := scratch[:]
 	if st.effectBytes > len(buf) {
 		buf = make([]byte, st.effectBytes)
 	}
 	buf = buf[:st.effectBytes]
-	for _, e := range effs {
+	for _, e := range *lp {
 		putEffect(buf, id, e.step, e.part)
 		if _, err := st.Insert(e.part, buf); err != nil {
 			stagedPool.Put(lp)
 			return err
-		}
-	}
-	if st.flushEvery <= 0 {
-		for i, e := range effs {
-			dup := false
-			for _, prev := range effs[:i] {
-				if prev.part == e.part {
-					dup = true
-					break
-				}
-			}
-			if dup {
-				continue
-			}
-			if err := st.FlushPartition(e.part); err != nil {
-				stagedPool.Put(lp)
-				return err
-			}
 		}
 	}
 	stagedPool.Put(lp)

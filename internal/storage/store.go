@@ -33,15 +33,14 @@ func WithPageSize(n int) Option { return func(c *config) { c.pageSize = n } }
 // (default 64).
 func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } }
 
-// WithBackgroundFlush moves dirty-page write-back off the commit path:
-// ApplyCommit only stages and applies effects in memory, and a per-node
-// flusher goroutine writes dirty pages back every interval. Safe under
+// WithBackgroundFlush starts a per-node flusher goroutine that writes
+// dirty pages back every interval, so they leave the pool steadily
+// instead of only under eviction pressure or at Flush/Close. Safe under
 // the no-steal contract — pages are only dirtied after the owning
 // transaction's WAL commit record is appended, and writePage forces the
 // log through everything appended before a page image leaves the pool
 // (SetWriteBarrier), so a page that reaches disk is always redo-covered
-// whenever the flusher picks it. Default 0 = synchronous write-back at
-// commit, the PR 9 behavior.
+// whenever the flusher picks it. Default 0 = no flusher.
 func WithBackgroundFlush(every time.Duration) Option {
 	return func(c *config) { c.flushEvery = every }
 }
@@ -109,8 +108,8 @@ type Store struct {
 	barrier atomic.Pointer[func() error]
 
 	// Staged effects: write steps stage one deterministic tuple each;
-	// commit applies (and, without a background flusher, flushes) them,
-	// abort drops them. Slices are pooled — see effect.go.
+	// commit applies them, abort drops them. Slices are pooled — see
+	// effect.go.
 	stageMu sync.Mutex
 	staged  map[txn.ID]*[]stagedEffect
 
@@ -364,12 +363,9 @@ func (st *Store) Bind(o obs.Observer, label string, clock func() event.Time) {
 // SetWriteBarrier installs the WAL-before-pages rule at the one place
 // pages reach disk: before every page write — eviction, overflow-frame
 // release, the background flusher, FlushPartition, Flush — the store
-// calls b, and writes nothing if it fails. The live controller binds
-// "make the log durable through everything appended so far"
-// (wal.Log.Sync: a mutex and a compare when nothing is pending). A
-// commit's record is appended before ApplyCommit touches a page, so no
-// page image carrying an effect can precede the record that makes it
-// redoable, whichever path writes it.
+// calls b, and writes nothing if it fails. internal/durable binds its
+// Force: "make the log durable through everything appended so far", a
+// mutex and a compare when nothing is pending.
 func (st *Store) SetWriteBarrier(b func() error) {
 	st.barrier.Store(&b)
 }

@@ -239,6 +239,13 @@ func TestStoreCrashRedoRoundTrip(t *testing.T) {
 				if err := st.ApplyCommit(id); err != nil {
 					t.Fatal(err)
 				}
+				// Commit only dirties cached pages; write them so the crash
+				// below has un-fsynced page writes to tear.
+				for _, p := range parts {
+					if err := st.FlushPartition(p); err != nil {
+						t.Fatal(err)
+					}
+				}
 				committed = append(committed, mkBegin(id, parts...))
 			}
 			if err := st.Crash(frac); err != nil {

@@ -134,7 +134,7 @@ type Recovery struct {
 	Aborted []txn.ID
 	// Incomplete holds the Begin records with no completion record —
 	// transactions in flight at the crash. Recovery must re-abort them
-	// (they held locks but never committed); live.Recover appends the
+	// (they held locks but never committed); durable.Recover appends the
 	// abort records.
 	Incomplete []Record
 	// Wave maps each committed transaction to its topological replay
