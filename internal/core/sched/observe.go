@@ -85,7 +85,7 @@ func (w *observedBatch) AdmitBatch(ts []*txn.T, now event.Time) BatchOutcome {
 	out := w.inner.(BatchAdmitter).AdmitBatch(ts, now)
 	dur := time.Since(start)
 	for i, t := range ts {
-		w.emitDecision("admit", t.ID, -1, -1, out.Outcomes[i], now, dur)
+		w.emitDecision("admit", t.ID, -1, -1, false, out.Outcomes[i], now, dur)
 		dur = 0
 	}
 	if out.Admitted > 0 {
@@ -112,7 +112,7 @@ func (w *observed) Admit(t *txn.T, now event.Time) Outcome {
 	w.lastNow = now
 	start := time.Now()
 	out := w.inner.Admit(t, now)
-	w.emitDecision("admit", t.ID, -1, -1, out, now, time.Since(start))
+	w.emitDecision("admit", t.ID, -1, -1, false, out, now, time.Since(start))
 	if out.Decision == Granted {
 		w.checkCriticalPath(now)
 	}
@@ -124,7 +124,8 @@ func (w *observed) Request(t *txn.T, step int, now event.Time) Outcome {
 	w.lastNow = now
 	start := time.Now()
 	out := w.inner.Request(t, step, now)
-	w.emitDecision("request", t.ID, step, t.Steps[step].Part, out, now, time.Since(start))
+	sp := t.Steps[step]
+	w.emitDecision("request", t.ID, step, sp.Part, sp.Mode == txn.Write, out, now, time.Since(start))
 	if out.Decision == Granted {
 		w.checkCriticalPath(now)
 	}
@@ -173,7 +174,7 @@ func (w *observed) CheckInvariants() error {
 // Graph forwards GraphHolder so nested wrapping keeps working.
 func (w *observed) Graph() *wtpg.Graph { return w.graph }
 
-func (w *observed) emitDecision(op string, id txn.ID, step int, part txn.PartitionID, out Outcome, now event.Time, dur time.Duration) {
+func (w *observed) emitDecision(op string, id txn.ID, step int, part txn.PartitionID, write bool, out Outcome, now event.Time, dur time.Duration) {
 	e := obs.Event{
 		Kind:     obs.KindDecision,
 		At:       now,
@@ -181,6 +182,7 @@ func (w *observed) emitDecision(op string, id txn.ID, step int, part txn.Partiti
 		Txn:      id,
 		Step:     step,
 		Part:     part,
+		Write:    write,
 		Op:       op,
 		Decision: out.Decision.String(),
 		CPU:      out.CPU,

@@ -83,15 +83,16 @@ func grammar(t *testing.T, dir string) map[txn.ID]string {
 	return out
 }
 
-// restart recovers dir, audits the result and returns the committed set.
-func restart(t *testing.T, dir string) []txn.ID {
+// restart recovers dir, certifies the run whose trace h holds against
+// what was recovered, and returns the committed set.
+func restart(t *testing.T, dir string, h *modelcheck.History) []txn.ID {
 	t.Helper()
 	log, scans, rec, err := durable.Recover(dir, diffNodes, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer log.Close()
-	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec}); err != nil {
 		t.Fatal(err)
 	}
 	if len(rec.Incomplete) != 0 {
@@ -120,10 +121,11 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			simH, liveH := modelcheck.NewHistory(), modelcheck.NewHistory()
 			res, err := sim.Run(sim.Config{
 				Machine: m, Scheduler: f, Workload: batch, ArrivalTimes: arrivals,
 				Horizon: 1_000_000, CheckSerializability: true,
-			}, sim.WithWAL(sl))
+			}, sim.WithWAL(sl), sim.WithTrace(simH))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -138,7 +140,8 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl := live.New(f, sched.Costs{KeepTime: 100}, live.WithTopology(diffNodes, diffParts), live.WithWALLog(ll))
+			ctl := live.New(f, sched.Costs{KeepTime: 100}, live.WithTopology(diffNodes, diffParts), live.WithWALLog(ll),
+				live.WithObserver(liveH))
 			for _, tx := range diffBatch() {
 				tx := tx
 				if err := ctl.Run(context.Background(), tx, func(step int, p live.Progress) error {
@@ -162,7 +165,7 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 					t.Errorf("%v: sim wrote %q, live wrote %q", id, want, gl[id])
 				}
 			}
-			if cs, cl := restart(t, simDir), restart(t, liveDir); !reflect.DeepEqual(cs, cl) || len(cs) != len(batch) {
+			if cs, cl := restart(t, simDir, simH), restart(t, liveDir, liveH); !reflect.DeepEqual(cs, cl) || len(cs) != len(batch) {
 				t.Errorf("committed sets differ or are short: sim %v, live %v", cs, cl)
 			}
 		})

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
@@ -17,9 +18,9 @@ import (
 // node's partitions re-home to the survivor. Topology: 2 nodes, 4
 // partitions, so node 0 holds partitions 0 and 2.
 func TestCrashNodeDoomsPartialWork(t *testing.T) {
-	ring := obs.NewRing(256)
+	ring, h := obs.NewRing(256), modelcheck.NewHistory()
 	ctl := New(sched.KWTPGFactory(2), liveCosts,
-		WithTopology(2, 4), WithObserver(ring))
+		WithTopology(2, 4), WithObserver(obs.Multi(ring, h)))
 	defer ctl.Close()
 	ctx := context.Background()
 	tx := txn.New(1, []txn.Step{w(0, 5)})
@@ -45,6 +46,9 @@ func TestCrashNodeDoomsPartialWork(t *testing.T) {
 	}
 	if err := ctl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.Certify(modelcheck.Evidence{Acked: map[txn.ID]bool{}}); err != nil {
+		t.Fatal(err) // nothing acknowledged, so nothing may have committed
 	}
 	var downs, rehomes, faults int
 	for _, e := range ring.Events() {
@@ -73,7 +77,8 @@ func TestCrashNodeDoomsPartialWork(t *testing.T) {
 // TestCrashNodeDoomSurfacesAtAcquire: the doomed transaction learns of
 // the crash at its next Acquire, not only at Commit.
 func TestCrashNodeDoomSurfacesAtAcquire(t *testing.T) {
-	ctl := New(sched.C2PLFactory(), liveCosts, WithTopology(2, 4))
+	h := modelcheck.NewHistory()
+	ctl := New(sched.C2PLFactory(), liveCosts, WithTopology(2, 4), WithObserver(h))
 	defer ctl.Close()
 	ctx := context.Background()
 	tx := txn.New(1, []txn.Step{w(0, 2), w(1, 2)})
@@ -96,15 +101,18 @@ func TestCrashNodeDoomSurfacesAtAcquire(t *testing.T) {
 	if err := ctl.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if err := h.Certify(modelcheck.Evidence{Acked: map[txn.ID]bool{}}); err != nil {
+		t.Fatal(err) // nothing acknowledged, so nothing may have committed
+	}
 }
 
 // TestCrashNodeRequeuesCleanResident: a transaction holding a lock on
 // the dead node with no objects reported since the grant lost nothing —
 // it is requeued against the re-homed partition and commits normally.
 func TestCrashNodeRequeuesCleanResident(t *testing.T) {
-	ring := obs.NewRing(256)
+	ring, h := obs.NewRing(256), modelcheck.NewHistory()
 	ctl := New(sched.ChainFactory(), liveCosts,
-		WithTopology(2, 4), WithObserver(ring))
+		WithTopology(2, 4), WithObserver(obs.Multi(ring, h)))
 	defer ctl.Close()
 	ctx := context.Background()
 	tx := txn.New(1, []txn.Step{w(0, 2)})
@@ -127,6 +135,9 @@ func TestCrashNodeRequeuesCleanResident(t *testing.T) {
 	if st.Committed != 1 || st.Aborted != 0 || st.CrashDoomed != 0 {
 		t.Fatalf("stats: %+v, want a clean commit", st)
 	}
+	if err := h.Certify(modelcheck.Evidence{Acked: map[txn.ID]bool{tx.ID: true}}); err != nil {
+		t.Fatal(err)
+	}
 	requeues := 0
 	for _, e := range ring.Events() {
 		if e.Kind == obs.KindRequeue {
@@ -146,7 +157,8 @@ func TestCrashNodeRequeuesCleanResident(t *testing.T) {
 // reported progress, so Run's commit turns into the abort and the
 // caller sees ErrNodeCrashed.
 func TestRunReturnsErrNodeCrashed(t *testing.T) {
-	ctl := New(sched.KWTPGFactory(2), liveCosts, WithTopology(2, 4))
+	h := modelcheck.NewHistory()
+	ctl := New(sched.KWTPGFactory(2), liveCosts, WithTopology(2, 4), WithObserver(h))
 	defer ctl.Close()
 	entered := make(chan struct{})
 	release := make(chan struct{})
@@ -178,6 +190,9 @@ func TestRunReturnsErrNodeCrashed(t *testing.T) {
 	}
 	if err := ctl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	if err := h.Certify(modelcheck.Evidence{Acked: map[txn.ID]bool{}}); err != nil {
+		t.Fatal(err) // nothing acknowledged, so nothing may have committed
 	}
 }
 

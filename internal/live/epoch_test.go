@@ -10,6 +10,7 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
@@ -182,10 +183,12 @@ func TestEpochChaosLive(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := modelcheck.NewHistory()
 	ctl := epochCtl(
 		WithBatchWindow(20*time.Millisecond),
 		WithFaults(inj),
 		WithWatchdog(100*time.Millisecond),
+		WithObserver(h),
 	)
 	defer ctl.Close()
 	const n = 40
@@ -200,12 +203,14 @@ func TestEpochChaosLive(t *testing.T) {
 		})
 	}
 	committed, faulted := 0, 0
+	acked := map[txn.ID]bool{}
 	for i, ch := range chans {
 		select {
 		case err := <-ch:
 			switch {
 			case err == nil:
 				committed++
+				acked[txn.ID(i+1)] = true
 			case errors.Is(err, fault.ErrInjectedAbort),
 				errors.Is(err, fault.ErrInjectedCrash),
 				errors.Is(err, ErrWatchdogAborted):
@@ -218,6 +223,9 @@ func TestEpochChaosLive(t *testing.T) {
 		}
 	}
 	if err := ctl.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Certify(modelcheck.Evidence{Acked: acked}); err != nil {
 		t.Fatal(err)
 	}
 	st := ctl.Stats()

@@ -221,13 +221,12 @@ type Controller struct {
 	topo  machine.Config
 	place *machine.Placement
 
-	// Durability (WithWAL/WithWALLog, WithStorage — see wal.go,
-	// storage.go): walDir is the configured directory, wal the open log
-	// (owned when walOwned), store the heap files granted steps scan. dur
+	// Durability (WithWALLog, WithStorage — see wal.go, storage.go): wal
+	// is the caller's open log (the controller's own, walOwned, only when
+	// Recover built it), store the heap files granted steps scan. dur
 	// binds both to the write-ahead contract and holds its sticky errors;
 	// it is nil with neither attached. Lock order: shard locks before the
 	// log's own mutex (Begin records are appended under them).
-	walDir   string
 	wal      *wal.Log
 	walOwned bool
 	store    *storage.Store
@@ -239,8 +238,7 @@ type Controller struct {
 	// Epoch-batch state (WithBatchWindow, see epoch.go): window length,
 	// the open window's submissions, and the collector goroutine's
 	// lifecycle. cfgErr latches what New could not honour — a batch window
-	// over more than one shard, a WAL directory that does not open — and
-	// surfaces from every Admit.
+	// over more than one shard — and surfaces from every Admit.
 	batchWindow time.Duration
 	cfgErr      error
 	epochMu     sync.Mutex
@@ -348,17 +346,8 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	for _, opt := range opts {
 		opt(c)
 	}
-	nodes := max(c.topo.NumNodes, 1)
-	c.place = machine.NewPlacement(machine.Config{NumNodes: nodes, NumParts: c.topo.NumParts})
-	if c.wal == nil && c.walDir != "" {
-		if l, err := wal.Open(c.walDir, nodes); err != nil {
-			c.cfgErr = fmt.Errorf("live: wal: %w", err)
-		} else {
-			c.wal = l
-			c.walOwned = true
-		}
-	}
-	if c.batchWindow > 0 && c.nshards > 1 && c.cfgErr == nil {
+	c.place = machine.NewPlacement(machine.Config{NumNodes: max(c.topo.NumNodes, 1), NumParts: c.topo.NumParts})
+	if c.batchWindow > 0 && c.nshards > 1 {
 		c.cfgErr = errBatchShards
 	}
 	c.shards = make([]*lshard, c.nshards)
@@ -689,7 +678,7 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		if c.inj.RefuseAdmit(t.ID, attempt) {
 			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
 		} else if err := c.dur.LogErr(); err != nil {
-			// Durability was requested and is broken (open or IO failure):
+			// Durability was requested and is broken (an IO failure):
 			// admitting would run the transaction unlogged.
 			c.unlockMask(mask)
 			return fmt.Errorf("live: wal: %w", err)
@@ -739,7 +728,8 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 		}
 		now := c.now()
 		if attempt == 0 {
-			c.emitShard(c.shardOf(part), obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: part})
+			c.emitShard(c.shardOf(part), obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: part,
+				Write: t.Steps[step].Mode == txn.Write})
 		}
 		// A spanning transaction's locks were all granted at admission, so
 		// only the bookkeeping remains: count the grant and move the

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
@@ -100,9 +101,10 @@ func TestReadersShare(t *testing.T) {
 	}
 }
 
-// TestConflictSerializability records the grant order of conflicting
-// steps under a random mixed workload and verifies acyclicity, for every
-// scheduler.
+// TestConflictSerializability certifies the grant order of a random
+// mixed workload, for every scheduler: a grant is a Decision event with
+// op=request, decision=granted, emitted under the shard lock — so in
+// exact decision order.
 func TestConflictSerializability(t *testing.T) {
 	for _, f := range []sched.Factory{
 		sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2),
@@ -110,17 +112,17 @@ func TestConflictSerializability(t *testing.T) {
 		f := f
 		t.Run(f.Label, func(t *testing.T) {
 			t.Parallel()
-			type grant struct {
-				id   txn.ID
-				part txn.PartitionID
-				mode txn.Mode
-			}
-			// A grant is a Decision event with op=request, decision=granted,
-			// emitted under the shard lock — so in exact decision order.
-			ring := obs.NewRing(4096)
-			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(ring))
+			h := modelcheck.NewHistory()
+			var grants atomic.Int64
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(obs.ObserverFunc(func(e obs.Event) {
+				if e.Kind == obs.KindDecision && e.Op == "request" && e.Decision == "granted" {
+					grants.Add(1)
+				}
+				h.Observe(e)
+			})))
 			defer ctl.Close()
-			txns := make(map[txn.ID]*txn.T)
+			acked := map[txn.ID]bool{}
+			var wg sync.WaitGroup
 			for i := 0; i < 24; i++ {
 				rng := rand.New(rand.NewSource(int64(i)))
 				var steps []txn.Step
@@ -131,11 +133,8 @@ func TestConflictSerializability(t *testing.T) {
 						Cost: 1,
 					})
 				}
-				txns[txn.ID(i+1)] = txn.New(txn.ID(i+1), steps)
-			}
-			var wg sync.WaitGroup
-			for _, tx := range txns {
-				tx := tx
+				tx := txn.New(txn.ID(i+1), steps)
+				acked[tx.ID] = true
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -148,50 +147,11 @@ func TestConflictSerializability(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			if ring.Dropped() > 0 {
-				t.Fatalf("ring dropped %d events; enlarge the buffer", ring.Dropped())
-			}
-			var grants []grant
-			for _, e := range ring.Events() {
-				if e.Kind == obs.KindDecision && e.Op == "request" && e.Decision == "granted" {
-					grants = append(grants, grant{e.Txn, e.Part, txns[e.Txn].Steps[e.Step].Mode})
-				}
-			}
-			if len(grants) == 0 {
+			if grants.Load() == 0 {
 				t.Fatal("observer saw no granted requests")
 			}
-			// Conflict graph from grant order must be acyclic.
-			succ := map[txn.ID]map[txn.ID]bool{}
-			for i := 0; i < len(grants); i++ {
-				for j := i + 1; j < len(grants); j++ {
-					a, b := grants[i], grants[j]
-					if a.id != b.id && a.part == b.part && a.mode.Conflicts(b.mode) {
-						if succ[a.id] == nil {
-							succ[a.id] = map[txn.ID]bool{}
-						}
-						succ[a.id][b.id] = true
-					}
-				}
-			}
-			color := map[txn.ID]int{}
-			var dfs func(u txn.ID) bool
-			dfs = func(u txn.ID) bool {
-				color[u] = 1
-				for v := range succ[u] {
-					if color[v] == 1 {
-						return true
-					}
-					if color[v] == 0 && dfs(v) {
-						return true
-					}
-				}
-				color[u] = 2
-				return false
-			}
-			for u := range succ {
-				if color[u] == 0 && dfs(u) {
-					t.Fatal("live schedule not conflict serializable")
-				}
+			if err := h.Certify(modelcheck.Evidence{Acked: acked}); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}

@@ -25,31 +25,22 @@ import (
 	"batsched/internal/wal"
 )
 
-// precommitLog is the battery's observer and ledger: the per-partition
-// order in which transactions pre-committed (Commit events are emitted
-// inside the critical section that releases the locks, so the order is
-// the conflict order), and which Run calls were acknowledged.
+// precommitLog is the battery's observer: it feeds the run's History,
+// pulls the kill trigger at the killAt-th pre-commit (Commit events are
+// emitted inside the critical section that releases the locks), and
+// holds which Run calls were acknowledged.
 type precommitLog struct {
-	mu     sync.Mutex
-	txns   map[txn.ID]*txn.T
-	order  map[txn.PartitionID][]modelcheck.Access
-	pre    map[txn.ID]bool
-	acked  map[txn.ID]bool
-	killAt int
+	*modelcheck.History
+	pre    atomic.Int64
+	killAt int64
 	kill   chan struct{}
+	mu     sync.Mutex
+	acked  map[txn.ID]bool
 }
 
 func (p *precommitLog) Observe(e obs.Event) {
-	if e.Kind != obs.KindCommit || e.Decision != "" {
-		return
-	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	for _, s := range p.txns[e.Txn].Steps {
-		p.order[s.Part] = append(p.order[s.Part], modelcheck.Access{Txn: e.Txn, Write: s.Mode == txn.Write})
-	}
-	p.pre[e.Txn] = true
-	if len(p.pre) == p.killAt {
+	p.History.Observe(e)
+	if e.Kind == obs.KindCommit && e.Decision == "" && p.pre.Add(1) == p.killAt {
 		close(p.kill)
 	}
 }
@@ -130,12 +121,10 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 		fatalf("%v", err)
 	}
 	plog := &precommitLog{
-		txns:   map[txn.ID]*txn.T{},
-		order:  map[txn.PartitionID][]modelcheck.Access{},
-		pre:    map[txn.ID]bool{},
-		acked:  map[txn.ID]bool{},
-		killAt: killAt,
-		kill:   make(chan struct{}),
+		History: modelcheck.NewHistory(),
+		acked:   map[txn.ID]bool{},
+		killAt:  int64(killAt),
+		kill:    make(chan struct{}),
 	}
 	ctl := New(f, liveCosts, WithShards(shards), WithTopology(nodes, parts), WithRetryDelay(time.Millisecond),
 		WithWALLog(l), WithStorage(st), WithObserver(plog))
@@ -162,9 +151,6 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 					}
 				}
 				tx := txn.New(txn.ID(next.Add(1)), steps)
-				plog.mu.Lock()
-				plog.txns[tx.ID] = tx
-				plog.mu.Unlock()
 				err := ctl.Run(ctx, tx, func(step int, p Progress) error {
 					p(1)
 					return nil
@@ -219,43 +205,32 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 	if err := st2.Flush(); err != nil {
 		fatalf("flush after redo: %v", err)
 	}
-	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+	// The contract (docs/ROBUSTNESS.md §10): acknowledged ⊆ recovered ⊆
+	// pre-committed, no successor without its predecessor in any partition,
+	// the logged order agrees with the granted one, contents = preload ∪
+	// effects(recovered).
+	loaded := map[txn.PartitionID][]storage.EffectKey{}
+	for p := 0; p < parts; p++ {
+		for i := 0; i < preload; i++ {
+			loaded[txn.PartitionID(p)] = append(loaded[txn.PartitionID(p)], storage.EffectKey{Txn: preloadKey(p, i)})
+		}
+	}
+	if err := plog.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: plog.acked, Killed: true,
+		Store: st2, Preload: loaded}); err != nil {
 		fatalf("%v", err)
 	}
 	got := make(map[txn.ID]bool, len(rec.Committed))
-	var all []*txn.T
 	for _, id := range rec.Committed {
 		got[id] = true
-		tx := plog.txns[id]
-		if tx == nil {
-			fatalf("%v recovered as committed but never submitted", id)
-		}
-		all = append(all, tx)
 		if !plog.acked[id] {
 			unacked++
 		}
 	}
-	for id := range plog.acked {
-		if !got[id] {
-			fatalf("acknowledged %v lost: recovered %d of %d acknowledged", id, len(got), len(plog.acked))
-		}
-	}
-	// No successor without its predecessor, in any partition.
-	if err := modelcheck.VerifyCommitPrefix(plog.order, got); err != nil {
-		fatalf("%v", err)
-	}
-	for id := range plog.pre {
+	for id := range plog.Committed() {
 		if !got[id] {
 			lost++
 		}
 	}
-	want := liveExpected(all, got, parts)
-	for p := range want {
-		for i := 0; i < preload; i++ {
-			want[p][storage.EffectKey{Txn: preloadKey(p, i)}] = true
-		}
-	}
-	liveCheckContents(t, st2, want)
 
 	// A second recovery — the controller's own, which re-aborts what was
 	// in flight — agrees with the first, and so does a third.

@@ -12,6 +12,7 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
@@ -343,21 +344,21 @@ func TestWatchdogIdleIsQuiet(t *testing.T) {
 	}
 }
 
-// TestLiveChaos is the live half of the chaos suite: goroutine swarms
-// under every fault kind at once — injected aborts, crashes
-// (recovered panics), slow partitions, admission refusals — on each
-// scheduler, with the watchdog armed. Every transaction must finish
-// (commit or injected fault), the lock table must end clean, and the
-// stats must balance. Run with -race via `make chaos`.
-func TestLiveChaos(t *testing.T) {
-	schedulers := []sched.Factory{
-		sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2),
-	}
+// chaosSwarm runs the live chaos mix on every scheduler family: per seed,
+// 24 two-step writers over parts partitions (steps stride apart) under
+// injected aborts, crashes (recovered panics), slow partitions and
+// admission refusals, watchdog armed. Every transaction must finish
+// (commit or injected fault), the lock table end clean, the stats balance
+// and the contract certificate (docs/ROBUSTNESS.md §10) accept the trace;
+// check sees each seed's final stats. Run with -race (`make verify`).
+func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed uint64, st Stats), opts ...Option) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
 		seeds = seeds[:1]
 	}
-	for _, f := range schedulers {
+	for _, f := range []sched.Factory{
+		sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2),
+	} {
 		f := f
 		t.Run(f.Label, func(t *testing.T) {
 			t.Parallel()
@@ -372,11 +373,15 @@ func TestLiveChaos(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ctl := New(f, liveCosts,
+				h := modelcheck.NewHistory()
+				ctl := New(f, liveCosts, append([]Option{
 					WithRetryDelay(time.Millisecond),
-					WithWatchdog(50*time.Millisecond),
-					WithFaults(inj))
+					WithWatchdog(50 * time.Millisecond),
+					WithFaults(inj),
+					WithObserver(h)}, opts...)...)
 				const workers = 24
+				var mu sync.Mutex
+				acked := map[txn.ID]bool{}
 				var wg sync.WaitGroup
 				errs := make(chan error, workers)
 				for i := 0; i < workers; i++ {
@@ -385,8 +390,8 @@ func TestLiveChaos(t *testing.T) {
 					go func() {
 						defer wg.Done()
 						tx := txn.New(txn.ID(seed*1000)+txn.ID(i+1), []txn.Step{
-							w(txn.PartitionID(i%4), 2),
-							w(txn.PartitionID((i+1)%4), 2),
+							w(txn.PartitionID(i%parts), 2),
+							w(txn.PartitionID((i+stride)%parts), 2),
 						})
 						ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 						defer cancel()
@@ -397,6 +402,9 @@ func TestLiveChaos(t *testing.T) {
 						})
 						switch {
 						case err == nil:
+							mu.Lock()
+							acked[tx.ID] = true
+							mu.Unlock()
 						case errors.Is(err, fault.ErrInjectedAbort),
 							errors.Is(err, fault.ErrInjectedCrash),
 							errors.Is(err, ErrWatchdogAborted):
@@ -422,13 +430,24 @@ func TestLiveChaos(t *testing.T) {
 					t.Fatalf("seed %d: admitted %d != committed %d + aborted %d",
 						seed, st.Admitted, st.Committed, st.Aborted)
 				}
-				if st.Aborted == 0 {
-					t.Errorf("seed %d: chaos run injected no aborts", seed)
+				if err := h.Certify(modelcheck.Evidence{Acked: acked}); err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
 				}
+				check(t, seed, st)
 				ctl.Close()
 			}
 		})
 	}
+}
+
+// TestLiveChaos is the live half of the chaos suite: chaosSwarm on one
+// shard, which must also have injected aborts to recover from.
+func TestLiveChaos(t *testing.T) {
+	chaosSwarm(t, 4, 1, func(t *testing.T, seed uint64, st Stats) {
+		if st.Aborted == 0 {
+			t.Errorf("seed %d: chaos run injected no aborts", seed)
+		}
+	})
 }
 
 // TestPanicInWorkIsRecovered locks in the panic-recovery contract: a

@@ -2,16 +2,15 @@ package live
 
 import (
 	"context"
-	"errors"
-	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"batsched/internal/core/sched"
-	"batsched/internal/fault"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
@@ -40,10 +39,13 @@ func shardedWorkload(seed int64, n, parts int) []*txn.T {
 	return ts
 }
 
-// runCommitSet drives the workload through one controller with real
-// goroutines and returns the set of transactions that committed.
-func runCommitSet(t *testing.T, ctl *Controller, ts []*txn.T) map[txn.ID]bool {
+// runCommitSet drives the workload through a controller with the given
+// shard count on real goroutines, certifies the run and returns the set
+// of transactions that committed.
+func runCommitSet(t *testing.T, f sched.Factory, shards int, ts []*txn.T) map[txn.ID]bool {
 	t.Helper()
+	h := modelcheck.NewHistory()
+	ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithShards(shards), WithObserver(h))
 	defer ctl.Close()
 	var mu sync.Mutex
 	committed := make(map[txn.ID]bool, len(ts))
@@ -79,6 +81,9 @@ func runCommitSet(t *testing.T, ctl *Controller, ts []*txn.T) map[txn.ID]bool {
 	if st.Committed != uint64(len(committed)) {
 		t.Errorf("stats committed %d, observed %d", st.Committed, len(committed))
 	}
+	if err := h.Certify(modelcheck.Evidence{Acked: committed}); err != nil {
+		t.Errorf("%d shards: %v", shards, err)
+	}
 	return committed
 }
 
@@ -103,10 +108,8 @@ func TestShardedDifferentialCommitSet(t *testing.T) {
 			t.Parallel()
 			for seed := 0; seed < seeds; seed++ {
 				ts := shardedWorkload(int64(seed)+1, 24, 24)
-				single := runCommitSet(t, New(f, liveCosts,
-					WithRetryDelay(time.Millisecond), WithShards(1)), ts)
-				sharded := runCommitSet(t, New(f, liveCosts,
-					WithRetryDelay(time.Millisecond), WithShards(8)), ts)
+				single := runCommitSet(t, f, 1, ts)
+				sharded := runCommitSet(t, f, 8, ts)
 				if len(single) != len(sharded) {
 					t.Fatalf("seed %d: single-mutex committed %d, sharded committed %d",
 						seed, len(single), len(sharded))
@@ -133,11 +136,11 @@ func TestShardedDifferentialCommitSet(t *testing.T) {
 func TestShardedSwarmRace(t *testing.T) {
 	const parts = 32
 	var writers, readers [parts]int32
-	ring := obs.NewRing(4096)
+	ring, h := obs.NewRing(4096), modelcheck.NewHistory()
 	ctl := New(sched.C2PLFactory(), liveCosts,
 		WithShards(8),
 		WithRetryDelay(time.Millisecond),
-		WithObserver(ring))
+		WithObserver(obs.Multi(ring, h)))
 	defer ctl.Close()
 	if got := ctl.Shards(); got != 8 {
 		t.Fatalf("Shards() = %d, want 8", got)
@@ -177,6 +180,9 @@ func TestShardedSwarmRace(t *testing.T) {
 	if err := ctl.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	if err := h.Certify(modelcheck.Evidence{}); err != nil {
+		t.Fatal(err)
+	}
 	tagged := false
 	for _, e := range ring.Events() {
 		if e.Shard > 0 {
@@ -189,89 +195,11 @@ func TestShardedSwarmRace(t *testing.T) {
 	}
 }
 
-// TestShardedChaosLive joins the `make chaos` battery: the fault
-// injector's full mix — injected aborts, crashes (panics), slow I/O,
-// admission refusals — against a sharded controller with a watchdog,
-// over footprints that routinely span shards. Invariants must
-// hold and the books must balance after every storm.
+// TestShardedChaosLive is the sharded chaos battery: chaosSwarm's full
+// fault mix against four shards, over footprints that routinely span
+// them.
 func TestShardedChaosLive(t *testing.T) {
-	factories := []sched.Factory{
-		sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2),
-	}
-	seeds := []uint64{1, 2, 3}
-	if testing.Short() {
-		seeds = seeds[:1]
-	}
-	for _, f := range factories {
-		f := f
-		t.Run(f.Label, func(t *testing.T) {
-			t.Parallel()
-			for _, seed := range seeds {
-				inj, err := fault.New(seed, fault.Config{
-					AbortRate:        0.25,
-					SlowIORate:       0.25,
-					SlowIOFactor:     2,
-					AdmitRefusalRate: 0.25,
-					CrashRate:        0.15,
-				})
-				if err != nil {
-					t.Fatal(err)
-				}
-				ctl := New(f, liveCosts,
-					WithShards(4),
-					WithRetryDelay(time.Millisecond),
-					WithWatchdog(50*time.Millisecond),
-					WithFaults(inj))
-				const workers = 24
-				var wg sync.WaitGroup
-				errs := make(chan error, workers)
-				for i := 0; i < workers; i++ {
-					i := i
-					wg.Add(1)
-					go func() {
-						defer wg.Done()
-						tx := txn.New(txn.ID(seed*1000)+txn.ID(i+1), []txn.Step{
-							w(txn.PartitionID(i%8), 2),
-							w(txn.PartitionID((i+3)%8), 2),
-						})
-						ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-						defer cancel()
-						err := ctl.Run(ctx, tx, func(step int, p Progress) error {
-							p(1)
-							p(1)
-							return nil
-						})
-						switch {
-						case err == nil:
-						case errors.Is(err, fault.ErrInjectedAbort),
-							errors.Is(err, fault.ErrInjectedCrash),
-							errors.Is(err, ErrWatchdogAborted):
-							// expected fault outcomes
-						default:
-							errs <- fmt.Errorf("worker %d: %w", i, err)
-						}
-					}()
-				}
-				wg.Wait()
-				close(errs)
-				for err := range errs {
-					t.Fatal(err)
-				}
-				if err := ctl.CheckInvariants(); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				st := ctl.Stats()
-				if st.Active != 0 {
-					t.Fatalf("seed %d: %d transactions leaked", seed, st.Active)
-				}
-				if st.Committed+st.Aborted != st.Admitted {
-					t.Fatalf("seed %d: admitted %d != committed %d + aborted %d",
-						seed, st.Admitted, st.Committed, st.Aborted)
-				}
-				ctl.Close()
-			}
-		})
-	}
+	chaosSwarm(t, 8, 3, func(*testing.T, uint64, Stats) {}, WithShards(4))
 }
 
 // TestShardedObjectDoneRoutesToOwner: the §3.1 weight message of a
@@ -322,5 +250,46 @@ func TestShardedObjectDoneRoutesToOwner(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
+	}
+}
+
+// TestSpanningDecisionEventsSayWhatWasLocked: a spanning transaction is
+// decided on per-shard projections, so a decision event's Step indexes
+// the projection (here 0 for both steps) while the driver's request
+// event carries the transaction's own index — Part and Write are exact
+// on both, which is what lets a trace consumer do without a transaction
+// table.
+func TestSpanningDecisionEventsSayWhatWasLocked(t *testing.T) {
+	ring := obs.NewRing(64)
+	ctl := New(sched.C2PLFactory(), liveCosts, WithShards(2), WithObserver(ring))
+	defer ctl.Close()
+	readPart, writePart := txn.PartitionID(0), txn.PartitionID(1)
+	for ctl.shardOf(writePart) == ctl.shardOf(readPart) {
+		writePart++
+	}
+	tx := txn.New(1, []txn.Step{r(readPart, 1), w(writePart, 1)})
+	if err := ctl.Run(context.Background(), tx, nil); err != nil {
+		t.Fatal(err)
+	}
+	type locked struct {
+		kind  obs.Kind
+		part  txn.PartitionID
+		step  int
+		write bool
+	}
+	got := map[locked]bool{}
+	for _, e := range ring.Events() {
+		if e.Txn == tx.ID && (e.Kind == obs.KindRequest || (e.Kind == obs.KindDecision && e.Op == "request")) {
+			got[locked{e.Kind, e.Part, e.Step, e.Write}] = true
+		}
+	}
+	want := map[locked]bool{
+		{obs.KindDecision, readPart, 0, false}: true,
+		{obs.KindDecision, writePart, 0, true}: true,
+		{obs.KindRequest, readPart, 0, false}:  true,
+		{obs.KindRequest, writePart, 1, true}:  true,
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("request and decision events say %v was locked, want %v", got, want)
 	}
 }

@@ -25,48 +25,10 @@ import (
 	"batsched/internal/wal"
 )
 
-// liveExpected derives per-partition effect keys from a committed set
-// and the transactions' own footprints.
-func liveExpected(ts []*txn.T, committed map[txn.ID]bool, parts int) []map[storage.EffectKey]bool {
-	want := make([]map[storage.EffectKey]bool, parts)
-	for p := range want {
-		want[p] = map[storage.EffectKey]bool{}
-	}
-	for _, tx := range ts {
-		if !committed[tx.ID] {
-			continue
-		}
-		for i, s := range tx.Steps {
-			if s.Mode == txn.Write && int(s.Part) < parts {
-				want[s.Part][storage.EffectKey{Txn: tx.ID, Step: i}] = true
-			}
-		}
-	}
-	return want
-}
-
-func liveCheckContents(t *testing.T, st *storage.Store, want []map[storage.EffectKey]bool) {
-	t.Helper()
-	for p := range want {
-		got, err := st.Keys(txn.PartitionID(p))
-		if err != nil {
-			t.Fatalf("P%d: %v", p, err)
-		}
-		if len(got) != len(want[p]) {
-			t.Fatalf("P%d holds %d effects, committed set implies %d", p, len(got), len(want[p]))
-		}
-		for k := range want[p] {
-			if !got[k] {
-				t.Fatalf("P%d missing effect txn=%d step=%d", p, k.Txn, k.Step)
-			}
-		}
-	}
-}
-
 // TestChaosStorageLiveSwarm is the storage half of the live chaos
 // battery: a sharded controller (PR 8's swarm shape) with storage, WAL,
 // fault injection and an obs metrics sink, hammered by concurrent
-// workers. Run under -race by `make chaos` / the verify race line.
+// workers. Run under -race by `make verify`.
 func TestChaosStorageLiveSwarm(t *testing.T) {
 	const parts = 16
 	for _, seed := range []uint64{1, 2} {
@@ -88,18 +50,19 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			l, err := wal.Open(t.TempDir(), 1)
+			wdir := t.TempDir()
+			l, err := wal.Open(wdir, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			metrics := obs.NewMetrics()
+			metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
 			ctl := New(sched.C2PLFactory(), liveCosts,
 				WithShards(4),
 				WithRetryDelay(time.Millisecond),
 				WithFaults(inj),
 				WithWALLog(l),
 				WithStorage(st),
-				WithObserver(metrics))
+				WithObserver(obs.Multi(metrics, h)))
 
 			ts := shardedWorkload(int64(seed), 48, parts)
 			var mu sync.Mutex
@@ -168,9 +131,20 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 				t.Fatalf("hit rate diverges: metrics %v, store %v", got, want)
 			}
 
-			// Contents ≡ pure function of the committed set — aborted and
-			// crashed transactions left no trace (no-steal).
-			liveCheckContents(t, st, liveExpected(ts, committed, parts))
+			// The contract (docs/ROBUSTNESS.md §10) — in particular contents
+			// ≡ pure function of the committed set: aborted and crashed
+			// transactions left no trace (no-steal).
+			scans, err := wal.Scan(wdir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec, err := wal.Replay(scans, 4, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: committed, Store: st}); err != nil {
+				t.Fatal(err)
+			}
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}
@@ -196,8 +170,9 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	h := modelcheck.NewHistory()
 	ctl := New(sched.KWTPGFactory(2), liveCosts,
-		WithShards(2), WithRetryDelay(time.Millisecond), WithWALLog(l), WithStorage(st))
+		WithShards(2), WithRetryDelay(time.Millisecond), WithWALLog(l), WithStorage(st), WithObserver(h))
 
 	ts := shardedWorkload(7, 32, parts)
 	var mu sync.Mutex
@@ -244,18 +219,10 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+	// The kill came after every client had returned, so the recovered set
+	// is exactly the acknowledged one (Killed stays false) and the contents
+	// exactly its effects.
+	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: committed, Store: st2}); err != nil {
 		t.Fatal(err)
 	}
-	durable := map[txn.ID]bool{}
-	for _, id := range rec.Committed {
-		if !committed[id] {
-			t.Fatalf("%v resurrected: recovered as committed but never committed pre-crash", id)
-		}
-		durable[id] = true
-	}
-	if len(durable) != len(committed) {
-		t.Fatalf("committed transaction lost: %d durable of %d committed", len(durable), len(committed))
-	}
-	liveCheckContents(t, st2, liveExpected(ts, durable, parts))
 }

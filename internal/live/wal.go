@@ -18,17 +18,9 @@ import (
 	"batsched/internal/wal"
 )
 
-// WithWAL enables durable dependency logging under dir: one append-only
-// log per data node (one log total without WithTopology). The logs are
-// opened by New — an open failure is sticky and surfaces as an error
-// from the first Admit, never as silently-dropped durability — and
-// closed (flushed + fsynced) by Close.
-func WithWAL(dir string) Option {
-	return func(c *Controller) { c.walDir = dir }
-}
-
-// WithWALLog attaches an already-open, caller-owned log instead of
-// having the controller open one: the caller keeps Close/Crash
+// WithWALLog enables durable dependency logging into an open,
+// caller-owned log — one append-only file per data node (wal.Open with
+// the WithTopology node count, 1 without). The caller keeps Close/Crash
 // authority, which is what the kill-and-restart chaos battery needs to
 // simulate SIGKILL (wal.Log.Crash) underneath the controller.
 func WithWALLog(l *wal.Log) Option {
@@ -65,14 +57,14 @@ func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
 // The Recovery report carries what was reconstructed: the committed
 // set in replay order, the re-aborted in-flight transactions, and the
 // replay schedule's width (MaxParallel). opts are applied as in New,
-// except that WithWAL/WithWALLog are an error: the log is dir's.
+// except that WithWALLog is an error: the log is dir's.
 func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Option) (*Controller, *wal.Recovery, error) {
 	var cfg Controller
 	for _, opt := range opts {
 		opt(&cfg)
 	}
-	if cfg.wal != nil || cfg.walDir != "" {
-		return nil, nil, errors.New("live: recover: WithWAL/WithWALLog given, but Recover reopens the log under dir itself")
+	if cfg.wal != nil {
+		return nil, nil, errors.New("live: recover: WithWALLog given, but Recover reopens the log under dir itself")
 	}
 	log, _, rec, err := durable.Recover(dir, max(cfg.topo.NumNodes, 1), cfg.store)
 	if err != nil {

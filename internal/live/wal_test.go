@@ -32,7 +32,8 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl := New(f, liveCosts, WithWALLog(l), WithRetryDelay(time.Millisecond))
+			h := modelcheck.NewHistory()
+			ctl := New(f, liveCosts, WithWALLog(l), WithRetryDelay(time.Millisecond), WithObserver(h))
 
 			var wg sync.WaitGroup
 			for i := 1; i <= 8; i++ {
@@ -102,7 +103,7 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+			if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: batchAcked, Killed: true}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -146,6 +147,10 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 	}
 }
 
+// batchAcked is what both round trips' clients saw return before the
+// kill: the batch 1..8 (a failed Run is a test error of its own).
+var batchAcked = map[txn.ID]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6: true, 7: true, 8: true}
+
 // inflightOnly checks the Incomplete set of a recovery that followed a
 // crash with transactions 9 and 10 in flight: their Begin records were
 // pending, so the crash's partial flush may have kept both, one or
@@ -161,33 +166,15 @@ func inflightOnly(t *testing.T, incomplete []wal.Record) {
 	}
 }
 
-// TestWALOpenFailureIsSticky: a controller whose WAL cannot open must
-// refuse admissions with an error rather than silently running without
-// durability.
-func TestWALOpenFailureIsSticky(t *testing.T) {
-	// A file where the directory should be makes MkdirAll fail.
-	dir := t.TempDir() + "/blocked"
-	l, err := wal.Open(dir, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	l.Close()
-	ctl := New(sched.C2PLFactory(), liveCosts, WithWAL(dir+"/node-0000.wal/sub"))
-	defer ctl.Close()
-	tx := txn.New(1, []txn.Step{w(0, 1)})
-	if err := ctl.Run(context.Background(), tx, nil); err == nil {
-		t.Fatal("admission succeeded with an unopenable WAL")
-	}
-	if st := ctl.Stats(); st.Committed != 0 {
-		t.Errorf("stats %+v after refused admissions", st)
-	}
-}
-
 // TestWALAbortsAreLogged: work errors produce Abort records that a
 // clean-shutdown recovery reports as aborted, not incomplete.
 func TestWALAbortsAreLogged(t *testing.T) {
 	dir := t.TempDir()
-	ctl := New(sched.ChainFactory(), liveCosts, WithWAL(dir), WithRetryDelay(time.Millisecond))
+	l, err := wal.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := New(sched.ChainFactory(), liveCosts, WithWALLog(l), WithRetryDelay(time.Millisecond))
 	good := txn.New(1, []txn.Step{w(0, 1)})
 	if err := ctl.Run(context.Background(), good, func(step int, p Progress) error {
 		p(1)
@@ -202,6 +189,9 @@ func TestWALAbortsAreLogged(t *testing.T) {
 		t.Fatal("failing work committed")
 	}
 	ctl.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	scans, err := wal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
@@ -234,7 +224,8 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	f := sched.C2PLFactory()
-	ctl := New(f, liveCosts, WithWALLog(l), WithShards(4), WithRetryDelay(time.Millisecond))
+	h := modelcheck.NewHistory()
+	ctl := New(f, liveCosts, WithWALLog(l), WithShards(4), WithRetryDelay(time.Millisecond), WithObserver(h))
 
 	var wg sync.WaitGroup
 	for i := 1; i <= 8; i++ {
@@ -302,7 +293,7 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: batchAcked, Killed: true}); err != nil {
 		t.Fatal(err)
 	}
 	// The recovered controller is live and still sharded.
@@ -362,21 +353,26 @@ func TestWALForceFollowsReleaseWithDefaultStore(t *testing.T) {
 // append to — or silently ignore — the caller's.
 func TestRecoverRejectsLogOption(t *testing.T) {
 	dir := t.TempDir()
-	ctl := New(sched.C2PLFactory(), liveCosts, WithWAL(dir))
+	l, err := wal.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := New(sched.C2PLFactory(), liveCosts, WithWALLog(l))
 	if err := ctl.Run(context.Background(), txn.New(1, []txn.Step{w(0, 1)}), nil); err != nil {
 		t.Fatal(err)
 	}
 	ctl.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
 	other, err := wal.Open(t.TempDir(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer other.Close()
-	for name, opt := range map[string]Option{"WithWALLog": WithWALLog(other), "WithWAL": WithWAL(other.Dir())} {
-		if c, _, err := Recover(dir, sched.C2PLFactory(), liveCosts, opt); err == nil {
-			c.Close()
-			t.Errorf("Recover accepted %s", name)
-		}
+	if c, _, err := Recover(dir, sched.C2PLFactory(), liveCosts, WithWALLog(other)); err == nil {
+		c.Close()
+		t.Error("Recover accepted WithWALLog")
 	}
 	if st := other.Stats(); st.Appends != 0 {
 		t.Errorf("Recover appended %d records to a log it was not given", st.Appends)

@@ -2,6 +2,7 @@ package modelcheck
 
 import (
 	"fmt"
+	"slices"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
@@ -85,27 +86,8 @@ func (e *crashExplorer) walk(prefix []Action) {
 			e.crashAt(prefix, t)
 		}
 	}
-	now := event.Time(len(prefix) + 1)
-	for _, t := range e.txns {
-		p := pos[t.ID]
-		if p == len(t.Steps) {
-			continue
-		}
-		// Probe on a fresh replay, as in explorer.dfs: even refusals can
-		// mutate scheduler caches.
-		s, _ := e.replay(prefix)
-		var a Action
-		if p < 0 {
-			if out := s.Admit(t, now); out.Decision != sched.Granted {
-				continue
-			}
-			a = Action{Txn: t.ID, Step: -1}
-		} else {
-			if out := s.Request(t, p, now); out.Decision != sched.Granted {
-				continue
-			}
-			a = Action{Txn: t.ID, Step: p}
-		}
+	acts, _ := e.enabled(prefix)
+	for _, a := range acts {
 		e.walk(append(prefix, a))
 		if e.rep.Truncated {
 			return
@@ -141,9 +123,9 @@ func (e *crashExplorer) crashAt(prefix []Action, victim *txn.T) {
 	if lh, ok := s.(interface {
 		LockHolders(txn.PartitionID) []txn.ID
 	}); ok {
-		for _, p := range e.partitions() {
-			for _, h := range lh.LockHolders(p) {
-				if h == victim.ID {
+		for _, t := range e.txns {
+			for _, p := range t.Partitions() {
+				if slices.Contains(lh.LockHolders(p), victim.ID) {
 					e.problem("%s: dead transaction still holds a lock on P%d", where, p)
 					return
 				}
@@ -153,21 +135,6 @@ func (e *crashExplorer) crashAt(prefix []Action, victim *txn.T) {
 	if !e.drain(s, pos, victim.ID, now) {
 		e.problem("%s: survivors wedged", where)
 	}
-}
-
-// partitions returns every partition any scenario transaction declares.
-func (e *crashExplorer) partitions() []txn.PartitionID {
-	seen := make(map[txn.PartitionID]bool)
-	var out []txn.PartitionID
-	for _, t := range e.txns {
-		for _, s := range t.Steps {
-			if !seen[s.Part] {
-				seen[s.Part] = true
-				out = append(out, s.Part)
-			}
-		}
-	}
-	return out
 }
 
 // drain greedily drives every survivor to commitment on the post-crash

@@ -125,42 +125,55 @@ func (e *explorer) replay(prefix []Action) (sched.Scheduler, map[txn.ID]int) {
 	return s, pos
 }
 
-// dfs explores all continuations of a prefix.
-func (e *explorer) dfs(prefix []Action) {
-	if e.report.Truncated {
-		return
-	}
+// enabled returns the actions that can progress after prefix and the
+// number of unfinished transactions, probing each on a fresh replay: even
+// a refused request may mutate scheduler caches (§3.4), a grant does.
+func (e *explorer) enabled(prefix []Action) (acts []Action, pending int) {
 	_, pos := e.replay(prefix)
 	now := event.Time(len(prefix) + 1)
-	var enabled []Action
-	allDone := true
 	for _, t := range e.txns {
 		p := pos[t.ID]
 		if p == len(t.Steps) {
 			continue
 		}
-		allDone = false
-		e.report.States++
-		// Probe on a fresh replay each time: even a refused request may
-		// mutate scheduler caches (§3.4), and a tentative grant certainly
-		// mutates lock/graph state.
+		pending++
 		s, _ := e.replay(prefix)
 		if p < 0 {
-			if out := s.Admit(t, now); out.Decision == sched.Granted {
-				enabled = append(enabled, Action{Txn: t.ID, Step: -1})
+			if s.Admit(t, now).Decision == sched.Granted {
+				acts = append(acts, Action{Txn: t.ID, Step: -1})
 			}
-			continue
-		}
-		if out := s.Request(t, p, now); out.Decision == sched.Granted {
-			enabled = append(enabled, Action{Txn: t.ID, Step: p})
+		} else if s.Request(t, p, now).Decision == sched.Granted {
+			acts = append(acts, Action{Txn: t.ID, Step: p})
 		}
 	}
-	if allDone {
+	return acts, pending
+}
+
+// dfs explores all continuations of a prefix.
+func (e *explorer) dfs(prefix []Action) {
+	if e.report.Truncated {
+		return
+	}
+	enabled, pending := e.enabled(prefix)
+	e.report.States += pending
+	if pending == 0 {
 		e.report.Paths++
 		if e.report.Paths >= e.maxPaths {
 			e.report.Truncated = true
 		}
-		if !e.serializable(prefix) {
+		// Every transaction committed: certify the grant order.
+		h, steps := NewHistory(), make(map[txn.ID][]txn.Step, len(e.txns))
+		for _, t := range e.txns {
+			steps[t.ID] = t.Steps
+			h.Commit(t.ID)
+		}
+		for _, a := range prefix {
+			if a.Step >= 0 {
+				s := steps[a.Txn][a.Step]
+				h.Grant(a.Txn, s.Part, s.Mode)
+			}
+		}
+		if h.Certify(Evidence{}) != nil {
 			e.report.NonSerializable = append(e.report.NonSerializable, append([]Action(nil), prefix...))
 		}
 		return
@@ -175,55 +188,4 @@ func (e *explorer) dfs(prefix []Action) {
 			return
 		}
 	}
-}
-
-// serializable checks the conflict graph induced by the grant order.
-func (e *explorer) serializable(schedule []Action) bool {
-	byID := make(map[txn.ID]*txn.T, len(e.txns))
-	for _, t := range e.txns {
-		byID[t.ID] = t
-	}
-	type grant struct {
-		id   txn.ID
-		step txn.Step
-	}
-	var grants []grant
-	for _, a := range schedule {
-		if a.Step >= 0 {
-			grants = append(grants, grant{a.Txn, byID[a.Txn].Steps[a.Step]})
-		}
-	}
-	succ := make(map[txn.ID]map[txn.ID]bool)
-	for i := 0; i < len(grants); i++ {
-		for j := i + 1; j < len(grants); j++ {
-			a, b := grants[i], grants[j]
-			if a.id != b.id && a.step.Conflicts(b.step) {
-				if succ[a.id] == nil {
-					succ[a.id] = make(map[txn.ID]bool)
-				}
-				succ[a.id][b.id] = true
-			}
-		}
-	}
-	color := make(map[txn.ID]int)
-	var dfs func(u txn.ID) bool
-	dfs = func(u txn.ID) bool {
-		color[u] = 1
-		for v := range succ[u] {
-			if color[v] == 1 {
-				return true
-			}
-			if color[v] == 0 && dfs(v) {
-				return true
-			}
-		}
-		color[u] = 2
-		return false
-	}
-	for u := range succ {
-		if color[u] == 0 && dfs(u) {
-			return false
-		}
-	}
-	return true
 }

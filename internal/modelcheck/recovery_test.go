@@ -105,41 +105,3 @@ func TestVerifyRecoveryRejectsTampering(t *testing.T) {
 		})
 	}
 }
-
-// TestVerifyCommitPrefix pins the conflict-order closure rule on one
-// partition history: w1 r2 r3 w4 r5 (pre-commit order).
-func TestVerifyCommitPrefix(t *testing.T) {
-	order := map[txn.PartitionID][]Access{
-		7: {{1, true}, {2, false}, {3, false}, {4, true}, {5, false}},
-	}
-	set := func(ids ...txn.ID) map[txn.ID]bool {
-		m := map[txn.ID]bool{}
-		for _, id := range ids {
-			m[id] = true
-		}
-		return m
-	}
-	for _, ok := range []map[txn.ID]bool{
-		set(), set(1), set(1, 2), set(1, 3), // concurrent readers: either may be lost alone
-		set(1, 2, 3, 4), set(1, 2, 3, 4, 5),
-		set(1, 2, 3, 4, 5, 99), // 99 never released a lock: constrains nothing
-	} {
-		if err := VerifyCommitPrefix(order, ok); err != nil {
-			t.Errorf("recovered %v rejected: %v", ok, err)
-		}
-	}
-	for _, bad := range []struct {
-		rec  map[txn.ID]bool
-		want string
-	}{
-		{set(2), "lost writer"},          // read from the lost w1
-		{set(4), "lost writer"},          // overwrote the lost w1
-		{set(1, 2, 4), "lost reader"},    // w4 overwrote what the lost r3 read
-		{set(1, 2, 3, 5), "lost writer"}, // r5 read from the lost w4
-	} {
-		err := VerifyCommitPrefix(order, bad.rec)
-		if err == nil || !strings.Contains(err.Error(), bad.want) {
-			t.Errorf("recovered %v: got %v, want a %q violation", bad.rec, err, bad.want)
-		}
-	}
-}

@@ -191,9 +191,14 @@ type Event struct {
 	// Txn is the transaction the event concerns (0 for graph-level
 	// events such as critical-path changes).
 	Txn txn.ID `json:"txn,omitempty"`
-	// Step and Part locate a lock request (Request / Decision-request).
-	Step int             `json:"step"`
-	Part txn.PartitionID `json:"part"`
+	// Step and Part locate a lock request (Request / Decision-request);
+	// Write says it asks for the exclusive mode. A sharded live controller
+	// decides a spanning transaction's projection, so a Decision event's
+	// Step indexes that projection, not the transaction — Part and Write
+	// are exact either way (docs/OBSERVABILITY.md).
+	Step  int             `json:"step"`
+	Part  txn.PartitionID `json:"part"`
+	Write bool            `json:"write,omitempty"`
 	// Op distinguishes Decision events: "admit" or "request".
 	Op string `json:"op,omitempty"`
 	// Decision is the outcome ("granted", "blocked", "delayed",

@@ -7,6 +7,7 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/workload"
 )
@@ -67,9 +68,12 @@ func TestChaosMatrix(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				metrics := obs.NewMetrics()
-				res, err := Run(chaosConfig(f, int64(seed)), WithFaults(inj), WithTrace(metrics))
+				metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
+				res, err := Run(chaosConfig(f, int64(seed)), WithFaults(inj), WithTrace(obs.Multi(metrics, h)))
 				if err != nil {
+					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if err := h.Certify(modelcheck.Evidence{}); err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
 				}
 				if res.LiveAtEnd != 0 {

@@ -6,6 +6,7 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/workload"
 )
@@ -44,9 +45,12 @@ func TestChaosNodeCrashMatrix(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					metrics := obs.NewMetrics()
-					res, err := Run(chaosConfig(f, int64(seed)), WithFaults(inj), WithTrace(metrics))
+					metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
+					res, err := Run(chaosConfig(f, int64(seed)), WithFaults(inj), WithTrace(obs.Multi(metrics, h)))
 					if err != nil {
+						t.Fatalf("crashed=%d seed %d: %v", crashed, seed, err)
+					}
+					if err := h.Certify(modelcheck.Evidence{}); err != nil {
 						t.Fatalf("crashed=%d seed %d: %v", crashed, seed, err)
 					}
 					if res.LiveAtEnd != 0 {

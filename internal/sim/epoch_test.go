@@ -9,6 +9,7 @@ import (
 	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/workload"
 )
@@ -127,7 +128,6 @@ func TestBatchWindowNeedsBatchAdmitter(t *testing.T) {
 // must roll into later epochs and eventually commit: every run ends
 // with nothing wedged, every arrival committed or injected-aborted, a
 // serializable schedule, and recovery events matching injected aborts.
-// (`make chaos` picks this up through its Chaos name pattern.)
 func TestChaosEpoch(t *testing.T) {
 	seeds := 100
 	if testing.Short() {
@@ -145,9 +145,12 @@ func TestChaosEpoch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		metrics := obs.NewMetrics()
-		res, err := Run(epochConfig(1000, int64(seed)), WithFaults(inj), WithTrace(metrics))
+		metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
+		res, err := Run(epochConfig(1000, int64(seed)), WithFaults(inj), WithTrace(obs.Multi(metrics, h)))
 		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		if err := h.Certify(modelcheck.Evidence{}); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		if res.LiveAtEnd != 0 {

@@ -21,6 +21,7 @@ import (
 	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
+	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/stats"
 	"batsched/internal/storage"
@@ -292,8 +293,8 @@ type simulator struct {
 	dnTime    stats.Welford
 	classRT   map[string]*stats.Welford
 	rts       []float64
-	checker   *serialChecker
-	obs       obs.Observer // nil = no structured trace
+	checker   *modelcheck.History // nil unless Config.CheckSerializability
+	obs       obs.Observer        // nil = no structured trace
 	obsLabel  string
 	inj       *fault.Injector // nil = no fault injection
 	slowSeen  map[txn.PartitionID]bool
@@ -389,7 +390,7 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	s.res.ArrivalRate = cfg.ArrivalRate
 	s.res.Horizon = cfg.Horizon
 	if cfg.CheckSerializability {
-		s.checker = newSerialChecker()
+		s.checker = modelcheck.NewHistory()
 	}
 	for i := 0; i < cfg.Machine.NumNodes; i++ {
 		n := machine.NewDataNode(i, s.q, cfg.Machine.ObjTime)
@@ -419,16 +420,9 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	}
 	if len(cfg.ArrivalTimes) > 0 {
 		for _, at := range cfg.ArrivalTimes {
-			if at > cfg.Horizon {
-				continue
+			if at <= cfg.Horizon {
+				s.q.At(at, s.arrive)
 			}
-			s.q.At(at, func(now event.Time) {
-				s.res.Arrived++
-				s.nextID++
-				st := &txnState{t: s.cfg.Workload.Next(s.nextID, s.rng), arrived: now}
-				s.emitObs(obs.Event{Kind: obs.KindAdmit, At: now, Txn: st.t.ID})
-				s.submitAdmit(st)
-			})
 		}
 	} else {
 		s.scheduleArrival(0)
@@ -437,8 +431,8 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	s.finish()
 	if s.checker != nil {
 		s.res.SerializabilityChecked = true
-		if err := s.checker.Verify(); err != nil {
-			return &s.res, err
+		if err := s.checker.Certify(modelcheck.Evidence{}); err != nil {
+			return &s.res, fmt.Errorf("sim: %w", err)
 		}
 	}
 	if err := s.dur.LogErr(); err != nil {
@@ -483,16 +477,18 @@ func (s *simulator) scheduleArrival(from event.Time) {
 		return
 	}
 	s.q.At(at, func(now event.Time) {
-		s.res.Arrived++
-		s.nextID++
-		st := &txnState{
-			t:       s.cfg.Workload.Next(s.nextID, s.rng),
-			arrived: now,
-		}
-		s.emitObs(obs.Event{Kind: obs.KindAdmit, At: now, Txn: st.t.ID})
-		s.submitAdmit(st)
+		s.arrive(now)
 		s.scheduleArrival(now)
 	})
+}
+
+// arrive submits the workload's next transaction for admission.
+func (s *simulator) arrive(now event.Time) {
+	s.res.Arrived++
+	s.nextID++
+	st := &txnState{t: s.cfg.Workload.Next(s.nextID, s.rng), arrived: now}
+	s.emitObs(obs.Event{Kind: obs.KindAdmit, At: now, Txn: st.t.ID})
+	s.submitAdmit(st)
 }
 
 // submitAdmit asks the scheduler to admit st's transaction. Under
@@ -653,6 +649,7 @@ func (s *simulator) advance(st *txnState, now event.Time) {
 			Txn:   st.t.ID,
 			Step:  st.step,
 			Part:  sp.Part,
+			Write: sp.Mode == txn.Write,
 			Queue: len(s.waiting[sp.Part]),
 		})
 	}
@@ -673,7 +670,7 @@ func (s *simulator) handleRequest(st *txnState, step int, d sched.Decision, now 
 	switch d {
 	case sched.Granted:
 		if s.checker != nil {
-			s.checker.RecordGrant(st.t.ID, sp.Part, sp.Mode)
+			s.checker.Grant(st.t.ID, sp.Part, sp.Mode)
 		}
 		st.lockWait += now - st.requestedAt
 		st.grantedAt = now
@@ -908,7 +905,7 @@ func (s *simulator) handleCommit(st *txnState, freed []txn.PartitionID, now even
 	}
 	s.emitObs(obs.Event{Kind: obs.KindCommit, At: now, Txn: st.t.ID, RT: now - st.arrived})
 	if s.checker != nil {
-		s.checker.RecordCommit(st.t.ID)
+		s.checker.Commit(st.t.ID)
 	}
 	if s.cfg.SelfCheck {
 		s.selfCheck()

@@ -7,6 +7,7 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/machine"
+	"batsched/internal/modelcheck"
 	"batsched/internal/txn"
 	"batsched/internal/workload"
 )
@@ -213,27 +214,21 @@ func TestHotSetContention(t *testing.T) {
 }
 
 func TestSerialCheckerDetectsCycle(t *testing.T) {
-	c := newSerialChecker()
 	// T1 reads P0 then T2 writes P0 (T1 < T2), but on P1 the conflicting
-	// order is reversed.
-	c.RecordGrant(1, 0, txn.Read)
-	c.RecordGrant(2, 0, txn.Write)
-	c.RecordGrant(2, 1, txn.Write)
-	c.RecordGrant(1, 1, txn.Write)
-	c.RecordCommit(1)
-	c.RecordCommit(2)
-	if err := c.Verify(); err == nil {
-		t.Fatal("cyclic conflict order not detected")
-	}
-	// Uncommitted transactions are ignored.
-	c2 := newSerialChecker()
-	c2.RecordGrant(1, 0, txn.Write)
-	c2.RecordGrant(2, 0, txn.Write)
-	c2.RecordGrant(2, 1, txn.Write)
-	c2.RecordGrant(1, 1, txn.Write)
-	c2.RecordCommit(1)
-	if err := c2.Verify(); err != nil {
-		t.Errorf("cycle through uncommitted txn reported: %v", err)
+	// order is reversed: a cycle — unless T2 never committed, for
+	// uncommitted transactions are ignored.
+	for _, committed := range [][]txn.ID{{1, 2}, {1}} {
+		c := modelcheck.NewHistory()
+		c.Grant(1, 0, txn.Read)
+		c.Grant(2, 0, txn.Write)
+		c.Grant(2, 1, txn.Write)
+		c.Grant(1, 1, txn.Write)
+		for _, id := range committed {
+			c.Commit(id)
+		}
+		if err := c.Certify(modelcheck.Evidence{}); (err != nil) != (len(committed) == 2) {
+			t.Errorf("committed %v: Certify returned %v", committed, err)
+		}
 	}
 }
 

@@ -9,7 +9,7 @@ package sim
 // kill-restart battery extends PR 7's replay equivalence to pages:
 // SIGKILL mid-flush tears both the WAL tail and un-fsynced heap pages,
 // and recovery (page-level truncation + WAL redo) must restore contents
-// ≡ the durable committed set, audited by modelcheck.VerifyRecovery.
+// ≡ the durable committed set — certified by modelcheck.History.
 
 import (
 	"fmt"
@@ -19,9 +19,7 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
 	"batsched/internal/modelcheck"
-	"batsched/internal/obs"
 	"batsched/internal/storage"
-	"batsched/internal/txn"
 	"batsched/internal/wal"
 )
 
@@ -46,49 +44,6 @@ func storageConfig(f sched.Factory, seed int64) Config {
 	return cfg
 }
 
-// expectedContents derives each partition's effect-key set from the
-// committed transactions' WAL Begin footprints — the contents the
-// effect model says the heap files must hold.
-func expectedContents(scans []wal.NodeScan, committed map[txn.ID]bool, parts int) []map[storage.EffectKey]bool {
-	want := make([]map[storage.EffectKey]bool, parts)
-	for p := range want {
-		want[p] = map[storage.EffectKey]bool{}
-	}
-	for _, ns := range scans {
-		for _, r := range ns.Records {
-			if r.Kind != wal.Begin || !committed[r.Txn] {
-				continue
-			}
-			for i, s := range r.Steps {
-				if s.Mode == txn.Write && int(s.Part) < parts {
-					want[s.Part][storage.EffectKey{Txn: r.Txn, Step: i}] = true
-				}
-			}
-		}
-	}
-	return want
-}
-
-// checkContents compares a store's live tuples against the expected
-// effect-key sets, partition by partition.
-func checkContents(t *testing.T, st *storage.Store, want []map[storage.EffectKey]bool, repro string) {
-	t.Helper()
-	for p := range want {
-		got, err := st.Keys(txn.PartitionID(p))
-		if err != nil {
-			t.Fatalf("P%d: %v\n%s", p, err, repro)
-		}
-		if len(got) != len(want[p]) {
-			t.Fatalf("P%d holds %d effects, committed set implies %d\n%s", p, len(got), len(want[p]), repro)
-		}
-		for k := range want[p] {
-			if !got[k] {
-				t.Fatalf("P%d missing effect txn=%d step=%d\n%s", p, k.Txn, k.Step, repro)
-			}
-		}
-	}
-}
-
 // TestStorageDifferentialCommitSet is the differential battery: 50
 // seeds per scheduler, each run twice — modelled (no storage) and
 // storage-backed. The storage run must (1) return a byte-identical
@@ -106,12 +61,8 @@ func TestStorageDifferentialCommitSet(t *testing.T) {
 			for seed := 0; seed < seeds; seed++ {
 				repro := fmt.Sprintf("repro: go test -run 'TestStorageDifferentialCommitSet/%s' ./internal/sim/ with seed=%d", f.Label, seed)
 				cfg := storageConfig(f, int64(seed))
-				committedA := map[txn.ID]bool{}
-				base, err := Run(cfg, WithTrace(obs.ObserverFunc(func(e obs.Event) {
-					if e.Kind == obs.KindCommit {
-						committedA[e.Txn] = true
-					}
-				})))
+				hA, hB := modelcheck.NewHistory(), modelcheck.NewHistory()
+				base, err := Run(cfg, WithTrace(hA))
 				if err != nil {
 					t.Fatalf("seed %d: modelled run: %v\n%s", seed, err, repro)
 				}
@@ -129,12 +80,7 @@ func TestStorageDifferentialCommitSet(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
 				}
-				committedB := map[txn.ID]bool{}
-				res, err := Run(cfg, WithStorage(st), WithWAL(l), WithTrace(obs.ObserverFunc(func(e obs.Event) {
-					if e.Kind == obs.KindCommit {
-						committedB[e.Txn] = true
-					}
-				})))
+				res, err := Run(cfg, WithStorage(st), WithWAL(l), WithTrace(hB))
 				if err != nil {
 					t.Fatalf("seed %d: storage run: %v\n%s", seed, err, repro)
 				}
@@ -148,6 +94,7 @@ func TestStorageDifferentialCommitSet(t *testing.T) {
 						seed, base, res, repro)
 				}
 				// (2) Same committed set.
+				committedA, committedB := hA.Committed(), hB.Committed()
 				if len(committedA) != len(committedB) {
 					t.Fatalf("seed %d: committed %d modelled vs %d with storage\n%s",
 						seed, len(committedA), len(committedB), repro)
@@ -157,12 +104,23 @@ func TestStorageDifferentialCommitSet(t *testing.T) {
 						t.Fatalf("seed %d: %v committed modelled but not with storage\n%s", seed, id, repro)
 					}
 				}
-				// (3) Contents ≡ pure function of the committed set.
+				// (3) Contents ≡ pure function of the committed set, which is
+				// what the cleanly closed log recovers — the whole contract
+				// (docs/ROBUSTNESS.md §10) on both runs.
 				scans, err := wal.Scan(wdir)
 				if err != nil {
 					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
 				}
-				checkContents(t, st, expectedContents(scans, committedB, cfg.Machine.NumParts), repro)
+				rec, err := wal.Replay(scans, 4, nil)
+				if err != nil {
+					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
+				}
+				if err := hA.Certify(modelcheck.Evidence{}); err != nil {
+					t.Fatalf("seed %d: modelled run: %v\n%s", seed, err, repro)
+				}
+				if err := hB.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Store: st}); err != nil {
+					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
+				}
 				if st.PinnedFrames() != 0 {
 					t.Fatalf("seed %d: %d frames still pinned after the run\n%s", seed, st.PinnedFrames(), repro)
 				}
@@ -234,14 +192,8 @@ func TestStorageKillRestartTornPages(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
 				}
-				committed := map[txn.ID]bool{}
-				_, err = Run(cfg, WithFaults(inj), WithWAL(l), WithStorage(st),
-					WithTrace(obs.ObserverFunc(func(e obs.Event) {
-						if e.Kind == obs.KindCommit {
-							committed[e.Txn] = true
-						}
-					})))
-				if err != nil {
+				h := modelcheck.NewHistory()
+				if _, err = Run(cfg, WithFaults(inj), WithWAL(l), WithStorage(st), WithTrace(h)); err != nil {
 					t.Fatalf("seed %d: killed run: %v\n%s", seed, err, repro)
 				}
 				// SIGKILL both halves with the same flush fraction.
@@ -272,21 +224,12 @@ func TestStorageKillRestartTornPages(t *testing.T) {
 				if err := st2.Flush(); err != nil {
 					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
 				}
-				if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+				// Recovered ≡ committed (sim acknowledges in the commit
+				// event), contents ≡ the recovered set's write steps.
+				if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Killed: true, Store: st2}); err != nil {
 					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
 				}
-				// The durable committed set (what replay recovered) is the
-				// authority — the dying run's own count may exceed it only
-				// never trail it, and PR 7's battery already pins equality.
-				durable := map[txn.ID]bool{}
-				for _, id := range rec.Committed {
-					if !committed[id] {
-						t.Fatalf("seed %d: %v resurrected\n%s", seed, id, repro)
-					}
-					durable[id] = true
-				}
 				redone += len(rec.Committed)
-				checkContents(t, st2, expectedContents(scans, durable, cfg.Machine.NumParts), repro)
 				if err := st2.Close(); err != nil {
 					t.Fatalf("seed %d: close: %v\n%s", seed, err, repro)
 				}

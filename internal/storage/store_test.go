@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 	"time"
 
@@ -295,6 +296,71 @@ func TestStoreCrashRedoRoundTrip(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzRedo: whatever footprints a log's Begin records carry — reads,
+// repeated partitions, one transaction logged twice — redoing them leaves
+// exactly their write effects, once each, and redoing them again changes
+// nothing, in the same session or after a reopen.
+func FuzzRedo(f *testing.F) {
+	f.Add([]byte{1, 0x13, 0x02, 2, 0x11, 0x11, 1, 0x10})
+	f.Add([]byte{7, 0x00, 7, 0x12, 0x03})
+	f.Fuzz(func(t *testing.T, tape []byte) {
+		const parts = 4
+		// A byte below 0x10 opens the Begin of that transaction (+1); any
+		// other byte adds a step to it: low bits the partition, bit 4 a write.
+		var begins []wal.Record
+		for _, b := range tape {
+			if b < 0x10 {
+				begins = append(begins, wal.Record{Txn: txn.ID(b) + 1})
+			} else if n := len(begins); n > 0 {
+				mode := txn.Read
+				if b&0x10 != 0 {
+					mode = txn.Write
+				}
+				begins[n-1].Steps = append(begins[n-1].Steps, wal.StepRef{Part: txn.PartitionID(b % parts), Mode: mode})
+			}
+		}
+		dir := t.TempDir()
+		st := mustOpen(t, dir, parts, WithPageSize(512), WithPoolFrames(4))
+		defer func() { st.Close() }()
+		redoAll := func() (counts [parts]int) {
+			for _, b := range begins {
+				if err := st.Redo(b); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for p := range counts {
+				n, err := st.ScanCount(txn.PartitionID(p))
+				if err != nil {
+					t.Fatal(err)
+				}
+				counts[p] = n
+			}
+			return counts
+		}
+		first := redoAll()
+		for p := 0; p < parts; p++ {
+			got, err := st.Keys(txn.PartitionID(p))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := expectedKeys(begins, txn.PartitionID(p)); !reflect.DeepEqual(got, want) || first[p] != len(want) {
+				t.Fatalf("P%d: %d tuples with keys %v, want exactly %v", p, first[p], got, want)
+			}
+		}
+		for _, reopen := range []bool{false, true} {
+			if reopen {
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				st = mustOpen(t, dir, parts, WithPageSize(512), WithPoolFrames(4))
+			}
+			if again := redoAll(); again != first {
+				t.Fatalf("redoing again (after a reopen: %v) changed the tuple counts %v → %v", reopen, first, again)
+			}
+		}
+	})
 }
 
 // TestStoreWALReplayRedo drives Redo through the real wal.Replay

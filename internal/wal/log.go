@@ -156,9 +156,6 @@ func openNode(path string, node int, valid int64) (*nodeLog, error) {
 	return nl, nil
 }
 
-// Dir returns the directory the logs live in.
-func (l *Log) Dir() string { return l.dir }
-
 // NumNodes returns the number of per-node logs.
 func (l *Log) NumNodes() int { return len(l.files) }
 
