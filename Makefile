@@ -25,6 +25,7 @@ MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolvePaper32
 MICRO_BENCH := $(MICRO_BENCH)|EachConflictingDecl500|IsBlocked500|DeclareRelease|WouldExceedK500
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageInsert
+MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet
 
 # bench-smoke executes each micro-benchmark exactly once and the
 # benchmark's -quick pass over all six workloads (with its correctness

@@ -73,6 +73,42 @@ func (b *wtpgBase) register(t *txn.T) error {
 	return nil
 }
 
+// staysChainForm is step 0 of CC1 — the WTPG must remain in chain form
+// with t in it (Definition 2) — decided before t is registered, so a
+// refusal touches neither the lock table nor the graph: collect the live
+// transactions t conflicts with, stopping at the third (one too many
+// already), and ask the graph. A t the table already knows is left to
+// register, which refuses it.
+func (b *wtpgBase) staysChainForm(t *txn.T) bool {
+	if b.locks.Known(t.ID) {
+		return true
+	}
+	var buf [3]txn.ID
+	neighbours := buf[:0]
+	for id, u := range b.live {
+		if conflicts(t, u) {
+			neighbours = append(neighbours, id)
+			if len(neighbours) == len(buf) {
+				break
+			}
+		}
+	}
+	return b.graph.StaysChainForm(neighbours)
+}
+
+// conflicts reports whether any declared step of a conflicts with one of
+// b — whether register would put a conflicting-edge between them.
+func conflicts(a, b *txn.T) bool {
+	for _, sa := range a.Steps {
+		for _, sb := range b.Steps {
+			if sa.Conflicts(sb) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // unregister rolls back a failed or rejected admission.
 func (b *wtpgBase) unregister(t *txn.T) {
 	b.graph.Remove(t.ID)

@@ -20,10 +20,9 @@ import (
 type c2pl struct {
 	wtpgBase
 	name string
-	// preAdmit runs before registration (sees the table without t).
+	// preAdmit runs before registration (sees the table and the graph
+	// without t), so a refusal leaves no state behind.
 	preAdmit func(b *wtpgBase, t *txn.T) bool
-	// postAdmit runs after registration (sees the graph with t).
-	postAdmit func(b *wtpgBase, t *txn.T) bool
 }
 
 // NewC2PL returns a Cautious Two-Phase Lock scheduler.
@@ -38,10 +37,7 @@ func NewChainC2PL(costs Costs) Scheduler {
 	return &c2pl{
 		wtpgBase: newWTPGBase(costs),
 		name:     "CHAIN-C2PL",
-		postAdmit: func(b *wtpgBase, t *txn.T) bool {
-			_, ok := b.graph.Chains()
-			return ok
-		},
+		preAdmit: (*wtpgBase).staysChainForm,
 	}
 }
 
@@ -66,10 +62,6 @@ func (c *c2pl) Admit(t *txn.T, now event.Time) Outcome {
 	}
 	if err := c.register(t); err != nil {
 		return Outcome{Decision: Delayed, CPU: c.costs.DDTime}
-	}
-	if c.postAdmit != nil && !c.postAdmit(&c.wtpgBase, t) {
-		c.unregister(t)
-		return Outcome{Decision: Aborted, CPU: c.costs.DDTime}
 	}
 	return Outcome{Decision: Granted, CPU: c.costs.DDTime}
 }

@@ -67,14 +67,13 @@ func (c *chain) Admit(t *txn.T, now event.Time) Outcome {
 		}
 		return Outcome{Decision: Granted, CPU: c.costs.DDTime}
 	}
-	if err := c.register(t); err != nil {
-		return Outcome{Decision: Delayed, CPU: c.costs.DDTime}
-	}
 	// Step 0 of CC1: the WTPG must remain chain-form, tested by graph
 	// traversal; otherwise the new transaction is aborted (resubmitted).
-	if _, ok := c.graph.Chains(); !ok {
-		c.unregister(t)
+	if !c.staysChainForm(t) {
 		return Outcome{Decision: Aborted, CPU: c.costs.DDTime}
+	}
+	if err := c.register(t); err != nil {
+		return Outcome{Decision: Delayed, CPU: c.costs.DDTime}
 	}
 	c.planDirty = true
 	return Outcome{Decision: Granted, CPU: c.costs.DDTime}

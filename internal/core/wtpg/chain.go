@@ -60,6 +60,47 @@ func (g *Graph) Chains() (chains []Chain, ok bool) {
 	return chains, true
 }
 
+// StaysChainForm reports whether a chain-form graph would still be in
+// chain form after gaining one node that conflicts with exactly the given
+// live transactions (distinct ids) — what AddNode, one AddConflict per
+// neighbour and Chains would answer, decided without touching the graph
+// and without allocating. The newcomer may have at most two neighbours,
+// each must be an endpoint of its chain (its own degree rises to at most
+// two), and two neighbours must lie on different chains or the newcomer
+// closes a cycle: that is one walk from the first along its chain, which
+// must not arrive at the second. The answer is only meaningful while the
+// graph is in chain form; an id not in the graph counts as a violation.
+func (g *Graph) StaysChainForm(neighbours []txn.ID) bool {
+	if len(neighbours) > 2 {
+		return false
+	}
+	var slots [2]int32
+	for i, id := range neighbours {
+		s, ok := g.slotOf[id]
+		if !ok || len(g.adj[s]) > 1 {
+			return false
+		}
+		slots[i] = s
+	}
+	if len(neighbours) < 2 {
+		return true
+	}
+	// slots[0] has degree ≤ 1, so the walk has one direction; it is bounded
+	// by the node count so a graph already out of chain form cannot spin it.
+	prev, cur := int32(-1), slots[0]
+	for range g.nLive {
+		next, found := g.nextNeighbourSlot(cur, prev)
+		if !found {
+			return true
+		}
+		if next == slots[1] {
+			return false
+		}
+		prev, cur = cur, next
+	}
+	return false
+}
+
 // nextNeighbourSlot returns the neighbour slot of cur other than prev
 // (prev < 0 means no predecessor). With degree at most 2 there is at most
 // one such neighbour.

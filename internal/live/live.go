@@ -9,16 +9,26 @@
 // The controller partitions its hot path into shards (WithShards): each
 // shard owns a slice of the partition space — ownership hashing, see
 // shard.go — with its own mutex, scheduler instance, lock table, WTPG
-// and wake channel. A transaction whose footprint lies in one shard
+// and wait state. A transaction whose footprint lies in one shard
 // (the common case under CHAIN/K-WTPG) schedules entirely under that
 // shard's lock and never touches another shard; a
 // transaction spanning shards takes the shard locks in canonical
 // ascending order and acquires all of its locks atomically at admission
 // (ASL-style, see admitProjectedLocked). The default is one shard — the
 // moral equivalent of the paper's centralized control node, byte-for-byte
-// the old single-mutex behavior. Refused requests block on the owning
-// shard's broadcast channel, which commit events close, plus the fixed
-// retry delay of the paper's §3.2 as a fallback (WithRetryDelay). All
+// the old single-mutex behavior.
+//
+// A refused request or admission parks on the refusing shard until an
+// event that can change the answer, then asks the scheduler again — it
+// re-decides for itself; nothing is handed to it. The wake events are a
+// commit, an abort, a granted admission (it dirties CHAIN's W and
+// K-WTPG's E(q) cache), a node crash and a watchdog doom. A granted lock
+// request changes the inputs too but wakes nobody; instead, when the last
+// running transaction of a shard parks, everything refused before the
+// shard's current decision generation is re-dispatched once (waitLocked).
+// Together these are complete: no wait needs a timer to make progress.
+// The paper's fixed-delay resubmission (§3.2, WithRetryDelay) remains for
+// policy-Delayed requests alone, as a re-timing. All
 // the guarantees of the scheduler carry over:
 // conflicting holders never coexist and schedules are conflict
 // serializable (every scheduler is strict — locks are held to commit —
@@ -46,6 +56,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -64,11 +76,17 @@ import (
 // Option configures a Controller at construction.
 type Option func(*Controller)
 
-// WithRetryDelay sets the fixed resubmission delay for refused
-// admissions and policy-delayed requests (default 20 ms of wall time;
-// live workloads want faster retries than the simulated 500 ms because
-// ObjTime here is real work, usually far below 1 s). Non-positive
-// values keep the default.
+// WithRetryDelay sets the paper's fixed resubmission delay (§3.2) for
+// policy-Delayed lock requests (default 20 ms of wall time; live
+// workloads want faster retries than the simulated 500 ms because
+// ObjTime here is real work, usually far below 1 s). A Delayed request's
+// inputs move with every grant and weight message, so besides the wake
+// events every wait has it is re-asked after this delay; Blocked requests
+// and refused admissions wait for events only, and no wait depends on the
+// delay for progress (TestProgressNeverNeedsRetryDelay runs with an
+// hour). It is also the unit of injected fault latency: a slow partition
+// and an injected admission refusal each cost multiples of it.
+// Non-positive values keep the default.
 func WithRetryDelay(d time.Duration) Option {
 	return func(c *Controller) {
 		if d > 0 {
@@ -80,13 +98,16 @@ func WithRetryDelay(d time.Duration) Option {
 // WithWatchdog enables the no-progress watchdog: a background goroutine
 // that checks every d whether any scheduler progress (admission, grant,
 // object completion, commit or abort) happened since the last check
-// while transactions were waiting. The first silent deadline emits a
-// Stall event (Op "kick") and re-broadcasts the wake channels — curing
-// lost-wakeup classes of stall. A second consecutive silent deadline
-// force-aborts the youngest blocked transaction (Stall event with Op
-// "abort"): its Acquire returns ErrWatchdogAborted and its locks are
-// released through the scheduler's abort-recovery path, unblocking the
-// rest. Non-positive d disables the watchdog.
+// while transactions were waiting. The first silent deadline counts the
+// stall episode and emits one Stall event (Op "report") whose Detail says
+// who waits for whom: per parked transaction its step, partition, the
+// decision that refused it and the partition's current holders. Waits are
+// event-complete, so there is nothing to re-broadcast. Every further
+// consecutive silent deadline force-aborts the youngest blocked
+// transaction (Stall event with Op "abort"): its Acquire returns
+// ErrWatchdogAborted and its locks are released through the scheduler's
+// abort-recovery path, unblocking the rest. Non-positive d disables the
+// watchdog.
 func WithWatchdog(d time.Duration) Option {
 	return func(c *Controller) {
 		if d > 0 {
@@ -158,7 +179,7 @@ type Stats struct {
 	// scheduler progress, however many deadlines the episode then
 	// spans). Recovered counts episodes that subsequently cleared —
 	// progress resumed before the controller closed, whether the
-	// watchdog's own kick/abort or an external path (a commit, a
+	// watchdog's own abort or an external path (a commit, a
 	// node-crash requeue) unblocked it. The two are symmetric: every
 	// recovered episode was counted stalled exactly once.
 	Stalled   uint64
@@ -250,27 +271,54 @@ type Controller struct {
 
 // lshard is one shard of the controller's hot path: a slice of the
 // partition space (ownership hashing, see shardOf) with its own mutex,
-// scheduler instance — lock table, WTPG, admission policy — wake
-// channel and counters. A transaction's control record (ltxn) lives on
+// scheduler instance — lock table, WTPG, admission policy — wait state
+// and counters. A transaction's control record (ltxn) lives on
 // its *home* shard, the lowest-indexed shard its footprint touches; for
 // the single-shard common case that is also the only shard that ever
 // schedules it.
 type lshard struct {
-	idx  int
-	mu   sync.Mutex
-	sch  sched.Scheduler
-	wake chan struct{}
+	idx int
+	mu  sync.Mutex
+	sch sched.Scheduler
+	// holders is the scheduler's lock-table view (nil for NODC), taken
+	// before the observability wrapper hides it; the stall report names a
+	// contended partition's holders through it.
+	holders lockHolders
+
+	// The wait state (see waitLocked). wake is the channel the shard's
+	// parked goroutines sleep on: made by the first of them, closed and
+	// dropped by the next wake event, so an event nobody waits for costs
+	// one nil check. gen is the decision generation: it counts what moves
+	// the scheduler's state, caches included, without being a wake event —
+	// a request its policy answered, a weight message, a rolled-back
+	// spanning attempt — and wakeGen is its value when wake was made, so
+	// while the two are equal everyone parked on wake was refused by the
+	// state the scheduler is still in. active counts the admitted
+	// transactions whose footprint touches the shard, from their admission
+	// until the scheduler drops their locks; parked those of them asleep
+	// in Acquire on wake (a wake event counts them running again at once,
+	// before they have re-locked). admits holds the refused admissions
+	// parked here and what refused them.
+	wake    chan struct{}
+	gen     uint64
+	wakeGen uint64
+	active  int
+	parked  int
+	admits  map[txn.ID]sched.Decision
 
 	// txns holds the control record of every admitted, unfinished
 	// transaction homed here (its length drives Stats.Active); free
 	// recycles finished records, so steady-state admission allocates
-	// nothing. waiters counts goroutines parked in a retry wait against
-	// this shard; stats holds this shard's partial counters (summed by
+	// nothing. stats holds this shard's partial counters (summed by
 	// Controller.Stats).
-	txns    map[txn.ID]*ltxn
-	free    []*ltxn
-	waiters int
-	stats   Stats
+	txns  map[txn.ID]*ltxn
+	free  []*ltxn
+	stats Stats
+}
+
+// lockHolders is what every lock-table scheduler offers for diagnostics.
+type lockHolders interface {
+	LockHolders(txn.PartitionID) []txn.ID
 }
 
 // ltxn is the control record of one admitted transaction — the live
@@ -284,12 +332,18 @@ type ltxn struct {
 	admitted event.Time
 	mask     uint64
 
-	// blocked marks the transaction parked in Acquire (a candidate for a
-	// watchdog abort); doom carries the error a watchdog- or crash-aborted
-	// transaction finds at its next Acquire loop (or, for a crash, at its
-	// Commit).
-	blocked bool
-	doom    error
+	// wait is set while the transaction is parked in Acquire (a candidate
+	// for a watchdog abort, see blocked): the channel it sleeps on, the
+	// request it is parked on and the decision that refused it. doom
+	// carries the error a watchdog- or crash-aborted transaction finds at
+	// its next Acquire loop (or, for a crash, at its Commit).
+	wait struct {
+		ch   chan struct{}
+		step int
+		part txn.PartitionID
+		dec  sched.Decision
+	}
+	doom error
 
 	// The node-crash window: the last granted step (−1 before the first
 	// grant), the node its partition was homed on at grant time, and the
@@ -308,6 +362,9 @@ type ltxn struct {
 	// or it failed mid-run) means no completion record either.
 	durable.Txn
 }
+
+// blocked reports whether the transaction is parked in Acquire.
+func (r *ltxn) blocked() bool { return r.wait.ch != nil }
 
 // errNotAdmitted is what Acquire, Commit and Abort return for a
 // transaction with no control record: never admitted or already finished.
@@ -352,11 +409,12 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	}
 	c.shards = make([]*lshard, c.nshards)
 	for i := range c.shards {
-		sh := &lshard{idx: i, wake: make(chan struct{}), txns: make(map[txn.ID]*ltxn)}
+		sh := &lshard{idx: i, txns: make(map[txn.ID]*ltxn), admits: make(map[txn.ID]sched.Decision)}
 		s := factory.New(costs)
 		if i == 0 {
 			c.label = s.Name()
 		}
+		sh.holders, _ = s.(lockHolders)
 		if c.observer != nil {
 			s = sched.Observed(s, shardTagged{o: c.observer, shard: i})
 		}
@@ -445,7 +503,7 @@ func (c *Controller) Close() {
 	}
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		close(sh.wake)
+		sh.broadcastLocked()
 		sh.mu.Unlock()
 	}
 	if c.stopWatch != nil {
@@ -461,53 +519,111 @@ func (c *Controller) Close() {
 	}
 }
 
-// broadcastLocked wakes every waiter parked on sh. Callers must hold
-// sh.mu. After Close the (already closed) channel is left alone.
-func (c *Controller) broadcastLocked(sh *lshard) {
-	if c.closed.Load() {
-		return
+// changedLocked records that sh's scheduler state moved without waking
+// anyone: requests refused before it were decided on inputs that may no
+// longer hold. Callers must hold sh.mu.
+func (sh *lshard) changedLocked() { sh.gen++ }
+
+// broadcastLocked is a wake event: sh's scheduler state moved in a way
+// that can turn a refusal into a grant (a commit, an abort, a granted
+// admission), or a parked transaction was doomed, or the controller
+// closed. Everything parked on sh re-decides. Callers must hold sh.mu.
+func (sh *lshard) broadcastLocked() {
+	if sh.wake != nil {
+		close(sh.wake)
+		sh.wake, sh.parked = nil, 0
 	}
-	close(sh.wake)
-	sh.wake = make(chan struct{})
+}
+
+// unparkLocked ends r's park. A wake event already counted everything on
+// the channel it closed as running again; a record that leaves on its own
+// (ctx, the §3.2 timer, a concurrent finish) is still counted on the live
+// one.
+func (sh *lshard) unparkLocked(r *ltxn) {
+	if r.wait.ch == sh.wake {
+		sh.parked--
+	}
+	r.wait.ch = nil
 }
 
 // bumpProgress records one unit of scheduler progress for the watchdog.
 func (c *Controller) bumpProgress() { c.progress.Add(1) }
 
-// waitLocked parks the caller after a refusal decided under sh.mu,
-// which the caller holds and waitLocked releases. The wait is registered
-// (Retries, waiters, and r — when non-nil, the record of an admitted
-// transaction homed on sh — as blocked, making it a watchdog-abort
-// candidate) and sh.wake captured in the same critical section as the
-// refusal, so a commit between the decision and the wait is never
-// missed; the caller then sleeps until that broadcast, the fixed retry
-// delay (§3.2) or ctx, and re-decides. This is the one place a record
-// pointer outlives a critical section, which is why finish never
-// recycles a blocked record.
-func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn) error {
-	ch := sh.wake
+// waitLocked parks the caller after dec refused it under sh.mu, which
+// the caller holds and waitLocked releases. r is the record of an
+// admitted transaction homed on sh parked in Acquire (it becomes a
+// watchdog-abort candidate), or nil for a refused admission of id. The
+// wait is registered and sh.wake captured in the same critical section as
+// the refusal, so no wake event between the decision and the sleep is
+// missed, and what it sleeps on is events alone: the next wake event on
+// sh, or ctx. Two things complete the event set.
+//
+// Quiescence: a granted request changes what a refusal was decided on but
+// wakes nobody (waking on every grant costs more than it finds), and a
+// request the policy Delayed may have refreshed the cached plan it was
+// answered from. If this park leaves no admitted transaction of sh
+// running, nothing is left to produce a wake event, so whoever was
+// refused before the current generation is re-dispatched now, once.
+// Progress never waits for a timer.
+//
+// The paper's fixed-delay resubmission (§3.2): a Delayed request — refused
+// by policy, not by a held lock — also wakes after the retry delay. Its
+// inputs move with every grant and weight message anywhere, so it is
+// re-timed rather than left to the next commit; nothing depends on it.
+//
+// This is the one place a record pointer outlives a critical section,
+// which is why finish never recycles a blocked record.
+func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *ltxn, dec sched.Decision) error {
 	sh.stats.Retries++
-	sh.waiters++
+	running := sh.active - sh.parked
 	if r != nil {
-		r.blocked = true
+		running-- // this one is about to park
+	}
+	if running == 0 && sh.wake != nil && sh.wakeGen != sh.gen {
+		sh.broadcastLocked()
+	}
+	if sh.wake == nil {
+		sh.wake, sh.wakeGen = make(chan struct{}), sh.gen
+	}
+	ch := sh.wake
+	if r != nil {
+		r.wait.ch, r.wait.dec = ch, dec
+		sh.parked++
+	} else {
+		sh.admits[id] = dec
 	}
 	sh.mu.Unlock()
-	timer := time.NewTimer(c.retryDelay)
+	var resubmit <-chan time.Time // nil, never ready, unless Delayed
+	if r != nil && dec == sched.Delayed {
+		timer := time.NewTimer(c.retryDelay)
+		defer timer.Stop()
+		resubmit = timer.C
+	}
 	var err error
 	select {
 	case <-ch:
-	case <-timer.C:
+	case <-resubmit:
 	case <-ctx.Done():
 		err = ctx.Err()
 	}
-	timer.Stop()
 	sh.mu.Lock()
-	sh.waiters--
-	if r != nil {
-		r.blocked = false
+	if r == nil {
+		delete(sh.admits, id)
+	} else if r.blocked() { // else a concurrent finish already unparked it
+		sh.unparkLocked(r)
 	}
 	sh.mu.Unlock()
 	return err
+}
+
+// pause sleeps d of injected fault latency, or until ctx ends.
+func pause(ctx context.Context, d time.Duration) {
+	timer := time.NewTimer(d)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+	case <-ctx.Done():
+	}
 }
 
 // admitGranted is the tail every admission path shares once the
@@ -534,6 +650,13 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts 
 			walErr = c.dur.Begin(&r.Txn, t, c.predecessorsLocked(mask, t.ID), now)
 		}
 	}
+	// A granted admission is a wake event: it dirties the scheduler's
+	// cached plan (CHAIN's W, K-WTPG's E(q)), so a request Delayed under
+	// the old one may be grantable under the next.
+	c.eachShard(mask, func(sh *lshard) {
+		sh.active += len(ts)
+		sh.broadcastLocked()
+	})
 	c.unlockMask(mask)
 	if walErr != nil {
 		for _, t := range ts {
@@ -629,12 +752,7 @@ func (c *Controller) slowIO(ctx context.Context, t *txn.T, step int) {
 		return
 	}
 	c.emit(obs.Event{Kind: obs.KindFault, At: c.now(), Txn: t.ID, Step: step, Part: t.Steps[step].Part, Op: "slow-io"})
-	timer := time.NewTimer(time.Duration(float64(c.retryDelay) * (f - 1)))
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-ctx.Done():
-	}
+	pause(ctx, time.Duration(float64(c.retryDelay)*(f-1)))
 }
 
 // Admit blocks until the scheduler admits t (or ctx ends, or the
@@ -644,10 +762,12 @@ func (c *Controller) slowIO(ctx context.Context, t *txn.T, step int) {
 //
 // One loop serves every footprint: take its shard locks in canonical
 // order, ask, and on a refusal release them, wait for the refusing
-// shard's next commit broadcast (or the retry delay) and ask again. A
-// single-shard footprint asks the scheduler's Admit and requests its
-// locks step by step (Acquire); a footprint spanning shards acquires all
-// of its locks atomically here (see admitProjectedLocked).
+// shard's next wake event (waitLocked) and ask again. A single-shard
+// footprint asks the scheduler's Admit and requests its locks step by
+// step (Acquire); a footprint spanning shards acquires all of its locks
+// atomically here (see admitProjectedLocked). An injected refusal has no
+// event to wait for: it costs one retry delay of fault latency, like
+// slowIO, and asks again.
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return fmt.Errorf("live: nil transaction")
@@ -674,24 +794,30 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		if attempt == 0 {
 			c.emitShard(home.idx, obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
 		}
-		refused := home // the shard whose next commit the retry waits for
 		if c.inj.RefuseAdmit(t.ID, attempt) {
 			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
-		} else if err := c.dur.LogErr(); err != nil {
+			home.stats.Retries++
+			c.unlockMask(mask)
+			pause(ctx, c.retryDelay)
+			continue
+		}
+		if err := c.dur.LogErr(); err != nil {
 			// Durability was requested and is broken (an IO failure):
 			// admitting would run the transaction unlogged.
 			c.unlockMask(mask)
 			return fmt.Errorf("live: wal: %w", err)
-		} else if projs != nil {
-			refused = c.admitProjectedLocked(projs, now)
-		} else if home.sch.Admit(t, now).Decision == sched.Granted {
-			refused = nil
 		}
-		if refused == nil {
+		refused, dec := home, sched.Granted // the shard whose next wake event the retry waits for
+		if projs != nil {
+			refused, dec = c.admitProjectedLocked(projs, now)
+		} else {
+			dec = home.sch.Admit(t, now).Decision
+		}
+		if dec == sched.Granted {
 			return c.admitGranted(home, mask, now, t)
 		}
 		c.unlockMask(mask &^ (1 << uint(refused.idx)))
-		if err := c.waitLocked(ctx, refused, nil); err != nil {
+		if err := c.waitLocked(ctx, refused, t.ID, nil, dec); err != nil {
 			return err
 		}
 	}
@@ -734,16 +860,27 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 		// A spanning transaction's locks were all granted at admission, so
 		// only the bookkeeping remains: count the grant and move the
 		// node-crash window to this step.
-		if spanning(r.mask) || home.sch.Request(t, step, now).Decision == sched.Granted {
+		dec := sched.Granted
+		if !spanning(r.mask) {
+			dec = home.sch.Request(t, step, now).Decision
+			if dec != sched.Blocked {
+				// The policy ran: a grant moved the graph, and even a Delayed
+				// answer may have come from a cached plan (W, E(q)) the call
+				// itself refreshed because KeepTime had passed.
+				home.changedLocked()
+			}
+		}
+		if dec == sched.Granted {
 			home.stats.Granted++
 			c.bumpProgress()
 			r.step, r.part, r.node, r.work = step, part, c.place.NodeOf(part), 0
 			home.mu.Unlock()
 			return nil
 		}
-		// Blocked and Delayed both wait for the next commit broadcast or
-		// the retry delay; the scheduler re-decides on resubmission.
-		if err := c.waitLocked(ctx, home, r); err != nil {
+		// Blocked or Delayed: park until the shard's state moves (waitLocked)
+		// and let the scheduler re-decide.
+		r.wait.step, r.wait.part = step, part
+		if err := c.waitLocked(ctx, home, t.ID, r, dec); err != nil {
 			return err
 		}
 	}
@@ -771,11 +908,13 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	}
 	if target == home {
 		home.sch.ObjectDone(t, objects, now)
+		home.changedLocked()
 	} else {
 		// target.idx > home.idx always: home is the lowest shard of the
 		// footprint, so this nesting respects the canonical lock order.
 		target.mu.Lock()
 		target.sch.ObjectDone(t, objects, now)
+		target.changedLocked()
 		target.mu.Unlock()
 	}
 	c.bumpProgress()
@@ -858,7 +997,9 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		preds = c.predecessorsLocked(mask, t.ID)
 	}
 	delete(home.txns, t.ID)
-	if !r.blocked { // else a parked Acquire still holds r (see waitLocked)
+	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
+		home.unparkLocked(r)
+	} else {
 		home.free = append(home.free, r)
 	}
 	c.unlockMask(mask)
@@ -878,6 +1019,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		} else {
 			sched.AbortTxn(sh.sch, t, now)
 		}
+		sh.active--
 		if sh == home {
 			if committed {
 				sh.stats.Committed++
@@ -890,7 +1032,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 			}
 			c.emitShard(sh.idx, e)
 		}
-		c.broadcastLocked(sh)
+		sh.broadcastLocked()
 		sh.mu.Unlock()
 	})
 	c.bumpProgress()
@@ -964,23 +1106,23 @@ func (c *Controller) CrashNode(node int) error {
 	// symmetric when the requeue path — not the watchdog — unblocks a run.
 	c.bumpProgress()
 	for _, sh := range c.shards {
-		c.broadcastLocked(sh)
+		sh.broadcastLocked()
 	}
 	return nil
 }
 
 // watchdogLoop is the no-progress watchdog (WithWatchdog): every period
 // it compares the progress counter against the previous tick. A silent
-// period with waiters present is a stall — first kick, then abort. The
-// progress read is lock-free; only a silent deadline pays for the shard
-// locks (victim selection must be atomic against every shard so a
+// period with transactions admitted or waiting is a stall — first the
+// report, then an abort per further silent period. The progress read is
+// lock-free; only a silent deadline pays for the shard locks (the report
+// and the victim selection must be atomic against every shard so a
 // transaction that just unblocked is never doomed).
 func (c *Controller) watchdogLoop() {
 	defer c.watchWG.Done()
 	ticker := time.NewTicker(c.watchdog)
 	defer ticker.Stop()
 	var lastProgress uint64
-	kicked := false
 	stalled := false
 	for {
 		select {
@@ -993,7 +1135,6 @@ func (c *Controller) watchdogLoop() {
 		}
 		if p := c.progress.Load(); p != lastProgress {
 			lastProgress = p
-			kicked = false
 			if stalled {
 				stalled = false
 				sh := c.shards[0]
@@ -1013,44 +1154,79 @@ func (c *Controller) watchdogLoop() {
 			c.unlockAll()
 			continue
 		}
-		active, waiters := 0, 0
+		active, admits := 0, 0
 		for _, sh := range c.shards {
 			active += len(sh.txns)
-			waiters += sh.waiters
+			admits += len(sh.admits)
 		}
-		if active == 0 && waiters == 0 {
+		if active == 0 && admits == 0 {
 			// Idle, not stalled: nothing is waiting for progress.
 			c.unlockAll()
 			continue
 		}
 		if !stalled {
-			// Count the *episode*, not every silent deadline it spans:
-			// Stats.Recovered counts episodes that clear, and the pair must
-			// stay symmetric however long the stall lasts and whoever cures
-			// it (watchdog kick/abort or an external requeue).
+			// First silent deadline. Count the *episode*, not every silent
+			// deadline it spans — Stats.Recovered counts episodes that clear,
+			// and the pair must stay symmetric however long the stall lasts
+			// and whoever cures it (a watchdog abort or an external requeue)
+			// — and say who waits for whom. Waits are event-complete, so
+			// there is no lost wake-up to cure: the report is for whoever
+			// reads the trace.
 			stalled = true
 			c.shards[0].stats.Stalled++
-		}
-		if !kicked {
-			// First silent deadline: re-broadcast. If the stall was a lost
-			// wakeup, this alone cures it.
-			kicked = true
-			c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "kick"})
+			if c.observer != nil {
+				c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "report", Detail: c.stallReportLocked()})
+			}
 		} else if victim, r := c.youngestBlockedLocked(); r != nil {
-			// Second consecutive silent deadline: force-abort the youngest
-			// blocked transaction. Blocked means parked in Acquire — no
-			// caller work is running, so releasing its locks is safe;
-			// youngest means the least completed work is thrown away.
+			// A further silent deadline: force-abort the youngest blocked
+			// transaction. Blocked means parked in Acquire — no caller work
+			// is running, so releasing its locks is safe; youngest means the
+			// least completed work is thrown away.
 			r.doom = ErrWatchdogAborted
 			c.emitShard(homeShard(r.mask), obs.Event{Kind: obs.KindStall, At: c.now(), Txn: victim, Op: "abort"})
-		} else {
-			c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "kick"})
-		}
-		for _, sh := range c.shards {
-			c.broadcastLocked(sh)
+			for _, sh := range c.shards {
+				sh.broadcastLocked()
+			}
 		}
 		c.unlockAll()
 	}
+}
+
+// stallReportLocked renders who waits for whom, one clause per parked
+// transaction in id order: a parked request as "T7 step=1 part=P3 blocked
+// holders=[T2 T5]" (the decision that refused it and the partition's
+// current lock holders), a parked admission as "T9 admit aborted".
+// Callers must hold every shard lock.
+func (c *Controller) stallReportLocked() string {
+	type parked struct {
+		id     txn.ID
+		clause string
+	}
+	var ps []parked
+	for _, sh := range c.shards {
+		for id, r := range sh.txns {
+			if !r.blocked() {
+				continue
+			}
+			var holders []txn.ID
+			if own := c.shards[c.shardOf(r.wait.part)]; own.holders != nil {
+				holders = own.holders.LockHolders(r.wait.part)
+			}
+			ps = append(ps, parked{id, fmt.Sprintf("%v step=%d part=%v %v holders=%v", id, r.wait.step, r.wait.part, r.wait.dec, holders)})
+		}
+		for id, dec := range sh.admits {
+			ps = append(ps, parked{id, fmt.Sprintf("%v admit %v", id, dec)})
+		}
+	}
+	sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
+	var b strings.Builder
+	for i, p := range ps {
+		if i > 0 {
+			b.WriteString("; ")
+		}
+		b.WriteString(p.clause)
+	}
+	return b.String()
 }
 
 // youngestBlockedLocked picks the blocked transaction with the latest
@@ -1060,7 +1236,7 @@ func (c *Controller) watchdogLoop() {
 func (c *Controller) youngestBlockedLocked() (best txn.ID, bestR *ltxn) {
 	for _, sh := range c.shards {
 		for id, r := range sh.txns {
-			if !r.blocked || r.doom != nil {
+			if !r.blocked() || r.doom != nil {
 				continue // not parked, or already sentenced: give it a tick to act
 			}
 			if bestR == nil || r.admitted > bestR.admitted || (r.admitted == bestR.admitted && id > best) {

@@ -261,10 +261,10 @@ func TestRetryDelayStillCompletes(t *testing.T) {
 }
 
 // TestWatchdogBreaksStall wedges T2 behind a lock whose holder never
-// commits (a stuck caller) and verifies the watchdog escalates: a
-// Stall "kick" event, then a forced abort of the blocked T2 with
-// ErrWatchdogAborted. The holder itself — mid-"work" — is never
-// touched.
+// commits (a stuck caller) and verifies the watchdog escalates: one
+// Stall "report" event saying T2 is blocked on P0 behind T1, then a
+// forced abort of the blocked T2 with ErrWatchdogAborted. The holder
+// itself — mid-"work" — is never touched.
 func TestWatchdogBreaksStall(t *testing.T) {
 	ring := obs.NewRing(256)
 	ctl := New(sched.C2PLFactory(), liveCosts,
@@ -299,19 +299,25 @@ func TestWatchdogBreaksStall(t *testing.T) {
 	if st.Aborted != 1 {
 		t.Errorf("Aborted = %d, want 1 (the watchdog victim)", st.Aborted)
 	}
-	var kicks, aborts int
+	var reports, aborts int
 	for _, e := range ring.Events() {
 		if e.Kind == obs.KindStall {
 			switch e.Op {
-			case "kick":
-				kicks++
+			case "report":
+				// A later episode (the holder alone, idle) has nobody parked.
+				if want := "T2 step=0 part=P0 blocked holders=[T1]"; reports == 0 && e.Detail != want {
+					t.Errorf("stall report %q, want %q", e.Detail, want)
+				}
+				reports++
 			case "abort":
 				aborts++
+			default:
+				t.Errorf("stall event with op %q", e.Op)
 			}
 		}
 	}
-	if kicks == 0 || aborts == 0 {
-		t.Errorf("stall events: %d kicks, %d aborts, want ≥1 of each", kicks, aborts)
+	if reports == 0 || aborts == 0 {
+		t.Errorf("stall events: %d reports, %d aborts, want ≥1 of each", reports, aborts)
 	}
 	// The holder is unaffected and can still finish.
 	if err := ctl.Commit(holder); err != nil {

@@ -21,7 +21,7 @@ package live
 //     so no wait-for cycle can cross a shard boundary and the per-shard
 //     cautious schedulers retain deadlock freedom.
 //  4. Home shard: a transaction's control record (ltxn — admission
-//     time, blocked flag, doom, crash window, WAL node) lives on the
+//     time, parked wait, doom, crash window, WAL node) lives on the
 //     lowest-indexed shard of its footprint; all other shards hold only
 //     scheduler state.
 
@@ -40,7 +40,7 @@ import (
 const maxShards = 64
 
 // WithShards partitions the controller's hot path — lock table, WTPG,
-// scheduler state, wake channel, counters — into n
+// scheduler state, wait state, counters — into n
 // shards by partition-ownership hashing. n is rounded up to a power of
 // two and capped at 64; values ≤ 1 keep the default single shard,
 // which behaves exactly like the historical single-mutex controller.
@@ -185,33 +185,35 @@ func (c *Controller) project(t *txn.T, mask uint64) []projection {
 // admitProjectedLocked is the one spanning-specific step of Admit: under
 // all of the footprint's shard locks (held by the caller), each shard
 // admits the transaction's projection and grants every projected step —
-// all of the transaction's locks, atomically — and nil is returned. Any
-// refusal rolls the attempt back through the scheduler abort path on
+// all of the transaction's locks, atomically — and Granted is returned.
+// Any refusal rolls the attempt back through the scheduler abort path on
 // every shard it registered on (including a shard whose Admit succeeded
 // but a Request refused — the abort path releases partial grants and
-// repairs the WTPG) and returns the refusing shard, for Admit to wait on
-// with no lock held: the transaction never waits while holding locks,
+// repairs the WTPG) and returns the refusing shard with its decision, for
+// Admit to wait on with no lock held: the transaction never waits while holding locks,
 // which is what keeps the sharded controller deadlock-free (invariant
 // 3). After a success, Acquire calls are pure bookkeeping.
 //
 // This is ASL-style pessimism applied only to the spanning minority;
 // single-shard traffic keeps the scheduler's incremental granting.
-func (c *Controller) admitProjectedLocked(projs []projection, now event.Time) *lshard {
+func (c *Controller) admitProjectedLocked(projs []projection, now event.Time) (*lshard, sched.Decision) {
 	for i, p := range projs {
 		registered := i
-		granted := p.sh.sch.Admit(p.t, now).Decision == sched.Granted
-		if granted {
+		dec := p.sh.sch.Admit(p.t, now).Decision
+		if dec == sched.Granted {
 			registered++
-			for step := 0; granted && step < len(p.t.Steps); step++ {
-				granted = p.sh.sch.Request(p.t, step, now).Decision == sched.Granted
+			for step := 0; dec == sched.Granted && step < len(p.t.Steps); step++ {
+				dec = p.sh.sch.Request(p.t, step, now).Decision
 			}
 		}
-		if !granted {
+		if dec != sched.Granted {
 			for _, q := range projs[:registered] {
+				// The abort path drops the shard's cached plan: state moved.
 				sched.AbortTxn(q.sh.sch, q.t, now)
+				q.sh.changedLocked()
 			}
-			return p.sh
+			return p.sh, dec
 		}
 	}
-	return nil
+	return nil, sched.Granted
 }

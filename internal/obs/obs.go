@@ -71,8 +71,9 @@ const (
 	// Resolve events.
 	KindAbort
 	// KindStall: the live controller's no-progress watchdog fired; Op
-	// carries the action taken ("kick" for a broadcast retry, "abort"
-	// when a blocked transaction was force-aborted, with Txn naming it).
+	// carries the action taken: "report" at the first silent deadline of
+	// an episode, with Detail saying who waits for whom, or "abort" when
+	// a blocked transaction was force-aborted, with Txn naming it.
 	KindStall
 	// KindDegrade: a scheduler fell back to its degraded-but-safe mode
 	// (CHAIN → ASL-style admission with cautious grants).
@@ -201,6 +202,10 @@ type Event struct {
 	Write bool            `json:"write,omitempty"`
 	// Op distinguishes Decision events: "admit" or "request".
 	Op string `json:"op,omitempty"`
+	// Detail is the who-waits-for-whom line of a Stall report: one clause
+	// per parked transaction — its request, the decision that refused it
+	// and the partition's current lock holders.
+	Detail string `json:"detail,omitempty"`
 	// Decision is the outcome ("granted", "blocked", "delayed",
 	// "aborted") of a Decision event, or "aborted" on a Commit event
 	// that released locks without committing.
@@ -267,6 +272,9 @@ func (e Event) String() string {
 	case KindStall, KindFault:
 		if e.Op != "" {
 			s += " op=" + e.Op
+		}
+		if e.Detail != "" {
+			s += " " + e.Detail
 		}
 	case KindNodeDown:
 		s += fmt.Sprintf(" node=%d", e.Node)
