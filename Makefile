@@ -23,7 +23,8 @@ bench:
 MICRO_BENCH := Table1SingleRun|EstimateE|ESmall|ELarge|CriticalPath|CriticalPathStar|GraphChurn
 MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolvePaper32
 MICRO_BENCH := $(MICRO_BENCH)|EachConflictingDecl500|IsBlocked500|DeclareRelease|WouldExceedK500
-MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|SweepParallel1|SweepParallelN
+MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
+MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageInsert
 MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet
 
@@ -51,13 +52,17 @@ epoch-smoke:
 # The greps keep closed forks closed: a deprecated shim or an
 # environment-variable switch is a second path someone has to test, and a
 # driver that builds its own log record is a second statement of the
-# write-ahead contract (internal/durable holds the one). The gofmt line
-# fails on any file gofmt would rewrite.
+# write-ahead contract (internal/durable holds the one), and a closure
+# built per control job or per retry in internal/sim is an allocation per
+# attempt that the transaction's own records exist to avoid
+# (docs/PERFORMANCE.md §11). The gofmt line fails on any file gofmt would
+# rewrite.
 verify: build test bench-smoke epoch-smoke
 	$(GO) vet ./...
 	! grep -rn 'Deprecated:' --include='*.go' .
 	! grep -rn 'os.Getenv' --include='*.go' .
 	! grep -rn 'wal\.Record{' --include='*.go' --exclude='*_test.go' internal/live internal/sim cmd
+	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race -count=1 ./...
 	$(GO) test -tags wtpgshadow -count=1 ./internal/core/... ./internal/sim/

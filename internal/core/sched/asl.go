@@ -26,9 +26,15 @@ func (a *asl) Name() string { return "ASL" }
 func (a *asl) Admit(t *txn.T, now event.Time) Outcome {
 	// All-or-nothing: every partition must be acquirable in the
 	// transaction's strongest declared mode.
-	for _, p := range t.Partitions() {
-		mode, _ := t.LockMode(p)
-		if len(a.locks.Blocked(t.ID, p, mode)) > 0 {
+steps:
+	for i, s := range t.Steps {
+		for _, earlier := range t.Steps[:i] {
+			if earlier.Part == s.Part {
+				continue steps // checked in its strongest mode already
+			}
+		}
+		mode, _ := t.LockMode(s.Part)
+		if a.locks.IsBlocked(t.ID, s.Part, mode) {
 			return Outcome{Decision: Delayed, CPU: a.costs.DDTime}
 		}
 	}

@@ -6,10 +6,7 @@
 // every simulation run a pure function of its inputs and seed.
 package event
 
-import (
-	"container/heap"
-	"fmt"
-)
+import "fmt"
 
 // Time is a simulation timestamp in clocks (milliseconds in this repo).
 type Time int64
@@ -23,185 +20,114 @@ func (t Time) Seconds() float64 { return float64(t) / 1000.0 }
 // Handler is a callback invoked when an event fires.
 type Handler func(now Time)
 
-// Handle identifies a scheduled event so it can be cancelled.
-// The zero Handle is invalid.
-type Handle struct {
-	seq uint64
-}
-
 type item struct {
-	at        Time
-	seq       uint64 // global scheduling order; breaks ties deterministically
-	fn        Handler
-	cancelled bool
-	index     int // heap index, -1 when popped
+	at  Time
+	seq uint64 // global scheduling order; breaks ties deterministically
+	fn  Handler
 }
 
-type itemHeap []*item
-
-func (h itemHeap) Len() int { return len(h) }
-func (h itemHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h itemHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *itemHeap) Push(x any) {
-	it := x.(*item)
-	it.index = len(*h)
-	*h = append(*h, it)
-}
-func (h *itemHeap) Pop() any {
-	old := *h
-	n := len(old)
-	it := old[n-1]
-	old[n-1] = nil
-	it.index = -1
-	*h = old[:n-1]
-	return it
+func (a *item) before(b *item) bool {
+	return a.at < b.at || a.at == b.at && a.seq < b.seq
 }
 
-// Queue is a discrete-event calendar. The zero value is ready to use.
-// Queue is not safe for concurrent use; a simulation is single-threaded.
+// Queue is a discrete-event calendar: a binary min-heap of item values
+// ordered by (at, seq). The zero value is ready to use. Scheduling and
+// firing allocate nothing once the heap has grown to the run's peak
+// number of pending events. Queue is not safe for concurrent use; a
+// simulation is single-threaded.
 type Queue struct {
-	heap    itemHeap
+	heap    []item
 	now     Time
 	nextSeq uint64
-	byID    map[uint64]*item
 	fired   uint64
-	// free recycles popped items so steady-state scheduling allocates
-	// nothing: a 2,000,000-clock run schedules millions of events, and
-	// before the free-list every one heap-allocated an *item.
-	free []*item
-}
-
-// alloc returns a recycled item or a fresh one.
-func (q *Queue) alloc() *item {
-	if n := len(q.free); n > 0 {
-		it := q.free[n-1]
-		q.free[n-1] = nil
-		q.free = q.free[:n-1]
-		return it
-	}
-	return &item{}
-}
-
-// recycle returns a popped item to the free-list. Safe against stale
-// Handles: a Handle resolves through byID, keyed by the seq the item
-// carried when it was scheduled; that key is deleted before the item is
-// recycled, and reuse stamps a fresh seq (the generation check — see
-// TestCancelHandleSurvivesReuse). The handler reference is dropped so
-// the free-list never pins closures.
-func (q *Queue) recycle(it *item) {
-	it.fn = nil
-	it.cancelled = false
-	it.index = -1
-	q.free = append(q.free, it)
 }
 
 // NewQueue returns an empty event queue at time 0.
-func NewQueue() *Queue {
-	return &Queue{byID: make(map[uint64]*item)}
-}
+func NewQueue() *Queue { return &Queue{} }
 
 // Now returns the current simulation time.
 func (q *Queue) Now() Time { return q.now }
 
-// Len returns the number of pending (non-cancelled) events.
-func (q *Queue) Len() int {
-	n := 0
-	for _, it := range q.heap {
-		if !it.cancelled {
-			n++
-		}
-	}
-	return n
-}
+// Len returns the number of pending events.
+func (q *Queue) Len() int { return len(q.heap) }
 
 // Fired returns the number of events that have fired so far.
 func (q *Queue) Fired() uint64 { return q.fired }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it would violate causality.
-func (q *Queue) At(at Time, fn Handler) Handle {
+func (q *Queue) At(at Time, fn Handler) {
 	if fn == nil {
 		panic("event: nil handler")
 	}
 	if at < q.now {
 		panic(fmt.Sprintf("event: schedule at %v before now %v", at, q.now))
 	}
-	if q.byID == nil {
-		q.byID = make(map[uint64]*item)
-	}
 	q.nextSeq++
-	it := q.alloc()
-	it.at, it.seq, it.fn = at, q.nextSeq, fn
-	heap.Push(&q.heap, it)
-	q.byID[it.seq] = it
-	return Handle{seq: it.seq}
+	it := item{at: at, seq: q.nextSeq, fn: fn}
+	// Sift up: move the hole from the new leaf towards the root until its
+	// parent fires before it.
+	q.heap = append(q.heap, it)
+	h := q.heap
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !it.before(&h[parent]) {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = it
 }
 
-// After schedules fn to run delay clocks from now.
-func (q *Queue) After(delay Time, fn Handler) Handle {
-	if delay < 0 {
-		panic(fmt.Sprintf("event: negative delay %v", delay))
-	}
-	return q.At(q.now+delay, fn)
-}
-
-// Cancel removes a scheduled event. It reports whether the event was
-// still pending (false if it already fired or was cancelled before).
-func (q *Queue) Cancel(h Handle) bool {
-	it, ok := q.byID[h.seq]
-	if !ok || it.cancelled {
-		return false
-	}
-	it.cancelled = true
-	delete(q.byID, h.seq)
-	return true
-}
+// After schedules fn to run delay clocks from now; a negative delay is a
+// schedule in the past.
+func (q *Queue) After(delay Time, fn Handler) { q.At(q.now+delay, fn) }
 
 // Step fires the next event. It reports false when the queue is empty.
 func (q *Queue) Step() bool {
-	for len(q.heap) > 0 {
-		it := heap.Pop(&q.heap).(*item)
-		if it.cancelled {
-			q.recycle(it)
-			continue
-		}
-		delete(q.byID, it.seq)
-		// Copy what the dispatch needs and recycle before calling the
-		// handler: the handler may schedule new events, which are then
-		// free to reuse this item.
-		fn := it.fn
-		q.now = it.at
-		q.fired++
-		q.recycle(it)
-		fn(q.now)
-		return true
+	h := q.heap
+	if len(h) == 0 {
+		return false
 	}
-	return false
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = item{} // the vacated slot must not pin the handler
+	h = h[:n]
+	q.heap = h
+	// Sift down: move the hole from the root towards the leaves until the
+	// displaced last item fires before both children.
+	for i := 0; n > 0; {
+		child := 2*i + 1
+		if r := child + 1; r < n && h[r].before(&h[child]) {
+			child = r
+		}
+		if child >= n || !h[child].before(&last) {
+			h[i] = last
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	// The heap is consistent before the handler runs: the handler may
+	// schedule new events.
+	q.now = top.at
+	q.fired++
+	top.fn(q.now)
+	return true
 }
 
 // RunUntil fires events in order until the queue is empty or the next
 // event would fire strictly after horizon. The clock is left at the time
-// of the last fired event (or horizon if nothing remained to fire at or
-// before it and advance is true).
+// of the last fired event, or at horizon if that is later.
 func (q *Queue) RunUntil(horizon Time) {
-	for {
-		it := q.peek()
-		if it == nil || it.at > horizon {
-			if q.now < horizon {
-				q.now = horizon
-			}
-			return
-		}
+	for len(q.heap) > 0 && q.heap[0].at <= horizon {
 		q.Step()
+	}
+	if q.now < horizon {
+		q.now = horizon
 	}
 }
 
@@ -209,17 +135,4 @@ func (q *Queue) RunUntil(horizon Time) {
 func (q *Queue) Run() {
 	for q.Step() {
 	}
-}
-
-func (q *Queue) peek() *item {
-	for len(q.heap) > 0 {
-		it := q.heap[0]
-		if it.cancelled {
-			heap.Pop(&q.heap)
-			q.recycle(it)
-			continue
-		}
-		return it
-	}
-	return nil
 }

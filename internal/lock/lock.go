@@ -16,6 +16,7 @@ package lock
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"batsched/internal/txn"
@@ -47,6 +48,8 @@ type Table struct {
 	// touched tracks which partitions each live transaction has holds or
 	// declarations on, so Release is O(own partitions).
 	touched map[txn.ID]map[txn.PartitionID]bool
+	// blockers is Blocked's result buffer, reused from call to call.
+	blockers []txn.ID
 }
 
 // NewTable returns an empty lock table.
@@ -101,19 +104,22 @@ func (tb *Table) Known(id txn.ID) bool {
 }
 
 // Blocked returns the transactions (other than id) holding locks on p that
-// conflict with mode. An empty result means the request is not blocked.
+// conflict with mode, in ascending ID order. An empty result means the
+// request is not blocked. The slice is the table's own and is valid until
+// the next call to Blocked (a refused Grant makes one).
 func (tb *Table) Blocked(id txn.ID, p txn.PartitionID, mode txn.Mode) []txn.ID {
 	e := tb.parts[p]
 	if e == nil {
 		return nil
 	}
-	var out []txn.ID
+	out := tb.blockers[:0]
 	for h, m := range e.holders {
 		if h != id && mode.Conflicts(m) {
 			out = append(out, h)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
+	tb.blockers = out
 	return out
 }
 
@@ -187,8 +193,8 @@ func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
 	if idx < 0 {
 		return fmt.Errorf("lock: no declaration for %v step %d on %v", id, step, p)
 	}
-	if blocked := tb.Blocked(id, p, mode); len(blocked) > 0 {
-		return fmt.Errorf("lock: grant %v %v on %v conflicts with holders %v", id, mode, p, blocked)
+	if tb.IsBlocked(id, p, mode) {
+		return fmt.Errorf("lock: grant %v %v on %v conflicts with holders %v", id, mode, p, tb.Blocked(id, p, mode))
 	}
 	e.decls = append(e.decls[:idx], e.decls[idx+1:]...)
 	if held, ok := e.holders[id]; !ok || mode == txn.Write && held == txn.Read {
@@ -233,7 +239,7 @@ func (tb *Table) Release(id txn.ID) []txn.PartitionID {
 		}
 	}
 	delete(tb.touched, id)
-	sort.Slice(freed, func(i, j int) bool { return freed[i] < freed[j] })
+	slices.Sort(freed)
 	return freed
 }
 

@@ -198,24 +198,60 @@ func (p *Placement) Kill(node int) []Rehome {
 	return remap
 }
 
+// fifo is a first-in-first-out queue in a power-of-two ring: it allocates
+// only while growing to the peak backlog, where a slice popped with
+// s = s[1:] and refilled with append reallocates for ever.
+type fifo[T any] struct {
+	buf  []T
+	head int
+	n    int
+}
+
+func (f *fifo[T]) push(v T) {
+	if f.n == len(f.buf) {
+		grown := make([]T, max(4, 2*len(f.buf)))
+		copy(grown[copy(grown, f.buf[f.head:]):], f.buf[:f.head])
+		f.buf, f.head = grown, 0
+	}
+	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
+	f.n++
+}
+
+func (f *fifo[T]) pop() T {
+	var zero T
+	v := f.buf[f.head]
+	f.buf[f.head] = zero
+	f.head = (f.head + 1) & (len(f.buf) - 1)
+	f.n--
+	return v
+}
+
+// Work is one unit of control processing. Run is invoked when the CN
+// reaches the job and returns the CPU time it consumes; Done fires once
+// that time has elapsed. What Run decides lives in the job until Done
+// reads it — the CN keeps only the job — so resubmitting one job value
+// again and again (from its own Done at the earliest) allocates nothing.
+type Work interface {
+	Run(now event.Time) (cpu event.Time)
+	Done(now event.Time)
+}
+
 // ControlNode is the centralized CN: a FIFO single server for control
 // work (admission, lock decisions, commit coordination).
 type ControlNode struct {
 	q        *event.Queue
-	pending  []Work
-	busy     bool
+	pending  fifo[Work]
+	cur      Work          // the job occupying the CN, nil when idle
+	complete event.Handler // cn.finish, bound once
 	BusyTime event.Time
 	Ops      uint64
 }
 
-// Work is one unit of control processing. It is invoked when the CN
-// reaches it; it must return the CPU duration it consumes and an optional
-// completion callback that fires once that CPU time has elapsed.
-type Work func(now event.Time) (cpu event.Time, done func(now event.Time))
-
 // NewControlNode returns a CN bound to the event queue.
 func NewControlNode(q *event.Queue) *ControlNode {
-	return &ControlNode{q: q}
+	cn := &ControlNode{q: q}
+	cn.complete = cn.finish
+	return cn
 }
 
 // Submit enqueues control work; it runs when the CN becomes free.
@@ -223,33 +259,34 @@ func (cn *ControlNode) Submit(w Work) {
 	if w == nil {
 		panic("machine: nil control work")
 	}
-	cn.pending = append(cn.pending, w)
+	cn.pending.push(w)
 	cn.pump()
 }
 
 // QueueLen returns the number of control requests waiting (not running).
-func (cn *ControlNode) QueueLen() int { return len(cn.pending) }
+func (cn *ControlNode) QueueLen() int { return cn.pending.n }
 
 func (cn *ControlNode) pump() {
-	if cn.busy || len(cn.pending) == 0 {
+	if cn.cur != nil || cn.pending.n == 0 {
 		return
 	}
-	w := cn.pending[0]
-	cn.pending = cn.pending[1:]
-	cn.busy = true
-	cpu, done := w(cn.q.Now())
+	cn.cur = cn.pending.pop()
+	cpu := cn.cur.Run(cn.q.Now())
 	if cpu < 0 {
 		cpu = 0
 	}
 	cn.BusyTime += cpu
 	cn.Ops++
-	cn.q.After(cpu, func(now event.Time) {
-		cn.busy = false
-		if done != nil {
-			done(now)
-		}
-		cn.pump()
-	})
+	cn.q.After(cpu, cn.complete)
+}
+
+// finish frees the CN before the job's Done runs, so work Done submits
+// starts at once when nothing else is waiting.
+func (cn *ControlNode) finish(now event.Time) {
+	w := cn.cur
+	cn.cur = nil
+	w.Done(now)
+	cn.pump()
 }
 
 // Job is one step of a transaction resident at a DN: the remaining I/O
@@ -275,14 +312,18 @@ type Job struct {
 }
 
 // DataNode is one DN: a round-robin processor of bulk jobs with a
-// one-object quantum.
+// one-object quantum. At most one quantum is in flight, so its state
+// sits beside the job it belongs to and one handler completes them all.
 type DataNode struct {
 	ID   int
 	q    *event.Queue
-	jobs []*Job
-	busy bool
-	cur  *Job // the job whose quantum is in flight (busy only)
+	jobs fifo[*Job]
 	dead bool
+
+	cur        *Job       // the job whose quantum is in flight, nil when idle
+	curDur     event.Time // that quantum's duration
+	curQuantum float64    // and its size in objects
+	complete   event.Handler
 
 	objTime event.Time
 	// BusyTime accumulates processing time for utilization metrics.
@@ -301,16 +342,17 @@ func NewDataNode(id int, q *event.Queue, objTime event.Time) *DataNode {
 	if objTime <= 0 {
 		panic(fmt.Sprintf("machine: ObjTime %v", objTime))
 	}
-	return &DataNode{ID: id, q: q, objTime: objTime}
+	n := &DataNode{ID: id, q: q, objTime: objTime}
+	n.complete = n.finish
+	return n
 }
 
 // QueueLen returns the number of jobs waiting or running at the DN.
 func (n *DataNode) QueueLen() int {
-	l := len(n.jobs)
-	if n.busy {
-		l++
+	if n.cur != nil {
+		return n.jobs.n + 1
 	}
-	return l
+	return n.jobs.n
 }
 
 // Enqueue adds a job to the round-robin ring.
@@ -321,7 +363,7 @@ func (n *DataNode) Enqueue(j *Job) {
 	if n.dead {
 		panic(fmt.Sprintf("machine: enqueue on dead node %d", n.ID))
 	}
-	n.jobs = append(n.jobs, j)
+	n.jobs.push(j)
 	n.pump()
 }
 
@@ -341,21 +383,21 @@ func (n *DataNode) Kill() []*Job {
 	}
 	n.dead = true
 	var resident []*Job
-	if n.busy && n.cur != nil {
+	if n.cur != nil {
 		resident = append(resident, n.cur)
 	}
-	resident = append(resident, n.jobs...)
+	for n.jobs.n > 0 {
+		resident = append(resident, n.jobs.pop())
+	}
 	n.cur = nil
-	n.jobs = nil
 	return resident
 }
 
 const remainingEps = 1e-9
 
 func (n *DataNode) pump() {
-	for !n.busy && !n.dead && len(n.jobs) > 0 {
-		j := n.jobs[0]
-		n.jobs = n.jobs[1:]
+	for n.cur == nil && !n.dead && n.jobs.n > 0 {
+		j := n.jobs.pop()
 		if j.Cancelled {
 			// Aborted transaction: the job evaporates without callbacks.
 			continue
@@ -377,40 +419,42 @@ func (n *DataNode) pump() {
 		if dur < 1 {
 			dur = 1
 		}
-		n.busy = true
-		n.cur = j
-		n.q.After(dur, func(now event.Time) {
-			n.busy = false
-			if n.dead {
-				// The node died while the quantum's I/O was in flight: the
-				// result is lost, nothing is reported or accounted, and the
-				// job (already handed to Kill's caller) is left untouched.
-				return
-			}
-			n.cur = nil
-			n.BusyTime += dur
-			n.Objects += quantum
-			j.Remaining -= quantum
-			j.Processed += quantum
-			if j.Remaining <= remainingEps {
-				j.Remaining = 0
-			}
-			// OnQuantum may cancel the job (the simulator's injected-abort
-			// path), so the cancellation check runs both before and after.
-			if n.OnQuantum != nil && !j.Cancelled {
-				n.OnQuantum(j, quantum, now)
-			}
-			switch {
-			case j.Cancelled:
-				// Dropped: no completion callback, no requeue.
-			case j.Remaining == 0:
-				if n.OnStepDone != nil {
-					n.OnStepDone(j, now)
-				}
-			default:
-				n.jobs = append(n.jobs, j)
-			}
-			n.pump()
-		})
+		n.cur, n.curDur, n.curQuantum = j, dur, quantum
+		n.q.After(dur, n.complete)
 	}
+}
+
+// finish completes the quantum in flight.
+func (n *DataNode) finish(now event.Time) {
+	if n.dead {
+		// The node died while the quantum's I/O was in flight: the
+		// result is lost, nothing is reported or accounted, and the
+		// job (already handed to Kill's caller) is left untouched.
+		return
+	}
+	j, quantum := n.cur, n.curQuantum
+	n.cur = nil
+	n.BusyTime += n.curDur
+	n.Objects += quantum
+	j.Remaining -= quantum
+	j.Processed += quantum
+	if j.Remaining <= remainingEps {
+		j.Remaining = 0
+	}
+	// OnQuantum may cancel the job (the simulator's injected-abort
+	// path), so the cancellation check runs both before and after.
+	if n.OnQuantum != nil && !j.Cancelled {
+		n.OnQuantum(j, quantum, now)
+	}
+	switch {
+	case j.Cancelled:
+		// Dropped: no completion callback, no requeue.
+	case j.Remaining == 0:
+		if n.OnStepDone != nil {
+			n.OnStepDone(j, now)
+		}
+	default:
+		n.jobs.push(j)
+	}
+	n.pump()
 }

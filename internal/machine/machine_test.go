@@ -40,21 +40,44 @@ func TestNodeOf(t *testing.T) {
 	}
 }
 
+// testWork is control work of a fixed CPU demand that logs its pickup
+// and completion.
+type testWork struct {
+	cpu    event.Time
+	picked func()
+	done   func(now event.Time)
+}
+
+func (w *testWork) Run(event.Time) event.Time {
+	if w.picked != nil {
+		w.picked()
+	}
+	return w.cpu
+}
+
+func (w *testWork) Done(now event.Time) {
+	if w.done != nil {
+		w.done(now)
+	}
+}
+
 func TestControlNodeFIFOAndOccupancy(t *testing.T) {
 	q := event.NewQueue()
 	cn := NewControlNode(q)
 	var order []int
 	var times []event.Time
 	mk := func(id int, cpu event.Time) Work {
-		return func(now event.Time) (event.Time, func(event.Time)) {
-			order = append(order, id)
-			return cpu, func(done event.Time) { times = append(times, done) }
-		}
+		return &testWork{cpu: cpu,
+			picked: func() { order = append(order, id) },
+			done:   func(done event.Time) { times = append(times, done) }}
 	}
 	q.At(0, func(event.Time) {
 		cn.Submit(mk(1, 10))
 		cn.Submit(mk(2, 5))
 		cn.Submit(mk(3, 0))
+		if cn.QueueLen() != 2 {
+			t.Errorf("QueueLen = %d, want 2 (one running)", cn.QueueLen())
+		}
 	})
 	q.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
@@ -77,20 +100,50 @@ func TestControlNodeInterleavedSubmit(t *testing.T) {
 	q := event.NewQueue()
 	cn := NewControlNode(q)
 	var finished []event.Time
-	q.At(0, func(event.Time) {
-		cn.Submit(func(event.Time) (event.Time, func(event.Time)) {
-			return 100, func(now event.Time) { finished = append(finished, now) }
-		})
-	})
+	record := func(now event.Time) { finished = append(finished, now) }
+	q.At(0, func(event.Time) { cn.Submit(&testWork{cpu: 100, done: record}) })
 	// Submitted while CN is busy: must wait.
-	q.At(50, func(event.Time) {
-		cn.Submit(func(event.Time) (event.Time, func(event.Time)) {
-			return 10, func(now event.Time) { finished = append(finished, now) }
-		})
-	})
+	q.At(50, func(event.Time) { cn.Submit(&testWork{cpu: 10, done: record}) })
 	q.Run()
 	if len(finished) != 2 || finished[0] != 100 || finished[1] != 110 {
 		t.Errorf("finished = %v, want [100 110]", finished)
+	}
+}
+
+// TestControlNodeBacklogKeepsOrder: a backlog that grows the ring while
+// it is wrapped, fed partly from inside Done, is still served first come
+// first served.
+func TestControlNodeBacklogKeepsOrder(t *testing.T) {
+	q := event.NewQueue()
+	cn := NewControlNode(q)
+	var order []int
+	next := 0
+	var submit func()
+	submit = func() {
+		id := next
+		next++
+		cn.Submit(&testWork{cpu: 1, done: func(event.Time) {
+			order = append(order, id)
+			if id%3 == 0 && next < 200 {
+				submit()
+				submit()
+				submit()
+				submit()
+			}
+		}})
+	}
+	q.At(0, func(event.Time) { submit(); submit(); submit() })
+	q.Run()
+	if len(order) != next || next < 200 {
+		t.Fatalf("served %d of %d", len(order), next)
+	}
+	for i, id := range order {
+		if id != i {
+			t.Fatalf("job %d served at position %d", id, i)
+		}
+	}
+	if cn.QueueLen() != 0 {
+		t.Errorf("QueueLen = %d after drain", cn.QueueLen())
 	}
 }
 
@@ -336,4 +389,53 @@ func TestDataNodeKillReturnsResidentsAndFreezes(t *testing.T) {
 		}
 	}()
 	n.Enqueue(&Job{Txn: t1, Step: 0, Remaining: 1})
+}
+
+// pingWork resubmits itself from Done: the steady state of a refused
+// request under fixed-delay resubmission, minus the delay.
+type pingWork struct {
+	cn   *ControlNode
+	left int
+}
+
+func (w *pingWork) Run(event.Time) event.Time { return 1 }
+
+func (w *pingWork) Done(event.Time) {
+	if w.left--; w.left > 0 {
+		w.cn.Submit(w)
+	}
+}
+
+// BenchmarkControlNodePump is one control job through the CN — submit,
+// run, completion event, done — with a second job keeping the ring
+// non-empty. It stays at 0 allocs/op.
+func BenchmarkControlNodePump(b *testing.B) {
+	q := event.NewQueue()
+	cn := NewControlNode(q)
+	cn.Submit(&pingWork{cn: cn, left: b.N/2 + 1})
+	cn.Submit(&pingWork{cn: cn, left: b.N - b.N/2})
+	b.ReportAllocs()
+	b.ResetTimer()
+	q.Run()
+	if int(cn.Ops) < b.N {
+		b.Fatalf("Ops = %d, want ≥ %d", cn.Ops, b.N)
+	}
+}
+
+// BenchmarkDataNodeQuantum is one quantum of a DN with two resident jobs
+// taking turns. It stays at 0 allocs/op.
+func BenchmarkDataNodeQuantum(b *testing.B) {
+	q := event.NewQueue()
+	n := NewDataNode(0, q, 10)
+	quanta := 0
+	n.OnQuantum = func(*Job, float64, event.Time) { quanta++ }
+	t1 := txn.New(1, []txn.Step{{Mode: txn.Read, Part: 0, Cost: 1}})
+	n.Enqueue(&Job{Txn: t1, Remaining: float64(b.N/2 + 1)})
+	n.Enqueue(&Job{Txn: t1, Remaining: float64(b.N - b.N/2)})
+	b.ReportAllocs()
+	b.ResetTimer()
+	q.Run()
+	if quanta < b.N {
+		b.Fatalf("quanta = %d, want ≥ %d", quanta, b.N)
+	}
 }

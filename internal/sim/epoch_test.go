@@ -237,4 +237,10 @@ func TestEpochFixedReleaseBatch(t *testing.T) {
 	if res.Epochs < 1 {
 		t.Errorf("epochs %d", res.Epochs)
 	}
+	// A rejected member resubmits through its own retry handler although
+	// submitAdmit never built an admission job for it (it returned early
+	// into the window's buffer): this run must have taken that path.
+	if res.AdmissionAborts+res.AdmissionDelays == 0 {
+		t.Error("no batch member was rejected, so no retry under EPOCH was exercised")
+	}
 }

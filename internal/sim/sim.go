@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 
 	"batsched/internal/core/sched"
@@ -234,11 +235,23 @@ type Sample struct {
 	BusyNodes int
 }
 
-// txnState tracks one transaction through its lifecycle.
+// txnState tracks one transaction through its lifecycle. It owns all its
+// attempts need — control jobs, retry handlers, data-node jobs — so that
+// an attempt, refused or granted, allocates nothing.
 type txnState struct {
+	sim     *simulator
 	t       *txn.T
 	arrived event.Time
 	step    int
+
+	// What the control job in flight decided in Run, for its Done. One
+	// set will do: a transaction asks for admission, then for one lock at
+	// a time, then commits, and aborts only while a step is executing.
+	decision sched.Decision
+	refused  bool              // admission refused by the fault injector
+	freed    []txn.PartitionID // partitions released by commit or abort
+	// The §3.2 resubmissions, bound once at arrival.
+	retryAdmit, retryRequest event.Handler
 
 	// Response-time decomposition bookkeeping.
 	admittedAt  event.Time
@@ -252,15 +265,19 @@ type txnState struct {
 
 	// Fault-injection bookkeeping (zero without WithFaults): abortAt is
 	// the processed-object count at which the transaction dies (0 =
-	// never), processed accumulates quanta, jobs holds the current
-	// step's data-node jobs so an abort can cancel them, aborting
-	// latches once the abort is initiated, and admitAttempts numbers
-	// admission tries for the injector's refusal bursts.
+	// never), processed accumulates quanta, aborting latches once the
+	// abort is initiated, and admitAttempts numbers admission tries for
+	// the injector's refusal bursts.
 	abortAt       float64
 	processed     float64
-	jobs          []*machine.Job
 	aborting      bool
 	admitAttempts int
+
+	// jobs holds the current step's data-node jobs (an abort cancels
+	// them), reused from step to step. It starts out backed by one, all
+	// a step needs unless placement is declustered.
+	jobs []machine.Job
+	one  [1]machine.Job
 
 	// WAL bookkeeping (zero without WithWAL): the transaction's place in
 	// the log, and the final predecessor set captured just before the
@@ -306,13 +323,15 @@ type simulator struct {
 	// not safe to read concurrently with the sim loop advancing it.
 
 	// Epoch-batch state (BatchWindow > 0): the batch-capable scheduler
-	// surface, the arrivals collected in the open window, whether the
-	// window's flush event is already scheduled, and the running batch-
-	// size sum for MeanBatch.
-	batch          sched.BatchAdmitter
-	epochBuf       []*txnState
-	epochScheduled bool
-	batchSum       int
+	// surface, the arrivals collected in the open window (its flush is
+	// scheduled exactly while there are any), and the running batch-size
+	// sum for MeanBatch.
+	batch    sched.BatchAdmitter
+	epochBuf []*txnState
+	batchSum int
+
+	// The two timers that re-arm themselves, bound once.
+	nextArrival, nextSample event.Handler
 }
 
 // Run executes one simulation and returns its metrics. It returns an
@@ -416,7 +435,8 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		}
 	}
 	if cfg.SampleEvery > 0 {
-		s.scheduleSample(cfg.SampleEvery)
+		s.nextSample = s.sample
+		s.q.After(cfg.SampleEvery, s.nextSample)
 	}
 	if len(cfg.ArrivalTimes) > 0 {
 		for _, at := range cfg.ArrivalTimes {
@@ -425,6 +445,10 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 			}
 		}
 	} else {
+		s.nextArrival = func(now event.Time) {
+			s.arrive(now)
+			s.scheduleArrival(now)
+		}
 		s.scheduleArrival(0)
 	}
 	s.q.RunUntil(cfg.Horizon)
@@ -444,25 +468,23 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	return &s.res, nil
 }
 
-// scheduleSample records periodic system-state samples.
-func (s *simulator) scheduleSample(every event.Time) {
-	s.q.After(every, func(now event.Time) {
-		busy := 0
-		for _, n := range s.nodes {
-			if n.QueueLen() > 0 {
-				busy++
-			}
+// sample records one periodic system-state sample and re-arms itself.
+func (s *simulator) sample(now event.Time) {
+	busy := 0
+	for _, n := range s.nodes {
+		if n.QueueLen() > 0 {
+			busy++
 		}
-		s.res.Samples = append(s.res.Samples, Sample{
-			At:        now,
-			Live:      len(s.live),
-			CNQueue:   s.cn.QueueLen(),
-			BusyNodes: busy,
-		})
-		if now+every <= s.cfg.Horizon {
-			s.scheduleSample(every)
-		}
+	}
+	s.res.Samples = append(s.res.Samples, Sample{
+		At:        now,
+		Live:      len(s.live),
+		CNQueue:   s.cn.QueueLen(),
+		BusyNodes: busy,
 	})
+	if now+s.cfg.SampleEvery <= s.cfg.Horizon {
+		s.q.After(s.cfg.SampleEvery, s.nextSample)
+	}
 }
 
 // scheduleArrival schedules the next Poisson arrival after `from`.
@@ -476,17 +498,17 @@ func (s *simulator) scheduleArrival(from event.Time) {
 	if at > s.cfg.Horizon {
 		return
 	}
-	s.q.At(at, func(now event.Time) {
-		s.arrive(now)
-		s.scheduleArrival(now)
-	})
+	s.q.At(at, s.nextArrival)
 }
 
 // arrive submits the workload's next transaction for admission.
 func (s *simulator) arrive(now event.Time) {
 	s.res.Arrived++
 	s.nextID++
-	st := &txnState{t: s.cfg.Workload.Next(s.nextID, s.rng), arrived: now}
+	st := &txnState{sim: s, t: s.cfg.Workload.Next(s.nextID, s.rng), arrived: now}
+	st.retryAdmit = func(event.Time) { s.submitAdmit(st) }
+	st.retryRequest = func(event.Time) { s.submitRequest(st) }
+	st.jobs = st.one[:0]
 	s.emitObs(obs.Event{Kind: obs.KindAdmit, At: now, Txn: st.t.ID})
 	s.submitAdmit(st)
 }
@@ -502,24 +524,52 @@ func (s *simulator) submitAdmit(st *txnState) {
 		s.bufferAdmit(st)
 		return
 	}
-	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		attempt := st.admitAttempts
-		st.admitAttempts++
-		if s.inj.RefuseAdmit(st.t.ID, attempt) {
-			return 0, func(now event.Time) {
-				s.res.InjectedRefusals++
-				s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "refuse-admit"})
-				s.retryLater(func(event.Time) { s.submitAdmit(st) })
-			}
-		}
-		out := s.sch.Admit(st.t, now)
-		cpu := out.CPU
-		if out.Decision == sched.Granted {
-			// Startup coordination is spent only on an actual start.
-			cpu += s.cfg.Machine.StartupTime
-		}
-		return cpu, func(now event.Time) { s.handleAdmit(st, out.Decision, now) }
-	})
+	s.cn.Submit((*admitJob)(st))
+}
+
+// The control jobs of one transaction are the txnState itself under one
+// method set each: submitting one converts a pointer.
+type (
+	admitJob   txnState
+	requestJob txnState
+	commitJob  txnState
+	abortJob   txnState
+)
+
+func (j *admitJob) Run(now event.Time) event.Time {
+	st := (*txnState)(j)
+	s := st.sim
+	if st.refused = s.refusesAdmit(st); st.refused {
+		return 0
+	}
+	out := s.sch.Admit(st.t, now)
+	st.decision = out.Decision
+	if out.Decision == sched.Granted {
+		// Startup coordination is spent only on an actual start.
+		return out.CPU + s.cfg.Machine.StartupTime
+	}
+	return out.CPU
+}
+
+func (j *admitJob) Done(now event.Time) {
+	if st := (*txnState)(j); st.refused {
+		st.sim.handleRefusal(st, now)
+	} else {
+		st.sim.handleAdmit(st, st.decision, now)
+	}
+}
+
+// refusesAdmit numbers st's admission attempt and asks the injector
+// whether to refuse it.
+func (s *simulator) refusesAdmit(st *txnState) bool {
+	st.admitAttempts++
+	return s.inj.RefuseAdmit(st.t.ID, st.admitAttempts-1)
+}
+
+func (s *simulator) handleRefusal(st *txnState, now event.Time) {
+	s.res.InjectedRefusals++
+	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "refuse-admit"})
+	s.retryLater(st.retryAdmit)
 }
 
 func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) {
@@ -542,10 +592,10 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 		s.advance(st, now)
 	case sched.Delayed:
 		s.res.AdmissionDelays++
-		s.retryLater(func(event.Time) { s.submitAdmit(st) })
+		s.retryLater(st.retryAdmit)
 	case sched.Aborted:
 		s.res.AdmissionAborts++
-		s.retryLater(func(event.Time) { s.submitAdmit(st) })
+		s.retryLater(st.retryAdmit)
 	default:
 		panic(fmt.Sprintf("sim: admit decision %v", d))
 	}
@@ -557,10 +607,9 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 // most one window and all runs flush on the same deterministic grid.
 func (s *simulator) bufferAdmit(st *txnState) {
 	s.epochBuf = append(s.epochBuf, st)
-	if s.epochScheduled {
-		return
+	if len(s.epochBuf) > 1 {
+		return // the first arrival of the window scheduled its flush
 	}
-	s.epochScheduled = true
 	w := s.cfg.BatchWindow
 	boundary := (s.q.Now()/w + 1) * w
 	s.q.At(boundary, s.flushEpoch)
@@ -574,55 +623,59 @@ func (s *simulator) bufferAdmit(st *txnState) {
 // recomputation plus startup coordination per actual start. Rejected
 // members retry into a later epoch through the normal retry path.
 func (s *simulator) flushEpoch(now event.Time) {
-	s.epochScheduled = false
-	batch := s.epochBuf
+	batch := s.epochBuf // never empty: its first member scheduled this flush
 	s.epochBuf = nil
-	if len(batch) == 0 {
-		return
+	s.cn.Submit(&epochJob{s: s, batch: batch})
+}
+
+// epochJob is one flush's control job (one per window, so it is simply
+// allocated); each member's refused flag says which way it went.
+type epochJob struct {
+	s     *simulator
+	batch []*txnState
+	out   sched.BatchOutcome
+}
+
+func (j *epochJob) Run(now event.Time) event.Time {
+	s := j.s
+	ts := make([]*txn.T, 0, len(j.batch))
+	for _, st := range j.batch {
+		if st.refused = s.refusesAdmit(st); !st.refused {
+			ts = append(ts, st.t)
+		}
 	}
-	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		var refused, kept []*txnState
-		for _, st := range batch {
-			attempt := st.admitAttempts
-			st.admitAttempts++
-			if s.inj.RefuseAdmit(st.t.ID, attempt) {
-				refused = append(refused, st)
-			} else {
-				kept = append(kept, st)
-			}
+	j.out = s.batch.AdmitBatch(ts, now)
+	cpu := j.out.CPU
+	for _, o := range j.out.Outcomes {
+		cpu += o.CPU
+	}
+	return cpu + event.Time(j.out.Admitted)*s.cfg.Machine.StartupTime
+}
+
+func (j *epochJob) Done(now event.Time) {
+	s, out := j.s, j.out
+	s.res.Epochs++
+	s.batchSum += len(j.batch)
+	if len(j.batch) > s.res.MaxBatch {
+		s.res.MaxBatch = len(j.batch)
+	}
+	if out.Clusters > s.res.MaxClusters {
+		s.res.MaxClusters = out.Clusters
+	}
+	s.emitObs(obs.Event{Kind: obs.KindEpochFlush, At: now,
+		Batch: len(j.batch), Objects: float64(out.Admitted), Clusters: out.Clusters, CPU: out.CPU})
+	for _, st := range j.batch {
+		if st.refused {
+			s.handleRefusal(st, now)
 		}
-		ts := make([]*txn.T, len(kept))
-		for i, st := range kept {
-			ts[i] = st.t
+	}
+	decided := out.Outcomes
+	for _, st := range j.batch {
+		if !st.refused {
+			s.handleAdmit(st, decided[0].Decision, now)
+			decided = decided[1:]
 		}
-		out := s.batch.AdmitBatch(ts, now)
-		cpu := out.CPU
-		for _, o := range out.Outcomes {
-			cpu += o.CPU
-		}
-		cpu += event.Time(out.Admitted) * s.cfg.Machine.StartupTime
-		return cpu, func(now event.Time) {
-			s.res.Epochs++
-			s.batchSum += len(batch)
-			if len(batch) > s.res.MaxBatch {
-				s.res.MaxBatch = len(batch)
-			}
-			if out.Clusters > s.res.MaxClusters {
-				s.res.MaxClusters = out.Clusters
-			}
-			s.emitObs(obs.Event{Kind: obs.KindEpochFlush, At: now,
-				Batch: len(batch), Objects: float64(out.Admitted), Clusters: out.Clusters, CPU: out.CPU})
-			for _, st := range refused {
-				st := st
-				s.res.InjectedRefusals++
-				s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "refuse-admit"})
-				s.retryLater(func(event.Time) { s.submitAdmit(st) })
-			}
-			for i, st := range kept {
-				s.handleAdmit(st, out.Outcomes[i].Decision, now)
-			}
-		}
-	})
+	}
 }
 
 // emitObs sends one structured trace event (nil observer = one branch).
@@ -637,7 +690,7 @@ func (s *simulator) emitObs(e obs.Event) {
 // advance moves st to its next step or to commitment.
 func (s *simulator) advance(st *txnState, now event.Time) {
 	if st.step >= len(st.t.Steps) {
-		s.submitCommit(st)
+		s.cn.Submit((*commitJob)(st)) // two-phase commitment, coordinated at the CN
 		return
 	}
 	st.requestedAt = now
@@ -657,73 +710,60 @@ func (s *simulator) advance(st *txnState, now event.Time) {
 }
 
 // submitRequest asks for the lock of st's current step.
-func (s *simulator) submitRequest(st *txnState) {
-	step := st.step
-	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		out := s.sch.Request(st.t, step, now)
-		return out.CPU, func(now event.Time) { s.handleRequest(st, step, out.Decision, now) }
-	})
+func (s *simulator) submitRequest(st *txnState) { s.cn.Submit((*requestJob)(st)) }
+
+func (j *requestJob) Run(now event.Time) event.Time {
+	st := (*txnState)(j)
+	out := st.sim.sch.Request(st.t, st.step, now)
+	st.decision = out.Decision
+	return out.CPU
 }
 
-func (s *simulator) handleRequest(st *txnState, step int, d sched.Decision, now event.Time) {
-	sp := st.t.Steps[step]
-	switch d {
+func (j *requestJob) Done(now event.Time) {
+	st := (*txnState)(j)
+	s := st.sim
+	sp := st.t.Steps[st.step]
+	switch st.decision {
 	case sched.Granted:
 		if s.checker != nil {
 			s.checker.Grant(st.t.ID, sp.Part, sp.Mode)
 		}
 		st.lockWait += now - st.requestedAt
 		st.grantedAt = now
-		s.dispatch(st, step, sp)
+		s.dispatch(st, sp)
 	case sched.Blocked:
 		s.res.RequestBlocks++
 		s.waiting[sp.Part] = append(s.waiting[sp.Part], st)
 	case sched.Delayed:
 		s.res.RequestDelays++
-		s.retryLater(func(event.Time) { s.submitRequest(st) })
+		s.retryLater(st.retryRequest)
 	default:
-		panic(fmt.Sprintf("sim: request decision %v", d))
+		panic(fmt.Sprintf("sim: request decision %v", st.decision))
 	}
 }
 
 // dispatch sends the granted step to its data node — or, under
 // declustered placement, splits it into one sub-job per node that
 // complete independently (§4.3's intra-transaction parallelism).
-func (s *simulator) dispatch(st *txnState, step int, sp txn.Step) {
-	width := s.cfg.DeclusterWidth
-	if s.cfg.Declustered || width > len(s.nodes) {
-		width = len(s.nodes)
-	}
-	factor := s.ioFactor(sp.Part, st.t.ID)
-	if width <= 1 || len(s.nodes) == 1 {
-		st.outstanding = 1
-		j := &machine.Job{Txn: st.t, Step: step, Remaining: sp.Cost, TimeFactor: factor}
-		st.jobs = []*machine.Job{j}
-		s.nodes[s.place.NodeOf(sp.Part)].Enqueue(j)
-		return
-	}
-	// Declustered sub-jobs spread over the *alive* nodes starting at the
-	// partition's current home; with every node alive this is the classic
+func (s *simulator) dispatch(st *txnState, sp txn.Step) {
+	// Sub-jobs spread over the *alive* nodes starting at the partition's
+	// current home; with every node alive this is the classic
 	// (home+i) mod NumNodes placement.
 	alive := s.place.AliveIDs()
-	if width > len(alive) {
+	width := max(s.cfg.DeclusterWidth, 1)
+	if s.cfg.Declustered || width > len(alive) {
 		width = len(alive)
 	}
-	home := s.place.NodeOf(sp.Part)
-	hi := 0
-	for i, n := range alive {
-		if n == home {
-			hi = i
-			break
-		}
-	}
-	share := sp.Cost / float64(width)
+	home := slices.Index(alive, s.place.NodeOf(sp.Part))
+	factor := s.ioFactor(sp.Part, st.t.ID)
 	st.outstanding = width
-	st.jobs = st.jobs[:0]
-	for i := 0; i < width; i++ {
-		j := &machine.Job{Txn: st.t, Step: step, Remaining: share, TimeFactor: factor}
-		st.jobs = append(st.jobs, j)
-		s.nodes[alive[(hi+i)%len(alive)]].Enqueue(j)
+	if cap(st.jobs) < width {
+		st.jobs = make([]machine.Job, width)
+	}
+	st.jobs = st.jobs[:width]
+	for i := range st.jobs {
+		st.jobs[i] = machine.Job{Txn: st.t, Step: st.step, Remaining: sp.Cost / float64(width), TimeFactor: factor}
+		s.nodes[alive[(home+i)%len(alive)]].Enqueue(&st.jobs[i])
 	}
 }
 
@@ -743,9 +783,7 @@ func (s *simulator) ioFactor(p txn.PartitionID, id txn.ID) float64 {
 }
 
 // retryLater resubmits work after the fixed retry delay (§3.2).
-func (s *simulator) retryLater(fn event.Handler) {
-	s.q.After(s.cfg.Machine.RetryDelay, fn)
-}
+func (s *simulator) retryLater(fn event.Handler) { s.q.After(s.cfg.Machine.RetryDelay, fn) }
 
 // onQuantum relays a processed quantum to the scheduler (the §3.1 weight
 // adjustment message; node-side control overhead is ignored per §4.1)
@@ -781,28 +819,32 @@ func (s *simulator) onQuantum(j *machine.Job, objects float64, now event.Time) {
 // transaction. The transaction does not resubmit.
 func (s *simulator) abortMidRun(st *txnState, count *int, op string, now event.Time) {
 	st.aborting = true
-	for _, j := range st.jobs {
-		j.Cancelled = true
+	for i := range st.jobs {
+		st.jobs[i].Cancelled = true
 	}
 	*count++
 	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: op})
-	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		freed, cpu := sched.AbortTxn(s.sch, st.t, now)
-		return s.cfg.Machine.CommitTime + cpu, func(now event.Time) {
-			s.handleAbort(st, freed, now)
-		}
-	})
+	s.cn.Submit((*abortJob)(st))
 }
 
-// handleAbort finishes an injected abort once the control node has run
-// the recovery: the transaction leaves the live set, the recovered
+func (j *abortJob) Run(now event.Time) event.Time {
+	st := (*txnState)(j)
+	freed, cpu := sched.AbortTxn(st.sim.sch, st.t, now)
+	st.freed = freed
+	return st.sim.cfg.Machine.CommitTime + cpu
+}
+
+// Done finishes an injected abort once the control node has run the
+// recovery: the transaction leaves the live set, the recovered
 // scheduler state is invariant-checked (always under fault injection),
 // and waiters on the freed partitions are woken.
-func (s *simulator) handleAbort(st *txnState, freed []txn.PartitionID, now event.Time) {
+func (j *abortJob) Done(now event.Time) {
+	st := (*txnState)(j)
+	s := st.sim
 	delete(s.live, st.t.ID)
 	s.dur.Abort(st.Txn, st.t.ID, now)
 	s.selfCheck()
-	s.wakeWaiters(freed)
+	s.wakeWaiters(st.freed)
 }
 
 // crashNode kills data node `node` mid-run. Its partitions re-home to
@@ -881,22 +923,22 @@ func (s *simulator) onStepDone(j *machine.Job, now event.Time) {
 	s.advance(st, now)
 }
 
-// submitCommit coordinates two-phase commitment at the control node.
-func (s *simulator) submitCommit(st *txnState) {
-	s.cn.Submit(func(now event.Time) (event.Time, func(event.Time)) {
-		if st.Begun() {
-			// Final resolved predecessor set, read while the transaction
-			// is still in the graph — Commit drops it on the next line.
-			st.walPreds = sched.Predecessors(s.sch, st.t.ID)
-		}
-		freed, cpu := s.sch.Commit(st.t, now)
-		return s.cfg.Machine.CommitTime + cpu, func(now event.Time) {
-			s.handleCommit(st, freed, now)
-		}
-	})
+func (j *commitJob) Run(now event.Time) event.Time {
+	st := (*txnState)(j)
+	s := st.sim
+	if st.Begun() {
+		// Final resolved predecessor set, read while the transaction
+		// is still in the graph — Commit drops it on the next line.
+		st.walPreds = sched.Predecessors(s.sch, st.t.ID)
+	}
+	freed, cpu := s.sch.Commit(st.t, now)
+	st.freed = freed
+	return s.cfg.Machine.CommitTime + cpu
 }
 
-func (s *simulator) handleCommit(st *txnState, freed []txn.PartitionID, now event.Time) {
+func (j *commitJob) Done(now event.Time) {
+	st := (*txnState)(j)
+	s := st.sim
 	delete(s.live, st.t.ID)
 	s.durableCommit(st, now)
 	s.res.Completed++
@@ -927,7 +969,7 @@ func (s *simulator) handleCommit(st *txnState, freed []txn.PartitionID, now even
 			w.Add((now - st.arrived).Seconds())
 		}
 	}
-	s.wakeWaiters(freed)
+	s.wakeWaiters(st.freed)
 }
 
 // wakeWaiters resubmits requests blocked on the released partitions,
@@ -935,9 +977,6 @@ func (s *simulator) handleCommit(st *txnState, freed []txn.PartitionID, now even
 func (s *simulator) wakeWaiters(freed []txn.PartitionID) {
 	for _, p := range freed {
 		waiters := s.waiting[p]
-		if len(waiters) == 0 {
-			continue
-		}
 		delete(s.waiting, p)
 		for _, w := range waiters {
 			s.submitRequest(w)

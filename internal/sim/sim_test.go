@@ -3,6 +3,7 @@ package sim
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"batsched/internal/core/sched"
@@ -284,5 +285,36 @@ func TestTailLatencyMetrics(t *testing.T) {
 	}
 	if res.MaxRT < res.P95RT {
 		t.Errorf("Max %g below P95 %g", res.MaxRT, res.P95RT)
+	}
+}
+
+// TestSimSteadyStateAllocs pins the event kernel's budget where it is
+// spent: the overloaded cell (C2PL at λ = 0.8, where two thirds of the
+// arrivals never commit and nearly every control-node job is a refusal
+// that comes back after the retry delay). An attempt must allocate
+// nothing, so heap objects per control-node job stay far below one —
+// what remains is per arrival (the transaction, its state, the oracle's
+// history) and amortised growth. One closure per attempt in a retry path
+// costs a whole object per job and fails this test, not a benchmark.
+func TestSimSteadyStateAllocs(t *testing.T) {
+	cfg := baseConfig()
+	cfg.ArrivalRate = 0.8
+	cfg.Horizon = 600_000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(cfg)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobs := res.AdmissionDelays + res.AdmissionAborts + res.Admitted +
+		res.RequestDelays + res.RequestBlocks + res.Completed
+	if res.Completed*2 > res.Arrived || jobs < 100*res.Arrived {
+		t.Fatalf("cell is not overloaded: %d of %d arrivals committed, %d control jobs", res.Completed, res.Arrived, jobs)
+	}
+	perJob := float64(after.Mallocs-before.Mallocs) / float64(jobs)
+	t.Logf("%d arrivals, %d control-node jobs, %.3f heap objects per job", res.Arrived, jobs, perJob)
+	if perJob > 0.25 {
+		t.Errorf("%.3f heap objects per control-node job, want ≤ 0.25: something allocates per attempt", perJob)
 	}
 }
