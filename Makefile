@@ -25,7 +25,7 @@ MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolvePaper32
 MICRO_BENCH := $(MICRO_BENCH)|EachConflictingDecl500|IsBlocked500|DeclareRelease|WouldExceedK500
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
-MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageInsert
+MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert
 MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet
 
 # bench-smoke executes each micro-benchmark exactly once and the
@@ -55,14 +55,19 @@ epoch-smoke:
 # write-ahead contract (internal/durable holds the one), and a closure
 # built per control job or per retry in internal/sim is an allocation per
 # attempt that the transaction's own records exist to avoid
-# (docs/PERFORMANCE.md §11). The gofmt line fails on any file gofmt would
-# rewrite.
+# (docs/PERFORMANCE.md §11), and File.Fd hands the storage read path a
+# descriptor number that Store.Crash's Close can invalidate under it
+# (RawConn.Control holds the reference). The darwin vet keeps the read
+# loop of every GOOS without preadv compiling. The gofmt line fails on any
+# file gofmt would rewrite.
 verify: build test bench-smoke epoch-smoke
 	$(GO) vet ./...
 	! grep -rn 'Deprecated:' --include='*.go' .
 	! grep -rn 'os.Getenv' --include='*.go' .
 	! grep -rn 'wal\.Record{' --include='*.go' --exclude='*_test.go' internal/live internal/sim cmd
 	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
+	! grep -n '\.Fd()' internal/storage/*.go
+	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race -count=1 ./...
 	$(GO) test -tags wtpgshadow -count=1 ./internal/core/... ./internal/sim/

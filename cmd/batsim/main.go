@@ -275,8 +275,13 @@ func main() {
 	}
 	if store != nil {
 		total := poolStats.BytesRead + poolStats.BytesWritten
-		fmt.Printf("storage     %d page reads (%.1f%% pool hits), %d writes, %d evictions, %.2f MB/s wall, heap under %s\n",
-			poolStats.Hits+poolStats.Misses, 100*poolStats.HitRate(),
+		reads := "no backend reads"
+		if poolStats.ReadCalls > 0 { // a miss on a page being created reads nothing
+			reads = fmt.Sprintf("%.1f pages per backend read",
+				float64(poolStats.BytesRead/uint64(*pageSize))/float64(poolStats.ReadCalls))
+		}
+		fmt.Printf("storage     %d page reads (%.1f%% pool hits, %s), %d writes, %d evictions, %.2f MB/s wall, heap under %s\n",
+			poolStats.Hits+poolStats.Misses, 100*poolStats.HitRate(), reads,
 			poolStats.BytesWritten/uint64(*pageSize), poolStats.Evictions,
 			float64(total)/1e6/elapsed.Seconds(), *storageDir)
 	}

@@ -149,7 +149,7 @@ func TestWriteBarrier(t *testing.T) {
 				}
 				if path.cached {
 					s := st.pools[0].stripeOf(dirtyKey)
-					if fr := s.idx[dirtyKey]; fr == nil || !fr.valid || !fr.dirty {
+					if fr := s.lookup(dirtyKey); fr == nil || !fr.valid || !fr.dirty {
 						t.Fatalf("refused write did not leave page 0 cached and dirty: %+v", fr)
 					}
 				}

@@ -6,8 +6,9 @@ import (
 	"batsched/internal/txn"
 )
 
-// Iterator walks one partition's live tuples page by page, pinning the
-// current page for the duration of its tuples. Tuples are yielded
+// Iterator walks one partition's live tuples page by page, a run of the
+// pool at a time (Pool.pinRun): it holds pins on the current page's run,
+// at most runPages frames, and on nothing else. Tuples are yielded
 // zero-copy: the returned slice aliases the pinned frame and is valid
 // only until the next Next or Close — callers retaining a tuple must
 // copy it. The pin accounting enforces the contract: any path that
@@ -23,9 +24,18 @@ type Iterator struct {
 	page   uint32
 	slot   int
 	nslots int
-	fr     *Frame
+	fr     *Frame // the current page's frame, run[cur]; nil between pages
+	run    [runPages]*Frame
+	nrun   int // frames of run pinned
+	cur    int
 	err    error
 	done   bool
+}
+
+// runSpan is how many pages a scan at page pg of npages asks pinRun for:
+// the rest of pg's run, or of the file.
+func runSpan(pg, npages uint32) int {
+	return int(min(runPages-pg%runPages, npages-pg))
 }
 
 // iterPool recycles iterators for the store's internal scan paths
@@ -34,7 +44,7 @@ type Iterator struct {
 var iterPool = sync.Pool{New: func() any { return new(Iterator) }}
 
 // Scan opens an iterator over part. Always Close it — an open iterator
-// holds a pin on its current page.
+// holds pins on its current run.
 func (st *Store) Scan(part txn.PartitionID) *Iterator {
 	it := iterPool.Get().(*Iterator)
 	*it = Iterator{st: st, part: part}
@@ -43,9 +53,7 @@ func (st *Store) Scan(part txn.PartitionID) *Iterator {
 		it.err, it.done = err, true
 		return it
 	}
-	pf.mu.Lock()
-	it.npages = pf.pages
-	pf.mu.Unlock()
+	it.npages = pf.numPages()
 	it.pool = st.poolOf(part)
 	return it
 }
@@ -59,18 +67,22 @@ func (it *Iterator) Next() ([]byte, RecordID, bool) {
 	}
 	for {
 		if it.fr == nil {
-			if it.page >= it.npages {
-				it.done = true
-				return nil, RecordID{}, false
+			if it.cur == it.nrun {
+				it.unpinRun()
+				if it.page >= it.npages {
+					it.done = true
+					return nil, RecordID{}, false
+				}
+				n, err := it.pool.pinRun(it.part, it.page, runSpan(it.page, it.npages), &it.run)
+				if err != nil {
+					it.err, it.done = err, true
+					return nil, RecordID{}, false
+				}
+				it.nrun = n
 			}
-			fr, err := it.pool.Get(pageKey{it.part, it.page}, false)
-			if err != nil {
-				it.err, it.done = err, true
-				return nil, RecordID{}, false
-			}
-			it.fr = fr
+			it.fr = it.run[it.cur]
 			it.slot = 0
-			it.nslots = fr.Page().NumSlots()
+			it.nslots = it.fr.Page().NumSlots()
 		}
 		pg := it.fr.Page()
 		for it.slot < it.nslots {
@@ -80,22 +92,27 @@ func (it *Iterator) Next() ([]byte, RecordID, bool) {
 				return tup, RecordID{Page: it.page, Slot: s}, true
 			}
 		}
-		it.pool.Unpin(it.fr, false)
 		it.fr = nil
+		it.cur++
 		it.page++
 	}
+}
+
+func (it *Iterator) unpinRun() {
+	if it.nrun > 0 {
+		it.pool.unpinRun(it.run[:it.nrun])
+	}
+	it.nrun, it.cur = 0, 0
 }
 
 // Err returns the error that stopped the scan, if any.
 func (it *Iterator) Err() error { return it.err }
 
-// Close releases the iterator's pin. Safe to call twice. Tuples yielded
+// Close releases the iterator's pins. Safe to call twice. Tuples yielded
 // by Next must not be used after Close.
 func (it *Iterator) Close() {
-	if it.fr != nil {
-		it.pool.Unpin(it.fr, false)
-		it.fr = nil
-	}
+	it.fr = nil
+	it.unpinRun()
 	it.done = true
 }
 
@@ -109,26 +126,29 @@ func (it *Iterator) recycle() {
 
 // ScanCount returns the partition's live tuple count — the batched form
 // of the full read the execution layers drive on a granted read step.
-// Each heap page is pinned exactly once through the buffer pool (a cold
-// page still costs a real disk read and CRC verify) and counted from
-// its header's live count. No per-record work, no allocation.
+// Each heap page is pinned exactly once through the buffer pool, a run
+// at a time (a cold page still costs a real disk read and CRC verify),
+// and counted from its header's live count. No per-record work, no
+// allocation.
 func (st *Store) ScanCount(part txn.PartitionID) (int, error) {
 	pf, err := st.pf(part)
 	if err != nil {
 		return 0, err
 	}
-	pf.mu.Lock()
-	npages := pf.pages
-	pf.mu.Unlock()
+	npages := pf.numPages()
 	pool := st.poolOf(part)
+	var run [runPages]*Frame
 	n := 0
-	for pg := uint32(0); pg < npages; pg++ {
-		fr, err := pool.Get(pageKey{part, pg}, false)
+	for pg := uint32(0); pg < npages; {
+		got, err := pool.pinRun(part, pg, runSpan(pg, npages), &run)
 		if err != nil {
 			return n, err
 		}
-		n += fr.Page().Live()
-		pool.Unpin(fr, false)
+		for _, fr := range run[:got] {
+			n += fr.Page().Live()
+		}
+		pool.unpinRun(run[:got])
+		pg += uint32(got)
 	}
 	return n, nil
 }

@@ -13,7 +13,8 @@ import (
 type memIO struct {
 	mu       sync.Mutex
 	pages    map[pageKey][]byte
-	reads    int
+	reads    int // pages served
+	calls    int // readPages calls
 	writes   int
 	pageSize int
 }
@@ -22,15 +23,18 @@ func newMemIO(pageSize int) *memIO {
 	return &memIO{pages: map[pageKey][]byte{}, pageSize: pageSize}
 }
 
-func (m *memIO) readPage(k pageKey, buf []byte) error {
+func (m *memIO) readPages(k pageKey, bufs [][]byte, _ *readScratch) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.reads++
-	src, ok := m.pages[k]
-	if !ok {
-		return fmt.Errorf("memIO: no page %v", k)
+	m.calls++
+	for i, buf := range bufs {
+		src, ok := m.pages[pageKey{k.part, k.page + uint32(i)}]
+		if !ok {
+			return fmt.Errorf("memIO: no page %v", k)
+		}
+		m.reads++
+		copy(buf, src)
 	}
-	copy(buf, src)
 	return nil
 }
 
@@ -310,7 +314,7 @@ func TestPoolConcurrentChurn(t *testing.T) {
 // production-sized pools spread to the cap.
 func TestPoolAutoStripes(t *testing.T) {
 	for _, c := range []struct{ frames, want int }{
-		{2, 1}, {4, 1}, {8, 1}, {15, 1}, {16, 2}, {32, 4}, {64, 8}, {128, 16}, {256, 16}, {1024, 16},
+		{2, 1}, {4, 1}, {16, 1}, {64, 1}, {127, 1}, {128, 2}, {256, 4}, {512, 8}, {1024, 16}, {4096, 16},
 	} {
 		if got := autoStripes(c.frames); got != c.want {
 			t.Errorf("autoStripes(%d)=%d, want %d", c.frames, got, c.want)

@@ -61,10 +61,11 @@ type RecordID struct {
 	Slot int
 }
 
-// partFile is one partition's heap file. mu guards the descriptor and
-// the page count; opMu serializes structural mutations (insert, update,
-// delete, redo) so the store's own commit-apply and recovery paths can
-// run concurrently. Readers take neither — partition-level concurrency
+// partFile is one partition's heap file. f never changes after Open and
+// is read and written concurrently; mu guards only the page count, and
+// is never held across I/O. opMu serializes structural mutations (insert,
+// update, delete, redo) so the store's own commit-apply and recovery paths
+// can run concurrently. Readers take neither — partition-level concurrency
 // control is the scheduler's contract (strict 2PL: a writer excludes
 // every reader). base is the page count Open found: those pages may
 // hold tuples no log record can redo (a bulk load made before the log
@@ -73,11 +74,18 @@ type RecordID struct {
 // an old one — what was on disk before the session is never rewritten
 // on behalf of a commit.
 type partFile struct {
-	mu    sync.Mutex
 	f     *os.File
+	vec   vecFile
+	mu    sync.Mutex
 	pages uint32
 	base  uint32
 	opMu  sync.Mutex
+}
+
+func (pf *partFile) numPages() uint32 {
+	pf.mu.Lock()
+	defer pf.mu.Unlock()
+	return pf.pages
 }
 
 // Store is a directory of per-partition heap files behind per-node
@@ -193,14 +201,17 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 			return nil, fmt.Errorf("storage: %w", err)
 		}
 		pf := &partFile{f: f}
+		st.parts[p] = pf
 		torn, pages, err := st.recoverFile(f)
+		if err == nil {
+			pf.vec, err = newVecFile(f)
+		}
 		if err != nil {
 			st.closeFiles()
 			return nil, err
 		}
 		st.torn += torn
 		pf.pages, pf.base = pages, pages
-		st.parts[p] = pf
 	}
 	if st.flushEvery > 0 {
 		st.startFlushers()
@@ -286,16 +297,20 @@ func (st *Store) recoverFile(f *os.File) (torn int, pages uint32, err error) {
 		}
 	}
 	n := size / ps
-	buf := make([]byte, st.pageSize)
+	buf := make([]byte, runPages*st.pageSize)
 	valid := make([]bool, n)
-	for i := int64(0); i < n; i++ {
-		if _, err := f.ReadAt(buf, i*ps); err != nil {
+	for i := int64(0); i < n; i += runPages {
+		run := buf[:min(runPages, n-i)*ps]
+		if _, err := f.ReadAt(run, i*ps); err != nil {
 			return 0, 0, fmt.Errorf("storage: %w", err)
 		}
-		if _, err := LoadPage(buf); err == nil {
-			valid[i] = true
+		for j := int64(0); j*ps < int64(len(run)); j++ {
+			if _, err := LoadPage(run[j*ps : (j+1)*ps]); err == nil {
+				valid[i+j] = true
+			}
 		}
 	}
+	buf = buf[:ps]
 	newN := n
 	for newN > 0 && !valid[newN-1] {
 		newN--
@@ -414,16 +429,25 @@ func (st *Store) poolEvent(op string, k pageKey, bytes int) {
 	o.Observe(e)
 }
 
-// readPage / writePage implement pageIO for the pools.
-func (st *Store) readPage(k pageKey, buf []byte) error {
+// readPages / writePage implement pageIO for the pools.
+//
+// readPages fills bufs, one page each, with the consecutive pages of
+// k.part starting at k.page: with one vectored read where the platform
+// has one, and whatever that left unread — everything where it has none,
+// the rest after a short read — with one ReadAt per buffer. A file that
+// ends before the last page is an error naming the first page it lacks.
+func (st *Store) readPages(k pageKey, bufs [][]byte, sc *readScratch) error {
 	pf := st.parts[k.part]
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	if _, err := pf.f.ReadAt(buf, int64(k.page)*int64(st.pageSize)); err != nil {
-		return fmt.Errorf("storage: read %v page %d: %w", k.part, k.page, err)
+	off := int64(k.page) * int64(st.pageSize)
+	n, err := pf.vec.readv(bufs, off, sc)
+	i := n / st.pageSize // the first buffer not yet full
+	for from := n % st.pageSize; err == nil && i < len(bufs); from = 0 {
+		if _, err = pf.f.ReadAt(bufs[i][from:], off+int64(i*st.pageSize+from)); err == nil {
+			i++
+		}
 	}
-	if _, err := LoadPage(buf); err != nil {
-		return fmt.Errorf("storage: read %v page %d: %w", k.part, k.page, err)
+	if err != nil {
+		return fmt.Errorf("storage: read %v page %d: %w", k.part, k.page+uint32(i), err)
 	}
 	return nil
 }
@@ -432,10 +456,7 @@ func (st *Store) writePage(k pageKey, buf []byte) error {
 	if err := st.writeBarrier(); err != nil {
 		return fmt.Errorf("storage: write %v page %d: log not durable: %w", k.part, k.page, err)
 	}
-	pf := st.parts[k.part]
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	if _, err := pf.f.WriteAt(buf, int64(k.page)*int64(st.pageSize)); err != nil {
+	if _, err := st.parts[k.part].f.WriteAt(buf, int64(k.page)*int64(st.pageSize)); err != nil {
 		return fmt.Errorf("storage: write %v page %d: %w", k.part, k.page, err)
 	}
 	st.writeMu.Lock()
@@ -452,9 +473,7 @@ func (st *Store) NumPages(part txn.PartitionID) uint32 {
 	if err != nil {
 		return 0
 	}
-	pf.mu.Lock()
-	defer pf.mu.Unlock()
-	return pf.pages
+	return pf.numPages()
 }
 
 // TouchPage reads one page of a partition through the pool — the
@@ -466,9 +485,7 @@ func (st *Store) TouchPage(part txn.PartitionID, page uint32) error {
 	if err != nil {
 		return err
 	}
-	pf.mu.Lock()
-	n := pf.pages
-	pf.mu.Unlock()
+	n := pf.numPages()
 	if n == 0 {
 		return nil
 	}
@@ -503,9 +520,7 @@ func (st *Store) insertLocked(pf *partFile, part txn.PartitionID, tuple []byte) 
 		return RecordID{}, fmt.Errorf("storage: tuple %d bytes exceeds page capacity %d", len(tuple), st.maxTuple())
 	}
 	pool := st.poolOf(part)
-	pf.mu.Lock()
-	n := pf.pages
-	pf.mu.Unlock()
+	n := pf.numPages()
 	if n > pf.base {
 		fr, err := pool.Get(pageKey{part, n - 1}, false)
 		if err != nil {
@@ -539,9 +554,7 @@ func (st *Store) Get(part txn.PartitionID, rid RecordID) ([]byte, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	pf.mu.Lock()
-	n := pf.pages
-	pf.mu.Unlock()
+	n := pf.numPages()
 	if rid.Page >= n {
 		return nil, false, nil
 	}
@@ -566,9 +579,7 @@ func (st *Store) Delete(part txn.PartitionID, rid RecordID) (bool, error) {
 	}
 	pf.opMu.Lock()
 	defer pf.opMu.Unlock()
-	pf.mu.Lock()
-	n := pf.pages
-	pf.mu.Unlock()
+	n := pf.numPages()
 	if rid.Page >= n {
 		return false, nil
 	}
@@ -592,9 +603,7 @@ func (st *Store) Update(part txn.PartitionID, rid RecordID, tuple []byte) (Recor
 	}
 	pf.opMu.Lock()
 	defer pf.opMu.Unlock()
-	pf.mu.Lock()
-	n := pf.pages
-	pf.mu.Unlock()
+	n := pf.numPages()
 	if rid.Page >= n {
 		return RecordID{}, false, nil
 	}
@@ -718,11 +727,8 @@ func (st *Store) Crash(frac float64) error {
 	}
 	zeros := make([]byte, st.pageSize)
 	for _, w := range writes[keep:] {
-		pf := st.parts[w.k.part]
-		pf.mu.Lock()
-		_, err := pf.f.WriteAt(zeros[:st.pageSize-prefix],
+		_, err := st.parts[w.k.part].f.WriteAt(zeros[:st.pageSize-prefix],
 			int64(w.k.page)*int64(st.pageSize)+int64(prefix))
-		pf.mu.Unlock()
 		if err != nil {
 			return fmt.Errorf("storage: crash tear: %w", err)
 		}
