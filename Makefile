@@ -26,7 +26,7 @@ MICRO_BENCH := $(MICRO_BENCH)|EachConflictingDecl500|IsBlocked500|DeclareRelease
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert
-MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet
+MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet|LiveRunBatchHotSet
 
 # bench-smoke executes each micro-benchmark exactly once and the
 # benchmark's -quick pass over all six workloads (with its correctness
@@ -57,7 +57,10 @@ epoch-smoke:
 # attempt that the transaction's own records exist to avoid
 # (docs/PERFORMANCE.md §11), and File.Fd hands the storage read path a
 # descriptor number that Store.Crash's Close can invalidate under it
-# (RawConn.Control holds the reference). The darwin vet keeps the read
+# (RawConn.Control holds the reference), and what only its own tests
+# reached and was deleted for it (DESIGN.md §15: live's window collector,
+# the effect-size and per-point-metrics knobs, record-level page update /
+# delete / compact) stays deleted. The darwin vet keeps the read
 # loop of every GOOS without preadv compiling. The gofmt line fails on any
 # file gofmt would rewrite.
 verify: build test bench-smoke epoch-smoke
@@ -67,6 +70,8 @@ verify: build test bench-smoke epoch-smoke
 	! grep -rn 'wal\.Record{' --include='*.go' --exclude='*_test.go' internal/live internal/sim cmd
 	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
 	! grep -n '\.Fd()' internal/storage/*.go
+	! grep -rn 'WithBatchWindow\|epochLoop\|WithEffectBytes\|experiments\.WithMetrics' --include='*.go' .
+	! grep -n 'func (p Page) \(Delete\|Update\|Compact\)' internal/storage/page.go
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race -count=1 ./...

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"batsched"
+	"batsched/internal/core/sched"
 )
 
 // TestFacadeFigure1Workflow drives the public API through the paper's
@@ -93,6 +94,26 @@ func TestFacadePatternParse(t *testing.T) {
 	}
 	if tx.DeclaredTotal() != 7.2 {
 		t.Errorf("total = %g, want 7.2", tx.DeclaredTotal())
+	}
+}
+
+// TestFacadeCoversRegistry holds batsched.go to its word that the
+// constructors and the CLIs' -sched flags agree: every name the registry
+// lists — exact names and one member of each family — has a facade
+// constructor building the same scheduler.
+func TestFacadeCoversRegistry(t *testing.T) {
+	facade := map[string]bool{}
+	for _, f := range []batsched.SchedulerFactory{
+		batsched.NODC(), batsched.ASL(), batsched.C2PL(), batsched.CHAIN(), batsched.EPOCH(),
+		batsched.KWTPG(2), batsched.ChainC2PL(), batsched.KConflictC2PL(2),
+	} {
+		facade[f.Label] = true
+	}
+	for _, name := range sched.Names() {
+		name = strings.ReplaceAll(name, "<k>", "2")
+		if !facade[sched.MustLookup(name).Label] {
+			t.Errorf("registry name %s has no facade constructor", name)
+		}
 	}
 }
 

@@ -28,8 +28,8 @@ type BatchOutcome struct {
 }
 
 // BatchAdmitter is the optional batch-aware surface of a Scheduler.
-// Drivers that collect arrivals into epochs (package sim with
-// Config.BatchWindow, the live controller with WithBatchWindow) detect
+// Drivers that admit arrivals in batches (package sim with
+// Config.BatchWindow, the live controller's RunBatch) detect
 // it with a type assertion and admit whole batches through it;
 // schedulers that do not implement it are driven per-arrival exactly as
 // before, so the base Scheduler contract is untouched.
@@ -112,11 +112,12 @@ func (e *epoch) AdmitBatch(ts []*txn.T, now event.Time) BatchOutcome {
 // connected components of the batch's conflict graph (two transactions
 // are connected when wtpg.ConflictWeights finds any conflicting step
 // pair). Transactions in different clusters never contend with each
-// other, so clusters are the unit of parallel dispatch — the live
-// controller hands them to epoch workers, the simulator reports them
-// per flush. Returned clusters hold indices into ts, each cluster in
-// ascending index order, clusters ordered by their smallest member, so
-// the output is deterministic.
+// other, so their count is the batch's available parallelism — the
+// simulator and the live controller report it per flush, and the
+// scheduler's own order W decides who runs first inside one. Returned
+// clusters hold indices into ts, each cluster in ascending index order,
+// clusters ordered by their smallest member, so the output is
+// deterministic.
 func ConflictClusters(ts []*txn.T) [][]int {
 	n := len(ts)
 	if n == 0 {

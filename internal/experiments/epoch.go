@@ -7,7 +7,6 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
-	"batsched/internal/obs"
 	"batsched/internal/sim"
 	"batsched/internal/workload"
 )
@@ -39,9 +38,6 @@ type EpochSweepRow struct {
 	MaxBatch    int     `json:"max_batch"`
 	MeanBatch   float64 `json:"mean_batch"`
 	MaxClusters int     `json:"max_clusters"`
-	// Metrics holds this row's trace aggregates when the sweep was given
-	// WithMetrics.
-	Metrics *obs.Metrics `json:"-"`
 }
 
 // EpochSweepResult is the full batch-window sweep.
@@ -102,7 +98,7 @@ func RunEpochSweep(o Options, windows []event.Time, lambda float64, maxTxns int,
 			BatchWindow:          w,
 		}
 	}
-	results, jobMetrics, errs := runJobs(rc, cfgs, o.Progress)
+	results, errs := runJobs(rc, cfgs, o.Progress)
 	res := &EpochSweepResult{
 		Scheduler: factory.Label,
 		Lambda:    lambda,
@@ -127,7 +123,6 @@ func RunEpochSweep(o Options, windows []event.Time, lambda float64, maxTxns int,
 			MaxBatch:    r.MaxBatch,
 			MeanBatch:   r.MeanBatch,
 			MaxClusters: r.MaxClusters,
-			Metrics:     jobMetrics[i],
 		})
 	}
 	return res, nil

@@ -23,7 +23,8 @@ func epochSweepOpts() (Options, []event.Time) {
 // the wide windows, and JSON/CSV renderings that carry the same rows.
 func TestRunEpochSweep(t *testing.T) {
 	o, windows := epochSweepOpts()
-	r, err := RunEpochSweep(o, windows, 2.0, 30, WithMetrics())
+	agg := obs.NewMetrics()
+	r, err := RunEpochSweep(o, windows, 2.0, 30, WithTrace(agg))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,9 +42,9 @@ func TestRunEpochSweep(t *testing.T) {
 			t.Errorf("window %v: implausible makespan %v / p99 %g / mean %g",
 				row.Window, row.Makespan, row.P99RT, row.MeanRT)
 		}
-		if row.Metrics == nil {
-			t.Errorf("window %v: no metrics", row.Window)
-		}
+	}
+	if sm := agg.Sched(r.Scheduler); sm == nil || int(sm.Commits) != 30*len(windows) {
+		t.Errorf("shared metrics sink: %+v, want %d commits under %s", sm, 30*len(windows), r.Scheduler)
 	}
 	if base := r.Rows[0]; base.Epochs != 0 || base.MaxBatch != 0 {
 		t.Errorf("window-0 baseline batched: %+v", base)

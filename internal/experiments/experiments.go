@@ -28,7 +28,6 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
 	"batsched/internal/machine"
-	"batsched/internal/obs"
 	"batsched/internal/sim"
 	"batsched/internal/stats"
 	"batsched/internal/workload"
@@ -83,10 +82,6 @@ type Point struct {
 	// TPSStd is the cross-seed standard deviation of the throughput
 	// (0 for single runs).
 	TPSStd float64
-	// Metrics aggregates this cell's trace events (decision counts,
-	// latency histograms, graph sizes) across replicates. Only set when
-	// the run was given WithMetrics.
-	Metrics *obs.Metrics
 }
 
 // Sweep is one scheduler's arrival-rate sweep.
@@ -119,19 +114,17 @@ type job struct {
 // `workers` goroutines pulling job indices from a channel. Every run is
 // fully isolated — its own sim instance, seed-derived RNG and fault
 // injector (sim.Run builds all three from the config), plus the private
-// obs sinks from runConfig.forJob — and its result lands in the
+// trace buffer from runConfig.forJob — and its result lands in the
 // pre-indexed slot results[i], so downstream assembly never depends on
 // completion order. Per-run trace buffers are replayed into the shared
-// observer in job order by orderedFlush; per-run Metrics come back for
-// the caller to merge, again in job order. Progress (if non-nil) is
+// observer in job order by orderedFlush. Progress (if non-nil) is
 // called with monotonically increasing completion counts under a lock.
 func runJobs(rc runConfig, cfgs []sim.Config,
-	progress func(done, total int)) ([]*sim.Result, []*obs.Metrics, []error) {
+	progress func(done, total int)) ([]*sim.Result, []error) {
 
 	n := len(cfgs)
 	results := make([]*sim.Result, n)
 	errs := make([]error, n)
-	jobMetrics := make([]*obs.Metrics, n)
 	workers := rc.parallel
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -149,10 +142,9 @@ func runJobs(rc runConfig, cfgs []sim.Config,
 		go func() {
 			defer wg.Done()
 			for i := range idx {
-				sinks, simOpts := rc.forJob()
-				jobMetrics[i] = sinks.metrics
+				trace, simOpts := rc.forJob()
 				results[i], errs[i] = sim.Run(cfgs[i], simOpts...)
-				flush.complete(i, sinks.trace)
+				flush.complete(i, trace)
 				if progress != nil {
 					mu.Lock()
 					done++
@@ -167,7 +159,7 @@ func runJobs(rc runConfig, cfgs []sim.Config,
 	}
 	close(idx)
 	wg.Wait()
-	return results, jobMetrics, errs
+	return results, errs
 }
 
 // runGrid executes the (factory × lambda) grid on the worker pool. The
@@ -216,7 +208,7 @@ func runGridMutate(o Options, factories []sched.Factory, lambdas []float64,
 			}
 		}
 	}
-	results, jobMetrics, errs := runJobs(rc, cfgs, o.Progress)
+	results, errs := runJobs(rc, cfgs, o.Progress)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("experiments: %s @ λ=%g: %w",
@@ -225,13 +217,9 @@ func runGridMutate(o Options, factories []sched.Factory, lambdas []float64,
 	}
 	// Group replicates per (scheduler, lambda) cell and aggregate.
 	cells := make(map[[2]int][]*sim.Result)
-	cellMetrics := make(map[[2]int][]*obs.Metrics)
 	for i, j := range jobs {
 		key := [2]int{j.schedIdx, j.lambdaIdx}
 		cells[key] = append(cells[key], results[i])
-		if jobMetrics[i] != nil {
-			cellMetrics[key] = append(cellMetrics[key], jobMetrics[i])
-		}
 	}
 	sweeps := make([]Sweep, len(factories))
 	for si, f := range factories {
@@ -243,12 +231,6 @@ func runGridMutate(o Options, factories []sched.Factory, lambdas []float64,
 			if len(reps) > 1 {
 				p.Replicates = reps
 				p.TPSStd = tpsStd(reps)
-			}
-			if ms := cellMetrics[key]; len(ms) > 0 {
-				p.Metrics = ms[0]
-				for _, m := range ms[1:] {
-					p.Metrics.Merge(m)
-				}
 			}
 			sweeps[si].Points = append(sweeps[si].Points, p)
 		}

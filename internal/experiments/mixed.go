@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"batsched/internal/obs"
 	"batsched/internal/sim"
 	"batsched/internal/txn"
 	"batsched/internal/workload"
@@ -27,9 +26,6 @@ type MixedRow struct {
 	ShortCompleted int
 	BATCompleted   int
 	Throughput     float64
-	// Metrics holds this run's trace aggregates when the experiment was
-	// given WithMetrics.
-	Metrics *obs.Metrics
 }
 
 // RunMixedWorkload runs the paper's conclusion scenario: a mixture of
@@ -75,7 +71,7 @@ func RunMixedWorkload(o Options, lambda, shortShare float64, opts ...Option) (*M
 			Classify:             func(t *txn.T) string { return mix.ClassOf(t.ID) },
 		}
 	}
-	results, jobMetrics, errs := runJobs(rc, cfgs, o.Progress)
+	results, errs := runJobs(rc, cfgs, o.Progress)
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("mixed %s: %w", factories[i].Label, err)
@@ -88,7 +84,6 @@ func RunMixedWorkload(o Options, lambda, shortShare float64, opts ...Option) (*M
 			ShortCompleted: r.ClassCompleted["short"],
 			BATCompleted:   r.ClassCompleted["bat"],
 			Throughput:     r.Throughput,
-			Metrics:        jobMetrics[i],
 		})
 	}
 	sort.Slice(res.Rows, func(i, j int) bool { return res.Rows[i].Scheduler < res.Rows[j].Scheduler })

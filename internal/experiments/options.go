@@ -14,14 +14,12 @@ import (
 // arrive as functional options:
 //
 //	res, err := experiments.RunExperiment1(o,
-//		experiments.WithMetrics(),
 //		experiments.WithTrace(sink),
 //		experiments.WithParallelism(4))
 type Option func(*runConfig)
 
 type runConfig struct {
 	trace    obs.Observer
-	metrics  bool
 	parallel int
 	inj      *fault.Injector
 }
@@ -43,19 +41,11 @@ func buildRunConfig(opts []Option) runConfig {
 // attached obs.JSONL sink produces is identical whether the grid ran on
 // one worker or on runtime.NumCPU() workers, and o only ever sees
 // events from the single goroutine that owns the replay cursor at that
-// moment.
+// moment. It is the one way to collect run metrics too: hand it an
+// obs.Metrics (obs.Multi joins it with a trace sink) and read the
+// aggregate, keyed by scheduler label, when the experiment returns.
 func WithTrace(o obs.Observer) Option {
 	return func(rc *runConfig) { rc.trace = o }
-}
-
-// WithMetrics aggregates per-sweep-point metrics: every resulting Point
-// carries an obs.Metrics with decision counts, latency histograms and
-// graph-size distributions, merged across replicates of the same cell.
-// Each run owns its own obs.Metrics while it executes; the per-cell
-// aggregates are folded together with obs.(*Metrics).Merge after the
-// runs complete, in grid order.
-func WithMetrics() Option {
-	return func(rc *runConfig) { rc.metrics = true }
 }
 
 // WithFaults runs every grid cell under the fault injector: injected
@@ -93,35 +83,21 @@ type capture struct {
 // Observe appends the event to the run-private buffer.
 func (c *capture) Observe(e obs.Event) { c.events = append(c.events, e) }
 
-// cellSinks are the sinks private to one grid cell's run.
-type cellSinks struct {
-	metrics *obs.Metrics // nil unless WithMetrics
-	trace   *capture     // nil unless WithTrace
-}
-
-// forJob builds one grid job's private sinks and the sim.Run options
-// wiring them up. Nothing here is shared with any other run: the
-// Metrics is merged per cell after completion, the capture buffer is
-// replayed into the shared observer in grid order.
-func (rc runConfig) forJob() (cellSinks, []sim.Option) {
-	var s cellSinks
+// forJob builds one grid job's private trace buffer (nil unless
+// WithTrace) and the sim.Run options wiring it up. Nothing here is shared
+// with any other run: the buffer is replayed into the shared observer in
+// grid order.
+func (rc runConfig) forJob() (*capture, []sim.Option) {
 	var simOpts []sim.Option
 	if rc.inj.Enabled() {
 		simOpts = append(simOpts, sim.WithFaults(rc.inj))
 	}
-	var observers []obs.Observer
+	var trace *capture
 	if rc.trace != nil {
-		s.trace = &capture{}
-		observers = append(observers, s.trace)
+		trace = &capture{}
+		simOpts = append(simOpts, sim.WithTrace(trace))
 	}
-	if rc.metrics {
-		s.metrics = obs.NewMetrics()
-		observers = append(observers, s.metrics)
-	}
-	if len(observers) > 0 {
-		simOpts = append(simOpts, sim.WithTrace(obs.Multi(observers...)))
-	}
-	return s, simOpts
+	return trace, simOpts
 }
 
 // orderedFlush replays per-run trace buffers into the shared observer

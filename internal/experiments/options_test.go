@@ -1,58 +1,65 @@
 package experiments
 
 import (
+	"reflect"
+	"sort"
 	"testing"
 
 	"batsched/internal/obs"
 )
 
-// TestRunGridWithMetricsAndTrace runs a tiny Experiment 1 grid with both
-// observability options and checks every point carries consistent
-// per-scheduler aggregates while a shared sink sees all runs.
+// TestRunGridWithMetricsAndTrace runs a tiny Experiment 1 grid with one
+// shared sink — a metrics aggregate joined with a trace ring, the form
+// batbench -metrics -trace uses — and checks the aggregate is keyed by
+// exactly the grid's schedulers, each with every replicate of every point
+// folded in, while the ring saw all runs.
 func TestRunGridWithMetricsAndTrace(t *testing.T) {
 	ring := obs.NewRing(1 << 16)
+	agg := obs.NewMetrics()
 	o := Options{Horizon: 60_000, Lambdas: []float64{0.4}, Replications: 2}
-	res, err := RunExperiment1(o, WithMetrics(), WithTrace(ring))
+	res, err := RunExperiment1(o, WithTrace(obs.Multi(agg, ring)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	labels := map[string]bool{}
+	var labels []string
 	for _, sw := range res.Sweeps {
-		labels[sw.Label] = true
-		for _, p := range sw.Points {
-			if p.Metrics == nil {
-				t.Fatalf("%s λ=%g: no metrics attached", sw.Label, p.Lambda)
-			}
-			sm := p.Metrics.Sched(sw.Label)
-			if sm == nil {
-				t.Fatalf("%s λ=%g: metrics keyed %v, want own label",
-					sw.Label, p.Lambda, p.Metrics.Schedulers())
-			}
-			// Replicates were merged into the point: completions in the
-			// aggregate result are summed the same way.
-			if int(sm.Commits) != p.Result.Completed {
-				t.Errorf("%s λ=%g: metrics commits %d, result completed %d",
-					sw.Label, p.Lambda, sm.Commits, p.Result.Completed)
-			}
-			if others := p.Metrics.Schedulers(); len(others) != 1 {
-				t.Errorf("%s: point metrics mixes schedulers %v", sw.Label, others)
-			}
+		labels = append(labels, sw.Label)
+		sm := agg.Sched(sw.Label)
+		if sm == nil {
+			t.Fatalf("%s: metrics keyed %v, want own label", sw.Label, agg.Schedulers())
 		}
+		// The aggregate Result sums completions across replicates; the
+		// shared sink was fed every replicate of every point.
+		completed := 0
+		for _, p := range sw.Points {
+			completed += p.Result.Completed
+		}
+		if int(sm.Commits) != completed {
+			t.Errorf("%s: metrics commits %d, results completed %d", sw.Label, sm.Commits, completed)
+		}
+	}
+	sort.Strings(labels)
+	if got := agg.Schedulers(); !reflect.DeepEqual(got, labels) {
+		t.Errorf("metrics keyed %v, want the grid's schedulers %v", got, labels)
 	}
 	// The shared trace observer saw every scheduler of the grid.
 	seen := map[string]bool{}
 	for _, e := range ring.Events() {
 		seen[e.Sched] = true
 	}
-	for l := range labels {
+	for _, l := range labels {
 		if !seen[l] {
 			t.Errorf("shared trace sink has no events from %s (saw %v)", l, seen)
 		}
 	}
 }
 
-// TestRunGridWithoutOptionsUnchanged: the default path attaches nothing.
+// TestRunGridWithoutOptionsUnchanged: the default path attaches nothing —
+// no trace buffer, no simulator option — and still runs the grid.
 func TestRunGridWithoutOptionsUnchanged(t *testing.T) {
+	if trace, simOpts := buildRunConfig(nil).forJob(); trace != nil || len(simOpts) != 0 {
+		t.Fatalf("default job carries trace %v and %d simulator options", trace, len(simOpts))
+	}
 	o := Options{Horizon: 40_000, Lambdas: []float64{0.3}}
 	res, err := RunExperiment1(o)
 	if err != nil {
@@ -60,8 +67,8 @@ func TestRunGridWithoutOptionsUnchanged(t *testing.T) {
 	}
 	for _, sw := range res.Sweeps {
 		for _, p := range sw.Points {
-			if p.Metrics != nil {
-				t.Fatalf("%s: metrics attached without WithMetrics", sw.Label)
+			if p.Result == nil || p.Result.Completed == 0 {
+				t.Fatalf("%s λ=%g: nothing completed", sw.Label, p.Lambda)
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"regexp"
 	"testing"
@@ -11,23 +12,32 @@ import (
 )
 
 // runSmokeGrid runs the Experiment-1 smoke grid at the given
-// parallelism with a JSONL trace and metrics attached, returning the
-// result, the rendered figure tables, and the raw trace bytes.
+// parallelism with a JSONL trace and a metrics aggregate sharing the one
+// sink, returning the result, the rendered figure tables followed by the
+// aggregate's simulated-time counters (its wall-clock histogram is the
+// one part two runs never share), and the raw trace bytes.
 func runSmokeGrid(t *testing.T, parallel int) (*Experiment1Result, string, []byte) {
 	t.Helper()
 	o := quickOpts()
 	o.Replications = 2
 	var buf bytes.Buffer
 	sink := obs.NewJSONL(&buf)
+	agg := obs.NewMetrics()
 	r, err := RunExperiment1(o,
-		WithParallelism(parallel), WithTrace(sink), WithMetrics())
+		WithParallelism(parallel), WithTrace(obs.Multi(sink, agg)))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := sink.Close(); err != nil {
 		t.Fatal(err)
 	}
-	return r, r.RenderFigure6() + r.RenderFigure7(), buf.Bytes()
+	tables := r.RenderFigure6() + r.RenderFigure7()
+	for _, label := range agg.Schedulers() {
+		sm := agg.Sched(label)
+		tables += fmt.Sprintf("%s: %d admits, %d requests, %d commits, %d aborts, mean rt %v, max graph %v\n",
+			label, sm.Admits, sm.Requests, sm.Commits, sm.Aborts, sm.ResponseTime.Mean(), sm.GraphSize.Max())
+	}
+	return r, tables, buf.Bytes()
 }
 
 // TestParallelDeterminism is the differential determinism test: the

@@ -3,7 +3,8 @@ package live
 import (
 	"context"
 	"errors"
-	"sync"
+	"fmt"
+	"math/rand"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,8 +12,8 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
 	"batsched/internal/modelcheck"
-	"batsched/internal/obs"
 	"batsched/internal/txn"
+	"batsched/internal/workload"
 )
 
 // epochCtl builds an EPOCH-scheduled controller with fast retries.
@@ -62,89 +63,6 @@ func TestRunBatchCommitsEverything(t *testing.T) {
 	}
 }
 
-// TestSubmitWindowBatches drives the Submit/window pipeline: a burst of
-// submissions inside one window must flush as one epoch (or very few),
-// all commit, and the flush must reach the observer.
-func TestSubmitWindowBatches(t *testing.T) {
-	metrics := obs.NewMetrics()
-	ctl := epochCtl(
-		WithBatchWindow(50*time.Millisecond),
-		WithObserver(metrics),
-	)
-	defer ctl.Close()
-	const n = 10
-	var chans []<-chan error
-	for i := 0; i < n; i++ {
-		tx := txn.New(txn.ID(i+1), []txn.Step{w(txn.PartitionID(i), 1)})
-		chans = append(chans, ctl.Submit(context.Background(), tx, func(step int, p Progress) error {
-			p(1)
-			return nil
-		}))
-	}
-	for i, ch := range chans {
-		select {
-		case err := <-ch:
-			if err != nil {
-				t.Fatalf("txn %d: %v", i, err)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("txn %d: no result", i)
-		}
-	}
-	st := ctl.Stats()
-	if st.Committed != n {
-		t.Errorf("committed %d of %d", st.Committed, n)
-	}
-	if st.Epochs == 0 || st.Epochs > 3 {
-		t.Errorf("epochs %d, want the burst batched into a few windows", st.Epochs)
-	}
-	sm := metrics.Sched("EPOCH")
-	if sm == nil {
-		t.Fatal("no EPOCH metrics")
-	}
-	if sm.Epochs != st.Epochs {
-		t.Errorf("observer saw %d epoch flushes, stats %d", sm.Epochs, st.Epochs)
-	}
-	if sm.BatchSize.Count() == 0 {
-		t.Error("no batch sizes observed")
-	}
-}
-
-// TestSubmitWithoutWindowDegeneratesToRun pins the no-window contract:
-// Submit still executes and commits, with zero epochs flushed.
-func TestSubmitWithoutWindowDegeneratesToRun(t *testing.T) {
-	ctl := epochCtl()
-	defer ctl.Close()
-	tx := txn.New(1, []txn.Step{w(0, 1)})
-	if err := <-ctl.Submit(context.Background(), tx, nil); err != nil {
-		t.Fatal(err)
-	}
-	st := ctl.Stats()
-	if st.Committed != 1 || st.Epochs != 0 {
-		t.Errorf("stats %+v, want 1 committed and 0 epochs", st)
-	}
-}
-
-// TestSubmitAfterCloseFails pins shutdown: pending and late submissions
-// deliver ErrClosed instead of hanging.
-func TestSubmitAfterCloseFails(t *testing.T) {
-	ctl := epochCtl(WithBatchWindow(time.Hour)) // window never fires
-	for i := 0; i < 3; i++ {
-		tx := txn.New(txn.ID(i+1), []txn.Step{w(0, 1)})
-		ch := ctl.Submit(context.Background(), tx, nil)
-		defer func(i int, ch <-chan error) {
-			if err := <-ch; !errors.Is(err, ErrClosed) {
-				t.Errorf("pending submission %d: %v, want ErrClosed", i, err)
-			}
-		}(i, ch)
-	}
-	ctl.Close()
-	late := txn.New(99, []txn.Step{w(0, 1)})
-	if err := <-ctl.Submit(context.Background(), late, nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("late submission: %v, want ErrClosed", err)
-	}
-}
-
 // TestRunBatchFallsBackPerArrival runs RunBatch against a non-batch
 // scheduler (CHAIN): no epoch admission happens, but every member still
 // admits and commits through the per-arrival path.
@@ -167,13 +85,14 @@ func TestRunBatchFallsBackPerArrival(t *testing.T) {
 	}
 }
 
-// TestEpochChaosLive is the live chaos run for the epoch path: faulted
-// submissions through the window pipeline, with injected aborts,
-// refusals, slow I/O and a watchdog. Every submission must resolve —
-// commit or a recognized fault error — and the controller must stay
-// invariant-clean.
+// TestEpochChaosLive is the live chaos run for the batch path: faulted
+// batches through RunBatch, with injected aborts, crashes, admission
+// refusals, slow I/O and a watchdog. Every member must resolve — commit
+// or a recognized fault error — the controller must stay invariant-clean
+// and the history must certify.
 func TestEpochChaosLive(t *testing.T) {
-	inj, err := fault.New(7, fault.Config{
+	const seed = 7
+	inj, err := fault.New(seed, fault.Config{
 		AbortRate:        0.2,
 		CrashRate:        0.1,
 		SlowIORate:       0.2,
@@ -185,67 +104,66 @@ func TestEpochChaosLive(t *testing.T) {
 	}
 	h := modelcheck.NewHistory()
 	ctl := epochCtl(
-		WithBatchWindow(20*time.Millisecond),
 		WithFaults(inj),
 		WithWatchdog(100*time.Millisecond),
 		WithObserver(h),
 	)
 	defer ctl.Close()
-	const n = 40
-	chans := make([]<-chan error, n)
-	for i := 0; i < n; i++ {
-		tx := txn.New(txn.ID(i+1), []txn.Step{
-			w(txn.PartitionID(i%8), 1), r(txn.PartitionID((i+3)%8), 1),
-		})
-		chans[i] = ctl.Submit(context.Background(), tx, func(step int, p Progress) error {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	const n, batch = 40, 8
+	committed, faulted := 0, 0
+	acked := map[txn.ID]bool{}
+	for base := 0; base < n; base += batch {
+		ts := make([]*txn.T, batch)
+		for j := range ts {
+			i := base + j
+			ts[j] = txn.New(txn.ID(i+1), []txn.Step{
+				w(txn.PartitionID(i%8), 1), r(txn.PartitionID((i+3)%8), 1),
+			})
+		}
+		errs := ctl.RunBatch(ctx, ts, func(tx *txn.T, step int, p Progress) error {
 			p(1)
 			return nil
 		})
-	}
-	committed, faulted := 0, 0
-	acked := map[txn.ID]bool{}
-	for i, ch := range chans {
-		select {
-		case err := <-ch:
+		for j, err := range errs {
 			switch {
 			case err == nil:
 				committed++
-				acked[txn.ID(i+1)] = true
+				acked[ts[j].ID] = true
 			case errors.Is(err, fault.ErrInjectedAbort),
 				errors.Is(err, fault.ErrInjectedCrash),
 				errors.Is(err, ErrWatchdogAborted):
 				faulted++
 			default:
-				t.Fatalf("txn %d: unexpected error %v", i, err)
+				t.Fatalf("fault seed %d: %v: unexpected error %v", seed, ts[j].ID, err)
 			}
-		case <-time.After(30 * time.Second):
-			t.Fatalf("txn %d: no result", i)
 		}
 	}
 	if err := ctl.CheckInvariants(); err != nil {
-		t.Fatal(err)
+		t.Fatalf("fault seed %d: %v", seed, err)
 	}
 	if err := h.Certify(modelcheck.Evidence{Acked: acked}); err != nil {
-		t.Fatal(err)
+		t.Fatalf("fault seed %d: %v", seed, err)
 	}
 	st := ctl.Stats()
 	if committed+faulted != n {
-		t.Errorf("resolved %d+%d of %d", committed, faulted, n)
+		t.Errorf("fault seed %d: resolved %d+%d of %d", seed, committed, faulted, n)
 	}
-	if int(st.Committed) != committed {
-		t.Errorf("stats committed %d, observed %d", st.Committed, committed)
+	if int(st.Committed) != committed || st.Active != 0 {
+		t.Errorf("fault seed %d: stats %+v, observed %d commits", seed, st, committed)
 	}
-	if st.Epochs == 0 {
-		t.Error("no epochs flushed")
+	if st.Epochs != n/batch || st.BatchAdmitted == 0 {
+		t.Errorf("fault seed %d: %d epochs, %d batch-admitted, want %d epochs", seed, st.Epochs, st.BatchAdmitted, n/batch)
 	}
 	t.Logf("epoch live chaos: %d committed, %d faulted, %d epochs", committed, faulted, st.Epochs)
 }
 
-// TestRunBatchClusterOrder pins the dispatch contract inside a cluster:
-// its members run one at a time, in batch order, whatever the declared
-// costs would tempt a weight-ordering scheduler to prefer — an inverted
-// order would park the worker behind a member queued after it and hang
-// the batch. Every member must commit.
+// TestRunBatchClusterOrder runs conflict clusters whose declared costs
+// tempt a weight-ordering scheduler to prefer a member other than the
+// first: whatever order W picks, the member it prefers must be able to
+// ask — a dispatch that queued it behind the member it is preferred to
+// would hang the batch. Every member must commit, each exactly once.
 func TestRunBatchClusterOrder(t *testing.T) {
 	shapes := []struct {
 		name  string
@@ -274,15 +192,11 @@ func TestRunBatchClusterOrder(t *testing.T) {
 				}
 				ts[i] = txn.New(txn.ID(i+1), []txn.Step{w(part, c)})
 			}
-			var mu sync.Mutex
-			order := make(map[txn.PartitionID][]txn.ID)
+			var ran atomic.Int32
 			done := make(chan []error, 1)
 			go func() {
 				done <- ctl.RunBatch(context.Background(), ts, func(tx *txn.T, step int, p Progress) error {
-					mu.Lock()
-					part := tx.Steps[step].Part
-					order[part] = append(order[part], tx.ID)
-					mu.Unlock()
+					ran.Add(1)
 					p(tx.Steps[step].Cost)
 					return nil
 				})
@@ -300,17 +214,8 @@ func TestRunBatchClusterOrder(t *testing.T) {
 			if st := ctl.Stats(); int(st.Committed) != len(ts) || st.Active != 0 {
 				t.Errorf("stats %+v, want %d committed", st, len(ts))
 			}
-			ran := 0
-			for part, ids := range order {
-				ran += len(ids)
-				for i := 1; i < len(ids); i++ {
-					if ids[i] < ids[i-1] {
-						t.Errorf("partition %v cluster ran out of batch order: %v", part, ids)
-					}
-				}
-			}
-			if ran != len(ts) {
-				t.Errorf("%d of %d members ran", ran, len(ts))
+			if n := int(ran.Load()); n != len(ts) {
+				t.Errorf("%d of %d members ran", n, len(ts))
 			}
 		})
 	}
@@ -319,38 +224,11 @@ func TestRunBatchClusterOrder(t *testing.T) {
 // TestBatchAdmissionRejectsShards pins the EPOCH × shards contract:
 // batch admission needs one scheduler's global view, so asking a sharded
 // controller for it is an error the caller sees — never a silent
-// per-arrival run of a different algorithm.
+// per-arrival run of a different algorithm. The controller itself is
+// valid: only its RunBatch has no batch admission to offer.
 func TestBatchAdmissionRejectsShards(t *testing.T) {
 	ctx := context.Background()
 	tx := func(id txn.ID) *txn.T { return txn.New(id, []txn.Step{w(0, 1)}) }
-
-	ctl := epochCtl(WithBatchWindow(time.Millisecond), WithShards(4))
-	defer ctl.Close()
-	if err := ctl.Admit(ctx, tx(1)); !errors.Is(err, errBatchShards) {
-		t.Errorf("Admit: %v, want errBatchShards", err)
-	}
-	if err := ctl.Run(ctx, tx(2), nil); !errors.Is(err, errBatchShards) {
-		t.Errorf("Run: %v, want errBatchShards", err)
-	}
-	select {
-	case err := <-ctl.Submit(ctx, tx(3), nil):
-		if !errors.Is(err, errBatchShards) {
-			t.Errorf("Submit: %v, want errBatchShards", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("Submit: no result")
-	}
-	for i, err := range ctl.RunBatch(ctx, []*txn.T{tx(4), tx(5)}, nil) {
-		if !errors.Is(err, errBatchShards) {
-			t.Errorf("RunBatch member %d: %v, want errBatchShards", i, err)
-		}
-	}
-	if st := ctl.Stats(); st.Admitted != 0 || st.Epochs != 0 {
-		t.Errorf("stats %+v, want nothing admitted", st)
-	}
-
-	// Without a window a sharded controller is valid; only its RunBatch
-	// has no batch admission to offer.
 	sharded := epochCtl(WithShards(4))
 	defer sharded.Close()
 	for i, err := range sharded.RunBatch(ctx, []*txn.T{tx(1), tx(2)}, nil) {
@@ -358,7 +236,102 @@ func TestBatchAdmissionRejectsShards(t *testing.T) {
 			t.Errorf("sharded RunBatch member %d: %v, want errBatchShards", i, err)
 		}
 	}
+	if st := sharded.Stats(); st.Admitted != 0 || st.Epochs != 0 {
+		t.Errorf("stats %+v, want nothing admitted", st)
+	}
 	if err := sharded.Run(ctx, tx(3), nil); err != nil {
 		t.Errorf("sharded Run: %v", err)
+	}
+}
+
+// TestRunBatchNilMember: a nil member is answered in its own slot, as Run
+// answers it, before the admission critical section — the other members
+// run, and the controller (its shard lock included) stays usable.
+func TestRunBatchNilMember(t *testing.T) {
+	for _, f := range []sched.Factory{sched.MustLookup("EPOCH"), sched.ChainFactory()} {
+		t.Run(f.Label, func(t *testing.T) {
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond))
+			defer ctl.Close()
+			ts := []*txn.T{
+				txn.New(1, []txn.Step{w(0, 1)}), nil, txn.New(2, []txn.Step{w(0, 1)}), nil, txn.New(3, []txn.Step{w(1, 1)}),
+			}
+			errs := ctl.RunBatch(context.Background(), ts, nil)
+			for i, err := range errs {
+				if ts[i] == nil {
+					if !errors.Is(err, errNilTxn) {
+						t.Errorf("slot %d: %v, want %v", i, err, errNilTxn)
+					}
+				} else if err != nil {
+					t.Errorf("slot %d (%v): %v", i, ts[i].ID, err)
+				}
+			}
+			if st := ctl.Stats(); st.Committed != 3 || st.Active != 0 {
+				t.Errorf("stats %+v, want 3 committed", st)
+			}
+			if err := ctl.Run(context.Background(), txn.New(4, []txn.Step{w(0, 1)}), nil); err != nil {
+				t.Errorf("Run after the batch: %v", err)
+			}
+		})
+	}
+}
+
+// TestRunBatchHotSet drives the batch path with the paper's own workload
+// — the Pattern2 hot set the benchmark's hot-* rows use — in 16-member
+// batches: EPOCH (one batched admission per batch) and CHAIN (no batch
+// surface: every member admits per arrival). Multi-step members whose
+// costs put a later member first in W are exactly what a dispatch that
+// orders a batch by anything but the scheduler wedges on; here every
+// member must commit inside the deadline, and each run ends in the
+// contract certificate. Run with -race (`make verify`).
+func TestRunBatchHotSet(t *testing.T) {
+	const batch, batches = 16, 125
+	for _, f := range []sched.Factory{sched.MustLookup("EPOCH"), sched.ChainFactory()} {
+		t.Run(f.Label, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+			defer cancel()
+			for seed := int64(1); seed <= 3; seed++ {
+				repro := fmt.Sprintf("seed %d; repro: go test -race -count=1 -run 'TestRunBatchHotSet/%s' ./internal/live/", seed, f.Label)
+				h := modelcheck.NewHistory()
+				ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(h))
+				gen := workload.Experiment2(workload.HotSetLayout{NumReadOnly: 8, NumHots: 8})
+				rng := rand.New(rand.NewSource(seed))
+				id := txn.ID(0)
+				for b := 0; b < batches; b++ {
+					ts := make([]*txn.T, batch)
+					for i := range ts {
+						id++
+						ts[i] = gen.Next(id, rng)
+					}
+					errs := ctl.RunBatch(ctx, ts, func(tx *txn.T, step int, p Progress) error {
+						p(tx.Steps[step].Cost)
+						return nil
+					})
+					for i, err := range errs {
+						if err != nil {
+							ctl.Close()
+							t.Fatalf("batch %d, %v: %v (stats %+v); %s", b, ts[i].ID, err, ctl.Stats(), repro)
+						}
+					}
+				}
+				st := ctl.Stats()
+				if st.Committed != batch*batches || st.Active != 0 {
+					t.Errorf("stats %+v, want %d committed and none active; %s", st, batch*batches, repro)
+				}
+				wantEpochs := uint64(0) // CHAIN has no batch surface
+				if _, ok := f.New(liveCosts).(sched.BatchAdmitter); ok {
+					wantEpochs = batches
+				}
+				if st.Epochs != wantEpochs {
+					t.Errorf("%d batch admissions over %d batches, want %d; %s", st.Epochs, batches, wantEpochs, repro)
+				}
+				if err := ctl.CheckInvariants(); err != nil {
+					t.Errorf("%v; %s", err, repro)
+				}
+				if err := h.Certify(modelcheck.Evidence{}); err != nil {
+					t.Errorf("%v; %s", err, repro)
+				}
+				ctl.Close()
+			}
+		})
 	}
 }

@@ -189,8 +189,8 @@ type Stats struct {
 	// died with it (each is also counted in Aborted once it finishes).
 	NodeCrashes uint64
 	CrashDoomed uint64
-	// Epochs counts flushed admission windows (WithBatchWindow) and
-	// BatchAdmitted the transactions admitted through a batch flush
+	// Epochs counts batch admissions (RunBatch on a batch-capable
+	// scheduler) and BatchAdmitted the transactions admitted through one
 	// rather than the per-arrival path (each is also in Admitted).
 	Epochs        uint64
 	BatchAdmitted uint64
@@ -255,18 +255,6 @@ type Controller struct {
 
 	stopWatch chan struct{}
 	watchWG   sync.WaitGroup
-
-	// Epoch-batch state (WithBatchWindow, see epoch.go): window length,
-	// the open window's submissions, and the collector goroutine's
-	// lifecycle. cfgErr latches what New could not honour — a batch window
-	// over more than one shard — and surfaces from every Admit.
-	batchWindow time.Duration
-	cfgErr      error
-	epochMu     sync.Mutex
-	epochBuf    []*submission
-	epochClosed bool
-	stopEpoch   chan struct{}
-	epochWG     sync.WaitGroup
 }
 
 // lshard is one shard of the controller's hot path: a slice of the
@@ -366,6 +354,10 @@ type ltxn struct {
 // blocked reports whether the transaction is parked in Acquire.
 func (r *ltxn) blocked() bool { return r.wait.ch != nil }
 
+// errNilTxn is what Run, Admit, Commit, Abort and RunBatch answer for a
+// nil transaction.
+var errNilTxn = errors.New("live: nil transaction")
+
 // errNotAdmitted is what Acquire, Commit and Abort return for a
 // transaction with no control record: never admitted or already finished.
 func errNotAdmitted(id txn.ID) error {
@@ -404,9 +396,6 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 		opt(c)
 	}
 	c.place = machine.NewPlacement(machine.Config{NumNodes: max(c.topo.NumNodes, 1), NumParts: c.topo.NumParts})
-	if c.batchWindow > 0 && c.nshards > 1 {
-		c.cfgErr = errBatchShards
-	}
 	c.shards = make([]*lshard, c.nshards)
 	for i := range c.shards {
 		sh := &lshard{idx: i, txns: make(map[txn.ID]*ltxn), admits: make(map[txn.ID]sched.Decision)}
@@ -427,11 +416,6 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 		c.stopWatch = make(chan struct{})
 		c.watchWG.Add(1)
 		go c.watchdogLoop()
-	}
-	if c.batchWindow > 0 {
-		c.stopEpoch = make(chan struct{})
-		c.epochWG.Add(1)
-		go c.epochLoop()
 	}
 	return c
 }
@@ -510,10 +494,6 @@ func (c *Controller) Close() {
 		close(c.stopWatch)
 		c.watchWG.Wait()
 	}
-	if c.stopEpoch != nil {
-		close(c.stopEpoch)
-		c.epochWG.Wait()
-	}
 	if c.walOwned && c.wal != nil {
 		c.wal.Close()
 	}
@@ -546,8 +526,13 @@ func (sh *lshard) unparkLocked(r *ltxn) {
 	r.wait.ch = nil
 }
 
-// bumpProgress records one unit of scheduler progress for the watchdog.
-func (c *Controller) bumpProgress() { c.progress.Add(1) }
+// bumpProgress records one unit of scheduler progress for the watchdog,
+// its only reader: without one the shared counter is never touched.
+func (c *Controller) bumpProgress() {
+	if c.watchdog > 0 {
+		c.progress.Add(1)
+	}
+}
 
 // waitLocked parks the caller after dec refused it under sh.mu, which
 // the caller holds and waitLocked releases. r is the record of an
@@ -683,7 +668,7 @@ type Progress func(objects float64)
 // unaffected) and Run returns the panic as an error.
 func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Progress) error) error {
 	if t == nil {
-		return fmt.Errorf("live: nil transaction")
+		return errNilTxn
 	}
 	if err := c.Admit(ctx, t); err != nil {
 		return err
@@ -692,9 +677,9 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 }
 
 // runAdmitted is Run after admission: the step loop under locks, fault
-// hooks, panic recovery, and commit. Split out so the epoch dispatcher
-// (see epoch.go) can batch-admit a whole window first and then drive
-// each admitted transaction through exactly this path.
+// hooks, panic recovery, and commit. Split out so RunBatch (see epoch.go)
+// can batch-admit its members first and then drive each admitted
+// transaction through exactly this path.
 func (c *Controller) runAdmitted(ctx context.Context, t *txn.T, work func(step int, p Progress) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -770,10 +755,7 @@ func (c *Controller) slowIO(ctx context.Context, t *txn.T, step int) {
 // slowIO, and asks again.
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
-		return fmt.Errorf("live: nil transaction")
-	}
-	if c.cfgErr != nil {
-		return c.cfgErr
+		return errNilTxn
 	}
 	mask := c.shardMask(t)
 	home := c.shards[homeShard(mask)]
@@ -972,7 +954,7 @@ func (c *Controller) Abort(t *txn.T) error {
 // it. An abort replaces step 2 with Abort and skips step 4.
 func (c *Controller) finish(t *txn.T, committed bool) error {
 	if t == nil {
-		return fmt.Errorf("live: nil transaction")
+		return errNilTxn
 	}
 	mask := c.shardMask(t)
 	home := c.shards[homeShard(mask)]

@@ -143,3 +143,41 @@ func BenchmarkLiveHotSet(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkLiveRunBatchHotSet is the batch path on the same hot set: one
+// driver cutting the stream into 16-member batches for RunBatch, EPOCH
+// (one batched admission each) beside CHAIN (its per-arrival fallback).
+// One op is one committed transaction; ROADMAP item 2(f)'s windowed
+// driver starts from this number.
+func BenchmarkLiveRunBatchHotSet(b *testing.B) {
+	const batch = 16
+	for _, f := range []sched.Factory{sched.EpochFactory(), sched.ChainFactory()} {
+		b.Run(f.Label, func(b *testing.B) {
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond))
+			defer ctl.Close()
+			gen := workload.Experiment2(workload.HotSetLayout{NumReadOnly: 8, NumHots: 8})
+			rng := rand.New(rand.NewSource(1))
+			ctx := context.Background()
+			work := func(tx *txn.T, step int, p Progress) error {
+				p(tx.Steps[step].Cost)
+				return nil
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for done := 0; done < b.N; {
+				ts := make([]*txn.T, min(batch, b.N-done))
+				for i := range ts {
+					done++
+					ts[i] = gen.Next(txn.ID(done), rng)
+				}
+				for _, err := range ctl.RunBatch(ctx, ts, work) {
+					if err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(ctl.Stats().Retries)/float64(b.N), "waits/op")
+		})
+	}
+}

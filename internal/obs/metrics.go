@@ -121,29 +121,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Max()
 }
 
-// Merge folds another histogram with identical bounds into h.
-func (h *Histogram) Merge(o *Histogram) {
-	if o == nil || o.Count() == 0 {
-		return
-	}
-	if len(o.counts) != len(h.counts) {
-		// Mismatched shapes should not happen inside this package; fold
-		// what we can (totals) so nothing is silently lost.
-		atomic.AddUint64(&h.n, atomic.LoadUint64(&o.n))
-		atomicAddFloat(&h.sumBits, loadFloat(&o.sumBits))
-		atomicMaxFloat(&h.maxBits, loadFloat(&o.maxBits))
-		return
-	}
-	for i := range o.counts {
-		if c := atomic.LoadUint64(&o.counts[i]); c > 0 {
-			atomic.AddUint64(&h.counts[i], c)
-		}
-	}
-	atomic.AddUint64(&h.n, atomic.LoadUint64(&o.n))
-	atomicAddFloat(&h.sumBits, loadFloat(&o.sumBits))
-	atomicMaxFloat(&h.maxBits, loadFloat(&o.maxBits))
-}
-
 // format renders the histogram's headline statistics with a unit.
 func (h *Histogram) format(unit string) string {
 	if h.Count() == 0 {
@@ -208,30 +185,6 @@ func (d *decisionCounts) counts() map[string]uint64 {
 	}
 	d.mu.Unlock()
 	return out
-}
-
-func (d *decisionCounts) merge(o *decisionCounts) {
-	atomic.AddUint64(&d.granted, atomic.LoadUint64(&o.granted))
-	atomic.AddUint64(&d.blocked, atomic.LoadUint64(&o.blocked))
-	atomic.AddUint64(&d.delayed, atomic.LoadUint64(&o.delayed))
-	atomic.AddUint64(&d.aborted, atomic.LoadUint64(&o.aborted))
-	o.mu.Lock()
-	rest := make(map[string]uint64, len(o.other))
-	for k, v := range o.other {
-		rest[k] = v
-	}
-	o.mu.Unlock()
-	if len(rest) == 0 {
-		return
-	}
-	d.mu.Lock()
-	if d.other == nil {
-		d.other = make(map[string]uint64, len(rest))
-	}
-	for k, v := range rest {
-		d.other[k] += v
-	}
-	d.mu.Unlock()
 }
 
 // SchedMetrics aggregates one scheduler's events. Every counter is
@@ -363,14 +316,14 @@ func (sm *SchedMetrics) RequestDecisions() map[string]uint64 { return sm.request
 // atomic; the only lock is a read-mostly RWMutex resolving the
 // scheduler label to its aggregate (write-locked once per new label).
 //
-// Per-run sink ownership rule: a parallel harness (the experiments
-// worker pool) must not hand one Metrics to many concurrently running
-// simulations — not because Observe would race (it is atomic), but
-// because interleaved runs would corrupt per-run aggregates and make
-// readback order nondeterministic. Instead, each run owns a private
-// Metrics for its lifetime, and the owner folds finished runs together
-// with Merge in a deterministic order. Accessors (Sched, Schedulers,
-// Summary) are only meaningful once the producing run has completed.
+// Sink ownership rule: a parallel harness (the experiments worker pool)
+// must not hand one Metrics to many concurrently running simulations —
+// not because Observe would race (it is atomic), but because interleaved
+// runs would make readback order nondeterministic. Instead, each run
+// emits into a private buffer and the harness replays finished buffers
+// into the one shared Metrics in grid order (experiments.WithTrace).
+// Accessors (Sched, Schedulers, Summary) are only meaningful once the
+// producing runs have completed.
 type Metrics struct {
 	mu  sync.RWMutex
 	per map[string]*SchedMetrics
@@ -504,67 +457,6 @@ func (m *Metrics) Sched(label string) *SchedMetrics {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.per[label]
-}
-
-// Merge folds another Metrics (e.g. a replicate run's) into m: counters
-// sum, histograms fold bucket-wise, maxima take the larger value.
-// Merging nil or m itself is a no-op. All folds are atomic, so a
-// finished run's aggregate can be folded while other sinks are live —
-// but see the ownership rule above: o's producing run must be done.
-func (m *Metrics) Merge(o *Metrics) {
-	if o == nil || o == m {
-		return
-	}
-	o.mu.RLock()
-	defer o.mu.RUnlock()
-	for label, osm := range o.per {
-		sm := m.sched(label)
-		addCounter := func(dst, src *uint64) {
-			if v := atomic.LoadUint64(src); v > 0 {
-				atomic.AddUint64(dst, v)
-			}
-		}
-		addCounter(&sm.Admits, &osm.Admits)
-		addCounter(&sm.Requests, &osm.Requests)
-		addCounter(&sm.Commits, &osm.Commits)
-		addCounter(&sm.Aborts, &osm.Aborts)
-		atomicAddFloat(&sm.objectsBits, osm.Objects())
-		addCounter(&sm.Resolves, &osm.Resolves)
-		addCounter(&sm.Recoveries, &osm.Recoveries)
-		addCounter(&sm.Stalls, &osm.Stalls)
-		addCounter(&sm.Degrades, &osm.Degrades)
-		addCounter(&sm.Restores, &osm.Restores)
-		addCounter(&sm.Faults, &osm.Faults)
-		addCounter(&sm.NodeDowns, &osm.NodeDowns)
-		addCounter(&sm.Rehomes, &osm.Rehomes)
-		addCounter(&sm.Requeues, &osm.Requeues)
-		addCounter(&sm.CritPathChanges, &osm.CritPathChanges)
-		atomicMaxFloat(&sm.critPathMaxBits, osm.CritPathMax())
-		addCounter(&sm.Epochs, &osm.Epochs)
-		atomicMaxFloat(&sm.epochMaxChunksBits, osm.EpochMaxChunks())
-		addCounter(&sm.WALAppends, &osm.WALAppends)
-		addCounter(&sm.WALSyncs, &osm.WALSyncs)
-		addCounter(&sm.Recovers, &osm.Recovers)
-		atomic.AddInt64(&sm.RecoverNS, atomic.LoadInt64(&osm.RecoverNS))
-		atomicMaxFloat(&sm.replayMaxParBits, osm.ReplayMaxPar())
-		addCounter(&sm.PageReads, &osm.PageReads)
-		addCounter(&sm.PoolHits, &osm.PoolHits)
-		addCounter(&sm.PoolMisses, &osm.PoolMisses)
-		addCounter(&sm.PageWrites, &osm.PageWrites)
-		addCounter(&sm.PageFlushes, &osm.PageFlushes)
-		addCounter(&sm.PageEvicts, &osm.PageEvicts)
-		addCounter(&sm.BytesRead, &osm.BytesRead)
-		addCounter(&sm.BytesWritten, &osm.BytesWritten)
-		sm.admitDec.merge(&osm.admitDec)
-		sm.requestDec.merge(&osm.requestDec)
-		sm.DecisionCPU.Merge(osm.DecisionCPU)
-		sm.DecisionWall.Merge(osm.DecisionWall)
-		sm.QueueDepth.Merge(osm.QueueDepth)
-		sm.GraphSize.Merge(osm.GraphSize)
-		sm.ResponseTime.Merge(osm.ResponseTime)
-		sm.BatchSize.Merge(osm.BatchSize)
-		sm.WALBatch.Merge(osm.WALBatch)
-	}
 }
 
 // sortStrings is sort.Strings without importing sort twice across

@@ -104,12 +104,6 @@ func TestHistogram(t *testing.T) {
 	if q := h.Quantile(1.0); q != 100 {
 		t.Errorf("p100 %g, want 100", q)
 	}
-	h2 := NewHistogram(1, 2, 5, 10)
-	h2.Add(200)
-	h.Merge(h2)
-	if h.Count() != 6 || h.Max() != 200 {
-		t.Errorf("after merge count %d max %g", h.Count(), h.Max())
-	}
 }
 
 func TestMetricsAndSummary(t *testing.T) {
@@ -147,16 +141,6 @@ func TestMetricsAndSummary(t *testing.T) {
 	}
 	if sm.ResponseTime.Count() != 1 || sm.ResponseTime.Mean() != 42 {
 		t.Errorf("rt n=%d mean=%g", sm.ResponseTime.Count(), sm.ResponseTime.Mean())
-	}
-
-	// Merge doubles everything.
-	m2 := NewMetrics()
-	for _, e := range events {
-		m2.Observe(e)
-	}
-	m.Merge(m2)
-	if sm := m.Sched("K2"); sm.Commits != 2 || sm.DecisionCPU.Count() != 6 {
-		t.Errorf("after merge %+v", sm)
 	}
 
 	out := m.Summary()

@@ -16,9 +16,9 @@ import (
 	"batsched/internal/obs"
 )
 
-// TestParallelHarnessRace fans a small grid across 8 workers with both
-// a shared JSONL sink and shared metrics attached. Under -race this
-// proves the harness never lets two runs touch a shared sink
+// TestParallelHarnessRace fans a small grid across 8 workers with a
+// shared JSONL sink and a shared metrics aggregate attached. Under -race
+// this proves the harness never lets two runs touch a shared sink
 // concurrently; the assertions prove the merged output is complete.
 func TestParallelHarnessRace(t *testing.T) {
 	var buf bytes.Buffer
@@ -30,10 +30,10 @@ func TestParallelHarnessRace(t *testing.T) {
 		Lambdas:      []float64{0.3, 0.6},
 		Replications: 2,
 	}
+	agg := obs.NewMetrics()
 	r, err := experiments.RunExperiment1(o,
 		experiments.WithParallelism(8),
-		experiments.WithTrace(sink),
-		experiments.WithMetrics())
+		experiments.WithTrace(obs.Multi(sink, agg)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,16 +43,14 @@ func TestParallelHarnessRace(t *testing.T) {
 	if buf.Len() == 0 {
 		t.Fatal("shared JSONL sink saw no events")
 	}
-	// Every grid cell carries its own merged per-run metrics.
+	// The shared aggregate holds every run of every scheduler's cells.
 	for _, sw := range r.Sweeps {
+		completed := 0
 		for _, p := range sw.Points {
-			if p.Metrics == nil {
-				t.Fatalf("%s λ=%g: no metrics", sw.Label, p.Lambda)
-			}
-			sm := p.Metrics.Sched(sw.Label)
-			if sm == nil || sm.Commits == 0 {
-				t.Errorf("%s λ=%g: empty per-cell metrics", sw.Label, p.Lambda)
-			}
+			completed += p.Result.Completed
+		}
+		if sm := agg.Sched(sw.Label); sm == nil || int(sm.Commits) != completed {
+			t.Errorf("%s: shared metrics %+v, want %d commits", sw.Label, sm, completed)
 		}
 	}
 	// The trace contains events from every scheduler of the grid.

@@ -22,7 +22,12 @@ type EffectKey struct {
 	Step int
 }
 
-const effectHeaderLen = 16
+const (
+	effectHeaderLen = 16
+	// effectBytes is the size of the effect tuple a committed write step
+	// inserts (the smallest page, MinPageSize, holds several).
+	effectBytes = 64
+)
 
 // EncodeEffect builds the effect tuple for (id, step) on part, padded
 // to size bytes with a deterministic filler.
@@ -105,15 +110,10 @@ func (st *Store) ApplyCommit(id txn.ID) error {
 	if lp == nil {
 		return nil
 	}
-	var scratch [64]byte
-	buf := scratch[:]
-	if st.effectBytes > len(buf) {
-		buf = make([]byte, st.effectBytes)
-	}
-	buf = buf[:st.effectBytes]
+	var buf [effectBytes]byte
 	for _, e := range *lp {
-		putEffect(buf, id, e.step, e.part)
-		if _, err := st.Insert(e.part, buf); err != nil {
+		putEffect(buf[:], id, e.step, e.part)
+		if _, err := st.Insert(e.part, buf[:]); err != nil {
 			stagedPool.Put(lp)
 			return err
 		}
@@ -175,7 +175,7 @@ func (st *Store) Redo(begin wal.Record) error {
 		}
 		if !present[key] {
 			present[key] = true
-			if _, err := st.Insert(s.Part, EncodeEffect(begin.Txn, i, s.Part, st.effectBytes)); err != nil {
+			if _, err := st.Insert(s.Part, EncodeEffect(begin.Txn, i, s.Part, effectBytes)); err != nil {
 				st.redoMu.Unlock()
 				return err
 			}

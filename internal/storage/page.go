@@ -1,8 +1,8 @@
 // Package storage is the heap-file storage engine under the bulk
 // transactions (ROADMAP: "A real storage engine under the bulk
 // transactions"): slotted pages with checksummed headers, per-node
-// buffer pools with clock eviction, and partition-level heap files with
-// Scan/Insert/Update/Delete access keyed by the existing partition IDs.
+// buffer pools with clock eviction, and partition-level append-only heap
+// files with Scan/Insert/Get access keyed by the existing partition IDs.
 //
 // The engine is deliberately subordinate to the schedulers: it moves
 // real bytes but never makes a concurrency-control decision. Partition
@@ -166,182 +166,24 @@ func (p Page) FreeSpace() int {
 	return p.dataStart() - pageHeaderLen - p.nslots()*slotLen
 }
 
-// totalFree is the free space a compaction could expose: the page minus
-// the header, the slot directory and the live tuple bytes. Trailing
-// dead slots are reclaimed by compaction too, so their directory bytes
-// count as free.
-func (p Page) totalFree() int {
-	used := 0
-	n := p.nslots()
-	lastLive := -1
-	for i := 0; i < n; i++ {
-		off, length := p.slot(i)
-		if off != 0 {
-			used += length
-			lastLive = i
-		}
-	}
-	return len(p.b) - pageHeaderLen - (lastLive+1)*slotLen - used
-}
-
-// Insert places tuple into the page, reusing the lowest dead slot if
-// any, compacting when the contiguous free space is fragmented. It
-// returns the slot index, or false when even compaction cannot make
-// room.
+// Insert appends tuple in a fresh slot at the end of the directory and
+// returns the slot index, or false when the contiguous free space cannot
+// hold the tuple and its directory entry. Pages are append-only: nothing
+// the store runs deletes or rewrites a tuple, so a dead slot — which only
+// an image loaded from disk can carry — is never reused and its bytes are
+// never reclaimed.
 func (p Page) Insert(tuple []byte) (int, bool) {
-	slot, fresh := -1, false
-	n := p.nslots()
-	for i := 0; i < n; i++ {
-		if off, _ := p.slot(i); off == 0 {
-			slot = i
-			break
-		}
+	if p.FreeSpace() < len(tuple)+slotLen {
+		return -1, false
 	}
-	if slot < 0 {
-		slot, fresh = n, true
-	}
-	extra := 0
-	if fresh {
-		extra = slotLen
-	}
-	if p.FreeSpace() < len(tuple)+extra {
-		if p.totalFree() < len(tuple)+extra {
-			return -1, false
-		}
-		p.Compact()
-		// Compaction may have trimmed trailing dead slots, invalidating a
-		// reused index; re-pick.
-		slot, fresh = -1, false
-		n = p.nslots()
-		for i := 0; i < n; i++ {
-			if off, _ := p.slot(i); off == 0 {
-				slot = i
-				break
-			}
-		}
-		if slot < 0 {
-			slot, fresh = n, true
-		}
-		if fresh {
-			extra = slotLen
-		} else {
-			extra = 0
-		}
-		// The reusable slot may have been trailing-dead and trimmed away,
-		// turning the insert into a fresh-slot one the totalFree estimate
-		// did not price; re-check against the compacted image.
-		if p.FreeSpace() < len(tuple)+extra {
-			return -1, false
-		}
-	}
+	slot := p.nslots()
 	ds := p.dataStart() - len(tuple)
 	copy(p.b[ds:], tuple)
 	p.setDataStart(uint16(ds))
 	p.setSlot(slot, ds, len(tuple))
-	if fresh {
-		p.setNslots(n + 1)
-	}
+	p.setNslots(slot + 1)
 	p.setLive(p.Live() + 1)
 	return slot, true
-}
-
-// Delete kills slot i. The tuple bytes become garbage until the next
-// compaction; the slot index stays allocated (stable RecordIDs) unless
-// a later compaction trims a trailing run of dead slots.
-func (p Page) Delete(i int) bool {
-	if i < 0 || i >= p.nslots() {
-		return false
-	}
-	if off, _ := p.slot(i); off == 0 {
-		return false
-	}
-	p.setSlot(i, 0, 0)
-	p.setLive(p.Live() - 1)
-	return true
-}
-
-// Update replaces slot i's tuple in place when the length matches, and
-// otherwise relocates it within the page (compacting if needed). It
-// returns false for a dead slot or when the page cannot hold the new
-// tuple; the old tuple is untouched on failure.
-func (p Page) Update(i int, tuple []byte) bool {
-	if i < 0 || i >= p.nslots() {
-		return false
-	}
-	off, length := p.slot(i)
-	if off == 0 {
-		return false
-	}
-	if length == len(tuple) {
-		copy(p.b[off:], tuple)
-		return true
-	}
-	// Room check against the post-delete image before mutating anything:
-	// the old tuple's bytes and this slot's directory entry are both
-	// reusable.
-	if p.totalFree()+length < len(tuple) {
-		return false
-	}
-	p.setSlot(i, 0, 0)
-	p.setLive(p.Live() - 1)
-	if p.FreeSpace() < len(tuple) {
-		p.Compact()
-		// Slot i went dead just above; if it was the trailing live slot,
-		// compaction trimmed it. Regrow the directory to keep i valid —
-		// the trimmed entries were zeroed (dead) by the compaction, and
-		// the pre-mutation room check priced a directory of at least i+1
-		// slots, so the regrowth always fits.
-		if p.nslots() < i+1 {
-			p.setNslots(i + 1)
-		}
-	}
-	ds := p.dataStart() - len(tuple)
-	copy(p.b[ds:], tuple)
-	p.setDataStart(uint16(ds))
-	p.setSlot(i, ds, len(tuple))
-	p.setLive(p.Live() + 1)
-	return true
-}
-
-// Compact rewrites the tuple region tightly against the end of the
-// page, preserving every live slot index, and trims trailing dead
-// slots from the directory. Afterwards FreeSpace == totalFree.
-func (p Page) Compact() {
-	n := p.nslots()
-	type ent struct{ slot, off, length int }
-	live := make([]ent, 0, n)
-	lastLive := -1
-	for i := 0; i < n; i++ {
-		off, length := p.slot(i)
-		if off != 0 {
-			live = append(live, ent{i, off, length})
-			lastLive = i
-		}
-	}
-	// Copy tuples out (they may overlap their destinations), then lay
-	// them back down from the end of the page in slot order.
-	saved := make([][]byte, len(live))
-	for i, e := range live {
-		saved[i] = append([]byte(nil), p.b[e.off:e.off+e.length]...)
-	}
-	ds := len(p.b)
-	for i, e := range live {
-		ds -= e.length
-		copy(p.b[ds:], saved[i])
-		p.setSlot(e.slot, ds, e.length)
-	}
-	p.setDataStart(uint16(ds))
-	if lastLive+1 < n {
-		for i := lastLive + 1; i < n; i++ {
-			p.setSlot(i, 0, 0)
-		}
-		p.setNslots(lastLive + 1)
-	}
-	// Zero the now-free gap so sealed images are canonical functions of
-	// the live content (and torn-write tests see deterministic bytes).
-	for i := pageHeaderLen + p.nslots()*slotLen; i < ds; i++ {
-		p.b[i] = 0
-	}
 }
 
 // check validates the structural invariants LoadPage relies on.

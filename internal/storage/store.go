@@ -18,11 +18,10 @@ import (
 type Option func(*config)
 
 type config struct {
-	pageSize    int
-	poolFrames  int
-	nodes       int
-	effectBytes int
-	flushEvery  time.Duration
+	pageSize   int
+	poolFrames int
+	nodes      int
+	flushEvery time.Duration
 }
 
 // WithPageSize sets the page size (default DefaultPageSize). Must lie
@@ -50,10 +49,6 @@ func WithBackgroundFlush(every time.Duration) Option {
 // it, so re-homed partitions simply warm a different pool.
 func WithNodes(n int) Option { return func(c *config) { c.nodes = n } }
 
-// WithEffectBytes sets the size of the deterministic effect tuples
-// committed write steps insert (default 64, minimum effectHeaderLen).
-func WithEffectBytes(n int) Option { return func(c *config) { c.effectBytes = n } }
-
 // RecordID locates one tuple: its page and slot within the partition's
 // heap file.
 type RecordID struct {
@@ -64,8 +59,8 @@ type RecordID struct {
 // partFile is one partition's heap file. f never changes after Open and
 // is read and written concurrently; mu guards only the page count, and
 // is never held across I/O. opMu serializes structural mutations (insert,
-// update, delete, redo) so the store's own commit-apply and recovery paths
-// can run concurrently. Readers take neither — partition-level concurrency
+// redo) so the store's own commit-apply and recovery paths can run
+// concurrently. Readers take neither — partition-level concurrency
 // control is the scheduler's contract (strict 2PL: a writer excludes
 // every reader). base is the page count Open found: those pages may
 // hold tuples no log record can redo (a bulk load made before the log
@@ -95,12 +90,11 @@ func (pf *partFile) numPages() uint32 {
 // leaves — the write-ahead contract extended to pages), crash
 // simulation for the chaos batteries, and WAL-replay redo.
 type Store struct {
-	dir         string
-	pageSize    int
-	effectBytes int
-	parts       []*partFile
-	pools       []*Pool
-	torn        int // pages discarded by open-time recovery
+	dir      string
+	pageSize int
+	parts    []*partFile
+	pools    []*Pool
+	torn     int // pages discarded by open-time recovery
 
 	// Observer wiring (Bind): the sink, the scheduler label stamped on
 	// events, and the clock supplying Event.At — the simulator binds its
@@ -158,7 +152,7 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 	if numParts <= 0 {
 		return nil, fmt.Errorf("storage: %d partitions", numParts)
 	}
-	c := config{pageSize: DefaultPageSize, poolFrames: 64, nodes: 1, effectBytes: 64}
+	c := config{pageSize: DefaultPageSize, poolFrames: 64, nodes: 1}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -171,23 +165,16 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 	if c.nodes < 1 {
 		c.nodes = 1
 	}
-	if c.effectBytes < effectHeaderLen {
-		c.effectBytes = effectHeaderLen
-	}
-	if c.effectBytes > c.pageSize-pageHeaderLen-slotLen {
-		return nil, fmt.Errorf("storage: effect tuple %d bytes exceeds page capacity", c.effectBytes)
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	st := &Store{
-		dir:         dir,
-		pageSize:    c.pageSize,
-		effectBytes: c.effectBytes,
-		flushEvery:  c.flushEvery,
-		staged:      make(map[txn.ID]*[]stagedEffect),
-		writeSeq:    make(map[pageKey]int),
-		redoKeys:    make(map[txn.PartitionID]map[EffectKey]bool),
+		dir:        dir,
+		pageSize:   c.pageSize,
+		flushEvery: c.flushEvery,
+		staged:     make(map[txn.ID]*[]stagedEffect),
+		writeSeq:   make(map[pageKey]int),
+		redoKeys:   make(map[txn.PartitionID]map[EffectKey]bool),
 	}
 	st.pools = make([]*Pool, c.nodes)
 	for i := range st.pools {
@@ -512,10 +499,6 @@ func (st *Store) Insert(part txn.PartitionID, tuple []byte) (RecordID, error) {
 	}
 	pf.opMu.Lock()
 	defer pf.opMu.Unlock()
-	return st.insertLocked(pf, part, tuple)
-}
-
-func (st *Store) insertLocked(pf *partFile, part txn.PartitionID, tuple []byte) (RecordID, error) {
 	if len(tuple) > st.maxTuple() {
 		return RecordID{}, fmt.Errorf("storage: tuple %d bytes exceeds page capacity %d", len(tuple), st.maxTuple())
 	}
@@ -548,7 +531,8 @@ func (st *Store) insertLocked(pf *partFile, part txn.PartitionID, tuple []byte) 
 	return RecordID{Page: pageNo, Slot: slot}, nil
 }
 
-// Get returns a copy of the tuple at rid, or false for a dead slot.
+// Get returns a copy of the tuple at rid, or false for a slot that is
+// dead or out of range — the read probe tests check placements with.
 func (st *Store) Get(part txn.PartitionID, rid RecordID) ([]byte, bool, error) {
 	pf, err := st.pf(part)
 	if err != nil {
@@ -569,64 +553,6 @@ func (st *Store) Get(part txn.PartitionID, rid RecordID) ([]byte, bool, error) {
 		return nil, false, nil
 	}
 	return append([]byte(nil), tup...), true, nil
-}
-
-// Delete removes the tuple at rid; false when the slot is already dead.
-func (st *Store) Delete(part txn.PartitionID, rid RecordID) (bool, error) {
-	pf, err := st.pf(part)
-	if err != nil {
-		return false, err
-	}
-	pf.opMu.Lock()
-	defer pf.opMu.Unlock()
-	n := pf.numPages()
-	if rid.Page >= n {
-		return false, nil
-	}
-	pool := st.poolOf(part)
-	fr, err := pool.Get(pageKey{part, rid.Page}, false)
-	if err != nil {
-		return false, err
-	}
-	ok := fr.Page().Delete(rid.Slot)
-	pool.Unpin(fr, ok)
-	return ok, nil
-}
-
-// Update replaces the tuple at rid, in place when it fits (the returned
-// RecordID equals rid) and by delete-and-reinsert when the page cannot
-// hold the new length (fresh RecordID). False when rid is dead.
-func (st *Store) Update(part txn.PartitionID, rid RecordID, tuple []byte) (RecordID, bool, error) {
-	pf, err := st.pf(part)
-	if err != nil {
-		return RecordID{}, false, err
-	}
-	pf.opMu.Lock()
-	defer pf.opMu.Unlock()
-	n := pf.numPages()
-	if rid.Page >= n {
-		return RecordID{}, false, nil
-	}
-	pool := st.poolOf(part)
-	fr, err := pool.Get(pageKey{part, rid.Page}, false)
-	if err != nil {
-		return RecordID{}, false, err
-	}
-	pg := fr.Page()
-	if pg.Update(rid.Slot, tuple) {
-		pool.Unpin(fr, true)
-		return rid, true, nil
-	}
-	ok := pg.Delete(rid.Slot)
-	pool.Unpin(fr, ok)
-	if !ok {
-		return RecordID{}, false, nil
-	}
-	nrid, err := st.insertLocked(pf, part, tuple)
-	if err != nil {
-		return RecordID{}, false, err
-	}
-	return nrid, true, nil
 }
 
 // Flush writes back every dirty page of every pool (no fsync — heap
