@@ -57,12 +57,10 @@ epoch-smoke:
 # attempt that the transaction's own records exist to avoid
 # (docs/PERFORMANCE.md §11), and File.Fd hands the storage read path a
 # descriptor number that Store.Crash's Close can invalidate under it
-# (RawConn.Control holds the reference), and what only its own tests
-# reached and was deleted for it (DESIGN.md §15: live's window collector,
-# the effect-size and per-point-metrics knobs, record-level page update /
-# delete / compact) stays deleted. The darwin vet keeps the read
-# loop of every GOOS without preadv compiling. The gofmt line fails on any
-# file gofmt would rewrite.
+# (RawConn.Control holds the reference). What no program reaches,
+# TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
+# vet keeps the read loop of every GOOS without preadv compiling. The
+# gofmt line fails on any file gofmt would rewrite.
 verify: build test bench-smoke epoch-smoke
 	$(GO) vet ./...
 	! grep -rn 'Deprecated:' --include='*.go' .
@@ -70,9 +68,6 @@ verify: build test bench-smoke epoch-smoke
 	! grep -rn 'wal\.Record{' --include='*.go' --exclude='*_test.go' internal/live internal/sim cmd
 	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
 	! grep -n '\.Fd()' internal/storage/*.go
-	! grep -rn 'WithBatchWindow\|epochLoop\|WithEffectBytes\|experiments\.WithMetrics' --include='*.go' .
-	! grep -n 'func (p Page) \(Delete\|Update\|Compact\)' internal/storage/page.go
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	$(GO) test -race -count=1 ./...
-	$(GO) test -tags wtpgshadow -count=1 ./internal/core/... ./internal/sim/

@@ -52,8 +52,9 @@ func BenchmarkFigure7(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		for label, tps := range r.ThroughputTable() {
-			b.ReportMetric(tps, "tps@rt70/"+label)
+		for _, s := range r.Sweeps {
+			tps, _ := s.ThroughputAt(r.RTTarget)
+			b.ReportMetric(tps, "tps@rt70/"+s.Label)
 		}
 	}
 }

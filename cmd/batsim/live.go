@@ -25,6 +25,9 @@ import (
 // with the given shard count, a bounded in-flight window of
 // 8×GOMAXPROCS arrivals, and prints the committed count and throughput.
 func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, seed int64) error {
+	if n < 1 {
+		return fmt.Errorf("-livetxns %d: need at least one transaction", n)
+	}
 	rng := rand.New(rand.NewSource(seed))
 	ts := make([]*txn.T, n)
 	for i := range ts {

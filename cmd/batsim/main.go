@@ -134,6 +134,10 @@ func main() {
 	}
 
 	if *shards > 0 {
+		if *liveTxns < 1 {
+			fmt.Fprintf(os.Stderr, "-livetxns %d: need at least one transaction\n", *liveTxns)
+			os.Exit(2)
+		}
 		if err := runLiveMode(factory, gen, *shards, *liveTxns, *seed); err != nil {
 			fmt.Fprintln(os.Stderr, "live run failed:", err)
 			os.Exit(1)

@@ -45,7 +45,7 @@ func TestExample34(t *testing.T) {
 		t.Errorf("E(q) = %g, want 10", got)
 	}
 	// The original graph must be untouched.
-	if _, _, resolved := g.Resolved(5, 6); resolved {
+	if e, _ := g.EdgeBetween(5, 6); e.Dir != wtpg.Unresolved {
 		t.Error("E mutated the input graph")
 	}
 }
@@ -93,7 +93,7 @@ func TestW0Participates(t *testing.T) {
 
 // Property: E never mutates the graph, is >= the current resolved-only
 // critical path (adding resolutions cannot shorten the longest path), and
-// equals +Inf exactly when WouldCycle holds.
+// equals +Inf exactly when WouldCycleFrom holds.
 func TestQuickEProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -120,7 +120,7 @@ func TestQuickEProperties(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					from, to = to, from
 				}
-				if !g.WouldCycle([]wtpg.Resolution{{From: from, To: to}}) {
+				if !g.WouldCycleFrom(from, []txn.ID{to}) {
 					if err := g.Resolve(from, to); err != nil {
 						t.Fatal(err)
 					}

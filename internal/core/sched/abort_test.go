@@ -3,6 +3,7 @@ package sched
 import (
 	"testing"
 
+	"batsched/internal/core/wtpg"
 	"batsched/internal/event"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
@@ -41,7 +42,7 @@ func TestAbortSplicesAndReleases(t *testing.T) {
 	a, b, c := abortTriangle(t, s)
 	_ = a
 	g := s.(GraphHolder).Graph()
-	if _, _, ok := g.Resolved(a.ID, c.ID); ok {
+	if e, _ := g.EdgeBetween(a.ID, c.ID); e.Dir != wtpg.Unresolved {
 		t.Fatal("(A,C) must be unresolved before the abort")
 	}
 
@@ -54,9 +55,8 @@ func TestAbortSplicesAndReleases(t *testing.T) {
 	if g.Has(b.ID) {
 		t.Fatal("B must leave the WTPG")
 	}
-	from, to, ok := g.Resolved(a.ID, c.ID)
-	if !ok || from != a.ID || to != c.ID {
-		t.Fatalf("(A,C) = %v→%v ok=%v, want spliced A→C", from, to, ok)
+	if e, ok := g.EdgeBetween(a.ID, c.ID); !ok || e.Dir == wtpg.Unresolved || e.From() != a.ID {
+		t.Fatalf("(A,C) = %+v ok=%v, want spliced A→C", e, ok)
 	}
 	// C can now take P1 (B's lock is gone) — but A→C is resolved, so C's
 	// grants must stay consistent with it; P1 conflicts only with B,

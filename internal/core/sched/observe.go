@@ -95,17 +95,6 @@ func (w *observedBatch) AdmitBatch(ts []*txn.T, now event.Time) BatchOutcome {
 	return out
 }
 
-// ObservedFactory wraps a factory so every scheduler it builds reports
-// to o. A nil observer returns f unchanged.
-func ObservedFactory(f Factory, o obs.Observer) Factory {
-	if o == nil {
-		return f
-	}
-	inner := f.New
-	f.New = func(c Costs) Scheduler { return Observed(inner(c), o) }
-	return f
-}
-
 func (w *observed) Name() string { return w.inner.Name() }
 
 func (w *observed) Admit(t *txn.T, now event.Time) Outcome {

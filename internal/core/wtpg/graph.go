@@ -15,16 +15,15 @@
 // earliest possible completion time of the schedule and therefore the
 // degree of data/resource contention.
 //
-// Two engines live in this package. Graph is the production engine: live
-// transactions occupy dense integer slots (freed on commit/abort, reused),
-// edges live in a slab indexed by small ints, adjacency is slice-based,
-// traversal scratch (stacks, generation-stamped visited marks, topological
-// buffers) is owned by the graph and reused, and the critical-path length
-// is cached under an epoch counter so re-reads between mutations are O(1).
-// Ref (ref.go) is the original map-based engine, retained as the reference
-// implementation: differential tests prove the two agree exactly, and
-// builds tagged `wtpgshadow` cross-check them on live workloads. See
-// docs/PERFORMANCE.md for the design and its invalidation rules.
+// Graph is the one engine: live transactions occupy dense integer slots
+// (freed on commit/abort, reused), edges live in a slab indexed by small
+// ints, adjacency is slice-based, traversal scratch (stacks,
+// generation-stamped visited marks, topological buffers) is owned by the
+// graph and reused, and the critical-path length is cached under an epoch
+// counter so re-reads between mutations are O(1). The original map-based
+// engine, Ref, lives in the package's tests (ref_test.go) as the
+// reference the differential tests hold Graph to. See docs/PERFORMANCE.md
+// for the design and its invalidation rules.
 package wtpg
 
 import (
@@ -216,8 +215,6 @@ type Graph struct {
 
 	ovl Overlay // reusable hypothetical-evaluation state (overlay.go)
 
-	shadow *Ref // cross-checking Ref engine; nil unless built with wtpgshadow
-
 	// OnResolve, if set, observes every conflicting-edge resolution
 	// from→to at the moment the precedence becomes permanent (used by
 	// the observability layer; nil costs one branch per resolution).
@@ -226,14 +223,10 @@ type Graph struct {
 
 // New returns an empty WTPG.
 func New() *Graph {
-	g := &Graph{
+	return &Graph{
 		slotOf: make(map[txn.ID]int32),
 		pair:   make(map[pairKey]int32),
 	}
-	if shadowEnabled {
-		g.shadow = NewRef()
-	}
-	return g
 }
 
 // Len returns the number of live transactions in the graph.
@@ -283,9 +276,6 @@ func (g *Graph) AddNode(id txn.ID, w0 float64) error {
 	g.slotOf[id] = s
 	g.nLive++
 	g.epoch++
-	if shadowEnabled {
-		g.shadowCheck("AddNode", g.shadow.AddNode(id, w0), nil)
-	}
 	return nil
 }
 
@@ -309,9 +299,6 @@ func (g *Graph) SetW0(id txn.ID, w float64) {
 	}
 	g.w0[s] = w
 	g.epoch++
-	if shadowEnabled {
-		g.shadow.SetW0(id, w)
-	}
 }
 
 // AddW0 adjusts w(T0→Ti) by delta (the per-object decrement messages use
@@ -334,9 +321,6 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	k := keyOf(a, b)
 	if _, ok := g.pair[k]; ok {
 		return fmt.Errorf("wtpg: conflict (%v,%v) already present", a, b)
-	}
-	if shadowEnabled {
-		g.shadowCheck("AddConflict", g.shadow.AddConflict(a, b, wab, wba), nil)
 	}
 	if a != k.a { // normalise to (smaller id, larger id)
 		sa, sb = sb, sa
@@ -413,9 +397,6 @@ func (g *Graph) Resolve(from, to txn.ID) error {
 		g.out[fs] = append(g.out[fs], idx)
 		g.in[ts] = append(g.in[ts], idx)
 		g.epoch++
-		if shadowEnabled {
-			g.shadowCheck("Resolve", g.shadow.Resolve(from, to), nil)
-		}
 		if g.OnResolve != nil {
 			g.OnResolve(g.ids[fs], g.ids[ts])
 		}
@@ -426,20 +407,6 @@ func (g *Graph) Resolve(from, to txn.ID) error {
 		pub := g.edgeOut(e)
 		return fmt.Errorf("wtpg: (%v,%v) already resolved %v→%v", pub.A, pub.B, pub.From(), pub.To())
 	}
-}
-
-// Resolved reports the orientation between a and b: from, to and true when
-// a precedence-edge exists.
-func (g *Graph) Resolved(a, b txn.ID) (from, to txn.ID, ok bool) {
-	idx, found := g.pair[keyOf(a, b)]
-	if !found {
-		return 0, 0, false
-	}
-	e := &g.edges[idx]
-	if e.dir == Unresolved {
-		return 0, 0, false
-	}
-	return g.ids[e.fromSlot()], g.ids[e.toSlot()], true
 }
 
 // adjDelete swap-removes edge idx from slot s's adjacency list, fixing
@@ -525,80 +492,15 @@ func (g *Graph) Remove(id txn.ID) {
 	g.free = append(g.free, s)
 	g.nLive--
 	g.epoch++
-	if shadowEnabled {
-		g.shadow.Remove(id)
-	}
-}
-
-// After returns the set of transactions that id precedes (the paper's
-// after(T)): all descendants of id via precedence-edges.
-func (g *Graph) After(id txn.ID) map[txn.ID]bool {
-	res := make(map[txn.ID]bool)
-	s, ok := g.slotOf[id]
-	if !ok {
-		return res
-	}
-	g.visited.reset(len(g.ids))
-	stack := g.stackBuf[:0]
-	for _, idx := range g.out[s] {
-		stack = append(stack, g.edges[idx].toSlot())
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if g.visited.has(u) {
-			continue
-		}
-		g.visited.add(u)
-		res[g.ids[u]] = true
-		for _, idx := range g.out[u] {
-			if v := g.edges[idx].toSlot(); !g.visited.has(v) {
-				stack = append(stack, v)
-			}
-		}
-	}
-	g.stackBuf = stack[:0]
-	return res
-}
-
-// Before returns the set of transactions preceding id (the paper's
-// before(T)): all ancestors of id via precedence-edges.
-func (g *Graph) Before(id txn.ID) map[txn.ID]bool {
-	res := make(map[txn.ID]bool)
-	s, ok := g.slotOf[id]
-	if !ok {
-		return res
-	}
-	g.visited.reset(len(g.ids))
-	stack := g.stackBuf[:0]
-	for _, idx := range g.in[s] {
-		stack = append(stack, g.edges[idx].fromSlot())
-	}
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if g.visited.has(u) {
-			continue
-		}
-		g.visited.add(u)
-		res[g.ids[u]] = true
-		for _, idx := range g.in[u] {
-			if v := g.edges[idx].fromSlot(); !g.visited.has(v) {
-				stack = append(stack, v)
-			}
-		}
-	}
-	g.stackBuf = stack[:0]
-	return res
 }
 
 // Predecessors returns id's direct resolved predecessors — the sources of
-// the precedence-edges entering id, sorted by transaction id. Unlike
-// Before it does not chase the transitive closure: these are exactly the
-// wait-for edges the schedulers resolved against id, which is the set a
-// dependency log must record (replay needs only direct edges; transitivity
-// is implied). Returns nil when id is not in the graph or has no resolved
-// in-edges, and never aliases internal storage.
+// the precedence-edges entering id, sorted by transaction id. It does not
+// chase the transitive closure (the paper's before(T)): these are exactly
+// the wait-for edges the schedulers resolved against id, which is the set
+// a dependency log must record (replay needs only direct edges;
+// transitivity is implied). Returns nil when id is not in the graph or
+// has no resolved in-edges, and never aliases internal storage.
 func (g *Graph) Predecessors(id txn.ID) []txn.ID {
 	s, ok := g.slotOf[id]
 	if !ok || len(g.in[s]) == 0 {
@@ -628,84 +530,13 @@ func (g *Graph) AppendPredecessors(dst []txn.ID, id txn.ID) []txn.ID {
 	return dst
 }
 
-// WouldCycle reports whether the precedence-edges plus the proposed extra
-// resolutions contain a directed cycle — the cautious schedulers' deadlock
-// prediction test. Proposed resolutions over pairs that are already
-// resolved in the same direction are harmless; over pairs resolved in the
-// opposite direction they are reported as a cycle (the order would
-// contradict itself). Extra resolutions need not correspond to existing
-// conflicting-edges, nor to live transactions.
-func (g *Graph) WouldCycle(extra []Resolution) bool {
-	// The resolved precedence-edges alone are acyclic (an invariant every
-	// scheduler maintains), so any cycle must pass through an extra edge.
-	// Filter the extras against existing resolutions first. This general
-	// form stays map-based (extras may reference ids outside the graph);
-	// the hot paths use WouldCycleFrom.
-	overlay := make(map[txn.ID][]txn.ID, 4)
-	any := false
-	for _, r := range extra {
-		if idx, ok := g.pair[keyOf(r.From, r.To)]; ok {
-			if e := &g.edges[idx]; e.dir != Unresolved {
-				if g.ids[e.fromSlot()] == r.To {
-					return true // contradicts an existing precedence-edge
-				}
-				continue // already resolved this way
-			}
-		}
-		overlay[r.From] = append(overlay[r.From], r.To)
-		any = true
-	}
-	if !any {
-		return false
-	}
-	// For each distinct source f, a cycle through one of its extra edges
-	// f→u exists iff some u reaches f via resolved edges plus the
-	// overlay.
-	for f, targets := range overlay {
-		visited := make(map[txn.ID]bool, 8)
-		stack := append([]txn.ID(nil), targets...)
-		for len(stack) > 0 {
-			u := stack[len(stack)-1]
-			stack = stack[:len(stack)-1]
-			if u == f {
-				return true
-			}
-			if visited[u] {
-				continue
-			}
-			visited[u] = true
-			if s, ok := g.slotOf[u]; ok {
-				for _, idx := range g.out[s] {
-					if v := g.ids[g.edges[idx].toSlot()]; !visited[v] {
-						stack = append(stack, v)
-					}
-				}
-			}
-			for _, v := range overlay[u] {
-				if !visited[v] {
-					stack = append(stack, v)
-				}
-			}
-		}
-	}
-	return false
-}
-
-// WouldCycleFrom is the allocation-free form of WouldCycle used on the
-// scheduler hot path: it tests whether resolving from→target for every
-// target would create a cycle. Semantics match WouldCycle with
-// Resolution{from, target} extras.
+// WouldCycleFrom reports whether resolving from→target for every target
+// would close a directed cycle of precedence-edges — the cautious
+// schedulers' deadlock prediction test, allocation-free. A target already
+// resolved from→target is harmless; one resolved target→from is reported
+// as a cycle (the order would contradict itself). Targets need not be
+// live transactions.
 func (g *Graph) WouldCycleFrom(from txn.ID, targets []txn.ID) bool {
-	found := g.wouldCycleFromSlots(from, targets)
-	if shadowEnabled {
-		if ref := g.shadow.WouldCycleFrom(from, targets); ref != found {
-			g.shadowDiverged("WouldCycleFrom", found, ref)
-		}
-	}
-	return found
-}
-
-func (g *Graph) wouldCycleFromSlots(from txn.ID, targets []txn.ID) bool {
 	sFrom, fromLive := g.slotOf[from]
 	// Filter against existing resolutions, keeping only genuinely new
 	// edges on the DFS stack.
@@ -735,9 +566,11 @@ func (g *Graph) wouldCycleFromSlots(from txn.ID, targets []txn.ID) bool {
 		g.stackBuf = stack[:0]
 		return false
 	}
-	// A cycle exists iff some target reaches `from` via resolved edges
-	// (the new edges all share the single source, so they cannot chain
-	// into each other except through `from` itself).
+	// The resolved precedence-edges alone are acyclic (an invariant every
+	// scheduler maintains), so a cycle exists iff some target reaches
+	// `from` via resolved edges (the new edges all share the single
+	// source, so they cannot chain into each other except through `from`
+	// itself).
 	g.visited.reset(len(g.ids))
 	found := false
 	for len(stack) > 0 {
@@ -773,12 +606,6 @@ func (g *Graph) wouldCycleFromSlots(from txn.ID, targets []txn.ID) bool {
 func (g *Graph) CriticalPath() (float64, error) {
 	if !g.cpValid || g.cpEpoch != g.epoch {
 		g.recomputeCP()
-	}
-	if shadowEnabled {
-		refLen, refErr := g.shadow.CriticalPath()
-		if (refErr == nil) != g.cpOK || (g.cpOK && refLen != g.cpLen) {
-			g.shadowDiverged("CriticalPath", g.cpLen, refLen)
-		}
 	}
 	if !g.cpOK {
 		return 0, errCycle

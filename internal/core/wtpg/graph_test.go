@@ -113,16 +113,14 @@ func TestResolveRules(t *testing.T) {
 	if err := g.Resolve(1, 2); err == nil {
 		t.Error("contradictory resolve succeeded")
 	}
-	from, to, ok := g.Resolved(1, 2)
-	if !ok || from != 2 || to != 1 {
-		t.Errorf("Resolved = %v→%v,%v; want 2→1", from, to, ok)
-	}
 	e, _ := g.EdgeBetween(2, 1)
-	if e.Weight() != 5 || e.From() != 2 || e.To() != 1 {
-		t.Errorf("edge = %+v; want weight 5 from 2 to 1", e)
+	if e.Dir == Unresolved || e.Weight() != 5 || e.From() != 2 || e.To() != 1 {
+		t.Errorf("edge = %+v; want resolved 2→1 with weight 5", e)
 	}
 }
 
+// TestBeforeAfter pins the reference engine's before(T)/after(T) sets,
+// which the E(q) differential's oracle is built on.
 func TestBeforeAfter(t *testing.T) {
 	g := figure2a(t)
 	if err := g.Resolve(1, 2); err != nil {
@@ -131,16 +129,20 @@ func TestBeforeAfter(t *testing.T) {
 	if err := g.Resolve(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	before := g.Before(3)
+	ref := refOf(g)
+	before := ref.Before(3)
 	if !before[1] || !before[2] || len(before) != 2 {
 		t.Errorf("Before(3) = %v, want {1,2}", before)
 	}
-	after := g.After(1)
+	after := ref.After(1)
 	if !after[2] || !after[3] || len(after) != 2 {
 		t.Errorf("After(1) = %v, want {2,3}", after)
 	}
-	if len(g.Before(1)) != 0 || len(g.After(3)) != 0 {
+	if len(ref.Before(1)) != 0 || len(ref.After(3)) != 0 {
 		t.Error("endpoints have unexpected ancestors/descendants")
+	}
+	if p := g.Predecessors(3); len(p) != 1 || p[0] != 2 {
+		t.Errorf("Predecessors(3) = %v, want the direct edge only, [2]", p)
 	}
 }
 
@@ -149,21 +151,25 @@ func TestWouldCycle(t *testing.T) {
 	if err := g.Resolve(1, 2); err != nil {
 		t.Fatal(err)
 	}
-	if g.WouldCycle(nil) {
+	if g.WouldCycleFrom(2, nil) || refOf(g).WouldCycle(nil) {
 		t.Error("acyclic graph reported cyclic")
 	}
-	if g.WouldCycle([]Resolution{{2, 3}}) {
+	if g.WouldCycleFrom(2, []txn.ID{3}) {
 		t.Error("extending a chain reported cyclic")
 	}
-	if !g.WouldCycle([]Resolution{{2, 1}}) {
+	if !g.WouldCycleFrom(2, []txn.ID{1}) {
 		t.Error("contradiction of existing edge not reported")
 	}
 	// 2→3 plus 3→... back to 1 through a hypothetical edge.
 	if err := g.Resolve(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if !g.WouldCycle([]Resolution{{3, 1}}) {
+	if !g.WouldCycleFrom(3, []txn.ID{1}) {
 		t.Error("cycle via extra resolution not reported")
+	}
+	// Two sources at once: only the reference engine's general form.
+	if !refOf(g).WouldCycle([]Resolution{{3, 4}, {4, 1}}) {
+		t.Error("cycle through two extra resolutions not reported")
 	}
 }
 
@@ -396,7 +402,7 @@ func TestRandomResolutionMonotonic(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				from, to = to, from
 			}
-			if g.WouldCycle([]Resolution{{from, to}}) {
+			if g.WouldCycleFrom(from, []txn.ID{to}) {
 				from, to = to, from
 			}
 			if err := g.Resolve(from, to); err != nil {

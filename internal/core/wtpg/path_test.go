@@ -76,7 +76,7 @@ func TestCriticalPathTraceConsistent(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					from, to = to, from
 				}
-				if !g.WouldCycle([]Resolution{{From: from, To: to}}) {
+				if !g.WouldCycleFrom(from, []txn.ID{to}) {
 					if err := g.Resolve(from, to); err != nil {
 						t.Fatal(err)
 					}
@@ -100,11 +100,10 @@ func TestCriticalPathTraceConsistent(t *testing.T) {
 		// Re-walk the path.
 		sum := g.W0(path[0])
 		for i := 1; i < len(path); i++ {
-			from, to, ok := g.Resolved(path[i-1], path[i])
-			if !ok || from != path[i-1] || to != path[i] {
+			e, ok := g.EdgeBetween(path[i-1], path[i])
+			if !ok || e.Dir == Unresolved || e.From() != path[i-1] || e.To() != path[i] {
 				t.Fatalf("path hop %v→%v is not a resolved edge", path[i-1], path[i])
 			}
-			e, _ := g.EdgeBetween(path[i-1], path[i])
 			sum += e.Weight()
 		}
 		if sum != length {

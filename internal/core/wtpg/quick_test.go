@@ -36,7 +36,7 @@ func buildRandomGraph(data []byte) *Graph {
 					if v%4 == 0 {
 						from, to = b, a
 					}
-					if !g.WouldCycle([]Resolution{{From: from, To: to}}) {
+					if !g.WouldCycleFrom(from, []txn.ID{to}) {
 						_ = g.Resolve(from, to)
 					}
 				}
@@ -46,8 +46,8 @@ func buildRandomGraph(data []byte) *Graph {
 	return g
 }
 
-// Property: WouldCycleFrom is equivalent to the general WouldCycle with
-// single-source resolutions.
+// Property: WouldCycleFrom is equivalent to the reference engine's
+// general WouldCycle with single-source resolutions.
 func TestQuickWouldCycleFromEquivalence(t *testing.T) {
 	f := func(data []byte, srcRaw uint8, mask uint16) bool {
 		g := buildRandomGraph(data)
@@ -64,7 +64,7 @@ func TestQuickWouldCycleFromEquivalence(t *testing.T) {
 				res = append(res, Resolution{From: src, To: id})
 			}
 		}
-		return g.WouldCycleFrom(src, targets) == g.WouldCycle(res)
+		return g.WouldCycleFrom(src, targets) == refOf(g).WouldCycle(res)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -280,18 +280,6 @@ func sameIDs(a, b []txn.ID) bool {
 	return true
 }
 
-func sameSet(a, b map[txn.ID]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for id := range a {
-		if !b[id] {
-			return false
-		}
-	}
-	return true
-}
-
 func edgeMap(es []Edge) map[pairKey]Edge {
 	m := make(map[pairKey]Edge, len(es))
 	for _, e := range es {
@@ -320,8 +308,8 @@ func (p *diffPair) sameState(t *testing.T) bool {
 			t.Logf("ConflictDegree(%d): engine=%d ref=%d", id, p.g.ConflictDegree(id), p.r.ConflictDegree(id))
 			return false
 		}
-		if !sameSet(p.g.Before(id), p.r.Before(id)) || !sameSet(p.g.After(id), p.r.After(id)) {
-			t.Logf("Before/After(%d) diverged", id)
+		if !sameIDs(p.g.Predecessors(id), p.r.Predecessors(id)) {
+			t.Logf("Predecessors(%d): engine=%v ref=%v", id, p.g.Predecessors(id), p.r.Predecessors(id))
 			return false
 		}
 	}
@@ -363,11 +351,55 @@ func (p *diffPair) sameState(t *testing.T) bool {
 	return true
 }
 
+// fan resolves up to four edges out of a (into a when in is set), adding
+// the conflicts it needs, then removes a middle partner and then the last
+// one: the first removal swap-deletes the last edge into the middle's
+// place in a's precedence list, and the second must find it there.
+func (p *diffPair) fan(t *testing.T, a txn.ID, in bool, w float64) bool {
+	var fan []txn.ID
+	for _, b := range p.live {
+		if b == a || len(fan) == 4 {
+			continue
+		}
+		if _, ok := p.r.EdgeBetween(a, b); !ok {
+			if !sameErr(p.g.AddConflict(a, b, w, w+1), p.r.AddConflict(a, b, w, w+1)) {
+				return false
+			}
+		}
+		from, to := a, b
+		if in {
+			from, to = b, a
+		}
+		if p.r.WouldCycleFrom(from, []txn.ID{to}) {
+			continue
+		}
+		if !sameErr(p.g.Resolve(from, to), p.r.Resolve(from, to)) {
+			return false
+		}
+		fan = append(fan, b)
+	}
+	if len(fan) < 3 {
+		return true
+	}
+	for _, b := range []txn.ID{fan[1], fan[len(fan)-1]} {
+		p.g.Remove(b)
+		p.r.Remove(b)
+		p.drop(b)
+		if !p.sameState(t) {
+			t.Logf("after fan(%d, in=%v) removed %d of %v", a, in, b, fan)
+			return false
+		}
+	}
+	return true
+}
+
 // TestQuickDifferentialEngine feeds identical random mutation sequences
-// (AddNode, AddConflict, Resolve, SetW0, AddW0, Remove, Splice) to the
-// slot engine and the reference engine and requires every observable —
-// node/edge sets, weights, Before/After, critical path and trace, chains,
-// Splice resolutions — to agree exactly after every step.
+// (AddNode, AddConflict, Resolve, SetW0, AddW0, Remove, Splice, and a fan
+// of resolutions out of or into one node whose partners then leave) to
+// the slot engine and the reference engine and requires every observable
+// — node/edge sets, weights, predecessors, critical path and trace,
+// chains, Splice resolutions, cycle tests — to agree exactly after every
+// step.
 func TestQuickDifferentialEngine(t *testing.T) {
 	f := func(data []byte) bool {
 		p := newDiffPair()
@@ -382,7 +414,7 @@ func TestQuickDifferentialEngine(t *testing.T) {
 		}
 		steps := 6 + len(data)%48
 		for i := 0; i < steps; i++ {
-			op := nb() % 12
+			op := nb() % 14
 			switch {
 			case op < 3 || len(p.live) == 0:
 				w0 := float64(nb() % 9)
@@ -415,6 +447,10 @@ func TestQuickDifferentialEngine(t *testing.T) {
 				p.g.Remove(a)
 				p.r.Remove(a)
 				p.drop(a)
+			case op >= 12:
+				if !p.fan(t, p.pick(nb()), op == 13, float64(nb()%7)) {
+					return false
+				}
 			default:
 				a := p.pick(nb())
 				rsG, rsR := p.g.Splice(a), p.r.Splice(a)
@@ -433,17 +469,21 @@ func TestQuickDifferentialEngine(t *testing.T) {
 			if !p.sameState(t) {
 				return false
 			}
-			// WouldCycle / WouldCycleFrom probes against the live state.
+			// Cycle probes against the live state: every node to one
+			// target, and one node to two.
 			if len(p.live) >= 2 {
-				src, dst := p.pick(nb()), p.pick(nb())
-				if src != dst {
-					if p.g.WouldCycleFrom(src, []txn.ID{dst}) != p.r.WouldCycleFrom(src, []txn.ID{dst}) {
+				dst := p.pick(nb())
+				for _, src := range p.live {
+					if src != dst && p.g.WouldCycleFrom(src, []txn.ID{dst}) != p.r.WouldCycleFrom(src, []txn.ID{dst}) {
 						t.Logf("WouldCycleFrom(%d,[%d]) diverged", src, dst)
 						return false
 					}
-					res := []Resolution{{From: src, To: dst}}
-					if p.g.WouldCycle(res) != p.r.WouldCycle(res) {
-						t.Logf("WouldCycle(%v) diverged", res)
+				}
+				src, more := p.pick(nb()), p.pick(nb())
+				if src != dst && src != more {
+					targets := []txn.ID{dst, more}
+					if p.g.WouldCycleFrom(src, targets) != p.r.WouldCycleFrom(src, targets) {
+						t.Logf("WouldCycleFrom(%d,%v) diverged", src, targets)
 						return false
 					}
 				}

@@ -39,8 +39,8 @@ func TestSpliceRepairsPrecedence(t *testing.T) {
 	if len(spliced) != 1 || spliced[0] != (Resolution{From: 1, To: 3}) {
 		t.Fatalf("spliced = %v, want [1→3]", spliced)
 	}
-	if from, to, ok := g.Resolved(1, 3); !ok || from != 1 || to != 3 {
-		t.Fatalf("(1,3) resolved %v→%v ok=%v, want 1→3", from, to, ok)
+	if e, _ := g.EdgeBetween(1, 3); e.Dir != AtoB {
+		t.Fatalf("(1,3) = %+v, want resolved 1→3", e)
 	}
 	if g.Has(2) || g.Len() != 2 {
 		t.Fatalf("node 2 should be gone, len=%d", g.Len())
@@ -68,8 +68,8 @@ func TestSpliceSkipsAlreadyResolvedPairs(t *testing.T) {
 	if spliced := g.Splice(2); len(spliced) != 0 {
 		t.Fatalf("spliced = %v, want none", spliced)
 	}
-	if from, to, ok := g.Resolved(1, 3); !ok || from != 1 || to != 3 {
-		t.Fatalf("(1,3) = %v→%v ok=%v, want untouched 1→3", from, to, ok)
+	if e, _ := g.EdgeBetween(1, 3); e.Dir != AtoB {
+		t.Fatalf("(1,3) = %+v, want untouched 1→3", e)
 	}
 }
 
@@ -112,7 +112,7 @@ func TestSpliceNoDirectConflict(t *testing.T) {
 	if spliced := g.Splice(2); len(spliced) != 0 {
 		t.Fatalf("spliced = %v, want none", spliced)
 	}
-	if _, _, ok := g.Resolved(1, 3); ok {
+	if _, ok := g.EdgeBetween(1, 3); ok {
 		t.Fatal("no precedence should exist between 1 and 3")
 	}
 }

@@ -39,7 +39,6 @@ type Queue struct {
 	heap    []item
 	now     Time
 	nextSeq uint64
-	fired   uint64
 }
 
 // NewQueue returns an empty event queue at time 0.
@@ -50,9 +49,6 @@ func (q *Queue) Now() Time { return q.now }
 
 // Len returns the number of pending events.
 func (q *Queue) Len() int { return len(q.heap) }
-
-// Fired returns the number of events that have fired so far.
-func (q *Queue) Fired() uint64 { return q.fired }
 
 // At schedules fn to run at absolute time at. Scheduling in the past
 // (before Now) panics: it would violate causality.
@@ -114,7 +110,6 @@ func (q *Queue) Step() bool {
 	// The heap is consistent before the handler runs: the handler may
 	// schedule new events.
 	q.now = top.at
-	q.fired++
 	top.fn(q.now)
 	return true
 }
@@ -128,11 +123,5 @@ func (q *Queue) RunUntil(horizon Time) {
 	}
 	if q.now < horizon {
 		q.now = horizon
-	}
-}
-
-// Run fires every event until the queue drains.
-func (q *Queue) Run() {
-	for q.Step() {
 	}
 }

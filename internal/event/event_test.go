@@ -114,14 +114,19 @@ func TestNegativeDelayPanics(t *testing.T) {
 	q.After(-1, func(Time) {})
 }
 
+// TestFiredCounter: Step fires each scheduled event exactly once and
+// reports false once the calendar is drained.
 func TestFiredCounter(t *testing.T) {
 	q := NewQueue()
+	fired, steps := 0, 0
 	for i := 0; i < 7; i++ {
-		q.At(Time(i), func(Time) {})
+		q.At(Time(i), func(Time) { fired++ })
 	}
-	q.Run()
-	if q.Fired() != 7 {
-		t.Errorf("Fired = %d, want 7", q.Fired())
+	for q.Step() {
+		steps++
+	}
+	if fired != 7 || steps != 7 {
+		t.Errorf("fired %d handlers in %d steps, want 7 and 7", fired, steps)
 	}
 }
 
@@ -169,7 +174,7 @@ func TestQuickOrdering(t *testing.T) {
 			}
 			return want[a].seq < want[b].seq
 		})
-		if len(fired) != len(want) || q.Len() != 0 || q.Fired() != uint64(len(want)) {
+		if len(fired) != len(want) || q.Len() != 0 {
 			return false
 		}
 		for i := range want {

@@ -49,17 +49,6 @@ func RunExperiment1(o Options, opts ...Option) (*Experiment1Result, error) {
 	return &Experiment1Result{Sweeps: sweeps, RTTarget: o.RTTargetSeconds}, nil
 }
 
-// ThroughputTable returns, per scheduler, the throughput at the target
-// response time — the comparison the paper reads off Figure 6.
-func (r *Experiment1Result) ThroughputTable() map[string]float64 {
-	out := make(map[string]float64, len(r.Sweeps))
-	for _, s := range r.Sweeps {
-		tps, _ := s.ThroughputAt(r.RTTarget)
-		out[s.Label] = tps
-	}
-	return out
-}
-
 // Experiment2Result carries Figure 8: for each NumHots, each scheduler's
 // throughput at the target response time.
 type Experiment2Result struct {
@@ -134,16 +123,6 @@ func RunExperiment3(o Options, opts ...Option) (*Experiment3Result, error) {
 		return nil, err
 	}
 	return &Experiment3Result{Sweeps: sweeps, RTTarget: o.RTTargetSeconds}, nil
-}
-
-// ThroughputTable returns throughput at the target RT per scheduler.
-func (r *Experiment3Result) ThroughputTable() map[string]float64 {
-	out := make(map[string]float64, len(r.Sweeps))
-	for _, s := range r.Sweeps {
-		tps, _ := s.ThroughputAt(r.RTTarget)
-		out[s.Label] = tps
-	}
-	return out
 }
 
 // Experiment4Result carries Figure 10: throughput at the target RT as a

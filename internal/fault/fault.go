@@ -124,14 +124,6 @@ func New(seed uint64, cfg Config) (*Injector, error) {
 	return &Injector{seed: seed, cfg: cfg}, nil
 }
 
-// Seed returns the injector's seed (0 for nil).
-func (in *Injector) Seed() uint64 {
-	if in == nil {
-		return 0
-	}
-	return in.seed
-}
-
 // Config returns the effective configuration (zero for nil).
 func (in *Injector) Config() Config {
 	if in == nil {

@@ -420,10 +420,6 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	return c
 }
 
-// Label returns the scheduler name stamped on the controller's trace
-// events (the obs.Metrics lookup key).
-func (c *Controller) Label() string { return c.label }
-
 // now maps wall time onto the scheduler's clock (ms since start).
 func (c *Controller) now() event.Time {
 	return event.Time(time.Since(c.epoch).Milliseconds())

@@ -21,6 +21,11 @@ var liveCosts = sched.Costs{KeepTime: 50}
 func r(p txn.PartitionID, c float64) txn.Step { return txn.Step{Mode: txn.Read, Part: p, Cost: c} }
 func w(p txn.PartitionID, c float64) txn.Step { return txn.Step{Mode: txn.Write, Part: p, Cost: c} }
 
+// observerFunc adapts a function to obs.Observer.
+type observerFunc func(obs.Event)
+
+func (f observerFunc) Observe(e obs.Event) { f(e) }
+
 // TestMutualExclusion runs many goroutines writing the same partition;
 // the step work asserts it is never concurrent with another writer.
 func TestMutualExclusion(t *testing.T) {
@@ -114,7 +119,7 @@ func TestConflictSerializability(t *testing.T) {
 			t.Parallel()
 			h := modelcheck.NewHistory()
 			var grants atomic.Int64
-			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(obs.ObserverFunc(func(e obs.Event) {
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(observerFunc(func(e obs.Event) {
 				if e.Kind == obs.KindDecision && e.Op == "request" && e.Decision == "granted" {
 					grants.Add(1)
 				}

@@ -51,8 +51,8 @@ func TestObserverNoLossOrReorder(t *testing.T) {
 	}
 	wg.Wait()
 
-	if ring.Dropped() > 0 {
-		t.Fatalf("ring dropped %d events", ring.Dropped())
+	if len(ring.Events()) == 1<<14 {
+		t.Fatal("ring full: events may have been evicted; enlarge it")
 	}
 	counts := map[obs.Kind]int{}
 	last := map[txn.ID]obs.Kind{}

@@ -112,7 +112,7 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 				t.Fatalf("%d frames still pinned after the swarm drained", n)
 			}
 			ps := st.Stats()
-			sm := metrics.Sched(ctl.Label())
+			sm := metrics.Sched(ctl.label)
 			if sm == nil {
 				t.Fatal("no metrics recorded for the controller's label")
 			}

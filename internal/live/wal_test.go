@@ -329,7 +329,7 @@ func TestWALForceFollowsReleaseWithDefaultStore(t *testing.T) {
 	var mu sync.Mutex
 	var kinds []obs.Kind
 	ctl := New(sched.KWTPGFactory(2), liveCosts, WithWALLog(l), WithStorage(st),
-		WithObserver(obs.ObserverFunc(func(e obs.Event) {
+		WithObserver(observerFunc(func(e obs.Event) {
 			if e.Kind == obs.KindCommit || e.Kind == obs.KindWALSync {
 				mu.Lock()
 				kinds = append(kinds, e.Kind)

@@ -203,16 +203,6 @@ func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
 	return nil
 }
 
-// HeldMode returns the mode id holds on p, if any.
-func (tb *Table) HeldMode(id txn.ID, p txn.PartitionID) (txn.Mode, bool) {
-	e := tb.parts[p]
-	if e == nil {
-		return 0, false
-	}
-	m, ok := e.holders[id]
-	return m, ok
-}
-
 // Release drops all holds and remaining declarations of id (commit, or
 // abort before start). It returns the partitions on which id held locks,
 // sorted — the partitions whose waiters may now be grantable.
@@ -315,24 +305,6 @@ func (tb *Table) WouldExceedK(t *txn.T, k int) bool {
 		}
 	}
 	return false
-}
-
-// PendingDecls returns the pending declarations of id in step order.
-func (tb *Table) PendingDecls(id txn.ID) []Decl {
-	var out []Decl
-	for p := range tb.touched[id] {
-		e := tb.parts[p]
-		if e == nil {
-			continue
-		}
-		for _, d := range e.decls {
-			if d.Txn == id {
-				out = append(out, d)
-			}
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Step < out[j].Step })
-	return out
 }
 
 // Holders returns the transactions holding locks on p, sorted by id.

@@ -367,9 +367,6 @@ func (n *DataNode) Enqueue(j *Job) {
 	n.pump()
 }
 
-// Dead reports whether the node has been killed.
-func (n *DataNode) Dead() bool { return n.dead }
-
 // Kill crashes the node: it stops processing forever and its resident
 // jobs — the one whose quantum is in flight plus the round-robin queue
 // — are returned to the caller to requeue or abort. An in-flight

@@ -7,6 +7,12 @@ import (
 	"batsched/internal/txn"
 )
 
+// drain fires every pending event.
+func drain(q *event.Queue) {
+	for q.Step() {
+	}
+}
+
 func TestDefaultConfigValid(t *testing.T) {
 	c := DefaultConfig()
 	if err := c.Validate(); err != nil {
@@ -79,7 +85,7 @@ func TestControlNodeFIFOAndOccupancy(t *testing.T) {
 			t.Errorf("QueueLen = %d, want 2 (one running)", cn.QueueLen())
 		}
 	})
-	q.Run()
+	drain(q)
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
 	}
@@ -104,7 +110,7 @@ func TestControlNodeInterleavedSubmit(t *testing.T) {
 	q.At(0, func(event.Time) { cn.Submit(&testWork{cpu: 100, done: record}) })
 	// Submitted while CN is busy: must wait.
 	q.At(50, func(event.Time) { cn.Submit(&testWork{cpu: 10, done: record}) })
-	q.Run()
+	drain(q)
 	if len(finished) != 2 || finished[0] != 100 || finished[1] != 110 {
 		t.Errorf("finished = %v, want [100 110]", finished)
 	}
@@ -133,7 +139,7 @@ func TestControlNodeBacklogKeepsOrder(t *testing.T) {
 		}})
 	}
 	q.At(0, func(event.Time) { submit(); submit(); submit() })
-	q.Run()
+	drain(q)
 	if len(order) != next || next < 200 {
 		t.Fatalf("served %d of %d", len(order), next)
 	}
@@ -171,7 +177,7 @@ func TestDataNodeRoundRobin(t *testing.T) {
 		n.Enqueue(&Job{Txn: t1, Step: 0, Remaining: 3})
 		n.Enqueue(&Job{Txn: t2, Step: 0, Remaining: 2})
 	})
-	q.Run()
+	drain(q)
 	// Round robin: T1@10, T2@20, T1@30, T2@40(done), T1@50(done).
 	want := []event.Time{10, 20, 30, 40, 50}
 	if len(quanta) != len(want) {
@@ -203,7 +209,7 @@ func TestDataNodeFractionalTail(t *testing.T) {
 	n.OnStepDone = func(j *Job, now event.Time) { doneAt = now }
 	t1 := txn.New(1, []txn.Step{{Mode: txn.Write, Part: 0, Cost: 1.2}})
 	q.At(0, func(event.Time) { n.Enqueue(&Job{Txn: t1, Step: 0, Remaining: 1.2}) })
-	q.Run()
+	drain(q)
 	if len(quanta) != 2 || quanta[0] != 1 || quanta[1] < 0.19 || quanta[1] > 0.21 {
 		t.Fatalf("quanta = %v, want [1 0.2]", quanta)
 	}
@@ -219,7 +225,7 @@ func TestDataNodeZeroCostStep(t *testing.T) {
 	n.OnStepDone = func(j *Job, now event.Time) { doneCount++ }
 	t1 := txn.New(1, []txn.Step{{Mode: txn.Read, Part: 0, Cost: 0}})
 	q.At(0, func(event.Time) { n.Enqueue(&Job{Txn: t1, Step: 0, Remaining: 0}) })
-	q.Run()
+	drain(q)
 	if doneCount != 1 {
 		t.Errorf("zero-cost step completed %d times, want 1", doneCount)
 	}
@@ -240,7 +246,7 @@ func TestDataNodeQueueLen(t *testing.T) {
 			t.Errorf("QueueLen = %d, want 2", n.QueueLen())
 		}
 	})
-	q.Run()
+	drain(q)
 	if n.QueueLen() != 0 {
 		t.Errorf("QueueLen after drain = %d, want 0", n.QueueLen())
 	}
@@ -356,8 +362,8 @@ func TestDataNodeKillReturnsResidentsAndFreezes(t *testing.T) {
 	// j2's first quantum (issued at 10, due 20) is in flight and j1 waits
 	// with one object done.
 	q.At(15, func(event.Time) { resident = append(resident, n.Kill()...) })
-	q.Run()
-	if !n.Dead() {
+	drain(q)
+	if !n.dead {
 		t.Fatal("node not dead after Kill")
 	}
 	if len(resident) != 2 || resident[0] != j2 || resident[1] != j1 {
@@ -416,7 +422,7 @@ func BenchmarkControlNodePump(b *testing.B) {
 	cn.Submit(&pingWork{cn: cn, left: b.N - b.N/2})
 	b.ReportAllocs()
 	b.ResetTimer()
-	q.Run()
+	drain(q)
 	if int(cn.Ops) < b.N {
 		b.Fatalf("Ops = %d, want ≥ %d", cn.Ops, b.N)
 	}
@@ -434,7 +440,7 @@ func BenchmarkDataNodeQuantum(b *testing.B) {
 	n.Enqueue(&Job{Txn: t1, Remaining: float64(b.N - b.N/2)})
 	b.ReportAllocs()
 	b.ResetTimer()
-	q.Run()
+	drain(q)
 	if quanta < b.N {
 		b.Fatalf("quanta = %d, want ≥ %d", quanta, b.N)
 	}

@@ -10,8 +10,7 @@ import (
 
 // JSONL writes one JSON object per event, one per line — the common
 // interchange format for trace tooling (jq, DuckDB, pandas). Safe for
-// concurrent use; output is buffered until Close (or an explicit
-// Flush).
+// concurrent use; output is buffered until Close.
 type JSONL struct {
 	mu    sync.Mutex
 	bw    *bufio.Writer
@@ -47,16 +46,6 @@ func (s *JSONL) Observe(e Event) {
 		s.err = s.enc.Encode(e)
 	}
 	s.mu.Unlock()
-}
-
-// Flush forces buffered lines out to the underlying writer.
-func (s *JSONL) Flush() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return s.err
-	}
-	return s.bw.Flush()
 }
 
 // Close flushes, closes the file if the sink owns one, and reports the

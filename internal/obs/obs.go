@@ -25,10 +25,11 @@
 // controller and the experiment harness emit from many goroutines.
 //
 // The experiment harness additionally follows a per-run ownership rule
-// for deterministic output: each parallel run emits into private sinks
-// (a Metrics of its own, a trace buffer), which the harness merges into
-// the caller's shared sinks in grid order after the run completes — see
-// Metrics.Merge and package experiments.
+// for deterministic output: each parallel run emits only into a private
+// trace buffer, and the harness replays completed buffers into the
+// caller's one shared observer in grid order — so a single Metrics (or
+// any sink, joined by Multi) sees the same stream at every parallelism
+// level. See experiments.WithTrace.
 package obs
 
 import (
@@ -158,23 +159,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// MarshalJSON encodes the kind as its string name.
+// MarshalJSON encodes the kind as its string name. Nothing in the
+// repository reads a trace back, so there is no decoder.
 func (k Kind) MarshalJSON() ([]byte, error) { return json.Marshal(k.String()) }
-
-// UnmarshalJSON decodes a kind from its string name.
-func (k *Kind) UnmarshalJSON(data []byte) error {
-	var s string
-	if err := json.Unmarshal(data, &s); err != nil {
-		return err
-	}
-	for i, name := range kindNames {
-		if name == s {
-			*k = Kind(i)
-			return nil
-		}
-	}
-	return fmt.Errorf("obs: unknown event kind %q", s)
-}
 
 // Event is one structured trace event. Fields beyond Kind, At and Txn
 // are populated per kind (see the Kind constants); zero values mean
@@ -317,12 +304,6 @@ type Sink interface {
 	Observer
 	Close() error
 }
-
-// ObserverFunc adapts a function to the Observer interface.
-type ObserverFunc func(Event)
-
-// Observe calls f(e).
-func (f ObserverFunc) Observe(e Event) { f(e) }
 
 // Nop is the explicit no-op sink: every event is discarded.
 type Nop struct{}

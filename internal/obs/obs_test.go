@@ -8,23 +8,23 @@ import (
 	"testing"
 )
 
+// TestKindJSONRoundTrip: every kind encodes as its own name, and no two
+// kinds share one, so a trace reader can map names back to kinds.
 func TestKindJSONRoundTrip(t *testing.T) {
-	for k := KindAdmit; k <= KindCriticalPathChange; k++ {
+	seen := map[string]Kind{}
+	for k := Kind(0); int(k) < len(kindNames); k++ {
 		data, err := json.Marshal(k)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var back Kind
-		if err := json.Unmarshal(data, &back); err != nil {
-			t.Fatal(err)
+		var name string
+		if err := json.Unmarshal(data, &name); err != nil || name != k.String() || name == "" {
+			t.Errorf("kind %d encodes as %s (err %v), want its name", k, data, err)
 		}
-		if back != k {
-			t.Errorf("round trip %v -> %s -> %v", k, data, back)
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", prev, k, name)
 		}
-	}
-	var k Kind
-	if err := json.Unmarshal([]byte(`"no-such-kind"`), &k); err == nil {
-		t.Error("unknown kind decoded without error")
+		seen[name] = k
 	}
 }
 
@@ -42,20 +42,14 @@ func TestRingEviction(t *testing.T) {
 			t.Errorf("event %d has step %d, want %d (oldest-first order)", i, e.Step, i+3)
 		}
 	}
-	if r.Total() != 5 || r.Dropped() != 2 {
-		t.Errorf("total %d dropped %d, want 5/2", r.Total(), r.Dropped())
-	}
 }
 
 func TestRingPartial(t *testing.T) {
 	r := NewRing(10)
 	r.Observe(Event{Step: 1})
 	r.Observe(Event{Step: 2})
-	if got := r.Events(); len(got) != 2 || got[0].Step != 1 {
+	if got := r.Events(); len(got) != 2 || got[0].Step != 1 || got[1].Step != 2 {
 		t.Errorf("partial ring events = %+v", got)
-	}
-	if r.Dropped() != 0 {
-		t.Errorf("dropped %d, want 0", r.Dropped())
 	}
 }
 
@@ -71,15 +65,16 @@ func TestJSONLValidLines(t *testing.T) {
 	if len(lines) != 2 {
 		t.Fatalf("got %d lines, want 2:\n%s", len(lines), buf.String())
 	}
-	var e Event
+	var e map[string]any
 	if err := json.Unmarshal([]byte(lines[0]), &e); err != nil {
 		t.Fatalf("line 0 not valid JSON: %v", err)
 	}
-	if e.Kind != KindDecision || e.Sched != "CHAIN" || e.Decision != "granted" || e.CPU != 3 {
-		t.Errorf("decoded %+v", e)
+	if e["kind"] != "decision" || e["sched"] != "CHAIN" || e["decision"] != "granted" || e["cpu"] != 3.0 {
+		t.Errorf("decoded %v", e)
 	}
-	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil || e.Kind != KindCommit || e.RT != 87 {
-		t.Errorf("line 1: %+v err %v", e, err)
+	e = nil
+	if err := json.Unmarshal([]byte(lines[1]), &e); err != nil || e["kind"] != "commit" || e["rt"] != 87.0 {
+		t.Errorf("line 1: %v err %v", e, err)
 	}
 }
 
@@ -162,7 +157,7 @@ func TestMultiAndNop(t *testing.T) {
 	r2 := NewRing(4)
 	m := Multi(r, r2)
 	m.Observe(Event{Kind: KindAdmit, Txn: 9})
-	if r.Total() != 1 || r2.Total() != 1 {
+	if len(r.Events()) != 1 || len(r2.Events()) != 1 {
 		t.Error("multi did not fan out")
 	}
 	if s, ok := m.(Sink); !ok {

@@ -5,11 +5,10 @@ import "sync"
 // Ring is a fixed-capacity in-memory event buffer: a flight recorder
 // that always holds the most recent events. Safe for concurrent use.
 type Ring struct {
-	mu    sync.Mutex
-	buf   []Event
-	next  int
-	total uint64
-	full  bool
+	mu   sync.Mutex
+	buf  []Event
+	next int
+	full bool
 }
 
 // NewRing returns a ring buffer holding the last `capacity` events
@@ -29,7 +28,6 @@ func (r *Ring) Observe(e Event) {
 	if r.next == 0 {
 		r.full = true
 	}
-	r.total++
 	r.mu.Unlock()
 }
 
@@ -47,22 +45,4 @@ func (r *Ring) Events() []Event {
 	out = append(out, r.buf[r.next:]...)
 	out = append(out, r.buf[:r.next]...)
 	return out
-}
-
-// Total reports how many events were ever observed (including evicted
-// ones).
-func (r *Ring) Total() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.total
-}
-
-// Dropped reports how many events were evicted by capacity.
-func (r *Ring) Dropped() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.full {
-		return 0
-	}
-	return r.total - uint64(len(r.buf))
 }

@@ -153,6 +153,11 @@ func TestCrashedCommitsAreSubsetOfCleanRun(t *testing.T) {
 	}
 }
 
+// observerFunc adapts a function to obs.Observer.
+type observerFunc func(obs.Event)
+
+func (f observerFunc) Observe(e obs.Event) { f(e) }
+
 // runCollectingCommits runs one simulation, returning the set of
 // committed transaction IDs and the nodes reported down. The run must
 // terminate with every arrival accounted for.
@@ -160,7 +165,7 @@ func runCollectingCommits(t *testing.T, cfg Config, inj *fault.Injector) (map[in
 	t.Helper()
 	committed := make(map[int64]bool)
 	var deadNodes []int
-	collect := obs.ObserverFunc(func(e obs.Event) {
+	collect := observerFunc(func(e obs.Event) {
 		switch e.Kind {
 		case obs.KindCommit:
 			if e.Decision != "aborted" {

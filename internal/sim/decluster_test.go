@@ -6,7 +6,6 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/txn"
-	"batsched/internal/workload"
 )
 
 // TestDeclusteredSingleStep: a lone 8-object scan on 8 nodes takes one
@@ -15,7 +14,7 @@ import (
 func TestDeclusteredSingleStep(t *testing.T) {
 	mk := func(declustered bool) *Result {
 		cfg := baseConfig()
-		cfg.Workload = &workload.Fixed{Label: "scan", Txns: []*txn.T{
+		cfg.Workload = &fixed{Label: "scan", Txns: []*txn.T{
 			txn.New(0, []txn.Step{r(0, 8)}),
 		}}
 		cfg.MaxTxns = 1
@@ -59,7 +58,7 @@ func TestDeclusteredSingleStep(t *testing.T) {
 // uncontended transaction.
 func TestResponseTimeDecomposition(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Workload = &workload.Fixed{Label: "one", Txns: []*txn.T{
+	cfg.Workload = &fixed{Label: "one", Txns: []*txn.T{
 		txn.New(0, []txn.Step{r(0, 2), w(1, 1)}),
 	}}
 	cfg.MaxTxns = 1
@@ -145,36 +144,5 @@ func TestDeclusteredWeightAccounting(t *testing.T) {
 	}
 	if res.Completed == 0 {
 		t.Fatal("no completions")
-	}
-}
-
-// TestPartialDeclustering: width-2 declustering splits a step over the
-// home node and its successor.
-func TestPartialDeclustering(t *testing.T) {
-	cfg := baseConfig()
-	cfg.Workload = &workload.Fixed{Label: "scan", Txns: []*txn.T{
-		txn.New(0, []txn.Step{r(3, 4)}), // home node 3
-	}}
-	cfg.MaxTxns = 1
-	cfg.DeclusterWidth = 2
-	res, err := Run(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 4 objects split into 2×2: RT = 11 + 1 + 2000 + 10 = 2022 ms.
-	if want := 2.022; math.Abs(res.MeanRT-want) > 1e-9 {
-		t.Errorf("MeanRT = %g, want %g", res.MeanRT, want)
-	}
-	busy := 0
-	for i, u := range res.NodeUtilization {
-		if u > 0 {
-			busy++
-			if i != 3 && i != 4 {
-				t.Errorf("unexpected node %d busy", i)
-			}
-		}
-	}
-	if busy != 2 {
-		t.Errorf("busy nodes = %d, want 2", busy)
 	}
 }

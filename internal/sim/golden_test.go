@@ -7,7 +7,6 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
 	"batsched/internal/txn"
-	"batsched/internal/workload"
 )
 
 // TestGoldenTwoWriterSchedule is a fully hand-computed contention
@@ -41,7 +40,7 @@ func TestGoldenTwoWriterSchedule(t *testing.T) {
 		f := tc.factory
 		cfg := baseConfig()
 		cfg.Scheduler = f
-		cfg.Workload = &workload.Fixed{Label: "two", Txns: []*txn.T{
+		cfg.Workload = &fixed{Label: "two", Txns: []*txn.T{
 			txn.New(0, []txn.Step{w(0, 3)}),
 			txn.New(0, []txn.Step{w(0, 1)}),
 		}}
@@ -85,7 +84,7 @@ func TestGoldenTwoWriterSchedule(t *testing.T) {
 func TestGoldenASLRetryQuantization(t *testing.T) {
 	cfg := baseConfig()
 	cfg.Scheduler = sched.ASLFactory()
-	cfg.Workload = &workload.Fixed{Label: "two", Txns: []*txn.T{
+	cfg.Workload = &fixed{Label: "two", Txns: []*txn.T{
 		txn.New(0, []txn.Step{w(0, 3)}),
 		txn.New(0, []txn.Step{w(0, 1)}),
 	}}
@@ -116,7 +115,7 @@ func TestGoldenASLRetryQuantization(t *testing.T) {
 // dropped.
 func TestExplicitArrivalsRespectHorizon(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Workload = &workload.Fixed{Label: "x", Txns: []*txn.T{
+	cfg.Workload = &fixed{Label: "x", Txns: []*txn.T{
 		txn.New(0, []txn.Step{r(0, 1)}),
 		txn.New(0, []txn.Step{r(0, 1)}),
 	}}

@@ -39,8 +39,8 @@ func TestRunWithTrace(t *testing.T) {
 			t.Fatalf("event labeled %q, result scheduler %q", e.Sched, res.Scheduler)
 		}
 	}
-	if ring.Dropped() > 0 {
-		t.Fatalf("ring dropped %d events; enlarge the buffer", ring.Dropped())
+	if len(ring.Events()) == 1<<16 {
+		t.Fatal("ring full: events may have been evicted; enlarge the buffer")
 	}
 	if counts[obs.KindAdmit] != res.Arrived {
 		t.Errorf("Admit events %d, arrived %d", counts[obs.KindAdmit], res.Arrived)

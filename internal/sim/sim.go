@@ -111,11 +111,6 @@ type Config struct {
 	// BATs but, on a real machine, costs short transactions message
 	// overhead that this simulator does not model.
 	Declustered bool
-	// DeclusterWidth enables *partial* declustering ([3]'s placement):
-	// each partition is spread over this many nodes, starting at its home
-	// node. 0 or 1 means no declustering; values ≥ NumNodes (or the
-	// Declustered flag) mean full declustering.
-	DeclusterWidth int
 	// DeadNodes lists data nodes that are down for the whole run: their
 	// partitions are re-homed to the survivors before the first arrival
 	// (no node-down events — this is topology, not a fault). Used to
@@ -750,8 +745,8 @@ func (s *simulator) dispatch(st *txnState, sp txn.Step) {
 	// current home; with every node alive this is the classic
 	// (home+i) mod NumNodes placement.
 	alive := s.place.AliveIDs()
-	width := max(s.cfg.DeclusterWidth, 1)
-	if s.cfg.Declustered || width > len(alive) {
+	width := 1
+	if s.cfg.Declustered {
 		width = len(alive)
 	}
 	home := slices.Index(alive, s.place.NodeOf(sp.Part))

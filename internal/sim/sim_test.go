@@ -34,7 +34,7 @@ func baseConfig() Config {
 // + request (1) + 1 object (1000) + commit (committime 10) = 3023 ms.
 func TestSingleTransactionTiming(t *testing.T) {
 	cfg := baseConfig()
-	cfg.Workload = &workload.Fixed{Label: "one", Txns: []*txn.T{
+	cfg.Workload = &fixed{Label: "one", Txns: []*txn.T{
 		txn.New(0, []txn.Step{r(0, 2), w(1, 1)}),
 	}}
 	cfg.MaxTxns = 1

@@ -31,7 +31,7 @@ func BenchmarkStorageScan(b *testing.B) {
 	if err := st.Flush(); err != nil {
 		b.Fatal(err)
 	}
-	b.SetBytes(int64(st.NumPages(0)) * int64(st.PageSize()))
+	b.SetBytes(int64(st.NumPages(0)) * int64(st.pageSize))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		n, err := st.ScanCount(0)
@@ -70,7 +70,7 @@ func BenchmarkStorageScanCold(b *testing.B) {
 		b.Fatal(err)
 	}
 	before := st.Stats()
-	b.SetBytes(int64(st.NumPages(0)) * int64(st.PageSize()))
+	b.SetBytes(int64(st.NumPages(0)) * int64(st.pageSize))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

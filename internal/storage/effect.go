@@ -84,16 +84,6 @@ func (st *Store) Stage(id txn.ID, step int, part txn.PartitionID) {
 	st.stageMu.Unlock()
 }
 
-// StagedCount returns the number of effects currently staged for id.
-func (st *Store) StagedCount(id txn.ID) int {
-	st.stageMu.Lock()
-	defer st.stageMu.Unlock()
-	if lp := st.staged[id]; lp != nil {
-		return len(*lp)
-	}
-	return 0
-}
-
 // ApplyCommit applies id's staged effects to their partitions. It only
 // mutates cached pages: they leave the pool by eviction, the background
 // flusher when one is configured, FlushPartition, Flush or Close — never

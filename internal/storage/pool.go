@@ -721,16 +721,6 @@ func (p *Pool) Stats() PoolStats {
 	return st
 }
 
-// StripeStats snapshots each stripe's counters separately (test hook
-// for asserting traffic actually spreads across latches).
-func (p *Pool) StripeStats() []PoolStats {
-	out := make([]PoolStats, len(p.stripes))
-	for i, s := range p.stripes {
-		out[i] = s.stats()
-	}
-	return out
-}
-
 func (s *stripe) stats() PoolStats {
 	return PoolStats{
 		Frames:       len(s.frames),

@@ -329,9 +329,6 @@ func (st *Store) TornPages() int { return st.torn }
 // NumPartitions returns the partition count the store was opened with.
 func (st *Store) NumPartitions() int { return len(st.parts) }
 
-// PageSize returns the store's page size in bytes.
-func (st *Store) PageSize() int { return st.pageSize }
-
 func (st *Store) poolOf(part txn.PartitionID) *Pool {
 	return st.pools[int(part)%len(st.pools)]
 }
@@ -453,16 +450,6 @@ func (st *Store) writePage(k pageKey, buf []byte) error {
 	return nil
 }
 
-// NumPages returns the partition's current page count (cached pages
-// included — a created page counts before it first reaches disk).
-func (st *Store) NumPages(part txn.PartitionID) uint32 {
-	pf, err := st.pf(part)
-	if err != nil {
-		return 0
-	}
-	return pf.numPages()
-}
-
 // TouchPage reads one page of a partition through the pool — the
 // simulator's per-object quantum turned into a real page read. Reading
 // past the current page count is a no-op (an empty partition has
@@ -529,30 +516,6 @@ func (st *Store) Insert(part txn.PartitionID, tuple []byte) (RecordID, error) {
 		return RecordID{}, fmt.Errorf("storage: tuple %d bytes does not fit an empty page", len(tuple))
 	}
 	return RecordID{Page: pageNo, Slot: slot}, nil
-}
-
-// Get returns a copy of the tuple at rid, or false for a slot that is
-// dead or out of range — the read probe tests check placements with.
-func (st *Store) Get(part txn.PartitionID, rid RecordID) ([]byte, bool, error) {
-	pf, err := st.pf(part)
-	if err != nil {
-		return nil, false, err
-	}
-	n := pf.numPages()
-	if rid.Page >= n {
-		return nil, false, nil
-	}
-	pool := st.poolOf(part)
-	fr, err := pool.Get(pageKey{part, rid.Page}, false)
-	if err != nil {
-		return nil, false, err
-	}
-	defer pool.Unpin(fr, false)
-	tup, ok := fr.Page().Get(rid.Slot)
-	if !ok {
-		return nil, false, nil
-	}
-	return append([]byte(nil), tup...), true, nil
 }
 
 // Flush writes back every dirty page of every pool (no fsync — heap

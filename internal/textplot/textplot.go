@@ -16,14 +16,12 @@ type Series struct {
 	X, Y   []float64
 }
 
-// Chart is a fixed-size character-grid chart. Zero values get sensible
-// defaults (60×20 plot area).
+// Chart is a fixed-size character-grid chart: a 60×20 plot area inside
+// the axes.
 type Chart struct {
 	Title  string
 	XLabel string
 	YLabel string
-	Width  int // plot columns (excluding axes)
-	Height int // plot rows (excluding axes)
 	// YMax optionally clamps the y axis (values above are drawn at the
 	// top edge); zero means autoscale. Useful for response-time curves
 	// that explode past saturation.
@@ -32,13 +30,7 @@ type Chart struct {
 
 // Render draws the series onto the grid and returns the chart text.
 func (c Chart) Render(series []Series) (string, error) {
-	w, h := c.Width, c.Height
-	if w <= 0 {
-		w = 60
-	}
-	if h <= 0 {
-		h = 20
-	}
+	const w, h = 60, 20 // plot columns and rows, excluding axes
 	var xmin, xmax, ymin, ymax float64
 	first := true
 	for _, s := range series {

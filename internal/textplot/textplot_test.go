@@ -7,7 +7,7 @@ import (
 )
 
 func TestRenderBasics(t *testing.T) {
-	c := Chart{Title: "demo", XLabel: "x", YLabel: "y", Width: 20, Height: 5}
+	c := Chart{Title: "demo", XLabel: "x", YLabel: "y"}
 	out, err := c.Render([]Series{
 		{Label: "up", Marker: 'u', X: []float64{0, 1, 2}, Y: []float64{0, 5, 10}},
 		{Label: "down", Marker: 'd', X: []float64{0, 1, 2}, Y: []float64{10, 5, 0}},
@@ -21,14 +21,14 @@ func TestRenderBasics(t *testing.T) {
 		}
 	}
 	lines := strings.Split(out, "\n")
-	// title + 5 grid rows + axis + xlabels + labels line + legend.
+	// title + 20 grid rows + axis + xlabels + labels line + legend.
 	if len(lines) < 9 {
 		t.Errorf("too few lines: %d\n%s", len(lines), out)
 	}
 }
 
 func TestRenderMarkerPlacement(t *testing.T) {
-	c := Chart{Width: 11, Height: 3}
+	c := Chart{}
 	out, err := c.Render([]Series{{Label: "s", Marker: '#', X: []float64{0, 10}, Y: []float64{0, 10}}})
 	if err != nil {
 		t.Fatal(err)
@@ -39,7 +39,7 @@ func TestRenderMarkerPlacement(t *testing.T) {
 	if !strings.HasSuffix(strings.TrimRight(lines[0], " "), "#") {
 		t.Errorf("top row %q lacks right-edge marker", lines[0])
 	}
-	bottom := lines[2]
+	bottom := lines[19]
 	idx := strings.Index(bottom, "|")
 	if idx < 0 || idx+1 >= len(bottom) || bottom[idx+1] != '#' {
 		t.Errorf("bottom row %q lacks left-edge marker", bottom)
@@ -60,7 +60,7 @@ func TestRenderErrors(t *testing.T) {
 }
 
 func TestRenderSkipsNonFinite(t *testing.T) {
-	c := Chart{Width: 10, Height: 3}
+	c := Chart{}
 	out, err := c.Render([]Series{{
 		Label: "s",
 		X:     []float64{0, 1, 2},
@@ -81,7 +81,7 @@ func TestRenderSkipsNonFinite(t *testing.T) {
 }
 
 func TestYMaxClamp(t *testing.T) {
-	c := Chart{Width: 10, Height: 4, YMax: 100}
+	c := Chart{YMax: 100}
 	out, err := c.Render([]Series{{
 		Label: "s",
 		X:     []float64{0, 1},
@@ -99,7 +99,7 @@ func TestYMaxClamp(t *testing.T) {
 }
 
 func TestDefaultMarker(t *testing.T) {
-	c := Chart{Width: 5, Height: 3}
+	c := Chart{}
 	out, err := c.Render([]Series{{Label: "s", X: []float64{0}, Y: []float64{0}}})
 	if err != nil {
 		t.Fatal(err)

@@ -156,9 +156,6 @@ func openNode(path string, node int, valid int64) (*nodeLog, error) {
 	return nl, nil
 }
 
-// NumNodes returns the number of per-node logs.
-func (l *Log) NumNodes() int { return len(l.files) }
-
 // Append buffers r against its node's log, stamped with the next
 // sequence number. The record is NOT durable until a subsequent Sync
 // returns; callers enforcing write-ahead rules (commit durable before

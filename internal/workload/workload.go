@@ -173,28 +173,6 @@ func (d *declarationError) Next(id txn.ID, rng *rand.Rand) *txn.T {
 	return txn.NewDeclared(t.ID, t.Steps, declared)
 }
 
-// Fixed replays a fixed list of transactions (for tests and examples);
-// after the list is exhausted it panics.
-type Fixed struct {
-	Label string
-	Txns  []*txn.T
-	next  int
-}
-
-// Name implements Generator.
-func (f *Fixed) Name() string { return f.Label }
-
-// Next implements Generator.
-func (f *Fixed) Next(id txn.ID, rng *rand.Rand) *txn.T {
-	if f.next >= len(f.Txns) {
-		panic("workload: Fixed generator exhausted")
-	}
-	t := f.Txns[f.next]
-	f.next++
-	// Re-identify so simulator-assigned ids stay unique.
-	return &txn.T{ID: id, Steps: t.Steps, Declared: t.Declared}
-}
-
 // UniformPattern builds a generator for an arbitrary user pattern: every
 // variable is bound, per transaction, to a distinct partition drawn
 // uniformly from [0, numParts). Used by cmd/batsim's -pattern flag.

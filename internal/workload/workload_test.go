@@ -166,21 +166,6 @@ func TestErrorModelPairedStreams(t *testing.T) {
 	}
 }
 
-func TestFixedGenerator(t *testing.T) {
-	a := txn.New(99, []txn.Step{{Mode: txn.Read, Part: 1, Cost: 2}})
-	f := &Fixed{Label: "fixed", Txns: []*txn.T{a}}
-	got := f.Next(7, rand.New(rand.NewSource(1)))
-	if got.ID != 7 || got.Steps[0] != a.Steps[0] {
-		t.Errorf("Fixed.Next = %v", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("exhausted Fixed generator did not panic")
-		}
-	}()
-	f.Next(8, nil)
-}
-
 func TestDeterminism(t *testing.T) {
 	g1 := Experiment1(16)
 	g2 := Experiment1(16)
