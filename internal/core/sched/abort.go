@@ -11,7 +11,8 @@ import (
 // precedence past it, and repair any scheduler-specific cached state
 // (CHAIN's plan, K-WTPG's E cache). Like Commit, Abort returns the
 // partitions whose waiters may now be grantable plus the control-CPU
-// cost of the recovery.
+// cost of the recovery; like Commit's, the slice is valid only until the
+// scheduler's next call.
 //
 // Schedulers never *decide* to abort running work themselves (the
 // package's deadlock-freedom promise stands); Abort exists for external

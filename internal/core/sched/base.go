@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"batsched/internal/core/wtpg"
 	"batsched/internal/lock"
@@ -19,18 +20,18 @@ type wtpgBase struct {
 	live  map[txn.ID]*txn.T
 
 	// Scratch buffers for the request hot path (the control node is
-	// single-threaded, so plain reuse is safe).
-	targetBuf []txn.ID
-	seenBuf   map[txn.ID]bool
+	// single-threaded, so plain reuse is safe). impliedTargets owns
+	// conflictBuf: K-WTPG's loop over its own C(q) calls it.
+	targetBuf   []txn.ID
+	conflictBuf []lock.Decl
 }
 
 func newWTPGBase(costs Costs) wtpgBase {
 	return wtpgBase{
-		costs:   costs,
-		locks:   lock.NewTable(),
-		graph:   wtpg.New(),
-		live:    make(map[txn.ID]*txn.T),
-		seenBuf: make(map[txn.ID]bool),
+		costs: costs,
+		locks: lock.NewTable(),
+		graph: wtpg.New(),
+		live:  make(map[txn.ID]*txn.T),
 	}
 }
 
@@ -120,18 +121,16 @@ func (b *wtpgBase) unregister(t *txn.T) {
 // order after t: every transaction with a pending conflicting declaration
 // on the step's partition (deduplicated, in declaration order). The
 // returned slice is reused across calls; callers must not retain it.
+// |C(q)| is small, so a linear scan of the result deduplicates.
 func (b *wtpgBase) impliedTargets(t *txn.T, step int) []txn.ID {
 	s := t.Steps[step]
+	b.conflictBuf = b.locks.ConflictingDecls(b.conflictBuf[:0], t.ID, s.Part, s.Mode)
 	b.targetBuf = b.targetBuf[:0]
-	for id := range b.seenBuf {
-		delete(b.seenBuf, id)
-	}
-	b.locks.EachConflictingDecl(t.ID, s.Part, s.Mode, func(d lock.Decl) {
-		if !b.seenBuf[d.Txn] {
-			b.seenBuf[d.Txn] = true
+	for _, d := range b.conflictBuf {
+		if !slices.Contains(b.targetBuf, d.Txn) {
 			b.targetBuf = append(b.targetBuf, d.Txn)
 		}
-	})
+	}
 	return b.targetBuf
 }
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"slices"
 
 	"batsched/internal/core/chainopt"
 	"batsched/internal/core/wtpg"
@@ -26,6 +27,8 @@ type chain struct {
 	planDirty  bool
 	havePlan   bool
 	recomputes int
+	// in is chainInput's result, refilled for every chain solved.
+	in chainopt.Chain
 	// degraded is set when the WTPG's chain form breaks or W becomes
 	// uncomputable — a state pure CHAIN operation never produces, but
 	// abort recovery and defensive programming must survive. In degraded
@@ -89,7 +92,9 @@ func (c *chain) refreshPlan(now event.Time) (bool, error) {
 	if !ok {
 		return false, fmt.Errorf("sched: CHAIN invariant violated: WTPG not chain-form")
 	}
-	plan := make(map[pairKey]txn.ID, len(c.plan))
+	// W is refilled in place: both error paths below end in degrade,
+	// which replaces the map, so a half-filled plan is never read.
+	clear(c.plan)
 	for _, ch := range chains {
 		if len(ch) < 2 {
 			continue
@@ -104,13 +109,12 @@ func (c *chain) refreshPlan(now event.Time) (bool, error) {
 		}
 		for k := 0; k+1 < len(ch); k++ {
 			if sol.Orient[k] == chainopt.Down {
-				plan[pairOf(ch[k], ch[k+1])] = ch[k]
+				c.plan[pairOf(ch[k], ch[k+1])] = ch[k]
 			} else {
-				plan[pairOf(ch[k], ch[k+1])] = ch[k+1]
+				c.plan[pairOf(ch[k], ch[k+1])] = ch[k+1]
 			}
 		}
 	}
-	c.plan = plan
 	c.planAt = now
 	c.planDirty = false
 	c.havePlan = true
@@ -120,22 +124,23 @@ func (c *chain) refreshPlan(now event.Time) (bool, error) {
 
 // chainInput converts one WTPG chain into the optimizer's input, carrying
 // live w(T0→Ti) values, per-direction edge weights, and the orientations
-// already fixed by earlier grants.
+// already fixed by earlier grants. The input's slices are the scheduler's
+// own, refilled by the next call.
 func (c *chain) chainInput(ch wtpg.Chain) (chainopt.Chain, error) {
 	n := len(ch)
-	in := chainopt.Chain{
-		R:     make([]float64, n),
-		Down:  make([]float64, n-1),
-		Up:    make([]float64, n-1),
-		Fixed: make([]chainopt.Orientation, n-1),
-	}
+	in := &c.in
+	in.R = slices.Grow(in.R[:0], n)[:n]
+	in.Down = slices.Grow(in.Down[:0], n-1)[:n-1]
+	in.Up = slices.Grow(in.Up[:0], n-1)[:n-1]
+	in.Fixed = slices.Grow(in.Fixed[:0], n-1)[:n-1]
+	clear(in.Fixed)
 	for k, id := range ch {
 		in.R[k] = c.graph.W0(id)
 	}
 	for k := 0; k+1 < n; k++ {
 		e, ok := c.graph.EdgeBetween(ch[k], ch[k+1])
 		if !ok {
-			return in, fmt.Errorf("sched: chain edge (%v,%v) missing", ch[k], ch[k+1])
+			return *in, fmt.Errorf("sched: chain edge (%v,%v) missing", ch[k], ch[k+1])
 		}
 		down, up := e.WAB, e.WBA
 		if e.A != ch[k] {
@@ -150,7 +155,7 @@ func (c *chain) chainInput(ch wtpg.Chain) (chainopt.Chain, error) {
 			}
 		}
 	}
-	return in, nil
+	return *in, nil
 }
 
 func (c *chain) Request(t *txn.T, step int, now event.Time) Outcome {

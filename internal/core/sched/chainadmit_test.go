@@ -116,7 +116,7 @@ func TestChainRefusedAdmitTouchesNothing(t *testing.T) {
 		if c.graph.Len() != nodes || len(c.graph.Edges()) != edges {
 			t.Errorf("%s: the graph changed", name)
 		}
-		if d := c.locks.ConflictingDecls(0, 0, txn.Write); len(d) != 0 {
+		if d := c.locks.ConflictingDecls(nil, 0, 0, txn.Write); len(d) != 0 {
 			t.Errorf("%s: declarations left on P0: %v", name, d)
 		}
 	}

@@ -6,6 +6,7 @@ import (
 
 	"batsched/internal/core/estimate"
 	"batsched/internal/event"
+	"batsched/internal/lock"
 	"batsched/internal/txn"
 )
 
@@ -31,6 +32,8 @@ type kwtpg struct {
 	cacheGen   uint64
 	cacheAt    event.Time
 	cacheDirty bool
+	// declBuf is Request's C(q), reused from call to call.
+	declBuf []lock.Decl
 }
 
 type reqKey struct {
@@ -113,7 +116,8 @@ func (s *kwtpg) Request(t *txn.T, step int, now event.Time) Outcome {
 	}
 	// Step 3 of CC2: grant only if E(q) is minimal over C(q).
 	st := t.Steps[step]
-	for _, d := range s.locks.ConflictingDecls(t.ID, st.Part, st.Mode) {
+	s.declBuf = s.locks.ConflictingDecls(s.declBuf[:0], t.ID, st.Part, st.Mode)
+	for _, d := range s.declBuf {
 		other, ok := s.live[d.Txn]
 		if !ok {
 			continue

@@ -102,7 +102,9 @@ type Scheduler interface {
 	// objects (usually 1, possibly fractional at the tail of a step).
 	ObjectDone(t *txn.T, objects float64, now event.Time)
 	// Commit releases t's locks and removes it from control state,
-	// returning the partitions whose waiters may now be grantable.
+	// returning the partitions whose waiters may now be grantable. The
+	// slice may be the lock table's own, valid until the scheduler's next
+	// call; a caller that keeps it longer copies it.
 	Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time)
 }
 

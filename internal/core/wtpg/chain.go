@@ -1,7 +1,8 @@
 package wtpg
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"batsched/internal/txn"
 )
@@ -17,7 +18,9 @@ type Chain []txn.ID
 // are nil.
 //
 // The result is deterministic: each path starts at its smaller-id
-// endpoint, and chains are sorted by their first element.
+// endpoint, and chains are sorted by their first element. The chains and
+// the slice holding them are the graph's own buffers, valid until the next
+// call to Chains.
 func (g *Graph) Chains() (chains []Chain, ok bool) {
 	for s, id := range g.ids {
 		if id != 0 && len(g.adj[s]) > 2 {
@@ -25,18 +28,18 @@ func (g *Graph) Chains() (chains []Chain, ok bool) {
 		}
 	}
 	g.visited.reset(len(g.ids))
-	seen := 0
-	// Nodes() is sorted, so the first unvisited endpoint of each path
-	// component is its smaller-id endpoint.
-	for _, id := range g.Nodes() {
-		s := g.slotOf[id]
-		if g.visited.has(s) || len(g.adj[s]) > 1 {
+	// Every live node lands in ids at most once, so with room for all of
+	// them the chains sliced from it never move.
+	ids := slices.Grow(g.chainIDs[:0], g.nLive)
+	chains = g.chains[:0]
+	for s, id := range g.ids {
+		if id == 0 || g.visited.has(int32(s)) || len(g.adj[s]) > 1 {
 			continue
 		}
-		chain := Chain{id}
-		g.visited.add(s)
-		seen++
-		prev, cur := int32(-1), s
+		start := len(ids)
+		ids = append(ids, id)
+		g.visited.add(int32(s))
+		prev, cur := int32(-1), int32(s)
 		for {
 			next, found := g.nextNeighbourSlot(cur, prev)
 			if !found {
@@ -45,18 +48,22 @@ func (g *Graph) Chains() (chains []Chain, ok bool) {
 			if g.visited.has(next) {
 				return nil, false
 			}
-			chain = append(chain, g.ids[next])
+			ids = append(ids, g.ids[next])
 			g.visited.add(next)
-			seen++
 			prev, cur = cur, next
+		}
+		chain := Chain(ids[start:len(ids):len(ids)])
+		if chain[len(chain)-1] < chain[0] {
+			slices.Reverse(chain)
 		}
 		chains = append(chains, chain)
 	}
+	g.chainIDs, g.chains = ids, chains
 	// Every node of degree 2 not reached from an endpoint lies on a cycle.
-	if seen != g.nLive {
+	if len(ids) != g.nLive {
 		return nil, false
 	}
-	sort.Slice(chains, func(i, j int) bool { return chains[i][0] < chains[j][0] })
+	slices.SortFunc(chains, func(a, b Chain) int { return cmp.Compare(a[0], b[0]) })
 	return chains, true
 }
 

@@ -212,6 +212,8 @@ type Graph struct {
 	indegBuf []int32
 	stackBuf []int32
 	visited  markset
+	chainIDs []txn.ID // Chains' result: every chain's ids, back to back
+	chains   []Chain
 
 	ovl Overlay // reusable hypothetical-evaluation state (overlay.go)
 

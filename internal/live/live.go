@@ -690,6 +690,10 @@ func (c *Controller) runAdmitted(ctx context.Context, t *txn.T, work func(step i
 	abortAt, hasAbort := c.inj.AbortAt(t)
 	crashStep, hasCrash := c.inj.Crash(t)
 	processed := 0.0
+	progress := func(objects float64) {
+		processed += objects
+		c.ObjectDone(t, objects)
+	}
 	for step := range t.Steps {
 		if err := c.Acquire(ctx, t, step); err != nil {
 			c.Abort(t)
@@ -705,10 +709,6 @@ func (c *Controller) runAdmitted(ctx context.Context, t *txn.T, work func(step i
 			panic(fmt.Errorf("%w: txn %v step %d", fault.ErrInjectedCrash, t.ID, step))
 		}
 		if work != nil {
-			progress := func(objects float64) {
-				processed += objects
-				c.ObjectDone(t, objects)
-			}
 			if err := work(step, progress); err != nil {
 				c.Abort(t)
 				return fmt.Errorf("live: %v step %d: %w", t.ID, step, err)

@@ -26,15 +26,14 @@ func benchTable(n int) *Table {
 	return tb
 }
 
-func BenchmarkEachConflictingDecl500(b *testing.B) {
+func BenchmarkConflictingDecls500(b *testing.B) {
 	tb := benchTable(500)
+	var buf []Decl
 	b.ReportAllocs()
 	b.ResetTimer()
-	n := 0
 	for i := 0; i < b.N; i++ {
-		tb.EachConflictingDecl(1, 0, txn.Write, func(Decl) { n++ })
+		buf = tb.ConflictingDecls(buf[:0], 1, 0, txn.Write)
 	}
-	_ = n
 }
 
 func BenchmarkIsBlocked500(b *testing.B) {
@@ -73,5 +72,29 @@ func BenchmarkWouldExceedK500(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		tb.WouldExceedK(t, 2)
+	}
+}
+
+// BenchmarkLockCycle is one transaction's whole life in a populated
+// table: Declare, a Grant per step, Release.
+func BenchmarkLockCycle(b *testing.B) {
+	tb := benchTable(200)
+	t := txn.New(9999, []txn.Step{
+		{Mode: txn.Read, Part: 2, Cost: 5},
+		{Mode: txn.Write, Part: 6, Cost: 1},
+		{Mode: txn.Write, Part: 2, Cost: 1},
+	})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := tb.Declare(t); err != nil {
+			b.Fatal(err)
+		}
+		for j, s := range t.Steps {
+			if err := tb.Grant(t.ID, s.Part, j); err != nil {
+				b.Fatal(err)
+			}
+		}
+		tb.Release(t.ID)
 	}
 }

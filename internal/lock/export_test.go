@@ -11,23 +11,23 @@ import (
 
 // HeldMode returns the mode id holds on p, if any.
 func (tb *Table) HeldMode(id txn.ID, p txn.PartitionID) (txn.Mode, bool) {
-	e := tb.parts[p]
+	e := tb.lookup(p)
 	if e == nil {
 		return 0, false
 	}
-	m, ok := e.holders[id]
-	return m, ok
+	for _, h := range e.holders {
+		if h.id == id {
+			return h.mode, true
+		}
+	}
+	return 0, false
 }
 
 // PendingDecls returns the pending declarations of id in step order.
 func (tb *Table) PendingDecls(id txn.ID) []Decl {
 	var out []Decl
-	for p := range tb.touched[id] {
-		e := tb.parts[p]
-		if e == nil {
-			continue
-		}
-		for _, d := range e.decls {
+	for _, p := range tb.txns[id] {
+		for _, d := range tb.lookup(p).decls {
 			if d.Txn == id {
 				out = append(out, d)
 			}

@@ -17,7 +17,6 @@ package lock
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"batsched/internal/txn"
 )
@@ -36,70 +35,102 @@ func (d Decl) String() string {
 	return fmt.Sprintf("%v/step%d:%v(due=%g)", d.Txn, d.Step, d.Mode, d.Due)
 }
 
-type entry struct {
-	holders map[txn.ID]txn.Mode // strongest granted mode per transaction
-	decls   []Decl              // pending declarations in registration order
+// holder is a granted lock: the strongest mode id holds on the partition.
+type holder struct {
+	id   txn.ID
+	mode txn.Mode
 }
 
-// Table is the control node's lock table. The zero value is not usable;
-// use NewTable.
+type entry struct {
+	holders []holder // one per holding transaction, unordered
+	decls   []Decl   // pending declarations in registration order
+}
+
+// Table is the control node's lock table: a slot engine in the style of
+// the WTPG's. A partition maps to a slot in an entry slab whose holder and
+// declaration slices are reused by reslicing, and each live transaction
+// maps to the distinct partitions it touches, a slice recycled through a
+// spare stack — so a Declare → Grant → Release cycle allocates nothing
+// once the table is warm. An emptied entry stays indexed: the partition
+// space is the layout's, so the slab is bounded by the number of distinct
+// partitions ever locked. The zero value is not usable; use NewTable.
 type Table struct {
-	parts map[txn.PartitionID]*entry
-	// touched tracks which partitions each live transaction has holds or
-	// declarations on, so Release is O(own partitions).
-	touched map[txn.ID]map[txn.PartitionID]bool
-	// blockers is Blocked's result buffer, reused from call to call.
+	slot    map[txn.PartitionID]int32 // partition → index into entries
+	entries []entry
+	txns    map[txn.ID][]txn.PartitionID // live transaction → its partitions
+	spare   [][]txn.PartitionID          // released partition slices for reuse
+
+	// Result and working buffers, reused from call to call.
 	blockers []txn.ID
+	freed    []txn.PartitionID
+	dues     []float64
 }
 
 // NewTable returns an empty lock table.
 func NewTable() *Table {
 	return &Table{
-		parts:   make(map[txn.PartitionID]*entry),
-		touched: make(map[txn.ID]map[txn.PartitionID]bool),
+		slot: make(map[txn.PartitionID]int32),
+		txns: make(map[txn.ID][]txn.PartitionID),
 	}
 }
 
+// lookup returns p's entry, or nil if p was never locked.
+func (tb *Table) lookup(p txn.PartitionID) *entry {
+	i, ok := tb.slot[p]
+	if !ok {
+		return nil
+	}
+	return &tb.entries[i]
+}
+
+// entry returns p's entry, indexing a new one on first use. The pointer
+// is valid until the next new partition grows the slab.
 func (tb *Table) entry(p txn.PartitionID) *entry {
-	e := tb.parts[p]
-	if e == nil {
-		e = &entry{holders: make(map[txn.ID]txn.Mode)}
-		tb.parts[p] = e
+	i, ok := tb.slot[p]
+	if !ok {
+		i = int32(len(tb.entries))
+		tb.entries = append(tb.entries, entry{})
+		tb.slot[p] = i
 	}
-	return e
-}
-
-func (tb *Table) touch(id txn.ID, p txn.PartitionID) {
-	m := tb.touched[id]
-	if m == nil {
-		m = make(map[txn.PartitionID]bool)
-		tb.touched[id] = m
-	}
-	m[p] = true
+	return &tb.entries[i]
 }
 
 // Declare registers lock-declarations for every step of t, using t's
 // declared I/O demands for the due values. It returns an error if t is
 // already known to the table.
 func (tb *Table) Declare(t *txn.T) error {
-	if _, ok := tb.touched[t.ID]; ok {
+	if _, ok := tb.txns[t.ID]; ok {
 		return fmt.Errorf("lock: %v already declared", t.ID)
+	}
+	// due(s_i) for every step in one suffix-sum pass, added in t.Due's
+	// order so the values are bit-identical.
+	n := len(t.Steps)
+	tb.dues = slices.Grow(tb.dues[:0], n)[:n]
+	sum := 0.0
+	for i := n - 1; i >= 0; i-- {
+		sum += t.Declared[i]
+		tb.dues[i] = sum
+	}
+	var parts []txn.PartitionID
+	if k := len(tb.spare); k > 0 {
+		parts = tb.spare[k-1]
+		tb.spare = tb.spare[:k-1]
 	}
 	for i, s := range t.Steps {
 		e := tb.entry(s.Part)
-		e.decls = append(e.decls, Decl{Txn: t.ID, Step: i, Mode: s.Mode, Due: t.Due(i)})
-		tb.touch(t.ID, s.Part)
+		e.decls = append(e.decls, Decl{Txn: t.ID, Step: i, Mode: s.Mode, Due: tb.dues[i]})
+		if !slices.Contains(parts, s.Part) {
+			parts = append(parts, s.Part)
+		}
 	}
-	if _, ok := tb.touched[t.ID]; !ok {
-		// Zero-step transaction: still record it so Release/Known work.
-		tb.touched[t.ID] = make(map[txn.PartitionID]bool)
-	}
+	// A zero-step transaction is still recorded so Release/Known work.
+	tb.txns[t.ID] = parts
 	return nil
 }
 
 // Known reports whether id currently has declarations or holds.
 func (tb *Table) Known(id txn.ID) bool {
-	_, ok := tb.touched[id]
+	_, ok := tb.txns[id]
 	return ok
 }
 
@@ -108,14 +139,14 @@ func (tb *Table) Known(id txn.ID) bool {
 // request is not blocked. The slice is the table's own and is valid until
 // the next call to Blocked (a refused Grant makes one).
 func (tb *Table) Blocked(id txn.ID, p txn.PartitionID, mode txn.Mode) []txn.ID {
-	e := tb.parts[p]
+	e := tb.lookup(p)
 	if e == nil {
 		return nil
 	}
 	out := tb.blockers[:0]
-	for h, m := range e.holders {
-		if h != id && mode.Conflicts(m) {
-			out = append(out, h)
+	for _, h := range e.holders {
+		if h.id != id && mode.Conflicts(h.mode) {
+			out = append(out, h.id)
 		}
 	}
 	slices.Sort(out)
@@ -125,50 +156,35 @@ func (tb *Table) Blocked(id txn.ID, p txn.PartitionID, mode txn.Mode) []txn.ID {
 
 // IsBlocked reports whether a request by id on p in the given mode
 // conflicts with any held lock of another transaction. Unlike Blocked it
-// allocates nothing.
+// touches no buffer.
 func (tb *Table) IsBlocked(id txn.ID, p txn.PartitionID, mode txn.Mode) bool {
-	e := tb.parts[p]
+	e := tb.lookup(p)
 	if e == nil {
 		return false
 	}
-	for h, m := range e.holders {
-		if h != id && mode.Conflicts(m) {
+	for _, h := range e.holders {
+		if h.id != id && mode.Conflicts(h.mode) {
 			return true
 		}
 	}
 	return false
 }
 
-// EachConflictingDecl visits the pending declarations of other
-// transactions on p that conflict with mode, in registration order,
-// without allocating.
-func (tb *Table) EachConflictingDecl(id txn.ID, p txn.PartitionID, mode txn.Mode, fn func(Decl)) {
-	e := tb.parts[p]
+// ConflictingDecls appends to dst the pending declarations of other
+// transactions on p that conflict with mode — the paper's C(q) for a
+// request q of transaction id in the given mode — in registration order,
+// and returns the extended slice.
+func (tb *Table) ConflictingDecls(dst []Decl, id txn.ID, p txn.PartitionID, mode txn.Mode) []Decl {
+	e := tb.lookup(p)
 	if e == nil {
-		return
+		return dst
 	}
 	for _, d := range e.decls {
 		if d.Txn != id && mode.Conflicts(d.Mode) {
-			fn(d)
+			dst = append(dst, d)
 		}
 	}
-}
-
-// ConflictingDecls returns the pending declarations of other transactions
-// on p that conflict with mode — the paper's C(q) for a request q of
-// transaction id in the given mode. Results are in registration order.
-func (tb *Table) ConflictingDecls(id txn.ID, p txn.PartitionID, mode txn.Mode) []Decl {
-	e := tb.parts[p]
-	if e == nil {
-		return nil
-	}
-	var out []Decl
-	for _, d := range e.decls {
-		if d.Txn != id && mode.Conflicts(d.Mode) {
-			out = append(out, d)
-		}
-	}
-	return out
+	return dst
 }
 
 // Grant converts the declaration of (id, step) on p into a held lock,
@@ -177,7 +193,7 @@ func (tb *Table) ConflictingDecls(id txn.ID, p txn.PartitionID, mode txn.Mode) [
 // grant would conflict with another holder (the caller must check Blocked
 // first).
 func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
-	e := tb.parts[p]
+	e := tb.lookup(p)
 	if e == nil {
 		return fmt.Errorf("lock: grant %v on unknown partition %v", id, p)
 	}
@@ -197,25 +213,35 @@ func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
 		return fmt.Errorf("lock: grant %v %v on %v conflicts with holders %v", id, mode, p, tb.Blocked(id, p, mode))
 	}
 	e.decls = append(e.decls[:idx], e.decls[idx+1:]...)
-	if held, ok := e.holders[id]; !ok || mode == txn.Write && held == txn.Read {
-		e.holders[id] = mode
+	for i := range e.holders {
+		if e.holders[i].id == id {
+			if mode == txn.Write {
+				e.holders[i].mode = txn.Write
+			}
+			return nil
+		}
 	}
+	e.holders = append(e.holders, holder{id, mode})
 	return nil
 }
 
 // Release drops all holds and remaining declarations of id (commit, or
 // abort before start). It returns the partitions on which id held locks,
-// sorted — the partitions whose waiters may now be grantable.
+// sorted — the partitions whose waiters may now be grantable. The slice is
+// the table's own and is valid until the next call to Release.
 func (tb *Table) Release(id txn.ID) []txn.PartitionID {
-	var freed []txn.PartitionID
-	for p := range tb.touched[id] {
-		e := tb.parts[p]
-		if e == nil {
-			continue
-		}
-		if _, held := e.holders[id]; held {
-			delete(e.holders, id)
-			freed = append(freed, p)
+	freed := tb.freed[:0]
+	parts, ok := tb.txns[id]
+	for _, p := range parts {
+		e := tb.lookup(p)
+		for i, h := range e.holders {
+			if h.id == id {
+				last := len(e.holders) - 1
+				e.holders[i] = e.holders[last]
+				e.holders = e.holders[:last]
+				freed = append(freed, p)
+				break
+			}
 		}
 		kept := e.decls[:0]
 		for _, d := range e.decls {
@@ -224,84 +250,62 @@ func (tb *Table) Release(id txn.ID) []txn.PartitionID {
 			}
 		}
 		e.decls = kept
-		if len(e.holders) == 0 && len(e.decls) == 0 {
-			delete(tb.parts, p)
+	}
+	if ok {
+		delete(tb.txns, id)
+		if cap(parts) > 0 {
+			tb.spare = append(tb.spare, parts[:0])
 		}
 	}
-	delete(tb.touched, id)
 	slices.Sort(freed)
+	tb.freed = freed
 	return freed
-}
-
-// DeclConflictDegree returns, for each pending declaration of t (by step
-// index), how many pending declarations of other transactions it conflicts
-// with. Used for the K-conflict admission test of the K-WTPG scheduler.
-func (tb *Table) DeclConflictDegree(id txn.ID) map[int]int {
-	out := make(map[int]int)
-	for p := range tb.touched[id] {
-		e := tb.parts[p]
-		if e == nil {
-			continue
-		}
-		for _, d := range e.decls {
-			if d.Txn != id {
-				continue
-			}
-			n := 0
-			for _, o := range e.decls {
-				if o.Txn != id && d.Mode.Conflicts(o.Mode) {
-					n++
-				}
-			}
-			out[d.Step] += n
-		}
-	}
-	return out
 }
 
 // WouldExceedK reports whether registering t's declarations would cause
 // any pending declaration (t's own or an existing transaction's) to
 // conflict with more than k declarations. It must be called before
 // Declare(t).
+//
+// A step of t conflicts with every conflicting declaration o of another
+// transaction on its partition p, so t's own declaration there has one
+// conflict per such o, and o gains one conflict per step of t on p that
+// conflicts with it, on top of the conflicts o already has with the other
+// transactions' declarations on p.
 func (tb *Table) WouldExceedK(t *txn.T, k int) bool {
-	// Conflicts gained by each existing declaration, keyed per declaration
-	// identity (txn, step).
-	type key struct {
-		id   txn.ID
-		step int
-	}
-	gained := make(map[key]int)
 	for _, s := range t.Steps {
-		e := tb.parts[s.Part]
+		e := tb.lookup(s.Part)
 		if e == nil {
 			continue
 		}
 		mine := 0
 		for _, o := range e.decls {
-			if o.Txn == t.ID {
-				continue
-			}
-			if s.Mode.Conflicts(o.Mode) {
+			if o.Txn != t.ID && s.Mode.Conflicts(o.Mode) {
 				mine++
-				gained[key{o.Txn, o.Step}]++
 			}
 		}
 		if mine > k {
 			return true
 		}
-	}
-	if len(gained) == 0 {
-		return false
-	}
-	existing := make(map[txn.ID]map[int]int)
-	for kk := range gained {
-		if _, ok := existing[kk.id]; !ok {
-			existing[kk.id] = tb.DeclConflictDegree(kk.id)
-		}
-	}
-	for kk, g := range gained {
-		if existing[kk.id][kk.step]+g > k {
-			return true
+		for _, o := range e.decls {
+			if o.Txn == t.ID || !s.Mode.Conflicts(o.Mode) {
+				continue
+			}
+			gained := 0
+			for _, ts := range t.Steps {
+				if ts.Part == s.Part && ts.Mode.Conflicts(o.Mode) {
+					gained++
+				}
+			}
+			degree := 0
+			for _, d := range e.decls {
+				if d.Txn != o.Txn && o.Mode.Conflicts(d.Mode) {
+					degree++
+				}
+			}
+			if degree+gained > k {
+				return true
+			}
 		}
 	}
 	return false
@@ -309,15 +313,15 @@ func (tb *Table) WouldExceedK(t *txn.T, k int) bool {
 
 // Holders returns the transactions holding locks on p, sorted by id.
 func (tb *Table) Holders(p txn.PartitionID) []txn.ID {
-	e := tb.parts[p]
-	if e == nil {
+	e := tb.lookup(p)
+	if e == nil || len(e.holders) == 0 {
 		return nil
 	}
-	out := make([]txn.ID, 0, len(e.holders))
-	for id := range e.holders {
-		out = append(out, id)
+	out := make([]txn.ID, len(e.holders))
+	for i, h := range e.holders {
+		out[i] = h.id
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -325,10 +329,11 @@ func (tb *Table) Holders(p txn.PartitionID) []txn.ID {
 // simultaneously on any partition. It returns the first violation found.
 // Intended for tests and the simulator's self-checking mode.
 func (tb *Table) CheckInvariants() error {
-	for p, e := range tb.parts {
+	for p, i := range tb.slot {
+		e := &tb.entries[i]
 		writers := 0
-		for _, m := range e.holders {
-			if m == txn.Write {
+		for _, h := range e.holders {
+			if h.mode == txn.Write {
 				writers++
 			}
 		}

@@ -115,7 +115,7 @@ func TestConflictingDecls(t *testing.T) {
 	}
 	// C(q) for T3's read on partition 0: conflicts with T1's write decl and
 	// T2's write decl, not with T1's read decl.
-	c := tb.ConflictingDecls(3, 0, txn.Read)
+	c := tb.ConflictingDecls(nil, 3, 0, txn.Read)
 	if len(c) != 2 {
 		t.Fatalf("C(q) = %v, want 2 decls", c)
 	}
@@ -125,14 +125,14 @@ func TestConflictingDecls(t *testing.T) {
 		}
 	}
 	// C(q) for T2's write: conflicts with everything of T1 and T3 (3 decls).
-	if c := tb.ConflictingDecls(2, 0, txn.Write); len(c) != 3 {
+	if c := tb.ConflictingDecls(nil, 2, 0, txn.Write); len(c) != 3 {
 		t.Fatalf("C(q) for write = %v, want 3 decls", c)
 	}
 	// Granting T3's read removes its declaration from others' C(q).
 	if err := tb.Grant(3, 0, 0); err != nil {
 		t.Fatal(err)
 	}
-	if c := tb.ConflictingDecls(2, 0, txn.Write); len(c) != 2 {
+	if c := tb.ConflictingDecls(nil, 2, 0, txn.Write); len(c) != 2 {
 		t.Fatalf("C(q) after grant = %v, want 2 decls", c)
 	}
 }
@@ -161,8 +161,10 @@ func TestReleaseReturnsFreedPartitions(t *testing.T) {
 	}
 }
 
+// The K-admission test used to be built from per-declaration conflict
+// degrees; the reference table keeps that formulation.
 func TestDeclConflictDegree(t *testing.T) {
-	tb := NewTable()
+	tb := newRefTable()
 	// T1 writes A; T2 reads A and writes A; T3 reads A.
 	t1 := mk(1, w(0, 1))
 	t2 := mk(2, r(0, 1), w(0, 1))
@@ -394,7 +396,7 @@ func TestIsBlockedMatchesBlocked(t *testing.T) {
 	}
 }
 
-func TestEachConflictingDeclMatchesSlice(t *testing.T) {
+func TestConflictingDeclsAppends(t *testing.T) {
 	tb := NewTable()
 	for id := txn.ID(1); id <= 5; id++ {
 		m := txn.Read
@@ -406,16 +408,17 @@ func TestEachConflictingDeclMatchesSlice(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	want := tb.ConflictingDecls(1, 0, txn.Write)
-	var got []Decl
-	tb.EachConflictingDecl(1, 0, txn.Write, func(d Decl) { got = append(got, d) })
-	if len(got) != len(want) {
-		t.Fatalf("EachConflictingDecl %v != ConflictingDecls %v", got, want)
+	prefix := Decl{Txn: 99}
+	got := tb.ConflictingDecls([]Decl{prefix}, 1, 0, txn.Write)
+	if len(got) != 5 || got[0] != prefix {
+		t.Fatalf("ConflictingDecls = %v, want the prefix then T2..T5", got)
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("entry %d: %v != %v", i, got[i], want[i])
+	for i, d := range got[1:] {
+		if d.Txn != txn.ID(i+2) {
+			t.Errorf("entry %d: %v, want T%d (registration order)", i+1, d, i+2)
 		}
 	}
-	tb.EachConflictingDecl(1, 42, txn.Write, func(Decl) { t.Fatal("decl on empty partition") })
+	if got := tb.ConflictingDecls(got[:0], 1, 42, txn.Write); len(got) != 0 {
+		t.Errorf("decls on an untouched partition: %v", got)
+	}
 }

@@ -825,7 +825,7 @@ func (s *simulator) abortMidRun(st *txnState, count *int, op string, now event.T
 func (j *abortJob) Run(now event.Time) event.Time {
 	st := (*txnState)(j)
 	freed, cpu := sched.AbortTxn(st.sim.sch, st.t, now)
-	st.freed = freed
+	st.freed = append(st.freed[:0], freed...) // freed is the lock table's until its next Release
 	return st.sim.cfg.Machine.CommitTime + cpu
 }
 
@@ -927,7 +927,7 @@ func (j *commitJob) Run(now event.Time) event.Time {
 		st.walPreds = sched.Predecessors(s.sch, st.t.ID)
 	}
 	freed, cpu := s.sch.Commit(st.t, now)
-	st.freed = freed
+	st.freed = append(st.freed[:0], freed...) // freed is the lock table's until its next Release
 	return s.cfg.Machine.CommitTime + cpu
 }
 

@@ -314,7 +314,7 @@ func TestSimSteadyStateAllocs(t *testing.T) {
 	}
 	perJob := float64(after.Mallocs-before.Mallocs) / float64(jobs)
 	t.Logf("%d arrivals, %d control-node jobs, %.3f heap objects per job", res.Arrived, jobs, perJob)
-	if perJob > 0.25 {
-		t.Errorf("%.3f heap objects per control-node job, want ≤ 0.25: something allocates per attempt", perJob)
+	if perJob > 0.1 {
+		t.Errorf("%.3f heap objects per control-node job, want ≤ 0.1: something allocates per attempt", perJob)
 	}
 }
