@@ -23,7 +23,7 @@ bench:
 MICRO_BENCH := Table1SingleRun|EstimateE|ESmall|ELarge|CriticalPath|CriticalPathStar|GraphChurn
 MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolvePaper32
 MICRO_BENCH := $(MICRO_BENCH)|ConflictingDecls500|IsBlocked500|DeclareRelease|WouldExceedK500|LockCycle
-MICRO_BENCH := $(MICRO_BENCH)|SchedCycleK2|SchedCycleChain
+MICRO_BENCH := $(MICRO_BENCH)|SchedCycleK2|SchedCycleChain|C2PLRefusalRepeat|CertifyHotSet
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert

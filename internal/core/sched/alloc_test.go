@@ -49,7 +49,8 @@ func hotSetCycle(s Scheduler, grants *int) func() {
 // allocates nothing under C2PL and K2 (lock table, C(q), the K-admission
 // test, E(q)), and under CHAIN nothing beyond chainopt.Solve's own three
 // slices per chain it solves (W, chainInput and the chain decomposition
-// reuse their buffers).
+// reuse their buffers). A warmed C2PL request refused again while nothing
+// it reads changed is answered from the refusal memo, also at 0.
 func TestDecisionSteadyStateAllocs(t *testing.T) {
 	for _, f := range []Factory{C2PLFactory(), KWTPGFactory(2)} {
 		grants := 0
@@ -63,6 +64,20 @@ func TestDecisionSteadyStateAllocs(t *testing.T) {
 		if grants == 0 {
 			t.Errorf("%s: no request was granted; the cycle does not reach a decision", f.Label)
 		}
+	}
+
+	s, tx, step := refusedRequest(t)
+	rec := s.(*c2pl).refused[tx.ID]
+	repeat := func() {
+		if s.Request(tx, step, 1).Decision != Delayed {
+			t.Fatal("C2PL: the refused request was not refused again")
+		}
+	}
+	if got := testing.AllocsPerRun(1000, repeat); got != 0 {
+		t.Errorf("C2PL: %.0f allocations per memoised refusal, want 0", got)
+	}
+	if s.(*c2pl).refused[tx.ID] != rec {
+		t.Error("C2PL: the repeats re-decided instead of answering from the memo")
 	}
 
 	c := NewChain(testCosts).(*chain)

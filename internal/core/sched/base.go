@@ -21,9 +21,11 @@ type wtpgBase struct {
 
 	// Scratch buffers for the request hot path (the control node is
 	// single-threaded, so plain reuse is safe). impliedTargets owns
-	// conflictBuf: K-WTPG's loop over its own C(q) calls it.
+	// conflictBuf: K-WTPG's loop over its own C(q) calls it. peerBuf holds
+	// the live transactions an arrival conflicts with.
 	targetBuf   []txn.ID
 	conflictBuf []lock.Decl
+	peerBuf     []txn.ID
 }
 
 func newWTPGBase(costs Costs) wtpgBase {
@@ -39,7 +41,10 @@ func newWTPGBase(costs Costs) wtpgBase {
 // due values, its node with w(T0→Ti) = due(s0), a conflicting-edge to
 // every live transaction it conflicts with, and immediate resolutions
 // u→t for every u already holding a lock that conflicts with one of t's
-// declarations (u's access necessarily precedes t's).
+// declarations (u's access necessarily precedes t's). The transactions t
+// conflicts with are the ones the lock table holds or declares on t's
+// partitions in a conflicting mode, so only those are visited, in ID
+// order.
 func (b *wtpgBase) register(t *txn.T) error {
 	if err := b.locks.Declare(t); err != nil {
 		return err
@@ -48,8 +53,9 @@ func (b *wtpgBase) register(t *txn.T) error {
 		b.locks.Release(t.ID)
 		return err
 	}
-	for id, u := range b.live {
-		wtu, wut, ok := wtpg.ConflictWeights(t, u)
+	b.peerBuf = b.locks.ConflictingTxns(b.peerBuf[:0], t)
+	for _, id := range b.peerBuf {
+		wtu, wut, ok := wtpg.ConflictWeights(t, b.live[id])
 		if !ok {
 			continue
 		}
@@ -76,38 +82,16 @@ func (b *wtpgBase) register(t *txn.T) error {
 
 // staysChainForm is step 0 of CC1 — the WTPG must remain in chain form
 // with t in it (Definition 2) — decided before t is registered, so a
-// refusal touches neither the lock table nor the graph: collect the live
-// transactions t conflicts with, stopping at the third (one too many
-// already), and ask the graph. A t the table already knows is left to
-// register, which refuses it.
+// refusal touches neither the lock table nor the graph: the lock table
+// names the live transactions t would conflict with, and the graph
+// answers for them. A t the table already knows is left to register,
+// which refuses it.
 func (b *wtpgBase) staysChainForm(t *txn.T) bool {
 	if b.locks.Known(t.ID) {
 		return true
 	}
-	var buf [3]txn.ID
-	neighbours := buf[:0]
-	for id, u := range b.live {
-		if conflicts(t, u) {
-			neighbours = append(neighbours, id)
-			if len(neighbours) == len(buf) {
-				break
-			}
-		}
-	}
-	return b.graph.StaysChainForm(neighbours)
-}
-
-// conflicts reports whether any declared step of a conflicts with one of
-// b — whether register would put a conflicting-edge between them.
-func conflicts(a, b *txn.T) bool {
-	for _, sa := range a.Steps {
-		for _, sb := range b.Steps {
-			if sa.Conflicts(sb) {
-				return true
-			}
-		}
-	}
-	return false
+	b.peerBuf = b.locks.ConflictingTxns(b.peerBuf[:0], t)
+	return b.graph.StaysChainForm(b.peerBuf)
 }
 
 // unregister rolls back a failed or rejected admission.

@@ -23,35 +23,49 @@ type c2pl struct {
 	// preAdmit runs before registration (sees the table and the graph
 	// without t), so a refusal leaves no state behind.
 	preAdmit func(b *wtpgBase, t *txn.T) bool
+	// refused holds each live transaction's last Delayed request with the
+	// lock-table and WTPG shape versions it was decided under: a request
+	// for the same step while neither version moved reads exactly what
+	// that one read, so it is answered Delayed again without the blocked
+	// test, C(q) or the cycle search (DESIGN.md §6).
+	refused map[txn.ID]refusal
+}
+
+// refusal is one memoised Delayed answer: the step refused and the
+// versions of the state the refusal read.
+type refusal struct {
+	step         int
+	locks, shape uint64
+}
+
+func newC2PL(costs Costs, name string, preAdmit func(b *wtpgBase, t *txn.T) bool) *c2pl {
+	return &c2pl{
+		wtpgBase: newWTPGBase(costs),
+		name:     name,
+		preAdmit: preAdmit,
+		refused:  make(map[txn.ID]refusal),
+	}
 }
 
 // NewC2PL returns a Cautious Two-Phase Lock scheduler.
 func NewC2PL(costs Costs) Scheduler {
-	return &c2pl{wtpgBase: newWTPGBase(costs), name: "C2PL"}
+	return newC2PL(costs, "C2PL", nil)
 }
 
 // NewChainC2PL returns C2PL restricted to chain-form WTPGs — the lower
 // bound isolating the benefit of CHAIN's structural constraint from its
 // weight-based optimization (Experiment 4).
 func NewChainC2PL(costs Costs) Scheduler {
-	return &c2pl{
-		wtpgBase: newWTPGBase(costs),
-		name:     "CHAIN-C2PL",
-		preAdmit: (*wtpgBase).staysChainForm,
-	}
+	return newC2PL(costs, "CHAIN-C2PL", (*wtpgBase).staysChainForm)
 }
 
 // NewKC2PL returns C2PL restricted to K-conflict WTPGs — the lower bound
 // isolating the benefit of K-WTPG's admission constraint from its use of
 // weights (Experiment 4).
 func NewKC2PL(costs Costs, k int) Scheduler {
-	return &c2pl{
-		wtpgBase: newWTPGBase(costs),
-		name:     fmt.Sprintf("K%d-C2PL", k),
-		preAdmit: func(b *wtpgBase, t *txn.T) bool {
-			return !b.locks.WouldExceedK(t, k)
-		},
-	}
+	return newC2PL(costs, fmt.Sprintf("K%d-C2PL", k), func(b *wtpgBase, t *txn.T) bool {
+		return !b.locks.WouldExceedK(t, k)
+	})
 }
 
 func (c *c2pl) Name() string { return c.name }
@@ -68,14 +82,23 @@ func (c *c2pl) Admit(t *txn.T, now event.Time) Outcome {
 
 func (c *c2pl) Request(t *txn.T, step int, now event.Time) Outcome {
 	cpu := c.costs.DDTime
+	// The versions are read before anything is decided: a refusal whose
+	// grant attempt resolved edges before failing moved the shape version,
+	// so its record can never match again.
+	seen := refusal{step: step, locks: c.locks.Version(), shape: c.graph.ShapeVersion()}
+	if r, ok := c.refused[t.ID]; ok && r == seen {
+		return Outcome{Decision: Delayed, CPU: cpu}
+	}
 	if c.blocked(t, step) {
 		return Outcome{Decision: Blocked, CPU: cpu}
 	}
 	targets := c.impliedTargets(t, step)
 	if c.graph.WouldCycleFrom(t.ID, targets) {
+		c.refused[t.ID] = seen
 		return Outcome{Decision: Delayed, CPU: cpu}
 	}
 	if err := c.grant(t, step, targets); err != nil {
+		c.refused[t.ID] = seen
 		return Outcome{Decision: Delayed, CPU: cpu}
 	}
 	return Outcome{Decision: Granted, CPU: cpu}
@@ -86,12 +109,15 @@ func (c *c2pl) ObjectDone(t *txn.T, objects float64, now event.Time) {
 }
 
 func (c *c2pl) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
+	delete(c.refused, t.ID)
 	return c.commit(t), 0
 }
 
 // Abort recovers from an external abort of an admitted transaction: the
 // precedence test needs no extra repair beyond the base splice because
-// c2pl keeps no cached plan.
+// c2pl keeps no cached plan, and its refusal records are stamped with
+// versions the abort advances.
 func (c *c2pl) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
+	delete(c.refused, t.ID)
 	return c.abort(t), c.costs.DDTime
 }

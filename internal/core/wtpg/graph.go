@@ -195,8 +195,12 @@ type Graph struct {
 	in  [][]int32 // slot → slab indices of resolved in-edges
 
 	// epoch counts mutations (AddNode/AddConflict/Resolve/Remove/SetW0);
-	// caches stamped with it are valid while it stands still.
+	// caches stamped with it are valid while it stands still. shape counts
+	// the structural ones alone — every mutation but SetW0 — so a decision
+	// that reads nodes, conflicts and resolutions but no weight can be
+	// stamped with it (ShapeVersion).
 	epoch uint64
+	shape uint64
 
 	// Cached critical path: value, cycle flag, and the topological order
 	// and per-slot distances of the pass that produced it (reused by
@@ -278,8 +282,15 @@ func (g *Graph) AddNode(id txn.ID, w0 float64) error {
 	g.slotOf[id] = s
 	g.nLive++
 	g.epoch++
+	g.shape++
 	return nil
 }
+
+// ShapeVersion returns the graph's structural mutation count: AddNode,
+// AddConflict, Remove and every resolution that orients an edge (Splice's
+// included) advance it; SetW0 and AddW0 do not. Two reads under the same
+// shape version see the same nodes, conflicting-edges and orientations.
+func (g *Graph) ShapeVersion() uint64 { return g.shape }
 
 // W0 returns w(T0→Ti).
 func (g *Graph) W0(id txn.ID) float64 {
@@ -345,6 +356,7 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	g.adj[sb] = append(g.adj[sb], idx)
 	g.pair[k] = idx
 	g.epoch++
+	g.shape++
 	return nil
 }
 
@@ -399,6 +411,7 @@ func (g *Graph) Resolve(from, to txn.ID) error {
 		g.out[fs] = append(g.out[fs], idx)
 		g.in[ts] = append(g.in[ts], idx)
 		g.epoch++
+		g.shape++
 		if g.OnResolve != nil {
 			g.OnResolve(g.ids[fs], g.ids[ts])
 		}
@@ -494,6 +507,7 @@ func (g *Graph) Remove(id txn.ID) {
 	g.free = append(g.free, s)
 	g.nLive--
 	g.epoch++
+	g.shape++
 }
 
 // Predecessors returns id's direct resolved predecessors — the sources of

@@ -60,6 +60,11 @@ type Table struct {
 	txns    map[txn.ID][]txn.PartitionID // live transaction → its partitions
 	spare   [][]txn.PartitionID          // released partition slices for reuse
 
+	// version counts the mutations (Declare, Grant, Release): a decision
+	// that read the table under one version reads the same table while
+	// the version stands still.
+	version uint64
+
 	// Result and working buffers, reused from call to call.
 	blockers []txn.ID
 	freed    []txn.PartitionID
@@ -125,8 +130,13 @@ func (tb *Table) Declare(t *txn.T) error {
 	}
 	// A zero-step transaction is still recorded so Release/Known work.
 	tb.txns[t.ID] = parts
+	tb.version++
 	return nil
 }
+
+// Version returns the table's mutation count. Two reads under the same
+// version see the same holders and declarations everywhere.
+func (tb *Table) Version() uint64 { return tb.version }
 
 // Known reports whether id currently has declarations or holds.
 func (tb *Table) Known(id txn.ID) bool {
@@ -187,6 +197,36 @@ func (tb *Table) ConflictingDecls(dst []Decl, id txn.ID, p txn.PartitionID, mode
 	return dst
 }
 
+// ConflictingTxns appends to dst the transactions other than t that hold
+// or declare a lock on one of t's partitions in a mode conflicting with
+// t's step there, ascending and deduplicated, and returns the extended
+// slice. A holder's mode is the strongest it was granted, so these are
+// exactly the transactions some declared step of t conflicts with —
+// the ones registering t gives a conflicting-edge — found without
+// visiting any transaction that shares no partition with t.
+func (tb *Table) ConflictingTxns(dst []txn.ID, t *txn.T) []txn.ID {
+	start := len(dst)
+	for _, s := range t.Steps {
+		e := tb.lookup(s.Part)
+		if e == nil {
+			continue
+		}
+		for _, h := range e.holders {
+			if h.id != t.ID && s.Mode.Conflicts(h.mode) {
+				dst = append(dst, h.id)
+			}
+		}
+		for _, d := range e.decls {
+			if d.Txn != t.ID && s.Mode.Conflicts(d.Mode) {
+				dst = append(dst, d.Txn)
+			}
+		}
+	}
+	found := dst[start:]
+	slices.Sort(found)
+	return dst[:start+len(slices.Compact(found))]
+}
+
 // Grant converts the declaration of (id, step) on p into a held lock,
 // upgrading the holder's mode if the transaction already holds a weaker
 // lock on p. It returns an error if the declaration does not exist or the
@@ -213,6 +253,7 @@ func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
 		return fmt.Errorf("lock: grant %v %v on %v conflicts with holders %v", id, mode, p, tb.Blocked(id, p, mode))
 	}
 	e.decls = append(e.decls[:idx], e.decls[idx+1:]...)
+	tb.version++
 	for i := range e.holders {
 		if e.holders[i].id == id {
 			if mode == txn.Write {
@@ -259,6 +300,7 @@ func (tb *Table) Release(id txn.ID) []txn.PartitionID {
 	}
 	slices.Sort(freed)
 	tb.freed = freed
+	tb.version++
 	return freed
 }
 

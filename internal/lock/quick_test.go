@@ -45,6 +45,22 @@ func (p *tablePair) drop(id txn.ID) {
 	p.live = slices.DeleteFunc(p.live, func(t *txn.T) bool { return t.ID == id })
 }
 
+// conflictScan is what ConflictingTxns must find for x: the live
+// transactions other than x with a declared step conflicting with one of
+// x's, ascending.
+func (p *tablePair) conflictScan(x *txn.T) []txn.ID {
+	var out []txn.ID
+	for _, u := range p.live {
+		if u.ID != x.ID && slices.ContainsFunc(u.Steps, func(su txn.Step) bool {
+			return slices.ContainsFunc(x.Steps, su.Conflicts)
+		}) {
+			out = append(out, u.ID)
+		}
+	}
+	slices.Sort(out)
+	return out
+}
+
 // same compares every query of the two tables, with probe as the fresh
 // transaction for the K-admission test.
 func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
@@ -82,6 +98,12 @@ func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
 			}
 		}
 	}
+	for _, x := range append([]*txn.T{probe}, p.live...) {
+		if got, want := p.tb.ConflictingTxns(nil, x), p.conflictScan(x); !slices.Equal(got, want) {
+			t.Logf("ConflictingTxns(%v): table=%v scan=%v", x, got, want)
+			return false
+		}
+	}
 	for k := 0; k <= 3; k++ {
 		if got, want := p.tb.WouldExceedK(probe, k), p.ref.WouldExceedK(probe, k); got != want {
 			t.Logf("WouldExceedK(%v, %d): table=%v ref=%v", probe, k, got, want)
@@ -100,7 +122,9 @@ func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
 // transactions — S→X upgrades and zero-step transactions included — to
 // the slot engine and the map-based reference it replaced, and requires
 // every query to agree after every operation: Known, Holders, IsBlocked,
-// Blocked, ConflictingDecls in order, WouldExceedK for K = 0..3 with a
+// Blocked, ConflictingDecls in order, ConflictingTxns for the probe and
+// every live transaction (against a scan of their declared steps),
+// WouldExceedK for K = 0..3 with a
 // fresh probe transaction, Release's sorted result, CheckInvariants, and
 // whether each Declare and Grant fails.
 func TestQuickDifferentialTable(t *testing.T) {

@@ -74,7 +74,11 @@ func (h *History) Observe(e obs.Event) {
 		h.writes[storage.EffectKey{Txn: e.Txn, Step: e.Step}] = e.Part
 		h.mu.Unlock()
 	case e.Kind == obs.KindDecision && e.Op == "request" && e.Decision == "granted":
-		h.Grant(e.Txn, e.Part, map[bool]txn.Mode{false: txn.Read, true: txn.Write}[e.Write])
+		mode := txn.Read
+		if e.Write {
+			mode = txn.Write
+		}
+		h.Grant(e.Txn, e.Part, mode)
 	case e.Kind == obs.KindAbort, e.Kind == obs.KindCommit && e.Decision == "aborted":
 		h.Abort(e.Txn)
 	case e.Kind == obs.KindCommit:
@@ -114,24 +118,20 @@ type Evidence struct {
 func (h *History) Certify(ev Evidence) error {
 	h.mu.Lock()
 	defer h.mu.Unlock()
+	return h.certify(ev, h.conflictOrder)
+}
+
+// certify is Certify with the conflict graph's edges drawn by order, which
+// calls edge once per conflict-order edge a→b it draws; edge itself drops
+// self-loops and any end that did not pre-commit.
+func (h *History) certify(ev Evidence, order func(edge func(a, b txn.ID))) error {
 	succ := make(map[txn.ID][]txn.ID)
 	edge := func(a, b txn.ID) {
 		if a != b && h.committed[a] && h.committed[b] {
 			succ[a] = append(succ[a], b)
 		}
 	}
-	for _, gs := range h.byPart {
-		for i, a := range gs {
-			if !h.committed[a.id] {
-				continue
-			}
-			for _, b := range gs[i+1:] {
-				if a.mode.Conflicts(b.mode) {
-					edge(a.id, b.id)
-				}
-			}
-		}
-	}
+	order(edge)
 	if at, ok := cycle(succ); ok {
 		return fmt.Errorf("modelcheck: schedule not conflict serializable (cycle through %v)", at)
 	}
@@ -202,6 +202,41 @@ func (h *History) Certify(ev Evidence) error {
 		}
 	}
 	return nil
+}
+
+// conflictOrder draws the reduced conflict order of every partition: its
+// ledger filtered to pre-committed grants, each write linked to every read
+// up to the next write, and each of those reads — or the write itself when
+// there are none — to that next write (reads before the first write lead
+// to it). Every edge is a conflict-order edge, and every pair the
+// all-pairs order links (two conflicting grants, the earlier first) is
+// joined by a path of them through the writes between, so both graphs
+// have one transitive closure and one verdict (docs/ROBUSTNESS.md §10),
+// while a partition costs O(n) edges instead of O(n²).
+func (h *History) conflictOrder(edge func(a, b txn.ID)) {
+	var readers []txn.ID
+	for _, gs := range h.byPart {
+		var writer txn.ID // 0, the reserved ID: no write yet
+		readers = readers[:0]
+		for _, g := range gs {
+			switch {
+			case !h.committed[g.id]:
+			case g.mode == txn.Read:
+				if writer != 0 {
+					edge(writer, g.id)
+				}
+				readers = append(readers, g.id)
+			default:
+				for _, r := range readers {
+					edge(r, g.id)
+				}
+				if len(readers) == 0 && writer != 0 {
+					edge(writer, g.id)
+				}
+				writer, readers = g.id, readers[:0]
+			}
+		}
+	}
 }
 
 // VerifyCommitPrefix checks that recovered, the set a restart kept, is

@@ -2,13 +2,17 @@ package modelcheck
 
 import (
 	"fmt"
+	"math/rand"
+	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"batsched/internal/obs"
 	"batsched/internal/storage"
 	"batsched/internal/txn"
 	"batsched/internal/wal"
+	"batsched/internal/workload"
 )
 
 // ledger builds a History from grants written "w1:7" — mode,
@@ -144,5 +148,163 @@ func TestCertify(t *testing.T) {
 				t.Fatalf("got %v, want an error mentioning %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// allPairs is the conflict order Certify drew before the reduction, kept
+// verbatim as the reference: on every partition, each pre-committed grant
+// linked to every later grant it conflicts with.
+func allPairs(h *History) func(edge func(a, b txn.ID)) {
+	return func(edge func(a, b txn.ID)) {
+		for _, gs := range h.byPart {
+			for i, a := range gs {
+				if !h.committed[a.id] {
+					continue
+				}
+				for _, b := range gs[i+1:] {
+					if a.mode.Conflicts(b.mode) {
+						edge(a.id, b.id)
+					}
+				}
+			}
+		}
+	}
+}
+
+// randomLedger draws a history over at most 6 partitions and 12
+// transactions, with logged predecessor scans as its evidence. Each
+// partition's accesses follow one random serial order of the transactions
+// except, one partition in three, for a swapped adjacent pair, so both
+// verdicts occur; one access in four is an S→X upgrade (a read then a
+// write of the same partition), one event in ten aborts a transaction
+// (erasing its grants so far, later ones stand), and one transaction in
+// four never pre-commits.
+func randomLedger(rng *rand.Rand) (*History, Evidence) {
+	type access struct {
+		id   txn.ID
+		mode txn.Mode
+	}
+	n, parts := 2+rng.Intn(11), 1+rng.Intn(6)
+	rank := rng.Perm(n + 1)
+	queues := make([][]access, parts)
+	for p := range queues {
+		ids := make([]txn.ID, rng.Intn(2*n))
+		for i := range ids {
+			ids[i] = txn.ID(1 + rng.Intn(n))
+		}
+		sort.Slice(ids, func(i, j int) bool { return rank[ids[i]] < rank[ids[j]] })
+		for _, id := range ids {
+			switch rng.Intn(4) {
+			case 0:
+				queues[p] = append(queues[p], access{id, txn.Read}, access{id, txn.Write})
+			case 1:
+				queues[p] = append(queues[p], access{id, txn.Write})
+			default:
+				queues[p] = append(queues[p], access{id, txn.Read})
+			}
+		}
+		if q := queues[p]; len(q) > 1 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(q) - 1)
+			q[i], q[i+1] = q[i+1], q[i]
+		}
+	}
+	h := NewHistory()
+	for {
+		var open []int
+		for p, q := range queues {
+			if len(q) > 0 {
+				open = append(open, p)
+			}
+		}
+		if len(open) == 0 {
+			break
+		}
+		if rng.Intn(10) == 0 {
+			h.Abort(txn.ID(1 + rng.Intn(n)))
+			continue
+		}
+		p := open[rng.Intn(len(open))]
+		a := queues[p][0]
+		queues[p] = queues[p][1:]
+		h.Grant(a.id, txn.PartitionID(p), a.mode)
+	}
+	for id := 1; id <= n; id++ {
+		if rng.Intn(4) != 0 {
+			h.Commit(txn.ID(id))
+		}
+	}
+	var ev Evidence
+	if rng.Intn(2) == 0 {
+		var recs []wal.Record
+		for range rng.Intn(4) {
+			a, b := txn.ID(1+rng.Intn(n)), txn.ID(1+rng.Intn(n))
+			if rank[a] > rank[b] && rng.Intn(3) != 0 {
+				a, b = b, a // mostly consistent with the serial order
+			}
+			recs = append(recs, wal.Record{Kind: wal.Commit, Txn: b, Preds: []txn.ID{a}})
+		}
+		ev.Scans = []wal.NodeScan{{Records: recs}}
+	}
+	return h, ev
+}
+
+// verdict is an error's message up to the transaction it names on a
+// cycle, which two correct edge orders may choose differently.
+func verdict(err error) string {
+	if err == nil {
+		return "accepted"
+	}
+	msg, _, _ := strings.Cut(err.Error(), " (cycle through")
+	return msg
+}
+
+// TestQuickCertifyReduced holds the certificate's reduced conflict order
+// to the all-pairs order it replaced: on random ledgers — S→X upgrades,
+// erased grants of aborted transactions, uncommitted grants among
+// committed ones, logged predecessor scans — both accept, or both reject
+// with the same message up to the transaction named on the cycle.
+func TestQuickCertifyReduced(t *testing.T) {
+	verdicts := map[string]int{}
+	f := func(seed int64) bool {
+		h, ev := randomLedger(rand.New(rand.NewSource(seed)))
+		got, want := verdict(h.Certify(ev)), verdict(h.certify(ev, allPairs(h)))
+		verdicts[want]++
+		if got != want {
+			t.Logf("seed %d: reduced order %q, all pairs %q", seed, got, want)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("verdicts: %v", verdicts)
+	if len(verdicts) < 3 {
+		t.Errorf("the ledgers reached only %v; want acceptances and both kinds of cycle", verdicts)
+	}
+}
+
+// BenchmarkCertifyHotSet certifies a committed serial ledger of Pattern2
+// hot-set transactions, a few thousand grants over 16 partitions — the
+// end-of-run certificate's conflict order and cycle search.
+func BenchmarkCertifyHotSet(b *testing.B) {
+	gen := workload.Experiment2(workload.HotSetLayout{NumReadOnly: 8, NumHots: 8})
+	rng := rand.New(rand.NewSource(1))
+	h := NewHistory()
+	grants := 0
+	for id := txn.ID(1); grants < 4000; id++ {
+		tx := gen.Next(id, rng)
+		for _, s := range tx.Steps {
+			h.Grant(id, s.Part, s.Mode)
+			grants++
+		}
+		h.Commit(id)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Certify(Evidence{}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
