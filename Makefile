@@ -27,7 +27,7 @@ MICRO_BENCH := $(MICRO_BENCH)|SchedCycleK2|SchedCycleChain|C2PLRefusalRepeat|Cer
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert
-MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet|LiveRunBatchHotSet
+MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet
 
 # bench-smoke executes each micro-benchmark exactly once and the
 # benchmark's -quick pass over all six workloads (with its correctness
@@ -58,7 +58,9 @@ epoch-smoke:
 # attempt that the transaction's own records exist to avoid
 # (docs/PERFORMANCE.md §11), and File.Fd hands the storage read path a
 # descriptor number that Store.Crash's Close can invalidate under it
-# (RawConn.Control holds the reference). What no program reaches,
+# (RawConn.Control holds the reference). Every example is a self-checking
+# program (livebatch exits nonzero on a lost update), so each must exit 0.
+# What no program reaches,
 # TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
 # vet keeps the read loop of every GOOS without preadv compiling. The
 # gofmt line fails on any file gofmt would rewrite.
@@ -71,4 +73,5 @@ verify: build test bench-smoke epoch-smoke
 	! grep -n '\.Fd()' internal/storage/*.go
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
+	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done
 	$(GO) test -race -count=1 ./...

@@ -148,7 +148,8 @@ type (
 const Granted = sched.Granted
 
 // Scheduler factories, named as in the paper; EPOCH is CHAIN plus batch
-// admission (Controller.RunBatch, SimConfig.BatchWindow). Each is a thin
+// admission in the simulator (SimConfig.BatchWindow). A Controller admits
+// per arrival, so under one EPOCH behaves exactly as CHAIN. Each is a thin
 // wrapper over the registry — the one place that constructs schedulers by
 // name — so these constructors and the CLIs' -sched flags always agree
 // (TestFacadeCoversRegistry).

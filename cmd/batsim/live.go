@@ -9,9 +9,11 @@ package main
 
 import (
 	"context"
+	"flag"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"time"
 
@@ -20,6 +22,27 @@ import (
 	"batsched/internal/txn"
 	"batsched/internal/workload"
 )
+
+// liveFlags are the flags -shards live mode reads: the scheduler, the
+// workload and its shape, the seed, the transaction count, and profiling.
+var liveFlags = map[string]bool{
+	"sched": true, "workload": true, "pattern": true, "numparts": true, "numhots": true,
+	"sigma": true, "seed": true, "shards": true, "livetxns": true, "cpuprofile": true,
+}
+
+// checkLiveFlags names every flag set on fs that live mode would ignore.
+func checkLiveFlags(fs *flag.FlagSet) error {
+	var ignored []string
+	fs.Visit(func(f *flag.Flag) {
+		if !liveFlags[f.Name] {
+			ignored = append(ignored, "-"+f.Name)
+		}
+	})
+	if len(ignored) > 0 {
+		return fmt.Errorf("-shards runs the live controller, which does not read %s", strings.Join(ignored, ", "))
+	}
+	return nil
+}
 
 // runLiveMode drives n generated transactions through a live controller
 // with the given shard count, a bounded in-flight window of

@@ -134,6 +134,10 @@ func main() {
 	}
 
 	if *shards > 0 {
+		if err := checkLiveFlags(flag.CommandLine); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(2)
+		}
 		if *liveTxns < 1 {
 			fmt.Fprintf(os.Stderr, "-livetxns %d: need at least one transaction\n", *liveTxns)
 			os.Exit(2)

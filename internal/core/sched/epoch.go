@@ -28,11 +28,14 @@ type BatchOutcome struct {
 }
 
 // BatchAdmitter is the optional batch-aware surface of a Scheduler.
-// Drivers that admit arrivals in batches (package sim with
-// Config.BatchWindow, the live controller's RunBatch) detect
-// it with a type assertion and admit whole batches through it;
-// schedulers that do not implement it are driven per-arrival exactly as
-// before, so the base Scheduler contract is untouched.
+// A driver that admits arrivals in batches (package sim with
+// Config.BatchWindow) detects it with a type assertion and admits whole
+// batches through it; schedulers that do not implement it are driven
+// per-arrival exactly as before, so the base Scheduler contract is
+// untouched. The live controller admits per arrival only: under it EPOCH
+// is CHAIN, since its decisions cost microseconds and batching them lost
+// to CHAIN at every batch size and window measured (docs/PERFORMANCE.md
+// §13).
 //
 // AdmitBatch must be equivalent to calling Admit once per transaction
 // in slice order — same decisions, same resulting graph state — except
@@ -113,11 +116,10 @@ func (e *epoch) AdmitBatch(ts []*txn.T, now event.Time) BatchOutcome {
 // are connected when wtpg.ConflictWeights finds any conflicting step
 // pair). Transactions in different clusters never contend with each
 // other, so their count is the batch's available parallelism — the
-// simulator and the live controller report it per flush, and the
-// scheduler's own order W decides who runs first inside one. Returned
-// clusters hold indices into ts, each cluster in ascending index order,
-// clusters ordered by their smallest member, so the output is
-// deterministic.
+// simulator reports it per flush, and the scheduler's own order W
+// decides who runs first inside one. Returned clusters hold indices into
+// ts, each cluster in ascending index order, clusters ordered by their
+// smallest member, so the output is deterministic.
 func ConflictClusters(ts []*txn.T) [][]int {
 	n := len(ts)
 	if n == 0 {

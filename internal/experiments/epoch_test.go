@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"batsched/internal/event"
+	"batsched/internal/machine"
 	"batsched/internal/obs"
 )
 
@@ -126,5 +127,37 @@ func TestEpochSweepDefaults(t *testing.T) {
 	}
 	if _, err := RunEpochSweep(o, []event.Time{-1}, 0, 10); err == nil {
 		t.Error("negative window did not error")
+	}
+}
+
+// TestEpochPaysWhenControlBound is the measured reason EPOCH stays a
+// simulator axis: with the control node's decision costs (DDTime,
+// ChainTime, KWTPGTime) scaled ×100, per-arrival CHAIN (window 0) is
+// control-bound and leaves arrivals uncommitted at the horizon, while a
+// 10 s window commits every arrival sooner. What pays is the admission
+// test, not W: per arrival, an arrival refused for breaking chain form is
+// re-tested at DDTime after every retry delay, and those re-tests
+// saturate the control node; a window re-tests it once per flush.
+// Scaling ChainTime alone leaves no window ahead, and charging every
+// batch member a W recompute still passes, while refused members
+// bypassing the window fails every seed (EXPERIMENTS.md). At ×1 and ×10
+// no window beats window 0 beyond the seed spread, which is why the live
+// controller, whose decisions cost microseconds, admits per arrival.
+func TestEpochPaysWhenControlBound(t *testing.T) {
+	const arrivals = 300
+	for seed := int64(1990); seed <= 1994; seed++ {
+		o := Options{Machine: machine.DefaultConfig(), Seed: seed}
+		o.Machine.Control.DDTime *= 100
+		o.Machine.Control.ChainTime *= 100
+		o.Machine.Control.KWTPGTime *= 100
+		r, err := RunEpochSweep(o, []event.Time{0, 10000}, 0, arrivals)
+		if err != nil {
+			t.Fatal(err)
+		}
+		chain, epoch := r.Rows[0], r.Rows[1]
+		if epoch.Completed != arrivals || epoch.MeanRT >= chain.MeanRT {
+			t.Errorf("seed %d: window 10000 committed %d of %d at mean RT %.1f s, window 0 %d at %.1f s; "+
+				"want all committed and a lower mean RT", seed, epoch.Completed, arrivals, epoch.MeanRT, chain.Completed, chain.MeanRT)
+		}
 	}
 }

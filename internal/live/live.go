@@ -189,11 +189,6 @@ type Stats struct {
 	// died with it (each is also counted in Aborted once it finishes).
 	NodeCrashes uint64
 	CrashDoomed uint64
-	// Epochs counts batch admissions (RunBatch on a batch-capable
-	// scheduler) and BatchAdmitted the transactions admitted through one
-	// rather than the per-arrival path (each is also in Admitted).
-	Epochs        uint64
-	BatchAdmitted uint64
 	// Active is the number of currently admitted, unfinished
 	// transactions at snapshot time.
 	Active int
@@ -210,8 +205,6 @@ func (s *Stats) add(o Stats) {
 	s.Recovered += o.Recovered
 	s.NodeCrashes += o.NodeCrashes
 	s.CrashDoomed += o.CrashDoomed
-	s.Epochs += o.Epochs
-	s.BatchAdmitted += o.BatchAdmitted
 }
 
 // Controller is a live lock manager driven by one of the paper's
@@ -354,7 +347,7 @@ type ltxn struct {
 // blocked reports whether the transaction is parked in Acquire.
 func (r *ltxn) blocked() bool { return r.wait.ch != nil }
 
-// errNilTxn is what Run, Admit, Commit, Abort and RunBatch answer for a
+// errNilTxn is what Run, Admit, Acquire, Commit and Abort answer for a
 // nil transaction.
 var errNilTxn = errors.New("live: nil transaction")
 
@@ -607,42 +600,37 @@ func pause(ctx context.Context, d time.Duration) {
 	}
 }
 
-// admitGranted is the tail every admission path shares once the
-// scheduler has granted ts — all homed on home — under the held shard
-// locks in mask: count each member, create its control record and append
-// its WAL Begin record — footprint + resolved predecessors, read while
-// the predecessor set is still atomic with the grant — then release the
-// locks. A record the log refuses (closed, poisoned) rolls every member's
-// admission back.
-func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, ts ...*txn.T) error {
+// admitGranted is Admit's tail once the scheduler has granted t, homed
+// on home, under the held shard locks in mask: count it, create its
+// control record and append its WAL Begin record — footprint + resolved
+// predecessors, read while the predecessor set is still atomic with the
+// grant — then release the locks. A record the log refuses (closed,
+// poisoned) rolls the admission back.
+func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *txn.T) error {
+	home.stats.Admitted++
+	var r *ltxn
+	if n := len(home.free); n > 0 {
+		r, home.free = home.free[n-1], home.free[:n-1]
+	} else {
+		r = new(ltxn)
+	}
+	*r = ltxn{admitted: now, mask: mask, step: -1}
+	home.txns[t.ID] = r
+	c.bumpProgress()
 	var walErr error
-	for _, t := range ts {
-		home.stats.Admitted++
-		var r *ltxn
-		if n := len(home.free); n > 0 {
-			r, home.free = home.free[n-1], home.free[:n-1]
-		} else {
-			r = new(ltxn)
-		}
-		*r = ltxn{admitted: now, mask: mask, step: -1}
-		home.txns[t.ID] = r
-		c.bumpProgress()
-		if walErr == nil && c.dur.Logs() {
-			walErr = c.dur.Begin(&r.Txn, t, c.predecessorsLocked(mask, t.ID), now)
-		}
+	if c.dur.Logs() {
+		walErr = c.dur.Begin(&r.Txn, t, c.predecessorsLocked(mask, t.ID), now)
 	}
 	// A granted admission is a wake event: it dirties the scheduler's
 	// cached plan (CHAIN's W, K-WTPG's E(q)), so a request Delayed under
 	// the old one may be grantable under the next.
 	c.eachShard(mask, func(sh *lshard) {
-		sh.active += len(ts)
+		sh.active++
 		sh.broadcastLocked()
 	})
 	c.unlockMask(mask)
 	if walErr != nil {
-		for _, t := range ts {
-			c.Abort(t)
-		}
+		c.Abort(t)
 		return fmt.Errorf("live: wal: %w", walErr)
 	}
 	return nil
@@ -662,21 +650,10 @@ type Progress func(objects float64)
 // a watchdog abort behave the same way. A panic in the work callback is
 // recovered: the transaction aborts (locks released, other transactions
 // unaffected) and Run returns the panic as an error.
-func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Progress) error) error {
-	if t == nil {
-		return errNilTxn
-	}
+func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Progress) error) (err error) {
 	if err := c.Admit(ctx, t); err != nil {
 		return err
 	}
-	return c.runAdmitted(ctx, t, work)
-}
-
-// runAdmitted is Run after admission: the step loop under locks, fault
-// hooks, panic recovery, and commit. Split out so RunBatch (see epoch.go)
-// can batch-admit its members first and then drive each admitted
-// transaction through exactly this path.
-func (c *Controller) runAdmitted(ctx context.Context, t *txn.T, work func(step int, p Progress) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			c.Abort(t)
@@ -804,11 +781,17 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 // Acquire blocks until the lock needed by step of t is granted (or ctx
 // ends, the controller closes, or the watchdog force-aborts t — then
 // ErrWatchdogAborted). Valid only between Admit and Commit/Abort: on a
-// transaction the controller does not consider admitted it returns an
-// error at once. For a spanning transaction every lock was already
+// transaction the controller does not consider admitted, a nil one or a
+// step t does not declare it returns an error at once. For a spanning transaction every lock was already
 // granted at admission, so Acquire only performs the per-step
 // bookkeeping and never blocks.
 func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
+	if t == nil {
+		return errNilTxn
+	}
+	if step < 0 || step >= len(t.Steps) {
+		return fmt.Errorf("live: %v has no step %d", t.ID, step)
+	}
 	home := c.shards[homeShard(c.shardMask(t))]
 	part := t.Steps[step].Part
 	for attempt := 0; ; attempt++ {
@@ -868,9 +851,13 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 // §3.1 weight-adjustment message behind the Progress callback. The
 // weight adjustment lands on the shard owning the partition of the
 // transaction's current step (for a spanning transaction, that shard's
-// WTPG holds the corresponding projected declaration). On a transaction
-// the controller does not consider admitted it does nothing.
+// WTPG holds the corresponding projected declaration). On a nil
+// transaction, or one the controller does not consider admitted, it does
+// nothing.
 func (c *Controller) ObjectDone(t *txn.T, objects float64) {
+	if t == nil {
+		return
+	}
 	home := c.shards[homeShard(c.shardMask(t))]
 	home.mu.Lock()
 	defer home.mu.Unlock()

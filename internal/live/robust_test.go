@@ -87,8 +87,40 @@ func TestAbortReleasesLocksAndUnblocksWaiters(t *testing.T) {
 // a transaction the controller never admitted (or already finished)
 // cannot be finished, and asking a lock for it fails at once with the
 // same error — no retry wait, no phantom grant — under every family.
-// ObjectDone on such a transaction is a no-op.
+// ObjectDone on such a transaction is a no-op. A nil transaction, and a
+// step the transaction does not declare, are answered with an error (a
+// no-op for ObjectDone), never a panic.
 func TestFinishErrors(t *testing.T) {
+	ctl := New(sched.ChainFactory(), liveCosts, WithRetryDelay(time.Millisecond))
+	defer ctl.Close()
+	ctx := context.Background()
+	one := txn.New(1, []txn.Step{w(0, 1)})
+	for _, c := range []struct {
+		name string
+		call func() error
+		want string // "" = no error
+	}{
+		{"Run(nil)", func() error { return ctl.Run(ctx, nil, nil) }, errNilTxn.Error()},
+		{"Admit(nil)", func() error { return ctl.Admit(ctx, nil) }, errNilTxn.Error()},
+		{"Acquire(nil)", func() error { return ctl.Acquire(ctx, nil, 0) }, errNilTxn.Error()},
+		{"ObjectDone(nil)", func() error { ctl.ObjectDone(nil, 1); return nil }, ""},
+		{"Commit(nil)", func() error { return ctl.Commit(nil) }, errNilTxn.Error()},
+		{"Abort(nil)", func() error { return ctl.Abort(nil) }, errNilTxn.Error()},
+		{"Acquire(step 1 of 1)", func() error { return ctl.Acquire(ctx, one, 1) }, "live: T1 has no step 1"},
+		{"Acquire(step -1)", func() error { return ctl.Acquire(ctx, one, -1) }, "live: T1 has no step -1"},
+	} {
+		got := ""
+		if err := c.call(); err != nil {
+			got = err.Error()
+		}
+		if got != c.want {
+			t.Errorf("%s: %q, want %q", c.name, got, c.want)
+		}
+	}
+	if st := ctl.Stats(); st != (Stats{}) {
+		t.Errorf("rejected calls moved the counters: %+v", st)
+	}
+
 	for _, f := range []sched.Factory{
 		sched.C2PLFactory(), sched.KWTPGFactory(2), sched.ChainFactory(), sched.ASLFactory(),
 	} {

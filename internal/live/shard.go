@@ -51,9 +51,6 @@ const maxShards = 64
 // batch-wide order W) apply per shard. Correctness is unaffected — see
 // the invariants at the top of shard.go — and the differential tests
 // pin the sharded committed set against the single-mutex one.
-// Batch admission (RunBatch) decides a whole batch in one critical
-// section over one scheduler's global view, which a sharded controller
-// does not have: RunBatch on one answers an error in every slot.
 func WithShards(n int) Option {
 	return func(c *Controller) {
 		if n <= 1 {

@@ -32,7 +32,7 @@ func (c *Controller) StorageErr() error { return c.dur.StoreErr() }
 // storeStep is the granted step's real work: scan the step's partition
 // through the buffer pool (every page of it — a bulk access), and for a
 // write step stage the effect tuple that commit will apply. Runs inside
-// runAdmitted while the step's lock is held, so the scan is isolated by
+// Run while the step's lock is held, so the scan is isolated by
 // the scheduler's strict 2PL exactly like the modelled I/O.
 func (c *Controller) storeStep(t *txn.T, step int) error {
 	if c.store == nil {

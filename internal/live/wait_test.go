@@ -2,6 +2,7 @@ package live
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -144,40 +145,149 @@ func BenchmarkLiveHotSet(b *testing.B) {
 	}
 }
 
-// BenchmarkLiveRunBatchHotSet is the batch path on the same hot set: one
-// driver cutting the stream into 16-member batches for RunBatch, EPOCH
-// (one batched admission each) beside CHAIN (its per-arrival fallback).
-// One op is one committed transaction; ROADMAP item 2(f)'s windowed
-// driver starts from this number.
-func BenchmarkLiveRunBatchHotSet(b *testing.B) {
-	const batch = 16
-	for _, f := range []sched.Factory{sched.EpochFactory(), sched.ChainFactory()} {
-		b.Run(f.Label, func(b *testing.B) {
-			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond))
-			defer ctl.Close()
+// TestRunBatchHotSet drives CHAIN with the paper's own workload — the
+// Pattern2 hot set the benchmark's hot-* rows use — in batches of 16
+// concurrent Run calls, each batch waiting for all of its members.
+// Multi-step members whose costs put a later arrival first in W are what
+// a dispatch that orders arrivals by anything but the scheduler wedges
+// on; here every member must commit inside the deadline, and each seed
+// ends in the contract certificate. Run with -race (`make verify`).
+func TestRunBatchHotSet(t *testing.T) {
+	const batch, batches = 16, 125
+	f := sched.ChainFactory()
+	t.Run(f.Label, func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		defer cancel()
+		for seed := int64(1); seed <= 3; seed++ {
+			repro := fmt.Sprintf("seed %d; repro: go test -race -count=1 -run 'TestRunBatchHotSet/%s' ./internal/live/", seed, f.Label)
+			h := modelcheck.NewHistory()
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(h))
 			gen := workload.Experiment2(workload.HotSetLayout{NumReadOnly: 8, NumHots: 8})
-			rng := rand.New(rand.NewSource(1))
-			ctx := context.Background()
-			work := func(tx *txn.T, step int, p Progress) error {
-				p(tx.Steps[step].Cost)
-				return nil
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for done := 0; done < b.N; {
-				ts := make([]*txn.T, min(batch, b.N-done))
+			rng := rand.New(rand.NewSource(seed))
+			id := txn.ID(0)
+			for b := 0; b < batches; b++ {
+				ts := make([]*txn.T, batch)
 				for i := range ts {
-					done++
-					ts[i] = gen.Next(txn.ID(done), rng)
+					id++
+					ts[i] = gen.Next(id, rng)
 				}
-				for _, err := range ctl.RunBatch(ctx, ts, work) {
+				errs := runAll(ctx, ctl, ts)
+				for i, err := range errs {
 					if err != nil {
-						b.Fatal(err)
+						ctl.Close()
+						t.Fatalf("batch %d, %v: %v (stats %+v); %s", b, ts[i].ID, err, ctl.Stats(), repro)
 					}
 				}
 			}
-			b.StopTimer()
-			b.ReportMetric(float64(ctl.Stats().Retries)/float64(b.N), "waits/op")
+			if st := ctl.Stats(); st.Committed != batch*batches || st.Active != 0 {
+				t.Errorf("stats %+v, want %d committed and none active; %s", st, batch*batches, repro)
+			}
+			if err := ctl.CheckInvariants(); err != nil {
+				t.Errorf("%v; %s", err, repro)
+			}
+			if err := h.Certify(modelcheck.Evidence{}); err != nil {
+				t.Errorf("%v; %s", err, repro)
+			}
+			ctl.Close()
+		}
+	})
+}
+
+// TestRunBatchNilMember runs a batch of concurrent Run calls in which
+// some members are nil, under EPOCH (which a Controller admits per
+// arrival, as CHAIN) and CHAIN: each nil member is answered errNilTxn,
+// the others all commit, and the controller still serves a Run after
+// the batch.
+func TestRunBatchNilMember(t *testing.T) {
+	for _, f := range []sched.Factory{sched.MustLookup("EPOCH"), sched.ChainFactory()} {
+		t.Run(f.Label, func(t *testing.T) {
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond))
+			defer ctl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			ts := []*txn.T{
+				txn.New(1, []txn.Step{w(0, 1)}), nil, txn.New(2, []txn.Step{w(0, 1)}), nil, txn.New(3, []txn.Step{w(1, 1)}),
+			}
+			errs := runAll(ctx, ctl, ts)
+			for i, err := range errs {
+				if ts[i] == nil {
+					if !errors.Is(err, errNilTxn) {
+						t.Errorf("slot %d: %v, want %v", i, err, errNilTxn)
+					}
+				} else if err != nil {
+					t.Errorf("slot %d (%v): %v", i, ts[i].ID, err)
+				}
+			}
+			if st := ctl.Stats(); st.Committed != 3 || st.Active != 0 {
+				t.Errorf("stats %+v, want 3 committed", st)
+			}
+			if err := ctl.Run(ctx, txn.New(4, []txn.Step{w(0, 1)}), nil); err != nil {
+				t.Errorf("Run after the batch: %v", err)
+			}
+		})
+	}
+}
+
+// runAll runs every transaction of ts on its own goroutine, each step
+// reporting its declared cost, and returns their errors in input order.
+func runAll(ctx context.Context, ctl *Controller, ts []*txn.T) []error {
+	errs := make([]error, len(ts))
+	var wg sync.WaitGroup
+	for i, tx := range ts {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = ctl.Run(ctx, tx, func(step int, p Progress) error {
+				p(tx.Steps[step].Cost)
+				return nil
+			})
+		}()
+	}
+	wg.Wait()
+	return errs
+}
+
+// TestRunClusterOrder runs conflict clusters whose declared costs tempt
+// CHAIN's weight ordering to prefer a member other than the first to
+// arrive: whatever order W picks, the member it prefers must be able to
+// ask, so concurrent Run calls on one cluster must all commit.
+func TestRunClusterOrder(t *testing.T) {
+	shapes := []struct {
+		name  string
+		costs []float64
+		parts []txn.PartitionID // nil = every member writes partition 0
+	}{
+		{name: "big-small", costs: []float64{50, 1}},
+		{name: "small-big", costs: []float64{1, 50}},
+		{name: "mid-big-small", costs: []float64{10, 50, 1}},
+		{name: "asc", costs: []float64{1, 10, 50}},
+		{name: "desc", costs: []float64{50, 10, 1}},
+		{name: "equal", costs: []float64{5, 5, 5}},
+		{name: "vee", costs: []float64{50, 1, 50}},
+		{name: "two-clusters", costs: []float64{50, 1, 1, 50, 10, 10}, parts: []txn.PartitionID{0, 1, 0, 1, 0, 1}},
+	}
+	for _, sh := range shapes {
+		t.Run(sh.name, func(t *testing.T) {
+			ctl := New(sched.ChainFactory(), liveCosts, WithRetryDelay(time.Millisecond))
+			defer ctl.Close()
+			ts := make([]*txn.T, len(sh.costs))
+			for i, c := range sh.costs {
+				var part txn.PartitionID
+				if sh.parts != nil {
+					part = sh.parts[i]
+				}
+				ts[i] = txn.New(txn.ID(i+1), []txn.Step{w(part, c)})
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+			defer cancel()
+			for i, err := range runAll(ctx, ctl, ts) {
+				if err != nil {
+					t.Errorf("txn %d: %v", i+1, err)
+				}
+			}
+			if st := ctl.Stats(); int(st.Committed) != len(ts) || st.Active != 0 || int(st.Granted) != len(ts) {
+				t.Errorf("stats %+v, want %d committed, each granted once", st, len(ts))
+			}
 		})
 	}
 }

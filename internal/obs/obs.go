@@ -99,7 +99,8 @@ const (
 	// collected arrivals were admitted as one batch. Batch is the batch
 	// size, Objects the admitted count, Clusters the number of
 	// conflict-free clusters among the admitted members, CPU the
-	// batch-level control cost (the single W recomputation).
+	// batch-level control cost (the single W recomputation). Only the
+	// simulator emits it: the live controller admits per arrival.
 	KindEpochFlush
 	// KindWALAppend: a dependency-log record was appended (not yet
 	// durable). Op is the record kind ("begin", "commit", "abort"),
