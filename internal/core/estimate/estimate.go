@@ -13,46 +13,26 @@
 //	Step 3: delete the remaining conflicting-edges; E(q) is the length of
 //	        the critical path from T0 to Tf.
 //
-// The computation is O(max(n, e)) — one cycle test, two graph traversals
-// and one topological longest-path pass — and, crucially for §3.4's
-// argument that the decision cost must stay small, allocation-free in the
-// steady state: the hypothetical resolutions are applied to a scratch
-// overlay owned by the live graph (wtpg.Overlay) and rolled back, never
-// to a copy.
+// The work is wtpg.Graph.Estimate's, and §3.4's argument that the
+// decision cost must stay small shapes it. Every edge steps 1 and 2 add
+// ends in after(T), so the graph's own cached critical-path pass gives
+// every other transaction's distance unchanged: one walk builds after(T)
+// and doubles as the cycle test, one builds before(T), and only after(T)
+// is re-relaxed, over its own adjacency lists — O(|after(T)| and its
+// edges) plus a scan of the cached order, with no pass over the whole
+// graph unless a mutation since the last one makes the cache stale. No
+// hypothetical edge is ever written to the graph, and nothing is
+// allocated in the steady state.
 package estimate
 
 import (
-	"math"
-
 	"batsched/internal/core/wtpg"
 	"batsched/internal/txn"
 )
 
-// Infinite is the E(q) value of a request whose grant would deadlock.
-func Infinite() float64 { return math.Inf(1) }
-
 // E evaluates E(q) for a lock-request of transaction t whose grant would
-// resolve t→target for every target. The graph g is not modified (the
-// overlay it lends out is rolled back before returning).
+// resolve t→target for every target; +Inf marks a predicted deadlock.
+// The graph g is not modified.
 func E(g *wtpg.Graph, t txn.ID, targets []txn.ID) float64 {
-	if g.WouldCycleFrom(t, targets) {
-		return Infinite()
-	}
-	o := g.BeginOverlay()
-	defer o.End()
-	// Step 1: the hypothetical grant's own resolutions.
-	for _, to := range targets {
-		if err := o.Resolve(t, to); err != nil {
-			return Infinite()
-		}
-	}
-	// Step 2: orient straddling conflicting-edges forward.
-	o.ResolveStraddling(t)
-	// Step 3: remaining conflicting-edges are ignored by the overlay
-	// critical path.
-	cp, err := o.CriticalPath()
-	if err != nil {
-		return Infinite()
-	}
-	return cp
+	return g.Estimate(t, targets)
 }

@@ -160,6 +160,26 @@ func TestQuickEProperties(t *testing.T) {
 	}
 }
 
+// TestEZeroAlloc: E allocates nothing on either path — warm, over the
+// cached critical path, and cold, after a weight message has invalidated
+// it — so a regression names the kernel rather than only the K2 cycle of
+// sched's TestDecisionSteadyStateAllocs.
+func TestEZeroAlloc(t *testing.T) {
+	g, q := benchGraph(8, 64)
+	targets := []txn.ID{q + 1, q + 2, q + 3}
+	E(g, q, targets) // grow the scratch once
+	if n := testing.AllocsPerRun(100, func() { E(g, q, targets) }); n != 0 {
+		t.Errorf("warm E: %v allocs per call, want 0", n)
+	}
+	cold := func() {
+		g.AddW0(q, 0)
+		E(g, q, targets)
+	}
+	if n := testing.AllocsPerRun(100, cold); n != 0 {
+		t.Errorf("cold E: %v allocs per call, want 0", n)
+	}
+}
+
 // TestJunkTargetTolerated: a target with no conflicting-edge to t gets a
 // synthetic zero-weight ordering rather than corrupting the estimate.
 func TestJunkTargetTolerated(t *testing.T) {

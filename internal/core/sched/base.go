@@ -132,9 +132,7 @@ func (b *wtpgBase) grant(t *txn.T, step int, targets []txn.ID) error {
 
 // objectDone applies the weight-adjustment message of §3.1.
 func (b *wtpgBase) objectDone(t *txn.T, objects float64) {
-	if b.graph.Has(t.ID) {
-		b.graph.AddW0(t.ID, -objects)
-	}
+	b.graph.AddW0(t.ID, -objects)
 }
 
 // commit releases t's locks and removes it from the WTPG.

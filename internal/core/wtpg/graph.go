@@ -212,14 +212,17 @@ type Graph struct {
 	topoBuf []int32
 	distBuf []float64
 
-	// Traversal scratch (single-threaded use).
+	// Traversal scratch (single-threaded use). Estimate marks after(t)
+	// in visited, before(t) and its targets in their own sets, and keeps
+	// after(t)'s re-relaxed distances in estDist.
 	indegBuf []int32
 	stackBuf []int32
 	visited  markset
+	before   markset
+	targets  markset
+	estDist  []float64
 	chainIDs []txn.ID // Chains' result: every chain's ids, back to back
 	chains   []Chain
-
-	ovl Overlay // reusable hypothetical-evaluation state (overlay.go)
 
 	// OnResolve, if set, observes every conflicting-edge resolution
 	// from→to at the moment the precedence becomes permanent (used by
@@ -301,23 +304,29 @@ func (g *Graph) W0(id txn.ID) float64 {
 	return g.w0[s]
 }
 
-// SetW0 overwrites w(T0→Ti).
+// SetW0 overwrites w(T0→Ti), clamped at zero.
 func (g *Graph) SetW0(id txn.ID, w float64) {
 	s, ok := g.slotOf[id]
 	if !ok {
 		panic(fmt.Sprintf("wtpg: SetW0 on unknown %v", id))
 	}
+	g.setW0(s, w)
+}
+
+// AddW0 adjusts w(T0→Ti) by delta (the per-object decrement messages use
+// delta = -1), clamped at zero. An id not in the graph is ignored.
+func (g *Graph) AddW0(id txn.ID, delta float64) {
+	if s, ok := g.slotOf[id]; ok {
+		g.setW0(s, g.w0[s]+delta)
+	}
+}
+
+func (g *Graph) setW0(s int32, w float64) {
 	if w < 0 {
 		w = 0
 	}
 	g.w0[s] = w
 	g.epoch++
-}
-
-// AddW0 adjusts w(T0→Ti) by delta (the per-object decrement messages use
-// delta = -1). The weight is clamped at zero.
-func (g *Graph) AddW0(id txn.ID, delta float64) {
-	g.SetW0(id, g.W0(id)+delta)
 }
 
 // AddConflict inserts the conflicting-edge (a,b) with weights w(a→b)=wab
@@ -588,20 +597,29 @@ func (g *Graph) WouldCycleFrom(from txn.ID, targets []txn.ID) bool {
 	// source, so they cannot chain into each other except through `from`
 	// itself).
 	g.visited.reset(len(g.ids))
+	return g.reach(&g.visited, stack, g.out, sFrom)
+}
+
+// reach adds to m every slot reachable from the slots on stack along the
+// resolved edges indexed by lists (g.out follows successors, g.in
+// predecessors) and reports whether the walk came to stop, where it
+// ends. stack is g.stackBuf's storage and goes back to it.
+func (g *Graph) reach(m *markset, stack []int32, lists [][]int32, stop int32) bool {
 	found := false
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
 		stack = stack[:len(stack)-1]
-		if u == sFrom {
+		if u == stop {
 			found = true
 			break
 		}
-		if g.visited.has(u) {
+		if m.has(u) {
 			continue
 		}
-		g.visited.add(u)
-		for _, idx := range g.out[u] {
-			if v := g.edges[idx].toSlot(); !g.visited.has(v) {
+		m.add(u)
+		for _, idx := range lists[u] {
+			e := &g.edges[idx]
+			if v := e.sa ^ e.sb ^ u; !m.has(v) { // the endpoint that is not u
 				stack = append(stack, v)
 			}
 		}
@@ -686,7 +704,7 @@ func (g *Graph) recomputeCP() {
 
 // Clone returns a deep copy of the graph. Used by callers exploring
 // hypothetical resolutions destructively; the schedulers' E(q) hot path
-// uses the allocation-free Overlay instead (overlay.go).
+// is the allocation-free Estimate instead (path.go).
 func (g *Graph) Clone() *Graph {
 	c := New()
 	for id, s := range g.slotOf {

@@ -2,10 +2,119 @@ package wtpg
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"batsched/internal/txn"
 )
+
+// Estimate returns the paper's E(q) (§3.3) for a lock-request of t whose
+// grant would resolve t→target for every target: the critical path once
+// those resolutions (a zero-weight one for a target sharing no
+// conflicting-edge with t) and step 2's are added — every unresolved
+// conflicting-edge from before(t) into after(t) oriented forward, the
+// rest ignored. It is +Inf when the grant would close a precedence cycle
+// (a predicted deadlock), when a target is not in the graph or t is not
+// while it has targets, and when the resolved edges are cyclic already;
+// t not in the graph with no targets reads the plain critical path. The
+// graph is not modified, and the call allocates nothing once the scratch
+// has grown.
+//
+// Every hypothetical edge runs from before(t) ∪ {t} into after(t), which
+// is closed under successors, so a path crosses at most one of them.
+// Transactions outside after(t) keep the distance of the cached
+// CriticalPath pass, and only after(t) is re-relaxed, in that pass's
+// topological order: each distance is the same float maximum over the
+// same sums a full pass over the hypothetical graph would take.
+func (g *Graph) Estimate(t txn.ID, targets []txn.ID) float64 {
+	base, err := g.CriticalPath()
+	st, live := g.slotOf[t]
+	if err != nil || (!live && len(targets) > 0) {
+		return math.Inf(1)
+	}
+	if !live {
+		return base
+	}
+	n := len(g.ids)
+	// after(t): every transaction reachable from t's resolved successors
+	// and the targets. Reaching t itself closes a cycle.
+	after := &g.visited
+	after.reset(n)
+	g.targets.reset(n)
+	stack := g.stackBuf[:0]
+	for _, idx := range g.out[st] {
+		stack = append(stack, g.edges[idx].toSlot())
+	}
+	for _, to := range targets {
+		s, ok := g.slotOf[to]
+		if !ok {
+			g.stackBuf = stack[:0]
+			return math.Inf(1)
+		}
+		g.targets.add(s)
+		stack = append(stack, s)
+	}
+	if g.reach(after, stack, g.out, st) {
+		return math.Inf(1)
+	}
+	// before(t): t's resolved predecessors and, transitively, theirs.
+	g.before.reset(n)
+	stack = g.stackBuf[:0]
+	for _, idx := range g.in[st] {
+		stack = append(stack, g.edges[idx].fromSlot())
+	}
+	g.reach(&g.before, stack, g.in, -1)
+
+	if cap(g.estDist) < n {
+		g.estDist = make([]float64, n)
+	}
+	dist, est := g.distBuf[:n], g.estDist[:n]
+	best := base
+	for _, v := range g.topoBuf {
+		if !after.has(v) {
+			continue
+		}
+		d := g.w0[v]
+		for _, idx := range g.in[v] {
+			e := &g.edges[idx]
+			u := e.fromSlot()
+			du := dist[u]
+			if after.has(u) {
+				du = est[u]
+			}
+			if c := du + e.weight(); c > d {
+				d = c
+			}
+		}
+		// The hypothetical edges into v: t→v for a target, and the
+		// straddling ones. A target with no conflicting-edge to t gets a
+		// zero-weight t→v.
+		virtual := g.targets.has(v)
+		for _, idx := range g.adj[v] {
+			e := &g.edges[idx]
+			u, w := e.sa, e.wab // u is v's neighbour, w the weight of u→v
+			if u == v {
+				u, w = e.sb, e.wba
+			}
+			if u == st {
+				virtual = false
+			}
+			if e.dir == Unresolved && (g.before.has(u) || u == st && g.targets.has(v)) {
+				if c := dist[u] + w; c > d {
+					d = c
+				}
+			}
+		}
+		if virtual && dist[st] > d {
+			d = dist[st]
+		}
+		est[v] = d
+		if d > best {
+			best = d
+		}
+	}
+	return best
+}
 
 // CriticalPathTrace returns the longest T0→Tf path itself: the sequence
 // of transactions along it and its length. The first node is entered

@@ -118,9 +118,12 @@ func (g *Ref) SetW0(id txn.ID, w float64) {
 	g.w0[id] = w
 }
 
-// AddW0 adjusts w(T0→Ti) by delta, clamped at zero.
+// AddW0 adjusts w(T0→Ti) by delta, clamped at zero; an unknown id is
+// ignored.
 func (g *Ref) AddW0(id txn.ID, delta float64) {
-	g.SetW0(id, g.w0[id]+delta)
+	if g.Has(id) {
+		g.SetW0(id, g.w0[id]+delta)
+	}
 }
 
 // AddConflict inserts the conflicting-edge (a,b).
