@@ -360,11 +360,6 @@ func recoverReport(dir string) error {
 	}
 	fmt.Printf("records    %d across %d node logs (%d torn bytes truncated)\n", rec.Records, len(scans), torn)
 	fmt.Printf("committed  %d replayed in %d waves (max %d in parallel)\n", len(rec.Committed), rec.Waves, rec.MaxParallel)
-	fmt.Printf("aborted    %d\n", len(rec.Aborted))
-	fmt.Printf("re-aborted %d in-flight transactions (begin without completion)\n", len(rec.Incomplete))
-	for _, b := range rec.Incomplete {
-		fmt.Printf("  %v (node %d, %d steps declared)\n", b.Txn, b.Node, len(b.Steps))
-	}
 	fmt.Printf("replay     %.2fms wall; invariants: ok\n", float64(rec.Elapsed.Nanoseconds())/1e6)
 	return nil
 }

@@ -31,7 +31,7 @@ func Predecessors(s Scheduler, id txn.ID) []txn.ID {
 // predecessors across several schedulers, sorted by transaction id with
 // duplicates removed. The sharded live controller registers a
 // cross-shard transaction in every shard its footprint touches, so its
-// full dependency set — what the WAL Begin/Commit records must carry —
+// full dependency set — what the WAL Commit record must carry —
 // is the union of what each shard's graph resolved. Schedulers without
 // a WTPG contribute nothing; the caller must hold whatever locks make
 // the individual graphs stable (the shard locks, in canonical order).

@@ -1,11 +1,13 @@
 package durable_test
 
-// The sim-vs-live grammar differential: one fixed batch through both
-// drivers into two logs. Both reach the log only through the binding, so
-// what they write for the same transactions must read the same.
+// The sim-vs-live grammar differential: one fixed batch, with the same
+// injected aborts, through both drivers into two logs. Both reach the log
+// only through the binding, so what they write for the same transactions
+// must read the same: one Commit record per committed transaction.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
@@ -15,6 +17,7 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/durable"
 	"batsched/internal/event"
+	"batsched/internal/fault"
 	"batsched/internal/live"
 	"batsched/internal/machine"
 	"batsched/internal/modelcheck"
@@ -54,9 +57,12 @@ func diffBatch() fixedBatch {
 	return b
 }
 
-// grammar reads back what a driver wrote: per transaction, the node file
-// and its records in append order — kinds, and the Begin's footprint.
-func grammar(t *testing.T, dir string) map[txn.ID]string {
+// grammar checks what a driver wrote against the log's grammar — each
+// transaction the run committed (h) has exactly one record, a Commit
+// carrying its footprint, and every other transaction has none — and
+// returns each committed transaction's record as its node file, kind
+// and footprint.
+func grammar(t *testing.T, dir string, batch fixedBatch, h *modelcheck.History) map[txn.ID]string {
 	t.Helper()
 	scans, err := wal.Scan(dir)
 	if err != nil {
@@ -71,14 +77,24 @@ func grammar(t *testing.T, dir string) map[txn.ID]string {
 			recs[r.Txn] = append(recs[r.Txn], r)
 		}
 	}
+	committed := h.Committed()
 	out := map[txn.ID]string{}
-	for id, rs := range recs {
-		sort.Slice(rs, func(i, j int) bool { return rs[i].Seq < rs[j].Seq })
-		s := ""
-		for _, r := range rs {
-			s += fmt.Sprintf("node-%d %v%v ", r.Node, r.Kind, r.Steps)
+	for _, tx := range batch {
+		rs := recs[tx.ID]
+		if !committed[tx.ID] {
+			if len(rs) != 0 {
+				t.Errorf("%v did not commit, yet left %d records", tx.ID, len(rs))
+			}
+			continue
 		}
-		out[id] = s
+		if len(rs) != 1 || rs[0].Kind != wal.Commit || !reflect.DeepEqual(rs[0].Steps, wal.Footprint(tx)) {
+			t.Errorf("%v committed and left %+v, want one commit record with footprint %v", tx.ID, rs, wal.Footprint(tx))
+			continue
+		}
+		out[tx.ID] = fmt.Sprintf("node-%d %v%v", rs[0].Node, rs[0].Kind, rs[0].Steps)
+	}
+	if len(recs) != len(out) {
+		t.Errorf("%d transactions logged, %d of them committed", len(recs), len(out))
 	}
 	return out
 }
@@ -94,9 +110,6 @@ func restart(t *testing.T, dir string, h *modelcheck.History) []txn.ID {
 	defer log.Close()
 	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec}); err != nil {
 		t.Fatal(err)
-	}
-	if len(rec.Incomplete) != 0 {
-		t.Errorf("%d transactions incomplete after a clean shutdown", len(rec.Incomplete))
 	}
 	ids := append([]txn.ID(nil), rec.Committed...)
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
@@ -121,19 +134,25 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// Injected aborts land on the same transactions in both
+			// drivers: the injector decides by transaction id.
+			inj, err := fault.New(5, fault.Config{AbortRate: 0.3})
+			if err != nil {
+				t.Fatal(err)
+			}
 			simH, liveH := modelcheck.NewHistory(), modelcheck.NewHistory()
 			res, err := sim.Run(sim.Config{
 				Machine: m, Scheduler: f, Workload: batch, ArrivalTimes: arrivals,
 				Horizon: 1_000_000, CheckSerializability: true,
-			}, sim.WithWAL(sl), sim.WithTrace(simH))
+			}, sim.WithWAL(sl), sim.WithTrace(simH), sim.WithFaults(inj))
 			if err != nil {
 				t.Fatal(err)
 			}
 			if err := sl.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if res.Completed != len(batch) {
-				t.Fatalf("sim completed %d of %d", res.Completed, len(batch))
+			if res.InjectedAborts == 0 || res.Completed+res.InjectedAborts != len(batch) {
+				t.Fatalf("sim completed %d and aborted %d of %d, want some of both", res.Completed, res.InjectedAborts, len(batch))
 			}
 
 			ll, err := wal.Open(liveDir, diffNodes)
@@ -141,13 +160,13 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctl := live.New(f, sched.Costs{KeepTime: 100}, live.WithTopology(diffNodes, diffParts), live.WithWALLog(ll),
-				live.WithObserver(liveH))
+				live.WithObserver(liveH), live.WithFaults(inj))
 			for _, tx := range diffBatch() {
 				tx := tx
 				if err := ctl.Run(context.Background(), tx, func(step int, p live.Progress) error {
 					p(tx.Steps[step].Cost)
 					return nil
-				}); err != nil {
+				}); err != nil && !errors.Is(err, fault.ErrInjectedAbort) {
 					t.Fatal(err)
 				}
 			}
@@ -156,16 +175,16 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			gs, gl := grammar(t, simDir), grammar(t, liveDir)
-			if len(gs) != len(batch) {
-				t.Fatalf("sim logged %d transactions, batch has %d", len(gs), len(batch))
+			gs, gl := grammar(t, simDir, batch, simH), grammar(t, liveDir, batch, liveH)
+			if len(gs) != res.Completed || len(gl) != len(gs) {
+				t.Fatalf("sim logged %d commits, live %d; sim completed %d", len(gs), len(gl), res.Completed)
 			}
 			for id, want := range gs {
 				if gl[id] != want {
 					t.Errorf("%v: sim wrote %q, live wrote %q", id, want, gl[id])
 				}
 			}
-			if cs, cl := restart(t, simDir, simH), restart(t, liveDir, liveH); !reflect.DeepEqual(cs, cl) || len(cs) != len(batch) {
+			if cs, cl := restart(t, simDir, simH), restart(t, liveDir, liveH); !reflect.DeepEqual(cs, cl) || len(cs) != res.Completed {
 				t.Errorf("committed sets differ or are short: sim %v, live %v", cs, cl)
 			}
 		})

@@ -1,28 +1,25 @@
 // Package durable is the one implementation of the write-ahead contract
 // between a scheduler driver (internal/sim, internal/live), the per-node
 // dependency log (internal/wal) and the heap-file store
-// (internal/storage). A driver decides *when* a transaction begins,
-// pre-commits, aborts and is forced; what each of those means is stated
-// here and nowhere else:
+// (internal/storage). A driver decides *when* a transaction pre-commits,
+// is abandoned and is forced; what each of those means is stated here
+// and nowhere else. A committed transaction leaves exactly one record;
+// an aborted or unfinished one leaves none, which no-steal storage makes
+// harmless — nothing of it ever reached a page.
 //
-//   - Begin: the record — footprint plus the WTPG predecessors resolved
-//     at admission — goes to the node file of the transaction's first
-//     partition and is never forced on its own. It rides the pass that
-//     forces its completion record, in the same file, so a durable Commit
-//     implies a durable Begin; an unfinished transaction may leave no
-//     trace, which no-steal storage makes harmless. A transaction counts
-//     as begun only if the append succeeded.
-//   - PreCommit: no Begin, no completion record. The Commit record,
-//     carrying the final predecessor set, is appended BEFORE the staged
-//     effects touch a cached page and before the driver releases the
-//     transaction's partition locks. A record the log refuses, or a log
+//   - PreCommit: the Commit record — footprint plus the union of the
+//     WTPG predecessors resolved at admission and at commit — goes to the
+//     node file of the transaction's first partition, as the driver
+//     resolved it under its own locks, BEFORE the staged effects touch a
+//     cached page and before the driver releases the transaction's
+//     partition locks. A record the log refuses, or a log
 //     that is attached but broken, turns the commit into an abort while
 //     nothing of it is visible. Once the record is appended the outcome is
 //     the log's: a storage failure behind it latches a sticky error but
 //     cannot flip it — a restart redoes the effects from the log.
-//   - Abort: the record is appended and never forced (a lost abort record
-//     re-aborts at recovery anyway) and the staged effects are dropped;
-//     nothing was written, so there is nothing to undo.
+//   - Abandon: the staged effects are dropped and nothing is logged;
+//     nothing was written, so there is nothing to undo. It is what an
+//     abort, a kill and a run's end do to a transaction in flight.
 //   - Force: one group-commit pass (wal.Log.Sync) makes everything
 //     appended so far durable; a commit is acknowledged only after the
 //     Force that follows its PreCommit returns. Because every append
@@ -37,9 +34,9 @@
 //   - Recover: scan the node files, keep the gap-free prefix of the append
 //     order (wal.Scan — everything acknowledged, and no successor of
 //     anything lost), replay it once with Store.Redo as the apply
-//     callback, flush, reopen the log at the cut, re-abort the
-//     transactions with a Begin and no completion, and force, so a second
-//     recovery agrees with the first.
+//     callback, flush, and reopen the log at the cut (wal.Open makes the
+//     cut durable). Nothing is appended, so a second recovery agrees with
+//     the first.
 //
 // Nothing here knows which driver is calling.
 package durable
@@ -48,6 +45,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -63,39 +61,25 @@ import (
 // on a nil Binding — a driver with neither holds nil and pays one nil
 // check — and safe for concurrent use.
 type Binding struct {
-	log    *wal.Log
-	store  *storage.Store
-	nodeOf func(txn.PartitionID) int
-	emit   func(obs.Event)
-	clock  func() event.Time
+	log   *wal.Log
+	store *storage.Store
+	emit  func(obs.Event)
+	clock func() event.Time
 
 	// The sticky first failures, read lock-free on the hot path.
 	logErr   atomic.Pointer[error]
 	storeErr atomic.Pointer[error]
 }
 
-// Txn is the per-transaction state a driver embeds in its control
-// record: the node file the Begin record went to (completion records
-// follow it there even if the partition later re-homes) and whether a
-// Begin was logged at all.
-type Txn struct {
-	node  int
-	begun bool
-}
-
-// Begun reports whether the transaction's Begin record was appended.
-func (d Txn) Begun() bool { return d.begun }
-
 // New binds log and/or store (either may be nil; nil for both returns a
-// nil Binding). nodeOf routes a partition to its node file, emit receives
-// the KindWALAppend / KindWALSync events, and clock stamps what happens
-// off the driver's own thread: the store's page-traffic events and a
-// Force the write barrier triggers.
-func New(log *wal.Log, store *storage.Store, nodeOf func(txn.PartitionID) int, emit func(obs.Event), clock func() event.Time) *Binding {
+// nil Binding). emit receives the KindWALAppend / KindWALSync events,
+// and clock stamps what happens off the driver's own thread: the store's
+// page-traffic events and a Force the write barrier triggers.
+func New(log *wal.Log, store *storage.Store, emit func(obs.Event), clock func() event.Time) *Binding {
 	if log == nil && store == nil {
 		return nil
 	}
-	b := &Binding{log: log, store: store, nodeOf: nodeOf, emit: emit, clock: clock}
+	b := &Binding{log: log, store: store, emit: emit, clock: clock}
 	if log != nil && store != nil {
 		store.SetWriteBarrier(func() error { return b.Force(clock()) })
 	}
@@ -156,79 +140,58 @@ func (b *Binding) FailStore(err error) {
 	}
 }
 
-// Logs reports whether a log is attached and healthy, i.e. whether Begin
-// will append: drivers ask before resolving a predecessor set.
+// Logs reports whether a log is attached and healthy, i.e. whether
+// PreCommit will append: drivers ask before resolving a predecessor set.
 func (b *Binding) Logs() bool {
 	return b != nil && b.log != nil && load(&b.logErr) == nil
 }
 
-// append appends rec unforced, latching a refusal.
-func (b *Binding) append(rec wal.Record) error {
-	if err := b.log.Append(rec); err != nil {
-		latch(&b.logErr, err)
-		return err
-	}
-	b.emit(obs.Event{Kind: obs.KindWALAppend, At: rec.At, Txn: rec.Txn, Op: rec.Kind.String(), Node: rec.Node})
-	return nil
-}
-
-// Begin logs t's admission with the predecessor set resolved at it. The
-// caller must still hold whatever made that read atomic with the grant.
-// Without a usable log it does nothing and d stays not begun.
-func (b *Binding) Begin(d *Txn, t *txn.T, preds []txn.ID, now event.Time) error {
-	if !b.Logs() {
-		return nil
-	}
-	if len(t.Steps) > 0 {
-		d.node = b.nodeOf(t.Steps[0].Part)
-	}
-	err := b.append(wal.Record{Kind: wal.Begin, Txn: t.ID, Node: d.node, At: now, Steps: wal.Footprint(t), Preds: preds})
-	d.begun = err == nil
-	return err
-}
-
-// PreCommit appends id's Commit record, carrying the final predecessor
-// set, and then applies its staged effects to cached pages. The caller
-// must still hold the transaction's partition locks — scans read frames
-// with no latch — and must not acknowledge before the next Force returns.
-// A non-nil error means the commit became an abort: nothing was logged or
-// applied and the staged effects are gone.
-func (b *Binding) PreCommit(d Txn, id txn.ID, preds []txn.ID, now event.Time) error {
+// PreCommit appends t's Commit record to node's file and then applies
+// its staged effects to cached pages. node is the node of t's first
+// partition, which the caller resolves while it still holds the locks
+// that keep its placement from changing (a crash re-homes partitions).
+// preds is the union of the predecessor sets resolved at admission and
+// at commit, duplicates allowed: it is sorted and deduplicated in place.
+// The caller must still hold the
+// transaction's partition locks — scans read frames with no latch — and
+// must not acknowledge before the next Force returns. A non-nil error
+// means the log is broken and the commit became an abort: nothing was
+// logged or applied and the staged effects are gone.
+func (b *Binding) PreCommit(t *txn.T, node int, preds []txn.ID, now event.Time) error {
 	if b == nil {
 		return nil
 	}
 	if b.log != nil {
-		var err error
-		if !d.begun || load(&b.logErr) != nil {
-			err = errors.New("wal unavailable, commit aborted")
-		} else if aerr := b.append(wal.Record{Kind: wal.Commit, Txn: id, Node: d.node, At: now, Preds: preds}); aerr != nil {
-			err = fmt.Errorf("commit record not logged: %w", aerr)
-		}
-		if err != nil {
-			b.Abandon(id)
+		if err := b.logCommit(t, node, preds, now); err != nil {
+			b.Abandon(t.ID)
 			return err
 		}
 	}
 	if b.store != nil {
-		if err := b.store.ApplyCommit(id); err != nil {
-			latch(&b.storeErr, fmt.Errorf("%v: applying committed effects: %w", id, err))
+		if err := b.store.ApplyCommit(t.ID); err != nil {
+			latch(&b.storeErr, fmt.Errorf("%v: applying committed effects: %w", t.ID, err))
 		}
 	}
 	return nil
 }
 
-// Abort logs id's Abort record, if it has a Begin and the log still
-// takes appends, and drops its staged effects.
-func (b *Binding) Abort(d Txn, id txn.ID, now event.Time) {
-	if d.begun && b.Logs() {
-		_ = b.append(wal.Record{Kind: wal.Abort, Txn: id, Node: d.node, At: now}) // latched; the abort stands
+// logCommit appends t's Commit record unforced, latching a refusal.
+func (b *Binding) logCommit(t *txn.T, node int, preds []txn.ID, now event.Time) error {
+	if load(&b.logErr) != nil {
+		return errors.New("wal unavailable, commit aborted")
 	}
-	b.Abandon(id)
+	slices.Sort(preds)
+	rec := wal.Record{Kind: wal.Commit, Txn: t.ID, Node: node, At: now, Steps: wal.Footprint(t), Preds: slices.Compact(preds)}
+	if err := b.log.Append(rec); err != nil {
+		latch(&b.logErr, err)
+		return fmt.Errorf("commit record not logged: %w", err)
+	}
+	b.emit(obs.Event{Kind: obs.KindWALAppend, At: now, Txn: t.ID, Op: rec.Kind.String(), Node: rec.Node})
+	return nil
 }
 
-// Abandon drops id's staged effects and logs nothing: what a kill does
-// to a transaction in flight, and what a driver does for one its run
-// ends under.
+// Abandon drops id's staged effects and logs nothing: what an abort, a
+// kill and a run's end do to a transaction in flight.
 func (b *Binding) Abandon(id txn.ID) {
 	if b != nil && b.store != nil {
 		b.store.Drop(id)
@@ -270,7 +233,7 @@ func Recover(dir string, nodes int, store *storage.Store) (*wal.Log, []wal.NodeS
 	var apply func(wal.Record, int)
 	var redoErr atomic.Pointer[error]
 	if store != nil {
-		apply = func(begin wal.Record, _ int) { latch(&redoErr, store.Redo(begin)) }
+		apply = func(commit wal.Record, _ int) { latch(&redoErr, store.Redo(commit)) }
 	}
 	rec, err := wal.Replay(scans, runtime.GOMAXPROCS(0), apply)
 	if err == nil {
@@ -285,18 +248,6 @@ func Recover(dir string, nodes int, store *storage.Store) (*wal.Log, []wal.NodeS
 	log, err := wal.Open(dir, nodes)
 	if err != nil {
 		return nil, nil, nil, err
-	}
-	for _, b := range rec.Incomplete {
-		if err = log.Append(wal.Record{Kind: wal.Abort, Txn: b.Txn, Node: b.Node}); err != nil {
-			break
-		}
-	}
-	if err == nil {
-		_, err = log.Sync()
-	}
-	if err != nil {
-		log.Close()
-		return nil, nil, nil, fmt.Errorf("re-aborting in-flight transactions: %w", err)
 	}
 	return log, scans, rec, nil
 }

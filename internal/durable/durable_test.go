@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -59,7 +60,7 @@ func newRig(t *testing.T, more ...storage.Option) *rig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.log.Close() })
-	r.b = durable.New(r.log, r.store, func(txn.PartitionID) int { return 0 },
+	r.b = durable.New(r.log, r.store,
 		func(e obs.Event) {
 			if e.Kind == obs.KindWALSync {
 				r.syncs.Add(1)
@@ -73,15 +74,11 @@ func write0(id txn.ID) *txn.T {
 	return txn.New(id, []txn.Step{{Mode: txn.Write, Part: 0, Cost: 1}})
 }
 
-// begin admits a one-step writer of partition 0 and stages its effect.
-func (r *rig) begin(t *testing.T, id txn.ID) durable.Txn {
-	t.Helper()
-	var d durable.Txn
-	if err := r.b.Begin(&d, write0(id), nil, 0); err != nil || !d.Begun() {
-		t.Fatalf("Begin(%v) = %v, begun %v", id, err, d.Begun())
-	}
+// stage runs a one-step writer of partition 0 up to its commit: its
+// effect is staged.
+func (r *rig) stage(id txn.ID) *txn.T {
 	r.store.Stage(id, 0, 0)
-	return d
+	return write0(id)
 }
 
 func (r *rig) part0Bytes(t *testing.T) int64 {
@@ -113,75 +110,33 @@ func (r *rig) leftStaged(t *testing.T, id txn.ID) int {
 	return r.part0Keys(t) - before
 }
 
-func TestBeginOnClosedLog(t *testing.T) {
+// TestPreCommitRefusedIsAbort: a record the log refuses turns the commit
+// into an abort with nothing applied, and latches the refusal — the log
+// is attached but broken, so the next commit is refused without an
+// append.
+func TestPreCommitRefusedIsAbort(t *testing.T) {
 	r := newRig(t)
-	r.log.Close()
-	var d durable.Txn
-	if err := r.b.Begin(&d, write0(1), nil, 0); err == nil {
-		t.Fatal("Begin on a closed log succeeded")
-	}
-	if d.Begun() {
-		t.Error("a refused Begin left the transaction begun")
+	t1 := r.stage(1)
+	r.log.Crash(0)
+	if err := r.b.PreCommit(t1, 0, nil, 0); err == nil {
+		t.Fatal("PreCommit succeeded although the log refused the record")
 	}
 	if r.b.LogErr() == nil || r.b.Logs() {
 		t.Error("the refusal was not latched")
 	}
-	// Attached but broken: a commit is an abort, and nothing is appended.
-	r.store.Stage(1, 0, 0)
-	if err := r.b.PreCommit(d, 1, nil, 0); err == nil {
+	if err := r.b.PreCommit(r.stage(2), 0, nil, 0); err == nil {
 		t.Error("PreCommit succeeded on a broken log")
 	}
-	if n := r.leftStaged(t, 1); n != 0 {
-		t.Errorf("%d effects still staged after the refused commit", n)
-	}
-}
-
-func TestPreCommitRefusedIsAbort(t *testing.T) {
-	r := newRig(t)
-	d := r.begin(t, 1)
-	r.log.Crash(0)
-	if err := r.b.PreCommit(d, 1, nil, 0); err == nil {
-		t.Fatal("PreCommit succeeded although the log refused the record")
-	}
-	if n := r.leftStaged(t, 1); n != 0 {
-		t.Errorf("%d effects still staged after the refused commit", n)
+	for _, id := range []txn.ID{1, 2} {
+		if n := r.leftStaged(t, id); n != 0 {
+			t.Errorf("%d effects of %v still staged after the refused commit", n, id)
+		}
 	}
 	if n := r.part0Keys(t); n != 0 {
-		t.Errorf("partition 0 holds %d effects of a commit that became an abort", n)
+		t.Errorf("partition 0 holds %d effects of commits that became aborts", n)
 	}
 	if r.b.StoreErr() != nil {
 		t.Errorf("nothing was applied, yet StoreErr = %v", r.b.StoreErr())
-	}
-}
-
-func TestPreCommitWithoutBegin(t *testing.T) {
-	r := newRig(t)
-	r.store.Stage(1, 0, 0)
-	if err := r.b.PreCommit(durable.Txn{}, 1, nil, 0); err == nil {
-		t.Fatal("PreCommit without a Begin succeeded")
-	}
-	r.b.Abort(durable.Txn{}, 2, 0)
-	if st := r.log.Stats(); st.Appends != 0 {
-		t.Errorf("%d records appended for transactions with no Begin", st.Appends)
-	}
-	if r.leftStaged(t, 1) != 0 || r.part0Keys(t) != 0 {
-		t.Error("the refused commit's effects were kept")
-	}
-	if r.b.LogErr() != nil {
-		t.Errorf("a healthy log was declared broken: %v", r.b.LogErr())
-	}
-}
-
-func TestAbortNeverForces(t *testing.T) {
-	r := newRig(t)
-	d := r.begin(t, 1)
-	r.b.Abort(d, 1, 0)
-	st := r.log.Stats()
-	if st.Appends != 2 || st.Syncs != 0 || r.syncs.Load() != 0 {
-		t.Errorf("after Begin+Abort: %d appends, %d syncs, %d wal-sync events; want 2, 0, 0", st.Appends, st.Syncs, r.syncs.Load())
-	}
-	if r.leftStaged(t, 1) != 0 {
-		t.Error("the aborted transaction's effects are still staged")
 	}
 }
 
@@ -212,8 +167,7 @@ func TestFailedForceLatchesAndBarrierVetoes(t *testing.T) {
 
 func failedForce(t *testing.T) (r *rig, problem string) {
 	r = newRig(t, storage.WithBackgroundFlush(time.Millisecond))
-	d := r.begin(t, 1)
-	if err := r.b.PreCommit(d, 1, nil, 0); err != nil {
+	if err := r.b.PreCommit(r.stage(1), 0, nil, 0); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.part0Keys(t); n != 1 {
@@ -249,46 +203,52 @@ func failedForce(t *testing.T) (r *rig, problem string) {
 }
 
 // TestRecoverTwice: one committed, one aborted and one in-flight
-// transaction, a kill that tears the heap, and two restarts in a row —
-// the same committed set both times, the in-flight one re-aborted by the
-// first and therefore not incomplete for the second, the committed
-// effect back in the store.
+// transaction, a kill that tears the heap, and two restarts in a row.
+// Only the commit left a record, and nothing was forced for the others;
+// both restarts report the same history, with the committed effect back
+// in the store.
 func TestRecoverTwice(t *testing.T) {
 	r := newRig(t)
-	d1, d2, d3 := r.begin(t, 1), r.begin(t, 2), r.begin(t, 3)
-	if err := r.b.PreCommit(d1, 1, nil, 0); err != nil {
+	t1 := r.stage(1)
+	r.stage(3) // in flight at the kill
+	if err := r.b.PreCommit(t1, 0, []txn.ID{7, 5, 7}, 0); err != nil {
 		t.Fatal(err)
 	}
-	r.b.Abort(d2, 2, 0)
-	_ = d3 // in flight at the kill
+	r.stage(2)
+	r.b.Abandon(2)
 	if err := r.b.Force(0); err != nil {
 		t.Fatal(err)
 	}
-	if n := r.syncs.Load(); n != 1 {
-		t.Errorf("%d wal-sync events for one pass", n)
+	if st := r.log.Stats(); st.Appends != 1 || st.Syncs != 1 || r.syncs.Load() != 1 {
+		t.Errorf("%d appends, %d syncs, %d wal-sync events; want one of each", st.Appends, st.Syncs, r.syncs.Load())
 	}
 	r.log.Crash(0)
 	if err := r.store.Crash(0); err != nil {
 		t.Fatal(err)
 	}
 
-	for round, wantIncomplete := range []int{1, 0} {
+	var first *wal.Recovery
+	for round := 0; round < 2; round++ {
 		st, err := storage.Open(r.hdir, 2, storeOpts()...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		log, _, rec, err := durable.Recover(r.wdir, 1, st)
+		log, scans, rec, err := durable.Recover(r.wdir, 1, st)
 		if err != nil {
 			t.Fatalf("round %d: %v", round, err)
 		}
 		if len(rec.Committed) != 1 || rec.Committed[0] != 1 {
 			t.Errorf("round %d: committed %v, want [T1]", round, rec.Committed)
 		}
-		if len(rec.Incomplete) != wantIncomplete {
-			t.Errorf("round %d: %d incomplete, want %d", round, len(rec.Incomplete), wantIncomplete)
+		want := wal.Record{Kind: wal.Commit, Seq: 1, Txn: 1, Steps: wal.Footprint(t1), Preds: []txn.ID{5, 7}}
+		if len(scans) != 1 || len(scans[0].Records) != 1 || !reflect.DeepEqual(scans[0].Records[0], want) {
+			t.Errorf("round %d: the log holds %+v, want %+v alone", round, scans, want)
 		}
-		if want := 2 - wantIncomplete; len(rec.Aborted) != want {
-			t.Errorf("round %d: aborted %v, want %d of them", round, rec.Aborted, want)
+		rec.Elapsed = 0
+		if first == nil {
+			first = rec
+		} else if !reflect.DeepEqual(rec, first) {
+			t.Errorf("second recovery reports %+v, the first %+v", rec, first)
 		}
 		keys, err := st.Keys(0)
 		if err != nil {

@@ -3,6 +3,9 @@ package live
 import (
 	"context"
 	"errors"
+	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -10,6 +13,7 @@ import (
 	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
+	"batsched/internal/wal"
 )
 
 // TestCrashNodeDoomsPartialWork: a transaction that reported objects
@@ -278,4 +282,92 @@ func TestWatchdogCountsEpisodesNotTicks(t *testing.T) {
 		time.Sleep(2 * time.Millisecond)
 	}
 	t.Fatal("Recovered never advanced after the stall cleared")
+}
+
+// TestCrashNodeDuringWALCommits runs node crashes against concurrent
+// logged commits: under -race, the check that a Commit record's node is
+// resolved under the locks CrashNode re-homes partitions under. Every
+// transaction writes a partition whose node CrashNode(0) changes — P0 in
+// the 2-partition table, or an even partition outside it, whose node
+// comes from the alive set Kill rewrites. Each round must recover every
+// acknowledged transaction, from records naming nodes of the topology.
+func TestCrashNodeDuringWALCommits(t *testing.T) {
+	f := sched.C2PLFactory()
+	for round := 0; round < 20; round++ {
+		dir := t.TempDir()
+		l, err := wal.Open(dir, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := modelcheck.NewHistory()
+		ctl := New(f, liveCosts, WithTopology(3, 3), WithWALLog(l), WithShards(2),
+			WithRetryDelay(time.Millisecond), WithObserver(h))
+
+		var (
+			mu    sync.Mutex
+			acked = map[txn.ID]bool{}
+			n     atomic.Int32
+			wg    sync.WaitGroup
+		)
+		for g := 0; g < 8; g++ {
+			g := g
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					id := txn.ID(1 + g*40 + i)
+					tx := txn.New(id, []txn.Step{w(txn.PartitionID(3*g), 1)})
+					err := ctl.Run(context.Background(), tx, func(step int, p Progress) error {
+						p(1)
+						return nil
+					})
+					switch {
+					case err == nil:
+						mu.Lock()
+						acked[id] = true
+						mu.Unlock()
+						n.Add(1)
+					case !errors.Is(err, ErrNodeCrashed):
+						t.Errorf("txn %v: %v", id, err)
+					}
+				}
+			}()
+		}
+		for node := 0; node < 2; node++ {
+			for n.Load() < int32(100*(node+1)) {
+				runtime.Gosched()
+			}
+			if err := ctl.CrashNode(node); err != nil {
+				t.Fatal(err)
+			}
+		}
+		wg.Wait()
+		ctl.Close()
+		if err := l.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		ctl2, rec, err := Recover(dir, f, liveCosts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctl2.Close()
+		scans, err := wal.Scan(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, ns := range scans {
+			for _, r := range ns.Records {
+				if r.Node < 0 || r.Node > 2 {
+					t.Fatalf("%v logged to node %d, outside the 3-node topology", r.Txn, r.Node)
+				}
+			}
+		}
+		if len(rec.Committed) != len(acked) {
+			t.Fatalf("recovered %d committed, acknowledged %d", len(rec.Committed), len(acked))
+		}
+		if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: acked}); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

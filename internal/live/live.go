@@ -239,8 +239,8 @@ type Controller struct {
 	// is the caller's open log (the controller's own, walOwned, only when
 	// Recover built it), store the heap files granted steps scan. dur
 	// binds both to the write-ahead contract and holds its sticky errors;
-	// it is nil with neither attached. Lock order: shard locks before the
-	// log's own mutex (Begin records are appended under them).
+	// it is nil with neither attached. No shard lock is held while the
+	// log's own mutex is taken: finish appends after releasing them.
 	wal      *wal.Log
 	walOwned bool
 	store    *storage.Store
@@ -339,9 +339,10 @@ type ltxn struct {
 	node int
 	work float64
 
-	// Txn is the transaction's place in the log: no Begin logged (no WAL,
-	// or it failed mid-run) means no completion record either.
-	durable.Txn
+	// preds is the predecessor set resolved at admission, read only
+	// while a healthy log is attached: the Commit record carries it with
+	// the set resolved at commit.
+	preds []txn.ID
 }
 
 // blocked reports whether the transaction is parked in Acquire.
@@ -403,7 +404,7 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 		sh.sch = s
 		c.shards[i] = sh
 	}
-	c.dur = durable.New(c.wal, c.store, c.place.NodeOf, c.emit, c.now)
+	c.dur = durable.New(c.wal, c.store, c.emit, c.now)
 	c.dur.Observe(c.observer, c.label)
 	if c.watchdog > 0 {
 		c.stopWatch = make(chan struct{})
@@ -602,11 +603,10 @@ func pause(ctx context.Context, d time.Duration) {
 
 // admitGranted is Admit's tail once the scheduler has granted t, homed
 // on home, under the held shard locks in mask: count it, create its
-// control record and append its WAL Begin record — footprint + resolved
-// predecessors, read while the predecessor set is still atomic with the
-// grant — then release the locks. A record the log refuses (closed,
-// poisoned) rolls the admission back.
-func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *txn.T) error {
+// control record — with a log, the resolved predecessors, read while the
+// predecessor set is still atomic with the grant — then release the
+// locks.
+func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *txn.T) {
 	home.stats.Admitted++
 	var r *ltxn
 	if n := len(home.free); n > 0 {
@@ -617,9 +617,8 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *
 	*r = ltxn{admitted: now, mask: mask, step: -1}
 	home.txns[t.ID] = r
 	c.bumpProgress()
-	var walErr error
 	if c.dur.Logs() {
-		walErr = c.dur.Begin(&r.Txn, t, c.predecessorsLocked(mask, t.ID), now)
+		r.preds = c.predecessorsLocked(mask, t.ID)
 	}
 	// A granted admission is a wake event: it dirties the scheduler's
 	// cached plan (CHAIN's W, K-WTPG's E(q)), so a request Delayed under
@@ -629,11 +628,6 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *
 		sh.broadcastLocked()
 	})
 	c.unlockMask(mask)
-	if walErr != nil {
-		c.Abort(t)
-		return fmt.Errorf("live: wal: %w", walErr)
-	}
-	return nil
 }
 
 // Progress reports completed work to the scheduler, adjusting the
@@ -769,7 +763,8 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 			dec = home.sch.Admit(t, now).Decision
 		}
 		if dec == sched.Granted {
-			return c.admitGranted(home, mask, now, t)
+			c.admitGranted(home, mask, now, t)
+			return nil
 		}
 		c.unlockMask(mask &^ (1 << uint(refused.idx)))
 		if err := c.waitLocked(ctx, refused, t.ID, nil, dec); err != nil {
@@ -913,15 +908,15 @@ func (c *Controller) Abort(t *txn.T) error {
 }
 
 // finish is a pre-commit in the sense of Yao et al.'s dependency logging
-// (PAPERS.md): the partition locks drop once the completion record is
+// (PAPERS.md): the partition locks drop once the Commit record is
 // appended, and the caller is acknowledged once it is durable. What each
 // step guarantees is internal/durable's contract; the order, for a
 // commit:
 //
 //  1. under the footprint's shard locks, claim the finish — validate,
-//     apply the doom check, read the final predecessor set while t is
-//     still in the WTPG(s), and drop t's control record so no concurrent
-//     finish/crash-doom can touch it;
+//     apply the doom check, add the predecessor set resolved now, while
+//     t is still in the WTPG(s), to the one read at admission, and drop
+//     t's control record so no concurrent finish/crash-doom can touch it;
 //  2. outside the shard mutexes, but with t still holding its partition
 //     locks in the scheduler(s): PreCommit — append the record, apply the
 //     staged effects to cached pages; a successor's scan sees them. Nothing
@@ -934,7 +929,7 @@ func (c *Controller) Abort(t *txn.T) error {
 // A crash in the window between 3 and 4 can lose a pre-committed record
 // while a later one survives in another node file; recovery keeps only
 // the gap-free prefix of the append order, so that successor is lost with
-// it. An abort replaces step 2 with Abort and skips step 4.
+// it. An abort replaces step 2 with Abandon and skips step 4.
 func (c *Controller) finish(t *txn.T, committed bool) error {
 	if t == nil {
 		return errNilTxn
@@ -956,10 +951,12 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		committed = false
 		doomErr = fmt.Errorf("live: %v: %w", t.ID, r.doom)
 	}
-	start, d := r.admitted, r.Txn
-	var preds []txn.ID
-	if committed && d.Begun() {
-		preds = c.predecessorsLocked(mask, t.ID)
+	start, preds, node := r.admitted, r.preds, 0
+	if committed && c.dur.Logs() {
+		preds = append(preds, c.predecessorsLocked(mask, t.ID)...)
+		if len(t.Steps) > 0 {
+			node = c.place.NodeOf(t.Steps[0].Part) // CrashNode re-homes under every shard lock
+		}
 	}
 	delete(home.txns, t.ID)
 	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
@@ -970,8 +967,8 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	c.unlockMask(mask)
 
 	if !committed {
-		c.dur.Abort(d, t.ID, now)
-	} else if err := c.dur.PreCommit(d, t.ID, preds, now); err != nil {
+		c.dur.Abandon(t.ID)
+	} else if err := c.dur.PreCommit(t, node, preds, now); err != nil {
 		committed = false
 		doomErr = fmt.Errorf("live: %v: %w", t.ID, err)
 	}

@@ -209,7 +209,7 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 	}
 	defer st2.Close()
 	// One call is the whole restart: the log replayed once, the store
-	// redone by that replay, the in-flight transactions re-aborted.
+	// redone by that replay, the log reopened at the cut.
 	ctl2, rec, err := Recover(wdir, sched.KWTPGFactory(2), liveCosts, WithShards(2), WithStorage(st2))
 	if err != nil {
 		t.Fatal(err)

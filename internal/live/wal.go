@@ -2,9 +2,9 @@ package live
 
 // This file attaches the per-node dependency log (internal/wal) to the
 // live controller: the options, the predecessor read that feeds the
-// records, and restart. What the records mean and when they are forced
-// is internal/durable's contract; when the controller calls it is
-// admitGranted and finish (live.go).
+// Commit records, and restart. What a record means and when it is
+// forced is internal/durable's contract; when the controller calls it
+// is admitGranted and finish (live.go).
 
 import (
 	"errors"
@@ -55,8 +55,8 @@ func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
 // its scheduler invariant checks before serving new traffic.
 //
 // The Recovery report carries what was reconstructed: the committed
-// set in replay order, the re-aborted in-flight transactions, and the
-// replay schedule's width (MaxParallel). opts are applied as in New,
+// set in replay order and the replay schedule's width (MaxParallel).
+// Transactions in flight at the crash left no record and need nothing. opts are applied as in New,
 // except that WithWALLog is an error: the log is dir's.
 func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Option) (*Controller, *wal.Recovery, error) {
 	var cfg Controller
@@ -81,7 +81,6 @@ func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Optio
 		At:       c.now(),
 		Batch:    len(rec.Committed),
 		Clusters: rec.MaxParallel,
-		Objects:  float64(len(rec.Incomplete)),
 		DurNS:    rec.Elapsed.Nanoseconds(),
 	})
 	return c, rec, nil

@@ -18,9 +18,8 @@ import (
 // kill-and-restart story: commit a batch of transactions against a
 // caller-owned log, crash the log (SIGKILL-equivalent) with two
 // transactions still in flight, recover, and check the committed set
-// survived exactly while the in-flight pair — whose Begin records were
-// appended but never forced — is re-aborted or left no trace, never
-// committed; then that the recovered controller serves new traffic and
+// survived exactly while the in-flight pair left no record and is not
+// recovered; then that the recovered controller serves new traffic and
 // a second recovery agrees with the first.
 func TestWALKillRecoverRoundTrip(t *testing.T) {
 	for _, f := range []sched.Factory{sched.C2PLFactory(), sched.KWTPGFactory(2)} {
@@ -52,8 +51,8 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			}
 			wg.Wait()
 
-			// Two transactions admitted (Begin appended, not forced) and
-			// parked inside their work when the machine dies.
+			// Two transactions admitted (nothing appended) and parked
+			// inside their work when the machine dies.
 			started := make(chan struct{}, 2)
 			release := make(chan struct{})
 			inflight := make(chan error, 2)
@@ -98,11 +97,11 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 					t.Fatalf("resurrected %v", id)
 				}
 			}
-			inflightOnly(t, rec.Incomplete)
 			scans, err := wal.Scan(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
+			inflightOnly(t, scans, rec)
 			if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: batchAcked, Killed: true}); err != nil {
 				t.Fatal(err)
 			}
@@ -120,9 +119,7 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			}
 			ctl2.Close()
 
-			// A second recovery agrees: the re-abort records appended by
-			// the first make whichever of 9 and 10 left a Begin behind
-			// properly aborted, not incomplete.
+			// A second recovery agrees, with the post-recovery commit added.
 			ctl3, rec2, err := Recover(dir, f, liveCosts)
 			if err != nil {
 				t.Fatal(err)
@@ -131,18 +128,11 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			if len(rec2.Committed) != 9 {
 				t.Fatalf("second recovery found %d committed, want 9 (batch + post-recovery txn)", len(rec2.Committed))
 			}
-			if len(rec2.Incomplete) != 0 {
-				t.Fatalf("second recovery still has incomplete %v", rec2.Incomplete)
+			scans2, err := wal.Scan(dir)
+			if err != nil {
+				t.Fatal(err)
 			}
-			aborted := map[txn.ID]bool{}
-			for _, id := range rec2.Aborted {
-				aborted[id] = true
-			}
-			for _, b := range rec.Incomplete {
-				if !aborted[b.Txn] {
-					t.Fatalf("re-abort of %v not durable: aborted set %v", b.Txn, rec2.Aborted)
-				}
-			}
+			inflightOnly(t, scans2, rec2)
 		})
 	}
 }
@@ -151,24 +141,28 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 // kill: the batch 1..8 (a failed Run is a test error of its own).
 var batchAcked = map[txn.ID]bool{1: true, 2: true, 3: true, 4: true, 5: true, 6: true, 7: true, 8: true}
 
-// inflightOnly checks the Incomplete set of a recovery that followed a
-// crash with transactions 9 and 10 in flight: their Begin records were
-// pending, so the crash's partial flush may have kept both, one or
-// neither — and nothing else may be incomplete.
-func inflightOnly(t *testing.T, incomplete []wal.Record) {
+// inflightOnly checks a recovery that followed a crash with transactions
+// 9 and 10 in flight: they appended nothing, so no record names them and
+// the recovery did not commit them.
+func inflightOnly(t *testing.T, scans []wal.NodeScan, rec *wal.Recovery) {
 	t.Helper()
-	seen := map[txn.ID]bool{}
-	for _, b := range incomplete {
-		if (b.Txn != 9 && b.Txn != 10) || seen[b.Txn] {
-			t.Fatalf("incomplete %v, want at most the in-flight txns 9 and 10, once each", incomplete)
+	for _, ns := range scans {
+		for _, r := range ns.Records {
+			if r.Txn == 9 || r.Txn == 10 {
+				t.Fatalf("in-flight %v left a %v record", r.Txn, r.Kind)
+			}
 		}
-		seen[b.Txn] = true
+	}
+	for _, id := range rec.Committed {
+		if id == 9 || id == 10 {
+			t.Fatalf("in-flight %v recovered as committed", id)
+		}
 	}
 }
 
-// TestWALAbortsAreLogged: work errors produce Abort records that a
-// clean-shutdown recovery reports as aborted, not incomplete.
-func TestWALAbortsAreLogged(t *testing.T) {
+// TestWALAbortsAppendNothing: a work error aborts the transaction, and
+// the abort leaves no record — the log holds the commit alone.
+func TestWALAbortsAppendNothing(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(dir, 1)
 	if err != nil {
@@ -189,6 +183,9 @@ func TestWALAbortsAreLogged(t *testing.T) {
 		t.Fatal("failing work committed")
 	}
 	ctl.Close()
+	if st := l.Stats(); st.Appends != 1 {
+		t.Errorf("%d records appended for one commit and one abort, want 1", st.Appends)
+	}
 	if err := l.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -200,21 +197,15 @@ func TestWALAbortsAreLogged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Committed) != 1 || rec.Committed[0] != 1 {
-		t.Errorf("committed %v, want [T1]", rec.Committed)
-	}
-	if len(rec.Aborted) != 1 || rec.Aborted[0] != 2 {
-		t.Errorf("aborted %v, want [T2]", rec.Aborted)
-	}
-	if len(rec.Incomplete) != 0 {
-		t.Errorf("incomplete %v after clean shutdown", rec.Incomplete)
+	if len(rec.Committed) != 1 || rec.Committed[0] != 1 || rec.Records != 1 {
+		t.Errorf("committed %v from %d records, want [T1] from one", rec.Committed, rec.Records)
 	}
 }
 
 // TestShardedWALKillRecoverRoundTrip repeats the kill-and-restart story
-// with the sharded hot path on: spanning transactions log Begin records
+// with the sharded hot path on: spanning transactions log Commit records
 // carrying the union of their per-shard predecessors, the log dies with
-// two transactions in flight (re-aborted or traceless, never committed),
+// two transactions in flight (traceless, never committed),
 // and recovery reconstructs exactly the committed set — proving the
 // write-ahead contract holds per shard.
 func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
@@ -288,11 +279,11 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 			t.Fatalf("resurrected %v", id)
 		}
 	}
-	inflightOnly(t, rec.Incomplete)
 	scans, err := wal.Scan(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	inflightOnly(t, scans, rec)
 	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: batchAcked, Killed: true}); err != nil {
 		t.Fatal(err)
 	}

@@ -108,8 +108,8 @@ type Evidence struct {
 
 // Certify checks the contract on everything the evidence covers: (1) the
 // conflict graph of the pre-committed transactions is acyclic, and (2)
-// stays so with the logged predecessor edges of Scans added (Begin ∪
-// Commit records, both ends pre-committed); (3) durable = acknowledged:
+// stays so with the logged predecessor edges of Scans' Commit records
+// added (both ends pre-committed); (3) durable = acknowledged:
 // the durable set — Recovery's, else the pre-committed one — holds every
 // acknowledged commit and only pre-committed ones, nothing unacknowledged
 // unless Killed, and is closed under each partition's conflict order

@@ -9,7 +9,6 @@ package modelcheck
 
 import (
 	"fmt"
-	"slices"
 
 	"batsched/internal/txn"
 	"batsched/internal/wal"
@@ -18,15 +17,15 @@ import (
 // VerifyRecovery checks a replay result against the node scans it came
 // from:
 //
-//   - completeness: every committed transaction has a durable Begin, and
-//     every durable Commit record is in the committed set;
+//   - grammar: every record is a Commit record, at most one per
+//     transaction;
+//   - completeness: every committed transaction has a durable Commit
+//     record, and every durable Commit record is in the committed set;
 //   - consistent cut: every Commit record lies in the gap-free prefix of
 //     the scans' sequence numbering. A committer releases its locks
 //     before its record is forced, so a record beyond a hole may belong
 //     to a transaction that read from the one the hole swallowed
 //     (wal.Scan cuts there; this recomputes the hole on its own);
-//   - exclusivity: no transaction is in more than one of committed /
-//     aborted / incomplete (re-aborted);
 //   - wave sanity: every committed transaction sits in a strictly later
 //     wave than each of its logged predecessors that committed — so the
 //     logged order is a DAG (that it is the order the execution had is
@@ -37,18 +36,18 @@ func VerifyRecovery(scans []wal.NodeScan, rec *wal.Recovery) error {
 	if rec == nil {
 		return fmt.Errorf("modelcheck: nil recovery")
 	}
-	begins := make(map[txn.ID]wal.Record)
 	commits := make(map[txn.ID]wal.Record)
 	seqs := make(map[uint64]bool)
 	for _, ns := range scans {
 		for _, r := range ns.Records {
 			seqs[r.Seq] = true
-			switch r.Kind {
-			case wal.Begin:
-				begins[r.Txn] = r
-			case wal.Commit:
-				commits[r.Txn] = r
+			if r.Kind != wal.Commit {
+				return fmt.Errorf("modelcheck: %v record for %v; a log holds only commit records", r.Kind, r.Txn)
 			}
+			if _, dup := commits[r.Txn]; dup {
+				return fmt.Errorf("modelcheck: %v has two commit records", r.Txn)
+			}
+			commits[r.Txn] = r
 		}
 	}
 	// The first sequence number no scan holds. Hand-built scans number
@@ -68,9 +67,6 @@ func VerifyRecovery(scans []wal.NodeScan, rec *wal.Recovery) error {
 			return fmt.Errorf("modelcheck: %v committed twice in replay order", id)
 		}
 		committed[id] = true
-		if _, ok := begins[id]; !ok {
-			return fmt.Errorf("modelcheck: committed %v has no durable begin record", id)
-		}
 		if _, ok := commits[id]; !ok {
 			return fmt.Errorf("modelcheck: committed %v has no durable commit record", id)
 		}
@@ -78,19 +74,6 @@ func VerifyRecovery(scans []wal.NodeScan, rec *wal.Recovery) error {
 	for id := range commits {
 		if !committed[id] {
 			return fmt.Errorf("modelcheck: durable commit record for %v missing from recovered committed set", id)
-		}
-	}
-	for _, id := range rec.Aborted {
-		if committed[id] {
-			return fmt.Errorf("modelcheck: %v both committed and aborted", id)
-		}
-	}
-	for _, b := range rec.Incomplete {
-		if committed[b.Txn] {
-			return fmt.Errorf("modelcheck: %v both committed and re-aborted as incomplete", b.Txn)
-		}
-		if _, ok := commits[b.Txn]; ok {
-			return fmt.Errorf("modelcheck: %v re-aborted despite a durable commit record", b.Txn)
 		}
 	}
 
@@ -105,7 +88,7 @@ func VerifyRecovery(scans []wal.NodeScan, rec *wal.Recovery) error {
 			return fmt.Errorf("modelcheck: %v wave %d outside [0,%d)", id, w, rec.Waves)
 		}
 		width[w]++
-		for _, p := range slices.Concat(begins[id].Preds, commits[id].Preds) {
+		for _, p := range commits[id].Preds {
 			if pw := rec.Wave[p]; committed[p] && pw >= w {
 				return fmt.Errorf("modelcheck: %v (wave %d) replayed no later than its predecessor %v (wave %d)", id, w, p, pw)
 			}

@@ -103,8 +103,8 @@ const (
 	// simulator emits it: the live controller admits per arrival.
 	KindEpochFlush
 	// KindWALAppend: a dependency-log record was appended (not yet
-	// durable). Op is the record kind ("begin", "commit", "abort"),
-	// Node the per-node log it was routed to.
+	// durable). Op is the record kind (always "commit"), Node the
+	// per-node log it was routed to.
 	KindWALAppend
 	// KindWALSync: a WAL group-commit fsync pass completed; Batch is
 	// the number of records the pass made durable (piggybacked callers
@@ -112,9 +112,8 @@ const (
 	KindWALSync
 	// KindRecover: a WAL replay rebuilt controller state. Batch is the
 	// number of committed transactions replayed, Clusters the widest
-	// replay wave (the parallelism the dependency log permitted),
-	// Objects the re-aborted incomplete count, DurNS the replay wall
-	// duration.
+	// replay wave (the parallelism the dependency log permitted), DurNS
+	// the replay wall duration.
 	KindRecover
 	// KindPageRead: the storage engine fetched one page through a buffer
 	// pool. Op is "hit" or "miss", Part the partition heap file, Node
@@ -277,7 +276,7 @@ func (e Event) String() string {
 	case KindWALSync:
 		s += fmt.Sprintf(" batch=%d", e.Batch)
 	case KindRecover:
-		s += fmt.Sprintf(" replayed=%d maxpar=%d reaborted=%g dur_ns=%d", e.Batch, e.Clusters, e.Objects, e.DurNS)
+		s += fmt.Sprintf(" replayed=%d maxpar=%d dur_ns=%d", e.Batch, e.Clusters, e.DurNS)
 	case KindPageRead:
 		s += fmt.Sprintf(" part=P%d op=%s bytes=%d", e.Part, e.Op, e.Batch)
 	case KindPageWrite:

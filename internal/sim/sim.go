@@ -274,10 +274,9 @@ type txnState struct {
 	jobs []machine.Job
 	one  [1]machine.Job
 
-	// WAL bookkeeping (zero without WithWAL): the transaction's place in
-	// the log, and the final predecessor set captured just before the
+	// WAL bookkeeping (nil without WithWAL): the predecessor set resolved
+	// at admission, and appended to it the one resolved just before the
 	// scheduler's Commit drops the transaction from the graph.
-	durable.Txn
 	walPreds []txn.ID
 
 	// Storage bookkeeping (zero without WithStorage): the round-robin
@@ -581,8 +580,7 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 			st.abortAt = at
 		}
 		if s.dur.Logs() {
-			// A refusal is latched in the binding; Run reports it.
-			_ = s.dur.Begin(&st.Txn, st.t, sched.Predecessors(s.sch, st.t.ID), now)
+			st.walPreds = sched.Predecessors(s.sch, st.t.ID)
 		}
 		s.advance(st, now)
 	case sched.Delayed:
@@ -837,7 +835,7 @@ func (j *abortJob) Done(now event.Time) {
 	st := (*txnState)(j)
 	s := st.sim
 	delete(s.live, st.t.ID)
-	s.dur.Abort(st.Txn, st.t.ID, now)
+	s.dur.Abandon(st.t.ID)
 	s.selfCheck()
 	s.wakeWaiters(st.freed)
 }
@@ -921,10 +919,10 @@ func (s *simulator) onStepDone(j *machine.Job, now event.Time) {
 func (j *commitJob) Run(now event.Time) event.Time {
 	st := (*txnState)(j)
 	s := st.sim
-	if st.Begun() {
+	if s.dur.Logs() {
 		// Final resolved predecessor set, read while the transaction
 		// is still in the graph — Commit drops it on the next line.
-		st.walPreds = sched.Predecessors(s.sch, st.t.ID)
+		st.walPreds = append(st.walPreds, sched.Predecessors(s.sch, st.t.ID)...)
 	}
 	freed, cpu := s.sch.Commit(st.t, now)
 	st.freed = append(st.freed[:0], freed...) // freed is the lock table's until its next Release

@@ -42,7 +42,7 @@ func WithStorage(st *storage.Store) Option {
 // events carry the timeline position of the last storage activity.
 func (s *simulator) durableBind(log *wal.Log) {
 	s.storeNow.Store(int64(s.q.Now()))
-	s.dur = durable.New(log, s.store, s.place.NodeOf,
+	s.dur = durable.New(log, s.store,
 		func(e obs.Event) { e.DurNS = 0; s.emitObs(e) },
 		func() event.Time { return event.Time(s.storeNow.Load()) })
 	s.dur.Observe(s.obs, s.obsLabel)
@@ -95,7 +95,11 @@ func (s *simulator) durableCommit(st *txnState, now event.Time) {
 		return
 	}
 	s.storeNow.Store(int64(now))
-	_ = s.dur.PreCommit(st.Txn, st.t.ID, st.walPreds, now)
+	node := 0
+	if len(st.t.Steps) > 0 {
+		node = s.place.NodeOf(st.t.Steps[0].Part)
+	}
+	_ = s.dur.PreCommit(st.t, node, st.walPreds, now)
 	_ = s.dur.Force(now)
 	if s.store == nil || s.dur.StoreErr() != nil {
 		return

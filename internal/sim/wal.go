@@ -12,19 +12,19 @@ package sim
 // commit, durableCommit), where the live controller releases the locks
 // in between and shares a pass. The simulated control node has no
 // concurrent committers to share one with, and forcing at once means a
-// crash's partial flush can strand only begin/abort records — which
-// recovery re-aborts or ignores — so the committed set is exactly the
-// synced commit records, matching what the run counted.
+// crash finds nothing pending — aborted and unfinished transactions
+// append nothing — so the committed set is exactly the synced records,
+// matching what the run counted.
 
 import "batsched/internal/wal"
 
-// WithWAL attaches a caller-owned dependency log: admissions append
-// Begin records (footprint + predecessors resolved at admission),
-// commits append-and-force Commit records carrying the final resolved
-// predecessor set, aborts append Abort records. The caller keeps the
-// log's lifecycle — Close for a graceful shutdown, Crash to simulate
-// SIGKILL — and the log must span at least the machine's nodes
-// (wal.Open(dir, cfg.Machine.NumNodes)). A nil log is ignored.
+// WithWAL attaches a caller-owned dependency log: each commit appends
+// and forces one Commit record carrying the footprint and the
+// predecessor sets resolved at admission and at commit; aborts append
+// nothing. The caller keeps the log's lifecycle — Close for a graceful
+// shutdown, Crash to simulate SIGKILL — and the log must span at least
+// the machine's nodes (wal.Open(dir, cfg.Machine.NumNodes)). A nil log
+// is ignored.
 func WithWAL(l *wal.Log) Option {
 	return func(rc *runOpts) { rc.wal = l }
 }

@@ -143,16 +143,16 @@ func (st *Store) Keys(part txn.PartitionID) (map[EffectKey]bool, error) {
 }
 
 // Redo re-applies one committed transaction's missing write effects
-// from its WAL Begin record (wal.Replay's apply callback shape, wave
+// from its WAL Commit record (wal.Replay's apply callback shape, wave
 // parameter dropped). Effects already present — the page survived the
 // crash — are skipped: redo is idempotent. Safe for the concurrent
 // calls a replay wave makes; the caller flushes once afterwards.
-func (st *Store) Redo(begin wal.Record) error {
-	for i, s := range begin.Steps {
+func (st *Store) Redo(commit wal.Record) error {
+	for i, s := range commit.Steps {
 		if s.Mode != txn.Write {
 			continue
 		}
-		key := EffectKey{Txn: begin.Txn, Step: i}
+		key := EffectKey{Txn: commit.Txn, Step: i}
 		st.redoMu.Lock()
 		present := st.redoKeys[s.Part]
 		if present == nil {
@@ -165,7 +165,7 @@ func (st *Store) Redo(begin wal.Record) error {
 		}
 		if !present[key] {
 			present[key] = true
-			if _, err := st.Insert(s.Part, EncodeEffect(begin.Txn, i, s.Part, effectBytes)); err != nil {
+			if _, err := st.Insert(s.Part, EncodeEffect(commit.Txn, i, s.Part, effectBytes)); err != nil {
 				st.redoMu.Unlock()
 				return err
 			}

@@ -180,9 +180,9 @@ func TestTornPageRecoverRestart(t *testing.T) {
 	}
 }
 
-// mkBegin builds a WAL Begin record with the given write footprint.
-func mkBegin(id txn.ID, parts ...txn.PartitionID) wal.Record {
-	r := wal.Record{Txn: id}
+// mkCommit builds a WAL Commit record with the given write footprint.
+func mkCommit(id txn.ID, parts ...txn.PartitionID) wal.Record {
+	r := wal.Record{Kind: wal.Commit, Txn: id}
 	for _, p := range parts {
 		r.Steps = append(r.Steps, wal.StepRef{Part: p, Mode: txn.Write, Declared: 1})
 	}
@@ -191,9 +191,9 @@ func mkBegin(id txn.ID, parts ...txn.PartitionID) wal.Record {
 
 // expectedKeys derives the partition contents implied by a committed
 // set — the pure function the effect model promises.
-func expectedKeys(begins []wal.Record, part txn.PartitionID) map[EffectKey]bool {
+func expectedKeys(commits []wal.Record, part txn.PartitionID) map[EffectKey]bool {
 	want := map[EffectKey]bool{}
-	for _, b := range begins {
+	for _, b := range commits {
 		for i, s := range b.Steps {
 			if s.Mode == txn.Write && s.Part == part {
 				want[EffectKey{Txn: b.Txn, Step: i}] = true
@@ -233,7 +233,7 @@ func TestStoreCrashRedoRoundTrip(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				committed = append(committed, mkBegin(id, parts...))
+				committed = append(committed, mkCommit(id, parts...))
 			}
 			if err := st.Crash(frac); err != nil {
 				t.Fatal(err)
@@ -284,7 +284,7 @@ func TestStoreCrashRedoRoundTrip(t *testing.T) {
 	}
 }
 
-// FuzzRedo: whatever footprints a log's Begin records carry — reads,
+// FuzzRedo: whatever footprints a log's Commit records carry — reads,
 // repeated partitions, one transaction logged twice — redoing them leaves
 // exactly their write effects, once each, and redoing them again changes
 // nothing, in the same session or after a reopen.
@@ -293,25 +293,26 @@ func FuzzRedo(f *testing.F) {
 	f.Add([]byte{7, 0x00, 7, 0x12, 0x03})
 	f.Fuzz(func(t *testing.T, tape []byte) {
 		const parts = 4
-		// A byte below 0x10 opens the Begin of that transaction (+1); any
-		// other byte adds a step to it: low bits the partition, bit 4 a write.
-		var begins []wal.Record
+		// A byte below 0x10 opens the Commit record of that transaction
+		// (+1); any other byte adds a step to it: low bits the partition,
+		// bit 4 a write.
+		var commits []wal.Record
 		for _, b := range tape {
 			if b < 0x10 {
-				begins = append(begins, wal.Record{Txn: txn.ID(b) + 1})
-			} else if n := len(begins); n > 0 {
+				commits = append(commits, wal.Record{Txn: txn.ID(b) + 1})
+			} else if n := len(commits); n > 0 {
 				mode := txn.Read
 				if b&0x10 != 0 {
 					mode = txn.Write
 				}
-				begins[n-1].Steps = append(begins[n-1].Steps, wal.StepRef{Part: txn.PartitionID(b % parts), Mode: mode})
+				commits[n-1].Steps = append(commits[n-1].Steps, wal.StepRef{Part: txn.PartitionID(b % parts), Mode: mode})
 			}
 		}
 		dir := t.TempDir()
 		st := mustOpen(t, dir, parts, WithPageSize(512), WithPoolFrames(4))
 		defer func() { st.Close() }()
 		redoAll := func() (counts [parts]int) {
-			for _, b := range begins {
+			for _, b := range commits {
 				if err := st.Redo(b); err != nil {
 					t.Fatal(err)
 				}
@@ -331,7 +332,7 @@ func FuzzRedo(f *testing.F) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := expectedKeys(begins, txn.PartitionID(p)); !reflect.DeepEqual(got, want) || first[p] != len(want) {
+			if want := expectedKeys(commits, txn.PartitionID(p)); !reflect.DeepEqual(got, want) || first[p] != len(want) {
 				t.Fatalf("P%d: %d tuples with keys %v, want exactly %v", p, first[p], got, want)
 			}
 		}
@@ -360,18 +361,15 @@ func TestStoreWALReplayRedo(t *testing.T) {
 		t.Fatal(err)
 	}
 	st := mustOpen(t, filepath.Join(dir, "heap"), 4, WithPageSize(512))
-	var begins []wal.Record
+	var commits []wal.Record
 	for i := 0; i < 20; i++ {
 		id := txn.ID(i + 1)
 		part := txn.PartitionID(i % 4)
-		b := mkBegin(id, part)
-		b.Kind, b.Node = wal.Begin, i%2
-		begins = append(begins, b)
-		if err := l.Append(b); err != nil {
-			t.Fatal(err)
-		}
+		c := mkCommit(id, part)
+		c.Node = i % 2
+		commits = append(commits, c)
 		st.Stage(id, 0, part)
-		if err := l.Append(wal.Record{Kind: wal.Commit, Txn: id, Node: b.Node}); err != nil {
+		if err := l.Append(c); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.Sync(); err != nil { // WAL force precedes the page apply
@@ -400,8 +398,8 @@ func TestStoreWALReplayRedo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rec.Committed) != len(begins) {
-		t.Fatalf("recovered %d committed, want %d", len(rec.Committed), len(begins))
+	if len(rec.Committed) != len(commits) {
+		t.Fatalf("recovered %d committed, want %d", len(rec.Committed), len(commits))
 	}
 	if err := st2.Flush(); err != nil {
 		t.Fatal(err)
@@ -412,7 +410,7 @@ func TestStoreWALReplayRedo(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := expectedKeys(begins, part)
+		want := expectedKeys(commits, part)
 		if len(got) != len(want) {
 			t.Fatalf("P%d: %d effects after WAL replay, want %d", p, len(got), len(want))
 		}
@@ -512,7 +510,7 @@ func TestStoreCrashRedoFlusherLag(t *testing.T) {
 			if err := st.ApplyCommit(id); err != nil {
 				t.Fatal(err)
 			}
-			committed = append(committed, mkBegin(id, parts...))
+			committed = append(committed, mkCommit(id, parts...))
 		}
 		return committed
 	}

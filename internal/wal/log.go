@@ -66,13 +66,17 @@ func nodeFileName(node int) string { return fmt.Sprintf("node-%04d.wal", node) }
 
 // Open opens (creating as needed) the per-node logs under dir for at
 // least n nodes; existing node files beyond n are opened too, so a
-// recovery over a smaller topology still appends completion records to
-// the right log. Existing files are validated and truncated to the
-// recoverable history Scan would return — each file's longest valid
-// prefix, cut back to the gap-free prefix of the sequence numbering —
-// so the torn tail and any record stranded beyond a hole are discarded
-// before any new append, and appends continue the numbering from the
-// last record kept.
+// restart over a smaller topology keeps their history. Existing files
+// are validated and truncated to the recoverable history Scan would
+// return — each file's longest valid prefix, cut back to the gap-free
+// prefix of the sequence numbering — so the torn tail and any record
+// stranded beyond a hole are discarded before any new append, and
+// appends continue the numbering from the last record kept. The cut is
+// made durable before Open returns: every file it shortened is fsynced,
+// and so is the directory when a file was created or started over. A
+// truncated tail that came back after a power loss would hold sequence
+// numbers the new appends reuse, and the next cut would then drop
+// acknowledged records.
 func Open(dir string, n int) (*Log, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("wal: Open with %d nodes", n)
@@ -96,6 +100,7 @@ func Open(dir string, n int) (*Log, error) {
 	last := consistentCut(scans)
 	l := &Log{dir: dir, files: make([]*nodeLog, n), appendGen: last, syncedGen: last}
 	l.syncDone.L = &l.mu
+	fresh := false
 	for node, sc := range scans {
 		nl, err := openNode(filepath.Join(dir, nodeFileName(node)), node, sc.ValidBytes)
 		if err != nil {
@@ -104,8 +109,28 @@ func Open(dir string, n int) (*Log, error) {
 		}
 		l.files[node] = nl
 		l.truncatedIn += sc.TruncatedBytes
+		fresh = fresh || len(nl.pending) > 0 // started over: a new directory entry
+	}
+	if fresh {
+		if err := syncDir(dir); err != nil {
+			l.closeFiles()
+			return nil, err
+		}
 	}
 	return l, nil
+}
+
+// syncDir fsyncs dir, making the files created in it durable.
+func syncDir(dir string) error {
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("wal: %w", err)
+	}
+	return nil
 }
 
 func highestNode(dir string) (int, error) {
@@ -124,30 +149,36 @@ func highestNode(dir string) (int, error) {
 }
 
 // openNode opens one node file for appending after its first valid
-// frame bytes (scanNode validated the header), truncating what follows.
-// A brand-new (or torn mid-header) file is started over with a fresh
-// header.
+// frame bytes (scanNode validated the header), truncating what follows
+// and fsyncing the file if that changed its size. A brand-new (or torn
+// mid-header) file is started over with a fresh header, pending.
 func openNode(path string, node int, valid int64) (*nodeLog, error) {
 	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	info, err := f.Stat()
-	if err != nil {
+	fail := func(err error) (*nodeLog, error) {
 		f.Close()
 		return nil, fmt.Errorf("wal: %w", err)
+	}
+	info, err := f.Stat()
+	if err != nil {
+		return fail(err)
 	}
 	keep := int64(0)
 	if info.Size() >= fileHeaderLen {
 		keep = fileHeaderLen + valid
 	}
-	if err := f.Truncate(keep); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+	if keep != info.Size() {
+		if err := f.Truncate(keep); err != nil {
+			return fail(err)
+		}
+		if err := f.Sync(); err != nil {
+			return fail(err)
+		}
 	}
 	if _, err := f.Seek(keep, 0); err != nil {
-		f.Close()
-		return nil, fmt.Errorf("wal: %w", err)
+		return fail(err)
 	}
 	nl := &nodeLog{f: f}
 	if keep == 0 {
@@ -160,7 +191,10 @@ func openNode(path string, node int, valid int64) (*nodeLog, error) {
 // sequence number. The record is NOT durable until a subsequent Sync
 // returns; callers enforcing write-ahead rules (commit durable before
 // reporting success, log durable before a page image leaves the buffer
-// pool) must call Sync at those points.
+// pool) must call Sync at those points. Append encodes any Kind, but
+// only a Commit record reads back: a record of any other kind makes the
+// log unreadable from that record on, in every node file, because Scan
+// and Open cut the history there as a torn tail.
 func (l *Log) Append(r Record) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -2,22 +2,24 @@
 // recovery (ROADMAP: "Durable recovery via dependency logging").
 //
 // Instead of logging data values, each node's log records every
-// transaction's *resolved WTPG predecessor set* — the wait-for edges the
-// scheduler resolved against it (Yao et al., "Scaling Distributed
-// Transaction Processing and Recovery based on Dependency Logging",
-// PAPERS.md) — plus commit/abort completion records. Partition locks are
-// held until the completion record is appended (strict 2PL up to
-// pre-commit), so the logged precedence edges are the only ordering
-// constraints a replay must respect, and recovery can replay
-// transactions in parallel, wave by topological wave.
+// committed transaction's footprint and *resolved WTPG predecessor set*
+// — the wait-for edges the scheduler resolved against it (Yao et al.,
+// "Scaling Distributed Transaction Processing and Recovery based on
+// Dependency Logging", PAPERS.md) — in one Commit record. Aborted and
+// unfinished transactions leave no record: storage is no-steal, so they
+// left nothing on a page either. Partition locks are held until the
+// Commit record is appended (strict 2PL up to pre-commit), so the logged
+// precedence edges are the only ordering constraints a replay must
+// respect, and recovery can replay transactions in parallel, wave by
+// topological wave.
 //
 // On-disk format (little-endian throughout):
 //
 //	file   = header frame*
-//	header = magic "BATWAL2\n" (8 bytes) | u32 node
+//	header = magic "BATWAL3\n" (8 bytes) | u32 node
 //	frame  = u32 payloadLen | u32 crc32c(payload) | payload
 //
-//	payload = u8 kind            (1=begin, 2=commit, 3=abort)
+//	payload = u8 kind            (2=commit; the only valid kind)
 //	        | u64 seq            (global append order, 1, 2, 3, …)
 //	        | i64 txn
 //	        | u32 node
@@ -35,7 +37,7 @@
 // recoverable history is the gap-free prefix of that numbering — every
 // record up to the first number no file holds (see consistentCut). A
 // transaction releases its partition locks only after appending its
-// completion record, so whatever a record's transaction read from has a
+// Commit record, so whatever a record's transaction read from has a
 // smaller number, and a group-commit pass makes every number up to its
 // target durable: nothing acknowledged lies beyond a gap, and a durable
 // successor of a lost predecessor does — it is cut with it. Scan applies
@@ -67,20 +69,19 @@ import (
 type Kind uint8
 
 const (
-	// Begin records a transaction's admission: its declared footprint and
-	// the predecessor set resolved at admission. It is appended unforced
-	// and rides the pass that forces its completion record, in the same
-	// file — a durable Commit implies a durable Begin, and an unfinished
-	// transaction may leave no trace (storage is no-steal, so it left
-	// none on a page either).
+	// Begin is retired: it was an admission record, folded into Commit.
+	// The decoder rejects it, and Append does not: a log that holds a
+	// Begin record is unreadable from that record on (Scan and Open take
+	// it for a torn tail). Its one writer is the benchmark's force probe,
+	// whose log is never read back.
 	Begin Kind = 1
-	// Commit records successful completion, carrying the final resolved
-	// predecessor set (schedulers that resolve progressively, e.g. C2PL
-	// and K-WTPG, may have added edges after admission).
+	// Commit records a committed transaction: its declared footprint and
+	// the union of the predecessor sets resolved at admission and at
+	// commit (schedulers that resolve progressively, e.g. C2PL and
+	// K-WTPG, may have added edges after admission; a predecessor that
+	// committed meanwhile has left the graph). It is the only record a
+	// log holds.
 	Commit Kind = 2
-	// Abort records completion by abort; an aborted transaction imposes
-	// no replay ordering.
-	Abort Kind = 3
 )
 
 func (k Kind) String() string {
@@ -89,13 +90,11 @@ func (k Kind) String() string {
 		return "begin"
 	case Commit:
 		return "commit"
-	case Abort:
-		return "abort"
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// StepRef is one footprint entry of a Begin record: the partition, the
+// StepRef is one footprint entry of a Commit record: the partition, the
 // lock mode, and the declared I/O demand the schedulers saw.
 type StepRef struct {
 	Part     txn.PartitionID
@@ -103,19 +102,18 @@ type StepRef struct {
 	Declared float64
 }
 
-// Record is one log record. Node names the log the record belongs to;
-// completion records are routed to the same node as their Begin so a
-// single file scan pairs them without cross-node joins. Seq is the
-// record's place in the directory-wide append order; Log.Append stamps
-// it, overwriting whatever the caller put there.
+// Record is one log record. Node names the log the record belongs to:
+// the home of the transaction's first partition when it committed. Seq
+// is the record's place in the directory-wide append order; Log.Append
+// stamps it, overwriting whatever the caller put there.
 type Record struct {
 	Kind  Kind
 	Seq   uint64
 	Txn   txn.ID
 	Node  int
 	At    event.Time
-	Steps []StepRef // Begin only: declared footprint
-	Preds []txn.ID  // resolved WTPG predecessors (Begin: at admission; Commit: final)
+	Steps []StepRef // declared footprint
+	Preds []txn.ID  // resolved WTPG predecessors, at admission and at commit
 }
 
 // Footprint converts a transaction's declared steps into StepRefs.
@@ -150,7 +148,7 @@ const (
 	maxList        = 1 << 16 // nsteps / npreds are u16
 )
 
-var fileMagic = [8]byte{'B', 'A', 'T', 'W', 'A', 'L', '2', '\n'}
+var fileMagic = [8]byte{'B', 'A', 'T', 'W', 'A', 'L', '3', '\n'}
 
 const fileHeaderLen = 12 // magic + u32 node
 
@@ -240,7 +238,7 @@ func parsePayload(p []byte) (Record, error) {
 	}
 	var r Record
 	r.Kind = Kind(p[0])
-	if r.Kind != Begin && r.Kind != Commit && r.Kind != Abort {
+	if r.Kind != Commit {
 		return Record{}, fmt.Errorf("%w: unknown kind %d", ErrCorrupt, p[0])
 	}
 	r.Seq = binary.LittleEndian.Uint64(p[1:])

@@ -130,13 +130,6 @@ type Recovery struct {
 	// Committed lists every durably committed transaction in replay
 	// order: wave-major, ascending id within a wave.
 	Committed []txn.ID
-	// Aborted lists transactions with an explicit abort record.
-	Aborted []txn.ID
-	// Incomplete holds the Begin records with no completion record —
-	// transactions in flight at the crash. Recovery must re-abort them
-	// (they held locks but never committed); durable.Recover appends the
-	// abort records.
-	Incomplete []Record
 	// Wave maps each committed transaction to its topological replay
 	// wave; every logged committed predecessor lands in a strictly
 	// earlier wave.
@@ -159,13 +152,13 @@ type Recovery struct {
 // edges: wave w holds every committed transaction whose committed
 // predecessors all lie in waves < w, and apply runs concurrently across
 // the transactions of one wave on up to workers goroutines (workers < 1
-// means one per transaction). apply — called as apply(begin, wave) with
-// the transaction's Begin record — may be nil to compute the schedule
+// means one per transaction). apply — called as apply(commit, wave) with
+// the transaction's Commit record — may be nil to compute the schedule
 // without replaying; when non-nil it must be safe for concurrent calls
 // within a wave.
 //
-// Predecessor edges pointing at transactions that did not durably commit
-// (aborted, incomplete, or lost to a torn tail) impose no ordering. For
+// Predecessor edges pointing at transactions with no Commit record
+// (aborted, unfinished, or lost to a torn tail) impose no ordering. For
 // an aborted or unfinished predecessor that is because it never released
 // a lock its successor then took. For a committed predecessor that was
 // lost it rests on the scans being a gap-free prefix (Scan's consistent
@@ -174,72 +167,34 @@ type Recovery struct {
 // number and was cut along with it — a committed record in scans never
 // has a lost committed predecessor. Replay does not re-derive the cut;
 // hand-built scans must respect it. A cycle among committed records is
-// corruption and returns an error, as do duplicate Begin/completion
-// records and completions without a Begin.
-func Replay(scans []NodeScan, workers int, apply func(begin Record, wave int)) (*Recovery, error) {
+// corruption and returns an error, as are a duplicate Commit record and
+// a record of any other kind.
+func Replay(scans []NodeScan, workers int, apply func(commit Record, wave int)) (*Recovery, error) {
 	start := time.Now()
 	rec := &Recovery{Wave: make(map[txn.ID]int)}
-	begins := make(map[txn.ID]Record)
 	commits := make(map[txn.ID]Record)
-	aborts := make(map[txn.ID]Record)
 	for _, sc := range scans {
 		rec.Records += len(sc.Records)
 		rec.TruncatedBytes += sc.TruncatedBytes
 		for _, r := range sc.Records {
-			switch r.Kind {
-			case Begin:
-				if _, dup := begins[r.Txn]; dup {
-					return nil, fmt.Errorf("wal: duplicate begin for %v", r.Txn)
-				}
-				begins[r.Txn] = r
-			case Commit:
-				if _, dup := commits[r.Txn]; dup {
-					return nil, fmt.Errorf("wal: duplicate commit for %v", r.Txn)
-				}
-				commits[r.Txn] = r
-			case Abort:
-				if _, dup := aborts[r.Txn]; dup {
-					return nil, fmt.Errorf("wal: duplicate abort for %v", r.Txn)
-				}
-				aborts[r.Txn] = r
+			if r.Kind != Commit {
+				return nil, fmt.Errorf("wal: %v record for %v", r.Kind, r.Txn)
 			}
+			if _, dup := commits[r.Txn]; dup {
+				return nil, fmt.Errorf("wal: duplicate commit for %v", r.Txn)
+			}
+			commits[r.Txn] = r
 		}
 	}
-	for id := range commits {
-		if _, ok := begins[id]; !ok {
-			return nil, fmt.Errorf("wal: commit without begin for %v", id)
-		}
-		if _, both := aborts[id]; both {
-			return nil, fmt.Errorf("wal: %v both committed and aborted", id)
-		}
-	}
-	for id := range aborts {
-		if _, ok := begins[id]; !ok {
-			return nil, fmt.Errorf("wal: abort without begin for %v", id)
-		}
-		rec.Aborted = append(rec.Aborted, id)
-	}
-	sortIDs(rec.Aborted)
-	for id, b := range begins {
-		if _, done := commits[id]; done {
-			continue
-		}
-		if _, done := aborts[id]; done {
-			continue
-		}
-		rec.Incomplete = append(rec.Incomplete, b)
-	}
-	sort.Slice(rec.Incomplete, func(i, j int) bool { return rec.Incomplete[i].Txn < rec.Incomplete[j].Txn })
 
-	// Dependency DAG over the committed set: union of admission-time
-	// (Begin) and final (Commit) predecessor sets, filtered to committed.
+	// Dependency DAG over the committed set, edges filtered to committed.
 	succs := make(map[txn.ID][]txn.ID, len(commits))
 	indeg := make(map[txn.ID]int, len(commits))
 	for id := range commits {
 		indeg[id] = 0
 	}
-	for id := range commits {
-		for _, p := range predUnion(begins[id], commits[id]) {
+	for id, c := range commits {
+		for _, p := range c.Preds {
 			if _, committed := commits[p]; !committed {
 				continue
 			}
@@ -268,7 +223,7 @@ func Replay(scans []NodeScan, workers int, apply func(begin Record, wave int)) (
 		}
 		rec.Committed = append(rec.Committed, frontier...)
 		if apply != nil {
-			runWave(frontier, begins, workers, wave, apply)
+			runWave(frontier, commits, workers, wave, apply)
 		}
 		replayed += len(frontier)
 		var next []txn.ID
@@ -290,35 +245,14 @@ func Replay(scans []NodeScan, workers int, apply func(begin Record, wave int)) (
 	return rec, nil
 }
 
-// predUnion merges the Begin- and Commit-record predecessor sets.
-func predUnion(b, c Record) []txn.ID {
-	if len(c.Preds) == 0 {
-		return b.Preds
-	}
-	if len(b.Preds) == 0 {
-		return c.Preds
-	}
-	seen := make(map[txn.ID]bool, len(b.Preds)+len(c.Preds))
-	out := make([]txn.ID, 0, len(b.Preds)+len(c.Preds))
-	for _, ids := range [2][]txn.ID{b.Preds, c.Preds} {
-		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	return out
-}
-
 // runWave applies one wave across at most workers goroutines.
-func runWave(wave []txn.ID, begins map[txn.ID]Record, workers int, w int, apply func(Record, int)) {
+func runWave(wave []txn.ID, commits map[txn.ID]Record, workers int, w int, apply func(Record, int)) {
 	if workers < 1 || workers > len(wave) {
 		workers = len(wave)
 	}
 	if workers <= 1 {
 		for _, id := range wave {
-			apply(begins[id], w)
+			apply(commits[id], w)
 		}
 		return
 	}
@@ -329,7 +263,7 @@ func runWave(wave []txn.ID, begins map[txn.ID]Record, workers int, w int, apply 
 		go func() {
 			defer wg.Done()
 			for id := range ch {
-				apply(begins[id], w)
+				apply(commits[id], w)
 			}
 		}()
 	}

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"batsched/internal/txn"
@@ -27,21 +28,21 @@ func TestScanConsistentCut(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	wide := make([]StepRef, 40)                                                             // a frame long enough that half of it is a torn one
-	app(Record{Kind: Begin, Txn: 1, Node: 0, Steps: []StepRef{{Part: 0, Mode: txn.Write}}}) // seq 1
-	app(Record{Kind: Begin, Txn: 2, Node: 1, Steps: []StepRef{{Part: 0, Mode: txn.Write}}}) // seq 2
-	app(Record{Kind: Begin, Txn: 3, Node: 0, Steps: wide})                                  // seq 3
+	write := []StepRef{{Part: 0, Mode: txn.Write}}
+	app(Record{Kind: Commit, Txn: 1, Node: 0, Steps: write})                     // seq 1
+	app(Record{Kind: Commit, Txn: 2, Node: 1, Steps: write, Preds: []txn.ID{1}}) // seq 2
+	app(Record{Kind: Commit, Txn: 3, Node: 0, Steps: make([]StepRef, 40)})       // seq 3
 	if _, err := l.Sync(); err != nil {
 		t.Fatal(err)
 	}
-	// Txn 1 pre-commits (seq 4, node 0), releases partition 0, and txn 2
+	// Txn 4 pre-commits (seq 4, node 0), releases partition 0, and txn 5
 	// commits after reading from it (seq 5, node 1). Crash(0.5) writes
-	// half of each file's pending bytes: node 0's lone frame is torn,
-	// node 1's short commit frame survives whole, the long abort behind
-	// it is torn.
-	app(Record{Kind: Commit, Txn: 1, Node: 0, Preds: make([]txn.ID, 30)}) // seq 4
-	app(Record{Kind: Commit, Txn: 2, Node: 1})                            // seq 5
-	app(Record{Kind: Abort, Txn: 3, Node: 1, Preds: make([]txn.ID, 30)})  // seq 6
+	// half of each file's pending bytes: node 0's lone long frame is
+	// torn, node 1's short frame survives whole, the long one behind it
+	// is torn.
+	app(Record{Kind: Commit, Txn: 4, Node: 0, Steps: write, Preds: make([]txn.ID, 30)}) // seq 4
+	app(Record{Kind: Commit, Txn: 5, Node: 1, Steps: write, Preds: []txn.ID{4}})        // seq 5
+	app(Record{Kind: Commit, Txn: 6, Node: 1, Preds: make([]txn.ID, 30)})               // seq 6
 	l.Crash(0.5)
 
 	raw, err := os.ReadFile(filepath.Join(dir, nodeFileName(1)))
@@ -71,9 +72,8 @@ func TestScanConsistentCut(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(rec.Committed) != 0 || len(rec.Incomplete) != 3 {
-			t.Fatalf("%s: Replay committed %v, incomplete %d; want nothing committed, 3 incomplete",
-				when, rec.Committed, len(rec.Incomplete))
+		if want := []txn.ID{1, 3, 2}; !slices.Equal(rec.Committed, want) {
+			t.Fatalf("%s: Replay committed %v, want %v", when, rec.Committed, want)
 		}
 	}
 	check("after the crash")
@@ -87,7 +87,7 @@ func TestScanConsistentCut(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after reopening") // the cut is now physical
-	if err := l2.Append(Record{Kind: Abort, Txn: 3, Node: 0}); err != nil {
+	if err := l2.Append(Record{Kind: Commit, Txn: 7, Node: 0}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l2.Close(); err != nil {
@@ -115,7 +115,7 @@ func TestSyncAfterCloseCoveredIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Kind: Begin, Txn: 1}); err != nil {
+	if err := l.Append(Record{Kind: Commit, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -129,7 +129,7 @@ func TestSyncAfterCloseCoveredIsNil(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Append(Record{Kind: Begin, Txn: 1}); err != nil {
+	if err := l.Append(Record{Kind: Commit, Txn: 1}); err != nil {
 		t.Fatal(err)
 	}
 	l.Crash(0)

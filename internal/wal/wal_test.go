@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,24 +17,20 @@ import (
 
 func randRecord(rng *rand.Rand) Record {
 	r := Record{
-		Kind: Kind(1 + rng.Intn(3)),
+		Kind: Commit,
 		Txn:  txn.ID(1 + rng.Int63n(1_000_000)),
 		Node: rng.Intn(64),
 		At:   event.Time(rng.Int63n(10_000_000)),
 	}
-	if r.Kind == Begin {
-		for i, n := 0, rng.Intn(6); i < n; i++ {
-			r.Steps = append(r.Steps, StepRef{
-				Part:     txn.PartitionID(rng.Intn(256)),
-				Mode:     txn.Mode(rng.Intn(2)),
-				Declared: math.Trunc(rng.Float64()*1000) / 8,
-			})
-		}
+	for i, n := 0, rng.Intn(6); i < n; i++ {
+		r.Steps = append(r.Steps, StepRef{
+			Part:     txn.PartitionID(rng.Intn(256)),
+			Mode:     txn.Mode(rng.Intn(2)),
+			Declared: math.Trunc(rng.Float64()*1000) / 8,
+		})
 	}
-	if r.Kind != Abort {
-		for i, n := 0, rng.Intn(8); i < n; i++ {
-			r.Preds = append(r.Preds, txn.ID(1+rng.Int63n(1_000_000)))
-		}
+	for i, n := 0, rng.Intn(8); i < n; i++ {
+		r.Preds = append(r.Preds, txn.ID(1+rng.Int63n(1_000_000)))
 	}
 	return r
 }
@@ -154,9 +151,9 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	synced := []Record{
-		{Kind: Begin, Txn: 1, Node: 0, At: 10, Preds: []txn.ID{9}},
-		{Kind: Begin, Txn: 2, Node: 1, At: 20},
-		{Kind: Commit, Txn: 1, Node: 0, At: 30, Preds: []txn.ID{9}},
+		{Kind: Commit, Txn: 1, Node: 0, At: 10, Preds: []txn.ID{9}},
+		{Kind: Commit, Txn: 2, Node: 1, At: 20},
+		{Kind: Commit, Txn: 4, Node: 0, At: 30, Preds: []txn.ID{1}},
 	}
 	for _, r := range synced {
 		if err := l.Append(r); err != nil {
@@ -167,8 +164,8 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// These never sync; Crash writes a partial prefix of them.
-	l.Append(Record{Kind: Begin, Txn: 3, Node: 0, At: 40})
-	l.Append(Record{Kind: Commit, Txn: 2, Node: 1, At: 41})
+	l.Append(Record{Kind: Commit, Txn: 3, Node: 0, At: 40})
+	l.Append(Record{Kind: Commit, Txn: 5, Node: 1, At: 41})
 	l.Crash(0.5)
 
 	scans, err := Scan(dir)
@@ -194,7 +191,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := l2.Append(Record{Kind: Abort, Txn: 3, Node: 0, At: 99}); err != nil {
+	if err := l2.Append(Record{Kind: Commit, Txn: 6, Node: 0, At: 99}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := l2.Sync(); err != nil {
@@ -243,7 +240,7 @@ func TestGroupCommit(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
 				id := txn.ID(1 + w*perWriter + i)
-				if err := l.Append(Record{Kind: Begin, Txn: id, Node: int(id) % 4, At: event.Time(i)}); err != nil {
+				if err := l.Append(Record{Kind: Commit, Txn: id, Node: int(id) % 4, At: event.Time(i)}); err != nil {
 					t.Error(err)
 					return
 				}
@@ -289,33 +286,21 @@ func TestGroupCommit(t *testing.T) {
 //	 \|
 //	  6       (wave 2: 6←3,4)
 //
-// plus an aborted 7 and an incomplete 8 that a committed 6 depended on
-// (the dead predecessor must not constrain 6... it is pruned).
+// where 6 also names a predecessor 8 that left no Commit record (it
+// aborted or was in flight): a transaction with no record imposes no
+// order, and none of them is replayed.
 func TestReplayWaves(t *testing.T) {
-	mk := func(id txn.ID, node int, preds ...txn.ID) []Record {
-		return []Record{
-			{Kind: Begin, Txn: id, Node: node, At: event.Time(id), Preds: preds},
-			{Kind: Commit, Txn: id, Node: node, At: event.Time(id) + 100, Preds: preds},
-		}
+	mk := func(id txn.ID, node int, preds ...txn.ID) Record {
+		return Record{Kind: Commit, Txn: id, Node: node, At: event.Time(id) + 100, Preds: preds}
 	}
-	var recs []Record
-	recs = append(recs, mk(1, 0)...)
-	recs = append(recs, mk(2, 1)...)
-	recs = append(recs, mk(3, 0, 1)...)
-	recs = append(recs, mk(4, 1, 1, 2)...)
-	recs = append(recs, mk(5, 2, 2)...)
-	recs = append(recs, mk(6, 2, 3, 4, 8)...) // 8 never committed
-	recs = append(recs,
-		Record{Kind: Begin, Txn: 7, Node: 3, At: 1},
-		Record{Kind: Abort, Txn: 7, Node: 3, At: 2},
-		Record{Kind: Begin, Txn: 8, Node: 3, At: 3})
+	recs := []Record{mk(1, 0), mk(2, 1), mk(3, 0, 1), mk(4, 1, 1, 2), mk(5, 2, 2), mk(6, 2, 3, 4, 8)}
 	scans := []NodeScan{{Node: 0, Records: recs}}
 
 	var mu sync.Mutex
 	applied := map[txn.ID]int{}
-	rec, err := Replay(scans, 4, func(b Record, wave int) {
+	rec, err := Replay(scans, 4, func(c Record, wave int) {
 		mu.Lock()
-		applied[b.Txn] = wave
+		applied[c.Txn] = wave
 		mu.Unlock()
 	})
 	if err != nil {
@@ -334,28 +319,25 @@ func TestReplayWaves(t *testing.T) {
 	if want := []txn.ID{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(rec.Committed, want) {
 		t.Fatalf("Committed %v, want %v", rec.Committed, want)
 	}
-	if want := []txn.ID{7}; !reflect.DeepEqual(rec.Aborted, want) {
-		t.Fatalf("Aborted %v, want %v", rec.Aborted, want)
-	}
-	if len(rec.Incomplete) != 1 || rec.Incomplete[0].Txn != 8 {
-		t.Fatalf("Incomplete %+v, want just T8", rec.Incomplete)
-	}
 }
 
-// TestReplayRejectsCorruptHistories covers the structural error paths.
+// TestReplayRejectsCorruptHistories covers the structural error paths:
+// a record of a kind the grammar does not hold (the retired Begin, or
+// the value Abort had), a second Commit record for one transaction, and
+// a cycle among committed records.
 func TestReplayRejectsCorruptHistories(t *testing.T) {
+	const abortKind = Kind(3)
 	cases := []struct {
 		name string
 		recs []Record
 	}{
-		{"commit without begin", []Record{{Kind: Commit, Txn: 1}}},
-		{"abort without begin", []Record{{Kind: Abort, Txn: 1}}},
+		{"abort without begin", []Record{{Kind: abortKind, Txn: 1}}},
 		{"duplicate begin", []Record{{Kind: Begin, Txn: 1}, {Kind: Begin, Txn: 1}}},
-		{"duplicate commit", []Record{{Kind: Begin, Txn: 1}, {Kind: Commit, Txn: 1}, {Kind: Commit, Txn: 1}}},
-		{"commit and abort", []Record{{Kind: Begin, Txn: 1}, {Kind: Commit, Txn: 1}, {Kind: Abort, Txn: 1}}},
+		{"duplicate commit", []Record{{Kind: Commit, Txn: 1}, {Kind: Commit, Txn: 1}}},
+		{"commit and abort", []Record{{Kind: Commit, Txn: 1}, {Kind: abortKind, Txn: 1}}},
 		{"cycle", []Record{
-			{Kind: Begin, Txn: 1, Preds: []txn.ID{2}}, {Kind: Commit, Txn: 1, Preds: []txn.ID{2}},
-			{Kind: Begin, Txn: 2, Preds: []txn.ID{1}}, {Kind: Commit, Txn: 2, Preds: []txn.ID{1}},
+			{Kind: Commit, Txn: 1, Preds: []txn.ID{2}},
+			{Kind: Commit, Txn: 2, Preds: []txn.ID{1}},
 		}},
 	}
 	for _, tc := range cases {
@@ -367,18 +349,39 @@ func TestReplayRejectsCorruptHistories(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsForeignFile ensures a non-WAL file is an error, not a
-// silent truncate-to-zero.
+// TestOpenRejectsForeignFile ensures a file that is not a log of this
+// grammar is an error, not a silent truncate-to-zero: neither foreign
+// bytes nor a log in the previous format, whose first frame — a Begin
+// record — would otherwise read as a corrupt tail and be cut away.
 func TestOpenRejectsForeignFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, nodeFileName(0))
-	if err := os.WriteFile(path, []byte("definitely not a WAL file"), 0o644); err != nil {
+	parent := append([]byte("BATWAL2\n"), 0, 0, 0, 0)
+	parent, err := appendRecord(parent, Record{Kind: Begin, Seq: 1, Txn: 1, Steps: []StepRef{{Part: 0, Mode: txn.Write}}})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, 1); err == nil {
-		t.Fatal("Open accepted a foreign file")
-	}
-	if _, err := Scan(dir); err == nil {
-		t.Fatal("Scan accepted a foreign file")
+	for name, content := range map[string][]byte{
+		"foreign":       []byte("definitely not a WAL file"),
+		"parent format": parent,
+	} {
+		t.Run(name, func(t *testing.T) {
+			dir := t.TempDir()
+			path := filepath.Join(dir, nodeFileName(0))
+			if err := os.WriteFile(path, content, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(dir, 1); err == nil || !strings.Contains(err.Error(), "magic") {
+				t.Fatalf("Open: %v, want an error naming the magic", err)
+			}
+			if _, err := Scan(dir); err == nil || !strings.Contains(err.Error(), "magic") {
+				t.Fatalf("Scan: %v, want an error naming the magic", err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Size() != int64(len(content)) {
+				t.Fatalf("Open left the file at %d bytes, want it untouched at %d", info.Size(), len(content))
+			}
+		})
 	}
 }
