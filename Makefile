@@ -21,7 +21,7 @@ bench:
 # kernels a layer's own change is measured with while working on it
 # (`go test -bench`), none of them an end-to-end claim.
 MICRO_BENCH := Table1SingleRun|EstimateE|EstimateECold|ESmall|ELarge|CriticalPath|CriticalPathStar|GraphChurn
-MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolvePaper32
+MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolverSolve32|SolvePaper32
 MICRO_BENCH := $(MICRO_BENCH)|ConflictingDecls500|IsBlocked500|DeclareRelease|WouldExceedK500|LockCycle
 MICRO_BENCH := $(MICRO_BENCH)|SchedCycleK2|SchedCycleChain|C2PLRefusalRepeat|CertifyHotSet
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum

@@ -28,6 +28,7 @@ package chainopt
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // Orientation of one conflicting-edge of the chain.
@@ -185,12 +186,31 @@ func segUp(c Chain, i, j int) float64 {
 }
 
 // Solve computes an optimal orientation in O(N²) by dynamic programming
-// over maximal-run decompositions: dp[i][dir] is the minimal critical
-// path of the suffix of edges i.. whose first maximal run has direction
-// dir; a run covering edges i..j costs seg(i,j,dir) and forces the next
-// run to the opposite direction. Fixed edges restrict which runs are
-// admissible.
+// over maximal-run decompositions (see Solver.Solve). Its Solution is
+// the caller's own; a caller that solves many chains reuses a Solver.
 func Solve(c Chain) (Solution, error) {
+	var s Solver
+	return s.Solve(c)
+}
+
+// Solver runs Solve's dynamic program into scratch it owns and reuses,
+// so a warm solver allocates nothing. The Orient of a Solution it returns
+// is that scratch: valid until the solver's next Solve. The zero Solver
+// is ready; a Solver is not safe for concurrent use.
+type Solver struct {
+	dp     [][2]float64
+	choice [][2]int
+	orient []Orientation
+}
+
+// Solve computes an optimal orientation: dp[i][dir] is the minimal
+// critical path of the suffix of edges i.. whose first maximal run has
+// direction dir; a run covering edges i..j costs seg(i,j,dir) and forces
+// the next run to the opposite direction. Fixed edges restrict which
+// runs are admissible. Every dp and choice row below m is written before
+// it is read, so rows left over from a longer chain never leak in; an
+// error leaves the solver usable.
+func (s *Solver) Solve(c Chain) (Solution, error) {
 	if err := c.validate(); err != nil {
 		return Solution{}, err
 	}
@@ -199,8 +219,9 @@ func Solve(c Chain) (Solution, error) {
 		return Solution{Orient: []Orientation{}, Length: c.R[0]}, nil
 	}
 	inf := math.Inf(1)
-	dp := make([][2]float64, m+1)
-	choice := make([][2]int, m+1)
+	s.dp = slices.Grow(s.dp[:0], m)[:m]
+	s.choice = slices.Grow(s.choice[:0], m)[:m]
+	dp, choice := s.dp, s.choice
 	dirs := [2]Orientation{Down, Up}
 	for i := m - 1; i >= 0; i-- {
 		for di, dir := range dirs {
@@ -234,7 +255,8 @@ func Solve(c Chain) (Solution, error) {
 	if math.IsInf(length, 1) {
 		return Solution{}, fmt.Errorf("chainopt: no orientation satisfies fixed edges")
 	}
-	orient := make([]Orientation, m)
+	s.orient = slices.Grow(s.orient[:0], m)[:m]
+	orient := s.orient
 	di := 0
 	if dp[0][1] < dp[0][0] {
 		di = 1

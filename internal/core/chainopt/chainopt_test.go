@@ -3,6 +3,7 @@ package chainopt
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -257,6 +258,20 @@ func BenchmarkSolve32(b *testing.B) {
 	}
 }
 
+// BenchmarkSolverSolve32 is BenchmarkSolve32 through one reused Solver:
+// the kernel CHAIN's recomputes of W run, 0 allocs warm.
+func BenchmarkSolverSolve32(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	c := randomChain(rng, 32, false)
+	var s Solver
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Solve(c); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkSolvePaper32(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	c := randomChain(rng, 32, false)
@@ -265,5 +280,60 @@ func BenchmarkSolvePaper32(b *testing.B) {
 		if _, err := SolvePaper(c); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestSolverReuseDifferential runs one Solver over a seeded sequence of
+// chains that grow and shrink (so rows a longer chain left in the
+// scratch sit past a shorter one's end), with fixed edges and with
+// inputs that fail — in validation, and after the DP has run (an
+// orientation value no direction satisfies). Every answer must equal the
+// fresh-scratch Solve's, orientation for orientation, and for m ≤ 12 the
+// exhaustive optimum; after an error the solver must go on agreeing.
+func TestSolverReuseDifferential(t *testing.T) {
+	rng := rand.New(rand.NewSource(45))
+	var s Solver
+	var invalid, infeasible int // inputs failed in validation, by the DP
+	for trial := 0; trial < 3000; trial++ {
+		// A sawtooth of lengths 1..24 with random jumps in between.
+		n := 1 + trial%24
+		if trial%3 == 0 {
+			n = 1 + rng.Intn(24)
+		}
+		c := randomChain(rng, n, trial%2 == 0)
+		failsIn := &invalid
+		switch {
+		case trial%17 == 0 && n > 1:
+			c.Up = c.Up[:0] // wrong edge count
+		case trial%13 == 0 && n > 1:
+			c.Fixed = make([]Orientation, n-1)
+			c.Fixed[rng.Intn(n-1)] = Up + 1 // no direction satisfies it
+			failsIn = &infeasible
+		}
+		want, wantErr := Solve(c)
+		got, err := s.Solve(c)
+		if (err != nil) != (wantErr != nil) {
+			t.Fatalf("trial %d (n=%d): reused Solver err %v, Solve err %v", trial, n, err, wantErr)
+		}
+		if err != nil {
+			*failsIn++
+			continue
+		}
+		if got.Length != want.Length || !slices.Equal(got.Orient, want.Orient) {
+			t.Fatalf("trial %d (n=%d): reused Solver %g %v, Solve %g %v\nchain %+v",
+				trial, n, got.Length, got.Orient, want.Length, want.Orient, c)
+		}
+		if c.M() <= 12 {
+			ex, err := SolveExhaustive(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Length != ex.Length {
+				t.Fatalf("trial %d (n=%d): reused Solver %g, exhaustive %g", trial, n, got.Length, ex.Length)
+			}
+		}
+	}
+	if invalid == 0 || infeasible == 0 {
+		t.Fatalf("%d invalid and %d infeasible inputs; the sequence must test recovery from both", invalid, infeasible)
 	}
 }

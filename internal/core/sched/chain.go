@@ -27,8 +27,10 @@ type chain struct {
 	planDirty  bool
 	havePlan   bool
 	recomputes int
-	// in is chainInput's result, refilled for every chain solved.
-	in chainopt.Chain
+	// in is chainInput's result, refilled for every chain solved, and
+	// solver the DP scratch every chain is solved into.
+	in     chainopt.Chain
+	solver chainopt.Solver
 	// degraded is set when the WTPG's chain form breaks or W becomes
 	// uncomputable — a state pure CHAIN operation never produces, but
 	// abort recovery and defensive programming must survive. In degraded
@@ -103,7 +105,7 @@ func (c *chain) refreshPlan(now event.Time) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		sol, err := chainopt.Solve(in)
+		sol, err := c.solver.Solve(in) // sol.Orient is read before the next Solve
 		if err != nil {
 			return false, err
 		}

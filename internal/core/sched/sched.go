@@ -100,6 +100,10 @@ type Scheduler interface {
 	Request(t *txn.T, step int, now event.Time) Outcome
 	// ObjectDone reports that t finished bulk processing of `objects`
 	// objects (usually 1, possibly fractional at the tail of a step).
+	// No scheduler reads now here or in Commit: it is there for the
+	// observability wrapper, and the live controller reads the clock for
+	// these calls only when one is attached (0, or the finish's first
+	// reading, otherwise).
 	ObjectDone(t *txn.T, objects float64, now event.Time)
 	// Commit releases t's locks and removes it from control state,
 	// returning the partitions whose waiters may now be grantable. The

@@ -325,6 +325,12 @@ type ltxn struct {
 		dec  sched.Decision
 	}
 	doom error
+	// resubmit is the §3.2 fixed-delay timer of a Delayed wait: made by
+	// the record's first, re-armed by every later one and stopped and
+	// drained when each ends, so it holds no tick between waits. It
+	// outlives the transaction: admitGranted carries it into the recycled
+	// record's next life.
+	resubmit *time.Timer
 
 	// The node-crash window: the last granted step (−1 before the first
 	// grant), the node its partition was homed on at grant time, and the
@@ -542,9 +548,10 @@ func (c *Controller) bumpProgress() {
 // Progress never waits for a timer.
 //
 // The paper's fixed-delay resubmission (§3.2): a Delayed request — refused
-// by policy, not by a held lock — also wakes after the retry delay. Its
-// inputs move with every grant and weight message anywhere, so it is
-// re-timed rather than left to the next commit; nothing depends on it.
+// by policy, not by a held lock — also wakes after the retry delay, on its
+// record's resubmit timer. Its inputs move with every grant and weight
+// message anywhere, so it is re-timed rather than left to the next
+// commit; nothing depends on it.
 //
 // This is the one place a record pointer outlives a critical section,
 // which is why finish never recycles a blocked record.
@@ -570,9 +577,12 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 	sh.mu.Unlock()
 	var resubmit <-chan time.Time // nil, never ready, unless Delayed
 	if r != nil && dec == sched.Delayed {
-		timer := time.NewTimer(c.retryDelay)
-		defer timer.Stop()
-		resubmit = timer.C
+		if r.resubmit == nil {
+			r.resubmit = time.NewTimer(c.retryDelay)
+		} else {
+			r.resubmit.Reset(c.retryDelay)
+		}
+		resubmit = r.resubmit.C
 	}
 	var err error
 	select {
@@ -580,6 +590,14 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 	case <-resubmit:
 	case <-ctx.Done():
 		err = ctx.Err()
+	}
+	if resubmit != nil && !r.resubmit.Stop() {
+		// It fired: drain a tick this wait did not take, or the next
+		// wait's Reset would find it at once (pre-Go 1.23 timer channels).
+		select {
+		case <-r.resubmit.C:
+		default:
+		}
 	}
 	sh.mu.Lock()
 	if r == nil {
@@ -614,7 +632,7 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *
 	} else {
 		r = new(ltxn)
 	}
-	*r = ltxn{admitted: now, mask: mask, step: -1}
+	*r = ltxn{admitted: now, mask: mask, step: -1, resubmit: r.resubmit}
 	home.txns[t.ID] = r
 	c.bumpProgress()
 	if c.dur.Logs() {
@@ -860,7 +878,10 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	if r == nil {
 		return
 	}
-	now := c.now()
+	var now event.Time // only an observer reads it; no scheduler does
+	if c.observer != nil {
+		now = c.now()
+	}
 	r.work += objects
 	target := home
 	if r.step >= 0 {
@@ -973,7 +994,11 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		doomErr = fmt.Errorf("live: %v: %w", t.ID, err)
 	}
 
-	now = c.now()
+	if c.observer != nil {
+		// Only the trace reads the completion time (the WAL sync event is
+		// a trace event too); no scheduler's Commit or Abort does.
+		now = c.now()
+	}
 	c.eachShard(mask, func(sh *lshard) {
 		sh.mu.Lock()
 		if committed {

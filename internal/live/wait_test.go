@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/modelcheck"
 	"batsched/internal/txn"
@@ -289,5 +290,96 @@ func TestRunClusterOrder(t *testing.T) {
 				t.Errorf("stats %+v, want %d committed, each granted once", st, len(ts))
 			}
 		})
+	}
+}
+
+// delayFirst is a scripted scheduler: it admits everything, holds no
+// locks, and answers the first request for each step index Delayed and
+// every later one Granted, logging when it answered.
+type delayFirst struct {
+	asked map[int]bool
+	log   chan answer
+}
+
+type answer struct {
+	step int
+	dec  sched.Decision
+	at   time.Time
+}
+
+func (s *delayFirst) Name() string { return "delayFirst" }
+func (s *delayFirst) Admit(*txn.T, event.Time) sched.Outcome {
+	return sched.Outcome{Decision: sched.Granted}
+}
+func (s *delayFirst) ObjectDone(*txn.T, float64, event.Time)                    {}
+func (s *delayFirst) Commit(*txn.T, event.Time) ([]txn.PartitionID, event.Time) { return nil, 0 }
+
+func (s *delayFirst) Request(_ *txn.T, step int, _ event.Time) sched.Outcome {
+	dec := sched.Granted
+	if !s.asked[step] {
+		s.asked[step], dec = true, sched.Delayed
+	}
+	s.log <- answer{step, dec, time.Now()}
+	return sched.Outcome{Decision: dec}
+}
+
+// TestDelayedWaitNoStaleTick pins the reused §3.2 resubmission timer: a
+// transaction parks Delayed, a wake event (another admission) re-decides
+// it while its timer is still pending, it works longer than the retry
+// delay, and then parks Delayed again. The second wait must last the
+// whole retry delay — a tick the first wait left in the timer's channel
+// would end it at once. Run with -race (`make verify`).
+func TestDelayedWaitNoStaleTick(t *testing.T) {
+	const retry = 100 * time.Millisecond
+	// log holds all four answers, so Request never blocks under the shard lock.
+	s := &delayFirst{asked: make(map[int]bool), log: make(chan answer, 4)}
+	f := sched.Factory{Label: s.Name(), New: func(sched.Costs) sched.Scheduler { return s }}
+	ctl := New(f, liveCosts, WithRetryDelay(retry))
+	defer ctl.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	t1 := txn.New(1, []txn.Step{w(0, 1), w(1, 1)})
+	done := make(chan error, 1)
+	go func() {
+		done <- ctl.Run(ctx, t1, func(step int, _ Progress) error {
+			if step == 0 {
+				time.Sleep(2 * retry) // the first wait's timer, if left running, fires now
+			}
+			return nil
+		})
+	}()
+	next := func() answer {
+		select {
+		case a := <-s.log:
+			return a
+		case <-ctx.Done():
+			t.Fatal("no scheduler answer before the deadline")
+			return answer{}
+		}
+	}
+	first := next()
+	// t1 parks under the shard lock that refused it, so this admission —
+	// a wake event — finds it parked.
+	t2 := txn.New(2, []txn.Step{w(2, 1)})
+	if err := ctl.Admit(ctx, t2); err != nil {
+		t.Fatal(err)
+	}
+	if a := next(); a.step != 0 || a.dec != sched.Granted || a.at.Sub(first.at) >= retry {
+		t.Fatalf("step 0 re-decided %v after %v; want Granted by the wake event, before the %v timer",
+			a.dec, a.at.Sub(first.at), retry)
+	}
+	second := next()
+	resumed := next()
+	if second.step != 1 || second.dec != sched.Delayed || resumed.step != 1 || resumed.dec != sched.Granted {
+		t.Fatalf("step 1 answers %+v then %+v; want Delayed then Granted", second, resumed)
+	}
+	if waited := resumed.at.Sub(second.at); waited < retry {
+		t.Errorf("the second Delayed wait ended after %v, before the %v retry delay: a stale tick of the first wait's timer", waited, retry)
+	}
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Commit(t2); err != nil {
+		t.Fatal(err)
 	}
 }
