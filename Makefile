@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-smoke epoch-smoke verify
+.PHONY: build test bench bench-smoke harness-smoke verify
 
 build:
 	$(GO) build ./...
@@ -37,12 +37,14 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench '^Benchmark($(MICRO_BENCH))$$' -benchtime 1x ./...
 	$(GO) run ./benchmark -quick
 
-# epoch-smoke drives the epoch path end to end — registry lookup, batch
-# admission, window flushes, the sweep harness and its JSON export —
-# on a tiny sweep, so verify catches breakage without the cost of a
-# full sweep.
-epoch-smoke:
+# harness-smoke drives batbench's grid paths end to end on tiny sweeps —
+# the epoch sweep (registry lookup, batch admission, window flushes, its
+# JSON export), an ablation and a variant figure (Figure 8's NumHots
+# axis) — so verify catches breakage without the cost of a full sweep.
+harness-smoke:
 	$(GO) run ./cmd/batbench -epoch -quick -q -maxtxns 20 -windows 0,500,2000 -json /dev/null
+	$(GO) run ./cmd/batbench -ablation placement -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
+	$(GO) run ./cmd/batbench -fig 8 -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 
 # verify is the whole gate. Its one race run covers every package — the
 # chaos, node-crash and kill-restart batteries of docs/ROBUSTNESS.md
@@ -64,7 +66,7 @@ epoch-smoke:
 # TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
 # vet keeps the read loop of every GOOS without preadv compiling. The
 # gofmt line fails on any file gofmt would rewrite.
-verify: build test bench-smoke epoch-smoke
+verify: build test bench-smoke harness-smoke
 	$(GO) vet ./...
 	! grep -rn 'Deprecated:' --include='*.go' .
 	! grep -rn 'os.Getenv' --include='*.go' .

@@ -5,31 +5,11 @@ import (
 	"batsched/internal/txn"
 )
 
-// Aborter is implemented by schedulers with a dedicated abort-recovery
-// path for an admitted, possibly mid-flight transaction: release its
-// locks, retract its unresolved conflicting-edges, splice resolved
-// precedence past it, and repair any scheduler-specific cached state
-// (CHAIN's plan, K-WTPG's E cache). Like Commit, Abort returns the
-// partitions whose waiters may now be grantable plus the control-CPU
-// cost of the recovery; like Commit's, the slice is valid only until the
-// scheduler's next call.
-//
-// Schedulers never *decide* to abort running work themselves (the
-// package's deadlock-freedom promise stands); Abort exists for external
-// failures — a caller abandoning a live transaction, an injected fault,
-// or the live controller's stall watchdog.
-type Aborter interface {
-	Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time)
-}
-
-// AbortTxn aborts t on s: schedulers implementing Aborter run their
-// recovery path; for the rest (NODC, plain lock-droppers) Commit doubles
-// as the release path, which is exactly what their abort must do.
+// AbortTxn is s.Abort(t, now). Its one caller is the benchmark's timing
+// decorator (benchmark/traced.go); everything else calls
+// Scheduler.Abort directly.
 func AbortTxn(s Scheduler, t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
-	if a, ok := s.(Aborter); ok {
-		return a.Abort(t, now)
-	}
-	return s.Commit(t, now)
+	return s.Abort(t, now)
 }
 
 // abort is wtpgBase's recovery path: release locks and declarations,

@@ -46,7 +46,7 @@ func TestAbortSplicesAndReleases(t *testing.T) {
 		t.Fatal("(A,C) must be unresolved before the abort")
 	}
 
-	freed, _ := AbortTxn(s, b, 20)
+	freed, _ := s.Abort(b, 20)
 	// B held P0? No — B held P1 (step 1 granted); its P0 access was a
 	// pending declaration. Only P1 frees.
 	if len(freed) != 1 || freed[0] != txn.PartitionID(1) {
@@ -91,7 +91,7 @@ func TestAbortedTransactionCanBeResubmitted(t *testing.T) {
 		if out := s.Request(tx, 0, 2); out.Decision != Granted {
 			t.Fatalf("%s: step 0: %v", f.Label, out.Decision)
 		}
-		AbortTxn(s, tx, 3)
+		s.Abort(tx, 3)
 		// The same transaction resubmits after the retry delay; all state
 		// must have been cleaned so the second life is indistinguishable.
 		if out := s.Admit(tx, 10); out.Decision != Granted {
@@ -132,7 +132,7 @@ func TestChainDegradeAndRestore(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	AbortTxn(s, txs[4], 10) // T5 was isolated; degree of T1 is still 3
+	s.Abort(txs[4], 10) // T5 was isolated; degree of T1 is still 3
 	if d, ok := s.(Degradable); !ok || !d.Degraded() {
 		t.Fatal("scheduler should be degraded after abort on a non-chain graph")
 	}

@@ -67,8 +67,8 @@ func TestChainAdmitMatchesRegisterFirst(t *testing.T) {
 				want.Commit(tx, now)
 				*st = fuzzState{}
 			case op == 3:
-				AbortTxn(got, tx, now)
-				AbortTxn(want, tx, now)
+				got.Abort(tx, now)
+				want.Abort(tx, now)
 				*st = fuzzState{}
 			}
 			if g != w {

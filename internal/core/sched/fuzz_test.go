@@ -97,7 +97,7 @@ func FuzzAbortCommitInterleavings(f *testing.F) {
 					if !st.admitted {
 						continue
 					}
-					AbortTxn(s, tx, now)
+					s.Abort(tx, now)
 					*st = fuzzState{}
 					check("abort")
 				}
@@ -107,7 +107,7 @@ func FuzzAbortCommitInterleavings(f *testing.F) {
 			for i := range states {
 				if states[i].admitted {
 					now++
-					AbortTxn(s, pool[i], now)
+					s.Abort(pool[i], now)
 					check("drain-abort")
 				}
 			}

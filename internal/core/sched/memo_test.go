@@ -40,7 +40,7 @@ func (v *versionWitness) check(b *wtpgBase) error {
 }
 
 // TestQuickC2PLRefusalMemo feeds one random sequence of Admit, Request,
-// ObjectDone, Commit and AbortTxn over twelve transactions — from the
+// ObjectDone, Commit and Abort over twelve transactions — from the
 // Pattern2 hot set and from Experiment1(16) — to two C2PL schedulers, one
 // of which forgets its refusals before every Request: every Outcome,
 // decision and CPU, must be equal. Requests name the next ungranted step
@@ -111,8 +111,8 @@ func TestQuickC2PLRefusalMemo(t *testing.T) {
 					memo.ObjectDone(tx, 1, now)
 					fresh.ObjectDone(tx, 1, now)
 				default:
-					AbortTxn(memo, tx, now)
-					AbortTxn(fresh, tx, now)
+					memo.Abort(tx, now)
+					fresh.Abort(tx, now)
 					admitted[i] = false
 				}
 				if got != want {

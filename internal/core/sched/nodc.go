@@ -23,3 +23,6 @@ func (nodc) Request(*txn.T, int, event.Time) Outcome { return Outcome{Decision: 
 func (nodc) ObjectDone(*txn.T, float64, event.Time) {}
 
 func (nodc) Commit(*txn.T, event.Time) ([]txn.PartitionID, event.Time) { return nil, 0 }
+
+// Abort releases nothing: NODC holds no locks and keeps no state.
+func (nodc) Abort(*txn.T, event.Time) ([]txn.PartitionID, event.Time) { return nil, 0 }

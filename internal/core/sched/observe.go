@@ -140,7 +140,7 @@ func (w *observed) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Ti
 // critical-path and degraded-mode checks.
 func (w *observed) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	w.lastNow = now
-	freed, cpu := AbortTxn(w.inner, t, now)
+	freed, cpu := w.inner.Abort(t, now)
 	e := obs.Event{Kind: obs.KindAbort, At: now, Sched: w.label, Txn: t.ID}
 	if w.graph != nil {
 		e.Graph = w.graph.Len()

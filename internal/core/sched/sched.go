@@ -18,7 +18,7 @@
 // tests, or W consistency). External failures are another matter — a
 // caller may abandon an admitted transaction, a fault may be injected,
 // or the live controller's watchdog may force one out. For those the
-// schedulers expose an abort-recovery path (see Aborter and AbortTxn):
+// schedulers expose an abort-recovery path (Scheduler.Abort):
 // locks are released, unresolved conflicting-edges retracted, resolved
 // precedence spliced past the dead transaction (wtpg.Splice), and cached
 // plans/estimates invalidated; CHAIN additionally degrades to a safe
@@ -110,6 +110,17 @@ type Scheduler interface {
 	// slice may be the lock table's own, valid until the scheduler's next
 	// call; a caller that keeps it longer copies it.
 	Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time)
+	// Abort is the recovery path for an admitted, possibly mid-flight
+	// transaction: release its locks, retract its unresolved
+	// conflicting-edges, splice resolved precedence past it, and repair
+	// any scheduler-specific cached state (CHAIN's plan, K-WTPG's E
+	// cache). Like Commit, it returns the partitions whose waiters may
+	// now be grantable, valid until the scheduler's next call, plus the
+	// control-CPU cost of the recovery. Schedulers never decide to abort
+	// running work themselves; Abort exists for external failures — a
+	// caller abandoning a live transaction, an injected fault, or the
+	// live controller's stall watchdog.
+	Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time)
 }
 
 // Factory builds a fresh scheduler instance for one simulation run.

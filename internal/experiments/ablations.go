@@ -54,52 +54,63 @@ func (r *AblationResult) Render() string {
 	return b.String()
 }
 
-// ablationCell runs one sweep for one (variant, factory) pair with a
-// config mutator and returns TPS at the RT target plus the mean DN
-// utilization at the sweep point nearest the crossing. Each sweep goes
-// through the same runJobs worker pool as the figure grids, so ablation
-// output is likewise independent of parallelism.
-func ablationCell(o Options, f sched.Factory, lambdas []float64,
-	newWorkload func() workload.Generator, mutate func(*sim.Config), opts ...Option) (Sweep, error) {
+// runAblation runs one ablation grid and tabulates each scheduler's
+// throughput at the RT target per variant; extra, if set, is the
+// bracketed metric, read at the highest stable load of each sweep.
+func runAblation(o Options, res *AblationResult, variants []func(*sim.Config),
+	factories []sched.Factory, extra func(*sim.Result) float64, opts []Option) (*AblationResult, error) {
 
-	sweeps, err := runGridMutate(o, []sched.Factory{f}, lambdas, newWorkload, mutate, opts...)
+	sets, err := runGrid(o, variants, factories, opts)
 	if err != nil {
-		return Sweep{}, err
+		return nil, err
 	}
-	return sweeps[0], nil
+	res.RTTarget = o.RTTargetSeconds
+	res.TPS = byLabel(sets, tpsAt(o.RTTargetSeconds))
+	if extra != nil {
+		res.Extra = byLabel(sets, func(s Sweep) float64 { return stableAt(s, o.RTTargetSeconds, extra) })
+	}
+	return res, nil
+}
+
+// stableAt returns f at the last sweep point whose mean response time
+// is below the target (the highest stable load), or 0 if there is none.
+func stableAt(s Sweep, rtTarget float64, f func(*sim.Result) float64) float64 {
+	v := 0.0
+	for _, p := range s.Points {
+		if p.Result.MeanRT < rtTarget {
+			v = f(p.Result)
+		}
+	}
+	return v
 }
 
 // RunKSweep extends the paper: it sweeps the K-conflict bound of K-WTPG
 // (the paper evaluates only K = 2) on the Experiment 2 hot-set workload,
-// where the admission constraint binds hardest.
+// where the admission constraint binds hardest. Each K is one scheduler
+// of a single variant.
 func RunKSweep(o Options, ks []int, opts ...Option) (*AblationResult, error) {
 	o = o.withDefaults()
 	if ks == nil {
 		ks = []int{0, 1, 2, 4, 8}
 	}
-	layout := workload.HotSetLayout{NumReadOnly: 8, NumHots: 8}
-	o.Machine.NumParts = layout.NumParts()
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
-	res := &AblationResult{
-		Title:    "K sweep (K-WTPG admission bound), Pattern2 hot set = 8",
-		RTTarget: o.RTTargetSeconds,
-		TPS:      make(map[string][]float64),
-	}
+	res := &AblationResult{Title: "K sweep (K-WTPG admission bound), Pattern2 hot set = 8"}
+	var factories []sched.Factory
 	for _, k := range ks {
 		res.Variants = append(res.Variants, fmt.Sprintf("K=%d", k))
+		factories = append(factories, sched.MustLookup(fmt.Sprintf("K%d", k)))
 	}
-	for _, k := range ks {
-		sw, err := ablationCell(o, sched.MustLookup(fmt.Sprintf("K%d", k)), lambdas, func() workload.Generator {
-			return workload.Experiment2(layout)
-		}, nil, opts...)
-		if err != nil {
-			return nil, err
-		}
-		tps, _ := sw.ThroughputAt(o.RTTargetSeconds)
-		res.TPS["K-WTPG"] = append(res.TPS["K-WTPG"], tps)
+	sets, err := runGrid(o, []func(*sim.Config){func(c *sim.Config) {
+		c.Machine.NumParts = hotSet8.NumParts()
+		c.Workload = workload.Experiment2(hotSet8)
+	}}, factories, opts)
+	if err != nil {
+		return nil, err
+	}
+	res.RTTarget = o.RTTargetSeconds
+	tps := tpsAt(o.RTTargetSeconds)
+	res.TPS = make(map[string][]float64)
+	for _, s := range sets[0] {
+		res.TPS["K-WTPG"] = append(res.TPS["K-WTPG"], tps(s))
 	}
 	return res, nil
 }
@@ -112,46 +123,16 @@ func RunKSweep(o Options, ks []int, opts ...Option) (*AblationResult, error) {
 // the highest stable arrival rate.
 func RunPlacementAblation(o Options, opts ...Option) (*AblationResult, error) {
 	o = o.withDefaults()
-	o.Machine.NumParts = 16
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
 	res := &AblationResult{
 		Title:     "Placement ablation, Pattern1 (Experiment 1 workload)",
 		Variants:  []string{"mod (paper)", "declustered"},
-		RTTarget:  o.RTTargetSeconds,
-		TPS:       make(map[string][]float64),
-		Extra:     make(map[string][]float64),
 		ExtraName: "mean DN utilization at that throughput",
 	}
-	for _, f := range factoriesByName("NODC", "ASL", "CHAIN", "K2", "C2PL") {
-		for _, declustered := range []bool{false, true} {
-			declustered := declustered
-			sw, err := ablationCell(o, f, lambdas, func() workload.Generator {
-				return workload.Experiment1(16)
-			}, func(c *sim.Config) { c.Declustered = declustered }, opts...)
-			if err != nil {
-				return nil, err
-			}
-			tps, _ := sw.ThroughputAt(o.RTTargetSeconds)
-			res.TPS[f.Label] = append(res.TPS[f.Label], tps)
-			res.Extra[f.Label] = append(res.Extra[f.Label], utilNear(sw, o.RTTargetSeconds))
-		}
-	}
-	return res, nil
-}
-
-// utilNear returns the mean DN utilization at the last sweep point whose
-// response time is below the target (the highest stable load).
-func utilNear(s Sweep, rtTarget float64) float64 {
-	util := 0.0
-	for _, p := range s.Points {
-		if p.Result.MeanRT < rtTarget {
-			util = p.Result.MeanNodeUtil
-		}
-	}
-	return util
+	return runAblation(o, res, variantsOf([]bool{false, true}, func(c *sim.Config, declustered bool) {
+		pattern1(c)
+		c.Declustered = declustered
+	}), factoriesByName("NODC", "ASL", "CHAIN", "K2", "C2PL"),
+		func(r *sim.Result) float64 { return r.MeanNodeUtil }, opts)
 }
 
 // RunControlCostAblation scales the concurrency-control CPU costs
@@ -159,39 +140,19 @@ func utilNear(s Sweep, rtTarget float64) float64 {
 // ObjTime = 1 s the control overhead is overestimated yet harmless.
 func RunControlCostAblation(o Options, multipliers []int, opts ...Option) (*AblationResult, error) {
 	o = o.withDefaults()
-	o.Machine.NumParts = 16
 	if multipliers == nil {
 		multipliers = []int{1, 10, 100}
 	}
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
-	res := &AblationResult{
-		Title:    "Control-cost ablation (ddtime/chaintime/kwtpgtime scaled), Pattern1",
-		RTTarget: o.RTTargetSeconds,
-		TPS:      make(map[string][]float64),
-	}
+	res := &AblationResult{Title: "Control-cost ablation (ddtime/chaintime/kwtpgtime scaled), Pattern1"}
 	for _, m := range multipliers {
 		res.Variants = append(res.Variants, fmt.Sprintf("x%d", m))
 	}
-	for _, f := range factoriesByName("CHAIN", "K2", "C2PL") {
-		for _, m := range multipliers {
-			oo := o
-			oo.Machine.Control.DDTime *= event.Time(m)
-			oo.Machine.Control.ChainTime *= event.Time(m)
-			oo.Machine.Control.KWTPGTime *= event.Time(m)
-			sw, err := ablationCell(oo, f, lambdas, func() workload.Generator {
-				return workload.Experiment1(16)
-			}, nil, opts...)
-			if err != nil {
-				return nil, err
-			}
-			tps, _ := sw.ThroughputAt(o.RTTargetSeconds)
-			res.TPS[f.Label] = append(res.TPS[f.Label], tps)
-		}
-	}
-	return res, nil
+	return runAblation(o, res, variantsOf(multipliers, func(c *sim.Config, m int) {
+		pattern1(c)
+		c.Machine.Control.DDTime *= event.Time(m)
+		c.Machine.Control.ChainTime *= event.Time(m)
+		c.Machine.Control.KWTPGTime *= event.Time(m)
+	}), factoriesByName("CHAIN", "K2", "C2PL"), nil, opts)
 }
 
 // RunKeepTimeAblation varies §3.4's control-saving period: 0 disables
@@ -200,85 +161,35 @@ func RunControlCostAblation(o Options, multipliers []int, opts ...Option) (*Abla
 // utilization at the highest stable load.
 func RunKeepTimeAblation(o Options, keeptimes []event.Time, opts ...Option) (*AblationResult, error) {
 	o = o.withDefaults()
-	o.Machine.NumParts = 16
 	if keeptimes == nil {
 		keeptimes = []event.Time{0, 1000, 5000, 60000}
 	}
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
 	res := &AblationResult{
 		Title:     "Control-saving (keeptime) ablation, Pattern1",
-		RTTarget:  o.RTTargetSeconds,
-		TPS:       make(map[string][]float64),
-		Extra:     make(map[string][]float64),
 		ExtraName: "CN utilization at that throughput",
 	}
 	for _, kt := range keeptimes {
 		res.Variants = append(res.Variants, kt.String())
 	}
-	for _, f := range factoriesByName("CHAIN", "K2") {
-		for _, kt := range keeptimes {
-			oo := o
-			oo.Machine.Control.KeepTime = kt
-			sw, err := ablationCell(oo, f, lambdas, func() workload.Generator {
-				return workload.Experiment1(16)
-			}, nil, opts...)
-			if err != nil {
-				return nil, err
-			}
-			tps, _ := sw.ThroughputAt(o.RTTargetSeconds)
-			res.TPS[f.Label] = append(res.TPS[f.Label], tps)
-			res.Extra[f.Label] = append(res.Extra[f.Label], cnUtilNear(sw, o.RTTargetSeconds))
-		}
-	}
-	return res, nil
-}
-
-func cnUtilNear(s Sweep, rtTarget float64) float64 {
-	util := 0.0
-	for _, p := range s.Points {
-		if p.Result.MeanRT < rtTarget {
-			util = p.Result.CNUtilization
-		}
-	}
-	return util
+	return runAblation(o, res, variantsOf(keeptimes, func(c *sim.Config, kt event.Time) {
+		pattern1(c)
+		c.Machine.Control.KeepTime = kt
+	}), factoriesByName("CHAIN", "K2"), func(r *sim.Result) float64 { return r.CNUtilization }, opts)
 }
 
 // RunRetryDelayAblation varies the fixed resubmission delay of §3.2,
 // which the paper leaves unspecified (DESIGN.md assumes 500 ms).
 func RunRetryDelayAblation(o Options, delays []event.Time, opts ...Option) (*AblationResult, error) {
 	o = o.withDefaults()
-	o.Machine.NumParts = 16
 	if delays == nil {
 		delays = []event.Time{100, 250, 500, 1000, 2000}
 	}
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
-	res := &AblationResult{
-		Title:    "Retry-delay ablation, Pattern1",
-		RTTarget: o.RTTargetSeconds,
-		TPS:      make(map[string][]float64),
-	}
+	res := &AblationResult{Title: "Retry-delay ablation, Pattern1"}
 	for _, d := range delays {
 		res.Variants = append(res.Variants, d.String())
 	}
-	for _, f := range factoriesByName("ASL", "CHAIN", "K2", "C2PL") {
-		for _, d := range delays {
-			oo := o
-			oo.Machine.RetryDelay = d
-			sw, err := ablationCell(oo, f, lambdas, func() workload.Generator {
-				return workload.Experiment1(16)
-			}, nil, opts...)
-			if err != nil {
-				return nil, err
-			}
-			tps, _ := sw.ThroughputAt(o.RTTargetSeconds)
-			res.TPS[f.Label] = append(res.TPS[f.Label], tps)
-		}
-	}
-	return res, nil
+	return runAblation(o, res, variantsOf(delays, func(c *sim.Config, d event.Time) {
+		pattern1(c)
+		c.Machine.RetryDelay = d
+	}), factoriesByName("ASL", "CHAIN", "K2", "C2PL"), nil, opts)
 }

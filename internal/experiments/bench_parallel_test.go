@@ -6,7 +6,7 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/machine"
-	"batsched/internal/workload"
+	"batsched/internal/sim"
 )
 
 // benchSweep runs the 8-way smoke grid (2 schedulers × 4 arrival rates,
@@ -18,22 +18,19 @@ func benchSweep(b *testing.B, workers int) {
 		Machine:         machine.DefaultConfig(),
 		Horizon:         60_000,
 		Seed:            1990,
+		Lambdas:         []float64{0.2, 0.5, 0.8, 1.1},
 		RTTargetSeconds: 70,
-	}
-	o.Machine.NumParts = 16
-	lambdas := []float64{0.2, 0.5, 0.8, 1.1}
+	}.withDefaults()
 	factories := []sched.Factory{sched.ASLFactory(), sched.KWTPGFactory(2)}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sweeps, err := runGrid(o, factories, lambdas, func() workload.Generator {
-			return workload.Experiment1(16)
-		}, WithParallelism(workers))
+		sets, err := runGrid(o, []func(*sim.Config){pattern1}, factories, []Option{WithParallelism(workers)})
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(sweeps) != len(factories) {
-			b.Fatalf("got %d sweeps", len(sweeps))
+		if len(sets[0]) != len(factories) {
+			b.Fatalf("got %d sweeps", len(sets[0]))
 		}
 	}
 }

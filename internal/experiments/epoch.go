@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"strings"
 
-	"batsched/internal/core/sched"
 	"batsched/internal/event"
 	"batsched/internal/sim"
 	"batsched/internal/workload"
@@ -61,11 +60,10 @@ func DefaultEpochWindows() []event.Time {
 // arrivals at rate lambda) against the EPOCH scheduler at each window
 // size and reports makespan, latency and batching statistics per
 // window. Every cell runs the same seed, so rows differ only in the
-// window; cells fan onto the same runJobs worker pool as the figure
-// grids, so output is byte-identical at every parallelism level.
+// window; each window is one variant of a one-scheduler, one-λ grid
+// (runGrid), so output is byte-identical at every parallelism level.
 func RunEpochSweep(o Options, windows []event.Time, lambda float64, maxTxns int, opts ...Option) (*EpochSweepResult, error) {
 	o = o.withDefaults()
-	rc := buildRunConfig(opts)
 	if len(windows) == 0 {
 		windows = DefaultEpochWindows()
 	}
@@ -75,43 +73,31 @@ func RunEpochSweep(o Options, windows []event.Time, lambda float64, maxTxns int,
 	if maxTxns <= 0 {
 		maxTxns = 300
 	}
-	factory, err := sched.Lookup("EPOCH")
-	if err != nil {
-		return nil, err
-	}
 	for _, w := range windows {
 		if w < 0 {
 			return nil, fmt.Errorf("experiments: negative batch window %v", w)
 		}
 	}
-	cfgs := make([]sim.Config, len(windows))
-	for i, w := range windows {
-		cfgs[i] = sim.Config{
-			Machine:              o.Machine,
-			Scheduler:            factory,
-			Workload:             workload.Experiment1(o.Machine.NumParts),
-			ArrivalRate:          lambda,
-			Horizon:              o.Horizon,
-			Seed:                 o.Seed,
-			MaxTxns:              maxTxns,
-			CheckSerializability: true,
-			BatchWindow:          w,
-		}
+	// One cell per window: one λ, one seed.
+	o.Lambdas, o.Replications = []float64{lambda}, 1
+	sets, err := runGrid(o, variantsOf(windows, func(c *sim.Config, w event.Time) {
+		c.Workload = workload.Experiment1(c.Machine.NumParts)
+		c.MaxTxns = maxTxns
+		c.BatchWindow = w
+	}), factoriesByName("EPOCH"), opts)
+	if err != nil {
+		return nil, err
 	}
-	results, errs := runJobs(rc, cfgs, o.Progress)
 	res := &EpochSweepResult{
-		Scheduler: factory.Label,
+		Scheduler: sets[0][0].Label,
 		Lambda:    lambda,
 		MaxTxns:   maxTxns,
 		Seed:      o.Seed,
 		Note: "window 0 is the per-arrival baseline (identical to CHAIN); " +
 			"all rows share one seed, so they schedule the same arrival stream",
 	}
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("epoch sweep @ window=%v: %w", windows[i], err)
-		}
-		r := results[i]
+	for i, set := range sets {
+		r := set[0].Points[0].Result
 		res.Rows = append(res.Rows, EpochSweepRow{
 			Window:      windows[i],
 			Makespan:    r.LastCompletion,

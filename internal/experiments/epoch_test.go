@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -72,42 +71,22 @@ func TestRunEpochSweep(t *testing.T) {
 	}
 }
 
-// TestEpochSweepParallelDeterminism extends the PR-5 guarantee to the
-// new sweep axis: the same sweep at -parallel 1 and -parallel 8 must
-// render byte-identical tables, JSON documents and JSONL traces.
+// TestEpochSweepParallelDeterminism extends the guarantee to the
+// window axis: the same sweep at -parallel 1 and -parallel 8 must give
+// equal results, byte-identical tables, JSON documents and JSONL traces.
 func TestEpochSweepParallelDeterminism(t *testing.T) {
-	run := func(parallel int) (string, []byte, []byte) {
+	sameAtParallel1And8(t, func(opts ...Option) (any, string) {
 		o, windows := epochSweepOpts()
-		var buf bytes.Buffer
-		sink := obs.NewJSONL(&buf)
-		r, err := RunEpochSweep(o, windows, 2.0, 30,
-			WithParallelism(parallel), WithTrace(sink))
+		r, err := RunEpochSweep(o, windows, 2.0, 30, opts...)
 		if err != nil {
-			t.Fatal(err)
-		}
-		if err := sink.Close(); err != nil {
 			t.Fatal(err)
 		}
 		data, err := r.JSON()
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Render() + r.CSV(), data, buf.Bytes()
-	}
-	tables1, json1, trace1 := run(1)
-	tables8, json8, trace8 := run(8)
-	if tables1 != tables8 {
-		t.Errorf("rendered sweep differs:\n--- 1:\n%s\n--- 8:\n%s", tables1, tables8)
-	}
-	if !bytes.Equal(json1, json8) {
-		t.Errorf("JSON documents differ between -parallel 1 and -parallel 8")
-	}
-	if n1, n8 := stripDurNS(trace1), stripDurNS(trace8); !bytes.Equal(n1, n8) {
-		t.Errorf("JSONL traces differ beyond dur_ns: %d vs %d bytes", len(n1), len(n8))
-	}
-	if len(trace1) == 0 {
-		t.Error("empty trace — the shared sink saw no events")
-	}
+		return r, r.Render() + r.CSV() + string(data)
+	})
 }
 
 // TestEpochSweepDefaults pins the zero-value contract: nil windows and

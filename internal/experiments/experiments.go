@@ -8,10 +8,13 @@
 //	Figure 9  — Experiment 3: arrival rate vs. mean response time
 //	Figure 10 — Experiment 4: declaration error σ vs. throughput at RT = 70 s
 //
-// Individual simulation runs are deterministic; the harness fans the
-// (scheduler × λ × replicate) grid onto a fixed worker pool
-// (WithParallelism, default runtime.NumCPU()), using the same seed for
-// every scheduler at the same sweep point so comparisons are paired.
+// Every experiment — the figures, the ablations, the mixed table and the
+// epoch sweep — is one grid of variant × scheduler × λ × replicate
+// cells (runGrid), where a variant is a config hook (Figure 8's NumHots,
+// Figure 10's σ, an ablation's setting). Each grid runs as one pass over
+// a fixed worker pool (WithParallelism, default runtime.NumCPU()), using
+// the same seed for every scheduler and variant at the same sweep point
+// so comparisons are paired.
 // Every run is a pure function of (config, seed) with fully private
 // state — its own sim instance, RNG, fault injector and obs sinks —
 // and results land in pre-indexed slots, with shared-sink delivery
@@ -21,6 +24,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -41,7 +45,8 @@ type Options struct {
 	Horizon event.Time
 	// Seed is the base random seed.
 	Seed int64
-	// Lambdas overrides the default arrival-rate sweep (TPS).
+	// Lambdas is the arrival-rate sweep (TPS); nil selects 0.1 to 1.1 in
+	// steps of 0.1.
 	Lambdas []float64
 	// RTTargetSeconds is the comparison response time (paper: 70 s).
 	RTTargetSeconds float64
@@ -49,7 +54,8 @@ type Options struct {
 	// the metrics (0 or 1 = single run, as in the paper). Seeds stay
 	// paired across schedulers.
 	Replications int
-	// Progress, if set, receives (completedRuns, totalRuns) updates.
+	// Progress, if set, receives (completedRuns, totalRuns) updates: one
+	// count per experiment, rising to the size of its whole grid.
 	Progress func(done, total int)
 }
 
@@ -68,6 +74,11 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Replications < 1 {
 		o.Replications = 1
+	}
+	if o.Lambdas == nil {
+		// The paper plots λ up to just past resource saturation
+		// (λ_S ≈ 1.08 TPS in Experiment 1).
+		o.Lambdas = []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1}
 	}
 	return o
 }
@@ -103,11 +114,6 @@ func (s Sweep) SweepPoints() []stats.SweepPoint {
 // response time (seconds).
 func (s Sweep) ThroughputAt(rtSeconds float64) (float64, bool) {
 	return stats.ThroughputAtRT(s.SweepPoints(), rtSeconds)
-}
-
-type job struct {
-	schedIdx, lambdaIdx, rep int
-	cfg                      sim.Config
 }
 
 // runJobs executes the given simulation configs on a fixed pool of
@@ -162,111 +168,129 @@ func runJobs(rc runConfig, cfgs []sim.Config,
 	return results, errs
 }
 
-// runGrid executes the (factory × lambda) grid on the worker pool. The
-// workload constructor is called once per run so stateful generators are
-// never shared. Serializability checking is enabled for every scheduler
-// except NODC (which is intentionally non-serializable).
-func runGrid(o Options, factories []sched.Factory, lambdas []float64,
-	newWorkload func() workload.Generator, opts ...Option) ([]Sweep, error) {
-	return runGridMutate(o, factories, lambdas, newWorkload, nil, opts...)
-}
+// runGrid runs one experiment — variants × schedulers × o.Lambdas ×
+// o.Replications cells — as a single runJobs call and returns one set
+// of sweeps per variant. A variant is a config hook: it sets the cell's
+// workload, built fresh for every cell so stateful generators are never
+// shared, and whatever else the variant changes (partitions, placement,
+// control costs, KeepTime, RetryDelay, batch window, ...). Cells are
+// flattened variant-major, then scheduler, λ and replicate, and read
+// back from their pre-indexed result slots, so the output is identical
+// at every parallelism level. The seed depends only on the λ index and
+// the replicate, which pairs it across schedulers and variants.
+// Serializability is checked for every scheduler except NODC (which is
+// intentionally non-serializable).
+func runGrid(o Options, variants []func(*sim.Config), factories []sched.Factory,
+	opts []Option) ([][]Sweep, error) {
 
-// runGridMutate is runGrid with a per-run config hook (used by the
-// ablation experiments to flip placement, costs, etc.). The grid is
-// flattened scheduler-major into a job list, fanned onto the pool, and
-// reassembled from the indexed result slots — identical output at every
-// parallelism level.
-func runGridMutate(o Options, factories []sched.Factory, lambdas []float64,
-	newWorkload func() workload.Generator, mutate func(*sim.Config), opts ...Option) ([]Sweep, error) {
-
-	rc := buildRunConfig(opts)
-	reps := o.Replications
-	if reps < 1 {
-		reps = 1
-	}
-	var jobs []job
-	var cfgs []sim.Config
-	for si, f := range factories {
-		for li, l := range lambdas {
-			for rep := 0; rep < reps; rep++ {
-				cfg := sim.Config{
-					Machine:     o.Machine,
-					Scheduler:   f,
-					Workload:    newWorkload(),
-					ArrivalRate: l,
-					Horizon:     o.Horizon,
-					// Paired across schedulers: the seed depends only on
-					// the sweep point and the replicate index.
-					Seed:                 o.Seed + int64(li*1000+rep),
-					CheckSerializability: f.Label != "NODC",
+	nl, reps := len(o.Lambdas), o.Replications
+	cfgs := make([]sim.Config, 0, len(variants)*len(factories)*nl*reps)
+	for _, variant := range variants {
+		for _, f := range factories {
+			for li, l := range o.Lambdas {
+				for rep := 0; rep < reps; rep++ {
+					cfg := sim.Config{
+						Machine:              o.Machine,
+						Scheduler:            f,
+						ArrivalRate:          l,
+						Horizon:              o.Horizon,
+						Seed:                 o.Seed + int64(li*1000+rep),
+						CheckSerializability: f.Label != "NODC",
+					}
+					variant(&cfg)
+					cfgs = append(cfgs, cfg)
 				}
-				if mutate != nil {
-					mutate(&cfg)
-				}
-				jobs = append(jobs, job{schedIdx: si, lambdaIdx: li, rep: rep, cfg: cfg})
-				cfgs = append(cfgs, cfg)
 			}
 		}
 	}
-	results, errs := runJobs(rc, cfgs, o.Progress)
+	results, errs := runJobs(buildRunConfig(opts), cfgs, o.Progress)
 	for i, err := range errs {
 		if err != nil {
-			return nil, fmt.Errorf("experiments: %s @ λ=%g: %w",
-				factories[jobs[i].schedIdx].Label, jobs[i].cfg.ArrivalRate, err)
+			return nil, fmt.Errorf("experiments: variant %d, %s @ λ=%g: %w",
+				i/(len(factories)*nl*reps), cfgs[i].Scheduler.Label, cfgs[i].ArrivalRate, err)
 		}
 	}
-	// Group replicates per (scheduler, lambda) cell and aggregate.
-	cells := make(map[[2]int][]*sim.Result)
-	for i, j := range jobs {
-		key := [2]int{j.schedIdx, j.lambdaIdx}
-		cells[key] = append(cells[key], results[i])
-	}
-	sweeps := make([]Sweep, len(factories))
-	for si, f := range factories {
-		sweeps[si].Label = f.Label
-		for li, l := range lambdas {
-			key := [2]int{si, li}
-			reps := cells[key]
-			p := Point{Lambda: l, Result: aggregate(reps)}
-			if len(reps) > 1 {
-				p.Replicates = reps
-				p.TPSStd = tpsStd(reps)
+	sets := make([][]Sweep, len(variants))
+	for vi := range sets {
+		sets[vi] = make([]Sweep, len(factories))
+		for si, f := range factories {
+			sw := Sweep{Label: f.Label, Points: make([]Point, nl)}
+			for li, l := range o.Lambdas {
+				i := ((vi*len(factories)+si)*nl + li) * reps
+				cell := results[i : i+reps : i+reps]
+				p := Point{Lambda: l, Result: aggregate(cell)}
+				if reps > 1 {
+					p.Replicates = cell
+					p.TPSStd = tpsStd(cell)
+				}
+				sw.Points[li] = p
 			}
-			sweeps[si].Points = append(sweeps[si].Points, p)
+			sort.Slice(sw.Points, func(a, b int) bool { return sw.Points[a].Lambda < sw.Points[b].Lambda })
+			sets[vi][si] = sw
 		}
 	}
-	for si := range sweeps {
-		sort.Slice(sweeps[si].Points, func(a, b int) bool {
-			return sweeps[si].Points[a].Lambda < sweeps[si].Points[b].Lambda
-		})
-	}
-	return sweeps, nil
+	return sets, nil
 }
 
-// aggregate averages replicate runs into one representative result:
-// counts are summed, response-time statistics are weighted by measured
-// completions, rate and utilization metrics are averaged.
+// variantsOf builds one variant per axis value x, each applying set(c, x).
+func variantsOf[T any](xs []T, set func(c *sim.Config, x T)) []func(*sim.Config) {
+	out := make([]func(*sim.Config), len(xs))
+	for i, x := range xs {
+		x := x
+		out[i] = func(c *sim.Config) { set(c, x) }
+	}
+	return out
+}
+
+// pattern1 is the Experiment 1 variant: Pattern1 over 16 partitions.
+func pattern1(c *sim.Config) {
+	c.Machine.NumParts = 16
+	c.Workload = workload.Experiment1(16)
+}
+
+// byLabel tabulates f over every variant's sweeps: out[label][v] is f of
+// scheduler label's sweep in variant v.
+func byLabel(sets [][]Sweep, f func(Sweep) float64) map[string][]float64 {
+	out := make(map[string][]float64)
+	for _, set := range sets {
+		for _, s := range set {
+			out[s.Label] = append(out[s.Label], f(s))
+		}
+	}
+	return out
+}
+
+// tpsAt is a byLabel metric: the sweep's throughput at the RT target.
+func tpsAt(rtTarget float64) func(Sweep) float64 {
+	return func(s Sweep) float64 {
+		tps, _ := s.ThroughputAt(rtTarget)
+		return tps
+	}
+}
+
+// aggregate folds replicate runs into one representative result: counts
+// are summed (so Result's Arrived = Completed + InjectedAborts +
+// CrashAborts + LiveAtEnd + … identity still holds), maxima and the tail
+// percentiles take the maximum, response-time means are weighted by
+// measured completions and StdRT is pooled over them, MeanBatch is
+// weighted by Epochs, and rate and utilization metrics are averaged.
+// Per-class metrics and time series are per-run artifacts and stay nil:
+// read them from the replicates.
 func aggregate(reps []*sim.Result) *sim.Result {
 	if len(reps) == 1 {
 		return reps[0]
 	}
-	out := *reps[0]
-	out.NodeUtilization = append([]float64(nil), reps[0].NodeUtilization...)
-	// Per-class metrics and time series are per-run artifacts; the
-	// aggregate must not alias replicate 0's. Read them from Replicates.
-	out.ClassMeanRT = nil
-	out.ClassCompleted = nil
-	out.Samples = nil
-	var rtW, admitW, lockW, dnW float64
-	totalMeasured := 0
-	out.Arrived, out.Admitted, out.Completed, out.Measured = 0, 0, 0, 0
-	out.AdmissionDelays, out.AdmissionAborts = 0, 0
-	out.RequestDelays, out.RequestBlocks, out.LiveAtEnd = 0, 0, 0
-	out.Throughput, out.CNUtilization, out.MeanNodeUtil = 0, 0, 0
-	out.MaxLive, out.P95RT, out.MaxRT = 0, 0, 0
-	for i := range out.NodeUtilization {
-		out.NodeUtilization[i] = 0
+	r0 := reps[0]
+	out := &sim.Result{
+		Scheduler:              r0.Scheduler,
+		Workload:               r0.Workload,
+		ArrivalRate:            r0.ArrivalRate,
+		Horizon:                r0.Horizon,
+		NodeUtilization:        make([]float64, len(r0.NodeUtilization)),
+		SerializabilityChecked: true,
 	}
+	n := float64(len(reps))
+	var rtW, admitW, lockW, dnW, batchW float64
 	for _, r := range reps {
 		out.Arrived += r.Arrived
 		out.Admitted += r.Admitted
@@ -277,39 +301,57 @@ func aggregate(reps []*sim.Result) *sim.Result {
 		out.RequestDelays += r.RequestDelays
 		out.RequestBlocks += r.RequestBlocks
 		out.LiveAtEnd += r.LiveAtEnd
+		out.InjectedAborts += r.InjectedAborts
+		out.InjectedRefusals += r.InjectedRefusals
+		out.NodeCrashes += r.NodeCrashes
+		out.RehomedParts += r.RehomedParts
+		out.RequeuedJobs += r.RequeuedJobs
+		out.CrashAborts += r.CrashAborts
+		out.Epochs += r.Epochs
 		w := float64(r.Measured)
 		rtW += w * r.MeanRT
 		admitW += w * r.MeanAdmitWait
 		lockW += w * r.MeanLockWait
 		dnW += w * r.MeanDNTime
-		totalMeasured += r.Measured
-		out.Throughput += r.Throughput / float64(len(reps))
-		out.CNUtilization += r.CNUtilization / float64(len(reps))
-		out.MeanNodeUtil += r.MeanNodeUtil / float64(len(reps))
+		batchW += float64(r.Epochs) * r.MeanBatch
+		out.Throughput += r.Throughput / n
+		out.CNUtilization += r.CNUtilization / n
+		out.MeanNodeUtil += r.MeanNodeUtil / n
 		for i := range r.NodeUtilization {
-			out.NodeUtilization[i] += r.NodeUtilization[i] / float64(len(reps))
+			out.NodeUtilization[i] += r.NodeUtilization[i] / n
 		}
-		if r.MaxLive > out.MaxLive {
-			out.MaxLive = r.MaxLive
-		}
-		if r.P95RT > out.P95RT {
-			out.P95RT = r.P95RT
-		}
-		if r.MaxRT > out.MaxRT {
-			out.MaxRT = r.MaxRT
-		}
-		if r.LastCompletion > out.LastCompletion {
-			out.LastCompletion = r.LastCompletion
-		}
+		out.MaxLive = max(out.MaxLive, r.MaxLive)
+		out.P95RT = max(out.P95RT, r.P95RT)
+		out.P99RT = max(out.P99RT, r.P99RT)
+		out.MaxRT = max(out.MaxRT, r.MaxRT)
+		out.LastCompletion = max(out.LastCompletion, r.LastCompletion)
+		out.MaxBatch = max(out.MaxBatch, r.MaxBatch)
+		out.MaxClusters = max(out.MaxClusters, r.MaxClusters)
+		out.SerializabilityChecked = out.SerializabilityChecked && r.SerializabilityChecked
 	}
-	if totalMeasured > 0 {
-		tm := float64(totalMeasured)
+	if out.Measured > 0 {
+		tm := float64(out.Measured)
 		out.MeanRT = rtW / tm
 		out.MeanAdmitWait = admitW / tm
 		out.MeanLockWait = lockW / tm
 		out.MeanDNTime = dnW / tm
 	}
-	return &out
+	if out.Epochs > 0 {
+		out.MeanBatch = batchW / float64(out.Epochs)
+	}
+	// The pooled sample deviation: each replicate contributes its own
+	// squared deviations, (n-1)·s², plus n·(its mean − the pooled mean)².
+	if out.Measured > 1 {
+		var ss float64
+		for _, r := range reps {
+			if r.Measured > 0 {
+				d := r.MeanRT - out.MeanRT
+				ss += float64(r.Measured-1)*r.StdRT*r.StdRT + float64(r.Measured)*d*d
+			}
+		}
+		out.StdRT = math.Sqrt(ss / float64(out.Measured-1))
+	}
+	return out
 }
 
 // tpsStd is the cross-seed standard deviation of throughput.
@@ -319,11 +361,4 @@ func tpsStd(reps []*sim.Result) float64 {
 		w.Add(r.Throughput)
 	}
 	return w.Std()
-}
-
-// defaultLambdas returns the default arrival-rate sweep for Experiment 1
-// and 3 style figures (TPS). The paper plots λ up to just past resource
-// saturation (λ_S ≈ 1.08 TPS in Experiment 1).
-func defaultLambdas() []float64 {
-	return []float64{0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9, 1.0, 1.1}
 }

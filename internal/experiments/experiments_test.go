@@ -1,10 +1,14 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
+	"batsched/internal/fault"
 	"batsched/internal/machine"
+	"batsched/internal/sim"
+	"batsched/internal/stats"
 )
 
 // quickOpts keeps harness tests fast: short horizon, sparse sweep.
@@ -210,6 +214,95 @@ func TestReplications(t *testing.T) {
 		if p.Result.MeanRT < lo-1e-9 || p.Result.MeanRT > hi+1e-9 {
 			t.Errorf("%s: aggregate RT %g outside [%g,%g]", s.Label, p.Result.MeanRT, lo, hi)
 		}
+	}
+}
+
+// TestAggregateMatchesReplicates runs Experiment 3 with three replicates
+// under an abort-rate injector and checks every integer field of each
+// aggregate against its replicates: the maxima take the maximum, the
+// horizon is shared, and every other count is the replicates' sum. A
+// Result field added later without an aggregation rule fails here. The
+// tail percentiles are the replicates' maximum.
+func TestAggregateMatchesReplicates(t *testing.T) {
+	o := quickOpts()
+	o.Replications = 3
+	o.Lambdas = []float64{0.6}
+	inj, err := fault.New(11, fault.Config{AbortRate: 0.1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunExperiment3(o, WithFaults(inj))
+	if err != nil {
+		t.Fatal(err)
+	}
+	maxed := map[string]bool{"MaxLive": true, "LastCompletion": true, "MaxBatch": true, "MaxClusters": true}
+	injected := 0
+	for _, s := range r.Sweeps {
+		p := s.Points[0]
+		agg := reflect.ValueOf(*p.Result)
+		for i := 0; i < agg.NumField(); i++ {
+			f := agg.Type().Field(i)
+			if k := f.Type.Kind(); k != reflect.Int && k != reflect.Int64 {
+				continue
+			}
+			var sum, hi int64
+			for _, rep := range p.Replicates {
+				v := reflect.ValueOf(*rep).Field(i).Int()
+				sum, hi = sum+v, max(hi, v)
+			}
+			want := sum
+			switch {
+			case f.Name == "Horizon":
+				want = int64(p.Replicates[0].Horizon)
+			case maxed[f.Name]:
+				want = hi
+			}
+			if got := agg.Field(i).Int(); got != want {
+				t.Errorf("%s: aggregate %s = %d, want %d", s.Label, f.Name, got, want)
+			}
+		}
+		var p95, p99, maxRT float64
+		for _, rep := range p.Replicates {
+			p95, p99, maxRT = max(p95, rep.P95RT), max(p99, rep.P99RT), max(maxRT, rep.MaxRT)
+		}
+		if a := p.Result; a.P95RT != p95 || a.P99RT != p99 || a.MaxRT != maxRT {
+			t.Errorf("%s: tail %g/%g/%g, want the replicates' maxima %g/%g/%g",
+				s.Label, a.P95RT, a.P99RT, a.MaxRT, p95, p99, maxRT)
+		}
+		if a := p.Result; a.Arrived < a.Completed+a.InjectedAborts+a.CrashAborts+a.LiveAtEnd {
+			t.Errorf("%s: %d arrived < %d completed + %d injected + %d crash-aborted + %d live",
+				s.Label, a.Arrived, a.Completed, a.InjectedAborts, a.CrashAborts, a.LiveAtEnd)
+		}
+		injected += p.Result.InjectedAborts
+	}
+	if injected == 0 {
+		t.Fatal("the injector aborted nothing; the counters were not exercised")
+	}
+}
+
+// TestAggregatePoolsMoments checks the weighted statistics against
+// direct computation: MeanRT and StdRT over the union of the replicates'
+// measured response times, MeanBatch over all their epochs.
+func TestAggregatePoolsMoments(t *testing.T) {
+	samples := [][]float64{{1, 2, 3, 10}, {4, 4}, {7}, {}}
+	var all stats.Welford
+	var reps []*sim.Result
+	for i, xs := range samples {
+		var w stats.Welford
+		for _, x := range xs {
+			w.Add(x)
+			all.Add(x)
+		}
+		reps = append(reps, &sim.Result{Measured: len(xs), MeanRT: w.Mean(), StdRT: w.Std(),
+			Epochs: i, MeanBatch: float64(i + 1)})
+	}
+	got := aggregate(reps)
+	if mathAbs(got.MeanRT-all.Mean()) > 1e-12 || mathAbs(got.StdRT-all.Std()) > 1e-12 {
+		t.Errorf("mean/std %g/%g, want %g/%g", got.MeanRT, got.StdRT, all.Mean(), all.Std())
+	}
+	// (0·1 + 1·2 + 2·3 + 3·4) / 6 epochs
+	if want := 20.0 / 6; mathAbs(got.MeanBatch-want) > 1e-12 {
+		t.Errorf("MeanBatch %g, want %g", got.MeanBatch, want)
 	}
 }
 

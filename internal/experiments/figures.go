@@ -1,9 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"batsched/internal/core/sched"
+	"batsched/internal/sim"
 	"batsched/internal/workload"
 )
 
@@ -18,11 +17,6 @@ func factoriesByName(names ...string) []sched.Factory {
 	return out
 }
 
-// experiment1Factories are the schedulers of Figures 6 and 7.
-func experiment1Factories() []sched.Factory {
-	return factoriesByName("NODC", "ASL", "CHAIN", "K2", "C2PL")
-}
-
 // Experiment1Result carries the Experiment 1 sweep, which renders both
 // Figure 6 (mean response time vs. λ) and Figure 7 (throughput vs. λ,
 // with NODC's throughput as the useful-utilization reference).
@@ -35,18 +29,12 @@ type Experiment1Result struct {
 // partitions, schedulers NODC/ASL/CHAIN/K2/C2PL, arrival-rate sweep.
 func RunExperiment1(o Options, opts ...Option) (*Experiment1Result, error) {
 	o = o.withDefaults()
-	o.Machine.NumParts = 16
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
-	sweeps, err := runGrid(o, experiment1Factories(), lambdas, func() workload.Generator {
-		return workload.Experiment1(16)
-	}, opts...)
+	sets, err := runGrid(o, []func(*sim.Config){pattern1},
+		factoriesByName("NODC", "ASL", "CHAIN", "K2", "C2PL"), opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Experiment1Result{Sweeps: sweeps, RTTarget: o.RTTargetSeconds}, nil
+	return &Experiment1Result{Sweeps: sets[0], RTTarget: o.RTTargetSeconds}, nil
 }
 
 // Experiment2Result carries Figure 8: for each NumHots, each scheduler's
@@ -65,38 +53,25 @@ func experiment2Factories() []sched.Factory {
 	return factoriesByName("ASL", "CHAIN", "K2", "C2PL")
 }
 
+// hotSet8 is the hot-set layout of Experiment 3 and the K sweep.
+var hotSet8 = workload.HotSetLayout{NumReadOnly: 8, NumHots: 8}
+
 // RunExperiment2 runs Experiment 2 (§4.3): Pattern2 over 8 read-only
 // partitions plus a hot set of NumHots ∈ {4, 8, 16, 32} partitions;
 // reported is each scheduler's throughput at RT = 70 s.
 func RunExperiment2(o Options, opts ...Option) (*Experiment2Result, error) {
 	o = o.withDefaults()
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
 	hots := []int{4, 8, 16, 32}
-	res := &Experiment2Result{
-		NumHots:  hots,
-		RTTarget: o.RTTargetSeconds,
-		TPS:      make(map[string][]float64),
-	}
-	for _, nh := range hots {
+	sets, err := runGrid(o, variantsOf(hots, func(c *sim.Config, nh int) {
 		layout := workload.HotSetLayout{NumReadOnly: 8, NumHots: nh}
-		oo := o
-		oo.Machine.NumParts = layout.NumParts()
-		sweeps, err := runGrid(oo, experiment2Factories(), lambdas, func() workload.Generator {
-			return workload.Experiment2(layout)
-		}, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("NumHots=%d: %w", nh, err)
-		}
-		res.Sweeps = append(res.Sweeps, sweeps)
-		for _, s := range sweeps {
-			tps, _ := s.ThroughputAt(o.RTTargetSeconds)
-			res.TPS[s.Label] = append(res.TPS[s.Label], tps)
-		}
+		c.Machine.NumParts = layout.NumParts()
+		c.Workload = workload.Experiment2(layout)
+	}), experiment2Factories(), opts)
+	if err != nil {
+		return nil, err
 	}
-	return res, nil
+	return &Experiment2Result{NumHots: hots, RTTarget: o.RTTargetSeconds,
+		TPS: byLabel(sets, tpsAt(o.RTTargetSeconds)), Sweeps: sets}, nil
 }
 
 // Experiment3Result carries Figure 9: the Pattern3 response-time sweep at
@@ -110,19 +85,14 @@ type Experiment3Result struct {
 // time) over a hot set of 8 partitions.
 func RunExperiment3(o Options, opts ...Option) (*Experiment3Result, error) {
 	o = o.withDefaults()
-	layout := workload.HotSetLayout{NumReadOnly: 8, NumHots: 8}
-	o.Machine.NumParts = layout.NumParts()
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
-	}
-	sweeps, err := runGrid(o, experiment2Factories(), lambdas, func() workload.Generator {
-		return workload.Experiment3(layout)
-	}, opts...)
+	sets, err := runGrid(o, []func(*sim.Config){func(c *sim.Config) {
+		c.Machine.NumParts = hotSet8.NumParts()
+		c.Workload = workload.Experiment3(hotSet8)
+	}}, experiment2Factories(), opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Experiment3Result{Sweeps: sweeps, RTTarget: o.RTTargetSeconds}, nil
+	return &Experiment3Result{Sweeps: sets[0], RTTarget: o.RTTargetSeconds}, nil
 }
 
 // Experiment4Result carries Figure 10: throughput at the target RT as a
@@ -137,43 +107,22 @@ type Experiment4Result struct {
 	Sweeps [][]Sweep
 }
 
-// experiment4Factories are the schedulers of Figure 10. The hybrids and
-// C2PL ignore declared demands, so their results are flat in σ; the
-// paper plots them as reference lines.
-func experiment4Factories() []sched.Factory {
-	return factoriesByName("CHAIN", "K2", "C2PL", "CHAIN-C2PL", "K2-C2PL")
-}
-
 // RunExperiment4 runs Experiment 4 (§4.4): Pattern1 with erroneous
-// declared I/O demands, C = C0(1+x), x ~ N(0, σ²).
+// declared I/O demands, C = C0(1+x), x ~ N(0, σ²). The hybrids and C2PL
+// ignore declared demands, so their results are flat in σ; the paper
+// plots them as reference lines.
 func RunExperiment4(o Options, sigmas []float64, opts ...Option) (*Experiment4Result, error) {
 	o = o.withDefaults()
-	o.Machine.NumParts = 16
 	if sigmas == nil {
 		sigmas = []float64{0, 0.25, 0.5, 0.75, 1.0}
 	}
-	lambdas := o.Lambdas
-	if lambdas == nil {
-		lambdas = defaultLambdas()
+	sets, err := runGrid(o, variantsOf(sigmas, func(c *sim.Config, sig float64) {
+		pattern1(c)
+		c.Workload = workload.WithDeclarationError(c.Workload, sig)
+	}), factoriesByName("CHAIN", "K2", "C2PL", "CHAIN-C2PL", "K2-C2PL"), opts)
+	if err != nil {
+		return nil, err
 	}
-	res := &Experiment4Result{
-		Sigmas:   sigmas,
-		RTTarget: o.RTTargetSeconds,
-		TPS:      make(map[string][]float64),
-	}
-	for _, sig := range sigmas {
-		sig := sig
-		sweeps, err := runGrid(o, experiment4Factories(), lambdas, func() workload.Generator {
-			return workload.WithDeclarationError(workload.Experiment1(16), sig)
-		}, opts...)
-		if err != nil {
-			return nil, fmt.Errorf("sigma=%g: %w", sig, err)
-		}
-		res.Sweeps = append(res.Sweeps, sweeps)
-		for _, s := range sweeps {
-			tps, _ := s.ThroughputAt(o.RTTargetSeconds)
-			res.TPS[s.Label] = append(res.TPS[s.Label], tps)
-		}
-	}
-	return res, nil
+	return &Experiment4Result{Sigmas: sigmas, RTTarget: o.RTTargetSeconds,
+		TPS: byLabel(sets, tpsAt(o.RTTargetSeconds)), Sweeps: sets}, nil
 }

@@ -36,21 +36,15 @@ type MixedRow struct {
 // of jobs".
 func RunMixedWorkload(o Options, lambda, shortShare float64, opts ...Option) (*MixedResult, error) {
 	o = o.withDefaults()
-	rc := buildRunConfig(opts)
-	o.Machine.NumParts = 16
 	if lambda <= 0 {
 		lambda = 1.0
 	}
 	if shortShare <= 0 || shortShare >= 1 {
 		shortShare = 0.8
 	}
-	res := &MixedResult{Lambda: lambda, ShortShare: shortShare}
-	factories := factoriesByName("NODC", "ASL", "CHAIN", "K2", "C2PL")
-	// One grid cell per scheduler, fanned onto the same worker pool as
-	// the figure/ablation grids (runJobs): per-run sinks, pre-indexed
-	// result slots, deterministic sink merge order.
-	cfgs := make([]sim.Config, len(factories))
-	for i, f := range factories {
+	// One cell per scheduler: one λ, one seed.
+	o.Lambdas, o.Replications = []float64{lambda}, 1
+	sets, err := runGrid(o, []func(*sim.Config){func(c *sim.Config) {
 		mix, err := workload.NewMixture("mixed",
 			workload.Component{Class: "short", Weight: shortShare,
 				Gen: workload.ShortTransactions(16, 0.02)},
@@ -58,25 +52,18 @@ func RunMixedWorkload(o Options, lambda, shortShare float64, opts ...Option) (*M
 				Gen: workload.Experiment1(16)},
 		)
 		if err != nil {
-			return nil, err
+			panic(err) // unreachable: both weights lie in (0, 1) and both generators are set
 		}
-		cfgs[i] = sim.Config{
-			Machine:              o.Machine,
-			Scheduler:            f,
-			Workload:             mix,
-			ArrivalRate:          lambda,
-			Horizon:              o.Horizon,
-			Seed:                 o.Seed,
-			CheckSerializability: f.Label != "NODC",
-			Classify:             func(t *txn.T) string { return mix.ClassOf(t.ID) },
-		}
+		c.Machine.NumParts = 16
+		c.Workload = mix
+		c.Classify = func(t *txn.T) string { return mix.ClassOf(t.ID) }
+	}}, factoriesByName("NODC", "ASL", "CHAIN", "K2", "C2PL"), opts)
+	if err != nil {
+		return nil, err
 	}
-	results, errs := runJobs(rc, cfgs, o.Progress)
-	for i, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("mixed %s: %w", factories[i].Label, err)
-		}
-		r := results[i]
+	res := &MixedResult{Lambda: lambda, ShortShare: shortShare}
+	for _, s := range sets[0] {
+		r := s.Points[0].Result
 		res.Rows = append(res.Rows, MixedRow{
 			Scheduler:      r.Scheduler,
 			ShortMeanRT:    r.ClassMeanRT["short"],

@@ -37,7 +37,7 @@ func buildRunConfig(opts []Option) runConfig {
 // Sink ownership rule: the shared observer is never handed to a running
 // simulation. Each grid cell emits into a private per-run buffer, and
 // completed buffers are replayed into o in deterministic grid order
-// (scheduler-major, then λ, then replicate) — so the byte stream an
+// (variant-major, then scheduler, λ and replicate) — so the byte stream an
 // attached obs.JSONL sink produces is identical whether the grid ran on
 // one worker or on runtime.NumCPU() workers, and o only ever sees
 // events from the single goroutine that owns the replay cursor at that

@@ -7,86 +7,25 @@ import (
 	"regexp"
 	"testing"
 
+	"batsched/internal/event"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
 
-// runSmokeGrid runs the Experiment-1 smoke grid at the given
-// parallelism with a JSONL trace and a metrics aggregate sharing the one
-// sink, returning the result, the rendered figure tables followed by the
-// aggregate's simulated-time counters (its wall-clock histogram is the
-// one part two runs never share), and the raw trace bytes.
-func runSmokeGrid(t *testing.T, parallel int) (*Experiment1Result, string, []byte) {
-	t.Helper()
-	o := quickOpts()
-	o.Replications = 2
-	var buf bytes.Buffer
-	sink := obs.NewJSONL(&buf)
-	agg := obs.NewMetrics()
-	r, err := RunExperiment1(o,
-		WithParallelism(parallel), WithTrace(obs.Multi(sink, agg)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sink.Close(); err != nil {
-		t.Fatal(err)
-	}
-	tables := r.RenderFigure6() + r.RenderFigure7()
-	for _, label := range agg.Schedulers() {
-		sm := agg.Sched(label)
-		tables += fmt.Sprintf("%s: %d admits, %d requests, %d commits, %d aborts, mean rt %v, max graph %v\n",
-			label, sm.Admits, sm.Requests, sm.Commits, sm.Aborts, sm.ResponseTime.Mean(), sm.GraphSize.Max())
-	}
-	return r, tables, buf.Bytes()
-}
-
 // TestParallelDeterminism is the differential determinism test: the
-// same grid at -parallel 1 and -parallel 8 must produce deeply equal
-// Result structs, byte-identical rendered sweep tables, and a
-// byte-identical JSONL trace. Wired into `make verify` (plain and
-// -race runs of this package).
+// Experiment 1 grid, two replicates per cell, at -parallel 1 and
+// -parallel 8 (see sameAtParallel1And8). Wired into `make verify`
+// (plain and -race runs of this package).
 func TestParallelDeterminism(t *testing.T) {
-	r1, tables1, trace1 := runSmokeGrid(t, 1)
-	r8, tables8, trace8 := runSmokeGrid(t, 8)
-
-	if tables1 != tables8 {
-		t.Errorf("rendered tables differ between -parallel 1 and -parallel 8:\n--- 1:\n%s\n--- 8:\n%s",
-			tables1, tables8)
-	}
-	// dur_ns is the one wall-clock field in a simulation trace (the
-	// sched.Observed decision timer); it differs between any two runs,
-	// parallel or not. Everything else — event order included — must be
-	// byte-identical.
-	if n1, n8 := stripDurNS(trace1), stripDurNS(trace8); !bytes.Equal(n1, n8) {
-		t.Errorf("JSONL traces differ beyond dur_ns: %d bytes at -parallel 1 vs %d at -parallel 8",
-			len(n1), len(n8))
-	}
-	if len(trace1) == 0 {
-		t.Error("empty trace — the shared sink saw no events")
-	}
-	if len(r1.Sweeps) != len(r8.Sweeps) {
-		t.Fatalf("sweep counts differ: %d vs %d", len(r1.Sweeps), len(r8.Sweeps))
-	}
-	for i := range r1.Sweeps {
-		s1, s8 := r1.Sweeps[i], r8.Sweeps[i]
-		if s1.Label != s8.Label {
-			t.Fatalf("sweep %d label %q vs %q", i, s1.Label, s8.Label)
+	sameAtParallel1And8(t, func(opts ...Option) (any, string) {
+		o := quickOpts()
+		o.Replications = 2
+		r, err := RunExperiment1(o, opts...)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for j := range s1.Points {
-			p1, p8 := s1.Points[j], s8.Points[j]
-			if !reflect.DeepEqual(p1.Result, p8.Result) {
-				t.Errorf("%s λ=%g: aggregate Result differs across parallelism",
-					s1.Label, p1.Lambda)
-			}
-			if !reflect.DeepEqual(p1.Replicates, p8.Replicates) {
-				t.Errorf("%s λ=%g: replicate Results differ across parallelism",
-					s1.Label, p1.Lambda)
-			}
-			if p1.TPSStd != p8.TPSStd {
-				t.Errorf("%s λ=%g: TPSStd %g vs %g", s1.Label, p1.Lambda, p1.TPSStd, p8.TPSStd)
-			}
-		}
-	}
+		return r, r.RenderFigure6() + r.RenderFigure7()
+	})
 }
 
 var durNSField = regexp.MustCompile(`,"dur_ns":\d+`)
@@ -96,20 +35,143 @@ func stripDurNS(trace []byte) []byte {
 	return durNSField.ReplaceAll(trace, nil)
 }
 
-// TestMixedParallelDeterminism pins the mixed-workload table, which
-// goes through the same pool, to the same guarantee.
-func TestMixedParallelDeterminism(t *testing.T) {
-	run := func(parallel int) string {
+// sameAtParallel1And8 runs one experiment at -parallel 1 and -parallel
+// 8, with a JSONL trace and a metrics aggregate sharing the one sink,
+// and checks that the two runs give deeply equal results, identical
+// renderings and aggregate simulated-time counters (the aggregate's
+// wall-clock histogram is the one part two runs never share), and
+// JSONL traces identical beyond dur_ns.
+func sameAtParallel1And8(t *testing.T, run func(opts ...Option) (result any, tables string)) {
+	t.Helper()
+	do := func(parallel int) (any, string, []byte) {
+		var buf bytes.Buffer
+		sink := obs.NewJSONL(&buf)
+		agg := obs.NewMetrics()
+		res, tables := run(WithParallelism(parallel), WithTrace(obs.Multi(sink, agg)))
+		if err := sink.Close(); err != nil {
+			t.Fatal(err)
+		}
+		for _, label := range agg.Schedulers() {
+			sm := agg.Sched(label)
+			tables += fmt.Sprintf("%s: %d admits, %d requests, %d commits, %d aborts, mean rt %v, max graph %v\n",
+				label, sm.Admits, sm.Requests, sm.Commits, sm.Aborts, sm.ResponseTime.Mean(), sm.GraphSize.Max())
+		}
+		return res, tables, buf.Bytes()
+	}
+	r1, tables1, trace1 := do(1)
+	r8, tables8, trace8 := do(8)
+	if !reflect.DeepEqual(r1, r8) {
+		t.Error("results differ between -parallel 1 and -parallel 8")
+	}
+	if tables1 != tables8 {
+		t.Errorf("rendered tables differ:\n--- 1:\n%s\n--- 8:\n%s", tables1, tables8)
+	}
+	// dur_ns is the one wall-clock field in a simulation trace (the
+	// sched.Observed decision timer); it differs between any two runs,
+	// parallel or not. Everything else — event order included — must be
+	// byte-identical.
+	if n1, n8 := stripDurNS(trace1), stripDurNS(trace8); !bytes.Equal(n1, n8) {
+		t.Errorf("JSONL traces differ beyond dur_ns: %d vs %d bytes", len(n1), len(n8))
+	}
+	if len(trace1) == 0 {
+		t.Error("empty trace — the shared sink saw no events")
+	}
+}
+
+// TestExperiment2ParallelDeterminism covers a grid with a variant axis
+// (NumHots): four variants in one pool.
+func TestExperiment2ParallelDeterminism(t *testing.T) {
+	sameAtParallel1And8(t, func(opts ...Option) (any, string) {
 		o := quickOpts()
-		r, err := RunMixedWorkload(o, 2.0, 0.8, WithParallelism(parallel))
+		o.Lambdas = []float64{0.3, 0.6}
+		r, err := RunExperiment2(o, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return r.Render()
+		return r, r.RenderFigure8() + GroupedCSV([]string{"4", "8", "16", "32"}, r.Sweeps)
+	})
+}
+
+// TestPlacementParallelDeterminism covers an ablation grid, whose
+// variant hook changes the placement rather than the workload.
+func TestPlacementParallelDeterminism(t *testing.T) {
+	sameAtParallel1And8(t, func(opts ...Option) (any, string) {
+		o := quickOpts()
+		o.Lambdas = []float64{0.3, 0.6}
+		o.Replications = 2
+		r, err := RunPlacementAblation(o, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, r.Render()
+	})
+}
+
+// TestOnePoolPerExperiment calls every Run* with a Progress callback.
+// One worker pool per experiment shows as one count rising by one to
+// variants × schedulers × λ × replicates, against a total that never
+// changes; a pool per variant or per cell would restart the count.
+func TestOnePoolPerExperiment(t *testing.T) {
+	base := quickOpts()
+	base.Horizon = 30_000
+	base.Lambdas = []float64{0.3}
+	base.Replications = 2
+	discard := func(_ any, err error) error { return err }
+	cases := []struct {
+		name  string
+		cells int
+		run   func(Options) error
+	}{
+		{"Experiment1", 1 * 5 * 1 * 2, func(o Options) error { return discard(RunExperiment1(o)) }},
+		{"Experiment2", 4 * 4 * 1 * 2, func(o Options) error { return discard(RunExperiment2(o)) }},
+		{"Experiment3", 1 * 4 * 1 * 2, func(o Options) error { return discard(RunExperiment3(o)) }},
+		{"Experiment4", 2 * 5 * 1 * 2, func(o Options) error { return discard(RunExperiment4(o, []float64{0, 1})) }},
+		{"KSweep", 1 * 2 * 1 * 2, func(o Options) error { return discard(RunKSweep(o, []int{1, 2})) }},
+		{"Placement", 2 * 5 * 1 * 2, func(o Options) error { return discard(RunPlacementAblation(o)) }},
+		{"ControlCost", 2 * 3 * 1 * 2, func(o Options) error { return discard(RunControlCostAblation(o, []int{1, 10})) }},
+		{"KeepTime", 2 * 2 * 1 * 2, func(o Options) error {
+			return discard(RunKeepTimeAblation(o, []event.Time{0, 5000}))
+		}},
+		{"RetryDelay", 2 * 4 * 1 * 2, func(o Options) error {
+			return discard(RunRetryDelayAblation(o, []event.Time{250, 1000}))
+		}},
+		// The mixed table and the epoch sweep run one λ and one replicate.
+		{"Mixed", 1 * 5 * 1 * 1, func(o Options) error { return discard(RunMixedWorkload(o, 1.0, 0.8)) }},
+		{"Epoch", 2 * 1 * 1 * 1, func(o Options) error {
+			return discard(RunEpochSweep(o, []event.Time{0, 500}, 2.0, 10))
+		}},
 	}
-	if r1, r8 := run(1), run(8); r1 != r8 {
-		t.Errorf("mixed tables differ:\n--- 1:\n%s\n--- 8:\n%s", r1, r8)
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			o := base
+			calls, total := 0, 0
+			o.Progress = func(done, n int) {
+				calls++
+				if done != calls || (total != 0 && n != total) {
+					t.Errorf("progress %d/%d after %d calls with total %d", done, n, calls-1, total)
+				}
+				total = n
+			}
+			if err := c.run(o); err != nil {
+				t.Fatal(err)
+			}
+			if calls != c.cells || total != c.cells {
+				t.Errorf("%d progress calls, total %d; want one pool of %d cells", calls, total, c.cells)
+			}
+		})
 	}
+}
+
+// TestMixedParallelDeterminism pins the mixed-workload table, which
+// goes through the same runner, to the same guarantee.
+func TestMixedParallelDeterminism(t *testing.T) {
+	sameAtParallel1And8(t, func(opts ...Option) (any, string) {
+		r, err := RunMixedWorkload(quickOpts(), 2.0, 0.8, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r, r.Render()
+	})
 }
 
 // TestOrderedFlushOutOfOrder exercises the flusher directly: buffers

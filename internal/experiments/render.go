@@ -121,67 +121,51 @@ func renderRTFigure(title string, sweeps []Sweep, rtTarget float64) string {
 // RenderFigure8 draws Experiment 2's NumHots vs. throughput at the RT
 // target.
 func (r *Experiment2Result) RenderFigure8() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 8. Experiment2: Num. of Hot Partitions vs. Throughput at RT = %.0f s\n", r.RTTarget)
-	labels := sortedLabels(r.TPS)
-	var series []textplot.Series
-	for _, l := range labels {
-		se := textplot.Series{Label: l, Marker: markerFor(l)}
-		for i, nh := range r.NumHots {
-			se.X = append(se.X, float64(nh))
-			se.Y = append(se.Y, r.TPS[l][i])
-		}
-		series = append(series, se)
+	xs := make([]float64, len(r.NumHots))
+	heads := make([]string, len(r.NumHots))
+	for i, nh := range r.NumHots {
+		xs[i], heads[i] = float64(nh), fmt.Sprintf("hots=%d", nh)
 	}
-	chart := textplot.Chart{XLabel: "NumHots", YLabel: "TPS at RT target"}
-	if s, err := chart.Render(series); err == nil {
-		b.WriteString(s)
-	}
-	b.WriteString("\n")
-	fmt.Fprintf(&b, "  %-12s", "scheduler")
-	for _, nh := range r.NumHots {
-		fmt.Fprintf(&b, " %8s", fmt.Sprintf("hots=%d", nh))
-	}
-	b.WriteString("\n")
-	for _, l := range labels {
-		fmt.Fprintf(&b, "  %-12s", l)
-		for i := range r.NumHots {
-			fmt.Fprintf(&b, " %8.3f", r.TPS[l][i])
-		}
-		b.WriteString("\n")
-	}
-	return b.String()
+	return renderVariantFigure(fmt.Sprintf("Figure 8. Experiment2: Num. of Hot Partitions vs. Throughput at RT = %.0f s", r.RTTarget),
+		"NumHots", xs, heads, r.TPS)
 }
 
 // RenderFigure10 draws Experiment 4's error ratio vs. throughput at the
 // RT target.
 func (r *Experiment4Result) RenderFigure10() string {
+	heads := make([]string, len(r.Sigmas))
+	for i, sg := range r.Sigmas {
+		heads[i] = fmt.Sprintf("σ=%.2g", sg)
+	}
+	return renderVariantFigure(fmt.Sprintf("Figure 10. Experiment4: Error Ratio vs. Throughput at RT = %.0f s", r.RTTarget),
+		"error std-dev sigma", r.Sigmas, heads, r.TPS)
+}
+
+// renderVariantFigure draws a variant axis (x, one column heading per
+// variant) against each scheduler's throughput at the RT target: a chart,
+// then the table.
+func renderVariantFigure(title, xLabel string, xs []float64, heads []string, tps map[string][]float64) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Figure 10. Experiment4: Error Ratio vs. Throughput at RT = %.0f s\n", r.RTTarget)
-	labels := sortedLabels(r.TPS)
+	b.WriteString(title + "\n")
+	labels := sortedLabels(tps)
 	var series []textplot.Series
 	for _, l := range labels {
-		se := textplot.Series{Label: l, Marker: markerFor(l)}
-		for i, sg := range r.Sigmas {
-			se.X = append(se.X, sg)
-			se.Y = append(se.Y, r.TPS[l][i])
-		}
-		series = append(series, se)
+		series = append(series, textplot.Series{Label: l, Marker: markerFor(l), X: xs, Y: tps[l]})
 	}
-	chart := textplot.Chart{XLabel: "error std-dev sigma", YLabel: "TPS at RT target"}
+	chart := textplot.Chart{XLabel: xLabel, YLabel: "TPS at RT target"}
 	if s, err := chart.Render(series); err == nil {
 		b.WriteString(s)
 	}
 	b.WriteString("\n")
 	fmt.Fprintf(&b, "  %-12s", "scheduler")
-	for _, sg := range r.Sigmas {
-		fmt.Fprintf(&b, " %8s", fmt.Sprintf("σ=%.2g", sg))
+	for _, h := range heads {
+		fmt.Fprintf(&b, " %8s", h)
 	}
 	b.WriteString("\n")
 	for _, l := range labels {
 		fmt.Fprintf(&b, "  %-12s", l)
-		for i := range r.Sigmas {
-			fmt.Fprintf(&b, " %8.3f", r.TPS[l][i])
+		for i := range heads {
+			fmt.Fprintf(&b, " %8.3f", tps[l][i])
 		}
 		b.WriteString("\n")
 	}

@@ -1004,7 +1004,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		if committed {
 			sh.sch.Commit(t, now)
 		} else {
-			sched.AbortTxn(sh.sch, t, now)
+			sh.sch.Abort(t, now)
 		}
 		sh.active--
 		if sh == home {

@@ -204,7 +204,7 @@ func (c *Controller) admitProjectedLocked(projs []projection, now event.Time) (*
 		if dec != sched.Granted {
 			for _, q := range projs[:registered] {
 				// The abort path drops the shard's cached plan: state moved.
-				sched.AbortTxn(q.sh.sch, q.t, now)
+				q.sh.sch.Abort(q.t, now)
 				q.sh.changedLocked()
 			}
 			return p.sh, dec

@@ -313,6 +313,7 @@ func (s *delayFirst) Admit(*txn.T, event.Time) sched.Outcome {
 }
 func (s *delayFirst) ObjectDone(*txn.T, float64, event.Time)                    {}
 func (s *delayFirst) Commit(*txn.T, event.Time) ([]txn.PartitionID, event.Time) { return nil, 0 }
+func (s *delayFirst) Abort(*txn.T, event.Time) ([]txn.PartitionID, event.Time)  { return nil, 0 }
 
 func (s *delayFirst) Request(_ *txn.T, step int, _ event.Time) sched.Outcome {
 	dec := sched.Granted

@@ -30,7 +30,7 @@ type CrashReport struct {
 // state space as Explore) and, at each one, crashes every admitted
 // uncommitted transaction in turn — the scheduler-level image of a data
 // node dying under the transaction's bulk work. Each crash runs the
-// public recovery path (sched.AbortTxn, i.e. wtpg.Splice for the
+// public recovery path (Scheduler.Abort, i.e. wtpg.Splice for the
 // graph schedulers) on a fresh replay of the prefix and then checks:
 //
 //   - lock-table invariants still hold (no conflicting holders);
@@ -101,7 +101,7 @@ func (e *crashExplorer) crashAt(prefix []Action, victim *txn.T) {
 	e.rep.CrashPoints++
 	s, pos := e.replay(prefix)
 	now := event.Time(len(prefix) + 1)
-	sched.AbortTxn(s, victim, now)
+	s.Abort(victim, now)
 	where := fmt.Sprintf("crash of %v after %v", victim.ID, prefix)
 	if ci, ok := s.(interface{ CheckInvariants() error }); ok {
 		if err := ci.CheckInvariants(); err != nil {

@@ -822,7 +822,7 @@ func (s *simulator) abortMidRun(st *txnState, count *int, op string, now event.T
 
 func (j *abortJob) Run(now event.Time) event.Time {
 	st := (*txnState)(j)
-	freed, cpu := sched.AbortTxn(st.sim.sch, st.t, now)
+	freed, cpu := st.sim.sch.Abort(st.t, now)
 	st.freed = append(st.freed[:0], freed...) // freed is the lock table's until its next Release
 	return st.sim.cfg.Machine.CommitTime + cpu
 }
