@@ -27,7 +27,7 @@ MICRO_BENCH := $(MICRO_BENCH)|SchedCycleK2|SchedCycleChain|C2PLRefusalRepeat|Cer
 MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert
-MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet
+MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet|IDMapChurn
 
 # bench-smoke executes each micro-benchmark exactly once and the
 # benchmark's -quick pass over all six workloads (with its correctness

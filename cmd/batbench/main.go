@@ -51,7 +51,7 @@ func main() {
 		seed     = flag.Int64("seed", 1990, "base random seed")
 		parallel = flag.Int("parallel", 0, "grid-cell worker pool size (0 = NumCPU); output is byte-identical at every setting")
 		rt       = flag.Float64("rt", 70, "response-time comparison target in seconds")
-		quick    = flag.Bool("quick", false, "reduced horizon (400k clocks) and sparser sweep")
+		quick    = flag.Bool("quick", false, "reduced horizon (400k clocks unless -horizon is given) and sparser sweep")
 		lambdas  = flag.String("lambdas", "", "comma-separated arrival-rate sweep override")
 		csvOut   = flag.String("csv", "", "write raw sweep data as CSV to this file (single-figure mode)")
 		reps     = flag.Int("reps", 1, "replicate seeds per grid cell (metrics averaged)")
@@ -84,7 +84,12 @@ func main() {
 		Replications:    *reps,
 	}
 	if *quick {
-		opts.Horizon = 400_000
+		// An explicit -horizon wins over the quick one.
+		horizonSet := false
+		flag.Visit(func(f *flag.Flag) { horizonSet = horizonSet || f.Name == "horizon" })
+		if !horizonSet {
+			opts.Horizon = 400_000
+		}
 		opts.Lambdas = []float64{0.2, 0.4, 0.6, 0.8, 1.0}
 	}
 	if *lambdas != "" {

@@ -12,7 +12,6 @@ import (
 	"flag"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
@@ -44,9 +43,15 @@ func checkLiveFlags(fs *flag.FlagSet) error {
 	return nil
 }
 
+// liveMPL is live mode's in-flight window: the number of transactions
+// running at once, fixed so the multiprogramming level — and with it the
+// contention a run measures — does not change with the core count. 16 is
+// the hot-set MPL of the repository's benchmark.
+const liveMPL = 16
+
 // runLiveMode drives n generated transactions through a live controller
-// with the given shard count, a bounded in-flight window of
-// 8×GOMAXPROCS arrivals, and prints the committed count and throughput.
+// with the given shard count, at most liveMPL of them in flight at once,
+// and prints the committed count and throughput.
 func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, seed int64) error {
 	if n < 1 {
 		return fmt.Errorf("-livetxns %d: need at least one transaction", n)
@@ -60,7 +65,7 @@ func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, s
 		live.WithShards(shards), live.WithRetryDelay(time.Millisecond))
 	defer ctl.Close()
 
-	window := make(chan struct{}, 8*runtime.GOMAXPROCS(0))
+	window := make(chan struct{}, liveMPL)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
 	var firstErr error

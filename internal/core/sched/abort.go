@@ -19,7 +19,7 @@ func AbortTxn(s Scheduler, t *txn.T, now event.Time) ([]txn.PartitionID, event.T
 func (b *wtpgBase) abort(t *txn.T) []txn.PartitionID {
 	freed := b.locks.Release(t.ID)
 	b.graph.Splice(t.ID)
-	delete(b.live, t.ID)
+	b.leave(t.ID)
 	return freed
 }
 

@@ -67,7 +67,7 @@ func TestDecisionSteadyStateAllocs(t *testing.T) {
 	}
 
 	s, tx, step := refusedRequest(t)
-	rec := s.(*c2pl).refused[tx.ID]
+	rec := refusalOf(s, tx.ID)
 	repeat := func() {
 		if s.Request(tx, step, 1).Decision != Delayed {
 			t.Fatal("C2PL: the refused request was not refused again")
@@ -76,7 +76,7 @@ func TestDecisionSteadyStateAllocs(t *testing.T) {
 	if got := testing.AllocsPerRun(1000, repeat); got != 0 {
 		t.Errorf("C2PL: %.0f allocations per memoised refusal, want 0", got)
 	}
-	if s.(*c2pl).refused[tx.ID] != rec {
+	if refusalOf(s, tx.ID) != rec {
 		t.Error("C2PL: the repeats re-decided instead of answering from the memo")
 	}
 

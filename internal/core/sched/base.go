@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"batsched/internal/core/wtpg"
+	"batsched/internal/idmap"
 	"batsched/internal/lock"
 	"batsched/internal/txn"
 )
@@ -12,12 +13,14 @@ import (
 // wtpgBase is the machinery shared by every declaration-aware scheduler
 // (C2PL, CHAIN, K-WTPG and the hybrids): the lock table, the WTPG and the
 // live-transaction registry, with the paper's registration and resolution
-// rules.
+// rules. The registry holds one record per live transaction in the id
+// index; spare recycles the records of departed ones.
 type wtpgBase struct {
 	costs Costs
 	locks *lock.Table
 	graph *wtpg.Graph
-	live  map[txn.ID]*txn.T
+	live  idmap.Map[*txnRec]
+	spare []*txnRec
 
 	// Scratch buffers for the request hot path (the control node is
 	// single-threaded, so plain reuse is safe). impliedTargets owns
@@ -28,12 +31,47 @@ type wtpgBase struct {
 	peerBuf     []txn.ID
 }
 
+// txnRec is a scheduler's record of one live transaction: the
+// transaction, C2PL's refusal memo and K-WTPG's E(q) cache. Each family
+// uses the fields it needs.
+type txnRec struct {
+	t *txn.T
+	// refused is the last Delayed request with the versions it was
+	// decided under (c2pl). The zero value matches no request: the
+	// transaction's own Declare moved the lock-table version past 0.
+	refused refusal
+	// e holds one generation-stamped E(q) per step (kwtpg), sized on the
+	// transaction's first estimate; generation 0 is never current, so a
+	// reset entry misses.
+	e []cachedE
+}
+
 func newWTPGBase(costs Costs) wtpgBase {
 	return wtpgBase{
 		costs: costs,
 		locks: lock.NewTable(),
 		graph: wtpg.New(),
-		live:  make(map[txn.ID]*txn.T),
+	}
+}
+
+// enter records t as live, reusing a departed transaction's record.
+func (b *wtpgBase) enter(t *txn.T) {
+	var r *txnRec
+	if n := len(b.spare); n > 0 {
+		r, b.spare = b.spare[n-1], b.spare[:n-1]
+	} else {
+		r = new(txnRec)
+	}
+	r.t, r.refused, r.e = t, refusal{}, r.e[:0]
+	b.live.Put(t.ID, r)
+}
+
+// leave drops id's record, if any, for reuse.
+func (b *wtpgBase) leave(id txn.ID) {
+	if r, ok := b.live.Get(id); ok {
+		b.live.Delete(id)
+		r.t = nil
+		b.spare = append(b.spare, r)
 	}
 }
 
@@ -55,7 +93,8 @@ func (b *wtpgBase) register(t *txn.T) error {
 	}
 	b.peerBuf = b.locks.ConflictingTxns(b.peerBuf[:0], t)
 	for _, id := range b.peerBuf {
-		wtu, wut, ok := wtpg.ConflictWeights(t, b.live[id])
+		u, _ := b.live.Get(id)
+		wtu, wut, ok := wtpg.ConflictWeights(t, u.t)
 		if !ok {
 			continue
 		}
@@ -76,7 +115,7 @@ func (b *wtpgBase) register(t *txn.T) error {
 			}
 		}
 	}
-	b.live[t.ID] = t
+	b.enter(t)
 	return nil
 }
 
@@ -98,7 +137,7 @@ func (b *wtpgBase) staysChainForm(t *txn.T) bool {
 func (b *wtpgBase) unregister(t *txn.T) {
 	b.graph.Remove(t.ID)
 	b.locks.Release(t.ID)
-	delete(b.live, t.ID)
+	b.leave(t.ID)
 }
 
 // impliedTargets returns the transactions that granting step of t would
@@ -139,7 +178,7 @@ func (b *wtpgBase) objectDone(t *txn.T, objects float64) {
 func (b *wtpgBase) commit(t *txn.T) []txn.PartitionID {
 	freed := b.locks.Release(t.ID)
 	b.graph.Remove(t.ID)
-	delete(b.live, t.ID)
+	b.leave(t.ID)
 	return freed
 }
 

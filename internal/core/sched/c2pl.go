@@ -23,16 +23,13 @@ type c2pl struct {
 	// preAdmit runs before registration (sees the table and the graph
 	// without t), so a refusal leaves no state behind.
 	preAdmit func(b *wtpgBase, t *txn.T) bool
-	// refused holds each live transaction's last Delayed request with the
-	// lock-table and WTPG shape versions it was decided under: a request
-	// for the same step while neither version moved reads exactly what
-	// that one read, so it is answered Delayed again without the blocked
-	// test, C(q) or the cycle search (DESIGN.md §6).
-	refused map[txn.ID]refusal
 }
 
-// refusal is one memoised Delayed answer: the step refused and the
-// versions of the state the refusal read.
+// refusal is one memoised Delayed answer, kept in the transaction's
+// record: the step refused and the lock-table and WTPG shape versions it
+// was decided under. A request for the same step while neither version
+// moved reads exactly what that one read, so it is answered Delayed again
+// without the blocked test, C(q) or the cycle search (DESIGN.md §6).
 type refusal struct {
 	step         int
 	locks, shape uint64
@@ -43,7 +40,6 @@ func newC2PL(costs Costs, name string, preAdmit func(b *wtpgBase, t *txn.T) bool
 		wtpgBase: newWTPGBase(costs),
 		name:     name,
 		preAdmit: preAdmit,
-		refused:  make(map[txn.ID]refusal),
 	}
 }
 
@@ -86,19 +82,18 @@ func (c *c2pl) Request(t *txn.T, step int, now event.Time) Outcome {
 	// grant attempt resolved edges before failing moved the shape version,
 	// so its record can never match again.
 	seen := refusal{step: step, locks: c.locks.Version(), shape: c.graph.ShapeVersion()}
-	if r, ok := c.refused[t.ID]; ok && r == seen {
+	r, live := c.live.Get(t.ID)
+	if live && r.refused == seen {
 		return Outcome{Decision: Delayed, CPU: cpu}
 	}
 	if c.blocked(t, step) {
 		return Outcome{Decision: Blocked, CPU: cpu}
 	}
 	targets := c.impliedTargets(t, step)
-	if c.graph.WouldCycleFrom(t.ID, targets) {
-		c.refused[t.ID] = seen
-		return Outcome{Decision: Delayed, CPU: cpu}
-	}
-	if err := c.grant(t, step, targets); err != nil {
-		c.refused[t.ID] = seen
+	if c.graph.WouldCycleFrom(t.ID, targets) || c.grant(t, step, targets) != nil {
+		if live {
+			r.refused = seen
+		}
 		return Outcome{Decision: Delayed, CPU: cpu}
 	}
 	return Outcome{Decision: Granted, CPU: cpu}
@@ -109,15 +104,13 @@ func (c *c2pl) ObjectDone(t *txn.T, objects float64, now event.Time) {
 }
 
 func (c *c2pl) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
-	delete(c.refused, t.ID)
 	return c.commit(t), 0
 }
 
 // Abort recovers from an external abort of an admitted transaction: the
 // precedence test needs no extra repair beyond the base splice because
-// c2pl keeps no cached plan, and its refusal records are stamped with
+// c2pl keeps no cached plan, and its refusal memos are stamped with
 // versions the abort advances.
 func (c *c2pl) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
-	delete(c.refused, t.ID)
 	return c.abort(t), c.costs.DDTime
 }

@@ -237,7 +237,7 @@ func (c *chain) degrade() {
 // maybeRestore returns to full CHAIN operation once the graph has
 // drained: an empty WTPG is trivially chain-form again.
 func (c *chain) maybeRestore() {
-	if c.degraded && len(c.live) == 0 {
+	if c.degraded && c.live.Len() == 0 {
 		c.degraded = false
 		c.planDirty = true
 	}

@@ -110,7 +110,7 @@ func TestChainRefusedAdmitTouchesNothing(t *testing.T) {
 		if out := s.Admit(tx, 1); out.Decision != Aborted || out.CPU != testCosts.DDTime {
 			t.Errorf("%s: %+v, want aborted at one DDTime", name, out)
 		}
-		if c.locks.Known(tx.ID) || c.graph.Has(tx.ID) || c.live[tx.ID] != nil {
+		if _, live := c.live.Get(tx.ID); live || c.locks.Known(tx.ID) || c.graph.Has(tx.ID) {
 			t.Errorf("%s: the refused arrival is registered somewhere", name)
 		}
 		if c.graph.Len() != nodes || len(c.graph.Edges()) != edges {

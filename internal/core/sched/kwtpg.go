@@ -2,6 +2,7 @@ package sched
 
 import (
 	"math"
+	"slices"
 	"strconv"
 
 	"batsched/internal/core/estimate"
@@ -19,26 +20,19 @@ import (
 //
 // Per §3.4, E values are cached and recomputed only when a transaction
 // starts or commits, a new precedence-edge is generated, or KeepTime has
-// elapsed since the last computation. The cache is invalidated by
-// bumping a generation counter — entries stamped with an older
-// generation simply miss — rather than by reallocating the map, so the
-// steady state reuses both the map's storage and its entries' slots.
-// Entries for a transaction are deleted when it leaves (commit/abort),
-// which bounds the map at the live-transaction working set.
+// elapsed since the last computation. Each live transaction's record
+// holds one entry per step, reused by reslicing when the record is; the
+// cache is invalidated by bumping a generation counter — entries stamped
+// with an older generation simply miss — so nothing is cleared or
+// allocated in the steady state.
 type kwtpg struct {
 	wtpgBase
 	k          int
-	cache      map[reqKey]cachedE
-	cacheGen   uint64
+	cacheGen   uint64 // starts at 1: a reset entry's generation 0 misses
 	cacheAt    event.Time
 	cacheDirty bool
 	// declBuf is Request's C(q), reused from call to call.
 	declBuf []lock.Decl
-}
-
-type reqKey struct {
-	id   txn.ID
-	step int
 }
 
 // cachedE is a generation-stamped E(q) value: valid only while its gen
@@ -50,7 +44,7 @@ type cachedE struct {
 
 // NewKWTPG returns a K-conflict WTPG scheduler with bound k.
 func NewKWTPG(costs Costs, k int) Scheduler {
-	return &kwtpg{wtpgBase: newWTPGBase(costs), k: k, cache: make(map[reqKey]cachedE)}
+	return &kwtpg{wtpgBase: newWTPGBase(costs), k: k, cacheGen: 1}
 }
 
 func (s *kwtpg) Name() string {
@@ -80,23 +74,22 @@ func (s *kwtpg) maybeInvalidate(now event.Time) {
 }
 
 // estimateE returns E for the hypothetical grant of (t, step), using the
-// cache. The second result reports whether a fresh computation ran.
-func (s *kwtpg) estimateE(t *txn.T, step int) (float64, bool) {
-	key := reqKey{t.ID, step}
-	if c, ok := s.cache[key]; ok && c.gen == s.cacheGen {
-		return c.val, false
+// cache in t's record r (nil: t is not live, and nothing is cached). The
+// second result reports whether a fresh computation ran.
+func (s *kwtpg) estimateE(r *txnRec, t *txn.T, step int) (float64, bool) {
+	if r != nil && len(r.e) == 0 {
+		n := len(t.Steps)
+		r.e = slices.Grow(r.e, n)[:n]
+		clear(r.e)
+	}
+	if r != nil && r.e[step].gen == s.cacheGen {
+		return r.e[step].val, false
 	}
 	v := estimate.E(s.graph, t.ID, s.impliedTargets(t, step))
-	s.cache[key] = cachedE{val: v, gen: s.cacheGen}
-	return v, true
-}
-
-// dropCached removes t's cache entries so departed transactions do not
-// accumulate in the map.
-func (s *kwtpg) dropCached(t *txn.T) {
-	for step := range t.Steps {
-		delete(s.cache, reqKey{t.ID, step})
+	if r != nil {
+		r.e[step] = cachedE{val: v, gen: s.cacheGen}
 	}
+	return v, true
 }
 
 func (s *kwtpg) Request(t *txn.T, step int, now event.Time) Outcome {
@@ -107,7 +100,8 @@ func (s *kwtpg) Request(t *txn.T, step int, now event.Time) Outcome {
 	}
 	s.maybeInvalidate(now)
 	// Step 2 of CC2: E(q); a predicted deadlock delays q.
-	eq, fresh := s.estimateE(t, step)
+	r, _ := s.live.Get(t.ID)
+	eq, fresh := s.estimateE(r, t, step)
 	if fresh {
 		cpu += s.costs.KWTPGTime
 	}
@@ -118,11 +112,11 @@ func (s *kwtpg) Request(t *txn.T, step int, now event.Time) Outcome {
 	st := t.Steps[step]
 	s.declBuf = s.locks.ConflictingDecls(s.declBuf[:0], t.ID, st.Part, st.Mode)
 	for _, d := range s.declBuf {
-		other, ok := s.live[d.Txn]
+		other, ok := s.live.Get(d.Txn)
 		if !ok {
 			continue
 		}
-		ep, fresh := s.estimateE(other, d.Step)
+		ep, fresh := s.estimateE(other, other.t, d.Step)
 		if fresh {
 			cpu += s.costs.KWTPGTime
 		}
@@ -147,7 +141,6 @@ func (s *kwtpg) ObjectDone(t *txn.T, objects float64, now event.Time) {
 
 func (s *kwtpg) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	freed := s.commit(t)
-	s.dropCached(t)
 	s.cacheDirty = true
 	return freed, 0
 }
@@ -157,7 +150,6 @@ func (s *kwtpg) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time)
 // splice resolutions add precedence-edges — §3.4 rule 3).
 func (s *kwtpg) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	freed := s.abort(t)
-	s.dropCached(t)
 	s.cacheDirty = true
 	return freed, s.costs.DDTime
 }

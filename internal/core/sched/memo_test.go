@@ -97,14 +97,14 @@ func TestQuickC2PLRefusalMemo(t *testing.T) {
 					if rng.Intn(3) == 0 {
 						step = open[rng.Intn(len(open))]
 					}
-					before := memo.(*c2pl).refused[tx.ID]
+					before := refusalOf(memo, tx.ID)
 					got = memo.Request(tx, step, now)
 					forgetRefusals(fresh)
 					want = fresh.Request(tx, step, now)
 					if got.Decision == Granted {
 						granted[i][step] = true
 					}
-					if got.Decision == Delayed && before == memo.(*c2pl).refused[tx.ID] {
+					if got.Decision == Delayed && before == refusalOf(memo, tx.ID) {
 						hits++
 					}
 				case k < 8:
@@ -147,12 +147,17 @@ func (b *wtpgBase) scanRegister(t *txn.T) error {
 		b.locks.Release(t.ID)
 		return err
 	}
-	for id, u := range b.live {
+	var peers []*txn.T
+	b.live.Range(func(_ txn.ID, u *txnRec) bool {
+		peers = append(peers, u.t)
+		return true
+	})
+	for _, u := range peers {
 		wtu, wut, ok := wtpg.ConflictWeights(t, u)
 		if !ok {
 			continue
 		}
-		if err := b.graph.AddConflict(t.ID, id, wtu, wut); err != nil {
+		if err := b.graph.AddConflict(t.ID, u.ID, wtu, wut); err != nil {
 			b.unregister(t)
 			return err
 		}
@@ -168,7 +173,7 @@ func (b *wtpgBase) scanRegister(t *txn.T) error {
 			}
 		}
 	}
-	b.live[t.ID] = t
+	b.enter(t)
 	return nil
 }
 
@@ -179,13 +184,12 @@ func (b *wtpgBase) scanStaysChainForm(t *txn.T) bool {
 		return true
 	}
 	var neighbours []txn.ID
-	for id, u := range b.live {
-		if _, _, ok := wtpg.ConflictWeights(t, u); ok {
-			if neighbours = append(neighbours, id); len(neighbours) == 3 {
-				break
-			}
+	b.live.Range(func(id txn.ID, u *txnRec) bool {
+		if _, _, ok := wtpg.ConflictWeights(t, u.t); ok {
+			neighbours = append(neighbours, id)
 		}
-	}
+		return len(neighbours) < 3
+	})
 	return b.graph.StaysChainForm(neighbours)
 }
 

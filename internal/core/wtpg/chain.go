@@ -83,7 +83,7 @@ func (g *Graph) StaysChainForm(neighbours []txn.ID) bool {
 	}
 	var slots [2]int32
 	for i, id := range neighbours {
-		s, ok := g.slotOf[id]
+		s, ok := g.slotOf.Get(id)
 		if !ok || len(g.adj[s]) > 1 {
 			return false
 		}
@@ -128,7 +128,7 @@ func (g *Graph) nextNeighbourSlot(cur, prev int32) (int32, bool) {
 
 // ConflictDegree returns the number of transactions id conflicts with.
 func (g *Graph) ConflictDegree(id txn.ID) int {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok {
 		return 0
 	}

@@ -32,6 +32,7 @@ import (
 	"math"
 	"sort"
 
+	"batsched/internal/idmap"
 	"batsched/internal/txn"
 )
 
@@ -180,7 +181,7 @@ func (m *markset) add(s int32)      { m.marks[s] = m.gen }
 // Graph is a WTPG over live transactions. It is not safe for concurrent
 // use; the simulation is single-threaded.
 type Graph struct {
-	slotOf map[txn.ID]int32 // id → slot
+	slotOf idmap.Map[int32] // id → slot
 	ids    []txn.ID         // slot → id; 0 marks a free slot (zero ID reserved)
 	w0     []float64        // slot → w(T0→Ti)
 	free   []int32          // reusable slots
@@ -232,10 +233,7 @@ type Graph struct {
 
 // New returns an empty WTPG.
 func New() *Graph {
-	return &Graph{
-		slotOf: make(map[txn.ID]int32),
-		pair:   make(map[pairKey]int32),
-	}
+	return &Graph{pair: make(map[pairKey]int32)}
 }
 
 // Len returns the number of live transactions in the graph.
@@ -243,7 +241,7 @@ func (g *Graph) Len() int { return g.nLive }
 
 // Has reports whether id is in the graph.
 func (g *Graph) Has(id txn.ID) bool {
-	_, ok := g.slotOf[id]
+	_, ok := g.slotOf.Get(id)
 	return ok
 }
 
@@ -282,7 +280,7 @@ func (g *Graph) AddNode(id txn.ID, w0 float64) error {
 	}
 	g.ids[s] = id
 	g.w0[s] = w0
-	g.slotOf[id] = s
+	g.slotOf.Put(id, s)
 	g.nLive++
 	g.epoch++
 	g.shape++
@@ -297,7 +295,7 @@ func (g *Graph) ShapeVersion() uint64 { return g.shape }
 
 // W0 returns w(T0→Ti).
 func (g *Graph) W0(id txn.ID) float64 {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok {
 		return 0
 	}
@@ -306,7 +304,7 @@ func (g *Graph) W0(id txn.ID) float64 {
 
 // SetW0 overwrites w(T0→Ti), clamped at zero.
 func (g *Graph) SetW0(id txn.ID, w float64) {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok {
 		panic(fmt.Sprintf("wtpg: SetW0 on unknown %v", id))
 	}
@@ -316,7 +314,7 @@ func (g *Graph) SetW0(id txn.ID, w float64) {
 // AddW0 adjusts w(T0→Ti) by delta (the per-object decrement messages use
 // delta = -1), clamped at zero. An id not in the graph is ignored.
 func (g *Graph) AddW0(id txn.ID, delta float64) {
-	if s, ok := g.slotOf[id]; ok {
+	if s, ok := g.slotOf.Get(id); ok {
 		g.setW0(s, g.w0[s]+delta)
 	}
 }
@@ -335,8 +333,8 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	if a == b {
 		return fmt.Errorf("wtpg: self-conflict on %v", a)
 	}
-	sa, okA := g.slotOf[a]
-	sb, okB := g.slotOf[b]
+	sa, okA := g.slotOf.Get(a)
+	sb, okB := g.slotOf.Get(b)
 	if !okA || !okB {
 		return fmt.Errorf("wtpg: conflict (%v,%v) with unknown node", a, b)
 	}
@@ -485,7 +483,7 @@ func (g *Graph) inDelete(s, idx int32) {
 // an admitted transaction). The slot and the edge slab entries return to
 // the free lists for reuse.
 func (g *Graph) Remove(id txn.ID) {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok {
 		return
 	}
@@ -512,7 +510,7 @@ func (g *Graph) Remove(id txn.ID) {
 	g.in[s] = g.in[s][:0]
 	g.ids[s] = 0
 	g.w0[s] = 0
-	delete(g.slotOf, id)
+	g.slotOf.Delete(id)
 	g.free = append(g.free, s)
 	g.nLive--
 	g.epoch++
@@ -527,7 +525,7 @@ func (g *Graph) Remove(id txn.ID) {
 // transitivity is implied). Returns nil when id is not in the graph or
 // has no resolved in-edges, and never aliases internal storage.
 func (g *Graph) Predecessors(id txn.ID) []txn.ID {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok || len(g.in[s]) == 0 {
 		return nil
 	}
@@ -545,7 +543,7 @@ func (g *Graph) Predecessors(id txn.ID) []txn.ID {
 // predecessor union across several per-shard graphs before sorting once
 // (sched.PredecessorsUnion).
 func (g *Graph) AppendPredecessors(dst []txn.ID, id txn.ID) []txn.ID {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok {
 		return dst
 	}
@@ -562,7 +560,7 @@ func (g *Graph) AppendPredecessors(dst []txn.ID, id txn.ID) []txn.ID {
 // as a cycle (the order would contradict itself). Targets need not be
 // live transactions.
 func (g *Graph) WouldCycleFrom(from txn.ID, targets []txn.ID) bool {
-	sFrom, fromLive := g.slotOf[from]
+	sFrom, fromLive := g.slotOf.Get(from)
 	// Filter against existing resolutions, keeping only genuinely new
 	// edges on the DFS stack.
 	stack := g.stackBuf[:0]
@@ -570,7 +568,7 @@ func (g *Graph) WouldCycleFrom(from txn.ID, targets []txn.ID) bool {
 		if to == from {
 			return true // self-loop
 		}
-		sTo, toLive := g.slotOf[to]
+		sTo, toLive := g.slotOf.Get(to)
 		if fromLive && toLive {
 			if idx, ok := g.pair[keyOf(from, to)]; ok {
 				if e := &g.edges[idx]; e.dir != Unresolved {
@@ -707,7 +705,10 @@ func (g *Graph) recomputeCP() {
 // is the allocation-free Estimate instead (path.go).
 func (g *Graph) Clone() *Graph {
 	c := New()
-	for id, s := range g.slotOf {
+	for s, id := range g.ids {
+		if id == 0 {
+			continue
+		}
 		if err := c.AddNode(id, g.w0[s]); err != nil {
 			panic(err) // unreachable: source graph invariants hold
 		}

@@ -28,7 +28,7 @@ import (
 // same sums a full pass over the hypothetical graph would take.
 func (g *Graph) Estimate(t txn.ID, targets []txn.ID) float64 {
 	base, err := g.CriticalPath()
-	st, live := g.slotOf[t]
+	st, live := g.slotOf.Get(t)
 	if err != nil || (!live && len(targets) > 0) {
 		return math.Inf(1)
 	}
@@ -46,7 +46,7 @@ func (g *Graph) Estimate(t txn.ID, targets []txn.ID) float64 {
 		stack = append(stack, g.edges[idx].toSlot())
 	}
 	for _, to := range targets {
-		s, ok := g.slotOf[to]
+		s, ok := g.slotOf.Get(to)
 		if !ok {
 			g.stackBuf = stack[:0]
 			return math.Inf(1)

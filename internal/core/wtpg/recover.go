@@ -32,7 +32,7 @@ import (
 // each one also fires OnResolve like any other resolution. Splicing an
 // unknown id is a no-op.
 func (g *Graph) Splice(id txn.ID) []Resolution {
-	s, ok := g.slotOf[id]
+	s, ok := g.slotOf.Get(id)
 	if !ok {
 		return nil
 	}

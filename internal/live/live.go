@@ -66,6 +66,7 @@ import (
 	"batsched/internal/durable"
 	"batsched/internal/event"
 	"batsched/internal/fault"
+	"batsched/internal/idmap"
 	"batsched/internal/machine"
 	"batsched/internal/obs"
 	"batsched/internal/storage"
@@ -285,14 +286,14 @@ type lshard struct {
 	wakeGen uint64
 	active  int
 	parked  int
-	admits  map[txn.ID]sched.Decision
+	admits  idmap.Map[sched.Decision]
 
 	// txns holds the control record of every admitted, unfinished
 	// transaction homed here (its length drives Stats.Active); free
 	// recycles finished records, so steady-state admission allocates
 	// nothing. stats holds this shard's partial counters (summed by
 	// Controller.Stats).
-	txns  map[txn.ID]*ltxn
+	txns  idmap.Map[*ltxn]
 	free  []*ltxn
 	stats Stats
 }
@@ -398,7 +399,7 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	c.place = machine.NewPlacement(machine.Config{NumNodes: max(c.topo.NumNodes, 1), NumParts: c.topo.NumParts})
 	c.shards = make([]*lshard, c.nshards)
 	for i := range c.shards {
-		sh := &lshard{idx: i, txns: make(map[txn.ID]*ltxn), admits: make(map[txn.ID]sched.Decision)}
+		sh := &lshard{idx: i}
 		s := factory.New(costs)
 		if i == 0 {
 			c.label = s.Name()
@@ -451,7 +452,7 @@ func (c *Controller) Stats() Stats {
 	var s Stats
 	for _, sh := range c.shards {
 		s.add(sh.stats)
-		s.Active += len(sh.txns)
+		s.Active += sh.txns.Len()
 	}
 	return s
 }
@@ -572,7 +573,7 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 		r.wait.ch, r.wait.dec = ch, dec
 		sh.parked++
 	} else {
-		sh.admits[id] = dec
+		sh.admits.Put(id, dec)
 	}
 	sh.mu.Unlock()
 	var resubmit <-chan time.Time // nil, never ready, unless Delayed
@@ -601,7 +602,7 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 	}
 	sh.mu.Lock()
 	if r == nil {
-		delete(sh.admits, id)
+		sh.admits.Delete(id)
 	} else if r.blocked() { // else a concurrent finish already unparked it
 		sh.unparkLocked(r)
 	}
@@ -633,7 +634,7 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *
 		r = new(ltxn)
 	}
 	*r = ltxn{admitted: now, mask: mask, step: -1, resubmit: r.resubmit}
-	home.txns[t.ID] = r
+	home.txns.Put(t.ID, r)
 	c.bumpProgress()
 	if c.dur.Logs() {
 		r.preds = c.predecessorsLocked(mask, t.ID)
@@ -816,7 +817,7 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 			home.mu.Unlock()
 			return ErrClosed
 		}
-		r := home.txns[t.ID]
+		r, _ := home.txns.Get(t.ID)
 		if r == nil {
 			home.mu.Unlock()
 			return errNotAdmitted(t.ID)
@@ -874,7 +875,7 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	home := c.shards[homeShard(c.shardMask(t))]
 	home.mu.Lock()
 	defer home.mu.Unlock()
-	r := home.txns[t.ID]
+	r, _ := home.txns.Get(t.ID)
 	if r == nil {
 		return
 	}
@@ -959,7 +960,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	home := c.shards[homeShard(mask)]
 
 	c.lockMask(mask)
-	r := home.txns[t.ID]
+	r, _ := home.txns.Get(t.ID)
 	if r == nil {
 		c.unlockMask(mask)
 		return errNotAdmitted(t.ID)
@@ -979,7 +980,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 			node = c.place.NodeOf(t.Steps[0].Part) // CrashNode re-homes under every shard lock
 		}
 	}
-	delete(home.txns, t.ID)
+	home.txns.Delete(t.ID)
 	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
 		home.unparkLocked(r)
 	} else {
@@ -1072,20 +1073,21 @@ func (c *Controller) CrashNode(node int) error {
 		c.emit(obs.Event{Kind: obs.KindRehome, At: now, Part: rh.Part, FromNode: rh.From, Node: rh.To})
 	}
 	for _, sh := range c.shards {
-		for id, r := range sh.txns {
+		sh.txns.Range(func(id txn.ID, r *ltxn) bool {
 			if r.step < 0 || r.node != node {
-				continue
+				return true
 			}
 			if r.work > 0 {
 				r.doom = ErrNodeCrashed
 				c.shards[0].stats.CrashDoomed++
 				c.emitShard(sh.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: id, Step: r.step, Part: r.part, Op: "node-crash"})
-				continue
+				return true
 			}
 			to := c.place.NodeOf(r.part)
 			r.node = to
 			c.emitShard(sh.idx, obs.Event{Kind: obs.KindRequeue, At: now, Txn: id, Step: r.step, Part: r.part, FromNode: node, Node: to})
-		}
+			return true
+		})
 	}
 	// The triage itself is scheduler progress: parked waiters re-check
 	// their doom on wake, and a stall the crash caused (or cured) must be
@@ -1143,8 +1145,8 @@ func (c *Controller) watchdogLoop() {
 		}
 		active, admits := 0, 0
 		for _, sh := range c.shards {
-			active += len(sh.txns)
-			admits += len(sh.admits)
+			active += sh.txns.Len()
+			admits += sh.admits.Len()
 		}
 		if active == 0 && admits == 0 {
 			// Idle, not stalled: nothing is waiting for progress.
@@ -1191,19 +1193,21 @@ func (c *Controller) stallReportLocked() string {
 	}
 	var ps []parked
 	for _, sh := range c.shards {
-		for id, r := range sh.txns {
+		sh.txns.Range(func(id txn.ID, r *ltxn) bool {
 			if !r.blocked() {
-				continue
+				return true
 			}
 			var holders []txn.ID
 			if own := c.shards[c.shardOf(r.wait.part)]; own.holders != nil {
 				holders = own.holders.LockHolders(r.wait.part)
 			}
 			ps = append(ps, parked{id, fmt.Sprintf("%v step=%d part=%v %v holders=%v", id, r.wait.step, r.wait.part, r.wait.dec, holders)})
-		}
-		for id, dec := range sh.admits {
+			return true
+		})
+		sh.admits.Range(func(id txn.ID, dec sched.Decision) bool {
 			ps = append(ps, parked{id, fmt.Sprintf("%v admit %v", id, dec)})
-		}
+			return true
+		})
 	}
 	sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
 	var b strings.Builder
@@ -1222,14 +1226,15 @@ func (c *Controller) stallReportLocked() string {
 // blocked. Callers must hold every shard lock.
 func (c *Controller) youngestBlockedLocked() (best txn.ID, bestR *ltxn) {
 	for _, sh := range c.shards {
-		for id, r := range sh.txns {
+		sh.txns.Range(func(id txn.ID, r *ltxn) bool {
 			if !r.blocked() || r.doom != nil {
-				continue // not parked, or already sentenced: give it a tick to act
+				return true // not parked, or already sentenced: give it a tick to act
 			}
 			if bestR == nil || r.admitted > bestR.admitted || (r.admitted == bestR.admitted && id > best) {
 				best, bestR = id, r
 			}
-		}
+			return true
+		})
 	}
 	return best, bestR
 }

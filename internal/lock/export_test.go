@@ -26,7 +26,11 @@ func (tb *Table) HeldMode(id txn.ID, p txn.PartitionID) (txn.Mode, bool) {
 // PendingDecls returns the pending declarations of id in step order.
 func (tb *Table) PendingDecls(id txn.ID) []Decl {
 	var out []Decl
-	for _, p := range tb.txns[id] {
+	pi, ok := tb.txns.Get(id)
+	if !ok {
+		return nil
+	}
+	for _, p := range tb.parts[pi] {
 		for _, d := range tb.lookup(p).decls {
 			if d.Txn == id {
 				out = append(out, d)

@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"slices"
 
+	"batsched/internal/idmap"
 	"batsched/internal/txn"
 )
 
@@ -47,18 +48,20 @@ type entry struct {
 }
 
 // Table is the control node's lock table: a slot engine in the style of
-// the WTPG's. A partition maps to a slot in an entry slab whose holder and
-// declaration slices are reused by reslicing, and each live transaction
-// maps to the distinct partitions it touches, a slice recycled through a
-// spare stack — so a Declare → Grant → Release cycle allocates nothing
-// once the table is warm. An emptied entry stays indexed: the partition
-// space is the layout's, so the slab is bounded by the number of distinct
-// partitions ever locked. The zero value is not usable; use NewTable.
+// the WTPG's. A partition indexes a slot slice that points into an entry
+// slab whose holder and declaration slices are reused by reslicing, and
+// each live transaction maps, through the id index, to a slot in a slab
+// of partition lists (the distinct partitions it touches) recycled
+// through a free list — so a Declare → Grant → Release cycle allocates
+// nothing once the table is warm. Partitions are the layout's dense 0..NumParts−1 (DESIGN.md §16):
+// the slot slice grows to the highest partition declared, and an emptied
+// entry stays indexed. The zero value is not usable; use NewTable.
 type Table struct {
-	slot    map[txn.PartitionID]int32 // partition → index into entries
+	slot    []int32 // partition → 1 + its index into entries; 0 if never locked
 	entries []entry
-	txns    map[txn.ID][]txn.PartitionID // live transaction → its partitions
-	spare   [][]txn.PartitionID          // released partition slices for reuse
+	txns    idmap.Map[int32]    // live transaction → its index into parts
+	parts   [][]txn.PartitionID // a live transaction's distinct partitions
+	free    []int32             // parts indices of released transactions
 
 	// version counts the mutations (Declare, Grant, Release): a decision
 	// that read the table under one version reads the same table while
@@ -72,40 +75,47 @@ type Table struct {
 }
 
 // NewTable returns an empty lock table.
-func NewTable() *Table {
-	return &Table{
-		slot: make(map[txn.PartitionID]int32),
-		txns: make(map[txn.ID][]txn.PartitionID),
-	}
-}
+func NewTable() *Table { return &Table{} }
 
 // lookup returns p's entry, or nil if p was never locked.
 func (tb *Table) lookup(p txn.PartitionID) *entry {
-	i, ok := tb.slot[p]
-	if !ok {
+	if uint(p) >= uint(len(tb.slot)) {
 		return nil
 	}
-	return &tb.entries[i]
+	i := tb.slot[p]
+	if i == 0 {
+		return nil
+	}
+	return &tb.entries[i-1]
 }
 
-// entry returns p's entry, indexing a new one on first use. The pointer
-// is valid until the next new partition grows the slab.
+// entry returns p's entry, indexing a new one on first use. p must not be
+// negative. The pointer is valid until the next new partition grows the
+// slab.
 func (tb *Table) entry(p txn.PartitionID) *entry {
-	i, ok := tb.slot[p]
-	if !ok {
-		i = int32(len(tb.entries))
+	if n := int(p) + 1; n > len(tb.slot) {
+		tb.slot = append(tb.slot, make([]int32, n-len(tb.slot))...)
+	}
+	i := tb.slot[p]
+	if i == 0 {
 		tb.entries = append(tb.entries, entry{})
+		i = int32(len(tb.entries))
 		tb.slot[p] = i
 	}
-	return &tb.entries[i]
+	return &tb.entries[i-1]
 }
 
 // Declare registers lock-declarations for every step of t, using t's
 // declared I/O demands for the due values. It returns an error if t is
-// already known to the table.
+// already known to the table or a step names a negative partition.
 func (tb *Table) Declare(t *txn.T) error {
-	if _, ok := tb.txns[t.ID]; ok {
+	if _, ok := tb.txns.Get(t.ID); ok {
 		return fmt.Errorf("lock: %v already declared", t.ID)
+	}
+	for _, s := range t.Steps {
+		if s.Part < 0 {
+			return fmt.Errorf("lock: %v declares negative partition %v", t.ID, s.Part)
+		}
 	}
 	// due(s_i) for every step in one suffix-sum pass, added in t.Due's
 	// order so the values are bit-identical.
@@ -116,11 +126,14 @@ func (tb *Table) Declare(t *txn.T) error {
 		sum += t.Declared[i]
 		tb.dues[i] = sum
 	}
-	var parts []txn.PartitionID
-	if k := len(tb.spare); k > 0 {
-		parts = tb.spare[k-1]
-		tb.spare = tb.spare[:k-1]
+	var pi int32
+	if k := len(tb.free); k > 0 {
+		pi, tb.free = tb.free[k-1], tb.free[:k-1]
+	} else {
+		pi = int32(len(tb.parts))
+		tb.parts = append(tb.parts, nil)
 	}
+	parts := tb.parts[pi][:0]
 	for i, s := range t.Steps {
 		e := tb.entry(s.Part)
 		e.decls = append(e.decls, Decl{Txn: t.ID, Step: i, Mode: s.Mode, Due: tb.dues[i]})
@@ -128,8 +141,9 @@ func (tb *Table) Declare(t *txn.T) error {
 			parts = append(parts, s.Part)
 		}
 	}
+	tb.parts[pi] = parts
 	// A zero-step transaction is still recorded so Release/Known work.
-	tb.txns[t.ID] = parts
+	tb.txns.Put(t.ID, pi)
 	tb.version++
 	return nil
 }
@@ -140,7 +154,7 @@ func (tb *Table) Version() uint64 { return tb.version }
 
 // Known reports whether id currently has declarations or holds.
 func (tb *Table) Known(id txn.ID) bool {
-	_, ok := tb.txns[id]
+	_, ok := tb.txns.Get(id)
 	return ok
 }
 
@@ -272,7 +286,11 @@ func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
 // the table's own and is valid until the next call to Release.
 func (tb *Table) Release(id txn.ID) []txn.PartitionID {
 	freed := tb.freed[:0]
-	parts, ok := tb.txns[id]
+	pi, ok := tb.txns.Get(id)
+	var parts []txn.PartitionID
+	if ok {
+		parts = tb.parts[pi]
+	}
 	for _, p := range parts {
 		e := tb.lookup(p)
 		for i, h := range e.holders {
@@ -293,10 +311,8 @@ func (tb *Table) Release(id txn.ID) []txn.PartitionID {
 		e.decls = kept
 	}
 	if ok {
-		delete(tb.txns, id)
-		if cap(parts) > 0 {
-			tb.spare = append(tb.spare, parts[:0])
-		}
+		tb.txns.Delete(id)
+		tb.free = append(tb.free, pi)
 	}
 	slices.Sort(freed)
 	tb.freed = freed
@@ -372,7 +388,10 @@ func (tb *Table) Holders(p txn.PartitionID) []txn.ID {
 // Intended for tests and the simulator's self-checking mode.
 func (tb *Table) CheckInvariants() error {
 	for p, i := range tb.slot {
-		e := &tb.entries[i]
+		if i == 0 {
+			continue
+		}
+		e := &tb.entries[i-1]
 		writers := 0
 		for _, h := range e.holders {
 			if h.mode == txn.Write {
@@ -380,7 +399,7 @@ func (tb *Table) CheckInvariants() error {
 			}
 		}
 		if writers > 1 || (writers == 1 && len(e.holders) > 1) {
-			return fmt.Errorf("lock: conflicting holders on %v: %v", p, e.holders)
+			return fmt.Errorf("lock: conflicting holders on %v: %v", txn.PartitionID(p), e.holders)
 		}
 	}
 	return nil

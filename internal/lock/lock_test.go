@@ -33,6 +33,32 @@ func TestDeclareAndDueAttachment(t *testing.T) {
 	}
 }
 
+// TestDeclareRejectsNegativePartition: partitions index the table's slot
+// slice, so a negative one is refused before anything is recorded, and a
+// partition far past the rest grows the slice to reach it.
+func TestDeclareRejectsNegativePartition(t *testing.T) {
+	tb := NewTable()
+	v := tb.Version()
+	if err := tb.Declare(mk(1, r(0, 1), w(-3, 1))); err == nil {
+		t.Fatal("Declare accepted partition -3")
+	}
+	if tb.Known(1) || tb.Version() != v || tb.IsBlocked(2, 0, txn.Write) {
+		t.Error("a refused Declare left state behind")
+	}
+	if err := tb.Declare(mk(1, w(0, 1), w(1000, 1))); err != nil {
+		t.Fatal(err)
+	}
+	if err := tb.Grant(1, 1000, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := tb.Holders(1000); len(got) != 1 || got[0] != 1 {
+		t.Errorf("Holders(P1000) = %v, want [T1]", got)
+	}
+	if tb.Holders(999) != nil || tb.Holders(5000) != nil || tb.Holders(-1) != nil {
+		t.Error("an unlocked partition has holders")
+	}
+}
+
 func TestBlockedAndGrant(t *testing.T) {
 	tb := NewTable()
 	t1 := mk(1, w(0, 1))

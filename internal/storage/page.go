@@ -196,9 +196,13 @@ func (p Page) check() error {
 		return fmt.Errorf("storage: page %d: slot directory %d overlaps data start %d (size %d)",
 			p.PageNo(), dirEnd, ds, size)
 	}
+	// The directory is walked as one slice, one (offset, length) entry
+	// per little-endian uint32: a single bounds check for the walk.
+	dir := p.b[pageHeaderLen:dirEnd]
 	live := 0
-	for i := 0; i < n; i++ {
-		off, length := p.slot(i)
+	for i := 0; len(dir) >= slotLen; i, dir = i+1, dir[slotLen:] {
+		e := binary.LittleEndian.Uint32(dir)
+		off, length := int(e&0xffff), int(e>>16)
 		if off == 0 {
 			continue
 		}

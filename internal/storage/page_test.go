@@ -2,6 +2,7 @@ package storage
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -183,6 +184,38 @@ func TestPageCorruptionBitFlip(t *testing.T) {
 	}
 	if _, err := LoadPage(buf); err != nil {
 		t.Fatalf("page damaged by the flip loop itself: %v", err)
+	}
+}
+
+// TestPageStructuralErrors damages each structural invariant of a page
+// and re-seals it, so the checksum passes and check alone must refuse
+// the image: a slot directory running past the data start, a tuple
+// ending past the page, and a live count that disagrees with the live
+// slots. Each must fail LoadPage with its own message.
+func TestPageStructuralErrors(t *testing.T) {
+	const size = 512
+	for _, tc := range []struct {
+		name   string
+		damage func(p Page)
+		want   string
+	}{
+		{"directory past dataStart", func(p Page) { p.setNslots(200) },
+			fmt.Sprintf("storage: page 9: slot directory %d overlaps data start %d (size %d)", pageHeaderLen+200*slotLen, size-42, size)},
+		{"tuple past the page", func(p Page) { p.setSlot(1, size-42, 43) },
+			fmt.Sprintf("storage: page 9 slot 1: tuple [%d,%d) outside data region [%d,%d)", size-42, size+1, size-42, size)},
+		{"live count", func(p Page) { p.setLive(5) },
+			"storage: page 9: live count 5 but 2 live slots"},
+	} {
+		buf := make([]byte, size)
+		p := InitPage(buf, 9)
+		p.Insert([]byte("the quick brown fox"))     // 19 bytes at the end
+		p.Insert([]byte("jumps over the lazy dog")) // 23 bytes below it
+		tc.damage(p)
+		p.Seal()
+		_, err := LoadPage(buf)
+		if err == nil || err.Error() != tc.want {
+			t.Errorf("%s: LoadPage = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 
