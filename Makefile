@@ -38,11 +38,12 @@ bench-smoke:
 	$(GO) run ./benchmark -quick
 
 # harness-smoke drives batbench's grid paths end to end on tiny sweeps —
-# the epoch sweep (registry lookup, batch admission, window flushes, its
-# JSON export), an ablation and a variant figure (Figure 8's NumHots
-# axis) — so verify catches breakage without the cost of a full sweep.
+# the retry-delay ablation (the §3.2 delay axis that carries the
+# control-bound result), the placement ablation and a variant figure
+# (Figure 8's NumHots axis) — so verify catches breakage without the
+# cost of a full sweep.
 harness-smoke:
-	$(GO) run ./cmd/batbench -epoch -quick -q -maxtxns 20 -windows 0,500,2000 -json /dev/null
+	$(GO) run ./cmd/batbench -ablation retrydelay -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -ablation placement -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -fig 8 -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 

@@ -147,17 +147,14 @@ type (
 // Granted is the scheduler decision that lets a request proceed.
 const Granted = sched.Granted
 
-// Scheduler factories, named as in the paper; EPOCH is CHAIN plus batch
-// admission in the simulator (SimConfig.BatchWindow). A Controller admits
-// per arrival, so under one EPOCH behaves exactly as CHAIN. Each is a thin
-// wrapper over the registry — the one place that constructs schedulers by
+// Scheduler factories, named as in the paper. Each is a thin wrapper
+// over the registry — the one place that constructs schedulers by
 // name — so these constructors and the CLIs' -sched flags always agree
 // (TestFacadeCoversRegistry).
 func NODC() SchedulerFactory       { return sched.MustLookup("NODC") }
 func ASL() SchedulerFactory        { return sched.MustLookup("ASL") }
 func C2PL() SchedulerFactory       { return sched.MustLookup("C2PL") }
 func CHAIN() SchedulerFactory      { return sched.MustLookup("CHAIN") }
-func EPOCH() SchedulerFactory      { return sched.MustLookup("EPOCH") }
 func KWTPG(k int) SchedulerFactory { return sched.MustLookup(fmt.Sprintf("K%d", k)) }
 func ChainC2PL() SchedulerFactory  { return sched.MustLookup("CHAIN-C2PL") }
 func KConflictC2PL(k int) SchedulerFactory {

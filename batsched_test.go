@@ -104,7 +104,7 @@ func TestFacadePatternParse(t *testing.T) {
 func TestFacadeCoversRegistry(t *testing.T) {
 	facade := map[string]bool{}
 	for _, f := range []batsched.SchedulerFactory{
-		batsched.NODC(), batsched.ASL(), batsched.C2PL(), batsched.CHAIN(), batsched.EPOCH(),
+		batsched.NODC(), batsched.ASL(), batsched.C2PL(), batsched.CHAIN(),
 		batsched.KWTPG(2), batsched.ChainC2PL(), batsched.KConflictC2PL(2),
 	} {
 		facade[f.Label] = true

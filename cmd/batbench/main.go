@@ -10,8 +10,6 @@
 //	batbench -fig 8 -quick          # reduced horizon for a fast preview
 //	batbench -fig 7 -csv out.csv    # also dump the sweep as CSV
 //	batbench -fig 6 -trace t.jsonl -metrics   # structured trace + summary
-//	batbench -epoch                 # EPOCH batch-window sweep (makespan/p99 vs window)
-//	batbench -epoch -windows 0,1000,4000 -json sweep.json
 //
 // Grid cells fan out across -parallel workers (default: every core);
 // results land in pre-indexed slots and trace/metrics sinks are merged
@@ -42,10 +40,6 @@ func main() {
 		all      = flag.Bool("all", false, "regenerate every figure")
 		ablation = flag.String("ablation", "", "ablation to run: ksweep, placement, controlcost, keeptime, retrydelay, all")
 		mixed    = flag.Bool("mixed", false, "run the mixed short-transaction/BAT experiment")
-		epoch    = flag.Bool("epoch", false, "run the epoch batch-window sweep (EPOCH scheduler, makespan and latency vs window)")
-		windows  = flag.String("windows", "", "comma-separated batch windows in clocks for -epoch (default 0,500,1000,2000,5000,10000)")
-		maxTxns  = flag.Int("maxtxns", 0, "arrivals per -epoch cell (0 = default 300)")
-		jsonOut  = flag.String("json", "", "write the -epoch sweep as JSON to this file")
 		table1   = flag.Bool("table1", false, "print the effective Table 1 parameters")
 		horizon  = flag.Int64("horizon", 2_000_000, "simulated clocks per run (paper: 2,000,000)")
 		seed     = flag.Int64("seed", 1990, "base random seed")
@@ -171,29 +165,6 @@ func main() {
 		finishObs()
 		return
 	}
-	if *epoch {
-		ws, err := parseWindows(*windows)
-		must(err)
-		lambda := 0.0 // 0 = the sweep's default
-		if len(opts.Lambdas) > 0 {
-			lambda = opts.Lambdas[0]
-		}
-		r, err := experiments.RunEpochSweep(opts, ws, lambda, *maxTxns, expOpts...)
-		must(err)
-		fmt.Println(r.Render())
-		writeCSV(*csvOut, r.CSV())
-		if *jsonOut != "" {
-			data, err := r.JSON()
-			must(err)
-			must(os.WriteFile(*jsonOut, data, 0o644))
-			if !*quiet {
-				fmt.Fprintf(os.Stderr, "wrote %s\n", *jsonOut)
-			}
-		}
-		finishObs()
-		return
-	}
-
 	var figs []string
 	if *all {
 		figs = []string{"6", "7", "8", "9", "10"}
@@ -376,26 +347,6 @@ func writeHeapProfile(path string) {
 	must(pprof.WriteHeapProfile(f))
 	must(f.Close())
 	fmt.Fprintf(os.Stderr, "wrote %s\n", path)
-}
-
-// parseWindows parses the -windows flag into clock values; an empty
-// flag means the sweep's default axis.
-func parseWindows(s string) ([]event.Time, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, nil
-	}
-	var out []event.Time
-	for _, tok := range strings.Split(s, ",") {
-		v, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("bad -windows entry %q: %v", tok, err)
-		}
-		if v < 0 {
-			return nil, fmt.Errorf("negative -windows entry %d", v)
-		}
-		out = append(out, event.Time(v))
-	}
-	return out, nil
 }
 
 func writeCSV(path, data string) {

@@ -25,7 +25,7 @@ func TestCheckLiveFlags(t *testing.T) {
 	parse := func(args ...string) *flag.FlagSet {
 		fs := flag.NewFlagSet("batsim", flag.ContinueOnError)
 		fs.SetOutput(io.Discard)
-		for _, name := range []string{"sched", "workload", "seed", "shards", "livetxns", "window", "wal", "json", "lambda"} {
+		for _, name := range []string{"sched", "workload", "seed", "shards", "livetxns", "horizon", "wal", "json", "lambda"} {
 			fs.String(name, "", "")
 		}
 		fs.Bool("plotlive", false, "")
@@ -37,8 +37,8 @@ func TestCheckLiveFlags(t *testing.T) {
 	if err := checkLiveFlags(parse("-shards", "2", "-sched", "CHAIN", "-workload", "exp2", "-seed", "3", "-livetxns", "10")); err != nil {
 		t.Errorf("live flags only: %v", err)
 	}
-	err := checkLiveFlags(parse("-shards", "2", "-wal", "/x", "-window", "5", "-plotlive", "-json", "-"))
-	want := "-shards runs the live controller, which does not read -json, -plotlive, -wal, -window"
+	err := checkLiveFlags(parse("-shards", "2", "-wal", "/x", "-horizon", "5", "-plotlive", "-json", "-"))
+	want := "-shards runs the live controller, which does not read -horizon, -json, -plotlive, -wal"
 	if err == nil || err.Error() != want {
 		t.Errorf("sim-only flags: %v, want %q", err, want)
 	}

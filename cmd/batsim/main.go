@@ -37,7 +37,6 @@ import (
 func main() {
 	var (
 		schedName = flag.String("sched", "K2", "scheduler name; any registered scheduler: "+strings.Join(sched.Names(), ", ")+", K<k>, K<k>-C2PL")
-		window    = flag.Int64("window", 0, "epoch batch-admission window in clocks (requires -sched EPOCH; 0 = per-arrival)")
 		wl        = flag.String("workload", "exp1", "workload: exp1, exp2, exp3, exp4, custom")
 		pattern   = flag.String("pattern", "", "custom pattern for -workload custom, e.g. \"r(F1:2) -> w(F2:1)\"")
 		lambda    = flag.Float64("lambda", 0.5, "arrival rate (transactions per second)")
@@ -159,7 +158,6 @@ func main() {
 		Seed:                 *seed,
 		CheckSerializability: !*nocheck && factory.Label != "NODC",
 		SelfCheck:            *selfCheck,
-		BatchWindow:          event.Time(*window),
 	}
 	if *plotLive {
 		cfg.SampleEvery = cfg.Horizon / 60

@@ -59,40 +59,7 @@ func Observed(s Scheduler, o obs.Observer) Scheduler {
 			})
 		}
 	}
-	if _, ok := s.(BatchAdmitter); ok {
-		// Only batch-capable schedulers may look batch-capable after
-		// wrapping: a plain *observed forwarding AdmitBatch would make
-		// every scheduler satisfy the BatchAdmitter type assertion.
-		return &observedBatch{observed: w}
-	}
 	return w
-}
-
-// observedBatch extends observed with AdmitBatch forwarding, returned
-// only when the wrapped scheduler is itself a BatchAdmitter so the
-// optional-interface type assertion stays truthful through the wrapper.
-type observedBatch struct {
-	*observed
-}
-
-// AdmitBatch forwards the batch and reports it: one Decision event per
-// member (op "admit", as the per-arrival path would emit, with the wall
-// duration of the whole batch attributed to its first member), then the
-// critical-path and degraded-mode checks once for the batch.
-func (w *observedBatch) AdmitBatch(ts []*txn.T, now event.Time) BatchOutcome {
-	w.lastNow = now
-	start := time.Now()
-	out := w.inner.(BatchAdmitter).AdmitBatch(ts, now)
-	dur := time.Since(start)
-	for i, t := range ts {
-		w.emitDecision("admit", t.ID, -1, -1, false, out.Outcomes[i], now, dur)
-		dur = 0
-	}
-	if out.Admitted > 0 {
-		w.checkCriticalPath(now)
-	}
-	w.checkDegraded(now)
-	return out
 }
 
 func (w *observed) Name() string { return w.inner.Name() }
@@ -216,9 +183,9 @@ func (w *observed) Degraded() bool {
 
 // checkCriticalPath reads the WTPG critical path and emits a
 // CriticalPathChange event when its length moved. Only runs with an
-// observer attached; the graph caches the critical path per epoch, so
-// this is O(1) unless the graph mutated since the last read (then one
-// O(V+E) recomputation over resolved edges).
+// observer attached; the graph caches the critical path until its next
+// mutation, so this is O(1) unless the graph mutated since the last
+// read (then one O(V+E) recomputation over resolved edges).
 func (w *observed) checkCriticalPath(now event.Time) {
 	if w.graph == nil {
 		return

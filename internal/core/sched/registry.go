@@ -9,8 +9,8 @@ import (
 // schedulers by name: the CLIs (batsim, batbench), the experiment
 // harness and the facade all go through Lookup instead of hand-rolled
 // switches. The table is fixed: the paper's five (NODC, ASL, C2PL,
-// CHAIN, K<k>), the Experiment 4 hybrids (CHAIN-C2PL, K<k>-C2PL) and the
-// epoch-batch mode (EPOCH) — adding a scheduler means adding a row.
+// CHAIN, K<k>) and the Experiment 4 hybrids (CHAIN-C2PL, K<k>-C2PL) —
+// adding a scheduler means adding a row.
 
 // exact lists the exact scheduler names, sorted — the order Names and
 // the unknown-name error report them in.
@@ -22,7 +22,6 @@ var exact = []struct {
 	{"C2PL", C2PLFactory},
 	{"CHAIN", ChainFactory},
 	{"CHAIN-C2PL", ChainC2PLFactory},
-	{"EPOCH", EpochFactory},
 	{"NODC", NODCFactory},
 }
 

@@ -19,11 +19,11 @@
 // (freed on commit/abort, reused), edges live in a slab indexed by small
 // ints, adjacency is slice-based, traversal scratch (stacks,
 // generation-stamped visited marks, topological buffers) is owned by the
-// graph and reused, and the critical-path length is cached under an epoch
-// counter so re-reads between mutations are O(1). The original map-based
-// engine, Ref, lives in the package's tests (ref_test.go) as the
-// reference the differential tests hold Graph to. See docs/PERFORMANCE.md
-// for the design and its invalidation rules.
+// graph and reused, and the critical-path length is cached under a
+// mutation counter so re-reads between mutations are O(1). The original
+// map-based engine, Ref, lives in the package's tests (ref_test.go) as
+// the reference the differential tests hold Graph to. See
+// docs/PERFORMANCE.md for the design and its invalidation rules.
 package wtpg
 
 import (
@@ -195,18 +195,18 @@ type Graph struct {
 	out [][]int32 // slot → slab indices of resolved out-edges
 	in  [][]int32 // slot → slab indices of resolved in-edges
 
-	// epoch counts mutations (AddNode/AddConflict/Resolve/Remove/SetW0);
+	// muts counts mutations (AddNode/AddConflict/Resolve/Remove/SetW0);
 	// caches stamped with it are valid while it stands still. shape counts
 	// the structural ones alone — every mutation but SetW0 — so a decision
 	// that reads nodes, conflicts and resolutions but no weight can be
 	// stamped with it (ShapeVersion).
-	epoch uint64
+	muts  uint64
 	shape uint64
 
 	// Cached critical path: value, cycle flag, and the topological order
 	// and per-slot distances of the pass that produced it (reused by
-	// CriticalPathTrace). Valid while cpEpoch == epoch.
-	cpEpoch uint64
+	// CriticalPathTrace). Valid while cpMuts == muts.
+	cpMuts  uint64
 	cpValid bool
 	cpLen   float64
 	cpOK    bool
@@ -282,7 +282,7 @@ func (g *Graph) AddNode(id txn.ID, w0 float64) error {
 	g.w0[s] = w0
 	g.slotOf.Put(id, s)
 	g.nLive++
-	g.epoch++
+	g.muts++
 	g.shape++
 	return nil
 }
@@ -324,7 +324,7 @@ func (g *Graph) setW0(s int32, w float64) {
 		w = 0
 	}
 	g.w0[s] = w
-	g.epoch++
+	g.muts++
 }
 
 // AddConflict inserts the conflicting-edge (a,b) with weights w(a→b)=wab
@@ -362,7 +362,7 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	g.adj[sa] = append(g.adj[sa], idx)
 	g.adj[sb] = append(g.adj[sb], idx)
 	g.pair[k] = idx
-	g.epoch++
+	g.muts++
 	g.shape++
 	return nil
 }
@@ -417,7 +417,7 @@ func (g *Graph) Resolve(from, to txn.ID) error {
 		e.posIn = int32(len(g.in[ts]))
 		g.out[fs] = append(g.out[fs], idx)
 		g.in[ts] = append(g.in[ts], idx)
-		g.epoch++
+		g.muts++
 		g.shape++
 		if g.OnResolve != nil {
 			g.OnResolve(g.ids[fs], g.ids[ts])
@@ -513,7 +513,7 @@ func (g *Graph) Remove(id txn.ID) {
 	g.slotOf.Delete(id)
 	g.free = append(g.free, s)
 	g.nLive--
-	g.epoch++
+	g.muts++
 	g.shape++
 }
 
@@ -632,11 +632,11 @@ func (g *Graph) reach(m *markset, stack []int32, lists [][]int32, stop int32) bo
 // the implicit edge T0→Ti of weight w(T0→Ti) and Ti→Tf of weight 0. An
 // error is returned if the precedence-edges contain a cycle.
 //
-// The result is cached against the graph's mutation epoch: repeated calls
+// The result is cached against the graph's mutation count: repeated calls
 // with no intervening AddNode/AddConflict/Resolve/Remove/SetW0 are O(1)
 // and allocation-free; otherwise one slice-based topological pass runs.
 func (g *Graph) CriticalPath() (float64, error) {
-	if !g.cpValid || g.cpEpoch != g.epoch {
+	if !g.cpValid || g.cpMuts != g.muts {
 		g.recomputeCP()
 	}
 	if !g.cpOK {
@@ -684,7 +684,7 @@ func (g *Graph) recomputeCP() {
 		}
 	}
 	g.topoBuf = topo
-	g.cpEpoch = g.epoch
+	g.cpMuts = g.muts
 	g.cpValid = true
 	if len(topo) != g.nLive {
 		g.cpOK = false

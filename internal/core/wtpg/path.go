@@ -122,10 +122,10 @@ func (g *Graph) Estimate(t txn.ID, targets []txn.ID) float64 {
 // precedence-edges. Deterministic: ties prefer smaller transaction ids.
 //
 // The trace reuses the cached topological order and distance array of
-// CriticalPath when they are still valid for the current epoch, so
-// tracing after an unchanged-length check costs one predecessor sweep.
+// CriticalPath when no mutation has happened since, so tracing after
+// an unchanged-length check costs one predecessor sweep.
 func (g *Graph) CriticalPathTrace() ([]txn.ID, float64, error) {
-	if !g.cpValid || g.cpEpoch != g.epoch {
+	if !g.cpValid || g.cpMuts != g.muts {
 		g.recomputeCP()
 	}
 	if !g.cpOK {

@@ -497,7 +497,7 @@ func TestQuickDifferentialEngine(t *testing.T) {
 }
 
 // BenchmarkCriticalPath measures the uncached recomputation: each
-// iteration bumps a node weight (invalidating the epoch cache) and
+// iteration bumps a node weight (invalidating the critical-path cache) and
 // re-reads the critical path. The cached re-read case is
 // BenchmarkCriticalPathStar above.
 func BenchmarkCriticalPath(b *testing.B) {

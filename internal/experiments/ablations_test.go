@@ -5,6 +5,9 @@ import (
 	"testing"
 
 	"batsched/internal/event"
+	"batsched/internal/machine"
+	"batsched/internal/sim"
+	"batsched/internal/workload"
 )
 
 func TestRunKSweepQuick(t *testing.T) {
@@ -119,5 +122,37 @@ func TestRunMixedWorkloadQuick(t *testing.T) {
 	}
 	if out := r.Render(); !strings.Contains(out, "short RT") {
 		t.Errorf("render:\n%s", out)
+	}
+}
+
+// TestRetryDelayPaysWhenControlBound pins where re-testing refused
+// arrivals less often pays: with the control node's decision costs
+// (DDTime, ChainTime, KWTPGTime) scaled ×100, CHAIN at the default 0.5 s
+// retry delay is control-bound. An arrival refused for breaking chain
+// form is re-tested at DDTime after every delay, those re-tests saturate
+// the control node, and arrivals are left uncommitted at the horizon. A
+// 15 s delay commits all of them sooner. At ×1 and ×10 no longer delay
+// beats 0.5 s beyond the seed spread (EXPERIMENTS.md, "Control-bound:
+// the retry delay").
+func TestRetryDelayPaysWhenControlBound(t *testing.T) {
+	const arrivals = 300
+	for seed := int64(1990); seed <= 1994; seed++ {
+		o := Options{Machine: machine.DefaultConfig(), Seed: seed, Lambdas: []float64{0.8}}
+		o.Machine.Control.DDTime *= 100
+		o.Machine.Control.ChainTime *= 100
+		o.Machine.Control.KWTPGTime *= 100
+		sets, err := runGrid(o.withDefaults(), variantsOf([]event.Time{500, 15_000}, func(c *sim.Config, d event.Time) {
+			c.Workload = workload.Experiment1(c.Machine.NumParts)
+			c.MaxTxns = arrivals
+			c.Machine.RetryDelay = d
+		}), factoriesByName("CHAIN"), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		short, long := sets[0][0].Points[0].Result, sets[1][0].Points[0].Result
+		if long.Completed != arrivals || long.MeanRT >= short.MeanRT {
+			t.Errorf("seed %d: delay 15 s committed %d of %d at mean RT %.1f s, 0.5 s %d at %.1f s; "+
+				"want all committed and a lower mean RT", seed, long.Completed, arrivals, long.MeanRT, short.Completed, short.MeanRT)
+		}
 	}
 }

@@ -23,7 +23,7 @@ import (
 
 // The decision digests pin every scheduling decision the simulator makes
 // on the quick grids of Experiments 1–4, the K sweep, the placement
-// ablation and the epoch sweep. Each grid cell's JSONL trace, without
+// ablation and the retry-delay ablation. Each grid cell's JSONL trace, without
 // the wall-clock dur_ns field, is hashed and compared with
 // testdata/decisions.digest. A change that means to move decisions
 // regenerates the file with
@@ -86,10 +86,7 @@ func digestExperiments(o Options) []digestExperiment {
 	exp1 := []string{"NODC", "ASL", "CHAIN", "K2", "C2PL"}
 	exp2 := []string{"ASL", "CHAIN", "K2", "C2PL"}
 	exp4 := []string{"CHAIN", "K2", "C2PL", "CHAIN-C2PL", "K2-C2PL"}
-	var windows []string
-	for _, w := range DefaultEpochWindows() {
-		windows = append(windows, fmt.Sprintf("window=%d", w))
-	}
+	delays := []string{"delay=100", "delay=250", "delay=500", "delay=1000", "delay=2000"}
 	return []digestExperiment{
 		{"exp1", gridCells([]string{""}, exp1, ls), func(o Options, opts ...Option) error {
 			_, err := RunExperiment1(o, opts...)
@@ -115,8 +112,8 @@ func digestExperiments(o Options) []digestExperiment {
 			_, err := RunPlacementAblation(o, opts...)
 			return err
 		}},
-		{"epoch", gridCells(windows, []string{"EPOCH"}, []float64{0.8}), func(o Options, opts ...Option) error {
-			_, err := RunEpochSweep(o, nil, 0, 100, opts...)
+		{"retrydelay", gridCells(delays, exp2, ls), func(o Options, opts ...Option) error {
+			_, err := RunRetryDelayAblation(o, nil, opts...)
 			return err
 		}},
 	}

@@ -8,10 +8,10 @@
 //	Figure 9  — Experiment 3: arrival rate vs. mean response time
 //	Figure 10 — Experiment 4: declaration error σ vs. throughput at RT = 70 s
 //
-// Every experiment — the figures, the ablations, the mixed table and the
-// epoch sweep — is one grid of variant × scheduler × λ × replicate
-// cells (runGrid), where a variant is a config hook (Figure 8's NumHots,
-// Figure 10's σ, an ablation's setting). Each grid runs as one pass over
+// Every experiment — the figures, the ablations and the mixed table — is
+// one grid of variant × scheduler × λ × replicate cells (runGrid), where
+// a variant is a config hook (Figure 8's NumHots, Figure 10's σ, an
+// ablation's setting). Each grid runs as one pass over
 // a fixed worker pool (WithParallelism, default runtime.NumCPU()), using
 // the same seed for every scheduler and variant at the same sweep point
 // so comparisons are paired.
@@ -173,7 +173,7 @@ func runJobs(rc runConfig, cfgs []sim.Config,
 // of sweeps per variant. A variant is a config hook: it sets the cell's
 // workload, built fresh for every cell so stateful generators are never
 // shared, and whatever else the variant changes (partitions, placement,
-// control costs, KeepTime, RetryDelay, batch window, ...). Cells are
+// control costs, KeepTime, RetryDelay, ...). Cells are
 // flattened variant-major, then scheduler, λ and replicate, and read
 // back from their pre-indexed result slots, so the output is identical
 // at every parallelism level. The seed depends only on the λ index and
@@ -272,8 +272,8 @@ func tpsAt(rtTarget float64) func(Sweep) float64 {
 // are summed (so Result's Arrived = Completed + InjectedAborts +
 // CrashAborts + LiveAtEnd + … identity still holds), maxima and the tail
 // percentiles take the maximum, response-time means are weighted by
-// measured completions and StdRT is pooled over them, MeanBatch is
-// weighted by Epochs, and rate and utilization metrics are averaged.
+// measured completions and StdRT is pooled over them, and rate and
+// utilization metrics are averaged.
 // Per-class metrics and time series are per-run artifacts and stay nil:
 // read them from the replicates.
 func aggregate(reps []*sim.Result) *sim.Result {
@@ -290,7 +290,7 @@ func aggregate(reps []*sim.Result) *sim.Result {
 		SerializabilityChecked: true,
 	}
 	n := float64(len(reps))
-	var rtW, admitW, lockW, dnW, batchW float64
+	var rtW, admitW, lockW, dnW float64
 	for _, r := range reps {
 		out.Arrived += r.Arrived
 		out.Admitted += r.Admitted
@@ -307,13 +307,11 @@ func aggregate(reps []*sim.Result) *sim.Result {
 		out.RehomedParts += r.RehomedParts
 		out.RequeuedJobs += r.RequeuedJobs
 		out.CrashAborts += r.CrashAborts
-		out.Epochs += r.Epochs
 		w := float64(r.Measured)
 		rtW += w * r.MeanRT
 		admitW += w * r.MeanAdmitWait
 		lockW += w * r.MeanLockWait
 		dnW += w * r.MeanDNTime
-		batchW += float64(r.Epochs) * r.MeanBatch
 		out.Throughput += r.Throughput / n
 		out.CNUtilization += r.CNUtilization / n
 		out.MeanNodeUtil += r.MeanNodeUtil / n
@@ -325,8 +323,6 @@ func aggregate(reps []*sim.Result) *sim.Result {
 		out.P99RT = max(out.P99RT, r.P99RT)
 		out.MaxRT = max(out.MaxRT, r.MaxRT)
 		out.LastCompletion = max(out.LastCompletion, r.LastCompletion)
-		out.MaxBatch = max(out.MaxBatch, r.MaxBatch)
-		out.MaxClusters = max(out.MaxClusters, r.MaxClusters)
 		out.SerializabilityChecked = out.SerializabilityChecked && r.SerializabilityChecked
 	}
 	if out.Measured > 0 {
@@ -335,9 +331,6 @@ func aggregate(reps []*sim.Result) *sim.Result {
 		out.MeanAdmitWait = admitW / tm
 		out.MeanLockWait = lockW / tm
 		out.MeanDNTime = dnW / tm
-	}
-	if out.Epochs > 0 {
-		out.MeanBatch = batchW / float64(out.Epochs)
 	}
 	// The pooled sample deviation: each replicate contributes its own
 	// squared deviations, (n-1)·s², plus n·(its mean − the pooled mean)².

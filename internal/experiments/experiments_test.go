@@ -282,27 +282,22 @@ func TestAggregateMatchesReplicates(t *testing.T) {
 
 // TestAggregatePoolsMoments checks the weighted statistics against
 // direct computation: MeanRT and StdRT over the union of the replicates'
-// measured response times, MeanBatch over all their epochs.
+// measured response times.
 func TestAggregatePoolsMoments(t *testing.T) {
 	samples := [][]float64{{1, 2, 3, 10}, {4, 4}, {7}, {}}
 	var all stats.Welford
 	var reps []*sim.Result
-	for i, xs := range samples {
+	for _, xs := range samples {
 		var w stats.Welford
 		for _, x := range xs {
 			w.Add(x)
 			all.Add(x)
 		}
-		reps = append(reps, &sim.Result{Measured: len(xs), MeanRT: w.Mean(), StdRT: w.Std(),
-			Epochs: i, MeanBatch: float64(i + 1)})
+		reps = append(reps, &sim.Result{Measured: len(xs), MeanRT: w.Mean(), StdRT: w.Std()})
 	}
 	got := aggregate(reps)
 	if mathAbs(got.MeanRT-all.Mean()) > 1e-12 || mathAbs(got.StdRT-all.Std()) > 1e-12 {
 		t.Errorf("mean/std %g/%g, want %g/%g", got.MeanRT, got.StdRT, all.Mean(), all.Std())
-	}
-	// (0·1 + 1·2 + 2·3 + 3·4) / 6 epochs
-	if want := 20.0 / 6; mathAbs(got.MeanBatch-want) > 1e-12 {
-		t.Errorf("MeanBatch %g, want %g", got.MeanBatch, want)
 	}
 }
 

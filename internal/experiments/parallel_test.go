@@ -135,11 +135,8 @@ func TestOnePoolPerExperiment(t *testing.T) {
 		{"RetryDelay", 2 * 4 * 1 * 2, func(o Options) error {
 			return discard(RunRetryDelayAblation(o, []event.Time{250, 1000}))
 		}},
-		// The mixed table and the epoch sweep run one λ and one replicate.
+		// The mixed table runs one λ and one replicate.
 		{"Mixed", 1 * 5 * 1 * 1, func(o Options) error { return discard(RunMixedWorkload(o, 1.0, 0.8)) }},
-		{"Epoch", 2 * 1 * 1 * 1, func(o Options) error {
-			return discard(RunEpochSweep(o, []event.Time{0, 500}, 2.0, 10))
-		}},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {

@@ -214,7 +214,7 @@ type Controller struct {
 	nshards int
 	shards  []*lshard
 	label   string
-	epoch   time.Time
+	start   time.Time
 	closed  atomic.Bool
 
 	retryDelay time.Duration
@@ -390,7 +390,7 @@ var ErrNodeCrashed = errors.New("live: aborted: partial bulk work lost in a node
 func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	c := &Controller{
 		nshards:    1,
-		epoch:      time.Now(),
+		start:      time.Now(),
 		retryDelay: 20 * time.Millisecond,
 	}
 	for _, opt := range opts {
@@ -423,7 +423,7 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 
 // now maps wall time onto the scheduler's clock (ms since start).
 func (c *Controller) now() event.Time {
-	return event.Time(time.Since(c.epoch).Milliseconds())
+	return event.Time(time.Since(c.start).Milliseconds())
 }
 
 // emit sends one trace event. The obs sinks are safe for concurrent

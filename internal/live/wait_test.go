@@ -195,38 +195,35 @@ func TestRunBatchHotSet(t *testing.T) {
 }
 
 // TestRunBatchNilMember runs a batch of concurrent Run calls in which
-// some members are nil, under EPOCH (which a Controller admits per
-// arrival, as CHAIN) and CHAIN: each nil member is answered errNilTxn,
-// the others all commit, and the controller still serves a Run after
-// the batch.
+// some members are nil, under CHAIN: each nil member is answered
+// errNilTxn, the others all commit, and the controller still serves a
+// Run after the batch.
 func TestRunBatchNilMember(t *testing.T) {
-	for _, f := range []sched.Factory{sched.MustLookup("EPOCH"), sched.ChainFactory()} {
-		t.Run(f.Label, func(t *testing.T) {
-			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond))
-			defer ctl.Close()
-			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-			defer cancel()
-			ts := []*txn.T{
-				txn.New(1, []txn.Step{w(0, 1)}), nil, txn.New(2, []txn.Step{w(0, 1)}), nil, txn.New(3, []txn.Step{w(1, 1)}),
-			}
-			errs := runAll(ctx, ctl, ts)
-			for i, err := range errs {
-				if ts[i] == nil {
-					if !errors.Is(err, errNilTxn) {
-						t.Errorf("slot %d: %v, want %v", i, err, errNilTxn)
-					}
-				} else if err != nil {
-					t.Errorf("slot %d (%v): %v", i, ts[i].ID, err)
+	t.Run("CHAIN", func(t *testing.T) {
+		ctl := New(sched.ChainFactory(), liveCosts, WithRetryDelay(time.Millisecond))
+		defer ctl.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		ts := []*txn.T{
+			txn.New(1, []txn.Step{w(0, 1)}), nil, txn.New(2, []txn.Step{w(0, 1)}), nil, txn.New(3, []txn.Step{w(1, 1)}),
+		}
+		errs := runAll(ctx, ctl, ts)
+		for i, err := range errs {
+			if ts[i] == nil {
+				if !errors.Is(err, errNilTxn) {
+					t.Errorf("slot %d: %v, want %v", i, err, errNilTxn)
 				}
+			} else if err != nil {
+				t.Errorf("slot %d (%v): %v", i, ts[i].ID, err)
 			}
-			if st := ctl.Stats(); st.Committed != 3 || st.Active != 0 {
-				t.Errorf("stats %+v, want 3 committed", st)
-			}
-			if err := ctl.Run(ctx, txn.New(4, []txn.Step{w(0, 1)}), nil); err != nil {
-				t.Errorf("Run after the batch: %v", err)
-			}
-		})
-	}
+		}
+		if st := ctl.Stats(); st.Committed != 3 || st.Active != 0 {
+			t.Errorf("stats %+v, want 3 committed", st)
+		}
+		if err := ctl.Run(ctx, txn.New(4, []txn.Step{w(0, 1)}), nil); err != nil {
+			t.Errorf("Run after the batch: %v", err)
+		}
+	})
 }
 
 // runAll runs every transaction of ts on its own goroutine, each step

@@ -74,8 +74,16 @@ func (c Config) Validate() error {
 	if c.ObjTime <= 0 {
 		return fmt.Errorf("machine: ObjTime = %v", c.ObjTime)
 	}
-	if c.StartupTime < 0 || c.CommitTime < 0 || c.RetryDelay < 0 {
+	if c.StartupTime < 0 || c.CommitTime < 0 {
 		return fmt.Errorf("machine: negative coordination times")
+	}
+	// A zero delay re-submits a refused request at the instant it was
+	// refused, so with zero control costs simulated time never advances.
+	if c.RetryDelay <= 0 {
+		return fmt.Errorf("machine: RetryDelay = %v", c.RetryDelay)
+	}
+	if k := c.Control; k.DDTime < 0 || k.ChainTime < 0 || k.KWTPGTime < 0 || k.KeepTime < 0 {
+		return fmt.Errorf("machine: negative control costs %+v", k)
 	}
 	return nil
 }

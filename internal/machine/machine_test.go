@@ -3,6 +3,7 @@ package machine
 import (
 	"testing"
 
+	"batsched/internal/core/sched"
 	"batsched/internal/event"
 	"batsched/internal/txn"
 )
@@ -24,16 +25,32 @@ func TestDefaultConfigValid(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
+	// from is DefaultConfig with one field changed.
+	from := func(set func(*Config)) Config {
+		c := DefaultConfig()
+		set(&c)
+		return c
+	}
 	bad := []Config{
 		{},
 		{NumNodes: 8, NumParts: 0, ObjTime: 1000},
 		{NumNodes: 8, NumParts: 16, ObjTime: 0},
 		{NumNodes: 8, NumParts: 16, ObjTime: 1000, RetryDelay: -1},
+		// A zero retry delay re-submits a refused request at the instant
+		// it was refused: with zero control costs time stops.
+		from(func(c *Config) { c.RetryDelay = 0 }),
+		from(func(c *Config) { c.Control.DDTime = -1 }),
+		from(func(c *Config) { c.Control.ChainTime = -1 }),
+		from(func(c *Config) { c.Control.KWTPGTime = -1 }),
+		from(func(c *Config) { c.Control.KeepTime = -1 }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
 			t.Errorf("case %d: invalid config accepted", i)
 		}
+	}
+	if err := from(func(c *Config) { c.Control = sched.Costs{} }).Validate(); err != nil {
+		t.Errorf("zero control costs: %v", err)
 	}
 }
 

@@ -226,11 +226,6 @@ type SchedMetrics struct {
 	Rehomes    uint64
 	Requeues   uint64
 
-	// Epoch-batch counters: admission windows flushed, and the largest
-	// number of conflict-free clusters seen in one batch.
-	Epochs             uint64
-	epochMaxChunksBits uint64
-
 	// Durable-recovery counters: dependency-log appends, group-commit
 	// fsync passes, WAL replays, the widest replay wave observed
 	// (replay parallelism), and the total replay wall time in ns.
@@ -255,15 +250,13 @@ type SchedMetrics struct {
 
 	// Histograms: decision control-CPU cost (clocks), decision wall
 	// duration (µs), lock-queue depth at request submission, WTPG size
-	// at decision time, commit response times (seconds), epoch batch
-	// sizes (transactions per flushed window), and WAL group-commit
-	// batch sizes (records per fsync pass).
+	// at decision time, commit response times (seconds), and WAL
+	// group-commit batch sizes (records per fsync pass).
 	DecisionCPU  *Histogram
 	DecisionWall *Histogram
 	QueueDepth   *Histogram
 	GraphSize    *Histogram
 	ResponseTime *Histogram
-	BatchSize    *Histogram
 	WALBatch     *Histogram
 }
 
@@ -275,7 +268,6 @@ func newSchedMetrics(label string) *SchedMetrics {
 		QueueDepth:   NewHistogram(decadeBounds(1, 1e3)...),
 		GraphSize:    NewHistogram(decadeBounds(1, 1e3)...),
 		ResponseTime: NewHistogram(decadeBounds(0.1, 1e3)...),
-		BatchSize:    NewHistogram(decadeBounds(1, 1e3)...),
 		WALBatch:     NewHistogram(decadeBounds(1, 1e3)...),
 	}
 }
@@ -285,9 +277,6 @@ func (sm *SchedMetrics) Objects() float64 { return loadFloat(&sm.objectsBits) }
 
 // CritPathMax returns the longest critical path observed, in objects.
 func (sm *SchedMetrics) CritPathMax() float64 { return loadFloat(&sm.critPathMaxBits) }
-
-// EpochMaxChunks returns the most conflict-free clusters in one batch.
-func (sm *SchedMetrics) EpochMaxChunks() float64 { return loadFloat(&sm.epochMaxChunksBits) }
 
 // ReplayMaxPar returns the widest WAL replay wave observed.
 func (sm *SchedMetrics) ReplayMaxPar() float64 { return loadFloat(&sm.replayMaxParBits) }
@@ -403,10 +392,6 @@ func (m *Metrics) Observe(e Event) {
 		atomic.AddUint64(&sm.Rehomes, 1)
 	case KindRequeue:
 		atomic.AddUint64(&sm.Requeues, 1)
-	case KindEpochFlush:
-		atomic.AddUint64(&sm.Epochs, 1)
-		sm.BatchSize.Add(float64(e.Batch))
-		atomicMaxFloat(&sm.epochMaxChunksBits, float64(e.Clusters))
 	case KindWALAppend:
 		atomic.AddUint64(&sm.WALAppends, 1)
 	case KindWALSync:

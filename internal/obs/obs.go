@@ -95,13 +95,6 @@ const (
 	// node crash and was requeued — Txn/Step/Part locate it, FromNode is
 	// the dead node, Node the new one.
 	KindRequeue
-	// KindEpochFlush: an epoch-batch admission window closed and its
-	// collected arrivals were admitted as one batch. Batch is the batch
-	// size, Objects the admitted count, Clusters the number of
-	// conflict-free clusters among the admitted members, CPU the
-	// batch-level control cost (the single W recomputation). Only the
-	// simulator emits it: the live controller admits per arrival.
-	KindEpochFlush
 	// KindWALAppend: a dependency-log record was appended (not yet
 	// durable). Op is the record kind (always "commit"), Node the
 	// per-node log it was routed to.
@@ -143,7 +136,6 @@ var kindNames = [...]string{
 	KindNodeDown:           "node-down",
 	KindRehome:             "rehome",
 	KindRequeue:            "requeue",
-	KindEpochFlush:         "epoch-flush",
 	KindWALAppend:          "wal-append",
 	KindWALSync:            "wal-sync",
 	KindRecover:            "recover",
@@ -223,8 +215,9 @@ type Event struct {
 	// job. Both are meaningless for other kinds.
 	Node     int `json:"node,omitempty"`
 	FromNode int `json:"from_node,omitempty"`
-	// Batch is the batch size of an EpochFlush event; Clusters is its
-	// number of conflict-free clusters among admitted members.
+	// Batch is a count or size whose meaning is the kind's own: records
+	// per WAL sync, transactions replayed, page bytes. Clusters is a
+	// recovery's widest replay wave.
 	Batch    int `json:"batch,omitempty"`
 	Clusters int `json:"clusters,omitempty"`
 	// Shard is the live controller's lock-table shard the event was
@@ -269,8 +262,6 @@ func (e Event) String() string {
 		s += fmt.Sprintf(" part=P%d %d->%d", e.Part, e.FromNode, e.Node)
 	case KindRequeue:
 		s += fmt.Sprintf(" step=%d part=P%d %d->%d", e.Step, e.Part, e.FromNode, e.Node)
-	case KindEpochFlush:
-		s += fmt.Sprintf(" batch=%d admitted=%g clusters=%d cpu=%d", e.Batch, e.Objects, e.Clusters, int64(e.CPU))
 	case KindWALAppend:
 		s += fmt.Sprintf(" op=%s node=%d", e.Op, e.Node)
 	case KindWALSync:

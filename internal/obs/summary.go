@@ -34,10 +34,6 @@ func (m *Metrics) Summary() string {
 			fmt.Fprintf(&b, "  %-16s %d nodes lost, %d partitions re-homed, %d jobs requeued\n",
 				"node crashes", n, atomic.LoadUint64(&sm.Rehomes), atomic.LoadUint64(&sm.Requeues))
 		}
-		if n := atomic.LoadUint64(&sm.Epochs); n > 0 {
-			fmt.Fprintf(&b, "  %-16s %d windows flushed, batch %s, max %.0f clusters\n",
-				"epochs", n, sm.BatchSize.format("txns"), sm.EpochMaxChunks())
-		}
 		if atomic.LoadUint64(&sm.WALAppends) > 0 || atomic.LoadUint64(&sm.Recovers) > 0 {
 			fmt.Fprintf(&b, "  %-16s %d appends, %d fsync passes (batch %s); %d recoveries, replay max-par %.0f, %.2fms replaying\n",
 				"wal", atomic.LoadUint64(&sm.WALAppends), atomic.LoadUint64(&sm.WALSyncs), sm.WALBatch.format("recs"),

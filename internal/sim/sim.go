@@ -117,13 +117,6 @@ type Config struct {
 	// replay a crashed run's post-crash placement, e.g. by the
 	// differential recovery tests. At least one node must survive.
 	DeadNodes []int
-	// BatchWindow enables epoch-batch admission: arrivals are collected
-	// for windows of this many clocks and admitted as one batch at each
-	// window boundary through the scheduler's BatchAdmitter surface
-	// (rejected members roll into a later epoch). Requires a batch-
-	// capable scheduler (EPOCH); 0 keeps the per-arrival admission path
-	// for every scheduler.
-	BatchWindow event.Time
 }
 
 // Result reports one run's metrics.
@@ -188,16 +181,6 @@ type Result struct {
 	RehomedParts int
 	RequeuedJobs int
 	CrashAborts  int
-
-	// Epoch-batch counters (zero unless Config.BatchWindow > 0): Epochs
-	// is admission windows flushed with at least one arrival, MaxBatch
-	// the largest batch, MeanBatch the mean batch size, and MaxClusters
-	// the largest number of conflict-free clusters admitted by one flush
-	// (the peak parallelism a cluster dispatcher could exploit).
-	Epochs      int
-	MaxBatch    int
-	MeanBatch   float64
-	MaxClusters int
 
 	// Response-time decomposition over measured completions (seconds):
 	// admission wait (arrival to admission), lock wait (request
@@ -316,14 +299,6 @@ type simulator struct {
 	// off-thread, and the event queue's own Now is
 	// not safe to read concurrently with the sim loop advancing it.
 
-	// Epoch-batch state (BatchWindow > 0): the batch-capable scheduler
-	// surface, the arrivals collected in the open window (its flush is
-	// scheduled exactly while there are any), and the running batch-size
-	// sum for MeanBatch.
-	batch    sched.BatchAdmitter
-	epochBuf []*txnState
-	batchSum int
-
 	// The two timers that re-arm themselves, bound once.
 	nextArrival, nextSample event.Handler
 }
@@ -349,9 +324,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	}
 	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Horizon {
 		return nil, fmt.Errorf("sim: warmup %v outside horizon %v", cfg.Warmup, cfg.Horizon)
-	}
-	if cfg.BatchWindow < 0 {
-		return nil, fmt.Errorf("sim: negative batch window %v", cfg.BatchWindow)
 	}
 	if len(cfg.DeadNodes) > 0 {
 		dead := make(map[int]bool, len(cfg.DeadNodes))
@@ -388,14 +360,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	if rc.observer != nil {
 		s.obs = rc.observer
 		s.sch = sched.Observed(s.sch, rc.observer)
-	}
-	if cfg.BatchWindow > 0 {
-		ba, ok := s.sch.(sched.BatchAdmitter)
-		if !ok {
-			return nil, fmt.Errorf("sim: batch window %v but scheduler %s cannot batch-admit (want EPOCH)",
-				cfg.BatchWindow, s.sch.Name())
-		}
-		s.batch = ba
 	}
 	s.res.Scheduler = s.sch.Name()
 	s.obsLabel = s.res.Scheduler // matches the sched.Observed label
@@ -507,17 +471,11 @@ func (s *simulator) arrive(now event.Time) {
 	s.submitAdmit(st)
 }
 
-// submitAdmit asks the scheduler to admit st's transaction. Under
-// epoch-batch admission the transaction instead joins the open window's
-// batch and is decided at the window boundary. An injected admission
-// refusal intercepts the attempt at the control node — the scheduler
-// never sees it — and the transaction resubmits after the usual retry
-// delay (into a later epoch when batching).
+// submitAdmit asks the scheduler to admit st's transaction. An injected
+// admission refusal intercepts the attempt at the control node — the
+// scheduler never sees it — and the transaction resubmits after the
+// usual retry delay.
 func (s *simulator) submitAdmit(st *txnState) {
-	if s.batch != nil {
-		s.bufferAdmit(st)
-		return
-	}
 	s.cn.Submit((*admitJob)(st))
 }
 
@@ -533,7 +491,8 @@ type (
 func (j *admitJob) Run(now event.Time) event.Time {
 	st := (*txnState)(j)
 	s := st.sim
-	if st.refused = s.refusesAdmit(st); st.refused {
+	st.admitAttempts++
+	if st.refused = s.inj.RefuseAdmit(st.t.ID, st.admitAttempts-1); st.refused {
 		return 0
 	}
 	out := s.sch.Admit(st.t, now)
@@ -551,13 +510,6 @@ func (j *admitJob) Done(now event.Time) {
 	} else {
 		st.sim.handleAdmit(st, st.decision, now)
 	}
-}
-
-// refusesAdmit numbers st's admission attempt and asks the injector
-// whether to refuse it.
-func (s *simulator) refusesAdmit(st *txnState) bool {
-	st.admitAttempts++
-	return s.inj.RefuseAdmit(st.t.ID, st.admitAttempts-1)
 }
 
 func (s *simulator) handleRefusal(st *txnState, now event.Time) {
@@ -591,83 +543,6 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 		s.retryLater(st.retryAdmit)
 	default:
 		panic(fmt.Sprintf("sim: admit decision %v", d))
-	}
-}
-
-// bufferAdmit collects st into the open epoch window and schedules the
-// window's flush at the next epoch-grid boundary — the smallest
-// multiple of BatchWindow strictly after now, so every arrival waits at
-// most one window and all runs flush on the same deterministic grid.
-func (s *simulator) bufferAdmit(st *txnState) {
-	s.epochBuf = append(s.epochBuf, st)
-	if len(s.epochBuf) > 1 {
-		return // the first arrival of the window scheduled its flush
-	}
-	w := s.cfg.BatchWindow
-	boundary := (s.q.Now()/w + 1) * w
-	s.q.At(boundary, s.flushEpoch)
-}
-
-// flushEpoch closes the open window and admits its batch as one control
-// job: injected admission refusals peel off first (the scheduler never
-// sees them, as in the per-arrival path), the rest go through one
-// AdmitBatch call, and the job's CPU charge is the sum of the per-
-// transaction admission tests plus the single batch-level W
-// recomputation plus startup coordination per actual start. Rejected
-// members retry into a later epoch through the normal retry path.
-func (s *simulator) flushEpoch(now event.Time) {
-	batch := s.epochBuf // never empty: its first member scheduled this flush
-	s.epochBuf = nil
-	s.cn.Submit(&epochJob{s: s, batch: batch})
-}
-
-// epochJob is one flush's control job (one per window, so it is simply
-// allocated); each member's refused flag says which way it went.
-type epochJob struct {
-	s     *simulator
-	batch []*txnState
-	out   sched.BatchOutcome
-}
-
-func (j *epochJob) Run(now event.Time) event.Time {
-	s := j.s
-	ts := make([]*txn.T, 0, len(j.batch))
-	for _, st := range j.batch {
-		if st.refused = s.refusesAdmit(st); !st.refused {
-			ts = append(ts, st.t)
-		}
-	}
-	j.out = s.batch.AdmitBatch(ts, now)
-	cpu := j.out.CPU
-	for _, o := range j.out.Outcomes {
-		cpu += o.CPU
-	}
-	return cpu + event.Time(j.out.Admitted)*s.cfg.Machine.StartupTime
-}
-
-func (j *epochJob) Done(now event.Time) {
-	s, out := j.s, j.out
-	s.res.Epochs++
-	s.batchSum += len(j.batch)
-	if len(j.batch) > s.res.MaxBatch {
-		s.res.MaxBatch = len(j.batch)
-	}
-	if out.Clusters > s.res.MaxClusters {
-		s.res.MaxClusters = out.Clusters
-	}
-	s.emitObs(obs.Event{Kind: obs.KindEpochFlush, At: now,
-		Batch: len(j.batch), Objects: float64(out.Admitted), Clusters: out.Clusters, CPU: out.CPU})
-	for _, st := range j.batch {
-		if st.refused {
-			s.handleRefusal(st, now)
-		}
-	}
-	decided := out.Outcomes
-	for _, st := range j.batch {
-		if !st.refused {
-			s.handleAdmit(st, decided[0].Decision, now)
-			decided = decided[1:]
-		}
 	}
 }
 
@@ -890,7 +765,7 @@ func (s *simulator) selfCheck() {
 		}
 	}
 	if gh, ok := s.sch.(sched.GraphHolder); ok && gh.Graph() != nil {
-		// CriticalPath is cached per graph epoch, so this acyclicity
+		// CriticalPath is cached per graph mutation, so this acyclicity
 		// probe is free when nothing changed since the last read.
 		if _, err := gh.Graph().CriticalPath(); err != nil {
 			panic(err)
@@ -1005,9 +880,6 @@ func (s *simulator) finish() {
 			s.res.ClassMeanRT[class] = w.Mean()
 			s.res.ClassCompleted[class] = int(w.Count())
 		}
-	}
-	if s.res.Epochs > 0 {
-		s.res.MeanBatch = float64(s.batchSum) / float64(s.res.Epochs)
 	}
 	s.res.MeanAdmitWait = s.admitWait.Mean()
 	s.res.MeanLockWait = s.lockWait.Mean()

@@ -171,6 +171,14 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.Workload = nil },
 		func(c *Config) { c.Scheduler = sched.Factory{} },
 		func(c *Config) { c.Machine.NumNodes = 0 },
+		func(c *Config) { c.Machine.Control.DDTime = -1 },
+		// With free decisions and no retry delay, CHAIN re-tests a refused
+		// admission at the same instant for ever; Run must refuse it.
+		func(c *Config) {
+			c.Scheduler = sched.ChainFactory()
+			c.Machine.Control = sched.Costs{}
+			c.Machine.RetryDelay = 0
+		},
 	}
 	for i, mut := range bad {
 		cfg := baseConfig()

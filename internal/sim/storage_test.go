@@ -30,18 +30,7 @@ func storageFactories() []sched.Factory {
 		sched.C2PLFactory(),
 		sched.ChainFactory(),
 		sched.KWTPGFactory(2),
-		sched.MustLookup("EPOCH"),
 	}
-}
-
-// storageConfig is chaosConfig plus the EPOCH batch window the epoch
-// scheduler needs to exercise its batch path.
-func storageConfig(f sched.Factory, seed int64) Config {
-	cfg := chaosConfig(f, seed)
-	if f.Label == "EPOCH" {
-		cfg.BatchWindow = 1000
-	}
-	return cfg
 }
 
 // TestStorageDifferentialCommitSet is the differential battery: 50
@@ -60,7 +49,7 @@ func TestStorageDifferentialCommitSet(t *testing.T) {
 			t.Parallel()
 			for seed := 0; seed < seeds; seed++ {
 				repro := fmt.Sprintf("repro: go test -run 'TestStorageDifferentialCommitSet/%s' ./internal/sim/ with seed=%d", f.Label, seed)
-				cfg := storageConfig(f, int64(seed))
+				cfg := chaosConfig(f, int64(seed))
 				hA, hB := modelcheck.NewHistory(), modelcheck.NewHistory()
 				base, err := Run(cfg, WithTrace(hA))
 				if err != nil {
