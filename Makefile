@@ -41,11 +41,16 @@ bench-smoke:
 # the retry-delay ablation (the §3.2 delay axis that carries the
 # control-bound result), the placement ablation and a variant figure
 # (Figure 8's NumHots axis) — so verify catches breakage without the
-# cost of a full sweep.
+# cost of a full sweep, and one short batsim run over a real heap store
+# and WAL, the simulator's storage path, which no other verify step
+# drives from a program.
 harness-smoke:
 	$(GO) run ./cmd/batbench -ablation retrydelay -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -ablation placement -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -fig 8 -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
+	hd="$$(mktemp -d)" && wd="$$(mktemp -d)" && \
+	$(GO) run ./cmd/batsim -storage "$$hd" -wal "$$wd" -horizon 50000 > /dev/null; \
+	rc=$$?; rm -rf "$$hd" "$$wd"; exit $$rc
 
 # verify is the whole gate. Its one race run covers every package — the
 # chaos, node-crash and kill-restart batteries of docs/ROBUSTNESS.md
@@ -61,7 +66,9 @@ harness-smoke:
 # attempt that the transaction's own records exist to avoid
 # (docs/PERFORMANCE.md §11), and File.Fd hands the storage read path a
 # descriptor number that Store.Crash's Close can invalidate under it
-# (RawConn.Control holds the reference). Every example is a self-checking
+# (RawConn.Control holds the reference), and a goroutine in the heap store
+# is page traffic no caller's call accounts for — the store moves pages
+# only when it is called. Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
 # What no program reaches,
 # TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
@@ -74,6 +81,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -rn 'wal\.Record{' --include='*.go' --exclude='*_test.go' internal/live internal/sim cmd
 	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
 	! grep -n '\.Fd()' internal/storage/*.go
+	! grep -rn 'go func' --include='*.go' --exclude='*_test.go' internal/storage
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done

@@ -73,8 +73,8 @@ type Binding struct {
 
 // New binds log and/or store (either may be nil; nil for both returns a
 // nil Binding). emit receives the KindWALAppend / KindWALSync events,
-// and clock stamps what happens off the driver's own thread: the store's
-// page-traffic events and a Force the write barrier triggers.
+// and clock stamps what the driver's calls do not time themselves: the
+// store's page-traffic events and a Force the write barrier triggers.
 func New(log *wal.Log, store *storage.Store, emit func(obs.Event), clock func() event.Time) *Binding {
 	if log == nil && store == nil {
 		return nil

@@ -4,13 +4,11 @@ package durable_test
 // Log.Close and Log.Crash provoke the errors, no seam is added for them.
 
 import (
-	"fmt"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"batsched/internal/durable"
 	"batsched/internal/event"
@@ -29,7 +27,7 @@ type rig struct {
 	log        *wal.Log
 	store      *storage.Store
 	b          *durable.Binding
-	syncs      atomic.Int32 // KindWALSync events seen (a flusher's barrier forces from its own goroutine)
+	syncs      atomic.Int32 // KindWALSync events seen
 }
 
 const rigPages = 32
@@ -143,30 +141,11 @@ func TestPreCommitRefusedIsAbort(t *testing.T) {
 // TestFailedForceLatchesAndBarrierVetoes: a force that fails behind
 // applied effects latches both sticky errors, and from then on no page
 // image leaves the pool by any path — partition 0's heap file, whose only
-// page exists in the pool alone, stays empty.
-//
-// The scenario needs the records still pending when the log dies, and the
-// rig's 1 ms flusher can get a force of its own in first — before the
-// crash, or in flight across it — after which the log owes nothing and
-// pages may rightly leave. Such a force reports a wal-sync event, which
-// the scenario itself never does; only then is a problem excused and the
-// scenario set up again.
+// page exists in the pool alone, stays empty. The store starts no
+// goroutine, so nothing can force the log ahead of the crash: the
+// scenario runs once and any problem fails it.
 func TestFailedForceLatchesAndBarrierVetoes(t *testing.T) {
-	for attempt := 0; attempt < 20; attempt++ {
-		r, problem := failedForce(t)
-		if problem == "" {
-			return
-		}
-		r.store.Quiesce() // a pass in flight finishes reporting its sync
-		if r.syncs.Load() == 0 {
-			t.Fatal(problem)
-		}
-	}
-	t.Fatal("the flusher forced the log ahead of the crash 20 times in a row")
-}
-
-func failedForce(t *testing.T) (r *rig, problem string) {
-	r = newRig(t, storage.WithBackgroundFlush(time.Millisecond))
+	r := newRig(t)
 	if err := r.b.PreCommit(r.stage(1), 0, nil, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -175,16 +154,16 @@ func failedForce(t *testing.T) (r *rig, problem string) {
 	}
 	r.log.Crash(0)
 	if err := r.b.Force(0); err == nil {
-		return r, "Force succeeded on a crashed log with records pending"
+		t.Fatal("Force succeeded on a crashed log with records pending")
 	}
 	if r.b.LogErr() == nil || r.b.StoreErr() == nil {
-		return r, fmt.Sprintf("failed force latched LogErr=%v StoreErr=%v, want both", r.b.LogErr(), r.b.StoreErr())
+		t.Fatalf("failed force latched LogErr=%v StoreErr=%v, want both", r.b.LogErr(), r.b.StoreErr())
 	}
 	if err := r.store.FlushPartition(0); err == nil {
-		return r, "FlushPartition wrote past a log that cannot be forced"
+		t.Error("FlushPartition wrote past a log that cannot be forced")
 	}
 	if err := r.store.Flush(); err == nil {
-		return r, "Flush wrote past a log that cannot be forced"
+		t.Error("Flush wrote past a log that cannot be forced")
 	}
 	refused := 0
 	for pg := uint32(0); pg < rigPages; pg++ { // eviction pressure on every stripe
@@ -193,13 +172,17 @@ func failedForce(t *testing.T) (r *rig, problem string) {
 		}
 	}
 	if refused == 0 {
-		return r, "no eviction reached the dirty page (or it was written back)"
+		t.Error("no eviction reached the dirty page (or it was written back)")
 	}
-	time.Sleep(20 * time.Millisecond) // a score of flusher passes
+	if err := r.store.Close(); err == nil {
+		t.Error("Close wrote past a log that cannot be forced")
+	}
 	if n := r.part0Bytes(t); n != 0 {
-		return r, fmt.Sprintf("%d bytes of partition 0 reached disk ahead of the log", n)
+		t.Errorf("%d bytes of partition 0 reached disk ahead of the log", n)
 	}
-	return r, ""
+	if n := r.syncs.Load(); n != 0 {
+		t.Errorf("%d wal-sync events, want none: nothing was ever forced", n)
+	}
 }
 
 // TestRecoverTwice: one committed, one aborted and one in-flight

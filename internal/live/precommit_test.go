@@ -95,8 +95,7 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 	}
 
 	wdir, hdir := t.TempDir(), t.TempDir()
-	sopts := []storage.Option{storage.WithPageSize(1024), storage.WithPoolFrames(16), storage.WithNodes(nodes),
-		storage.WithBackgroundFlush(500 * time.Microsecond)}
+	sopts := []storage.Option{storage.WithPageSize(1024), storage.WithPoolFrames(16), storage.WithNodes(nodes)}
 	preloadKey := func(p, i int) txn.ID { return txn.ID(1)<<40 + txn.ID(p*1000+i) }
 	st, err := storage.Open(hdir, parts, sopts...)
 	if err != nil {

@@ -45,8 +45,7 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			}
 			hdir := t.TempDir()
 			st, err := storage.Open(hdir, parts,
-				storage.WithPageSize(1024), storage.WithPoolFrames(8), storage.WithNodes(4),
-				storage.WithBackgroundFlush(500*time.Microsecond))
+				storage.WithPageSize(1024), storage.WithPoolFrames(8), storage.WithNodes(4))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -103,11 +102,8 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// Pool invariants after the storm: quiesce the background
-			// flusher first so neither counter side moves
-			// mid-comparison, then: no pin leaked, and the store's
-			// counters agree with what the obs pipeline recorded.
-			st.Quiesce()
+			// Pool invariants after the storm: no pin leaked, and the
+			// store's counters agree with what the obs pipeline recorded.
 			if n := st.PinnedFrames(); n != 0 {
 				t.Fatalf("%d frames still pinned after the swarm drained", n)
 			}
@@ -164,8 +160,7 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sopts := []storage.Option{storage.WithPageSize(1024), storage.WithPoolFrames(8),
-		storage.WithBackgroundFlush(500 * time.Microsecond)}
+	sopts := []storage.Option{storage.WithPageSize(1024), storage.WithPoolFrames(8)}
 	st, err := storage.Open(hdir, parts, sopts...)
 	if err != nil {
 		t.Fatal(err)

@@ -300,12 +300,12 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWALForceFollowsReleaseWithDefaultStore: a store opened without a
-// background flusher must not put the force back under the partition
-// locks. Commit only dirties cached pages, so nothing reaches the write
-// barrier on the committer's path and the first wal-sync of a run comes
-// after the transaction's commit event — which is emitted in the critical
-// section that releases its locks.
+// TestWALForceFollowsReleaseWithDefaultStore: a default store must not
+// put the force back under the partition locks. Commit only dirties
+// cached pages, so nothing reaches the write barrier on the committer's
+// path and the first wal-sync of a run comes after the transaction's
+// commit event — which is emitted in the critical section that releases
+// its locks.
 func TestWALForceFollowsReleaseWithDefaultStore(t *testing.T) {
 	st, err := storage.Open(t.TempDir(), 2)
 	if err != nil {

@@ -237,13 +237,11 @@ type SchedMetrics struct {
 
 	// Storage counters: buffer-pool page reads split hit/miss, page
 	// write-backs, clock evictions, and the disk bytes moved either way.
-	// PoolMisses is exactly the backend read count; background-flusher
-	// write-backs (Op "flush") also count as PageWrites.
+	// PoolMisses is exactly the backend read count.
 	PageReads    uint64
 	PoolHits     uint64
 	PoolMisses   uint64
 	PageWrites   uint64
-	PageFlushes  uint64
 	PageEvicts   uint64
 	BytesRead    uint64
 	BytesWritten uint64
@@ -411,9 +409,6 @@ func (m *Metrics) Observe(e Event) {
 		atomic.AddUint64(&sm.BytesRead, uint64(e.Batch))
 	case KindPageWrite:
 		atomic.AddUint64(&sm.PageWrites, 1)
-		if e.Op == "flush" {
-			atomic.AddUint64(&sm.PageFlushes, 1)
-		}
 		atomic.AddUint64(&sm.BytesWritten, uint64(e.Batch))
 	case KindPageEvict:
 		atomic.AddUint64(&sm.PageEvicts, 1)

@@ -15,7 +15,6 @@ import (
 	"math"
 	"math/rand"
 	"slices"
-	"sync/atomic"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/durable"
@@ -294,10 +293,6 @@ type simulator struct {
 	slowSeen  map[txn.PartitionID]bool
 	store     *storage.Store   // nil = no page I/O
 	dur       *durable.Binding // nil = neither WithWAL nor WithStorage; Run reports its sticky errors
-	storeNow  atomic.Int64     // shadow of q.Now() for the binding's clock:
-	// the store's background flusher stamps its trace events
-	// off-thread, and the event queue's own Now is
-	// not safe to read concurrently with the sim loop advancing it.
 
 	// The two timers that re-arm themselves, bound once.
 	nextArrival, nextSample event.Handler
@@ -662,7 +657,7 @@ func (s *simulator) onQuantum(j *machine.Job, objects float64, now event.Time) {
 	s.emitObs(obs.Event{Kind: obs.KindObjectDone, At: now, Txn: j.Txn.ID, Step: j.Step, Objects: objects})
 	if s.store != nil {
 		if st, ok := s.live[j.Txn.ID]; ok {
-			s.storeTouch(st, j.Step, now)
+			s.storeTouch(st, j.Step)
 		}
 	}
 	if s.inj == nil {

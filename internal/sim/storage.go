@@ -35,23 +35,20 @@ func WithStorage(st *storage.Store) Option {
 
 // durableBind binds the run's log and store to the write-ahead contract.
 // Events carry no wall time (a trace is a pure function of (Config,
-// Seed)), and the clock reads the storeNow shadow, not q.Now() directly:
-// the store's background flusher stamps events — and may trigger a force
-// — from its own goroutine, and the queue's now-field is owned by the sim
-// loop. Each storage touchpoint refreshes the shadow, so background
-// events carry the timeline position of the last storage activity.
+// Seed)), and the clock is the event queue's: the store starts no
+// goroutine, so it only stamps events and forces the log from inside the
+// sim loop's own storage calls.
 func (s *simulator) durableBind(log *wal.Log) {
-	s.storeNow.Store(int64(s.q.Now()))
 	s.dur = durable.New(log, s.store,
 		func(e obs.Event) { e.DurNS = 0; s.emitObs(e) },
-		func() event.Time { return event.Time(s.storeNow.Load()) })
+		s.q.Now)
 	s.dur.Observe(s.obs, s.obsLabel)
 }
 
 // storeTouch turns one processed quantum into one real page read of the
 // step's partition, walking the partition's pages round-robin via the
 // transaction's cursor.
-func (s *simulator) storeTouch(st *txnState, step int, now event.Time) {
+func (s *simulator) storeTouch(st *txnState, step int) {
 	if s.store == nil || s.dur.StoreErr() != nil {
 		return
 	}
@@ -62,7 +59,6 @@ func (s *simulator) storeTouch(st *txnState, step int, now event.Time) {
 	if int(part) >= s.store.NumPartitions() {
 		return
 	}
-	s.storeNow.Store(int64(now))
 	s.dur.FailStore(s.store.TouchPage(part, st.pageCursor))
 	st.pageCursor++
 }
@@ -94,7 +90,6 @@ func (s *simulator) durableCommit(st *txnState, now event.Time) {
 	if s.dur == nil {
 		return
 	}
-	s.storeNow.Store(int64(now))
 	node := 0
 	if len(st.t.Steps) > 0 {
 		node = s.place.NodeOf(st.t.Steps[0].Part)

@@ -14,7 +14,6 @@ package sim
 import (
 	"fmt"
 	"testing"
-	"time"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/fault"
@@ -59,8 +58,7 @@ func TestStorageDifferentialCommitSet(t *testing.T) {
 				dir := t.TempDir()
 				st, err := storage.Open(dir, cfg.Machine.NumParts,
 					storage.WithPageSize(1024), storage.WithPoolFrames(8),
-					storage.WithNodes(cfg.Machine.NumNodes),
-					storage.WithBackgroundFlush(time.Millisecond))
+					storage.WithNodes(cfg.Machine.NumNodes))
 				if err != nil {
 					t.Fatalf("seed %d: %v\n%s", seed, err, repro)
 				}
@@ -171,7 +169,6 @@ func TestStorageKillRestartTornPages(t *testing.T) {
 				sopts := []storage.Option{
 					storage.WithPageSize(1024), storage.WithPoolFrames(8),
 					storage.WithNodes(cfg.Machine.NumNodes),
-					storage.WithBackgroundFlush(time.Millisecond),
 				}
 				st, err := storage.Open(hdir, cfg.Machine.NumParts, sopts...)
 				if err != nil {

@@ -5,12 +5,11 @@ import (
 	"errors"
 	"os"
 	"testing"
-	"time"
 )
 
 // TestWriteBarrier drives each path by which a page image reaches disk —
-// eviction, a background-flusher pass, the release of a dirty overflow
-// frame, FlushPartition — with exactly one dirty page, and checks the
+// eviction, the release of a dirty overflow frame, FlushPartition, Close
+// — with exactly one dirty page, and checks the
 // WAL-before-pages rule: the barrier runs while the heap file is still
 // untouched, and a failing barrier leaves the file untouched and a
 // cached frame dirty.
@@ -50,11 +49,6 @@ func TestWriteBarrier(t *testing.T) {
 			}
 			return nil
 		}, true},
-		{"flusher pass", func(t *testing.T, st *Store) error {
-			dirty(t, st)
-			st.flushPass(st.pools[0])
-			return nil
-		}, true},
 		{"overflow release", func(t *testing.T, st *Store) error {
 			pool := st.pools[0]
 			var held []*Frame
@@ -81,6 +75,10 @@ func TestWriteBarrier(t *testing.T) {
 			dirty(t, st)
 			return st.FlushPartition(0)
 		}, true},
+		{"Close", func(t *testing.T, st *Store) error {
+			dirty(t, st)
+			return st.Close()
+		}, true},
 	}
 	for _, path := range paths {
 		for _, fail := range []bool{false, true} {
@@ -90,8 +88,7 @@ func TestWriteBarrier(t *testing.T) {
 			}
 			t.Run(name, func(t *testing.T) {
 				dir := t.TempDir()
-				st := mustOpen(t, dir, 1, WithPageSize(pageSize), WithPoolFrames(frames),
-					WithBackgroundFlush(time.Hour)) // passes are driven by hand
+				st := mustOpen(t, dir, 1, WithPageSize(pageSize), WithPoolFrames(frames))
 				tuple := bytes.Repeat([]byte{'.'}, 100)
 				for st.NumPages(0) < pages {
 					if _, err := st.Insert(0, tuple); err != nil {
@@ -131,15 +128,12 @@ func TestWriteBarrier(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					if path.name == "flusher pass" && calls < 2 {
-						t.Fatal("flusher consulted the barrier for the pass but not for the page it wrote")
-					}
 					if bytes.Equal(after, before) {
 						t.Fatal("setup: the path under test wrote nothing")
 					}
 					return
 				}
-				if path.name != "flusher pass" && !errors.Is(err, errLog) {
+				if !errors.Is(err, errLog) {
 					t.Fatalf("refused write reported %v, want the barrier's error", err)
 				}
 				if !bytes.Equal(after, before) {

@@ -86,15 +86,16 @@ type PoolStats struct {
 	Evictions    uint64
 	BytesRead    uint64
 	BytesWritten uint64
-	Flushes      uint64 // dirty pages written back by the background flusher
 	Overflows    uint64 // transient frames served while a stripe was fully pinned
 
-	// Prefetches is always 0: the pool reads nothing ahead of a request
-	// in the background. The field
-	// stays declared only because benchmark/live.go reads it and
-	// benchmark/ is frozen by BENCHMARK.json; it leaves with
-	// storage.prefetches_per_txn in the next benchmark change.
+	// Prefetches and Flushes are always 0: the pool reads nothing ahead
+	// of a request and writes nothing back in the background. The fields
+	// stay declared only because benchmark/live.go reads them and
+	// benchmark/ is frozen by BENCHMARK.json; they leave with
+	// storage.prefetches_per_txn and storage.flushes_per_ktxn in the
+	// next benchmark change.
 	Prefetches uint64
+	Flushes    uint64
 }
 
 // HitRate returns Hits/(Hits+Misses), or 0 before any access.
@@ -115,7 +116,6 @@ func (s *PoolStats) add(o PoolStats) {
 	s.Evictions += o.Evictions
 	s.BytesRead += o.BytesRead
 	s.BytesWritten += o.BytesWritten
-	s.Flushes += o.Flushes
 	s.Overflows += o.Overflows
 }
 
@@ -124,7 +124,7 @@ func (s *PoolStats) add(o PoolStats) {
 type poolEventFn func(op string, k pageKey, bytes int)
 
 // stripe is one latch domain of the pool: a private set of frames with
-// its own clock hand, run index, and dirty list. A run maps to exactly
+// its own clock hand and run index. A run maps to exactly
 // one stripe (by runKey hash), so two accesses contend only when their
 // runs share a stripe — concurrent scans of different partitions run on
 // different latches and different disk arms, the per-partition I/O
@@ -136,7 +136,6 @@ type stripe struct {
 	runs   map[runKey]*runEntry
 	spare  []*runEntry // emptied entries, reused so churn allocates nothing
 	hand   int
-	dirty  []pageKey // keys that transitioned clean→dirty; may hold stale entries
 
 	// Scratch of the read path; the latch covers the read, so it covers
 	// these: the buffers of one backend call and the platform's
@@ -147,12 +146,12 @@ type stripe struct {
 	// Counters are atomics so Stats can aggregate without taking any
 	// stripe latch. pinned tracks 0→1 / 1→0 pin transitions (transient
 	// overflow pins included).
-	hits, misses, readCalls, evictions, bytesRead, bytesWritten, flushes, overflows uint64
-	pinned                                                                          int64
+	hits, misses, readCalls, evictions, bytesRead, bytesWritten, overflows uint64
+	pinned                                                                 int64
 
 	// ioErr latches a write-back failure from a transient frame's final
-	// Unpin (which cannot return an error); the next FlushPart/FlushAll/
-	// flushDirty on this stripe surfaces it.
+	// Unpin (which cannot return an error); the next FlushPart/FlushAll
+	// on this stripe surfaces it.
 	ioErr error
 }
 
@@ -162,7 +161,6 @@ const (
 	// a handful a partition of a few runs that hash together no longer
 	// fits the frames of a pool it is smaller than.
 	minFramesPerStripe = 4 * runPages
-	flushMinBatch      = 32 // smallest per-stripe write budget per flusher pass
 )
 
 // autoStripes picks the largest power-of-two stripe count (≤ maxStripes)
@@ -317,9 +315,6 @@ func (p *Pool) Get(k pageKey, create bool) (*Frame, error) {
 	}
 	s.entry(runOf(k)).index(f)
 	p.admitLocked(s, f, create)
-	if create {
-		s.dirty = append(s.dirty, k)
-	}
 	return f, nil
 }
 
@@ -462,7 +457,7 @@ func (p *Pool) claimLocked(s *stripe) (*Frame, error) {
 	}
 	op := "evict-clean"
 	if f.dirty {
-		if err := p.writeBackLocked(s, f, "write"); err != nil {
+		if err := p.writeBackLocked(s, f); err != nil {
 			return nil, err
 		}
 		op = "evict-dirty"
@@ -552,17 +547,14 @@ func (s *stripe) victimLocked() *Frame {
 	return nil
 }
 
-func (p *Pool) writeBackLocked(s *stripe, f *Frame, op string) error {
+func (p *Pool) writeBackLocked(s *stripe, f *Frame) error {
 	f.Page().Seal()
 	if err := p.io.writePage(f.key, f.buf); err != nil {
 		return err
 	}
 	atomic.AddUint64(&s.bytesWritten, uint64(len(f.buf)))
-	if op == "flush" {
-		atomic.AddUint64(&s.flushes, 1)
-	}
 	f.dirty = false
-	p.event(op, f.key, len(f.buf))
+	p.event("write", f.key, len(f.buf))
 	return nil
 }
 
@@ -586,15 +578,12 @@ func (p *Pool) unpinLocked(s *stripe, f *Frame, dirty bool) {
 	if f.pins == 0 {
 		atomic.AddInt64(&s.pinned, -1)
 	}
-	if dirty && !f.dirty {
+	if dirty {
 		f.dirty = true
-		if !f.transient {
-			s.dirty = append(s.dirty, f.key)
-		}
 	}
 	if f.transient && f.pins == 0 {
 		if f.dirty {
-			if err := p.writeBackLocked(s, f, "write"); err != nil {
+			if err := p.writeBackLocked(s, f); err != nil {
 				if s.ioErr == nil {
 					s.ioErr = err
 				}
@@ -610,60 +599,6 @@ func (p *Pool) unpinLocked(s *stripe, f *Frame, dirty bool) {
 	}
 }
 
-// flushDirty writes back the pool's dirty, unpinned frames — the
-// background flusher's unit of work. Pinned frames are left on the
-// dirty list for the next pass (a mutator is mid-update under its pin;
-// FlushPart/FlushAll keep the old may-write-pinned contract for the
-// synchronous checkpoint paths). The dirty list is oldest-first, and
-// each pass writes at most a fraction of the backlog (never fewer than
-// flushMinBatch): recently dirtied pages linger a few passes, so
-// repeated commits to a hot page coalesce into one write, and no
-// single pass stalls the stripe latches on a huge backlog. Returns
-// the number of pages written.
-func (p *Pool) flushDirty() (int, error) {
-	n := 0
-	var firstErr error
-	for _, s := range p.stripes {
-		s.mu.Lock()
-		if s.ioErr != nil && firstErr == nil {
-			firstErr, s.ioErr = s.ioErr, nil
-		}
-		pending := s.dirty
-		budget := len(pending) / 8
-		if budget < flushMinBatch {
-			budget = flushMinBatch
-		}
-		keep := pending[:0]
-		wrote := 0
-		for i, k := range pending {
-			if wrote >= budget {
-				keep = append(keep, pending[i:]...)
-				break
-			}
-			f := s.lookup(k)
-			if f == nil || !f.dirty {
-				continue // stale entry: evicted or already written back
-			}
-			if f.pins > 0 {
-				keep = append(keep, k)
-				continue
-			}
-			if err := p.writeBackLocked(s, f, "flush"); err != nil {
-				if firstErr == nil {
-					firstErr = err
-				}
-				keep = append(keep, k)
-				continue
-			}
-			wrote++
-		}
-		n += wrote
-		s.dirty = keep
-		s.mu.Unlock()
-	}
-	return n, firstErr
-}
-
 // FlushPart writes back every dirty frame of one partition (pinned
 // frames included: their current image is consistent — mutators hold
 // the partition's op lock and the scheduler's partition lock).
@@ -677,7 +612,7 @@ func (p *Pool) FlushPart(part txn.PartitionID) error {
 		}
 		for _, f := range s.frames {
 			if f.valid && f.dirty && f.key.part == part {
-				if err := p.writeBackLocked(s, f, "write"); err != nil {
+				if err := p.writeBackLocked(s, f); err != nil {
 					s.mu.Unlock()
 					return err
 				}
@@ -699,7 +634,7 @@ func (p *Pool) FlushAll() error {
 		}
 		for _, f := range s.frames {
 			if f.valid && f.dirty {
-				if err := p.writeBackLocked(s, f, "write"); err != nil {
+				if err := p.writeBackLocked(s, f); err != nil {
 					s.mu.Unlock()
 					return err
 				}
@@ -731,7 +666,6 @@ func (s *stripe) stats() PoolStats {
 		Evictions:    atomic.LoadUint64(&s.evictions),
 		BytesRead:    atomic.LoadUint64(&s.bytesRead),
 		BytesWritten: atomic.LoadUint64(&s.bytesWritten),
-		Flushes:      atomic.LoadUint64(&s.flushes),
 		Overflows:    atomic.LoadUint64(&s.overflows),
 	}
 }

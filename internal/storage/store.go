@@ -21,7 +21,6 @@ type config struct {
 	pageSize   int
 	poolFrames int
 	nodes      int
-	flushEvery time.Duration
 }
 
 // WithPageSize sets the page size (default DefaultPageSize). Must lie
@@ -32,17 +31,13 @@ func WithPageSize(n int) Option { return func(c *config) { c.pageSize = n } }
 // (default 64).
 func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } }
 
-// WithBackgroundFlush starts a per-node flusher goroutine that writes
-// dirty pages back every interval, so they leave the pool steadily
-// instead of only under eviction pressure or at Flush/Close. Safe under
-// the no-steal contract — pages are only dirtied after the owning
-// transaction's WAL commit record is appended, and writePage forces the
-// log through everything appended before a page image leaves the pool
-// (SetWriteBarrier), so a page that reaches disk is always redo-covered
-// whenever the flusher picks it. Default 0 = no flusher.
-func WithBackgroundFlush(every time.Duration) Option {
-	return func(c *config) { c.flushEvery = every }
-}
+// WithBackgroundFlush is a no-op: the store starts no goroutine, and a
+// dirty page leaves the pool only at a dirty-victim eviction, an
+// overflow frame's final Unpin, FlushPartition, Flush or Close. It stays
+// declared only because benchmark/live.go passes it and benchmark/ is
+// frozen by BENCHMARK.json; it leaves with storage.flushes_per_ktxn in
+// the next benchmark change.
+func WithBackgroundFlush(time.Duration) Option { return func(*config) {} }
 
 // WithNodes splits the buffer pool per data node: partition p is served
 // by pool p mod n. The mapping is static — correctness never depends on
@@ -106,7 +101,7 @@ type Store struct {
 
 	// barrier, when set (SetWriteBarrier), runs before every page write
 	// and vetoes it by failing; swapped atomically so binding never stops
-	// the flushers.
+	// page traffic.
 	barrier atomic.Pointer[func() error]
 
 	// Staged effects: write steps stage one deterministic tuple each;
@@ -114,13 +109,6 @@ type Store struct {
 	// effect.go.
 	stageMu sync.Mutex
 	staged  map[txn.ID]*[]stagedEffect
-
-	// Background flusher wiring (WithBackgroundFlush): one goroutine
-	// per pool, stopped by Quiesce/Close/Crash.
-	flushEvery time.Duration
-	bgMu       sync.Mutex
-	bgStop     chan struct{}
-	bgWG       sync.WaitGroup
 
 	// Un-fsynced write history for Crash: heap pages are never synced,
 	// so a kill may tear any of them; the sequence numbers make the tear
@@ -169,12 +157,11 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 		return nil, fmt.Errorf("storage: %w", err)
 	}
 	st := &Store{
-		dir:        dir,
-		pageSize:   c.pageSize,
-		flushEvery: c.flushEvery,
-		staged:     make(map[txn.ID]*[]stagedEffect),
-		writeSeq:   make(map[pageKey]int),
-		redoKeys:   make(map[txn.PartitionID]map[EffectKey]bool),
+		dir:      dir,
+		pageSize: c.pageSize,
+		staged:   make(map[txn.ID]*[]stagedEffect),
+		writeSeq: make(map[pageKey]int),
+		redoKeys: make(map[txn.PartitionID]map[EffectKey]bool),
 	}
 	st.pools = make([]*Pool, c.nodes)
 	for i := range st.pools {
@@ -200,63 +187,7 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 		st.torn += torn
 		pf.pages, pf.base = pages, pages
 	}
-	if st.flushEvery > 0 {
-		st.startFlushers()
-	}
 	return st, nil
-}
-
-// startFlushers launches one background write-back goroutine per pool.
-func (st *Store) startFlushers() {
-	st.bgMu.Lock()
-	defer st.bgMu.Unlock()
-	st.bgStop = make(chan struct{})
-	// Capture the channel: Quiesce nils the field before closing, so a
-	// goroutine re-reading st.bgStop would block on a nil channel forever.
-	stop := st.bgStop
-	for _, p := range st.pools {
-		p := p
-		st.bgWG.Add(1)
-		go func() {
-			defer st.bgWG.Done()
-			t := time.NewTicker(st.flushEvery)
-			defer t.Stop()
-			for {
-				select {
-				case <-stop:
-					return
-				case <-t.C:
-					st.flushPass(p)
-				}
-			}
-		}()
-	}
-}
-
-// flushPass is one background-flusher pass over p. It takes the write
-// barrier once, outside the stripe latches, so the per-page barrier
-// inside them finds nothing pending; a log that cannot be forced lets no
-// page out. Write errors resurface on Flush/Close.
-func (st *Store) flushPass(p *Pool) {
-	if st.writeBarrier() == nil {
-		p.flushDirty()
-	}
-}
-
-// Quiesce stops the store's background work — the per-node flusher
-// goroutines — and waits for them. Nothing is flushed or closed; dirty
-// pages stay cached until Flush or Close. Idempotent; Close and Crash
-// imply it. Callers comparing pool counters against an observer's (the
-// chaos batteries) quiesce first so neither side moves mid-comparison.
-func (st *Store) Quiesce() {
-	st.bgMu.Lock()
-	stop := st.bgStop
-	st.bgStop = nil
-	st.bgMu.Unlock()
-	if stop != nil {
-		close(stop)
-		st.bgWG.Wait()
-	}
 }
 
 func (st *Store) partPath(p int) string {
@@ -361,7 +292,7 @@ func (st *Store) Bind(o obs.Observer, label string, clock func() event.Time) {
 
 // SetWriteBarrier installs the WAL-before-pages rule at the one place
 // pages reach disk: before every page write — eviction, overflow-frame
-// release, the background flusher, FlushPartition, Flush — the store
+// release, FlushPartition, Flush, Close — the store
 // calls b, and writes nothing if it fails. internal/durable binds its
 // Force: "make the log durable through everything appended so far", a
 // mutex and a compare when nothing is pending.
@@ -401,8 +332,6 @@ func (st *Store) poolEvent(op string, k pageKey, bytes int) {
 		e.Kind, e.Op = obs.KindPageRead, "miss"
 	case "write":
 		e.Kind = obs.KindPageWrite
-	case "flush":
-		e.Kind, e.Op = obs.KindPageWrite, "flush"
 	case "evict-clean":
 		e.Kind, e.Op = obs.KindPageEvict, "clean"
 	case "evict-dirty":
@@ -557,14 +486,12 @@ func (st *Store) PinnedFrames() int {
 	return n
 }
 
-// Close stops background work, flushes every pool, and closes the heap
-// files.
+// Close flushes every pool and closes the heap files.
 func (st *Store) Close() error {
 	if st.closed {
 		return nil
 	}
 	st.closed = true
-	st.Quiesce()
 	err := st.Flush()
 	st.closeFiles()
 	return err
@@ -591,7 +518,6 @@ func (st *Store) Crash(frac float64) error {
 		return fmt.Errorf("storage: already closed")
 	}
 	st.closed = true
-	st.Quiesce()
 	if frac < 0 {
 		frac = 0
 	}

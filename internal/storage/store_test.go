@@ -6,8 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
-	"time"
 
 	"batsched/internal/txn"
 	"batsched/internal/wal"
@@ -487,14 +487,16 @@ func TestStoreOpenValidation(t *testing.T) {
 	}
 }
 
-// TestStoreCrashRedoFlusherLag extends the crash battery to the
-// background-flusher window the write-ahead contract leaves open: the
-// WAL commit record is forced (modelled here by the caller's committed
-// list), ApplyCommit has mutated cached pages, but the flusher has not
-// written them back yet when the process dies. Reopen + Redo must
-// converge to the committed set from the WAL alone.
-func TestStoreCrashRedoFlusherLag(t *testing.T) {
-	commitLoad := func(t *testing.T, st *Store) []wal.Record {
+// TestStoreCrashRedoWriteBackLag extends the crash battery to the window
+// the write-ahead contract leaves open: the WAL commit record is forced
+// (modelled here by the caller's committed list), ApplyCommit has mutated
+// cached pages, but not all of them have been written back when the
+// process dies. Reopen + Redo must converge to the committed set from the
+// WAL alone.
+func TestStoreCrashRedoWriteBackLag(t *testing.T) {
+	// commitLoad commits 24 of 30 two-partition writers; with flush set,
+	// every third commit writes its first partition back at once.
+	commitLoad := func(t *testing.T, st *Store, flush bool) []wal.Record {
 		t.Helper()
 		var committed []wal.Record
 		for i := 0; i < 30; i++ {
@@ -511,6 +513,11 @@ func TestStoreCrashRedoFlusherLag(t *testing.T) {
 				t.Fatal(err)
 			}
 			committed = append(committed, mkCommit(id, parts...))
+			if flush && i%3 == 0 {
+				if err := st.FlushPartition(parts[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
 		}
 		return committed
 	}
@@ -542,17 +549,13 @@ func TestStoreCrashRedoFlusherLag(t *testing.T) {
 		}
 	}
 
-	t.Run("flusher-never-ran", func(t *testing.T) {
-		// An hour-long interval: the kill lands strictly between the
-		// commit apply and the first flusher pass. Only eviction
-		// write-backs can have reached disk, and frac=0 tears them all.
+	t.Run("before-write-back", func(t *testing.T) {
+		// The kill lands before any commit's pages were written back:
+		// only eviction write-backs can have reached disk, and frac=0
+		// tears them all.
 		dir := t.TempDir()
-		st := mustOpen(t, dir, 4, WithPageSize(512), WithPoolFrames(8),
-			WithBackgroundFlush(time.Hour))
-		committed := commitLoad(t, st)
-		if f := st.Stats().Flushes; f != 0 {
-			t.Fatalf("flusher ran %d times despite the hour interval", f)
-		}
+		st := mustOpen(t, dir, 4, WithPageSize(512), WithPoolFrames(8))
+		committed := commitLoad(t, st, false)
 		if err := st.Crash(0); err != nil {
 			t.Fatal(err)
 		}
@@ -561,15 +564,16 @@ func TestStoreCrashRedoFlusherLag(t *testing.T) {
 		verify(t, st2, committed)
 	})
 
-	t.Run("flusher-racing", func(t *testing.T) {
-		// A microsecond-scale interval with a grace sleep: some pages
-		// reach disk via the flusher, the kill tears half of what was
-		// written. Redo must still converge.
+	t.Run("partly-written-back", func(t *testing.T) {
+		// Some commits' pages reach disk through FlushPartition, the
+		// rest stay dirty in the pool, and the kill tears half of what
+		// was written. Redo must still converge.
 		dir := t.TempDir()
-		st := mustOpen(t, dir, 4, WithPageSize(512), WithPoolFrames(8),
-			WithBackgroundFlush(200*time.Microsecond))
-		committed := commitLoad(t, st)
-		time.Sleep(5 * time.Millisecond) // let the flusher catch some dirty pages
+		st := mustOpen(t, dir, 4, WithPageSize(512), WithPoolFrames(8))
+		committed := commitLoad(t, st, true)
+		if st.Stats().BytesWritten == 0 {
+			t.Fatal("setup: nothing was written back before the kill")
+		}
 		if err := st.Crash(0.5); err != nil {
 			t.Fatal(err)
 		}
@@ -690,5 +694,39 @@ func TestReopenedHeapIsExtendedNotRefilled(t *testing.T) {
 		if !got[k] {
 			t.Fatalf("tuple %v, on disk before the session, was lost to a page the session rewrote", k.Txn)
 		}
+	}
+}
+
+// TestWriteBackCyclesHoldNoHeap: a store dirties and writes back the same
+// tail page over and over — an Insert, then FlushPartition — and its heap
+// must not grow with the number of cycles. Nothing may remember a page per
+// clean→dirty transition beyond the frame's own dirty bit.
+func TestWriteBackCyclesHoldNoHeap(t *testing.T) {
+	const warm, cycles = 1_000, 20_000
+	st := mustOpen(t, t.TempDir(), 1, WithPageSize(MaxPageSize))
+	defer st.Close()
+	tuple := []byte("12345678")
+	cycle := func() {
+		if _, err := st.Insert(0, tuple); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.FlushPartition(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < warm; i++ {
+		cycle()
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	// Less than one byte a cycle: the fresh tail pages a few hundred
+	// cycles each fill cost nothing but a frame the pool already owns.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= cycles {
+		t.Fatalf("%d write-back cycles allocated %d B (%.1f B/cycle), want O(1)",
+			cycles, grew, float64(grew)/cycles)
 	}
 }
