@@ -68,7 +68,10 @@ harness-smoke:
 # descriptor number that Store.Crash's Close can invalidate under it
 # (RawConn.Control holds the reference), and a goroutine in the heap store
 # is page traffic no caller's call accounts for — the store moves pages
-# only when it is called. Every example is a self-checking
+# only when it is called — and internal/live importing internal/fault or
+# internal/machine is a second machine model under the lock manager (the
+# simulator holds the one; live's batteries inject through Run's work
+# callback). Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
 # What no program reaches,
 # TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
@@ -82,6 +85,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
 	! grep -n '\.Fd()' internal/storage/*.go
 	! grep -rn 'go func' --include='*.go' --exclude='*_test.go' internal/storage
+	! grep -rn '"batsched/internal/\(fault\|machine\)"' --include='*.go' --exclude='*_test.go' internal/live
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done

@@ -106,7 +106,7 @@ func main() {
 	// Each run emits into private buffers that the harness merges in
 	// grid order, so the trace is deterministic at any -parallel value.
 	expOpts := []experiments.Option{experiments.WithParallelism(*parallel)}
-	if *abortRate > 0 || *crashNodes > 0 {
+	if *abortRate != 0 || *crashNodes != 0 { // fault.New rejects a negative or NaN setting
 		fseed := *faultSeed
 		if fseed == 0 {
 			fseed = uint64(*seed)

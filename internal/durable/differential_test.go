@@ -31,6 +31,10 @@ const (
 	diffParts = 6
 )
 
+// errInjectedAbort is what live's work callback returns at the
+// injector's abort point.
+var errInjectedAbort = errors.New("injected abort")
+
 // fixedBatch is a workload.Generator that hands out a prepared batch by
 // transaction id (the simulator numbers arrivals 1, 2, 3, …).
 type fixedBatch []*txn.T
@@ -134,8 +138,10 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// Injected aborts land on the same transactions in both
-			// drivers: the injector decides by transaction id.
+			// Injected aborts land on the same transactions in sim and
+			// live: the injector decides by transaction id, sim's machine
+			// asks it, and live's work callback returns an error at the
+			// same point.
 			inj, err := fault.New(5, fault.Config{AbortRate: 0.3})
 			if err != nil {
 				t.Fatal(err)
@@ -159,14 +165,17 @@ func TestSimLiveGrammarDifferential(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			ctl := live.New(f, sched.Costs{KeepTime: 100}, live.WithTopology(diffNodes, diffParts), live.WithWALLog(ll),
-				live.WithObserver(liveH), live.WithFaults(inj))
+			ctl := live.New(f, sched.Costs{KeepTime: 100}, live.WithWALLog(ll), live.WithObserver(liveH))
 			for _, tx := range diffBatch() {
-				tx := tx
+				abortAt, hasAbort := inj.AbortAt(tx)
+				processed := 0.0
 				if err := ctl.Run(context.Background(), tx, func(step int, p live.Progress) error {
 					p(tx.Steps[step].Cost)
+					if processed += tx.Steps[step].Cost; hasAbort && processed >= abortAt {
+						return errInjectedAbort
+					}
 					return nil
-				}); err != nil && !errors.Is(err, fault.ErrInjectedAbort) {
+				}); err != nil && !errors.Is(err, errInjectedAbort) {
 					t.Fatal(err)
 				}
 			}

@@ -147,9 +147,10 @@ func (b *Binding) Logs() bool {
 }
 
 // PreCommit appends t's Commit record to node's file and then applies
-// its staged effects to cached pages. node is the node of t's first
-// partition, which the caller resolves while it still holds the locks
-// that keep its placement from changing (a crash re-homes partitions).
+// its staged effects to cached pages. node is the home of t's first
+// partition: the simulator reads it from its placement under the locks
+// that keep it from changing (a crash re-homes partitions), the live
+// controller works it out from the log's node count.
 // preds is the union of the predecessor sets resolved at admission and
 // at commit, duplicates allowed: it is sorted and deduplicated in place.
 // The caller must still hold the

@@ -1,16 +1,18 @@
-// Package fault injects deterministic, seedable faults into the BAT
-// simulator and the live controller.
+// Package fault makes deterministic, seedable fault decisions for the
+// BAT simulator, which models the machine the faults happen to.
 //
 // Bulk access transactions run for minutes; the schedulers are proved
 // deadlock-free but the proofs assume nothing ever dies. This package
 // supplies the deaths: transaction aborts mid-bulk-processing, slow I/O
-// on a partition, refused admission bursts, controller-goroutine
-// crashes, and whole-data-node crashes (partitions re-homed to the
-// survivors). Every decision is a pure function of (seed, identifier), so
-// a fault schedule is reproducible from its seed alone and — crucially
-// for the simulator's golden tests — independent of the order in which
-// questions are asked. An Injector never consults a stateful RNG
-// stream.
+// on a partition, refused admission bursts, whole-data-node crashes
+// (partitions re-homed to the survivors) and whole-machine kills. The
+// live controller models no machine and takes no injector: its
+// batteries ask the same decisions (AbortAt, IOFactor) from the work
+// callbacks they pass to Run. Every decision is a pure function of
+// (seed, identifier), so a fault schedule is reproducible from its seed
+// alone and — crucially for the simulator's golden tests — independent
+// of the order in which questions are asked. An Injector never consults
+// a stateful RNG stream.
 //
 // All methods are nil-safe: a nil *Injector injects nothing, so call
 // sites need no guards. See docs/ROBUSTNESS.md for the fault model and
@@ -20,19 +22,10 @@ package fault
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"batsched/internal/event"
 	"batsched/internal/txn"
-)
-
-// Sentinel errors reported by fault-aware components when an injected
-// fault, rather than a real condition, caused a failure.
-var (
-	// ErrInjectedAbort marks a transaction killed by an injected abort.
-	ErrInjectedAbort = errors.New("fault: injected abort")
-	// ErrInjectedCrash marks a worker goroutine killed by an injected
-	// crash (a recovered panic in the live controller).
-	ErrInjectedCrash = errors.New("fault: injected crash")
 )
 
 // Config sets the per-kind fault rates. All rates are probabilities in
@@ -53,10 +46,6 @@ type Config struct {
 	// repeat for AdmitRefusalBurst consecutive attempts (default 2).
 	AdmitRefusalRate  float64
 	AdmitRefusalBurst int
-	// CrashRate is the fraction of transactions whose worker goroutine
-	// crashes (panics) at a deterministic step. Only meaningful in the
-	// live controller; the simulator has no goroutine to kill.
-	CrashRate float64
 	// NodeCrashes is the exact number of data-processing nodes that die
 	// mid-run (an exact count, not a rate, so chaos matrices can pin the
 	// dimension). Which nodes die and when is a pure function of the
@@ -75,7 +64,8 @@ type Config struct {
 	KillWindow  event.Time
 }
 
-// Validate rejects rates outside [0,1] and negative tuning knobs.
+// Validate rejects rates outside [0,1] (NaN included), a negative or
+// non-finite SlowIOFactor and negative tuning knobs.
 func (c Config) Validate() error {
 	for _, r := range []struct {
 		name string
@@ -84,13 +74,15 @@ func (c Config) Validate() error {
 		{"AbortRate", c.AbortRate},
 		{"SlowIORate", c.SlowIORate},
 		{"AdmitRefusalRate", c.AdmitRefusalRate},
-		{"CrashRate", c.CrashRate},
 	} {
-		if r.v < 0 || r.v > 1 {
+		if !(r.v >= 0 && r.v <= 1) {
 			return fmt.Errorf("fault: %s = %v outside [0,1]", r.name, r.v)
 		}
 	}
-	if c.SlowIOFactor < 0 || c.AdmitRefusalBurst < 0 {
+	if !(c.SlowIOFactor >= 0) || math.IsInf(c.SlowIOFactor, 1) {
+		return fmt.Errorf("fault: SlowIOFactor = %v, want a finite factor ≥ 0", c.SlowIOFactor)
+	}
+	if c.AdmitRefusalBurst < 0 {
 		return errors.New("fault: negative tuning parameter")
 	}
 	if c.NodeCrashes < 0 || c.NodeCrashWindow < 0 {
@@ -147,7 +139,6 @@ const (
 	domAbort uint64 = 0xA110C8ED << 1
 	domSlow  uint64 = 0x51070D ^ 0xFFFF0000
 	domAdmit uint64 = 0xAD317000
-	domCrash uint64 = 0xC4A54000
 	domNode  uint64 = 0xD0DEAD00
 	domKill  uint64 = 0x6E55A110
 )
@@ -198,23 +189,6 @@ func (in *Injector) RefuseAdmit(id txn.ID, attempt int) bool {
 		return false
 	}
 	return in.unit(domAdmit, uint64(id)) < in.cfg.AdmitRefusalRate
-}
-
-// Crash reports whether t's worker goroutine should crash, and if so
-// at which step (always a valid step index). Meaningful only for the
-// live controller.
-func (in *Injector) Crash(t *txn.T) (step int, ok bool) {
-	if in == nil || in.cfg.CrashRate == 0 {
-		return 0, false
-	}
-	if in.unit(domCrash, uint64(t.ID)) >= in.cfg.CrashRate {
-		return 0, false
-	}
-	n := len(t.Steps)
-	if n == 0 {
-		return 0, false
-	}
-	return int(mix(in.seed^mix(domCrash+2+uint64(t.ID))) % uint64(n)), true
 }
 
 // NodeCrash reports whether data node `node` (of numNodes total) dies
@@ -304,6 +278,6 @@ func (in *Injector) Enabled() bool {
 		return false
 	}
 	c := in.cfg
-	return c.AbortRate > 0 || c.SlowIORate > 0 || c.AdmitRefusalRate > 0 || c.CrashRate > 0 ||
+	return c.AbortRate > 0 || c.SlowIORate > 0 || c.AdmitRefusalRate > 0 ||
 		c.NodeCrashes > 0 || c.KillRestart
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"testing"
 
 	"batsched/internal/event"
@@ -25,9 +26,6 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 	if in.RefuseAdmit(1, 0) {
 		t.Error("nil injector refused admission")
 	}
-	if _, ok := in.Crash(testTxn(1)); ok {
-		t.Error("nil injector crashed")
-	}
 	if _, ok := in.NodeCrash(0, 8, 1000); ok {
 		t.Error("nil injector crashed a node")
 	}
@@ -37,11 +35,11 @@ func TestNilInjectorInjectsNothing(t *testing.T) {
 }
 
 func TestDeterminism(t *testing.T) {
-	a, err := New(42, Config{AbortRate: 0.5, SlowIORate: 0.5, AdmitRefusalRate: 0.5, CrashRate: 0.5})
+	a, err := New(42, Config{AbortRate: 0.5, SlowIORate: 0.5, AdmitRefusalRate: 0.5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, _ := New(42, Config{AbortRate: 0.5, SlowIORate: 0.5, AdmitRefusalRate: 0.5, CrashRate: 0.5})
+	b, _ := New(42, Config{AbortRate: 0.5, SlowIORate: 0.5, AdmitRefusalRate: 0.5})
 	for id := txn.ID(1); id <= 200; id++ {
 		tx := testTxn(id)
 		ao, aok := a.AbortAt(tx)
@@ -54,11 +52,6 @@ func TestDeterminism(t *testing.T) {
 		}
 		if a.RefuseAdmit(id, 0) != b.RefuseAdmit(id, 0) {
 			t.Fatalf("RefuseAdmit(%v) differs", id)
-		}
-		as, aok2 := a.Crash(tx)
-		bs, bok2 := b.Crash(tx)
-		if as != bs || aok2 != bok2 {
-			t.Fatalf("Crash(%v) differs", id)
 		}
 	}
 }
@@ -119,20 +112,6 @@ func TestRefusalBurstEnds(t *testing.T) {
 	}
 	if in.RefuseAdmit(id, 3) {
 		t.Error("attempt past the burst should be admitted")
-	}
-}
-
-func TestCrashStepInRange(t *testing.T) {
-	in, _ := New(13, Config{CrashRate: 1})
-	for id := txn.ID(1); id <= 100; id++ {
-		tx := testTxn(id)
-		step, ok := in.Crash(tx)
-		if !ok {
-			t.Fatalf("CrashRate 1 skipped txn %v", id)
-		}
-		if step < 0 || step >= len(tx.Steps) {
-			t.Errorf("crash step %d out of range", step)
-		}
 	}
 }
 
@@ -219,6 +198,20 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := New(0, Config{SlowIOFactor: -1}); err == nil {
 		t.Error("negative factor accepted")
+	}
+	// NaN compares false with everything, so a range check written as
+	// "v < 0 || v > 1" lets it through as a rate that injects nothing.
+	for _, cfg := range []Config{
+		{AbortRate: math.NaN()},
+		{SlowIORate: math.NaN()},
+		{AdmitRefusalRate: math.NaN()},
+		{SlowIOFactor: math.NaN()},
+		{SlowIOFactor: math.Inf(1)},
+		{SlowIOFactor: math.Inf(-1)},
+	} {
+		if _, err := New(0, cfg); err == nil {
+			t.Errorf("%+v accepted", cfg)
+		}
 	}
 	if _, err := New(0, Config{NodeCrashes: -1}); err == nil {
 		t.Error("negative NodeCrashes accepted")

@@ -9,12 +9,12 @@ import (
 )
 
 // TestRunSteadyStateAllocs pins what an uncontended Run costs the heap once
-// the controller is warm: the step loop's Progress closure and the
-// counter it updates. The control node itself — the lock table, C(q),
-// the K-admission test and CHAIN's W — allocates nothing, for every
-// scheduler family the paper's experiments lean on.
+// the controller is warm: the step loop's Progress closure. The control
+// node itself — the lock table, C(q), the K-admission test and CHAIN's
+// W — allocates nothing, for every scheduler family the paper's
+// experiments lean on.
 func TestRunSteadyStateAllocs(t *testing.T) {
-	const limit = 2
+	const limit = 1
 	work := func(step int, p Progress) error {
 		p(1)
 		return nil

@@ -22,7 +22,7 @@
 // event that can change the answer, then asks the scheduler again — it
 // re-decides for itself; nothing is handed to it. The wake events are a
 // commit, an abort, a granted admission (it dirties CHAIN's W and
-// K-WTPG's E(q) cache), a node crash and a watchdog doom. A granted lock
+// K-WTPG's E(q) cache) and a watchdog doom. A granted lock
 // request changes the inputs too but wakes nobody; instead, when the last
 // running transaction of a shard parks, everything refused before the
 // shard's current decision generation is re-dispatched once (waitLocked).
@@ -65,9 +65,7 @@ import (
 	"batsched/internal/core/sched"
 	"batsched/internal/durable"
 	"batsched/internal/event"
-	"batsched/internal/fault"
 	"batsched/internal/idmap"
-	"batsched/internal/machine"
 	"batsched/internal/obs"
 	"batsched/internal/storage"
 	"batsched/internal/txn"
@@ -85,9 +83,7 @@ type Option func(*Controller)
 // events every wait has it is re-asked after this delay; Blocked requests
 // and refused admissions wait for events only, and no wait depends on the
 // delay for progress (TestProgressNeverNeedsRetryDelay runs with an
-// hour). It is also the unit of injected fault latency: a slow partition
-// and an injected admission refusal each cost multiples of it.
-// Non-positive values keep the default.
+// hour). Non-positive values keep the default.
 func WithRetryDelay(d time.Duration) Option {
 	return func(c *Controller) {
 		if d > 0 {
@@ -113,36 +109,6 @@ func WithWatchdog(d time.Duration) Option {
 	return func(c *Controller) {
 		if d > 0 {
 			c.watchdog = d
-		}
-	}
-}
-
-// WithFaults attaches a fault injector (see internal/fault): selected
-// transactions abort after a threshold of reported progress or crash
-// (panic) at a chosen step, selected partitions pay a slow-I/O delay on
-// every acquired step, and selected admissions are refused before the
-// scheduler sees them. Faults exercise exactly the public recovery
-// machinery — Abort, panic recovery, retries — so a faulted controller
-// must stay correct; the chaos tests assert it. A nil injector is
-// ignored.
-func WithFaults(in *fault.Injector) Option {
-	return func(c *Controller) {
-		if in.Enabled() {
-			c.inj = in
-		}
-	}
-}
-
-// WithTopology declares the shared-nothing layout behind the lock
-// manager: numNodes data nodes holding numParts partitions under the
-// paper's home policy (node = partition mod numNodes). The controller
-// itself schedules locks, not I/O, so the topology matters only for
-// node-crash recovery: CrashNode needs it to know which partitions die
-// with a node and where they re-home. Non-positive values disable it.
-func WithTopology(numNodes, numParts int) Option {
-	return func(c *Controller) {
-		if numNodes > 0 && numParts > 0 {
-			c.topo = machine.Config{NumNodes: numNodes, NumParts: numParts}
 		}
 	}
 }
@@ -180,16 +146,11 @@ type Stats struct {
 	// scheduler progress, however many deadlines the episode then
 	// spans). Recovered counts episodes that subsequently cleared —
 	// progress resumed before the controller closed, whether the
-	// watchdog's own abort or an external path (a commit, a
-	// node-crash requeue) unblocked it. The two are symmetric: every
-	// recovered episode was counted stalled exactly once.
+	// watchdog's own abort or an external path (a commit or an abort)
+	// unblocked it. The two are symmetric: every recovered episode was
+	// counted stalled exactly once.
 	Stalled   uint64
 	Recovered uint64
-	// NodeCrashes counts CrashNode calls that killed a node; CrashDoomed
-	// counts transactions doomed by one because their partial bulk work
-	// died with it (each is also counted in Aborted once it finishes).
-	NodeCrashes uint64
-	CrashDoomed uint64
 	// Active is the number of currently admitted, unfinished
 	// transactions at snapshot time.
 	Active int
@@ -204,8 +165,6 @@ func (s *Stats) add(o Stats) {
 	s.Retries += o.Retries
 	s.Stalled += o.Stalled
 	s.Recovered += o.Recovered
-	s.NodeCrashes += o.NodeCrashes
-	s.CrashDoomed += o.CrashDoomed
 }
 
 // Controller is a live lock manager driven by one of the paper's
@@ -219,22 +178,12 @@ type Controller struct {
 
 	retryDelay time.Duration
 	watchdog   time.Duration // 0 = no watchdog
-	inj        *fault.Injector
 	observer   obs.Observer
 
 	// progress counts scheduler-state changes for the watchdog. It is
 	// atomic — every shard bumps it lock-free — so watchdog liveness
 	// accounting never funnels the shards through a shared lock.
 	progress atomic.Uint64
-
-	// topo/place model the data-node layout: the WithTopology one, else
-	// (topo zero) a single node holding every partition — same records,
-	// same WAL routing, nothing CrashNode could kill. place is mutated
-	// only by CrashNode, which holds every shard lock, and read under at
-	// least one shard lock — so per-shard readers always see a consistent
-	// placement.
-	topo  machine.Config
-	place *machine.Placement
 
 	// Durability (WithWALLog, WithStorage — see wal.go, storage.go): wal
 	// is the caller's open log (the controller's own, walOwned, only when
@@ -317,8 +266,8 @@ type ltxn struct {
 	// wait is set while the transaction is parked in Acquire (a candidate
 	// for a watchdog abort, see blocked): the channel it sleeps on, the
 	// request it is parked on and the decision that refused it. doom
-	// carries the error a watchdog- or crash-aborted transaction finds at
-	// its next Acquire loop (or, for a crash, at its Commit).
+	// carries the error a watchdog-aborted transaction finds at its next
+	// Acquire loop (or at its Commit, if the caller commits anyway).
 	wait struct {
 		ch   chan struct{}
 		step int
@@ -333,18 +282,10 @@ type ltxn struct {
 	// record's next life.
 	resubmit *time.Timer
 
-	// The node-crash window: the last granted step (−1 before the first
-	// grant), the node its partition was homed on at grant time, and the
-	// objects reported since the grant. The window of a step extends until
-	// the *next* grant — the controller cannot see the caller's work
-	// function return, only the next Acquire — so work reported between a
-	// step's end and the next grant still counts against the old step's
-	// node (documented in docs/ROBUSTNESS.md §8). part also routes the
-	// §3.1 weight messages to the shard owning the current step.
+	// The last granted step (−1 before the first grant) and its
+	// partition: the §3.1 weight messages go to the shard owning it.
 	step int
 	part txn.PartitionID
-	node int
-	work float64
 
 	// preds is the predecessor set resolved at admission, read only
 	// while a healthy log is attached: the Commit record carries it with
@@ -373,13 +314,6 @@ var ErrClosed = errors.New("live: controller closed")
 // The transaction's locks are released; the caller may resubmit it.
 var ErrWatchdogAborted = errors.New("live: aborted by no-progress watchdog")
 
-// ErrNodeCrashed is returned from Acquire, Commit or Run when a node
-// crash (CrashNode) destroyed the transaction's partial bulk results:
-// the objects it reported since its last lock grant lived on the dead
-// node, so the transaction cannot commit and aborts instead. The caller
-// may resubmit it against the re-homed topology.
-var ErrNodeCrashed = errors.New("live: aborted: partial bulk work lost in a node crash")
-
 // New builds a controller around a scheduler factory, e.g.
 //
 //	ctl := live.New(sched.KWTPGFactory(2), sched.Costs{KeepTime: 100})
@@ -396,7 +330,6 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.place = machine.NewPlacement(machine.Config{NumNodes: max(c.topo.NumNodes, 1), NumParts: c.topo.NumParts})
 	c.shards = make([]*lshard, c.nshards)
 	for i := range c.shards {
 		sh := &lshard{idx: i}
@@ -610,16 +543,6 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 	return err
 }
 
-// pause sleeps d of injected fault latency, or until ctx ends.
-func pause(ctx context.Context, d time.Duration) {
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-	case <-ctx.Done():
-	}
-}
-
 // admitGranted is Admit's tail once the scheduler has granted t, homed
 // on home, under the held shard locks in mask: count it, create its
 // control record — with a log, the resolved predecessors, read while the
@@ -677,26 +600,15 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 			}
 		}
 	}()
-	abortAt, hasAbort := c.inj.AbortAt(t)
-	crashStep, hasCrash := c.inj.Crash(t)
-	processed := 0.0
-	progress := func(objects float64) {
-		processed += objects
-		c.ObjectDone(t, objects)
-	}
+	progress := func(objects float64) { c.ObjectDone(t, objects) }
 	for step := range t.Steps {
 		if err := c.Acquire(ctx, t, step); err != nil {
 			c.Abort(t)
 			return err
 		}
-		c.slowIO(ctx, t, step)
 		if err := c.storeStep(t, step); err != nil {
 			c.Abort(t)
 			return err
-		}
-		if hasCrash && step == crashStep {
-			c.emit(obs.Event{Kind: obs.KindFault, At: c.now(), Txn: t.ID, Step: step, Op: "crash"})
-			panic(fmt.Errorf("%w: txn %v step %d", fault.ErrInjectedCrash, t.ID, step))
 		}
 		if work != nil {
 			if err := work(step, progress); err != nil {
@@ -704,26 +616,8 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 				return fmt.Errorf("live: %v step %d: %w", t.ID, step, err)
 			}
 		}
-		if hasAbort && processed >= abortAt {
-			c.emit(obs.Event{Kind: obs.KindFault, At: c.now(), Txn: t.ID, Step: step, Op: "abort"})
-			c.Abort(t)
-			return fmt.Errorf("%w: txn %v after %g objects", fault.ErrInjectedAbort, t.ID, processed)
-		}
 	}
-	// Commit can itself refuse: a node crash after the last grant dooms
-	// the transaction and the "commit" aborts it (ErrNodeCrashed).
 	return c.Commit(t)
-}
-
-// slowIO pays the injected slow-partition delay for the acquired step,
-// if any: (factor−1)·retryDelay of extra latency, context-aware.
-func (c *Controller) slowIO(ctx context.Context, t *txn.T, step int) {
-	f := c.inj.IOFactor(t.Steps[step].Part)
-	if f <= 1 {
-		return
-	}
-	c.emit(obs.Event{Kind: obs.KindFault, At: c.now(), Txn: t.ID, Step: step, Part: t.Steps[step].Part, Op: "slow-io"})
-	pause(ctx, time.Duration(float64(c.retryDelay)*(f-1)))
 }
 
 // Admit blocks until the scheduler admits t (or ctx ends, or the
@@ -736,9 +630,7 @@ func (c *Controller) slowIO(ctx context.Context, t *txn.T, step int) {
 // shard's next wake event (waitLocked) and ask again. A single-shard
 // footprint asks the scheduler's Admit and requests its locks step by
 // step (Acquire); a footprint spanning shards acquires all of its locks
-// atomically here (see admitProjectedLocked). An injected refusal has no
-// event to wait for: it costs one retry delay of fault latency, like
-// slowIO, and asks again.
+// atomically here (see admitProjectedLocked).
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return errNilTxn
@@ -761,13 +653,6 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		now := c.now()
 		if attempt == 0 {
 			c.emitShard(home.idx, obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
-		}
-		if c.inj.RefuseAdmit(t.ID, attempt) {
-			c.emitShard(home.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: t.ID, Op: "refuse-admit"})
-			home.stats.Retries++
-			c.unlockMask(mask)
-			pause(ctx, c.retryDelay)
-			continue
 		}
 		if err := c.dur.LogErr(); err != nil {
 			// Durability was requested and is broken (an IO failure):
@@ -833,8 +718,8 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 				Write: t.Steps[step].Mode == txn.Write})
 		}
 		// A spanning transaction's locks were all granted at admission, so
-		// only the bookkeeping remains: count the grant and move the
-		// node-crash window to this step.
+		// only the bookkeeping remains: count the grant and route the
+		// step's weight messages.
 		dec := sched.Granted
 		if !spanning(r.mask) {
 			dec = home.sch.Request(t, step, now).Decision
@@ -848,7 +733,7 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 		if dec == sched.Granted {
 			home.stats.Granted++
 			c.bumpProgress()
-			r.step, r.part, r.node, r.work = step, part, c.place.NodeOf(part), 0
+			r.step, r.part = step, part
 			home.mu.Unlock()
 			return nil
 		}
@@ -883,7 +768,6 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	if c.observer != nil {
 		now = c.now()
 	}
-	r.work += objects
 	target := home
 	if r.step >= 0 {
 		target = c.shards[c.shardOf(r.part)]
@@ -908,9 +792,8 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 // covered its Commit record (the locks drop before that force, see
 // finish). It returns an error for a transaction the controller does
 // not consider admitted (double finish, never admitted) — and, wrapped
-// as ErrNodeCrashed, for a transaction doomed by a node crash after its
-// last lock grant: its partial bulk results are gone, so the "commit"
-// runs the abort-recovery path instead and the caller must treat the
+// as ErrWatchdogAborted, for one the watchdog doomed: the "commit" runs
+// the abort-recovery path instead and the caller must treat the
 // transaction as aborted. An error naming a record that is "not durable"
 // is the one in-doubt outcome: the transaction pre-committed, the force
 // failed, and only a restart's replay decides.
@@ -938,11 +821,12 @@ func (c *Controller) Abort(t *txn.T) error {
 //  1. under the footprint's shard locks, claim the finish — validate,
 //     apply the doom check, add the predecessor set resolved now, while
 //     t is still in the WTPG(s), to the one read at admission, and drop
-//     t's control record so no concurrent finish/crash-doom can touch it;
+//     t's control record so no concurrent finish or watchdog can touch it;
 //  2. outside the shard mutexes, but with t still holding its partition
-//     locks in the scheduler(s): PreCommit — append the record, apply the
-//     staged effects to cached pages; a successor's scan sees them. Nothing
-//     of t is visible yet, so a refusal still flips cleanly to an abort;
+//     locks in the scheduler(s): PreCommit — append the record to walNode's
+//     file, apply the staged effects to cached pages; a successor's scan
+//     sees them. Nothing of t is visible yet, so a refusal still flips
+//     cleanly to an abort;
 //  3. under each shard's lock in canonical order, apply the completion to
 //     that shard's scheduler — the partition locks drop here — and wake
 //     its waiters;
@@ -968,17 +852,15 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	now := c.now()
 	var doomErr error
 	if committed && r.doom != nil {
-		// Doomed after its last Acquire (node crash): committing would
-		// publish bulk results that died with the node. Abort instead.
+		// The watchdog doomed it while parked, and the caller commits
+		// anyway (its Acquire returned another error first): abort, as
+		// the doom promised the stalled waiters.
 		committed = false
 		doomErr = fmt.Errorf("live: %v: %w", t.ID, r.doom)
 	}
-	start, preds, node := r.admitted, r.preds, 0
+	start, preds := r.admitted, r.preds
 	if committed && c.dur.Logs() {
 		preds = append(preds, c.predecessorsLocked(mask, t.ID)...)
-		if len(t.Steps) > 0 {
-			node = c.place.NodeOf(t.Steps[0].Part) // CrashNode re-homes under every shard lock
-		}
 	}
 	home.txns.Delete(t.ID)
 	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
@@ -990,7 +872,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 
 	if !committed {
 		c.dur.Abandon(t.ID)
-	} else if err := c.dur.PreCommit(t, node, preds, now); err != nil {
+	} else if err := c.dur.PreCommit(t, c.walNode(t), preds, now); err != nil {
 		committed = false
 		doomErr = fmt.Errorf("live: %v: %w", t.ID, err)
 	}
@@ -1035,69 +917,6 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		}
 	}
 	return doomErr
-}
-
-// CrashNode kills one data node of the WithTopology layout: its
-// partitions re-home to the survivors (mod-alive policy, Rehome events)
-// and every admitted transaction whose last granted step lived there is
-// triaged by the recoverability rule — no objects reported since the
-// grant means nothing was lost (the transaction continues against the
-// re-homed partition; a Requeue event records it), while reported
-// objects mean partial bulk results died with the node, so the
-// transaction is doomed: its next Acquire (or its Commit) returns
-// ErrNodeCrashed and it aborts through the scheduler's recovery path.
-// The triage runs under every shard lock — the crash window and the doom
-// live in each transaction's record on its home shard — so it is atomic
-// against all shards.
-// Errors: no WithTopology, an unknown/already-dead node, or the last
-// alive node.
-func (c *Controller) CrashNode(node int) error {
-	c.lockAll()
-	defer c.unlockAll()
-	if c.closed.Load() {
-		return ErrClosed
-	}
-	if c.topo.NumNodes == 0 {
-		return fmt.Errorf("live: CrashNode requires WithTopology")
-	}
-	if !c.place.Alive(node) {
-		return fmt.Errorf("live: node %d is unknown or already dead", node)
-	}
-	if c.place.AliveCount() <= 1 {
-		return fmt.Errorf("live: refusing to crash the last alive node %d", node)
-	}
-	now := c.now()
-	c.shards[0].stats.NodeCrashes++
-	c.emit(obs.Event{Kind: obs.KindNodeDown, At: now, Node: node})
-	for _, rh := range c.place.Kill(node) {
-		c.emit(obs.Event{Kind: obs.KindRehome, At: now, Part: rh.Part, FromNode: rh.From, Node: rh.To})
-	}
-	for _, sh := range c.shards {
-		sh.txns.Range(func(id txn.ID, r *ltxn) bool {
-			if r.step < 0 || r.node != node {
-				return true
-			}
-			if r.work > 0 {
-				r.doom = ErrNodeCrashed
-				c.shards[0].stats.CrashDoomed++
-				c.emitShard(sh.idx, obs.Event{Kind: obs.KindFault, At: now, Txn: id, Step: r.step, Part: r.part, Op: "node-crash"})
-				return true
-			}
-			to := c.place.NodeOf(r.part)
-			r.node = to
-			c.emitShard(sh.idx, obs.Event{Kind: obs.KindRequeue, At: now, Txn: id, Step: r.step, Part: r.part, FromNode: node, Node: to})
-			return true
-		})
-	}
-	// The triage itself is scheduler progress: parked waiters re-check
-	// their doom on wake, and a stall the crash caused (or cured) must be
-	// visible to the watchdog as movement, keeping Stalled/Recovered
-	// symmetric when the requeue path — not the watchdog — unblocks a run.
-	c.bumpProgress()
-	for _, sh := range c.shards {
-		sh.broadcastLocked()
-	}
-	return nil
 }
 
 // watchdogLoop is the no-progress watchdog (WithWatchdog): every period
@@ -1157,7 +976,7 @@ func (c *Controller) watchdogLoop() {
 			// First silent deadline. Count the *episode*, not every silent
 			// deadline it spans — Stats.Recovered counts episodes that clear,
 			// and the pair must stay symmetric however long the stall lasts
-			// and whoever cures it (a watchdog abort or an external requeue)
+			// and whoever cures it (a watchdog abort or an external commit)
 			// — and say who waits for whom. Waits are event-complete, so
 			// there is no lost wake-up to cure: the report is for whoever
 			// reads the trace.

@@ -125,7 +125,7 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 		killAt:  int64(killAt),
 		kill:    make(chan struct{}),
 	}
-	ctl := New(f, liveCosts, WithShards(shards), WithTopology(nodes, parts), WithRetryDelay(time.Millisecond),
+	ctl := New(f, liveCosts, WithShards(shards), WithRetryDelay(time.Millisecond),
 		WithWALLog(l), WithStorage(st), WithObserver(plog))
 
 	// Closed-loop clients on a hot set: two or three distinct partitions
@@ -233,7 +233,7 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 
 	// A second recovery — the controller's own, which reopens the log at
 	// the cut — agrees with the first, and so does a third.
-	ctl2, rec2, err := Recover(wdir, f, liveCosts, WithTopology(nodes, parts), WithStorage(st2))
+	ctl2, rec2, err := Recover(wdir, f, liveCosts, WithStorage(st2))
 	if err != nil {
 		fatalf("Recover: %v", err)
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"sync"
@@ -382,13 +383,109 @@ func TestWatchdogIdleIsQuiet(t *testing.T) {
 	}
 }
 
+// TestWatchdogCountsEpisodesNotTicks is the regression test for the
+// Stalled/Recovered asymmetry: one stall spanning many silent watchdog
+// deadlines must count as ONE episode, paired with exactly one recovery
+// when progress resumes. The stall is built so the watchdog cannot cure
+// it itself — ASL refuses T2's *admission* while T1 holds the lock, and
+// admission waiters are never abort candidates — and is then cleared
+// externally by committing the holder.
+func TestWatchdogCountsEpisodesNotTicks(t *testing.T) {
+	const period = 10 * time.Millisecond
+	ctl := New(sched.ASLFactory(), liveCosts,
+		WithRetryDelay(2*time.Millisecond),
+		WithWatchdog(period))
+	defer ctl.Close()
+	ctx := context.Background()
+	holder := txn.New(1, []txn.Step{w(0, 1)})
+	if err := ctl.Admit(ctx, holder); err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), nil)
+	}()
+	// Let the stall span many watchdog deadlines. The per-tick bug this
+	// test guards against would push Stalled toward ~10 here.
+	time.Sleep(15 * period)
+	if st := ctl.Stats(); st.Stalled != 1 {
+		t.Fatalf("Stalled = %d during one sustained stall, want 1 episode", st.Stalled)
+	}
+	// External cure: the holder commits, T2 admits and finishes.
+	if err := ctl.Commit(holder); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("T2 never finished after the stall cleared")
+	}
+	deadline := time.Now().Add(2 * time.Second)
+	for time.Now().Before(deadline) {
+		st := ctl.Stats()
+		if st.Recovered > 0 {
+			if st.Stalled != 1 || st.Recovered != 1 {
+				t.Fatalf("Stalled = %d, Recovered = %d, want exactly 1 and 1", st.Stalled, st.Recovered)
+			}
+			return
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	t.Fatal("Recovered never advanced after the stall cleared")
+}
+
+// errInjectedAbort is what faultyWork returns at the injector's abort
+// point, errInjectedCrash what it panics with.
+var (
+	errInjectedAbort = errors.New("injected abort")
+	errInjectedCrash = errors.New("injected crash")
+)
+
+// faultyWork is a chaos battery's work callback for tx, injecting faults
+// through Run's public API the way a caller's own code fails: each step
+// sleeps (IOFactor−1)·slow on a partition inj draws slow, panics with
+// errInjectedCrash at panicStep (−1: never), reports objects one at a
+// time and returns errInjectedAbort once inj.AbortAt's point is reached.
+func faultyWork(inj *fault.Injector, tx *txn.T, slow time.Duration, panicStep, objects int) func(int, Progress) error {
+	abortAt, hasAbort := inj.AbortAt(tx)
+	processed := 0.0
+	return func(step int, p Progress) error {
+		if f := inj.IOFactor(tx.Steps[step].Part); f > 1 {
+			time.Sleep(time.Duration(float64(slow) * (f - 1)))
+		}
+		if step == panicStep {
+			panic(fmt.Errorf("%w: %v step %d", errInjectedCrash, tx.ID, step))
+		}
+		for range objects {
+			p(1)
+			processed++
+		}
+		if hasAbort && processed >= abortAt {
+			return fmt.Errorf("%w: %v after %g objects", errInjectedAbort, tx.ID, processed)
+		}
+		return nil
+	}
+}
+
+// crashStep is a chaos battery's own seeded choice of the step whose work
+// panics: with probability rate, a uniform step of tx; −1 otherwise.
+func crashStep(rng *rand.Rand, tx *txn.T, rate float64) int {
+	if rng.Float64() < rate {
+		return rng.Intn(len(tx.Steps))
+	}
+	return -1
+}
+
 // chaosSwarm runs the live chaos mix on every scheduler family: per seed,
 // 24 two-step writers over parts partitions (steps stride apart) under
-// injected aborts, crashes (recovered panics), slow partitions and
-// admission refusals, watchdog armed. Every transaction must finish
-// (commit or injected fault), the lock table end clean, the stats balance
-// and the contract certificate (docs/ROBUSTNESS.md §10) accept the trace;
-// check sees each seed's final stats. Run with -race (`make verify`).
+// injected aborts, crashes (recovered panics) and slow partitions,
+// watchdog armed. Every transaction must finish (commit or injected
+// fault), the lock table end clean, the stats balance and the contract
+// certificate (docs/ROBUSTNESS.md §10) accept the trace; check sees each
+// seed's final stats. Run with -race (`make verify`).
 func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed uint64, st Stats), opts ...Option) {
 	seeds := []uint64{1, 2, 3}
 	if testing.Short() {
@@ -402,20 +499,18 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 			t.Parallel()
 			for _, seed := range seeds {
 				inj, err := fault.New(seed, fault.Config{
-					AbortRate:        0.25,
-					SlowIORate:       0.25,
-					SlowIOFactor:     2,
-					AdmitRefusalRate: 0.25,
-					CrashRate:        0.15,
+					AbortRate:    0.25,
+					SlowIORate:   0.25,
+					SlowIOFactor: 2,
 				})
 				if err != nil {
 					t.Fatal(err)
 				}
+				crashes := rand.New(rand.NewSource(int64(seed)))
 				h := modelcheck.NewHistory()
 				ctl := New(f, liveCosts, append([]Option{
 					WithRetryDelay(time.Millisecond),
 					WithWatchdog(50 * time.Millisecond),
-					WithFaults(inj),
 					WithObserver(h)}, opts...)...)
 				const workers = 24
 				var mu sync.Mutex
@@ -423,32 +518,28 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 				var wg sync.WaitGroup
 				errs := make(chan error, workers)
 				for i := 0; i < workers; i++ {
-					i := i
+					tx := txn.New(txn.ID(seed*1000)+txn.ID(i+1), []txn.Step{
+						w(txn.PartitionID(i%parts), 2),
+						w(txn.PartitionID((i+stride)%parts), 2),
+					})
+					work := faultyWork(inj, tx, time.Millisecond, crashStep(crashes, tx, 0.15), 2)
 					wg.Add(1)
 					go func() {
 						defer wg.Done()
-						tx := txn.New(txn.ID(seed*1000)+txn.ID(i+1), []txn.Step{
-							w(txn.PartitionID(i%parts), 2),
-							w(txn.PartitionID((i+stride)%parts), 2),
-						})
 						ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 						defer cancel()
-						err := ctl.Run(ctx, tx, func(step int, p Progress) error {
-							p(1)
-							p(1)
-							return nil
-						})
+						err := ctl.Run(ctx, tx, work)
 						switch {
 						case err == nil:
 							mu.Lock()
 							acked[tx.ID] = true
 							mu.Unlock()
-						case errors.Is(err, fault.ErrInjectedAbort),
-							errors.Is(err, fault.ErrInjectedCrash),
+						case errors.Is(err, errInjectedAbort),
+							errors.Is(err, errInjectedCrash),
 							errors.Is(err, ErrWatchdogAborted):
 							// expected fault outcomes
 						default:
-							errs <- fmt.Errorf("worker %d: %w", i, err)
+							errs <- fmt.Errorf("%v: %w", tx.ID, err)
 						}
 					}()
 				}

@@ -204,53 +204,44 @@ func TestShardedChaosLive(t *testing.T) {
 
 // TestShardedObjectDoneRoutesToOwner: the §3.1 weight message of a
 // spanning transaction lands on the WTPG of the shard owning its current
-// step's partition — with or without WithTopology — and leaves the home
-// shard's projection alone.
+// step's partition, and leaves the home shard's projection alone.
 func TestShardedObjectDoneRoutesToOwner(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		opts []Option
-	}{
-		{"bare", []Option{WithShards(4)}},
-		{"topology", []Option{WithShards(4), WithTopology(2, 64)}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			ctl := New(sched.KWTPGFactory(2), liveCosts, tc.opts...)
-			defer ctl.Close()
-			// Two partitions on different shards; the first step's is the home.
-			homePart, ownerPart := txn.PartitionID(0), txn.PartitionID(1)
-			for ctl.shardOf(ownerPart) <= ctl.shardOf(homePart) {
-				ownerPart++
-			}
-			home, owner := ctl.shards[ctl.shardOf(homePart)], ctl.shards[ctl.shardOf(ownerPart)]
-			tx := txn.New(1, []txn.Step{w(homePart, 5), w(ownerPart, 5)})
-			ctx := context.Background()
-			if err := ctl.Admit(ctx, tx); err != nil {
+	t.Run("bare", func(t *testing.T) {
+		ctl := New(sched.KWTPGFactory(2), liveCosts, WithShards(4))
+		defer ctl.Close()
+		// Two partitions on different shards; the first step's is the home.
+		homePart, ownerPart := txn.PartitionID(0), txn.PartitionID(1)
+		for ctl.shardOf(ownerPart) <= ctl.shardOf(homePart) {
+			ownerPart++
+		}
+		home, owner := ctl.shards[ctl.shardOf(homePart)], ctl.shards[ctl.shardOf(ownerPart)]
+		tx := txn.New(1, []txn.Step{w(homePart, 5), w(ownerPart, 5)})
+		ctx := context.Background()
+		if err := ctl.Admit(ctx, tx); err != nil {
+			t.Fatal(err)
+		}
+		for step := range tx.Steps {
+			if err := ctl.Acquire(ctx, tx, step); err != nil {
 				t.Fatal(err)
 			}
-			for step := range tx.Steps {
-				if err := ctl.Acquire(ctx, tx, step); err != nil {
-					t.Fatal(err)
-				}
-			}
-			w0 := func(sh *lshard) float64 {
-				sh.mu.Lock()
-				defer sh.mu.Unlock()
-				return sh.sch.(sched.GraphHolder).Graph().W0(tx.ID)
-			}
-			homeBefore, ownerBefore := w0(home), w0(owner)
-			ctl.ObjectDone(tx, 3)
-			if got := w0(owner); got != ownerBefore-3 {
-				t.Errorf("owner shard W0 %g → %g, want %g", ownerBefore, got, ownerBefore-3)
-			}
-			if got := w0(home); got != homeBefore {
-				t.Errorf("home shard W0 %g → %g, want it untouched", homeBefore, got)
-			}
-			if err := ctl.Commit(tx); err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
+		}
+		w0 := func(sh *lshard) float64 {
+			sh.mu.Lock()
+			defer sh.mu.Unlock()
+			return sh.sch.(sched.GraphHolder).Graph().W0(tx.ID)
+		}
+		homeBefore, ownerBefore := w0(home), w0(owner)
+		ctl.ObjectDone(tx, 3)
+		if got := w0(owner); got != ownerBefore-3 {
+			t.Errorf("owner shard W0 %g → %g, want %g", ownerBefore, got, ownerBefore-3)
+		}
+		if got := w0(home); got != homeBefore {
+			t.Errorf("home shard W0 %g → %g, want it untouched", homeBefore, got)
+		}
+		if err := ctl.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 // TestSpanningDecisionEventsSayWhatWasLocked: a spanning transaction is

@@ -12,6 +12,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math/rand"
 	"sync"
 	"testing"
 	"time"
@@ -38,7 +39,6 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 				AbortRate:    0.2,
 				SlowIORate:   0.1,
 				SlowIOFactor: 2,
-				CrashRate:    0.1,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -58,32 +58,29 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			ctl := New(sched.C2PLFactory(), liveCosts,
 				WithShards(4),
 				WithRetryDelay(time.Millisecond),
-				WithFaults(inj),
 				WithWALLog(l),
 				WithStorage(st),
 				WithObserver(obs.Multi(metrics, h)))
 
 			ts := shardedWorkload(int64(seed), 48, parts)
+			crashes := rand.New(rand.NewSource(int64(seed)))
 			var mu sync.Mutex
 			committed := map[txn.ID]bool{}
 			var wg sync.WaitGroup
 			for _, tx := range ts {
-				tx := tx
+				work := faultyWork(inj, tx, time.Millisecond, crashStep(crashes, tx, 0.1), 1)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
 					ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 					defer cancel()
-					err := ctl.Run(ctx, tx, func(step int, p Progress) error {
-						p(1)
-						return nil
-					})
+					err := ctl.Run(ctx, tx, work)
 					switch {
 					case err == nil:
 						mu.Lock()
 						committed[tx.ID] = true
 						mu.Unlock()
-					case errors.Is(err, fault.ErrInjectedAbort), errors.Is(err, fault.ErrInjectedCrash):
+					case errors.Is(err, errInjectedAbort), errors.Is(err, errInjectedCrash):
 						// expected fault outcomes: effects must be dropped
 					default:
 						t.Errorf("txn %v: %v", tx.ID, err)

@@ -12,7 +12,6 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
-	"batsched/internal/fault"
 	"batsched/internal/modelcheck"
 	"batsched/internal/txn"
 	"batsched/internal/workload"
@@ -77,29 +76,6 @@ func TestProgressNeverNeedsRetryDelay(t *testing.T) {
 				}
 			})
 		}
-	}
-}
-
-// TestInjectedRefusalNeedsNoTraffic: an injected admission refusal is a
-// fault's latency, not a scheduler decision, so no event will ever answer
-// it. One client whose every transaction is refused in a burst, with
-// nothing else running to produce a wake event, must still finish.
-func TestInjectedRefusalNeedsNoTraffic(t *testing.T) {
-	inj, err := fault.New(1, fault.Config{AdmitRefusalRate: 1, AdmitRefusalBurst: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := New(sched.ChainFactory(), liveCosts, WithRetryDelay(time.Millisecond), WithFaults(inj))
-	defer ctl.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for id := txn.ID(1); id <= 4; id++ {
-		if err := ctl.Run(ctx, txn.New(id, []txn.Step{w(0, 1)}), nil); err != nil {
-			t.Fatalf("%v: %v", id, err)
-		}
-	}
-	if st := ctl.Stats(); st.Committed != 4 || st.Retries != 12 {
-		t.Errorf("committed %d after %d retry waits, want 4 after 12 (a burst of 3 each)", st.Committed, st.Retries)
 	}
 }
 

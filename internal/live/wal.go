@@ -19,12 +19,25 @@ import (
 )
 
 // WithWALLog enables durable dependency logging into an open,
-// caller-owned log — one append-only file per data node (wal.Open with
-// the WithTopology node count, 1 without). The caller keeps Close/Crash
-// authority, which is what the kill-and-restart chaos battery needs to
-// simulate SIGKILL (wal.Log.Crash) underneath the controller.
+// caller-owned log. A commit's record goes to the node file of its first
+// partition under the paper's home policy over the files the caller
+// opened (walNode), so wal.Open's node count is the one layout choice.
+// The caller keeps Close/Crash authority, which is what the
+// kill-and-restart chaos battery needs to simulate SIGKILL
+// (wal.Log.Crash) underneath the controller.
 func WithWALLog(l *wal.Log) Option {
 	return func(c *Controller) { c.wal = l }
+}
+
+// walNode is the node file t's Commit record goes to: its first
+// partition mod the log's node count (node = partition mod nodes, the
+// paper's home policy). A pure function of t and the log, so finish
+// computes it outside the shard locks.
+func (c *Controller) walNode(t *txn.T) int {
+	if c.wal == nil || len(t.Steps) == 0 {
+		return 0
+	}
+	return int(t.Steps[0].Part) % c.wal.Nodes()
 }
 
 // WALStats returns a snapshot of the attached log's counters; ok is
@@ -52,12 +65,15 @@ func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
 // durable.Recover restarts the log — and redoes the WithStorage store,
 // if one is given, in the same replay — and the returned controller,
 // fresh scheduler state with the reopened log attached and owned, passes
-// its scheduler invariant checks before serving new traffic.
+// its scheduler invariant checks before serving new traffic. The log is
+// reopened over every node file dir holds, so new commits route over the
+// same node count the crashed run logged to.
 //
 // The Recovery report carries what was reconstructed: the committed
 // set in replay order and the replay schedule's width (MaxParallel).
-// Transactions in flight at the crash left no record and need nothing. opts are applied as in New,
-// except that WithWALLog is an error: the log is dir's.
+// Transactions in flight at the crash left no record and need nothing.
+// opts are applied as in New, except that WithWALLog is an error: the
+// log is dir's.
 func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Option) (*Controller, *wal.Recovery, error) {
 	var cfg Controller
 	for _, opt := range opts {
@@ -66,7 +82,7 @@ func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Optio
 	if cfg.wal != nil {
 		return nil, nil, errors.New("live: recover: WithWALLog given, but Recover reopens the log under dir itself")
 	}
-	log, _, rec, err := durable.Recover(dir, max(cfg.topo.NumNodes, 1), cfg.store)
+	log, _, rec, err := durable.Recover(dir, 1, cfg.store) // reopens every node file it finds
 	if err != nil {
 		return nil, nil, fmt.Errorf("live: recover: %w", err)
 	}

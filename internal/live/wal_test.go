@@ -369,3 +369,97 @@ func TestRecoverRejectsLogOption(t *testing.T) {
 		t.Errorf("Recover appended %d records to a log it was not given", st.Appends)
 	}
 }
+
+// TestWALRoutesCommitsByFirstPartition: the controller writes each Commit
+// record to node file firstPart mod n of the n-node log it was given —
+// the paper's home policy, worked out from the log — under concurrent
+// commits on two shards, and Recover, told nothing of the layout, reopens
+// all three files: it recovers every acknowledged transaction, and its
+// own commits keep routing over the three.
+func TestWALRoutesCommitsByFirstPartition(t *testing.T) {
+	const nodes = 3
+	f := sched.C2PLFactory()
+	dir := t.TempDir()
+	l, err := wal.Open(dir, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := modelcheck.NewHistory()
+	ctl := New(f, liveCosts, WithWALLog(l), WithShards(2), WithRetryDelay(time.Millisecond), WithObserver(h))
+	var (
+		mu    sync.Mutex
+		acked = map[txn.ID]bool{}
+		wg    sync.WaitGroup
+	)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				id := txn.ID(1 + g*20 + i)
+				first := txn.PartitionID((g + i) % 7)
+				tx := txn.New(id, []txn.Step{w(first, 1), r((first+1)%7, 1)})
+				if err := ctl.Run(context.Background(), tx, func(step int, p Progress) error {
+					p(1)
+					return nil
+				}); err != nil {
+					t.Errorf("%v: %v", id, err)
+					return
+				}
+				mu.Lock()
+				acked[id] = true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	ctl.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	routed := func(want int) []wal.NodeScan {
+		t.Helper()
+		scans, err := wal.Scan(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(scans) != nodes {
+			t.Fatalf("%d node files, want %d", len(scans), nodes)
+		}
+		n := 0
+		for _, ns := range scans {
+			if len(ns.Records) == 0 {
+				t.Errorf("node file %d holds no record", ns.Node)
+			}
+			for _, rec := range ns.Records {
+				if home := int(rec.Steps[0].Part) % nodes; rec.Node != home || ns.Node != home {
+					t.Errorf("%v (first partition P%d) logged to node %d in file %d, want %d",
+						rec.Txn, rec.Steps[0].Part, rec.Node, ns.Node, home)
+				}
+				n++
+			}
+		}
+		if n != want {
+			t.Fatalf("%d records, want %d", n, want)
+		}
+		return scans
+	}
+	scans := routed(len(acked))
+
+	ctl2, rec, err := Recover(dir, f, liveCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Committed) != len(acked) {
+		t.Fatalf("recovered %d committed, acknowledged %d", len(rec.Committed), len(acked))
+	}
+	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: acked}); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl2.Run(context.Background(), txn.New(1000, []txn.Step{w(nodes-1, 1)}), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctl2.Close()
+	routed(len(acked) + 1)
+}

@@ -81,8 +81,8 @@ const (
 	KindDegrade
 	// KindRestore: a degraded scheduler returned to full operation.
 	KindRestore
-	// KindFault: an injected fault fired; Op names the fault
-	// ("abort", "refuse-admit", "slow-io", "crash", "node-crash").
+	// KindFault: an injected fault fired in the simulator; Op names the
+	// fault ("abort", "refuse-admit", "slow-io", "node-crash").
 	KindFault
 	// KindNodeDown: data node Node crashed; its resident jobs are
 	// requeued or their transactions aborted, and its partitions

@@ -362,6 +362,10 @@ func (l *Log) closeFiles() error {
 	return first
 }
 
+// Nodes returns the number of node files the log appends to: Open's n,
+// or more when dir already held files beyond it.
+func (l *Log) Nodes() int { return len(l.files) }
+
 // Stats returns a snapshot of the log's counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()

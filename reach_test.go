@@ -48,16 +48,12 @@ import (
 var reachAllow = map[string]string{
 	// Fault hooks: the chaos, node-crash and kill-restart batteries
 	// inject through these; a program never asks to be broken.
-	"internal/live.WithFaults":               "fault hook: attaches the injector to a controller",
 	"internal/live.WithWatchdog":             "fault hook: the no-progress watchdog the stall batteries arm",
-	"internal/live.WithTopology":             "fault hook: the node layout CrashNode needs",
-	"internal/live.Controller.CrashNode":     "fault hook: kills a data node under a live controller",
 	"internal/fault.Injector.Config":         "fault hook: the batteries read back the effective rates",
 	"internal/fault.Injector.KillAt":         "fault hook: where a kill-restart cuts the run",
 	"internal/fault.Injector.KillFlushFrac":  "fault hook: how much unsynced log survives the kill",
 	"internal/fault.Config.SlowIORate":       "fault hook: slow-partition rate",
 	"internal/fault.Config.AdmitRefusalRate": "fault hook: refused-admission rate",
-	"internal/fault.Config.CrashRate":        "fault hook: worker-panic rate",
 	"internal/fault.Config.KillRestart":      "fault hook: arms the whole-machine kill",
 	"internal/fault.Config.KillWindow":       "fault hook: bounds the kill time",
 	"internal/sim.Config.DeadNodes":          "fault hook: replays a crashed run's placement",
