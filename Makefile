@@ -71,7 +71,9 @@ harness-smoke:
 # only when it is called — and internal/live importing internal/fault or
 # internal/machine is a second machine model under the lock manager (the
 # simulator holds the one; live's batteries inject through Run's work
-# callback). Every example is a self-checking
+# callback), and a goroutine in the live controller is scheduling no
+# caller's call accounts for — every wait ends on a wake event, the §3.2
+# resubmit timer, Close or the caller's ctx. Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
 # What no program reaches,
 # TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
@@ -86,6 +88,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -n '\.Fd()' internal/storage/*.go
 	! grep -rn 'go func' --include='*.go' --exclude='*_test.go' internal/storage
 	! grep -rn '"batsched/internal/\(fault\|machine\)"' --include='*.go' --exclude='*_test.go' internal/live
+	! grep -rnE '^\s*go ' --include='*.go' --exclude='*_test.go' internal/live
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done

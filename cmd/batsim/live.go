@@ -29,8 +29,12 @@ var liveFlags = map[string]bool{
 	"sigma": true, "seed": true, "shards": true, "livetxns": true, "cpuprofile": true,
 }
 
-// checkLiveFlags names every flag set on fs that live mode would ignore.
-func checkLiveFlags(fs *flag.FlagSet) error {
+// checkLiveFlags refuses a negative shard count and names every flag set
+// on fs that live mode would ignore.
+func checkLiveFlags(fs *flag.FlagSet, shards int) error {
+	if shards < 0 {
+		return fmt.Errorf("-shards %d: need a positive shard count, or 0 for the simulator", shards)
+	}
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
 		if !liveFlags[f.Name] {

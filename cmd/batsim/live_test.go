@@ -20,7 +20,8 @@ func TestRunLiveModeRejectsNoTxns(t *testing.T) {
 }
 
 // TestCheckLiveFlags: live mode names every sim-only flag that was set,
-// rather than dropping it without a word, and accepts the ones it reads.
+// rather than dropping it without a word, accepts the ones it reads, and
+// refuses a negative shard count instead of running the simulator.
 func TestCheckLiveFlags(t *testing.T) {
 	parse := func(args ...string) *flag.FlagSet {
 		fs := flag.NewFlagSet("batsim", flag.ContinueOnError)
@@ -34,10 +35,13 @@ func TestCheckLiveFlags(t *testing.T) {
 		}
 		return fs
 	}
-	if err := checkLiveFlags(parse("-shards", "2", "-sched", "CHAIN", "-workload", "exp2", "-seed", "3", "-livetxns", "10")); err != nil {
+	if err := checkLiveFlags(parse("-shards", "2", "-sched", "CHAIN", "-workload", "exp2", "-seed", "3", "-livetxns", "10"), 2); err != nil {
 		t.Errorf("live flags only: %v", err)
 	}
-	err := checkLiveFlags(parse("-shards", "2", "-wal", "/x", "-horizon", "5", "-plotlive", "-json", "-"))
+	if err := checkLiveFlags(parse("-shards", "-1"), -1); err == nil {
+		t.Error("-shards -1 accepted")
+	}
+	err := checkLiveFlags(parse("-shards", "2", "-wal", "/x", "-horizon", "5", "-plotlive", "-json", "-"), 2)
 	want := "-shards runs the live controller, which does not read -horizon, -json, -plotlive, -wal"
 	if err == nil || err.Error() != want {
 		t.Errorf("sim-only flags: %v, want %q", err, want)

@@ -132,8 +132,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *shards > 0 {
-		if err := checkLiveFlags(flag.CommandLine); err != nil {
+	if *shards != 0 {
+		if err := checkLiveFlags(flag.CommandLine, *shards); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
 		}

@@ -5,10 +5,12 @@ import "batsched/internal/txn"
 // forgetRefusals clears a C2PL-family scheduler's refusal memo, so its
 // next Request decides from scratch.
 func forgetRefusals(s Scheduler) {
-	s.(*c2pl).live.Range(func(_ txn.ID, r *txnRec) bool {
-		r.refused = refusal{}
-		return true
-	})
+	b := &s.(*c2pl).wtpgBase
+	for _, id := range b.graph.Nodes() {
+		if r, ok := b.live.Get(id); ok {
+			r.refused = refusal{}
+		}
+	}
 }
 
 // refusalOf returns the refusal memo a C2PL-family scheduler keeps for

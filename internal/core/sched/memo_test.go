@@ -163,10 +163,11 @@ func (b *wtpgBase) scanRegister(t *txn.T) error {
 		return err
 	}
 	var peers []*txn.T
-	b.live.Range(func(_ txn.ID, u *txnRec) bool {
-		peers = append(peers, u.t)
-		return true
-	})
+	for _, id := range b.graph.Nodes() {
+		if u, ok := b.live.Get(id); ok {
+			peers = append(peers, u.t)
+		}
+	}
 	for _, u := range peers {
 		wtu, wut, ok := wtpg.ConflictWeights(t, u)
 		if !ok {
@@ -199,12 +200,16 @@ func (b *wtpgBase) scanStaysChainForm(t *txn.T) bool {
 		return true
 	}
 	var neighbours []txn.ID
-	b.live.Range(func(id txn.ID, u *txnRec) bool {
-		if _, _, ok := wtpg.ConflictWeights(t, u.t); ok {
-			neighbours = append(neighbours, id)
+	for _, id := range b.graph.Nodes() {
+		if u, ok := b.live.Get(id); ok {
+			if _, _, ok := wtpg.ConflictWeights(t, u.t); ok {
+				neighbours = append(neighbours, id)
+			}
 		}
-		return len(neighbours) < 3
-	})
+		if len(neighbours) == 3 {
+			break
+		}
+	}
 	return b.graph.StaysChainForm(neighbours)
 }
 

@@ -16,9 +16,9 @@
 // transaction: bulk operations are too expensive to redo, so all of them
 // are deadlock-free by construction (atomic acquisition, cautious cycle
 // tests, or W consistency). External failures are another matter — a
-// caller may abandon an admitted transaction, a fault may be injected,
-// or the live controller's watchdog may force one out. For those the
-// schedulers expose an abort-recovery path (Scheduler.Abort):
+// caller may abandon an admitted transaction (a work error, a panic, its
+// context ending while it waits), or a fault may be injected. For those
+// the schedulers expose an abort-recovery path (Scheduler.Abort):
 // locks are released, unresolved conflicting-edges retracted, resolved
 // precedence spliced past the dead transaction (wtpg.Splice), and cached
 // plans/estimates invalidated; CHAIN additionally degrades to a safe
@@ -118,8 +118,8 @@ type Scheduler interface {
 	// now be grantable, valid until the scheduler's next call, plus the
 	// control-CPU cost of the recovery. Schedulers never decide to abort
 	// running work themselves; Abort exists for external failures — a
-	// caller abandoning a live transaction, an injected fault, or the
-	// live controller's stall watchdog.
+	// caller abandoning a live transaction (its work failed or its
+	// context ended) or an injected fault.
 	Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time)
 }
 

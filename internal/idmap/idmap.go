@@ -120,13 +120,3 @@ func (m *Map[V]) Delete(k txn.ID) {
 	m.slots[hole] = slot[V]{}
 	m.n--
 }
-
-// Range calls f for every entry, in table order, until f returns false.
-// f may change what a pointer value points to but not the map itself.
-func (m *Map[V]) Range(f func(k txn.ID, v V) bool) {
-	for i := range m.slots {
-		if s := &m.slots[i]; s.full && !f(s.key, s.val) {
-			return
-		}
-	}
-}

@@ -10,8 +10,8 @@ import (
 )
 
 // check holds m to ref: the same length, every pool key answered as ref
-// answers it, Range visiting exactly ref's entries once each, and every
-// occupied slot reachable from its key's home.
+// answers it, the occupied slots holding exactly ref's entries once
+// each, and every occupied slot reachable from its key's home.
 func check(t *testing.T, step int, m *Map[int], ref map[txn.ID]int, pool []txn.ID) {
 	t.Helper()
 	if m.Len() != len(ref) {
@@ -25,31 +25,23 @@ func check(t *testing.T, step int, m *Map[int], ref map[txn.ID]int, pool []txn.I
 		}
 	}
 	seen := make(map[txn.ID]bool, len(ref))
-	m.Range(func(k txn.ID, v int) bool {
-		if seen[k] {
-			t.Fatalf("step %d: Range visited %d twice", step, k)
-		}
-		seen[k] = true
-		if want, ok := ref[k]; !ok || want != v {
-			t.Fatalf("step %d: Range gave %d→%d, reference has %d, %v", step, k, v, want, ok)
-		}
-		return true
-	})
-	if len(seen) != len(ref) {
-		t.Fatalf("step %d: Range visited %d entries, want %d", step, len(seen), len(ref))
-	}
-	full := 0
 	for i, s := range m.slots {
 		if !s.full {
 			continue
 		}
-		full++
+		if seen[s.key] {
+			t.Fatalf("step %d: key %d occupies two slots", step, s.key)
+		}
+		seen[s.key] = true
+		if want, ok := ref[s.key]; !ok || want != s.val {
+			t.Fatalf("step %d: slot %d holds %d→%d, reference has %d, %v", step, i, s.key, s.val, want, ok)
+		}
 		if j, ok := m.find(s.key); !ok || j != i {
 			t.Fatalf("step %d: key %d in slot %d is not reachable from its home %d", step, s.key, i, m.home(s.key))
 		}
 	}
-	if full != m.n {
-		t.Fatalf("step %d: %d occupied slots, Len %d", step, full, m.n)
+	if len(seen) != m.n {
+		t.Fatalf("step %d: %d occupied slots, Len %d", step, len(seen), m.n)
 	}
 }
 

@@ -22,7 +22,7 @@
 // event that can change the answer, then asks the scheduler again — it
 // re-decides for itself; nothing is handed to it. The wake events are a
 // commit, an abort, a granted admission (it dirties CHAIN's W and
-// K-WTPG's E(q) cache) and a watchdog doom. A granted lock
+// K-WTPG's E(q) cache) and Close. A granted lock
 // request changes the inputs too but wakes nobody; instead, when the last
 // running transaction of a shard parks, everything refused before the
 // shard's current decision generation is re-dispatched once (waitLocked).
@@ -33,11 +33,13 @@
 // conflicting holders never coexist and schedules are conflict
 // serializable (every scheduler is strict — locks are held to commit —
 // and each partition's locks are managed by exactly one shard).
-// Admitted transactions are normally never aborted by the controller;
-// the two exceptions are explicit robustness features — a panic in
-// caller work is recovered into an abort, and the optional no-progress
-// watchdog (WithWatchdog) force-aborts a blocked transaction after two
-// silent deadlines (see docs/ROBUSTNESS.md).
+// The controller never aborts an admitted transaction on its own: an
+// abort is the caller's — a work error, a recovered panic in caller work,
+// or the caller's ctx ending while the transaction waits. The schedulers
+// are cautious, so no wait closes a cycle, and the controller starts no
+// goroutine: a caller whose work never returns stalls only the
+// transactions that wait for it, and each of those is ended by its own
+// ctx (see docs/ROBUSTNESS.md).
 //
 // Construction uses functional options:
 //
@@ -56,8 +58,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -92,27 +92,6 @@ func WithRetryDelay(d time.Duration) Option {
 	}
 }
 
-// WithWatchdog enables the no-progress watchdog: a background goroutine
-// that checks every d whether any scheduler progress (admission, grant,
-// object completion, commit or abort) happened since the last check
-// while transactions were waiting. The first silent deadline counts the
-// stall episode and emits one Stall event (Op "report") whose Detail says
-// who waits for whom: per parked transaction its step, partition, the
-// decision that refused it and the partition's current holders. Waits are
-// event-complete, so there is nothing to re-broadcast. Every further
-// consecutive silent deadline force-aborts the youngest blocked
-// transaction (Stall event with Op "abort"): its Acquire returns
-// ErrWatchdogAborted and its locks are released through the scheduler's
-// abort-recovery path, unblocking the rest. Non-positive d disables the
-// watchdog.
-func WithWatchdog(d time.Duration) Option {
-	return func(c *Controller) {
-		if d > 0 {
-			c.watchdog = d
-		}
-	}
-}
-
 // WithObserver attaches a structured trace observer: the controller
 // emits timeline events (Admit, Request, ObjectDone, Commit) and wraps
 // each shard's scheduler with sched.Observed so every decision, WTPG
@@ -131,9 +110,7 @@ type Stats struct {
 	// Admitted counts granted admissions; Committed and Aborted split
 	// the finished transactions by outcome. An abort is the caller
 	// abandoning an admitted transaction (a work error, a cancellation,
-	// a recovered panic) — or, with WithWatchdog, the watchdog forcing
-	// out a blocked transaction (those are counted here too, and
-	// additionally visible as Stall events with Op "abort").
+	// a recovered panic).
 	Admitted  uint64
 	Committed uint64
 	Aborted   uint64
@@ -141,16 +118,6 @@ type Stats struct {
 	Granted uint64
 	// Retries counts retry waits (refused admissions and requests).
 	Retries uint64
-	// Stalled counts stall *episodes*: transitions into a no-progress
-	// state (a watchdog deadline elapsed with waiters present and no
-	// scheduler progress, however many deadlines the episode then
-	// spans). Recovered counts episodes that subsequently cleared —
-	// progress resumed before the controller closed, whether the
-	// watchdog's own abort or an external path (a commit or an abort)
-	// unblocked it. The two are symmetric: every recovered episode was
-	// counted stalled exactly once.
-	Stalled   uint64
-	Recovered uint64
 	// Active is the number of currently admitted, unfinished
 	// transactions at snapshot time.
 	Active int
@@ -163,8 +130,6 @@ func (s *Stats) add(o Stats) {
 	s.Aborted += o.Aborted
 	s.Granted += o.Granted
 	s.Retries += o.Retries
-	s.Stalled += o.Stalled
-	s.Recovered += o.Recovered
 }
 
 // Controller is a live lock manager driven by one of the paper's
@@ -177,13 +142,7 @@ type Controller struct {
 	closed  atomic.Bool
 
 	retryDelay time.Duration
-	watchdog   time.Duration // 0 = no watchdog
 	observer   obs.Observer
-
-	// progress counts scheduler-state changes for the watchdog. It is
-	// atomic — every shard bumps it lock-free — so watchdog liveness
-	// accounting never funnels the shards through a shared lock.
-	progress atomic.Uint64
 
 	// Durability (WithWALLog, WithStorage — see wal.go, storage.go): wal
 	// is the caller's open log (the controller's own, walOwned, only when
@@ -195,9 +154,6 @@ type Controller struct {
 	walOwned bool
 	store    *storage.Store
 	dur      *durable.Binding
-
-	stopWatch chan struct{}
-	watchWG   sync.WaitGroup
 }
 
 // lshard is one shard of the controller's hot path: a slice of the
@@ -211,10 +167,6 @@ type lshard struct {
 	idx int
 	mu  sync.Mutex
 	sch sched.Scheduler
-	// holders is the scheduler's lock-table view (nil for NODC), taken
-	// before the observability wrapper hides it; the stall report names a
-	// contended partition's holders through it.
-	holders lockHolders
 
 	// The wait state (see waitLocked). wake is the channel the shard's
 	// parked goroutines sleep on: made by the first of them, closed and
@@ -228,14 +180,12 @@ type lshard struct {
 	// transactions whose footprint touches the shard, from their admission
 	// until the scheduler drops their locks; parked those of them asleep
 	// in Acquire on wake (a wake event counts them running again at once,
-	// before they have re-locked). admits holds the refused admissions
-	// parked here and what refused them.
+	// before they have re-locked).
 	wake    chan struct{}
 	gen     uint64
 	wakeGen uint64
 	active  int
 	parked  int
-	admits  idmap.Map[sched.Decision]
 
 	// txns holds the control record of every admitted, unfinished
 	// transaction homed here (its length drives Stats.Active); free
@@ -247,34 +197,20 @@ type lshard struct {
 	stats Stats
 }
 
-// lockHolders is what every lock-table scheduler offers for diagnostics.
-type lockHolders interface {
-	LockHolders(txn.PartitionID) []txn.ID
-}
-
 // ltxn is the control record of one admitted transaction — the live
 // counterpart of the paper's control-node entry (§3.1) and of sim's
 // txnState. admitGranted creates it, finish removes it, the home shard's
 // lock guards it, and every field is there whichever options are set.
 type ltxn struct {
-	// admitted is the admission time (commit-event response times, the
-	// watchdog's youngest-first victim order); mask the footprint's shard
-	// set — a spanning mask means every lock was granted at admission.
+	// admitted is the admission time (commit-event response times); mask
+	// the footprint's shard set — a spanning mask means every lock was
+	// granted at admission.
 	admitted event.Time
 	mask     uint64
 
-	// wait is set while the transaction is parked in Acquire (a candidate
-	// for a watchdog abort, see blocked): the channel it sleeps on, the
-	// request it is parked on and the decision that refused it. doom
-	// carries the error a watchdog-aborted transaction finds at its next
-	// Acquire loop (or at its Commit, if the caller commits anyway).
-	wait struct {
-		ch   chan struct{}
-		step int
-		part txn.PartitionID
-		dec  sched.Decision
-	}
-	doom error
+	// wait is the channel the transaction sleeps on while parked in
+	// Acquire (see blocked), nil otherwise.
+	wait chan struct{}
 	// resubmit is the §3.2 fixed-delay timer of a Delayed wait: made by
 	// the record's first, re-armed by every later one and stopped and
 	// drained when each ends, so it holds no tick between waits. It
@@ -294,7 +230,7 @@ type ltxn struct {
 }
 
 // blocked reports whether the transaction is parked in Acquire.
-func (r *ltxn) blocked() bool { return r.wait.ch != nil }
+func (r *ltxn) blocked() bool { return r.wait != nil }
 
 // errNilTxn is what Run, Admit, Acquire, Commit and Abort answer for a
 // nil transaction.
@@ -308,11 +244,6 @@ func errNotAdmitted(id txn.ID) error {
 
 // ErrClosed is returned when the controller has been shut down.
 var ErrClosed = errors.New("live: controller closed")
-
-// ErrWatchdogAborted is returned from Acquire (and Run) when the
-// no-progress watchdog force-aborted the transaction to break a stall.
-// The transaction's locks are released; the caller may resubmit it.
-var ErrWatchdogAborted = errors.New("live: aborted by no-progress watchdog")
 
 // New builds a controller around a scheduler factory, e.g.
 //
@@ -337,7 +268,6 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 		if i == 0 {
 			c.label = s.Name()
 		}
-		sh.holders, _ = s.(lockHolders)
 		if c.observer != nil {
 			s = sched.Observed(s, shardTagged{o: c.observer, shard: i})
 		}
@@ -346,11 +276,6 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	}
 	c.dur = durable.New(c.wal, c.store, c.emit, c.now)
 	c.dur.Observe(c.observer, c.label)
-	if c.watchdog > 0 {
-		c.stopWatch = make(chan struct{})
-		c.watchWG.Add(1)
-		go c.watchdogLoop()
-	}
 	return c
 }
 
@@ -410,7 +335,7 @@ func (c *Controller) CheckInvariants() error {
 }
 
 // Close shuts the controller down; subsequent or blocked operations
-// return ErrClosed. The watchdog goroutine, if any, is joined.
+// return ErrClosed.
 func (c *Controller) Close() {
 	if c.closed.Swap(true) {
 		return
@@ -419,10 +344,6 @@ func (c *Controller) Close() {
 		sh.mu.Lock()
 		sh.broadcastLocked()
 		sh.mu.Unlock()
-	}
-	if c.stopWatch != nil {
-		close(c.stopWatch)
-		c.watchWG.Wait()
 	}
 	if c.walOwned && c.wal != nil {
 		c.wal.Close()
@@ -436,8 +357,8 @@ func (sh *lshard) changedLocked() { sh.gen++ }
 
 // broadcastLocked is a wake event: sh's scheduler state moved in a way
 // that can turn a refusal into a grant (a commit, an abort, a granted
-// admission), or a parked transaction was doomed, or the controller
-// closed. Everything parked on sh re-decides. Callers must hold sh.mu.
+// admission), or the controller closed. Everything parked on sh
+// re-decides. Callers must hold sh.mu.
 func (sh *lshard) broadcastLocked() {
 	if sh.wake != nil {
 		close(sh.wake)
@@ -450,28 +371,20 @@ func (sh *lshard) broadcastLocked() {
 // (ctx, the §3.2 timer, a concurrent finish) is still counted on the live
 // one.
 func (sh *lshard) unparkLocked(r *ltxn) {
-	if r.wait.ch == sh.wake {
+	if r.wait == sh.wake {
 		sh.parked--
 	}
-	r.wait.ch = nil
-}
-
-// bumpProgress records one unit of scheduler progress for the watchdog,
-// its only reader: without one the shared counter is never touched.
-func (c *Controller) bumpProgress() {
-	if c.watchdog > 0 {
-		c.progress.Add(1)
-	}
+	r.wait = nil
 }
 
 // waitLocked parks the caller after dec refused it under sh.mu, which
 // the caller holds and waitLocked releases. r is the record of an
-// admitted transaction homed on sh parked in Acquire (it becomes a
-// watchdog-abort candidate), or nil for a refused admission of id. The
-// wait is registered and sh.wake captured in the same critical section as
-// the refusal, so no wake event between the decision and the sleep is
-// missed, and what it sleeps on is events alone: the next wake event on
-// sh, or ctx. Two things complete the event set.
+// admitted transaction homed on sh parked in Acquire, or nil for a
+// refused admission. The wait is registered and sh.wake captured in the
+// same critical section as the refusal, so no wake event between the
+// decision and the sleep is missed, and what it sleeps on is events
+// alone: the next wake event on sh, or ctx. Two things complete the event
+// set.
 //
 // Quiescence: a granted request changes what a refusal was decided on but
 // wakes nobody (waking on every grant costs more than it finds), and a
@@ -489,7 +402,7 @@ func (c *Controller) bumpProgress() {
 //
 // This is the one place a record pointer outlives a critical section,
 // which is why finish never recycles a blocked record.
-func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *ltxn, dec sched.Decision) error {
+func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn, dec sched.Decision) error {
 	sh.stats.Retries++
 	running := sh.active - sh.parked
 	if r != nil {
@@ -503,10 +416,8 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 	}
 	ch := sh.wake
 	if r != nil {
-		r.wait.ch, r.wait.dec = ch, dec
+		r.wait = ch
 		sh.parked++
-	} else {
-		sh.admits.Put(id, dec)
 	}
 	sh.mu.Unlock()
 	var resubmit <-chan time.Time // nil, never ready, unless Delayed
@@ -533,13 +444,13 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, id txn.ID, r *l
 		default:
 		}
 	}
-	sh.mu.Lock()
-	if r == nil {
-		sh.admits.Delete(id)
-	} else if r.blocked() { // else a concurrent finish already unparked it
-		sh.unparkLocked(r)
+	if r != nil {
+		sh.mu.Lock()
+		if r.blocked() { // else a concurrent finish already unparked it
+			sh.unparkLocked(r)
+		}
+		sh.mu.Unlock()
 	}
-	sh.mu.Unlock()
 	return err
 }
 
@@ -558,7 +469,6 @@ func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *
 	}
 	*r = ltxn{admitted: now, mask: mask, step: -1, resubmit: r.resubmit}
 	home.txns.Put(t.ID, r)
-	c.bumpProgress()
 	if c.dur.Logs() {
 		r.preds = c.predecessorsLocked(mask, t.ID)
 	}
@@ -582,10 +492,11 @@ type Progress func(objects float64)
 // step's lock is held; it receives the step index and a Progress
 // callback for weight accounting. A non-nil work error aborts the
 // transaction: all locks are released (the work already done is the
-// caller's to undo) and the error is returned. Context cancellation and
-// a watchdog abort behave the same way. A panic in the work callback is
-// recovered: the transaction aborts (locks released, other transactions
-// unaffected) and Run returns the panic as an error.
+// caller's to undo) and the error is returned. Context cancellation
+// behaves the same way, also while Run waits for a lock; it is the one
+// way to end a wait behind a holder whose work never returns. A panic in
+// the work callback is recovered: the transaction aborts (locks released,
+// other transactions unaffected) and Run returns the panic as an error.
 func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Progress) error) (err error) {
 	if err := c.Admit(ctx, t); err != nil {
 		return err
@@ -671,19 +582,19 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 			return nil
 		}
 		c.unlockMask(mask &^ (1 << uint(refused.idx)))
-		if err := c.waitLocked(ctx, refused, t.ID, nil, dec); err != nil {
+		if err := c.waitLocked(ctx, refused, nil, dec); err != nil {
 			return err
 		}
 	}
 }
 
 // Acquire blocks until the lock needed by step of t is granted (or ctx
-// ends, the controller closes, or the watchdog force-aborts t — then
-// ErrWatchdogAborted). Valid only between Admit and Commit/Abort: on a
-// transaction the controller does not consider admitted, a nil one or a
-// step t does not declare it returns an error at once. For a spanning transaction every lock was already
-// granted at admission, so Acquire only performs the per-step
-// bookkeeping and never blocks.
+// ends, or the controller closes). Valid only between Admit and
+// Commit/Abort: on a transaction the controller does not consider
+// admitted, a nil one or a step t does not declare it returns an error
+// at once. For a spanning transaction every lock was already granted at
+// admission, so Acquire only performs the per-step bookkeeping and never
+// blocks.
 func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 	if t == nil {
 		return errNilTxn
@@ -707,11 +618,6 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 			home.mu.Unlock()
 			return errNotAdmitted(t.ID)
 		}
-		if err := r.doom; err != nil {
-			r.doom = nil
-			home.mu.Unlock()
-			return err
-		}
 		now := c.now()
 		if attempt == 0 {
 			c.emitShard(c.shardOf(part), obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: part,
@@ -732,15 +638,13 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 		}
 		if dec == sched.Granted {
 			home.stats.Granted++
-			c.bumpProgress()
 			r.step, r.part = step, part
 			home.mu.Unlock()
 			return nil
 		}
 		// Blocked or Delayed: park until the shard's state moves (waitLocked)
 		// and let the scheduler re-decide.
-		r.wait.step, r.wait.part = step, part
-		if err := c.waitLocked(ctx, home, t.ID, r, dec); err != nil {
+		if err := c.waitLocked(ctx, home, r, dec); err != nil {
 			return err
 		}
 	}
@@ -783,7 +687,6 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 		target.changedLocked()
 		target.mu.Unlock()
 	}
-	c.bumpProgress()
 	c.emitShard(target.idx, obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
 }
 
@@ -791,18 +694,18 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 // waiters wake, and — with a WAL — it returns nil only after a force
 // covered its Commit record (the locks drop before that force, see
 // finish). It returns an error for a transaction the controller does
-// not consider admitted (double finish, never admitted) — and, wrapped
-// as ErrWatchdogAborted, for one the watchdog doomed: the "commit" runs
-// the abort-recovery path instead and the caller must treat the
-// transaction as aborted. An error naming a record that is "not durable"
-// is the one in-doubt outcome: the transaction pre-committed, the force
+// not consider admitted (double finish, never admitted), and a wrapped
+// durability error when the Commit record could not be appended: then
+// the "commit" ran the abort-recovery path instead and the caller must
+// treat the transaction as aborted. An error naming a record that is
+// "not durable" is the one in-doubt outcome: the transaction pre-committed, the force
 // failed, and only a restart's replay decides.
 func (c *Controller) Commit(t *txn.T) error {
 	return c.finish(t, true)
 }
 
 // Abort abandons an admitted transaction (work error, cancellation,
-// recovered panic, watchdog): its locks are released through the
+// recovered panic): its locks are released through the
 // scheduler's abort-recovery path — unresolved conflicting-edges
 // retracted, resolved precedence spliced past it — and waiters wake.
 // Undoing completed work is the caller's responsibility. It returns an
@@ -819,9 +722,9 @@ func (c *Controller) Abort(t *txn.T) error {
 // commit:
 //
 //  1. under the footprint's shard locks, claim the finish — validate,
-//     apply the doom check, add the predecessor set resolved now, while
-//     t is still in the WTPG(s), to the one read at admission, and drop
-//     t's control record so no concurrent finish or watchdog can touch it;
+//     add the predecessor set resolved now, while t is still in the
+//     WTPG(s), to the one read at admission, and drop t's control record
+//     so no concurrent finish can touch it;
 //  2. outside the shard mutexes, but with t still holding its partition
 //     locks in the scheduler(s): PreCommit — append the record to walNode's
 //     file, apply the staged effects to cached pages; a successor's scan
@@ -850,14 +753,6 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		return errNotAdmitted(t.ID)
 	}
 	now := c.now()
-	var doomErr error
-	if committed && r.doom != nil {
-		// The watchdog doomed it while parked, and the caller commits
-		// anyway (its Acquire returned another error first): abort, as
-		// the doom promised the stalled waiters.
-		committed = false
-		doomErr = fmt.Errorf("live: %v: %w", t.ID, r.doom)
-	}
 	start, preds := r.admitted, r.preds
 	if committed && c.dur.Logs() {
 		preds = append(preds, c.predecessorsLocked(mask, t.ID)...)
@@ -870,11 +765,12 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	}
 	c.unlockMask(mask)
 
+	var preErr error
 	if !committed {
 		c.dur.Abandon(t.ID)
 	} else if err := c.dur.PreCommit(t, c.walNode(t), preds, now); err != nil {
 		committed = false
-		doomErr = fmt.Errorf("live: %v: %w", t.ID, err)
+		preErr = fmt.Errorf("live: %v: %w", t.ID, err)
 	}
 
 	if c.observer != nil {
@@ -905,7 +801,6 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		sh.broadcastLocked()
 		sh.mu.Unlock()
 	})
-	c.bumpProgress()
 
 	if committed {
 		if err := c.dur.Force(now); err != nil {
@@ -916,144 +811,5 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 			return fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)
 		}
 	}
-	return doomErr
-}
-
-// watchdogLoop is the no-progress watchdog (WithWatchdog): every period
-// it compares the progress counter against the previous tick. A silent
-// period with transactions admitted or waiting is a stall — first the
-// report, then an abort per further silent period. The progress read is
-// lock-free; only a silent deadline pays for the shard locks (the report
-// and the victim selection must be atomic against every shard so a
-// transaction that just unblocked is never doomed).
-func (c *Controller) watchdogLoop() {
-	defer c.watchWG.Done()
-	ticker := time.NewTicker(c.watchdog)
-	defer ticker.Stop()
-	var lastProgress uint64
-	stalled := false
-	for {
-		select {
-		case <-c.stopWatch:
-			return
-		case <-ticker.C:
-		}
-		if c.closed.Load() {
-			return
-		}
-		if p := c.progress.Load(); p != lastProgress {
-			lastProgress = p
-			if stalled {
-				stalled = false
-				sh := c.shards[0]
-				sh.mu.Lock()
-				sh.stats.Recovered++
-				sh.mu.Unlock()
-			}
-			continue
-		}
-		c.lockAll()
-		if c.closed.Load() {
-			c.unlockAll()
-			return
-		}
-		if p := c.progress.Load(); p != lastProgress {
-			// Progress raced the lock acquisition; treat as a live tick.
-			c.unlockAll()
-			continue
-		}
-		active, admits := 0, 0
-		for _, sh := range c.shards {
-			active += sh.txns.Len()
-			admits += sh.admits.Len()
-		}
-		if active == 0 && admits == 0 {
-			// Idle, not stalled: nothing is waiting for progress.
-			c.unlockAll()
-			continue
-		}
-		if !stalled {
-			// First silent deadline. Count the *episode*, not every silent
-			// deadline it spans — Stats.Recovered counts episodes that clear,
-			// and the pair must stay symmetric however long the stall lasts
-			// and whoever cures it (a watchdog abort or an external commit)
-			// — and say who waits for whom. Waits are event-complete, so
-			// there is no lost wake-up to cure: the report is for whoever
-			// reads the trace.
-			stalled = true
-			c.shards[0].stats.Stalled++
-			if c.observer != nil {
-				c.emit(obs.Event{Kind: obs.KindStall, At: c.now(), Op: "report", Detail: c.stallReportLocked()})
-			}
-		} else if victim, r := c.youngestBlockedLocked(); r != nil {
-			// A further silent deadline: force-abort the youngest blocked
-			// transaction. Blocked means parked in Acquire — no caller work
-			// is running, so releasing its locks is safe; youngest means the
-			// least completed work is thrown away.
-			r.doom = ErrWatchdogAborted
-			c.emitShard(homeShard(r.mask), obs.Event{Kind: obs.KindStall, At: c.now(), Txn: victim, Op: "abort"})
-			for _, sh := range c.shards {
-				sh.broadcastLocked()
-			}
-		}
-		c.unlockAll()
-	}
-}
-
-// stallReportLocked renders who waits for whom, one clause per parked
-// transaction in id order: a parked request as "T7 step=1 part=P3 blocked
-// holders=[T2 T5]" (the decision that refused it and the partition's
-// current lock holders), a parked admission as "T9 admit aborted".
-// Callers must hold every shard lock.
-func (c *Controller) stallReportLocked() string {
-	type parked struct {
-		id     txn.ID
-		clause string
-	}
-	var ps []parked
-	for _, sh := range c.shards {
-		sh.txns.Range(func(id txn.ID, r *ltxn) bool {
-			if !r.blocked() {
-				return true
-			}
-			var holders []txn.ID
-			if own := c.shards[c.shardOf(r.wait.part)]; own.holders != nil {
-				holders = own.holders.LockHolders(r.wait.part)
-			}
-			ps = append(ps, parked{id, fmt.Sprintf("%v step=%d part=%v %v holders=%v", id, r.wait.step, r.wait.part, r.wait.dec, holders)})
-			return true
-		})
-		sh.admits.Range(func(id txn.ID, dec sched.Decision) bool {
-			ps = append(ps, parked{id, fmt.Sprintf("%v admit %v", id, dec)})
-			return true
-		})
-	}
-	sort.Slice(ps, func(i, j int) bool { return ps[i].id < ps[j].id })
-	var b strings.Builder
-	for i, p := range ps {
-		if i > 0 {
-			b.WriteString("; ")
-		}
-		b.WriteString(p.clause)
-	}
-	return b.String()
-}
-
-// youngestBlockedLocked picks the blocked transaction with the latest
-// admission time across all shards (ties broken by higher ID for
-// determinism) and returns its ID and record, nil when nothing is
-// blocked. Callers must hold every shard lock.
-func (c *Controller) youngestBlockedLocked() (best txn.ID, bestR *ltxn) {
-	for _, sh := range c.shards {
-		sh.txns.Range(func(id txn.ID, r *ltxn) bool {
-			if !r.blocked() || r.doom != nil {
-				return true // not parked, or already sentenced: give it a tick to act
-			}
-			if bestR == nil || r.admitted > bestR.admitted || (r.admitted == bestR.admitted && id > best) {
-				best, bestR = id, r
-			}
-			return true
-		})
-	}
-	return best, bestR
+	return preErr
 }

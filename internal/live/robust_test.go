@@ -220,6 +220,10 @@ func TestAbortWhileParkedInAcquire(t *testing.T) {
 // TestRunReturnsCtxErrPromptly parks a transaction behind a huge retry
 // delay (so only the broadcast or ctx can wake it), cancels the
 // context, and requires Run to return ctx.Err() well before the delay.
+// The waiter already holds a granted lock on a second partition: the
+// cancellation is the one way out of a wait whose holder's work never
+// returns, so it must release that lock too — a third transaction takes
+// the partition without waiting, and the stuck holder still commits.
 func TestRunReturnsCtxErrPromptly(t *testing.T) {
 	ctl := New(sched.C2PLFactory(), liveCosts, WithRetryDelay(time.Hour))
 	defer ctl.Close()
@@ -234,9 +238,18 @@ func TestRunReturnsCtxErrPromptly(t *testing.T) {
 	cctx, cancel := context.WithCancel(ctx)
 	done := make(chan error, 1)
 	go func() {
-		done <- ctl.Run(cctx, txn.New(2, []txn.Step{w(0, 1)}), nil)
+		done <- ctl.Run(cctx, txn.New(2, []txn.Step{w(1, 1), w(0, 1)}), nil)
 	}()
-	time.Sleep(10 * time.Millisecond) // let it block on the held lock
+	// Wait until T2 holds P1 and is parked on the held P0.
+	for deadline := time.Now().Add(5 * time.Second); ; {
+		if st := ctl.Stats(); st.Granted == 2 && st.Retries > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("T2 never parked: %+v", ctl.Stats())
+		}
+		time.Sleep(time.Millisecond)
+	}
 	start := time.Now()
 	cancel()
 	select {
@@ -249,6 +262,19 @@ func TestRunReturnsCtxErrPromptly(t *testing.T) {
 		}
 	case <-time.After(5 * time.Second):
 		t.Fatal("Run never returned after cancellation")
+	}
+	st := ctl.Stats()
+	if st.Aborted != 1 {
+		t.Fatalf("Aborted = %d, want 1 (the cancelled waiter)", st.Aborted)
+	}
+	// P1 is free again: a third transaction takes it without a retry wait.
+	tctx, tcancel := context.WithTimeout(ctx, 5*time.Second)
+	defer tcancel()
+	if err := ctl.Run(tctx, txn.New(3, []txn.Step{w(1, 1)}), nil); err != nil {
+		t.Fatal(err)
+	}
+	if got := ctl.Stats().Retries; got != st.Retries {
+		t.Fatalf("T3 waited for P1: retries %d → %d", st.Retries, got)
 	}
 	if err := ctl.Commit(holder); err != nil {
 		t.Fatal(err)
@@ -291,150 +317,6 @@ func TestRetryDelayStillCompletes(t *testing.T) {
 	if st := ctl.Stats(); st.Committed != 12 {
 		t.Fatalf("committed %d, want 12", st.Committed)
 	}
-}
-
-// TestWatchdogBreaksStall wedges T2 behind a lock whose holder never
-// commits (a stuck caller) and verifies the watchdog escalates: one
-// Stall "report" event saying T2 is blocked on P0 behind T1, then a
-// forced abort of the blocked T2 with ErrWatchdogAborted. The holder
-// itself — mid-"work" — is never touched.
-func TestWatchdogBreaksStall(t *testing.T) {
-	ring := obs.NewRing(256)
-	ctl := New(sched.C2PLFactory(), liveCosts,
-		WithRetryDelay(5*time.Millisecond),
-		WithWatchdog(15*time.Millisecond),
-		WithObserver(ring))
-	defer ctl.Close()
-	ctx := context.Background()
-	holder := txn.New(1, []txn.Step{w(0, 1)})
-	if err := ctl.Admit(ctx, holder); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.Acquire(ctx, holder, 0); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), nil)
-	}()
-	select {
-	case err := <-done:
-		if !errors.Is(err, ErrWatchdogAborted) {
-			t.Fatalf("blocked transaction returned %v, want ErrWatchdogAborted", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("watchdog never aborted the blocked transaction")
-	}
-	st := ctl.Stats()
-	if st.Stalled == 0 {
-		t.Error("Stalled counter did not advance")
-	}
-	if st.Aborted != 1 {
-		t.Errorf("Aborted = %d, want 1 (the watchdog victim)", st.Aborted)
-	}
-	var reports, aborts int
-	for _, e := range ring.Events() {
-		if e.Kind == obs.KindStall {
-			switch e.Op {
-			case "report":
-				// A later episode (the holder alone, idle) has nobody parked.
-				if want := "T2 step=0 part=P0 blocked holders=[T1]"; reports == 0 && e.Detail != want {
-					t.Errorf("stall report %q, want %q", e.Detail, want)
-				}
-				reports++
-			case "abort":
-				aborts++
-			default:
-				t.Errorf("stall event with op %q", e.Op)
-			}
-		}
-	}
-	if reports == 0 || aborts == 0 {
-		t.Errorf("stall events: %d reports, %d aborts, want ≥1 of each", reports, aborts)
-	}
-	// The holder is unaffected and can still finish.
-	if err := ctl.Commit(holder); err != nil {
-		t.Fatal(err)
-	}
-	if err := ctl.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	// With the stall cleared and progress resumed, the watchdog records
-	// a recovery.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		if ctl.Stats().Recovered > 0 {
-			return
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-	t.Error("Recovered counter never advanced after the stall cleared")
-}
-
-// TestWatchdogIdleIsQuiet runs an idle controller under a fast
-// watchdog: no transactions, no waiters — no stalls.
-func TestWatchdogIdleIsQuiet(t *testing.T) {
-	ctl := New(sched.ChainFactory(), liveCosts, WithWatchdog(5*time.Millisecond))
-	time.Sleep(40 * time.Millisecond)
-	st := ctl.Stats()
-	ctl.Close()
-	if st.Stalled != 0 {
-		t.Errorf("idle controller recorded %d stalls", st.Stalled)
-	}
-}
-
-// TestWatchdogCountsEpisodesNotTicks is the regression test for the
-// Stalled/Recovered asymmetry: one stall spanning many silent watchdog
-// deadlines must count as ONE episode, paired with exactly one recovery
-// when progress resumes. The stall is built so the watchdog cannot cure
-// it itself — ASL refuses T2's *admission* while T1 holds the lock, and
-// admission waiters are never abort candidates — and is then cleared
-// externally by committing the holder.
-func TestWatchdogCountsEpisodesNotTicks(t *testing.T) {
-	const period = 10 * time.Millisecond
-	ctl := New(sched.ASLFactory(), liveCosts,
-		WithRetryDelay(2*time.Millisecond),
-		WithWatchdog(period))
-	defer ctl.Close()
-	ctx := context.Background()
-	holder := txn.New(1, []txn.Step{w(0, 1)})
-	if err := ctl.Admit(ctx, holder); err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		done <- ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), nil)
-	}()
-	// Let the stall span many watchdog deadlines. The per-tick bug this
-	// test guards against would push Stalled toward ~10 here.
-	time.Sleep(15 * period)
-	if st := ctl.Stats(); st.Stalled != 1 {
-		t.Fatalf("Stalled = %d during one sustained stall, want 1 episode", st.Stalled)
-	}
-	// External cure: the holder commits, T2 admits and finishes.
-	if err := ctl.Commit(holder); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("T2 never finished after the stall cleared")
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) {
-		st := ctl.Stats()
-		if st.Recovered > 0 {
-			if st.Stalled != 1 || st.Recovered != 1 {
-				t.Fatalf("Stalled = %d, Recovered = %d, want exactly 1 and 1", st.Stalled, st.Recovered)
-			}
-			return
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	t.Fatal("Recovered never advanced after the stall cleared")
 }
 
 // errInjectedAbort is what faultyWork returns at the injector's abort
@@ -481,8 +363,8 @@ func crashStep(rng *rand.Rand, tx *txn.T, rate float64) int {
 
 // chaosSwarm runs the live chaos mix on every scheduler family: per seed,
 // 24 two-step writers over parts partitions (steps stride apart) under
-// injected aborts, crashes (recovered panics) and slow partitions,
-// watchdog armed. Every transaction must finish (commit or injected
+// injected aborts, crashes (recovered panics) and slow partitions.
+// Every transaction must finish (commit or injected
 // fault), the lock table end clean, the stats balance and the contract
 // certificate (docs/ROBUSTNESS.md §10) accept the trace; check sees each
 // seed's final stats. Run with -race (`make verify`).
@@ -510,7 +392,6 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 				h := modelcheck.NewHistory()
 				ctl := New(f, liveCosts, append([]Option{
 					WithRetryDelay(time.Millisecond),
-					WithWatchdog(50 * time.Millisecond),
 					WithObserver(h)}, opts...)...)
 				const workers = 24
 				var mu sync.Mutex
@@ -535,8 +416,7 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 							acked[tx.ID] = true
 							mu.Unlock()
 						case errors.Is(err, errInjectedAbort),
-							errors.Is(err, errInjectedCrash),
-							errors.Is(err, ErrWatchdogAborted):
+							errors.Is(err, errInjectedCrash):
 							// expected fault outcomes
 						default:
 							errs <- fmt.Errorf("%v: %w", tx.ID, err)

@@ -21,7 +21,7 @@ package live
 //     so no wait-for cycle can cross a shard boundary and the per-shard
 //     cautious schedulers retain deadlock freedom.
 //  4. Home shard: a transaction's control record (ltxn — admission
-//     time, parked wait, doom, last granted step) lives on the
+//     time, parked wait, last granted step) lives on the
 //     lowest-indexed shard of its footprint; all other shards hold only
 //     scheduler state.
 

@@ -24,8 +24,8 @@ import (
 // every kind of refusal in play (Blocked, Delayed, refused admissions,
 // spanning admissions with two shards); the retry delay is an hour, so a
 // single refusal that only the timer would have re-decided wedges the cell
-// into its deadline. No watchdog: nothing may depend on it either. Each
-// cell ends in the contract certificate. Run with -race (`make verify`).
+// into its deadline. Each cell ends in the contract certificate. Run with
+// -race (`make verify`).
 func TestProgressNeverNeedsRetryDelay(t *testing.T) {
 	const clients, total = 16, 5000
 	for _, f := range []sched.Factory{

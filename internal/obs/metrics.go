@@ -213,12 +213,10 @@ type SchedMetrics struct {
 	CritPathChanges uint64
 	critPathMaxBits uint64
 
-	// Robustness counters: scheduler abort-recovery runs, live-controller
-	// stall-watchdog firings, degraded-mode transitions, injected
-	// faults, and node-crash recovery (nodes lost, partitions re-homed,
-	// resident jobs requeued on survivors).
+	// Robustness counters: scheduler abort-recovery runs, degraded-mode
+	// transitions, injected faults, and node-crash recovery (nodes lost,
+	// partitions re-homed, resident jobs requeued on survivors).
 	Recoveries uint64
-	Stalls     uint64
 	Degrades   uint64
 	Restores   uint64
 	Faults     uint64
@@ -376,8 +374,6 @@ func (m *Metrics) Observe(e Event) {
 		atomicMaxFloat(&sm.critPathMaxBits, e.CritPath)
 	case KindAbort:
 		atomic.AddUint64(&sm.Recoveries, 1)
-	case KindStall:
-		atomic.AddUint64(&sm.Stalls, 1)
 	case KindDegrade:
 		atomic.AddUint64(&sm.Degrades, 1)
 	case KindRestore:

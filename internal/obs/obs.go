@@ -66,16 +66,10 @@ const (
 	// T0→…→Tf changed; CritPath is the new length in objects.
 	KindCriticalPathChange
 	// KindAbort: an admitted transaction was externally aborted (caller
-	// abandonment, injected fault, or the live controller's watchdog)
-	// and the scheduler ran its recovery path — locks released,
+	// abandonment or an injected fault) and the scheduler ran its recovery path — locks released,
 	// precedence spliced. The splice's own resolutions arrive as
 	// Resolve events.
 	KindAbort
-	// KindStall: the live controller's no-progress watchdog fired; Op
-	// carries the action taken: "report" at the first silent deadline of
-	// an episode, with Detail saying who waits for whom, or "abort" when
-	// a blocked transaction was force-aborted, with Txn naming it.
-	KindStall
 	// KindDegrade: a scheduler fell back to its degraded-but-safe mode
 	// (CHAIN → ASL-style admission with cautious grants).
 	KindDegrade
@@ -129,7 +123,6 @@ var kindNames = [...]string{
 	KindResolve:            "resolve",
 	KindCriticalPathChange: "critical-path",
 	KindAbort:              "abort",
-	KindStall:              "stall",
 	KindDegrade:            "degrade",
 	KindRestore:            "restore",
 	KindFault:              "fault",
@@ -181,10 +174,6 @@ type Event struct {
 	Write bool            `json:"write,omitempty"`
 	// Op distinguishes Decision events: "admit" or "request".
 	Op string `json:"op,omitempty"`
-	// Detail is the who-waits-for-whom line of a Stall report: one clause
-	// per parked transaction — its request, the decision that refused it
-	// and the partition's current lock holders.
-	Detail string `json:"detail,omitempty"`
 	// Decision is the outcome ("granted", "blocked", "delayed",
 	// "aborted") of a Decision event, or "aborted" on a Commit event
 	// that released locks without committing.
@@ -249,12 +238,9 @@ func (e Event) String() string {
 		s += fmt.Sprintf(" len=%.3g graph=%d", e.CritPath, e.Graph)
 	case KindAbort:
 		s += fmt.Sprintf(" graph=%d", e.Graph)
-	case KindStall, KindFault:
+	case KindFault:
 		if e.Op != "" {
 			s += " op=" + e.Op
-		}
-		if e.Detail != "" {
-			s += " " + e.Detail
 		}
 	case KindNodeDown:
 		s += fmt.Sprintf(" node=%d", e.Node)

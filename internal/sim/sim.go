@@ -311,8 +311,10 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	if cfg.Scheduler.New == nil {
 		return nil, fmt.Errorf("sim: nil scheduler factory")
 	}
-	if cfg.ArrivalRate <= 0 && len(cfg.ArrivalTimes) == 0 {
-		return nil, fmt.Errorf("sim: arrival rate %g and no explicit arrivals", cfg.ArrivalRate)
+	if !(cfg.ArrivalRate > 0 && !math.IsInf(cfg.ArrivalRate, 1)) && len(cfg.ArrivalTimes) == 0 {
+		// NaN would schedule the first arrival at a garbage time, and +Inf
+		// every arrival at t=0 without end.
+		return nil, fmt.Errorf("sim: arrival rate %g is not positive and finite, and no explicit arrivals", cfg.ArrivalRate)
 	}
 	if cfg.Horizon <= 0 {
 		return nil, fmt.Errorf("sim: horizon %v", cfg.Horizon)

@@ -166,6 +166,8 @@ func TestWarmupWindow(t *testing.T) {
 func TestConfigValidation(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.ArrivalRate = 0 },
+		func(c *Config) { c.ArrivalRate = math.NaN() },
+		func(c *Config) { c.ArrivalRate = math.Inf(1) },
 		func(c *Config) { c.Horizon = 0 },
 		func(c *Config) { c.Warmup = c.Horizon },
 		func(c *Config) { c.Workload = nil },

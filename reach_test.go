@@ -48,7 +48,6 @@ import (
 var reachAllow = map[string]string{
 	// Fault hooks: the chaos, node-crash and kill-restart batteries
 	// inject through these; a program never asks to be broken.
-	"internal/live.WithWatchdog":             "fault hook: the no-progress watchdog the stall batteries arm",
 	"internal/fault.Injector.Config":         "fault hook: the batteries read back the effective rates",
 	"internal/fault.Injector.KillAt":         "fault hook: where a kill-restart cuts the run",
 	"internal/fault.Injector.KillFlushFrac":  "fault hook: how much unsynced log survives the kill",
