@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test bench bench-smoke harness-smoke verify
+.PHONY: build test bench bench-smoke harness-smoke reproduce verify
 
 build:
 	$(GO) build ./...
@@ -51,6 +51,21 @@ harness-smoke:
 	hd="$$(mktemp -d)" && wd="$$(mktemp -d)" && \
 	$(GO) run ./cmd/batsim -storage "$$hd" -wal "$$wd" -horizon 50000 > /dev/null; \
 	rc=$$?; rm -rf "$$hd" "$$wd"; exit $$rc
+
+# reproduce regenerates results_full.txt and results_ablations.txt with
+# their documented commands (EXPERIMENTS.md) into a temporary directory
+# and compares each byte for byte with the committed file, so a change
+# that moves any number of the paper's figures or of the ablations fails
+# here. It takes about a minute and a half on two cores.
+reproduce:
+	d="$$(mktemp -d)" && \
+	$(GO) build -o "$$d/batbench" ./cmd/batbench && \
+	"$$d/batbench" -all > "$$d/results_full.txt" && \
+	{ "$$d/batbench" -ablation all -horizon 1000000 && \
+	  "$$d/batbench" -mixed -horizon 1000000; } > "$$d/results_ablations.txt" && \
+	cmp results_full.txt "$$d/results_full.txt" && \
+	cmp results_ablations.txt "$$d/results_ablations.txt"; \
+	rc=$$?; rm -rf "$$d"; exit $$rc
 
 # verify is the whole gate. Its one race run covers every package — the
 # chaos, node-crash and kill-restart batteries of docs/ROBUSTNESS.md

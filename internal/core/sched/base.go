@@ -2,7 +2,6 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 
 	"batsched/internal/core/wtpg"
 	"batsched/internal/idmap"
@@ -36,10 +35,11 @@ type wtpgBase struct {
 // uses the fields it needs.
 type txnRec struct {
 	t *txn.T
-	// refused is the last Delayed request with the versions it was
-	// decided under (c2pl). The zero value matches no request: the
-	// transaction's own Declare moved the lock-table version past 0.
-	refused refusal
+	// refused is the step the cycle test last refused and witness the
+	// evidence it refused on (wtpg.Graph.CycleWitness), which names the
+	// transaction's own stay first (c2pl). An empty witness is no memo.
+	refused int
+	witness []wtpg.Stay
 	// e holds one generation-stamped E(q) per step (kwtpg), sized on the
 	// transaction's first estimate; generation 0 is never current, so a
 	// reset entry misses.
@@ -62,7 +62,7 @@ func (b *wtpgBase) enter(t *txn.T) {
 	} else {
 		r = new(txnRec)
 	}
-	r.t, r.refused, r.e = t, refusal{}, r.e[:0]
+	r.t, r.witness, r.e = t, r.witness[:0], r.e[:0]
 	b.live.Put(t.ID, r)
 }
 
@@ -144,13 +144,14 @@ func (b *wtpgBase) unregister(t *txn.T) {
 // order after t: every transaction with a pending conflicting declaration
 // on the step's partition (deduplicated, in declaration order). The
 // returned slice is reused across calls; callers must not retain it.
-// |C(q)| is small, so a linear scan of the result deduplicates.
+// A transaction's declarations are adjacent in C(q)
+// (lock.Table.ConflictingDecls), so a repeat is the target just listed.
 func (b *wtpgBase) impliedTargets(t *txn.T, step int) []txn.ID {
 	s := t.Steps[step]
 	b.conflictBuf = b.locks.ConflictingDecls(b.conflictBuf[:0], t.ID, s.Part, s.Mode)
 	b.targetBuf = b.targetBuf[:0]
 	for _, d := range b.conflictBuf {
-		if !slices.Contains(b.targetBuf, d.Txn) {
+		if n := len(b.targetBuf); n == 0 || b.targetBuf[n-1] != d.Txn {
 			b.targetBuf = append(b.targetBuf, d.Txn)
 		}
 	}

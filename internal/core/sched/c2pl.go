@@ -25,16 +25,6 @@ type c2pl struct {
 	preAdmit func(b *wtpgBase, t *txn.T) bool
 }
 
-// refusal is one memoised Delayed answer, kept in the transaction's
-// record: the step refused and the lock-table and WTPG shape versions it
-// was decided under. A request for the same step while neither version
-// moved reads exactly what that one read, so it is answered Delayed again
-// without the blocked test, C(q) or the cycle search (DESIGN.md §6).
-type refusal struct {
-	step         int
-	locks, shape uint64
-}
-
 func newC2PL(costs Costs, name string, preAdmit func(b *wtpgBase, t *txn.T) bool) *c2pl {
 	return &c2pl{
 		wtpgBase: newWTPGBase(costs),
@@ -78,22 +68,27 @@ func (c *c2pl) Admit(t *txn.T, now event.Time) Outcome {
 
 func (c *c2pl) Request(t *txn.T, step int, now event.Time) Outcome {
 	cpu := c.costs.DDTime
-	// The versions are read before anything is decided: a refusal whose
-	// grant attempt resolved edges before failing moved the shape version,
-	// so its record can never match again.
-	seen := refusal{step: step, locks: c.locks.Version(), shape: c.graph.ShapeVersion()}
-	r, live := c.live.Get(t.ID)
-	if live && r.refused == seen {
-		return Outcome{Decision: Delayed, CPU: cpu}
-	}
 	if c.blocked(t, step) {
 		return Outcome{Decision: Blocked, CPU: cpu}
 	}
+	r, live := c.live.Get(t.ID)
+	if !live { // never admitted: it declares nothing a grant could convert
+		return Outcome{Decision: Delayed, CPU: cpu}
+	}
+	// A step the cycle test refused is refused again, without C(q) or the
+	// search, while every stay of the refusal's witness lasts: the path
+	// it names still closes the cycle, and its far end's conflicting
+	// declaration is still pending, since a grant of it would have
+	// blocked the step (DESIGN.md §6).
+	if r.refused == step && len(r.witness) > 0 && c.graph.Holds(r.witness) {
+		return Outcome{Decision: Delayed, CPU: cpu}
+	}
 	targets := c.impliedTargets(t, step)
-	if c.graph.WouldCycleFrom(t.ID, targets) || c.grant(t, step, targets) != nil {
-		if live {
-			r.refused = seen
-		}
+	if w, cycle := c.graph.CycleWitness(r.witness[:0], t.ID, targets); cycle {
+		r.refused, r.witness = step, w
+		return Outcome{Decision: Delayed, CPU: cpu}
+	}
+	if c.grant(t, step, targets) != nil {
 		return Outcome{Decision: Delayed, CPU: cpu}
 	}
 	return Outcome{Decision: Granted, CPU: cpu}
@@ -109,8 +104,8 @@ func (c *c2pl) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) 
 
 // Abort recovers from an external abort of an admitted transaction: the
 // precedence test needs no extra repair beyond the base splice because
-// c2pl keeps no cached plan, and its refusal memos are stamped with
-// versions the abort advances.
+// c2pl keeps no cached plan, and the splice ends the aborted stay, so
+// every refusal witness through it stops holding.
 func (c *c2pl) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	return c.abort(t), c.costs.DDTime
 }

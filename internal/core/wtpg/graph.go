@@ -30,6 +30,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"batsched/internal/idmap"
@@ -183,6 +184,7 @@ func (m *markset) add(s int32)      { m.marks[s] = m.gen }
 type Graph struct {
 	slotOf idmap.Map[int32] // id → slot
 	ids    []txn.ID         // slot → id; 0 marks a free slot (zero ID reserved)
+	inc    []uint32         // slot → incarnation, advanced by every AddNode (Stay)
 	w0     []float64        // slot → w(T0→Ti)
 	free   []int32          // reusable slots
 	nLive  int
@@ -196,12 +198,8 @@ type Graph struct {
 	in  [][]int32 // slot → slab indices of resolved in-edges
 
 	// muts counts mutations (AddNode/AddConflict/Resolve/Remove/SetW0);
-	// caches stamped with it are valid while it stands still. shape counts
-	// the structural ones alone — every mutation but SetW0 — so a decision
-	// that reads nodes, conflicts and resolutions but no weight can be
-	// stamped with it (ShapeVersion).
-	muts  uint64
-	shape uint64
+	// caches stamped with it are valid while it stands still.
+	muts uint64
 
 	// Cached critical path: value, cycle flag, and the topological order
 	// and per-slot distances of the pass that produced it (reused by
@@ -215,9 +213,13 @@ type Graph struct {
 
 	// Traversal scratch (single-threaded use). Estimate marks after(t)
 	// in visited, before(t) and its targets in their own sets, and keeps
-	// after(t)'s re-relaxed distances in estDist.
+	// after(t)'s re-relaxed distances in estDist. CycleWitness marks the
+	// requester's resolved predecessors in before and successors in
+	// targets, its search's slots in visited, and the slot that pushed
+	// each of them in parent.
 	indegBuf []int32
 	stackBuf []int32
+	parent   []int32
 	visited  markset
 	before   markset
 	targets  markset
@@ -273,25 +275,20 @@ func (g *Graph) AddNode(id txn.ID, w0 float64) error {
 	} else {
 		s = int32(len(g.ids))
 		g.ids = append(g.ids, 0)
+		g.inc = append(g.inc, 0)
 		g.w0 = append(g.w0, 0)
 		g.adj = append(g.adj, nil)
 		g.out = append(g.out, nil)
 		g.in = append(g.in, nil)
 	}
 	g.ids[s] = id
+	g.inc[s]++
 	g.w0[s] = w0
 	g.slotOf.Put(id, s)
 	g.nLive++
 	g.muts++
-	g.shape++
 	return nil
 }
-
-// ShapeVersion returns the graph's structural mutation count: AddNode,
-// AddConflict, Remove and every resolution that orients an edge (Splice's
-// included) advance it; SetW0 and AddW0 do not. Two reads under the same
-// shape version see the same nodes, conflicting-edges and orientations.
-func (g *Graph) ShapeVersion() uint64 { return g.shape }
 
 // W0 returns w(T0→Ti).
 func (g *Graph) W0(id txn.ID) float64 {
@@ -363,7 +360,6 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	g.adj[sb] = append(g.adj[sb], idx)
 	g.pair[k] = idx
 	g.muts++
-	g.shape++
 	return nil
 }
 
@@ -418,7 +414,6 @@ func (g *Graph) Resolve(from, to txn.ID) error {
 		g.out[fs] = append(g.out[fs], idx)
 		g.in[ts] = append(g.in[ts], idx)
 		g.muts++
-		g.shape++
 		if g.OnResolve != nil {
 			g.OnResolve(g.ids[fs], g.ids[ts])
 		}
@@ -514,7 +509,6 @@ func (g *Graph) Remove(id txn.ID) {
 	g.free = append(g.free, s)
 	g.nLive--
 	g.muts++
-	g.shape++
 }
 
 // Predecessors returns id's direct resolved predecessors — the sources of
@@ -560,42 +554,122 @@ func (g *Graph) AppendPredecessors(dst []txn.ID, id txn.ID) []txn.ID {
 // as a cycle (the order would contradict itself). Targets need not be
 // live transactions.
 func (g *Graph) WouldCycleFrom(from txn.ID, targets []txn.ID) bool {
-	sFrom, fromLive := g.slotOf.Get(from)
-	// Filter against existing resolutions, keeping only genuinely new
-	// edges on the DFS stack.
+	_, cycle := g.CycleWitness(nil, from, targets)
+	return cycle
+}
+
+// Stay names one transaction's stay in the graph: its slot and the slot's
+// incarnation, which AddNode advances. A stay ends when its transaction
+// leaves (Remove, Splice), and a later transaction in the same slot is a
+// different stay.
+type Stay struct {
+	slot int32
+	inc  uint32
+}
+
+func (g *Graph) stay(s int32) Stay { return Stay{s, g.inc[s]} }
+
+// Holds reports whether every stay of w still lasts.
+func (g *Graph) Holds(w []Stay) bool {
+	for _, st := range w {
+		if g.inc[st.slot] != st.inc || g.ids[st.slot] == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// CycleWitness is WouldCycleFrom that, when it reports a cycle, also
+// appends the evidence to dst: the stays of from and of a resolved path
+// back to it from one of the targets, nearest first (from alone for a
+// self-loop, nothing when from is not in the graph). A resolved edge
+// leaves the graph only with one of its endpoints, so while the witness
+// Holds the path stays, and a request that still names the path's far
+// end as a target is refused again. dst comes back unchanged when there
+// is no cycle.
+//
+// An existing resolution between from and a target is read from from's
+// side: its resolved predecessors and successors are marked per slot, so
+// no pair is looked up, and with no targets nothing is read.
+func (g *Graph) CycleWitness(dst []Stay, from txn.ID, targets []txn.ID) ([]Stay, bool) {
+	if len(targets) == 0 {
+		return dst, false
+	}
+	sFrom, ok := g.slotOf.Get(from)
+	if !ok { // no edges: only a self-loop closes a cycle
+		return dst, slices.Contains(targets, from)
+	}
+	n := len(g.ids)
+	g.before.reset(n)
+	g.targets.reset(n)
+	for _, idx := range g.in[sFrom] {
+		g.before.add(g.edges[idx].fromSlot())
+	}
+	for _, idx := range g.out[sFrom] {
+		g.targets.add(g.edges[idx].toSlot())
+	}
+	// Keep only genuinely new edges on the search stack.
 	stack := g.stackBuf[:0]
 	for _, to := range targets {
-		if to == from {
-			return true // self-loop
-		}
-		sTo, toLive := g.slotOf.Get(to)
-		if fromLive && toLive {
-			if idx, ok := g.pair[keyOf(from, to)]; ok {
-				if e := &g.edges[idx]; e.dir != Unresolved {
-					if e.fromSlot() == sTo {
-						return true // to→from already resolved: contradiction
-					}
-					continue // already resolved this way
-				}
-			}
-		}
-		if toLive {
-			stack = append(stack, sTo)
+		if to == from { // self-loop
+			g.stackBuf = stack[:0]
+			return append(dst, g.stay(sFrom)), true
 		}
 		// A target outside the graph has no out-edges and cannot reach
-		// `from`; it contributes nothing to the search.
-	}
-	if len(stack) == 0 || !fromLive {
-		g.stackBuf = stack[:0]
-		return false
+		// from; one resolved from→target already is harmless.
+		sTo, ok := g.slotOf.Get(to)
+		if !ok || g.targets.has(sTo) {
+			continue
+		}
+		if g.before.has(sTo) { // to→from already resolved: contradiction
+			g.stackBuf = stack[:0]
+			return append(dst, g.stay(sFrom), g.stay(sTo)), true
+		}
+		stack = append(stack, sTo)
 	}
 	// The resolved precedence-edges alone are acyclic (an invariant every
 	// scheduler maintains), so a cycle exists iff some target reaches
-	// `from` via resolved edges (the new edges all share the single
-	// source, so they cannot chain into each other except through `from`
-	// itself).
-	g.visited.reset(len(g.ids))
-	return g.reach(&g.visited, stack, g.out, sFrom)
+	// from via resolved edges (the new edges all share the single source,
+	// so they cannot chain into each other except through from itself).
+	// This is reach, plus parent: each slot pushed records the marked slot
+	// that pushed it, and the targets record -1. A slot's entry is final
+	// once it is marked, and from's once it is reached, so parent leads
+	// from from back to a target.
+	g.visited.reset(n)
+	if len(g.parent) < n {
+		g.parent = make([]int32, len(g.visited.marks))
+	}
+	for _, s := range stack {
+		g.parent[s] = -1
+	}
+	found := false
+	for len(stack) > 0 {
+		u := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		if u == sFrom {
+			found = true
+			break
+		}
+		if g.visited.has(u) {
+			continue
+		}
+		g.visited.add(u)
+		for _, idx := range g.out[u] {
+			e := &g.edges[idx]
+			if v := e.sa ^ e.sb ^ u; !g.visited.has(v) { // the endpoint that is not u
+				g.parent[v] = u
+				stack = append(stack, v)
+			}
+		}
+	}
+	g.stackBuf = stack[:0]
+	if !found {
+		return dst, false
+	}
+	for s := sFrom; s >= 0; s = g.parent[s] {
+		dst = append(dst, g.stay(s))
+	}
+	return dst, true
 }
 
 // reach adds to m every slot reachable from the slots on stack along the

@@ -2,6 +2,7 @@ package wtpg
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -65,6 +66,53 @@ func TestQuickWouldCycleFromEquivalence(t *testing.T) {
 			}
 		}
 		return g.WouldCycleFrom(src, targets) == refOf(g).WouldCycle(res)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Property: CycleWitness answers as WouldCycleFrom, and its witness is the
+// evidence: the source's stay, then a resolved path back to it from one
+// of the targets. The witness holds until one of its transactions leaves,
+// and a new transaction in the freed slot does not revive it.
+func TestQuickCycleWitness(t *testing.T) {
+	f := func(data []byte, srcRaw uint8, mask uint16) bool {
+		g := buildRandomGraph(data)
+		nodes := g.Nodes()
+		src := nodes[int(srcRaw)%len(nodes)]
+		var targets []txn.ID
+		for i, id := range nodes {
+			if id != src && mask&(1<<uint(i%16)) != 0 {
+				targets = append(targets, id)
+			}
+		}
+		w, cycle := g.CycleWitness(nil, src, targets)
+		if cycle != g.WouldCycleFrom(src, targets) {
+			return false
+		}
+		if !cycle {
+			return w == nil
+		}
+		ids := make([]txn.ID, len(w))
+		for i, st := range w {
+			ids[i] = g.ids[st.slot]
+		}
+		if len(ids) < 2 || ids[0] != src || !slices.Contains(targets, ids[len(ids)-1]) || !g.Holds(w) {
+			return false
+		}
+		for i := 1; i < len(ids); i++ {
+			if e, ok := g.EdgeBetween(ids[i], ids[i-1]); !ok || e.Dir == Unresolved || e.From() != ids[i] {
+				return false
+			}
+		}
+		gone := ids[len(ids)-1]
+		g.Remove(gone)
+		if g.Holds(w) {
+			return false
+		}
+		_ = g.AddNode(gone, 1) // back into the slot it left
+		return !g.Holds(w)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)

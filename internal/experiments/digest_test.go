@@ -225,11 +225,11 @@ func traceCells(t *testing.T, x digestExperiment, dump string, tee io.Writer) []
 
 var digestLine = regexp.MustCompile(`^(\S+) (\S+) (\d+) ([0-9a-f]{16})((?: [0-9a-f]{8})*)$`)
 
-// readDigests parses the digest file into experiment → cell → digest.
-func readDigests(t *testing.T) map[string]map[string]cellDigest {
+// readDigests parses a digest file into experiment → cell → digest.
+func readDigests(t *testing.T, file string) map[string]map[string]cellDigest {
 	t.Helper()
 	out := make(map[string]map[string]cellDigest)
-	f, err := os.Open(digestFile)
+	f, err := os.Open(file)
 	if os.IsNotExist(err) && *updateDigests {
 		return out
 	}
@@ -246,7 +246,7 @@ func readDigests(t *testing.T) map[string]map[string]cellDigest {
 		}
 		m := digestLine.FindStringSubmatch(line)
 		if m == nil {
-			t.Fatalf("%s: malformed line %q", digestFile, line)
+			t.Fatalf("%s: malformed line %q", file, line)
 		}
 		n, _ := strconv.Atoi(m[3])
 		if out[m[1]] == nil {
@@ -261,15 +261,16 @@ func readDigests(t *testing.T) map[string]map[string]cellDigest {
 }
 
 // firstDifference names the window of events the first difference
-// between two digests of one cell lies in.
-func firstDifference(got, want cellDigest) string {
+// between two digests of one cell, checkpointed every `every` events,
+// lies in.
+func firstDifference(got, want cellDigest, every int) string {
 	for i := range min(len(got.checks), len(want.checks)) {
 		if got.checks[i] != want.checks[i] {
-			return fmt.Sprintf("events #%d–#%d", i*digestEvery+1, (i+1)*digestEvery)
+			return fmt.Sprintf("events #%d–#%d", i*every+1, (i+1)*every)
 		}
 	}
 	k := min(len(got.checks), len(want.checks))
-	return fmt.Sprintf("events #%d–#%d", k*digestEvery+1, min(got.events, want.events)+1)
+	return fmt.Sprintf("events #%d–#%d", k*every+1, min(got.events, want.events)+1)
 }
 
 // TestDecisionDigest holds every cell's trace to its digest. A failure
@@ -277,7 +278,7 @@ func firstDifference(got, want cellDigest) string {
 // first difference, with a repro that writes that cell's trace; run it
 // in this tree and in the parent's and diff the two files.
 func TestDecisionDigest(t *testing.T) {
-	want := readDigests(t)
+	want := readDigests(t, digestFile)
 	got := make(map[string][]string)
 	xs := digestExperiments(digestOpts())
 	for _, x := range xs {
@@ -315,7 +316,7 @@ func TestDecisionDigest(t *testing.T) {
 				}
 				t.Errorf("%s %s: decisions moved: the first difference lies in %s (%d events here, %d in %s)\n"+
 					"  repro: go test -count=1 -run 'TestDecisionDigest/%s$' ./internal/experiments/ -args -digest.cell '%s' -digest.dump /tmp/%s.jsonl",
-					x.name, x.cells[i], firstDifference(d, w), d.events, w.events, digestFile, x.name, x.cells[i], x.name)
+					x.name, x.cells[i], firstDifference(d, w, digestEvery), d.events, w.events, digestFile, x.name, x.cells[i], x.name)
 			}
 		})
 	}

@@ -168,6 +168,21 @@ func runJobs(rc runConfig, cfgs []sim.Config,
 	return results, errs
 }
 
+// cellConfig is the configuration of one grid cell: variant under
+// scheduler f at λ o.Lambdas[li], replicate rep.
+func cellConfig(o Options, variant func(*sim.Config), f sched.Factory, li, rep int) sim.Config {
+	cfg := sim.Config{
+		Machine:              o.Machine,
+		Scheduler:            f,
+		ArrivalRate:          o.Lambdas[li],
+		Horizon:              o.Horizon,
+		Seed:                 o.Seed + int64(li*1000+rep),
+		CheckSerializability: f.Label != "NODC",
+	}
+	variant(&cfg)
+	return cfg
+}
+
 // runGrid runs one experiment — variants × schedulers × o.Lambdas ×
 // o.Replications cells — as a single runJobs call and returns one set
 // of sweeps per variant. A variant is a config hook: it sets the cell's
@@ -187,18 +202,9 @@ func runGrid(o Options, variants []func(*sim.Config), factories []sched.Factory,
 	cfgs := make([]sim.Config, 0, len(variants)*len(factories)*nl*reps)
 	for _, variant := range variants {
 		for _, f := range factories {
-			for li, l := range o.Lambdas {
+			for li := range o.Lambdas {
 				for rep := 0; rep < reps; rep++ {
-					cfg := sim.Config{
-						Machine:              o.Machine,
-						Scheduler:            f,
-						ArrivalRate:          l,
-						Horizon:              o.Horizon,
-						Seed:                 o.Seed + int64(li*1000+rep),
-						CheckSerializability: f.Label != "NODC",
-					}
-					variant(&cfg)
-					cfgs = append(cfgs, cfg)
+					cfgs = append(cfgs, cellConfig(o, variant, f, li, rep))
 				}
 			}
 		}

@@ -56,17 +56,21 @@ func experiment2Factories() []sched.Factory {
 // hotSet8 is the hot-set layout of Experiment 3 and the K sweep.
 var hotSet8 = workload.HotSetLayout{NumReadOnly: 8, NumHots: 8}
 
+// hotSet is the Experiment 2 variant: Pattern2 over 8 read-only
+// partitions plus nh hot ones.
+func hotSet(c *sim.Config, nh int) {
+	layout := workload.HotSetLayout{NumReadOnly: 8, NumHots: nh}
+	c.Machine.NumParts = layout.NumParts()
+	c.Workload = workload.Experiment2(layout)
+}
+
 // RunExperiment2 runs Experiment 2 (§4.3): Pattern2 over 8 read-only
 // partitions plus a hot set of NumHots ∈ {4, 8, 16, 32} partitions;
 // reported is each scheduler's throughput at RT = 70 s.
 func RunExperiment2(o Options, opts ...Option) (*Experiment2Result, error) {
 	o = o.withDefaults()
 	hots := []int{4, 8, 16, 32}
-	sets, err := runGrid(o, variantsOf(hots, func(c *sim.Config, nh int) {
-		layout := workload.HotSetLayout{NumReadOnly: 8, NumHots: nh}
-		c.Machine.NumParts = layout.NumParts()
-		c.Workload = workload.Experiment2(layout)
-	}), experiment2Factories(), opts)
+	sets, err := runGrid(o, variantsOf(hots, hotSet), experiment2Factories(), opts)
 	if err != nil {
 		return nil, err
 	}

@@ -63,11 +63,6 @@ type Table struct {
 	parts   [][]txn.PartitionID // a live transaction's distinct partitions
 	free    []int32             // parts indices of released transactions
 
-	// version counts the mutations (Declare, Grant, Release): a decision
-	// that read the table under one version reads the same table while
-	// the version stands still.
-	version uint64
-
 	// Result and working buffers, reused from call to call.
 	blockers []txn.ID
 	freed    []txn.PartitionID
@@ -144,13 +139,8 @@ func (tb *Table) Declare(t *txn.T) error {
 	tb.parts[pi] = parts
 	// A zero-step transaction is still recorded so Release/Known work.
 	tb.txns.Put(t.ID, pi)
-	tb.version++
 	return nil
 }
-
-// Version returns the table's mutation count. Two reads under the same
-// version see the same holders and declarations everywhere.
-func (tb *Table) Version() uint64 { return tb.version }
 
 // Known reports whether id currently has declarations or holds.
 func (tb *Table) Known(id txn.ID) bool {
@@ -197,7 +187,9 @@ func (tb *Table) IsBlocked(id txn.ID, p txn.PartitionID, mode txn.Mode) bool {
 // ConflictingDecls appends to dst the pending declarations of other
 // transactions on p that conflict with mode — the paper's C(q) for a
 // request q of transaction id in the given mode — in registration order,
-// and returns the extended slice.
+// and returns the extended slice. One transaction's declarations are
+// adjacent: Declare adds them together, and Grant and Release remove
+// without reordering.
 func (tb *Table) ConflictingDecls(dst []Decl, id txn.ID, p txn.PartitionID, mode txn.Mode) []Decl {
 	e := tb.lookup(p)
 	if e == nil {
@@ -267,7 +259,6 @@ func (tb *Table) Grant(id txn.ID, p txn.PartitionID, step int) error {
 		return fmt.Errorf("lock: grant %v %v on %v conflicts with holders %v", id, mode, p, tb.Blocked(id, p, mode))
 	}
 	e.decls = append(e.decls[:idx], e.decls[idx+1:]...)
-	tb.version++
 	for i := range e.holders {
 		if e.holders[i].id == id {
 			if mode == txn.Write {
@@ -316,7 +307,6 @@ func (tb *Table) Release(id txn.ID) []txn.PartitionID {
 	}
 	slices.Sort(freed)
 	tb.freed = freed
-	tb.version++
 	return freed
 }
 

@@ -61,6 +61,18 @@ func (p *tablePair) conflictScan(x *txn.T) []txn.ID {
 	return out
 }
 
+// adjacent reports whether each transaction's declarations in ds are next
+// to each other, as sched's C(q) dedupe assumes.
+func adjacent(ds []Decl) bool {
+	for i := 1; i < len(ds); i++ {
+		id := ds[i].Txn
+		if id != ds[i-1].Txn && slices.ContainsFunc(ds[:i-1], func(d Decl) bool { return d.Txn == id }) {
+			return false
+		}
+	}
+	return true
+}
+
 // same compares every query of the two tables, with probe as the fresh
 // transaction for the K-admission test.
 func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
@@ -95,6 +107,10 @@ func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
 					t.Logf("ConflictingDecls(%v,%v,%v): table=%v ref=%v", id, part, m, p.buf, want)
 					return false
 				}
+				if !adjacent(p.buf) {
+					t.Logf("ConflictingDecls(%v,%v,%v) = %v: a transaction's declarations are not adjacent", id, part, m, p.buf)
+					return false
+				}
 			}
 		}
 	}
@@ -122,7 +138,8 @@ func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
 // transactions — S→X upgrades and zero-step transactions included — to
 // the slot engine and the map-based reference it replaced, and requires
 // every query to agree after every operation: Known, Holders, IsBlocked,
-// Blocked, ConflictingDecls in order, ConflictingTxns for the probe and
+// Blocked, ConflictingDecls in order (each transaction's declarations
+// adjacent), ConflictingTxns for the probe and
 // every live transaction (against a scan of their declared steps),
 // WouldExceedK for K = 0..3 with a
 // fresh probe transaction, Release's sorted result, CheckInvariants, and

@@ -448,12 +448,14 @@ func (s *simulator) scheduleArrival(from event.Time) {
 		return
 	}
 	ratePerMS := s.cfg.ArrivalRate / 1000.0
-	gap := event.Time(math.Round(s.rng.ExpFloat64() / ratePerMS))
-	at := from + gap
-	if at > s.cfg.Horizon {
+	// The gap is compared with what is left of the horizon while it is
+	// still a float: a tiny rate draws gaps (up to +Inf) that no
+	// event.Time can hold.
+	gap := math.Round(s.rng.ExpFloat64() / ratePerMS)
+	if gap > float64(s.cfg.Horizon-from) {
 		return
 	}
-	s.q.At(at, s.nextArrival)
+	s.q.At(from+event.Time(gap), s.nextArrival)
 }
 
 // arrive submits the workload's next transaction for admission.

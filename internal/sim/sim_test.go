@@ -191,6 +191,23 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestTinyArrivalRate runs rates so small that the first gap overflows
+// event.Time (1e-16 TPS) or is +Inf (1e-320, a subnormal): the run ends
+// at the horizon with no arrival and no panic.
+func TestTinyArrivalRate(t *testing.T) {
+	for _, rate := range []float64{1e-16, 1e-320} {
+		cfg := baseConfig()
+		cfg.ArrivalRate = rate
+		res, err := Run(cfg)
+		if err != nil {
+			t.Fatalf("rate %g: %v", rate, err)
+		}
+		if res.Arrived != 0 {
+			t.Errorf("rate %g: %d arrivals, want 0", rate, res.Arrived)
+		}
+	}
+}
+
 func TestMaxTxnsCap(t *testing.T) {
 	cfg := baseConfig()
 	cfg.MaxTxns = 5
