@@ -39,15 +39,17 @@ bench-smoke:
 
 # harness-smoke drives batbench's grid paths end to end on tiny sweeps —
 # the retry-delay ablation (the §3.2 delay axis that carries the
-# control-bound result), the placement ablation and a variant figure
-# (Figure 8's NumHots axis) — so verify catches breakage without the
-# cost of a full sweep, and one short batsim run over a real heap store
-# and WAL, the simulator's storage path, which no other verify step
-# drives from a program.
+# control-bound result), the placement ablation, a variant figure
+# (Figure 8's NumHots axis) and Figure 6 under injected aborts (-abortrate,
+# the simulator's one injected behaviour) — so verify catches breakage
+# without the cost of a full sweep, and one short batsim run over a real
+# heap store and WAL, the simulator's storage path, which no other verify
+# step drives from a program.
 harness-smoke:
 	$(GO) run ./cmd/batbench -ablation retrydelay -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -ablation placement -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -fig 8 -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
+	$(GO) run ./cmd/batbench -fig 6 -quick -horizon 50000 -lambdas 0.3 -abortrate 0.2 -q > /dev/null
 	hd="$$(mktemp -d)" && wd="$$(mktemp -d)" && \
 	$(GO) run ./cmd/batsim -storage "$$hd" -wal "$$wd" -horizon 50000 > /dev/null; \
 	rc=$$?; rm -rf "$$hd" "$$wd"; exit $$rc
@@ -68,8 +70,7 @@ reproduce:
 	rc=$$?; rm -rf "$$d"; exit $$rc
 
 # verify is the whole gate. Its one race run covers every package — the
-# chaos, node-crash and kill-restart batteries of docs/ROBUSTNESS.md
-# included, each ending in the contract certificate (§10) — so a new test
+# chaos and kill-restart batteries of docs/ROBUSTNESS.md included, each ending in the contract certificate (§10) — so a new test
 # is picked up without anyone naming it here; seeds are fixed, and a
 # battery's failure message carries its one-line repro. For one battery
 # while working on it: $(GO) test -race -count=1 -run <Name> ./internal/<pkg>/.

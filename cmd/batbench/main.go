@@ -55,10 +55,8 @@ func main() {
 		cpuprof  = flag.String("cpuprofile", "", "write a CPU profile to this file (inspect with `go tool pprof`)")
 		memprof  = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-		abortRate   = flag.Float64("abortrate", 0, "fraction of transactions killed mid-run by the fault injector")
-		crashNodes  = flag.Int("crashnodes", 0, "crash this many data nodes per run (deterministic in -faultseed; at least one node survives)")
-		crashWindow = flag.Int64("crashwindow", 0, "clocks within which injected node crashes land (0 = the horizon)")
-		faultSeed   = flag.Uint64("faultseed", 0, "fault-injection seed (0 = derive from -seed); parity with batsim")
+		abortRate = flag.Float64("abortrate", 0, "fraction of transactions killed mid-run by the fault injector")
+		faultSeed = flag.Uint64("faultseed", 0, "fault-injection seed (0 = derive from -seed)")
 	)
 	flag.Parse()
 
@@ -106,16 +104,12 @@ func main() {
 	// Each run emits into private buffers that the harness merges in
 	// grid order, so the trace is deterministic at any -parallel value.
 	expOpts := []experiments.Option{experiments.WithParallelism(*parallel)}
-	if *abortRate != 0 || *crashNodes != 0 { // fault.New rejects a negative or NaN setting
+	if *abortRate != 0 { // fault.New rejects a negative or NaN rate
 		fseed := *faultSeed
 		if fseed == 0 {
 			fseed = uint64(*seed)
 		}
-		inj, err := fault.New(fseed, fault.Config{
-			AbortRate:       *abortRate,
-			NodeCrashes:     *crashNodes,
-			NodeCrashWindow: event.Time(*crashWindow),
-		})
+		inj, err := fault.New(fseed, fault.Config{AbortRate: *abortRate})
 		must(err)
 		expOpts = append(expOpts, experiments.WithFaults(inj))
 	}

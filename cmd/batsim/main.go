@@ -6,7 +6,6 @@
 //	batsim -sched CHAIN -workload exp1 -lambda 0.6
 //	batsim -sched K2 -workload exp2 -numhots 4 -lambda 0.8 -horizon 500000
 //	batsim -sched CHAIN -workload exp4 -sigma 0.5 -lambda 0.6
-//	batsim -sched K2 -workload exp1 -crashnodes 1 -crashwindow 100000
 //	batsim -sched K2 -workload exp1 -wal /tmp/batwal     # dependency-log the run
 //	batsim -recoverwal /tmp/batwal                       # replay + recovery report
 package main
@@ -22,7 +21,6 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
-	"batsched/internal/fault"
 	"batsched/internal/machine"
 	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
@@ -54,10 +52,6 @@ func main() {
 		selfCheck = flag.Bool("selfcheck", false, "verify lock-table invariants after every commit")
 		plotLive  = flag.Bool("plotlive", false, "chart live transactions over time (DC-thrashing view)")
 		jsonOut   = flag.String("json", "", "also write the full result as JSON to this file ('-' for stdout)")
-
-		crashNodes  = flag.Int("crashnodes", 0, "crash this many data nodes mid-run (deterministic in -faultseed; at least one node survives)")
-		crashWindow = flag.Int64("crashwindow", 0, "clocks within which injected node crashes land (0 = the horizon)")
-		faultSeed   = flag.Uint64("faultseed", 0, "fault-injection seed (0 = derive from -seed)")
 
 		shards   = flag.Int("shards", 0, "run the workload through the sharded live controller (real goroutines, DESIGN.md §13) instead of the simulator; 0 = simulator")
 		liveTxns = flag.Int("livetxns", 1000, "transactions to drive in -shards live mode")
@@ -189,21 +183,6 @@ func main() {
 	if len(observers) > 0 {
 		simOpts = append(simOpts, sim.WithTrace(obs.Multi(observers...)))
 	}
-	if *crashNodes > 0 {
-		fseed := *faultSeed
-		if fseed == 0 {
-			fseed = uint64(*seed)
-		}
-		inj, err := fault.New(fseed, fault.Config{
-			NodeCrashes:     *crashNodes,
-			NodeCrashWindow: event.Time(*crashWindow),
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		simOpts = append(simOpts, sim.WithFaults(inj))
-	}
 	var walLog *wal.Log
 	if *walDir != "" {
 		var err error
@@ -267,10 +246,6 @@ func main() {
 	fmt.Printf("CN util     %.3f\n", res.CNUtilization)
 	fmt.Printf("DN util     %.3f (mean)\n", res.MeanNodeUtil)
 	fmt.Printf("max live    %d\n", res.MaxLive)
-	if res.NodeCrashes > 0 {
-		fmt.Printf("node crashes %d (%d partitions re-homed, %d jobs requeued, %d txns crash-aborted)\n",
-			res.NodeCrashes, res.RehomedParts, res.RequeuedJobs, res.CrashAborts)
-	}
 	if res.SerializabilityChecked {
 		fmt.Printf("serializable: yes\n")
 	}

@@ -276,7 +276,7 @@ func tpsAt(rtTarget float64) func(Sweep) float64 {
 
 // aggregate folds replicate runs into one representative result: counts
 // are summed (so Result's Arrived = Completed + InjectedAborts +
-// CrashAborts + LiveAtEnd + … identity still holds), maxima and the tail
+// LiveAtEnd + … identity still holds), maxima and the tail
 // percentiles take the maximum, response-time means are weighted by
 // measured completions and StdRT is pooled over them, and rate and
 // utilization metrics are averaged.
@@ -308,11 +308,6 @@ func aggregate(reps []*sim.Result) *sim.Result {
 		out.RequestBlocks += r.RequestBlocks
 		out.LiveAtEnd += r.LiveAtEnd
 		out.InjectedAborts += r.InjectedAborts
-		out.InjectedRefusals += r.InjectedRefusals
-		out.NodeCrashes += r.NodeCrashes
-		out.RehomedParts += r.RehomedParts
-		out.RequeuedJobs += r.RequeuedJobs
-		out.CrashAborts += r.CrashAborts
 		w := float64(r.Measured)
 		rtW += w * r.MeanRT
 		admitW += w * r.MeanAdmitWait

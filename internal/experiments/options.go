@@ -48,9 +48,8 @@ func WithTrace(o obs.Observer) Option {
 	return func(rc *runConfig) { rc.trace = o }
 }
 
-// WithFaults runs every grid cell under the fault injector: injected
-// aborts, slow partitions, admission refusals, node crashes — whatever
-// the injector's Config enables. The same injector is shared by every
+// WithFaults runs every grid cell under the fault injector's mid-run
+// aborts (sim.WithFaults). The same injector is shared by every
 // cell; that is safe and deterministic because fault decisions are pure
 // functions of (seed, identifier), never of call order, so each cell
 // sees exactly the schedule its own transaction IDs draw. A nil

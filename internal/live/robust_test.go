@@ -328,15 +328,15 @@ var (
 
 // faultyWork is a chaos battery's work callback for tx, injecting faults
 // through Run's public API the way a caller's own code fails: each step
-// sleeps (IOFactor−1)·slow on a partition inj draws slow, panics with
+// sleeps a millisecond on a partition in slow, panics with
 // errInjectedCrash at panicStep (−1: never), reports objects one at a
 // time and returns errInjectedAbort once inj.AbortAt's point is reached.
-func faultyWork(inj *fault.Injector, tx *txn.T, slow time.Duration, panicStep, objects int) func(int, Progress) error {
+func faultyWork(inj *fault.Injector, tx *txn.T, slow []bool, panicStep, objects int) func(int, Progress) error {
 	abortAt, hasAbort := inj.AbortAt(tx)
 	processed := 0.0
 	return func(step int, p Progress) error {
-		if f := inj.IOFactor(tx.Steps[step].Part); f > 1 {
-			time.Sleep(time.Duration(float64(slow) * (f - 1)))
+		if slow[tx.Steps[step].Part] {
+			time.Sleep(time.Millisecond)
 		}
 		if step == panicStep {
 			panic(fmt.Errorf("%w: %v step %d", errInjectedCrash, tx.ID, step))
@@ -361,9 +361,20 @@ func crashStep(rng *rand.Rand, tx *txn.T, rate float64) int {
 	return -1
 }
 
+// slowSet is a chaos battery's own seeded choice of the partitions whose
+// work runs slow: each of parts partitions with probability rate.
+func slowSet(rng *rand.Rand, parts int, rate float64) []bool {
+	slow := make([]bool, parts)
+	for p := range slow {
+		slow[p] = rng.Float64() < rate
+	}
+	return slow
+}
+
 // chaosSwarm runs the live chaos mix on every scheduler family: per seed,
 // 24 two-step writers over parts partitions (steps stride apart) under
-// injected aborts, crashes (recovered panics) and slow partitions.
+// injected aborts, crashes (recovered panics) and slow partitions
+// (slowSet).
 // Every transaction must finish (commit or injected
 // fault), the lock table end clean, the stats balance and the contract
 // certificate (docs/ROBUSTNESS.md §10) accept the trace; check sees each
@@ -380,14 +391,11 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 		t.Run(f.Label, func(t *testing.T) {
 			t.Parallel()
 			for _, seed := range seeds {
-				inj, err := fault.New(seed, fault.Config{
-					AbortRate:    0.25,
-					SlowIORate:   0.25,
-					SlowIOFactor: 2,
-				})
+				inj, err := fault.New(seed, fault.Config{AbortRate: 0.25})
 				if err != nil {
 					t.Fatal(err)
 				}
+				slow := slowSet(rand.New(rand.NewSource(-int64(seed))), parts, 0.25)
 				crashes := rand.New(rand.NewSource(int64(seed)))
 				h := modelcheck.NewHistory()
 				ctl := New(f, liveCosts, append([]Option{
@@ -403,7 +411,7 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 						w(txn.PartitionID(i%parts), 2),
 						w(txn.PartitionID((i+stride)%parts), 2),
 					})
-					work := faultyWork(inj, tx, time.Millisecond, crashStep(crashes, tx, 0.15), 2)
+					work := faultyWork(inj, tx, slow, crashStep(crashes, tx, 0.15), 2)
 					wg.Add(1)
 					go func() {
 						defer wg.Done()

@@ -35,11 +35,7 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 	for _, seed := range []uint64{1, 2} {
 		seed := seed
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
-			inj, err := fault.New(seed, fault.Config{
-				AbortRate:    0.2,
-				SlowIORate:   0.1,
-				SlowIOFactor: 2,
-			})
+			inj, err := fault.New(seed, fault.Config{AbortRate: 0.2})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -63,12 +59,13 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 				WithObserver(obs.Multi(metrics, h)))
 
 			ts := shardedWorkload(int64(seed), 48, parts)
+			slow := slowSet(rand.New(rand.NewSource(-int64(seed))), parts, 0.1)
 			crashes := rand.New(rand.NewSource(int64(seed)))
 			var mu sync.Mutex
 			committed := map[txn.ID]bool{}
 			var wg sync.WaitGroup
 			for _, tx := range ts {
-				work := faultyWork(inj, tx, time.Millisecond, crashStep(crashes, tx, 0.1), 1)
+				work := faultyWork(inj, tx, slow, crashStep(crashes, tx, 0.1), 1)
 				wg.Add(1)
 				go func() {
 					defer wg.Done()

@@ -99,113 +99,6 @@ func (c Config) NodeOf(p txn.PartitionID) int {
 	return n
 }
 
-// Rehome records one entry of the remap table produced by a node crash:
-// partition Part moved from node From to node To.
-type Rehome struct {
-	Part     txn.PartitionID
-	From, To int
-}
-
-// Placement is the mutable partition-to-node map: it starts at the
-// paper's static placement (node = partition mod NumNodes) and re-homes
-// partitions when nodes die. The re-homing policy is a rebase of the
-// paper's rule onto the survivors: a partition whose home is dead moves
-// to aliveNodes[partition mod len(aliveNodes)], with aliveNodes the
-// ascending list of surviving node IDs. The policy is deterministic,
-// spreads a dead node's partitions across all survivors, and composes
-// under successive crashes (each crash re-homes against the then-alive
-// set). See docs/ROBUSTNESS.md §8.
-type Placement struct {
-	numNodes int
-	alive    []bool
-	aliveIDs []int
-	// home caches the current node of partitions [0, NumParts); higher
-	// partition IDs are computed on demand against the same policy.
-	home []int
-}
-
-// NewPlacement builds the static placement for cfg (all nodes alive).
-func NewPlacement(cfg Config) *Placement {
-	p := &Placement{
-		numNodes: cfg.NumNodes,
-		alive:    make([]bool, cfg.NumNodes),
-		aliveIDs: make([]int, cfg.NumNodes),
-		home:     make([]int, cfg.NumParts),
-	}
-	for n := range p.alive {
-		p.alive[n] = true
-		p.aliveIDs[n] = n
-	}
-	for part := range p.home {
-		p.home[part] = cfg.NodeOf(txn.PartitionID(part))
-	}
-	return p
-}
-
-// NodeOf returns the current home of a partition.
-func (p *Placement) NodeOf(part txn.PartitionID) int {
-	if i := int(part); i >= 0 && i < len(p.home) {
-		return p.home[i]
-	}
-	// Out-of-table partition: apply the same policy on demand.
-	base := int(part) % p.numNodes
-	if base < 0 {
-		base += p.numNodes
-	}
-	if p.alive[base] {
-		return base
-	}
-	idx := int(part) % len(p.aliveIDs)
-	if idx < 0 {
-		idx += len(p.aliveIDs)
-	}
-	return p.aliveIDs[idx]
-}
-
-// Alive reports whether a node is still up.
-func (p *Placement) Alive(node int) bool {
-	return node >= 0 && node < len(p.alive) && p.alive[node]
-}
-
-// AliveCount returns the number of surviving nodes.
-func (p *Placement) AliveCount() int { return len(p.aliveIDs) }
-
-// AliveIDs returns the ascending IDs of the surviving nodes. The slice
-// is the placement's own; callers must not mutate it.
-func (p *Placement) AliveIDs() []int { return p.aliveIDs }
-
-// Kill marks a node dead and re-homes every partition currently homed
-// there, returning the remap table (in ascending partition order). It
-// panics when asked to kill an already-dead node or the last survivor —
-// both are caller bugs: with no data nodes left there is nothing to
-// re-home onto.
-func (p *Placement) Kill(node int) []Rehome {
-	if !p.Alive(node) {
-		panic(fmt.Sprintf("machine: kill of dead or unknown node %d", node))
-	}
-	if len(p.aliveIDs) == 1 {
-		panic("machine: kill of the last alive node")
-	}
-	p.alive[node] = false
-	ids := p.aliveIDs[:0]
-	for n, up := range p.alive {
-		if up {
-			ids = append(ids, n)
-		}
-	}
-	p.aliveIDs = ids
-	var remap []Rehome
-	for part, h := range p.home {
-		if h != node {
-			continue
-		}
-		to := p.aliveIDs[part%len(p.aliveIDs)]
-		p.home[part] = to
-		remap = append(remap, Rehome{Part: txn.PartitionID(part), From: node, To: to})
-	}
-	return remap
-}
-
 // fifo is a first-in-first-out queue in a power-of-two ring: it allocates
 // only while growing to the peak backlog, where a slice popped with
 // s = s[1:] and refilled with append reallocates for ever.
@@ -308,15 +201,6 @@ type Job struct {
 	// OnStepDone. An in-flight quantum still completes (the I/O is
 	// already issued) but is not reported.
 	Cancelled bool
-	// TimeFactor scales the per-object processing time of this job
-	// (slow-I/O fault injection). Zero means 1 so the zero value stays
-	// byte-identical to the unfaulted machine.
-	TimeFactor float64
-	// Processed accumulates the objects this job has completed at its
-	// node. Node-crash recovery reads it: a resident job with Processed
-	// > 0 left partial bulk results on the dead node and cannot simply
-	// be requeued (docs/ROBUSTNESS.md §8).
-	Processed float64
 }
 
 // DataNode is one DN: a round-robin processor of bulk jobs with a
@@ -326,7 +210,6 @@ type DataNode struct {
 	ID   int
 	q    *event.Queue
 	jobs fifo[*Job]
-	dead bool
 
 	cur        *Job       // the job whose quantum is in flight, nil when idle
 	curDur     event.Time // that quantum's duration
@@ -368,40 +251,14 @@ func (n *DataNode) Enqueue(j *Job) {
 	if j == nil || j.Txn == nil {
 		panic("machine: bad job")
 	}
-	if n.dead {
-		panic(fmt.Sprintf("machine: enqueue on dead node %d", n.ID))
-	}
 	n.jobs.push(j)
 	n.pump()
-}
-
-// Kill crashes the node: it stops processing forever and its resident
-// jobs — the one whose quantum is in flight plus the round-robin queue
-// — are returned to the caller to requeue or abort. An in-flight
-// quantum's I/O is lost with the node: it is never reported and the
-// job's Remaining/Processed are left exactly as they were when the
-// quantum was issued, so requeueing the job elsewhere redoes only that
-// quantum. Killing an already-dead node returns nil.
-func (n *DataNode) Kill() []*Job {
-	if n.dead {
-		return nil
-	}
-	n.dead = true
-	var resident []*Job
-	if n.cur != nil {
-		resident = append(resident, n.cur)
-	}
-	for n.jobs.n > 0 {
-		resident = append(resident, n.jobs.pop())
-	}
-	n.cur = nil
-	return resident
 }
 
 const remainingEps = 1e-9
 
 func (n *DataNode) pump() {
-	for n.cur == nil && !n.dead && n.jobs.n > 0 {
+	for n.cur == nil && n.jobs.n > 0 {
 		j := n.jobs.pop()
 		if j.Cancelled {
 			// Aborted transaction: the job evaporates without callbacks.
@@ -416,11 +273,7 @@ func (n *DataNode) pump() {
 			continue
 		}
 		quantum := math.Min(1, j.Remaining)
-		factor := j.TimeFactor
-		if factor <= 0 {
-			factor = 1
-		}
-		dur := event.Time(math.Round(quantum * float64(n.objTime) * factor))
+		dur := event.Time(math.Round(quantum * float64(n.objTime)))
 		if dur < 1 {
 			dur = 1
 		}
@@ -431,18 +284,11 @@ func (n *DataNode) pump() {
 
 // finish completes the quantum in flight.
 func (n *DataNode) finish(now event.Time) {
-	if n.dead {
-		// The node died while the quantum's I/O was in flight: the
-		// result is lost, nothing is reported or accounted, and the
-		// job (already handed to Kill's caller) is left untouched.
-		return
-	}
 	j, quantum := n.cur, n.curQuantum
 	n.cur = nil
 	n.BusyTime += n.curDur
 	n.Objects += quantum
 	j.Remaining -= quantum
-	j.Processed += quantum
 	if j.Remaining <= remainingEps {
 		j.Remaining = 0
 	}

@@ -269,151 +269,6 @@ func TestDataNodeQueueLen(t *testing.T) {
 	}
 }
 
-func TestPlacementStartsAtStaticPolicy(t *testing.T) {
-	c := DefaultConfig()
-	p := NewPlacement(c)
-	for part := txn.PartitionID(0); part < txn.PartitionID(c.NumParts); part++ {
-		if got, want := p.NodeOf(part), c.NodeOf(part); got != want {
-			t.Errorf("NodeOf(%v) = %d, want static %d", part, got, want)
-		}
-	}
-	// Out-of-table partitions follow the same policy on demand.
-	if got, want := p.NodeOf(100), c.NodeOf(100); got != want {
-		t.Errorf("NodeOf(100) = %d, want %d", got, want)
-	}
-	if p.AliveCount() != c.NumNodes {
-		t.Errorf("AliveCount = %d, want %d", p.AliveCount(), c.NumNodes)
-	}
-}
-
-func TestPlacementKillRehomesByModAlive(t *testing.T) {
-	c := DefaultConfig() // 8 nodes, 16 partitions
-	p := NewPlacement(c)
-	remap := p.Kill(3)
-	// Node 3 homed partitions 3 and 11; survivors are 0,1,2,4,5,6,7.
-	alive := []int{0, 1, 2, 4, 5, 6, 7}
-	want := map[txn.PartitionID]int{
-		3:  alive[3%7],
-		11: alive[11%7],
-	}
-	if len(remap) != len(want) {
-		t.Fatalf("remap = %+v, want %d entries", remap, len(want))
-	}
-	for _, rh := range remap {
-		if rh.From != 3 {
-			t.Errorf("remap %+v: From != 3", rh)
-		}
-		if to, ok := want[rh.Part]; !ok || rh.To != to {
-			t.Errorf("remap %+v, want To = %d", rh, want[rh.Part])
-		}
-		if p.NodeOf(rh.Part) != rh.To {
-			t.Errorf("NodeOf(%v) = %d after kill, want %d", rh.Part, p.NodeOf(rh.Part), rh.To)
-		}
-	}
-	if p.Alive(3) {
-		t.Error("killed node still alive")
-	}
-	if p.AliveCount() != 7 {
-		t.Errorf("AliveCount = %d, want 7", p.AliveCount())
-	}
-	// Untouched partitions keep their homes.
-	for part := txn.PartitionID(0); part < 16; part++ {
-		if _, moved := want[part]; moved {
-			continue
-		}
-		if got := p.NodeOf(part); got != c.NodeOf(part) {
-			t.Errorf("NodeOf(%v) = %d moved without its node dying", part, got)
-		}
-	}
-}
-
-func TestPlacementComposesUnderSuccessiveKills(t *testing.T) {
-	c := Config{NumNodes: 3, NumParts: 6, ObjTime: 1}
-	p := NewPlacement(c)
-	p.Kill(0) // survivors 1,2: partitions 0,3 re-home
-	p.Kill(2) // survivor 1: everything ends up on node 1
-	for part := txn.PartitionID(0); part < 6; part++ {
-		if got := p.NodeOf(part); got != 1 {
-			t.Errorf("NodeOf(%v) = %d, want sole survivor 1", part, got)
-		}
-	}
-	if p.AliveCount() != 1 {
-		t.Fatalf("AliveCount = %d, want 1", p.AliveCount())
-	}
-	// Killing the last survivor is a caller bug.
-	defer func() {
-		if recover() == nil {
-			t.Error("kill of the last alive node did not panic")
-		}
-	}()
-	p.Kill(1)
-}
-
-func TestPlacementKillDeadNodePanics(t *testing.T) {
-	p := NewPlacement(Config{NumNodes: 3, NumParts: 3, ObjTime: 1})
-	p.Kill(1)
-	defer func() {
-		if recover() == nil {
-			t.Error("double kill did not panic")
-		}
-	}()
-	p.Kill(1)
-}
-
-func TestDataNodeKillReturnsResidentsAndFreezes(t *testing.T) {
-	q := event.NewQueue()
-	n := NewDataNode(0, q, 10)
-	var reported []txn.ID
-	n.OnQuantum = func(j *Job, objects float64, now event.Time) { reported = append(reported, j.Txn.ID) }
-	n.OnStepDone = func(j *Job, now event.Time) { t.Errorf("step of %v completed on a killed node", j.Txn.ID) }
-	t1 := txn.New(1, []txn.Step{{Mode: txn.Write, Part: 0, Cost: 3}})
-	t2 := txn.New(2, []txn.Step{{Mode: txn.Write, Part: 0, Cost: 2}})
-	j1 := &Job{Txn: t1, Step: 0, Remaining: 3}
-	j2 := &Job{Txn: t2, Step: 0, Remaining: 2}
-	var resident []*Job
-	q.At(0, func(event.Time) {
-		n.Enqueue(j1)
-		n.Enqueue(j2)
-	})
-	// Kill at t=15: round-robin put j1 back after its first object, so
-	// j2's first quantum (issued at 10, due 20) is in flight and j1 waits
-	// with one object done.
-	q.At(15, func(event.Time) { resident = append(resident, n.Kill()...) })
-	drain(q)
-	if !n.dead {
-		t.Fatal("node not dead after Kill")
-	}
-	if len(resident) != 2 || resident[0] != j2 || resident[1] != j1 {
-		t.Fatalf("resident = %v, want [j2 j1] (in-flight first)", resident)
-	}
-	// Quanta reported before the crash only: j1@10. The in-flight quantum
-	// (j2, issued at 10, due 20) dies with the node.
-	if len(reported) != 1 || reported[0] != 1 {
-		t.Fatalf("reported quanta = %v, want [1]", reported)
-	}
-	// The lost in-flight quantum left the jobs exactly as issued:
-	// requeueing elsewhere redoes only that quantum.
-	if j1.Processed != 1 || j1.Remaining != 2 {
-		t.Errorf("j1 Processed=%g Remaining=%g, want 1 and 2", j1.Processed, j1.Remaining)
-	}
-	if j2.Processed != 0 || j2.Remaining != 2 {
-		t.Errorf("j2 Processed=%g Remaining=%g, want 0 and 2", j2.Processed, j2.Remaining)
-	}
-	if n.BusyTime != 10 {
-		t.Errorf("BusyTime = %v, want 10 (one completed quantum)", n.BusyTime)
-	}
-	// A second Kill is a no-op; enqueueing on the corpse panics.
-	if extra := n.Kill(); extra != nil {
-		t.Errorf("second Kill returned %v", extra)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("enqueue on a dead node did not panic")
-		}
-	}()
-	n.Enqueue(&Job{Txn: t1, Step: 0, Remaining: 1})
-}
-
 // pingWork resubmits itself from Done: the steady state of a refused
 // request under fixed-delay resubmission, minus the delay.
 type pingWork struct {

@@ -214,15 +214,11 @@ type SchedMetrics struct {
 	critPathMaxBits uint64
 
 	// Robustness counters: scheduler abort-recovery runs, degraded-mode
-	// transitions, injected faults, and node-crash recovery (nodes lost,
-	// partitions re-homed, resident jobs requeued on survivors).
+	// transitions and injected faults.
 	Recoveries uint64
 	Degrades   uint64
 	Restores   uint64
 	Faults     uint64
-	NodeDowns  uint64
-	Rehomes    uint64
-	Requeues   uint64
 
 	// Durable-recovery counters: dependency-log appends, group-commit
 	// fsync passes, WAL replays, the widest replay wave observed
@@ -380,12 +376,6 @@ func (m *Metrics) Observe(e Event) {
 		atomic.AddUint64(&sm.Restores, 1)
 	case KindFault:
 		atomic.AddUint64(&sm.Faults, 1)
-	case KindNodeDown:
-		atomic.AddUint64(&sm.NodeDowns, 1)
-	case KindRehome:
-		atomic.AddUint64(&sm.Rehomes, 1)
-	case KindRequeue:
-		atomic.AddUint64(&sm.Requeues, 1)
 	case KindWALAppend:
 		atomic.AddUint64(&sm.WALAppends, 1)
 	case KindWALSync:

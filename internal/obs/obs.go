@@ -76,19 +76,9 @@ const (
 	// KindRestore: a degraded scheduler returned to full operation.
 	KindRestore
 	// KindFault: an injected fault fired in the simulator; Op names the
-	// fault ("abort", "refuse-admit", "slow-io", "node-crash").
+	// fault (always "abort": the transaction reached its injected abort
+	// point mid-run).
 	KindFault
-	// KindNodeDown: data node Node crashed; its resident jobs are
-	// requeued or their transactions aborted, and its partitions
-	// re-home (the Rehome events that follow).
-	KindNodeDown
-	// KindRehome: partition Part moved homes after a node crash, from
-	// node FromNode to node Node.
-	KindRehome
-	// KindRequeue: a recoverable transaction's resident job survived a
-	// node crash and was requeued — Txn/Step/Part locate it, FromNode is
-	// the dead node, Node the new one.
-	KindRequeue
 	// KindWALAppend: a dependency-log record was appended (not yet
 	// durable). Op is the record kind (always "commit"), Node the
 	// per-node log it was routed to.
@@ -126,9 +116,6 @@ var kindNames = [...]string{
 	KindDegrade:            "degrade",
 	KindRestore:            "restore",
 	KindFault:              "fault",
-	KindNodeDown:           "node-down",
-	KindRehome:             "rehome",
-	KindRequeue:            "requeue",
 	KindWALAppend:          "wal-append",
 	KindWALSync:            "wal-sync",
 	KindRecover:            "recover",
@@ -198,12 +185,10 @@ type Event struct {
 	// Queue is the number of requests already waiting on Part when a
 	// Request event was emitted (lock-queue depth).
 	Queue int `json:"queue,omitempty"`
-	// Node is the data node a node-down / re-home / requeue event
-	// concerns (the dead node for node-down, the new home otherwise);
-	// FromNode is the previous home of a re-homed partition or requeued
-	// job. Both are meaningless for other kinds.
-	Node     int `json:"node,omitempty"`
-	FromNode int `json:"from_node,omitempty"`
+	// Node is the per-node log a WAL append was routed to, or the node
+	// of the buffer pool a page event ran through; meaningless for other
+	// kinds.
+	Node int `json:"node,omitempty"`
 	// Batch is a count or size whose meaning is the kind's own: records
 	// per WAL sync, transactions replayed, page bytes. Clusters is a
 	// recovery's widest replay wave.
@@ -242,12 +227,6 @@ func (e Event) String() string {
 		if e.Op != "" {
 			s += " op=" + e.Op
 		}
-	case KindNodeDown:
-		s += fmt.Sprintf(" node=%d", e.Node)
-	case KindRehome:
-		s += fmt.Sprintf(" part=P%d %d->%d", e.Part, e.FromNode, e.Node)
-	case KindRequeue:
-		s += fmt.Sprintf(" step=%d part=P%d %d->%d", e.Step, e.Part, e.FromNode, e.Node)
 	case KindWALAppend:
 		s += fmt.Sprintf(" op=%s node=%d", e.Op, e.Node)
 	case KindWALSync:

@@ -30,10 +30,6 @@ func (m *Metrics) Summary() string {
 				100*float64(reqDec["blocked"])/float64(total),
 				100*float64(reqDec["delayed"])/float64(total), total)
 		}
-		if n := atomic.LoadUint64(&sm.NodeDowns); n > 0 {
-			fmt.Fprintf(&b, "  %-16s %d nodes lost, %d partitions re-homed, %d jobs requeued\n",
-				"node crashes", n, atomic.LoadUint64(&sm.Rehomes), atomic.LoadUint64(&sm.Requeues))
-		}
 		if atomic.LoadUint64(&sm.WALAppends) > 0 || atomic.LoadUint64(&sm.Recovers) > 0 {
 			fmt.Fprintf(&b, "  %-16s %d appends, %d fsync passes (batch %s); %d recoveries, replay max-par %.0f, %.2fms replaying\n",
 				"wal", atomic.LoadUint64(&sm.WALAppends), atomic.LoadUint64(&sm.WALSyncs), sm.WALBatch.format("recs"),

@@ -34,13 +34,15 @@ func chaosConfig(f sched.Factory, seed int64) Config {
 }
 
 // TestChaosMatrix is the seeded fault-injection suite: for each
-// scheduler under test, 100 seeds of injected mid-run aborts, slow
-// partitions, and admission-refusal bursts. Every run must finish with
-// zero invariant violations (SelfCheck panics otherwise), a
-// serializable committed schedule, no transactions wedged at the
-// horizon, and every arrival accounted for as either committed or
-// injected-aborted — faults may slow the machine down but must never
-// deadlock it or strand a survivor.
+// scheduler under test, 100 seeds of injected mid-run aborts under both
+// placements — the paper's node = partition mod NumNodes, and full
+// declustering, where an abort must cancel the step's sibling sub-jobs
+// on every other node. Every run must finish with zero invariant
+// violations (SelfCheck panics otherwise), a serializable committed
+// schedule, no transactions wedged at the horizon, and every arrival
+// accounted for as either committed or injected-aborted — faults may
+// slow the machine down but must never deadlock it or strand a
+// survivor.
 func TestChaosMatrix(t *testing.T) {
 	factories := []sched.Factory{
 		sched.ASLFactory(),
@@ -52,58 +54,52 @@ func TestChaosMatrix(t *testing.T) {
 	if testing.Short() {
 		seeds = 10
 	}
-	cfgFaults := fault.Config{
-		AbortRate:        0.25,
-		SlowIORate:       0.25,
-		SlowIOFactor:     3,
-		AdmitRefusalRate: 0.25,
-	}
 	for _, f := range factories {
 		f := f
 		t.Run(f.Label, func(t *testing.T) {
 			t.Parallel()
-			aborts, refusals := 0, 0
-			for seed := 0; seed < seeds; seed++ {
-				inj, err := fault.New(uint64(seed)+1, cfgFaults)
-				if err != nil {
-					t.Fatal(err)
+			for _, declustered := range []bool{false, true} {
+				aborts := 0
+				for seed := 0; seed < seeds; seed++ {
+					inj, err := fault.New(uint64(seed)+1, fault.Config{AbortRate: 0.25})
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := chaosConfig(f, int64(seed))
+					cfg.Declustered = declustered
+					metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
+					res, err := Run(cfg, WithFaults(inj), WithTrace(obs.Multi(metrics, h)))
+					if err != nil {
+						t.Fatalf("declustered=%v seed %d: %v", declustered, seed, err)
+					}
+					if err := h.Certify(modelcheck.Evidence{}); err != nil {
+						t.Fatalf("declustered=%v seed %d: %v", declustered, seed, err)
+					}
+					if res.LiveAtEnd != 0 {
+						t.Fatalf("declustered=%v seed %d: %d transactions wedged at the horizon", declustered, seed, res.LiveAtEnd)
+					}
+					if res.Completed+res.InjectedAborts != res.Arrived {
+						t.Fatalf("declustered=%v seed %d: arrived %d != completed %d + injected aborts %d",
+							declustered, seed, res.Arrived, res.Completed, res.InjectedAborts)
+					}
+					sm := metrics.Sched(res.Scheduler)
+					if sm == nil {
+						t.Fatalf("declustered=%v seed %d: no metrics for %s", declustered, seed, res.Scheduler)
+					}
+					if int(sm.Recoveries) != res.InjectedAborts {
+						t.Fatalf("declustered=%v seed %d: %d abort-recovery events for %d injected aborts",
+							declustered, seed, sm.Recoveries, res.InjectedAborts)
+					}
+					aborts += res.InjectedAborts
 				}
-				metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
-				res, err := Run(chaosConfig(f, int64(seed)), WithFaults(inj), WithTrace(obs.Multi(metrics, h)))
-				if err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
+				// The matrix must actually exercise the recovery path: at
+				// the configured rate a fault-free matrix means the
+				// injector came unwired.
+				if aborts == 0 {
+					t.Errorf("%s declustered=%v: no injected aborts across %d seeds", f.Label, declustered, seeds)
 				}
-				if err := h.Certify(modelcheck.Evidence{}); err != nil {
-					t.Fatalf("seed %d: %v", seed, err)
-				}
-				if res.LiveAtEnd != 0 {
-					t.Fatalf("seed %d: %d transactions wedged at the horizon", seed, res.LiveAtEnd)
-				}
-				if res.Completed+res.InjectedAborts != res.Arrived {
-					t.Fatalf("seed %d: arrived %d != completed %d + injected aborts %d",
-						seed, res.Arrived, res.Completed, res.InjectedAborts)
-				}
-				sm := metrics.Sched(res.Scheduler)
-				if sm == nil {
-					t.Fatalf("seed %d: no metrics for %s", seed, res.Scheduler)
-				}
-				if int(sm.Recoveries) != res.InjectedAborts {
-					t.Fatalf("seed %d: %d abort-recovery events for %d injected aborts",
-						seed, sm.Recoveries, res.InjectedAborts)
-				}
-				aborts += res.InjectedAborts
-				refusals += res.InjectedRefusals
+				t.Logf("%s declustered=%v: %d injected aborts over %d seeds", f.Label, declustered, aborts, seeds)
 			}
-			// The matrix must actually exercise the recovery paths: at the
-			// configured rates a fault-free matrix means the injector came
-			// unwired.
-			if aborts == 0 {
-				t.Errorf("%s: no injected aborts across %d seeds", f.Label, seeds)
-			}
-			if refusals == 0 {
-				t.Errorf("%s: no injected admission refusals across %d seeds", f.Label, seeds)
-			}
-			t.Logf("%s: %d injected aborts, %d refusals over %d seeds", f.Label, aborts, refusals, seeds)
 		})
 	}
 }

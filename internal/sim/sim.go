@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"slices"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/durable"
@@ -52,17 +51,15 @@ func WithTrace(o obs.Observer) Option {
 }
 
 // WithFaults attaches a fault injector: selected transactions abort
-// after a deterministic amount of bulk processing (exercising the
-// schedulers' abort-recovery path), selected partitions run their I/O
-// slow, selected admissions are refused at the control node before
-// the scheduler sees them, and selected data nodes crash outright mid-
-// run — their partitions re-home to the survivors, recoverable resident
-// jobs requeue, and transactions whose partial bulk work died with the
-// node abort through the scheduler's recovery path. Every injected
-// fault is followed by a scheduler invariant check regardless of
-// Config.SelfCheck. A nil injector is ignored; fault decisions are pure
-// functions of the injector's seed, so the same (Config, Seed, fault
-// seed) triple replays the same faulted run.
+// after a deterministic amount of bulk processing, exercising the
+// schedulers' abort-recovery path (for CHAIN, with the chain-form
+// re-check that may degrade it).
+// Every injected abort is followed by a scheduler invariant check
+// regardless of Config.SelfCheck. A nil injector is ignored; fault
+// decisions are pure functions of the injector's seed, so the same
+// (Config, Seed, fault seed) triple replays the same faulted run. The
+// injector's kill-restart decision is read by the kill-restart
+// batteries, not by Run.
 func WithFaults(in *fault.Injector) Option {
 	return func(rc *runOpts) { rc.inj = in }
 }
@@ -110,12 +107,6 @@ type Config struct {
 	// BATs but, on a real machine, costs short transactions message
 	// overhead that this simulator does not model.
 	Declustered bool
-	// DeadNodes lists data nodes that are down for the whole run: their
-	// partitions are re-homed to the survivors before the first arrival
-	// (no node-down events — this is topology, not a fault). Used to
-	// replay a crashed run's post-crash placement, e.g. by the
-	// differential recovery tests. At least one node must survive.
-	DeadNodes []int
 }
 
 // Result reports one run's metrics.
@@ -158,28 +149,15 @@ type Result struct {
 	// via ArrivalTimes.
 	LastCompletion event.Time
 	// LiveAtEnd counts transactions still admitted-but-uncommitted at the
-	// horizon. Arrived = Completed + InjectedAborts + CrashAborts +
-	// LiveAtEnd + (not yet admitted).
+	// horizon. Arrived = Completed + InjectedAborts + LiveAtEnd + (not
+	// yet admitted).
 	LiveAtEnd int
 
 	// InjectedAborts counts transactions killed mid-run by the fault
 	// injector (WithFaults); they release their locks through the
 	// scheduler's abort-recovery path and do not resubmit (the caller
-	// abandoned them). InjectedRefusals counts admission attempts the
-	// injector refused before the scheduler saw them (those do retry).
-	InjectedAborts   int
-	InjectedRefusals int
-
-	// Node-crash recovery counters (zero unless the injector crashes
-	// nodes): NodeCrashes is nodes lost mid-run, RehomedParts is
-	// partitions moved to survivors, RequeuedJobs is recoverable resident
-	// jobs re-enqueued at their partition's new home, and CrashAborts is
-	// transactions aborted because their partial bulk results died with
-	// the node (unrecoverable; they do not resubmit).
-	NodeCrashes  int
-	RehomedParts int
-	RequeuedJobs int
-	CrashAborts  int
+	// abandoned them).
+	InjectedAborts int
 
 	// Response-time decomposition over measured completions (seconds):
 	// admission wait (arrival to admission), lock wait (request
@@ -225,7 +203,6 @@ type txnState struct {
 	// set will do: a transaction asks for admission, then for one lock at
 	// a time, then commits, and aborts only while a step is executing.
 	decision sched.Decision
-	refused  bool              // admission refused by the fault injector
 	freed    []txn.PartitionID // partitions released by commit or abort
 	// The §3.2 resubmissions, bound once at arrival.
 	retryAdmit, retryRequest event.Handler
@@ -242,13 +219,11 @@ type txnState struct {
 
 	// Fault-injection bookkeeping (zero without WithFaults): abortAt is
 	// the processed-object count at which the transaction dies (0 =
-	// never), processed accumulates quanta, aborting latches once the
-	// abort is initiated, and admitAttempts numbers admission tries for
-	// the injector's refusal bursts.
-	abortAt       float64
-	processed     float64
-	aborting      bool
-	admitAttempts int
+	// never), processed accumulates quanta, and aborting latches once
+	// the abort is initiated.
+	abortAt   float64
+	processed float64
+	aborting  bool
 
 	// jobs holds the current step's data-node jobs (an abort cancels
 	// them), reused from step to step. It starts out backed by one, all
@@ -272,7 +247,6 @@ type simulator struct {
 	rng    *rand.Rand
 	cn     *machine.ControlNode
 	nodes  []*machine.DataNode
-	place  *machine.Placement
 	sch    sched.Scheduler
 	nextID txn.ID
 
@@ -289,8 +263,7 @@ type simulator struct {
 	checker   *modelcheck.History // nil unless Config.CheckSerializability
 	obs       obs.Observer        // nil = no structured trace
 	obsLabel  string
-	inj       *fault.Injector // nil = no fault injection
-	slowSeen  map[txn.PartitionID]bool
+	inj       *fault.Injector  // nil = no fault injection
 	store     *storage.Store   // nil = no page I/O
 	dur       *durable.Binding // nil = neither WithWAL nor WithStorage; Run reports its sticky errors
 
@@ -322,16 +295,9 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Horizon {
 		return nil, fmt.Errorf("sim: warmup %v outside horizon %v", cfg.Warmup, cfg.Horizon)
 	}
-	if len(cfg.DeadNodes) > 0 {
-		dead := make(map[int]bool, len(cfg.DeadNodes))
-		for _, d := range cfg.DeadNodes {
-			if d < 0 || d >= cfg.Machine.NumNodes {
-				return nil, fmt.Errorf("sim: dead node %d outside [0,%d)", d, cfg.Machine.NumNodes)
-			}
-			dead[d] = true
-		}
-		if len(dead) >= cfg.Machine.NumNodes {
-			return nil, fmt.Errorf("sim: DeadNodes %v leaves no survivor", cfg.DeadNodes)
+	for _, at := range cfg.ArrivalTimes {
+		if at < 0 {
+			return nil, fmt.Errorf("sim: explicit arrival at %v, before the run starts", at)
 		}
 	}
 
@@ -349,7 +315,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	s.classRT = make(map[string]*stats.Welford)
 	if rc.inj.Enabled() {
 		s.inj = rc.inj
-		s.slowSeen = make(map[txn.PartitionID]bool)
 	}
 	s.store = rc.store
 	s.cn = machine.NewControlNode(s.q)
@@ -372,23 +337,7 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		n.OnStepDone = s.onStepDone
 		s.nodes = append(s.nodes, n)
 	}
-	s.place = machine.NewPlacement(cfg.Machine)
-	for _, d := range cfg.DeadNodes {
-		if !s.place.Alive(d) {
-			continue // duplicate entry
-		}
-		s.place.Kill(d)
-		s.nodes[d].Kill()
-	}
 	s.durableBind(rc.wal)
-	if s.inj != nil {
-		for node := 0; node < cfg.Machine.NumNodes; node++ {
-			node := node
-			if at, ok := s.inj.NodeCrash(node, cfg.Machine.NumNodes, cfg.Horizon); ok && at < cfg.Horizon {
-				s.q.At(at, func(now event.Time) { s.crashNode(node, now) })
-			}
-		}
-	}
 	if cfg.SampleEvery > 0 {
 		s.nextSample = s.sample
 		s.q.After(cfg.SampleEvery, s.nextSample)
@@ -470,10 +419,7 @@ func (s *simulator) arrive(now event.Time) {
 	s.submitAdmit(st)
 }
 
-// submitAdmit asks the scheduler to admit st's transaction. An injected
-// admission refusal intercepts the attempt at the control node — the
-// scheduler never sees it — and the transaction resubmits after the
-// usual retry delay.
+// submitAdmit asks the scheduler to admit st's transaction.
 func (s *simulator) submitAdmit(st *txnState) {
 	s.cn.Submit((*admitJob)(st))
 }
@@ -490,10 +436,6 @@ type (
 func (j *admitJob) Run(now event.Time) event.Time {
 	st := (*txnState)(j)
 	s := st.sim
-	st.admitAttempts++
-	if st.refused = s.inj.RefuseAdmit(st.t.ID, st.admitAttempts-1); st.refused {
-		return 0
-	}
 	out := s.sch.Admit(st.t, now)
 	st.decision = out.Decision
 	if out.Decision == sched.Granted {
@@ -504,17 +446,8 @@ func (j *admitJob) Run(now event.Time) event.Time {
 }
 
 func (j *admitJob) Done(now event.Time) {
-	if st := (*txnState)(j); st.refused {
-		st.sim.handleRefusal(st, now)
-	} else {
-		st.sim.handleAdmit(st, st.decision, now)
-	}
-}
-
-func (s *simulator) handleRefusal(st *txnState, now event.Time) {
-	s.res.InjectedRefusals++
-	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "refuse-admit"})
-	s.retryLater(st.retryAdmit)
+	st := (*txnState)(j)
+	st.sim.handleAdmit(st, st.decision, now)
 }
 
 func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) {
@@ -613,40 +546,20 @@ func (j *requestJob) Done(now event.Time) {
 // declustered placement, splits it into one sub-job per node that
 // complete independently (§4.3's intra-transaction parallelism).
 func (s *simulator) dispatch(st *txnState, sp txn.Step) {
-	// Sub-jobs spread over the *alive* nodes starting at the partition's
-	// current home; with every node alive this is the classic
-	// (home+i) mod NumNodes placement.
-	alive := s.place.AliveIDs()
 	width := 1
 	if s.cfg.Declustered {
-		width = len(alive)
+		width = len(s.nodes)
 	}
-	home := slices.Index(alive, s.place.NodeOf(sp.Part))
-	factor := s.ioFactor(sp.Part, st.t.ID)
+	home := s.cfg.Machine.NodeOf(sp.Part)
 	st.outstanding = width
 	if cap(st.jobs) < width {
 		st.jobs = make([]machine.Job, width)
 	}
 	st.jobs = st.jobs[:width]
 	for i := range st.jobs {
-		st.jobs[i] = machine.Job{Txn: st.t, Step: st.step, Remaining: sp.Cost / float64(width), TimeFactor: factor}
-		s.nodes[alive[(home+i)%len(alive)]].Enqueue(&st.jobs[i])
+		st.jobs[i] = machine.Job{Txn: st.t, Step: st.step, Remaining: sp.Cost / float64(width)}
+		s.nodes[(home+i)%len(s.nodes)].Enqueue(&st.jobs[i])
 	}
-}
-
-// ioFactor returns the injected slow-I/O multiplier for a partition
-// (1 without faults), emitting one Fault event the first time a slow
-// partition is touched.
-func (s *simulator) ioFactor(p txn.PartitionID, id txn.ID) float64 {
-	if s.inj == nil {
-		return 0 // Job.TimeFactor zero value: unscaled
-	}
-	f := s.inj.IOFactor(p)
-	if f != 1 && !s.slowSeen[p] {
-		s.slowSeen[p] = true
-		s.emitObs(obs.Event{Kind: obs.KindFault, At: s.q.Now(), Txn: id, Part: p, Op: "slow-io"})
-	}
-	return f
 }
 
 // retryLater resubmits work after the fixed retry delay (§3.2).
@@ -673,24 +586,24 @@ func (s *simulator) onQuantum(j *machine.Job, objects float64, now event.Time) {
 	}
 	st.processed += objects
 	if st.abortAt > 0 && !st.aborting && st.processed >= st.abortAt {
-		s.abortMidRun(st, &s.res.InjectedAborts, "abort", now)
+		s.abortMidRun(st, now)
 	}
 }
 
-// abortMidRun kills st mid-run — an injected abort, or (op "node-crash")
-// partial bulk results that died with a crashed node, counted apart:
-// every data-node job is cancelled (the in-flight quantum finishes but is
-// not reported; a just-requeued sibling included) and the control node
-// runs the scheduler's abort-recovery path — release locks, retract
-// unresolved conflicting-edges, splice resolved precedence past the dead
+// abortMidRun kills st mid-run at its injected abort point: every
+// data-node job of its current step is cancelled — under declustered
+// placement the sibling sub-jobs on the other nodes too; an in-flight
+// quantum finishes but is not reported — and the control node runs the
+// scheduler's abort-recovery path: release locks, retract unresolved
+// conflicting-edges, splice resolved precedence past the dead
 // transaction. The transaction does not resubmit.
-func (s *simulator) abortMidRun(st *txnState, count *int, op string, now event.Time) {
+func (s *simulator) abortMidRun(st *txnState, now event.Time) {
 	st.aborting = true
 	for i := range st.jobs {
 		st.jobs[i].Cancelled = true
 	}
-	*count++
-	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: op})
+	s.res.InjectedAborts++
+	s.emitObs(obs.Event{Kind: obs.KindFault, At: now, Txn: st.t.ID, Op: "abort"})
 	s.cn.Submit((*abortJob)(st))
 }
 
@@ -714,48 +627,9 @@ func (j *abortJob) Done(now event.Time) {
 	s.wakeWaiters(st.freed)
 }
 
-// crashNode kills data node `node` mid-run. Its partitions re-home to
-// the survivors under the documented mod-alive policy, and its resident
-// jobs are triaged by the recoverability rule: a job that completed no
-// object at the dead node lost nothing (the in-flight quantum, if any,
-// is simply redone) and requeues at its partition's new home; a job
-// with partial bulk results there cannot be resumed elsewhere, so its
-// whole transaction aborts through the scheduler's recovery path. The
-// crash of the last alive node is ignored (nothing left to recover to).
-func (s *simulator) crashNode(node int, now event.Time) {
-	if !s.place.Alive(node) || s.place.AliveCount() <= 1 {
-		return
-	}
-	s.res.NodeCrashes++
-	s.emitObs(obs.Event{Kind: obs.KindNodeDown, At: now, Node: node})
-	for _, rh := range s.place.Kill(node) {
-		s.res.RehomedParts++
-		s.emitObs(obs.Event{Kind: obs.KindRehome, At: now, Part: rh.Part, FromNode: rh.From, Node: rh.To})
-	}
-	for _, j := range s.nodes[node].Kill() {
-		if j.Cancelled {
-			continue
-		}
-		st, ok := s.live[j.Txn.ID]
-		if !ok || st.aborting {
-			continue
-		}
-		if j.Processed > 0 {
-			s.abortMidRun(st, &s.res.CrashAborts, "node-crash", now)
-			continue
-		}
-		part := j.Txn.Steps[j.Step].Part
-		to := s.place.NodeOf(part)
-		s.res.RequeuedJobs++
-		s.emitObs(obs.Event{Kind: obs.KindRequeue, At: now, Txn: j.Txn.ID, Step: j.Step, Part: part, FromNode: node, Node: to})
-		s.nodes[to].Enqueue(j)
-	}
-	s.selfCheck()
-}
-
 // selfCheck runs the scheduler's invariant checks and verifies the
 // WTPG is still acyclic. Invoked after every commit when
-// Config.SelfCheck is set, and after every injected fault
+// Config.SelfCheck is set, and after every injected abort
 // unconditionally.
 func (s *simulator) selfCheck() {
 	if c, ok := s.sch.(interface{ CheckInvariants() error }); ok {

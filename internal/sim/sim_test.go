@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/event"
 	"batsched/internal/machine"
 	"batsched/internal/modelcheck"
 	"batsched/internal/txn"
@@ -181,6 +182,8 @@ func TestConfigValidation(t *testing.T) {
 			c.Machine.Control = sched.Costs{}
 			c.Machine.RetryDelay = 0
 		},
+		// A negative explicit arrival lies before the clock's start.
+		func(c *Config) { c.ArrivalTimes = []event.Time{-5, 10} },
 	}
 	for i, mut := range bad {
 		cfg := baseConfig()

@@ -92,7 +92,7 @@ func (s *simulator) durableCommit(st *txnState, now event.Time) {
 	}
 	node := 0
 	if len(st.t.Steps) > 0 {
-		node = s.place.NodeOf(st.t.Steps[0].Part)
+		node = s.cfg.Machine.NodeOf(st.t.Steps[0].Part)
 	}
 	_ = s.dur.PreCommit(st.t, node, st.walPreds, now)
 	_ = s.dur.Force(now)

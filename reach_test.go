@@ -46,16 +46,11 @@ import (
 // entry that names nothing, or that a program reaches anyway, fails the
 // test.
 var reachAllow = map[string]string{
-	// Fault hooks: the chaos, node-crash and kill-restart batteries
-	// inject through these; a program never asks to be broken.
-	"internal/fault.Injector.Config":         "fault hook: the batteries read back the effective rates",
-	"internal/fault.Injector.KillAt":         "fault hook: where a kill-restart cuts the run",
-	"internal/fault.Injector.KillFlushFrac":  "fault hook: how much unsynced log survives the kill",
-	"internal/fault.Config.SlowIORate":       "fault hook: slow-partition rate",
-	"internal/fault.Config.AdmitRefusalRate": "fault hook: refused-admission rate",
-	"internal/fault.Config.KillRestart":      "fault hook: arms the whole-machine kill",
-	"internal/fault.Config.KillWindow":       "fault hook: bounds the kill time",
-	"internal/sim.Config.DeadNodes":          "fault hook: replays a crashed run's placement",
+	// Fault hooks: the kill-restart batteries inject through these; a
+	// program never asks to be broken.
+	"internal/fault.Injector.KillAt":        "fault hook: where a kill-restart cuts the run",
+	"internal/fault.Injector.KillFlushFrac": "fault hook: how much unsynced log survives the kill",
+	"internal/fault.Config.KillRestart":     "fault hook: arms the whole-machine kill",
 	// Checkers: independent oracles over executions the batteries run.
 	"internal/modelcheck.Explore":                    "checker: exhaustive scheduler prefixes",
 	"internal/modelcheck.ExploreCrashes":             "checker: exhaustive crash points",
