@@ -42,16 +42,18 @@ bench-smoke:
 # control-bound result), the placement ablation, a variant figure
 # (Figure 8's NumHots axis) and Figure 6 under injected aborts (-abortrate,
 # the simulator's one injected behaviour) — so verify catches breakage
-# without the cost of a full sweep, and one short batsim run over a real
-# heap store and WAL, the simulator's storage path, which no other verify
-# step drives from a program.
+# without the cost of a full sweep, and one short batsim -shards run of the
+# live controller over a real heap store and WAL, then batsim -recoverwal
+# over that log (replay plus modelcheck.VerifyRecovery): the CLI's file
+# path, which no other verify step drives from a program.
 harness-smoke:
 	$(GO) run ./cmd/batbench -ablation retrydelay -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -ablation placement -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -fig 8 -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -fig 6 -quick -horizon 50000 -lambdas 0.3 -abortrate 0.2 -q > /dev/null
 	hd="$$(mktemp -d)" && wd="$$(mktemp -d)" && \
-	$(GO) run ./cmd/batsim -storage "$$hd" -wal "$$wd" -horizon 50000 > /dev/null; \
+	$(GO) run ./cmd/batsim -shards 1 -livetxns 500 -storage "$$hd" -wal "$$wd" > /dev/null && \
+	$(GO) run ./cmd/batsim -recoverwal "$$wd" > /dev/null; \
 	rc=$$?; rm -rf "$$hd" "$$wd"; exit $$rc
 
 # reproduce regenerates results_full.txt and results_ablations.txt with
@@ -87,7 +89,10 @@ reproduce:
 # only when it is called — and internal/live importing internal/fault or
 # internal/machine is a second machine model under the lock manager (the
 # simulator holds the one; live's batteries inject through Run's work
-# callback), and a goroutine in the live controller is scheduling no
+# callback), and internal/sim importing internal/wal, internal/storage or
+# internal/durable is a second durability driver beside the live
+# controller (the simulator is a cost model and writes no file), and a
+# goroutine in the live controller is scheduling no
 # caller's call accounts for — every wait ends on a wake event, the §3.2
 # resubmit timer, Close or the caller's ctx. Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
@@ -104,6 +109,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -n '\.Fd()' internal/storage/*.go
 	! grep -rn 'go func' --include='*.go' --exclude='*_test.go' internal/storage
 	! grep -rn '"batsched/internal/\(fault\|machine\)"' --include='*.go' --exclude='*_test.go' internal/live
+	! grep -rnE '"batsched/internal/(wal|storage|durable)"' --include='*.go' --exclude='*_test.go' internal/sim
 	! grep -rnE '^\s*go ' --include='*.go' --exclude='*_test.go' internal/live
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"

@@ -4,11 +4,13 @@ package main
 // (internal/live) with real goroutines instead of the discrete-event
 // simulator: the same generator produces -livetxns transactions, every
 // one runs to commit through the sharded hot path, and the run reports
-// wall-clock throughput. This is the CLI face of the PR 8 sharding work
-// (DESIGN.md §13); the simulator path is untouched when -shards is 0.
+// wall-clock throughput. This is the CLI face of the sharded controller
+// (DESIGN.md §13), and the only mode that writes files: -wal logs its
+// commits, -storage backs its steps with heap files (-pagesize, -pool).
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"math/rand"
@@ -18,33 +20,50 @@ import (
 
 	"batsched/internal/core/sched"
 	"batsched/internal/live"
+	"batsched/internal/storage"
 	"batsched/internal/txn"
+	"batsched/internal/wal"
 	"batsched/internal/workload"
 )
 
 // liveFlags are the flags -shards live mode reads: the scheduler, the
-// workload and its shape, the seed, the transaction count, and profiling.
+// workload and its shape, the seed, the transaction count, profiling,
+// and (true) the files only live mode writes: the log, and the heap store
+// with its shape.
 var liveFlags = map[string]bool{
-	"sched": true, "workload": true, "pattern": true, "numparts": true, "numhots": true,
-	"sigma": true, "seed": true, "shards": true, "livetxns": true, "cpuprofile": true,
+	"sched": false, "workload": false, "pattern": false, "numparts": false, "numhots": false,
+	"sigma": false, "seed": false, "shards": false, "livetxns": false, "cpuprofile": false,
+	"wal": true, "storage": true, "pagesize": true, "pool": true,
 }
 
 // checkLiveFlags refuses a negative shard count and names every flag set
-// on fs that live mode would ignore.
+// on fs that the chosen mode would ignore: live mode (shards > 0) reads
+// only liveFlags, and the simulator writes no file.
 func checkLiveFlags(fs *flag.FlagSet, shards int) error {
 	if shards < 0 {
 		return fmt.Errorf("-shards %d: need a positive shard count, or 0 for the simulator", shards)
 	}
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
-		if !liveFlags[f.Name] {
+		if file, live := liveFlags[f.Name]; (shards > 0 && !live) || (shards == 0 && file) {
 			ignored = append(ignored, "-"+f.Name)
 		}
 	})
-	if len(ignored) > 0 {
+	switch {
+	case len(ignored) > 0 && shards > 0:
 		return fmt.Errorf("-shards runs the live controller, which does not read %s", strings.Join(ignored, ", "))
+	case len(ignored) > 0:
+		return fmt.Errorf("%s: the simulator writes no file; add -shards N to run the live controller", strings.Join(ignored, ", "))
 	}
 	return nil
+}
+
+// liveFiles is what -wal and -storage open: the dependency log over
+// nodes node files and the heap store over parts partitions.
+type liveFiles struct {
+	walDir, storageDir   string
+	pageSize, poolFrames int
+	nodes, parts         int
 }
 
 // liveMPL is live mode's in-flight window: the number of transactions
@@ -55,8 +74,10 @@ const liveMPL = 16
 
 // runLiveMode drives n generated transactions through a live controller
 // with the given shard count, at most liveMPL of them in flight at once,
-// and prints the committed count and throughput.
-func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, seed int64) error {
+// over the log and store files names (either may be empty), and prints
+// the committed count and throughput, then the log's and the store's
+// counters read after both are closed.
+func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, seed int64, files liveFiles) (err error) {
 	if n < 1 {
 		return fmt.Errorf("-livetxns %d: need at least one transaction", n)
 	}
@@ -65,14 +86,32 @@ func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, s
 	for i := range ts {
 		ts[i] = gen.Next(txn.ID(i+1), rng)
 	}
-	ctl := live.New(factory, sched.Costs{KeepTime: 50},
-		live.WithShards(shards), live.WithRetryDelay(time.Millisecond))
-	defer ctl.Close()
+	opts := []live.Option{live.WithShards(shards), live.WithRetryDelay(time.Millisecond)}
+	var log *wal.Log
+	if files.walDir != "" {
+		if log, err = wal.Open(files.walDir, files.nodes); err != nil {
+			return err
+		}
+		opts = append(opts, live.WithWALLog(log))
+	}
+	var store *storage.Store
+	if files.storageDir != "" {
+		store, err = storage.Open(files.storageDir, files.parts,
+			storage.WithPageSize(files.pageSize), storage.WithPoolFrames(files.poolFrames))
+		if err != nil {
+			if log != nil {
+				log.Close()
+			}
+			return err
+		}
+		opts = append(opts, live.WithStorage(store))
+	}
+	ctl := live.New(factory, sched.Costs{KeepTime: 50}, opts...)
 
 	window := make(chan struct{}, liveMPL)
 	var wg sync.WaitGroup
 	var mu sync.Mutex
-	var firstErr error
+	var runErr error
 	failed := 0
 	start := time.Now()
 	for _, t := range ts {
@@ -88,8 +127,8 @@ func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, s
 			if err != nil {
 				mu.Lock()
 				failed++
-				if firstErr == nil {
-					firstErr = fmt.Errorf("txn %v: %w", t.ID, err)
+				if runErr == nil {
+					runErr = fmt.Errorf("txn %v: %w", t.ID, err)
 				}
 				mu.Unlock()
 			}
@@ -98,9 +137,22 @@ func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, s
 	wg.Wait()
 	elapsed := time.Since(start)
 	if err := ctl.CheckInvariants(); err != nil {
-		return err
+		runErr = errors.Join(err, runErr)
 	}
 	st := ctl.Stats()
+	ctl.Close()
+	// The store first: its Close writes the dirty pages back through the
+	// write barrier, which forces the log.
+	if store != nil {
+		if err := store.Close(); err != nil {
+			runErr = errors.Join(runErr, fmt.Errorf("storage: close: %w", err))
+		}
+	}
+	if log != nil {
+		if err := log.Close(); err != nil {
+			runErr = errors.Join(runErr, fmt.Errorf("wal: close: %w", err))
+		}
+	}
 	fmt.Printf("mode        live controller (real goroutines)\n")
 	fmt.Printf("scheduler   %s\n", factory.Label)
 	fmt.Printf("workload    %s\n", gen.Name())
@@ -108,5 +160,16 @@ func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, s
 	fmt.Printf("txns        %d (committed %d, failed %d)\n", n, st.Committed, failed)
 	fmt.Printf("wall        %.3fs\n", elapsed.Seconds())
 	fmt.Printf("throughput  %.0f txn/s\n", float64(st.Committed)/elapsed.Seconds())
-	return firstErr
+	if log != nil {
+		ws := log.Stats()
+		fmt.Printf("wal         %d records appended, %d fsync passes (max batch %d), logs under %s\n",
+			ws.Appends, ws.Syncs, ws.MaxBatch, files.walDir)
+	}
+	if store != nil {
+		ps := store.Stats()
+		fmt.Printf("storage     %d page reads (%.1f%% pool hits, %d misses in %d backend reads), %d writes, %d evictions, heap under %s\n",
+			ps.Hits+ps.Misses, 100*ps.HitRate(), ps.Misses, ps.ReadCalls,
+			ps.BytesWritten/uint64(files.pageSize), ps.Evictions, files.storageDir)
+	}
+	return runErr
 }

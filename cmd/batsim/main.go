@@ -6,8 +6,13 @@
 //	batsim -sched CHAIN -workload exp1 -lambda 0.6
 //	batsim -sched K2 -workload exp2 -numhots 4 -lambda 0.8 -horizon 500000
 //	batsim -sched CHAIN -workload exp4 -sigma 0.5 -lambda 0.6
-//	batsim -sched K2 -workload exp1 -wal /tmp/batwal     # dependency-log the run
-//	batsim -recoverwal /tmp/batwal                       # replay + recovery report
+//	batsim -shards 2 -livetxns 500 -wal /tmp/batwal -storage /tmp/batheap
+//	                                     # the live controller, logged and heap-backed
+//	batsim -recoverwal /tmp/batwal       # replay + recovery report
+//
+// The simulator is a cost model and writes no file: -wal, -storage,
+// -pagesize and -pool belong to -shards, which runs the workload through
+// the live controller (internal/live) with real goroutines.
 package main
 
 import (
@@ -56,12 +61,12 @@ func main() {
 		shards   = flag.Int("shards", 0, "run the workload through the sharded live controller (real goroutines, DESIGN.md §13) instead of the simulator; 0 = simulator")
 		liveTxns = flag.Int("livetxns", 1000, "transactions to drive in -shards live mode")
 
-		walDir     = flag.String("wal", "", "write per-node dependency logs under this directory (docs/ROBUSTNESS.md §9)")
+		walDir     = flag.String("wal", "", "write per-node dependency logs of the -shards run under this directory (docs/ROBUSTNESS.md §9)")
 		recoverWAL = flag.String("recoverwal", "", "scan + parallel-replay the dependency logs under this directory, print the recovery report, and exit")
 
-		storageDir = flag.String("storage", "", "back the run with heap files under this directory (docs/STORAGE.md); empty = pure model")
+		storageDir = flag.String("storage", "", "back the -shards run with heap files under this directory (docs/STORAGE.md)")
 		pageSize   = flag.Int("pagesize", storage.DefaultPageSize, "heap-file page size in bytes (requires -storage)")
-		poolFrames = flag.Int("pool", 64, "buffer-pool frames per store (requires -storage)")
+		poolFrames = flag.Int("pool", 64, "buffer-pool frames (requires -storage)")
 	)
 	flag.Parse()
 
@@ -92,50 +97,26 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
+	gen, parts, err := chooseWorkload(*wl, *pattern, *numParts, *numHots, *sigma)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
 	mc := machine.DefaultConfig()
-	var gen workload.Generator
-	switch *wl {
-	case "exp1":
-		mc.NumParts = *numParts
-		gen = workload.Experiment1(*numParts)
-	case "exp2":
-		l := workload.HotSetLayout{NumReadOnly: 8, NumHots: *numHots}
-		mc.NumParts = l.NumParts()
-		gen = workload.Experiment2(l)
-	case "exp3":
-		l := workload.HotSetLayout{NumReadOnly: 8, NumHots: *numHots}
-		mc.NumParts = l.NumParts()
-		gen = workload.Experiment3(l)
-	case "exp4":
-		mc.NumParts = *numParts
-		gen = workload.WithDeclarationError(workload.Experiment1(*numParts), *sigma)
-	case "custom":
-		if *pattern == "" {
-			fmt.Fprintln(os.Stderr, "-workload custom needs -pattern")
-			os.Exit(2)
-		}
-		pat, err := txn.ParsePattern("custom", *pattern)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		mc.NumParts = *numParts
-		gen = workload.UniformPattern(pat, *numParts)
-	default:
-		fmt.Fprintf(os.Stderr, "unknown workload %q\n", *wl)
+	mc.NumParts = parts
+	if err := checkLiveFlags(flag.CommandLine, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
 	if *shards != 0 {
-		if err := checkLiveFlags(flag.CommandLine, *shards); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
 		if *liveTxns < 1 {
 			fmt.Fprintf(os.Stderr, "-livetxns %d: need at least one transaction\n", *liveTxns)
 			os.Exit(2)
 		}
-		if err := runLiveMode(factory, gen, *shards, *liveTxns, *seed); err != nil {
+		files := liveFiles{walDir: *walDir, storageDir: *storageDir, pageSize: *pageSize, poolFrames: *poolFrames,
+			nodes: mc.NumNodes, parts: mc.NumParts}
+		if err := runLiveMode(factory, gen, *shards, *liveTxns, *seed, files); err != nil {
 			fmt.Fprintln(os.Stderr, "live run failed:", err)
 			os.Exit(1)
 		}
@@ -183,49 +164,12 @@ func main() {
 	if len(observers) > 0 {
 		simOpts = append(simOpts, sim.WithTrace(obs.Multi(observers...)))
 	}
-	var walLog *wal.Log
-	if *walDir != "" {
-		var err error
-		walLog, err = wal.Open(*walDir, mc.NumNodes)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		simOpts = append(simOpts, sim.WithWAL(walLog))
-	}
-	var store *storage.Store
-	if *storageDir != "" {
-		var err error
-		store, err = storage.Open(*storageDir, mc.NumParts,
-			storage.WithPageSize(*pageSize),
-			storage.WithPoolFrames(*poolFrames),
-			storage.WithNodes(mc.NumNodes))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
-		}
-		simOpts = append(simOpts, sim.WithStorage(store))
-	}
 	start := time.Now()
 	res, err := sim.Run(cfg, simOpts...)
 	elapsed := time.Since(start)
 	if jsonl != nil {
 		if cerr := jsonl.Close(); cerr != nil {
 			fmt.Fprintln(os.Stderr, "trace:", cerr)
-			os.Exit(1)
-		}
-	}
-	if walLog != nil {
-		if cerr := walLog.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "wal:", cerr)
-			os.Exit(1)
-		}
-	}
-	var poolStats storage.PoolStats
-	if store != nil {
-		poolStats = store.Stats()
-		if cerr := store.Close(); cerr != nil {
-			fmt.Fprintln(os.Stderr, "storage:", cerr)
 			os.Exit(1)
 		}
 	}
@@ -248,23 +192,6 @@ func main() {
 	fmt.Printf("max live    %d\n", res.MaxLive)
 	if res.SerializabilityChecked {
 		fmt.Printf("serializable: yes\n")
-	}
-	if walLog != nil {
-		st := walLog.Stats()
-		fmt.Printf("wal         %d records appended, %d fsync passes (max batch %d), logs under %s\n",
-			st.Appends, st.Syncs, st.MaxBatch, *walDir)
-	}
-	if store != nil {
-		total := poolStats.BytesRead + poolStats.BytesWritten
-		reads := "no backend reads"
-		if poolStats.ReadCalls > 0 { // a miss on a page being created reads nothing
-			reads = fmt.Sprintf("%.1f pages per backend read",
-				float64(poolStats.BytesRead/uint64(*pageSize))/float64(poolStats.ReadCalls))
-		}
-		fmt.Printf("storage     %d page reads (%.1f%% pool hits, %s), %d writes, %d evictions, %.2f MB/s wall, heap under %s\n",
-			poolStats.Hits+poolStats.Misses, 100*poolStats.HitRate(), reads,
-			poolStats.BytesWritten/uint64(*pageSize), poolStats.Evictions,
-			float64(total)/1e6/elapsed.Seconds(), *storageDir)
 	}
 	if agg != nil {
 		fmt.Println()
@@ -308,6 +235,45 @@ func main() {
 			fmt.Print(out)
 		}
 	}
+}
+
+// chooseWorkload builds the -workload generator and the partition count
+// of the machine it runs on. An input the generator could not draw from
+// — fewer partitions than a transaction binds distinct ones — is an error
+// naming the flag, not a panic at the first arrival.
+func chooseWorkload(name, pattern string, numParts, numHots int, sigma float64) (workload.Generator, int, error) {
+	hot := workload.HotSetLayout{NumReadOnly: 8, NumHots: numHots}
+	switch {
+	case (name == "exp1" || name == "exp4") && numParts < 2:
+		return nil, 0, fmt.Errorf("-numparts %d: %s binds 2 distinct partitions per transaction, need at least 2", numParts, name)
+	case (name == "exp2" || name == "exp3") && numHots < 2:
+		return nil, 0, fmt.Errorf("-numhots %d: %s binds 2 distinct hot partitions per transaction, need at least 2", numHots, name)
+	case name == "exp4" && !(sigma >= 0):
+		return nil, 0, fmt.Errorf("-sigma %g: need a non-negative standard deviation", sigma)
+	}
+	switch name {
+	case "exp1":
+		return workload.Experiment1(numParts), numParts, nil
+	case "exp2":
+		return workload.Experiment2(hot), hot.NumParts(), nil
+	case "exp3":
+		return workload.Experiment3(hot), hot.NumParts(), nil
+	case "exp4":
+		return workload.WithDeclarationError(workload.Experiment1(numParts), sigma), numParts, nil
+	case "custom":
+		if pattern == "" {
+			return nil, 0, fmt.Errorf("-workload custom needs -pattern")
+		}
+		pat, err := txn.ParsePattern("custom", pattern)
+		if err != nil {
+			return nil, 0, err
+		}
+		if vars := len(pat.Vars()); vars > numParts {
+			return nil, 0, fmt.Errorf("-numparts %d: -pattern binds %d variables to distinct partitions, need at least %d", numParts, vars, vars)
+		}
+		return workload.UniformPattern(pat, numParts), numParts, nil
+	}
+	return nil, 0, fmt.Errorf("unknown workload %q", name)
 }
 
 // recoverReport scans the per-node dependency logs under dir, replays

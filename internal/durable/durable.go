@@ -1,17 +1,18 @@
 // Package durable is the one implementation of the write-ahead contract
-// between a scheduler driver (internal/sim, internal/live), the per-node
-// dependency log (internal/wal) and the heap-file store
-// (internal/storage). A driver decides *when* a transaction pre-commits,
-// is abandoned and is forced; what each of those means is stated here
-// and nowhere else. A committed transaction leaves exactly one record;
-// an aborted or unfinished one leaves none, which no-steal storage makes
-// harmless — nothing of it ever reached a page.
+// between the live controller (internal/live), the per-node dependency
+// log (internal/wal) and the heap-file store (internal/storage). The
+// controller decides *when* a transaction pre-commits, is abandoned and
+// is forced; what each of those means is stated here and nowhere else.
+// The simulator (internal/sim) is a cost model and writes no file. A
+// committed transaction leaves exactly one record; an aborted or
+// unfinished one leaves none, which no-steal storage makes harmless —
+// nothing of it ever reached a page.
 //
 //   - PreCommit: the Commit record — footprint plus the union of the
 //     WTPG predecessors resolved at admission and at commit — goes to the
-//     node file of the transaction's first partition, as the driver
+//     node file of the transaction's first partition, as the controller
 //     resolved it under its own locks, BEFORE the staged effects touch a
-//     cached page and before the driver releases the transaction's
+//     cached page and before the controller releases the transaction's
 //     partition locks. A record the log refuses, or a log
 //     that is attached but broken, turns the commit into an abort while
 //     nothing of it is visible. Once the record is appended the outcome is
@@ -37,8 +38,6 @@
 //     callback, flush, and reopen the log at the cut (wal.Open makes the
 //     cut durable). Nothing is appended, so a second recovery agrees with
 //     the first.
-//
-// Nothing here knows which driver is calling.
 package durable
 
 import (
@@ -56,10 +55,10 @@ import (
 	"batsched/internal/wal"
 )
 
-// Binding ties a caller-owned log and/or store to one running driver.
-// The caller keeps their lifecycle (Close, Crash). Every method is safe
-// on a nil Binding — a driver with neither holds nil and pays one nil
-// check — and safe for concurrent use.
+// Binding ties a caller-owned log and/or store to one running
+// controller. The caller keeps their lifecycle (Close, Crash). Every
+// method is safe on a nil Binding — a controller with neither holds nil
+// and pays one nil check — and safe for concurrent use.
 type Binding struct {
 	log   *wal.Log
 	store *storage.Store
@@ -73,7 +72,7 @@ type Binding struct {
 
 // New binds log and/or store (either may be nil; nil for both returns a
 // nil Binding). emit receives the KindWALAppend / KindWALSync events,
-// and clock stamps what the driver's calls do not time themselves: the
+// and clock stamps what the controller's calls do not time themselves: the
 // store's page-traffic events and a Force the write barrier triggers.
 func New(log *wal.Log, store *storage.Store, emit func(obs.Event), clock func() event.Time) *Binding {
 	if log == nil && store == nil {
@@ -88,7 +87,7 @@ func New(log *wal.Log, store *storage.Store, emit func(obs.Event), clock func() 
 
 // Observe points the store's page-traffic events at o, stamped with
 // label and the binding's clock; a nil o unbinds (the store may outlive
-// the driver).
+// the controller).
 func (b *Binding) Observe(o obs.Observer, label string) {
 	if b != nil && b.store != nil {
 		b.store.Bind(o, label, b.clock)
@@ -112,8 +111,8 @@ func load(p *atomic.Pointer[error]) error {
 }
 
 // LogErr returns the sticky log error: the first refused append or
-// failed force. Durability is broken; a driver must stop admitting rather
-// than run unlogged.
+// failed force. Durability is broken; the controller must stop admitting
+// rather than run unlogged.
 func (b *Binding) LogErr() error {
 	if b == nil {
 		return nil
@@ -122,9 +121,9 @@ func (b *Binding) LogErr() error {
 }
 
 // StoreErr returns the sticky storage error: a failure to apply a logged
-// commit's effects, a failed force behind applied ones, or whatever the
-// driver reported through FailStore. The outcome is the log's (a
-// restart's replay repairs the heap), but storage-backed work must stop.
+// commit's effects, or a failed force behind applied ones. The outcome
+// is the log's (a restart's replay repairs the heap), but storage-backed
+// work must stop.
 func (b *Binding) StoreErr() error {
 	if b == nil {
 		return nil
@@ -132,24 +131,16 @@ func (b *Binding) StoreErr() error {
 	return load(&b.storeErr)
 }
 
-// FailStore latches err, if non-nil, as the sticky storage error — for
-// the page I/O a driver does itself.
-func (b *Binding) FailStore(err error) {
-	if b != nil {
-		latch(&b.storeErr, err)
-	}
-}
-
 // Logs reports whether a log is attached and healthy, i.e. whether
-// PreCommit will append: drivers ask before resolving a predecessor set.
+// PreCommit will append: the controller asks before resolving a
+// predecessor set.
 func (b *Binding) Logs() bool {
 	return b != nil && b.log != nil && load(&b.logErr) == nil
 }
 
 // PreCommit appends t's Commit record to node's file and then applies
 // its staged effects to cached pages. node is the home of t's first
-// partition: the simulator reads it from its machine's placement, the
-// live controller works it out from the log's node count.
+// partition, which the controller works out from the log's node count.
 // preds is the union of the predecessor sets resolved at admission and
 // at commit, duplicates allowed: it is sorted and deduplicated in place.
 // The caller must still hold the

@@ -3,10 +3,10 @@
 //
 // Bulk access transactions run for minutes; the schedulers are proved
 // deadlock-free but the proofs assume nothing ever dies. This package
-// supplies two deaths: a transaction aborted mid-bulk-processing, and a
-// whole-machine kill (SIGKILL-equivalent) with the write-ahead log's
-// unsynced tail torn. The live controller takes no injector: its
-// batteries ask AbortAt from the work callbacks they pass to Run. Every
+// supplies one death: a transaction aborted mid-bulk-processing. The
+// live controller takes no injector: its batteries ask AbortAt from the
+// work callbacks they pass to Run, and kill the log and the store
+// themselves (wal.Log.Crash, storage.Store.Crash). Every
 // decision is a pure function of (seed, identifier), so a fault
 // schedule is reproducible from its seed alone and — crucially for the
 // simulator's golden tests — independent of the order in which
@@ -21,7 +21,6 @@ package fault
 import (
 	"fmt"
 
-	"batsched/internal/event"
 	"batsched/internal/txn"
 )
 
@@ -32,11 +31,6 @@ type Config struct {
 	// victim aborts after processing a deterministic fraction of its
 	// declared demand (between 15% and 95%).
 	AbortRate float64
-	// KillRestart schedules a whole-machine kill (SIGKILL-equivalent):
-	// the run is cut off at a deterministic point inside the window its
-	// consumer passes to KillAt, its write-ahead log crash-closed with a
-	// torn tail, and recovery replayed from the surviving log prefix.
-	KillRestart bool
 }
 
 // Validate rejects an AbortRate outside [0,1], NaN included.
@@ -71,12 +65,9 @@ func mix(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// Per-fault-kind domain separators so the same id draws independently
-// for each fault kind.
-const (
-	domAbort uint64 = 0xA110C8ED << 1
-	domKill  uint64 = 0x6E55A110
-)
+// domAbort separates the abort draws' domain: whether t dies at
+// domAbort, where at domAbort+1.
+const domAbort uint64 = 0xA110C8ED << 1
 
 // unit maps (seed, domain, id) to a uniform float64 in [0,1).
 func (in *Injector) unit(domain, id uint64) float64 {
@@ -99,38 +90,5 @@ func (in *Injector) AbortAt(t *txn.T) (objects float64, ok bool) {
 	return frac * t.DeclaredTotal(), true
 }
 
-// KillAt reports whether a whole-machine kill is scheduled, and if so
-// when: a deterministic point in [0.15, 0.85] of window, so the kill
-// always lands with transactions genuinely in flight — never in the
-// empty warm-up prefix or the drained tail. Alongside the time the caller needs a
-// second draw for how much of the log's unsynced tail survives the
-// kill (the kernel may have flushed part of a dying process's buffers):
-// KillFlushFrac supplies it, uniform in [0,1).
-func (in *Injector) KillAt(window event.Time) (at event.Time, ok bool) {
-	if in == nil || !in.cfg.KillRestart || window <= 0 {
-		return 0, false
-	}
-	frac := 0.15 + 0.70*in.unit(domKill, 0)
-	at = event.Time(frac * float64(window))
-	if at < 1 {
-		at = 1
-	}
-	return at, true
-}
-
-// KillFlushFrac is the fraction of buffered-but-unsynced log bytes that
-// survive the kill (see KillAt). Zero for nil or non-kill injectors.
-func (in *Injector) KillFlushFrac() float64 {
-	if in == nil || !in.cfg.KillRestart {
-		return 0
-	}
-	return in.unit(domKill+1, 0)
-}
-
 // Enabled reports whether the injector can produce any fault at all.
-func (in *Injector) Enabled() bool {
-	if in == nil {
-		return false
-	}
-	return in.cfg.AbortRate > 0 || in.cfg.KillRestart
-}
+func (in *Injector) Enabled() bool { return in != nil && in.cfg.AbortRate > 0 }

@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"batsched/internal/event"
 	"batsched/internal/txn"
 )
 
@@ -105,56 +104,5 @@ func TestValidate(t *testing.T) {
 	}
 	if in.Enabled() {
 		t.Error("zero config should be disabled")
-	}
-}
-
-func TestKillAtDeterministicAndMidWindow(t *testing.T) {
-	if _, ok := (*Injector)(nil).KillAt(1000); ok {
-		t.Error("nil injector scheduled a kill")
-	}
-	if f := (*Injector)(nil).KillFlushFrac(); f != 0 {
-		t.Errorf("nil KillFlushFrac = %v, want 0", f)
-	}
-	off, _ := New(7, Config{})
-	if _, ok := off.KillAt(1000); ok {
-		t.Error("KillRestart=false scheduled a kill")
-	}
-	seen := map[event.Time]bool{}
-	for seed := uint64(1); seed <= 50; seed++ {
-		a, err := New(seed, Config{KillRestart: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !a.Enabled() {
-			t.Fatal("KillRestart injector not Enabled")
-		}
-		const window = event.Time(100000)
-		at, ok := a.KillAt(window)
-		if !ok {
-			t.Fatalf("seed %d: no kill scheduled", seed)
-		}
-		lo, hi := event.Time(0.15*float64(window)), event.Time(0.85*float64(window))
-		if at < lo || at > hi {
-			t.Fatalf("seed %d: kill at %v outside mid-window [%v,%v]", seed, at, lo, hi)
-		}
-		if f := a.KillFlushFrac(); f < 0 || f >= 1 {
-			t.Fatalf("seed %d: KillFlushFrac %v outside [0,1)", seed, f)
-		}
-		b, _ := New(seed, Config{KillRestart: true})
-		if bt, _ := b.KillAt(window); bt != at {
-			t.Fatalf("seed %d: KillAt differs across identically-seeded injectors", seed)
-		}
-		if a.KillFlushFrac() != b.KillFlushFrac() {
-			t.Fatalf("seed %d: KillFlushFrac differs", seed)
-		}
-		seen[at] = true
-	}
-	if len(seen) < 25 {
-		t.Errorf("only %d distinct kill points across 50 seeds", len(seen))
-	}
-	// No window at all: the decision is off.
-	on, _ := New(3, Config{KillRestart: true})
-	if _, ok := on.KillAt(0); ok {
-		t.Error("kill scheduled with no window")
 	}
 }

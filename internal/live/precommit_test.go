@@ -7,9 +7,13 @@ package live
 // pre-committed effects from cached pages, their own records spread over
 // several node logs. Each seed kills both durability streams at a seeded
 // instant under 16 clients on a hot set and checks what recovery keeps.
+// One client transaction in seven fails its work after its first step,
+// so aborts run under the kill too. It runs every scheduler family: the
+// simulator writes no log, so this is where each family meets a kill.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -45,38 +49,66 @@ func (p *precommitLog) Observe(e obs.Event) {
 	}
 }
 
+// errWorkFailed is the work error of the battery's aborting clients.
+var errWorkFailed = errors.New("work failed")
+
 func TestKillBetweenReleaseAndForce(t *testing.T) {
 	seeds := 50
 	if testing.Short() {
 		seeds = 8
 	}
-	for _, f := range []sched.Factory{sched.KWTPGFactory(2), sched.C2PLFactory()} {
+	for _, f := range []sched.Factory{sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2)} {
 		f := f
 		t.Run(f.Label, func(t *testing.T) {
 			t.Parallel()
-			windowSeeds, lost, unacked, recovered := 0, 0, 0, 0
+			var sum killOutcome
+			windowSeeds := 0
 			for seed := 0; seed < seeds; seed++ {
-				l, u, r := killBetweenReleaseAndForce(t, f, int64(seed))
-				if l > 0 {
+				o := killBetweenReleaseAndForce(t, f, int64(seed))
+				if o.lost > 0 {
 					windowSeeds++
 				}
-				lost, unacked, recovered = lost+l, unacked+u, recovered+r
+				sum.add(o)
 			}
 			// The battery must hit the window it is named for: a kill that
 			// finds every pre-committed record already forced proves nothing.
 			if windowSeeds == 0 {
 				t.Errorf("%s: no kill in %d seeds found a pre-committed, unforced record", f.Label, seeds)
 			}
-			t.Logf("%s: %d seeds: %d commits recovered, %d pre-committed transactions lost with their unforced records (in %d seeds), %d recovered without an acknowledgement",
-				f.Label, seeds, recovered, lost, windowSeeds, unacked)
+			// Aborts must really run, and independent recovered commits
+			// must replay in parallel.
+			if sum.aborted == 0 {
+				t.Errorf("%s: no client work failed in %d seeds", f.Label, seeds)
+			}
+			if sum.maxParallel <= 1 && sum.recovered > 1 {
+				t.Errorf("%s: replay parallelism never exceeded 1 across %d recoveries", f.Label, seeds)
+			}
+			t.Logf("%s: %d seeds: %d commits recovered (max replay parallelism %d), %d pre-committed transactions lost with their unforced records (in %d seeds), %d recovered without an acknowledgement, %d aborted by their work",
+				f.Label, seeds, sum.recovered, sum.maxParallel, sum.lost, windowSeeds, sum.unacked, sum.aborted)
 		})
 	}
 }
 
-// killBetweenReleaseAndForce runs one seed and returns how many
-// transactions had pre-committed but were lost, how many were recovered
-// without having been acknowledged, and how many were recovered in all.
-func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost, unacked, recovered int) {
+// killOutcome is what one seed of the battery saw: transactions that had
+// pre-committed but were lost, recovered without having been
+// acknowledged, recovered in all, and aborted by their work; and the
+// width of the first recovery's replay schedule.
+type killOutcome struct {
+	lost, unacked, recovered, aborted int
+	maxParallel                       int
+}
+
+// add sums o into a battery's totals; the width is the widest seen.
+func (sum *killOutcome) add(o killOutcome) {
+	sum.lost += o.lost
+	sum.unacked += o.unacked
+	sum.recovered += o.recovered
+	sum.aborted += o.aborted
+	sum.maxParallel = max(sum.maxParallel, o.maxParallel)
+}
+
+// killBetweenReleaseAndForce runs one seed.
+func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (out killOutcome) {
 	const (
 		parts   = 6
 		nodes   = 3
@@ -95,7 +127,7 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 	}
 
 	wdir, hdir := t.TempDir(), t.TempDir()
-	sopts := []storage.Option{storage.WithPageSize(1024), storage.WithPoolFrames(16), storage.WithNodes(nodes)}
+	sopts := []storage.Option{storage.WithPageSize(1024), storage.WithPoolFrames(16)}
 	preloadKey := func(p, i int) txn.ID { return txn.ID(1)<<40 + txn.ID(p*1000+i) }
 	st, err := storage.Open(hdir, parts, sopts...)
 	if err != nil {
@@ -132,7 +164,7 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 	// of six, two thirds writes, until the log dies under them.
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
-	var next atomic.Int64
+	var next, aborted atomic.Int64
 	var killed atomic.Bool
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
@@ -150,10 +182,18 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 					}
 				}
 				tx := txn.New(txn.ID(next.Add(1)), steps)
+				fails := crng.Intn(7) == 0
 				err := ctl.Run(ctx, tx, func(step int, p Progress) error {
 					p(1)
+					if fails && step == 1 {
+						return errWorkFailed
+					}
 					return nil
 				})
+				if errors.Is(err, errWorkFailed) {
+					aborted.Add(1)
+					continue
+				}
 				if err != nil {
 					if !killed.Load() {
 						t.Errorf("seed %d: %v failed before the kill: %v\n%s", seed, tx.ID, err, repro)
@@ -222,12 +262,12 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 	for _, id := range rec.Committed {
 		got[id] = true
 		if !plog.acked[id] {
-			unacked++
+			out.unacked++
 		}
 	}
 	for id := range plog.Committed() {
 		if !got[id] {
-			lost++
+			out.lost++
 		}
 	}
 
@@ -256,5 +296,6 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (lost
 			}
 		}
 	}
-	return lost, unacked, len(got)
+	out.recovered, out.aborted, out.maxParallel = len(got), int(aborted.Load()), rec.MaxParallel
+	return out
 }

@@ -41,7 +41,7 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			}
 			hdir := t.TempDir()
 			st, err := storage.Open(hdir, parts,
-				storage.WithPageSize(1024), storage.WithPoolFrames(8), storage.WithNodes(4))
+				storage.WithPageSize(1024), storage.WithPoolFrames(8))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -142,11 +142,11 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 	}
 }
 
-// TestStorageLiveKillRestartRecover is the live half of the torn-page
-// battery: SIGKILL both durability streams mid-flush — the WAL loses
-// its unsynced tail, the never-fsynced heap pages tear — then reopen the
-// store, Recover over it, audit with modelcheck.VerifyRecovery, and
-// require contents ≡ the durable committed set.
+// TestStorageLiveKillRestartRecover is the torn-page battery: SIGKILL
+// both durability streams mid-flush — the WAL loses its unsynced tail,
+// the never-fsynced heap pages tear — then reopen the store, Recover
+// over it, audit with modelcheck.VerifyRecovery, and require contents ≡
+// the durable committed set.
 func TestStorageLiveKillRestartRecover(t *testing.T) {
 	const parts = 8
 	wdir, hdir := t.TempDir(), t.TempDir()

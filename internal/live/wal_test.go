@@ -20,7 +20,7 @@ import (
 // transactions still in flight, recover, and check the committed set
 // survived exactly while the in-flight pair left no record and is not
 // recovered; then that the recovered controller serves new traffic and
-// a second recovery agrees with the first.
+// that a second recovery, after its clean shutdown, recovers everything.
 func TestWALKillRecoverRoundTrip(t *testing.T) {
 	for _, f := range []sched.Factory{sched.C2PLFactory(), sched.KWTPGFactory(2)} {
 		f := f
@@ -120,19 +120,25 @@ func TestWALKillRecoverRoundTrip(t *testing.T) {
 			ctl2.Close()
 
 			// A second recovery agrees, with the post-recovery commit added.
+			// ctl2's Close closed the log cleanly: every commit is there,
+			// one record each, and nothing is torn.
 			ctl3, rec2, err := Recover(dir, f, liveCosts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ctl3.Close()
-			if len(rec2.Committed) != 9 {
-				t.Fatalf("second recovery found %d committed, want 9 (batch + post-recovery txn)", len(rec2.Committed))
+			if len(rec2.Committed) != 9 || rec2.Records != 9 || rec2.TruncatedBytes != 0 {
+				t.Fatalf("second recovery found %d committed from %d records, %d torn bytes; want 9 (batch + post-recovery txn), 9, none torn",
+					len(rec2.Committed), rec2.Records, rec2.TruncatedBytes)
 			}
 			scans2, err := wal.Scan(dir)
 			if err != nil {
 				t.Fatal(err)
 			}
 			inflightOnly(t, scans2, rec2)
+			if err := modelcheck.VerifyRecovery(scans2, rec2); err != nil {
+				t.Fatal(err)
+			}
 		})
 	}
 }

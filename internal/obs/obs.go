@@ -92,12 +92,13 @@ const (
 	// replay wave (the parallelism the dependency log permitted), DurNS
 	// the replay wall duration.
 	KindRecover
-	// KindPageRead: the storage engine fetched one page through a buffer
-	// pool. Op is "hit" or "miss", Part the partition heap file, Node
-	// the pool's node, Batch the bytes read from disk (0 on a hit).
+	// KindPageRead: the storage engine fetched one page through its
+	// buffer pool. Op is "hit" or "miss", Part the partition heap file,
+	// Batch the bytes read from disk (0 on a hit).
 	KindPageRead
 	// KindPageWrite: a dirty page was written back to its heap file
-	// (commit flush or dirty-victim eviction); Batch is the page bytes.
+	// (dirty-victim eviction, overflow release, flush or close); Batch
+	// is the page bytes.
 	KindPageWrite
 	// KindPageEvict: the clock hand evicted a frame; Op is "clean" or
 	// "dirty" (a dirty eviction is preceded by its PageWrite).
@@ -185,9 +186,8 @@ type Event struct {
 	// Queue is the number of requests already waiting on Part when a
 	// Request event was emitted (lock-queue depth).
 	Queue int `json:"queue,omitempty"`
-	// Node is the per-node log a WAL append was routed to, or the node
-	// of the buffer pool a page event ran through; meaningless for other
-	// kinds.
+	// Node is the per-node log a WAL append was routed to; meaningless
+	// for other kinds.
 	Node int `json:"node,omitempty"`
 	// Batch is a count or size whose meaning is the kind's own: records
 	// per WAL sync, transactions replayed, page bytes. Clusters is a

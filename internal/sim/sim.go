@@ -16,16 +16,13 @@ import (
 	"math/rand"
 
 	"batsched/internal/core/sched"
-	"batsched/internal/durable"
 	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/machine"
 	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/stats"
-	"batsched/internal/storage"
 	"batsched/internal/txn"
-	"batsched/internal/wal"
 	"batsched/internal/workload"
 )
 
@@ -37,8 +34,6 @@ type Option func(*runOpts)
 type runOpts struct {
 	observer obs.Observer
 	inj      *fault.Injector
-	wal      *wal.Log
-	store    *storage.Store
 }
 
 // WithTrace attaches a structured trace observer to the run: the
@@ -57,9 +52,7 @@ func WithTrace(o obs.Observer) Option {
 // Every injected abort is followed by a scheduler invariant check
 // regardless of Config.SelfCheck. A nil injector is ignored; fault
 // decisions are pure functions of the injector's seed, so the same
-// (Config, Seed, fault seed) triple replays the same faulted run. The
-// injector's kill-restart decision is read by the kill-restart
-// batteries, not by Run.
+// (Config, Seed, fault seed) triple replays the same faulted run.
 func WithFaults(in *fault.Injector) Option {
 	return func(rc *runOpts) { rc.inj = in }
 }
@@ -230,15 +223,6 @@ type txnState struct {
 	// a step needs unless placement is declustered.
 	jobs []machine.Job
 	one  [1]machine.Job
-
-	// WAL bookkeeping (nil without WithWAL): the predecessor set resolved
-	// at admission, and appended to it the one resolved just before the
-	// scheduler's Commit drops the transaction from the graph.
-	walPreds []txn.ID
-
-	// Storage bookkeeping (zero without WithStorage): the round-robin
-	// page cursor storeTouch advances one page per processed quantum.
-	pageCursor uint32
 }
 
 type simulator struct {
@@ -263,9 +247,7 @@ type simulator struct {
 	checker   *modelcheck.History // nil unless Config.CheckSerializability
 	obs       obs.Observer        // nil = no structured trace
 	obsLabel  string
-	inj       *fault.Injector  // nil = no fault injection
-	store     *storage.Store   // nil = no page I/O
-	dur       *durable.Binding // nil = neither WithWAL nor WithStorage; Run reports its sticky errors
+	inj       *fault.Injector // nil = no fault injection
 
 	// The two timers that re-arm themselves, bound once.
 	nextArrival, nextSample event.Handler
@@ -316,7 +298,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	if rc.inj.Enabled() {
 		s.inj = rc.inj
 	}
-	s.store = rc.store
 	s.cn = machine.NewControlNode(s.q)
 	s.sch = cfg.Scheduler.New(cfg.Machine.Control)
 	if rc.observer != nil {
@@ -337,7 +318,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		n.OnStepDone = s.onStepDone
 		s.nodes = append(s.nodes, n)
 	}
-	s.durableBind(rc.wal)
 	if cfg.SampleEvery > 0 {
 		s.nextSample = s.sample
 		s.q.After(cfg.SampleEvery, s.nextSample)
@@ -362,12 +342,6 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		if err := s.checker.Certify(modelcheck.Evidence{}); err != nil {
 			return &s.res, fmt.Errorf("sim: %w", err)
 		}
-	}
-	if err := s.dur.LogErr(); err != nil {
-		return &s.res, fmt.Errorf("sim: wal: %w", err)
-	}
-	if err := s.dur.StoreErr(); err != nil {
-		return &s.res, fmt.Errorf("sim: storage: %w", err)
 	}
 	return &s.res, nil
 }
@@ -462,9 +436,6 @@ func (s *simulator) handleAdmit(st *txnState, d sched.Decision, now event.Time) 
 		st.admittedAt = now
 		if at, ok := s.inj.AbortAt(st.t); ok {
 			st.abortAt = at
-		}
-		if s.dur.Logs() {
-			st.walPreds = sched.Predecessors(s.sch, st.t.ID)
 		}
 		s.advance(st, now)
 	case sched.Delayed:
@@ -572,11 +543,6 @@ func (s *simulator) retryLater(fn event.Handler) { s.q.After(s.cfg.Machine.Retry
 func (s *simulator) onQuantum(j *machine.Job, objects float64, now event.Time) {
 	s.sch.ObjectDone(j.Txn, objects, now)
 	s.emitObs(obs.Event{Kind: obs.KindObjectDone, At: now, Txn: j.Txn.ID, Step: j.Step, Objects: objects})
-	if s.store != nil {
-		if st, ok := s.live[j.Txn.ID]; ok {
-			s.storeTouch(st, j.Step)
-		}
-	}
 	if s.inj == nil {
 		return
 	}
@@ -622,7 +588,6 @@ func (j *abortJob) Done(now event.Time) {
 	st := (*txnState)(j)
 	s := st.sim
 	delete(s.live, st.t.ID)
-	s.dur.Abandon(st.t.ID)
 	s.selfCheck()
 	s.wakeWaiters(st.freed)
 }
@@ -659,7 +624,6 @@ func (s *simulator) onStepDone(j *machine.Job, now event.Time) {
 		return
 	}
 	st.dnTime += now - st.grantedAt
-	s.storeStageStep(st, j.Step)
 	st.step = j.Step + 1
 	s.advance(st, now)
 }
@@ -667,11 +631,6 @@ func (s *simulator) onStepDone(j *machine.Job, now event.Time) {
 func (j *commitJob) Run(now event.Time) event.Time {
 	st := (*txnState)(j)
 	s := st.sim
-	if s.dur.Logs() {
-		// Final resolved predecessor set, read while the transaction
-		// is still in the graph — Commit drops it on the next line.
-		st.walPreds = append(st.walPreds, sched.Predecessors(s.sch, st.t.ID)...)
-	}
 	freed, cpu := s.sch.Commit(st.t, now)
 	st.freed = append(st.freed[:0], freed...) // freed is the lock table's until its next Release
 	return s.cfg.Machine.CommitTime + cpu
@@ -681,7 +640,6 @@ func (j *commitJob) Done(now event.Time) {
 	st := (*txnState)(j)
 	s := st.sim
 	delete(s.live, st.t.ID)
-	s.durableCommit(st, now)
 	s.res.Completed++
 	if now > s.res.LastCompletion {
 		s.res.LastCompletion = now
@@ -727,7 +685,6 @@ func (s *simulator) wakeWaiters(freed []txn.PartitionID) {
 
 // finish computes the end-of-run metrics.
 func (s *simulator) finish() {
-	s.durableFinish()
 	s.res.LiveAtEnd = len(s.live)
 	s.res.MeanRT = s.rt.Mean()
 	s.res.StdRT = s.rt.Std()

@@ -8,7 +8,7 @@ import (
 )
 
 // TestWriteBarrier drives each path by which a page image reaches disk —
-// eviction, the release of a dirty overflow frame, FlushPartition, Close
+// eviction, the release of a dirty overflow frame, Close (through Flush)
 // — with exactly one dirty page, and checks the
 // WAL-before-pages rule: the barrier runs while the heap file is still
 // untouched, and a failing barrier leaves the file untouched and a
@@ -22,7 +22,7 @@ func TestWriteBarrier(t *testing.T) {
 	// cached, dirty and unpinned.
 	dirty := func(t *testing.T, st *Store) {
 		t.Helper()
-		pool := st.pools[0]
+		pool := st.pool
 		fr, err := pool.Get(dirtyKey, false)
 		if err != nil {
 			t.Fatal(err)
@@ -50,7 +50,7 @@ func TestWriteBarrier(t *testing.T) {
 			return nil
 		}, true},
 		{"overflow release", func(t *testing.T, st *Store) error {
-			pool := st.pools[0]
+			pool := st.pool
 			var held []*Frame
 			for pg := uint32(1); pg <= frames; pg++ {
 				fr, err := pool.Get(pageKey{0, pg}, false)
@@ -71,10 +71,6 @@ func TestWriteBarrier(t *testing.T) {
 			}
 			return st.Flush() // surfaces the latched error
 		}, false},
-		{"FlushPartition", func(t *testing.T, st *Store) error {
-			dirty(t, st)
-			return st.FlushPartition(0)
-		}, true},
 		{"Close", func(t *testing.T, st *Store) error {
 			dirty(t, st)
 			return st.Close()
@@ -140,7 +136,7 @@ func TestWriteBarrier(t *testing.T) {
 					t.Fatal("heap file changed although the barrier failed")
 				}
 				if path.cached {
-					s := st.pools[0].stripeOf(dirtyKey)
+					s := st.pool.stripeOf(dirtyKey)
 					if fr := s.lookup(dirtyKey); fr == nil || !fr.valid || !fr.dirty {
 						t.Fatalf("refused write did not leave page 0 cached and dirty: %+v", fr)
 					}

@@ -85,8 +85,8 @@ func (st *Store) Stage(id txn.ID, step int, part txn.PartitionID) {
 }
 
 // ApplyCommit applies id's staged effects to their partitions. It only
-// mutates cached pages: they leave the pool by eviction, FlushPartition,
-// Flush or Close — never on the committer's path. The caller MUST have
+// mutates cached pages: they leave the pool by eviction, an overflow
+// frame's final Unpin, Flush or Close — never on the committer's path. The caller MUST have
 // appended the transaction's WAL commit record first and must still hold its
 // partition locks (scans read frames with no latch, so the writer's lock
 // is all that keeps them off a page while it mutates); the rest of the

@@ -3,7 +3,8 @@ package storage
 import "batsched/internal/txn"
 
 // Test-only probes: no program reads a tuple by record ID, counts a
-// partition's pages or asks for per-stripe counters.
+// partition's pages, reads or flushes one page or partition at a time,
+// or asks for per-stripe counters.
 
 // NumPages returns the partition's current page count (cached pages
 // included — a created page counts before it first reaches disk).
@@ -26,7 +27,7 @@ func (st *Store) Get(part txn.PartitionID, rid RecordID) ([]byte, bool, error) {
 	if rid.Page >= n {
 		return nil, false, nil
 	}
-	pool := st.poolOf(part)
+	pool := st.pool
 	fr, err := pool.Get(pageKey{part, rid.Page}, false)
 	if err != nil {
 		return nil, false, err
@@ -47,4 +48,56 @@ func (p *Pool) StripeStats() []PoolStats {
 		out[i] = s.stats()
 	}
 	return out
+}
+
+// TouchPage reads one page of a partition through the pool, page
+// modulo the partition's page count. Reading an empty partition is a
+// no-op.
+func (st *Store) TouchPage(part txn.PartitionID, page uint32) error {
+	pf, err := st.pf(part)
+	if err != nil {
+		return err
+	}
+	n := pf.numPages()
+	if n == 0 {
+		return nil
+	}
+	fr, err := st.pool.Get(pageKey{part, page % n}, false)
+	if err != nil {
+		return err
+	}
+	st.pool.Unpin(fr, false)
+	return nil
+}
+
+// FlushPartition writes back the partition's dirty pages.
+func (st *Store) FlushPartition(part txn.PartitionID) error {
+	if _, err := st.pf(part); err != nil {
+		return err
+	}
+	return st.pool.FlushPart(part)
+}
+
+// FlushPart writes back every dirty frame of one partition (pinned
+// frames included: their current image is consistent — mutators hold
+// the partition's op lock and the scheduler's partition lock).
+func (p *Pool) FlushPart(part txn.PartitionID) error {
+	for _, s := range p.stripes {
+		s.mu.Lock()
+		if err := s.ioErr; err != nil {
+			s.ioErr = nil
+			s.mu.Unlock()
+			return err
+		}
+		for _, f := range s.frames {
+			if f.valid && f.dirty && f.key.part == part {
+				if err := p.writeBackLocked(s, f); err != nil {
+					s.mu.Unlock()
+					return err
+				}
+			}
+		}
+		s.mu.Unlock()
+	}
+	return nil
 }

@@ -54,7 +54,7 @@ func (st *Store) Scan(part txn.PartitionID) *Iterator {
 		return it
 	}
 	it.npages = pf.numPages()
-	it.pool = st.poolOf(part)
+	it.pool = st.pool
 	return it
 }
 
@@ -136,7 +136,7 @@ func (st *Store) ScanCount(part txn.PartitionID) (int, error) {
 		return 0, err
 	}
 	npages := pf.numPages()
-	pool := st.poolOf(part)
+	pool := st.pool
 	var run [runPages]*Frame
 	n := 0
 	for pg := uint32(0); pg < npages; {

@@ -1,8 +1,8 @@
 // Package storage is the heap-file storage engine under the bulk
 // transactions (ROADMAP: "A real storage engine under the bulk
-// transactions"): slotted pages with checksummed headers, per-node
-// buffer pools with clock eviction, and partition-level append-only heap
-// files with Scan/Insert/Get access keyed by the existing partition IDs.
+// transactions"): slotted pages with checksummed headers, a buffer pool
+// with clock eviction, and partition-level append-only heap files with
+// Scan/Insert/Get access keyed by the existing partition IDs.
 //
 // The engine is deliberately subordinate to the schedulers: it moves
 // real bytes but never makes a concurrency-control decision. Partition
@@ -12,9 +12,9 @@
 // commit-apply and WAL-redo paths may run concurrently (see store.go).
 //
 // Durability contract (docs/STORAGE.md): heap pages are never fsynced.
-// The PR-7 dependency WAL is the only forced stream; dirty pages flush
-// (write, no sync) at commit strictly *after* the commit record's fsync
-// — the write-ahead contract extended to pages. A crash may therefore
+// The dependency WAL is the only forced stream; a dirty page is written
+// back (no sync) only through the write barrier, which forces the log
+// first — the write-ahead contract extended to pages. A crash may therefore
 // tear any heap page, and recovery handles it: Open discards every page
 // whose checksum fails (torn-tail truncation, interior reinitialize)
 // and WAL replay re-applies the missing committed effects (Redo).

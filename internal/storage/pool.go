@@ -72,10 +72,10 @@ type pageIO interface {
 	writePage(k pageKey, buf []byte) error
 }
 
-// PoolStats is a snapshot of one pool's counters (or, via Store.Stats,
-// the sum over every per-node pool). Misses is exactly the number of
-// pages read from the backend, ReadCalls the number of calls that read
-// them: a scan's miss reads the rest of its run with it.
+// PoolStats is a snapshot of the pool's counters, summed over its
+// stripes. Misses is exactly the number of pages read from the backend,
+// ReadCalls the number of calls that read them: a scan's miss reads the
+// rest of its run with it.
 type PoolStats struct {
 	Frames       int
 	Stripes      int
@@ -150,8 +150,8 @@ type stripe struct {
 	pinned                                                                 int64
 
 	// ioErr latches a write-back failure from a transient frame's final
-	// Unpin (which cannot return an error); the next FlushPart/FlushAll
-	// on this stripe surfaces it.
+	// Unpin (which cannot return an error); the next FlushAll surfaces
+	// it.
 	ioErr error
 }
 
@@ -178,7 +178,7 @@ func autoStripes(frames int) int {
 // Pool is a fixed-capacity buffer pool with clock (second-chance)
 // eviction, latch-striped by runKey hash: each stripe owns an equal
 // share of the frames and serializes only its own runs' I/O. One pool
-// serves one data node's partitions.
+// serves every partition of its store.
 type Pool struct {
 	io      pageIO
 	stripes []*stripe
@@ -512,7 +512,7 @@ func (p *Pool) admitLocked(s *stripe, f *Frame, created bool) {
 // (exhaustion only when *all* frames are pinned), so the access spills
 // instead of failing. The frame is never indexed — it exists only for
 // its pinner and dies on the final Unpin (written back first when
-// dirty). Sound for the same reason FlushPart may write pinned frames:
+// dirty). Sound for the same reason FlushAll may write pinned frames:
 // the scheduler's partition locks exclude concurrent same-partition
 // mutators, so a transient copy can never diverge from a cached one
 // that matters.
@@ -599,31 +599,9 @@ func (p *Pool) unpinLocked(s *stripe, f *Frame, dirty bool) {
 	}
 }
 
-// FlushPart writes back every dirty frame of one partition (pinned
-// frames included: their current image is consistent — mutators hold
-// the partition's op lock and the scheduler's partition lock).
-func (p *Pool) FlushPart(part txn.PartitionID) error {
-	for _, s := range p.stripes {
-		s.mu.Lock()
-		if err := s.ioErr; err != nil {
-			s.ioErr = nil
-			s.mu.Unlock()
-			return err
-		}
-		for _, f := range s.frames {
-			if f.valid && f.dirty && f.key.part == part {
-				if err := p.writeBackLocked(s, f); err != nil {
-					s.mu.Unlock()
-					return err
-				}
-			}
-		}
-		s.mu.Unlock()
-	}
-	return nil
-}
-
-// FlushAll writes back every dirty frame.
+// FlushAll writes back every dirty frame (pinned frames included: their
+// current image is consistent — mutators hold the partition's op lock
+// and the scheduler's partition lock).
 func (p *Pool) FlushAll() error {
 	for _, s := range p.stripes {
 		s.mu.Lock()

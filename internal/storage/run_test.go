@@ -12,7 +12,7 @@ import (
 	"batsched/internal/txn"
 )
 
-// countIO counts what the pools ask of the backend, so a test can hold
+// countIO counts what the pool asks of the backend, so a test can hold
 // PoolStats.Misses and ReadCalls against what was actually served.
 type countIO struct {
 	pageIO
@@ -56,7 +56,7 @@ func fillPages(t *testing.T, st *Store, part txn.PartitionID, pages uint32) int 
 // coldPool replaces the store's pool by an empty one of the same shape,
 // so the next access of every page is a miss.
 func coldPool(st *Store, io pageIO, frames int) {
-	st.pools[0] = newPoolStriped(io, frames, st.pageSize, 1)
+	st.pool = newPoolStriped(io, frames, st.pageSize, 1)
 }
 
 // checkIndex asserts the run index's invariants on a quiet pool: every
@@ -65,37 +65,35 @@ func coldPool(st *Store, io pageIO, frames int) {
 // never empty; a frame is valid exactly when indexed; nothing is pinned.
 func checkIndex(t *testing.T, st *Store) {
 	t.Helper()
-	for _, p := range st.pools {
-		for _, s := range p.stripes {
-			s.mu.Lock()
-			owned := map[*Frame]bool{}
-			for _, f := range s.frames {
-				owned[f] = true
-				if f.valid != (f.run != nil) {
-					t.Errorf("frame of %v page %d: valid=%v but indexed=%v", f.key.part, f.key.page, f.valid, f.run != nil)
-				}
-				if f.pins != 0 {
-					t.Errorf("frame of %v page %d still has %d pins", f.key.part, f.key.page, f.pins)
-				}
+	for _, s := range st.pool.stripes {
+		s.mu.Lock()
+		owned := map[*Frame]bool{}
+		for _, f := range s.frames {
+			owned[f] = true
+			if f.valid != (f.run != nil) {
+				t.Errorf("frame of %v page %d: valid=%v but indexed=%v", f.key.part, f.key.page, f.valid, f.run != nil)
 			}
-			for rk, e := range s.runs {
-				n := 0
-				for i, f := range e.slots {
-					if f == nil {
-						continue
-					}
-					n++
-					want := pageKey{rk.part, rk.run*runPages + uint32(i)}
-					if !f.valid || f.run != e || f.key != want || !owned[f] {
-						t.Errorf("run %v slot %d holds frame %+v (valid=%v, owned=%v), want a valid frame of %+v", rk, i, f.key, f.valid, owned[f], want)
-					}
-				}
-				if n == 0 || n != e.n {
-					t.Errorf("run %v: entry counts %d residents, holds %d", rk, e.n, n)
-				}
+			if f.pins != 0 {
+				t.Errorf("frame of %v page %d still has %d pins", f.key.part, f.key.page, f.pins)
 			}
-			s.mu.Unlock()
 		}
+		for rk, e := range s.runs {
+			n := 0
+			for i, f := range e.slots {
+				if f == nil {
+					continue
+				}
+				n++
+				want := pageKey{rk.part, rk.run*runPages + uint32(i)}
+				if !f.valid || f.run != e || f.key != want || !owned[f] {
+					t.Errorf("run %v slot %d holds frame %+v (valid=%v, owned=%v), want a valid frame of %+v", rk, i, f.key, f.valid, owned[f], want)
+				}
+			}
+			if n == 0 || n != e.n {
+				t.Errorf("run %v: entry counts %d residents, holds %d", rk, e.n, n)
+			}
+		}
+		s.mu.Unlock()
 	}
 	if n := st.PinnedFrames(); n != 0 {
 		t.Errorf("PinnedFrames() = %d on a quiet store", n)
@@ -105,7 +103,7 @@ func checkIndex(t *testing.T, st *Store) {
 // refScan is the page-at-a-time scan the run primitive replaced, built
 // from Pool.Get and Unpin only: the reference of the differential test.
 func refScan(st *Store, part txn.PartitionID, yield func(tup []byte, rid RecordID)) error {
-	pool := st.poolOf(part)
+	pool := st.pool
 	for pg := uint32(0); pg < st.NumPages(part); pg++ {
 		fr, err := pool.Get(pageKey{part, pg}, false)
 		if err != nil {
@@ -271,7 +269,7 @@ func TestRunTornPageMidRun(t *testing.T) {
 			t.Fatalf("round %d: ScanCount over a torn page %d: %v", round, torn, err)
 		}
 		checkIndex(t, st)
-		if fr := st.pools[0].stripes[0].lookup(pageKey{0, torn}); fr != nil {
+		if fr := st.pool.stripes[0].lookup(pageKey{0, torn}); fr != nil {
 			t.Fatalf("round %d: the torn page is cached", round)
 		}
 	}
@@ -306,7 +304,7 @@ func TestRunTinyPools(t *testing.T) {
 	defer st.Close()
 	want := fillPages(t, st, 0, 2*runPages+3)
 	fillPages(t, st, 1, 4)
-	pool := st.pools[0]
+	pool := st.pool
 
 	scan := func(when string, overflows uint64) {
 		t.Helper()
@@ -404,7 +402,7 @@ func TestRunShortFile(t *testing.T) {
 				t.Fatalf("ScanCount over a file cut at %d bytes: %v, want an error naming page %d", c.size, err, c.page)
 			}
 			checkIndex(t, st)
-			if fr := st.pools[0].stripes[0].lookup(pageKey{0, c.page}); fr != nil {
+			if fr := st.pool.stripes[0].lookup(pageKey{0, c.page}); fr != nil {
 				t.Fatal("a page the file does not hold is cached")
 			}
 		})
@@ -421,7 +419,7 @@ func TestRunRefusedWriteBack(t *testing.T) {
 	defer st.Close()
 	want := fillPages(t, st, 0, 2*runPages)
 	fillPages(t, st, 1, 2)
-	pool := st.pools[0]
+	pool := st.pool
 
 	victim := pageKey{1, 0}
 	fr, err := pool.Get(victim, false)

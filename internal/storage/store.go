@@ -20,29 +20,22 @@ type Option func(*config)
 type config struct {
 	pageSize   int
 	poolFrames int
-	nodes      int
 }
 
 // WithPageSize sets the page size (default DefaultPageSize). Must lie
 // in [MinPageSize, MaxPageSize]; all heap files of one store share it.
 func WithPageSize(n int) Option { return func(c *config) { c.pageSize = n } }
 
-// WithPoolFrames sets each per-node buffer pool's frame count
-// (default 64).
+// WithPoolFrames sets the buffer pool's frame count (default 64).
 func WithPoolFrames(n int) Option { return func(c *config) { c.poolFrames = n } }
 
 // WithBackgroundFlush is a no-op: the store starts no goroutine, and a
 // dirty page leaves the pool only at a dirty-victim eviction, an
-// overflow frame's final Unpin, FlushPartition, Flush or Close. It stays
-// declared only because benchmark/live.go passes it and benchmark/ is
-// frozen by BENCHMARK.json; it leaves with storage.flushes_per_ktxn in
-// the next benchmark change.
+// overflow frame's final Unpin, Flush or Close. It stays declared only
+// because benchmark/live.go passes it and benchmark/ is frozen by
+// BENCHMARK.json; it leaves with storage.flushes_per_ktxn in the next
+// benchmark change.
 func WithBackgroundFlush(time.Duration) Option { return func(*config) {} }
-
-// WithNodes splits the buffer pool per data node: partition p is served
-// by pool p mod n. The mapping is static — correctness never depends on
-// it, so re-homed partitions simply warm a different pool.
-func WithNodes(n int) Option { return func(c *config) { c.nodes = n } }
 
 // RecordID locates one tuple: its page and slot within the partition's
 // heap file.
@@ -78,9 +71,9 @@ func (pf *partFile) numPages() uint32 {
 	return pf.pages
 }
 
-// Store is a directory of per-partition heap files behind per-node
-// buffer pools. It also carries the transactional glue the schedulers
-// drive: per-transaction staged effects applied at commit (after the
+// Store is a directory of per-partition heap files behind one buffer
+// pool. It also carries the transactional glue the live controller
+// drives: per-transaction staged effects applied at commit (after the
 // WAL append, with the write barrier forcing the log before any page
 // leaves — the write-ahead contract extended to pages), crash
 // simulation for the chaos batteries, and WAL-replay redo.
@@ -88,12 +81,12 @@ type Store struct {
 	dir      string
 	pageSize int
 	parts    []*partFile
-	pools    []*Pool
+	pool     *Pool
 	torn     int // pages discarded by open-time recovery
 
 	// Observer wiring (Bind): the sink, the scheduler label stamped on
-	// events, and the clock supplying Event.At — the simulator binds its
-	// deterministic timeline, the live controller wall milliseconds.
+	// events, and the clock supplying Event.At — the live controller's
+	// wall milliseconds.
 	obsMu    sync.Mutex
 	observer obs.Observer
 	label    string
@@ -140,7 +133,7 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 	if numParts <= 0 {
 		return nil, fmt.Errorf("storage: %d partitions", numParts)
 	}
-	c := config{pageSize: DefaultPageSize, poolFrames: 64, nodes: 1}
+	c := config{pageSize: DefaultPageSize, poolFrames: 64}
 	for _, o := range opts {
 		o(&c)
 	}
@@ -149,9 +142,6 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 	}
 	if c.poolFrames < 4 {
 		return nil, fmt.Errorf("storage: pool of %d frames (min 4)", c.poolFrames)
-	}
-	if c.nodes < 1 {
-		c.nodes = 1
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("storage: %w", err)
@@ -163,10 +153,7 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 		writeSeq: make(map[pageKey]int),
 		redoKeys: make(map[txn.PartitionID]map[EffectKey]bool),
 	}
-	st.pools = make([]*Pool, c.nodes)
-	for i := range st.pools {
-		st.pools[i] = newPool(st, c.poolFrames, c.pageSize)
-	}
+	st.pool = newPool(st, c.poolFrames, c.pageSize)
 	st.parts = make([]*partFile, numParts)
 	for p := range st.parts {
 		f, err := os.OpenFile(st.partPath(p), os.O_RDWR|os.O_CREATE, 0o644)
@@ -260,10 +247,6 @@ func (st *Store) TornPages() int { return st.torn }
 // NumPartitions returns the partition count the store was opened with.
 func (st *Store) NumPartitions() int { return len(st.parts) }
 
-func (st *Store) poolOf(part txn.PartitionID) *Pool {
-	return st.pools[int(part)%len(st.pools)]
-}
-
 func (st *Store) pf(part txn.PartitionID) (*partFile, error) {
 	if int(part) < 0 || int(part) >= len(st.parts) {
 		return nil, fmt.Errorf("storage: partition %v outside [0,%d)", part, len(st.parts))
@@ -274,25 +257,22 @@ func (st *Store) pf(part txn.PartitionID) (*partFile, error) {
 // Bind attaches an observer for page-traffic events (KindPageRead,
 // KindPageWrite, KindPageEvict): label stamps Event.Sched and clock
 // supplies Event.At. A nil observer unbinds. One binding per running
-// simulation/controller — the same single-producer ownership rule as
-// obs.Metrics.
+// controller — the same single-producer ownership rule as obs.Metrics.
 func (st *Store) Bind(o obs.Observer, label string, clock func() event.Time) {
 	st.obsMu.Lock()
 	st.observer, st.label, st.clock = o, label, clock
 	st.obsMu.Unlock()
-	for _, p := range st.pools {
-		if o == nil {
-			p.onEvent.Store(nil)
-		} else {
-			fn := poolEventFn(st.poolEvent)
-			p.onEvent.Store(&fn)
-		}
+	if o == nil {
+		st.pool.onEvent.Store(nil)
+	} else {
+		fn := poolEventFn(st.poolEvent)
+		st.pool.onEvent.Store(&fn)
 	}
 }
 
 // SetWriteBarrier installs the WAL-before-pages rule at the one place
 // pages reach disk: before every page write — eviction, overflow-frame
-// release, FlushPartition, Flush, Close — the store
+// release, Flush, Close — the store
 // calls b, and writes nothing if it fails. internal/durable binds its
 // Force: "make the log durable through everything appended so far", a
 // mutex and a compare when nothing is pending.
@@ -319,7 +299,6 @@ func (st *Store) poolEvent(op string, k pageKey, bytes int) {
 		Sched: label,
 		Txn:   0,
 		Part:  k.part,
-		Node:  int(k.part) % len(st.pools),
 		Batch: bytes,
 	}
 	if clock != nil {
@@ -342,7 +321,7 @@ func (st *Store) poolEvent(op string, k pageKey, bytes int) {
 	o.Observe(e)
 }
 
-// readPages / writePage implement pageIO for the pools.
+// readPages / writePage implement pageIO for the pool.
 //
 // readPages fills bufs, one page each, with the consecutive pages of
 // k.part starting at k.page: with one vectored read where the platform
@@ -379,27 +358,6 @@ func (st *Store) writePage(k pageKey, buf []byte) error {
 	return nil
 }
 
-// TouchPage reads one page of a partition through the pool — the
-// simulator's per-object quantum turned into a real page read. Reading
-// past the current page count is a no-op (an empty partition has
-// nothing to read).
-func (st *Store) TouchPage(part txn.PartitionID, page uint32) error {
-	pf, err := st.pf(part)
-	if err != nil {
-		return err
-	}
-	n := pf.numPages()
-	if n == 0 {
-		return nil
-	}
-	fr, err := st.poolOf(part).Get(pageKey{part, page % n}, false)
-	if err != nil {
-		return err
-	}
-	st.poolOf(part).Unpin(fr, false)
-	return nil
-}
-
 // maxTuple is the largest tuple a fresh page can hold.
 func (st *Store) maxTuple() int { return st.pageSize - pageHeaderLen - slotLen }
 
@@ -418,7 +376,7 @@ func (st *Store) Insert(part txn.PartitionID, tuple []byte) (RecordID, error) {
 	if len(tuple) > st.maxTuple() {
 		return RecordID{}, fmt.Errorf("storage: tuple %d bytes exceeds page capacity %d", len(tuple), st.maxTuple())
 	}
-	pool := st.poolOf(part)
+	pool := st.pool
 	n := pf.numPages()
 	if n > pf.base {
 		fr, err := pool.Get(pageKey{part, n - 1}, false)
@@ -447,44 +405,17 @@ func (st *Store) Insert(part txn.PartitionID, tuple []byte) (RecordID, error) {
 	return RecordID{Page: pageNo, Slot: slot}, nil
 }
 
-// Flush writes back every dirty page of every pool (no fsync — heap
-// durability is the WAL's job, see the package comment).
-func (st *Store) Flush() error {
-	for _, p := range st.pools {
-		if err := p.FlushAll(); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// Flush writes back every dirty page (no fsync — heap durability is the
+// WAL's job, see the package comment).
+func (st *Store) Flush() error { return st.pool.FlushAll() }
 
-// FlushPartition writes back the partition's dirty pages.
-func (st *Store) FlushPartition(part txn.PartitionID) error {
-	if _, err := st.pf(part); err != nil {
-		return err
-	}
-	return st.poolOf(part).FlushPart(part)
-}
+// Stats snapshots the pool's counters.
+func (st *Store) Stats() PoolStats { return st.pool.Stats() }
 
-// Stats sums the per-node pool counters.
-func (st *Store) Stats() PoolStats {
-	var s PoolStats
-	for _, p := range st.pools {
-		s.add(p.Stats())
-	}
-	return s
-}
-
-// PinnedFrames returns the number of currently pinned frames across all
-// pools (zero whenever no scan or mutation is in flight — the pool
-// accounting invariant the race tests assert).
-func (st *Store) PinnedFrames() int {
-	n := 0
-	for _, p := range st.pools {
-		n += p.Stats().Pinned
-	}
-	return n
-}
+// PinnedFrames returns the number of currently pinned frames (zero
+// whenever no scan or mutation is in flight — the pool accounting
+// invariant the race tests assert).
+func (st *Store) PinnedFrames() int { return st.pool.Stats().Pinned }
 
 // Close flushes every pool and closes the heap files.
 func (st *Store) Close() error {
@@ -506,7 +437,7 @@ func (st *Store) closeFiles() {
 }
 
 // Crash simulates a SIGKILL mid-flush, the storage half of
-// fault.KillFlushFrac: dirty pool pages simply vanish (they were never
+// wal.Log.Crash: dirty pool pages simply vanish (they were never
 // written), and because heap pages are never fsynced, the kernel is
 // assumed to have completed only the oldest `frac` of the session's
 // page writes — every younger written page is torn: its on-disk suffix

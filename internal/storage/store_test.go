@@ -638,7 +638,7 @@ func TestScanZeroCopyAliasing(t *testing.T) {
 		// Misuse: release the iterator's pin out from under it. The
 		// aliased record is now one eviction away from dangling — the
 		// iterator's own Close must trip the pin accounting.
-		st.poolOf(0).Unpin(it.fr, false)
+		st.pool.Unpin(it.fr, false)
 		defer func() {
 			if recover() == nil {
 				t.Fatal("Close after external Unpin did not panic — misuse would dangle aliased records silently")
