@@ -8,8 +8,8 @@ import (
 )
 
 // TestWriteBarrier drives each path by which a page image reaches disk —
-// eviction, the release of a dirty overflow frame, Close (through Flush)
-// — with exactly one dirty page, and checks the
+// eviction, the release of a dirty overflow frame, the FlushPartition
+// test probe, Close — with exactly one dirty page, and checks the
 // WAL-before-pages rule: the barrier runs while the heap file is still
 // untouched, and a failing barrier leaves the file untouched and a
 // cached frame dirty.
@@ -71,6 +71,10 @@ func TestWriteBarrier(t *testing.T) {
 			}
 			return st.Flush() // surfaces the latched error
 		}, false},
+		{"FlushPartition", func(t *testing.T, st *Store) error {
+			dirty(t, st)
+			return st.FlushPartition(0)
+		}, true},
 		{"Close", func(t *testing.T, st *Store) error {
 			dirty(t, st)
 			return st.Close()
