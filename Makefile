@@ -42,7 +42,7 @@ bench-smoke:
 # control-bound result), the placement ablation, a variant figure
 # (Figure 8's NumHots axis) and Figure 6 under injected aborts (-abortrate,
 # the simulator's one injected behaviour) — so verify catches breakage
-# without the cost of a full sweep, and one short batsim -shards run of the
+# without the cost of a full sweep, and one short batsim -live run of the
 # live controller over a real heap store and WAL, then batsim -recoverwal
 # over that log (replay plus modelcheck.VerifyRecovery): the CLI's file
 # path, which no other verify step drives from a program.
@@ -52,7 +52,7 @@ harness-smoke:
 	$(GO) run ./cmd/batbench -fig 8 -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -fig 6 -quick -horizon 50000 -lambdas 0.3 -abortrate 0.2 -q > /dev/null
 	hd="$$(mktemp -d)" && wd="$$(mktemp -d)" && \
-	$(GO) run ./cmd/batsim -shards 1 -livetxns 500 -storage "$$hd" -wal "$$wd" > /dev/null && \
+	$(GO) run ./cmd/batsim -live -livetxns 500 -storage "$$hd" -wal "$$wd" > /dev/null && \
 	$(GO) run ./cmd/batsim -recoverwal "$$wd" > /dev/null; \
 	rc=$$?; rm -rf "$$hd" "$$wd"; exit $$rc
 
@@ -94,7 +94,10 @@ reproduce:
 # controller (the simulator is a cost model and writes no file), and a
 # goroutine in the live controller is scheduling no
 # caller's call accounts for — every wait ends on a wake event, the §3.2
-# resubmit timer, Close or the caller's ctx. Every example is a self-checking
+# resubmit timer, Close or the caller's ctx, and live.WithShards called
+# anywhere but the frozen benchmark program is the sharded controller
+# coming back (DESIGN.md §13: the no-op shim stays only for benchmark/).
+# Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
 # What no program reaches,
 # TestReachable catches in the tier-1 run (DESIGN.md §15). The darwin
@@ -111,6 +114,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -rn '"batsched/internal/\(fault\|machine\)"' --include='*.go' --exclude='*_test.go' internal/live
 	! grep -rnE '"batsched/internal/(wal|storage|durable)"' --include='*.go' --exclude='*_test.go' internal/sim
 	! grep -rnE '^\s*go ' --include='*.go' --exclude='*_test.go' internal/live
+	! grep -rn 'WithShards' --include='*.go' --exclude-dir=benchmark . | grep -v '^./internal/live/live.go:[0-9]*:\(// WithShards is a no-op\|func WithShards(int) Option\)'
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done

@@ -271,7 +271,7 @@ func NewController(f SchedulerFactory, costs ControlCosts, opts ...ControllerOpt
 }
 
 // WithControllerObserver attaches a structured observer to a controller:
-// timeline events plus every scheduler decision, tagged by shard.
+// timeline events plus every scheduler decision.
 func WithControllerObserver(o Observer) ControllerOption {
 	return live.WithObserver(o)
 }

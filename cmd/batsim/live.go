@@ -1,18 +1,19 @@
 package main
 
-// The -shards flag routes batsim's workload through the live controller
+// The -live flag routes batsim's workload through the live controller
 // (internal/live) with real goroutines instead of the discrete-event
 // simulator: the same generator produces -livetxns transactions, every
-// one runs to commit through the sharded hot path, and the run reports
-// wall-clock throughput. This is the CLI face of the sharded controller
-// (DESIGN.md §13), and the only mode that writes files: -wal logs its
-// commits, -storage backs its steps with heap files (-pagesize, -pool).
+// one runs to commit through the controller, and the run reports
+// wall-clock throughput. This is the CLI face of the live controller,
+// and the only mode that writes files: -wal logs its commits, -storage
+// backs its steps with heap files (-pagesize, -pool).
 
 import (
 	"context"
 	"errors"
 	"flag"
 	"fmt"
+	"io/fs"
 	"math/rand"
 	"strings"
 	"sync"
@@ -26,34 +27,31 @@ import (
 	"batsched/internal/workload"
 )
 
-// liveFlags are the flags -shards live mode reads: the scheduler, the
+// liveFlags are the flags -live mode reads: the scheduler, the
 // workload and its shape, the seed, the transaction count, profiling,
 // and (true) the files only live mode writes: the log, and the heap store
 // with its shape.
 var liveFlags = map[string]bool{
 	"sched": false, "workload": false, "pattern": false, "numparts": false, "numhots": false,
-	"sigma": false, "seed": false, "shards": false, "livetxns": false, "cpuprofile": false,
+	"sigma": false, "seed": false, "live": false, "livetxns": false, "cpuprofile": false,
 	"wal": true, "storage": true, "pagesize": true, "pool": true,
 }
 
-// checkLiveFlags refuses a negative shard count and names every flag set
-// on fs that the chosen mode would ignore: live mode (shards > 0) reads
-// only liveFlags, and the simulator writes no file.
-func checkLiveFlags(fs *flag.FlagSet, shards int) error {
-	if shards < 0 {
-		return fmt.Errorf("-shards %d: need a positive shard count, or 0 for the simulator", shards)
-	}
+// checkLiveFlags names every flag set on fs that the chosen mode would
+// ignore: live mode reads only liveFlags, and the simulator writes no
+// file.
+func checkLiveFlags(fs *flag.FlagSet, liveMode bool) error {
 	var ignored []string
 	fs.Visit(func(f *flag.Flag) {
-		if file, live := liveFlags[f.Name]; (shards > 0 && !live) || (shards == 0 && file) {
+		if file, live := liveFlags[f.Name]; (liveMode && !live) || (!liveMode && file) {
 			ignored = append(ignored, "-"+f.Name)
 		}
 	})
 	switch {
-	case len(ignored) > 0 && shards > 0:
-		return fmt.Errorf("-shards runs the live controller, which does not read %s", strings.Join(ignored, ", "))
+	case len(ignored) > 0 && liveMode:
+		return fmt.Errorf("-live runs the live controller, which does not read %s", strings.Join(ignored, ", "))
 	case len(ignored) > 0:
-		return fmt.Errorf("%s: the simulator writes no file; add -shards N to run the live controller", strings.Join(ignored, ", "))
+		return fmt.Errorf("%s: the simulator writes no file; add -live to run the live controller", strings.Join(ignored, ", "))
 	}
 	return nil
 }
@@ -72,21 +70,35 @@ type liveFiles struct {
 // the hot-set MPL of the repository's benchmark.
 const liveMPL = 16
 
-// runLiveMode drives n generated transactions through a live controller
-// with the given shard count, at most liveMPL of them in flight at once,
-// over the log and store files names (either may be empty), and prints
-// the committed count and throughput, then the log's and the store's
-// counters read after both are closed.
-func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, seed int64, files liveFiles) (err error) {
+// runLiveMode drives n generated transactions through a live controller,
+// at most liveMPL of them in flight at once, over the log and store files
+// names (either may be empty), and prints the committed count and
+// throughput, then the log's and the store's counters read after both are
+// closed. A log directory that already holds commits — an earlier run's —
+// is appended to: the transactions are numbered after its highest
+// committed id, so a recovery keeps the commits of both runs.
+func runLiveMode(factory sched.Factory, gen workload.Generator, n int, seed int64, files liveFiles) (err error) {
 	if n < 1 {
 		return fmt.Errorf("-livetxns %d: need at least one transaction", n)
+	}
+	var logged txn.ID
+	if files.walDir != "" {
+		scans, err := wal.Scan(files.walDir)
+		if err != nil && !errors.Is(err, fs.ErrNotExist) { // a missing directory holds no log yet
+			return err
+		}
+		rec, err := wal.Replay(scans, 1, nil)
+		if err != nil {
+			return err
+		}
+		logged = rec.MaxID
 	}
 	rng := rand.New(rand.NewSource(seed))
 	ts := make([]*txn.T, n)
 	for i := range ts {
-		ts[i] = gen.Next(txn.ID(i+1), rng)
+		ts[i] = gen.Next(logged+txn.ID(i+1), rng)
 	}
-	opts := []live.Option{live.WithShards(shards), live.WithRetryDelay(time.Millisecond)}
+	opts := []live.Option{live.WithRetryDelay(time.Millisecond)}
 	var log *wal.Log
 	if files.walDir != "" {
 		if log, err = wal.Open(files.walDir, files.nodes); err != nil {
@@ -156,8 +168,7 @@ func runLiveMode(factory sched.Factory, gen workload.Generator, shards, n int, s
 	fmt.Printf("mode        live controller (real goroutines)\n")
 	fmt.Printf("scheduler   %s\n", factory.Label)
 	fmt.Printf("workload    %s\n", gen.Name())
-	fmt.Printf("shards      %d\n", ctl.Shards())
-	fmt.Printf("txns        %d (committed %d, failed %d)\n", n, st.Committed, failed)
+	fmt.Printf("txns        %d, ids %d–%d (committed %d, failed %d)\n", n, logged+1, logged+txn.ID(n), st.Committed, failed)
 	fmt.Printf("wall        %.3fs\n", elapsed.Seconds())
 	fmt.Printf("throughput  %.0f txn/s\n", float64(st.Committed)/elapsed.Seconds())
 	if log != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/modelcheck"
 	"batsched/internal/storage"
 	"batsched/internal/txn"
 	"batsched/internal/wal"
@@ -19,7 +20,7 @@ import (
 // makeslice panic.
 func TestRunLiveModeRejectsNoTxns(t *testing.T) {
 	for _, n := range []int{0, -3} {
-		if err := runLiveMode(sched.MustLookup("C2PL"), workload.Experiment1(16), 4, n, 1, liveFiles{}); err == nil {
+		if err := runLiveMode(sched.MustLookup("C2PL"), workload.Experiment1(16), n, 1, liveFiles{}); err == nil {
 			t.Errorf("runLiveMode(n=%d) succeeded", n)
 		}
 	}
@@ -31,7 +32,7 @@ func TestRunLiveModeRejectsNoTxns(t *testing.T) {
 func TestRunLiveModeFiles(t *testing.T) {
 	files := liveFiles{walDir: t.TempDir(), storageDir: t.TempDir(), pageSize: 1024, poolFrames: 8, nodes: 8, parts: 16}
 	const n = 60
-	if err := runLiveMode(sched.MustLookup("K2"), workload.Experiment1(16), 2, n, 1, files); err != nil {
+	if err := runLiveMode(sched.MustLookup("K2"), workload.Experiment1(16), n, 1, files); err != nil {
 		t.Fatal(err)
 	}
 	scans, err := wal.Scan(files.walDir)
@@ -67,15 +68,46 @@ func TestRunLiveModeFiles(t *testing.T) {
 	}
 }
 
+// TestRunLiveModeReusedWAL: a second run logged into the same directory
+// numbers its transactions after the first run's, so the log stays
+// recoverable and its recovery keeps every commit either run
+// acknowledged. (Numbered from 1 again, the second run's Commit records
+// would repeat the first run's ids and Replay would refuse the whole log
+// as holding a duplicate commit.)
+func TestRunLiveModeReusedWAL(t *testing.T) {
+	files := liveFiles{walDir: t.TempDir(), nodes: 8, parts: 16}
+	const n = 40
+	for run := 1; run <= 2; run++ {
+		if err := runLiveMode(sched.MustLookup("C2PL"), workload.Experiment1(16), n, int64(run), files); err != nil {
+			t.Fatalf("run %d: %v", run, err)
+		}
+	}
+	scans, err := wal.Scan(files.walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Replay(scans, 1, nil)
+	if err != nil {
+		t.Fatalf("the log of two runs is unrecoverable: %v", err)
+	}
+	if len(rec.Committed) != 2*n || rec.MaxID != 2*n {
+		t.Fatalf("recovered %d committed up to %v, want %d up to T%d", len(rec.Committed), rec.MaxID, 2*n, 2*n)
+	}
+	if err := modelcheck.VerifyRecovery(scans, rec); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // parseFlags is batsim's flag set in miniature: the flags the checks
 // read, parsed from args.
 func parseFlags(t *testing.T, args ...string) *flag.FlagSet {
 	t.Helper()
 	fs := flag.NewFlagSet("batsim", flag.ContinueOnError)
 	fs.SetOutput(io.Discard)
-	for _, name := range []string{"sched", "workload", "seed", "shards", "livetxns", "horizon", "wal", "storage", "pagesize", "pool", "json", "lambda"} {
+	for _, name := range []string{"sched", "workload", "seed", "livetxns", "horizon", "wal", "storage", "pagesize", "pool", "json", "lambda"} {
 		fs.String(name, "", "")
 	}
+	fs.Bool("live", false, "")
 	fs.Bool("plotlive", false, "")
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
@@ -86,26 +118,24 @@ func parseFlags(t *testing.T, args ...string) *flag.FlagSet {
 // TestCheckLiveFlags: live mode names every sim-only flag that was set,
 // rather than dropping it without a word, and accepts the ones it reads,
 // the file flags included; the simulator names every file flag set,
-// since it writes no file; a negative shard count is refused instead of
-// running the simulator.
+// since it writes no file.
 func TestCheckLiveFlags(t *testing.T) {
 	for _, c := range []struct {
-		shards int
-		args   []string
-		want   string // "" = accepted
+		live bool
+		args []string
+		want string // "" = accepted
 	}{
-		{2, []string{"-sched", "CHAIN", "-workload", "exp2", "-seed", "3", "-livetxns", "10",
+		{true, []string{"-live", "-sched", "CHAIN", "-workload", "exp2", "-seed", "3", "-livetxns", "10",
 			"-wal", "/w", "-storage", "/h", "-pagesize", "1024", "-pool", "8"}, ""},
-		{-1, nil, "-shards -1: need a positive shard count, or 0 for the simulator"},
-		{2, []string{"-wal", "/x", "-horizon", "5", "-plotlive", "-json", "-"},
-			"-shards runs the live controller, which does not read -horizon, -json, -plotlive"},
-		{0, []string{"-horizon", "5", "-json", "-", "-sched", "K2"}, ""},
-		{0, []string{"-storage", "/h", "-wal", "/w", "-horizon", "5"},
-			"-storage, -wal: the simulator writes no file; add -shards N to run the live controller"},
+		{true, []string{"-live", "-wal", "/x", "-horizon", "5", "-plotlive", "-json", "-"},
+			"-live runs the live controller, which does not read -horizon, -json, -plotlive"},
+		{false, []string{"-horizon", "5", "-json", "-", "-sched", "K2"}, ""},
+		{false, []string{"-storage", "/h", "-wal", "/w", "-horizon", "5"},
+			"-storage, -wal: the simulator writes no file; add -live to run the live controller"},
 	} {
-		err := checkLiveFlags(parseFlags(t, c.args...), c.shards)
+		err := checkLiveFlags(parseFlags(t, c.args...), c.live)
 		if got := fmt.Sprint(err); (c.want == "" && err != nil) || (c.want != "" && got != c.want) {
-			t.Errorf("-shards %d %v: %v, want %q", c.shards, c.args, err, c.want)
+			t.Errorf("%v: %v, want %q", c.args, err, c.want)
 		}
 	}
 }

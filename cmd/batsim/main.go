@@ -6,12 +6,12 @@
 //	batsim -sched CHAIN -workload exp1 -lambda 0.6
 //	batsim -sched K2 -workload exp2 -numhots 4 -lambda 0.8 -horizon 500000
 //	batsim -sched CHAIN -workload exp4 -sigma 0.5 -lambda 0.6
-//	batsim -shards 2 -livetxns 500 -wal /tmp/batwal -storage /tmp/batheap
+//	batsim -live -livetxns 500 -wal /tmp/batwal -storage /tmp/batheap
 //	                                     # the live controller, logged and heap-backed
 //	batsim -recoverwal /tmp/batwal       # replay + recovery report
 //
 // The simulator is a cost model and writes no file: -wal, -storage,
-// -pagesize and -pool belong to -shards, which runs the workload through
+// -pagesize and -pool belong to -live, which runs the workload through
 // the live controller (internal/live) with real goroutines.
 package main
 
@@ -58,13 +58,13 @@ func main() {
 		plotLive  = flag.Bool("plotlive", false, "chart live transactions over time (DC-thrashing view)")
 		jsonOut   = flag.String("json", "", "also write the full result as JSON to this file ('-' for stdout)")
 
-		shards   = flag.Int("shards", 0, "run the workload through the sharded live controller (real goroutines, DESIGN.md §13) instead of the simulator; 0 = simulator")
-		liveTxns = flag.Int("livetxns", 1000, "transactions to drive in -shards live mode")
+		liveMode = flag.Bool("live", false, "run the workload through the live controller (real goroutines, internal/live) instead of the simulator")
+		liveTxns = flag.Int("livetxns", 1000, "transactions to drive in -live mode")
 
-		walDir     = flag.String("wal", "", "write per-node dependency logs of the -shards run under this directory (docs/ROBUSTNESS.md §9)")
+		walDir     = flag.String("wal", "", "write per-node dependency logs of the -live run under this directory, numbering its transactions after any commit the directory already holds (docs/ROBUSTNESS.md §9)")
 		recoverWAL = flag.String("recoverwal", "", "scan + parallel-replay the dependency logs under this directory, print the recovery report, and exit")
 
-		storageDir = flag.String("storage", "", "back the -shards run with heap files under this directory (docs/STORAGE.md)")
+		storageDir = flag.String("storage", "", "back the -live run with heap files under this directory (docs/STORAGE.md)")
 		pageSize   = flag.Int("pagesize", storage.DefaultPageSize, "heap-file page size in bytes (requires -storage)")
 		poolFrames = flag.Int("pool", 64, "buffer-pool frames (requires -storage)")
 	)
@@ -104,19 +104,19 @@ func main() {
 	}
 	mc := machine.DefaultConfig()
 	mc.NumParts = parts
-	if err := checkLiveFlags(flag.CommandLine, *shards); err != nil {
+	if err := checkLiveFlags(flag.CommandLine, *liveMode); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
 
-	if *shards != 0 {
+	if *liveMode {
 		if *liveTxns < 1 {
 			fmt.Fprintf(os.Stderr, "-livetxns %d: need at least one transaction\n", *liveTxns)
 			os.Exit(2)
 		}
 		files := liveFiles{walDir: *walDir, storageDir: *storageDir, pageSize: *pageSize, poolFrames: *poolFrames,
 			nodes: mc.NumNodes, parts: mc.NumParts}
-		if err := runLiveMode(factory, gen, *shards, *liveTxns, *seed, files); err != nil {
+		if err := runLiveMode(factory, gen, *liveTxns, *seed, files); err != nil {
 			fmt.Fprintln(os.Stderr, "live run failed:", err)
 			os.Exit(1)
 		}

@@ -531,22 +531,6 @@ func (g *Graph) Predecessors(id txn.ID) []txn.ID {
 	return out
 }
 
-// AppendPredecessors appends id's direct resolved predecessors to dst
-// and returns the extended slice, without the sort or fresh allocation
-// of Predecessors. The sharded live controller uses it to build one
-// predecessor union across several per-shard graphs before sorting once
-// (sched.PredecessorsUnion).
-func (g *Graph) AppendPredecessors(dst []txn.ID, id txn.ID) []txn.ID {
-	s, ok := g.slotOf.Get(id)
-	if !ok {
-		return dst
-	}
-	for _, idx := range g.in[s] {
-		dst = append(dst, g.ids[g.edges[idx].fromSlot()])
-	}
-	return dst
-}
-
 // WouldCycleFrom reports whether resolving from→target for every target
 // would close a directed cycle of precedence-edges — the cautious
 // schedulers' deadlock prediction test, allocation-free. A target already

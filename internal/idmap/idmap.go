@@ -1,6 +1,6 @@
 // Package idmap is the control node's index keyed by transaction id: the
 // lock table's live transactions, the WTPG's node slots, the schedulers'
-// per-transaction records and the live controller's shard records.
+// per-transaction records and the live controller's control records.
 //
 // Map is an open-addressing hash table. A key's home slot is a
 // multiplicative (Fibonacci) hash of the id, collisions probe linearly,

@@ -6,33 +6,25 @@
 // through the scheduler (CHAIN, K-WTPG, C2PL, ASL, …), runs caller code
 // while holding it, and releases everything at commit.
 //
-// The controller partitions its hot path into shards (WithShards): each
-// shard owns a slice of the partition space — ownership hashing, see
-// shard.go — with its own mutex, scheduler instance, lock table, WTPG
-// and wait state. A transaction whose footprint lies in one shard
-// (the common case under CHAIN/K-WTPG) schedules entirely under that
-// shard's lock and never touches another shard; a
-// transaction spanning shards takes the shard locks in canonical
-// ascending order and acquires all of its locks atomically at admission
-// (ASL-style, see admitProjectedLocked). The default is one shard — the
-// moral equivalent of the paper's centralized control node, byte-for-byte
-// the old single-mutex behavior.
+// The controller is the paper's centralized control node: one mutex
+// guards one scheduler instance — its lock table, WTPG and admission
+// policy — and the wait state, so every decision, CHAIN's globally
+// optimal order W included, is made over the whole WTPG (DESIGN.md §13).
 //
-// A refused request or admission parks on the refusing shard until an
-// event that can change the answer, then asks the scheduler again — it
+// A refused request or admission parks until an event that can change
+// the answer, then asks the scheduler again — it
 // re-decides for itself; nothing is handed to it. The wake events are a
 // commit, an abort, a granted admission (it dirties CHAIN's W and
 // K-WTPG's E(q) cache) and Close. A granted lock
 // request changes the inputs too but wakes nobody; instead, when the last
-// running transaction of a shard parks, everything refused before the
-// shard's current decision generation is re-dispatched once (waitLocked).
+// running transaction parks, everything refused before the current
+// decision generation is re-dispatched once (waitLocked).
 // Together these are complete: no wait needs a timer to make progress.
 // The paper's fixed-delay resubmission (§3.2, WithRetryDelay) remains for
 // policy-Delayed requests alone, as a re-timing. All
 // the guarantees of the scheduler carry over:
 // conflicting holders never coexist and schedules are conflict
-// serializable (every scheduler is strict — locks are held to commit —
-// and each partition's locks are managed by exactly one shard).
+// serializable (every scheduler is strict — locks are held to commit).
 // The controller never aborts an admitted transaction on its own: an
 // abort is the caller's — a work error, a recovered panic in caller work,
 // or the caller's ctx ending while the transaction waits. The schedulers
@@ -94,18 +86,24 @@ func WithRetryDelay(d time.Duration) Option {
 
 // WithObserver attaches a structured trace observer: the controller
 // emits timeline events (Admit, Request, ObjectDone, Commit) and wraps
-// each shard's scheduler with sched.Observed so every decision, WTPG
-// edge resolution and critical-path change is reported too, tagged with
-// the emitting shard (Event.Shard). With more than one shard, events
-// from different shards are emitted concurrently — observers must be
-// safe for concurrent use; the obs sinks (Ring, JSONL, Metrics) all
-// qualify. Within one shard, event order still matches decision order.
+// its scheduler with sched.Observed so every decision, WTPG edge
+// resolution and critical-path change is reported too. Those events are
+// emitted under the controller's mutex, so their order matches decision
+// order; the durability events (WAL sync, page traffic) come from the
+// callers' goroutines outside it, so observers must be safe for
+// concurrent use — the obs sinks (Ring, JSONL, Metrics) all qualify.
 func WithObserver(o obs.Observer) Option {
 	return func(c *Controller) { c.observer = o }
 }
 
-// Stats is a consistent snapshot of the controller's lifetime counters,
-// summed over all shards.
+// WithShards is a no-op: the controller has one shard, the paper's one
+// control node (DESIGN.md §13). It stays declared only because
+// benchmark/live.go passes it and benchmark/ is frozen by
+// BENCHMARK.json; it leaves with live.txn_per_s_shards16 in the next
+// benchmark change.
+func WithShards(int) Option { return func(*Controller) {} }
+
+// Stats is a consistent snapshot of the controller's lifetime counters.
 type Stats struct {
 	// Admitted counts granted admissions; Committed and Aborted split
 	// the finished transactions by outcome. An abort is the caller
@@ -123,23 +121,12 @@ type Stats struct {
 	Active int
 }
 
-// add folds another partial Stats (one shard's counters) into s.
-func (s *Stats) add(o Stats) {
-	s.Admitted += o.Admitted
-	s.Committed += o.Committed
-	s.Aborted += o.Aborted
-	s.Granted += o.Granted
-	s.Retries += o.Retries
-}
-
 // Controller is a live lock manager driven by one of the paper's
 // schedulers. Create with New; safe for concurrent use.
 type Controller struct {
-	nshards int
-	shards  []*lshard
-	label   string
-	start   time.Time
-	closed  atomic.Bool
+	label  string
+	start  time.Time
+	closed atomic.Bool
 
 	retryDelay time.Duration
 	observer   obs.Observer
@@ -148,39 +135,36 @@ type Controller struct {
 	// is the caller's open log (the controller's own, walOwned, only when
 	// Recover built it), store the heap files granted steps scan. dur
 	// binds both to the write-ahead contract and holds its sticky errors;
-	// it is nil with neither attached. No shard lock is held while the
-	// log's own mutex is taken: finish appends after releasing them.
-	wal      *wal.Log
-	walOwned bool
-	store    *storage.Store
-	dur      *durable.Binding
-}
+	// it is nil with neither attached. mu is never held while the log's
+	// own mutex is taken: finish appends after releasing it. With
+	// recovered set (Recover over a log that committed something),
+	// maxRecovered is the highest id that log committed, and Admit refuses
+	// every id at or below it.
+	wal          *wal.Log
+	walOwned     bool
+	store        *storage.Store
+	dur          *durable.Binding
+	recovered    bool
+	maxRecovered txn.ID
 
-// lshard is one shard of the controller's hot path: a slice of the
-// partition space (ownership hashing, see shardOf) with its own mutex,
-// scheduler instance — lock table, WTPG, admission policy — wait state
-// and counters. A transaction's control record (ltxn) lives on
-// its *home* shard, the lowest-indexed shard its footprint touches; for
-// the single-shard common case that is also the only shard that ever
-// schedules it.
-type lshard struct {
-	idx int
+	// mu guards everything below: the scheduler — lock table, WTPG,
+	// admission policy — the wait state, the control records and the
+	// counters.
 	mu  sync.Mutex
 	sch sched.Scheduler
 
-	// The wait state (see waitLocked). wake is the channel the shard's
-	// parked goroutines sleep on: made by the first of them, closed and
-	// dropped by the next wake event, so an event nobody waits for costs
-	// one nil check. gen is the decision generation: it counts what moves
-	// the scheduler's state, caches included, without being a wake event —
-	// a request its policy answered, a weight message, a rolled-back
-	// spanning attempt — and wakeGen is its value when wake was made, so
-	// while the two are equal everyone parked on wake was refused by the
-	// state the scheduler is still in. active counts the admitted
-	// transactions whose footprint touches the shard, from their admission
-	// until the scheduler drops their locks; parked those of them asleep
-	// in Acquire on wake (a wake event counts them running again at once,
-	// before they have re-locked).
+	// The wait state (see waitLocked). wake is the channel parked
+	// goroutines sleep on: made by the first of them, closed and dropped
+	// by the next wake event, so an event nobody waits for costs one nil
+	// check. gen is the decision generation: it counts what moves the
+	// scheduler's state, caches included, without being a wake event — a
+	// request its policy answered, a weight message — and wakeGen is its
+	// value when wake was made, so while the two are equal everyone parked
+	// on wake was refused by the state the scheduler is still in. active
+	// counts the admitted transactions from their admission until the
+	// scheduler drops their locks; parked those of them asleep in Acquire
+	// on wake (a wake event counts them running again at once, before they
+	// have re-locked).
 	wake    chan struct{}
 	gen     uint64
 	wakeGen uint64
@@ -188,10 +172,9 @@ type lshard struct {
 	parked  int
 
 	// txns holds the control record of every admitted, unfinished
-	// transaction homed here (its length drives Stats.Active); free
-	// recycles finished records, so steady-state admission allocates
-	// nothing. stats holds this shard's partial counters (summed by
-	// Controller.Stats).
+	// transaction (its length drives Stats.Active); free recycles finished
+	// records, so steady-state admission allocates nothing. stats holds
+	// the lifetime counters.
 	txns  idmap.Map[*ltxn]
 	free  []*ltxn
 	stats Stats
@@ -199,14 +182,11 @@ type lshard struct {
 
 // ltxn is the control record of one admitted transaction — the live
 // counterpart of the paper's control-node entry (§3.1) and of sim's
-// txnState. admitGranted creates it, finish removes it, the home shard's
-// lock guards it, and every field is there whichever options are set.
+// txnState. admitGranted creates it, finish removes it, the controller's
+// mutex guards it, and every field is there whichever options are set.
 type ltxn struct {
-	// admitted is the admission time (commit-event response times); mask
-	// the footprint's shard set — a spanning mask means every lock was
-	// granted at admission.
+	// admitted is the admission time (commit-event response times).
 	admitted event.Time
-	mask     uint64
 
 	// wait is the channel the transaction sleeps on while parked in
 	// Acquire (see blocked), nil otherwise.
@@ -217,11 +197,6 @@ type ltxn struct {
 	// outlives the transaction: admitGranted carries it into the recycled
 	// record's next life.
 	resubmit *time.Timer
-
-	// The last granted step (−1 before the first grant) and its
-	// partition: the §3.1 weight messages go to the shard owning it.
-	step int
-	part txn.PartitionID
 
 	// preds is the predecessor set resolved at admission, read only
 	// while a healthy log is attached: the Commit record carries it with
@@ -254,25 +229,16 @@ var ErrClosed = errors.New("live: controller closed")
 // wall-clock milliseconds.
 func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	c := &Controller{
-		nshards:    1,
 		start:      time.Now(),
 		retryDelay: 20 * time.Millisecond,
 	}
 	for _, opt := range opts {
 		opt(c)
 	}
-	c.shards = make([]*lshard, c.nshards)
-	for i := range c.shards {
-		sh := &lshard{idx: i}
-		s := factory.New(costs)
-		if i == 0 {
-			c.label = s.Name()
-		}
-		if c.observer != nil {
-			s = sched.Observed(s, shardTagged{o: c.observer, shard: i})
-		}
-		sh.sch = s
-		c.shards[i] = sh
+	c.sch = factory.New(costs)
+	c.label = c.sch.Name()
+	if c.observer != nil {
+		c.sch = sched.Observed(c.sch, c.observer)
 	}
 	c.dur = durable.New(c.wal, c.store, c.emit, c.now)
 	c.dur.Observe(c.observer, c.label)
@@ -285,8 +251,8 @@ func (c *Controller) now() event.Time {
 }
 
 // emit sends one trace event. The obs sinks are safe for concurrent
-// use, so no controller lock is needed; shard locks held by callers
-// keep per-shard event order aligned with decision order.
+// use, so no controller lock is needed; callers holding mu keep event
+// order aligned with decision order.
 func (c *Controller) emit(e obs.Event) {
 	if c.observer == nil {
 		return
@@ -296,40 +262,23 @@ func (c *Controller) emit(e obs.Event) {
 	c.observer.Observe(e)
 }
 
-// emitShard sends one trace event tagged with the emitting shard.
-func (c *Controller) emitShard(shard int, e obs.Event) {
-	e.Shard = shard
-	c.emit(e)
-}
-
-// Stats returns a consistent snapshot of the lifetime counters: all
-// shard locks are held while the partials are summed.
+// Stats returns a consistent snapshot of the lifetime counters.
 func (c *Controller) Stats() Stats {
-	c.lockAll()
-	defer c.unlockAll()
-	var s Stats
-	for _, sh := range c.shards {
-		s.add(sh.stats)
-		s.Active += sh.txns.Len()
-	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s := c.stats
+	s.Active = c.txns.Len()
 	return s
 }
 
-// CheckInvariants runs every shard scheduler's internal consistency
-// checks (no conflicting lock holders, acyclic WTPG) under all shard
-// locks. The chaos tests call it after every injected fault.
+// CheckInvariants runs the scheduler's internal consistency checks (no
+// conflicting lock holders, acyclic WTPG) under the controller's mutex.
+// The chaos tests call it after every injected fault.
 func (c *Controller) CheckInvariants() error {
-	c.lockAll()
-	defer c.unlockAll()
-	for _, sh := range c.shards {
-		if ci, ok := sh.sch.(interface{ CheckInvariants() error }); ok {
-			if err := ci.CheckInvariants(); err != nil {
-				if c.nshards > 1 {
-					return fmt.Errorf("live: shard %d: %w", sh.idx, err)
-				}
-				return err
-			}
-		}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if ci, ok := c.sch.(interface{ CheckInvariants() error }); ok {
+		return ci.CheckInvariants()
 	}
 	return nil
 }
@@ -340,29 +289,27 @@ func (c *Controller) Close() {
 	if c.closed.Swap(true) {
 		return
 	}
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		sh.broadcastLocked()
-		sh.mu.Unlock()
-	}
+	c.mu.Lock()
+	c.broadcastLocked()
+	c.mu.Unlock()
 	if c.walOwned && c.wal != nil {
 		c.wal.Close()
 	}
 }
 
-// changedLocked records that sh's scheduler state moved without waking
+// changedLocked records that the scheduler's state moved without waking
 // anyone: requests refused before it were decided on inputs that may no
-// longer hold. Callers must hold sh.mu.
-func (sh *lshard) changedLocked() { sh.gen++ }
+// longer hold. Callers must hold c.mu.
+func (c *Controller) changedLocked() { c.gen++ }
 
-// broadcastLocked is a wake event: sh's scheduler state moved in a way
+// broadcastLocked is a wake event: the scheduler's state moved in a way
 // that can turn a refusal into a grant (a commit, an abort, a granted
-// admission), or the controller closed. Everything parked on sh
-// re-decides. Callers must hold sh.mu.
-func (sh *lshard) broadcastLocked() {
-	if sh.wake != nil {
-		close(sh.wake)
-		sh.wake, sh.parked = nil, 0
+// admission), or the controller closed. Everything parked re-decides.
+// Callers must hold c.mu.
+func (c *Controller) broadcastLocked() {
+	if c.wake != nil {
+		close(c.wake)
+		c.wake, c.parked = nil, 0
 	}
 }
 
@@ -370,56 +317,55 @@ func (sh *lshard) broadcastLocked() {
 // the channel it closed as running again; a record that leaves on its own
 // (ctx, the §3.2 timer, a concurrent finish) is still counted on the live
 // one.
-func (sh *lshard) unparkLocked(r *ltxn) {
-	if r.wait == sh.wake {
-		sh.parked--
+func (c *Controller) unparkLocked(r *ltxn) {
+	if r.wait == c.wake {
+		c.parked--
 	}
 	r.wait = nil
 }
 
-// waitLocked parks the caller after dec refused it under sh.mu, which
+// waitLocked parks the caller after dec refused it under c.mu, which
 // the caller holds and waitLocked releases. r is the record of an
-// admitted transaction homed on sh parked in Acquire, or nil for a
-// refused admission. The wait is registered and sh.wake captured in the
-// same critical section as the refusal, so no wake event between the
-// decision and the sleep is missed, and what it sleeps on is events
-// alone: the next wake event on sh, or ctx. Two things complete the event
-// set.
+// admitted transaction parked in Acquire, or nil for a refused
+// admission. The wait is registered and c.wake captured in the same
+// critical section as the refusal, so no wake event between the decision
+// and the sleep is missed, and what it sleeps on is events alone: the
+// next wake event, or ctx. Two things complete the event set.
 //
 // Quiescence: a granted request changes what a refusal was decided on but
 // wakes nobody (waking on every grant costs more than it finds), and a
 // request the policy Delayed may have refreshed the cached plan it was
-// answered from. If this park leaves no admitted transaction of sh
-// running, nothing is left to produce a wake event, so whoever was
-// refused before the current generation is re-dispatched now, once.
-// Progress never waits for a timer.
+// answered from. If this park leaves no admitted transaction running,
+// nothing is left to produce a wake event, so whoever was refused before
+// the current generation is re-dispatched now, once. Progress never
+// waits for a timer.
 //
 // The paper's fixed-delay resubmission (§3.2): a Delayed request — refused
 // by policy, not by a held lock — also wakes after the retry delay, on its
 // record's resubmit timer. Its inputs move with every grant and weight
-// message anywhere, so it is re-timed rather than left to the next
-// commit; nothing depends on it.
+// message, so it is re-timed rather than left to the next commit; nothing
+// depends on it.
 //
 // This is the one place a record pointer outlives a critical section,
 // which is why finish never recycles a blocked record.
-func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn, dec sched.Decision) error {
-	sh.stats.Retries++
-	running := sh.active - sh.parked
+func (c *Controller) waitLocked(ctx context.Context, r *ltxn, dec sched.Decision) error {
+	c.stats.Retries++
+	running := c.active - c.parked
 	if r != nil {
 		running-- // this one is about to park
 	}
-	if running == 0 && sh.wake != nil && sh.wakeGen != sh.gen {
-		sh.broadcastLocked()
+	if running == 0 && c.wake != nil && c.wakeGen != c.gen {
+		c.broadcastLocked()
 	}
-	if sh.wake == nil {
-		sh.wake, sh.wakeGen = make(chan struct{}), sh.gen
+	if c.wake == nil {
+		c.wake, c.wakeGen = make(chan struct{}), c.gen
 	}
-	ch := sh.wake
+	ch := c.wake
 	if r != nil {
 		r.wait = ch
-		sh.parked++
+		c.parked++
 	}
-	sh.mu.Unlock()
+	c.mu.Unlock()
 	var resubmit <-chan time.Time // nil, never ready, unless Delayed
 	if r != nil && dec == sched.Delayed {
 		if r.resubmit == nil {
@@ -445,41 +391,38 @@ func (c *Controller) waitLocked(ctx context.Context, sh *lshard, r *ltxn, dec sc
 		}
 	}
 	if r != nil {
-		sh.mu.Lock()
+		c.mu.Lock()
 		if r.blocked() { // else a concurrent finish already unparked it
-			sh.unparkLocked(r)
+			c.unparkLocked(r)
 		}
-		sh.mu.Unlock()
+		c.mu.Unlock()
 	}
 	return err
 }
 
-// admitGranted is Admit's tail once the scheduler has granted t, homed
-// on home, under the held shard locks in mask: count it, create its
-// control record — with a log, the resolved predecessors, read while the
-// predecessor set is still atomic with the grant — then release the
-// locks.
-func (c *Controller) admitGranted(home *lshard, mask uint64, now event.Time, t *txn.T) {
-	home.stats.Admitted++
+// admitGranted is Admit's tail once the scheduler has granted t, under
+// the held c.mu: count it, create its control record — with a log, the
+// resolved predecessors, read while the predecessor set is still atomic
+// with the grant — then release the mutex.
+func (c *Controller) admitGranted(now event.Time, t *txn.T) {
+	c.stats.Admitted++
 	var r *ltxn
-	if n := len(home.free); n > 0 {
-		r, home.free = home.free[n-1], home.free[:n-1]
+	if n := len(c.free); n > 0 {
+		r, c.free = c.free[n-1], c.free[:n-1]
 	} else {
 		r = new(ltxn)
 	}
-	*r = ltxn{admitted: now, mask: mask, step: -1, resubmit: r.resubmit}
-	home.txns.Put(t.ID, r)
+	*r = ltxn{admitted: now, resubmit: r.resubmit}
+	c.txns.Put(t.ID, r)
 	if c.dur.Logs() {
-		r.preds = c.predecessorsLocked(mask, t.ID)
+		r.preds = sched.Predecessors(c.sch, t.ID)
 	}
 	// A granted admission is a wake event: it dirties the scheduler's
 	// cached plan (CHAIN's W, K-WTPG's E(q)), so a request Delayed under
 	// the old one may be grantable under the next.
-	c.eachShard(mask, func(sh *lshard) {
-		sh.active++
-		sh.broadcastLocked()
-	})
-	c.unlockMask(mask)
+	c.active++
+	c.broadcastLocked()
+	c.mu.Unlock()
 }
 
 // Progress reports completed work to the scheduler, adjusting the
@@ -536,53 +479,42 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 // transaction's lifecycle and must finish it with Commit or Abort.
 // Most callers want Run instead.
 //
-// One loop serves every footprint: take its shard locks in canonical
-// order, ask, and on a refusal release them, wait for the refusing
-// shard's next wake event (waitLocked) and ask again. A single-shard
-// footprint asks the scheduler's Admit and requests its locks step by
-// step (Acquire); a footprint spanning shards acquires all of its locks
-// atomically here (see admitProjectedLocked).
+// One loop: take the mutex, ask, and on a refusal wait for the next wake
+// event (waitLocked) and ask again. A controller built by Recover
+// refuses, at once, an id at or below the highest one its log committed:
+// a second Commit record for that id would make the log unrecoverable.
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return errNilTxn
 	}
-	mask := c.shardMask(t)
-	home := c.shards[homeShard(mask)]
-	var projs []projection // spanning only; stable across attempts
-	if spanning(mask) {
-		projs = c.project(t, mask)
+	if c.recovered && t.ID <= c.maxRecovered {
+		return fmt.Errorf("live: %v: the recovered log committed ids up to %v; admit a higher one", t.ID, c.maxRecovered)
 	}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		c.lockMask(mask)
+		c.mu.Lock()
 		if c.closed.Load() {
-			c.unlockMask(mask)
+			c.mu.Unlock()
 			return ErrClosed
 		}
 		now := c.now()
 		if attempt == 0 {
-			c.emitShard(home.idx, obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
+			c.emit(obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
 		}
 		if err := c.dur.LogErr(); err != nil {
 			// Durability was requested and is broken (an IO failure):
 			// admitting would run the transaction unlogged.
-			c.unlockMask(mask)
+			c.mu.Unlock()
 			return fmt.Errorf("live: wal: %w", err)
 		}
-		refused, dec := home, sched.Granted // the shard whose next wake event the retry waits for
-		if projs != nil {
-			refused, dec = c.admitProjectedLocked(projs, now)
-		} else {
-			dec = home.sch.Admit(t, now).Decision
-		}
+		dec := c.sch.Admit(t, now).Decision
 		if dec == sched.Granted {
-			c.admitGranted(home, mask, now, t)
+			c.admitGranted(now, t)
 			return nil
 		}
-		c.unlockMask(mask &^ (1 << uint(refused.idx)))
-		if err := c.waitLocked(ctx, refused, nil, dec); err != nil {
+		if err := c.waitLocked(ctx, nil, dec); err != nil {
 			return err
 		}
 	}
@@ -592,9 +524,7 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 // ends, or the controller closes). Valid only between Admit and
 // Commit/Abort: on a transaction the controller does not consider
 // admitted, a nil one or a step t does not declare it returns an error
-// at once. For a spanning transaction every lock was already granted at
-// admission, so Acquire only performs the per-step bookkeeping and never
-// blocks.
+// at once.
 func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 	if t == nil {
 		return errNilTxn
@@ -602,92 +532,65 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 	if step < 0 || step >= len(t.Steps) {
 		return fmt.Errorf("live: %v has no step %d", t.ID, step)
 	}
-	home := c.shards[homeShard(c.shardMask(t))]
-	part := t.Steps[step].Part
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		home.mu.Lock()
+		c.mu.Lock()
 		if c.closed.Load() {
-			home.mu.Unlock()
+			c.mu.Unlock()
 			return ErrClosed
 		}
-		r, _ := home.txns.Get(t.ID)
+		r, _ := c.txns.Get(t.ID)
 		if r == nil {
-			home.mu.Unlock()
+			c.mu.Unlock()
 			return errNotAdmitted(t.ID)
 		}
 		now := c.now()
 		if attempt == 0 {
-			c.emitShard(c.shardOf(part), obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: part,
+			c.emit(obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: t.Steps[step].Part,
 				Write: t.Steps[step].Mode == txn.Write})
 		}
-		// A spanning transaction's locks were all granted at admission, so
-		// only the bookkeeping remains: count the grant and route the
-		// step's weight messages.
-		dec := sched.Granted
-		if !spanning(r.mask) {
-			dec = home.sch.Request(t, step, now).Decision
-			if dec != sched.Blocked {
-				// The policy ran: a grant moved the graph, and even a Delayed
-				// answer may have come from a cached plan (W, E(q)) the call
-				// itself refreshed because KeepTime had passed.
-				home.changedLocked()
-			}
+		dec := c.sch.Request(t, step, now).Decision
+		if dec != sched.Blocked {
+			// The policy ran: a grant moved the graph, and even a Delayed
+			// answer may have come from a cached plan (W, E(q)) the call
+			// itself refreshed because KeepTime had passed.
+			c.changedLocked()
 		}
 		if dec == sched.Granted {
-			home.stats.Granted++
-			r.step, r.part = step, part
-			home.mu.Unlock()
+			c.stats.Granted++
+			c.mu.Unlock()
 			return nil
 		}
-		// Blocked or Delayed: park until the shard's state moves (waitLocked)
-		// and let the scheduler re-decide.
-		if err := c.waitLocked(ctx, home, r, dec); err != nil {
+		// Blocked or Delayed: park until the scheduler's state moves
+		// (waitLocked) and let it re-decide.
+		if err := c.waitLocked(ctx, r, dec); err != nil {
 			return err
 		}
 	}
 }
 
 // ObjectDone reports completed work for an admitted transaction — the
-// §3.1 weight-adjustment message behind the Progress callback. The
-// weight adjustment lands on the shard owning the partition of the
-// transaction's current step (for a spanning transaction, that shard's
-// WTPG holds the corresponding projected declaration). On a nil
+// §3.1 weight-adjustment message behind the Progress callback. On a nil
 // transaction, or one the controller does not consider admitted, it does
 // nothing.
 func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	if t == nil {
 		return
 	}
-	home := c.shards[homeShard(c.shardMask(t))]
-	home.mu.Lock()
-	defer home.mu.Unlock()
-	r, _ := home.txns.Get(t.ID)
-	if r == nil {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if r, _ := c.txns.Get(t.ID); r == nil {
 		return
 	}
 	var now event.Time // only an observer reads it; no scheduler does
 	if c.observer != nil {
 		now = c.now()
 	}
-	target := home
-	if r.step >= 0 {
-		target = c.shards[c.shardOf(r.part)]
-	}
-	if target == home {
-		home.sch.ObjectDone(t, objects, now)
-		home.changedLocked()
-	} else {
-		// target.idx > home.idx always: home is the lowest shard of the
-		// footprint, so this nesting respects the canonical lock order.
-		target.mu.Lock()
-		target.sch.ObjectDone(t, objects, now)
-		target.changedLocked()
-		target.mu.Unlock()
-	}
-	c.emitShard(target.idx, obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
+	c.sch.ObjectDone(t, objects, now)
+	c.changedLocked()
+	c.emit(obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
 }
 
 // Commit finishes an admitted transaction: all its locks drop and
@@ -721,18 +624,17 @@ func (c *Controller) Abort(t *txn.T) error {
 // step guarantees is internal/durable's contract; the order, for a
 // commit:
 //
-//  1. under the footprint's shard locks, claim the finish — validate,
-//     add the predecessor set resolved now, while t is still in the
-//     WTPG(s), to the one read at admission, and drop t's control record
-//     so no concurrent finish can touch it;
-//  2. outside the shard mutexes, but with t still holding its partition
-//     locks in the scheduler(s): PreCommit — append the record to walNode's
-//     file, apply the staged effects to cached pages; a successor's scan
-//     sees them. Nothing of t is visible yet, so a refusal still flips
-//     cleanly to an abort;
-//  3. under each shard's lock in canonical order, apply the completion to
-//     that shard's scheduler — the partition locks drop here — and wake
-//     its waiters;
+//  1. under c.mu, claim the finish — validate, add the predecessor set
+//     resolved now, while t is still in the WTPG, to the one read at
+//     admission, and drop t's control record so no concurrent finish can
+//     touch it;
+//  2. outside c.mu, but with t still holding its partition locks in the
+//     scheduler: PreCommit — append the record to walNode's file, apply
+//     the staged effects to cached pages; a successor's scan sees them.
+//     Nothing of t is visible yet, so a refusal still flips cleanly to an
+//     abort;
+//  3. under c.mu, apply the completion to the scheduler — the partition
+//     locks drop here — and wake the waiters;
 //  4. Force, and return nil only after it returns.
 //
 // A crash in the window between 3 and 4 can lose a pre-committed record
@@ -743,27 +645,24 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	if t == nil {
 		return errNilTxn
 	}
-	mask := c.shardMask(t)
-	home := c.shards[homeShard(mask)]
-
-	c.lockMask(mask)
-	r, _ := home.txns.Get(t.ID)
+	c.mu.Lock()
+	r, _ := c.txns.Get(t.ID)
 	if r == nil {
-		c.unlockMask(mask)
+		c.mu.Unlock()
 		return errNotAdmitted(t.ID)
 	}
 	now := c.now()
 	start, preds := r.admitted, r.preds
 	if committed && c.dur.Logs() {
-		preds = append(preds, c.predecessorsLocked(mask, t.ID)...)
+		preds = append(preds, sched.Predecessors(c.sch, t.ID)...)
 	}
-	home.txns.Delete(t.ID)
+	c.txns.Delete(t.ID)
 	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
-		home.unparkLocked(r)
+		c.unparkLocked(r)
 	} else {
-		home.free = append(home.free, r)
+		c.free = append(c.free, r)
 	}
-	c.unlockMask(mask)
+	c.mu.Unlock()
 
 	var preErr error
 	if !committed {
@@ -778,29 +677,20 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		// a trace event too); no scheduler's Commit or Abort does.
 		now = c.now()
 	}
-	c.eachShard(mask, func(sh *lshard) {
-		sh.mu.Lock()
-		if committed {
-			sh.sch.Commit(t, now)
-		} else {
-			sh.sch.Abort(t, now)
-		}
-		sh.active--
-		if sh == home {
-			if committed {
-				sh.stats.Committed++
-			} else {
-				sh.stats.Aborted++
-			}
-			e := obs.Event{Kind: obs.KindCommit, At: now, Txn: t.ID, RT: now - start}
-			if !committed {
-				e.Decision = "aborted"
-			}
-			c.emitShard(sh.idx, e)
-		}
-		sh.broadcastLocked()
-		sh.mu.Unlock()
-	})
+	e := obs.Event{Kind: obs.KindCommit, At: now, Txn: t.ID, RT: now - start}
+	c.mu.Lock()
+	if committed {
+		c.sch.Commit(t, now)
+		c.stats.Committed++
+	} else {
+		c.sch.Abort(t, now)
+		c.stats.Aborted++
+		e.Decision = "aborted"
+	}
+	c.active--
+	c.emit(e)
+	c.broadcastLocked()
+	c.mu.Unlock()
 
 	if committed {
 		if err := c.dur.Force(now); err != nil {

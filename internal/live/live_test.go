@@ -108,7 +108,7 @@ func TestReadersShare(t *testing.T) {
 
 // TestConflictSerializability certifies the grant order of a random
 // mixed workload, for every scheduler: a grant is a Decision event with
-// op=request, decision=granted, emitted under the shard lock — so in
+// op=request, decision=granted, emitted under the controller's mutex — so in
 // exact decision order.
 func TestConflictSerializability(t *testing.T) {
 	for _, f := range []sched.Factory{

@@ -118,9 +118,8 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (out 
 	rng := rand.New(rand.NewSource(seed))
 	killAt := 30 + rng.Intn(120)
 	frac := rng.Float64()
-	shards := 1 + int(seed%2)
-	repro := fmt.Sprintf("repro: go test -race -run 'TestKillBetweenReleaseAndForce/%s' ./internal/live/ — seed=%d killat=%d flushfrac=%.3f shards=%d",
-		f.Label, seed, killAt, frac, shards)
+	repro := fmt.Sprintf("repro: go test -race -run 'TestKillBetweenReleaseAndForce/%s' ./internal/live/ — seed=%d killat=%d flushfrac=%.3f",
+		f.Label, seed, killAt, frac)
 	fatalf := func(format string, a ...any) {
 		t.Helper()
 		t.Fatalf("seed %d: %s\n%s", seed, fmt.Sprintf(format, a...), repro)
@@ -157,7 +156,7 @@ func killBetweenReleaseAndForce(t *testing.T, f sched.Factory, seed int64) (out 
 		killAt:  int64(killAt),
 		kill:    make(chan struct{}),
 	}
-	ctl := New(f, liveCosts, WithShards(shards), WithRetryDelay(time.Millisecond),
+	ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond),
 		WithWALLog(l), WithStorage(st), WithObserver(plog))
 
 	// Closed-loop clients on a hot set: two or three distinct partitions

@@ -457,14 +457,21 @@ func chaosSwarm(t *testing.T, parts, stride int, check func(t *testing.T, seed u
 	}
 }
 
-// TestLiveChaos is the live half of the chaos suite: chaosSwarm on one
-// shard, which must also have injected aborts to recover from.
+// TestLiveChaos is the live half of the chaos suite: chaosSwarm on four
+// partitions with neighbouring steps, which must also have injected
+// aborts to recover from.
 func TestLiveChaos(t *testing.T) {
 	chaosSwarm(t, 4, 1, func(t *testing.T, seed uint64, st Stats) {
 		if st.Aborted == 0 {
 			t.Errorf("seed %d: chaos run injected no aborts", seed)
 		}
 	})
+}
+
+// TestLiveChaosSpread is chaosSwarm's fault mix over eight partitions
+// with steps three apart: writers contend on more partitions at once.
+func TestLiveChaosSpread(t *testing.T) {
+	chaosSwarm(t, 8, 3, func(*testing.T, uint64, Stats) {})
 }
 
 // TestPanicInWorkIsRecovered locks in the panic-recovery contract: a

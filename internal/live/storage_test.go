@@ -1,7 +1,7 @@
 package live
 
-// Live storage battery (ISSUE PR 9): the heap-file engine under the
-// sharded controller swarm — real goroutines, real page I/O, -race.
+// Live storage battery: the heap-file engine under the live controller
+// swarm — real goroutines, real page I/O, -race.
 // Asserted invariants: pins drain to zero, the buffer-pool hit/miss
 // counters agree between the store's own stats and the obs metrics,
 // partition contents equal the pure function of the committed set, and
@@ -27,7 +27,7 @@ import (
 )
 
 // TestChaosStorageLiveSwarm is the storage half of the live chaos
-// battery: a sharded controller (PR 8's swarm shape) with storage, WAL,
+// battery: the controller swarm (mixedWorkload) with storage, WAL,
 // fault injection and an obs metrics sink, hammered by concurrent
 // workers. Run under -race by `make verify`.
 func TestChaosStorageLiveSwarm(t *testing.T) {
@@ -52,13 +52,12 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			}
 			metrics, h := obs.NewMetrics(), modelcheck.NewHistory()
 			ctl := New(sched.C2PLFactory(), liveCosts,
-				WithShards(4),
 				WithRetryDelay(time.Millisecond),
 				WithWALLog(l),
 				WithStorage(st),
 				WithObserver(obs.Multi(metrics, h)))
 
-			ts := shardedWorkload(int64(seed), 48, parts)
+			ts := mixedWorkload(int64(seed), 48, parts)
 			slow := slowSet(rand.New(rand.NewSource(-int64(seed))), parts, 0.1)
 			crashes := rand.New(rand.NewSource(int64(seed)))
 			var mu sync.Mutex
@@ -161,9 +160,9 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 	}
 	h := modelcheck.NewHistory()
 	ctl := New(sched.KWTPGFactory(2), liveCosts,
-		WithShards(2), WithRetryDelay(time.Millisecond), WithWALLog(l), WithStorage(st), WithObserver(h))
+		WithRetryDelay(time.Millisecond), WithWALLog(l), WithStorage(st), WithObserver(h))
 
-	ts := shardedWorkload(7, 32, parts)
+	ts := mixedWorkload(7, 32, parts)
 	var mu sync.Mutex
 	committed := map[txn.ID]bool{}
 	var wg sync.WaitGroup
@@ -199,7 +198,7 @@ func TestStorageLiveKillRestartRecover(t *testing.T) {
 	defer st2.Close()
 	// One call is the whole restart: the log replayed once, the store
 	// redone by that replay, the log reopened at the cut.
-	ctl2, rec, err := Recover(wdir, sched.KWTPGFactory(2), liveCosts, WithShards(2), WithStorage(st2))
+	ctl2, rec, err := Recover(wdir, sched.KWTPGFactory(2), liveCosts, WithStorage(st2))
 	if err != nil {
 		t.Fatal(err)
 	}

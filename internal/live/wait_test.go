@@ -21,8 +21,8 @@ import (
 // path's contract: every refusal is re-decided by an event — a commit, an
 // abort, a granted admission, or the quiescence re-dispatch of waitLocked
 // — never by the §3.2 timer. The paper's Pattern2 hot set at MPL 16 keeps
-// every kind of refusal in play (Blocked, Delayed, refused admissions,
-// spanning admissions with two shards); the retry delay is an hour, so a
+// every kind of refusal in play (Blocked, Delayed, refused admissions);
+// the retry delay is an hour, so a
 // single refusal that only the timer would have re-decided wedges the cell
 // into its deadline. Each cell ends in the contract certificate. Run with
 // -race (`make verify`).
@@ -31,51 +31,48 @@ func TestProgressNeverNeedsRetryDelay(t *testing.T) {
 	for _, f := range []sched.Factory{
 		sched.ChainFactory(), sched.KWTPGFactory(2), sched.C2PLFactory(), sched.ASLFactory(),
 	} {
-		for _, shards := range []int{1, 2} {
-			name := fmt.Sprintf("%s/shards=%d", f.Label, shards)
-			t.Run(name, func(t *testing.T) {
-				h := modelcheck.NewHistory()
-				ctl := New(f, liveCosts, WithShards(shards), WithRetryDelay(time.Hour), WithObserver(h))
-				defer ctl.Close()
-				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-				defer cancel()
-				gen := workload.Experiment2(workload.HotSetLayout{NumReadOnly: 8, NumHots: 8})
-				var next, committed atomic.Int64
-				var wg sync.WaitGroup
-				for c := 0; c < clients; c++ {
-					wg.Add(1)
-					go func(rng *rand.Rand) {
-						defer wg.Done()
-						for {
-							k := next.Add(1)
-							if k > total {
-								return
-							}
-							tx := gen.Next(txn.ID(k), rng)
-							err := ctl.Run(ctx, tx, func(step int, p Progress) error {
-								p(tx.Steps[step].Cost)
-								return nil
-							})
-							if err != nil {
-								return // the deadline; reported below
-							}
-							committed.Add(1)
+		t.Run(f.Label, func(t *testing.T) {
+			h := modelcheck.NewHistory()
+			ctl := New(f, liveCosts, WithRetryDelay(time.Hour), WithObserver(h))
+			defer ctl.Close()
+			ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+			defer cancel()
+			gen := workload.Experiment2(workload.HotSetLayout{NumReadOnly: 8, NumHots: 8})
+			var next, committed atomic.Int64
+			var wg sync.WaitGroup
+			for c := 0; c < clients; c++ {
+				wg.Add(1)
+				go func(rng *rand.Rand) {
+					defer wg.Done()
+					for {
+						k := next.Add(1)
+						if k > total {
+							return
 						}
-					}(rand.New(rand.NewSource(int64(c) + 1)))
-				}
-				wg.Wait()
-				if n := committed.Load(); n != total {
-					t.Fatalf("committed %d of %d with the retry delay out of reach: a refusal waited for the timer; "+
-						"repro: go test -race -count=1 -run 'TestProgressNeverNeedsRetryDelay/%s' ./internal/live/", n, total, name)
-				}
-				if err := ctl.CheckInvariants(); err != nil {
-					t.Fatal(err)
-				}
-				if err := h.Certify(modelcheck.Evidence{}); err != nil {
-					t.Fatal(err)
-				}
-			})
-		}
+						tx := gen.Next(txn.ID(k), rng)
+						err := ctl.Run(ctx, tx, func(step int, p Progress) error {
+							p(tx.Steps[step].Cost)
+							return nil
+						})
+						if err != nil {
+							return // the deadline; reported below
+						}
+						committed.Add(1)
+					}
+				}(rand.New(rand.NewSource(int64(c) + 1)))
+			}
+			wg.Wait()
+			if n := committed.Load(); n != total {
+				t.Fatalf("committed %d of %d with the retry delay out of reach: a refusal waited for the timer; "+
+					"repro: go test -race -count=1 -run 'TestProgressNeverNeedsRetryDelay/%s' ./internal/live/", n, total, f.Label)
+			}
+			if err := ctl.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if err := h.Certify(modelcheck.Evidence{}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -305,7 +302,7 @@ func (s *delayFirst) Request(_ *txn.T, step int, _ event.Time) sched.Outcome {
 // would end it at once. Run with -race (`make verify`).
 func TestDelayedWaitNoStaleTick(t *testing.T) {
 	const retry = 100 * time.Millisecond
-	// log holds all four answers, so Request never blocks under the shard lock.
+	// log holds all four answers, so Request never blocks under the controller's mutex.
 	s := &delayFirst{asked: make(map[int]bool), log: make(chan answer, 4)}
 	f := sched.Factory{Label: s.Name(), New: func(sched.Costs) sched.Scheduler { return s }}
 	ctl := New(f, liveCosts, WithRetryDelay(retry))
@@ -332,7 +329,7 @@ func TestDelayedWaitNoStaleTick(t *testing.T) {
 		}
 	}
 	first := next()
-	// t1 parks under the shard lock that refused it, so this admission —
+	// t1 parks under the mutex that refused it, so this admission —
 	// a wake event — finds it parked.
 	t2 := txn.New(2, []txn.Step{w(2, 1)})
 	if err := ctl.Admit(ctx, t2); err != nil {

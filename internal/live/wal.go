@@ -9,7 +9,6 @@ package live
 import (
 	"errors"
 	"fmt"
-	"math/bits"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/durable"
@@ -32,7 +31,7 @@ func WithWALLog(l *wal.Log) Option {
 // walNode is the node file t's Commit record goes to: its first
 // partition mod the log's node count (node = partition mod nodes, the
 // paper's home policy). A pure function of t and the log, so finish
-// computes it outside the shard locks.
+// computes it outside c.mu.
 func (c *Controller) walNode(t *txn.T) int {
 	if c.wal == nil || len(t.Steps) == 0 {
 		return 0
@@ -49,25 +48,16 @@ func (c *Controller) WALStats() (wal.Stats, bool) {
 	return c.wal.Stats(), true
 }
 
-// predecessorsLocked reads id's resolved WTPG predecessors — for a
-// spanning transaction, the union across its shards. Callers must hold
-// every masked shard's lock.
-func (c *Controller) predecessorsLocked(mask uint64, id txn.ID) []txn.ID {
-	if !spanning(mask) {
-		return sched.Predecessors(c.shards[homeShard(mask)].sch, id)
-	}
-	schs := make([]sched.Scheduler, 0, bits.OnesCount64(mask))
-	c.eachShard(mask, func(sh *lshard) { schs = append(schs, sh.sch) })
-	return sched.PredecessorsUnion(schs, id)
-}
-
 // Recover rebuilds a controller from the per-node logs under dir:
 // durable.Recover restarts the log — and redoes the WithStorage store,
 // if one is given, in the same replay — and the returned controller,
 // fresh scheduler state with the reopened log attached and owned, passes
 // its scheduler invariant checks before serving new traffic. The log is
 // reopened over every node file dir holds, so new commits route over the
-// same node count the crashed run logged to.
+// same node count the crashed run logged to, and the controller's Admit
+// refuses every id at or below the log's highest committed one
+// (Recovery.MaxID): a second Commit record for an id makes the log
+// unrecoverable.
 //
 // The Recovery report carries what was reconstructed: the committed
 // set in replay order and the replay schedule's width (MaxParallel).
@@ -88,6 +78,7 @@ func Recover(dir string, factory sched.Factory, costs sched.Costs, opts ...Optio
 	}
 	c := New(factory, costs, append(opts[:len(opts):len(opts)], WithWALLog(log))...)
 	c.walOwned = true
+	c.recovered, c.maxRecovered = len(rec.Committed) > 0, rec.MaxID
 	if err := c.CheckInvariants(); err != nil {
 		c.Close()
 		return nil, nil, fmt.Errorf("live: recover: %w", err)

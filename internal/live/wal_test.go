@@ -208,13 +208,13 @@ func TestWALAbortsAppendNothing(t *testing.T) {
 	}
 }
 
-// TestShardedWALKillRecoverRoundTrip repeats the kill-and-restart story
-// with the sharded hot path on: spanning transactions log Commit records
-// carrying the union of their per-shard predecessors, the log dies with
-// two transactions in flight (traceless, never committed),
-// and recovery reconstructs exactly the committed set — proving the
-// write-ahead contract holds per shard.
-func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
+// TestWALKillRecoverTwoSteps repeats the kill-and-restart story with
+// two-step transactions, whose Commit records carry the predecessors
+// resolved over both steps: the log dies with two transactions in flight
+// (traceless, never committed), recovery reconstructs exactly the
+// committed set, and the recovered controller runs a two-step
+// transaction.
+func TestWALKillRecoverTwoSteps(t *testing.T) {
 	dir := t.TempDir()
 	l, err := wal.Open(dir, 1)
 	if err != nil {
@@ -222,7 +222,7 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 	}
 	f := sched.C2PLFactory()
 	h := modelcheck.NewHistory()
-	ctl := New(f, liveCosts, WithWALLog(l), WithShards(4), WithRetryDelay(time.Millisecond), WithObserver(h))
+	ctl := New(f, liveCosts, WithWALLog(l), WithRetryDelay(time.Millisecond), WithObserver(h))
 
 	var wg sync.WaitGroup
 	for i := 1; i <= 8; i++ {
@@ -230,8 +230,6 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			// Two steps far apart in the partition space: most of these
-			// span shards and admit through the atomic slow path.
 			tx := txn.New(txn.ID(i), []txn.Step{
 				w(txn.PartitionID(i%4), 1),
 				w(txn.PartitionID(8+i%4), 1),
@@ -272,7 +270,7 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 	}
 	ctl.Close()
 
-	ctl2, rec, err := Recover(dir, f, liveCosts, WithShards(4), WithRetryDelay(time.Millisecond))
+	ctl2, rec, err := Recover(dir, f, liveCosts, WithRetryDelay(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,16 +291,66 @@ func TestShardedWALKillRecoverRoundTrip(t *testing.T) {
 	if err := h.Certify(modelcheck.Evidence{Scans: scans, Recovery: rec, Acked: batchAcked, Killed: true}); err != nil {
 		t.Fatal(err)
 	}
-	// The recovered controller is live and still sharded.
-	if got := ctl2.Shards(); got != 4 {
-		t.Fatalf("recovered controller Shards() = %d, want 4", got)
-	}
+	// The recovered controller is live.
 	tx := txn.New(12, []txn.Step{w(2, 1), w(9, 1)})
 	if err := ctl2.Run(context.Background(), tx, func(step int, p Progress) error {
 		p(1)
 		return nil
 	}); err != nil {
 		t.Fatalf("post-recovery run: %v", err)
+	}
+}
+
+// TestRecoveredControllerRefusesLoggedIDs: a controller built by Recover
+// refuses a transaction whose id the recovered log already committed —
+// before anything is logged, since a second Commit record for the id
+// would make the whole log unrecoverable — and admits one above it; the
+// next recovery keeps every commit either controller acknowledged.
+func TestRecoveredControllerRefusesLoggedIDs(t *testing.T) {
+	dir := t.TempDir()
+	l, err := wal.Open(dir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := sched.C2PLFactory()
+	ctl := New(f, liveCosts, WithWALLog(l))
+	for id := txn.ID(1); id <= 3; id++ {
+		if err := ctl.Run(context.Background(), txn.New(id, []txn.Step{w(txn.PartitionID(id), 1)}), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctl.Close()
+	if err := l.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	ctl2, rec, err := Recover(dir, f, liveCosts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.MaxID != 3 {
+		t.Errorf("Recovery.MaxID = %v, want T3", rec.MaxID)
+	}
+	for _, id := range []txn.ID{2, 3} {
+		if err := ctl2.Run(context.Background(), txn.New(id, []txn.Step{w(0, 1)}), nil); err == nil {
+			t.Errorf("recovered controller admitted %v, which its log already committed", id)
+		}
+	}
+	if st, _ := ctl2.WALStats(); st.Appends != 0 {
+		t.Errorf("%d records appended for refused transactions", st.Appends)
+	}
+	if err := ctl2.Run(context.Background(), txn.New(4, []txn.Step{w(0, 1)}), nil); err != nil {
+		t.Fatal(err)
+	}
+	ctl2.Close()
+
+	ctl3, rec2, err := Recover(dir, f, liveCosts)
+	if err != nil {
+		t.Fatalf("the log is unrecoverable after the recovered controller's run: %v", err)
+	}
+	defer ctl3.Close()
+	if len(rec2.Committed) != 4 || rec2.MaxID != 4 {
+		t.Fatalf("second recovery found %v committed (max %v), want T1–T4", rec2.Committed, rec2.MaxID)
 	}
 }
 
@@ -379,7 +427,7 @@ func TestRecoverRejectsLogOption(t *testing.T) {
 // TestWALRoutesCommitsByFirstPartition: the controller writes each Commit
 // record to node file firstPart mod n of the n-node log it was given —
 // the paper's home policy, worked out from the log — under concurrent
-// commits on two shards, and Recover, told nothing of the layout, reopens
+// commits, and Recover, told nothing of the layout, reopens
 // all three files: it recovers every acknowledged transaction, and its
 // own commits keep routing over the three.
 func TestWALRoutesCommitsByFirstPartition(t *testing.T) {
@@ -391,7 +439,7 @@ func TestWALRoutesCommitsByFirstPartition(t *testing.T) {
 		t.Fatal(err)
 	}
 	h := modelcheck.NewHistory()
-	ctl := New(f, liveCosts, WithWALLog(l), WithShards(2), WithRetryDelay(time.Millisecond), WithObserver(h))
+	ctl := New(f, liveCosts, WithWALLog(l), WithRetryDelay(time.Millisecond), WithObserver(h))
 	var (
 		mu    sync.Mutex
 		acked = map[txn.ID]bool{}

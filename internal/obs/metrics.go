@@ -40,8 +40,9 @@ func loadFloat(addr *uint64) float64 {
 
 // Histogram is a bucketed histogram over fixed upper bounds (ascending,
 // with an implicit +Inf bucket at the end). Add is lock-free (atomic
-// per-bucket counters), so concurrent observers — the sharded live
-// controller's per-shard dispatch — never contend on a histogram lock.
+// per-bucket counters), so concurrent observers — the live controller's
+// callers and the simulator's worker goroutines — never contend on a
+// histogram lock.
 // Readers (Mean, Quantile, …) see a monotone, possibly mid-update view;
 // they are exact once the producing run has completed (the same
 // ownership rule Metrics documents). Observed values must be ≥ 0.
@@ -189,7 +190,7 @@ func (d *decisionCounts) counts() map[string]uint64 {
 
 // SchedMetrics aggregates one scheduler's events. Every counter is
 // updated with atomic operations — Observe takes no per-event lock —
-// so the observer never serializes the shards (or worker goroutines)
+// so the observer never serializes the callers (or worker goroutines)
 // it is measuring. Plain field reads are exact once the producing run
 // has completed; float-valued aggregates are behind accessor methods
 // because Go has no atomic float fields.

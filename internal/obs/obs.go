@@ -153,10 +153,7 @@ type Event struct {
 	// events such as critical-path changes).
 	Txn txn.ID `json:"txn,omitempty"`
 	// Step and Part locate a lock request (Request / Decision-request);
-	// Write says it asks for the exclusive mode. A sharded live controller
-	// decides a spanning transaction's projection, so a Decision event's
-	// Step indexes that projection, not the transaction — Part and Write
-	// are exact either way (docs/OBSERVABILITY.md).
+	// Write says it asks for the exclusive mode.
 	Step  int             `json:"step"`
 	Part  txn.PartitionID `json:"part"`
 	Write bool            `json:"write,omitempty"`
@@ -194,11 +191,6 @@ type Event struct {
 	// recovery's widest replay wave.
 	Batch    int `json:"batch,omitempty"`
 	Clusters int `json:"clusters,omitempty"`
-	// Shard is the live controller's lock-table shard the event was
-	// emitted from (WithShards). Zero both for shard 0 and for unsharded
-	// emitters (the simulator, controller-level events), so a nonzero
-	// value always names a real non-default shard.
-	Shard int `json:"shard,omitempty"`
 }
 
 // String renders the event as one grep-friendly line: clock,
@@ -239,9 +231,6 @@ func (e Event) String() string {
 		s += fmt.Sprintf(" part=P%d bytes=%d", e.Part, e.Batch)
 	case KindPageEvict:
 		s += fmt.Sprintf(" part=P%d op=%s", e.Part, e.Op)
-	}
-	if e.Shard > 0 {
-		s += fmt.Sprintf(" shard=%d", e.Shard)
 	}
 	return s
 }

@@ -130,6 +130,10 @@ type Recovery struct {
 	// Committed lists every durably committed transaction in replay
 	// order: wave-major, ascending id within a wave.
 	Committed []txn.ID
+	// MaxID is the highest committed id (0 when nothing committed): a
+	// run that appends to this log must number its transactions above it,
+	// or Replay finds a duplicate Commit record.
+	MaxID txn.ID
 	// Wave maps each committed transaction to its topological replay
 	// wave; every logged committed predecessor lands in a strictly
 	// earlier wave.
@@ -184,6 +188,9 @@ func Replay(scans []NodeScan, workers int, apply func(commit Record, wave int)) 
 				return nil, fmt.Errorf("wal: duplicate commit for %v", r.Txn)
 			}
 			commits[r.Txn] = r
+			if len(commits) == 1 || r.Txn > rec.MaxID {
+				rec.MaxID = r.Txn
+			}
 		}
 	}
 
