@@ -79,7 +79,11 @@ reproduce:
 # The greps keep closed forks closed: a deprecated shim or an
 # environment-variable switch is a second path someone has to test, and a
 # driver that builds its own log record is a second statement of the
-# write-ahead contract (internal/durable holds the one), and a closure
+# write-ahead contract (internal/live holds the one, and wal.NewCommit
+# builds its record), and so is a package importing the retired
+# internal/durable layer or a call of the no-op Store.Stage outside the
+# frozen benchmark program (a commit applies its footprint; nothing is
+# staged), and a closure
 # built per control job or per retry in internal/sim is an allocation per
 # attempt that the transaction's own records exist to avoid
 # (docs/PERFORMANCE.md §11), and File.Fd hands the storage read path a
@@ -89,8 +93,8 @@ reproduce:
 # only when it is called — and internal/live importing internal/fault or
 # internal/machine is a second machine model under the lock manager (the
 # simulator holds the one; live's batteries inject through Run's work
-# callback), and internal/sim importing internal/wal, internal/storage or
-# internal/durable is a second durability driver beside the live
+# callback), and internal/sim importing internal/wal or internal/storage
+# is a second durability driver beside the live
 # controller (the simulator is a cost model and writes no file), and a
 # goroutine in the live controller is scheduling no
 # caller's call accounts for — every wait ends on a wake event, the §3.2
@@ -112,7 +116,9 @@ verify: build test bench-smoke harness-smoke
 	! grep -n '\.Fd()' internal/storage/*.go
 	! grep -rn 'go func' --include='*.go' --exclude='*_test.go' internal/storage
 	! grep -rn '"batsched/internal/\(fault\|machine\)"' --include='*.go' --exclude='*_test.go' internal/live
-	! grep -rnE '"batsched/internal/(wal|storage|durable)"' --include='*.go' --exclude='*_test.go' internal/sim
+	! grep -rnE '"batsched/internal/(wal|storage)"' --include='*.go' --exclude='*_test.go' internal/sim
+	! grep -rn '"batsched/internal/durable"' --include='*.go' .
+	! grep -rn '\.Stage(' --include='*.go' --exclude-dir=benchmark .
 	! grep -rnE '^\s*go ' --include='*.go' --exclude='*_test.go' internal/live
 	! grep -rn 'WithShards' --include='*.go' --exclude-dir=benchmark . | grep -v '^./internal/live/live.go:[0-9]*:\(// WithShards is a no-op\|func WithShards(int) Option\)'
 	GOOS=darwin $(GO) vet ./internal/storage/

@@ -55,7 +55,6 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
-	"batsched/internal/durable"
 	"batsched/internal/event"
 	"batsched/internal/idmap"
 	"batsched/internal/obs"
@@ -133,17 +132,18 @@ type Controller struct {
 
 	// Durability (WithWALLog, WithStorage — see wal.go, storage.go): wal
 	// is the caller's open log (the controller's own, walOwned, only when
-	// Recover built it), store the heap files granted steps scan. dur
-	// binds both to the write-ahead contract and holds its sticky errors;
-	// it is nil with neither attached. mu is never held while the log's
-	// own mutex is taken: finish appends after releasing it. With
-	// recovered set (Recover over a log that committed something),
-	// maxRecovered is the highest id that log committed, and Admit refuses
-	// every id at or below it.
+	// Recover built it), store the heap files granted steps scan. logErr
+	// and storeErr are the write-ahead contract's sticky first failures,
+	// read lock-free on the hot path. mu is never held while the log's own
+	// mutex is taken: finish appends after releasing it. With recovered
+	// set (Recover over a log that committed something), maxRecovered is
+	// the highest id that log committed, and Admit refuses every id at or
+	// below it.
 	wal          *wal.Log
 	walOwned     bool
 	store        *storage.Store
-	dur          *durable.Binding
+	logErr       atomic.Pointer[error]
+	storeErr     atomic.Pointer[error]
 	recovered    bool
 	maxRecovered txn.ID
 
@@ -240,8 +240,12 @@ func New(factory sched.Factory, costs sched.Costs, opts ...Option) *Controller {
 	if c.observer != nil {
 		c.sch = sched.Observed(c.sch, c.observer)
 	}
-	c.dur = durable.New(c.wal, c.store, c.emit, c.now)
-	c.dur.Observe(c.observer, c.label)
+	if c.store != nil {
+		if c.wal != nil {
+			c.store.SetWriteBarrier(func() error { return c.force(c.now()) })
+		}
+		c.store.Bind(c.observer, c.label, c.now)
+	}
 	return c
 }
 
@@ -414,7 +418,7 @@ func (c *Controller) admitGranted(now event.Time, t *txn.T) {
 	}
 	*r = ltxn{admitted: now, resubmit: r.resubmit}
 	c.txns.Put(t.ID, r)
-	if c.dur.Logs() {
+	if c.logs() {
 		r.preds = sched.Predecessors(c.sch, t.ID)
 	}
 	// A granted admission is a wake event: it dirties the scheduler's
@@ -483,12 +487,18 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 // event (waitLocked) and ask again. A controller built by Recover
 // refuses, at once, an id at or below the highest one its log committed:
 // a second Commit record for that id would make the log unrecoverable.
+// With a store attached it refuses, at once too, a transaction with a
+// step on a partition the store lacks: its commit could apply no effect
+// there, and a restart could not redo its record.
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return errNilTxn
 	}
 	if c.recovered && t.ID <= c.maxRecovered {
 		return fmt.Errorf("live: %v: the recovered log committed ids up to %v; admit a higher one", t.ID, c.maxRecovered)
+	}
+	if err := c.checkParts(t); err != nil {
+		return err
 	}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -503,7 +513,7 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 		if attempt == 0 {
 			c.emit(obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
 		}
-		if err := c.dur.LogErr(); err != nil {
+		if err := load(&c.logErr); err != nil {
 			// Durability was requested and is broken (an IO failure):
 			// admitting would run the transaction unlogged.
 			c.mu.Unlock()
@@ -621,7 +631,7 @@ func (c *Controller) Abort(t *txn.T) error {
 // finish is a pre-commit in the sense of Yao et al.'s dependency logging
 // (PAPERS.md): the partition locks drop once the Commit record is
 // appended, and the caller is acknowledged once it is durable. What each
-// step guarantees is internal/durable's contract; the order, for a
+// step guarantees is the write-ahead contract of wal.go; the order, for a
 // commit:
 //
 //  1. under c.mu, claim the finish — validate, add the predecessor set
@@ -629,8 +639,9 @@ func (c *Controller) Abort(t *txn.T) error {
 //     admission, and drop t's control record so no concurrent finish can
 //     touch it;
 //  2. outside c.mu, but with t still holding its partition locks in the
-//     scheduler: PreCommit — append the record to walNode's file, apply
-//     the staged effects to cached pages; a successor's scan sees them.
+//     scheduler: preCommit — append the record to walNode's file, apply
+//     the footprint's write effects to cached pages; a successor's scan
+//     sees them.
 //     Nothing of t is visible yet, so a refusal still flips cleanly to an
 //     abort;
 //  3. under c.mu, apply the completion to the scheduler — the partition
@@ -640,7 +651,7 @@ func (c *Controller) Abort(t *txn.T) error {
 // A crash in the window between 3 and 4 can lose a pre-committed record
 // while a later one survives in another node file; recovery keeps only
 // the gap-free prefix of the append order, so that successor is lost with
-// it. An abort replaces step 2 with Abandon and skips step 4.
+// it. An abort skips steps 2 and 4: nothing of it was logged or applied.
 func (c *Controller) finish(t *txn.T, committed bool) error {
 	if t == nil {
 		return errNilTxn
@@ -653,7 +664,7 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	}
 	now := c.now()
 	start, preds := r.admitted, r.preds
-	if committed && c.dur.Logs() {
+	if committed && c.logs() {
 		preds = append(preds, sched.Predecessors(c.sch, t.ID)...)
 	}
 	c.txns.Delete(t.ID)
@@ -665,11 +676,11 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	c.mu.Unlock()
 
 	var preErr error
-	if !committed {
-		c.dur.Abandon(t.ID)
-	} else if err := c.dur.PreCommit(t, c.walNode(t), preds, now); err != nil {
-		committed = false
-		preErr = fmt.Errorf("live: %v: %w", t.ID, err)
+	if committed {
+		if err := c.preCommit(t, preds, now); err != nil {
+			committed = false
+			preErr = fmt.Errorf("live: %v: %w", t.ID, err)
+		}
 	}
 
 	if c.observer != nil {
@@ -693,9 +704,9 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	c.mu.Unlock()
 
 	if committed {
-		if err := c.dur.Force(now); err != nil {
+		if err := c.force(now); err != nil {
 			// Pre-committed but not durable: successors may have read the
-			// effects. The binding's sticky errors fail every later
+			// effects. The sticky errors fail every later
 			// admission, commit and page write; only a restart's replay
 			// decides this one.
 			return fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"sync"
 
 	"batsched/internal/txn"
 	"batsched/internal/wal"
@@ -64,62 +63,27 @@ func DecodeEffect(b []byte) (EffectKey, txn.PartitionID, bool) {
 		true
 }
 
-// stagedPool recycles staged-effect slices so the stage/commit cycle of
-// the live hot path allocates nothing in steady state.
-var stagedPool = sync.Pool{New: func() any { return new([]stagedEffect) }}
+// Stage is a no-op: a commit's effects are its footprint's write steps,
+// which ApplyCommit inserts, so nothing is staged ahead of the commit. It
+// stays declared only because benchmark/traced.go calls it and
+// benchmark/ is frozen by BENCHMARK.json; it leaves in the next
+// benchmark change, like live's no-op shard option.
+func (st *Store) Stage(txn.ID, int, txn.PartitionID) {}
 
-// Stage records that (id, step) will insert its effect tuple into part
-// if — and only if — the transaction commits. Nothing touches a page
-// until ApplyCommit: uncommitted effects are never written, so aborts
-// need no undo (a no-steal policy at transaction granularity).
-func (st *Store) Stage(id txn.ID, step int, part txn.PartitionID) {
-	st.stageMu.Lock()
-	lp := st.staged[id]
-	if lp == nil {
-		lp = stagedPool.Get().(*[]stagedEffect)
-		*lp = (*lp)[:0]
-		st.staged[id] = lp
-	}
-	*lp = append(*lp, stagedEffect{step: step, part: part})
-	st.stageMu.Unlock()
-}
-
-// ApplyCommit applies id's staged effects to their partitions. It only
-// mutates cached pages: they leave the pool by eviction, an overflow
-// frame's final Unpin, Flush or Close — never on the committer's path. The caller MUST have
-// appended the transaction's WAL commit record first and must still hold its
-// partition locks (scans read frames with no latch, so the writer's lock
-// is all that keeps them off a page while it mutates); the rest of the
-// write-ahead contract is internal/durable's.
-func (st *Store) ApplyCommit(id txn.ID) error {
-	st.stageMu.Lock()
-	lp := st.staged[id]
-	delete(st.staged, id)
-	st.stageMu.Unlock()
-	if lp == nil {
-		return nil
-	}
-	var buf [effectBytes]byte
-	for _, e := range *lp {
-		putEffect(buf[:], id, e.step, e.part)
-		if _, err := st.Insert(e.part, buf[:]); err != nil {
-			stagedPool.Put(lp)
-			return err
-		}
-	}
-	stagedPool.Put(lp)
-	return nil
-}
-
-// Drop discards id's staged effects (abort, or end-of-run cleanup for
-// transactions still in flight).
-func (st *Store) Drop(id txn.ID) {
-	st.stageMu.Lock()
-	if lp := st.staged[id]; lp != nil {
-		delete(st.staged, id)
-		stagedPool.Put(lp)
-	}
-	st.stageMu.Unlock()
+// ApplyCommit inserts the effect tuple of every write step of t into
+// its partition, in step order, allocating nothing. It only mutates
+// cached pages: they leave the pool by eviction, an overflow frame's
+// final Unpin, Flush or Close — never on the committer's path. The
+// caller MUST have appended t's WAL Commit record first and must still
+// hold its partition locks (scans read frames with no latch, so the
+// writer's lock is all that keeps them off a page while it mutates); the
+// rest of the write-ahead contract is internal/live's (wal.go). An
+// aborted transaction never gets here, so it has nothing to undo: a
+// no-steal policy at transaction granularity.
+func (st *Store) ApplyCommit(t *txn.T) error {
+	return st.applyEffects(t.ID, len(t.Steps), func(i int) (txn.PartitionID, txn.Mode) {
+		return t.Steps[i].Part, t.Steps[i].Mode
+	}, false)
 }
 
 // Keys scans a partition and returns the set of effect keys present
@@ -147,29 +111,44 @@ func (st *Store) Keys(part txn.PartitionID) (map[EffectKey]bool, error) {
 // crash — are skipped: redo is idempotent. Safe for the concurrent
 // calls a replay wave makes; the caller flushes once afterwards.
 func (st *Store) Redo(commit wal.Record) error {
-	for i, s := range commit.Steps {
-		if s.Mode != txn.Write {
+	st.redoMu.Lock()
+	defer st.redoMu.Unlock()
+	return st.applyEffects(commit.Txn, len(commit.Steps), func(i int) (txn.PartitionID, txn.Mode) {
+		return commit.Steps[i].Part, commit.Steps[i].Mode
+	}, true)
+}
+
+// applyEffects is the one effect loop: it inserts the effect tuple of
+// every write step among id's n steps, in step order, into the one stack
+// buffer; step(i) names step i's partition and mode. With redo set (and
+// redoMu held) an effect already present is skipped, checked against a
+// per-partition key index built on the first redo into that partition.
+func (st *Store) applyEffects(id txn.ID, n int, step func(int) (txn.PartitionID, txn.Mode), redo bool) error {
+	var buf [effectBytes]byte
+	for i := 0; i < n; i++ {
+		part, mode := step(i)
+		if mode != txn.Write {
 			continue
 		}
-		key := EffectKey{Txn: commit.Txn, Step: i}
-		st.redoMu.Lock()
-		present := st.redoKeys[s.Part]
-		if present == nil {
-			var err error
-			if present, err = st.Keys(s.Part); err != nil {
-				st.redoMu.Unlock()
-				return err
+		if redo {
+			present := st.redoKeys[part]
+			if present == nil {
+				var err error
+				if present, err = st.Keys(part); err != nil {
+					return err
+				}
+				st.redoKeys[part] = present
 			}
-			st.redoKeys[s.Part] = present
-		}
-		if !present[key] {
+			key := EffectKey{Txn: id, Step: i}
+			if present[key] {
+				continue
+			}
 			present[key] = true
-			if _, err := st.Insert(s.Part, EncodeEffect(commit.Txn, i, s.Part, effectBytes)); err != nil {
-				st.redoMu.Unlock()
-				return err
-			}
 		}
-		st.redoMu.Unlock()
+		putEffect(buf[:], id, i, part)
+		if _, err := st.Insert(part, buf[:]); err != nil {
+			return err
+		}
 	}
 	return nil
 }

@@ -73,8 +73,8 @@ func (pf *partFile) numPages() uint32 {
 
 // Store is a directory of per-partition heap files behind one buffer
 // pool. It also carries the transactional glue the live controller
-// drives: per-transaction staged effects applied at commit (after the
-// WAL append, with the write barrier forcing the log before any page
+// drives: a commit's effects applied from its footprint (after the WAL
+// append, with the write barrier forcing the log before any page
 // leaves — the write-ahead contract extended to pages), crash
 // simulation for the chaos batteries, and WAL-replay redo.
 type Store struct {
@@ -97,12 +97,6 @@ type Store struct {
 	// page traffic.
 	barrier atomic.Pointer[func() error]
 
-	// Staged effects: write steps stage one deterministic tuple each;
-	// commit applies them, abort drops them. Slices are pooled — see
-	// effect.go.
-	stageMu sync.Mutex
-	staged  map[txn.ID]*[]stagedEffect
-
 	// Un-fsynced write history for Crash: heap pages are never synced,
 	// so a kill may tear any of them; the sequence numbers make the tear
 	// deterministic (oldest writes are the ones the kernel most likely
@@ -117,11 +111,6 @@ type Store struct {
 	redoKeys map[txn.PartitionID]map[EffectKey]bool
 
 	closed bool
-}
-
-type stagedEffect struct {
-	step int
-	part txn.PartitionID
 }
 
 // Open opens (or creates) a store of numParts partition heap files
@@ -149,7 +138,6 @@ func Open(dir string, numParts int, opts ...Option) (*Store, error) {
 	st := &Store{
 		dir:      dir,
 		pageSize: c.pageSize,
-		staged:   make(map[txn.ID]*[]stagedEffect),
 		writeSeq: make(map[pageKey]int),
 		redoKeys: make(map[txn.PartitionID]map[EffectKey]bool),
 	}
@@ -273,8 +261,8 @@ func (st *Store) Bind(o obs.Observer, label string, clock func() event.Time) {
 // SetWriteBarrier installs the WAL-before-pages rule at the one place
 // pages reach disk: before every page write — eviction, overflow-frame
 // release, Flush, Close — the store
-// calls b, and writes nothing if it fails. internal/durable binds its
-// Force: "make the log durable through everything appended so far", a
+// calls b, and writes nothing if it fails. The live controller binds
+// its force: "make the log durable through everything appended so far", a
 // mutex and a compare when nothing is pending.
 func (st *Store) SetWriteBarrier(b func() error) {
 	st.barrier.Store(&b)

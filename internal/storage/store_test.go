@@ -189,6 +189,16 @@ func mkCommit(id txn.ID, parts ...txn.PartitionID) wal.Record {
 	return r
 }
 
+// mkWriter is the transaction whose Commit record mkCommit builds: one
+// write step per partition, in order.
+func mkWriter(id txn.ID, parts ...txn.PartitionID) *txn.T {
+	steps := make([]txn.Step, len(parts))
+	for i, p := range parts {
+		steps[i] = txn.Step{Mode: txn.Write, Part: p, Cost: 1}
+	}
+	return txn.New(id, steps)
+}
+
 // expectedKeys derives the partition contents implied by a committed
 // set — the pure function the effect model promises.
 func expectedKeys(commits []wal.Record, part txn.PartitionID) map[EffectKey]bool {
@@ -203,8 +213,8 @@ func expectedKeys(commits []wal.Record, part txn.PartitionID) map[EffectKey]bool
 	return want
 }
 
-// TestStoreCrashRedoRoundTrip commits transactions through the staging
-// path, crashes with a mid-flush tear, reopens, replays redo from the
+// TestStoreCrashRedoRoundTrip commits transactions through ApplyCommit,
+// crashes with a mid-flush tear, reopens, replays redo from the
 // committed set, and requires the final contents to equal the pure
 // function of that committed set.
 func TestStoreCrashRedoRoundTrip(t *testing.T) {
@@ -216,14 +226,10 @@ func TestStoreCrashRedoRoundTrip(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				id := txn.ID(i + 1)
 				parts := []txn.PartitionID{txn.PartitionID(i % 4), txn.PartitionID((i + 1) % 4)}
-				for step, p := range parts {
-					st.Stage(id, step, p)
-				}
-				if i%5 == 4 { // every fifth transaction aborts
-					st.Drop(id)
+				if i%5 == 4 { // every fifth transaction aborts: nothing applied
 					continue
 				}
-				if err := st.ApplyCommit(id); err != nil {
+				if err := st.ApplyCommit(mkWriter(id, parts...)); err != nil {
 					t.Fatal(err)
 				}
 				// Commit only dirties cached pages; write them so the crash
@@ -368,14 +374,13 @@ func TestStoreWALReplayRedo(t *testing.T) {
 		c := mkCommit(id, part)
 		c.Node = i % 2
 		commits = append(commits, c)
-		st.Stage(id, 0, part)
 		if err := l.Append(c); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := l.Sync(); err != nil { // WAL force precedes the page apply
 			t.Fatal(err)
 		}
-		if err := st.ApplyCommit(id); err != nil {
+		if err := st.ApplyCommit(mkWriter(id, part)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -502,14 +507,10 @@ func TestStoreCrashRedoWriteBackLag(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			id := txn.ID(i + 1)
 			parts := []txn.PartitionID{txn.PartitionID(i % 4), txn.PartitionID((i + 1) % 4)}
-			for step, p := range parts {
-				st.Stage(id, step, p)
-			}
-			if i%5 == 4 {
-				st.Drop(id)
+			if i%5 == 4 { // aborts: nothing applied
 				continue
 			}
-			if err := st.ApplyCommit(id); err != nil {
+			if err := st.ApplyCommit(mkWriter(id, parts...)); err != nil {
 				t.Fatal(err)
 			}
 			committed = append(committed, mkCommit(id, parts...))
@@ -728,5 +729,30 @@ func TestWriteBackCyclesHoldNoHeap(t *testing.T) {
 	if grew := after.TotalAlloc - before.TotalAlloc; grew >= cycles {
 		t.Fatalf("%d write-back cycles allocated %d B (%.1f B/cycle), want O(1)",
 			cycles, grew, float64(grew)/cycles)
+	}
+}
+
+// TestApplyCommitAllocs: applying a commit's footprint allocates nothing
+// — the effect tuple is built in one stack buffer, and the step accessor
+// does not escape — once the pages it inserts into are resident.
+func TestApplyCommitAllocs(t *testing.T) {
+	st := mustOpen(t, t.TempDir(), 4, WithPageSize(32<<10), WithPoolFrames(16))
+	defer st.Close()
+	tx := txn.New(1, []txn.Step{
+		{Mode: txn.Write, Part: 0, Cost: 1},
+		{Mode: txn.Read, Part: 1, Cost: 1},
+		{Mode: txn.Write, Part: 2, Cost: 1},
+	})
+	if err := st.ApplyCommit(tx); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(50, func() {
+		tx.ID++
+		if err := st.ApplyCommit(tx); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ApplyCommit allocates %v objects, want 0", allocs)
 	}
 }

@@ -60,6 +60,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"batsched/internal/event"
 	"batsched/internal/txn"
@@ -114,6 +115,14 @@ type Record struct {
 	At    event.Time
 	Steps []StepRef // declared footprint
 	Preds []txn.ID  // resolved WTPG predecessors, at admission and at commit
+}
+
+// NewCommit builds t's Commit record for node's file, stamped at. preds
+// is the union of the predecessor sets resolved at admission and at
+// commit, duplicates allowed: it is sorted and deduplicated in place.
+func NewCommit(t *txn.T, node int, at event.Time, preds []txn.ID) Record {
+	slices.Sort(preds)
+	return Record{Kind: Commit, Txn: t.ID, Node: node, At: at, Steps: Footprint(t), Preds: slices.Compact(preds)}
 }
 
 // Footprint converts a transaction's declared steps into StepRefs.
