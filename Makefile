@@ -24,7 +24,7 @@ MICRO_BENCH := Table1SingleRun|EstimateE|EstimateECold|ESmall|ELarge|CriticalPat
 MICRO_BENCH := $(MICRO_BENCH)|WouldCycleFromStar|CloneStar|Solve32|SolverSolve32|SolvePaper32
 MICRO_BENCH := $(MICRO_BENCH)|ConflictingDecls500|IsBlocked500|DeclareRelease|WouldExceedK500|LockCycle
 MICRO_BENCH := $(MICRO_BENCH)|SchedCycleK2|SchedCycleChain|C2PLRefusalRepeat|CertifyHotSet
-MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueScheduleFire|ControlNodePump|DataNodeQuantum
+MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueRetryBacklog|QueueScheduleFire|ControlNodePump|DataNodeQuantum
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert
 MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet|IDMapChurn
@@ -60,7 +60,7 @@ harness-smoke:
 # their documented commands (EXPERIMENTS.md) into a temporary directory
 # and compares each byte for byte with the committed file, so a change
 # that moves any number of the paper's figures or of the ablations fails
-# here. It takes about a minute and a half on two cores.
+# here. It takes about a minute on two cores.
 reproduce:
 	d="$$(mktemp -d)" && \
 	$(GO) build -o "$$d/batbench" ./cmd/batbench && \

@@ -63,6 +63,16 @@ func DefaultConfig() Config {
 	}
 }
 
+// MaxDuration bounds every duration in Config, and sim.Run bounds its
+// horizon by it: 2^40 clocks, about 35 years at 1 ms. A run's clock then
+// stays below the horizon plus one timer or one control job, and a
+// control job's CPU is a sum of a few of these durations plus KWTPGTime
+// once per E(q) evaluation of one request, so every sum and product in
+// a run stays below 2^62 — half the point where event.Time wraps
+// negative — while one request conflicts with fewer than 2^21 declared
+// steps.
+const MaxDuration event.Time = 1 << 40
+
 // Validate reports configuration errors.
 func (c Config) Validate() error {
 	if c.NumNodes <= 0 {
@@ -84,6 +94,19 @@ func (c Config) Validate() error {
 	}
 	if k := c.Control; k.DDTime < 0 || k.ChainTime < 0 || k.KWTPGTime < 0 || k.KeepTime < 0 {
 		return fmt.Errorf("machine: negative control costs %+v", k)
+	}
+	for _, d := range [...]struct {
+		name string
+		v    event.Time
+	}{
+		{"ObjTime", c.ObjTime}, {"StartupTime", c.StartupTime}, {"CommitTime", c.CommitTime},
+		{"RetryDelay", c.RetryDelay}, {"Control.DDTime", c.Control.DDTime},
+		{"Control.ChainTime", c.Control.ChainTime}, {"Control.KWTPGTime", c.Control.KWTPGTime},
+		{"Control.KeepTime", c.Control.KeepTime},
+	} {
+		if d.v > MaxDuration {
+			return fmt.Errorf("machine: %s = %v beyond MaxDuration %v", d.name, d.v, MaxDuration)
+		}
 	}
 	return nil
 }

@@ -43,6 +43,15 @@ func TestValidate(t *testing.T) {
 		from(func(c *Config) { c.Control.ChainTime = -1 }),
 		from(func(c *Config) { c.Control.KWTPGTime = -1 }),
 		from(func(c *Config) { c.Control.KeepTime = -1 }),
+		// Past MaxDuration a run's sums could wrap the clock.
+		from(func(c *Config) { c.ObjTime = MaxDuration + 1 }),
+		from(func(c *Config) { c.StartupTime = MaxDuration + 1 }),
+		from(func(c *Config) { c.CommitTime = MaxDuration + 1 }),
+		from(func(c *Config) { c.RetryDelay = MaxDuration + 1 }),
+		from(func(c *Config) { c.Control.DDTime = MaxDuration + 1 }),
+		from(func(c *Config) { c.Control.ChainTime = MaxDuration + 1 }),
+		from(func(c *Config) { c.Control.KWTPGTime = MaxDuration + 1 }),
+		from(func(c *Config) { c.Control.KeepTime = MaxDuration + 1 }),
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -51,6 +60,12 @@ func TestValidate(t *testing.T) {
 	}
 	if err := from(func(c *Config) { c.Control = sched.Costs{} }).Validate(); err != nil {
 		t.Errorf("zero control costs: %v", err)
+	}
+	if err := from(func(c *Config) {
+		c.ObjTime, c.StartupTime, c.CommitTime, c.RetryDelay = MaxDuration, MaxDuration, MaxDuration, MaxDuration
+		c.Control = sched.Costs{DDTime: MaxDuration, ChainTime: MaxDuration, KWTPGTime: MaxDuration, KeepTime: MaxDuration}
+	}).Validate(); err != nil {
+		t.Errorf("every duration at MaxDuration: %v", err)
 	}
 }
 

@@ -271,8 +271,8 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		// every arrival at t=0 without end.
 		return nil, fmt.Errorf("sim: arrival rate %g is not positive and finite, and no explicit arrivals", cfg.ArrivalRate)
 	}
-	if cfg.Horizon <= 0 {
-		return nil, fmt.Errorf("sim: horizon %v", cfg.Horizon)
+	if cfg.Horizon <= 0 || cfg.Horizon > machine.MaxDuration {
+		return nil, fmt.Errorf("sim: horizon %v outside (0, machine.MaxDuration]", cfg.Horizon)
 	}
 	if cfg.Warmup < 0 || cfg.Warmup >= cfg.Horizon {
 		return nil, fmt.Errorf("sim: warmup %v outside horizon %v", cfg.Warmup, cfg.Horizon)
@@ -294,6 +294,7 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 	for _, opt := range opts {
 		opt(&rc)
 	}
+	s.q.SetLane(cfg.Machine.RetryDelay) // §3.2's retries, the bulk of the calendar
 	s.classRT = make(map[string]*stats.Welford)
 	if rc.inj.Enabled() {
 		s.inj = rc.inj

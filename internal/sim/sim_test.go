@@ -194,6 +194,53 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestRunRefusesOverflowingDurations: a duration past machine.MaxDuration
+// is refused before the run, one case per field. Without the bound,
+// math.MaxInt64 as the retry delay, the commit time or the decision cost
+// wrapped the clock and panicked in event.Queue.At ("schedule at -…ms
+// before now"), a start-up time wrapped CPU + StartupTime negative and
+// ran as if start-up were free, and a horizon let an explicit arrival's
+// retries wrap.
+func TestRunRefusesOverflowingDurations(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"RetryDelay", func(c *Config) { c.Machine.RetryDelay = math.MaxInt64 }},
+		{"CommitTime", func(c *Config) { c.Machine.CommitTime = math.MaxInt64 }},
+		{"Control.DDTime", func(c *Config) { c.Machine.Control.DDTime = math.MaxInt64 }},
+		{"StartupTime", func(c *Config) { c.Machine.StartupTime = math.MaxInt64 }},
+		{"Horizon", func(c *Config) {
+			c.Horizon = math.MaxInt64
+			c.ArrivalTimes = []event.Time{0, 1, math.MaxInt64 - 10}
+		}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.Scheduler = sched.ASLFactory()
+			cfg.ArrivalRate = 0.8
+			c.set(&cfg)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Run panicked: %v", p)
+				}
+			}()
+			res, err := Run(cfg)
+			if err == nil {
+				t.Fatalf("Run accepted %s = MaxInt64 and committed %d", c.name, res.Completed)
+			}
+			t.Log(err)
+		})
+	}
+	cfg := baseConfig()
+	cfg.Machine.RetryDelay = machine.MaxDuration
+	cfg.Horizon = machine.MaxDuration
+	cfg.MaxTxns = 20
+	if _, err := Run(cfg); err != nil {
+		t.Errorf("durations at the bound refused: %v", err)
+	}
+}
+
 // TestTinyArrivalRate runs rates so small that the first gap overflows
 // event.Time (1e-16 TPS) or is +Inf (1e-320, a subnormal): the run ends
 // at the horizon with no arrival and no panic.
