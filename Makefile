@@ -100,7 +100,10 @@ reproduce:
 # caller's call accounts for — every wait ends on a wake event, the §3.2
 # resubmit timer, Close or the caller's ctx, and live.WithShards called
 # anywhere but the frozen benchmark program is the sharded controller
-# coming back (DESIGN.md §13: the no-op shim stays only for benchmark/).
+# coming back (DESIGN.md §13: the no-op shim stays only for benchmark/),
+# and sched.Degradable named anywhere but its declaration and the frozen
+# benchmark program is CHAIN's degraded mode coming back (docs/ROBUSTNESS.md
+# §3: chain form holds by construction, so CHAIN runs in one mode).
 # Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
 # What no program reaches,
@@ -121,6 +124,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -rn '\.Stage(' --include='*.go' --exclude-dir=benchmark .
 	! grep -rnE '^\s*go ' --include='*.go' --exclude='*_test.go' internal/live
 	! grep -rn 'WithShards' --include='*.go' --exclude-dir=benchmark . | grep -v '^./internal/live/live.go:[0-9]*:\(// WithShards is a no-op\|func WithShards(int) Option\)'
+	! grep -rn 'Degradable' --include='*.go' --exclude-dir=benchmark . | grep -v '^./internal/core/sched/abort.go:'
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -154,12 +155,18 @@ func TestChooseWorkload(t *testing.T) {
 		{"exp1", "", 0, 8, 0.5, "-numparts 0"},
 		{"exp4", "", 1, 8, 0.5, "-numparts 1"},
 		{"exp4", "", 16, 8, -1, "-sigma -1"},
+		{"exp4", "", 16, 8, math.Inf(1), "-sigma +Inf"},
 		{"exp2", "", 16, 1, 0.5, "-numhots 1"},
 		{"exp2", "", 16, 0, 0.5, "-numhots 0"},
 		{"exp3", "", 16, -2, 0.5, "-numhots -2"},
 		{"custom", "r(A:1) -> w(B:1) -> w(C:1)", 2, 8, 0.5, "-numparts 2"},
 		{"custom", "r(A:1)", -1, 8, 0.5, "-numparts -1"},
 		{"custom", "", 16, 8, 0.5, "-pattern"},
+		{"custom", "w(A:NaN) -> r(B:1)", 16, 8, 0.5, "-pattern"},
+		{"custom", "w(A:Inf) -> r(B:1)", 16, 8, 0.5, "-pattern"},
+		{"custom", "w(A:-Inf) -> r(B:1)", 16, 8, 0.5, "-pattern"},
+		{"custom", "r(A:1) -> w(B:infinity)", 16, 8, 0.5, "-pattern"},
+		{"custom", "w(A:1e308)", 16, 8, 0.5, "-pattern"},
 		{"exp9", "", 16, 8, 0.5, "exp9"},
 	}
 	for _, c := range bad {

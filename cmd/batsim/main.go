@@ -19,6 +19,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime/pprof"
 	"strings"
@@ -39,7 +40,7 @@ import (
 
 func main() {
 	var (
-		schedName = flag.String("sched", "K2", "scheduler name; any registered scheduler: "+strings.Join(sched.Names(), ", ")+", K<k>, K<k>-C2PL")
+		schedName = flag.String("sched", "K2", "scheduler name; any registered scheduler: "+strings.Join(sched.Names(), ", "))
 		wl        = flag.String("workload", "exp1", "workload: exp1, exp2, exp3, exp4, custom")
 		pattern   = flag.String("pattern", "", "custom pattern for -workload custom, e.g. \"r(F1:2) -> w(F2:1)\"")
 		lambda    = flag.Float64("lambda", 0.5, "arrival rate (transactions per second)")
@@ -248,8 +249,8 @@ func chooseWorkload(name, pattern string, numParts, numHots int, sigma float64) 
 		return nil, 0, fmt.Errorf("-numparts %d: %s binds 2 distinct partitions per transaction, need at least 2", numParts, name)
 	case (name == "exp2" || name == "exp3") && numHots < 2:
 		return nil, 0, fmt.Errorf("-numhots %d: %s binds 2 distinct hot partitions per transaction, need at least 2", numHots, name)
-	case name == "exp4" && !(sigma >= 0):
-		return nil, 0, fmt.Errorf("-sigma %g: need a non-negative standard deviation", sigma)
+	case name == "exp4" && !(sigma >= 0 && sigma <= math.MaxFloat64):
+		return nil, 0, fmt.Errorf("-sigma %g: need a finite non-negative standard deviation", sigma)
 	}
 	switch name {
 	case "exp1":
@@ -266,7 +267,7 @@ func chooseWorkload(name, pattern string, numParts, numHots int, sigma float64) 
 		}
 		pat, err := txn.ParsePattern("custom", pattern)
 		if err != nil {
-			return nil, 0, err
+			return nil, 0, fmt.Errorf("-pattern: %w", err)
 		}
 		if vars := len(pat.Vars()); vars > numParts {
 			return nil, 0, fmt.Errorf("-numparts %d: -pattern binds %d variables to distinct partitions, need at least %d", numParts, vars, vars)

@@ -93,7 +93,7 @@ func TestW0Participates(t *testing.T) {
 
 // Property: E never mutates the graph, is >= the current resolved-only
 // critical path (adding resolutions cannot shorten the longest path), and
-// equals +Inf exactly when WouldCycleFrom holds.
+// equals +Inf exactly when CycleWitness reports a cycle.
 func TestQuickEProperties(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for trial := 0; trial < 200; trial++ {
@@ -120,7 +120,7 @@ func TestQuickEProperties(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					from, to = to, from
 				}
-				if !g.WouldCycleFrom(from, []txn.ID{to}) {
+				if _, cycle := g.CycleWitness(nil, from, []txn.ID{to}); !cycle {
 					if err := g.Resolve(from, to); err != nil {
 						t.Fatal(err)
 					}
@@ -148,7 +148,7 @@ func TestQuickEProperties(t *testing.T) {
 		if len(g.Edges()) != edgesBefore {
 			t.Fatal("E mutated the graph")
 		}
-		if g.WouldCycleFrom(tid, implied) {
+		if _, cycle := g.CycleWitness(nil, tid, implied); cycle {
 			if !math.IsInf(got, 1) {
 				t.Fatalf("cycle but E = %g", got)
 			}

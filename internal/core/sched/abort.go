@@ -23,10 +23,10 @@ func (b *wtpgBase) abort(t *txn.T) []txn.PartitionID {
 	return freed
 }
 
-// Degradable is implemented by schedulers that can fall back to a
-// degraded-but-safe mode when their structural invariant breaks (CHAIN's
-// chain form). The observability wrapper polls it to emit degrade /
-// restore events on transitions.
+// Degradable has no implementer: CHAIN runs in one mode, and chain form
+// holds by construction (docs/ROBUSTNESS.md §3). It stays declared only
+// because benchmark/traced.go asserts it and benchmark/ is frozen by
+// BENCHMARK.json; it leaves in the next benchmark change.
 type Degradable interface {
 	Degraded() bool
 }

@@ -5,7 +5,6 @@ import (
 
 	"batsched/internal/core/wtpg"
 	"batsched/internal/event"
-	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
 
@@ -109,81 +108,5 @@ func TestAbortedTransactionCanBeResubmitted(t *testing.T) {
 				t.Fatalf("%s: invariants: %v", f.Label, err)
 			}
 		}
-	}
-}
-
-func TestChainDegradeAndRestore(t *testing.T) {
-	ring := obs.NewRing(64)
-	s := Observed(NewChain(Costs{DDTime: 1, ChainTime: 1, KeepTime: 100}), ring)
-	g := s.(GraphHolder).Graph()
-
-	// Admit four isolated transactions, then corrupt the conflict graph
-	// behind the scheduler's back so an abort finds degree 3 — the
-	// non-chain state pure operation never produces.
-	txs := make([]*txn.T, 5)
-	for i := range txs {
-		txs[i] = txn.New(txn.ID(i+1), []txn.Step{wstep(txn.PartitionID(10+i), 1)})
-		if out := s.Admit(txs[i], event.Time(i)); out.Decision != Granted {
-			t.Fatalf("admit %d: %v", i, out.Decision)
-		}
-	}
-	for _, other := range []txn.ID{2, 3, 4} {
-		if err := g.AddConflict(1, other, 1, 1); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s.Abort(txs[4], 10) // T5 was isolated; degree of T1 is still 3
-	if d, ok := s.(Degradable); !ok || !d.Degraded() {
-		t.Fatal("scheduler should be degraded after abort on a non-chain graph")
-	}
-
-	// Degraded admission: conflicting transactions are refused, isolated
-	// ones still enter.
-	conflicting := txn.New(20, []txn.Step{wstep(10, 1)}) // conflicts with T1
-	if out := s.Admit(conflicting, 11); out.Decision != Aborted {
-		t.Fatalf("conflicting admit while degraded: %v, want aborted", out.Decision)
-	}
-	isolated := txn.New(21, []txn.Step{wstep(99, 1)})
-	if out := s.Admit(isolated, 12); out.Decision != Granted {
-		t.Fatalf("isolated admit while degraded: %v, want granted", out.Decision)
-	}
-
-	// Degraded grants use the cautious test; the component drains.
-	now := event.Time(20)
-	for _, tx := range []*txn.T{txs[0], txs[1], txs[2], txs[3], isolated} {
-		now++
-		if out := s.Request(tx, 0, now); out.Decision != Granted {
-			t.Fatalf("%v step 0 while degraded: %v", tx.ID, out.Decision)
-		}
-		now++
-		s.Commit(tx, now)
-	}
-	if d := s.(Degradable); d.Degraded() {
-		t.Fatal("scheduler should restore once the graph drains")
-	}
-	// Full CHAIN operation is back: a fresh admission passes the
-	// chain-form test and runs normally.
-	fresh := txn.New(30, []txn.Step{wstep(10, 1)})
-	if out := s.Admit(fresh, now+1); out.Decision != Granted {
-		t.Fatalf("admit after restore: %v", out.Decision)
-	}
-	if out := s.Request(fresh, 0, now+2); out.Decision != Granted {
-		t.Fatalf("request after restore: %v", out.Decision)
-	}
-	s.Commit(fresh, now+3)
-
-	var degrades, restores, aborts int
-	for _, e := range ring.Events() {
-		switch e.Kind {
-		case obs.KindDegrade:
-			degrades++
-		case obs.KindRestore:
-			restores++
-		case obs.KindAbort:
-			aborts++
-		}
-	}
-	if degrades != 1 || restores != 1 || aborts != 1 {
-		t.Fatalf("events: degrades=%d restores=%d aborts=%d, want 1/1/1", degrades, restores, aborts)
 	}
 }

@@ -31,15 +31,6 @@ type chain struct {
 	// solver the DP scratch every chain is solved into.
 	in     chainopt.Chain
 	solver chainopt.Solver
-	// degraded is set when the WTPG's chain form breaks or W becomes
-	// uncomputable — a state pure CHAIN operation never produces, but
-	// abort recovery and defensive programming must survive. In degraded
-	// mode CHAIN admits only transactions that conflict with nothing live
-	// (ASL-like: isolated nodes whose every request is trivially
-	// grantable) and grants requests under C2PL's cautious cycle test
-	// instead of consulting W, until the graph drains and full CHAIN
-	// operation is restored. See docs/ROBUSTNESS.md.
-	degraded bool
 }
 
 type pairKey struct{ a, b txn.ID }
@@ -59,19 +50,6 @@ func NewChain(costs Costs) Scheduler {
 func (c *chain) Name() string { return "CHAIN" }
 
 func (c *chain) Admit(t *txn.T, now event.Time) Outcome {
-	if c.degraded {
-		// Degraded admission: only transactions that conflict with
-		// nothing live may enter, so the broken component drains while
-		// isolated work keeps flowing.
-		if err := c.register(t); err != nil {
-			return Outcome{Decision: Delayed, CPU: c.costs.DDTime}
-		}
-		if c.graph.ConflictDegree(t.ID) > 0 {
-			c.unregister(t)
-			return Outcome{Decision: Aborted, CPU: c.costs.DDTime}
-		}
-		return Outcome{Decision: Granted, CPU: c.costs.DDTime}
-	}
 	// Step 0 of CC1: the WTPG must remain chain-form, tested by graph
 	// traversal; otherwise the new transaction is aborted (resubmitted).
 	if !c.staysChainForm(t) {
@@ -86,28 +64,31 @@ func (c *chain) Admit(t *txn.T, now event.Time) Outcome {
 
 // refreshPlan recomputes W when §3.4's conditions demand it. It reports
 // whether a recomputation happened (for CPU accounting).
-func (c *chain) refreshPlan(now event.Time) (bool, error) {
+//
+// It cannot fail on a live graph. Chain form holds by construction: step
+// 0 admits only arrivals that keep it, and a commit (Remove) or an abort
+// (Splice) only takes nodes out. Solve fails only on a NaN, infinite or
+// negative input, or when a path length overflows to +Inf. Every demand
+// is checked where it enters (txn.T.CheckDemands): each is at most
+// txn.MaxDemand, so every sum Solve forms over a chain stays finite. A
+// failure here is a broken invariant, and it panics, as
+// wtpg.Graph.Clone does.
+func (c *chain) refreshPlan(now event.Time) bool {
 	if c.havePlan && !c.planDirty && now-c.planAt < c.costs.KeepTime {
-		return false, nil
+		return false
 	}
 	chains, ok := c.graph.Chains()
 	if !ok {
-		return false, fmt.Errorf("sched: CHAIN invariant violated: WTPG not chain-form")
+		panic("sched: CHAIN invariant violated: WTPG not chain-form")
 	}
-	// W is refilled in place: both error paths below end in degrade,
-	// which replaces the map, so a half-filled plan is never read.
 	clear(c.plan)
 	for _, ch := range chains {
 		if len(ch) < 2 {
 			continue
 		}
-		in, err := c.chainInput(ch)
+		sol, err := c.solver.Solve(c.chainInput(ch)) // sol.Orient is read before the next Solve
 		if err != nil {
-			return false, err
-		}
-		sol, err := c.solver.Solve(in) // sol.Orient is read before the next Solve
-		if err != nil {
-			return false, err
+			panic(fmt.Sprintf("sched: CHAIN invariant violated: %v", err))
 		}
 		for k := 0; k+1 < len(ch); k++ {
 			if sol.Orient[k] == chainopt.Down {
@@ -121,14 +102,14 @@ func (c *chain) refreshPlan(now event.Time) (bool, error) {
 	c.planDirty = false
 	c.havePlan = true
 	c.recomputes++
-	return true, nil
+	return true
 }
 
 // chainInput converts one WTPG chain into the optimizer's input, carrying
 // live w(T0→Ti) values, per-direction edge weights, and the orientations
 // already fixed by earlier grants. The input's slices are the scheduler's
 // own, refilled by the next call.
-func (c *chain) chainInput(ch wtpg.Chain) (chainopt.Chain, error) {
+func (c *chain) chainInput(ch wtpg.Chain) chainopt.Chain {
 	n := len(ch)
 	in := &c.in
 	in.R = slices.Grow(in.R[:0], n)[:n]
@@ -142,7 +123,7 @@ func (c *chain) chainInput(ch wtpg.Chain) (chainopt.Chain, error) {
 	for k := 0; k+1 < n; k++ {
 		e, ok := c.graph.EdgeBetween(ch[k], ch[k+1])
 		if !ok {
-			return *in, fmt.Errorf("sched: chain edge (%v,%v) missing", ch[k], ch[k+1])
+			panic(fmt.Sprintf("sched: CHAIN invariant violated: chain edge (%v,%v) missing", ch[k], ch[k+1]))
 		}
 		down, up := e.WAB, e.WBA
 		if e.A != ch[k] {
@@ -157,7 +138,7 @@ func (c *chain) chainInput(ch wtpg.Chain) (chainopt.Chain, error) {
 			}
 		}
 	}
-	return *in, nil
+	return *in
 }
 
 func (c *chain) Request(t *txn.T, step int, now event.Time) Outcome {
@@ -165,34 +146,15 @@ func (c *chain) Request(t *txn.T, step int, now event.Time) Outcome {
 	if c.blocked(t, step) {
 		return Outcome{Decision: Blocked, CPU: cpu}
 	}
-	if !c.degraded {
-		recomputed, err := c.refreshPlan(now)
-		if err != nil {
-			// W is uncomputable (chain form broken, optimizer failure):
-			// degrade instead of delaying this request forever.
-			c.degrade()
-		} else {
-			if recomputed {
-				cpu += c.costs.ChainTime
-			}
-			targets := c.impliedTargets(t, step)
-			// Step 3 of CC1: delay if any implied resolution disagrees
-			// with W.
-			for _, to := range targets {
-				if first, ok := c.plan[pairOf(t.ID, to)]; !ok || first != t.ID {
-					return Outcome{Decision: Delayed, CPU: cpu}
-				}
-			}
-			if err := c.grant(t, step, targets); err != nil {
-				return Outcome{Decision: Delayed, CPU: cpu}
-			}
-			return Outcome{Decision: Granted, CPU: cpu}
-		}
+	if c.refreshPlan(now) {
+		cpu += c.costs.ChainTime
 	}
-	// Degraded grants: C2PL's cautious cycle test, safe on any graph.
 	targets := c.impliedTargets(t, step)
-	if c.graph.WouldCycleFrom(t.ID, targets) {
-		return Outcome{Decision: Delayed, CPU: cpu}
+	// Step 3 of CC1: delay if any implied resolution disagrees with W.
+	for _, to := range targets {
+		if first, ok := c.plan[pairOf(t.ID, to)]; !ok || first != t.ID {
+			return Outcome{Decision: Delayed, CPU: cpu}
+		}
 	}
 	if err := c.grant(t, step, targets); err != nil {
 		return Outcome{Decision: Delayed, CPU: cpu}
@@ -207,42 +169,14 @@ func (c *chain) ObjectDone(t *txn.T, objects float64, now event.Time) {
 func (c *chain) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	freed := c.commit(t)
 	c.planDirty = true
-	c.maybeRestore()
 	return freed, 0
 }
 
 // Abort recovers from an external abort of an admitted transaction: the
-// base splice repairs the WTPG, the cached W is invalidated, and chain
-// form is re-verified — if it no longer holds the scheduler degrades
-// rather than wedging on an uncomputable plan.
+// base splice repairs the WTPG, which only loses a node and so stays
+// chain-form, and the cached W is invalidated.
 func (c *chain) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	freed := c.abort(t)
 	c.planDirty = true
-	if !c.degraded {
-		if _, ok := c.graph.Chains(); !ok {
-			c.degrade()
-		}
-	}
-	c.maybeRestore()
 	return freed, c.costs.DDTime
 }
-
-// degrade enters the ASL/C2PL fallback mode and drops the stale plan.
-func (c *chain) degrade() {
-	c.degraded = true
-	c.havePlan = false
-	c.plan = make(map[pairKey]txn.ID)
-}
-
-// maybeRestore returns to full CHAIN operation once the graph has
-// drained: an empty WTPG is trivially chain-form again.
-func (c *chain) maybeRestore() {
-	if c.degraded && c.live.Len() == 0 {
-		c.degraded = false
-		c.planDirty = true
-	}
-}
-
-// Degraded reports whether the scheduler is running in its fallback
-// mode (see Degradable).
-func (c *chain) Degraded() bool { return c.degraded }

@@ -17,9 +17,6 @@ import (
 type registerFirstChain struct{ chain }
 
 func (c *registerFirstChain) Admit(t *txn.T, now event.Time) Outcome {
-	if c.degraded {
-		return c.chain.Admit(t, now)
-	}
 	if err := c.register(t); err != nil {
 		return Outcome{Decision: Delayed, CPU: c.costs.DDTime}
 	}
@@ -35,11 +32,13 @@ func (c *registerFirstChain) Admit(t *txn.T, now event.Time) Outcome {
 // (re-admissions of live transactions included) / request / commit / abort
 // over the fuzzer's pool through CHAIN and through the register-first
 // reference: every outcome — decision and CPU — must be the same, so
-// deciding chain form before registering changed no schedule.
+// deciding chain form before registering changed no schedule. After every
+// operation CHAIN's WTPG is chain-form: the invariant that lets CHAIN run
+// in one mode (docs/ROBUSTNESS.md §3).
 func TestChainAdmitMatchesRegisterFirst(t *testing.T) {
 	costs := Costs{DDTime: 1, ChainTime: 2, KeepTime: 50}
 	f := func(ops []byte) bool {
-		got := NewChain(costs)
+		got := NewChain(costs).(*chain)
 		want := &registerFirstChain{chain{wtpgBase: newWTPGBase(costs), plan: make(map[pairKey]txn.ID)}}
 		pool := fuzzTxnPool()
 		states := make([]fuzzState, len(pool))
@@ -73,6 +72,10 @@ func TestChainAdmitMatchesRegisterFirst(t *testing.T) {
 			}
 			if g != w {
 				t.Errorf("op %d (%d on %v): %+v, register-first %+v", i, (int(b)/len(pool))%4, tx.ID, g, w)
+				return false
+			}
+			if _, ok := got.graph.Chains(); !ok {
+				t.Errorf("op %d (%d on %v): the WTPG is not chain-form", i, (int(b)/len(pool))%4, tx.ID)
 				return false
 			}
 		}

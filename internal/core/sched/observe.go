@@ -33,9 +33,6 @@ type observed struct {
 	// timestamp its events with the current decision's time.
 	lastNow  event.Time
 	lastPath float64
-	// lastDegraded tracks the inner scheduler's Degradable flag so mode
-	// transitions become degrade/restore events.
-	lastDegraded bool
 }
 
 // Observed wraps s so every decision is reported to o. If s maintains a
@@ -72,7 +69,6 @@ func (w *observed) Admit(t *txn.T, now event.Time) Outcome {
 	if out.Decision == Granted {
 		w.checkCriticalPath(now)
 	}
-	w.checkDegraded(now)
 	return out
 }
 
@@ -85,7 +81,6 @@ func (w *observed) Request(t *txn.T, step int, now event.Time) Outcome {
 	if out.Decision == Granted {
 		w.checkCriticalPath(now)
 	}
-	w.checkDegraded(now)
 	return out
 }
 
@@ -98,13 +93,12 @@ func (w *observed) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Ti
 	w.lastNow = now
 	freed, cpu := w.inner.Commit(t, now)
 	w.checkCriticalPath(now)
-	w.checkDegraded(now)
 	return freed, cpu
 }
 
 // Abort forwards the recovery path and reports it: one Abort event
 // (splice resolutions arrive through OnResolve as usual), then the
-// critical-path and degraded-mode checks.
+// critical-path check.
 func (w *observed) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
 	w.lastNow = now
 	freed, cpu := w.inner.Abort(t, now)
@@ -114,7 +108,6 @@ func (w *observed) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Tim
 	}
 	w.sink.Observe(e)
 	w.checkCriticalPath(now)
-	w.checkDegraded(now)
 	return freed, cpu
 }
 
@@ -148,37 +141,6 @@ func (w *observed) emitDecision(op string, id txn.ID, step int, part txn.Partiti
 		e.Graph = w.graph.Len()
 	}
 	w.sink.Observe(e)
-}
-
-// checkDegraded emits a Degrade or Restore event when the inner
-// scheduler's Degradable flag transitions.
-func (w *observed) checkDegraded(now event.Time) {
-	d, ok := w.inner.(Degradable)
-	if !ok {
-		return
-	}
-	cur := d.Degraded()
-	if cur == w.lastDegraded {
-		return
-	}
-	w.lastDegraded = cur
-	kind := obs.KindRestore
-	if cur {
-		kind = obs.KindDegrade
-	}
-	e := obs.Event{Kind: kind, At: now, Sched: w.label}
-	if w.graph != nil {
-		e.Graph = w.graph.Len()
-	}
-	w.sink.Observe(e)
-}
-
-// Degraded forwards Degradable so nested wrapping keeps working.
-func (w *observed) Degraded() bool {
-	if d, ok := w.inner.(Degradable); ok {
-		return d.Degraded()
-	}
-	return false
 }
 
 // checkCriticalPath reads the WTPG critical path and emits a

@@ -21,9 +21,12 @@
 // the schedulers expose an abort-recovery path (Scheduler.Abort):
 // locks are released, unresolved conflicting-edges retracted, resolved
 // precedence spliced past the dead transaction (wtpg.Splice), and cached
-// plans/estimates invalidated; CHAIN additionally degrades to a safe
-// fallback mode if its chain-form invariant is ever broken
-// (docs/ROBUSTNESS.md).
+// plans/estimates invalidated. A splice only removes a node, so CHAIN's
+// WTPG stays chain-form and CHAIN has one mode (docs/ROBUSTNESS.md §3).
+//
+// The schedulers trust their input: every declared and true demand lies
+// in [0, txn.MaxDemand]. The callers check that where a transaction
+// enters (txn.T.CheckDemands in live.Controller.Admit and sim.Run).
 package sched
 
 import (

@@ -125,12 +125,3 @@ func (g *Graph) nextNeighbourSlot(cur, prev int32) (int32, bool) {
 	}
 	return 0, false
 }
-
-// ConflictDegree returns the number of transactions id conflicts with.
-func (g *Graph) ConflictDegree(id txn.ID) int {
-	s, ok := g.slotOf.Get(id)
-	if !ok {
-		return 0
-	}
-	return len(g.adj[s])
-}

@@ -531,17 +531,6 @@ func (g *Graph) Predecessors(id txn.ID) []txn.ID {
 	return out
 }
 
-// WouldCycleFrom reports whether resolving from→target for every target
-// would close a directed cycle of precedence-edges — the cautious
-// schedulers' deadlock prediction test, allocation-free. A target already
-// resolved from→target is harmless; one resolved target→from is reported
-// as a cycle (the order would contradict itself). Targets need not be
-// live transactions.
-func (g *Graph) WouldCycleFrom(from txn.ID, targets []txn.ID) bool {
-	_, cycle := g.CycleWitness(nil, from, targets)
-	return cycle
-}
-
 // Stay names one transaction's stay in the graph: its slot and the slot's
 // incarnation, which AddNode advances. A stay ends when its transaction
 // leaves (Remove, Splice), and a later transaction in the same slot is a
@@ -563,8 +552,13 @@ func (g *Graph) Holds(w []Stay) bool {
 	return true
 }
 
-// CycleWitness is WouldCycleFrom that, when it reports a cycle, also
-// appends the evidence to dst: the stays of from and of a resolved path
+// CycleWitness reports whether resolving from→target for every target
+// would close a directed cycle of precedence-edges — the cautious
+// schedulers' deadlock prediction test, allocation-free. A target already
+// resolved from→target is harmless; one resolved target→from is reported
+// as a cycle (the order would contradict itself). Targets need not be
+// live transactions. When it reports a cycle it also appends the
+// evidence to dst: the stays of from and of a resolved path
 // back to it from one of the targets, nearest first (from alone for a
 // self-loop, nothing when from is not in the graph). A resolved edge
 // leaves the graph only with one of its endpoints, so while the witness

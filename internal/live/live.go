@@ -489,13 +489,18 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 // a second Commit record for that id would make the log unrecoverable.
 // With a store attached it refuses, at once too, a transaction with a
 // step on a partition the store lacks: its commit could apply no effect
-// there, and a restart could not redo its record.
+// there, and a restart could not redo its record. A demand outside
+// [0, txn.MaxDemand] (txn.T.CheckDemands) is refused at once as well: the
+// schedulers trust their demands.
 func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if t == nil {
 		return errNilTxn
 	}
 	if c.recovered && t.ID <= c.maxRecovered {
 		return fmt.Errorf("live: %v: the recovered log committed ids up to %v; admit a higher one", t.ID, c.maxRecovered)
+	}
+	if err := t.CheckDemands(); err != nil {
+		return fmt.Errorf("live: %w", err)
 	}
 	if err := c.checkParts(t); err != nil {
 		return err
@@ -583,10 +588,11 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 
 // ObjectDone reports completed work for an admitted transaction — the
 // §3.1 weight-adjustment message behind the Progress callback. On a nil
-// transaction, or one the controller does not consider admitted, it does
-// nothing.
+// transaction, one the controller does not consider admitted, or a count
+// that is not a txn.ValidDemand, it does nothing: a negative count would
+// raise w(T0→Ti) above the declared demand, without bound.
 func (c *Controller) ObjectDone(t *txn.T, objects float64) {
-	if t == nil {
+	if t == nil || !txn.ValidDemand(objects) {
 		return
 	}
 	c.mu.Lock()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -169,6 +170,90 @@ func TestFinishErrors(t *testing.T) {
 			}
 			unadmitted("after Commit", err)
 		})
+	}
+}
+
+// TestRunRefusesBadDemands: a one-step transaction whose cost is
+// negative, NaN or infinite is refused by Run at once under C2PL, CHAIN
+// and K2 — nothing admitted, nothing traced, no counter moved — where the
+// scheduler, which trusts its demands, would have refused it until the
+// context ended. A valid transaction runs afterwards, and ObjectDone with
+// a count that is not a txn.ValidDemand leaves w(T0→Ti) alone (two counts
+// of -1e308 would raise it to +Inf, an input CHAIN's plan cannot take).
+func TestRunRefusesBadDemands(t *testing.T) {
+	for _, f := range []sched.Factory{sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2)} {
+		t.Run(f.Label, func(t *testing.T) {
+			ring := obs.NewRing(64)
+			ctl := New(f, liveCosts, WithRetryDelay(time.Millisecond), WithObserver(ring))
+			defer ctl.Close()
+			for i, cost := range []float64{-1, math.NaN(), math.Inf(1)} {
+				tx := txn.New(txn.ID(i+1), []txn.Step{w(0, cost)})
+				ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+				err := ctl.Run(ctx, tx, nil)
+				cancel()
+				if err == nil || errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("Run(%v) = %v, want a refusal at once", tx, err)
+				}
+			}
+			if st := ctl.Stats(); st != (Stats{}) {
+				t.Errorf("refused transactions moved the counters: %+v", st)
+			}
+			if n := len(ring.Events()); n != 0 {
+				t.Errorf("refused transactions emitted %d events", n)
+			}
+			ctx := context.Background()
+			tx := txn.New(9, []txn.Step{w(0, 2)})
+			if err := ctl.Admit(ctx, tx); err != nil {
+				t.Fatal(err)
+			}
+			for _, objects := range []float64{math.NaN(), math.Inf(-1), math.Inf(1), -1e308, -1e308} {
+				ctl.ObjectDone(tx, objects)
+			}
+			if w0 := ctl.sch.(sched.GraphHolder).Graph().W0(tx.ID); w0 != 2 {
+				t.Errorf("w(T0→%v) = %g after bad ObjectDone counts, want 2", tx.ID, w0)
+			}
+			if err := ctl.Acquire(ctx, tx, 0); err != nil {
+				t.Fatal(err)
+			}
+			if err := ctl.Commit(tx); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestChainAtMaxDemand admits two CHAIN transactions that each write c
+// objects of partition 0. At c = 1e308 or 9e307 each demand is finite but
+// the chain's path length is +Inf: Admit must refuse them, where the
+// optimizer would have failed under the controller's lock. At
+// c = txn.MaxDemand both are admitted, the first write is planned over the
+// two-node chain, and both commit.
+func TestChainAtMaxDemand(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	for _, c := range []float64{1e308, 9e307} {
+		ctl := New(sched.ChainFactory(), liveCosts, WithRetryDelay(time.Millisecond))
+		if err := ctl.Admit(ctx, txn.New(1, []txn.Step{w(0, c)})); err == nil || errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("c = %g: Admit = %v, want a refusal at once", c, err)
+		}
+		ctl.Close()
+	}
+	ctl := New(sched.ChainFactory(), liveCosts, WithRetryDelay(time.Millisecond))
+	defer ctl.Close()
+	t1 := txn.New(1, []txn.Step{w(0, txn.MaxDemand)})
+	t2 := txn.New(2, []txn.Step{w(0, txn.MaxDemand)})
+	for _, tx := range []*txn.T{t1, t2} {
+		if err := ctl.Admit(ctx, tx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tx := range []*txn.T{t1, t2} {
+		if err := ctl.Acquire(ctx, tx, 0); err != nil {
+			t.Fatal(err)
+		}
+		if err := ctl.Commit(tx); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

@@ -214,11 +214,9 @@ type SchedMetrics struct {
 	CritPathChanges uint64
 	critPathMaxBits uint64
 
-	// Robustness counters: scheduler abort-recovery runs, degraded-mode
-	// transitions and injected faults.
+	// Robustness counters: scheduler abort-recovery runs and injected
+	// faults.
 	Recoveries uint64
-	Degrades   uint64
-	Restores   uint64
 	Faults     uint64
 
 	// Durable-recovery counters: dependency-log appends, group-commit
@@ -371,10 +369,6 @@ func (m *Metrics) Observe(e Event) {
 		atomicMaxFloat(&sm.critPathMaxBits, e.CritPath)
 	case KindAbort:
 		atomic.AddUint64(&sm.Recoveries, 1)
-	case KindDegrade:
-		atomic.AddUint64(&sm.Degrades, 1)
-	case KindRestore:
-		atomic.AddUint64(&sm.Restores, 1)
 	case KindFault:
 		atomic.AddUint64(&sm.Faults, 1)
 	case KindWALAppend:

@@ -70,11 +70,6 @@ const (
 	// precedence spliced. The splice's own resolutions arrive as
 	// Resolve events.
 	KindAbort
-	// KindDegrade: a scheduler fell back to its degraded-but-safe mode
-	// (CHAIN → ASL-style admission with cautious grants).
-	KindDegrade
-	// KindRestore: a degraded scheduler returned to full operation.
-	KindRestore
 	// KindFault: an injected fault fired in the simulator; Op names the
 	// fault (always "abort": the transaction reached its injected abort
 	// point mid-run).
@@ -114,8 +109,6 @@ var kindNames = [...]string{
 	KindResolve:            "resolve",
 	KindCriticalPathChange: "critical-path",
 	KindAbort:              "abort",
-	KindDegrade:            "degrade",
-	KindRestore:            "restore",
 	KindFault:              "fault",
 	KindWALAppend:          "wal-append",
 	KindWALSync:            "wal-sync",

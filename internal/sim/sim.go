@@ -47,8 +47,8 @@ func WithTrace(o obs.Observer) Option {
 
 // WithFaults attaches a fault injector: selected transactions abort
 // after a deterministic amount of bulk processing, exercising the
-// schedulers' abort-recovery path (for CHAIN, with the chain-form
-// re-check that may degrade it).
+// schedulers' abort-recovery path (wtpg.Splice, and for CHAIN a plan
+// recomputed over the smaller chain).
 // Every injected abort is followed by a scheduler invariant check
 // regardless of Config.SelfCheck. A nil injector is ignored; fault
 // decisions are pure functions of the injector's seed, so the same
@@ -251,10 +251,16 @@ type simulator struct {
 
 	// The two timers that re-arm themselves, bound once.
 	nextArrival, nextSample event.Handler
+
+	// err is the first arrival whose demands txn.T.CheckDemands refused.
+	// It ends the arrival stream, and Run returns it.
+	err error
 }
 
 // Run executes one simulation and returns its metrics. It returns an
-// error on invalid configuration or on a serializability violation.
+// error on invalid configuration, on a generated arrival with a demand
+// outside [0, txn.MaxDemand] (txn.T.CheckDemands), or on a
+// serializability violation.
 // Options extend the run without growing Config (e.g. WithTrace).
 func Run(cfg Config, opts ...Option) (*Result, error) {
 	if err := cfg.Machine.Validate(); err != nil {
@@ -337,6 +343,9 @@ func Run(cfg Config, opts ...Option) (*Result, error) {
 		s.scheduleArrival(0)
 	}
 	s.q.RunUntil(cfg.Horizon)
+	if s.err != nil {
+		return nil, s.err
+	}
 	s.finish()
 	if s.checker != nil {
 		s.res.SerializabilityChecked = true
@@ -368,7 +377,7 @@ func (s *simulator) sample(now event.Time) {
 
 // scheduleArrival schedules the next Poisson arrival after `from`.
 func (s *simulator) scheduleArrival(from event.Time) {
-	if s.cfg.MaxTxns > 0 && s.res.Arrived >= s.cfg.MaxTxns {
+	if s.err != nil || s.cfg.MaxTxns > 0 && s.res.Arrived >= s.cfg.MaxTxns {
 		return
 	}
 	ratePerMS := s.cfg.ArrivalRate / 1000.0
@@ -382,11 +391,20 @@ func (s *simulator) scheduleArrival(from event.Time) {
 	s.q.At(from+event.Time(gap), s.nextArrival)
 }
 
-// arrive submits the workload's next transaction for admission.
+// arrive submits the workload's next transaction for admission, or
+// records why its demands are refused.
 func (s *simulator) arrive(now event.Time) {
+	if s.err != nil {
+		return
+	}
 	s.res.Arrived++
 	s.nextID++
-	st := &txnState{sim: s, t: s.cfg.Workload.Next(s.nextID, s.rng), arrived: now}
+	t := s.cfg.Workload.Next(s.nextID, s.rng)
+	if err := t.CheckDemands(); err != nil {
+		s.err = fmt.Errorf("sim: arrival %d at %v: %w", s.res.Arrived, now, err)
+		return
+	}
+	st := &txnState{sim: s, t: t, arrived: now}
 	st.retryAdmit = func(event.Time) { s.submitAdmit(st) }
 	st.retryRequest = func(event.Time) { s.submitRequest(st) }
 	st.jobs = st.one[:0]

@@ -4,12 +4,14 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 
 	"batsched/internal/core/sched"
 	"batsched/internal/event"
 	"batsched/internal/machine"
 	"batsched/internal/modelcheck"
+	"batsched/internal/obs"
 	"batsched/internal/txn"
 	"batsched/internal/workload"
 )
@@ -238,6 +240,87 @@ func TestRunRefusesOverflowingDurations(t *testing.T) {
 	cfg.MaxTxns = 20
 	if _, err := Run(cfg); err != nil {
 		t.Errorf("durations at the bound refused: %v", err)
+	}
+}
+
+// TestRunRefusesBadDemands: a generator whose second arrival has a NaN
+// cost makes Run return an error naming that arrival and its transaction,
+// under C2PL, CHAIN and K2, instead of scheduling a demand no scheduler
+// can weigh.
+func TestRunRefusesBadDemands(t *testing.T) {
+	for _, f := range []sched.Factory{sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2)} {
+		t.Run(f.Label, func(t *testing.T) {
+			cfg := baseConfig()
+			cfg.Scheduler = f
+			cfg.ArrivalTimes = []event.Time{0, 100, 200}
+			cfg.Workload = &fixed{Label: "nan", Txns: []*txn.T{
+				txn.New(0, []txn.Step{w(0, 1)}),
+				txn.New(0, []txn.Step{w(0, math.NaN())}),
+				txn.New(0, []txn.Step{w(1, 1)}),
+			}}
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("Run panicked: %v", p)
+				}
+			}()
+			res, err := Run(cfg)
+			if err == nil || !strings.Contains(err.Error(), "arrival 2") || !strings.Contains(err.Error(), "T2") {
+				t.Fatalf("Run = %v, %v; want an error naming arrival 2 (T2)", res, err)
+			}
+			t.Log(err)
+		})
+	}
+}
+
+// TestChainAtMaxDemand runs two CHAIN transactions that conflict on
+// partition 0 with a write of c objects each. At c = 1e308 or 9e307 each
+// demand is finite but the chain's path length is +Inf, so Run must
+// refuse the first arrival with an error, not reach the optimizer. At
+// c = txn.MaxDemand the first transaction's write is planned over the
+// two-node chain and granted.
+func TestChainAtMaxDemand(t *testing.T) {
+	two := func(c float64) *fixed {
+		return &fixed{Label: "max", Txns: []*txn.T{
+			txn.New(0, []txn.Step{r(1, 1), w(0, c)}),
+			txn.New(0, []txn.Step{r(2, 1), w(0, c)}),
+		}}
+	}
+	run := func(c float64, o obs.Observer) (res *Result, err error) {
+		cfg := baseConfig()
+		cfg.Scheduler = sched.ChainFactory()
+		cfg.ArrivalTimes = []event.Time{0, 1}
+		cfg.Workload = two(c)
+		cfg.Horizon = 20_000
+		defer func() {
+			if p := recover(); p != nil {
+				t.Fatalf("c = %g: Run panicked: %v", c, p)
+			}
+		}()
+		return Run(cfg, WithTrace(o))
+	}
+	for _, c := range []float64{1e308, 9e307} {
+		if res, err := run(c, nil); err == nil || !strings.Contains(err.Error(), "arrival 1") {
+			t.Errorf("c = %g: Run = %v, %v; want an error naming arrival 1", c, res, err)
+		}
+	}
+	ring := obs.NewRing(256)
+	if _, err := run(txn.MaxDemand, ring); err != nil {
+		t.Fatal(err)
+	}
+	admitted, granted := false, false // T2 admitted; then T1's write granted
+	for _, e := range ring.Events() {
+		if e.Kind != obs.KindDecision || e.Decision != "granted" {
+			continue
+		}
+		switch {
+		case e.Op == "admit" && e.Txn == 2:
+			admitted = true
+		case e.Op == "request" && e.Txn == 1 && e.Step == 1:
+			granted = admitted
+		}
+	}
+	if !granted {
+		t.Errorf("T1's write at MaxDemand was not granted over the two-node chain")
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzParsePattern: arbitrary input must never panic; successful parses
-// must round-trip through String().
+// must have costs that pass ValidDemand, and round-trip through String().
 func FuzzParsePattern(f *testing.F) {
 	seeds := []string{
 		"r(F1:1) -> r(F2:5) -> w(F1:0.2) -> w(F2:1)",
@@ -18,6 +18,7 @@ func FuzzParsePattern(f *testing.F) {
 		"r(F1:1) ->",
 		"r((:1)",
 		"r(F1:1e3)",
+		"r(F1:NaN) -> w(F2:Inf)",
 		strings.Repeat("r(A:1) -> ", 50) + "w(B:1)",
 	}
 	for _, s := range seeds {
@@ -27,6 +28,11 @@ func FuzzParsePattern(f *testing.F) {
 		p, err := ParsePattern("fuzz", src)
 		if err != nil {
 			return
+		}
+		for _, st := range p.Steps {
+			if !ValidDemand(st.Cost) {
+				t.Fatalf("%q parsed with cost %g", src, st.Cost)
+			}
 		}
 		out := p.String()
 		p2, err := ParsePattern("fuzz2", out)

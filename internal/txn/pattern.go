@@ -36,7 +36,8 @@ type Pattern struct {
 //	"r(F1:1) -> r(F2:5) -> w(F1:0.2) -> w(F2:1)"
 //
 // Variables are arbitrary identifiers (letters, digits, underscore,
-// starting with a letter or underscore). Costs are nonnegative decimals.
+// starting with a letter or underscore). Costs are decimals that pass
+// ValidDemand, as T.CheckDemands asks of every transaction.
 func ParsePattern(name, src string) (*Pattern, error) {
 	p := &Pattern{Name: name}
 	src = strings.TrimSpace(src)
@@ -94,8 +95,8 @@ func parseStepTemplate(tok string) (StepTemplate, error) {
 	if err != nil {
 		return st, fmt.Errorf("step %q: bad cost %q: %v", tok, costStr, err)
 	}
-	if cost < 0 {
-		return st, fmt.Errorf("step %q: negative cost", tok)
+	if !ValidDemand(cost) {
+		return st, fmt.Errorf("step %q: cost %g outside [0, %g]", tok, cost, float64(MaxDemand))
 	}
 	st.Var = name
 	st.Cost = cost

@@ -50,11 +50,21 @@ func TestParsePatternErrors(t *testing.T) {
 		"r(F1:-2)",
 		"r(F1:abc)",
 		"r(F1:1) => w(F1:1)",
+		"r(F1:NaN)",
+		"w(F1:Inf) -> r(F2:1)",
+		"r(F1:+Inf)",
+		"r(F1:-Inf)",
+		"r(F1:infinity)",
+		"r(F1:1e308) -> w(F2:1e308)",
+		"w(F1:1099511627777)", // MaxDemand + 1
 	}
 	for _, src := range bad {
 		if _, err := ParsePattern("bad", src); err == nil {
 			t.Errorf("ParsePattern(%q) succeeded, want error", src)
 		}
+	}
+	if _, err := ParsePattern("max", "w(F1:1099511627776)"); err != nil { // MaxDemand
+		t.Errorf("ParsePattern at MaxDemand: %v", err)
 	}
 }
 

@@ -140,6 +140,36 @@ func (t *T) TrueTotal() float64 {
 	return sum
 }
 
+// MaxDemand bounds every declared and true cost of one step, in objects:
+// 2^40, about 10^12. A sum of such costs over everything a run holds (a
+// transaction's w(T0→Ti), a WTPG edge weight, a chain's path lengths in
+// chainopt) then stays finite, so the chain optimizer cannot overflow to
+// +Inf, and a cost stays exact under the data node's one-object quanta,
+// which would never finish a cost above 2^53.
+const MaxDemand = 1 << 40
+
+// ValidDemand reports whether c is a valid count of objects: in
+// [0, MaxDemand] (NaN fails both comparisons).
+func ValidDemand(c float64) bool { return c >= 0 && c <= MaxDemand }
+
+// CheckDemands returns an error unless every declared and true cost of t
+// is a ValidDemand; their sums are then finite. It is the one check on
+// demands: the schedulers, the WTPG and the chain optimizer trust them,
+// so live.Controller.Admit and sim.Run (for each arrival) call it, and
+// ParsePattern applies ValidDemand to a pattern's costs. It allocates
+// nothing on a valid transaction.
+func (t *T) CheckDemands() error {
+	if len(t.Declared) != len(t.Steps) {
+		return fmt.Errorf("txn: %v declares %d demands for %d steps", t.ID, len(t.Declared), len(t.Steps))
+	}
+	for i, s := range t.Steps {
+		if !ValidDemand(s.Cost) || !ValidDemand(t.Declared[i]) {
+			return fmt.Errorf("txn: %v step %d: cost %g, declared %g; want both in [0, %g]", t.ID, i, s.Cost, t.Declared[i], float64(MaxDemand))
+		}
+	}
+	return nil
+}
+
 // Partitions returns the distinct partitions the transaction touches, in
 // first-access order.
 func (t *T) Partitions() []PartitionID {

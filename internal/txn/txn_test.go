@@ -103,6 +103,38 @@ func TestNewDeclaredValidates(t *testing.T) {
 	}()
 }
 
+// TestCheckDemands: every cost and declaration must lie in
+// [0, MaxDemand]; a valid transaction, MaxDemand included, is checked
+// without allocating.
+func TestCheckDemands(t *testing.T) {
+	st := func(c float64) Step { return Step{Mode: Write, Part: 1, Cost: c} }
+	nan, inf := math.NaN(), math.Inf(1)
+	bad := map[string]*T{
+		"negative cost":   New(1, steps(st(1), st(-1))),
+		"NaN cost":        New(1, steps(st(nan))),
+		"+Inf cost":       New(1, steps(st(inf))),
+		"-Inf cost":       New(1, steps(st(-inf))),
+		"NaN declared":    NewDeclared(1, steps(st(1)), []float64{nan}),
+		"+Inf declared":   NewDeclared(1, steps(st(1)), []float64{inf}),
+		"1e308 costs":     New(1, steps(st(1e308), st(1e308))),
+		"1e308 declared":  NewDeclared(1, steps(st(1), st(1)), []float64{1e308, 1e308}),
+		"above MaxDemand": New(1, steps(st(MaxDemand+1))),
+		"short declared":  {ID: 1, Steps: steps(st(1)), Declared: nil},
+	}
+	for name, tx := range bad {
+		if err := tx.CheckDemands(); err == nil {
+			t.Errorf("%s: %v accepted", name, tx)
+		}
+	}
+	good := NewDeclared(2, steps(st(0), st(1.5), st(MaxDemand)), []float64{0, 3, MaxDemand})
+	if err := good.CheckDemands(); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() { _ = good.CheckDemands() }); n != 0 {
+		t.Errorf("CheckDemands of a valid transaction: %v allocs, want 0", n)
+	}
+}
+
 func TestPartitions(t *testing.T) {
 	tx := New(1, steps(Step{Read, 3, 1}, Step{Read, 1, 1}, Step{Write, 3, 1}, Step{Write, 2, 1}))
 	got := tx.Partitions()

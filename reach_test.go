@@ -63,6 +63,10 @@ var reachAllow = map[string]string{
 	// retires each metric and its field together.
 	"internal/storage.PoolStats.Prefetches": "benchmark contract: storage.prefetches_per_txn reads it",
 	"internal/storage.PoolStats.Flushes":    "benchmark contract: storage.flushes_per_ktxn reads it",
+	// The frozen benchmark's timing decorator forwards an interface no
+	// scheduler implements since CHAIN runs in one mode, so nothing calls
+	// it. ROADMAP item 1(b) deletes it with the interface.
+	"benchmark.timedSched.Degraded": "benchmark contract: traced.go forwards a retired interface",
 }
 
 func TestReachable(t *testing.T) {
