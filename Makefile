@@ -45,7 +45,9 @@ bench-smoke:
 # without the cost of a full sweep, and one short batsim -live run of the
 # live controller over a real heap store and WAL, then batsim -recoverwal
 # over that log (replay plus modelcheck.VerifyRecovery): the CLI's file
-# path, which no other verify step drives from a program.
+# path, which no other verify step drives from a program. Last, wtpgviz
+# on Figure 1's three transactions must print the paper's optimal W and
+# its critical path (Graph.ChainInput, chainopt.Solve).
 harness-smoke:
 	$(GO) run ./cmd/batbench -ablation retrydelay -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
 	$(GO) run ./cmd/batbench -ablation placement -quick -horizon 50000 -lambdas 0.3,0.6 -q > /dev/null
@@ -55,6 +57,8 @@ harness-smoke:
 	$(GO) run ./cmd/batsim -live -livetxns 500 -storage "$$hd" -wal "$$wd" > /dev/null && \
 	$(GO) run ./cmd/batsim -recoverwal "$$wd" > /dev/null; \
 	rc=$$?; rm -rf "$$hd" "$$wd"; exit $$rc
+	printf 'T1: r(A:1) -> r(B:3) -> w(A:1)\nT2: r(C:1) -> w(A:1)\nT3: w(C:1) -> r(D:3)\n' | \
+	$(GO) run ./cmd/wtpgviz | grep -q 'T1->T2, T3->T2}, critical path 6$$'
 
 # reproduce regenerates results_full.txt and results_ablations.txt with
 # their documented commands (EXPERIMENTS.md) into a temporary directory
@@ -103,7 +107,10 @@ reproduce:
 # coming back (DESIGN.md §13: the no-op shim stays only for benchmark/),
 # and sched.Degradable named anywhere but its declaration and the frozen
 # benchmark program is CHAIN's degraded mode coming back (docs/ROBUSTNESS.md
-# §3: chain form holds by construction, so CHAIN runs in one mode).
+# §3: chain form holds by construction, so CHAIN runs in one mode), and
+# Graph.EdgeBetween outside a test is a lookup by id pair coming back where
+# a chain-form decision reads a member's at most two adjacency entries
+# (Graph.ChainInput; the reference conversion lives in wtpg's tests).
 # Every example is a self-checking
 # program (livebatch exits nonzero on a lost update), so each must exit 0.
 # What no program reaches,
@@ -125,6 +132,7 @@ verify: build test bench-smoke harness-smoke
 	! grep -rnE '^\s*go ' --include='*.go' --exclude='*_test.go' internal/live
 	! grep -rn 'WithShards' --include='*.go' --exclude-dir=benchmark . | grep -v '^./internal/live/live.go:[0-9]*:\(// WithShards is a no-op\|func WithShards(int) Option\)'
 	! grep -rn 'Degradable' --include='*.go' --exclude-dir=benchmark . | grep -v '^./internal/core/sched/abort.go:'
+	! grep -rn 'EdgeBetween' --include='*.go' --exclude='*_test.go' .
 	GOOS=darwin $(GO) vet ./internal/storage/
 	test -z "$$(gofmt -l .)"
 	for d in examples/*/; do $(GO) run ./$$d > /dev/null || exit 1; done

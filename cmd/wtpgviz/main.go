@@ -101,10 +101,8 @@ func main() {
 				fmt.Printf("  %v: isolated (critical path %g)\n", ch, g.W0(ch[0]))
 				continue
 			}
-			prob, err := chainProblem(g, ch)
-			if err != nil {
-				fail(err)
-			}
+			var prob batsched.ChainProblem
+			g.ChainInput(ch, &prob)
 			sol, err := batsched.SolveChain(prob)
 			if err != nil {
 				fail(err)
@@ -207,30 +205,6 @@ func parseTransactions(r io.Reader) ([]*batsched.Transaction, error) {
 		return nil, err
 	}
 	return out, nil
-}
-
-func chainProblem(g *batsched.WTPG, ch batsched.Chain) (batsched.ChainProblem, error) {
-	n := len(ch)
-	prob := batsched.ChainProblem{
-		R:    make([]float64, n),
-		Down: make([]float64, n-1),
-		Up:   make([]float64, n-1),
-	}
-	for k, id := range ch {
-		prob.R[k] = g.W0(id)
-	}
-	for k := 0; k+1 < n; k++ {
-		e, ok := g.EdgeBetween(ch[k], ch[k+1])
-		if !ok {
-			return prob, fmt.Errorf("missing edge (%v,%v)", ch[k], ch[k+1])
-		}
-		down, up := e.WAB, e.WBA
-		if e.A != ch[k] {
-			down, up = up, down
-		}
-		prob.Down[k], prob.Up[k] = down, up
-	}
-	return prob, nil
 }
 
 func fail(err error) {

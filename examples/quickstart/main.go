@@ -99,11 +99,8 @@ func main() {
 		log.Fatal("WTPG is not chain-form")
 	}
 	fmt.Printf("\nChain decomposition: %v\n", chains)
-	prob := batsched.ChainProblem{
-		R:    []float64{g.W0(1), g.W0(2), g.W0(3)},
-		Down: []float64{1, 4},
-		Up:   []float64{5, 2},
-	}
+	var prob batsched.ChainProblem
+	g.ChainInput(chains[0], &prob)
 	sol, err := batsched.SolveChain(prob)
 	if err != nil {
 		log.Fatal(err)

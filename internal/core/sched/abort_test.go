@@ -41,7 +41,7 @@ func TestAbortSplicesAndReleases(t *testing.T) {
 	a, b, c := abortTriangle(t, s)
 	_ = a
 	g := s.(GraphHolder).Graph()
-	if e, _ := g.EdgeBetween(a.ID, c.ID); e.Dir != wtpg.Unresolved {
+	if e, _ := edgeBetween(g.Edges(), a.ID, c.ID); e.Dir != wtpg.Unresolved {
 		t.Fatal("(A,C) must be unresolved before the abort")
 	}
 
@@ -54,7 +54,7 @@ func TestAbortSplicesAndReleases(t *testing.T) {
 	if g.Has(b.ID) {
 		t.Fatal("B must leave the WTPG")
 	}
-	if e, ok := g.EdgeBetween(a.ID, c.ID); !ok || e.Dir == wtpg.Unresolved || e.From() != a.ID {
+	if e, ok := edgeBetween(g.Edges(), a.ID, c.ID); !ok || e.Dir == wtpg.Unresolved || e.From() != a.ID {
 		t.Fatalf("(A,C) = %+v ok=%v, want spliced A→C", e, ok)
 	}
 	// C can now take P1 (B's lock is gone) — but A→C is resolved, so C's

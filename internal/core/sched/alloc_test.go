@@ -48,8 +48,8 @@ func hotSetCycle(s Scheduler, grants *int) func() {
 // once warm, admitting, deciding and committing a hot-set transaction
 // allocates nothing under C2PL and K2 (lock table, C(q), the K-admission
 // test, E(q)) and under CHAIN, whose recomputes of W solve real chains
-// (W, chainInput, the chain decomposition and the chainopt.Solver's DP
-// reuse their buffers). A warmed C2PL request refused again while its
+// (W on the records, Graph.ChainInput's input, the chain decomposition
+// and the chainopt.Solver's DP reuse their buffers). A warmed C2PL request refused again while its
 // cycle witness holds is answered from the refusal memo, also at 0.
 func TestDecisionSteadyStateAllocs(t *testing.T) {
 	for _, f := range []Factory{C2PLFactory(), KWTPGFactory(2)} {

@@ -24,17 +24,21 @@ type wtpgBase struct {
 	// Scratch buffers for the request hot path (the control node is
 	// single-threaded, so plain reuse is safe). impliedTargets owns
 	// conflictBuf: K-WTPG's loop over its own C(q) calls it. peerBuf holds
-	// the live transactions an arrival conflicts with.
+	// the live transactions register gives an arrival edges to.
 	targetBuf   []txn.ID
 	conflictBuf []lock.Decl
 	peerBuf     []txn.ID
 }
 
 // txnRec is a scheduler's record of one live transaction: the
-// transaction, C2PL's refusal memo and K-WTPG's E(q) cache. Each family
-// uses the fields it needs.
+// transaction, CHAIN's part of W, C2PL's refusal memo and K-WTPG's E(q)
+// cache. Each family uses the fields it needs.
 type txnRec struct {
 	t *txn.T
+	// w is W at t (chain): the chain neighbours before and after t on
+	// its chain that W orders after t, 0 where W orders t after it or
+	// there is none. In chain form t conflicts with at most these two.
+	w [2]txn.ID
 	// refused is the step the cycle test last refused and witness the
 	// evidence it refused on (wtpg.Graph.CycleWitness), which names the
 	// transaction's own stay first (c2pl). An empty witness is no memo.
@@ -62,7 +66,7 @@ func (b *wtpgBase) enter(t *txn.T) {
 	} else {
 		r = new(txnRec)
 	}
-	r.t, r.witness, r.e = t, r.witness[:0], r.e[:0]
+	r.t, r.w, r.witness, r.e = t, [2]txn.ID{}, r.witness[:0], r.e[:0]
 	b.live.Put(t.ID, r)
 }
 
@@ -123,14 +127,15 @@ func (b *wtpgBase) register(t *txn.T) error {
 // with t in it (Definition 2) — decided before t is registered, so a
 // refusal touches neither the lock table nor the graph: the lock table
 // names the live transactions t would conflict with, and the graph
-// answers for them. A t the table already knows is left to register,
+// answers for them. Chain form allows t two of them, so the lock table
+// stops at a third. A t the table already knows is left to register,
 // which refuses it.
 func (b *wtpgBase) staysChainForm(t *txn.T) bool {
 	if b.locks.Known(t.ID) {
 		return true
 	}
-	b.peerBuf = b.locks.ConflictingTxns(b.peerBuf[:0], t)
-	return b.graph.StaysChainForm(b.peerBuf)
+	peers, n, ok := b.locks.TwoConflictingTxns(t)
+	return ok && b.graph.StaysChainForm(peers[:n])
 }
 
 // unregister rolls back a failed or rejected admission.

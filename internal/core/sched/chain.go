@@ -2,10 +2,8 @@ package sched
 
 import (
 	"fmt"
-	"slices"
 
 	"batsched/internal/core/chainopt"
-	"batsched/internal/core/wtpg"
 	"batsched/internal/event"
 	"batsched/internal/txn"
 )
@@ -21,30 +19,20 @@ import (
 // otherwise the most recently computed W is reused.
 type chain struct {
 	wtpgBase
-	// plan maps each conflicting pair to the transaction W puts first.
-	plan       map[pairKey]txn.ID
+	// W itself lives on the live transactions' records (txnRec.w).
 	planAt     event.Time
 	planDirty  bool
 	havePlan   bool
 	recomputes int
-	// in is chainInput's result, refilled for every chain solved, and
+	// in is the optimiser's input, refilled for every chain solved, and
 	// solver the DP scratch every chain is solved into.
 	in     chainopt.Chain
 	solver chainopt.Solver
 }
 
-type pairKey struct{ a, b txn.ID }
-
-func pairOf(a, b txn.ID) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
-
 // NewChain returns a Chain-WTPG scheduler.
 func NewChain(costs Costs) Scheduler {
-	return &chain{wtpgBase: newWTPGBase(costs), plan: make(map[pairKey]txn.ID)}
+	return &chain{wtpgBase: newWTPGBase(costs)}
 }
 
 func (c *chain) Name() string { return "CHAIN" }
@@ -81,21 +69,29 @@ func (c *chain) refreshPlan(now event.Time) bool {
 	if !ok {
 		panic("sched: CHAIN invariant violated: WTPG not chain-form")
 	}
-	clear(c.plan)
 	for _, ch := range chains {
-		if len(ch) < 2 {
-			continue
-		}
-		sol, err := c.solver.Solve(c.chainInput(ch)) // sol.Orient is read before the next Solve
-		if err != nil {
-			panic(fmt.Sprintf("sched: CHAIN invariant violated: %v", err))
-		}
-		for k := 0; k+1 < len(ch); k++ {
-			if sol.Orient[k] == chainopt.Down {
-				c.plan[pairOf(ch[k], ch[k+1])] = ch[k]
-			} else {
-				c.plan[pairOf(ch[k], ch[k+1])] = ch[k+1]
+		var sol chainopt.Solution
+		if len(ch) > 1 {
+			c.graph.ChainInput(ch, &c.in)
+			var err error
+			if sol, err = c.solver.Solve(c.in); err != nil { // sol.Orient is read before the next Solve
+				panic(fmt.Sprintf("sched: CHAIN invariant violated: %v", err))
 			}
+		}
+		// Edge k joins ch[k] and ch[k+1]: W puts one of them first, and
+		// that one's record names the other.
+		var prev *txnRec
+		for k, id := range ch {
+			r, _ := c.live.Get(id)
+			r.w = [2]txn.ID{}
+			if k > 0 {
+				if sol.Orient[k-1] == chainopt.Down {
+					prev.w[1] = id
+				} else {
+					r.w[0] = ch[k-1]
+				}
+			}
+			prev = r
 		}
 	}
 	c.planAt = now
@@ -103,42 +99,6 @@ func (c *chain) refreshPlan(now event.Time) bool {
 	c.havePlan = true
 	c.recomputes++
 	return true
-}
-
-// chainInput converts one WTPG chain into the optimizer's input, carrying
-// live w(T0→Ti) values, per-direction edge weights, and the orientations
-// already fixed by earlier grants. The input's slices are the scheduler's
-// own, refilled by the next call.
-func (c *chain) chainInput(ch wtpg.Chain) chainopt.Chain {
-	n := len(ch)
-	in := &c.in
-	in.R = slices.Grow(in.R[:0], n)[:n]
-	in.Down = slices.Grow(in.Down[:0], n-1)[:n-1]
-	in.Up = slices.Grow(in.Up[:0], n-1)[:n-1]
-	in.Fixed = slices.Grow(in.Fixed[:0], n-1)[:n-1]
-	clear(in.Fixed)
-	for k, id := range ch {
-		in.R[k] = c.graph.W0(id)
-	}
-	for k := 0; k+1 < n; k++ {
-		e, ok := c.graph.EdgeBetween(ch[k], ch[k+1])
-		if !ok {
-			panic(fmt.Sprintf("sched: CHAIN invariant violated: chain edge (%v,%v) missing", ch[k], ch[k+1]))
-		}
-		down, up := e.WAB, e.WBA
-		if e.A != ch[k] {
-			down, up = up, down
-		}
-		in.Down[k], in.Up[k] = down, up
-		if e.Dir != wtpg.Unresolved {
-			if e.From() == ch[k] {
-				in.Fixed[k] = chainopt.Down
-			} else {
-				in.Fixed[k] = chainopt.Up
-			}
-		}
-	}
-	return *in
 }
 
 func (c *chain) Request(t *txn.T, step int, now event.Time) Outcome {
@@ -149,10 +109,12 @@ func (c *chain) Request(t *txn.T, step int, now event.Time) Outcome {
 	if c.refreshPlan(now) {
 		cpu += c.costs.ChainTime
 	}
+	r, _ := c.live.Get(t.ID)
 	targets := c.impliedTargets(t, step)
-	// Step 3 of CC1: delay if any implied resolution disagrees with W.
+	// Step 3 of CC1: delay if any implied resolution disagrees with W,
+	// that is, if a target is not a chain neighbour W puts after t.
 	for _, to := range targets {
-		if first, ok := c.plan[pairOf(t.ID, to)]; !ok || first != t.ID {
+		if r == nil || to != r.w[0] && to != r.w[1] {
 			return Outcome{Decision: Delayed, CPU: cpu}
 		}
 	}

@@ -39,7 +39,7 @@ func TestChainAdmitMatchesRegisterFirst(t *testing.T) {
 	costs := Costs{DDTime: 1, ChainTime: 2, KeepTime: 50}
 	f := func(ops []byte) bool {
 		got := NewChain(costs).(*chain)
-		want := &registerFirstChain{chain{wtpgBase: newWTPGBase(costs), plan: make(map[pairKey]txn.ID)}}
+		want := &registerFirstChain{chain{wtpgBase: newWTPGBase(costs)}}
 		pool := fuzzTxnPool()
 		states := make([]fuzzState, len(pool))
 		now := event.Time(0)

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"cmp"
 	"slices"
 
 	"batsched/internal/core/wtpg"
@@ -26,4 +27,17 @@ func refusalOf(s Scheduler, id txn.ID) (int, []wtpg.Stay) {
 		return r.refused, slices.Clone(r.witness)
 	}
 	return 0, nil
+}
+
+// edgeBetween returns the edge between a and b among edges, a graph's
+// Edges (sorted by endpoints), if there is one.
+func edgeBetween(edges []wtpg.Edge, a, b txn.ID) (wtpg.Edge, bool) {
+	a, b = min(a, b), max(a, b)
+	i, ok := slices.BinarySearchFunc(edges, [2]txn.ID{a, b}, func(e wtpg.Edge, k [2]txn.ID) int {
+		return cmp.Or(cmp.Compare(e.A, k[0]), cmp.Compare(e.B, k[1]))
+	})
+	if !ok {
+		return wtpg.Edge{}, false
+	}
+	return edges[i], true
 }

@@ -243,20 +243,21 @@ func TestRegisterCandidatesMatchScan(t *testing.T) {
 					return false
 				}
 				live = append(live, tx)
+				edges := got.graph.Edges()
 				for _, u := range live {
 					for _, v := range live {
 						if u.ID >= v.ID {
 							continue
 						}
 						wuv, wvu, ok := wtpg.ConflictWeights(u, v)
-						e, has := got.graph.EdgeBetween(u.ID, v.ID)
+						e, has := edgeBetween(edges, u.ID, v.ID)
 						if has != ok || ok && (e.WAB != wuv || e.WBA != wvu) {
 							t.Logf("seed %d op %d: edge (%v,%v) = %+v %v, ConflictWeights %g %g %v", seed, op, u.ID, v.ID, e, has, wuv, wvu, ok)
 							return false
 						}
 					}
 				}
-				if a, b := got.graph.Edges(), ref.graph.Edges(); !slices.Equal(a, b) {
+				if a, b := edges, ref.graph.Edges(); !slices.Equal(a, b) {
 					t.Logf("seed %d op %d: edges %v, scan %v", seed, op, a, b)
 					return false
 				}

@@ -2,8 +2,10 @@ package wtpg
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 
+	"batsched/internal/core/chainopt"
 	"batsched/internal/txn"
 )
 
@@ -65,6 +67,50 @@ func (g *Graph) Chains() (chains []Chain, ok bool) {
 	}
 	slices.SortFunc(chains, func(a, b Chain) int { return cmp.Compare(a[0], b[0]) })
 	return chains, true
+}
+
+// ChainInput fills in with the optimiser's input for ch, one of the chains
+// Chains returned: R[k] = w(T0→ch[k]), Down[k] and Up[k] the weights of
+// the edge between ch[k] and ch[k+1] in each direction, and Fixed[k] the
+// orientation an earlier grant resolved it to (Free while unresolved).
+// Each edge is found among its first member's adjacency entries, at most
+// two in chain form. The slices of in are reused, so a caller solving many
+// chains refills one value. It panics if ch is empty or not a path of the
+// graph.
+func (g *Graph) ChainInput(ch Chain, in *chainopt.Chain) {
+	n := len(ch)
+	in.R = slices.Grow(in.R[:0], n)[:n]
+	in.Down, in.Up = slices.Grow(in.Down[:0], n-1)[:n-1], slices.Grow(in.Up[:0], n-1)[:n-1]
+	in.Fixed = slices.Grow(in.Fixed[:0], n-1)[:n-1]
+	var prev int32
+	for k, id := range ch {
+		cur, ok := g.slotOf.Get(id)
+		var e *edgeRec // the edge from ch[k-1] to ch[k]
+		if ok && k > 0 {
+			for _, idx := range g.adj[prev] {
+				if f := &g.edges[idx]; f.sa == cur || f.sb == cur {
+					e = f
+				}
+			}
+		}
+		if !ok || k > 0 && e == nil {
+			panic(fmt.Sprintf("wtpg: ChainInput: %v is not a path of the graph", ch))
+		}
+		in.R[k] = g.w0[cur]
+		if e != nil {
+			in.Down[k-1], in.Up[k-1], in.Fixed[k-1] = e.wab, e.wba, chainopt.Free
+			if e.sa != prev {
+				in.Down[k-1], in.Up[k-1] = e.wba, e.wab
+			}
+			if e.dir != Unresolved {
+				in.Fixed[k-1] = chainopt.Up
+				if e.fromSlot() == prev {
+					in.Fixed[k-1] = chainopt.Down
+				}
+			}
+		}
+		prev = cur
+	}
 }
 
 // StaysChainForm reports whether a chain-form graph would still be in

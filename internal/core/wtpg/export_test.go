@@ -16,3 +16,12 @@ func (g *Graph) ConflictDegree(id txn.ID) int {
 	}
 	return len(g.adj[s])
 }
+
+// EdgeBetween returns the edge between a and b, if any.
+func (g *Graph) EdgeBetween(a, b txn.ID) (Edge, bool) {
+	idx, ok := g.pair[keyOf(a, b)]
+	if !ok {
+		return Edge{}, false
+	}
+	return g.edgeOut(&g.edges[idx]), true
+}

@@ -368,15 +368,6 @@ func (g *Graph) edgeOut(e *edgeRec) Edge {
 	return Edge{A: g.ids[e.sa], B: g.ids[e.sb], WAB: e.wab, WBA: e.wba, Dir: e.dir}
 }
 
-// EdgeBetween returns the edge between a and b, if any.
-func (g *Graph) EdgeBetween(a, b txn.ID) (Edge, bool) {
-	idx, ok := g.pair[keyOf(a, b)]
-	if !ok {
-		return Edge{}, false
-	}
-	return g.edgeOut(&g.edges[idx]), true
-}
-
 // Edges returns copies of all edges, sorted by endpoint ids.
 func (g *Graph) Edges() []Edge {
 	out := make([]Edge, 0, len(g.pair))

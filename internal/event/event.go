@@ -46,7 +46,7 @@ var stepped func(q *Queue, lane bool)
 // single-threaded.
 type Queue struct {
 	heap      []item
-	lane      ring
+	lane      Ring[item]
 	laneDelay Time // 0: no lane
 	now       Time
 	nextSeq   uint64
@@ -122,7 +122,7 @@ func (q *Queue) After(delay Time, fn Handler) {
 		return
 	}
 	at := q.now + delay
-	q.lane.push(item{at, q.stamp(at, fn), fn})
+	q.lane.Push(item{at, q.stamp(at, fn), fn})
 }
 
 // next reports when the next event fires and whether it is the lane's
@@ -148,7 +148,7 @@ func (q *Queue) Step() bool {
 	}
 	var it item
 	if lane {
-		it = q.lane.pop()
+		it = q.lane.Pop()
 	} else {
 		it = q.popHeap()
 	}
@@ -203,28 +203,37 @@ func (q *Queue) popHeap() item {
 	return top
 }
 
-// ring is the lane: a first-in-first-out queue of items in a power-of-two
-// ring, which allocates only while growing to the peak backlog.
-type ring struct {
-	buf  []item
+// Ring is a first-in-first-out queue in a power-of-two ring: it allocates
+// only while growing to the peak backlog, where a slice popped with
+// s = s[1:] and refilled with append reallocates for ever. The calendar's
+// lane is one, and so are the machine's node queues. The zero value is an
+// empty ring.
+type Ring[T any] struct {
+	buf  []T
 	head int
 	n    int
 }
 
-func (r *ring) push(it item) {
+// Len returns the number of values queued.
+func (r *Ring[T]) Len() int { return r.n }
+
+// Push appends v at the tail.
+func (r *Ring[T]) Push(v T) {
 	if r.n == len(r.buf) {
-		grown := make([]item, max(16, 2*len(r.buf)))
+		grown := make([]T, max(4, 2*len(r.buf)))
 		copy(grown[copy(grown, r.buf[r.head:]):], r.buf[:r.head])
 		r.buf, r.head = grown, 0
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = it
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
 	r.n++
 }
 
-func (r *ring) pop() item {
-	it := r.buf[r.head]
-	r.buf[r.head] = item{} // the vacated slot must not pin the handler
+// Pop removes and returns the head; the ring must not be empty. The
+// vacated slot is zeroed, so it pins nothing.
+func (r *Ring[T]) Pop() T {
+	v := r.buf[r.head]
+	r.buf[r.head] = *new(T)
 	r.head = (r.head + 1) & (len(r.buf) - 1)
 	r.n--
-	return it
+	return v
 }

@@ -9,7 +9,7 @@ func (q *Queue) Run() {
 
 // HeapLen and LaneLen split Len between the heap and the lane.
 func (q *Queue) HeapLen() int { return len(q.heap) }
-func (q *Queue) LaneLen() int { return q.lane.n }
+func (q *Queue) LaneLen() int { return q.lane.Len() }
 
 // ProbeSteps calls f after every fired handler of every queue, with
 // whether the event came from the lane, until the returned func is

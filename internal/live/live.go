@@ -121,7 +121,8 @@ type Stats struct {
 }
 
 // Controller is a live lock manager driven by one of the paper's
-// schedulers. Create with New; safe for concurrent use.
+// schedulers. Create with New; safe for concurrent use. A scheduler panic
+// breaks it: every call that needs the scheduler then fails naming it.
 type Controller struct {
 	label  string
 	start  time.Time
@@ -134,7 +135,8 @@ type Controller struct {
 	// is the caller's open log (the controller's own, walOwned, only when
 	// Recover built it), store the heap files granted steps scan. logErr
 	// and storeErr are the write-ahead contract's sticky first failures,
-	// read lock-free on the hot path. mu is never held while the log's own
+	// and schedErr the first scheduler panic (see guard), all read
+	// lock-free on the hot path. mu is never held while the log's own
 	// mutex is taken: finish appends after releasing it. With recovered
 	// set (Recover over a log that committed something), maxRecovered is
 	// the highest id that log committed, and Admit refuses every id at or
@@ -144,6 +146,7 @@ type Controller struct {
 	store        *storage.Store
 	logErr       atomic.Pointer[error]
 	storeErr     atomic.Pointer[error]
+	schedErr     atomic.Pointer[error]
 	recovered    bool
 	maxRecovered txn.ID
 
@@ -281,6 +284,9 @@ func (c *Controller) Stats() Stats {
 func (c *Controller) CheckInvariants() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	if err := load(&c.schedErr); err != nil {
+		return err
+	}
 	if ci, ok := c.sch.(interface{ CheckInvariants() error }); ok {
 		return ci.CheckInvariants()
 	}
@@ -299,6 +305,35 @@ func (c *Controller) Close() {
 	if c.walOwned && c.wal != nil {
 		c.wal.Close()
 	}
+}
+
+// guard runs f, a scheduler call made under the held c.mu, and returns
+// nil with c.mu still held. If f panics, the scheduler may be half-way
+// through a change, so the controller is broken (breakLocked) and guard
+// returns the error; from then on it returns that error at once,
+// releasing c.mu, without calling f. Stats and Close still answer.
+func (c *Controller) guard(f func()) (err error) {
+	if err := load(&c.schedErr); err != nil {
+		c.mu.Unlock()
+		return err
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			err = c.breakLocked(r)
+		}
+	}()
+	f()
+	return nil
+}
+
+// breakLocked ends a scheduler panic r under c.mu: it latches schedErr,
+// naming r, wakes everything parked, releases c.mu and returns the error.
+func (c *Controller) breakLocked(r any) error {
+	err := fmt.Errorf("live: scheduler panicked: %v", r)
+	latch(&c.schedErr, err)
+	c.broadcastLocked()
+	c.mu.Unlock()
+	return err
 }
 
 // changedLocked records that the scheduler's state moved without waking
@@ -407,8 +442,15 @@ func (c *Controller) waitLocked(ctx context.Context, r *ltxn, dec sched.Decision
 // admitGranted is Admit's tail once the scheduler has granted t, under
 // the held c.mu: count it, create its control record — with a log, the
 // resolved predecessors, read while the predecessor set is still atomic
-// with the grant — then release the mutex.
-func (c *Controller) admitGranted(now event.Time, t *txn.T) {
+// with the grant — then release the mutex. Its error is guard's, and
+// leaves no record behind.
+func (c *Controller) admitGranted(now event.Time, t *txn.T) error {
+	var preds []txn.ID
+	if c.logs() {
+		if err := c.guard(func() { preds = sched.Predecessors(c.sch, t.ID) }); err != nil {
+			return err
+		}
+	}
 	c.stats.Admitted++
 	var r *ltxn
 	if n := len(c.free); n > 0 {
@@ -416,17 +458,15 @@ func (c *Controller) admitGranted(now event.Time, t *txn.T) {
 	} else {
 		r = new(ltxn)
 	}
-	*r = ltxn{admitted: now, resubmit: r.resubmit}
+	*r = ltxn{admitted: now, resubmit: r.resubmit, preds: preds}
 	c.txns.Put(t.ID, r)
-	if c.logs() {
-		r.preds = sched.Predecessors(c.sch, t.ID)
-	}
 	// A granted admission is a wake event: it dirties the scheduler's
 	// cached plan (CHAIN's W, K-WTPG's E(q)), so a request Delayed under
 	// the old one may be grantable under the next.
 	c.active++
 	c.broadcastLocked()
 	c.mu.Unlock()
+	return nil
 }
 
 // Progress reports completed work to the scheduler, adjusting the
@@ -524,10 +564,12 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 			c.mu.Unlock()
 			return fmt.Errorf("live: wal: %w", err)
 		}
-		dec := c.sch.Admit(t, now).Decision
+		var dec sched.Decision
+		if err := c.guard(func() { dec = c.sch.Admit(t, now).Decision }); err != nil {
+			return err
+		}
 		if dec == sched.Granted {
-			c.admitGranted(now, t)
-			return nil
+			return c.admitGranted(now, t)
 		}
 		if err := c.waitLocked(ctx, nil, dec); err != nil {
 			return err
@@ -566,7 +608,10 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 			c.emit(obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: t.Steps[step].Part,
 				Write: t.Steps[step].Mode == txn.Write})
 		}
-		dec := c.sch.Request(t, step, now).Decision
+		var dec sched.Decision
+		if err := c.guard(func() { dec = c.sch.Request(t, step, now).Decision }); err != nil {
+			return err
+		}
 		if dec != sched.Blocked {
 			// The policy ran: a grant moved the graph, and even a Delayed
 			// answer may have come from a cached plan (W, E(q)) the call
@@ -590,21 +635,31 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 // §3.1 weight-adjustment message behind the Progress callback. On a nil
 // transaction, one the controller does not consider admitted, or a count
 // that is not a txn.ValidDemand, it does nothing: a negative count would
-// raise w(T0→Ti) above the declared demand, without bound.
+// raise w(T0→Ti) above the declared demand, without bound. It runs per
+// object, so a scheduler panic breaks the controller here without guard.
 func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	if t == nil || !txn.ValidDemand(objects) {
 		return
 	}
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if r, _ := c.txns.Get(t.ID); r == nil {
+	inSched := false
+	defer func() {
+		if inSched {
+			c.breakLocked(recover())
+		} else {
+			c.mu.Unlock()
+		}
+	}()
+	if r, _ := c.txns.Get(t.ID); r == nil || load(&c.schedErr) != nil {
 		return
 	}
 	var now event.Time // only an observer reads it; no scheduler does
 	if c.observer != nil {
 		now = c.now()
 	}
+	inSched = true
 	c.sch.ObjectDone(t, objects, now)
+	inSched = false
 	c.changedLocked()
 	c.emit(obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
 }
@@ -617,8 +672,9 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 // durability error when the Commit record could not be appended: then
 // the "commit" ran the abort-recovery path instead and the caller must
 // treat the transaction as aborted. An error naming a record that is
-// "not durable" is the one in-doubt outcome: the transaction pre-committed, the force
-// failed, and only a restart's replay decides.
+// "not durable", or a commit "in doubt", is an in-doubt outcome: the
+// transaction pre-committed, then the force failed or the scheduler
+// panicked (see guard), and only a restart's replay decides.
 func (c *Controller) Commit(t *txn.T) error {
 	return c.finish(t, true)
 }
@@ -629,7 +685,7 @@ func (c *Controller) Commit(t *txn.T) error {
 // retracted, resolved precedence spliced past it — and waiters wake.
 // Undoing completed work is the caller's responsibility. It returns an
 // error only for a transaction the controller does not consider
-// admitted.
+// admitted, or once the scheduler has panicked (see guard).
 func (c *Controller) Abort(t *txn.T) error {
 	return c.finish(t, false)
 }
@@ -663,6 +719,10 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 		return errNilTxn
 	}
 	c.mu.Lock()
+	if err := load(&c.schedErr); err != nil {
+		c.mu.Unlock()
+		return fmt.Errorf("live: %v: %w", t.ID, err)
+	}
 	r, _ := c.txns.Get(t.ID)
 	if r == nil {
 		c.mu.Unlock()
@@ -671,7 +731,9 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	now := c.now()
 	start, preds := r.admitted, r.preds
 	if committed && c.logs() {
-		preds = append(preds, sched.Predecessors(c.sch, t.ID)...)
+		if err := c.guard(func() { preds = append(preds, sched.Predecessors(c.sch, t.ID)...) }); err != nil {
+			return fmt.Errorf("live: %v: not committed: %w", t.ID, err)
+		}
 	}
 	c.txns.Delete(t.ID)
 	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
@@ -696,13 +758,20 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	}
 	e := obs.Event{Kind: obs.KindCommit, At: now, Txn: t.ID, RT: now - start}
 	c.mu.Lock()
-	if committed {
-		c.sch.Commit(t, now)
-		c.stats.Committed++
-	} else {
-		c.sch.Abort(t, now)
-		c.stats.Aborted++
-		e.Decision = "aborted"
+	if err := c.guard(func() {
+		if committed {
+			c.sch.Commit(t, now)
+			c.stats.Committed++
+		} else {
+			c.sch.Abort(t, now)
+			c.stats.Aborted++
+			e.Decision = "aborted"
+		}
+	}); err != nil {
+		if committed { // preCommit ran: a logged record may yet be forced
+			err = fmt.Errorf("commit in doubt: %w", err)
+		}
+		return fmt.Errorf("live: %v: %w", t.ID, err)
 	}
 	c.active--
 	c.emit(e)

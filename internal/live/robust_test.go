@@ -13,10 +13,12 @@ import (
 	"time"
 
 	"batsched/internal/core/sched"
+	"batsched/internal/event"
 	"batsched/internal/fault"
 	"batsched/internal/modelcheck"
 	"batsched/internal/obs"
 	"batsched/internal/txn"
+	"batsched/internal/wal"
 )
 
 // TestAbortReleasesLocksAndUnblocksWaiters admits a holder on every
@@ -582,5 +584,149 @@ func TestPanicInWorkIsRecovered(t *testing.T) {
 	}
 	if err := ctl.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicking is a C2PL scheduler whose method named by at panics.
+type panicking struct {
+	sched.Scheduler
+	at string
+}
+
+func (p panicking) Admit(t *txn.T, now event.Time) sched.Outcome {
+	if p.at == "Admit" {
+		panic("scheduler bug in Admit")
+	}
+	return p.Scheduler.Admit(t, now)
+}
+
+func (p panicking) Request(t *txn.T, step int, now event.Time) sched.Outcome {
+	if p.at == "Request" {
+		panic("scheduler bug in Request")
+	}
+	return p.Scheduler.Request(t, step, now)
+}
+
+func (p panicking) ObjectDone(t *txn.T, objects float64, now event.Time) {
+	if p.at == "ObjectDone" {
+		panic("scheduler bug in ObjectDone")
+	}
+	p.Scheduler.ObjectDone(t, objects, now)
+}
+
+func (p panicking) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
+	if p.at == "Commit" {
+		panic("scheduler bug in Commit")
+	}
+	return p.Scheduler.Commit(t, now)
+}
+
+// TestSchedulerPanicReleasesMutex: a scheduler that panics under the
+// controller's mutex — in Admit, Request, ObjectDone or Commit — must
+// neither leave the mutex locked nor leave the controller running on a
+// scheduler in an unknown state. The call that met the panic returns an
+// error naming it (a Commit's says the commit is in doubt: with a log its
+// record was appended), a transaction parked behind the panicking one
+// wakes and fails with it, a later Run on the same partition fails with
+// it at once, and Stats and Close return — each within a deadline.
+func TestSchedulerPanicReleasesMutex(t *testing.T) {
+	within := func(t *testing.T, what string, f func()) {
+		t.Helper()
+		done := make(chan any, 1)
+		go func() {
+			defer func() { done <- recover() }()
+			f()
+		}()
+		select {
+		case p := <-done:
+			if p != nil {
+				t.Fatalf("%s panicked: %v", what, p)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("%s did not return within 5 s after the scheduler's panic", what)
+		}
+	}
+	for _, at := range []string{"Admit", "Request", "ObjectDone", "Commit"} {
+		t.Run(at, func(t *testing.T) {
+			f := sched.Factory{Label: "C2PL", New: func(c sched.Costs) sched.Scheduler {
+				return panicking{sched.NewC2PL(c), at}
+			}}
+			l, err := wal.Open(t.TempDir(), 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer l.Close()
+			ctl := New(f, liveCosts, WithWALLog(l))
+			ctx := context.Background()
+			want := "scheduler panicked: scheduler bug in " + at
+			named := func(what string, err error) {
+				t.Helper()
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("%s: err %v; want one naming %q", what, err, want)
+				}
+			}
+			t1 := txn.New(1, []txn.Step{w(0, 1)})
+			switch at {
+			case "Admit", "Request":
+				within(t, "Run", func() { err = ctl.Run(ctx, t1, nil) })
+				named("Run", err)
+			default:
+				// t1 holds partition 0 and t2 parks behind it before the
+				// panic.
+				if err := ctl.Admit(ctx, t1); err != nil {
+					t.Fatal(err)
+				}
+				if err := ctl.Acquire(ctx, t1, 0); err != nil {
+					t.Fatal(err)
+				}
+				parked := make(chan error, 1)
+				go func() { parked <- ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), nil) }()
+				for ctl.Stats().Retries == 0 {
+					time.Sleep(time.Millisecond)
+				}
+				if at == "ObjectDone" {
+					within(t, "ObjectDone", func() { ctl.ObjectDone(t1, 1) })
+				}
+				within(t, "Commit", func() { err = ctl.Commit(t1) })
+				named("Commit", err)
+				if in := strings.Contains(err.Error(), "commit in doubt"); in != (at == "Commit") {
+					t.Fatalf("Commit: err %v; in doubt exactly when the scheduler's Commit panicked", err)
+				}
+				within(t, "the parked Run", func() { err = <-parked })
+				named("the parked Run", err)
+			}
+			within(t, "a later Run", func() { err = ctl.Run(ctx, txn.New(3, []txn.Step{w(0, 1)}), nil) })
+			named("a later Run", err)
+			if err := ctl.CheckInvariants(); err == nil {
+				t.Fatal("CheckInvariants passed a controller whose scheduler panicked")
+			}
+			within(t, "Stats", func() { ctl.Stats() })
+			within(t, "Close", ctl.Close)
+		})
+	}
+}
+
+// TestObserverPanicInObjectDoneKeepsController: a panic from the trace
+// event ObjectDone emits after its scheduler call is the caller's, not
+// the scheduler's. The deferred unlock releases the mutex, Run recovers
+// the panic and aborts, and the controller stays usable: the next Run
+// commits.
+func TestObserverPanicInObjectDoneKeepsController(t *testing.T) {
+	ctl := New(sched.C2PLFactory(), liveCosts, WithObserver(observerFunc(func(e obs.Event) {
+		if e.Kind == obs.KindObjectDone && e.Txn == 1 {
+			panic("observer bug")
+		}
+	})))
+	defer ctl.Close()
+	ctx := context.Background()
+	work := func(_ int, p Progress) error { p(1); return nil }
+	if err := ctl.Run(ctx, txn.New(1, []txn.Step{w(0, 1)}), work); err == nil || !strings.Contains(err.Error(), "recovered panic: observer bug") {
+		t.Fatalf("Run: err %v; want the observer's panic recovered", err)
+	}
+	if err := ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), work); err != nil {
+		t.Fatalf("the next Run: %v; an observer panic must not break the controller", err)
+	}
+	if st := ctl.Stats(); st.Aborted != 1 || st.Committed != 1 || st.Active != 0 {
+		t.Fatalf("Stats %+v: want one abort, one commit, nothing active", st)
 	}
 }

@@ -212,25 +212,55 @@ func (tb *Table) ConflictingDecls(dst []Decl, id txn.ID, p txn.PartitionID, mode
 // visiting any transaction that shares no partition with t.
 func (tb *Table) ConflictingTxns(dst []txn.ID, t *txn.T) []txn.ID {
 	start := len(dst)
+	tb.eachConflictingTxn(t, func(id txn.ID) bool {
+		dst = append(dst, id)
+		return true
+	})
+	found := dst[start:]
+	slices.Sort(found)
+	return dst[:start+len(slices.Compact(found))]
+}
+
+// TwoConflictingTxns returns the distinct transactions ConflictingTxns
+// names for t, in the order found, when there are at most two — a
+// chain-form WTPG's bound, where a transaction has at most two
+// neighbours — and ok false at the third, having neither sorted nor
+// visited the rest.
+func (tb *Table) TwoConflictingTxns(t *txn.T) (ids [2]txn.ID, n int, ok bool) {
+	ok = tb.eachConflictingTxn(t, func(id txn.ID) bool {
+		if !slices.Contains(ids[:n], id) {
+			if n == len(ids) {
+				return false
+			}
+			ids[n], n = id, n+1
+		}
+		return true
+	})
+	return ids, n, ok
+}
+
+// eachConflictingTxn is ConflictingTxns' scan: it calls yield for each
+// holder and declaration of another transaction on one of t's partitions
+// in a mode conflicting with t's step there — repeats included — until
+// yield returns false, and reports whether it visited them all.
+func (tb *Table) eachConflictingTxn(t *txn.T, yield func(txn.ID) bool) bool {
 	for _, s := range t.Steps {
 		e := tb.lookup(s.Part)
 		if e == nil {
 			continue
 		}
 		for _, h := range e.holders {
-			if h.id != t.ID && s.Mode.Conflicts(h.mode) {
-				dst = append(dst, h.id)
+			if h.id != t.ID && s.Mode.Conflicts(h.mode) && !yield(h.id) {
+				return false
 			}
 		}
 		for _, d := range e.decls {
-			if d.Txn != t.ID && s.Mode.Conflicts(d.Mode) {
-				dst = append(dst, d.Txn)
+			if d.Txn != t.ID && s.Mode.Conflicts(d.Mode) && !yield(d.Txn) {
+				return false
 			}
 		}
 	}
-	found := dst[start:]
-	slices.Sort(found)
-	return dst[:start+len(slices.Compact(found))]
+	return true
 }
 
 // Grant converts the declaration of (id, step) on p into a held lock,

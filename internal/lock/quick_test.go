@@ -115,8 +115,18 @@ func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
 		}
 	}
 	for _, x := range append([]*txn.T{probe}, p.live...) {
-		if got, want := p.tb.ConflictingTxns(nil, x), p.conflictScan(x); !slices.Equal(got, want) {
+		want := p.conflictScan(x)
+		if got := p.tb.ConflictingTxns(nil, x); !slices.Equal(got, want) {
 			t.Logf("ConflictingTxns(%v): table=%v scan=%v", x, got, want)
+			return false
+		}
+		ids, n, ok := p.tb.TwoConflictingTxns(x)
+		got := slices.Clone(ids[:n])
+		slices.Sort(got)
+		distinct := len(slices.Compact(got)) == n
+		named := !slices.ContainsFunc(ids[:n], func(id txn.ID) bool { return !slices.Contains(want, id) })
+		if ok != (len(want) <= 2) || n != min(len(want), 2) || !distinct || !named {
+			t.Logf("TwoConflictingTxns(%v): table=%v %v scan=%v", x, ids[:n], ok, want)
 			return false
 		}
 	}
@@ -140,7 +150,9 @@ func (p *tablePair) same(t *testing.T, probe *txn.T) bool {
 // every query to agree after every operation: Known, Holders, IsBlocked,
 // Blocked, ConflictingDecls in order (each transaction's declarations
 // adjacent), ConflictingTxns for the probe and
-// every live transaction (against a scan of their declared steps),
+// every live transaction (against a scan of their declared steps) and
+// TwoConflictingTxns (at most two of them, distinct, from that scan,
+// ok false exactly when the scan finds more),
 // WouldExceedK for K = 0..3 with a
 // fresh probe transaction, Release's sorted result, CheckInvariants, and
 // whether each Declare and Grant fails.

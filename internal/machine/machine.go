@@ -122,34 +122,6 @@ func (c Config) NodeOf(p txn.PartitionID) int {
 	return n
 }
 
-// fifo is a first-in-first-out queue in a power-of-two ring: it allocates
-// only while growing to the peak backlog, where a slice popped with
-// s = s[1:] and refilled with append reallocates for ever.
-type fifo[T any] struct {
-	buf  []T
-	head int
-	n    int
-}
-
-func (f *fifo[T]) push(v T) {
-	if f.n == len(f.buf) {
-		grown := make([]T, max(4, 2*len(f.buf)))
-		copy(grown[copy(grown, f.buf[f.head:]):], f.buf[:f.head])
-		f.buf, f.head = grown, 0
-	}
-	f.buf[(f.head+f.n)&(len(f.buf)-1)] = v
-	f.n++
-}
-
-func (f *fifo[T]) pop() T {
-	var zero T
-	v := f.buf[f.head]
-	f.buf[f.head] = zero
-	f.head = (f.head + 1) & (len(f.buf) - 1)
-	f.n--
-	return v
-}
-
 // Work is one unit of control processing. Run is invoked when the CN
 // reaches the job and returns the CPU time it consumes; Done fires once
 // that time has elapsed. What Run decides lives in the job until Done
@@ -164,7 +136,7 @@ type Work interface {
 // work (admission, lock decisions, commit coordination).
 type ControlNode struct {
 	q        *event.Queue
-	pending  fifo[Work]
+	pending  event.Ring[Work]
 	cur      Work          // the job occupying the CN, nil when idle
 	complete event.Handler // cn.finish, bound once
 	BusyTime event.Time
@@ -183,18 +155,18 @@ func (cn *ControlNode) Submit(w Work) {
 	if w == nil {
 		panic("machine: nil control work")
 	}
-	cn.pending.push(w)
+	cn.pending.Push(w)
 	cn.pump()
 }
 
 // QueueLen returns the number of control requests waiting (not running).
-func (cn *ControlNode) QueueLen() int { return cn.pending.n }
+func (cn *ControlNode) QueueLen() int { return cn.pending.Len() }
 
 func (cn *ControlNode) pump() {
-	if cn.cur != nil || cn.pending.n == 0 {
+	if cn.cur != nil || cn.pending.Len() == 0 {
 		return
 	}
-	cn.cur = cn.pending.pop()
+	cn.cur = cn.pending.Pop()
 	cpu := cn.cur.Run(cn.q.Now())
 	if cpu < 0 {
 		cpu = 0
@@ -232,7 +204,7 @@ type Job struct {
 type DataNode struct {
 	ID   int
 	q    *event.Queue
-	jobs fifo[*Job]
+	jobs event.Ring[*Job]
 
 	cur        *Job       // the job whose quantum is in flight, nil when idle
 	curDur     event.Time // that quantum's duration
@@ -264,9 +236,9 @@ func NewDataNode(id int, q *event.Queue, objTime event.Time) *DataNode {
 // QueueLen returns the number of jobs waiting or running at the DN.
 func (n *DataNode) QueueLen() int {
 	if n.cur != nil {
-		return n.jobs.n + 1
+		return n.jobs.Len() + 1
 	}
-	return n.jobs.n
+	return n.jobs.Len()
 }
 
 // Enqueue adds a job to the round-robin ring.
@@ -274,15 +246,15 @@ func (n *DataNode) Enqueue(j *Job) {
 	if j == nil || j.Txn == nil {
 		panic("machine: bad job")
 	}
-	n.jobs.push(j)
+	n.jobs.Push(j)
 	n.pump()
 }
 
 const remainingEps = 1e-9
 
 func (n *DataNode) pump() {
-	for n.cur == nil && n.jobs.n > 0 {
-		j := n.jobs.pop()
+	for n.cur == nil && n.jobs.Len() > 0 {
+		j := n.jobs.Pop()
 		if j.Cancelled {
 			// Aborted transaction: the job evaporates without callbacks.
 			continue
@@ -328,7 +300,7 @@ func (n *DataNode) finish(now event.Time) {
 			n.OnStepDone(j, now)
 		}
 	default:
-		n.jobs.push(j)
+		n.jobs.Push(j)
 	}
 	n.pump()
 }

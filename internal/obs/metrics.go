@@ -3,6 +3,7 @@ package obs
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -407,7 +408,7 @@ func (m *Metrics) Schedulers() []string {
 	for label := range m.per {
 		out = append(out, label)
 	}
-	sortStrings(out)
+	slices.Sort(out)
 	return out
 }
 
@@ -418,16 +419,6 @@ func (m *Metrics) Sched(label string) *SchedMetrics {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.per[label]
-}
-
-// sortStrings is sort.Strings without importing sort twice across
-// files; kept tiny and allocation-free.
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // decisionLine renders a decision-count map as "1234 granted, 5 delayed".
@@ -442,7 +433,7 @@ func decisionLine(counts map[string]uint64) string {
 		}
 		keys = append(keys, k)
 	}
-	sortStrings(keys)
+	slices.Sort(keys)
 	parts := make([]string, 0, len(keys))
 	for _, k := range keys {
 		parts = append(parts, fmt.Sprintf("%d %s", counts[k], k))

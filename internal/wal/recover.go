@@ -6,7 +6,7 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -40,7 +40,7 @@ func Scan(dir string) ([]NodeScan, error) {
 			nodes = append(nodes, node)
 		}
 	}
-	sort.Ints(nodes)
+	slices.Sort(nodes)
 	scans := make([]NodeScan, len(nodes))
 	errs := make([]error, len(nodes))
 	var wg sync.WaitGroup
@@ -217,7 +217,7 @@ func Replay(scans []NodeScan, workers int, apply func(commit Record, wave int)) 
 			frontier = append(frontier, id)
 		}
 	}
-	sortIDs(frontier)
+	slices.Sort(frontier)
 	replayed := 0
 	for len(frontier) > 0 {
 		wave := rec.Waves
@@ -241,7 +241,7 @@ func Replay(scans []NodeScan, workers int, apply func(commit Record, wave int)) 
 				}
 			}
 		}
-		sortIDs(next)
+		slices.Sort(next)
 		frontier = next
 	}
 	if replayed != len(commits) {
@@ -279,8 +279,4 @@ func runWave(wave []txn.ID, commits map[txn.ID]Record, workers int, w int, apply
 	}
 	close(ch)
 	wg.Wait()
-}
-
-func sortIDs(ids []txn.ID) {
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 }
