@@ -75,8 +75,8 @@ const liveMPL = 16
 // names (either may be empty), and prints the committed count and
 // throughput, then the log's and the store's counters read after both are
 // closed. A log directory that already holds commits — an earlier run's —
-// is appended to: the transactions are numbered after its highest
-// committed id, so a recovery keeps the commits of both runs.
+// is appended to: the transactions are numbered after the highest id it
+// names (wal.Recovery.MaxID), so a recovery keeps the commits of both runs.
 func runLiveMode(factory sched.Factory, gen workload.Generator, n int, seed int64, files liveFiles) (err error) {
 	if n < 1 {
 		return fmt.Errorf("-livetxns %d: need at least one transaction", n)

@@ -97,16 +97,19 @@ type Scheduler interface {
 	Name() string
 	// Admit registers an arriving transaction. Granted admits it;
 	// Delayed/Aborted reject it (retry later) leaving no state behind.
+	//
+	// Request is the one method that reads now: CHAIN's W and K-WTPG's
+	// E(q) age by it (§3.4). No scheduler reads it in Admit, ObjectDone,
+	// Commit or Abort (TestQuickNowContract): it is there for the
+	// observability wrapper, and the live controller reads the clock for
+	// these calls only when a trace or a Commit record needs it (0
+	// otherwise).
 	Admit(t *txn.T, now event.Time) Outcome
 	// Request asks for the lock needed by step of t. Valid only for
 	// admitted transactions.
 	Request(t *txn.T, step int, now event.Time) Outcome
 	// ObjectDone reports that t finished bulk processing of `objects`
 	// objects (usually 1, possibly fractional at the tail of a step).
-	// No scheduler reads now here or in Commit: it is there for the
-	// observability wrapper, and the live controller reads the clock for
-	// these calls only when one is attached (0, or the finish's first
-	// reading, otherwise).
 	ObjectDone(t *txn.T, objects float64, now event.Time)
 	// Commit releases t's locks and removes it from control state,
 	// returning the partitions whose waiters may now be grantable. The

@@ -91,6 +91,14 @@ func (r *rig) holding(t *testing.T, id txn.ID) *txn.T {
 	return tx
 }
 
+// preCommit runs the controller's pre-commit step alone, under the mutex
+// finish holds when it calls it.
+func (r *rig) preCommit(tx *txn.T, preds []txn.ID) error {
+	r.ctl.mu.Lock()
+	defer r.ctl.mu.Unlock()
+	return r.ctl.preCommitLocked(tx, preds, 0)
+}
+
 func (r *rig) part0Bytes(t *testing.T) int64 {
 	t.Helper()
 	info, err := os.Stat(filepath.Join(r.hdir, "part-0000.heap"))
@@ -126,7 +134,7 @@ func TestPreCommitRefusedIsAbort(t *testing.T) {
 	if load(&r.ctl.logErr) == nil || r.ctl.logs() {
 		t.Error("the refusal was not latched")
 	}
-	if err := r.ctl.preCommit(write0(2), nil, 0); err == nil {
+	if err := r.preCommit(write0(2), nil); err == nil {
 		t.Error("preCommit succeeded on a broken log")
 	}
 	if err := r.ctl.Admit(context.Background(), write0(3)); err == nil {
@@ -148,7 +156,7 @@ func TestPreCommitRefusedIsAbort(t *testing.T) {
 // crash: the scenario runs once and any problem fails it.
 func TestFailedForceLatchesAndBarrierVetoes(t *testing.T) {
 	r := newRig(t)
-	if err := r.ctl.preCommit(write0(1), nil, 0); err != nil {
+	if err := r.preCommit(write0(1), nil); err != nil {
 		t.Fatal(err)
 	}
 	if n := r.part0Keys(t); n != 1 {
@@ -196,7 +204,7 @@ func TestRecoverTwice(t *testing.T) {
 	}
 	r.holding(t, 3) // in flight at the kill
 	t1 := write0(1)
-	if err := r.ctl.preCommit(t1, []txn.ID{7, 5, 7}, 0); err != nil {
+	if err := r.preCommit(t1, []txn.ID{7, 5, 7}); err != nil {
 		t.Fatal(err)
 	}
 	if err := r.ctl.force(0); err != nil {

@@ -31,14 +31,19 @@ import (
 
 // genLog is one generation's observer: it records the trace in order,
 // pulls the kill trigger at the killAt-th pre-commit and holds which Run
-// calls were acknowledged.
+// calls were acknowledged. The trigger returns only once the log and the
+// store have crashed (crashed closes): the killed commit emits its
+// event under the controller's mutex, before its own force, so no commit
+// finishes meanwhile and the killed one's record is not forced by its
+// own commit — the kill does not race it.
 type genLog struct {
-	mu     sync.Mutex
-	events []obs.Event
-	acked  map[txn.ID]bool
-	pre    atomic.Int64
-	killAt int64
-	kill   chan struct{}
+	mu      sync.Mutex
+	events  []obs.Event
+	acked   map[txn.ID]bool
+	pre     atomic.Int64
+	killAt  int64
+	kill    chan struct{}
+	crashed chan struct{}
 }
 
 func (g *genLog) Observe(e obs.Event) {
@@ -47,6 +52,7 @@ func (g *genLog) Observe(e obs.Event) {
 	g.mu.Unlock()
 	if e.Kind == obs.KindCommit && e.Decision == "" && g.pre.Add(1) == g.killAt {
 		close(g.kill)
+		<-g.crashed
 	}
 }
 
@@ -101,7 +107,7 @@ func killRecoverGenerations(t *testing.T, f sched.Factory, seed int64) (lost int
 		if st, err = storage.Open(hdir, genParts, sopts...); err != nil {
 			fatalf("open store: %v", err)
 		}
-		glog := &genLog{acked: map[txn.ID]bool{}, killAt: int64(20 + rng.Intn(60)), kill: make(chan struct{})}
+		glog := &genLog{acked: map[txn.ID]bool{}, killAt: int64(20 + rng.Intn(60)), kill: make(chan struct{}), crashed: make(chan struct{})}
 		if g == 0 {
 			ctl = New(f, liveCosts, WithRetryDelay(time.Millisecond), WithWALLog(l), WithStorage(st), WithObserver(glog))
 			rec = &wal.Recovery{}
@@ -221,7 +227,9 @@ func runGeneration(t *testing.T, ctl *Controller, st *storage.Store, glog *genLo
 	}
 	killed.Store(true)
 	ctl.wal.Crash(frac)
-	if err := st.Crash(frac); err != nil {
+	err := st.Crash(frac)
+	close(glog.crashed)
+	if err != nil {
 		t.Fatalf("%v\n%s", err, repro)
 	}
 	<-done

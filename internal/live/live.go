@@ -10,21 +10,24 @@
 // guards one scheduler instance — its lock table, WTPG and admission
 // policy — and the wait state, so every decision, CHAIN's globally
 // optimal order W included, is made over the whole WTPG (DESIGN.md §13).
+// Each lifecycle step takes the mutex once — an admission, a step, an
+// object message, the finish (twice with a log or a store) — and leaves
+// through one deferred exit (exit).
 //
 // A refused request or admission parks until an event that can change
-// the answer, then asks the scheduler again — it
-// re-decides for itself; nothing is handed to it. The wake events are a
-// commit, an abort, a granted admission (it dirties CHAIN's W and
-// K-WTPG's E(q) cache) and Close. A granted lock
-// request changes the inputs too but wakes nobody; instead, when the last
-// running transaction parks, everything refused before the current
-// decision generation is re-dispatched once (waitLocked).
-// Together these are complete: no wait needs a timer to make progress.
-// The paper's fixed-delay resubmission (§3.2, WithRetryDelay) remains for
-// policy-Delayed requests alone, as a re-timing. All
-// the guarantees of the scheduler carry over:
-// conflicting holders never coexist and schedules are conflict
-// serializable (every scheduler is strict — locks are held to commit).
+// the answer, then asks the scheduler again, in the section that ends
+// its park — it re-decides for itself; nothing is handed to it. The wake
+// events are a commit, an abort, a granted admission (it dirties CHAIN's
+// W and K-WTPG's E(q) cache) and Close. A granted lock request changes
+// the inputs too but wakes nobody; instead, when the last running
+// transaction parks, everything refused before the current decision
+// generation is re-dispatched once (waitLocked). Together these are
+// complete: no wait needs a timer to make progress. The paper's
+// fixed-delay resubmission (§3.2, WithRetryDelay) remains for
+// policy-Delayed requests alone, as a re-timing. All the guarantees of
+// the scheduler carry over: conflicting holders never coexist and
+// schedules are conflict serializable (every scheduler is strict — locks
+// are held to commit).
 // The controller never aborts an admitted transaction on its own: an
 // abort is the caller's — a work error, a recovered panic in caller work,
 // or the caller's ctx ending while the transaction waits. The schedulers
@@ -121,8 +124,9 @@ type Stats struct {
 }
 
 // Controller is a live lock manager driven by one of the paper's
-// schedulers. Create with New; safe for concurrent use. A scheduler panic
-// breaks it: every call that needs the scheduler then fails naming it.
+// schedulers. Create with New; safe for concurrent use. A panic under its
+// mutex — the scheduler's or the observer's — breaks it: every call that
+// needs the scheduler then fails naming it.
 type Controller struct {
 	label  string
 	start  time.Time
@@ -135,11 +139,11 @@ type Controller struct {
 	// is the caller's open log (the controller's own, walOwned, only when
 	// Recover built it), store the heap files granted steps scan. logErr
 	// and storeErr are the write-ahead contract's sticky first failures,
-	// and schedErr the first scheduler panic (see guard), all read
+	// and schedErr the first panic under mu (see exit), all read
 	// lock-free on the hot path. mu is never held while the log's own
-	// mutex is taken: finish appends after releasing it. With recovered
+	// mutex is taken: preCommitLocked releases it. With recovered
 	// set (Recover over a log that committed something), maxRecovered is
-	// the highest id that log committed, and Admit refuses every id at or
+	// the highest id that log names, and Admit refuses every id at or
 	// below it.
 	wal          *wal.Log
 	walOwned     bool
@@ -259,7 +263,8 @@ func (c *Controller) now() event.Time {
 
 // emit sends one trace event. The obs sinks are safe for concurrent
 // use, so no controller lock is needed; callers holding mu keep event
-// order aligned with decision order.
+// order aligned with decision order, and the hot paths build no event
+// without an observer.
 func (c *Controller) emit(e obs.Event) {
 	if c.observer == nil {
 		return
@@ -307,33 +312,30 @@ func (c *Controller) Close() {
 	}
 }
 
-// guard runs f, a scheduler call made under the held c.mu, and returns
-// nil with c.mu still held. If f panics, the scheduler may be half-way
-// through a change, so the controller is broken (breakLocked) and guard
-// returns the error; from then on it returns that error at once,
-// releasing c.mu, without calling f. Stats and Close still answer.
-func (c *Controller) guard(f func()) (err error) {
-	if err := load(&c.schedErr); err != nil {
-		c.mu.Unlock()
-		return err
+// exit is the one way out of every entry point's section: each takes
+// c.mu and defers exit at once, and exit releases it. A panic under c.mu
+// — the scheduler's or the observer's, which runs inside the section —
+// may have left the scheduler half-way through a change, so exit
+// recovers it and breaks the controller: it latches schedErr naming op
+// and the panic, wakes everything parked and returns the error in *err.
+// From then on every call that needs the scheduler fails with it; Stats
+// and Close still answer.
+func (c *Controller) exit(op string, err *error) {
+	if r := recover(); r != nil {
+		*err = fmt.Errorf("live: %s panicked: %v", op, r)
+		latch(&c.schedErr, *err)
+		c.broadcastLocked()
 	}
-	defer func() {
-		if r := recover(); r != nil {
-			err = c.breakLocked(r)
-		}
-	}()
-	f()
-	return nil
+	c.mu.Unlock()
 }
 
-// breakLocked ends a scheduler panic r under c.mu: it latches schedErr,
-// naming r, wakes everything parked, releases c.mu and returns the error.
-func (c *Controller) breakLocked(r any) error {
-	err := fmt.Errorf("live: scheduler panicked: %v", r)
-	latch(&c.schedErr, err)
-	c.broadcastLocked()
-	c.mu.Unlock()
-	return err
+// unusable is ErrClosed after Close, and the latched panic once one broke
+// the controller (see exit).
+func (c *Controller) unusable() error {
+	if c.closed.Load() {
+		return ErrClosed
+	}
+	return load(&c.schedErr)
 }
 
 // changedLocked records that the scheduler's state moved without waking
@@ -343,8 +345,8 @@ func (c *Controller) changedLocked() { c.gen++ }
 
 // broadcastLocked is a wake event: the scheduler's state moved in a way
 // that can turn a refusal into a grant (a commit, an abort, a granted
-// admission), or the controller closed. Everything parked re-decides.
-// Callers must hold c.mu.
+// admission), or the controller closed or broke. Everything parked
+// re-decides. Callers must hold c.mu.
 func (c *Controller) broadcastLocked() {
 	if c.wake != nil {
 		close(c.wake)
@@ -363,13 +365,13 @@ func (c *Controller) unparkLocked(r *ltxn) {
 	r.wait = nil
 }
 
-// waitLocked parks the caller after dec refused it under c.mu, which
-// the caller holds and waitLocked releases. r is the record of an
-// admitted transaction parked in Acquire, or nil for a refused
-// admission. The wait is registered and c.wake captured in the same
-// critical section as the refusal, so no wake event between the decision
-// and the sleep is missed, and what it sleeps on is events alone: the
-// next wake event, or ctx. Two things complete the event set.
+// waitLocked parks the caller after dec refused it under c.mu, and
+// returns holding c.mu again, the park ended, for the caller to re-decide
+// in. r is the record of a transaction parked in Acquire, nil for a
+// refused admission. The wait is registered and c.wake captured in the
+// refusal's section, so no wake event between the decision and the sleep
+// is missed, and what it sleeps on is events alone: the next wake event,
+// or ctx. Two things complete the event set.
 //
 // Quiescence: a granted request changes what a refusal was decided on but
 // wakes nobody (waking on every grant costs more than it finds), and a
@@ -399,7 +401,7 @@ func (c *Controller) waitLocked(ctx context.Context, r *ltxn, dec sched.Decision
 	if c.wake == nil {
 		c.wake, c.wakeGen = make(chan struct{}), c.gen
 	}
-	ch := c.wake
+	ch, done := c.wake, ctx.Done() // nothing the unlocked part calls can panic
 	if r != nil {
 		r.wait = ch
 		c.parked++
@@ -414,12 +416,10 @@ func (c *Controller) waitLocked(ctx context.Context, r *ltxn, dec sched.Decision
 		}
 		resubmit = r.resubmit.C
 	}
-	var err error
 	select {
 	case <-ch:
 	case <-resubmit:
-	case <-ctx.Done():
-		err = ctx.Err()
+	case <-done:
 	}
 	if resubmit != nil && !r.resubmit.Stop() {
 		// It fired: drain a tick this wait did not take, or the next
@@ -429,27 +429,21 @@ func (c *Controller) waitLocked(ctx context.Context, r *ltxn, dec sched.Decision
 		default:
 		}
 	}
-	if r != nil {
-		c.mu.Lock()
-		if r.blocked() { // else a concurrent finish already unparked it
-			c.unparkLocked(r)
-		}
-		c.mu.Unlock()
+	c.mu.Lock()
+	if r != nil && r.blocked() { // else a concurrent finish already unparked it
+		c.unparkLocked(r)
 	}
-	return err
+	return ctx.Err()
 }
 
-// admitGranted is Admit's tail once the scheduler has granted t, under
-// the held c.mu: count it, create its control record — with a log, the
+// admitGranted is the admission section's tail once the scheduler has
+// granted t: count it and create its control record — with a log, the
 // resolved predecessors, read while the predecessor set is still atomic
-// with the grant — then release the mutex. Its error is guard's, and
-// leaves no record behind.
-func (c *Controller) admitGranted(now event.Time, t *txn.T) error {
+// with the grant. A panic there leaves no record behind.
+func (c *Controller) admitGranted(now event.Time, t *txn.T) {
 	var preds []txn.ID
 	if c.logs() {
-		if err := c.guard(func() { preds = sched.Predecessors(c.sch, t.ID) }); err != nil {
-			return err
-		}
+		preds = sched.Predecessors(c.sch, t.ID)
 	}
 	c.stats.Admitted++
 	var r *ltxn
@@ -465,8 +459,6 @@ func (c *Controller) admitGranted(now event.Time, t *txn.T) error {
 	// the old one may be grantable under the next.
 	c.active++
 	c.broadcastLocked()
-	c.mu.Unlock()
-	return nil
 }
 
 // Progress reports completed work to the scheduler, adjusting the
@@ -523,21 +515,22 @@ func (c *Controller) Run(ctx context.Context, t *txn.T, work func(step int, p Pr
 // transaction's lifecycle and must finish it with Commit or Abort.
 // Most callers want Run instead.
 //
-// One loop: take the mutex, ask, and on a refusal wait for the next wake
-// event (waitLocked) and ask again. A controller built by Recover
-// refuses, at once, an id at or below the highest one its log committed:
+// One section: take the mutex, ask, and on a refusal wait for the next
+// wake event (waitLocked) and ask again. A controller built by Recover
+// refuses, at once, an id at or below the highest one its log names:
 // a second Commit record for that id would make the log unrecoverable.
 // With a store attached it refuses, at once too, a transaction with a
 // step on a partition the store lacks: its commit could apply no effect
 // there, and a restart could not redo its record. A demand outside
 // [0, txn.MaxDemand] (txn.T.CheckDemands) is refused at once as well: the
-// schedulers trust their demands.
-func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
+// schedulers trust their demands. No family's Admit reads the clock, so
+// only an observer makes Admit read it.
+func (c *Controller) Admit(ctx context.Context, t *txn.T) (err error) {
 	if t == nil {
 		return errNilTxn
 	}
 	if c.recovered && t.ID <= c.maxRecovered {
-		return fmt.Errorf("live: %v: the recovered log committed ids up to %v; admit a higher one", t.ID, c.maxRecovered)
+		return fmt.Errorf("live: %v: the recovered log names ids up to %v; admit a higher one", t.ID, c.maxRecovered)
 	}
 	if err := t.CheckDemands(); err != nil {
 		return fmt.Errorf("live: %w", err)
@@ -545,31 +538,31 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 	if err := c.checkParts(t); err != nil {
 		return err
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.exit("Admit", &err)
+	var now event.Time
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+		if err := c.unusable(); err != nil {
 			return err
 		}
-		c.mu.Lock()
-		if c.closed.Load() {
-			c.mu.Unlock()
-			return ErrClosed
-		}
-		now := c.now()
-		if attempt == 0 {
-			c.emit(obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
+		if c.observer != nil {
+			now = c.now()
+			if attempt == 0 {
+				c.emit(obs.Event{Kind: obs.KindAdmit, At: now, Txn: t.ID})
+			}
 		}
 		if err := load(&c.logErr); err != nil {
 			// Durability was requested and is broken (an IO failure):
 			// admitting would run the transaction unlogged.
-			c.mu.Unlock()
 			return fmt.Errorf("live: wal: %w", err)
 		}
-		var dec sched.Decision
-		if err := c.guard(func() { dec = c.sch.Admit(t, now).Decision }); err != nil {
-			return err
-		}
+		dec := c.sch.Admit(t, now).Decision
 		if dec == sched.Granted {
-			return c.admitGranted(now, t)
+			c.admitGranted(now, t)
+			return nil
 		}
 		if err := c.waitLocked(ctx, nil, dec); err != nil {
 			return err
@@ -581,37 +574,35 @@ func (c *Controller) Admit(ctx context.Context, t *txn.T) error {
 // ends, or the controller closes). Valid only between Admit and
 // Commit/Abort: on a transaction the controller does not consider
 // admitted, a nil one or a step t does not declare it returns an error
-// at once.
-func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
+// at once. A Blocked or Delayed answer parks it until the scheduler's
+// state moves (waitLocked), and it re-decides in the section that ends
+// the park.
+func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) (err error) {
 	if t == nil {
 		return errNilTxn
 	}
 	if step < 0 || step >= len(t.Steps) {
 		return fmt.Errorf("live: %v has no step %d", t.ID, step)
 	}
+	if err := ctx.Err(); err != nil {
+		return err
+	}
+	c.mu.Lock()
+	defer c.exit("Acquire", &err)
 	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
+		if err := c.unusable(); err != nil {
 			return err
-		}
-		c.mu.Lock()
-		if c.closed.Load() {
-			c.mu.Unlock()
-			return ErrClosed
 		}
 		r, _ := c.txns.Get(t.ID)
 		if r == nil {
-			c.mu.Unlock()
 			return errNotAdmitted(t.ID)
 		}
-		now := c.now()
-		if attempt == 0 {
+		now := c.now() // CHAIN's W and K-WTPG's E(q) age by it
+		if attempt == 0 && c.observer != nil {
 			c.emit(obs.Event{Kind: obs.KindRequest, At: now, Txn: t.ID, Step: step, Part: t.Steps[step].Part,
 				Write: t.Steps[step].Mode == txn.Write})
 		}
-		var dec sched.Decision
-		if err := c.guard(func() { dec = c.sch.Request(t, step, now).Decision }); err != nil {
-			return err
-		}
+		dec := c.sch.Request(t, step, now).Decision
 		if dec != sched.Blocked {
 			// The policy ran: a grant moved the graph, and even a Delayed
 			// answer may have come from a cached plan (W, E(q)) the call
@@ -620,11 +611,8 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 		}
 		if dec == sched.Granted {
 			c.stats.Granted++
-			c.mu.Unlock()
 			return nil
 		}
-		// Blocked or Delayed: park until the scheduler's state moves
-		// (waitLocked) and let it re-decide.
 		if err := c.waitLocked(ctx, r, dec); err != nil {
 			return err
 		}
@@ -635,21 +623,14 @@ func (c *Controller) Acquire(ctx context.Context, t *txn.T, step int) error {
 // §3.1 weight-adjustment message behind the Progress callback. On a nil
 // transaction, one the controller does not consider admitted, or a count
 // that is not a txn.ValidDemand, it does nothing: a negative count would
-// raise w(T0→Ti) above the declared demand, without bound. It runs per
-// object, so a scheduler panic breaks the controller here without guard.
+// raise w(T0→Ti) above the declared demand, without bound.
 func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	if t == nil || !txn.ValidDemand(objects) {
 		return
 	}
+	var err error // a panic's; ObjectDone returns nothing, so the next call reports it
 	c.mu.Lock()
-	inSched := false
-	defer func() {
-		if inSched {
-			c.breakLocked(recover())
-		} else {
-			c.mu.Unlock()
-		}
-	}()
+	defer c.exit("ObjectDone", &err)
 	if r, _ := c.txns.Get(t.ID); r == nil || load(&c.schedErr) != nil {
 		return
 	}
@@ -657,11 +638,11 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 	if c.observer != nil {
 		now = c.now()
 	}
-	inSched = true
 	c.sch.ObjectDone(t, objects, now)
-	inSched = false
 	c.changedLocked()
-	c.emit(obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
+	if c.observer != nil {
+		c.emit(obs.Event{Kind: obs.KindObjectDone, At: now, Txn: t.ID, Objects: objects})
+	}
 }
 
 // Commit finishes an admitted transaction: all its locks drop and
@@ -670,13 +651,24 @@ func (c *Controller) ObjectDone(t *txn.T, objects float64) {
 // finish). It returns an error for a transaction the controller does
 // not consider admitted (double finish, never admitted), and a wrapped
 // durability error when the Commit record could not be appended: then
-// the "commit" ran the abort-recovery path instead and the caller must
-// treat the transaction as aborted. An error naming a record that is
-// "not durable", or a commit "in doubt", is an in-doubt outcome: the
-// transaction pre-committed, then the force failed or the scheduler
-// panicked (see guard), and only a restart's replay decides.
+// the "commit" ran the abort-recovery path and the transaction is
+// aborted. An error naming a record "not durable", or a commit "in
+// doubt", is an in-doubt outcome: the transaction pre-committed, then the
+// force failed or a panic broke the controller (see exit); only a
+// restart's replay decides.
 func (c *Controller) Commit(t *txn.T) error {
-	return c.finish(t, true)
+	now, pre, err := c.finish(t, true)
+	switch {
+	case pre && err != nil:
+		return fmt.Errorf("live: %v: commit in doubt: %w", t.ID, err)
+	case pre:
+		if err := c.force(now); err != nil {
+			// Successors may have read the effects; the sticky errors fail
+			// every later admission, commit and page write.
+			return fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)
+		}
+	}
+	return err
 }
 
 // Abort abandons an admitted transaction (work error, cancellation,
@@ -685,55 +677,56 @@ func (c *Controller) Commit(t *txn.T) error {
 // retracted, resolved precedence spliced past it — and waiters wake.
 // Undoing completed work is the caller's responsibility. It returns an
 // error only for a transaction the controller does not consider
-// admitted, or once the scheduler has panicked (see guard).
+// admitted, or once a panic has broken the controller (see exit).
 func (c *Controller) Abort(t *txn.T) error {
-	return c.finish(t, false)
+	_, _, err := c.finish(t, false)
+	return err
 }
 
 // finish is a pre-commit in the sense of Yao et al.'s dependency logging
 // (PAPERS.md): the partition locks drop once the Commit record is
 // appended, and the caller is acknowledged once it is durable. What each
 // step guarantees is the write-ahead contract of wal.go; the order, for a
-// commit:
+// commit, all in one section of c.mu except where step 2 says:
 //
-//  1. under c.mu, claim the finish — validate, add the predecessor set
-//     resolved now, while t is still in the WTPG, to the one read at
-//     admission, and drop t's control record so no concurrent finish can
-//     touch it;
-//  2. outside c.mu, but with t still holding its partition locks in the
-//     scheduler: preCommit — append the record to walNode's file, apply
-//     the footprint's write effects to cached pages; a successor's scan
-//     sees them.
-//     Nothing of t is visible yet, so a refusal still flips cleanly to an
-//     abort;
-//  3. under c.mu, apply the completion to the scheduler — the partition
-//     locks drop here — and wake the waiters;
-//  4. Force, and return nil only after it returns.
+//  1. claim the finish — validate, add the predecessor set resolved now,
+//     while t is still in the WTPG, to the one read at admission, and drop
+//     t's control record so no concurrent finish can touch it;
+//  2. only with a log or a store attached, and with c.mu released
+//     (preCommitLocked), but with t still holding its partition locks in
+//     the scheduler: append the record to walNode's file, apply the
+//     footprint's write effects to cached pages; a successor's scan sees
+//     them. Nothing of t is visible yet, so a refusal still flips cleanly
+//     to an abort;
+//  3. apply the completion to the scheduler — the partition locks drop
+//     here — and wake the waiters;
+//  4. after the section, Commit forces, and returns nil only after the
+//     force returns.
 //
-// A crash in the window between 3 and 4 can lose a pre-committed record
-// while a later one survives in another node file; recovery keeps only
-// the gap-free prefix of the append order, so that successor is lost with
-// it. An abort skips steps 2 and 4: nothing of it was logged or applied.
-func (c *Controller) finish(t *txn.T, committed bool) error {
+// pre reports that step 2 ran: from then on the outcome is the log's. A
+// crash between 3 and 4 can lose a pre-committed record while a later one
+// survives in another node file; recovery keeps only the gap-free prefix
+// of the append order, so that successor is lost with it. An abort skips
+// steps 2 and 4. Only the record and the trace read the clock.
+func (c *Controller) finish(t *txn.T, commit bool) (now event.Time, pre bool, err error) {
 	if t == nil {
-		return errNilTxn
+		return 0, false, errNilTxn
 	}
 	c.mu.Lock()
+	defer c.exit("finish", &err)
 	if err := load(&c.schedErr); err != nil {
-		c.mu.Unlock()
-		return fmt.Errorf("live: %v: %w", t.ID, err)
+		return 0, false, fmt.Errorf("live: %v: %w", t.ID, err)
 	}
 	r, _ := c.txns.Get(t.ID)
 	if r == nil {
-		c.mu.Unlock()
-		return errNotAdmitted(t.ID)
+		return 0, false, errNotAdmitted(t.ID)
 	}
-	now := c.now()
+	if c.observer != nil || c.wal != nil {
+		now = c.now()
+	}
 	start, preds := r.admitted, r.preds
-	if committed && c.logs() {
-		if err := c.guard(func() { preds = append(preds, sched.Predecessors(c.sch, t.ID)...) }); err != nil {
-			return fmt.Errorf("live: %v: not committed: %w", t.ID, err)
-		}
+	if commit && c.logs() {
+		preds = append(preds, sched.Predecessors(c.sch, t.ID)...)
 	}
 	c.txns.Delete(t.ID)
 	if r.blocked() { // a parked Acquire still holds r (see waitLocked)
@@ -741,51 +734,29 @@ func (c *Controller) finish(t *txn.T, committed bool) error {
 	} else {
 		c.free = append(c.free, r)
 	}
-	c.mu.Unlock()
-
-	var preErr error
-	if committed {
-		if err := c.preCommit(t, preds, now); err != nil {
-			committed = false
-			preErr = fmt.Errorf("live: %v: %w", t.ID, err)
+	if commit && (c.wal != nil || c.store != nil) {
+		pre = true
+		if err = c.preCommitLocked(t, preds, now); err != nil {
+			commit, pre = false, false
+			err = fmt.Errorf("live: %v: %w", t.ID, err)
+		}
+		if c.observer != nil {
+			now = c.now()
 		}
 	}
-
-	if c.observer != nil {
-		// Only the trace reads the completion time (the WAL sync event is
-		// a trace event too); no scheduler's Commit or Abort does.
-		now = c.now()
-	}
-	e := obs.Event{Kind: obs.KindCommit, At: now, Txn: t.ID, RT: now - start}
-	c.mu.Lock()
-	if err := c.guard(func() {
-		if committed {
-			c.sch.Commit(t, now)
-			c.stats.Committed++
-		} else {
-			c.sch.Abort(t, now)
-			c.stats.Aborted++
-			e.Decision = "aborted"
-		}
-	}); err != nil {
-		if committed { // preCommit ran: a logged record may yet be forced
-			err = fmt.Errorf("commit in doubt: %w", err)
-		}
-		return fmt.Errorf("live: %v: %w", t.ID, err)
+	outcome := ""
+	if commit {
+		c.sch.Commit(t, now)
+		c.stats.Committed++
+	} else {
+		c.sch.Abort(t, now)
+		c.stats.Aborted++
+		outcome = "aborted"
 	}
 	c.active--
-	c.emit(e)
-	c.broadcastLocked()
-	c.mu.Unlock()
-
-	if committed {
-		if err := c.force(now); err != nil {
-			// Pre-committed but not durable: successors may have read the
-			// effects. The sticky errors fail every later
-			// admission, commit and page write; only a restart's replay
-			// decides this one.
-			return fmt.Errorf("live: %v: commit record not durable: %w", t.ID, err)
-		}
+	if c.observer != nil {
+		c.emit(obs.Event{Kind: obs.KindCommit, At: now, Txn: t.ID, RT: now - start, Decision: outcome})
 	}
-	return preErr
+	c.broadcastLocked()
+	return now, pre, err
 }

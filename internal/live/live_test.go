@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -306,4 +307,41 @@ func ExampleController() {
 	fmt.Println(err)
 	// Output:
 	// <nil>
+}
+
+// BenchmarkLiveUniform is the controller's own hot path with almost
+// nothing to decide: C2PL over 4096 cold partitions, the uniform-pair mix
+// (90 % one write step, 10 % a second one half the partition space away),
+// one object message per step, and GOMAXPROCS closed-loop clients. It is
+// the per-op kernel of the benchmark's uniform-bare workload: what a
+// transaction pays in critical sections, clock reads and wake-ups.
+func BenchmarkLiveUniform(b *testing.B) {
+	const parts = 4096
+	ctl := New(sched.C2PLFactory(), liveCosts, WithRetryDelay(time.Millisecond))
+	defer ctl.Close()
+	work := func(_ int, p Progress) error { p(1); return nil }
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c := 0; c < runtime.GOMAXPROCS(0); c++ {
+		wg.Add(1)
+		go func(rng *rand.Rand) {
+			defer wg.Done()
+			for k := next.Add(1); k <= int64(b.N); k = next.Add(1) {
+				p := txn.PartitionID(rng.Intn(parts))
+				steps := []txn.Step{w(p, 1)}
+				if rng.Float64() < 0.10 {
+					steps = append(steps, w((p+parts/2)%parts, 1))
+				}
+				if err := ctl.Run(context.Background(), txn.New(txn.ID(k), steps), work); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(rand.New(rand.NewSource(int64(c) + 1)))
+	}
+	wg.Wait()
+	b.StopTimer()
+	b.ReportMetric(float64(ctl.Stats().Retries)/float64(b.N), "waits/op")
 }

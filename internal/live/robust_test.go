@@ -9,6 +9,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -587,38 +588,56 @@ func TestPanicInWorkIsRecovered(t *testing.T) {
 	}
 }
 
-// panicking is a C2PL scheduler whose method named by at panics.
+// panicking wraps a scheduler: the method named by at panics at its k-th
+// call. The controller calls it under its mutex, so the count needs no
+// lock.
 type panicking struct {
 	sched.Scheduler
-	at string
+	at    string
+	k     int
+	calls *int
+}
+
+func (p panicking) due(method string) {
+	if method != p.at {
+		return
+	}
+	if *p.calls++; *p.calls == p.k {
+		panic("scheduler bug in " + method)
+	}
 }
 
 func (p panicking) Admit(t *txn.T, now event.Time) sched.Outcome {
-	if p.at == "Admit" {
-		panic("scheduler bug in Admit")
-	}
+	p.due("Admit")
 	return p.Scheduler.Admit(t, now)
 }
 
 func (p panicking) Request(t *txn.T, step int, now event.Time) sched.Outcome {
-	if p.at == "Request" {
-		panic("scheduler bug in Request")
-	}
+	p.due("Request")
 	return p.Scheduler.Request(t, step, now)
 }
 
 func (p panicking) ObjectDone(t *txn.T, objects float64, now event.Time) {
-	if p.at == "ObjectDone" {
-		panic("scheduler bug in ObjectDone")
-	}
+	p.due("ObjectDone")
 	p.Scheduler.ObjectDone(t, objects, now)
 }
 
 func (p panicking) Commit(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
-	if p.at == "Commit" {
-		panic("scheduler bug in Commit")
-	}
+	p.due("Commit")
 	return p.Scheduler.Commit(t, now)
+}
+
+func (p panicking) Abort(t *txn.T, now event.Time) ([]txn.PartitionID, event.Time) {
+	p.due("Abort")
+	return p.Scheduler.Abort(t, now)
+}
+
+// panicAt is a factory of f's schedulers whose method at panics at its
+// k-th call.
+func panicAt(f sched.Factory, at string, k int) sched.Factory {
+	return sched.Factory{Label: f.Label, New: func(c sched.Costs) sched.Scheduler {
+		return panicking{f.New(c), at, k, new(int)}
+	}}
 }
 
 // TestSchedulerPanicReleasesMutex: a scheduler that panics under the
@@ -648,9 +667,7 @@ func TestSchedulerPanicReleasesMutex(t *testing.T) {
 	}
 	for _, at := range []string{"Admit", "Request", "ObjectDone", "Commit"} {
 		t.Run(at, func(t *testing.T) {
-			f := sched.Factory{Label: "C2PL", New: func(c sched.Costs) sched.Scheduler {
-				return panicking{sched.NewC2PL(c), at}
-			}}
+			f := panicAt(sched.C2PLFactory(), at, 1)
 			l, err := wal.Open(t.TempDir(), 1)
 			if err != nil {
 				t.Fatal(err)
@@ -658,7 +675,7 @@ func TestSchedulerPanicReleasesMutex(t *testing.T) {
 			defer l.Close()
 			ctl := New(f, liveCosts, WithWALLog(l))
 			ctx := context.Background()
-			want := "scheduler panicked: scheduler bug in " + at
+			want := "panicked: scheduler bug in " + at
 			named := func(what string, err error) {
 				t.Helper()
 				if err == nil || !strings.Contains(err.Error(), want) {
@@ -706,27 +723,107 @@ func TestSchedulerPanicReleasesMutex(t *testing.T) {
 	}
 }
 
-// TestObserverPanicInObjectDoneKeepsController: a panic from the trace
-// event ObjectDone emits after its scheduler call is the caller's, not
-// the scheduler's. The deferred unlock releases the mutex, Run recovers
-// the panic and aborts, and the controller stays usable: the next Run
-// commits.
-func TestObserverPanicInObjectDoneKeepsController(t *testing.T) {
-	ctl := New(sched.C2PLFactory(), liveCosts, WithObserver(observerFunc(func(e obs.Event) {
-		if e.Kind == obs.KindObjectDone && e.Txn == 1 {
-			panic("observer bug")
+// TestPanicUnderMutexBreaksController is the battery of the panic sites
+// the controller reaches under its mutex: the observer at the k-th event
+// of each kind it emits there, and the scheduler at the k-th call of
+// Admit, Request, Commit and Abort, for every k in 1..3, under all four
+// families at MPL 4 (one transaction in three fails its work, so Abort
+// runs). Each case must break the controller, not wedge it: every Run
+// returns within a deadline, one of them naming the panic, a later Run
+// fails naming it too, Close returns, and no goroutine is left.
+func TestPanicUnderMutexBreaksController(t *testing.T) {
+	const mpl, perClient = 4, 30
+	deadline := 5 * time.Second
+	type site struct {
+		name     string
+		observer bool
+		kind     obs.Kind // the observer's site
+	}
+	sites := []site{{"observer-Admit", true, obs.KindAdmit}, {"observer-Request", true, obs.KindRequest},
+		{"observer-ObjectDone", true, obs.KindObjectDone}, {"observer-Commit", true, obs.KindCommit},
+		{"Admit", false, 0}, {"Request", false, 0}, {"Commit", false, 0}, {"Abort", false, 0}}
+	for _, f := range []sched.Factory{sched.ASLFactory(), sched.C2PLFactory(), sched.ChainFactory(), sched.KWTPGFactory(2)} {
+		for _, s := range sites {
+			for k := 1; k <= 3; k++ {
+				t.Run(fmt.Sprintf("%s/%s/%d", f.Label, s.name, k), func(t *testing.T) {
+					goroutines := runtime.NumGoroutine()
+					fac, opts := f, []Option{WithRetryDelay(time.Millisecond)}
+					want := "panicked: scheduler bug in " + s.name
+					if s.observer {
+						var seen atomic.Int64
+						opts = append(opts, WithObserver(observerFunc(func(e obs.Event) {
+							if e.Kind == s.kind && seen.Add(1) == int64(k) {
+								panic("observer bug")
+							}
+						})))
+						want = "panicked: observer bug"
+					} else {
+						fac = panicAt(f, s.name, k)
+					}
+					ctl := New(fac, liveCosts, opts...)
+					errs := make(chan error, mpl*perClient)
+					var wg sync.WaitGroup
+					for c := 0; c < mpl; c++ {
+						wg.Add(1)
+						go func() {
+							defer wg.Done()
+							defer func() {
+								if p := recover(); p != nil {
+									errs <- fmt.Errorf("Run panicked: %v", p)
+								}
+							}()
+							for i := 0; i < perClient; i++ {
+								id := txn.ID(c*perClient + i + 1)
+								tx := txn.New(id, []txn.Step{w(txn.PartitionID(i%3), 1), r(txn.PartitionID((i+1)%3), 1)})
+								err := ctl.Run(context.Background(), tx, func(step int, p Progress) error {
+									p(1)
+									if id%3 == 0 && step == 1 {
+										return errWorkFailed
+									}
+									return nil
+								})
+								if err != nil && !errors.Is(err, errWorkFailed) {
+									errs <- err
+									return
+								}
+							}
+						}()
+					}
+					done := make(chan struct{})
+					go func() { wg.Wait(); close(done) }()
+					select {
+					case <-done:
+					case <-time.After(deadline):
+						t.Fatalf("a Run did not return within %v of the panic", deadline)
+					}
+					close(errs)
+					named := false
+					for err := range errs {
+						if !strings.Contains(err.Error(), want) {
+							t.Fatalf("Run: %v; want only errors naming %q", err, want)
+						}
+						named = true
+					}
+					if !named {
+						t.Fatal("no Run met the panic")
+					}
+					if err := ctl.Run(context.Background(), txn.New(1000, []txn.Step{w(0, 1)}), nil); err == nil || !strings.Contains(err.Error(), want) {
+						t.Fatalf("a later Run: %v; want an error naming %q", err, want)
+					}
+					closed := make(chan struct{})
+					go func() { ctl.Close(); close(closed) }()
+					select {
+					case <-closed:
+					case <-time.After(deadline):
+						t.Fatalf("Close did not return within %v of the panic", deadline)
+					}
+					for end := time.Now().Add(deadline); runtime.NumGoroutine() > goroutines; time.Sleep(time.Millisecond) {
+						if time.Now().After(end) {
+							t.Fatalf("%d goroutines left, %d before", runtime.NumGoroutine(), goroutines)
+						}
+					}
+				})
+			}
 		}
-	})))
-	defer ctl.Close()
-	ctx := context.Background()
-	work := func(_ int, p Progress) error { p(1); return nil }
-	if err := ctl.Run(ctx, txn.New(1, []txn.Step{w(0, 1)}), work); err == nil || !strings.Contains(err.Error(), "recovered panic: observer bug") {
-		t.Fatalf("Run: err %v; want the observer's panic recovered", err)
-	}
-	if err := ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), work); err != nil {
-		t.Fatalf("the next Run: %v; an observer panic must not break the controller", err)
-	}
-	if st := ctl.Stats(); st.Aborted != 1 || st.Committed != 1 || st.Active != 0 {
-		t.Fatalf("Stats %+v: want one abort, one commit, nothing active", st)
 	}
 }

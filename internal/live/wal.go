@@ -11,7 +11,7 @@ package live
 // harmless — nothing of it ever reached a page, and an abort, a kill or
 // a run's end has nothing to drop.
 //
-//   - preCommit: the Commit record — footprint plus the union of the
+//   - preCommitLocked: the Commit record — footprint plus the union of the
 //     WTPG predecessors resolved at admission and at commit — goes to the
 //     node file of the transaction's first partition, as the controller
 //     resolved it under its own locks, BEFORE the footprint's write
@@ -23,7 +23,7 @@ package live
 //     cannot flip it — a restart redoes the effects from the log.
 //   - force: one group-commit pass (wal.Log.Sync) makes everything
 //     appended so far durable; a commit is acknowledged only after the
-//     force that follows its preCommit returns. Because every append
+//     force that follows its preCommitLocked returns. Because every append
 //     precedes the appender's lock release, the log's append order extends
 //     the conflict order: acknowledged ⊆ durable, and an acknowledged
 //     transaction's predecessors are durable. force is also the store's
@@ -101,20 +101,24 @@ func load(p *atomic.Pointer[error]) error {
 }
 
 // logs reports whether a log is attached and healthy, i.e. whether
-// preCommit will append: admitGranted and finish ask before resolving a
-// predecessor set.
+// preCommitLocked will append: admitGranted and finish ask before
+// resolving a predecessor set.
 func (c *Controller) logs() bool {
 	return c.wal != nil && load(&c.logErr) == nil
 }
 
-// preCommit appends t's Commit record to walNode's file and then applies
-// its footprint's write effects to cached pages. preds is the union of
-// the predecessor sets resolved at admission and at commit, duplicates
-// allowed. The caller must still hold the transaction's partition locks —
-// scans read frames with no latch — and must not acknowledge before the
-// next force returns. A non-nil error means the log is broken and the
-// commit became an abort: nothing was logged or applied.
-func (c *Controller) preCommit(t *txn.T, preds []txn.ID, now event.Time) error {
+// preCommitLocked appends t's Commit record to walNode's file and then
+// applies its footprint's write effects to cached pages. preds is the
+// union of the predecessor sets resolved at admission and at commit,
+// duplicates allowed. It releases the held c.mu for both, and retakes it
+// however it returns, panics included. t must still hold its partition
+// locks — scans read frames with no latch — and the caller must not
+// acknowledge before the next force returns. A non-nil error means the
+// log is broken and the commit became an abort: nothing was logged or
+// applied.
+func (c *Controller) preCommitLocked(t *txn.T, preds []txn.ID, now event.Time) error {
+	c.mu.Unlock()
+	defer c.mu.Lock()
 	if c.wal != nil {
 		if load(&c.logErr) != nil {
 			return errors.New("wal unavailable, commit aborted")
@@ -142,7 +146,10 @@ func (c *Controller) force(now event.Time) error {
 	if c.wal == nil {
 		return nil
 	}
-	start := time.Now()
+	var start time.Time // only the trace reads the force's duration
+	if c.observer != nil {
+		start = time.Now()
+	}
 	n, err := c.wal.Sync()
 	if err != nil {
 		latch(&c.logErr, err)
@@ -151,7 +158,7 @@ func (c *Controller) force(now event.Time) error {
 		}
 		return err
 	}
-	if n > 0 {
+	if n > 0 && c.observer != nil {
 		c.emit(obs.Event{Kind: obs.KindWALSync, At: now, Batch: n, DurNS: time.Since(start).Nanoseconds()})
 	}
 	return nil
@@ -165,8 +172,9 @@ func (c *Controller) force(now event.Time) error {
 // serving new traffic. The log is reopened over every node file dir
 // holds, so new commits route over the same node count the crashed run
 // logged to, and the controller's Admit refuses every id at or below the
-// log's highest committed one (Recovery.MaxID): a second Commit record
-// for an id makes the log unrecoverable.
+// highest one the log names (Recovery.MaxID): a second Commit record for
+// an id makes the log unrecoverable, and a logged predecessor's id must
+// not name a new transaction.
 //
 // The Recovery report carries what was reconstructed: the committed
 // set in replay order and the replay schedule's width (MaxParallel).

@@ -130,9 +130,13 @@ type Recovery struct {
 	// Committed lists every durably committed transaction in replay
 	// order: wave-major, ascending id within a wave.
 	Committed []txn.ID
-	// MaxID is the highest committed id (0 when nothing committed): a
-	// run that appends to this log must number its transactions above it,
-	// or Replay finds a duplicate Commit record.
+	// MaxID is the highest id the log names, a committed transaction's
+	// or one a Commit record lists as a predecessor (0 when nothing
+	// committed): a run that appends to this log must number its
+	// transactions above it. A second Commit record for an id makes
+	// Replay refuse the log, and a new transaction under an id a record
+	// names as a predecessor (one that aborted or was in flight at the
+	// crash) would turn that logged dependency into a false one.
 	MaxID txn.ID
 	// Wave maps each committed transaction to its topological replay
 	// wave; every logged committed predecessor lands in a strictly
@@ -190,6 +194,9 @@ func Replay(scans []NodeScan, workers int, apply func(commit Record, wave int)) 
 			commits[r.Txn] = r
 			if len(commits) == 1 || r.Txn > rec.MaxID {
 				rec.MaxID = r.Txn
+			}
+			for _, p := range r.Preds {
+				rec.MaxID = max(rec.MaxID, p)
 			}
 		}
 	}

@@ -319,6 +319,12 @@ func TestReplayWaves(t *testing.T) {
 	if want := []txn.ID{1, 2, 3, 4, 5, 6}; !reflect.DeepEqual(rec.Committed, want) {
 		t.Fatalf("Committed %v, want %v", rec.Committed, want)
 	}
+	// 6's record names 8: a run that numbers its transactions above
+	// MaxID must not give 8 to a new transaction, or 6's logged
+	// dependency would point at it.
+	if rec.MaxID != 8 {
+		t.Fatalf("MaxID %v, want T8, the highest id the log names", rec.MaxID)
+	}
 }
 
 // TestReplayRejectsCorruptHistories covers the structural error paths:
