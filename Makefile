@@ -28,6 +28,7 @@ MICRO_BENCH := $(MICRO_BENCH)|QueueChurn|QueueRetryBacklog|QueueScheduleFire|Con
 MICRO_BENCH := $(MICRO_BENCH)|SweepParallel1|SweepParallelN
 MICRO_BENCH := $(MICRO_BENCH)|StorageScan|StorageScanCold|StorageInsert
 MICRO_BENCH := $(MICRO_BENCH)|ChainAdmitRefused|StaysChainForm|LiveHotSet|LiveUniform|IDMapChurn
+MICRO_BENCH := $(MICRO_BENCH)|C2PLArrivalHot|ChainAdmitRefusedHot|GeneratorNextPattern2
 
 # bench-smoke executes each micro-benchmark exactly once and the
 # benchmark's -quick pass over all six workloads (with its correctness

@@ -33,15 +33,11 @@ func main() {
 	gen := &batsched.PatternWorkload{
 		Label:   "banking-night-batch",
 		Pattern: pattern,
-		BindVars: func(rng *rand.Rand) map[string]batsched.PartitionID {
-			h := rng.Perm(numHistory)
-			m := rng.Perm(numMaster)
-			return map[string]batsched.PartitionID{
-				"H1": batsched.PartitionID(h[0]),
-				"H2": batsched.PartitionID(h[1]),
-				"M1": batsched.PartitionID(numHistory + m[0]),
-				"M2": batsched.PartitionID(numHistory + m[1]),
-			}
+		// parts follows the pattern's variables in first-use order: H1,
+		// H2, M1, M2.
+		BindVars: func(rng *rand.Rand, parts []batsched.PartitionID) {
+			parts[0], parts[1] = twoOf(rng, 0, numHistory)
+			parts[2], parts[3] = twoOf(rng, numHistory, numMaster)
 		},
 	}
 
@@ -88,4 +84,21 @@ and K2 — which accepts any WTPG shape and grants by smallest E(q) —
 tracks the upper bound almost exactly. Push the arrival rate or the
 read sizes up (Experiment 1's regime) and the ordering flips in ASL's
 favour; see cmd/batbench for both sweeps.`)
+}
+
+// twoOf returns rng.Perm(n)[:2] shifted by lo, draw for draw, without
+// building the permutation: Perm's inside-out shuffle, keeping only its
+// first two entries.
+func twoOf(rng *rand.Rand, lo, n int) (batsched.PartitionID, batsched.PartitionID) {
+	var m [2]int
+	for i := range n {
+		j := rng.Intn(i + 1)
+		if i < 2 {
+			m[i] = m[j]
+		}
+		if j < 2 {
+			m[j] = i
+		}
+	}
+	return batsched.PartitionID(lo + m[0]), batsched.PartitionID(lo + m[1])
 }

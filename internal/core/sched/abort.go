@@ -15,12 +15,20 @@ func AbortTxn(s Scheduler, t *txn.T, now event.Time) ([]txn.PartitionID, event.T
 // abort is wtpgBase's recovery path: release locks and declarations,
 // splice the WTPG past the dead transaction (see wtpg.Splice), and drop
 // it from the live registry. Schedulers layer their cache invalidation
-// on top.
+// on top. The splice asks the survivors' declarations whether a pair it
+// would re-resolve conflicts, since a family that is not eager holds no
+// edge for an unresolved pair.
 func (b *wtpgBase) abort(t *txn.T) []txn.PartitionID {
 	freed := b.locks.Release(t.ID)
-	b.graph.Splice(t.ID)
+	b.graph.Splice(t.ID, b.declared)
 	b.leave(t.ID)
 	return freed
+}
+
+// declared returns live transaction id's declaration.
+func (b *wtpgBase) declared(id txn.ID) *txn.T {
+	r, _ := b.live.Get(id)
+	return r.t
 }
 
 // Degradable has no implementer: CHAIN runs in one mode, and chain form

@@ -14,8 +14,17 @@ import (
 // live-transaction registry, with the paper's registration and resolution
 // rules. The registry holds one record per live transaction in the id
 // index; spare recycles the records of departed ones.
+//
+// eager is a family property: an eager family's WTPG holds every
+// conflicting-edge from admission on, because one of its reads needs the
+// unresolved ones — CHAIN's chain-form test and W (Graph.StaysChainForm,
+// Chains, ChainInput), CHAIN-C2PL's admission (StaysChainForm) and
+// K-WTPG's E(q) (Graph.Estimate resolves the edges straddling before(t)
+// and after(t)). C2PL and K-C2PL read the lock table and resolved edges
+// only, so their graph gains an edge when it is resolved (resolve).
 type wtpgBase struct {
 	costs Costs
+	eager bool
 	locks *lock.Table
 	graph *wtpg.Graph
 	live  idmap.Map[*txnRec]
@@ -50,9 +59,10 @@ type txnRec struct {
 	e []cachedE
 }
 
-func newWTPGBase(costs Costs) wtpgBase {
+func newWTPGBase(costs Costs, eager bool) wtpgBase {
 	return wtpgBase{
 		costs: costs,
+		eager: eager,
 		locks: lock.NewTable(),
 		graph: wtpg.New(),
 	}
@@ -80,13 +90,13 @@ func (b *wtpgBase) leave(id txn.ID) {
 }
 
 // register adds t to the lock table and the WTPG: its declarations with
-// due values, its node with w(T0→Ti) = due(s0), a conflicting-edge to
-// every live transaction it conflicts with, and immediate resolutions
-// u→t for every u already holding a lock that conflicts with one of t's
-// declarations (u's access necessarily precedes t's). The transactions t
-// conflicts with are the ones the lock table holds or declares on t's
-// partitions in a conflicting mode, so only those are visited, in ID
-// order.
+// due values, its node with w(T0→Ti) = due(s0), in an eager family a
+// conflicting-edge to every live transaction it conflicts with, and
+// immediate resolutions u→t for every u already holding a lock that
+// conflicts with one of t's declarations (u's access necessarily
+// precedes t's). The transactions t conflicts with are the ones the lock
+// table holds or declares on t's partitions in a conflicting mode, so
+// only those are visited, in ID order.
 func (b *wtpgBase) register(t *txn.T) error {
 	if err := b.locks.Declare(t); err != nil {
 		return err
@@ -95,25 +105,28 @@ func (b *wtpgBase) register(t *txn.T) error {
 		b.locks.Release(t.ID)
 		return err
 	}
-	b.peerBuf = b.locks.ConflictingTxns(b.peerBuf[:0], t)
-	for _, id := range b.peerBuf {
-		u, _ := b.live.Get(id)
-		wtu, wut, ok := wtpg.ConflictWeights(t, u.t)
-		if !ok {
-			continue
-		}
-		if err := b.graph.AddConflict(t.ID, id, wtu, wut); err != nil {
-			b.unregister(t)
-			return err
+	if b.eager {
+		b.peerBuf = b.locks.ConflictingTxns(b.peerBuf[:0], t)
+		for _, id := range b.peerBuf {
+			u, _ := b.live.Get(id)
+			wtu, wut, ok := wtpg.ConflictWeights(t, u.t)
+			if !ok {
+				continue
+			}
+			if err := b.graph.AddConflict(t.ID, id, wtu, wut); err != nil {
+				b.unregister(t)
+				return err
+			}
 		}
 	}
 	// Immediate resolutions against current holders.
 	for _, s := range t.Steps {
 		for _, h := range b.locks.Blocked(t.ID, s.Part, s.Mode) {
-			if !b.graph.Has(h) {
+			u, ok := b.live.Get(h)
+			if !ok {
 				continue // holder not live (should not happen: strict locks)
 			}
-			if err := b.graph.Resolve(h, t.ID); err != nil {
+			if err := b.graph.ResolveDeclared(u.t, t); err != nil {
 				b.unregister(t)
 				return fmt.Errorf("sched: register %v: %w", t.ID, err)
 			}
@@ -166,9 +179,17 @@ func (b *wtpgBase) impliedTargets(t *txn.T, step int) []txn.ID {
 // grant applies the resolutions t→target and converts the declaration
 // into a held lock. The caller must have verified the grant is legal (not
 // blocked, no cycle / consistent with W).
+//
+// Every resolution, here and in register, goes through
+// wtpg.Graph.ResolveDeclared, which inserts the edge first when the graph
+// does not hold it: one path whether the family is eager or not.
 func (b *wtpgBase) grant(t *txn.T, step int, targets []txn.ID) error {
 	for _, to := range targets {
-		if err := b.graph.Resolve(t.ID, to); err != nil {
+		u, ok := b.live.Get(to)
+		if !ok {
+			return fmt.Errorf("sched: grant %v: target %v is not live", t.ID, to)
+		}
+		if err := b.graph.ResolveDeclared(t, u.t); err != nil {
 			return err
 		}
 	}

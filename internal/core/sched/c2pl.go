@@ -17,6 +17,11 @@ import (
 // lower-bound hybrids: CHAIN-C2PL (chain-form WTPG required) and K-C2PL
 // (K-conflict bound required). Per the paper, those hybrids delay the
 // start of violating transactions.
+//
+// C2PL and K-C2PL decide from the lock table and resolved edges alone, so
+// their WTPG gains an edge only when it is resolved; CHAIN-C2PL's
+// chain-form test reads every conflicting-edge, so its family is eager
+// (wtpgBase).
 type c2pl struct {
 	wtpgBase
 	name string
@@ -25,9 +30,9 @@ type c2pl struct {
 	preAdmit func(b *wtpgBase, t *txn.T) bool
 }
 
-func newC2PL(costs Costs, name string, preAdmit func(b *wtpgBase, t *txn.T) bool) *c2pl {
+func newC2PL(costs Costs, name string, eager bool, preAdmit func(b *wtpgBase, t *txn.T) bool) *c2pl {
 	return &c2pl{
-		wtpgBase: newWTPGBase(costs),
+		wtpgBase: newWTPGBase(costs, eager),
 		name:     name,
 		preAdmit: preAdmit,
 	}
@@ -35,21 +40,21 @@ func newC2PL(costs Costs, name string, preAdmit func(b *wtpgBase, t *txn.T) bool
 
 // NewC2PL returns a Cautious Two-Phase Lock scheduler.
 func NewC2PL(costs Costs) Scheduler {
-	return newC2PL(costs, "C2PL", nil)
+	return newC2PL(costs, "C2PL", false, nil)
 }
 
 // NewChainC2PL returns C2PL restricted to chain-form WTPGs — the lower
 // bound isolating the benefit of CHAIN's structural constraint from its
 // weight-based optimization (Experiment 4).
 func NewChainC2PL(costs Costs) Scheduler {
-	return newC2PL(costs, "CHAIN-C2PL", (*wtpgBase).staysChainForm)
+	return newC2PL(costs, "CHAIN-C2PL", true, (*wtpgBase).staysChainForm)
 }
 
 // NewKC2PL returns C2PL restricted to K-conflict WTPGs — the lower bound
 // isolating the benefit of K-WTPG's admission constraint from its use of
 // weights (Experiment 4).
 func NewKC2PL(costs Costs, k int) Scheduler {
-	return newC2PL(costs, fmt.Sprintf("K%d-C2PL", k), func(b *wtpgBase, t *txn.T) bool {
+	return newC2PL(costs, fmt.Sprintf("K%d-C2PL", k), false, func(b *wtpgBase, t *txn.T) bool {
 		return !b.locks.WouldExceedK(t, k)
 	})
 }

@@ -32,7 +32,7 @@ type chain struct {
 
 // NewChain returns a Chain-WTPG scheduler.
 func NewChain(costs Costs) Scheduler {
-	return &chain{wtpgBase: newWTPGBase(costs)}
+	return &chain{wtpgBase: newWTPGBase(costs, true)}
 }
 
 func (c *chain) Name() string { return "CHAIN" }

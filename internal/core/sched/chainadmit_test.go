@@ -39,7 +39,7 @@ func TestChainAdmitMatchesRegisterFirst(t *testing.T) {
 	costs := Costs{DDTime: 1, ChainTime: 2, KeepTime: 50}
 	f := func(ops []byte) bool {
 		got := NewChain(costs).(*chain)
-		want := &registerFirstChain{chain{wtpgBase: newWTPGBase(costs)}}
+		want := &registerFirstChain{chain{wtpgBase: newWTPGBase(costs, true)}}
 		pool := fuzzTxnPool()
 		states := make([]fuzzState, len(pool))
 		now := event.Time(0)
@@ -150,6 +150,29 @@ func BenchmarkChainAdmitRefused(b *testing.B) {
 	if refused == nil {
 		b.Fatal("64 hot-set arrivals and none violated chain form")
 	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if s.Admit(refused, 1).Decision != Aborted {
+			b.Fatal("the violating arrival was admitted")
+		}
+	}
+}
+
+// BenchmarkChainAdmitRefusedHot is a refused CHAIN admission that meets
+// many conflicting declarations: 1,000 live transactions each read one of
+// 4 hot partitions and write a partition of their own, which is chain form
+// (readers do not conflict), and the arrival writes a hot partition, so
+// its declaration conflicts with 250 readers.
+func BenchmarkChainAdmitRefusedHot(b *testing.B) {
+	s := NewChain(testCosts)
+	for id := txn.ID(1); id <= 1000; id++ {
+		tx := txn.New(id, []txn.Step{r(txn.PartitionID(id%4), 1), w(txn.PartitionID(4+id), 1)})
+		if s.Admit(tx, 0).Decision != Granted {
+			b.Fatalf("%v refused in a graph without edges", tx.ID)
+		}
+	}
+	refused := txn.New(2001, []txn.Step{w(0, 1)})
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

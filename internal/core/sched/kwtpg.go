@@ -44,7 +44,7 @@ type cachedE struct {
 
 // NewKWTPG returns a K-conflict WTPG scheduler with bound k.
 func NewKWTPG(costs Costs, k int) Scheduler {
-	return &kwtpg{wtpgBase: newWTPGBase(costs), k: k, cacheGen: 1}
+	return &kwtpg{wtpgBase: newWTPGBase(costs, true), k: k, cacheGen: 1}
 }
 
 func (s *kwtpg) Name() string {

@@ -222,7 +222,7 @@ func (b *wtpgBase) scanStaysChainForm(t *txn.T) bool {
 func TestRegisterCandidatesMatchScan(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
-		got, ref := newWTPGBase(testCosts), newWTPGBase(testCosts)
+		got, ref := newWTPGBase(testCosts, true), newWTPGBase(testCosts, true)
 		next := txn.ID(1)
 		var live []*txn.T
 		steps := map[txn.ID]int{}

@@ -73,8 +73,8 @@ func (g *Graph) Chains() (chains []Chain, ok bool) {
 // Chains returned: R[k] = w(T0→ch[k]), Down[k] and Up[k] the weights of
 // the edge between ch[k] and ch[k+1] in each direction, and Fixed[k] the
 // orientation an earlier grant resolved it to (Free while unresolved).
-// Each edge is found among its first member's adjacency entries, at most
-// two in chain form. The slices of in are reused, so a caller solving many
+// Each edge is found among its members' adjacency entries, at most two
+// in chain form. The slices of in are reused, so a caller solving many
 // chains refills one value. It panics if ch is empty or not a path of the
 // graph.
 func (g *Graph) ChainInput(ch Chain, in *chainopt.Chain) {
@@ -87,10 +87,8 @@ func (g *Graph) ChainInput(ch Chain, in *chainopt.Chain) {
 		cur, ok := g.slotOf.Get(id)
 		var e *edgeRec // the edge from ch[k-1] to ch[k]
 		if ok && k > 0 {
-			for _, idx := range g.adj[prev] {
-				if f := &g.edges[idx]; f.sa == cur || f.sb == cur {
-					e = f
-				}
+			if idx := g.edgeBetween(prev, cur); idx >= 0 {
+				e = &g.edges[idx]
 			}
 		}
 		if !ok || k > 0 && e == nil {

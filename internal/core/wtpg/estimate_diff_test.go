@@ -196,7 +196,7 @@ func TestQuickEDifferentialMutating(t *testing.T) {
 				gone = append(gone, a)
 			default:
 				a := p.pick(nb())
-				p.g.Splice(a)
+				p.g.Splice(a, nil)
 				p.r.Splice(a)
 				p.drop(a)
 				gone = append(gone, a)

@@ -19,9 +19,10 @@ func (g *Graph) ConflictDegree(id txn.ID) int {
 
 // EdgeBetween returns the edge between a and b, if any.
 func (g *Graph) EdgeBetween(a, b txn.ID) (Edge, bool) {
-	idx, ok := g.pair[keyOf(a, b)]
-	if !ok {
+	sa, okA := g.slotOf.Get(a)
+	sb, okB := g.slotOf.Get(b)
+	if !okA || !okB || g.edgeBetween(sa, sb) < 0 {
 		return Edge{}, false
 	}
-	return g.edgeOut(&g.edges[idx]), true
+	return g.edgeOut(&g.edges[g.edgeBetween(sa, sb)]), true
 }

@@ -27,11 +27,11 @@
 package wtpg
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"math"
 	"slices"
-	"sort"
 
 	"batsched/internal/idmap"
 	"batsched/internal/txn"
@@ -99,15 +99,6 @@ func (e Edge) To() txn.ID {
 	return e.B
 }
 
-type pairKey struct{ a, b txn.ID }
-
-func keyOf(a, b txn.ID) pairKey {
-	if a > b {
-		a, b = b, a
-	}
-	return pairKey{a, b}
-}
-
 // Resolution is a proposed orientation "From precedes To" of the
 // conflicting-edge between From and To.
 type Resolution struct {
@@ -124,13 +115,12 @@ var errCycle = errors.New("wtpg: precedence-edges contain a cycle")
 // once resolved, in the precedence indices (posOut in out[fromSlot], posIn
 // in in[toSlot]) so removal is a swap-delete, never a scan.
 type edgeRec struct {
-	sa, sb     int32
-	wab, wba   float64
-	dir        Direction
-	live       bool
-	posA, posB int32
-	posOut     int32
-	posIn      int32
+	sa, sb        int32
+	wab, wba      float64
+	dir           Direction
+	live          bool
+	posA, posB    int32
+	posOut, posIn int32
 }
 
 func (e *edgeRec) fromSlot() int32 {
@@ -169,9 +159,7 @@ func (m *markset) reset(n int) {
 	}
 	m.gen++
 	if m.gen == 0 { // wrapped: stamp array is stale, wipe it once
-		for i := range m.marks {
-			m.marks[i] = 0
-		}
+		clear(m.marks)
 		m.gen = 1
 	}
 }
@@ -191,7 +179,6 @@ type Graph struct {
 
 	edges     []edgeRec // edge slab
 	freeEdges []int32   // reusable slab entries
-	pair      map[pairKey]int32
 
 	adj [][]int32 // slot → slab indices of all conflicting-edges
 	out [][]int32 // slot → slab indices of resolved out-edges
@@ -235,7 +222,7 @@ type Graph struct {
 
 // New returns an empty WTPG.
 func New() *Graph {
-	return &Graph{pair: make(map[pairKey]int32)}
+	return &Graph{}
 }
 
 // Len returns the number of live transactions in the graph.
@@ -255,7 +242,7 @@ func (g *Graph) Nodes() []txn.ID {
 			out = append(out, id)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -335,11 +322,33 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	if !okA || !okB {
 		return fmt.Errorf("wtpg: conflict (%v,%v) with unknown node", a, b)
 	}
-	k := keyOf(a, b)
-	if _, ok := g.pair[k]; ok {
+	if g.edgeBetween(sa, sb) >= 0 {
 		return fmt.Errorf("wtpg: conflict (%v,%v) already present", a, b)
 	}
-	if a != k.a { // normalise to (smaller id, larger id)
+	g.insert(sa, sb, wab, wba)
+	return nil
+}
+
+// edgeBetween returns the slab index of the edge between slots sa and sb,
+// or -1, scanning the shorter adjacency list: chain form and the
+// K-conflict bound keep both short, and C2PL's lists, resolved edges
+// only, are long only on a lock holder.
+func (g *Graph) edgeBetween(sa, sb int32) int32 {
+	if len(g.adj[sb]) < len(g.adj[sa]) {
+		sa, sb = sb, sa
+	}
+	for _, idx := range g.adj[sa] {
+		if e := &g.edges[idx]; e.sa^e.sb^sa == sb { // the endpoint that is not sa
+			return idx
+		}
+	}
+	return -1
+}
+
+// insert adds the unresolved conflicting-edge between slots sa and sb
+// with weights w(sa→sb)=wab and w(sb→sa)=wba and returns its slab index.
+func (g *Graph) insert(sa, sb int32, wab, wba float64) int32 {
+	if g.ids[sa] > g.ids[sb] { // normalise to (smaller id, larger id)
 		sa, sb = sb, sa
 		wab, wba = wba, wab
 	}
@@ -358,9 +367,8 @@ func (g *Graph) AddConflict(a, b txn.ID, wab, wba float64) error {
 	}
 	g.adj[sa] = append(g.adj[sa], idx)
 	g.adj[sb] = append(g.adj[sb], idx)
-	g.pair[k] = idx
 	g.muts++
-	return nil
+	return idx
 }
 
 // edgeOut converts a slab record to the public Edge form.
@@ -370,16 +378,13 @@ func (g *Graph) edgeOut(e *edgeRec) Edge {
 
 // Edges returns copies of all edges, sorted by endpoint ids.
 func (g *Graph) Edges() []Edge {
-	out := make([]Edge, 0, len(g.pair))
-	for _, idx := range g.pair {
-		out = append(out, g.edgeOut(&g.edges[idx]))
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
+	out := make([]Edge, 0, len(g.edges)-len(g.freeEdges))
+	for i := range g.edges {
+		if e := &g.edges[i]; e.live {
+			out = append(out, g.edgeOut(e))
 		}
-		return out[i].B < out[j].B
-	})
+	}
+	slices.SortFunc(out, func(x, y Edge) int { return cmp.Or(cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B)) })
 	return out
 }
 
@@ -387,13 +392,39 @@ func (g *Graph) Edges() []Edge {
 // Resolving an edge again in the same direction is a no-op; resolving it
 // in the opposite direction is an error, as is resolving a non-edge.
 func (g *Graph) Resolve(from, to txn.ID) error {
-	idx, ok := g.pair[keyOf(from, to)]
-	if !ok {
-		return fmt.Errorf("wtpg: no conflict between %v and %v", from, to)
+	_, err := g.resolve(from, to, nil, nil)
+	return err
+}
+
+// ResolveDeclared is Resolve for two declared transactions, inserting the
+// conflicting-edge their declarations give (ConflictWeights) when the
+// graph holds none: a scheduler that builds an edge only when it resolves
+// it reads the weights of one that builds every edge at admission.
+func (g *Graph) ResolveDeclared(from, to *txn.T) error {
+	_, err := g.resolve(from.ID, to.ID, from, to)
+	return err
+}
+
+// resolve is Resolve, first inserting the edge the declarations df and dt
+// of from and to give, when they are not nil, the graph holds none and
+// they conflict. It reports whether the edge was unresolved before.
+func (g *Graph) resolve(from, to txn.ID, df, dt *txn.T) (bool, error) {
+	sf, okF := g.slotOf.Get(from)
+	st, okT := g.slotOf.Get(to)
+	idx := int32(-1)
+	if okF && okT && sf != st {
+		if idx = g.edgeBetween(sf, st); idx < 0 && df != nil {
+			if wft, wtf, ok := ConflictWeights(df, dt); ok {
+				idx = g.insert(sf, st, wft, wtf)
+			}
+		}
+	}
+	if idx < 0 {
+		return false, fmt.Errorf("wtpg: no conflict between %v and %v", from, to)
 	}
 	e := &g.edges[idx]
 	want := AtoB
-	if from == g.ids[e.sb] {
+	if sf == e.sb {
 		want = BtoA
 	}
 	switch e.dir {
@@ -408,12 +439,12 @@ func (g *Graph) Resolve(from, to txn.ID) error {
 		if g.OnResolve != nil {
 			g.OnResolve(g.ids[fs], g.ids[ts])
 		}
-		return nil
+		return true, nil
 	case want:
-		return nil
+		return false, nil
 	default:
 		pub := g.edgeOut(e)
-		return fmt.Errorf("wtpg: (%v,%v) already resolved %v→%v", pub.A, pub.B, pub.From(), pub.To())
+		return false, fmt.Errorf("wtpg: (%v,%v) already resolved %v→%v", pub.A, pub.B, pub.From(), pub.To())
 	}
 }
 
@@ -487,7 +518,6 @@ func (g *Graph) Remove(id txn.ID) {
 				g.outDelete(fs, idx)
 			}
 		}
-		delete(g.pair, keyOf(id, g.ids[other]))
 		*e = edgeRec{}
 		g.freeEdges = append(g.freeEdges, idx)
 	}
@@ -518,7 +548,7 @@ func (g *Graph) Predecessors(id txn.ID) []txn.ID {
 	for _, idx := range g.in[s] {
 		out = append(out, g.ids[g.edges[idx].fromSlot()])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -600,39 +630,9 @@ func (g *Graph) CycleWitness(dst []Stay, from txn.ID, targets []txn.ID) ([]Stay,
 	// scheduler maintains), so a cycle exists iff some target reaches
 	// from via resolved edges (the new edges all share the single source,
 	// so they cannot chain into each other except through from itself).
-	// This is reach, plus parent: each slot pushed records the marked slot
-	// that pushed it, and the targets record -1. A slot's entry is final
-	// once it is marked, and from's once it is reached, so parent leads
-	// from from back to a target.
+	// reach's parent leads from from back to a target.
 	g.visited.reset(n)
-	if len(g.parent) < n {
-		g.parent = make([]int32, len(g.visited.marks))
-	}
-	for _, s := range stack {
-		g.parent[s] = -1
-	}
-	found := false
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if u == sFrom {
-			found = true
-			break
-		}
-		if g.visited.has(u) {
-			continue
-		}
-		g.visited.add(u)
-		for _, idx := range g.out[u] {
-			e := &g.edges[idx]
-			if v := e.sa ^ e.sb ^ u; !g.visited.has(v) { // the endpoint that is not u
-				g.parent[v] = u
-				stack = append(stack, v)
-			}
-		}
-	}
-	g.stackBuf = stack[:0]
-	if !found {
+	if !g.reach(&g.visited, stack, g.out, sFrom) {
 		return dst, false
 	}
 	for s := sFrom; s >= 0; s = g.parent[s] {
@@ -644,8 +644,17 @@ func (g *Graph) CycleWitness(dst []Stay, from txn.ID, targets []txn.ID) ([]Stay,
 // reach adds to m every slot reachable from the slots on stack along the
 // resolved edges indexed by lists (g.out follows successors, g.in
 // predecessors) and reports whether the walk came to stop, where it
-// ends. stack is g.stackBuf's storage and goes back to it.
+// ends. stack is g.stackBuf's storage and goes back to it. Each slot
+// pushed records in parent the marked slot that pushed it, and the
+// starting slots record -1; a slot's entry is final once it is marked,
+// and stop's once it is reached.
 func (g *Graph) reach(m *markset, stack []int32, lists [][]int32, stop int32) bool {
+	if len(g.parent) < len(m.marks) {
+		g.parent = make([]int32, len(m.marks))
+	}
+	for _, s := range stack {
+		g.parent[s] = -1
+	}
 	found := false
 	for len(stack) > 0 {
 		u := stack[len(stack)-1]
@@ -661,6 +670,7 @@ func (g *Graph) reach(m *markset, stack []int32, lists [][]int32, stop int32) bo
 		for _, idx := range lists[u] {
 			e := &g.edges[idx]
 			if v := e.sa ^ e.sb ^ u; !m.has(v) { // the endpoint that is not u
+				g.parent[v] = u
 				stack = append(stack, v)
 			}
 		}
@@ -747,26 +757,24 @@ func (g *Graph) recomputeCP() {
 // hypothetical resolutions destructively; the schedulers' E(q) hot path
 // is the allocation-free Estimate instead (path.go).
 func (g *Graph) Clone() *Graph {
-	c := New()
+	c := &Graph{
+		ids: slices.Clone(g.ids), inc: slices.Clone(g.inc), w0: slices.Clone(g.w0),
+		free: slices.Clone(g.free), nLive: g.nLive,
+		edges: slices.Clone(g.edges), freeEdges: slices.Clone(g.freeEdges),
+		adj: cloneLists(g.adj), out: cloneLists(g.out), in: cloneLists(g.in),
+	}
 	for s, id := range g.ids {
-		if id == 0 {
-			continue
-		}
-		if err := c.AddNode(id, g.w0[s]); err != nil {
-			panic(err) // unreachable: source graph invariants hold
+		if id != 0 {
+			c.slotOf.Put(id, int32(s))
 		}
 	}
-	for k, idx := range g.pair {
-		e := &g.edges[idx]
-		if err := c.AddConflict(k.a, k.b, e.wab, e.wba); err != nil {
-			panic(err)
-		}
-		switch e.dir {
-		case AtoB:
-			_ = c.Resolve(k.a, k.b)
-		case BtoA:
-			_ = c.Resolve(k.b, k.a)
-		}
+	return c
+}
+
+func cloneLists(lists [][]int32) [][]int32 {
+	c := make([][]int32, len(lists))
+	for i, l := range lists {
+		c[i] = slices.Clone(l)
 	}
 	return c
 }

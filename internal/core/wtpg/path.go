@@ -3,6 +3,7 @@ package wtpg
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 
 	"batsched/internal/txn"
@@ -174,10 +175,7 @@ func (g *Graph) CriticalPathTrace() ([]txn.ID, float64, error) {
 		}
 		u = prev[u]
 	}
-	// Reverse into T0→Tf order.
-	for i, j := 0, len(path)-1; i < j; i, j = i+1, j-1 {
-		path[i], path[j] = path[j], path[i]
-	}
+	slices.Reverse(path) // into T0→Tf order
 	return path, bestLen, nil
 }
 

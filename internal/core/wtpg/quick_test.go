@@ -501,7 +501,7 @@ func TestQuickDifferentialEngine(t *testing.T) {
 				}
 			default:
 				a := p.pick(nb())
-				rsG, rsR := p.g.Splice(a), p.r.Splice(a)
+				rsG, rsR := p.g.Splice(a, nil), p.r.Splice(a)
 				if len(rsG) != len(rsR) {
 					t.Logf("Splice(%d): engine=%v ref=%v", a, rsG, rsR)
 					return false

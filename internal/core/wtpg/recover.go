@@ -1,7 +1,7 @@
 package wtpg
 
 import (
-	"sort"
+	"slices"
 
 	"batsched/internal/txn"
 )
@@ -18,8 +18,11 @@ import (
 //  1. retracts every unresolved conflicting-edge of id together with the
 //     node (no order was promised on those, nothing to repair);
 //  2. for every resolved pair u→id and id→v, re-resolves the surviving
-//     conflicting-edge (u, v) as u→v when one exists and is still
-//     unresolved ("splicing the precedence past the dead transaction").
+//     conflicting-edge (u, v) as u→v when it is still unresolved
+//     ("splicing the precedence past the dead transaction"). When
+//     declared is not nil and the graph holds no edge between u and v
+//     (C2PL builds an edge only when it resolves it), the one their
+//     declarations give, if any, is inserted first (ConflictWeights).
 //
 // The splice can never create a cycle: a cycle using a spliced edge u→v
 // maps, by re-expanding u→v into u→id→v, onto a cycle through id in the
@@ -31,33 +34,26 @@ import (
 // The applied resolutions are returned in deterministic (sorted) order;
 // each one also fires OnResolve like any other resolution. Splicing an
 // unknown id is a no-op.
-func (g *Graph) Splice(id txn.ID) []Resolution {
+func (g *Graph) Splice(id txn.ID, declared func(txn.ID) *txn.T) []Resolution {
 	s, ok := g.slotOf.Get(id)
 	if !ok {
 		return nil
 	}
-	preds := make([]txn.ID, 0, len(g.in[s]))
-	for _, idx := range g.in[s] {
-		preds = append(preds, g.ids[g.edges[idx].fromSlot()])
-	}
+	preds := g.Predecessors(id)
 	succs := make([]txn.ID, 0, len(g.out[s]))
 	for _, idx := range g.out[s] {
 		succs = append(succs, g.ids[g.edges[idx].toSlot()])
 	}
-	sort.Slice(preds, func(i, j int) bool { return preds[i] < preds[j] })
-	sort.Slice(succs, func(i, j int) bool { return succs[i] < succs[j] })
+	slices.Sort(succs)
 	g.Remove(id)
 	var spliced []Resolution
 	for _, u := range preds {
 		for _, v := range succs {
-			if u == v {
-				continue
+			var du, dv *txn.T
+			if declared != nil {
+				du, dv = declared(u), declared(v)
 			}
-			idx, ok := g.pair[keyOf(u, v)]
-			if !ok || g.edges[idx].dir != Unresolved {
-				continue
-			}
-			if err := g.Resolve(u, v); err == nil {
+			if ok, _ := g.resolve(u, v, du, dv); ok {
 				spliced = append(spliced, Resolution{From: u, To: v})
 			}
 		}

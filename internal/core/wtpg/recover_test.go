@@ -35,7 +35,7 @@ func TestSpliceRepairsPrecedence(t *testing.T) {
 	}
 	var observed [][2]txn.ID
 	g.OnResolve = func(from, to txn.ID) { observed = append(observed, [2]txn.ID{from, to}) }
-	spliced := g.Splice(2)
+	spliced := g.Splice(2, nil)
 	if len(spliced) != 1 || spliced[0] != (Resolution{From: 1, To: 3}) {
 		t.Fatalf("spliced = %v, want [1→3]", spliced)
 	}
@@ -65,7 +65,7 @@ func TestSpliceSkipsAlreadyResolvedPairs(t *testing.T) {
 	if err := g.Resolve(1, 3); err != nil {
 		t.Fatal(err)
 	}
-	if spliced := g.Splice(2); len(spliced) != 0 {
+	if spliced := g.Splice(2, nil); len(spliced) != 0 {
 		t.Fatalf("spliced = %v, want none", spliced)
 	}
 	if e, _ := g.EdgeBetween(1, 3); e.Dir != AtoB {
@@ -77,7 +77,7 @@ func TestSpliceRetractsUnresolvedEdges(t *testing.T) {
 	g := buildTriangle(t)
 	// Nothing resolved: aborting 2 must just drop the node and its
 	// conflicting-edges, leaving (1,3) unresolved.
-	if spliced := g.Splice(2); len(spliced) != 0 {
+	if spliced := g.Splice(2, nil); len(spliced) != 0 {
 		t.Fatalf("spliced = %v, want none", spliced)
 	}
 	if _, ok := g.EdgeBetween(1, 2); ok {
@@ -109,7 +109,7 @@ func TestSpliceNoDirectConflict(t *testing.T) {
 	if err := g.Resolve(2, 3); err != nil {
 		t.Fatal(err)
 	}
-	if spliced := g.Splice(2); len(spliced) != 0 {
+	if spliced := g.Splice(2, nil); len(spliced) != 0 {
 		t.Fatalf("spliced = %v, want none", spliced)
 	}
 	if _, ok := g.EdgeBetween(1, 3); ok {
@@ -119,7 +119,7 @@ func TestSpliceNoDirectConflict(t *testing.T) {
 
 func TestSpliceUnknownIsNoop(t *testing.T) {
 	g := buildTriangle(t)
-	if spliced := g.Splice(99); spliced != nil {
+	if spliced := g.Splice(99, nil); spliced != nil {
 		t.Fatalf("spliced = %v, want nil", spliced)
 	}
 	if g.Len() != 3 {
@@ -154,7 +154,7 @@ func TestSpliceManyPredsSuccs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	spliced := g.Splice(5)
+	spliced := g.Splice(5, nil)
 	want := []Resolution{{1, 3}, {1, 4}, {2, 3}}
 	if len(spliced) != len(want) {
 		t.Fatalf("spliced = %v, want %v", spliced, want)

@@ -34,6 +34,16 @@ type Ref struct {
 	OnResolve func(from, to txn.ID)
 }
 
+// pairKey names an unordered transaction pair, smaller id first.
+type pairKey struct{ a, b txn.ID }
+
+func keyOf(a, b txn.ID) pairKey {
+	if a > b {
+		a, b = b, a
+	}
+	return pairKey{a, b}
+}
+
 // NewRef returns an empty reference WTPG.
 func NewRef() *Ref {
 	return &Ref{

@@ -827,3 +827,45 @@ func TestPanicUnderMutexBreaksController(t *testing.T) {
 		}
 	}
 }
+
+// TestObserverPanicAfterForceKeepsCommit: an observer that panics on the
+// KindWALSync event, which force emits outside c.mu once the commit is
+// durable, does not fail that commit. Run reports it committed, Stats
+// counts it and the log replays it; the panic breaks the controller, so
+// a later Run fails naming it.
+func TestObserverPanicAfterForceKeepsCommit(t *testing.T) {
+	wdir := t.TempDir()
+	l, err := wal.Open(wdir, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	ctl := New(sched.C2PLFactory(), liveCosts, WithWALLog(l), WithObserver(observerFunc(func(e obs.Event) {
+		if e.Kind == obs.KindWALSync {
+			panic("observer bug")
+		}
+	})))
+	defer ctl.Close()
+	ctx := context.Background()
+	if err := ctl.Run(ctx, txn.New(1, []txn.Step{w(0, 1)}), nil); err != nil {
+		t.Fatalf("Run of a durable commit: %v", err)
+	}
+	if got := ctl.Stats().Committed; got != 1 {
+		t.Fatalf("Stats.Committed = %d, want 1", got)
+	}
+	scans, err := wal.Scan(wdir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, err := wal.Replay(scans, 1, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rec.Committed) != 1 || rec.Committed[0] != 1 {
+		t.Fatalf("replay committed %v, want [T1]", rec.Committed)
+	}
+	want := "force panicked: observer bug"
+	if err := ctl.Run(ctx, txn.New(2, []txn.Step{w(0, 1)}), nil); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("a later Run: %v; want an error naming %q", err, want)
+	}
+}

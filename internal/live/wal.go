@@ -140,8 +140,9 @@ func (c *Controller) preCommitLocked(t *txn.T, preds []txn.ID, now event.Time) e
 
 // force makes every record appended so far durable, in its own pass or
 // by finding another caller's pass covered it. It takes no controller
-// lock — it is the store's write barrier too — and must be called
-// without holding one a committer needs.
+// lock — it is the store's write barrier too — unless its observer
+// panics (emitSync), and must be called without holding one a
+// committer needs.
 func (c *Controller) force(now event.Time) error {
 	if c.wal == nil {
 		return nil
@@ -159,9 +160,30 @@ func (c *Controller) force(now event.Time) error {
 		return err
 	}
 	if n > 0 && c.observer != nil {
-		c.emit(obs.Event{Kind: obs.KindWALSync, At: now, Batch: n, DurNS: time.Since(start).Nanoseconds()})
+		c.emitSync(obs.Event{Kind: obs.KindWALSync, At: now, Batch: n, DurNS: time.Since(start).Nanoseconds()})
 	}
 	return nil
+}
+
+// emitSync emits force's event. force runs outside c.mu, where exit
+// cannot catch a panicking observer, and the records it forced are
+// durable already: the panic must neither escape Commit, which would
+// turn a durable commit into a reported failure, nor the store's write
+// barrier. So emitSync recovers it and breaks the controller as exit
+// does — latches it into schedErr, naming it, and wakes everything
+// parked — and force goes on. It takes c.mu only then; no caller of
+// force holds it, and nothing that holds it waits on the log or the
+// store.
+func (c *Controller) emitSync(e obs.Event) {
+	defer func() {
+		if r := recover(); r != nil {
+			c.mu.Lock()
+			latch(&c.schedErr, fmt.Errorf("live: force panicked: %v", r))
+			c.broadcastLocked()
+			c.mu.Unlock()
+		}
+	}()
+	c.emit(e)
 }
 
 // Recover rebuilds a controller from the per-node logs under dir: it

@@ -123,11 +123,9 @@ func validVar(s string) bool {
 
 // Vars returns the distinct variables of the pattern in first-use order.
 func (p *Pattern) Vars() []string {
-	seen := make(map[string]bool, len(p.Steps))
 	var out []string
-	for _, s := range p.Steps {
-		if !seen[s.Var] {
-			seen[s.Var] = true
+	for i, s := range p.Steps {
+		if p.firstOf(i) == i {
 			out = append(out, s.Var)
 		}
 	}
@@ -135,18 +133,59 @@ func (p *Pattern) Vars() []string {
 }
 
 // Bind instantiates the pattern into a concrete transaction by mapping
-// every variable to a partition. Unbound variables are an error; extra
-// bindings are ignored.
+// every variable to a partition: BindParts over the map's partitions in
+// Vars order. Unbound variables are an error; extra bindings are ignored.
 func (p *Pattern) Bind(id ID, binding map[string]PartitionID) (*T, error) {
-	ss := make([]Step, len(p.Steps))
-	for i, st := range p.Steps {
-		part, ok := binding[st.Var]
+	vars := p.Vars()
+	parts := make([]PartitionID, len(vars))
+	for i, v := range vars {
+		part, ok := binding[v]
 		if !ok {
-			return nil, fmt.Errorf("txn: pattern %q: unbound variable %q", p.Name, st.Var)
+			return nil, fmt.Errorf("txn: pattern %q: unbound variable %q", p.Name, v)
 		}
-		ss[i] = Step{Mode: st.Mode, Part: part, Cost: st.Cost}
+		parts[i] = part
 	}
-	return New(id, ss), nil
+	return p.BindParts(id, parts), nil
+}
+
+// BindParts instantiates the pattern with parts[i] bound to the i-th
+// variable of Vars. It allocates the transaction and its two slices and
+// nothing else, which is why the workload generators bind through it. It
+// panics when parts is shorter than NumVars.
+func (p *Pattern) BindParts(id ID, parts []PartitionID) *T {
+	ss := make([]Step, len(p.Steps))
+	n := 0 // variables bound so far
+	for i, st := range p.Steps {
+		ss[i] = Step{Mode: st.Mode, Cost: st.Cost}
+		if j := p.firstOf(i); j < i {
+			ss[i].Part = ss[j].Part
+		} else {
+			ss[i].Part = parts[n]
+			n++
+		}
+	}
+	return New(id, ss)
+}
+
+// NumVars returns len(p.Vars()) without allocating.
+func (p *Pattern) NumVars() int {
+	n := 0
+	for i := range p.Steps {
+		if p.firstOf(i) == i {
+			n++
+		}
+	}
+	return n
+}
+
+// firstOf returns the first step that uses step i's variable.
+func (p *Pattern) firstOf(i int) int {
+	for j := range i {
+		if p.Steps[j].Var == p.Steps[i].Var {
+			return j
+		}
+	}
+	return i
 }
 
 // String renders the pattern in the paper's arrow notation.

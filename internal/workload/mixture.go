@@ -84,9 +84,8 @@ func ShortTransactions(numParts int, stepCost float64) Generator {
 	return &PatternGenerator{
 		Label:   fmt.Sprintf("Short/cost=%g", stepCost),
 		Pattern: p,
-		BindVars: func(rng *rand.Rand) map[string]txn.PartitionID {
-			ps := distinct(rng, pool, 2)
-			return map[string]txn.PartitionID{"X": ps[0], "Y": ps[1]}
+		BindVars: func(rng *rand.Rand, parts []txn.PartitionID) { // X, Y
+			distinct(rng, pool, parts)
 		},
 	}
 }

@@ -7,6 +7,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"batsched/internal/txn"
 )
@@ -38,33 +40,54 @@ type Generator interface {
 type PatternGenerator struct {
 	Label   string
 	Pattern *txn.Pattern
-	// BindVars returns the binding for one transaction instance.
-	BindVars func(rng *rand.Rand) map[string]txn.PartitionID
+	// BindVars binds one transaction instance: it fills parts with one
+	// partition per variable, in Pattern.Vars() order.
+	BindVars func(rng *rand.Rand, parts []txn.PartitionID)
 }
 
 // Name implements Generator.
 func (g *PatternGenerator) Name() string { return g.Label }
 
+// partsPool holds the buffers Next binds into. BindVars is called
+// through a func value, so a buffer passed to it escapes to the heap; a
+// pooled one keeps a generated transaction at three allocations (the T
+// and its two slices), and generators are called from many goroutines.
+var partsPool = sync.Pool{New: func() any { return new([]txn.PartitionID) }}
+
 // Next implements Generator.
 func (g *PatternGenerator) Next(id txn.ID, rng *rand.Rand) *txn.T {
-	t, err := g.Pattern.Bind(id, g.BindVars(rng))
-	if err != nil {
-		panic(fmt.Sprintf("workload %s: %v", g.Label, err))
-	}
+	n := g.Pattern.NumVars()
+	buf := partsPool.Get().(*[]txn.PartitionID)
+	parts := slices.Grow((*buf)[:0], n)[:n]
+	g.BindVars(rng, parts)
+	t := g.Pattern.BindParts(id, parts)
+	*buf = parts
+	partsPool.Put(buf)
 	return t
 }
 
-// distinct draws k distinct partitions uniformly from pool.
-func distinct(rng *rand.Rand, pool []txn.PartitionID, k int) []txn.PartitionID {
+// distinct fills dst with len(dst) distinct partitions drawn uniformly
+// from pool: rng.Perm(len(pool))[:len(dst)] mapped through pool, draw for
+// draw. It makes all len(pool) of Perm's Intn calls, so the stream, and
+// with it every simulated number, is what Perm leaves; but it keeps only
+// the permutation's first len(dst) entries, in dst itself.
+func distinct(rng *rand.Rand, pool, dst []txn.PartitionID) {
+	k := len(dst)
 	if k > len(pool) {
 		panic(fmt.Sprintf("workload: need %d distinct partitions from pool of %d", k, len(pool)))
 	}
-	idx := rng.Perm(len(pool))[:k]
-	out := make([]txn.PartitionID, k)
-	for i, j := range idx {
-		out[i] = pool[j]
+	for i := range pool { // Perm's inside-out shuffle, restricted to m[:k]
+		j := rng.Intn(i + 1)
+		if i < k {
+			dst[i] = dst[j]
+		}
+		if j < k {
+			dst[j] = txn.PartitionID(i)
+		}
 	}
-	return out
+	for x, i := range dst {
+		dst[x] = pool[i]
+	}
 }
 
 // rangeParts returns [lo, lo+n) as partition ids.
@@ -84,9 +107,8 @@ func Experiment1(numParts int) Generator {
 	return &PatternGenerator{
 		Label:   fmt.Sprintf("Pattern1/NumParts=%d", numParts),
 		Pattern: Pattern1,
-		BindVars: func(rng *rand.Rand) map[string]txn.PartitionID {
-			fs := distinct(rng, pool, 2)
-			return map[string]txn.PartitionID{"F1": fs[0], "F2": fs[1]}
+		BindVars: func(rng *rand.Rand, parts []txn.PartitionID) { // F1, F2
+			distinct(rng, pool, parts)
 		},
 	}
 }
@@ -112,10 +134,9 @@ func hotSetGenerator(label string, p *txn.Pattern, l HotSetLayout) Generator {
 	return &PatternGenerator{
 		Label:   label,
 		Pattern: p,
-		BindVars: func(rng *rand.Rand) map[string]txn.PartitionID {
-			b := readOnly[rng.Intn(len(readOnly))]
-			fs := distinct(rng, hots, 2)
-			return map[string]txn.PartitionID{"B": b, "F1": fs[0], "F2": fs[1]}
+		BindVars: func(rng *rand.Rand, parts []txn.PartitionID) { // B, F1, F2
+			parts[0] = readOnly[rng.Intn(len(readOnly))]
+			distinct(rng, hots, parts[1:])
 		},
 	}
 }
@@ -177,22 +198,16 @@ func (d *declarationError) Next(id txn.ID, rng *rand.Rand) *txn.T {
 // variable is bound, per transaction, to a distinct partition drawn
 // uniformly from [0, numParts). Used by cmd/batsim's -pattern flag.
 func UniformPattern(p *txn.Pattern, numParts int) Generator {
-	vars := p.Vars()
-	if len(vars) > numParts {
+	if n := p.NumVars(); n > numParts {
 		panic(fmt.Sprintf("workload: pattern %q has %d variables but only %d partitions",
-			p.Name, len(vars), numParts))
+			p.Name, n, numParts))
 	}
 	pool := rangeParts(0, numParts)
 	return &PatternGenerator{
 		Label:   fmt.Sprintf("%s/NumParts=%d", p.Name, numParts),
 		Pattern: p,
-		BindVars: func(rng *rand.Rand) map[string]txn.PartitionID {
-			ps := distinct(rng, pool, len(vars))
-			binding := make(map[string]txn.PartitionID, len(vars))
-			for i, v := range vars {
-				binding[v] = ps[i]
-			}
-			return binding
+		BindVars: func(rng *rand.Rand, parts []txn.PartitionID) {
+			distinct(rng, pool, parts)
 		},
 	}
 }
