@@ -126,6 +126,8 @@ verify: build test bench-smoke harness-smoke
 	! grep -n 'Submit(func\|retryLater(func' internal/sim/*.go
 	! grep -n '\.Fd()' internal/storage/*.go
 	! grep -rn 'go func' --include='*.go' --exclude='*_test.go' internal/storage
+	! grep -rn 'type Iterator\|func (st \*Store) Scan(' --include='*.go' internal/storage
+	! grep -rn 'poolEvent' --include='*.go' internal/storage
 	! grep -rn '"batsched/internal/\(fault\|machine\)"' --include='*.go' --exclude='*_test.go' internal/live
 	! grep -rnE '"batsched/internal/(wal|storage)"' --include='*.go' --exclude='*_test.go' internal/sim
 	! grep -rn '"batsched/internal/durable"' --include='*.go' .

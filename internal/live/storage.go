@@ -1,9 +1,9 @@
 package live
 
 // Real page I/O under the live controller: with WithStorage attached,
-// every granted step drives a real partition iterator through the
-// buffer pool (a full scan of the step's partition — the bulk access
-// the paper's transactions model), and a commit applies its footprint's
+// every granted step runs Store.ScanCount through the buffer pool (a
+// full scan of the step's partition — the bulk access the paper's
+// transactions model), and a commit applies its footprint's
 // write effects. Applying them, the write barrier and the sticky storage
 // error belong to the write-ahead contract of wal.go; finish (live.go)
 // says when.

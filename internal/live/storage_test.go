@@ -2,8 +2,9 @@ package live
 
 // Live storage battery: the heap-file engine under the live controller
 // swarm — real goroutines, real page I/O, -race.
-// Asserted invariants: pins drain to zero, the buffer-pool hit/miss
-// counters agree between the store's own stats and the obs metrics,
+// Asserted invariants: pins drain to zero, the buffer-pool hit, miss,
+// eviction and write-back counters agree between the store's own stats
+// and the obs metrics,
 // partition contents equal the pure function of the committed set, and
 // a SIGKILL mid-flush (WAL + heap torn together) recovers to contents
 // ≡ the durable committed set.
@@ -112,6 +113,13 @@ func TestChaosStorageLiveSwarm(t *testing.T) {
 			if ps.BytesRead != sm.BytesRead || ps.BytesWritten != sm.BytesWritten {
 				t.Fatalf("byte counters diverge: store %d/%d read/written, metrics %d/%d",
 					ps.BytesRead, ps.BytesWritten, sm.BytesRead, sm.BytesWritten)
+			}
+			if ps.Evictions != sm.PageEvicts || ps.BytesWritten != sm.PageWrites*1024 {
+				t.Fatalf("write-back counters diverge: store %d evictions, %d bytes written; metrics %d evictions, %d page writes of 1024 bytes",
+					ps.Evictions, ps.BytesWritten, sm.PageEvicts, sm.PageWrites)
+			}
+			if ps.Evictions == 0 || sm.PageWrites == 0 {
+				t.Fatalf("setup: %d evictions, %d page writes — the pool was not small enough to evict", ps.Evictions, sm.PageWrites)
 			}
 			if ps.Hits+ps.Misses == 0 && len(committed) > 0 {
 				t.Fatal("swarm committed transactions without touching a page")

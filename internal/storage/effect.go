@@ -87,21 +87,19 @@ func (st *Store) ApplyCommit(t *txn.T) error {
 }
 
 // Keys scans a partition and returns the set of effect keys present
-// (tuples that do not decode as effects are ignored).
+// (tuples that do not decode as effects are ignored). On an error it
+// returns the keys of the pages read before it.
 func (st *Store) Keys(part txn.PartitionID) (map[EffectKey]bool, error) {
 	keys := make(map[EffectKey]bool)
-	it := st.Scan(part)
-	for {
-		tup, _, ok := it.Next()
-		if !ok {
-			break
+	_, err := st.walk(part, func(pg Page) {
+		for s := 0; s < pg.NumSlots(); s++ {
+			if tup, ok := pg.Get(s); ok {
+				if k, _, ok := DecodeEffect(tup); ok {
+					keys[k] = true
+				}
+			}
 		}
-		if k, _, ok := DecodeEffect(tup); ok {
-			keys[k] = true
-		}
-	}
-	err := it.Err()
-	it.recycle()
+	})
 	return keys, err
 }
 

@@ -1,8 +1,9 @@
 // Package storage is the heap-file storage engine under the bulk
 // transactions (ROADMAP: "A real storage engine under the bulk
 // transactions"): slotted pages with checksummed headers, a buffer pool
-// with clock eviction, and partition-level append-only heap files with
-// Scan/Insert/Get access keyed by the existing partition IDs.
+// with clock eviction, and partition-level append-only heap files read
+// whole (ScanCount, Keys) and appended to (Insert), keyed by the existing
+// partition IDs.
 //
 // The engine is deliberately subordinate to the schedulers: it moves
 // real bytes but never makes a concurrency-control decision. Partition

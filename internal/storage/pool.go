@@ -5,6 +5,8 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"batsched/internal/event"
+	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
 
@@ -119,9 +121,14 @@ func (s *PoolStats) add(o PoolStats) {
 	s.Overflows += o.Overflows
 }
 
-// poolEventFn reports page traffic to the store's observer wiring.
-// Called with the owning stripe's latch held.
-type poolEventFn func(op string, k pageKey, bytes int)
+// binding is the observer wiring Store.Bind installs: the sink, the
+// scheduler label stamped on events, and the clock supplying Event.At —
+// the live controller's wall milliseconds.
+type binding struct {
+	o     obs.Observer
+	label string
+	clock func() event.Time
+}
 
 // stripe is one latch domain of the pool: a private set of frames with
 // its own clock hand and run index. A run maps to exactly
@@ -184,10 +191,9 @@ type Pool struct {
 	stripes []*stripe
 	mask    uint32
 
-	// onEvent reports page traffic to the store's observer wiring
-	// (nil = unobserved); swapped atomically so Bind never stops the
-	// pool.
-	onEvent atomic.Pointer[poolEventFn]
+	// bound is the observer page traffic is reported to (nil =
+	// unobserved); swapped atomically so Bind never stops the pool.
+	bound atomic.Pointer[binding]
 }
 
 func newPool(io pageIO, frames, pageSize int) *Pool {
@@ -232,10 +238,18 @@ func (p *Pool) stripeOf(k pageKey) *stripe {
 	return p.stripes[uint32(h)&p.mask]
 }
 
-func (p *Pool) event(op string, k pageKey, bytes int) {
-	if fn := p.onEvent.Load(); fn != nil {
-		(*fn)(op, k, bytes)
+// event reports one page event to the bound observer. Called with the
+// owning stripe's latch held.
+func (p *Pool) event(kind obs.Kind, op string, k pageKey, bytes int) {
+	b := p.bound.Load()
+	if b == nil {
+		return
 	}
+	e := obs.Event{Kind: kind, Op: op, Sched: b.label, Part: k.part, Batch: bytes}
+	if b.clock != nil {
+		e.At = b.clock()
+	}
+	b.o.Observe(e)
 }
 
 // lookup returns the frame caching page k, or nil.
@@ -297,7 +311,7 @@ func (p *Pool) Get(k pageKey, create bool) (*Frame, error) {
 		}
 		f.pins++
 		atomic.AddUint64(&s.hits, 1)
-		p.event("hit", k, 0)
+		p.event(obs.KindPageRead, "hit", k, 0)
 		return f, nil
 	}
 	f, err := p.claimLocked(s)
@@ -411,7 +425,7 @@ func (p *Pool) pinRun(part txn.PartitionID, first uint32, n int, out *[runPages]
 			e.index(f)
 			op, bytes = "miss", len(f.buf)
 		}
-		p.event(op, f.key, bytes)
+		p.event(obs.KindPageRead, op, f.key, bytes)
 	}
 	atomic.AddInt64(&s.pinned, int64(newly))
 	atomic.AddUint64(&s.hits, uint64(got-reads))
@@ -455,16 +469,16 @@ func (p *Pool) claimLocked(s *stripe) (*Frame, error) {
 	if f == nil || !f.valid {
 		return f, nil
 	}
-	op := "evict-clean"
+	op := "clean"
 	if f.dirty {
 		if err := p.writeBackLocked(s, f); err != nil {
 			return nil, err
 		}
-		op = "evict-dirty"
+		op = "dirty"
 	}
 	s.unindex(f)
 	atomic.AddUint64(&s.evictions, 1)
-	p.event(op, f.key, 0)
+	p.event(obs.KindPageEvict, op, f.key, 0)
 	return f, nil
 }
 
@@ -503,7 +517,7 @@ func (p *Pool) admitLocked(s *stripe, f *Frame, created bool) {
 		bytes = len(f.buf)
 		atomic.AddUint64(&s.bytesRead, uint64(bytes))
 	}
-	p.event("miss", f.key, bytes)
+	p.event(obs.KindPageRead, "miss", f.key, bytes)
 }
 
 // overflowLocked serves page k from a freshly allocated transient frame
@@ -554,15 +568,15 @@ func (p *Pool) writeBackLocked(s *stripe, f *Frame) error {
 	}
 	atomic.AddUint64(&s.bytesWritten, uint64(len(f.buf)))
 	f.dirty = false
-	p.event("write", f.key, len(f.buf))
+	p.event(obs.KindPageWrite, "", f.key, len(f.buf))
 	return nil
 }
 
 // Unpin releases one pin, marking the frame dirty when the caller
 // mutated the page. Unpinning an unpinned frame is a programming error
-// and panics — the invariant the pool tests assert under -race, and the
-// guard that makes zero-copy scans safe: a frame can never be recycled
-// while records still alias it without tripping this accounting.
+// and panics — the invariant the pool tests assert under -race: a frame
+// can never be recycled while a pinner still reads it without tripping
+// this accounting.
 func (p *Pool) Unpin(f *Frame, dirty bool) {
 	s := p.stripeOf(f.key)
 	s.mu.Lock()

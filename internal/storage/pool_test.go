@@ -3,9 +3,12 @@ package storage
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
+	"batsched/internal/event"
+	"batsched/internal/obs"
 	"batsched/internal/txn"
 )
 
@@ -413,5 +416,70 @@ func TestPoolStripeContention(t *testing.T) {
 	}
 	if int(total.Misses) != io.reads {
 		t.Fatalf("misses=%d, backend reads=%d", total.Misses, io.reads)
+	}
+}
+
+// recordObs keeps every event it observes.
+type recordObs []obs.Event
+
+func (r *recordObs) Observe(e obs.Event) { *r = append(*r, e) }
+
+// TestPoolEvents: the bound observer sees each page event with its kind,
+// op, partition, bytes, label and clock — a miss, a hit, a dirty
+// victim's write-back and eviction, a run's reads, a clean eviction —
+// and nothing once unbound.
+func TestPoolEvents(t *testing.T) {
+	st, _ := openOneStripe(t, t.TempDir(), 2, 4)
+	defer st.Close()
+	fillPages(t, st, 0, 4)
+	if _, err := st.Insert(1, []byte("p1")); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	coldPool(st, st, 4)
+	var rec recordObs
+	st.Bind(&rec, "L", func() event.Time { return 7 })
+	ev := func(kind obs.Kind, op string, part txn.PartitionID, bytes int) obs.Event {
+		return obs.Event{Kind: kind, At: 7, Sched: "L", Part: part, Op: op, Batch: bytes}
+	}
+	read := func(op string, part txn.PartitionID, bytes int) obs.Event {
+		return ev(obs.KindPageRead, op, part, bytes)
+	}
+
+	if err := st.TouchPage(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	fr, err := st.pool.Get(pageKey{1, 0}, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st.pool.Unpin(fr, true)
+	for i := 0; i < 2; i++ { // a cold run evicting the dirty page, then a warm one
+		if _, err := st.ScanCount(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := st.TouchPage(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	want := []obs.Event{
+		read("miss", 1, 512), read("hit", 1, 0),
+		ev(obs.KindPageWrite, "", 1, 512), ev(obs.KindPageEvict, "dirty", 1, 0),
+		read("miss", 0, 512), read("miss", 0, 512), read("miss", 0, 512), read("miss", 0, 512),
+		read("hit", 0, 0), read("hit", 0, 0), read("hit", 0, 0), read("hit", 0, 0),
+		ev(obs.KindPageEvict, "clean", 0, 0), read("miss", 1, 512),
+	}
+	if !reflect.DeepEqual([]obs.Event(rec), want) {
+		t.Fatalf("page events\n got %+v\nwant %+v", rec, want)
+	}
+
+	st.Bind(nil, "", nil)
+	if err := st.TouchPage(1, 0); err != nil {
+		t.Fatal(err)
+	}
+	if len(rec) != len(want) {
+		t.Fatalf("%d events after Bind(nil)", len(rec)-len(want))
 	}
 }

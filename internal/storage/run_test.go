@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -35,14 +37,14 @@ func openOneStripe(t *testing.T, dir string, parts, frames int) (*Store, *countI
 	return st, io
 }
 
-// fillPages inserts distinguishable tuples until part has at least pages
-// pages, flushes them, and returns the tuple count.
+// fillPages inserts distinguishable tuples, each an effect of its own
+// key, until part has at least pages pages, flushes them, and returns the
+// tuple count.
 func fillPages(t *testing.T, st *Store, part txn.PartitionID, pages uint32) int {
 	t.Helper()
 	n := 0
 	for st.NumPages(part) < pages {
-		tup := bytes.Repeat([]byte{byte('a' + n%26)}, 90+n%30)
-		if _, err := st.Insert(part, tup); err != nil {
+		if _, err := st.Insert(part, EncodeEffect(txn.ID(n+1), 0, part, 90+n%30)); err != nil {
 			t.Fatal(err)
 		}
 		n++
@@ -120,10 +122,43 @@ func refScan(st *Store, part txn.PartitionID, yield func(tup []byte, rid RecordI
 	return nil
 }
 
-// TestRunDifferential drives a seeded random mix of ScanCount, Scan,
+// tupleAt is one live tuple, copied out of its frame, and where it lies.
+type tupleAt struct {
+	rid RecordID
+	tup string
+}
+
+// tuples reads part's live tuples through the run walk, in page and slot
+// order, with the error that stopped the walk.
+func tuples(st *Store, part txn.PartitionID) ([]tupleAt, error) {
+	var out []tupleAt
+	_, err := st.walk(part, func(pg Page) {
+		for s := 0; s < pg.NumSlots(); s++ {
+			if tup, ok := pg.Get(s); ok {
+				out = append(out, tupleAt{RecordID{Page: pg.PageNo(), Slot: s}, string(tup)})
+			}
+		}
+	})
+	return out, err
+}
+
+// refKeys decodes the effect keys of the reference's tuples on pages
+// before limit.
+func refKeys(st *Store, part txn.PartitionID, limit uint32) (map[EffectKey]bool, error) {
+	keys := map[EffectKey]bool{}
+	err := refScan(st, part, func(tup []byte, rid RecordID) {
+		if k, _, ok := DecodeEffect(tup); ok && rid.Page < limit {
+			keys[k] = true
+		}
+	})
+	return keys, err
+}
+
+// TestRunDifferential drives a seeded random mix of ScanCount, Keys,
 // point Get, Insert and FlushPartition against a store and against a
 // page-at-a-time reference on an identical store (same frames, one
-// stripe). Both must return the same tuples; the store's Hits+Misses must
+// stripe). Both must read the same tuples (every tuple here decodes as an
+// effect key, so Keys sees each one); the store's Hits+Misses must
 // equal the pages requested (the reference's, which makes one Get per
 // page), its Misses the pages its backend served, and no frame may stay
 // pinned after any operation. A cold scan reads its pages runPages to a
@@ -164,32 +199,11 @@ func TestRunDifferential(t *testing.T) {
 					if errA != nil || errB != nil || a != b || a != len(rids[part]) {
 						fail("op %d: ScanCount(%v) = %d (%v), reference %d (%v), inserted %d", op, part, a, errA, b, errB, len(rids[part]))
 					}
-				case k < 8: // Scan
-					type rec struct {
-						rid RecordID
-						tup string
-					}
-					var a, b []rec
-					it := st.Scan(part)
-					for {
-						tup, rid, ok := it.Next()
-						if !ok {
-							break
-						}
-						a = append(a, rec{rid, string(tup)})
-					}
-					it.Close()
-					errB := refScan(ref, part, func(tup []byte, rid RecordID) { b = append(b, rec{rid, string(tup)}) })
-					if it.Err() != nil || errB != nil {
-						fail("op %d: Scan(%v): %v, reference %v", op, part, it.Err(), errB)
-					}
-					if len(a) != len(b) {
-						fail("op %d: Scan(%v) yielded %d tuples, reference %d", op, part, len(a), len(b))
-					}
-					for i := range a {
-						if a[i] != b[i] {
-							fail("op %d: Scan(%v) tuple %d is %v, reference %v", op, part, i, a[i].rid, b[i].rid)
-						}
+				case k < 8: // Keys
+					a, errA := st.Keys(part)
+					b, errB := refKeys(ref, part, math.MaxUint32)
+					if errA != nil || errB != nil || !reflect.DeepEqual(a, b) {
+						fail("op %d: Keys(%v) = %d keys (%v), reference %d (%v)", op, part, len(a), errA, len(b), errB)
 					}
 				case k < 9: // point Get
 					rid := rids[part][rng.Intn(len(rids[part]))]
@@ -242,8 +256,8 @@ func TestRunDifferential(t *testing.T) {
 // TestRunTornPageMidRun tears a page in the middle of a run behind the
 // store's back. The scan's error names that page; no frame of the run
 // stays pinned, or indexed without having been verified; the next scan
-// reports the same error, not a stale frame; an iterator yields the runs
-// before it; other partitions scan cleanly.
+// reports the same error, not a stale frame; Keys returns the keys of the
+// runs before it with that error; other partitions scan cleanly.
 func TestRunTornPageMidRun(t *testing.T) {
 	const torn = runPages + 5
 	dir := t.TempDir()
@@ -251,6 +265,10 @@ func TestRunTornPageMidRun(t *testing.T) {
 	defer st.Close()
 	fillPages(t, st, 0, 3*runPages)
 	want1 := fillPages(t, st, 1, runPages+3)
+	before, err := refKeys(st, 0, runPages)
+	if err != nil {
+		t.Fatal(err)
+	}
 	coldPool(st, io, 64)
 
 	f, err := os.OpenFile(st.partPath(0), os.O_RDWR, 0)
@@ -273,21 +291,12 @@ func TestRunTornPageMidRun(t *testing.T) {
 			t.Fatalf("round %d: the torn page is cached", round)
 		}
 	}
-	it := st.Scan(0)
-	last := RecordID{}
-	for {
-		_, rid, ok := it.Next()
-		if !ok {
-			break
-		}
-		last = rid
+	keys, err := st.Keys(0)
+	if err == nil || !strings.Contains(err.Error(), name) {
+		t.Fatalf("Keys over a torn page %d: %v", torn, err)
 	}
-	it.Close()
-	if err := it.Err(); err == nil || !strings.Contains(err.Error(), name) {
-		t.Fatalf("Scan over a torn page %d: %v", torn, err)
-	}
-	if last.Page != runPages-1 {
-		t.Fatalf("Scan stopped after page %d, want the whole run before the torn one (page %d)", last.Page, runPages-1)
+	if len(before) == 0 || !reflect.DeepEqual(keys, before) {
+		t.Fatalf("Keys over a torn page gave %d keys, want the %d of the run before it", len(keys), len(before))
 	}
 	checkIndex(t, st)
 	if n, err := st.ScanCount(1); err != nil || n != want1 {
@@ -297,8 +306,8 @@ func TestRunTornPageMidRun(t *testing.T) {
 
 // TestRunTinyPools: a run shortens to what the clock can supply — down
 // to one page, the behaviour before runs — an overflow frame is served
-// only when every frame is pinned, and an open Iterator never pins more
-// than one run.
+// only when every frame is pinned, and a walk never pins more than one
+// run.
 func TestRunTinyPools(t *testing.T) {
 	st, _ := openOneStripe(t, t.TempDir(), 2, 4)
 	defer st.Close()
@@ -355,19 +364,12 @@ func TestRunTinyPools(t *testing.T) {
 	for _, frames := range []int{4, 64} {
 		st, _ := openOneStripe(t, t.TempDir(), 1, frames)
 		fillPages(t, st, 0, 2*runPages+3)
-		it, most := st.Scan(0), 0
-		for {
-			if _, _, ok := it.Next(); !ok {
-				break
-			}
-			most = max(most, st.PinnedFrames())
-		}
-		if err := it.Err(); err != nil {
+		most := 0
+		if _, err := st.walk(0, func(Page) { most = max(most, st.PinnedFrames()) }); err != nil {
 			t.Fatal(err)
 		}
-		it.Close()
 		if want := min(frames, runPages); most != want {
-			t.Errorf("%d frames: an open iterator pinned up to %d frames, want %d", frames, most, want)
+			t.Errorf("%d frames: a walk pinned up to %d frames, want %d", frames, most, want)
 		}
 		checkIndex(t, st)
 		st.Close()

@@ -84,14 +84,6 @@ type Store struct {
 	pool     *Pool
 	torn     int // pages discarded by open-time recovery
 
-	// Observer wiring (Bind): the sink, the scheduler label stamped on
-	// events, and the clock supplying Event.At — the live controller's
-	// wall milliseconds.
-	obsMu    sync.Mutex
-	observer obs.Observer
-	label    string
-	clock    func() event.Time
-
 	// barrier, when set (SetWriteBarrier), runs before every page write
 	// and vetoes it by failing; swapped atomically so binding never stops
 	// page traffic.
@@ -247,14 +239,10 @@ func (st *Store) pf(part txn.PartitionID) (*partFile, error) {
 // supplies Event.At. A nil observer unbinds. One binding per running
 // controller — the same single-producer ownership rule as obs.Metrics.
 func (st *Store) Bind(o obs.Observer, label string, clock func() event.Time) {
-	st.obsMu.Lock()
-	st.observer, st.label, st.clock = o, label, clock
-	st.obsMu.Unlock()
 	if o == nil {
-		st.pool.onEvent.Store(nil)
+		st.pool.bound.Store(nil)
 	} else {
-		fn := poolEventFn(st.poolEvent)
-		st.pool.onEvent.Store(&fn)
+		st.pool.bound.Store(&binding{o, label, clock})
 	}
 }
 
@@ -273,40 +261,6 @@ func (st *Store) writeBarrier() error {
 		return (*b)()
 	}
 	return nil
-}
-
-// poolEvent translates a pool callback into a structured trace event.
-func (st *Store) poolEvent(op string, k pageKey, bytes int) {
-	st.obsMu.Lock()
-	o, label, clock := st.observer, st.label, st.clock
-	st.obsMu.Unlock()
-	if o == nil {
-		return
-	}
-	e := obs.Event{
-		Sched: label,
-		Txn:   0,
-		Part:  k.part,
-		Batch: bytes,
-	}
-	if clock != nil {
-		e.At = clock()
-	}
-	switch op {
-	case "hit":
-		e.Kind, e.Op = obs.KindPageRead, "hit"
-	case "miss":
-		e.Kind, e.Op = obs.KindPageRead, "miss"
-	case "write":
-		e.Kind = obs.KindPageWrite
-	case "evict-clean":
-		e.Kind, e.Op = obs.KindPageEvict, "clean"
-	case "evict-dirty":
-		e.Kind, e.Op = obs.KindPageEvict, "dirty"
-	default:
-		return
-	}
-	o.Observe(e)
 }
 
 // readPages / writePage implement pageIO for the pool.

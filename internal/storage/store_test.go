@@ -23,8 +23,8 @@ func mustOpen(t *testing.T, dir string, parts int, opts ...Option) *Store {
 }
 
 // TestStoreRoundTrip inserts across page boundaries, then closes and
-// reopens: every tuple must come back intact — by Scan and by the Get
-// probe — from disk with a cold pool.
+// reopens: every tuple must come back intact — by the run walk and by
+// the Get probe — from disk with a cold pool.
 func TestStoreRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	st := mustOpen(t, dir, 2, WithPageSize(512), WithPoolFrames(4))
@@ -47,19 +47,12 @@ func TestStoreRoundTrip(t *testing.T) {
 	check := func(s *Store) {
 		t.Helper()
 		got := map[string][]byte{}
-		it := s.Scan(0)
-		for {
-			tup, rid, ok := it.Next()
-			if !ok {
-				break
-			}
-			// Next yields zero-copy slices aliasing the pinned frame;
-			// retention requires a copy.
-			got[fmt.Sprintf("%d/%d", rid.Page, rid.Slot)] = append([]byte(nil), tup...)
-		}
-		it.Close()
-		if err := it.Err(); err != nil {
+		all, err := tuples(s, 0)
+		if err != nil {
 			t.Fatal(err)
+		}
+		for _, r := range all {
+			got[fmt.Sprintf("%d/%d", r.rid.Page, r.rid.Slot)] = []byte(r.tup)
 		}
 		if len(got) != len(live) {
 			t.Fatalf("scan found %d tuples, want %d", len(got), len(live))
@@ -154,20 +147,15 @@ func TestTornPageRecoverRestart(t *testing.T) {
 	// Interior page must read as a valid, empty page; other survivors keep
 	// their tuples.
 	seen := map[string]bool{}
-	it := st2.Scan(0)
-	for {
-		tup, rid, ok := it.Next()
-		if !ok {
-			break
-		}
-		if rid.Page == 1 {
+	all, err := tuples(st2, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range all {
+		if r.rid.Page == 1 {
 			t.Fatalf("reinitialized page 1 still holds tuples")
 		}
-		seen[string(tup)] = true
-	}
-	it.Close()
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
+		seen[r.tup] = true
 	}
 	if len(seen) == 0 {
 		t.Fatal("recovery destroyed every page")
@@ -424,7 +412,7 @@ func TestStoreWALReplayRedo(t *testing.T) {
 
 // TestStoreDeadSlotFromDisk opens a heap file whose one page carries a
 // dead slot between two live tuples (killSlot: valid on-disk input that
-// no code path here produces). Open keeps the page, Scan and ScanCount
+// no code path here produces). Open keeps the page, the walk and ScanCount
 // skip the dead slot, Get reports it absent, and an insert goes to a fresh
 // page — what was on disk before the session is never rewritten.
 func TestStoreDeadSlotFromDisk(t *testing.T) {
@@ -451,17 +439,12 @@ func TestStoreDeadSlotFromDisk(t *testing.T) {
 		t.Fatalf("Insert landed at %v (%v), want a fresh page", rid, err)
 	}
 	var got []string
-	it := st.Scan(0)
-	for {
-		tup, _, ok := it.Next()
-		if !ok {
-			break
-		}
-		got = append(got, string(tup))
-	}
-	it.Close()
-	if err := it.Err(); err != nil {
+	all, err := tuples(st, 0)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for _, r := range all {
+		got = append(got, r.tup)
 	}
 	if want := []string{"first", "third", "fourth"}; !reflect.DeepEqual(got, want) {
 		t.Errorf("scan %q, want %q", got, want)
@@ -581,71 +564,6 @@ func TestStoreCrashRedoWriteBackLag(t *testing.T) {
 		st2 := mustOpen(t, dir, 4, WithPageSize(512), WithPoolFrames(8))
 		defer st2.Close()
 		verify(t, st2, committed)
-	})
-}
-
-// TestScanZeroCopyAliasing pins down the zero-copy contract: tuples
-// returned by Next alias the pinned frame (no per-record copy), and the
-// pin accounting turns frame-recycling misuse into a panic instead of
-// silent corruption of aliased records.
-func TestScanZeroCopyAliasing(t *testing.T) {
-	dir := t.TempDir()
-	st := mustOpen(t, dir, 1, WithPageSize(512))
-	defer st.Close()
-	want := []byte("aliased-tuple-content")
-	if _, err := st.Insert(0, want); err != nil {
-		t.Fatal(err)
-	}
-
-	t.Run("alias-not-copy", func(t *testing.T) {
-		it := st.Scan(0)
-		defer it.Close()
-		tup, _, ok := it.Next()
-		if !ok {
-			t.Fatal("scan yielded nothing")
-		}
-		if !bytes.Equal(tup, want) {
-			t.Fatalf("tuple diverged: %q", tup)
-		}
-		off := bytes.Index(it.fr.buf, want)
-		if off < 0 {
-			t.Fatal("tuple bytes not found in the pinned frame — Next copied")
-		}
-		it.fr.buf[off] ^= 0xFF // mutate the frame under the pin…
-		if bytes.Equal(tup, want) {
-			t.Fatal("yielded tuple did not alias the frame")
-		}
-		it.fr.buf[off] ^= 0xFF
-	})
-
-	t.Run("copy-survives-close", func(t *testing.T) {
-		it := st.Scan(0)
-		tup, _, ok := it.Next()
-		if !ok {
-			t.Fatal("scan yielded nothing")
-		}
-		kept := append([]byte(nil), tup...)
-		it.Close()
-		if !bytes.Equal(kept, want) {
-			t.Fatal("copied tuple did not survive Close")
-		}
-	})
-
-	t.Run("unpin-misuse-panics", func(t *testing.T) {
-		it := st.Scan(0)
-		if _, _, ok := it.Next(); !ok {
-			t.Fatal("scan yielded nothing")
-		}
-		// Misuse: release the iterator's pin out from under it. The
-		// aliased record is now one eviction away from dangling — the
-		// iterator's own Close must trip the pin accounting.
-		st.pool.Unpin(it.fr, false)
-		defer func() {
-			if recover() == nil {
-				t.Fatal("Close after external Unpin did not panic — misuse would dangle aliased records silently")
-			}
-		}()
-		it.Close()
 	})
 }
 
